@@ -157,7 +157,9 @@ func NewIngestor(srv *Server, p *Pipeline, opts ...IngestorOption) (*Ingestor, e
 // state: incrementally maintained statistics rebuild the cheap components
 // (Pop counts, ItemAvg means, Stat/Dyn coverage, PopAccuracy), while trained
 // factor models are reused frozen — ItemKNN rebound so its scoring consults
-// the extended user profiles.
+// the extended user profiles. What a frozen factor model determines is
+// carried over, not rebuilt: its normaliser keeps p's per-user range table
+// (see frozenAccuracy), so a batch costs a user nothing they already paid.
 func (p *Pipeline) pipelineFromState(kind, covName string, s *ingest.State) (*Pipeline, error) {
 	train := s.Train
 	normalized := func(sc Scorer) AccuracyRecommender {
@@ -178,7 +180,7 @@ func (p *Pipeline) pipelineFromState(kind, covName string, s *ingest.State) (*Pi
 		arec, scorer = normalized(m), m
 	case "RSVD", "PSVD", "CofiRank":
 		scorer = p.baseScorer
-		arec = normalized(scorer)
+		arec = p.frozenAccuracy(train.NumItems())
 	default:
 		return nil, fmt.Errorf("%w: base kind %q", ErrSnapshotUnsupported, kind)
 	}
@@ -221,4 +223,19 @@ func (p *Pipeline) pipelineFromState(kind, covName string, s *ingest.State) (*Pi
 		ingestAvgLambda: s.AvgLambda,
 		shard:           p.shard,
 	}, nil
+}
+
+// frozenAccuracy is the accuracy component of a frozen factor model's next
+// generation: p's own normaliser re-aimed at the grown catalog, so the range
+// table it has filled survives the swap. ItemKNN (rebound per batch) and
+// Pop/ItemAvg (their statistics move) cannot share one and get a fresh
+// normaliser, as does a pipeline whose accuracy component is not the
+// normaliser (a registry entry with a custom adaptation).
+func (p *Pipeline) frozenAccuracy(numItems int) AccuracyRecommender {
+	if sa, ok := p.arec.(*core.ScorerAccuracy); ok {
+		if norm, ok := sa.Scorer.(*recommender.NormalizedScorer); ok {
+			return &core.ScorerAccuracy{Scorer: norm.ForCatalog(numItems)}
+		}
+	}
+	return newNormalizedAccuracy(p.baseScorer, numItems)
 }

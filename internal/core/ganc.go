@@ -536,7 +536,11 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// GANC is a configured instance of the framework. Construct with New.
+// GANC is a configured instance of the framework. Construct with New. An
+// instance is cheap to build and to drop: the serving layer assembles one per
+// ingestion batch, so it owns nothing that outlives it — sweep buffers come
+// from a process-wide pool (see sweepScratch) and hold no reference to the
+// instance once returned.
 type GANC struct {
 	cfg      Config
 	arec     AccuracyRecommender
@@ -544,11 +548,6 @@ type GANC struct {
 	prefs    *longtail.Preferences
 	train    *dataset.Dataset
 	numItems int
-
-	// scratchPool recycles the per-sweep candidate and score buffers, so the
-	// online RecommendUser path and the sharded batch workers allocate the
-	// catalog-sized buffers once instead of per call.
-	scratchPool sync.Pool
 
 	// popRank caches the catalog ranked by Dyn coverage score for the
 	// current frozen snapshot (identified by slice identity), so online
@@ -571,16 +570,14 @@ func New(train *dataset.Dataset, arec AccuracyRecommender, prefs *longtail.Prefe
 	if prefs.Len() != train.NumUsers() {
 		return nil, fmt.Errorf("core: preference vector covers %d users but train set has %d", prefs.Len(), train.NumUsers())
 	}
-	g := &GANC{
+	return &GANC{
 		cfg:      cfg,
 		arec:     arec,
 		crec:     crec,
 		prefs:    prefs,
 		train:    train,
 		numItems: train.NumItems(),
-	}
-	g.scratchPool.New = func() interface{} { return newSweepScratch(g.numItems) }
-	return g, nil
+	}, nil
 }
 
 // Name returns the paper-style template string GANC(ARec, θ, CRec).
@@ -636,7 +633,9 @@ const (
 // packed staging buffers aligned with it (float64 gains, float64 coverage
 // and the reduced-precision float32 arena), the dense (by-ItemID) accuracy
 // buffer, the streaming top-k selectors of the sparse Pop+Dyn fast path and
-// the CELF heap storage. One scratch serves one sweep at a time.
+// the CELF heap storage. One scratch serves one sweep at a time. Every buffer
+// starts empty and grows to what the sweeps using it need, so a scratch fits
+// any instance and any catalog size.
 type sweepScratch struct {
 	cand      []types.ItemID
 	packed    []float64
@@ -652,14 +651,22 @@ type sweepScratch struct {
 	oracle    sweepOracle
 }
 
-func newSweepScratch(numItems int) *sweepScratch {
-	return &sweepScratch{
-		acc: make([]float64, numItems),
-	}
-}
+// scratchPool recycles sweep scratches across requests, batch workers and
+// instances. It is process-wide on purpose: a sync.Pool is reachable from the
+// runtime until two collections after its last use, so a pool inside GANC
+// would keep every retired serving generation — and the train set it holds —
+// alive that long, and each new generation would start with cold buffers.
+var scratchPool = sync.Pool{New: func() interface{} { return new(sweepScratch) }}
 
-func (g *GANC) getScratch() *sweepScratch   { return g.scratchPool.Get().(*sweepScratch) }
-func (g *GANC) putScratch(sc *sweepScratch) { g.scratchPool.Put(sc) }
+func getScratch() *sweepScratch { return scratchPool.Get().(*sweepScratch) }
+
+// putScratch returns sc to the pool. The oracle is the one part of a scratch
+// that points into the instance it last served (the coverage recommender);
+// it is cleared so a pooled scratch pins no retired generation.
+func putScratch(sc *sweepScratch) {
+	sc.oracle = sweepOracle{}
+	scratchPool.Put(sc)
+}
 
 // sweepOracle adapts one user's buffered scores to the submodular.Oracle
 // interface consumed by the CELF lazy-greedy selection.
@@ -737,6 +744,9 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int,
 	}
 
 	fillAccuracyScores(g.arec, u, cand, packed)
+	if len(sc.acc) < g.numItems {
+		sc.acc = make([]float64, g.numItems)
+	}
 	for k, i := range cand {
 		sc.acc[i] = packed[k]
 	}
@@ -1376,8 +1386,8 @@ func (g *GANC) Recommend() types.Recommendations {
 	sets := make([]types.TopNSet, numUsers)
 	ctx := context.Background()
 	g.forEachShard(numUsers, func(lo, hi int) {
-		sc := g.getScratch()
-		defer g.putScratch(sc)
+		sc := getScratch()
+		defer putScratch(sc)
 		for u := lo; u < hi; u++ {
 			sets[u], _ = g.sweepUser(ctx, types.UserID(u), g.cfg.N, nil, true, sc)
 		}
@@ -1412,8 +1422,8 @@ func (g *GANC) RecommendUser(ctx context.Context, u types.UserID, n int) (types.
 	if n <= 0 {
 		n = g.cfg.N
 	}
-	sc := g.getScratch()
-	defer g.putScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	if dyn, ok := g.crec.(*DynCoverage); ok {
 		return g.sweepUser(ctx, u, n, dyn.FrozenFrequencies(), false, sc)
 	}
@@ -1477,14 +1487,14 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 	ctx := context.Background()
 	snapshots := make([]freqSnapshot, 0, len(sample))
 	inSample := make(map[types.UserID]struct{}, len(sample))
-	sc := g.getScratch()
+	sc := getScratch()
 	for _, ut := range sample {
 		inSample[ut.user] = struct{}{}
 		set, _ := g.sweepUser(ctx, ut.user, g.cfg.N, nil, true, sc)
 		recs[ut.user] = set
 		snapshots = append(snapshots, freqSnapshot{theta: ut.theta, freq: dyn.Frequencies()})
 	}
-	g.putScratch(sc)
+	putScratch(sc)
 
 	if fullSequential {
 		return recs
@@ -1504,8 +1514,8 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 	}
 	sets := make([]types.TopNSet, len(remaining))
 	g.forEachShard(len(remaining), func(lo, hi int) {
-		wsc := g.getScratch()
-		defer g.putScratch(wsc)
+		wsc := getScratch()
+		defer putScratch(wsc)
 		for k := lo; k < hi; k++ {
 			ut := remaining[k]
 			snap := nearestSnapshotFreq(snapshots, ut.theta)

@@ -25,8 +25,8 @@ var popDynTiers = []types.ScoringPrecision{
 // bypassing the sweepPopDyn dispatch.
 func generalPopDynSweep(t *testing.T, g *GANC, u types.UserID, n int, freq []int) types.TopNSet {
 	t.Helper()
-	sc := g.getScratch()
-	defer g.putScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	sc.cand = g.train.AppendCandidates(u, sc.cand[:0])
 	if cap(sc.packed) < len(sc.cand) {
 		sc.packed = make([]float64, len(sc.cand))
@@ -42,8 +42,8 @@ func generalPopDynSweep(t *testing.T, g *GANC, u types.UserID, n int, freq []int
 // sweeps to sweepPopDyn.
 func fastPopDynSweep(t *testing.T, g *GANC, u types.UserID, n int, freq []int) types.TopNSet {
 	t.Helper()
-	sc := g.getScratch()
-	defer g.putScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	set, err := g.sweepUser(context.Background(), u, n, freq, false, sc)
 	if err != nil {
 		t.Fatal(err)

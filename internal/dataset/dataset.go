@@ -12,17 +12,27 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"ganc/internal/types"
 )
 
 // Dataset is an immutable collection of ratings together with the interners
 // that map external identifiers to dense user and item indices. Construct one
-// with a Builder (incremental) or FromRatings.
+// with a Builder (incremental) or FromRatings. A Dataset must not be copied
+// by value.
 type Dataset struct {
-	name    string
+	name string
+	// ratings, and each inner slice of byUser and byItem, may have capacity
+	// beyond its length: the tail is reserved for the dataset's first Extend
+	// successor and is never read through this dataset (see Extend). The
+	// accessors hand out capacity-clipped views.
 	ratings []types.Rating
+	// extended is set by the first Extend of this dataset, which takes the
+	// reserved tails; every later Extend is a fork and copies.
+	extended atomic.Bool
 
 	users *types.Interner
 	items *types.Interner
@@ -151,26 +161,31 @@ func (d *Dataset) NumItems() int { return len(d.byItem) }
 // NumRatings returns |D|, the number of ratings.
 func (d *Dataset) NumRatings() int { return len(d.ratings) }
 
-// Ratings returns the underlying rating slice. Callers must not modify it.
-func (d *Dataset) Ratings() []types.Rating { return d.ratings }
+// Ratings returns the rating slice, shared with the dataset (and, up to each
+// one's own length, with the datasets it was extended from and into). Callers
+// must not modify its elements. Its capacity equals its length, so appending
+// to it copies and can never write into the shared backing array.
+func (d *Dataset) Ratings() []types.Rating { return slices.Clip(d.ratings) }
 
 // Rating returns the rating at index idx.
 func (d *Dataset) Rating(idx int) types.Rating { return d.ratings[idx] }
 
-// UserRatings returns the indices of ratings belonging to user u.
+// UserRatings returns the indices of ratings belonging to user u. Like
+// Ratings, the slice is shared, read-only and capacity-clipped.
 func (d *Dataset) UserRatings(u types.UserID) []int {
 	if int(u) < 0 || int(u) >= len(d.byUser) {
 		return nil
 	}
-	return d.byUser[u]
+	return slices.Clip(d.byUser[u])
 }
 
-// ItemRatings returns the indices of ratings belonging to item i.
+// ItemRatings returns the indices of ratings belonging to item i (shared,
+// read-only and capacity-clipped, as UserRatings).
 func (d *Dataset) ItemRatings(i types.ItemID) []int {
 	if int(i) < 0 || int(i) >= len(d.byItem) {
 		return nil
 	}
-	return d.byItem[i]
+	return slices.Clip(d.byItem[i])
 }
 
 // UserItems returns the set of items rated by user u, in rating order.
@@ -484,18 +499,24 @@ func (d *Dataset) childFromRatings(name string, ratings []types.Rating) *Dataset
 
 // Extend returns a new Dataset containing this dataset's ratings plus the
 // given new ones, sharing the (concurrency-safe) identifier spaces with the
-// parent. It is the incremental-ingestion counterpart of Build: the per-user
-// and per-item indexes are updated copy-on-write — only the outer index
-// slices and the inner slices of touched users/items are reallocated, and the
-// sorted per-user adjacency is re-sorted only for the users that actually
-// received new ratings. Untouched users share their index slices with the
-// parent, so extending a million-user dataset with a small event batch costs
-// O(|D| copy + touched users) rather than a full rebuild.
+// parent. It is the incremental-ingestion counterpart of Build, and costs
+// O(|U| + |I| + batch), not O(|D|):
 //
-// The parent dataset is never mutated and stays fully usable (the serving
-// layer keeps answering against it until the engine swap). New users or items
-// must already be interned by the caller; identifiers beyond the parent's
-// range simply grow the indexes.
+//   - The first Extend of a dataset is its single linear successor — the
+//     ingestion stream's case. It shares the parent's storage and appends in
+//     place: the new ratings go into the reserved tail of the rating array,
+//     and each touched user's and item's rating index grows in its own tail
+//     (append's amortised growth reallocates a full one). The parent's slices
+//     end at their own lengths, so it never sees what the successor appends.
+//   - Extending the same parent again is a fork. The tails are taken, so the
+//     fork copies the ratings and any index it appends to.
+//   - Either way the outer index slices are copied, and the sorted adjacency
+//     is rebuilt for the users that received ratings.
+//
+// The parent dataset is never mutated and stays fully usable, concurrently
+// with the Extend (the serving layer keeps answering against it until the
+// engine swap). New users or items must already be interned by the caller;
+// identifiers beyond the parent's range simply grow the indexes.
 func (d *Dataset) Extend(newRatings []types.Rating) *Dataset {
 	numUsers := d.users.Len()
 	numItems := d.items.Len()
@@ -508,43 +529,41 @@ func (d *Dataset) Extend(newRatings []types.Rating) *Dataset {
 		}
 	}
 
-	ratings := make([]types.Rating, len(d.ratings), len(d.ratings)+len(newRatings))
-	copy(ratings, d.ratings)
-	ratings = append(ratings, newRatings...)
-
+	// Clone the outer index slices, grown to the current interner sizes so
+	// freshly interned users/items get entries.
 	child := &Dataset{
-		name:    d.name,
-		ratings: ratings,
-		users:   d.users,
-		items:   d.items,
+		name:              d.name,
+		ratings:           d.ratings,
+		users:             d.users,
+		items:             d.items,
+		byUser:            make([][]int, numUsers),
+		byItem:            make([][]int, numItems),
+		sortedItemsByUser: make([][]types.ItemID, numUsers),
 	}
-
-	// Copy-on-write indexes: clone the outer slices (growing them to the
-	// current interner sizes so freshly interned users/items get entries),
-	// then replace only the touched inner slices.
-	child.byUser = make([][]int, numUsers)
 	copy(child.byUser, d.byUser)
-	child.byItem = make([][]int, numItems)
 	copy(child.byItem, d.byItem)
-	child.sortedItemsByUser = make([][]types.ItemID, numUsers)
 	copy(child.sortedItemsByUser, d.sortedItemsByUser)
 
+	if !d.extended.CompareAndSwap(false, true) {
+		// A fork: another successor owns every tail the parent's slices
+		// have. With capacity clipped to length, the appends below copy
+		// instead of writing there.
+		child.ratings = slices.Clip(child.ratings)
+		for u, idxs := range child.byUser {
+			child.byUser[u] = slices.Clip(idxs)
+		}
+		for i, idxs := range child.byItem {
+			child.byItem[i] = slices.Clip(idxs)
+		}
+	}
+
+	child.ratings = append(child.ratings, newRatings...)
 	touchedUser := make(map[types.UserID]struct{}, len(newRatings))
-	touchedItem := make(map[types.ItemID]struct{}, len(newRatings))
 	for k, r := range newRatings {
 		idx := len(d.ratings) + k
-		if _, done := touchedUser[r.User]; !done {
-			touchedUser[r.User] = struct{}{}
-			child.byUser[r.User] = append(append([]int(nil), child.byUser[r.User]...), idx)
-		} else {
-			child.byUser[r.User] = append(child.byUser[r.User], idx)
-		}
-		if _, done := touchedItem[r.Item]; !done {
-			touchedItem[r.Item] = struct{}{}
-			child.byItem[r.Item] = append(append([]int(nil), child.byItem[r.Item]...), idx)
-		} else {
-			child.byItem[r.Item] = append(child.byItem[r.Item], idx)
-		}
+		touchedUser[r.User] = struct{}{}
+		child.byUser[r.User] = append(child.byUser[r.User], idx)
+		child.byItem[r.Item] = append(child.byItem[r.Item], idx)
 	}
 
 	// Re-sort the adjacency of touched users only.
@@ -552,7 +571,7 @@ func (d *Dataset) Extend(newRatings []types.Rating) *Dataset {
 		idxs := child.byUser[u]
 		items := make([]types.ItemID, len(idxs))
 		for k, idx := range idxs {
-			items[k] = ratings[idx].Item
+			items[k] = child.ratings[idx].Item
 		}
 		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
 		out := items[:1]

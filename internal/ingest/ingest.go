@@ -7,9 +7,9 @@
 //
 //   - the per-item popularity counts (the Pop base and PopAccuracy input),
 //   - the per-item rating sums/counts behind the damped ItemAvg means,
-//   - the dataset adjacency, copy-on-write with only touched users re-sorted
-//     (dataset.Extend), so candidate enumeration immediately stops offering
-//     the consumed item to that user, and
+//   - the dataset adjacency, appended to in place with only touched users
+//     re-sorted (dataset.Extend), so candidate enumeration immediately stops
+//     offering the consumed item to that user, and
 //   - the Dyn coverage frequency f_i^A, so the paper's dynamic objective
 //     keeps discounting items as they are consumed.
 //
@@ -36,6 +36,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"time"
 
 	"ganc/internal/dataset"
 	"ganc/internal/longtail"
@@ -241,10 +242,13 @@ func ReplayLog(path string, after uint64, fn func(seq uint64, ev Event) error) e
 // under its lock; the immutable structures it points to (Dataset, engine
 // inputs) are shared freely with the serving layer.
 type State struct {
-	// Train is the current train set; every applied batch replaces it with a
-	// copy-on-write extension.
+	// Train is the current train set; every applied batch replaces it with
+	// its Extend successor (the state is the linear line Extend appends in
+	// place for).
 	Train *dataset.Dataset
-	// Prefs is the per-user θ vector, grown with PrefFill for new users.
+	// Prefs is the per-user θ vector, grown with PrefFill for new users. It
+	// is shared with every engine built from the state, so it is replaced,
+	// never written (see growPrefs).
 	Prefs *longtail.Preferences
 	// PrefFill is the θ assigned to users first seen in the event stream
 	// (typically the mean of the estimated population).
@@ -264,6 +268,10 @@ type State struct {
 	// AppliedSeq is the sequence number of the last event folded into this
 	// state — the checkpoint/replay cursor.
 	AppliedSeq uint64
+
+	// prefBuf is Prefs.Values with the spare capacity growPrefs appends into.
+	// Only the state holds it; published vectors are capacity-clipped views.
+	prefBuf []float64
 }
 
 // NewStateFromDataset derives the incremental statistics of a fresh state
@@ -310,13 +318,11 @@ func (s *State) applyEvents(events []Event) {
 	}
 
 	numItems := items.Len()
-	s.PopCounts = growInts(s.PopCounts, numItems)
-	s.AvgSums = growFloats(s.AvgSums, numItems)
-	s.AvgCounts = growInts(s.AvgCounts, numItems)
-	s.DynFreq = growInts(s.DynFreq, numItems)
-	if numUsers := users.Len(); s.Prefs.Len() < numUsers {
-		s.Prefs = s.Prefs.ExtendTo(numUsers, s.PrefFill)
-	}
+	s.PopCounts = growTo(s.PopCounts, numItems)
+	s.AvgSums = growTo(s.AvgSums, numItems)
+	s.AvgCounts = growTo(s.AvgCounts, numItems)
+	s.DynFreq = growTo(s.DynFreq, numItems)
+	s.growPrefs(users.Len())
 
 	for _, r := range ratings {
 		s.PopCounts[r.Item]++
@@ -330,22 +336,33 @@ func (s *State) applyEvents(events []Event) {
 	s.AppliedSeq += uint64(len(events))
 }
 
-func growInts(v []int, n int) []int {
+// growTo zero-extends v to n elements. The state owns these vectors (engines
+// are built from copies), so they grow in place with append's amortised
+// capacity instead of being recopied whenever one item is new.
+func growTo[T int | float64](v []T, n int) []T {
 	if len(v) >= n {
 		return v
 	}
-	out := make([]int, n)
-	copy(out, v)
-	return out
+	return append(v, make([]T, n-len(v))...)
 }
 
-func growFloats(v []float64, n int) []float64 {
-	if len(v) >= n {
-		return v
+// growPrefs gives users [Prefs.Len(), n) the fill preference. Engines of
+// earlier batches still read the old vector, so the new one is a longer view
+// of the same backing array: appending writes only past every published
+// length. The state is the array's only writer; a Prefs it did not publish
+// itself (the initial one, or one a caller assigned) is copied first.
+func (s *State) growPrefs(n int) {
+	have := s.Prefs.Len()
+	if have >= n {
+		return
 	}
-	out := make([]float64, n)
-	copy(out, v)
-	return out
+	if len(s.prefBuf) != have || (have > 0 && &s.prefBuf[0] != &s.Prefs.Values[0]) {
+		s.prefBuf = append([]float64(nil), s.Prefs.Values...)
+	}
+	for len(s.prefBuf) < n {
+		s.prefBuf = append(s.prefBuf, s.PrefFill)
+	}
+	s.Prefs = &longtail.Preferences{Model: s.Prefs.Model, Values: s.prefBuf[:n:n]}
 }
 
 // --- Ingestor -----------------------------------------------------------------
@@ -431,15 +448,21 @@ func (in *Ingestor) Apply(ctx context.Context, events []Event) (serve.IngestResu
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	start := time.Now()
+	var walTime time.Duration
 	if in.cfg.Log != nil {
 		if _, err := in.cfg.Log.Append(events); err != nil {
 			return serve.IngestResult{}, err
 		}
+		walTime = time.Since(start)
 	}
 	in.cfg.State.applyEvents(events) // the commit point
 	var warnings []string
 	if err := in.publishLocked(); err != nil {
 		warnings = append(warnings, err.Error())
+	}
+	if in.cfg.Server != nil {
+		in.cfg.Server.ObserveIngestStages(walTime, time.Since(start)-walTime)
 	}
 	if in.cfg.OnCommit != nil {
 		in.cfg.OnCommit(in.cfg.State.AppliedSeq-uint64(len(events))+1, events)

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"ganc/internal/dataset"
 	"ganc/internal/longtail"
+	"ganc/internal/obs"
 	"ganc/internal/recommender"
 	"ganc/internal/serve"
 	"ganc/internal/types"
@@ -443,5 +445,97 @@ func TestIngestEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("newly ingested user not servable: status %d", resp.StatusCode)
+	}
+}
+
+// TestIngestStageHistogramsOnMetrics: the write path reports its own stage
+// times — WAL append, then apply + rebuild + swap — on the server's registry,
+// one observation of each per applied batch.
+func TestIngestStageHistogramsOnMetrics(t *testing.T) {
+	d := testDataset(t, 10, 8, 120, 29)
+	s := testState(t, d)
+	engine, err := popEngine(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	srv, err := serve.New(d, engine, 5, serve.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := OpenLog(filepath.Join(t.TempDir(), "events.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	ing, err := New(Config{State: s, Rebuild: popEngine, Server: srv, Log: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 3
+	for _, batch := range [batches][]Event{randomEvents(5, 1), randomEvents(7, 2), randomEvents(2, 3)} {
+		if _, err := ing.Apply(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := obs.ParseText(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ganc_ingest_wal_seconds", "ganc_ingest_publish_seconds"} {
+		if got, ok := sc.Value(name + "_count"); !ok || got != batches {
+			t.Errorf("%s_count = %v (present %v), want %d", name, got, ok, batches)
+		}
+		if got, _ := sc.Value(name + "_sum"); got <= 0 {
+			t.Errorf("%s_sum = %v, want a positive duration", name, got)
+		}
+	}
+}
+
+// TestPrefsGrowthNeverWritesAPublishedVector: the θ vector grows in place
+// (amortised, not recopied per new user), yet every vector an engine already
+// holds keeps its length and values, none exposes capacity to append into,
+// and a second state forked from a published vector cannot reach its tail.
+func TestPrefsGrowthNeverWritesAPublishedVector(t *testing.T) {
+	d := testDataset(t, 20, 15, 300, 23)
+	s := testState(t, d)
+	newUser := func(name string) []Event { return []Event{{User: name, Item: "i0", Value: 3}} }
+
+	var published []*longtail.Preferences
+	var want [][]float64
+	publish := func() {
+		published = append(published, s.Prefs)
+		want = append(want, append([]float64(nil), s.Prefs.Values...))
+	}
+	publish()
+	for k := 0; k < 40; k++ {
+		s.applyEvents(newUser(fmt.Sprintf("fresh-%d", k)))
+		publish()
+	}
+	// A fork (a checkpoint restored beside the live stream) starts from a
+	// vector the live state published and grows it with another fill.
+	fork := testState(t, d)
+	fork.Train, fork.Prefs, fork.PrefFill = s.Train, published[10], 0.123
+	fork.applyEvents(newUser("fork-only"))
+
+	for g, p := range published {
+		if len(p.Values) != len(want[g]) || cap(p.Values) != len(want[g]) {
+			t.Fatalf("generation %d: θ vector has len %d cap %d, want both %d", g, len(p.Values), cap(p.Values), len(want[g]))
+		}
+		for u, v := range want[g] {
+			if p.Values[u] != v {
+				t.Fatalf("generation %d: θ of user %d changed from %v to %v after it was published", g, u, v, p.Values[u])
+			}
+		}
+	}
+	if got, want := s.Prefs.Len(), d.NumUsers()+40; got != want {
+		t.Fatalf("θ covers %d users, want %d", got, want)
+	}
+	if got := fork.Prefs.Get(types.UserID(s.Prefs.Len())); got != 0.123 {
+		t.Fatalf("the fork's own new user has θ %v, want its fill 0.123", got)
 	}
 }

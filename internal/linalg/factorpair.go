@@ -1,6 +1,9 @@
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // FactorPair holds one latent-factor model's (user, item) matrices in the
 // reduced-precision layouts, built lazily from the float64 training rows.
@@ -72,4 +75,25 @@ func (p *FactorPair) RestoreF32Section(s *FactorSection, userRows, itemRows int)
 	p.UserB = BlockFromData(userRows, s.Dims, s.User)
 	p.ItemB = BlockFromData(itemRows, s.Dims, s.Item)
 	return nil
+}
+
+// widenBufs recycles Widen32's float32 staging buffers.
+var widenBufs = sync.Pool{New: func() interface{} { return new([]float32) }}
+
+// Widen32 fills out with the float64 widening of the len(out) float32 scores
+// that score32 writes into the buffer it is handed. It is how a factor model
+// at a reduced tier serves its float64 bulk contract from its float32 path;
+// the staging buffer comes from a pool, so the call allocates nothing once
+// warm.
+func Widen32(out []float64, score32 func(buf []float32)) {
+	bp := widenBufs.Get().(*[]float32)
+	if cap(*bp) < len(out) {
+		*bp = make([]float32, len(out))
+	}
+	buf := (*bp)[:len(out)]
+	score32(buf)
+	for k, v := range buf {
+		out[k] = float64(v)
+	}
+	widenBufs.Put(bp)
 }

@@ -65,22 +65,6 @@ func (p *Preferences) Clone() *Preferences {
 	return &Preferences{Model: p.Model, Values: values}
 }
 
-// ExtendTo returns a preference vector covering n users: a copy of this one
-// with users beyond the current range assigned fill. The streaming-ingestion
-// layer uses it to give freshly observed users a θ (the mean of the existing
-// population) without re-running estimation; n below Len just clones.
-func (p *Preferences) ExtendTo(n int, fill float64) *Preferences {
-	if n < len(p.Values) {
-		n = len(p.Values)
-	}
-	values := make([]float64, n)
-	copy(values, p.Values)
-	for k := len(p.Values); k < n; k++ {
-		values[k] = fill
-	}
-	return &Preferences{Model: p.Model, Values: values}
-}
-
 // Histogram bins the preference values into `bins` equal-width buckets over
 // [0,1], the quantity plotted in the paper's Figure 2.
 func (p *Preferences) Histogram(bins int) []int {

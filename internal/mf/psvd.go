@@ -146,11 +146,7 @@ func (m *PSVD) ScoringPrecision() types.ScoringPrecision { return m.precision }
 // Score only to the tier's documented tolerance (DESIGN.md §12).
 func (m *PSVD) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
 	if m.precision != types.PrecisionF64 {
-		buf := make([]float32, len(items))
-		m.ScoreUser32(u, items, buf)
-		for k, v := range buf {
-			out[k] = float64(v)
-		}
+		linalg.Widen32(out, func(buf []float32) { m.ScoreUser32(u, items, buf) })
 		return
 	}
 	if int(u) < 0 || int(u) >= m.numUsers {

@@ -753,31 +753,81 @@ func (a *ItemAvg) Avg(i types.ItemID) float64 { return a.Score(0, i) }
 
 // NormalizedScorer wraps a Scorer and rescales each user's scores over the
 // whole catalog to [0,1] by min–max normalization, as the paper does before
-// plugging predicted ratings into the GANC value function. Normalization
-// vectors are computed lazily per user and cached. It is safe for concurrent
-// use provided the wrapped Scorer is (the latent-factor models are read-only
-// after training).
+// plugging predicted ratings into the GANC value function. A user's range is
+// computed on first use and kept in a range table. The table can outlive the
+// normaliser: ForCatalog hands it to the normaliser of a later, larger
+// catalog, which then scores only the items the entry does not cover yet —
+// for a frozen inner model that makes the range a once-per-user cost instead
+// of a once-per-generation one. It is safe for concurrent use provided the
+// wrapped Scorer is (the latent-factor models are read-only after training).
 type NormalizedScorer struct {
 	inner    Scorer
 	numItems int
-	mu       sync.Mutex
-	cacheMin map[types.UserID]float64
-	cacheSpn map[types.UserID]float64
-
-	// catalog is the [0..numItems) identity slice the bulk range computation
-	// scores against, built once on first use and shared read-only.
-	catalogOnce sync.Once
-	catalog     []types.ItemID
+	ranges   *rangeTable
 }
 
-// NewNormalizedScorer wraps inner for a catalog of numItems items.
+// rangeTable holds the per-user score ranges of one inner scorer, shared by
+// every NormalizedScorer derived from the first through ForCatalog.
+type rangeTable struct {
+	mu     sync.Mutex
+	byUser map[types.UserID]scoreRange
+	// catalog is the identity slice [0, len) the bulk range computation
+	// scores against. It only ever grows, and written elements never change,
+	// so a prefix handed out under mu stays valid without it.
+	catalog []types.ItemID
+}
+
+// scoreRange is the min and max of a user's scores over items [0, upTo).
+type scoreRange struct {
+	min, max float64
+	upTo     int
+}
+
+// fold extends the range over the scores of items [upTo, upTo+len(scores)).
+// It performs the comparisons of one scan over [0, upTo+len(scores)) from
+// where the scan over [0, upTo) stopped, so a range folded in steps is bit
+// for bit the range of a single full scan.
+func (r scoreRange) fold(scores []float64) scoreRange {
+	for _, s := range scores {
+		if r.upTo == 0 || s < r.min {
+			r.min = s
+		}
+		if r.upTo == 0 || s > r.max {
+			r.max = s
+		}
+		r.upTo++
+	}
+	return r
+}
+
+// identityLocked returns the identity slice grown to at least n items.
+// Callers hold t.mu.
+func (t *rangeTable) identityLocked(n int) []types.ItemID {
+	for len(t.catalog) < n {
+		t.catalog = append(t.catalog, types.ItemID(len(t.catalog)))
+	}
+	return t.catalog
+}
+
+// NewNormalizedScorer wraps inner for a catalog of numItems items, with an
+// empty range table.
 func NewNormalizedScorer(inner Scorer, numItems int) *NormalizedScorer {
 	return &NormalizedScorer{
 		inner:    inner,
 		numItems: numItems,
-		cacheMin: make(map[types.UserID]float64),
-		cacheSpn: make(map[types.UserID]float64),
+		ranges:   &rangeTable{byUser: make(map[types.UserID]scoreRange)},
 	}
+}
+
+// ForCatalog returns a normaliser of the same inner scorer over a catalog of
+// numItems items that shares this one's range table. It is only correct while
+// the inner scorer's score for a (user, item) pair never changes — a trained
+// factor model kept frozen across ingestion batches; a model whose statistics
+// move needs a fresh NewNormalizedScorer. Normalisers of different catalog
+// sizes may serve concurrently (the generation being retired and its
+// successor): each reads exactly the range of its own catalog.
+func (n *NormalizedScorer) ForCatalog(numItems int) *NormalizedScorer {
+	return &NormalizedScorer{inner: n.inner, numItems: numItems, ranges: n.ranges}
 }
 
 // Score implements Scorer, returning the inner score min–max normalized over
@@ -862,50 +912,38 @@ func (n *NormalizedScorer) ScoringPrecision() types.ScoringPrecision {
 	return types.PrecisionF64
 }
 
+// userRange resolves u's normalization range over this normaliser's catalog.
+// A table entry covering exactly the catalog is the answer. One covering a
+// prefix (an earlier generation computed it) is extended over the missing
+// items through the same bulk scoring call and stored back. One covering
+// more (a later generation got there first) is of no use to this reader: it
+// rescans its own catalog and leaves the entry alone.
 func (n *NormalizedScorer) userRange(u types.UserID) (min, span float64) {
-	n.mu.Lock()
-	if m, ok := n.cacheMin[u]; ok {
-		spn := n.cacheSpn[u]
-		n.mu.Unlock()
-		return m, spn
+	t := n.ranges
+	t.mu.Lock()
+	r, ok := t.byUser[u]
+	if ok && r.upTo == n.numItems {
+		t.mu.Unlock()
+		return r.min, r.max - r.min
 	}
-	n.mu.Unlock()
-	min, max := 0.0, 0.0
-	if bs, ok := n.inner.(BulkScorer); ok && n.numItems > 0 {
-		// Bulk path: score the whole catalog in one call into a pooled buffer.
-		n.catalogOnce.Do(func() {
-			n.catalog = make([]types.ItemID, n.numItems)
-			for idx := range n.catalog {
-				n.catalog[idx] = types.ItemID(idx)
-			}
-		})
-		bp := getScoreBuf(n.numItems)
-		bs.ScoreUser(u, n.catalog, *bp)
-		for idx, s := range *bp {
-			if idx == 0 || s < min {
-				min = s
-			}
-			if idx == 0 || s > max {
-				max = s
-			}
-		}
-		scoreBufPool.Put(bp)
-	} else {
-		for idx := 0; idx < n.numItems; idx++ {
-			s := n.inner.Score(u, types.ItemID(idx))
-			if idx == 0 || s < min {
-				min = s
-			}
-			if idx == 0 || s > max {
-				max = s
-			}
-		}
+	catalog := t.identityLocked(n.numItems)
+	t.mu.Unlock()
+
+	if !ok || r.upTo > n.numItems {
+		r = scoreRange{}
 	}
-	n.mu.Lock()
-	n.cacheMin[u] = min
-	n.cacheSpn[u] = max - min
-	n.mu.Unlock()
-	return min, max - min
+	missing := catalog[r.upTo:n.numItems]
+	bp := getScoreBuf(len(missing))
+	BulkScores(n.inner, u, missing, *bp)
+	r = r.fold(*bp)
+	scoreBufPool.Put(bp)
+
+	t.mu.Lock()
+	if cur, ok := t.byUser[u]; !ok || cur.upTo < r.upTo {
+		t.byUser[u] = r
+	}
+	t.mu.Unlock()
+	return r.min, r.max - r.min
 }
 
 // Name implements Scorer.

@@ -81,6 +81,10 @@ func (s *Server) initObservability() {
 	s.httpObs = obs.NewHTTPMetrics(reg, s.reqLog, s.requestMeta, nil)
 	s.computeHist = reg.Histogram("ganc_engine_compute_seconds",
 		"Cold-path engine computation latency per user (cache misses only).", nil)
+	s.ingestWAL = reg.Histogram("ganc_ingest_wal_seconds",
+		"Write-ahead-log append and fsync time per ingested batch.", nil)
+	s.ingestPub = reg.Histogram("ganc_ingest_publish_seconds",
+		"Apply, engine rebuild and swap time per ingested batch.", nil)
 	reg.GaugeFunc("ganc_engine_version",
 		"Current engine generation (1 initial, +1 per swap).",
 		func() float64 { return float64(s.Version()) })
@@ -129,6 +133,21 @@ func (s *Server) initObservability() {
 	if s.admission != nil {
 		s.admission.Register(reg)
 	}
+}
+
+// ObserveIngestStages records one ingested batch's write-path stage times:
+// the write-ahead-log append (zero, and then not recorded, for an ingestor
+// without a log), then state apply + engine rebuild + swap. The ingestor
+// calls it from its own stage boundaries; it is a no-op on a server without a
+// metrics registry.
+func (s *Server) ObserveIngestStages(wal, publish time.Duration) {
+	if s.ingestWAL == nil {
+		return
+	}
+	if wal > 0 {
+		s.ingestWAL.Observe(wal.Seconds())
+	}
+	s.ingestPub.Observe(publish.Seconds())
 }
 
 // requestMeta supplies the request-log fields the middleware cannot derive:

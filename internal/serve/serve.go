@@ -177,6 +177,8 @@ type Server struct {
 	admitCfg     *admit.Config
 	httpObs      *obs.HTTPMetrics
 	computeHist  *obs.Histogram
+	ingestWAL    *obs.Histogram
+	ingestPub    *obs.Histogram
 	swaps        atomic.Int64
 	batchUsers   atomic.Int64
 	ingestEvents atomic.Int64

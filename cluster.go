@@ -56,22 +56,17 @@ type (
 	// ReplicationStatus is a node's replication role and cursor/lag report,
 	// exposed through /health and the ganc_replication_* metric series.
 	ReplicationStatus = serve.ReplicationStatus
-	// ReplicaApplier is the replica-side replication endpoint: it applies
-	// the primary's committed batches behind POST /replicate, sequenced by
-	// the shard's write-ahead-log cursor (cmd/gancd's replica role mounts
-	// one; NewCluster wires them automatically).
-	ReplicaApplier = cluster.ReplicaApplier
+	// StreamNode is the cursor-stream surface every shard node mounts in
+	// front of its serving routes: POST /replicate, POST /migrate and POST
+	// /replicate/tail, gated by the node's role (cmd/gancd's replica role
+	// mounts one; NewCluster wires one into every node).
+	StreamNode = cluster.Node
 	// Shipper is the primary-side replication half: it ships every committed
 	// batch (via WithCommitHook) to the shard's replicas and catches
 	// stragglers up from the write-ahead log.
 	Shipper = cluster.Shipper
 	// ShipperConfig configures NewShipper.
 	ShipperConfig = cluster.ShipperConfig
-	// MigrationApplier is the destination-side live-migration endpoint: it
-	// applies per-user history slices behind POST /migrate during a reshard,
-	// sequenced per user with duplicate and gap detection (every shard
-	// primary mounts one; Reshard drives them).
-	MigrationApplier = cluster.MigrationApplier
 	// UserMove is one user's ownership change between two ring epochs.
 	UserMove = cluster.UserMove
 	// ReshardStats summarizes one completed Reshard: shard counts, the new
@@ -122,11 +117,12 @@ func ParsePeerTopology(list string) ([]ShardInfo, error) { return cluster.ParseP
 // addresses.
 func NewRouter(cfg RouterConfig) (*Router, error) { return cluster.NewRouter(cfg) }
 
-// NewReplicaApplier builds the replica-side applier for one shard at a ring
-// epoch, applying replicated batches into the node's ingestor. Mount its
-// Handler at POST /replicate next to the node's serving surface.
-func NewReplicaApplier(shard int, epoch uint64, ing *Ingestor) *ReplicaApplier {
-	return cluster.NewReplicaApplier(shard, epoch, ing)
+// NewStreamNode builds the stream surface of one shard node at a ring epoch,
+// applying pushed chunks into the node's ingestor and serving tail pulls
+// from its write-ahead log. It starts in the replica role; wrap the node's
+// serving handler with Mount.
+func NewStreamNode(shard int, epoch uint64, ing *Ingestor, walPath string) *StreamNode {
+	return cluster.NewNode(shard, epoch, ing, walPath)
 }
 
 // NewShipper builds the primary-side replication shipper. Wire its Commit
@@ -139,14 +135,6 @@ func NewShipper(cfg ShipperConfig) *Shipper { return cluster.NewShipper(cfg) }
 // cached liveness view; Close it when the router retires (cmd/gancd's router
 // role runs one; NewCluster wires one automatically).
 func NewFailureDetector(cfg FailureDetectorConfig) *FailureDetector { return cluster.NewDetector(cfg) }
-
-// NewMigrationApplier builds the destination-side live-migration applier for
-// one shard at a ring epoch, applying migrated user histories into the
-// node's ingestor. Mount its Handler at POST /migrate next to the node's
-// serving surface (NewCluster wires one into every shard primary).
-func NewMigrationApplier(shard int, epoch uint64, ing *Ingestor) *MigrationApplier {
-	return cluster.NewMigrationApplier(shard, epoch, ing)
-}
 
 // MovedUsers computes the ownership delta between two rings over the given
 // user keys: every user whose owner changes, with its old and new shard.
@@ -297,36 +285,12 @@ func WithShardAdmission(cfg AdmissionConfig) ClusterOption {
 	return func(c *clusterConfig) { cc := cfg; c.shardAdmit = &cc }
 }
 
-// commitRelay is the indirection between an ingestor's commit hook (fixed at
-// construction) and the shipper that consumes it (replaced on promotion): the
-// hook calls through an atomic pointer, so a replica's ingestor can start
-// shipping the moment the node is promoted, without rebuilding the ingestor.
-type commitRelay struct {
-	fn atomic.Pointer[func(firstSeq uint64, events []IngestEvent)]
-}
-
-// set installs (or, with nil, removes) the relay's target.
-func (r *commitRelay) set(fn func(firstSeq uint64, events []IngestEvent)) {
-	if fn == nil {
-		r.fn.Store(nil)
-		return
-	}
-	r.fn.Store(&fn)
-}
-
-// invoke forwards a committed batch to the current target, if any.
-func (r *commitRelay) invoke(firstSeq uint64, events []IngestEvent) {
-	if f := r.fn.Load(); f != nil {
-		(*f)(firstSeq, events)
-	}
-}
-
-// replicaNode is one warm replica of a shard: the same restored pipeline,
-// server and ingestor as a primary, plus the /replicate applier — but no
-// client write path (WithoutIngestSink) and no automatic checkpoints. A dead
-// node (nil pipe) keeps its address and write-ahead log so RejoinAsReplica
-// can bring it back.
-type replicaNode struct {
+// shardNode is one node of a shard — primary or replica, the same type: a
+// restored pipeline, server and ingestor behind the stream surface
+// (cluster.Node), whose role decides which routes accept. A dead node (nil
+// pipe) keeps its address and write-ahead log so RestartShard, Promote and
+// RejoinAsReplica can bring it back.
+type shardNode struct {
 	addr    string
 	walPath string
 
@@ -334,29 +298,39 @@ type replicaNode struct {
 	srv     *Server
 	ing     *Ingestor
 	hs      *http.Server
-	applier *cluster.ReplicaApplier
-	relay   *commitRelay
+	streams *cluster.Node
+
+	// shipper is set while the node is the primary of a replicated shard. The
+	// ingestor's commit hook (fixed at construction) reads it atomically, so
+	// a replica starts shipping the moment it is promoted.
+	shipper atomic.Pointer[cluster.Shipper]
 }
 
-// clusterShard is one in-process shard: its current primary's restored
-// pipeline, server, ingestor and HTTP listener, plus its replica set and the
-// replication shipper. A killed primary keeps its paths and address (nil
-// runtime fields) so RestartShard — or Promote — can recover the shard.
+// commit is the node's ingestor commit hook: it forwards a committed batch
+// to the current shipper, if any.
+func (n *shardNode) commit(firstSeq uint64, events []IngestEvent) {
+	if sp := n.shipper.Load(); sp != nil {
+		sp.Commit(firstSeq, events)
+	}
+}
+
+// live reports whether the node is running.
+func (n *shardNode) live() bool { return n.pipe != nil }
+
+// clusterShard is one in-process shard: the snapshot its nodes boot from,
+// its current primary and its replica set. Promotion swaps which node sits
+// in which slot.
 type clusterShard struct {
 	id       int
-	addr     string
 	snapPath string
-	walPath  string
+	primary  *shardNode
+	replicas []*shardNode
+}
 
-	pipe     *Pipeline
-	srv      *Server
-	ing      *Ingestor
-	hs       *http.Server
-	relay    *commitRelay
-	migrator *cluster.MigrationApplier
-
-	replicas []*replicaNode
-	shipper  *cluster.Shipper
+// nodes lists the shard's nodes in boot order: replicas, then the primary
+// (whose shipper's first heartbeat must find them listening).
+func (sh *clusterShard) nodes() []*shardNode {
+	return append(sh.replicas[:len(sh.replicas):len(sh.replicas)], sh.primary)
 }
 
 // replicaAddrs lists the shard's current replica addresses.
@@ -452,89 +426,43 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	}
 	c.lineage = map[int]bool{cfg.shards: true}
 
-	// Bind every listener first — primaries and replicas alike — so the ring
-	// carries final addresses.
-	infos := make([]ShardInfo, cfg.shards)
-	listeners := make([]net.Listener, cfg.shards)
-	replicaLns := make([][]net.Listener, cfg.shards)
-	var bound []net.Listener
-	closeBound := func() {
-		for _, l := range bound {
-			l.Close()
+	// Lay every shard out first — paths, nodes, bound listeners — so the
+	// ring carries final addresses; then split every snapshot, then boot
+	// (splitting while earlier shards are already resident would stack the
+	// snapshot encoder's buffers on top of their heaps). A failure releases
+	// the listeners construction never reached (Close, via fail, tears down
+	// the nodes that did boot).
+	var lns [][]net.Listener
+	closeFrom := func(k int) {
+		for _, l := range lns[k:] {
+			closeAll(l)
 		}
 	}
 	for i := 0; i < cfg.shards; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		sh, l, err := c.newShard(i)
 		if err != nil {
-			closeBound()
-			return fail(fmt.Errorf("ganc: shard %d listener: %w", i, err))
+			closeFrom(0)
+			return fail(err)
 		}
-		bound = append(bound, ln)
-		listeners[i] = ln
-		infos[i] = ShardInfo{ID: i, Addr: ln.Addr().String()}
-		for r := 0; r < cfg.replicas; r++ {
-			rln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				closeBound()
-				return fail(fmt.Errorf("ganc: shard %d replica %d listener: %w", i, r, err))
-			}
-			bound = append(bound, rln)
-			replicaLns[i] = append(replicaLns[i], rln)
-			infos[i].Replicas = append(infos[i].Replicas, rln.Addr().String())
-		}
+		c.shards = append(c.shards, sh)
+		lns = append(lns, l)
 	}
-	ring, err := cluster.NewRing(cfg.epoch, 0, infos)
+	ring, err := c.buildRing(cfg.shards)
 	if err != nil {
-		closeBound()
+		closeFrom(0)
 		return fail(err)
 	}
 	c.ring.Store(ring)
-
-	// Boot order per shard: replicas first, then the primary. A failed boot
-	// closes its own listener; closeRest releases every listener a failed
-	// construction never reached (Close, via fail, tears down booted nodes).
-	type pendingBoot struct {
-		ln   net.Listener
-		boot func() error
-		desc string
-	}
-	var boots []pendingBoot
-	c.shards = make([]*clusterShard, cfg.shards)
-	for i := 0; i < cfg.shards; i++ {
-		sh := &clusterShard{
-			id:       i,
-			addr:     infos[i].Addr,
-			snapPath: filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d.snap", i)),
-			walPath:  filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d.wal", i)),
-		}
-		for r := 0; r < cfg.replicas; r++ {
-			sh.replicas = append(sh.replicas, &replicaNode{
-				addr:    infos[i].Replicas[r],
-				walPath: filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d-replica-%d.wal", i, r)),
-			})
-		}
-		c.shards[i] = sh
+	for i, sh := range c.shards {
 		if err := p.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: cfg.shards, RingEpoch: cfg.epoch}); err != nil {
-			closeBound()
+			closeFrom(0)
 			return fail(fmt.Errorf("ganc: shard-splitting snapshot for shard %d: %w", i, err))
 		}
-		sh, i := sh, i
-		for r, rep := range sh.replicas {
-			rep, r := rep, r
-			boots = append(boots, pendingBoot{ln: replicaLns[i][r],
-				boot: func() error { return c.bootReplica(sh, rep, replicaLns[i][r]) },
-				desc: fmt.Sprintf("shard %d replica %d", i, r)})
-		}
-		boots = append(boots, pendingBoot{ln: listeners[i],
-			boot: func() error { return c.bootShard(sh, listeners[i]) },
-			desc: fmt.Sprintf("shard %d", i)})
 	}
-	for k, b := range boots {
-		if err := b.boot(); err != nil {
-			for _, rest := range boots[k+1:] {
-				rest.ln.Close()
-			}
-			return fail(fmt.Errorf("ganc: booting %s: %w", b.desc, err))
+	for i, sh := range c.shards {
+		if err := c.bootNodes(sh, lns[i]); err != nil {
+			closeFrom(i + 1)
+			return fail(fmt.Errorf("ganc: booting shard %d: %w", i, err))
 		}
 	}
 
@@ -619,106 +547,143 @@ func (c *Cluster) newShardServer(pipe *Pipeline, id ShardIdentity) (*Server, err
 	return NewServer(pipe.Train(), pipe, c.topN, opts...)
 }
 
-// bootShard restores a shard's primary from its snapshot, verifies the
-// identity, attaches ingestion (and, when the shard has replicas, the
-// replication shipper behind the commit hook) and starts serving on the
-// listener.
-func (c *Cluster) bootShard(sh *clusterShard, ln net.Listener) error {
-	pipe, id, err := c.loadShardNode(sh)
-	if err != nil {
-		ln.Close()
-		return err
+// closeAll releases listeners no node was booted on.
+func closeAll(lns []net.Listener) {
+	for _, l := range lns {
+		l.Close()
 	}
-	srv, err := c.newShardServer(pipe, id)
-	if err != nil {
-		ln.Close()
-		return err
+}
+
+// newShard lays shard i out — snapshot path, one node per replica plus the
+// primary, each with its own write-ahead log — and binds a loopback listener
+// per node, in nodes() order.
+func (c *Cluster) newShard(i int) (*clusterShard, []net.Listener, error) {
+	sh := &clusterShard{id: i, snapPath: filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d.snap", i))}
+	var lns []net.Listener
+	for r := 0; r <= c.cfg.replicas; r++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			closeAll(lns)
+			return nil, nil, fmt.Errorf("ganc: shard %d listener: %w", i, err)
+		}
+		lns = append(lns, ln)
+		n := &shardNode{addr: ln.Addr().String()}
+		if r < c.cfg.replicas {
+			n.walPath = filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d-replica-%d.wal", i, r))
+			sh.replicas = append(sh.replicas, n)
+		} else {
+			n.walPath = filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d.wal", i))
+			sh.primary = n
+		}
 	}
-	relay := &commitRelay{}
-	ingOpts := []IngestorOption{
-		WithIngestLog(sh.walPath),
-		WithIngestCheckpoint(sh.snapPath, c.cfg.checkpointEvery),
-		WithCommitHook(relay.invoke),
+	return sh, lns, nil
+}
+
+// bootNodes boots every node of a laid-out shard on newShard's listeners.
+func (c *Cluster) bootNodes(sh *clusterShard, lns []net.Listener) error {
+	for k, n := range sh.nodes() {
+		if err := c.bootNode(sh, n, lns[k], n == sh.primary); err != nil {
+			closeAll(lns[k+1:])
+			return err
+		}
 	}
-	ing, err := NewIngestor(srv, pipe, ingOpts...)
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	sh.pipe, sh.srv, sh.ing, sh.relay = pipe, srv, ing, relay
-	if len(sh.replicas) > 0 {
-		sh.shipper = cluster.NewShipper(cluster.ShipperConfig{
-			Shard:       sh.id,
-			Epoch:       c.cfg.epoch,
-			WALPath:     sh.walPath,
-			Replicas:    sh.replicaAddrs(),
-			StartSeq:    pipe.ingestSeq,
-			WriteQuorum: c.cfg.writeQuorum,
-		})
-		relay.set(sh.shipper.Commit)
-		srv.SetReplicationProbe(sh.shipper.Status)
-		// The shipper assumes every replica sits at the snapshot cursor; a
-		// restarted primary's replicas are typically ahead (they kept applying
-		// while it was down — or were never behind). One heartbeat round
-		// adopts their true cursors before any commit ships.
-		sh.shipper.Resync()
-	}
-	// Every primary is a potential migration destination: the /migrate
-	// applier sits in front of the serving routes, same as a replica's
-	// /replicate.
-	sh.migrator = cluster.NewMigrationApplier(sh.id, c.cfg.epoch, ing)
-	mux := http.NewServeMux()
-	mux.Handle("/migrate", sh.migrator.Handler())
-	mux.Handle(cluster.TailPath, cluster.NewWALTailHandler(sh.id, sh.walPath))
-	mux.Handle("/", srv.Handler())
-	sh.hs = &http.Server{Handler: mux}
-	go func(hs *http.Server, ln net.Listener) { _ = hs.Serve(ln) }(sh.hs, ln)
 	return nil
 }
 
-// bootReplica restores one replica from the shard's snapshot and starts it:
-// the same serving stack as a primary, minus the client write path
-// (WithoutIngestSink) and automatic checkpoints, plus the /replicate applier
-// mounted in front of the serving routes. The caller is responsible for
-// calling rep.ing.Recover() when the node's own write-ahead log may hold a
-// suffix (the rejoin path).
-func (c *Cluster) bootReplica(sh *clusterShard, rep *replicaNode, ln net.Listener) error {
+// bootNode restores one node of a shard from the shard snapshot, verifies
+// the identity, and starts it serving on the listener in the given role:
+// the same stack either way — server, ingestor over the node's own
+// write-ahead log, the stream surface mounted in front of the serving
+// routes. The caller is responsible for calling n.ing.Recover() when the
+// node's log may hold a suffix past the snapshot (restart and rejoin).
+func (c *Cluster) bootNode(sh *clusterShard, n *shardNode, ln net.Listener, primary bool) error {
 	pipe, id, err := c.loadShardNode(sh)
+	var srv *Server
+	if err == nil {
+		srv, err = c.newShardServer(pipe, id)
+	}
+	var ing *Ingestor
+	if err == nil {
+		// Built in the replica role — no client write path, manual-only
+		// checkpoints; makePrimary arms both.
+		ing, err = NewIngestor(srv, pipe,
+			WithIngestLog(n.walPath),
+			WithIngestCheckpoint(sh.snapPath, 0),
+			WithCommitHook(n.commit),
+			WithoutIngestSink())
+	}
 	if err != nil {
 		ln.Close()
 		return err
 	}
-	srv, err := c.newShardServer(pipe, id)
-	if err != nil {
-		ln.Close()
-		return err
+	n.pipe, n.srv, n.ing = pipe, srv, ing
+	n.streams = cluster.NewNode(sh.id, c.cfg.epoch, ing, n.walPath)
+	if primary {
+		c.makePrimary(sh, n, pipe.ingestSeq)
+	} else {
+		srv.SetReplicationProbe(n.streams.Replica.Status)
 	}
-	relay := &commitRelay{}
-	ing, err := NewIngestor(srv, pipe,
-		WithIngestLog(rep.walPath),
-		// Manual-only checkpoint capability (every=0): replicas never
-		// checkpoint on their own — two nodes writing one snapshot file would
-		// race — but a promoted ex-replica must be able to.
-		WithIngestCheckpoint(sh.snapPath, 0),
-		WithCommitHook(relay.invoke),
-		WithoutIngestSink())
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	applier := cluster.NewReplicaApplier(sh.id, c.cfg.epoch, ing)
-	srv.SetReplicationProbe(applier.Status)
-	mux := http.NewServeMux()
-	mux.Handle("/replicate", applier.Handler())
-	// Replicas serve WAL-tail pulls too: after a promotion the shard's
-	// primary is an ex-replica running this mux, and a rejoining node must
-	// be able to fetch its missing tail from whoever is primary now.
-	mux.Handle(cluster.TailPath, cluster.NewWALTailHandler(sh.id, rep.walPath))
-	mux.Handle("/", srv.Handler())
-	rep.pipe, rep.srv, rep.ing, rep.applier, rep.relay = pipe, srv, ing, applier, relay
-	rep.hs = &http.Server{Handler: mux}
-	go func(hs *http.Server, ln net.Listener) { _ = hs.Serve(ln) }(rep.hs, ln)
+	n.hs = &http.Server{Handler: n.streams.Mount(srv.Handler())}
+	go func(hs *http.Server) { _ = hs.Serve(ln) }(n.hs)
 	return nil
+}
+
+// makePrimary flips a live node into the primary role of its shard — at
+// boot and at promotion alike: the client write path and automatic
+// checkpoints switch on (a replica has neither — two nodes writing one
+// snapshot file would race), /migrate opens and /replicate closes, and a
+// replicated shard gets a shipper over its replica set starting at cursor
+// seq. The shipper assumes every replica sits at seq; a restarted primary's
+// replicas are typically ahead, so one heartbeat round adopts their true
+// cursors before any commit ships.
+func (c *Cluster) makePrimary(sh *clusterShard, n *shardNode, seq uint64) {
+	n.srv.SetIngestSink(n.ing)
+	n.ing.SetCheckpointEvery(c.cfg.checkpointEvery)
+	n.streams.SetPrimary(true)
+	if len(sh.replicas) == 0 {
+		return
+	}
+	sp := cluster.NewShipper(cluster.ShipperConfig{
+		Shard:       sh.id,
+		Epoch:       c.cfg.epoch,
+		WALPath:     n.walPath,
+		Replicas:    sh.replicaAddrs(),
+		StartSeq:    seq,
+		WriteQuorum: c.cfg.writeQuorum,
+	})
+	n.shipper.Store(sp)
+	n.srv.SetReplicationProbe(sp.Status)
+	sp.Resync()
+}
+
+// buildRing builds the ring over the first n shards at the cluster's
+// current epoch and node addresses.
+func (c *Cluster) buildRing(n int) (*Ring, error) {
+	infos := make([]ShardInfo, n)
+	for i, sh := range c.shards[:n] {
+		infos[i] = ShardInfo{ID: sh.id, Addr: sh.primary.addr, Replicas: sh.replicaAddrs()}
+	}
+	return cluster.NewRing(c.cfg.epoch, 0, infos)
+}
+
+// restamp makes every live node of the given shards adopt the cluster's
+// current epoch and shard count: stream receivers and shippers move to the
+// epoch, and every server's identity is restamped so the router's /info
+// epoch cross-check holds.
+func (c *Cluster) restamp(shards []*clusterShard) {
+	for _, sh := range shards {
+		id := ShardIdentity{ShardID: sh.id, NumShards: c.cfg.shards, RingEpoch: c.cfg.epoch}
+		for _, n := range sh.nodes() {
+			if !n.live() {
+				continue
+			}
+			n.streams.SetEpoch(c.cfg.epoch)
+			n.srv.SetShardIdentity(id)
+			if sp := n.shipper.Load(); sp != nil {
+				sp.SetEpoch(c.cfg.epoch)
+			}
+		}
+	}
 }
 
 // Handler returns the router's HTTP surface (for mounting on a test
@@ -779,7 +744,7 @@ func (c *Cluster) OwnerShard(userKey string) int { return c.ring.Load().Owner(us
 func (c *Cluster) ShardAddr(i int) string {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	return c.shards[i].addr
+	return c.shards[i].primary.addr
 }
 
 // RouterAddr returns the router's listen address, or "" when the cluster
@@ -813,7 +778,7 @@ func (c *Cluster) shardState(i int) (*Pipeline, *Ingestor, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return sh.pipe, sh.ing, nil
+	return sh.primary.pipe, sh.primary.ing, nil
 }
 
 // KillShard crashes shard i's primary: its listener and connections close,
@@ -824,35 +789,14 @@ func (c *Cluster) shardState(i int) (*Pipeline, *Ingestor, error) {
 func (c *Cluster) KillShard(i int) error {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	return c.killShardLocked(i)
-}
-
-// killShardLocked is KillShard under an already-held topology lock (Reshard
-// and Close hold it across several kills).
-func (c *Cluster) killShardLocked(i int) error {
 	sh, err := c.shardByIndex(i)
 	if err != nil {
 		return err
 	}
-	if sh.pipe == nil {
+	if !sh.primary.live() {
 		return fmt.Errorf("ganc: shard %d is already dead", i)
 	}
-	if sh.shipper != nil {
-		sh.relay.set(nil)
-		sh.shipper.Close()
-		sh.shipper = nil
-	}
-	var closeErr error
-	if sh.hs != nil {
-		closeErr = sh.hs.Close()
-	}
-	if sh.ing != nil {
-		if err := sh.ing.Close(); err != nil && closeErr == nil {
-			closeErr = err
-		}
-	}
-	sh.pipe, sh.srv, sh.ing, sh.hs, sh.relay, sh.migrator = nil, nil, nil, nil, nil, nil
-	return closeErr
+	return killNode(sh.primary)
 }
 
 // KillReplica crashes shard i's replica r: its listener and connections
@@ -871,30 +815,42 @@ func (c *Cluster) KillReplica(i, r int) error {
 	if r < 0 || r >= len(sh.replicas) {
 		return fmt.Errorf("ganc: shard %d replica %d out of range [0,%d)", i, r, len(sh.replicas))
 	}
-	rep := sh.replicas[r]
-	if rep.pipe == nil {
+	if !sh.replicas[r].live() {
 		return fmt.Errorf("ganc: shard %d replica %d is already dead", i, r)
 	}
-	return c.killReplica(rep)
+	return killNode(sh.replicas[r])
 }
 
-// killReplica crashes one replica node (used by Close, Reshard teardown and
-// KillReplica; callers hold the topology lock where it matters).
-func (c *Cluster) killReplica(rep *replicaNode) error {
-	if rep.pipe == nil {
+// killNode crashes one node, whatever its role (a no-op on a dead one): the
+// shipper stops, the listener and connections close, the write-ahead-log
+// handle is released. Callers hold the topology lock where it matters.
+func killNode(n *shardNode) error {
+	if !n.live() {
 		return nil
 	}
-	var closeErr error
-	if rep.hs != nil {
-		closeErr = rep.hs.Close()
+	if sp := n.shipper.Swap(nil); sp != nil {
+		sp.Close()
 	}
-	if rep.ing != nil {
-		if err := rep.ing.Close(); err != nil && closeErr == nil {
-			closeErr = err
+	closeErr := n.hs.Close()
+	if err := n.ing.Close(); err != nil && closeErr == nil {
+		closeErr = err
+	}
+	n.pipe, n.srv, n.ing, n.hs, n.streams = nil, nil, nil, nil, nil
+	return closeErr
+}
+
+// killShards crashes every node of the given shards (Close, a shrink's
+// retirement and an aborted grow's teardown) and reports the first error.
+func killShards(shards []*clusterShard) error {
+	var firstErr error
+	for _, sh := range shards {
+		for _, n := range sh.nodes() {
+			if err := killNode(n); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
-	rep.pipe, rep.srv, rep.ing, rep.hs, rep.applier, rep.relay = nil, nil, nil, nil, nil, nil
-	return closeErr
+	return firstErr
 }
 
 // RestartShard brings a killed shard back on its original address: the
@@ -908,19 +864,10 @@ func (c *Cluster) RestartShard(i int) (replayed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if sh.pipe != nil {
+	if sh.primary.live() {
 		return 0, fmt.Errorf("ganc: shard %d is still running (kill it first)", i)
 	}
-	// The old listener is closed, so the original port is free to rebind —
-	// the ring's address for this shard must not change.
-	ln, err := net.Listen("tcp", sh.addr)
-	if err != nil {
-		return 0, fmt.Errorf("ganc: rebinding shard %d on %s: %w", i, sh.addr, err)
-	}
-	if err := c.bootShard(sh, ln); err != nil {
-		return 0, err
-	}
-	return sh.ing.Recover()
+	return c.rebootNode(sh, sh.primary, true)
 }
 
 // Promote turns shard i's freshest live replica into its primary after a
@@ -946,10 +893,25 @@ func (c *Cluster) autoPromote(shard int, addr string) {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
 	sh, err := c.shardByIndex(shard)
-	if err != nil || sh.pipe != nil || sh.addr != addr {
+	if err != nil || sh.primary.live() || sh.primary.addr != addr {
 		return
 	}
 	_, _ = c.promoteLocked(shard)
+}
+
+// rebootNode brings a dead node back on its original address — the old
+// listener is closed, so the port is free to rebind, and the ring's address
+// for the node must not change — in the given role, and replays its
+// write-ahead-log suffix past the snapshot cursor.
+func (c *Cluster) rebootNode(sh *clusterShard, n *shardNode, primary bool) (replayed int, err error) {
+	ln, err := net.Listen("tcp", n.addr)
+	if err != nil {
+		return 0, fmt.Errorf("ganc: rebinding shard %d node on %s: %w", sh.id, n.addr, err)
+	}
+	if err := c.bootNode(sh, n, ln, primary); err != nil {
+		return 0, err
+	}
+	return n.ing.Recover()
 }
 
 // promoteLocked is Promote under an already-held topology lock.
@@ -958,7 +920,7 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if sh.pipe != nil {
+	if sh.primary.live() {
 		return 0, fmt.Errorf("ganc: shard %d still has a live primary (kill it first)", i)
 	}
 	// Freshest live replica: the one with the highest applied cursor — any
@@ -966,7 +928,7 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 	best := -1
 	var bestSeq uint64
 	for k, rep := range sh.replicas {
-		if rep.pipe == nil {
+		if !rep.live() {
 			continue
 		}
 		if seq := rep.ing.Seq(); best < 0 || seq > bestSeq {
@@ -976,61 +938,19 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 	if best < 0 {
 		return 0, fmt.Errorf("ganc: shard %d has no live replica to promote", i)
 	}
-	promoted := sh.replicas[best]
+	// Swap slots, then flip the role: the dead old primary keeps its address
+	// and WAL as a dead replica slot for RejoinAsReplica; the promoted node
+	// starts accepting client writes and /migrate chunks, checkpointing and
+	// shipping commits, and refuses pushed /replicate batches — a stale
+	// shipper from the demoted primary included.
 	c.cfg.epoch++
-	epoch := c.cfg.epoch
-
-	// Swap roles: the promoted node's runtime becomes the shard's primary;
-	// the dead old primary keeps its address and WAL as a dead replica slot
-	// for RejoinAsReplica.
-	oldPrimary := &replicaNode{addr: sh.addr, walPath: sh.walPath}
-	sh.replicas[best] = oldPrimary
-	sh.addr, sh.walPath = promoted.addr, promoted.walPath
-	sh.pipe, sh.srv, sh.ing, sh.hs, sh.relay = promoted.pipe, promoted.srv, promoted.ing, promoted.hs, promoted.relay
-
-	// The promoted node starts accepting client writes and shipping commits;
-	// its applier stays mounted but moves to the new epoch, so a stale
-	// shipper from the demoted primary is refused with replicate_epoch.
-	sh.srv.SetIngestSink(sh.ing)
-	promoted.applier.SetEpoch(epoch)
-	sh.shipper = cluster.NewShipper(cluster.ShipperConfig{
-		Shard:       sh.id,
-		Epoch:       epoch,
-		WALPath:     sh.walPath,
-		Replicas:    sh.replicaAddrs(),
-		StartSeq:    bestSeq,
-		WriteQuorum: c.cfg.writeQuorum,
-	})
-	sh.relay.set(sh.shipper.Commit)
-	sh.srv.SetReplicationProbe(sh.shipper.Status)
-	sh.shipper.Resync()
-
-	// Every surviving node adopts the new epoch, and every live server's
-	// identity is restamped so the router's /info epoch cross-check holds.
-	for _, other := range c.shards {
-		for _, rep := range other.replicas {
-			if rep.applier != nil {
-				rep.applier.SetEpoch(epoch)
-			}
-			if rep.srv != nil {
-				rep.srv.SetShardIdentity(ShardIdentity{ShardID: other.id, NumShards: c.cfg.shards, RingEpoch: epoch})
-			}
-		}
-		if other.shipper != nil {
-			other.shipper.SetEpoch(epoch)
-		}
-		if other.srv != nil {
-			other.srv.SetShardIdentity(ShardIdentity{ShardID: other.id, NumShards: c.cfg.shards, RingEpoch: epoch})
-		}
-	}
+	sh.primary, sh.replicas[best] = sh.replicas[best], sh.primary
+	c.makePrimary(sh, sh.primary, bestSeq)
+	c.restamp(c.shards)
 
 	// Re-point the map: same shard IDs (ownership is untouched), new
 	// primary address for shard i, new epoch.
-	infos := make([]ShardInfo, len(c.shards))
-	for k, other := range c.shards {
-		infos[k] = ShardInfo{ID: other.id, Addr: other.addr, Replicas: other.replicaAddrs()}
-	}
-	ring, err := cluster.NewRing(epoch, 0, infos)
+	ring, err := c.buildRing(len(c.shards))
 	if err != nil {
 		return 0, err
 	}
@@ -1038,7 +958,7 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 		return 0, err
 	}
 	c.ring.Store(ring)
-	return epoch, nil
+	return c.cfg.epoch, nil
 }
 
 // RejoinAsReplica boots shard i's dead replica slot — after a promotion,
@@ -1047,8 +967,8 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 // new primary's shipper, which catches it up to the committed head. When the
 // node's local log is shorter than the snapshot cursor (the disk did not
 // survive with the full history), the missing tail is pulled from the live
-// primary over the /replicate cursor protocol before boot — replica-assisted
-// catch-up. Returns how many events the local replay recovered.
+// primary over POST /replicate/tail before boot — replica-assisted catch-up.
+// Returns how many events the local replay recovered.
 func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
@@ -1056,12 +976,12 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if sh.pipe == nil {
+	if !sh.primary.live() {
 		return 0, fmt.Errorf("ganc: shard %d has no live primary to rejoin under", i)
 	}
-	var dead *replicaNode
+	var dead *shardNode
 	for _, rep := range sh.replicas {
-		if rep.pipe == nil {
+		if !rep.live() {
 			dead = rep
 			break
 		}
@@ -1075,7 +995,7 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 	// records (records, snapSeq] are pulled from the live primary and
 	// appended before boot, restoring the invariant from a peer instead of
 	// refusing the rejoin.
-	records, err := countWALRecords(dead.walPath)
+	records, err := cluster.WALEnd(dead.walPath)
 	if err != nil {
 		return 0, fmt.Errorf("ganc: inspecting rejoin write-ahead log: %w", err)
 	}
@@ -1085,7 +1005,7 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 	}
 	if snapSeq > records {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		tail, err := cluster.FetchWALTail(ctx, nil, sh.addr, sh.id, records, snapSeq)
+		tail, err := cluster.FetchWALTail(ctx, nil, sh.primary.addr, sh.id, records, snapSeq)
 		cancel()
 		if err != nil {
 			return 0, fmt.Errorf("%w: snapshot cursor %d, log has %d records, and the primary could not supply the tail: %v",
@@ -1110,21 +1030,14 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 			return 0, fmt.Errorf("%w: fetched tail ends at %d, snapshot cursor is %d", ErrReplicaRejoin, head, snapSeq)
 		}
 	}
-	ln, err := net.Listen("tcp", dead.addr)
-	if err != nil {
-		return 0, fmt.Errorf("ganc: rebinding replica on %s: %w", dead.addr, err)
-	}
-	if err := c.bootReplica(sh, dead, ln); err != nil {
-		return 0, err
-	}
-	replayed, err = dead.ing.Recover()
+	replayed, err = c.rebootNode(sh, dead, false)
 	if err != nil {
 		return replayed, err
 	}
 	// Tell the primary's shipper where the rejoined node actually is; its
 	// catch-up loop re-feeds the rest from the primary's WAL.
-	if sh.shipper != nil {
-		sh.shipper.Resync()
+	if sp := sh.primary.shipper.Load(); sp != nil {
+		sp.Resync()
 	}
 	return replayed, nil
 }
@@ -1171,7 +1084,7 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 		return nil, fmt.Errorf("ganc: cluster already has %d shards", oldN)
 	}
 	for _, sh := range c.shards {
-		if sh.pipe == nil {
+		if !sh.primary.live() {
 			return nil, fmt.Errorf("ganc: shard %d is dead; restart or promote it before resharding", sh.id)
 		}
 	}
@@ -1186,120 +1099,47 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	c.cfg.epoch, c.cfg.shards = newEpoch, target
 	lineageAdded := !c.lineage[target]
 	c.lineage[target] = true
-	restoreCfg := func() {
+	// fail reverts everything a reshard did before the ring publish: added
+	// shards are torn down and the old topology is effective again.
+	fail := func(err error) (*ReshardStats, error) {
+		_ = killShards(c.shards[oldN:])
+		c.shards = c.shards[:oldN]
 		c.cfg.epoch, c.cfg.shards = oldEpoch, oldN
 		if lineageAdded {
 			delete(c.lineage, target)
 		}
-	}
-	teardownAdded := func() {
-		for i := oldN; i < len(c.shards); i++ {
-			if c.shards[i].pipe != nil {
-				_ = c.killShardLocked(i)
-			}
-			for _, rep := range c.shards[i].replicas {
-				_ = c.killReplica(rep)
-			}
-		}
-		c.shards = c.shards[:oldN]
+		return nil, err
 	}
 
 	if target > oldN {
 		base, _, err := LoadShardEngine(c.baselinePath)
 		if err != nil {
-			restoreCfg()
-			return nil, fmt.Errorf("ganc: loading baseline snapshot: %w", err)
-		}
-		// Bind every listener first (same discipline as NewCluster), then
-		// boot replicas-before-primary per shard.
-		type pendingShard struct {
-			sh     *clusterShard
-			ln     net.Listener
-			repLns []net.Listener
-		}
-		var pend []pendingShard
-		bindFail := func(err error) (*ReshardStats, error) {
-			for _, pb := range pend {
-				pb.ln.Close()
-				for _, l := range pb.repLns {
-					l.Close()
-				}
-			}
-			restoreCfg()
-			return nil, err
+			return fail(fmt.Errorf("ganc: loading baseline snapshot: %w", err))
 		}
 		for i := oldN; i < target; i++ {
-			sh := &clusterShard{
-				id:       i,
-				snapPath: filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d.snap", i)),
-				walPath:  filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d.wal", i)),
+			sh, lns, err := c.newShard(i)
+			if err == nil {
+				// A slot retired by an earlier shrink leaves its files
+				// behind; the re-added shard re-migrates its history in full.
+				for _, n := range sh.nodes() {
+					_ = os.Remove(n.walPath)
+				}
+				if err = base.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: target, RingEpoch: newEpoch}); err != nil {
+					closeAll(lns)
+				} else {
+					c.shards = append(c.shards, sh)
+					err = c.bootNodes(sh, lns)
+				}
 			}
-			// A slot retired by an earlier shrink leaves its files behind;
-			// the re-added shard re-migrates its history in full.
-			_ = os.Remove(sh.snapPath)
-			_ = os.Remove(sh.walPath)
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return bindFail(fmt.Errorf("ganc: shard %d listener: %w", i, err))
-			}
-			sh.addr = ln.Addr().String()
-			pb := pendingShard{sh: sh, ln: ln}
-			for r := 0; r < c.cfg.replicas; r++ {
-				rep := &replicaNode{walPath: filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d-replica-%d.wal", i, r))}
-				_ = os.Remove(rep.walPath)
-				rln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					pend = append(pend, pb)
-					return bindFail(fmt.Errorf("ganc: shard %d replica %d listener: %w", i, r, err))
-				}
-				rep.addr = rln.Addr().String()
-				pb.repLns = append(pb.repLns, rln)
-				sh.replicas = append(sh.replicas, rep)
-			}
-			if err := base.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: target, RingEpoch: newEpoch}); err != nil {
-				pend = append(pend, pb)
-				return bindFail(fmt.Errorf("ganc: snapshot for added shard %d: %w", i, err))
-			}
-			pend = append(pend, pb)
-		}
-		for pi, pb := range pend {
-			c.shards = append(c.shards, pb.sh)
-			bootFail := func(err error) (*ReshardStats, error) {
-				// The failing boot closed its own listener; release the rest.
-				for _, rest := range pend[pi+1:] {
-					rest.ln.Close()
-					for _, l := range rest.repLns {
-						l.Close()
-					}
-				}
-				teardownAdded()
-				restoreCfg()
-				return nil, err
-			}
-			for r, rep := range pb.sh.replicas {
-				if err := c.bootReplica(pb.sh, rep, pb.repLns[r]); err != nil {
-					for _, l := range pb.repLns[r+1:] {
-						l.Close()
-					}
-					pb.ln.Close()
-					return bootFail(fmt.Errorf("ganc: booting shard %d replica %d: %w", pb.sh.id, r, err))
-				}
-			}
-			if err := c.bootShard(pb.sh, pb.ln); err != nil {
-				return bootFail(fmt.Errorf("ganc: booting shard %d: %w", pb.sh.id, err))
+				return fail(fmt.Errorf("ganc: adding shard %d: %w", i, err))
 			}
 		}
 	}
 
-	infos := make([]ShardInfo, target)
-	for i := 0; i < target; i++ {
-		infos[i] = ShardInfo{ID: i, Addr: c.shards[i].addr, Replicas: c.shards[i].replicaAddrs()}
-	}
-	nextRing, err := cluster.NewRing(newEpoch, 0, infos)
+	nextRing, err := c.buildRing(target)
 	if err != nil {
-		teardownAdded()
-		restoreCfg()
-		return nil, err
+		return fail(err)
 	}
 
 	// The moving set: every user with write-ahead history whose owner
@@ -1307,16 +1147,14 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	seen := make(map[string]struct{})
 	var keys []string
 	for i := 0; i < oldN; i++ {
-		if err := ingest.ReplayLog(c.shards[i].walPath, 0, func(_ uint64, ev IngestEvent) error {
+		if err := ingest.ReplayLog(c.shards[i].primary.walPath, 0, func(_ uint64, ev IngestEvent) error {
 			if _, ok := seen[ev.User]; !ok {
 				seen[ev.User] = struct{}{}
 				keys = append(keys, ev.User)
 			}
 			return nil
 		}); err != nil {
-			teardownAdded()
-			restoreCfg()
-			return nil, fmt.Errorf("ganc: scanning shard %d write-ahead log: %w", i, err)
+			return fail(fmt.Errorf("ganc: scanning shard %d write-ahead log: %w", i, err))
 		}
 	}
 	moving := cluster.MovedUsers(oldRing, nextRing, keys)
@@ -1327,38 +1165,28 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	// have its migrated prefix applied twice. Per-user order preservation
 	// makes the destination's local count exactly the already-held prefix
 	// length.
-	for d := 0; d < target; d++ {
-		dest := c.shards[d]
-		if dest.migrator == nil {
-			continue
-		}
-		d := d
+	for d, sh := range c.shards[:target] {
+		dest := sh.primary
 		counts, err := walUserCounts(dest.walPath, func(u string) bool {
 			mv, ok := moving[u]
 			return ok && mv.To == d
 		})
 		if err != nil {
-			teardownAdded()
-			restoreCfg()
-			return nil, fmt.Errorf("ganc: scanning shard %d write-ahead log: %w", d, err)
+			return fail(fmt.Errorf("ganc: scanning shard %d write-ahead log: %w", d, err))
 		}
 		for u, n := range counts {
-			dest.migrator.SeedCursor(u, n)
+			dest.streams.Migrator.SeedCursor(u, n)
 		}
 	}
 
 	ddBefore := c.router.DoubleDispatches()
 	cutStart := time.Now()
 	if err := c.router.BeginReshard(nextRing, moving); err != nil {
-		teardownAdded()
-		restoreCfg()
-		return nil, err
+		return fail(err)
 	}
 	abort := func(err error) (*ReshardStats, error) {
 		c.router.AbortReshard()
-		teardownAdded()
-		restoreCfg()
-		return nil, err
+		return fail(err)
 	}
 
 	// Ship every moving user's history from its old owner to its new one.
@@ -1373,7 +1201,7 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 		total := 0
 		for s := 0; s < oldN; s++ {
 			s := s
-			hist, _, err := ingest.CollectUserEvents(c.shards[s].walPath, func(u string) bool {
+			hist, _, err := ingest.CollectUserEvents(c.shards[s].primary.walPath, func(u string) bool {
 				return oldRing.Owner(u) == s && nextRing.Owner(u) != s
 			})
 			if err != nil {
@@ -1390,7 +1218,7 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 				// expire on queueing alone. Patience here is invisible to
 				// clients — reads keep double-dispatching to the old owner
 				// until this user flips.
-				applied, err := cluster.ShipUserHistory(nil, c.shards[d].addr, d, newEpoch, u, evs, 0, 15*time.Second)
+				applied, err := cluster.ShipUserHistory(nil, c.shards[d].primary.addr, d, newEpoch, u, evs, 0, 15*time.Second)
 				if err != nil {
 					return total, fmt.Errorf("ganc: migrating user %q to shard %d: %w", u, d, err)
 				}
@@ -1425,27 +1253,7 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 
 	// Publish: every surviving node adopts the new epoch and shard count,
 	// then the router leaves the transition state on the final ring.
-	for i := 0; i < target; i++ {
-		sh := c.shards[i]
-		id := ShardIdentity{ShardID: sh.id, NumShards: target, RingEpoch: newEpoch}
-		if sh.srv != nil {
-			sh.srv.SetShardIdentity(id)
-		}
-		if sh.shipper != nil {
-			sh.shipper.SetEpoch(newEpoch)
-		}
-		if sh.migrator != nil {
-			sh.migrator.SetEpoch(newEpoch)
-		}
-		for _, rep := range sh.replicas {
-			if rep.applier != nil {
-				rep.applier.SetEpoch(newEpoch)
-			}
-			if rep.srv != nil {
-				rep.srv.SetShardIdentity(id)
-			}
-		}
-	}
+	c.restamp(c.shards[:target])
 	if err := c.router.CompleteReshard(nextRing); err != nil {
 		return abort(err)
 	}
@@ -1461,20 +1269,10 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	// been published.
 	if target < oldN {
 		time.Sleep(200 * time.Millisecond)
-		var firstErr error
-		for i := oldN - 1; i >= target; i-- {
-			if err := c.killShardLocked(i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			for _, rep := range c.shards[i].replicas {
-				if err := c.killReplica(rep); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
+		err := killShards(c.shards[target:])
 		c.shards = c.shards[:target]
-		if firstErr != nil {
-			return stats, firstErr
+		if err != nil {
+			return stats, err
 		}
 	}
 	return stats, nil
@@ -1496,23 +1294,6 @@ func walUserCounts(path string, keep func(string) bool) (map[string]uint64, erro
 	return counts, nil
 }
 
-// countWALRecords counts the committed records in a write-ahead log (0 for a
-// missing file).
-func countWALRecords(path string) (uint64, error) {
-	var n uint64
-	err := ingest.ReplayLog(path, 0, func(seq uint64, _ IngestEvent) error {
-		n = seq
-		return nil
-	})
-	if err != nil {
-		if os.IsNotExist(err) || errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return n, nil
-}
-
 // shardSnapshotCursor reads the ingestion cursor out of a shard snapshot.
 func shardSnapshotCursor(path string) (uint64, error) {
 	pipe, _, err := LoadShardEngine(path)
@@ -1526,10 +1307,10 @@ func shardSnapshotCursor(path string) (uint64, error) {
 // snapshot (the same files RestartShard restores from).
 func (c *Cluster) SaveShards() error {
 	for _, sh := range c.shards {
-		if sh.ing == nil {
+		if !sh.primary.live() {
 			continue
 		}
-		if err := sh.ing.Checkpoint(); err != nil {
+		if err := sh.primary.ing.Checkpoint(); err != nil {
 			return fmt.Errorf("ganc: checkpointing shard %d: %w", sh.id, err)
 		}
 	}
@@ -1541,8 +1322,8 @@ func (c *Cluster) SaveShards() error {
 func (c *Cluster) ShardVersion(i int) int {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	if sh := c.shards[i]; sh.srv != nil {
-		return sh.srv.Version()
+	if n := c.shards[i].primary; n.live() {
+		return n.srv.Version()
 	}
 	return 0
 }
@@ -1571,8 +1352,8 @@ func (c *Cluster) ReplicaAddr(i, r int) string {
 func (c *Cluster) ShardReplication(i int) ReplicationStatus {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	if sh := c.shards[i]; sh.shipper != nil {
-		return sh.shipper.Status()
+	if sp := c.shards[i].primary.shipper.Load(); sp != nil {
+		return sp.Status()
 	}
 	return ReplicationStatus{}
 }
@@ -1582,8 +1363,8 @@ func (c *Cluster) ShardReplication(i int) ReplicationStatus {
 func (c *Cluster) ReplicaLag(i int) uint64 {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	if sh := c.shards[i]; sh.shipper != nil {
-		return sh.shipper.MaxLag()
+	if sp := c.shards[i].primary.shipper.Load(); sp != nil {
+		return sp.MaxLag()
 	}
 	return 0
 }
@@ -1600,8 +1381,8 @@ func (c *Cluster) WaitForReplicaSync(timeout time.Duration) error {
 	c.reshardMu.Lock()
 	shippers := make([]pair, 0, len(c.shards))
 	for _, sh := range c.shards {
-		if sh.shipper != nil {
-			shippers = append(shippers, pair{sh.id, sh.shipper})
+		if sp := sh.primary.shipper.Load(); sp != nil {
+			shippers = append(shippers, pair{sh.id, sp})
 		}
 	}
 	c.reshardMu.Unlock()
@@ -1631,22 +1412,7 @@ func (c *Cluster) Close() error {
 	}
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	var firstErr error
-	for i, sh := range c.shards {
-		if sh == nil {
-			continue
-		}
-		if sh.pipe != nil {
-			if err := c.killShardLocked(i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		for _, rep := range sh.replicas {
-			if err := c.killReplica(rep); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
+	firstErr := killShards(c.shards)
 	if c.routerHS != nil {
 		if err := c.routerHS.Close(); err != nil && firstErr == nil {
 			firstErr = err
@@ -1684,11 +1450,11 @@ func (c *Cluster) WaitReady(timeout time.Duration) error {
 		}
 	}
 	for _, sh := range c.shards {
-		if err := wait(sh.addr, fmt.Sprintf("shard %d", sh.id)); err != nil {
+		if err := wait(sh.primary.addr, fmt.Sprintf("shard %d", sh.id)); err != nil {
 			return err
 		}
 		for r, rep := range sh.replicas {
-			if rep.pipe == nil {
+			if !rep.live() {
 				continue
 			}
 			if err := wait(rep.addr, fmt.Sprintf("shard %d replica %d", sh.id, r)); err != nil {

@@ -52,7 +52,7 @@ func postIngest(t *testing.T, url string, events []IngestEvent) {
 func ownedWALEvents(t *testing.T, c *Cluster, user string) []float64 {
 	t.Helper()
 	owner := c.OwnerShard(user)
-	hist, _, err := ingest.CollectUserEvents(c.shards[owner].walPath, func(u string) bool { return u == user })
+	hist, _, err := ingest.CollectUserEvents(c.shards[owner].primary.walPath, func(u string) bool { return u == user })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -264,10 +264,16 @@ func TestScenarioAutoFailoverKillPrimaryMidLoad(t *testing.T) {
 // construction mid-drill and must converge through replication catch-up
 // alone. Hard promises: zero client-visible errors through the cutover, real
 // migration, byte-identical parity for the new shard after post-grow churn,
-// and zero replica lag everywhere once the dust settles.
+// and zero replica lag everywhere once the dust settles. The drill then
+// runs the mirror case, grow → promote → shrink: the grown shard's primary
+// is killed, its replica promoted (parity asserted across the promotion),
+// and the ring shrinks back to 2 shards mid-load — the promoted ex-replica
+// is now the migration source and the node being retired, which only works
+// when a promoted node is the same kind of node a booted primary is. Same
+// promises: zero client-visible errors, real migration, zero lag after.
 func TestScenarioReshardGrowWhileReplicated(t *testing.T) {
 	const drilled = 2 // the shard the grow adds
-	grown := 3
+	grown, shrunk := 3, 2
 	noLag := uint64(0)
 	sc := Scenario{
 		Name:            "reshard-grow-replicated",
@@ -284,6 +290,11 @@ func TestScenarioReshardGrowWhileReplicated(t *testing.T) {
 			{Kind: PhaseIngestChurn, Events: 120, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseShardParity, Shard: drilled},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8, MaxReplicaLagEvents: &noLag},
+			{Kind: PhaseKillShard, Shard: drilled},
+			{Kind: PhasePromoteReplica, Shard: drilled},
+			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8,
+				ReshardMid: &shrunk, Shard: drilled, ReshardDelayMs: 100, MaxReplicaLagEvents: &noLag},
+			{Kind: PhaseIngestChurn, Events: 60, EventBatch: 30, Concurrency: 4},
 		},
 	}
 	res, err := RunReplicatedClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 2, 1)
@@ -316,6 +327,28 @@ func TestScenarioReshardGrowWhileReplicated(t *testing.T) {
 	}
 	if final.ReplicaLagEvents != 0 {
 		t.Fatalf("replicas still %d events behind after the grow settled", final.ReplicaLagEvents)
+	}
+
+	promoted := res.Phases[7]
+	if !promoted.ParityChecked || promoted.Epoch != 3 {
+		t.Fatalf("promotion of the grown shard: %+v, want parity checked at epoch 3", promoted)
+	}
+	shrink := res.Phases[8]
+	if shrink.Load == nil || shrink.Load.Requests != 400 || shrink.Load.Errors != 0 {
+		t.Fatalf("mid-shrink load: %+v", shrink.Load)
+	}
+	rs = shrink.Reshard
+	if rs == nil || rs.FromShards != 3 || rs.ToShards != 2 || rs.Epoch != 4 {
+		t.Fatalf("shrink stats %+v, want 3→2 at epoch 4", rs)
+	}
+	if rs.UsersMigrated == 0 || rs.EventsMigrated == 0 {
+		t.Fatalf("shrink migrated %d users / %d events off the promoted shard", rs.UsersMigrated, rs.EventsMigrated)
+	}
+	if shrink.ReplicaLagEvents != 0 {
+		t.Fatalf("replicas still %d events behind after the shrink settled", shrink.ReplicaLagEvents)
+	}
+	if churn := res.Phases[9]; churn.EventsApplied != 60 {
+		t.Fatalf("post-shrink churn applied %d of 60 events", churn.EventsApplied)
 	}
 }
 

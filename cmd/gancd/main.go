@@ -391,7 +391,7 @@ func runShard(loadPath, addr string, shards, shardID int, epoch uint64, cache in
 }
 
 // runReplica serves one shard snapshot as a warm read replica: the only
-// write path is POST /replicate (client /ingest is absent), applied batches
+// write path is POST /replicate (client /ingest answers a typed 409), applied batches
 // land in the replica's own write-ahead log, and /health reports the
 // replication cursor and lag.
 func runReplica(loadPath, addr string, shards, shardID int, epoch uint64, cache int,
@@ -439,18 +439,17 @@ func runReplica(loadPath, addr string, shards, shardID int, epoch uint64, cache 
 	if replayed > 0 {
 		fmt.Fprintf(os.Stderr, "replayed %d events from %s (resuming at seq %d)\n", replayed, ingestLog, ing.Seq())
 	}
-	applier := ganc.NewReplicaApplier(id.ShardID, id.RingEpoch, ing)
-	srv.SetReplicationProbe(applier.Status)
-	mux := http.NewServeMux()
-	mux.Handle("/replicate", applier.Handler())
-	mux.Handle("/", srv.Handler())
-	endpoints := "GET /recommend?user=<id>, POST /recommend/batch, /info, /health, POST /replicate"
+	// The same stream surface every cluster node mounts, in the replica role:
+	// /replicate accepts, /migrate and client /ingest answer a typed 409.
+	node := ganc.NewStreamNode(id.ShardID, id.RingEpoch, ing, ingestLog)
+	srv.SetReplicationProbe(node.Replica.Status)
+	endpoints := "GET /recommend?user=<id>, POST /recommend/batch, /info, /health, POST /replicate, /migrate, /replicate/tail"
 	if obs.metrics {
 		endpoints += ", GET /metrics"
 	}
 	fmt.Fprintf(os.Stderr, "serving %s on %s as replica of shard %d/%d epoch %d (%s)\n",
 		p.Name(), addr, id.ShardID, id.NumShards, id.RingEpoch, endpoints)
-	return http.ListenAndServe(addr, mux)
+	return http.ListenAndServe(addr, node.Mount(srv.Handler()))
 }
 
 // runRouter fronts the peers with the scatter-gather router. When any peer

@@ -4,144 +4,92 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
-	"ganc/internal/ingest"
 	"ganc/internal/serve"
 )
 
-// TailPath is the route a primary serves WAL-tail pulls on — the
-// replica-assisted catch-up half of the /replicate cursor protocol. A
-// rejoining node whose local WAL is shorter than its snapshot cursor pulls
-// the missing records from the live primary instead of refusing to rejoin.
-const TailPath = "/replicate/tail"
+// The pull direction of the shard stream: a node serves the records of its
+// own write-ahead log on TailPath, in the same chunk shape /replicate pushes
+// carry, and a rejoining node pulls what its disk lost.
 
-// ErrTailRange marks a WAL-tail pull the primary cannot serve: the requested
-// records are not (all) in its local WAL.
-var ErrTailRange = errors.New("cluster: requested WAL tail not available")
-
-// NewWALTailHandler serves TailPath for one shard's primary. The request and
-// response reuse the ReplicateRequest wire shape: the puller asks for the
-// records [FirstSeq, HeadSeq] (Events empty), the primary answers with a
-// contiguous chunk starting at FirstSeq — capped at MaxReplicateEvents, so
-// the puller loops — with HeadSeq set to the last sequence included. Pulls
-// are reads of committed records, so epoch fencing does not apply (the
-// request's epoch is ignored); a range the WAL cannot cover is refused with
-// a typed 409 carrying Gap and the primary's view of where the WAL ends.
+// NewWALTailHandler serves TailPath for one shard node. The puller asks for
+// the records [First, Head] (no events); the node answers with a contiguous
+// chunk starting at First — capped at MaxReplicateEvents, so the puller
+// loops — with Head set to the last position included. Pulls are reads of
+// committed records, so neither the role gate nor epoch fencing applies; a
+// range the log cannot cover is refused with a typed 409 gap carrying the
+// position the log ends at.
 func NewWALTailHandler(shard int, walPath string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, ReplicateResponse{Error: "POST only", Code: "replicate_body"})
-			return
-		}
-		req, err := ParseReplicateRequest(r.Body)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ReplicateResponse{Error: err.Error(), Code: "replicate_body"})
-			return
-		}
+		c, err := readChunk(w, r, ShardSpace)
 		switch {
-		case req.Shard != shard:
-			writeJSON(w, http.StatusConflict, ReplicateResponse{
-				Error: fmt.Sprintf("tail pull for shard %d arrived at shard %d", req.Shard, shard),
-				Code:  "replicate_shard"})
-			return
-		case len(req.Events) != 0:
-			writeJSON(w, http.StatusBadRequest, ReplicateResponse{
-				Error: "a tail pull carries no events", Code: "replicate_body"})
-			return
-		case req.FirstSeq == 0 || req.HeadSeq < req.FirstSeq:
-			writeJSON(w, http.StatusBadRequest, ReplicateResponse{
-				Error: fmt.Sprintf("bad tail range [%d, %d]", req.FirstSeq, req.HeadSeq), Code: "replicate_body"})
+		case err != nil:
+		case c.Shard != shard:
+			err = fmt.Errorf("%w: tail pull for shard %d arrived at shard %d", ErrStreamShard, c.Shard, shard)
+		case len(c.Events) != 0:
+			err = fmt.Errorf("%w: a tail pull carries no events", ErrStreamBody)
+		case c.First == 0 || c.Head < c.First:
+			err = fmt.Errorf("%w: bad tail range [%d, %d]", ErrStreamBody, c.First, c.Head)
+		}
+		if err != nil {
+			writeAck(w, ShardSpace, Ack{}, err)
 			return
 		}
-		end := req.HeadSeq
-		if limit := req.FirstSeq + uint64(MaxReplicateEvents) - 1; limit < end {
-			end = limit
+		end := c.Head
+		if end-c.First >= MaxReplicateEvents {
+			end = c.First + MaxReplicateEvents - 1
 		}
-		var events []serve.IngestEvent
-		next := req.FirstSeq
-		err = ingest.ReplayLog(walPath, req.FirstSeq-1, func(seq uint64, ev ingest.Event) error {
-			if seq > end {
-				return errStopReplay
-			}
-			if seq != next {
-				return fmt.Errorf("%w: record %d follows %d", ErrTailRange, seq, next-1)
-			}
-			events = append(events, ev)
-			next++
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopReplay) {
-			writeJSON(w, http.StatusConflict, ReplicateResponse{
-				Gap: true, AppliedSeq: next - 1, Error: err.Error(), Code: "replicate_gap"})
+		events, err := readWAL(walPath, c.First-1, end)
+		if err == nil && len(events) == 0 {
+			err = fmt.Errorf("no record at %d", c.First)
+		}
+		if err != nil {
+			walEnd, _ := WALEnd(walPath) // an unreadable log is refused all the same, citing cursor 0
+			writeAck(w, ShardSpace, Ack{Gap: true, Cursor: walEnd}, fmt.Errorf("%w: %v", ErrStreamGap, err))
 			return
 		}
-		if len(events) == 0 {
-			writeJSON(w, http.StatusConflict, ReplicateResponse{
-				Gap: true, AppliedSeq: req.FirstSeq - 1,
-				Error: fmt.Sprintf("%v: no record at %d", ErrTailRange, req.FirstSeq), Code: "replicate_gap"})
-			return
-		}
-		writeJSON(w, http.StatusOK, ReplicateRequest{
-			Shard:    shard,
-			FirstSeq: req.FirstSeq,
-			HeadSeq:  req.FirstSeq + uint64(len(events)) - 1,
-			Events:   events,
-		})
+		writeJSON(w, http.StatusOK, Chunk{Shard: shard, First: c.First, Head: c.First + uint64(len(events)) - 1, Events: events})
 	})
 }
 
-// FetchWALTail pulls the WAL records (after, upTo] from a primary's TailPath
-// in MaxReplicateEvents chunks, validating contiguity, and returns them in
-// order. It is the rejoin path's source of truth when the local disk did not
-// survive with the full log.
+// FetchWALTail pulls the WAL records (after, upTo] from a node's TailPath in
+// MaxReplicateEvents chunks and returns them in order. Every answer goes
+// through the stream's chunk parser and a contiguity check, so a broken peer
+// cannot hand back keyless events, a misplaced range or an empty chunk. It
+// is the rejoin path's source of truth when the local disk did not survive
+// with the full log.
 func FetchWALTail(ctx context.Context, client *http.Client, addr string, shard int, after, upTo uint64) ([]serve.IngestEvent, error) {
+	if after >= upTo {
+		return nil, nil
+	}
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	out := make([]serve.IngestEvent, 0, upTo-after)
-	next := after + 1
-	for next <= upTo {
-		payload, err := json.Marshal(ReplicateRequest{Shard: shard, FirstSeq: next, HeadSeq: upTo})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: encode tail pull: %w", err)
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+TailPath, bytes.NewReader(payload))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: build tail pull: %w", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
+	var out []serve.IngestEvent
+	for next := after + 1; next <= upTo; {
+		status, body, err := post(ctx, client, addr, TailPath, &Chunk{Shard: shard, First: next, Head: upTo}, maxChunkBody)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: tail pull from %s: %w", addr, err)
 		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxReplicateBody))
-		resp.Body.Close()
+		if status != http.StatusOK {
+			var refusal Ack
+			_ = json.Unmarshal(body, &refusal) // best effort: the refusal's text only enriches the error
+			return nil, fmt.Errorf("%w: %s answered %d to a pull of [%d, %d]: %s", ErrStreamGap, addr, status, next, upTo, refusal.Error)
+		}
+		chunk, err := ParseChunk(bytes.NewReader(body), ShardSpace)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: reading tail chunk from %s: %w", addr, err)
+			return nil, fmt.Errorf("cluster: %s answered a malformed tail chunk: %w", addr, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			var refusal ReplicateResponse
-			if json.Unmarshal(body, &refusal) == nil && refusal.Error != "" {
-				return nil, fmt.Errorf("%w: %s refused [%d, %d]: %s", ErrTailRange, addr, next, upTo, refusal.Error)
-			}
-			return nil, fmt.Errorf("%w: %s answered %d", ErrTailRange, addr, resp.StatusCode)
-		}
-		var chunk ReplicateRequest
-		if err := json.Unmarshal(body, &chunk); err != nil {
-			return nil, fmt.Errorf("cluster: %s answered an undecodable tail chunk: %s", addr, truncate(body))
-		}
-		if chunk.FirstSeq != next || chunk.HeadSeq > upTo ||
-			uint64(len(chunk.Events)) != chunk.HeadSeq-chunk.FirstSeq+1 {
-			return nil, fmt.Errorf("%w: %s answered [%d, %d] with %d events to a pull at %d",
-				ErrTailRange, addr, chunk.FirstSeq, chunk.HeadSeq, len(chunk.Events), next)
+		n := uint64(len(chunk.Events))
+		if chunk.First != next || n == 0 || chunk.Head != next+n-1 || chunk.Head > upTo {
+			return nil, fmt.Errorf("%w: %s answered [%d, %d] with %d events to a pull of [%d, %d]",
+				ErrStreamBody, addr, chunk.First, chunk.Head, n, next, upTo)
 		}
 		out = append(out, chunk.Events...)
-		next = chunk.HeadSeq + 1
+		next = chunk.Head + 1
 	}
 	return out, nil
 }

@@ -1,15 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,174 +15,39 @@ import (
 // user means moving only what the model does not have — the user's ingested
 // interaction history, which the old owner's append-only write-ahead log
 // holds in per-user order. The old owner ships that history to the new owner
-// over POST /migrate in cursor-sequenced chunks, and the new owner folds it
-// through the same Ingestor machinery that serves its reads (so the events
-// land in the new owner's own WAL, durable and replicated, before the router
-// flips the user).
-//
-// The transfer reuses the /replicate cursor discipline, but the cursor is
-// per user rather than per shard: positions index the user's history slice
-// (1-based), duplicates are acknowledged without re-applying, overlaps have
-// their applied prefix skipped, and a chunk starting past cursor+1 is refused
-// as a gap so the sender rewinds. The destination additionally seeds each
-// user's cursor from its own WAL (SeedCursor), which makes the transfer
-// exactly-once even across destination restarts and users that migrate away
-// and later return: whatever prefix of the history the destination already
-// holds is never applied twice.
+// over POST /migrate — the cursor stream (stream.go) in the user key space:
+// positions index the user's history slice, one cursor per user — and the
+// new owner folds it through the same Ingestor machinery that serves its
+// reads (so the events land in the new owner's own WAL, durable and
+// replicated, before the router flips the user). This file holds what is
+// migration's own: per-user cursors seeded from the destination's WAL
+// (SeedCursor makes the transfer exactly-once even across destination
+// restarts and users that migrate away and later return), done-accounting,
+// the sender's chunk iteration, and the ring delta.
 
-// Sentinel errors for the migration wire path, matchable with errors.Is.
-var (
-	// ErrMigrateBody marks a /migrate body that is not a well-formed request:
-	// undecodable JSON, a missing user key, out-of-range positions, an
-	// oversized chunk, or events that do not all belong to the named user.
-	ErrMigrateBody = errors.New("cluster: malformed migrate request")
-	// ErrMigrateShard marks a chunk addressed to a different shard than the
-	// node serves — a topology error, never retryable.
-	ErrMigrateShard = errors.New("cluster: migrate shard mismatch")
-	// ErrMigrateEpoch marks a chunk from an older ring epoch than the node
-	// has already seen (a stale sender from an abandoned reshard).
-	ErrMigrateEpoch = errors.New("cluster: migrate epoch mismatch")
-	// ErrMigrateGap marks a chunk starting past the user's cursor + 1:
-	// applying it would skip part of the user's history. The response carries
-	// the cursor so the sender can rewind and re-ship.
-	ErrMigrateGap = errors.New("cluster: migrate sequence gap")
-)
-
-// MaxMigrateEvents bounds one migrated chunk, mirroring the replication
-// limit; maxMigrateBody bounds the request body a node will buffer.
-const (
-	MaxMigrateEvents = MaxReplicateEvents
-	maxMigrateBody   = maxReplicateBody
-)
-
-// MigrateRequest is the POST /migrate payload: one chunk of a moving user's
-// interaction history, positioned on that history by the 1-based index of its
-// first event.
-type MigrateRequest struct {
-	// Shard is the destination shard ID (the user's owner under the next
-	// ring).
-	Shard int `json:"shard"`
-	// Epoch is the next ring's epoch — the epoch the reshard is migrating
-	// toward, not the one being left.
-	Epoch uint64 `json:"epoch"`
-	// User is the moving user's external key. Every event in the chunk must
-	// belong to it.
-	User string `json:"user"`
-	// FirstIdx is the 1-based position of Events[0] within the user's full
-	// history slice.
-	FirstIdx uint64 `json:"first_idx"`
-	// Total is the length of the user's full history at send time; the
-	// destination reports Done once its cursor reaches it. A request with no
-	// events is a pure cursor probe.
-	Total uint64 `json:"total"`
-	// Events is the chunk, in the user's WAL order.
-	Events []serve.IngestEvent `json:"events"`
-}
-
-// MigrateResponse is the POST /migrate answer. AppliedIdx is always the
-// destination's authoritative per-user cursor after the call, on success and
-// refusal alike — the one field a sender needs to converge.
-type MigrateResponse struct {
-	// User echoes the moving user's key.
-	User string `json:"user"`
-	// AppliedIdx is the destination's cursor into the user's history after
-	// this call.
-	AppliedIdx uint64 `json:"applied_idx"`
-	// Applied is how many of the chunk's events were actually applied (0 for
-	// duplicates and probes).
-	Applied int `json:"applied"`
-	// Done is true once the cursor has reached the announced Total — the
-	// user's history is fully transferred.
-	Done bool `json:"done,omitempty"`
-	// Version is the destination's serving engine generation after the call.
-	Version int `json:"version"`
-	// Gap is true when the chunk was refused because it starts past the
-	// user's cursor; the sender must rewind to AppliedIdx and re-ship.
-	Gap bool `json:"gap,omitempty"`
-	// Error and Code carry the typed refusal on non-200 answers.
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-}
-
-// ParseMigrateRequest decodes and validates a /migrate body. Every failure
-// wraps ErrMigrateBody — never a panic — and allocation is bounded: the
-// reader is capped at the wire limit before any decoding happens.
-func ParseMigrateRequest(r io.Reader) (*MigrateRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, maxMigrateBody))
-	var req MigrateRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMigrateBody, err)
-	}
-	if req.Shard < 0 {
-		return nil, fmt.Errorf("%w: negative shard %d", ErrMigrateBody, req.Shard)
-	}
-	if req.User == "" {
-		return nil, fmt.Errorf("%w: missing user key", ErrMigrateBody)
-	}
-	if len(req.Events) > MaxMigrateEvents {
-		return nil, fmt.Errorf("%w: chunk of %d events exceeds the limit of %d",
-			ErrMigrateBody, len(req.Events), MaxMigrateEvents)
-	}
-	if len(req.Events) > 0 {
-		if req.FirstIdx == 0 {
-			return nil, fmt.Errorf("%w: first_idx 0 (history positions are 1-based)", ErrMigrateBody)
-		}
-		if req.FirstIdx > math.MaxUint64-uint64(len(req.Events)) {
-			return nil, fmt.Errorf("%w: position range overflows", ErrMigrateBody)
-		}
-		for k, ev := range req.Events {
-			if ev.User == "" || ev.Item == "" {
-				return nil, fmt.Errorf("%w: event %d is missing a user or item key", ErrMigrateBody, k)
-			}
-			if ev.User != req.User {
-				return nil, fmt.Errorf("%w: event %d belongs to user %q, chunk is for %q",
-					ErrMigrateBody, k, ev.User, req.User)
-			}
-		}
-	}
-	return &req, nil
-}
-
-// MigrationApplier is the destination side of the protocol: it serializes
-// incoming chunks, enforces the per-user cursor rules (idempotent duplicates,
-// overlap skipping, gap refusal) and feeds the survivors to the backend —
-// the same ReplicaBackend contract replication uses, so *ingest.Ingestor is
-// the production implementation and tests substitute exact-accounting fakes.
-// One applier guards one shard's primary.
+// MigrationApplier is the destination side of the user stream: a receiver
+// with one cursor per moving user, seeded from the node's own write-ahead
+// log, plus the exact accounting (events applied, users completed) the
+// reshard statistics and the race suite read. One applier guards one shard
+// node; only a primary's accepts chunks.
 type MigrationApplier struct {
-	shard   int
-	backend ReplicaBackend
-
-	// mu serializes the cursor check against the apply, so two concurrent
-	// chunks for the same user cannot interleave between "read cursor" and
-	// "apply suffix".
-	mu      sync.Mutex
+	receiver
 	cursors map[string]uint64
 	done    map[string]struct{}
-
-	epoch  atomic.Uint64
-	events atomic.Int64
+	events  atomic.Int64
 }
 
-// NewMigrationApplier builds the applier for one shard's primary, accepting
+// NewMigrationApplier builds the applier for one shard node, accepting
 // chunks from ring epoch `epoch` onward.
 func NewMigrationApplier(shard int, epoch uint64, backend ReplicaBackend) *MigrationApplier {
 	ma := &MigrationApplier{
-		shard:   shard,
-		backend: backend,
-		cursors: make(map[string]uint64),
-		done:    make(map[string]struct{}),
+		receiver: receiver{space: UserSpace, shard: shard, backend: backend},
+		cursors:  make(map[string]uint64),
+		done:     make(map[string]struct{}),
 	}
 	ma.epoch.Store(epoch)
 	return ma
 }
-
-// SetEpoch moves the applier to a new ring epoch (each reshard migrates
-// toward a freshly bumped epoch; every surviving node adopts it).
-func (ma *MigrationApplier) SetEpoch(epoch uint64) { ma.epoch.Store(epoch) }
-
-// Epoch returns the ring epoch the applier currently accepts.
-func (ma *MigrationApplier) Epoch() uint64 { return ma.epoch.Load() }
 
 // SeedCursor pre-positions a user's cursor — the destination calls it with
 // the number of that user's events already present in its own WAL, so a
@@ -226,100 +85,29 @@ func (ma *MigrationApplier) UsersCompleted() int {
 	return len(ma.done)
 }
 
-// Apply runs one migrate request through the per-user cursor rules. The
-// returned response always carries the user's cursor; the error (when
-// non-nil) wraps one of the ErrMigrate* sentinels, or the backend's own
-// failure.
-func (ma *MigrationApplier) Apply(ctx context.Context, req *MigrateRequest) (MigrateResponse, error) {
-	if req.Shard != ma.shard {
-		return MigrateResponse{User: req.User},
-			fmt.Errorf("%w: chunk for shard %d reached shard %d", ErrMigrateShard, req.Shard, ma.shard)
-	}
-	for {
-		cur := ma.epoch.Load()
-		if req.Epoch < cur {
-			return MigrateResponse{User: req.User},
-				fmt.Errorf("%w: chunk from epoch %d, node is at epoch %d", ErrMigrateEpoch, req.Epoch, cur)
-		}
-		// A newer epoch is adopted: the reshard coordinator bumps the epoch
-		// cluster-wide, and a migration chunk may arrive before the control
-		// plane's SetEpoch call.
-		if req.Epoch == cur || ma.epoch.CompareAndSwap(cur, req.Epoch) {
-			break
-		}
+// Apply runs one /migrate chunk through the stream rules at the user's
+// cursor. The ack always carries that cursor; the error (when non-nil) wraps
+// one of the ErrStream* sentinels, or the backend's own failure. Done is
+// reported once the cursor has reached the announced history length.
+func (ma *MigrationApplier) Apply(ctx context.Context, c *Chunk) (Ack, error) {
+	if err := ma.fence(c); err != nil {
+		return Ack{Key: c.Key, Cursor: ma.Cursor(c.Key)}, err
 	}
 	ma.mu.Lock()
 	defer ma.mu.Unlock()
-	cursor := ma.cursors[req.User]
-	resp := MigrateResponse{User: req.User, AppliedIdx: cursor}
-	if len(req.Events) == 0 {
-		resp.Done = req.Total > 0 && cursor >= req.Total
-		return resp, nil // cursor probe
-	}
-	last := req.FirstIdx + uint64(len(req.Events)) - 1
-	if last <= cursor {
-		// Full duplicate: every event is already applied. Acknowledge with
-		// the cursor; re-applying would double-count.
-		resp.Done = req.Total > 0 && cursor >= req.Total
-		return resp, nil
-	}
-	if req.FirstIdx > cursor+1 {
-		resp.Gap = true
-		return resp, fmt.Errorf("%w: chunk for user %q starts at %d, cursor is %d",
-			ErrMigrateGap, req.User, req.FirstIdx, cursor)
-	}
-	// Partial overlap: skip the prefix at or below the cursor.
-	skip := cursor + 1 - req.FirstIdx
-	res, err := ma.backend.Apply(ctx, req.Events[skip:])
+	ack, err := ma.sequence(ctx, c, ma.cursors[c.Key])
 	if err != nil {
-		return resp, fmt.Errorf("cluster: migrate apply: %w", err)
+		return ack, err
 	}
-	applied := len(req.Events) - int(skip)
-	ma.cursors[req.User] = last
-	ma.events.Add(int64(applied))
-	resp.AppliedIdx = last
-	resp.Applied = applied
-	resp.Version = res.Version
-	if req.Total > 0 && last >= req.Total {
-		resp.Done = true
-		ma.done[req.User] = struct{}{}
+	ack.Done = c.Head > 0 && ack.Cursor >= c.Head
+	if ack.Applied > 0 {
+		ma.cursors[c.Key] = ack.Cursor
+		ma.events.Add(int64(ack.Applied))
+		if ack.Done {
+			ma.done[c.Key] = struct{}{}
+		}
 	}
-	return resp, nil
-}
-
-// Handler returns the POST /migrate endpoint. Refusals are typed JSON bodies
-// mirroring the replication taxonomy: 400 migrate_body, 409 migrate_shard /
-// migrate_epoch / migrate_gap, 500 migrate_apply.
-func (ma *MigrationApplier) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
-			return
-		}
-		req, err := ParseMigrateRequest(http.MaxBytesReader(w, r.Body, maxMigrateBody))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, MigrateResponse{Error: err.Error(), Code: "migrate_body"})
-			return
-		}
-		resp, err := ma.Apply(r.Context(), req)
-		if err == nil {
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		resp.Error = err.Error()
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrMigrateShard):
-			status, resp.Code = http.StatusConflict, "migrate_shard"
-		case errors.Is(err, ErrMigrateEpoch):
-			status, resp.Code = http.StatusConflict, "migrate_epoch"
-		case errors.Is(err, ErrMigrateGap):
-			status, resp.Code = http.StatusConflict, "migrate_gap"
-		default:
-			resp.Code = "migrate_apply"
-		}
-		writeJSON(w, status, resp)
-	})
+	return ack, nil
 }
 
 // --- Sender side ---------------------------------------------------------------
@@ -334,7 +122,7 @@ func ShipUserHistory(client *http.Client, addr string, shard int, epoch uint64, 
 	if client == nil {
 		client = http.DefaultClient
 	}
-	if batch <= 0 || batch > MaxMigrateEvents {
+	if batch <= 0 || batch > MaxReplicateEvents {
 		batch = 1024
 	}
 	if timeout <= 0 {
@@ -344,18 +132,9 @@ func ShipUserHistory(client *http.Client, addr string, shard int, epoch uint64, 
 	var pos uint64 // events[:pos] acknowledged by the destination
 	applied, failures := 0, 0
 	for pos < total {
-		end := pos + uint64(batch)
-		if end > total {
-			end = total
-		}
-		resp, err := shipMigrateChunk(client, addr, timeout, &MigrateRequest{
-			Shard:    shard,
-			Epoch:    epoch,
-			User:     user,
-			FirstIdx: pos + 1,
-			Total:    total,
-			Events:   events[pos:end],
-		})
+		end := min(pos+uint64(batch), total)
+		ack, err := shipChunk(client, addr, timeout, UserSpace,
+			&Chunk{Shard: shard, Epoch: epoch, Key: user, First: pos + 1, Head: total, Events: events[pos:end]})
 		if err != nil {
 			failures++
 			if failures > 3 {
@@ -365,58 +144,16 @@ func ShipUserHistory(client *http.Client, addr string, shard int, epoch uint64, 
 			continue
 		}
 		failures = 0
-		applied += resp.Applied
-		switch {
-		case resp.AppliedIdx > pos:
-			pos = resp.AppliedIdx // progress: applied, or already held
-		case resp.Gap:
-			pos = resp.AppliedIdx // rewind: the destination lost ground (restart)
-		default:
+		applied += ack.Applied
+		// Progress (applied, or already held) or a rewind (the destination
+		// lost ground — a restart); anything else would loop forever.
+		if ack.Cursor <= pos && !ack.Gap {
 			return applied, fmt.Errorf("cluster: migrating user %q: destination %s made no progress at position %d",
 				user, addr, pos)
 		}
+		pos = ack.Cursor
 	}
 	return applied, nil
-}
-
-// shipMigrateChunk performs one /migrate call. A well-formed gap refusal is
-// returned as a response (the caller rewinds); every other failure is an
-// error.
-func shipMigrateChunk(client *http.Client, addr string, timeout time.Duration, req *MigrateRequest) (*MigrateResponse, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode migrate chunk: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/migrate", bytes.NewReader(payload))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: build migrate request: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	var out MigrateResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("cluster: node %s answered %d with an undecodable body: %s",
-			addr, resp.StatusCode, truncate(body))
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return &out, nil
-	case resp.StatusCode == http.StatusConflict && out.Gap:
-		return &out, nil
-	default:
-		return nil, fmt.Errorf("cluster: node %s refused migrate chunk: status %d, code %q: %s",
-			addr, resp.StatusCode, out.Code, out.Error)
-	}
 }
 
 // --- Ring delta ----------------------------------------------------------------

@@ -2,130 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"ganc/internal/serve"
 )
-
-// userEvs builds n well-formed events for one user whose values encode their
-// 1-based history position, so ordering and exactly-once application are
-// checkable per user.
-func userEvs(user string, start, n int) []serve.IngestEvent {
-	out := make([]serve.IngestEvent, n)
-	for i := range out {
-		out[i] = serve.IngestEvent{
-			User:  user,
-			Item:  fmt.Sprintf("item-%d", (start+i)%5),
-			Value: float64(start + i),
-		}
-	}
-	return out
-}
-
-// TestParseMigrateRequestRejectsHostileBodies: every malformed body must come
-// back as a typed ErrMigrateBody — never a panic, never a silent acceptance.
-func TestParseMigrateRequestRejectsHostileBodies(t *testing.T) {
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"garbage", "not json at all"},
-		{"truncated", `{"shard": 0, "user": "u", "events": [`},
-		{"negative-shard", `{"shard": -1, "user": "u"}`},
-		{"missing-user", `{"shard":0,"epoch":1,"first_idx":1,"events":[{"user":"u","item":"i","value":1}]}`},
-		{"zero-first-idx", `{"shard":0,"user":"u","first_idx":0,"events":[{"user":"u","item":"i","value":1}]}`},
-		{"idx-overflow", `{"shard":0,"user":"u","first_idx":18446744073709551615,"events":[{"user":"u","item":"i","value":1},{"user":"u","item":"i","value":2}]}`},
-		{"foreign-event", `{"shard":0,"user":"u","first_idx":1,"events":[{"user":"other","item":"i","value":1}]}`},
-		{"keyless-event", `{"shard":0,"user":"u","first_idx":1,"events":[{"user":"u","item":"","value":1}]}`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseMigrateRequest(strings.NewReader(tc.body))
-			if !errors.Is(err, ErrMigrateBody) {
-				t.Fatalf("want ErrMigrateBody, got %v", err)
-			}
-		})
-	}
-	// An oversized chunk is refused before any apply.
-	big := MigrateRequest{Shard: 0, User: "u", FirstIdx: 1, Events: userEvs("u", 1, MaxMigrateEvents+1)}
-	payload, err := json.Marshal(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseMigrateRequest(strings.NewReader(string(payload))); !errors.Is(err, ErrMigrateBody) {
-		t.Fatalf("oversized chunk: want ErrMigrateBody, got %v", err)
-	}
-}
-
-// TestMigrationApplierCursorRules walks the per-user cursor discipline: a
-// probe answers without applying, an in-order chunk advances the cursor, a
-// full duplicate is acknowledged without re-applying, an overlap has its
-// applied prefix skipped, and a chunk past cursor+1 is a gap refusal that
-// applies nothing.
-func TestMigrationApplierCursorRules(t *testing.T) {
-	ctx := context.Background()
-	backend := &countingBackend{}
-	ma := NewMigrationApplier(0, 1, backend)
-
-	// Probe an unknown user: cursor 0, nothing applied.
-	resp, err := ma.Apply(ctx, &MigrateRequest{Shard: 0, Epoch: 1, User: "alice"})
-	if err != nil || resp.AppliedIdx != 0 || resp.Applied != 0 || resp.Done {
-		t.Fatalf("probe answered %+v, %v", resp, err)
-	}
-
-	// First chunk: positions 1..4 of a 6-event history.
-	resp, err = ma.Apply(ctx, &MigrateRequest{Shard: 0, Epoch: 1, User: "alice",
-		FirstIdx: 1, Total: 6, Events: userEvs("alice", 1, 4)})
-	if err != nil || resp.AppliedIdx != 4 || resp.Applied != 4 || resp.Done {
-		t.Fatalf("first chunk answered %+v, %v", resp, err)
-	}
-
-	// Full duplicate: acknowledged at the cursor, nothing re-applied.
-	resp, err = ma.Apply(ctx, &MigrateRequest{Shard: 0, Epoch: 1, User: "alice",
-		FirstIdx: 1, Total: 6, Events: userEvs("alice", 1, 4)})
-	if err != nil || resp.AppliedIdx != 4 || resp.Applied != 0 {
-		t.Fatalf("duplicate answered %+v, %v", resp, err)
-	}
-
-	// Gap: positions 6..6 with the cursor at 4 skips position 5.
-	resp, err = ma.Apply(ctx, &MigrateRequest{Shard: 0, Epoch: 1, User: "alice",
-		FirstIdx: 6, Total: 6, Events: userEvs("alice", 6, 1)})
-	if !errors.Is(err, ErrMigrateGap) || !resp.Gap || resp.AppliedIdx != 4 {
-		t.Fatalf("gap answered %+v, %v", resp, err)
-	}
-
-	// Overlap: positions 3..6 re-sends 3..4 and extends to 6, finishing the
-	// history — only the unseen suffix is applied.
-	resp, err = ma.Apply(ctx, &MigrateRequest{Shard: 0, Epoch: 1, User: "alice",
-		FirstIdx: 3, Total: 6, Events: userEvs("alice", 3, 4)})
-	if err != nil || resp.AppliedIdx != 6 || resp.Applied != 2 || !resp.Done {
-		t.Fatalf("overlap answered %+v, %v", resp, err)
-	}
-
-	// Exact accounting: the backend holds positions 1..6 once each, in order.
-	if got := ma.EventsApplied(); got != 6 {
-		t.Fatalf("EventsApplied = %d, want 6", got)
-	}
-	if got := ma.UsersCompleted(); got != 1 {
-		t.Fatalf("UsersCompleted = %d, want 1", got)
-	}
-	backend.mu.Lock()
-	defer backend.mu.Unlock()
-	if len(backend.events) != 6 {
-		t.Fatalf("backend holds %d events, want 6", len(backend.events))
-	}
-	for i, ev := range backend.events {
-		if ev.Value != float64(i+1) {
-			t.Fatalf("event %d has value %v, want %d", i, ev.Value, i+1)
-		}
-	}
-}
 
 // TestMigrationApplierSeedCursor: a destination that already holds a prefix
 // of the user's history (its own WAL) acknowledges that prefix instead of
@@ -139,9 +21,9 @@ func TestMigrationApplierSeedCursor(t *testing.T) {
 		t.Fatalf("seeded cursor = %d, want 3", got)
 	}
 	// A full re-ship of 5 events applies only the unseen 2.
-	resp, err := ma.Apply(ctx, &MigrateRequest{Shard: 0, Epoch: 1, User: "bob",
-		FirstIdx: 1, Total: 5, Events: userEvs("bob", 1, 5)})
-	if err != nil || resp.Applied != 2 || resp.AppliedIdx != 5 || !resp.Done {
+	resp, err := ma.Apply(ctx, &Chunk{Shard: 0, Epoch: 1, Key: "bob",
+		First: 1, Head: 5, Events: userEvs("bob", 1, 5)})
+	if err != nil || resp.Applied != 2 || resp.Cursor != 5 || !resp.Done {
 		t.Fatalf("seeded overlap answered %+v, %v", resp, err)
 	}
 	// Seeding backward is a no-op.
@@ -158,85 +40,12 @@ func TestMigrationApplierSeedCursor(t *testing.T) {
 	}
 }
 
-// TestMigrationApplierShardAndEpochRules: a chunk for the wrong shard is a
-// topology error; a chunk from an older epoch is refused; a chunk from a
-// newer epoch is adopted (the coordinator's SetEpoch may arrive after the
-// first migrated chunk does).
-func TestMigrationApplierShardAndEpochRules(t *testing.T) {
-	ctx := context.Background()
-	ma := NewMigrationApplier(1, 2, &countingBackend{})
-	if _, err := ma.Apply(ctx, &MigrateRequest{Shard: 0, Epoch: 2, User: "u"}); !errors.Is(err, ErrMigrateShard) {
-		t.Fatalf("wrong shard: want ErrMigrateShard, got %v", err)
-	}
-	if _, err := ma.Apply(ctx, &MigrateRequest{Shard: 1, Epoch: 1, User: "u"}); !errors.Is(err, ErrMigrateEpoch) {
-		t.Fatalf("stale epoch: want ErrMigrateEpoch, got %v", err)
-	}
-	if _, err := ma.Apply(ctx, &MigrateRequest{Shard: 1, Epoch: 3, User: "u",
-		FirstIdx: 1, Events: userEvs("u", 1, 1)}); err != nil {
-		t.Fatalf("newer epoch refused: %v", err)
-	}
-	if got := ma.Epoch(); got != 3 {
-		t.Fatalf("applier stayed at epoch %d after a newer chunk, want 3", got)
-	}
-	if _, err := ma.Apply(ctx, &MigrateRequest{Shard: 1, Epoch: 2, User: "u"}); !errors.Is(err, ErrMigrateEpoch) {
-		t.Fatalf("the adopted epoch must refuse the old one: %v", err)
-	}
-}
-
-// TestMigrateHandlerStatusMapping pins the endpoint's refusal taxonomy: 400
-// migrate_body, 409 migrate_shard / migrate_epoch / migrate_gap, 500
-// migrate_apply — every body a decodable MigrateResponse.
-func TestMigrateHandlerStatusMapping(t *testing.T) {
-	backend := &countingBackend{}
-	ma := NewMigrationApplier(0, 2, backend)
-	handler := ma.Handler()
-	post := func(body string) (int, MigrateResponse) {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodPost, "/migrate", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, req)
-		var resp MigrateResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("undecodable answer %q", rec.Body.String())
-		}
-		return rec.Code, resp
-	}
-
-	if code, resp := post("not json"); code != http.StatusBadRequest || resp.Code != "migrate_body" {
-		t.Fatalf("hostile body answered %d %q", code, resp.Code)
-	}
-	if code, resp := post(`{"shard":7,"epoch":2,"user":"u"}`); code != http.StatusConflict || resp.Code != "migrate_shard" {
-		t.Fatalf("wrong shard answered %d %q", code, resp.Code)
-	}
-	if code, resp := post(`{"shard":0,"epoch":1,"user":"u"}`); code != http.StatusConflict || resp.Code != "migrate_epoch" {
-		t.Fatalf("stale epoch answered %d %q", code, resp.Code)
-	}
-	if code, resp := post(`{"shard":0,"epoch":2,"user":"u","first_idx":9,"total":9,"events":[{"user":"u","item":"i","value":9}]}`); code != http.StatusConflict || resp.Code != "migrate_gap" || !resp.Gap {
-		t.Fatalf("gap answered %d %+v", code, resp)
-	}
-	backend.failErr = errors.New("disk on fire")
-	if code, resp := post(`{"shard":0,"epoch":2,"user":"u","first_idx":1,"total":1,"events":[{"user":"u","item":"i","value":1}]}`); code != http.StatusInternalServerError || resp.Code != "migrate_apply" {
-		t.Fatalf("backend failure answered %d %q", code, resp.Code)
-	}
-	backend.failErr = nil
-	if code, resp := post(`{"shard":0,"epoch":2,"user":"u","first_idx":1,"total":1,"events":[{"user":"u","item":"i","value":1}]}`); code != http.StatusOK || !resp.Done || resp.Applied != 1 {
-		t.Fatalf("well-formed chunk answered %d %+v", code, resp)
-	}
-
-	// Non-POST is rejected outright.
-	rec := httptest.NewRecorder()
-	handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/migrate", nil))
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET answered %d", rec.Code)
-	}
-}
-
 // migrateServer mounts an applier's /migrate endpoint on a test listener and
 // returns its host:port (ShipUserHistory prepends the scheme).
 func migrateServer(t testing.TB, ma *MigrationApplier) string {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.Handle("/migrate", ma.Handler())
+	mux.Handle(UserSpace.Route, streamHandler(UserSpace, ma))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return strings.TrimPrefix(ts.URL, "http://")

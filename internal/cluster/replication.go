@@ -1,241 +1,68 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ganc/internal/ingest"
 	"ganc/internal/serve"
 )
 
 // Per-shard primary→replica replication. The primary's JSON-lines write-ahead
 // log is already a replication log — record n is the n-th event the shard ever
-// committed — so replication is cursor arithmetic over it: the primary ships
-// committed batches to each replica over POST /replicate, the replica replays
-// them through the same Ingestor machinery that serves its reads, and both
-// sides agree on progress through one number, the applied-sequence cursor.
-//
-// The protocol is deliberately idempotent and self-healing:
-//
-//   - a batch whose events are all at or below the replica's cursor is a
-//     duplicate and is acknowledged without applying anything;
-//   - a batch overlapping the cursor has its already-applied prefix skipped;
-//   - a batch starting past cursor+1 is a gap: the replica refuses it (a
-//     cursor must never skip events) and answers with its cursor, so the
-//     primary rewinds and re-ships the missing range from its WAL.
-//
-// Because every response carries the replica's authoritative cursor, the
-// shipper needs no handshake: any guess about a replica's position converges
-// after one round trip.
+// committed — so replication is the cursor stream (stream.go) in the shard key
+// space: the primary ships committed batches to each replica over POST
+// /replicate, the replica replays them through the same Ingestor machinery
+// that serves its reads, and both sides agree on progress through one number,
+// the applied-sequence cursor. This file holds what is replication's own: the
+// replica's head/lag tracking and the primary's shipper (inline ship, quorum
+// wait, per-replica WAL catch-up loops).
 
-// Sentinel errors for the replication wire path, matchable with errors.Is.
-var (
-	// ErrReplicateBody marks a /replicate body that is not a well-formed
-	// request: undecodable JSON, out-of-range sequence numbers, an oversized
-	// batch, or events with empty keys.
-	ErrReplicateBody = errors.New("cluster: malformed replicate request")
-	// ErrReplicateShard marks a batch addressed to a different shard than the
-	// replica serves — a topology error, never retryable.
-	ErrReplicateShard = errors.New("cluster: replicate shard mismatch")
-	// ErrReplicateEpoch marks a batch from an older ring epoch than the
-	// replica has already seen (a demoted primary still shipping).
-	ErrReplicateEpoch = errors.New("cluster: replicate epoch mismatch")
-	// ErrReplicateGap marks a batch starting past the replica's cursor + 1:
-	// applying it would skip committed events. The response carries the
-	// cursor so the shipper can rewind and catch up.
-	ErrReplicateGap = errors.New("cluster: replicate sequence gap")
-)
-
-// MaxReplicateEvents bounds one replicated batch, mirroring the ingest limit
-// so a replica never absorbs more per call than a primary would accept;
-// maxReplicateBody bounds the request body a replica will buffer, so hostile
-// input cannot balloon replica memory.
-const (
-	MaxReplicateEvents = serve.MaxIngestEvents
-	maxReplicateBody   = 16 << 20
-)
-
-// ReplicateRequest is the POST /replicate payload: one batch of committed
-// events, positioned on the shard's WAL by the sequence number of its first
-// event, plus the primary's committed head so the replica can report lag even
-// while catching up.
-type ReplicateRequest struct {
-	// Shard is the shard ID the batch belongs to.
-	Shard int `json:"shard"`
-	// Epoch is the ring epoch the primary ships under.
-	Epoch uint64 `json:"epoch"`
-	// FirstSeq is the sequence number (1-based) of Events[0].
-	FirstSeq uint64 `json:"first_seq"`
-	// HeadSeq is the primary's committed cursor at send time. A request with
-	// no events is a pure head announcement (heartbeat).
-	HeadSeq uint64 `json:"head_seq"`
-	// Events is the committed batch, in commit order.
-	Events []serve.IngestEvent `json:"events"`
-}
-
-// ReplicateResponse is the POST /replicate answer. AppliedSeq is always the
-// replica's authoritative cursor after the call, on success and refusal
-// alike — it is the one field a shipper needs to converge.
-type ReplicateResponse struct {
-	// AppliedSeq is the replica's applied cursor after this call.
-	AppliedSeq uint64 `json:"applied_seq"`
-	// Applied is how many of the batch's events were actually applied (0 for
-	// duplicates and heartbeats).
-	Applied int `json:"applied"`
-	// Version is the replica's serving engine generation after the call.
-	Version int `json:"version"`
-	// Gap is true when the batch was refused because it starts past the
-	// cursor; the shipper must rewind to AppliedSeq and re-ship.
-	Gap bool `json:"gap,omitempty"`
-	// Error and Code carry the typed refusal on non-200 answers.
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-}
-
-// ParseReplicateRequest decodes and validates a /replicate body. Every
-// failure wraps ErrReplicateBody — never a panic — and allocation is bounded:
-// the reader is capped at the wire limit before any decoding happens.
-func ParseReplicateRequest(r io.Reader) (*ReplicateRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, maxReplicateBody))
-	var req ReplicateRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrReplicateBody, err)
-	}
-	if req.Shard < 0 {
-		return nil, fmt.Errorf("%w: negative shard %d", ErrReplicateBody, req.Shard)
-	}
-	if len(req.Events) > MaxReplicateEvents {
-		return nil, fmt.Errorf("%w: batch of %d events exceeds the limit of %d",
-			ErrReplicateBody, len(req.Events), MaxReplicateEvents)
-	}
-	if len(req.Events) > 0 {
-		if req.FirstSeq == 0 {
-			return nil, fmt.Errorf("%w: first_seq 0 (sequence numbers are 1-based)", ErrReplicateBody)
-		}
-		if req.FirstSeq > math.MaxUint64-uint64(len(req.Events)) {
-			return nil, fmt.Errorf("%w: sequence range overflows", ErrReplicateBody)
-		}
-		for k, ev := range req.Events {
-			if ev.User == "" || ev.Item == "" {
-				return nil, fmt.Errorf("%w: event %d is missing a user or item key", ErrReplicateBody, k)
-			}
-		}
-	}
-	return &req, nil
-}
-
-// ReplicaBackend is what a replica applies batches through: the applied
-// cursor and the same batch-apply entry point the primary's write path uses.
-// *ingest.Ingestor satisfies it; tests substitute exact-accounting fakes.
-type ReplicaBackend interface {
-	// Seq returns the applied-event cursor.
-	Seq() uint64
-	// Apply folds one batch into the serving state (WAL append, state
-	// mutation, engine republish) and reports the new cursor and version.
-	Apply(ctx context.Context, events []serve.IngestEvent) (serve.IngestResult, error)
-}
-
-// ReplicaApplier is the replica side of the protocol: it serializes incoming
-// batches, enforces the cursor rules (idempotent duplicates, overlap
-// skipping, gap refusal) and feeds the survivors to the backend. One applier
-// guards one shard's replica.
+// ReplicaApplier is the replica side of the shard stream: a receiver whose
+// cursor is the backend's applied sequence, plus the last head the primary
+// announced — the difference is the replica's lag. One applier guards one
+// shard's replica.
 type ReplicaApplier struct {
-	shard   int
-	backend ReplicaBackend
-
-	// mu serializes the cursor check against the apply, so two concurrent
-	// batches cannot interleave between "read cursor" and "apply suffix".
-	mu sync.Mutex
-
-	epoch      atomic.Uint64
+	receiver
 	primarySeq atomic.Uint64
 }
 
 // NewReplicaApplier builds the applier for one shard's replica. The initial
 // primary head is assumed equal to the backend's cursor (zero lag) until the
-// first request announces a newer one.
+// first chunk announces a newer one.
 func NewReplicaApplier(shard int, epoch uint64, backend ReplicaBackend) *ReplicaApplier {
-	ra := &ReplicaApplier{shard: shard, backend: backend}
+	ra := &ReplicaApplier{receiver: receiver{space: ShardSpace, shard: shard, backend: backend}}
 	ra.epoch.Store(epoch)
 	ra.primarySeq.Store(backend.Seq())
 	return ra
 }
 
-// SetEpoch moves the applier to a new ring epoch (promotion re-points the
-// map under a bumped epoch; every surviving node adopts it).
-func (ra *ReplicaApplier) SetEpoch(epoch uint64) { ra.epoch.Store(epoch) }
+// Cursor returns the replica's applied cursor (the shard stream has no keys).
+func (ra *ReplicaApplier) Cursor(string) uint64 { return ra.backend.Seq() }
 
-// Epoch returns the ring epoch the applier currently accepts.
-func (ra *ReplicaApplier) Epoch() uint64 { return ra.epoch.Load() }
-
-// observeHead advances the last-announced primary head monotonically.
-func (ra *ReplicaApplier) observeHead(h uint64) {
-	for {
-		cur := ra.primarySeq.Load()
-		if h <= cur || ra.primarySeq.CompareAndSwap(cur, h) {
-			return
-		}
-	}
-}
-
-// Apply runs one replicate request through the cursor rules. The returned
-// response always carries the replica's cursor; the error (when non-nil)
-// wraps one of the ErrReplicate* sentinels, or the backend's own failure.
-func (ra *ReplicaApplier) Apply(ctx context.Context, req *ReplicateRequest) (ReplicateResponse, error) {
-	if req.Shard != ra.shard {
-		return ReplicateResponse{AppliedSeq: ra.backend.Seq()},
-			fmt.Errorf("%w: batch for shard %d reached shard %d's replica", ErrReplicateShard, req.Shard, ra.shard)
-	}
-	for {
-		cur := ra.epoch.Load()
-		if req.Epoch < cur {
-			return ReplicateResponse{AppliedSeq: ra.backend.Seq()},
-				fmt.Errorf("%w: batch from epoch %d, replica is at epoch %d", ErrReplicateEpoch, req.Epoch, cur)
-		}
-		// A newer epoch is adopted: promotion bumps the epoch cluster-wide,
-		// and the new primary's first batch may arrive before the control
-		// plane's SetEpoch call.
-		if req.Epoch == cur || ra.epoch.CompareAndSwap(cur, req.Epoch) {
-			break
-		}
+// Apply runs one /replicate chunk through the stream rules. The ack always
+// carries the replica's cursor; the error (when non-nil) wraps one of the
+// ErrStream* sentinels, or the backend's own failure. A refused gap's head
+// announcement still counts toward lag.
+func (ra *ReplicaApplier) Apply(ctx context.Context, c *Chunk) (Ack, error) {
+	if err := ra.fence(c); err != nil {
+		return Ack{Cursor: ra.backend.Seq()}, err
 	}
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
-	cursor := ra.backend.Seq()
-	if h := req.HeadSeq; h > 0 {
-		ra.observeHead(h)
+	storeMax(&ra.primarySeq, c.Head)
+	if n := uint64(len(c.Events)); n > 0 {
+		storeMax(&ra.primarySeq, c.First+n-1)
 	}
-	if len(req.Events) == 0 {
-		return ReplicateResponse{AppliedSeq: cursor}, nil // heartbeat
-	}
-	last := req.FirstSeq + uint64(len(req.Events)) - 1
-	ra.observeHead(last)
-	if last <= cursor {
-		// Full duplicate: every event is already applied. Acknowledge with
-		// the cursor; re-applying would double-count.
-		return ReplicateResponse{AppliedSeq: cursor}, nil
-	}
-	if req.FirstSeq > cursor+1 {
-		return ReplicateResponse{AppliedSeq: cursor, Gap: true},
-			fmt.Errorf("%w: batch starts at %d, replica cursor is %d", ErrReplicateGap, req.FirstSeq, cursor)
-	}
-	// Partial overlap: skip the prefix at or below the cursor.
-	skip := cursor + 1 - req.FirstSeq
-	res, err := ra.backend.Apply(ctx, req.Events[skip:])
-	if err != nil {
-		return ReplicateResponse{AppliedSeq: ra.backend.Seq()}, fmt.Errorf("cluster: replica apply: %w", err)
-	}
-	return ReplicateResponse{AppliedSeq: res.Seq, Applied: len(req.Events) - int(skip), Version: res.Version}, nil
+	ack, err := ra.sequence(ctx, c, ra.backend.Seq())
+	ack.Cursor = ra.backend.Seq()
+	return ack, err
 }
 
 // Status reports the replica's replication status for /health and /metrics.
@@ -251,42 +78,6 @@ func (ra *ReplicaApplier) Status() serve.ReplicationStatus {
 		PrimarySeq: head,
 		LagEvents:  head - applied,
 	}
-}
-
-// Handler returns the POST /replicate endpoint. Refusals are typed JSON
-// bodies mirroring the router's error taxonomy: 400 replicate_body, 409
-// replicate_shard / replicate_epoch / replicate_gap, 500 replicate_apply.
-func (ra *ReplicaApplier) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
-			return
-		}
-		req, err := ParseReplicateRequest(http.MaxBytesReader(w, r.Body, maxReplicateBody))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ReplicateResponse{
-				AppliedSeq: ra.backend.Seq(), Error: err.Error(), Code: "replicate_body"})
-			return
-		}
-		resp, err := ra.Apply(r.Context(), req)
-		if err == nil {
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		resp.Error = err.Error()
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrReplicateShard):
-			status, resp.Code = http.StatusConflict, "replicate_shard"
-		case errors.Is(err, ErrReplicateEpoch):
-			status, resp.Code = http.StatusConflict, "replicate_epoch"
-		case errors.Is(err, ErrReplicateGap):
-			status, resp.Code = http.StatusConflict, "replicate_gap"
-		default:
-			resp.Code = "replicate_apply"
-		}
-		writeJSON(w, status, resp)
-	})
 }
 
 // --- Primary-side shipper ------------------------------------------------------
@@ -421,37 +212,15 @@ func (sp *Shipper) Commit(firstSeq uint64, events []serve.IngestEvent) {
 		return
 	}
 	newHead := firstSeq + uint64(len(events)) - 1
-	for {
-		cur := sp.head.Load()
-		if newHead <= cur || sp.head.CompareAndSwap(cur, newHead) {
-			break
-		}
-	}
+	storeMax(&sp.head, newHead)
 	for _, rep := range sp.reps {
 		rep.mu.Lock()
 		insync := rep.insync
 		rep.mu.Unlock()
-		if !insync {
-			rep.poke()
-			continue
+		if insync {
+			ack, err := sp.ship(rep.addr, firstSeq, newHead, events)
+			insync = rep.settle(ack, err)
 		}
-		resp, err := sp.ship(rep.addr, firstSeq, newHead, events)
-		rep.mu.Lock()
-		switch {
-		case err != nil:
-			rep.insync = false
-			rep.lastErr = err.Error()
-		case resp.Gap:
-			rep.insync = false
-			rep.acked = resp.AppliedSeq
-		default:
-			if resp.AppliedSeq > rep.acked {
-				rep.acked = resp.AppliedSeq
-			}
-			rep.lastErr = ""
-		}
-		insync = rep.insync
-		rep.mu.Unlock()
 		if !insync {
 			rep.poke()
 		}
@@ -459,6 +228,30 @@ func (sp *Shipper) Commit(firstSeq uint64, events []serve.IngestEvent) {
 	if sp.quorum > 0 && !sp.waitQuorum(newHead) {
 		sp.quorumTimeouts.Add(1)
 	}
+}
+
+// settle folds one ship's outcome into the replica's progress record and
+// reports whether it is still in sync: a transport failure or refusal keeps
+// the acknowledged cursor, a gap rewinds it to the replica's answer (the
+// replica moved backwards — a restart), an ack advances it. Failures and
+// gaps both leave the replica to the catch-up loop.
+func (r *shipperReplica) settle(ack *Ack, err error) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case err != nil:
+		r.insync = false
+		r.lastErr = err.Error()
+	case ack.Gap:
+		r.insync = false
+		r.acked = ack.Cursor
+	default:
+		if ack.Cursor > r.acked {
+			r.acked = ack.Cursor
+		}
+		r.lastErr = ""
+	}
+	return r.insync
 }
 
 // ackedAtLeast counts replicas whose acknowledged cursor has reached seq.
@@ -499,12 +292,7 @@ func (sp *Shipper) waitQuorum(seq uint64) bool {
 // events replayed from the WAL are already durable there) and wakes every
 // catch-up loop to re-feed replicas up to it.
 func (sp *Shipper) SetHead(seq uint64) {
-	for {
-		cur := sp.head.Load()
-		if seq <= cur || sp.head.CompareAndSwap(cur, seq) {
-			break
-		}
-	}
+	storeMax(&sp.head, seq)
 	for _, rep := range sp.reps {
 		rep.poke()
 	}
@@ -521,14 +309,14 @@ func (sp *Shipper) SetEpoch(epoch uint64) { sp.epoch.Store(epoch) }
 func (sp *Shipper) Resync() {
 	head := sp.head.Load()
 	for _, rep := range sp.reps {
-		resp, err := sp.ship(rep.addr, 0, head, nil)
+		ack, err := sp.ship(rep.addr, 0, head, nil)
 		rep.mu.Lock()
 		if err != nil {
 			rep.insync = false
 			rep.lastErr = err.Error()
 		} else {
-			rep.acked = resp.AppliedSeq
-			rep.insync = resp.AppliedSeq >= head
+			rep.acked = ack.Cursor
+			rep.insync = ack.Cursor >= head
 			rep.lastErr = ""
 		}
 		insync := rep.insync
@@ -653,45 +441,26 @@ func (sp *Shipper) catchUp(rep *shipperReplica) {
 			head := sp.head.Load()
 			rep.mu.Lock()
 			acked := rep.acked
-			rep.mu.Unlock()
 			if acked >= head {
-				rep.mu.Lock()
 				rep.insync = true
 				rep.lastErr = ""
-				rep.mu.Unlock()
-				break
-			}
-			events, err := sp.readWAL(acked, head)
-			if err != nil || len(events) == 0 {
-				// A transient read race with an in-flight append, or a WAL
-				// shorter than the committed head (which heals once the
-				// append lands): back off and retry.
-				rep.mu.Lock()
-				if err != nil {
-					rep.lastErr = err.Error()
-				} else {
-					rep.lastErr = "wal behind committed head"
-				}
-				rep.mu.Unlock()
-				if !sp.sleep(sp.backoff) {
-					return
-				}
-				continue
-			}
-			resp, err := sp.ship(rep.addr, acked+1, head, events)
-			rep.mu.Lock()
-			switch {
-			case err != nil:
-				rep.lastErr = err.Error()
-			case resp.Gap:
-				rep.acked = resp.AppliedSeq // rewind: the replica moved backwards (restart)
-			default:
-				if resp.AppliedSeq > rep.acked {
-					rep.acked = resp.AppliedSeq
-				}
-				rep.lastErr = ""
 			}
 			rep.mu.Unlock()
+			if acked >= head {
+				break
+			}
+			// One chunk: (acked, min(head, acked+batch)].
+			events, err := readWAL(sp.cfg.WALPath, acked, min(head, acked+uint64(sp.batch)))
+			if err == nil && len(events) == 0 {
+				// A WAL shorter than the committed head — a read racing an
+				// in-flight append — heals once the append lands.
+				err = errors.New("wal behind committed head")
+			}
+			var ack *Ack
+			if err == nil {
+				ack, err = sp.ship(rep.addr, acked+1, head, events)
+			}
+			rep.settle(ack, err)
 			if err != nil && !sp.sleep(sp.backoff) {
 				return
 			}
@@ -699,71 +468,8 @@ func (sp *Shipper) catchUp(rep *shipperReplica) {
 	}
 }
 
-// errStopReplay aborts a WAL scan early once the chunk is full.
-var errStopReplay = errors.New("cluster: stop replay")
-
-// readWAL collects the events with sequence numbers in (after, min(head,
-// after+batch)] from the primary's WAL.
-func (sp *Shipper) readWAL(after, head uint64) ([]serve.IngestEvent, error) {
-	end := head
-	if limit := after + uint64(sp.batch); limit < end {
-		end = limit
-	}
-	var out []serve.IngestEvent
-	err := ingest.ReplayLog(sp.cfg.WALPath, after, func(seq uint64, ev ingest.Event) error {
-		if seq > end {
-			return errStopReplay
-		}
-		out = append(out, ev)
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopReplay) {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ship performs one /replicate call. A well-formed gap refusal is returned
-// as a response (the caller rewinds); every other failure is an error.
-func (sp *Shipper) ship(addr string, firstSeq, head uint64, events []serve.IngestEvent) (*ReplicateResponse, error) {
-	payload, err := json.Marshal(ReplicateRequest{
-		Shard:    sp.cfg.Shard,
-		Epoch:    sp.epoch.Load(),
-		FirstSeq: firstSeq,
-		HeadSeq:  head,
-		Events:   events,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode replicate batch: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), sp.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/replicate", bytes.NewReader(payload))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: build replicate request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := sp.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	var out ReplicateResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("cluster: replica %s answered %d with an undecodable body: %s",
-			addr, resp.StatusCode, truncate(body))
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return &out, nil
-	case resp.StatusCode == http.StatusConflict && out.Gap:
-		return &out, nil
-	default:
-		return nil, fmt.Errorf("cluster: replica %s refused batch: status %d, code %q: %s",
-			addr, resp.StatusCode, out.Code, out.Error)
-	}
+// ship pushes one /replicate chunk (a heartbeat when events is empty).
+func (sp *Shipper) ship(addr string, firstSeq, head uint64, events []serve.IngestEvent) (*Ack, error) {
+	return shipChunk(sp.client, addr, sp.timeout, ShardSpace,
+		&Chunk{Shard: sp.cfg.Shard, Epoch: sp.epoch.Load(), First: firstSeq, Head: head, Events: events})
 }

@@ -259,7 +259,7 @@ func replicatedFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Route
 		applier := NewReplicaApplier(i, 1, backend)
 		rsrv.SetReplicationProbe(applier.Status)
 		mux := http.NewServeMux()
-		mux.Handle("/replicate", applier.Handler())
+		mux.Handle(ShardSpace.Route, streamHandler(ShardSpace, applier))
 		mux.Handle("/", rsrv.Handler())
 		rts := httptest.NewServer(mux)
 		t.Cleanup(rts.Close)

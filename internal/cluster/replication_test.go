@@ -1,308 +1,24 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"ganc/internal/ingest"
-	"ganc/internal/serve"
 )
-
-// countingBackend is an exact-accounting ReplicaBackend: it records every
-// applied event, advances its cursor by exactly the batch length, and bumps a
-// version per apply call — so tests can assert that replication applied each
-// committed event exactly once, in order, and never re-applied a duplicate.
-type countingBackend struct {
-	mu      sync.Mutex
-	seq     uint64
-	version int
-	events  []serve.IngestEvent
-	failErr error
-}
-
-// Seq implements ReplicaBackend.
-func (b *countingBackend) Seq() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
-}
-
-// Apply implements ReplicaBackend.
-func (b *countingBackend) Apply(ctx context.Context, events []serve.IngestEvent) (serve.IngestResult, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.failErr != nil {
-		return serve.IngestResult{}, b.failErr
-	}
-	b.events = append(b.events, events...)
-	b.seq += uint64(len(events))
-	b.version++
-	return serve.IngestResult{Applied: len(events), Seq: b.seq, Version: b.version}, nil
-}
-
-// evs builds a batch of n well-formed events whose values encode their
-// ordinal, so ordering and exactly-once application are checkable.
-func evs(start, n int) []serve.IngestEvent {
-	out := make([]serve.IngestEvent, n)
-	for i := range out {
-		out[i] = serve.IngestEvent{
-			User:  fmt.Sprintf("user-%d", (start+i)%7),
-			Item:  fmt.Sprintf("item-%d", (start+i)%5),
-			Value: float64(start + i),
-		}
-	}
-	return out
-}
-
-// TestParseReplicateRequestRejectsHostileBodies: every malformed body must
-// come back as a typed ErrReplicateBody — never a panic, never a silent
-// acceptance.
-func TestParseReplicateRequestRejectsHostileBodies(t *testing.T) {
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"garbage", "not json at all"},
-		{"truncated", `{"shard": 0, "events": [`},
-		{"negative-shard", `{"shard": -1}`},
-		{"zero-first-seq", `{"shard":0,"first_seq":0,"events":[{"user":"u","item":"i","value":1}]}`},
-		{"seq-overflow", `{"shard":0,"first_seq":18446744073709551615,"events":[{"user":"u","item":"i","value":1},{"user":"u","item":"i","value":2}]}`},
-		{"empty-user", `{"shard":0,"first_seq":1,"events":[{"user":"","item":"i","value":1}]}`},
-		{"empty-item", `{"shard":0,"first_seq":1,"events":[{"user":"u","item":"","value":1}]}`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseReplicateRequest(strings.NewReader(tc.body))
-			if !errors.Is(err, ErrReplicateBody) {
-				t.Fatalf("want ErrReplicateBody, got %v", err)
-			}
-		})
-	}
-	// An oversized batch is refused before any event is inspected.
-	var sb strings.Builder
-	sb.WriteString(`{"shard":0,"first_seq":1,"events":[`)
-	for i := 0; i <= MaxReplicateEvents; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		sb.WriteString(`{"user":"u","item":"i","value":1}`)
-	}
-	sb.WriteString(`]}`)
-	if _, err := ParseReplicateRequest(strings.NewReader(sb.String())); !errors.Is(err, ErrReplicateBody) {
-		t.Fatalf("oversized batch: want ErrReplicateBody, got %v", err)
-	}
-	// A well-formed body parses.
-	req, err := ParseReplicateRequest(strings.NewReader(
-		`{"shard":2,"epoch":3,"first_seq":5,"head_seq":9,"events":[{"user":"u","item":"i","value":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Shard != 2 || req.Epoch != 3 || req.FirstSeq != 5 || req.HeadSeq != 9 || len(req.Events) != 1 {
-		t.Fatalf("parsed %+v", req)
-	}
-}
-
-// TestReplicaApplierCursorRules pins the protocol's cursor arithmetic:
-// in-order apply, idempotent duplicates, overlap skipping, gap refusal, and
-// heartbeats — with exact cursor accounting after every call.
-func TestReplicaApplierCursorRules(t *testing.T) {
-	ctx := context.Background()
-	b := &countingBackend{}
-	ra := NewReplicaApplier(0, 1, b)
-
-	// In-order batch 1..4 applies fully.
-	resp, err := ra.Apply(ctx, &ReplicateRequest{Shard: 0, Epoch: 1, FirstSeq: 1, HeadSeq: 4, Events: evs(1, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.AppliedSeq != 4 || resp.Applied != 4 || resp.Version != 1 {
-		t.Fatalf("in-order: %+v", resp)
-	}
-
-	// The exact same batch again is a duplicate: acknowledged, nothing applied.
-	resp, err = ra.Apply(ctx, &ReplicateRequest{Shard: 0, Epoch: 1, FirstSeq: 1, HeadSeq: 4, Events: evs(1, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.AppliedSeq != 4 || resp.Applied != 0 {
-		t.Fatalf("duplicate: %+v", resp)
-	}
-	if got := b.Seq(); got != 4 {
-		t.Fatalf("cursor moved on duplicate: %d", got)
-	}
-
-	// A batch overlapping the cursor (3..6) applies only its suffix (5, 6).
-	resp, err = ra.Apply(ctx, &ReplicateRequest{Shard: 0, Epoch: 1, FirstSeq: 3, HeadSeq: 6, Events: evs(3, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.AppliedSeq != 6 || resp.Applied != 2 {
-		t.Fatalf("overlap: %+v", resp)
-	}
-
-	// A batch starting past cursor+1 is a gap: refused with the cursor.
-	resp, err = ra.Apply(ctx, &ReplicateRequest{Shard: 0, Epoch: 1, FirstSeq: 9, HeadSeq: 10, Events: evs(9, 2)})
-	if !errors.Is(err, ErrReplicateGap) {
-		t.Fatalf("gap: want ErrReplicateGap, got %v", err)
-	}
-	if !resp.Gap || resp.AppliedSeq != 6 {
-		t.Fatalf("gap response: %+v", resp)
-	}
-	if got := b.Seq(); got != 6 {
-		t.Fatalf("cursor moved on gap: %d", got)
-	}
-	// The refused head announcement still counts toward lag.
-	if st := ra.Status(); st.LagEvents != 4 || st.AppliedSeq != 6 || st.PrimarySeq != 10 {
-		t.Fatalf("status after gap: %+v", st)
-	}
-
-	// A heartbeat applies nothing but advances the observed head.
-	resp, err = ra.Apply(ctx, &ReplicateRequest{Shard: 0, Epoch: 1, HeadSeq: 12})
-	if err != nil || resp.Applied != 0 || resp.AppliedSeq != 6 {
-		t.Fatalf("heartbeat: %+v, %v", resp, err)
-	}
-	if st := ra.Status(); st.PrimarySeq != 12 || st.LagEvents != 6 {
-		t.Fatalf("status after heartbeat: %+v", st)
-	}
-
-	// Exactly-once: sequence 1..6 applied, each value exactly once, in order.
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.events) != 6 {
-		t.Fatalf("backend holds %d events, want 6", len(b.events))
-	}
-	for i, ev := range b.events {
-		if ev.Value != float64(i+1) {
-			t.Fatalf("event %d has value %v, want %d", i, ev.Value, i+1)
-		}
-	}
-}
-
-// TestReplicaApplierShardAndEpochRules: misaddressed batches and stale epochs
-// are refused with typed sentinels; newer epochs are adopted.
-func TestReplicaApplierShardAndEpochRules(t *testing.T) {
-	ctx := context.Background()
-	b := &countingBackend{}
-	ra := NewReplicaApplier(1, 2, b)
-
-	if _, err := ra.Apply(ctx, &ReplicateRequest{Shard: 0, Epoch: 2, FirstSeq: 1, Events: evs(1, 1)}); !errors.Is(err, ErrReplicateShard) {
-		t.Fatalf("shard mismatch: want ErrReplicateShard, got %v", err)
-	}
-	if _, err := ra.Apply(ctx, &ReplicateRequest{Shard: 1, Epoch: 1, FirstSeq: 1, Events: evs(1, 1)}); !errors.Is(err, ErrReplicateEpoch) {
-		t.Fatalf("stale epoch: want ErrReplicateEpoch, got %v", err)
-	}
-	if got := b.Seq(); got != 0 {
-		t.Fatalf("refused batches moved the cursor to %d", got)
-	}
-	// A newer epoch (promotion landed before SetEpoch) is adopted.
-	if _, err := ra.Apply(ctx, &ReplicateRequest{Shard: 1, Epoch: 5, FirstSeq: 1, Events: evs(1, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ra.Epoch(); got != 5 {
-		t.Fatalf("epoch after adoption: %d, want 5", got)
-	}
-	// The old epoch is now refused.
-	if _, err := ra.Apply(ctx, &ReplicateRequest{Shard: 1, Epoch: 2, FirstSeq: 2, Events: evs(2, 1)}); !errors.Is(err, ErrReplicateEpoch) {
-		t.Fatalf("demoted primary: want ErrReplicateEpoch, got %v", err)
-	}
-}
-
-// TestReplicateHandlerStatusMapping pins the HTTP error taxonomy of the
-// /replicate endpoint: 400 replicate_body, 409 replicate_shard /
-// replicate_epoch / replicate_gap, 500 replicate_apply, 405 on non-POST —
-// and that every refusal still reports the replica's authoritative cursor.
-func TestReplicateHandlerStatusMapping(t *testing.T) {
-	b := &countingBackend{}
-	ra := NewReplicaApplier(0, 1, b)
-	ts := httptest.NewServer(ra.Handler())
-	defer ts.Close()
-
-	post := func(t *testing.T, body string) (int, ReplicateResponse) {
-		t.Helper()
-		resp, err := http.Post(ts.URL, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out ReplicateResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("undecodable answer: %v", err)
-		}
-		return resp.StatusCode, out
-	}
-
-	// Seed the replica at cursor 2.
-	if status, out := post(t, `{"shard":0,"epoch":1,"first_seq":1,"head_seq":2,"events":[{"user":"a","item":"x","value":1},{"user":"b","item":"y","value":2}]}`); status != http.StatusOK || out.AppliedSeq != 2 {
-		t.Fatalf("seed: status %d, %+v", status, out)
-	}
-
-	cases := []struct {
-		name   string
-		body   string
-		status int
-		code   string
-	}{
-		{"malformed", `{{{`, http.StatusBadRequest, "replicate_body"},
-		{"wrong-shard", `{"shard":7,"epoch":1,"first_seq":3,"events":[{"user":"a","item":"x","value":1}]}`, http.StatusConflict, "replicate_shard"},
-		{"stale-epoch", `{"shard":0,"epoch":0,"first_seq":3,"events":[{"user":"a","item":"x","value":1}]}`, http.StatusConflict, "replicate_epoch"},
-		{"gap", `{"shard":0,"epoch":1,"first_seq":9,"events":[{"user":"a","item":"x","value":1}]}`, http.StatusConflict, "replicate_gap"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			status, out := post(t, tc.body)
-			if status != tc.status || out.Code != tc.code {
-				t.Fatalf("status %d code %q, want %d %q", status, out.Code, tc.status, tc.code)
-			}
-			if out.AppliedSeq != 2 {
-				t.Fatalf("refusal does not carry the cursor: %+v", out)
-			}
-			if out.Error == "" {
-				t.Fatal("refusal without an error string")
-			}
-		})
-	}
-	// The gap refusal flags itself so the shipper rewinds.
-	if _, out := post(t, `{"shard":0,"epoch":1,"first_seq":9,"events":[{"user":"a","item":"x","value":1}]}`); !out.Gap {
-		t.Fatalf("gap answer not flagged: %+v", out)
-	}
-
-	// A backend failure is a 500 replicate_apply.
-	b.mu.Lock()
-	b.failErr = errors.New("disk on fire")
-	b.mu.Unlock()
-	if status, out := post(t, `{"shard":0,"epoch":1,"first_seq":3,"events":[{"user":"a","item":"x","value":1}]}`); status != http.StatusInternalServerError || out.Code != "replicate_apply" {
-		t.Fatalf("apply failure: status %d, %+v", status, out)
-	}
-	b.mu.Lock()
-	b.failErr = nil
-	b.mu.Unlock()
-
-	// GET is not a replication verb.
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET answered %d", resp.StatusCode)
-	}
-}
 
 // replicaServer mounts an applier-backed /replicate endpoint and returns its
 // host:port address.
 func replicaServer(t testing.TB, ra *ReplicaApplier) string {
 	t.Helper()
-	ts := httptest.NewServer(ra.Handler())
+	ts := httptest.NewServer(streamHandler(ShardSpace, ra))
 	t.Cleanup(ts.Close)
 	return strings.TrimPrefix(ts.URL, "http://")
 }
@@ -350,9 +66,7 @@ func TestShipperInlineShipAndWALCatchUp(t *testing.T) {
 
 	// Catch-up mode: the primary commits while the replica's applier refuses
 	// (simulated outage), then the WAL loop re-feeds it after recovery.
-	b.mu.Lock()
-	b.failErr = errors.New("replica down")
-	b.mu.Unlock()
+	b.setFail(errors.New("replica down"))
 	commit(5) // fails inline → flips to catch-up
 	commit(3) // already in catch-up mode: queued for the background loop
 	if head := sp.Head(); head != 14 {
@@ -362,9 +76,7 @@ func TestShipperInlineShipAndWALCatchUp(t *testing.T) {
 	if len(st.Replicas) != 1 || st.Replicas[0].InSync {
 		t.Fatalf("replica not flipped to catch-up: %+v", st.Replicas)
 	}
-	b.mu.Lock()
-	b.failErr = nil
-	b.mu.Unlock()
+	b.setFail(nil)
 	if err := sp.WaitSync(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +121,7 @@ func TestShipperResyncAdoptsReplicaCursor(t *testing.T) {
 	// The replica already holds 4 of the 10 events.
 	b := &countingBackend{}
 	ra := NewReplicaApplier(0, 1, b)
-	if _, err := ra.Apply(context.Background(), &ReplicateRequest{Shard: 0, Epoch: 1, FirstSeq: 1, HeadSeq: 4, Events: all[:4]}); err != nil {
+	if _, err := ra.Apply(context.Background(), &Chunk{Shard: 0, Epoch: 1, First: 1, Head: 4, Events: all[:4]}); err != nil {
 		t.Fatal(err)
 	}
 	addr := replicaServer(t, ra)
@@ -559,7 +271,7 @@ func TestShipperHandlesHostileReplicaAnswers(t *testing.T) {
 		{"garbage-200", http.StatusOK, "][ not json"},
 		{"empty-500", http.StatusInternalServerError, ""},
 		{"huge-answer", http.StatusOK, strings.Repeat("x", 2<<20)},
-		{"teapot", http.StatusTeapot, `{"applied_seq": 99999}`},
+		{"teapot", http.StatusTeapot, `{"cursor": 99999}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -582,28 +294,5 @@ func TestShipperHandlesHostileReplicaAnswers(t *testing.T) {
 				t.Fatalf("refusal body moved the acked cursor: %+v", st.Replicas[0])
 			}
 		})
-	}
-}
-
-// TestReplicateRoundTripJSON pins the wire format: a request and response
-// survive an encode/decode round trip field for field.
-func TestReplicateRoundTripJSON(t *testing.T) {
-	req := ReplicateRequest{Shard: 3, Epoch: 7, FirstSeq: 100, HeadSeq: 120, Events: evs(100, 2)}
-	data, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseReplicateRequest(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Shard != req.Shard || back.Epoch != req.Epoch || back.FirstSeq != req.FirstSeq ||
-		back.HeadSeq != req.HeadSeq || len(back.Events) != len(req.Events) {
-		t.Fatalf("round trip: %+v", back)
-	}
-	for i := range req.Events {
-		if back.Events[i] != req.Events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, back.Events[i], req.Events[i])
-		}
 	}
 }

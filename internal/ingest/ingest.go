@@ -560,6 +560,18 @@ func (in *Ingestor) Checkpoint() error {
 	return nil
 }
 
+// SetCheckpointEvery re-arms automatic checkpoints at a new interval (every
+// ≤ 0 disarms them, keeping manual Checkpoint calls). It is how a promoted
+// replica, built checkpoint-silent, takes over its shard's checkpoint
+// cadence. Without a configured Checkpointer it is a no-op.
+func (in *Ingestor) SetCheckpointEvery(every int) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.cfg.Checkpoint != nil {
+		in.cfg.CheckpointEvery = every
+	}
+}
+
 // Close releases the write-ahead log's file handle, if any. Acknowledged
 // batches are already durable, so there is nothing to flush; Close exists so
 // an orderly shutdown — or a simulated crash in the scenario harness — lets a

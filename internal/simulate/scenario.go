@@ -333,14 +333,25 @@ func (sc *Scenario) shardUnderTest() (int, error) {
 	return shard, nil
 }
 
-// finalShards returns the shard count the scenario ends with: the last
-// mid-load reshard target, or 0 when the scenario never reshards.
+// finalShards returns the shard count the drilled shard's parity is last
+// asserted in: the mid-load reshard target in effect at the scenario's last
+// parity-asserting phase (0 = the boot topology), or — when nothing asserts
+// parity — the last reshard target. A reshard after the last parity check (a
+// closing shrink that retires the drilled shard) no longer changes what the
+// shadow must hold.
 func (sc *Scenario) finalShards() int {
-	final := 0
+	final, cur, asserted := 0, 0, false
 	for _, p := range sc.Phases {
-		if p.Kind == PhaseServeUnderLoad && p.ReshardMid != nil {
-			final = *p.ReshardMid
+		switch {
+		case p.Kind == PhaseServeUnderLoad && p.ReshardMid != nil:
+			cur = *p.ReshardMid
+		case p.Kind == PhaseShardParity || p.Kind == PhaseRestartShard ||
+			p.Kind == PhasePromoteReplica || p.Kind == PhaseAwaitPromotion:
+			final, asserted = cur, true
 		}
+	}
+	if !asserted {
+		return cur
 	}
 	return final
 }
@@ -416,8 +427,8 @@ type runState struct {
 	// grow/shrink (nil for fixed-topology systems); shadowShard is the shard
 	// whose routed events feed the shadow (-1 when the shadow absorbs
 	// everything, the single-node semantics); finalShards is the topology
-	// the scenario's reshards end at (0 = the boot topology), which decides
-	// the ownership the shadow's event slice is filtered by.
+	// the drilled shard's parity is last asserted in (0 = the boot topology),
+	// which decides the ownership the shadow's event slice is filtered by.
 	sharded     ShardedSystem
 	replicated  ReplicatedSystem
 	reshardable ReshardableSystem
@@ -597,7 +608,7 @@ func (r *Runner) train(sc *Scenario, st *runState) error {
 			return fmt.Errorf("scenario drills shard %d of a primary that never exceeds %d shards", st.shadowShard, limit)
 		}
 		if st.finalShards > 0 && st.shadowShard >= st.finalShards {
-			return fmt.Errorf("scenario drills shard %d but reshards down to %d shards; the drilled shard must survive", st.shadowShard, st.finalShards)
+			return fmt.Errorf("scenario drills shard %d but asserts its parity in a %d-shard topology; the drilled shard must survive until then", st.shadowShard, st.finalShards)
 		}
 	}
 	if st.finalShards > 0 && st.reshardable == nil {

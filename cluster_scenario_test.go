@@ -42,7 +42,7 @@ func TestScenarioClusterKillShardRecovery(t *testing.T) {
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8},
 		},
 	}
-	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 3)
+	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestScenarioKillPrimaryMidLoad(t *testing.T) {
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8, MaxReplicaLagEvents: &noLag},
 		},
 	}
-	res, err := RunReplicatedClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 3, 1)
+	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestScenarioAutoFailoverKillPrimaryMidLoad(t *testing.T) {
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8, MaxReplicaLagEvents: &noLag},
 		},
 	}
-	res, err := RunReplicatedClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 2, 2,
+	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 2, 2,
 		WithWriteQuorum(2), WithAutoFailover(), WithFailureDetection(50*time.Millisecond, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestScenarioReshardGrowWhileReplicated(t *testing.T) {
 			{Kind: PhaseIngestChurn, Events: 60, EventBatch: 30, Concurrency: 4},
 		},
 	}
-	res, err := RunReplicatedClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 2, 1)
+	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestScenarioReshardGrowMidLoad(t *testing.T) {
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8},
 		},
 	}
-	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 2)
+	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestScenarioReshardShrinkMidLoad(t *testing.T) {
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8},
 		},
 	}
-	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 3)
+	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestScenarioClusterWarmStartParity(t *testing.T) {
 			{Kind: PhaseServeUnderLoad, Requests: 300, Concurrency: 8},
 		},
 	}
-	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 3)
+	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), e2eSystem(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

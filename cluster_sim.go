@@ -45,49 +45,35 @@ const (
 )
 
 // NewClusterScenarioSystem binds the NewCluster assembly to the scenario
-// runner: a sharded primary with `shards` shard servers whose durable files
-// (shard snapshots, write-ahead logs) live in dir, checkpointing every
-// checkpointEvery ingested events per shard.
-func NewClusterScenarioSystem(cfg SimSystemConfig, shards int, dir string, checkpointEvery int) ShardedScenarioSystem {
-	return &clusterSystem{cfg: cfg.withDefaults(), shards: shards, dir: dir, checkpointEvery: checkpointEvery}
-}
-
-// NewReplicatedClusterScenarioSystem is NewClusterScenarioSystem with
-// `replicas` warm replicas behind every shard, enabling the promotion and
-// rejoin phases and the router's read failover during mid-load kills. Extra
+// runner: a sharded primary with `shards` shard servers and `replicas` warm
+// replicas behind each (0 = unreplicated; > 0 enables the promotion and
+// rejoin phases and the router's read failover during mid-load kills), whose
+// durable files (shard snapshots, write-ahead logs) live in dir,
+// checkpointing every checkpointEvery ingested events per shard. Extra
 // cluster options (WithWriteQuorum, WithAutoFailover, WithFailureDetection)
 // are appended after the scenario's own, so hands-off failover drills can
 // shape the cluster without a new constructor per knob.
-func NewReplicatedClusterScenarioSystem(cfg SimSystemConfig, shards, replicas int, dir string, checkpointEvery int, extra ...ClusterOption) ReplicatedScenarioSystem {
+func NewClusterScenarioSystem(cfg SimSystemConfig, shards, replicas int, dir string, checkpointEvery int, extra ...ClusterOption) ReplicatedScenarioSystem {
 	return &clusterSystem{cfg: cfg.withDefaults(), shards: shards, replicas: replicas, dir: dir, checkpointEvery: checkpointEvery, extra: extra}
 }
 
 // RunClusterScenario executes a scenario against a sharded primary with a
 // single-node shadow: the cluster serves through its scatter-gather router,
 // the shadow absorbs exactly the events routed to the scenario's drilled
-// shard, and a restart-shard phase asserts the recovered shard's owned-user
-// output is byte-identical to the shadow's.
-func RunClusterScenario(ctx context.Context, sc Scenario, dir string, cfg SimSystemConfig, shards int) (*ScenarioResult, error) {
+// shard, and restart-shard, promote-replica and await-promotion phases
+// assert the recovered shard's owned-user output is byte-identical to the
+// shadow's. With replicas > 0, kill-primary drills keep serving through read
+// failover and a promotion re-points the shard at its freshest replica under
+// a bumped epoch. The cluster lives exactly as long as the run.
+func RunClusterScenario(ctx context.Context, sc Scenario, dir string, cfg SimSystemConfig, shards, replicas int, extra ...ClusterOption) (*ScenarioResult, error) {
+	primary := NewClusterScenarioSystem(cfg, shards, replicas, dir, sc.CheckpointEvery, extra...).(*clusterSystem)
+	defer func() {
+		if primary.cluster != nil {
+			_ = primary.cluster.Close() // teardown of a finished run: its result is already decided
+		}
+	}()
 	r := &simulate.Runner{
-		NewSystem: func() simulate.System {
-			return NewClusterScenarioSystem(cfg, shards, dir, sc.CheckpointEvery)
-		},
-		NewShadow: func() simulate.System { return NewScenarioSystem(cfg) },
-		Dir:       dir,
-	}
-	return r.Run(ctx, sc)
-}
-
-// RunReplicatedClusterScenario is RunClusterScenario with `replicas` warm
-// replicas behind every shard: kill-primary drills keep serving through read
-// failover, promote-replica phases re-point the shard at its freshest
-// replica under a bumped epoch, and the owned-user parity contract against
-// the single-node shadow is asserted across the promotion.
-func RunReplicatedClusterScenario(ctx context.Context, sc Scenario, dir string, cfg SimSystemConfig, shards, replicas int, extra ...ClusterOption) (*ScenarioResult, error) {
-	r := &simulate.Runner{
-		NewSystem: func() simulate.System {
-			return NewReplicatedClusterScenarioSystem(cfg, shards, replicas, dir, sc.CheckpointEvery, extra...)
-		},
+		NewSystem: func() simulate.System { return primary },
 		NewShadow: func() simulate.System { return NewScenarioSystem(cfg) },
 		Dir:       dir,
 	}

@@ -1,51 +1,55 @@
-// Command loadgen benchmarks the serving layer: it drives a closed loop of
-// mixed /recommend, /recommend/batch and /ingest traffic and writes the
-// latency/throughput/cache measurement as BENCH_serve.json (the serving
-// counterpart of cmd/bench's BENCH_sweep.json).
+// Command loadgen drives seeded synthetic traffic at the serving layer and
+// fails on anything a client would have seen go wrong. It is a drill runner,
+// not the benchmark: the numbers the repo tracks come from
+// `bash benchmark/run.sh` (BENCHMARK.json); what loadgen prints, and writes
+// with -out, describes the one run it just did.
 //
 // By default it is self-contained: it generates a seeded synthetic universe,
 // trains a pipeline on it, serves it on a loopback listener with streaming
-// ingestion enabled, and measures that server. Against -url it becomes a pure
-// driver for an externally running server — the universe flags must then
-// match the dataset the target was trained on, because request user keys are
-// derived from the generated universe.
+// ingestion enabled, and drives a closed loop of mixed /recommend,
+// /recommend/batch and /ingest traffic at that server. Against -url it
+// becomes a pure driver for an externally running server — the universe flags
+// must then match the dataset the target was trained on, because request user
+// keys are derived from the generated universe. With -overload the
+// self-hosted server gets admission control and the run must shed gracefully.
 //
-// With -cluster N it instead benchmarks the sharded serving tier: the same
-// universe and load are driven against a single node and an N-shard cluster
-// behind the scatter-gather router, both with the identical per-node cache
-// budget (-node-cache) and an unmeasured warm-up pass first, and the
-// comparison lands in BENCH_cluster.json. On one machine the cluster's win
-// is aggregate cache capacity (N× the working set), so the measured speedup
-// is a conservative floor for multi-host deployments — see DESIGN.md §10.
-// Adding -replicas R puts R warm replicas behind every shard and appends a
-// failover section to the report: a read-only run during which shard 0's
-// primary is killed mid-flight, measuring the req/s and error count the
-// router's replica failover sustains, followed by a promotion (DESIGN.md
-// §13). Adding -autofail instead arms the cluster's failure detector with
-// auto-failover and repeats the kill with NO operator promotion — the
-// detector must suspect the dead primary and promote its freshest replica
-// on its own (ring epoch bump), still with zero client-visible errors; the
-// measurement lands in an auto_failover report section, and -write-quorum K
-// makes every committed batch quorum-acknowledged during the comparison.
-// Adding -reshard M appends a reshard section: a mixed read/write run
-// during which the cluster grows to M shards live — user histories stream to
-// the new owners and the router cuts over per user — with zero client-visible
-// errors required (DESIGN.md §14).
+// With -cluster N it runs scenario definitions (internal/simulate's phase
+// vocabulary, the same one the tier-2 TestScenario* suite uses) against an
+// N-shard cluster behind the scatter-gather router, each on a fresh cluster:
+//
+//   - always: [train, serve-under-load] — the steady-state run the drills'
+//     numbers are read against;
+//   - -replicas R (R > 0): [train, serve-under-load{kill shard 0's primary
+//     150ms in, read-only}, promote-replica] — the router's replica failover
+//     must keep the error count at zero, and the promoted replica's owned-user
+//     output must be byte-identical to an uninterrupted single-node shadow
+//     (DESIGN.md §13);
+//   - -autofail: the same with await-promotion in place of promote-replica,
+//     on a cluster whose failure detector is armed — nobody calls Promote; the
+//     detector must bump the ring epoch on its own, and the phase records how
+//     long after the kill it did (DESIGN.md §15). -write-quorum K makes every
+//     committed batch quorum-acknowledged;
+//   - -reshard M: [train, serve-under-load{grow to M shards 150ms in, reads
+//     and writes}] — zero client-visible errors across the cutover
+//     (DESIGN.md §14).
+//
+// -out writes the run's record as JSON (a BenchReport in plain mode, the
+// scenario results in cluster mode); without it nothing is written.
 //
 // Examples:
 //
-//	# The standard benchmark: a 100k-user universe, read-heavy mix.
+//	# A 100k-user universe, read-heavy mix, one self-hosted node.
 //	loadgen -users 100000 -items 10000 -ratings 1000000 -requests 20000
 //
 //	# Quick smoke for CI.
-//	loadgen -users 2000 -items 500 -ratings 40000 -requests 2000 -out BENCH_serve.json
+//	loadgen -users 2000 -items 500 -ratings 40000 -requests 2000 -out loadgen-serve.json
 //
 //	# Drive an already running server.
 //	ganc -preset ML-100K -arec Pop -serve :8080 &
 //	loadgen -url http://127.0.0.1:8080 -users 943 ...
 //
-//	# 3-shard cluster vs single node on the standard universe.
-//	loadgen -cluster 3 -arec RSVD -requests 20000 -mix-ingest 0
+//	# Failover drill on a 3-shard cluster with one replica per shard.
+//	loadgen -cluster 3 -replicas 1 -users 2000 -items 500 -ratings 40000 -requests 2000
 //
 //	# Elastic reshard drill: grow 2 shards to 3 mid-run, zero errors required.
 //	loadgen -cluster 2 -reshard 3 -users 2000 -items 500 -ratings 40000 -requests 2000
@@ -57,6 +61,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -65,76 +70,94 @@ import (
 	"time"
 
 	"ganc"
-	"ganc/internal/simtest"
 )
 
 func main() {
-	users := flag.Int("users", 100_000, "universe user count")
-	items := flag.Int("items", 10_000, "universe item count")
-	ratings := flag.Int("ratings", 1_000_000, "universe rating count")
-	zipf := flag.Float64("zipf", 1.1, "item-popularity Zipf exponent")
-	seed := flag.Int64("seed", 1, "universe and stream seed")
-	arec := flag.String("arec", "Pop", "accuracy recommender for the served pipeline")
-	precisionName := flag.String("precision", "f64", "scoring precision tier for the served pipeline (f64, f32, int8)")
-	theta := flag.String("theta", "T", "preference model: A, N, T, G, R, C (cheap estimators recommended at scale)")
-	topN := flag.Int("n", 10, "serving list size")
-	cache := flag.Int("cache", 0, "serving LRU capacity (0 = serving default)")
-	url := flag.String("url", "", "drive this external server instead of self-hosting")
-	requests := flag.Int("requests", 20_000, "total requests in the closed loop")
-	concurrency := flag.Int("concurrency", 16, "closed-loop worker count")
-	mixRecommend := flag.Int("mix-recommend", 90, "relative weight of GET /recommend traffic")
-	mixBatch := flag.Int("mix-batch", 8, "relative weight of POST /recommend/batch traffic")
-	mixIngest := flag.Int("mix-ingest", 2, "relative weight of POST /ingest traffic")
-	batchSize := flag.Int("batch", 20, "users per batch request")
-	ingestBatch := flag.Int("ingest-batch", 20, "events per ingest request")
-	reqZipf := flag.Float64("request-zipf", 1.0, "request-popularity skew across users")
-	out := flag.String("out", "", "output report path (default BENCH_serve.json; BENCH_cluster.json in -cluster mode, BENCH_overload.json in -overload mode)")
-	clusterShards := flag.Int("cluster", 0, "compare an N-shard cluster against a single node and write BENCH_cluster.json (0 = plain single-target mode)")
-	clusterReplicas := flag.Int("replicas", 0, "cluster mode: warm replicas per shard; > 0 appends a mid-run primary-kill failover drill to the report")
-	writeQuorum := flag.Int("write-quorum", 0, "cluster mode: k-of-n quorum writes — every committed batch waits for k replica acks (0 = fire-and-forget)")
-	autoFail := flag.Bool("autofail", false, "cluster mode: hands-off failover drill — kill a primary mid-run with auto-failover armed and require a detector-driven promotion with zero client errors (replaces the manual failover drill)")
-	reshardTo := flag.Int("reshard", 0, "cluster mode: grow the cluster to this shard count mid-run and append a reshard section to the report (0 = no drill)")
-	nodeCache := flag.Int("node-cache", 8192, "cluster mode: per-node LRU budget shared by the single node and every shard")
-	warmup := flag.Int("warmup", -1, "cluster mode: unmeasured warm-up requests before each measured run (-1 = same as -requests)")
-	overload := flag.Bool("overload", false, "overload drill: serve with admission control, offer load beyond capacity and require graceful shedding (typed 429s, zero 5xx)")
-	rateLimit := flag.Float64("rate-limit", 0, "overload mode: per-client sustained requests/second (0 = no rate gate)")
-	rateBurst := flag.Float64("rate-burst", 0, "overload mode: per-client burst allowance (0 = max(rate-limit, 1))")
-	maxConcurrent := flag.Int("max-concurrent", 0, "overload mode: concurrency cap inside handlers (0 with no -rate-limit = defaults to concurrency/4, forcing overload)")
-	maxWaitMs := flag.Int("max-wait-ms", 0, "overload mode: how long an over-capacity request waits before the 429 (0 = shed immediately)")
-	flag.Parse()
-
-	precision, err := ganc.ParseScoringPrecision(*precisionName)
-	if err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
+}
 
-	load := ganc.LoadConfig{
-		Requests:        *requests,
-		Concurrency:     *concurrency,
-		Mix:             ganc.LoadMix{Recommend: *mixRecommend, Batch: *mixBatch, Ingest: *mixIngest},
-		BatchSize:       *batchSize,
-		IngestBatchSize: *ingestBatch,
-		RequestZipf:     *reqZipf,
-		Seed:            *seed,
+// options is the parsed and validated command line.
+type options struct {
+	universe  ganc.UniverseConfig
+	arec      string
+	theta     string
+	precision ganc.ScoringPrecision
+	topN      int
+	cache     int
+	url       string
+	out       string
+	load      ganc.LoadConfig
+
+	shards      int
+	replicas    int
+	writeQuorum int
+	autoFail    bool
+	reshardTo   int
+
+	overload bool
+	admit    ganc.AdmissionConfig
+}
+
+// run parses the command line and executes the selected mode.
+func run(args []string) error {
+	o, err := parseFlags(args)
+	if err != nil {
+		return err
 	}
-	admitCfg := ganc.AdmissionConfig{
-		RatePerSec:    *rateLimit,
-		Burst:         *rateBurst,
-		MaxConcurrent: *maxConcurrent,
-		MaxWait:       time.Duration(*maxWaitMs) * time.Millisecond,
+	if o.shards > 0 {
+		return runCluster(o)
 	}
-	if *overload && *rateLimit <= 0 && *maxConcurrent <= 0 {
-		// No admission flag given: cap concurrency at a quarter of the offered
-		// worker count, so the closed loop overruns capacity by construction.
-		admitCfg.MaxConcurrent = *concurrency / 4
-		if admitCfg.MaxConcurrent < 1 {
-			admitCfg.MaxConcurrent = 1
-		}
+	return runPlain(o)
+}
+
+// parseFlags maps the command line to options, rejecting flag combinations
+// no mode can honor.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	users := fs.Int("users", 100_000, "universe user count")
+	items := fs.Int("items", 10_000, "universe item count")
+	ratings := fs.Int("ratings", 1_000_000, "universe rating count")
+	zipf := fs.Float64("zipf", 1.1, "item-popularity Zipf exponent")
+	seed := fs.Int64("seed", 1, "universe and stream seed")
+	arec := fs.String("arec", "Pop", "accuracy recommender for the served pipeline")
+	precisionName := fs.String("precision", "f64", "plain mode: scoring precision tier for the served pipeline (f64, f32, int8)")
+	theta := fs.String("theta", "T", "preference model: A, N, T, G, R, C (cheap estimators recommended at scale)")
+	topN := fs.Int("n", 10, "serving list size")
+	cache := fs.Int("cache", 0, "serving LRU capacity per node (0 = serving default)")
+	url := fs.String("url", "", "drive this external server instead of self-hosting")
+	requests := fs.Int("requests", 20_000, "total requests in the closed loop")
+	concurrency := fs.Int("concurrency", 16, "closed-loop worker count")
+	mixRecommend := fs.Int("mix-recommend", 90, "relative weight of GET /recommend traffic")
+	mixBatch := fs.Int("mix-batch", 8, "relative weight of POST /recommend/batch traffic")
+	mixIngest := fs.Int("mix-ingest", 2, "relative weight of POST /ingest traffic")
+	batchSize := fs.Int("batch", 20, "users per batch request")
+	ingestBatch := fs.Int("ingest-batch", 20, "plain mode: events per ingest request")
+	reqZipf := fs.Float64("request-zipf", 1.0, "plain mode: request-popularity skew across users")
+	out := fs.String("out", "", "write the run's record as JSON to this path (default: write nothing)")
+	clusterShards := fs.Int("cluster", 0, "run the load and the requested drills as scenarios against an N-shard cluster (0 = plain single-target mode)")
+	clusterReplicas := fs.Int("replicas", 0, "cluster mode: warm replicas per shard; > 0 adds the mid-run primary-kill failover drill")
+	writeQuorum := fs.Int("write-quorum", 0, "cluster mode: k-of-n quorum writes — every committed batch waits for k replica acks (0 = fire-and-forget)")
+	autoFail := fs.Bool("autofail", false, "cluster mode: hands-off failover drill — kill a primary mid-run with auto-failover armed and require a detector-driven promotion with zero client errors (replaces the manual failover drill)")
+	reshardTo := fs.Int("reshard", 0, "cluster mode: adds the drill that grows the cluster to this shard count mid-run (0 = no drill)")
+	overload := fs.Bool("overload", false, "overload drill: serve with admission control, offer load beyond capacity and require graceful shedding (typed 429s, zero 5xx)")
+	rateLimit := fs.Float64("rate-limit", 0, "overload mode: per-client sustained requests/second (0 = no rate gate)")
+	rateBurst := fs.Float64("rate-burst", 0, "overload mode: per-client burst allowance (0 = max(rate-limit, 1))")
+	maxConcurrent := fs.Int("max-concurrent", 0, "overload mode: concurrency cap inside handlers (0 with no -rate-limit = defaults to concurrency/4, forcing overload)")
+	maxWaitMs := fs.Int("max-wait-ms", 0, "overload mode: how long an over-capacity request waits before the 429 (0 = shed immediately)")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+
+	precision, err := ganc.ParseScoringPrecision(*precisionName)
+	if err != nil {
+		return options{}, err
 	}
 	switch {
 	case *clusterShards > 0 && *url != "":
-		err = fmt.Errorf("-cluster and -url are mutually exclusive: the comparison self-hosts both targets")
+		err = fmt.Errorf("-cluster and -url are mutually exclusive: cluster scenarios self-host their target")
 	case *clusterShards > 0 && *overload:
 		err = fmt.Errorf("-cluster and -overload are mutually exclusive (run the overload drill against a single node, or an external router via -url)")
 	case *clusterReplicas > 0 && *clusterShards <= 0:
@@ -148,78 +171,86 @@ func main() {
 	case *writeQuorum > 0 && *writeQuorum > *clusterReplicas:
 		err = fmt.Errorf("-write-quorum %d exceeds -replicas %d", *writeQuorum, *clusterReplicas)
 	case *clusterShards > 0:
-		err = runCluster(universeConfig(*users, *items, *ratings, *zipf, *seed),
-			*arec, *theta, precision, *topN, *clusterShards, *clusterReplicas, *writeQuorum, *nodeCache, *warmup,
-			*reshardTo, *autoFail, defaultOut(*out, "BENCH_cluster.json"), load)
-	default:
-		// The overload drill gets its own default output: its latency numbers
-		// describe a deliberately saturated server and must not clobber the
-		// steady-state BENCH_serve.json artifact.
-		def := "BENCH_serve.json"
-		if *overload {
-			def = "BENCH_overload.json"
-		}
-		err = run(universeConfig(*users, *items, *ratings, *zipf, *seed),
-			*arec, *theta, precision, *topN, *cache, *url, defaultOut(*out, def), load,
-			*overload, admitCfg)
+		// Scenario phases carry no knob for these, and a flag that is
+		// accepted but changes nothing makes a number nobody can explain.
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "precision", "ingest-batch", "request-zipf":
+				err = fmt.Errorf("-%s is a plain-mode flag: cluster mode runs scenario phases, which have no such knob", f.Name)
+			}
+		})
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
+		return options{}, err
 	}
-}
 
-// defaultOut resolves the output path for the selected mode.
-func defaultOut(out, def string) string {
-	if out == "" {
-		return def
+	o := options{
+		universe: ganc.UniverseConfig{
+			Name: "loadgen", Users: *users, Items: *items, Ratings: *ratings, ZipfExponent: *zipf, Seed: *seed,
+		},
+		arec: *arec, theta: *theta, precision: precision, topN: *topN, cache: *cache, url: *url, out: *out,
+		load: ganc.LoadConfig{
+			Requests:        *requests,
+			Concurrency:     *concurrency,
+			Mix:             ganc.LoadMix{Recommend: *mixRecommend, Batch: *mixBatch, Ingest: *mixIngest},
+			BatchSize:       *batchSize,
+			IngestBatchSize: *ingestBatch,
+			RequestZipf:     *reqZipf,
+			Seed:            *seed,
+		},
+		shards: *clusterShards, replicas: *clusterReplicas, writeQuorum: *writeQuorum,
+		autoFail: *autoFail, reshardTo: *reshardTo,
+		overload: *overload,
+		admit: ganc.AdmissionConfig{
+			RatePerSec:    *rateLimit,
+			Burst:         *rateBurst,
+			MaxConcurrent: *maxConcurrent,
+			MaxWait:       time.Duration(*maxWaitMs) * time.Millisecond,
+		},
 	}
-	return out
+	if o.overload && *rateLimit <= 0 && *maxConcurrent <= 0 {
+		// No admission flag given: cap concurrency at a quarter of the offered
+		// worker count, so the closed loop overruns capacity by construction.
+		o.admit.MaxConcurrent = max(*concurrency/4, 1)
+	}
+	return o, nil
 }
 
-// universeConfig maps the flags onto the shared universe fixture
-// (internal/simtest), so the benchmark's universe shape and the test
-// suites' stay defined in one place.
-func universeConfig(users, items, ratings int, zipf float64, seed int64) ganc.UniverseConfig {
-	return simtest.Config(users, items, ratings, zipf, seed)
-}
-
-// run generates the universe, resolves (or stands up) the target server,
-// drives the load and writes the report. In overload mode the self-hosted
-// server gets admission control and /metrics, and the run fails unless the
-// target shed (429) without any 5xx.
-func run(ucfg ganc.UniverseConfig, arec, theta string, precision ganc.ScoringPrecision, topN, cache int, url, out string, load ganc.LoadConfig,
-	overload bool, admitCfg ganc.AdmissionConfig) error {
+// runPlain generates the universe, resolves (or stands up) the target
+// server, drives the load and, with -out, writes the report. In overload mode
+// the self-hosted server gets admission control and /metrics, and the run
+// fails unless the target shed (429) without any 5xx.
+func runPlain(o options) error {
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "generating universe: %d users × %d items, %d ratings ...\n",
-		ucfg.Users, ucfg.Items, ucfg.Ratings)
-	u, err := ganc.NewUniverse(ucfg)
+		o.universe.Users, o.universe.Items, o.universe.Ratings)
+	u, err := ganc.NewUniverse(o.universe)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "universe ready in %.1fs (%d ratings)\n",
 		time.Since(start).Seconds(), u.Train().NumRatings())
 
-	if url == "" {
+	load := o.load
+	load.BaseURL = o.url
+	if o.url == "" {
 		// The self-hosted target always serves the production configuration —
 		// metrics registry mounted, request instrumentation on the hot path —
-		// so BENCH_serve.json prices the instrumented serving stack rather
-		// than an idealized bare one.
+		// so the run prices the instrumented serving stack rather than an
+		// idealized bare one.
 		extra := []ganc.ServerOption{ganc.WithMetrics(ganc.NewMetricsRegistry())}
-		if overload {
-			extra = append(extra,
-				ganc.WithServerAdmission(ganc.NewAdmission(admitCfg)))
+		if o.overload {
+			extra = append(extra, ganc.WithServerAdmission(ganc.NewAdmission(o.admit)))
 			fmt.Fprintf(os.Stderr, "overload drill: admission rate=%.1f/s burst=%.1f max-concurrent=%d max-wait=%s\n",
-				admitCfg.RatePerSec, admitCfg.Burst, admitCfg.MaxConcurrent, admitCfg.MaxWait)
+				o.admit.RatePerSec, o.admit.Burst, o.admit.MaxConcurrent, o.admit.MaxWait)
 		}
-		addr, shutdown, err := selfHost(u, arec, theta, precision, topN, cache, extra...)
+		addr, shutdown, err := selfHost(u, o, extra...)
 		if err != nil {
 			return err
 		}
 		defer shutdown()
-		url = "http://" + addr
+		load.BaseURL = "http://" + addr
 	}
-	load.BaseURL = url
 
 	fmt.Fprintf(os.Stderr, "driving %d requests × %d workers against %s ...\n",
 		load.Requests, load.Concurrency, load.BaseURL)
@@ -238,14 +269,13 @@ func run(ucfg ganc.UniverseConfig, arec, theta string, precision ganc.ScoringPre
 		Load:     load,
 		Result:   res,
 	}
-	if err := ganc.WriteBenchReport(out, rep); err != nil {
+	if err := writeOut(o.out, rep); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 	if res.Errors > 0 {
 		return fmt.Errorf("%d of %d requests failed server-side", res.Errors, res.Requests)
 	}
-	if overload && res.Shed == 0 {
+	if o.overload && res.Shed == 0 {
 		return fmt.Errorf("overload drill shed nothing across %d requests: the target admitted everything "+
 			"(tighten -rate-limit/-max-concurrent, or raise -concurrency)", res.Requests)
 	}
@@ -253,7 +283,7 @@ func run(ucfg ganc.UniverseConfig, arec, theta string, precision ganc.ScoringPre
 	// universe flags don't match the served dataset, or /ingest is disabled —
 	// and its fast error responses would silently flatter every latency
 	// percentile. A trace of legitimate 404s (a user with an exhausted
-	// candidate set) is tolerated; more fails the benchmark.
+	// candidate set) is tolerated; more fails the run.
 	if res.Rejected*200 > res.Requests {
 		return fmt.Errorf("%d of %d requests were rejected (4xx): universe flags likely do not match the target "+
 			"(check -users/-items/-seed, or -mix-ingest 0 for targets without ingestion)", res.Rejected, res.Requests)
@@ -261,30 +291,24 @@ func run(ucfg ganc.UniverseConfig, arec, theta string, precision ganc.ScoringPre
 	return nil
 }
 
-// trainPipeline builds the pipeline under test.
-func trainPipeline(u *ganc.Universe, arec, theta string, precision ganc.ScoringPrecision, topN int) (*ganc.Pipeline, error) {
+// selfHost trains the pipeline under test on the universe and serves it
+// (with in-memory streaming ingestion) on a loopback listener.
+func selfHost(u *ganc.Universe, o options, extra ...ganc.ServerOption) (addr string, shutdown func(), err error) {
 	start := time.Now()
-	fmt.Fprintf(os.Stderr, "training %s pipeline ...\n", arec)
+	fmt.Fprintf(os.Stderr, "training %s pipeline ...\n", o.arec)
 	p, err := ganc.NewPipeline(u.Train(),
-		ganc.WithBaseNamed(arec),
-		ganc.WithPreferences(ganc.ParsePreferenceModel(theta)),
-		ganc.WithScoringPrecision(precision),
-		ganc.WithTopN(topN))
+		ganc.WithBaseNamed(o.arec),
+		ganc.WithPreferences(ganc.ParsePreferenceModel(o.theta)),
+		ganc.WithScoringPrecision(o.precision),
+		ganc.WithTopN(o.topN))
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	fmt.Fprintf(os.Stderr, "trained %s in %.1fs\n", p.Name(), time.Since(start).Seconds())
-	return p, nil
-}
-
-// servePipeline serves an already trained pipeline (with in-memory
-// streaming ingestion) on a loopback listener.
-func servePipeline(u *ganc.Universe, p *ganc.Pipeline, topN, cache int, extra ...ganc.ServerOption) (addr string, shutdown func(), err error) {
-	opts := append([]ganc.ServerOption{}, extra...)
-	if cache > 0 {
-		opts = append(opts, ganc.WithServerCacheCapacity(cache))
+	if o.cache > 0 {
+		extra = append(extra, ganc.WithServerCacheCapacity(o.cache))
 	}
-	srv, err := ganc.NewServer(u.Train(), p, topN, opts...)
+	srv, err := ganc.NewServer(u.Train(), p, o.topN, extra...)
 	if err != nil {
 		return "", nil, err
 	}
@@ -301,348 +325,138 @@ func servePipeline(u *ganc.Universe, p *ganc.Pipeline, topN, cache int, extra ..
 	return ln.Addr().String(), func() { hs.Close() }, nil
 }
 
-// selfHost trains a pipeline on the universe and serves it on a loopback
-// listener (the plain single-target mode).
-func selfHost(u *ganc.Universe, arec, theta string, precision ganc.ScoringPrecision, topN, cache int, extra ...ganc.ServerOption) (addr string, shutdown func(), err error) {
-	p, err := trainPipeline(u, arec, theta, precision, topN)
-	if err != nil {
-		return "", nil, err
+// clusterScenarios maps the cluster flags to the scenarios a run executes:
+// the steady-state load, then one scenario per requested drill. Every drill
+// is a serve-under-load phase with a mid-load event 150ms in; the scenario
+// runner owns the choreography and the assertions (zero client-visible
+// errors, the epoch bump, shadow parity after a promotion) — see the package
+// comment for the phase lists.
+func clusterScenarios(o options) []ganc.Scenario {
+	const midLoadMs = 150
+	scenario := func(name string, load ganc.ScenarioPhase, after ...ganc.ScenarioPhase) ganc.Scenario {
+		load.Kind = ganc.PhaseServeUnderLoad
+		load.Requests, load.Concurrency, load.BatchSize = o.load.Requests, o.load.Concurrency, o.load.BatchSize
+		if load.Mix == (ganc.LoadMix{}) {
+			load.Mix = o.load.Mix
+		}
+		return ganc.Scenario{
+			Name:     name,
+			Universe: o.universe,
+			TopN:     o.topN,
+			Seed:     o.load.Seed,
+			Phases:   append([]ganc.ScenarioPhase{{Kind: ganc.PhaseTrain}, load}, after...),
+		}
 	}
-	return servePipeline(u, p, topN, cache, extra...)
+	scs := []ganc.Scenario{scenario("load", ganc.ScenarioPhase{})}
+	if o.replicas > 0 {
+		// Writes cannot fail over (the shard's write-ahead log dies with its
+		// primary), so the kill drills drive the read path only.
+		readOnly := o.load.Mix
+		readOnly.Ingest = 0
+		killed := 0
+		kill := ganc.ScenarioPhase{Mix: readOnly, KillShardMid: &killed, KillDelayMs: midLoadMs}
+		name, promote := "failover", ganc.PhasePromoteReplica
+		if o.autoFail {
+			// The hands-off drill replaces the manual one: the armed detector
+			// would race a promote-replica phase.
+			name, promote = "auto-failover", ganc.PhaseAwaitPromotion
+		}
+		scs = append(scs, scenario(name, kill, ganc.ScenarioPhase{Kind: promote, Shard: killed}))
+	}
+	if o.reshardTo > 0 {
+		// The cutover must be invisible to writes too: a read-only mix gets a
+		// small ingest weight so the drill exercises write routing across the
+		// ring transition.
+		mixed := o.load.Mix
+		mixed.Ingest = max(mixed.Ingest, 2)
+		target := o.reshardTo
+		scs = append(scs, scenario("reshard", ganc.ScenarioPhase{Mix: mixed, ReshardMid: &target, ReshardDelayMs: midLoadMs}))
+	}
+	return scs
 }
 
-// runCluster measures the same universe and load against a single node and
-// an N-shard cluster (identical per-node cache budgets), and writes the
-// comparison as BENCH_cluster.json. Each target gets an unmeasured warm-up
-// pass of the same seeded request sequence first, so the measurement
-// captures steady-state serving: the regime where the cluster's aggregate
-// cache (N × node budget) holds the working set a single node's budget
-// cannot.
-func runCluster(ucfg ganc.UniverseConfig, arec, theta string, precision ganc.ScoringPrecision, topN, shards, replicas, writeQuorum, nodeCache, warmup, reshardTo int, autoFail bool, out string, load ganc.LoadConfig) error {
-	if nodeCache <= 0 {
-		return fmt.Errorf("-node-cache must be positive in cluster mode (it is the per-node budget under comparison)")
+// runCluster executes the flag-selected scenarios, each against a fresh
+// cluster, prints what each phase recorded and, with -out, writes the
+// scenario results. The first failed assertion ends the run.
+func runCluster(o options) error {
+	sys := ganc.SimSystemConfig{
+		Base:          o.arec,
+		Theta:         ganc.ParsePreferenceModel(o.theta),
+		CacheCapacity: o.cache,
+		Seed:          o.load.Seed,
 	}
-	if warmup < 0 {
-		warmup = load.Requests
+	var copts []ganc.ClusterOption
+	if o.writeQuorum > 0 {
+		copts = append(copts, ganc.WithWriteQuorum(o.writeQuorum))
 	}
-	start := time.Now()
-	fmt.Fprintf(os.Stderr, "generating universe: %d users × %d items, %d ratings ...\n",
-		ucfg.Users, ucfg.Items, ucfg.Ratings)
-	u, err := ganc.NewUniverse(ucfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "universe ready in %.1fs\n", time.Since(start).Seconds())
-	p, err := trainPipeline(u, arec, theta, precision, topN)
-	if err != nil {
-		return err
-	}
-
-	ctx := context.Background()
-	measure := func(label, url string) (*ganc.LoadResult, error) {
-		if warmup > 0 {
-			wcfg := load
-			wcfg.BaseURL = url
-			wcfg.Requests = warmup
-			fmt.Fprintf(os.Stderr, "%s: warming with %d requests ...\n", label, warmup)
-			if _, err := ganc.RunLoad(ctx, u, wcfg); err != nil {
-				return nil, fmt.Errorf("%s warm-up: %w", label, err)
-			}
-		}
-		mcfg := load
-		mcfg.BaseURL = url
-		fmt.Fprintf(os.Stderr, "%s: driving %d requests × %d workers ...\n", label, mcfg.Requests, mcfg.Concurrency)
-		res, err := ganc.RunLoad(ctx, u, mcfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s measurement: %w", label, err)
-		}
-		printSummary(res)
-		return res, nil
-	}
-
-	// The cluster: the pipeline shard-split via the snapshot format, same
-	// per-node budget on every shard, the scatter-gather router in front.
-	// The split happens before any load runs: the single-node server's
-	// ingest traffic grows the live pipeline state in place, and shard
-	// snapshots cut from a mutated pipeline would no longer match its
-	// training-time preference vector (every node — primary and replica —
-	// boots by loading its snapshot, and the load validates that pairing).
-	fmt.Fprintf(os.Stderr, "shard-splitting into %d shards ...\n", shards)
-	copts := []ganc.ClusterOption{
-		ganc.WithShards(shards),
-		ganc.WithShardCacheCapacity(nodeCache),
-	}
-	if replicas > 0 {
-		copts = append(copts, ganc.WithReplicas(replicas))
-	}
-	if writeQuorum > 0 {
-		copts = append(copts, ganc.WithWriteQuorum(writeQuorum))
-	}
-	if autoFail {
+	if o.autoFail {
 		// A tight suspicion window keeps the drill (and CI) fast: 50ms
 		// sampling, 3 consecutive misses → suspicion after ~150ms.
 		copts = append(copts, ganc.WithAutoFailover(), ganc.WithFailureDetection(50*time.Millisecond, 3))
 	}
-	c, err := ganc.NewCluster(p, copts...)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if err := c.WaitReady(30 * time.Second); err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: c.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	// Single node, bounded to the per-node cache budget.
-	addr, shutdown, err := servePipeline(u, p, topN, nodeCache)
-	if err != nil {
-		return err
-	}
-	single, err := measure("single-node", "http://"+addr)
-	shutdown()
-	if err != nil {
-		return err
-	}
-
-	clusterRes, err := measure(fmt.Sprintf("%d-shard cluster", shards), "http://"+ln.Addr().String())
-	if err != nil {
-		return err
-	}
-
-	// The reshard drill runs first, on the fully healthy cluster: the
-	// kill-based drills leave the killed shard's ex-primary dead until an
-	// operator rejoins it, and under a k-of-n write quorum that dead replica
-	// would stall every migrated-write commit into its quorum timeout.
-	var reshard *ganc.ReshardReport
-	if reshardTo > 0 {
-		reshard, err = runReshardDrill(ctx, u, c, "http://"+ln.Addr().String(), load, reshardTo)
+	var results []*ganc.ScenarioResult
+	var runErr error
+	for _, sc := range clusterScenarios(o) {
+		fmt.Fprintf(os.Stderr, "scenario %q: %d shards × %d replicas, %d requests × %d workers ...\n",
+			sc.Name, o.shards, o.replicas, o.load.Requests, o.load.Concurrency)
+		res, err := runScenario(sc, sys, o, copts)
+		if res != nil {
+			results = append(results, res)
+			printScenario(res)
+		}
 		if err != nil {
-			return err
+			runErr = err
+			break
 		}
 	}
-	var failover *ganc.FailoverReport
-	var autoFailRep *ganc.AutoFailoverReport
-	switch {
-	case autoFail:
-		// The hands-off drill replaces the manual one: the armed detector
-		// would race a manual Promote call.
-		autoFailRep, err = runAutoFailoverDrill(ctx, u, c, "http://"+ln.Addr().String(), load, writeQuorum)
-		if err != nil {
-			return err
-		}
-	case replicas > 0:
-		failover, err = runFailoverDrill(ctx, u, c, "http://"+ln.Addr().String(), load)
-		if err != nil {
-			return err
-		}
-	}
+	return errors.Join(runErr, writeOut(o.out, results))
+}
 
-	speedup := 0.0
-	if single.ThroughputRPS > 0 {
-		speedup = clusterRes.ThroughputRPS / single.ThroughputRPS
+// runScenario runs one scenario on a fresh cluster whose durable files live
+// in a temporary directory for the length of the run.
+func runScenario(sc ganc.Scenario, sys ganc.SimSystemConfig, o options, copts []ganc.ClusterOption) (*ganc.ScenarioResult, error) {
+	dir, err := os.MkdirTemp("", "loadgen-"+sc.Name+"-*")
+	if err != nil {
+		return nil, err
 	}
-	rep := &ganc.ClusterBenchReport{
-		Universe:          u.Config(),
-		Engine:            clusterRes.Model,
-		TopN:              clusterRes.TopN,
-		Shards:            shards,
-		Replicas:          replicas,
-		NodeCacheCapacity: nodeCache,
-		WarmupRequests:    warmup,
-		Load:              load,
-		SingleNode:        single,
-		Cluster:           clusterRes,
-		Speedup:           speedup,
-		Failover:          failover,
-		Reshard:           reshard,
-		AutoFailover:      autoFailRep,
+	defer os.RemoveAll(dir)
+	return ganc.RunClusterScenario(context.Background(), sc, dir, sys, o.shards, o.replicas, copts...)
+}
+
+// writeOut writes the run's record to the -out path; no path, no file.
+func writeOut(path string, rep interface{}) error {
+	if path == "" {
+		return nil
 	}
-	if err := ganc.WriteClusterBenchReport(out, rep); err != nil {
+	if err := ganc.WriteBenchReport(path, rep); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s: single %.0f req/s vs %d-shard %.0f req/s → %.2fx\n",
-		out, single.ThroughputRPS, shards, clusterRes.ThroughputRPS, speedup)
-	if single.Errors > 0 || clusterRes.Errors > 0 {
-		return fmt.Errorf("server-side errors during the comparison (single %d, cluster %d)", single.Errors, clusterRes.Errors)
-	}
-	if failover != nil && failover.Result.Errors > 0 {
-		return fmt.Errorf("%d read errors leaked through replica failover during the mid-run primary kill", failover.Result.Errors)
-	}
-	if autoFailRep != nil && autoFailRep.Result.Errors > 0 {
-		return fmt.Errorf("%d read errors leaked through the hands-off failover drill", autoFailRep.Result.Errors)
-	}
-	if reshard != nil && reshard.Result.Errors > 0 {
-		return fmt.Errorf("%d errors leaked through the mid-run reshard cutover", reshard.Result.Errors)
-	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
 }
 
-// runFailoverDrill measures a read-only run against the replicated cluster
-// during which shard 0's primary is killed mid-run: the router's replica
-// failover must keep the error count at zero. Afterwards the freshest
-// replica is promoted, recording the new ring epoch in the report.
-func runFailoverDrill(ctx context.Context, u *ganc.Universe, c *ganc.Cluster, url string, load ganc.LoadConfig) (*ganc.FailoverReport, error) {
-	const killDelay = 150 * time.Millisecond
-	// Writes cannot fail over (the shard's write-ahead log dies with its
-	// primary), so the drill measures the read path only.
-	load.Mix.Ingest = 0
-	load.BaseURL = url
-	if err := c.WaitForReplicaSync(10 * time.Second); err != nil {
-		return nil, fmt.Errorf("replicas never caught up before the drill: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "failover drill: killing shard 0's primary %s into a read-only run of %d requests ...\n",
-		killDelay, load.Requests)
-	killed := make(chan error, 1)
-	timer := time.AfterFunc(killDelay, func() { killed <- c.KillShard(0) })
-	defer timer.Stop()
-	res, err := ganc.RunLoad(ctx, u, load)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case err := <-killed:
-		if err != nil {
-			return nil, fmt.Errorf("mid-run kill of shard 0: %w", err)
+// printScenario reports what each phase of a scenario recorded on stderr.
+func printScenario(res *ganc.ScenarioResult) {
+	for _, ph := range res.Phases {
+		if ph.Load != nil {
+			printSummary(ph.Load)
 		}
-	case <-time.After(5 * time.Second):
-		return nil, fmt.Errorf("mid-run kill of shard 0 never fired")
+		if rs := ph.Reshard; rs != nil {
+			fmt.Fprintf(os.Stderr, "%s: %d → %d shards (ring epoch %d), cutover %.1fms — %d users / %d events migrated, %d double-dispatched reads\n",
+				res.Scenario, rs.FromShards, rs.ToShards, rs.Epoch, rs.CutoverMs, rs.UsersMigrated, rs.EventsMigrated, rs.DoubleDispatches)
+		}
+		switch ph.Kind {
+		case ganc.PhasePromoteReplica:
+			fmt.Fprintf(os.Stderr, "%s: promoted shard %d's freshest replica (ring epoch %d), shadow parity checked: %v\n",
+				res.Scenario, ph.Shard, ph.Epoch, ph.ParityChecked)
+		case ganc.PhaseAwaitPromotion:
+			fmt.Fprintf(os.Stderr, "%s: detector promoted shard %d's freshest replica %.0fms after the kill (ring epoch %d), shadow parity checked: %v\n",
+				res.Scenario, ph.Shard, ph.PromotionMs, ph.Epoch, ph.ParityChecked)
+		}
 	}
-	epoch, err := c.Promote(0)
-	if err != nil {
-		return nil, fmt.Errorf("promoting shard 0 after the drill: %w", err)
-	}
-	printSummary(res)
-	fmt.Fprintf(os.Stderr, "failover drill: promoted shard 0's freshest replica (ring epoch %d), %d errors\n", epoch, res.Errors)
-	return &ganc.FailoverReport{
-		KilledShard:   0,
-		KillDelayMs:   int(killDelay / time.Millisecond),
-		PromotedEpoch: epoch,
-		Result:        res,
-	}, nil
 }
 
-// runAutoFailoverDrill measures a read-only run against a replicated cluster
-// whose failure detector is armed with auto-failover, during which shard 0's
-// primary is killed mid-run and NOBODY calls Promote: the detector must
-// suspect the dead primary, promote its freshest replica, and republish the
-// ring, all while the router's replica failover keeps the client error count
-// at zero. The drill fails if the epoch never bumps within the wait window.
-func runAutoFailoverDrill(ctx context.Context, u *ganc.Universe, c *ganc.Cluster, url string, load ganc.LoadConfig, writeQuorum int) (*ganc.AutoFailoverReport, error) {
-	const killDelay = 150 * time.Millisecond
-	const promotionWait = 15 * time.Second
-	// Writes cannot fail over (the shard's write-ahead log dies with its
-	// primary), so the drill measures the read path only.
-	load.Mix.Ingest = 0
-	load.BaseURL = url
-	if err := c.WaitForReplicaSync(10 * time.Second); err != nil {
-		return nil, fmt.Errorf("replicas never caught up before the drill: %w", err)
-	}
-	epochBefore := c.Epoch()
-	fmt.Fprintf(os.Stderr, "auto-failover drill: killing shard 0's primary %s into a read-only run of %d requests (no manual promotion) ...\n",
-		killDelay, load.Requests)
-	killed := make(chan error, 1)
-	var killedAt time.Time
-	timer := time.AfterFunc(killDelay, func() {
-		killedAt = time.Now()
-		killed <- c.KillShard(0)
-	})
-	defer timer.Stop()
-	res, err := ganc.RunLoad(ctx, u, load)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case err := <-killed:
-		if err != nil {
-			return nil, fmt.Errorf("mid-run kill of shard 0: %w", err)
-		}
-	case <-time.After(5 * time.Second):
-		return nil, fmt.Errorf("mid-run kill of shard 0 never fired")
-	}
-	// No Promote call: poll the ring epoch until the detector's suspicion
-	// callback has promoted and republished on its own.
-	var epoch uint64
-	deadline := time.Now().Add(promotionWait)
-	for {
-		if epoch = c.Epoch(); epoch > epochBefore {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("the failure detector never promoted shard 0's replica within %s (epoch still %d)", promotionWait, epochBefore)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	promotionMs := float64(time.Since(killedAt)) / float64(time.Millisecond)
-	printSummary(res)
-	fmt.Fprintf(os.Stderr, "auto-failover drill: detector promoted shard 0's freshest replica %.0fms after the kill (ring epoch %d → %d), %d errors\n",
-		promotionMs, epochBefore, epoch, res.Errors)
-	return &ganc.AutoFailoverReport{
-		KilledShard:   0,
-		KillDelayMs:   int(killDelay / time.Millisecond),
-		WriteQuorum:   writeQuorum,
-		PromotedEpoch: epoch,
-		PromotionMs:   promotionMs,
-		Result:        res,
-	}, nil
-}
-
-// runReshardDrill measures a mixed read/write run against the cluster during
-// which the ring grows to target shards mid-flight: snapshots and WAL tails
-// stream to the new owners, the router double-dispatches in-flight users, and
-// the cutover must stay invisible — zero client-visible errors while both
-// reads and writes keep flowing.
-func runReshardDrill(ctx context.Context, u *ganc.Universe, c *ganc.Cluster, url string, load ganc.LoadConfig, target int) (*ganc.ReshardReport, error) {
-	const kickoff = 150 * time.Millisecond
-	load.BaseURL = url
-	// The cutover must be invisible to writes too. If the configured mix is
-	// read-only (the comparison default), add a small ingest weight so the
-	// drill actually exercises write routing across the ring transition.
-	if load.Mix.Ingest == 0 {
-		load.Mix.Ingest = 2
-	}
-	fmt.Fprintf(os.Stderr, "reshard drill: growing %d → %d shards %s into a mixed run of %d requests ...\n",
-		c.NumShards(), target, kickoff, load.Requests)
-	type outcome struct {
-		stats *ganc.ReshardStats
-		err   error
-	}
-	done := make(chan outcome, 1)
-	timer := time.AfterFunc(kickoff, func() {
-		stats, err := c.Reshard(target)
-		done <- outcome{stats, err}
-	})
-	defer timer.Stop()
-	res, err := ganc.RunLoad(ctx, u, load)
-	if err != nil {
-		return nil, err
-	}
-	var stats *ganc.ReshardStats
-	select {
-	case out := <-done:
-		if out.err != nil {
-			return nil, fmt.Errorf("mid-run reshard to %d shards: %w", target, out.err)
-		}
-		stats = out.stats
-	case <-time.After(60 * time.Second):
-		return nil, fmt.Errorf("mid-run reshard to %d shards never completed", target)
-	}
-	printSummary(res)
-	fmt.Fprintf(os.Stderr, "reshard drill: epoch %d after cutover of %.1fms — %d users / %d events migrated, %d double-dispatched reads, %d errors\n",
-		stats.Epoch, stats.CutoverMs, stats.UsersMigrated, stats.EventsMigrated, stats.DoubleDispatches, res.Errors)
-	return &ganc.ReshardReport{
-		KickoffDelayMs: int(kickoff / time.Millisecond),
-		Stats:          stats,
-		Result:         res,
-	}, nil
-}
-
-// printSummary reports the headline numbers on stderr.
+// printSummary reports a load run's headline numbers on stderr.
 func printSummary(res *ganc.LoadResult) {
 	fmt.Fprintf(os.Stderr, "done: %d requests in %.1fs → %.0f req/s, %d errors, %d rejected, %d shed (%.1f%%), cache hit rate %.3f\n",
 		res.Requests, res.DurationSec, res.ThroughputRPS, res.Errors, res.Rejected, res.Shed, 100*res.ShedRate, res.CacheHitRate)

@@ -181,8 +181,8 @@ func MovedUsers(old, next *Ring, keys []string) map[string]UserMove {
 }
 
 // ReshardStats summarizes one live reshard: the shape change, the migration
-// volume and the client-visible transition window. It is the "reshard"
-// section of BENCH_cluster.json and the scenario runner's phase record.
+// volume and the client-visible transition window. It is what the scenario
+// runner records for a mid-load reshard.
 type ReshardStats struct {
 	// FromShards and ToShards are the shard counts before and after.
 	FromShards int `json:"from_shards"`

@@ -14,7 +14,7 @@ import (
 // rescans over map[ItemID]struct{} exclusion sets, one Score call per
 // (user, item, pick) — verbatim. It is NOT used by any production path: the
 // equivalence property tests pin the buffered/CELF pipeline against it, and
-// cmd/bench + BenchmarkRecommendAll track the speedup it was replaced for.
+// BenchmarkRecommendAll tracks the speedup it was replaced for.
 
 // ReferenceRecommendAll runs the pre-refactor batch optimizer: the same
 // algorithms as RecommendAll (independent greedy sweeps for stateless

@@ -1,6 +1,7 @@
-// Package simtest is the shared fixture layer for everything that stands a
+// Package simtest is the shared fixture layer for test code that stands a
 // seeded synthetic universe and a trained serving pipeline up: the tier-2
-// scenario suites, the cluster tests and the cmd/loadgen benchmark driver.
+// scenario suites and the cluster tests (it imports testing, so shipped
+// binaries stay clear of it).
 // The universe shapes themselves live in internal/simulate (fixture.go);
 // this package adds the testing conveniences and the standard
 // pipeline-under-test parameters, so the "what do we train and serve in
@@ -31,19 +32,6 @@ const (
 	// StandardSeed drives training and θ estimation.
 	StandardSeed int64 = 7
 )
-
-// Config builds a universe configuration from the benchmark driver's flag
-// vocabulary.
-func Config(users, items, ratings int, zipf float64, seed int64) simulate.UniverseConfig {
-	return simulate.UniverseConfig{
-		Name:         "loadgen",
-		Users:        users,
-		Items:        items,
-		Ratings:      ratings,
-		ZipfExponent: zipf,
-		Seed:         seed,
-	}
-}
 
 // Tiny returns the unit-test universe configuration.
 func Tiny(seed int64) simulate.UniverseConfig { return simulate.TinyConfig(seed) }

@@ -2,9 +2,9 @@ package simulate
 
 // Canonical universe fixtures. Every layer that needs a seeded synthetic
 // universe — the simulate unit tests, the tier-2 scenario suites, the
-// cmd/loadgen benchmark driver — used to declare its own copy of these
+// cmd/loadgen drill runner — used to declare its own copy of these
 // configurations; they live here once so a size change (or a new standard
-// benchmark shape) propagates everywhere. internal/simtest wraps them with
+// shape) propagates everywhere. internal/simtest wraps them with
 // testing.TB conveniences for test code.
 
 // TinyConfig is the unit-test universe: big enough for non-degenerate
@@ -19,9 +19,9 @@ func E2EConfig(seed int64) UniverseConfig {
 	return UniverseConfig{Users: 400, Items: 300, Ratings: 8000, Seed: seed}
 }
 
-// StandardConfig is the standard serving benchmark universe (100k users ×
-// 10k items, 1M ratings) behind the checked-in BENCH_serve.json and
-// BENCH_cluster.json artifacts.
+// StandardConfig is the full-size serving universe (100k users × 10k items,
+// 1M ratings): cmd/loadgen's flag defaults, and the shape benchmark/ scales
+// its workloads from.
 func StandardConfig(seed int64) UniverseConfig {
 	return UniverseConfig{
 		Name:         "loadgen",

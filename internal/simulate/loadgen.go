@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"ganc/internal/cluster"
 	"ganc/internal/persist"
 	"ganc/internal/serve"
 )
@@ -56,7 +55,8 @@ type LoadConfig struct {
 	Seed int64 `json:"seed"`
 	// Timeout bounds a single request (default 30s).
 	Timeout time.Duration `json:"-"`
-	// Client overrides the HTTP client (tests inject an httptest client).
+	// Client overrides the HTTP client (default: one built per run that keeps
+	// an idle connection per worker).
 	Client *http.Client `json:"-"`
 }
 
@@ -165,7 +165,7 @@ type LoadResult struct {
 	// Overall aggregates every endpoint; Endpoints breaks the distribution
 	// down per route. Only successful responses enter the distributions — a
 	// fast 4xx or a timed-out transport call must not flatter (or poison)
-	// the percentiles the benchmark artifact exists to track.
+	// the percentiles.
 	Overall   LatencyStats            `json:"overall"`
 	Endpoints map[string]LatencyStats `json:"endpoints"`
 }
@@ -211,7 +211,13 @@ func RunLoad(ctx context.Context, u *Universe, cfg LoadConfig) (*LoadResult, err
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
+		// One idle connection per worker: http.DefaultTransport keeps two per
+		// host, so a wider closed loop would re-dial on nearly every request
+		// and every percentile would pay the handshakes.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns, tr.MaxIdleConnsPerHost = 0, cfg.Concurrency
+		defer tr.CloseIdleConnections()
+		client = &http.Client{Timeout: cfg.Timeout, Transport: tr}
 	}
 
 	before, err := fetchInfo(ctx, client, cfg.BaseURL)
@@ -410,9 +416,10 @@ func finish(client *http.Client, req *http.Request, s sample, t0 time.Time) samp
 
 // --- Bench report --------------------------------------------------------------
 
-// BenchReport is the serialized form of one load run, written as
-// BENCH_serve.json next to BENCH_sweep.json: the universe, the load shape and
-// the measured result together, so a regression diff carries its own context.
+// BenchReport is the serialized form of one plain-mode load run: the
+// universe, the load shape and the measured result together, so the document
+// carries its own context. It is a drill record for a person reading one run;
+// the numbers the repo tracks come from `bash benchmark/run.sh`.
 type BenchReport struct {
 	// Universe describes the synthetic population the server held.
 	Universe UniverseConfig `json:"universe"`
@@ -426,125 +433,12 @@ type BenchReport struct {
 	Result *LoadResult `json:"result"`
 }
 
-// WriteBenchReport writes the report as indented JSON, atomically (the
-// shared persist.AtomicWrite temp+fsync+rename sequence) so a crashed run
-// never leaves a half-written benchmark artifact.
-func WriteBenchReport(path string, rep *BenchReport) error {
-	return writeJSONArtifact(path, rep)
-}
-
-// ClusterBenchReport is the BENCH_cluster.json document: the same universe
-// and load driven once against a single node and once against an N-shard
-// cluster behind the scatter-gather router, with identical per-node cache
-// budgets. On one machine the comparison isolates what sharding actually
-// buys — aggregate cache capacity (each node's LRU holds only its owned
-// users, so the cluster's working set is N× a single node's) — while CPU is
-// shared, making the measured speedup a conservative floor for a real
-// multi-host deployment. See DESIGN.md §10.
-type ClusterBenchReport struct {
-	// Universe describes the synthetic population every node held.
-	Universe UniverseConfig `json:"universe"`
-	// Engine is the served model's display name.
-	Engine string `json:"engine"`
-	// TopN is the serving list size.
-	TopN int `json:"top_n"`
-	// Shards is the cluster's shard count.
-	Shards int `json:"shards"`
-	// Replicas is the per-shard warm-replica count behind the cluster
-	// measurement (0 = unreplicated, no failover section).
-	Replicas int `json:"replicas,omitempty"`
-	// NodeCacheCapacity is the per-node LRU budget shared by the single
-	// node and every shard — the knob that makes the comparison fair.
-	NodeCacheCapacity int `json:"node_cache_capacity"`
-	// WarmupRequests is the unmeasured warm-up request count driven before
-	// each measured run (the same seeded sequence as the measurement).
-	WarmupRequests int `json:"warmup_requests"`
-	// Load is the measured driver configuration (identical for both
-	// targets apart from the base URL).
-	Load LoadConfig `json:"load"`
-	// SingleNode and Cluster are the two measurements.
-	SingleNode *LoadResult `json:"single_node"`
-	Cluster    *LoadResult `json:"cluster"`
-	// Speedup is Cluster.ThroughputRPS / SingleNode.ThroughputRPS.
-	Speedup float64 `json:"speedup"`
-	// Failover is the mid-run primary-kill drill measurement (nil when the
-	// cluster runs without replicas).
-	Failover *FailoverReport `json:"failover,omitempty"`
-	// Reshard is the mid-run elastic-grow drill measurement (nil when the
-	// drill was not requested).
-	Reshard *ReshardReport `json:"reshard,omitempty"`
-	// AutoFailover is the hands-off failover drill measurement (nil when the
-	// drill was not requested). It replaces the manual Failover section: the
-	// two drills are mutually exclusive because the failure detector would
-	// race a manual promotion.
-	AutoFailover *AutoFailoverReport `json:"auto_failover,omitempty"`
-}
-
-// FailoverReport is the failover section of BENCH_cluster.json: a read-only
-// load run against a replicated cluster during which one shard's primary is
-// killed mid-run, proving the router's replica failover keeps the error
-// count at zero while throughput stays useful.
-type FailoverReport struct {
-	// KilledShard is the shard whose primary the drill killed.
-	KilledShard int `json:"killed_shard"`
-	// KillDelayMs is how far into the run the kill fired.
-	KillDelayMs int `json:"kill_delay_ms"`
-	// PromotedEpoch is the ring epoch after the post-run promotion (0 when
-	// the drill did not promote).
-	PromotedEpoch uint64 `json:"promoted_epoch,omitempty"`
-	// Result is the measured run spanning the kill.
-	Result *LoadResult `json:"result"`
-}
-
-// AutoFailoverReport is the auto-failover section of BENCH_cluster.json: a
-// read-only run against a replicated cluster with the failure detector's
-// suspicion callback armed, during which one shard's primary is killed and
-// NO operator promotion is issued. The pass criteria are zero client-visible
-// errors and a detector-driven promotion (ring epoch bump) within the
-// suspicion window.
-type AutoFailoverReport struct {
-	// KilledShard is the shard whose primary the drill killed.
-	KilledShard int `json:"killed_shard"`
-	// KillDelayMs is how far into the run the kill fired.
-	KillDelayMs int `json:"kill_delay_ms"`
-	// WriteQuorum echoes the k-of-n quorum the cluster committed under
-	// (0 = fire-and-forget shipping).
-	WriteQuorum int `json:"write_quorum,omitempty"`
-	// PromotedEpoch is the ring epoch after the detector's automatic
-	// promotion.
-	PromotedEpoch uint64 `json:"promoted_epoch"`
-	// PromotionMs is the wall-clock time from the kill to the first
-	// observation of the bumped epoch — detection plus promotion plus ring
-	// republish, as a client would experience it.
-	PromotionMs float64 `json:"promotion_ms"`
-	// Result is the measured run spanning the kill.
-	Result *LoadResult `json:"result"`
-}
-
-// ReshardReport is the reshard section of BENCH_cluster.json: a mixed
-// read/write run during which the cluster grows by one or more shards
-// mid-flight. Zero client-visible errors across the cutover is the pass
-// criterion — elastic growth must be invisible to traffic.
-type ReshardReport struct {
-	// KickoffDelayMs is how far into the run the reshard fired.
-	KickoffDelayMs int `json:"kickoff_delay_ms"`
-	// Stats is the migration engine's own accounting: topology, users and
-	// events migrated, router double-dispatches, cutover duration.
-	Stats *cluster.ReshardStats `json:"stats"`
-	// Result is the measured run spanning the reshard.
-	Result *LoadResult `json:"result"`
-}
-
-// WriteClusterBenchReport writes the cluster comparison artifact
-// atomically.
-func WriteClusterBenchReport(path string, rep *ClusterBenchReport) error {
-	return writeJSONArtifact(path, rep)
-}
-
-// writeJSONArtifact writes v as indented JSON through the atomic
-// temp+fsync+rename sequence.
-func writeJSONArtifact(path string, v interface{}) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// WriteBenchReport writes a run's record — a BenchReport, or the scenario
+// Results of a cluster run — as indented JSON, atomically (the shared
+// persist.AtomicWrite temp+fsync+rename sequence) so a crashed run never
+// leaves a half-written document.
+func WriteBenchReport(path string, rep interface{}) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return fmt.Errorf("simulate: encode bench report: %w", err)
 	}

@@ -3,6 +3,8 @@ package simulate
 import (
 	"context"
 	"encoding/json"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -156,6 +158,59 @@ func TestRunLoadShedTracking(t *testing.T) {
 	}
 }
 
+// TestRunLoadReusesConnections pins the default client's idle pool to the
+// worker count: a closed loop of N workers needs N connections (one of which
+// also carried the /info probe), not a fresh dial whenever more than
+// http.DefaultTransport's two idle connections per host are in flight. The
+// handler holds each worker's first request until all of them have arrived,
+// so every first dial lands before any worker finishes (one that finishes
+// early hands its connection to a worker still dialing and then dials again
+// itself); from the release on the count is exact, not a matter of timing.
+func TestRunLoadReusesConnections(t *testing.T) {
+	u, err := NewUniverse(TinyConfig(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 16
+	var dials, arrived atomic.Int64
+	release := make(chan struct{})
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/info" {
+			json.NewEncoder(w).Encode(serve.InfoResponse{Version: 1})
+			return
+		}
+		if arrived.Add(1) == workers {
+			close(release)
+		}
+		<-release
+		w.Write([]byte("{}"))
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	res, err := RunLoad(context.Background(), u, LoadConfig{
+		BaseURL:     ts.URL,
+		Requests:    4000,
+		Concurrency: workers,
+		Mix:         LoadMix{Recommend: 1},
+		Seed:        29,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Overall.Count != 4000 {
+		t.Fatalf("load: %d errors, %d served of 4000", res.Errors, res.Overall.Count)
+	}
+	if n := dials.Load(); n > workers+1 {
+		t.Fatalf("%d workers opened %d connections over 4000 requests, want at most %d (workers + the /info probe)", workers, n, workers+1)
+	}
+}
+
 // TestRunLoadValidation pins the config error paths.
 func TestRunLoadValidation(t *testing.T) {
 	u, err := NewUniverse(TinyConfig(21))
@@ -176,7 +231,7 @@ func TestRunLoadValidation(t *testing.T) {
 
 // TestWriteBenchReport checks the artifact round-trips as JSON.
 func TestWriteBenchReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	path := filepath.Join(t.TempDir(), "report.json")
 	rep := &BenchReport{
 		Universe: TinyConfig(3),
 		Engine:   "echo",
@@ -197,35 +252,5 @@ func TestWriteBenchReport(t *testing.T) {
 	}
 	if back.Engine != "echo" || back.Result.Requests != 10 || back.Load.Concurrency != 8 {
 		t.Fatalf("report did not round-trip: %+v", back)
-	}
-}
-
-// TestWriteClusterBenchReport checks the cluster comparison artifact
-// round-trips as JSON.
-func TestWriteClusterBenchReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_cluster.json")
-	rep := &ClusterBenchReport{
-		Universe:          TinyConfig(3),
-		Engine:            "echo",
-		Shards:            3,
-		NodeCacheCapacity: 1024,
-		WarmupRequests:    100,
-		SingleNode:        &LoadResult{Requests: 100, ThroughputRPS: 50},
-		Cluster:           &LoadResult{Requests: 100, ThroughputRPS: 150},
-		Speedup:           3,
-	}
-	if err := WriteClusterBenchReport(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ClusterBenchReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Shards != 3 || back.Speedup != 3 || back.SingleNode.ThroughputRPS != 50 || back.Cluster.ThroughputRPS != 150 {
-		t.Fatalf("cluster report did not round-trip: %+v", back)
 	}
 }

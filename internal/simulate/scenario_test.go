@@ -9,7 +9,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ganc/internal/admit"
 	"ganc/internal/dataset"
@@ -596,6 +598,88 @@ func TestRunnerClusterLifecycle(t *testing.T) {
 	// cluster (an error would have failed the run).
 	if res.Phases[5].EventsApplied != 30 {
 		t.Fatalf("post-restart churn applied %d events, want 30", res.Phases[5].EventsApplied)
+	}
+}
+
+// failoverFake is a replicated shardedFake with a hands-off "failure
+// detector": KillShard leaves the shard's state serving (a warm replica masks
+// the outage) and bumps the ring epoch promoteAfter later with no
+// PromoteReplica call — what an await-promotion phase must observe. Every
+// request is held for a moment, so a load lasts long enough to tell a
+// promotion time from a load duration.
+type failoverFake struct {
+	*shardedFake
+	promoteAfter time.Duration
+	epoch        atomic.Uint64
+}
+
+func (f *failoverFake) Handler() (http.Handler, error) {
+	h, err := f.shardedFake.Handler()
+	if err != nil {
+		return nil, err
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(4 * time.Millisecond)
+		h.ServeHTTP(w, r)
+	}), nil
+}
+
+func (f *failoverFake) KillShard(int) error {
+	time.AfterFunc(f.promoteAfter, func() { f.epoch.Add(1) })
+	return nil
+}
+func (f *failoverFake) NumReplicas() int { return 1 }
+func (f *failoverFake) PromoteReplica(int) (uint64, error) {
+	return 0, fmt.Errorf("fake: a hands-off drill must not promote by hand")
+}
+func (f *failoverFake) RejoinAsReplica(int) (int, error) { return 0, nil }
+func (f *failoverFake) ReplicaLag(int) uint64            { return 0 }
+func (f *failoverFake) Epoch() uint64                    { return f.epoch.Load() }
+
+// TestRunnerMeasuresPromotionDuringLoad pins when the await-promotion
+// stopwatch runs: from the mid-load kill to the first observed epoch bump,
+// sampled while the load is still going — not from the kill to whenever the
+// load returns and the await-promotion phase gets its turn.
+func TestRunnerMeasuresPromotionDuringLoad(t *testing.T) {
+	newRunner := func() *Runner {
+		return &Runner{
+			NewSystem: func() System {
+				return &failoverFake{shardedFake: newShardedFake(2), promoteAfter: 30 * time.Millisecond}
+			},
+			NewShadow: func() System { return &fakeSystem{} },
+			Dir:       t.TempDir(),
+		}
+	}
+	sc := scenarioFixture()
+	sc.CheckpointEvery = 0
+	drilled := 0
+	sc.Phases = []Phase{
+		{Kind: PhaseTrain},
+		{Kind: PhaseIngestChurn, Events: 60, EventBatch: 30, Concurrency: 2},
+		{Kind: PhaseServeUnderLoad, Requests: 160, Concurrency: 2, KillShardMid: &drilled, KillDelayMs: 20},
+		{Kind: PhaseAwaitPromotion, Shard: drilled, PromotionWindowMs: 5000},
+	}
+	res, err := newRunner().Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, await := res.Phases[2], res.Phases[3]
+	loadMs := load.Load.DurationSec * 1000
+	if load.Load.Errors != 0 || loadMs < 300 {
+		t.Fatalf("load spanning the kill: %d errors over %.0fms, want a clean run of at least 300ms", load.Load.Errors, loadMs)
+	}
+	if await.Epoch != 1 || !await.ParityChecked {
+		t.Fatalf("await-promotion recorded epoch %d, parity checked %v", await.Epoch, await.ParityChecked)
+	}
+	if await.PromotionMs < 30 || await.PromotionMs >= 200 {
+		t.Fatalf("promotion_ms = %.1f across a %.0fms load: want the fake detector's 30ms, not the load duration", await.PromotionMs, loadMs)
+	}
+
+	// Nothing killed means nothing to wait for: a malformed scenario, not a
+	// promotion window to sit out.
+	sc.Phases = []Phase{{Kind: PhaseTrain}, {Kind: PhaseAwaitPromotion, Shard: drilled}}
+	if _, err := newRunner().Run(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "preceding kill") {
+		t.Fatalf("await-promotion with no kill before it: %v", err)
 	}
 }
 

@@ -136,8 +136,7 @@ func TestServeOnline_CacheHitSpeedup(t *testing.T) {
 // instrumentation and admission middleware — so the delta against
 // BenchmarkServeOnline_CacheHit is the whole per-request instrumentation
 // cost (two atomic counter bumps, one histogram observe, one token-bucket
-// check). BENCH_serve.json records the same comparison at the full
-// operating point.
+// check).
 func BenchmarkServeOnline_InstrumentedCacheHit(b *testing.B) {
 	srv, train := serveFixture(b,
 		WithMetrics(NewMetricsRegistry()),
@@ -154,11 +153,10 @@ func BenchmarkServeOnline_InstrumentedCacheHit(b *testing.B) {
 // TestServeOnline_InstrumentationOverhead is the tier-1 smoke for the
 // instrumentation budget: the fully instrumented recommend path (metrics +
 // admission) must stay within 1.5× of the bare path on the cache-hit
-// latency. The design budget is <5% (documented in BENCH_serve.json at the
-// operating point, where request cost dominates); the in-test gate is
-// deliberately loose so scheduler noise on shared CI runners cannot flake
-// it, while still catching an accidental lock or allocation on the hot
-// path, which costs far more than 1.5×.
+// latency. The design budget is <5% at the operating point, where request
+// cost dominates; the in-test gate is deliberately loose so scheduler noise
+// on shared CI runners cannot flake it, while still catching an accidental
+// lock or allocation on the hot path, which costs far more than 1.5×.
 func TestServeOnline_InstrumentationOverhead(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("latency-ratio gate is meaningless under the race detector (it multiplies atomic/lock costs); CI runs this test without -race")

@@ -32,22 +32,8 @@ type (
 	LoadResult = simulate.LoadResult
 	// LatencyStats summarizes a latency distribution.
 	LatencyStats = simulate.LatencyStats
-	// BenchReport is the BENCH_serve.json document.
+	// BenchReport is the record of one plain-mode load run.
 	BenchReport = simulate.BenchReport
-	// ClusterBenchReport is the BENCH_cluster.json document (single node vs
-	// N-shard cluster under the same load and per-node cache budget).
-	ClusterBenchReport = simulate.ClusterBenchReport
-	// FailoverReport is the failover section of BENCH_cluster.json: a
-	// read-only run spanning a mid-run primary kill against a replicated
-	// cluster.
-	FailoverReport = simulate.FailoverReport
-	// ReshardReport is the reshard section of BENCH_cluster.json: a mixed
-	// read/write run spanning a mid-run elastic grow of the cluster.
-	ReshardReport = simulate.ReshardReport
-	// AutoFailoverReport is the auto-failover section of BENCH_cluster.json:
-	// a read-only run spanning a mid-run primary kill with no operator
-	// promotion — the failure detector must promote on its own.
-	AutoFailoverReport = simulate.AutoFailoverReport
 	// Scenario is a system lifecycle expressed as a phase list.
 	Scenario = simulate.Scenario
 	// ScenarioPhase is one step of a Scenario.
@@ -83,16 +69,10 @@ func RunLoad(ctx context.Context, u *Universe, cfg LoadConfig) (*LoadResult, err
 	return simulate.RunLoad(ctx, u, cfg)
 }
 
-// WriteBenchReport writes a load measurement as an indented-JSON benchmark
-// artifact (BENCH_serve.json), atomically.
-func WriteBenchReport(path string, rep *BenchReport) error {
+// WriteBenchReport writes a run's record (a BenchReport, or a cluster run's
+// scenario results) as indented JSON, atomically.
+func WriteBenchReport(path string, rep interface{}) error {
 	return simulate.WriteBenchReport(path, rep)
-}
-
-// WriteClusterBenchReport writes the single-node vs cluster comparison as
-// an indented-JSON benchmark artifact (BENCH_cluster.json), atomically.
-func WriteClusterBenchReport(path string, rep *ClusterBenchReport) error {
-	return simulate.WriteClusterBenchReport(path, rep)
 }
 
 // SimSystemConfig describes the pipeline a scenario system assembles: a

@@ -4,8 +4,9 @@ package ganc
 // benchmark runs the same GANC(Pop, θ^G, Dyn) assembly on the medium synth
 // preset (ML-1M) through both the buffered/CELF pipeline and the preserved
 // pre-refactor per-pick rescan path (core.GANC.ReferenceRecommendAll), so
-// `go test -bench RecommendAll -benchmem` prints the speedup and allocation
-// ratio directly, and cmd/bench records them in BENCH_sweep.json.
+// `go test -bench 'RecommendAll|RecommendUser' -benchmem` prints the speedup
+// and allocation ratio directly (add -cpuprofile/-memprofile to profile the
+// loops).
 
 import (
 	"context"

@@ -39,7 +39,7 @@ func bulkEdgeFixtures(t *testing.T, train *Dataset) []bulkCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cofi.SetPrecision(PrecisionInt8)
+	cofi.SetPrecision(PrecisionF32)
 	iknn, err := TrainItemKNN(train, DefaultItemKNNConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +49,8 @@ func bulkEdgeFixtures(t *testing.T, train *Dataset) []bulkCase {
 		{"ItemAvg", recommender.NewItemAvg(train, 5)},
 		{"RSVD/f64", tiered(PrecisionF64)},
 		{"RSVD/f32", tiered(PrecisionF32)},
-		{"RSVD/int8", tiered(PrecisionInt8)},
 		{"PSVD/f32", psvd},
-		{"CofiRank/int8", cofi},
+		{"CofiRank/f32", cofi},
 		{"ItemKNN", iknn},
 		{"Normalized(RSVD/f32)", recommender.NewNormalizedScorer(tiered(PrecisionF32), train.NumItems())},
 	}

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ganc/internal/admit"
@@ -56,31 +55,12 @@ type (
 	// ReplicationStatus is a node's replication role and cursor/lag report,
 	// exposed through /health and the ganc_replication_* metric series.
 	ReplicationStatus = serve.ReplicationStatus
-	// StreamNode is the cursor-stream surface every shard node mounts in
-	// front of its serving routes: POST /replicate, POST /migrate and POST
-	// /replicate/tail, gated by the node's role (cmd/gancd's replica role
-	// mounts one; NewCluster wires one into every node).
-	StreamNode = cluster.Node
-	// Shipper is the primary-side replication half: it ships every committed
-	// batch (via WithCommitHook) to the shard's replicas and catches
-	// stragglers up from the write-ahead log.
-	Shipper = cluster.Shipper
-	// ShipperConfig configures NewShipper.
-	ShipperConfig = cluster.ShipperConfig
-	// UserMove is one user's ownership change between two ring epochs.
-	UserMove = cluster.UserMove
 	// ReshardStats summarizes one completed Reshard: shard counts, the new
 	// epoch, users moved and migrated, events migrated, double-dispatched
 	// reads and the cutover window width.
 	ReshardStats = cluster.ReshardStats
-	// FailureDetector is the shared liveness sampler: it probes every node's
-	// /health on an interval, caches the cluster-liveness view the router
-	// fails over by, and raises suspicion after consecutive missed probes
-	// (NewCluster wires one automatically on replicated clusters).
-	FailureDetector = cluster.Detector
-	// FailureDetectorConfig configures NewFailureDetector.
-	FailureDetectorConfig = cluster.DetectorConfig
-	// NodeLiveness is one node's row in the detector's cached view.
+	// NodeLiveness is one node's row in the router's failure-detector view,
+	// as listed in the aggregated /health.
 	NodeLiveness = cluster.NodeLiveness
 )
 
@@ -105,42 +85,14 @@ func NewRing(epoch uint64, shards []ShardInfo) (*Ring, error) {
 	return cluster.NewRing(epoch, 0, shards)
 }
 
-// ParsePeers parses a comma-separated shard address list into ring shard
-// descriptors with positional IDs.
-func ParsePeers(list string) ([]ShardInfo, error) { return cluster.ParsePeers(list) }
-
 // ParsePeerTopology parses a replica-aware peer list: each comma-separated
 // entry is "primary" or "primary+replica1+replica2".
 func ParsePeerTopology(list string) ([]ShardInfo, error) { return cluster.ParsePeerTopology(list) }
 
 // NewRouter builds a scatter-gather router over a ring whose shards carry
-// addresses.
+// addresses. Over a ring that declares replicas the router runs its own
+// failure detector; Close it when the router retires.
 func NewRouter(cfg RouterConfig) (*Router, error) { return cluster.NewRouter(cfg) }
-
-// NewStreamNode builds the stream surface of one shard node at a ring epoch,
-// applying pushed chunks into the node's ingestor and serving tail pulls
-// from its write-ahead log. It starts in the replica role; wrap the node's
-// serving handler with Mount.
-func NewStreamNode(shard int, epoch uint64, ing *Ingestor, walPath string) *StreamNode {
-	return cluster.NewNode(shard, epoch, ing, walPath)
-}
-
-// NewShipper builds the primary-side replication shipper. Wire its Commit
-// method into the shard's ingestor with WithCommitHook, and call Resync
-// after write-ahead-log recovery so it adopts each replica's true cursor.
-func NewShipper(cfg ShipperConfig) *Shipper { return cluster.NewShipper(cfg) }
-
-// NewFailureDetector builds and starts a shared failure detector over a ring
-// source. Hand it to RouterConfig.Detector so failed reads route by the
-// cached liveness view; Close it when the router retires (cmd/gancd's router
-// role runs one; NewCluster wires one automatically).
-func NewFailureDetector(cfg FailureDetectorConfig) *FailureDetector { return cluster.NewDetector(cfg) }
-
-// MovedUsers computes the ownership delta between two rings over the given
-// user keys: every user whose owner changes, with its old and new shard.
-func MovedUsers(old, next *Ring, keys []string) map[string]UserMove {
-	return cluster.MovedUsers(old, next, keys)
-}
 
 // ClusterOption customizes a Cluster at construction time.
 type ClusterOption func(*clusterConfig)
@@ -149,7 +101,6 @@ type clusterConfig struct {
 	shards          int
 	replicas        int
 	writeQuorum     int
-	maxReplicaLag   int64
 	autoFailover    bool
 	detectInterval  time.Duration
 	suspectAfter    int
@@ -162,7 +113,6 @@ type clusterConfig struct {
 	metrics         *obs.Registry
 	reqLog          *obs.RequestLogger
 	routerAdmit     admit.Config
-	shardAdmit      *admit.Config
 }
 
 // WithShards sets the shard count (default 3).
@@ -206,13 +156,6 @@ func WithAutoFailover() ClusterOption {
 // mainly serves chaos drills that want a tighter suspicion window.
 func WithFailureDetection(interval time.Duration, suspectAfter int) ClusterOption {
 	return func(c *clusterConfig) { c.detectInterval, c.suspectAfter = interval, suspectAfter }
-}
-
-// WithMaxReplicaLag bounds read failover staleness: a replica lagging more
-// than lag committed events behind its primary is never chosen as a read
-// target (default cluster.DefaultMaxReplicaLag; negative disables failover).
-func WithMaxReplicaLag(lag int64) ClusterOption {
-	return func(c *clusterConfig) { c.maxReplicaLag = lag }
 }
 
 // WithRouterAddr makes the cluster listen for router traffic on addr (e.g.
@@ -278,44 +221,29 @@ func WithClusterAdmission(cfg AdmissionConfig) ClusterOption {
 	return func(c *clusterConfig) { c.routerAdmit = cfg }
 }
 
-// WithShardAdmission applies admission control on every shard server (each
-// shard gets its own controller from cfg). The router's aggregated /health
-// surfaces each shard's shed counts and limiter saturation.
-func WithShardAdmission(cfg AdmissionConfig) ClusterOption {
-	return func(c *clusterConfig) { cc := cfg; c.shardAdmit = &cc }
-}
-
-// shardNode is one node of a shard — primary or replica, the same type: a
-// restored pipeline, server and ingestor behind the stream surface
-// (cluster.Node), whose role decides which routes accept. A dead node (nil
-// pipe) keeps its address and write-ahead log so RestartShard, Promote and
-// RejoinAsReplica can bring it back.
-type shardNode struct {
+// clusterNode is one node slot of an in-process shard: the address and
+// write-ahead log that outlive a kill — so RestartShard, Promote and
+// RejoinAsReplica can bring the node back where the ring expects it — and,
+// while the node runs, the ShardNode serving on that address.
+type clusterNode struct {
 	addr    string
 	walPath string
 
-	pipe    *Pipeline
-	srv     *Server
-	ing     *Ingestor
-	hs      *http.Server
-	streams *cluster.Node
-
-	// shipper is set while the node is the primary of a replicated shard. The
-	// ingestor's commit hook (fixed at construction) reads it atomically, so
-	// a replica starts shipping the moment it is promoted.
-	shipper atomic.Pointer[cluster.Shipper]
-}
-
-// commit is the node's ingestor commit hook: it forwards a committed batch
-// to the current shipper, if any.
-func (n *shardNode) commit(firstSeq uint64, events []IngestEvent) {
-	if sp := n.shipper.Load(); sp != nil {
-		sp.Commit(firstSeq, events)
-	}
+	node *ShardNode // nil while the slot is dead
+	hs   *http.Server
 }
 
 // live reports whether the node is running.
-func (n *shardNode) live() bool { return n.pipe != nil }
+func (n *clusterNode) live() bool { return n.node != nil }
+
+// shipper returns the running node's replication shipper (nil for a dead
+// slot, a replica, or the primary of an unreplicated shard).
+func (n *clusterNode) shipper() *cluster.Shipper {
+	if !n.live() {
+		return nil
+	}
+	return n.node.shipper.Load()
+}
 
 // clusterShard is one in-process shard: the snapshot its nodes boot from,
 // its current primary and its replica set. Promotion swaps which node sits
@@ -323,13 +251,13 @@ func (n *shardNode) live() bool { return n.pipe != nil }
 type clusterShard struct {
 	id       int
 	snapPath string
-	primary  *shardNode
-	replicas []*shardNode
+	primary  *clusterNode
+	replicas []*clusterNode
 }
 
 // nodes lists the shard's nodes in boot order: replicas, then the primary
 // (whose shipper's first heartbeat must find them listening).
-func (sh *clusterShard) nodes() []*shardNode {
+func (sh *clusterShard) nodes() []*clusterNode {
 	return append(sh.replicas[:len(sh.replicas):len(sh.replicas)], sh.primary)
 }
 
@@ -349,18 +277,7 @@ type Cluster struct {
 	cfg     clusterConfig
 	router  *Router
 	shards  []*clusterShard
-	topN    int
 	ownsDir bool
-
-	// ring is the published hash ring, held atomically: read paths (owner
-	// lookups, the detector's sampling loop) load it lock-free while Promote
-	// and Reshard republish it.
-	ring atomic.Pointer[Ring]
-
-	// detector is the shared failure detector (replicated clusters only): the
-	// router fails reads over by its cached view, and with WithAutoFailover
-	// its suspicion callback drives promotion.
-	detector *cluster.Detector
 
 	// baselinePath is the pristine pre-split snapshot Reshard boots added
 	// shards from; lineage records every shard count this cluster has ever
@@ -396,13 +313,13 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	if cfg.replicas < 0 {
 		return nil, fmt.Errorf("ganc: cluster needs a non-negative replica count, got %d", cfg.replicas)
 	}
-	if cfg.writeQuorum < 0 || cfg.writeQuorum > cfg.replicas {
-		return nil, fmt.Errorf("ganc: write quorum %d outside [0, %d replicas]", cfg.writeQuorum, cfg.replicas)
+	if err := validateWriteQuorum(cfg.writeQuorum, cfg.replicas); err != nil {
+		return nil, err
 	}
 	if cfg.autoFailover && cfg.replicas == 0 {
 		return nil, fmt.Errorf("ganc: auto-failover requires at least one replica per shard")
 	}
-	c := &Cluster{cfg: cfg, topN: p.TopN()}
+	c := &Cluster{cfg: cfg}
 	if cfg.dir == "" {
 		dir, err := os.MkdirTemp("", "ganc-cluster-*")
 		if err != nil {
@@ -452,7 +369,6 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 		closeFrom(0)
 		return fail(err)
 	}
-	c.ring.Store(ring)
 	for i, sh := range c.shards {
 		if err := p.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: cfg.shards, RingEpoch: cfg.epoch}); err != nil {
 			closeFrom(0)
@@ -466,36 +382,28 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 		}
 	}
 
-	// Replicated clusters get the shared failure detector: the router reads
-	// its cached view instead of probing per request, and with auto-failover
-	// its suspicion callback promotes dead primaries without an operator.
-	if cfg.replicas > 0 {
-		var onSuspect func(shard int, addr string)
-		if cfg.autoFailover {
-			onSuspect = c.autoPromote
-		}
-		c.detector = cluster.NewDetector(cluster.DetectorConfig{
-			Ring:             func() *Ring { return c.ring.Load() },
-			Interval:         cfg.detectInterval,
-			SuspectAfter:     cfg.suspectAfter,
-			OnSuspectPrimary: onSuspect,
-			Metrics:          c.cfg.metrics,
-		})
+	// Over a replicated ring the router runs the failure detector itself;
+	// with auto-failover its suspicion callback promotes dead primaries
+	// without an operator. The callback takes the topology lock, so holding
+	// it here keeps an early suspicion from seeing a half-built cluster.
+	rcfg := cluster.RouterConfig{
+		Ring:           ring,
+		Retries:        cfg.retries,
+		Metrics:        c.cfg.metrics,
+		RequestLog:     c.cfg.reqLog,
+		Admission:      admit.New(c.cfg.routerAdmit),
+		DetectInterval: cfg.detectInterval,
+		SuspectAfter:   cfg.suspectAfter,
 	}
-
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Ring:          ring,
-		Retries:       cfg.retries,
-		Metrics:       c.cfg.metrics,
-		RequestLog:    c.cfg.reqLog,
-		Admission:     admit.New(c.cfg.routerAdmit),
-		MaxReplicaLag: cfg.maxReplicaLag,
-		Detector:      c.detector,
-	})
+	if cfg.autoFailover {
+		rcfg.OnSuspectPrimary = c.autoPromote
+	}
+	c.reshardMu.Lock()
+	c.router, err = cluster.NewRouter(rcfg)
+	c.reshardMu.Unlock()
 	if err != nil {
 		return fail(err)
 	}
-	c.router = rt
 
 	if cfg.routerAddr != "" {
 		ln, err := net.Listen("tcp", cfg.routerAddr)
@@ -531,20 +439,17 @@ func (c *Cluster) loadShardNode(sh *clusterShard) (*Pipeline, ShardIdentity, err
 	return pipe, id, nil
 }
 
-// newShardServer builds the HTTP server for a shard node (primary and
-// replica alike) with the cluster's shared serving options.
-func (c *Cluster) newShardServer(pipe *Pipeline, id ShardIdentity) (*Server, error) {
-	opts := []ServerOption{WithServerShardIdentity(id)}
+// shardServerOptions are the serving options every node of the cluster
+// shares, primary and replica alike.
+func (c *Cluster) shardServerOptions() []ServerOption {
+	var opts []ServerOption
 	if c.cfg.cacheCap > 0 {
 		opts = append(opts, WithServerCacheCapacity(c.cfg.cacheCap))
 	}
 	if c.cfg.metrics != nil {
 		opts = append(opts, serve.WithMetrics(obs.NewRegistry()))
 	}
-	if c.cfg.shardAdmit != nil {
-		opts = append(opts, serve.WithAdmission(admit.New(*c.cfg.shardAdmit)))
-	}
-	return NewServer(pipe.Train(), pipe, c.topN, opts...)
+	return opts
 }
 
 // closeAll releases listeners no node was booted on.
@@ -567,7 +472,7 @@ func (c *Cluster) newShard(i int) (*clusterShard, []net.Listener, error) {
 			return nil, nil, fmt.Errorf("ganc: shard %d listener: %w", i, err)
 		}
 		lns = append(lns, ln)
-		n := &shardNode{addr: ln.Addr().String()}
+		n := &clusterNode{addr: ln.Addr().String()}
 		if r < c.cfg.replicas {
 			n.walPath = filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d-replica-%d.wal", i, r))
 			sh.replicas = append(sh.replicas, n)
@@ -582,7 +487,7 @@ func (c *Cluster) newShard(i int) (*clusterShard, []net.Listener, error) {
 // bootNodes boots every node of a laid-out shard on newShard's listeners.
 func (c *Cluster) bootNodes(sh *clusterShard, lns []net.Listener) error {
 	for k, n := range sh.nodes() {
-		if err := c.bootNode(sh, n, lns[k], n == sh.primary); err != nil {
+		if _, err := c.bootNode(sh, n, lns[k], n == sh.primary, false); err != nil {
 			closeAll(lns[k+1:])
 			return err
 		}
@@ -591,69 +496,33 @@ func (c *Cluster) bootNodes(sh *clusterShard, lns []net.Listener) error {
 }
 
 // bootNode restores one node of a shard from the shard snapshot, verifies
-// the identity, and starts it serving on the listener in the given role:
-// the same stack either way — server, ingestor over the node's own
-// write-ahead log, the stream surface mounted in front of the serving
-// routes. The caller is responsible for calling n.ing.Recover() when the
-// node's log may hold a suffix past the snapshot (restart and rejoin).
-func (c *Cluster) bootNode(sh *clusterShard, n *shardNode, ln net.Listener, primary bool) error {
+// the identity, and starts it serving on the listener in the given role —
+// the same ShardNode either way. recoverLog replays the node's
+// write-ahead-log suffix past the snapshot first (restart and rejoin; a
+// fresh boot has none).
+func (c *Cluster) bootNode(sh *clusterShard, n *clusterNode, ln net.Listener, primary, recoverLog bool) (replayed int, err error) {
 	pipe, id, err := c.loadShardNode(sh)
-	var srv *Server
+	var node *ShardNode
 	if err == nil {
-		srv, err = c.newShardServer(pipe, id)
+		node, err = OpenShardNode(pipe, id, n.walPath, sh.snapPath, c.cfg.checkpointEvery, c.shardServerOptions()...)
 	}
-	var ing *Ingestor
-	if err == nil {
-		// Built in the replica role — no client write path, manual-only
-		// checkpoints; makePrimary arms both.
-		ing, err = NewIngestor(srv, pipe,
-			WithIngestLog(n.walPath),
-			WithIngestCheckpoint(sh.snapPath, 0),
-			WithCommitHook(n.commit),
-			WithoutIngestSink())
+	if err == nil && recoverLog {
+		replayed, err = node.Recover()
+	}
+	if err == nil && primary {
+		err = node.MakePrimary(sh.replicaAddrs(), c.cfg.writeQuorum)
 	}
 	if err != nil {
 		ln.Close()
-		return err
+		if node != nil {
+			_ = node.Close() // the boot error is the one to report
+		}
+		return replayed, err
 	}
-	n.pipe, n.srv, n.ing = pipe, srv, ing
-	n.streams = cluster.NewNode(sh.id, c.cfg.epoch, ing, n.walPath)
-	if primary {
-		c.makePrimary(sh, n, pipe.ingestSeq)
-	} else {
-		srv.SetReplicationProbe(n.streams.Replica.Status)
-	}
-	n.hs = &http.Server{Handler: n.streams.Mount(srv.Handler())}
+	n.node = node
+	n.hs = &http.Server{Handler: node.Handler()}
 	go func(hs *http.Server) { _ = hs.Serve(ln) }(n.hs)
-	return nil
-}
-
-// makePrimary flips a live node into the primary role of its shard — at
-// boot and at promotion alike: the client write path and automatic
-// checkpoints switch on (a replica has neither — two nodes writing one
-// snapshot file would race), /migrate opens and /replicate closes, and a
-// replicated shard gets a shipper over its replica set starting at cursor
-// seq. The shipper assumes every replica sits at seq; a restarted primary's
-// replicas are typically ahead, so one heartbeat round adopts their true
-// cursors before any commit ships.
-func (c *Cluster) makePrimary(sh *clusterShard, n *shardNode, seq uint64) {
-	n.srv.SetIngestSink(n.ing)
-	n.ing.SetCheckpointEvery(c.cfg.checkpointEvery)
-	n.streams.SetPrimary(true)
-	if len(sh.replicas) == 0 {
-		return
-	}
-	sp := cluster.NewShipper(cluster.ShipperConfig{
-		Shard:       sh.id,
-		Epoch:       c.cfg.epoch,
-		WALPath:     n.walPath,
-		Replicas:    sh.replicaAddrs(),
-		StartSeq:    seq,
-		WriteQuorum: c.cfg.writeQuorum,
-	})
-	n.shipper.Store(sp)
-	n.srv.SetReplicationProbe(sp.Status)
-	sp.Resync()
+	return replayed, nil
 }
 
 // buildRing builds the ring over the first n shards at the cluster's
@@ -667,20 +536,13 @@ func (c *Cluster) buildRing(n int) (*Ring, error) {
 }
 
 // restamp makes every live node of the given shards adopt the cluster's
-// current epoch and shard count: stream receivers and shippers move to the
-// epoch, and every server's identity is restamped so the router's /info
-// epoch cross-check holds.
+// current epoch and shard count.
 func (c *Cluster) restamp(shards []*clusterShard) {
 	for _, sh := range shards {
 		id := ShardIdentity{ShardID: sh.id, NumShards: c.cfg.shards, RingEpoch: c.cfg.epoch}
 		for _, n := range sh.nodes() {
-			if !n.live() {
-				continue
-			}
-			n.streams.SetEpoch(c.cfg.epoch)
-			n.srv.SetShardIdentity(id)
-			if sp := n.shipper.Load(); sp != nil {
-				sp.SetEpoch(c.cfg.epoch)
+			if n.live() {
+				n.node.restamp(id)
 			}
 		}
 	}
@@ -728,7 +590,7 @@ func (c *Cluster) handleReshard(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) Router() *Router { return c.router }
 
 // Ring returns the cluster's hash ring.
-func (c *Cluster) Ring() *Ring { return c.ring.Load() }
+func (c *Cluster) Ring() *Ring { return c.router.Ring() }
 
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int {
@@ -738,7 +600,7 @@ func (c *Cluster) NumShards() int {
 }
 
 // OwnerShard returns the shard index owning an external user key.
-func (c *Cluster) OwnerShard(userKey string) int { return c.ring.Load().Owner(userKey) }
+func (c *Cluster) OwnerShard(userKey string) int { return c.router.Owner(userKey) }
 
 // ShardAddr returns shard i's listen address.
 func (c *Cluster) ShardAddr(i int) string {
@@ -778,7 +640,10 @@ func (c *Cluster) shardState(i int) (*Pipeline, *Ingestor, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return sh.primary.pipe, sh.primary.ing, nil
+	if !sh.primary.live() {
+		return nil, nil, nil
+	}
+	return sh.primary.node.pipe, sh.primary.node.ing, nil
 }
 
 // KillShard crashes shard i's primary: its listener and connections close,
@@ -822,20 +687,17 @@ func (c *Cluster) KillReplica(i, r int) error {
 }
 
 // killNode crashes one node, whatever its role (a no-op on a dead one): the
-// shipper stops, the listener and connections close, the write-ahead-log
+// listener and connections close, the shipper stops, the write-ahead-log
 // handle is released. Callers hold the topology lock where it matters.
-func killNode(n *shardNode) error {
+func killNode(n *clusterNode) error {
 	if !n.live() {
 		return nil
 	}
-	if sp := n.shipper.Swap(nil); sp != nil {
-		sp.Close()
-	}
 	closeErr := n.hs.Close()
-	if err := n.ing.Close(); err != nil && closeErr == nil {
+	if err := n.node.Close(); err != nil && closeErr == nil {
 		closeErr = err
 	}
-	n.pipe, n.srv, n.ing, n.hs, n.streams = nil, nil, nil, nil, nil
+	n.node, n.hs = nil, nil
 	return closeErr
 }
 
@@ -903,15 +765,12 @@ func (c *Cluster) autoPromote(shard int, addr string) {
 // listener is closed, so the port is free to rebind, and the ring's address
 // for the node must not change — in the given role, and replays its
 // write-ahead-log suffix past the snapshot cursor.
-func (c *Cluster) rebootNode(sh *clusterShard, n *shardNode, primary bool) (replayed int, err error) {
+func (c *Cluster) rebootNode(sh *clusterShard, n *clusterNode, primary bool) (replayed int, err error) {
 	ln, err := net.Listen("tcp", n.addr)
 	if err != nil {
 		return 0, fmt.Errorf("ganc: rebinding shard %d node on %s: %w", sh.id, n.addr, err)
 	}
-	if err := c.bootNode(sh, n, ln, primary); err != nil {
-		return 0, err
-	}
-	return n.ing.Recover()
+	return c.bootNode(sh, n, ln, primary, true)
 }
 
 // promoteLocked is Promote under an already-held topology lock.
@@ -931,7 +790,7 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 		if !rep.live() {
 			continue
 		}
-		if seq := rep.ing.Seq(); best < 0 || seq > bestSeq {
+		if seq := rep.node.Seq(); best < 0 || seq > bestSeq {
 			best, bestSeq = k, seq
 		}
 	}
@@ -945,8 +804,10 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 	// shipper from the demoted primary included.
 	c.cfg.epoch++
 	sh.primary, sh.replicas[best] = sh.replicas[best], sh.primary
-	c.makePrimary(sh, sh.primary, bestSeq)
 	c.restamp(c.shards)
+	if err := sh.primary.node.MakePrimary(sh.replicaAddrs(), c.cfg.writeQuorum); err != nil {
+		return 0, err
+	}
 
 	// Re-point the map: same shard IDs (ownership is untouched), new
 	// primary address for shard i, new epoch.
@@ -957,7 +818,6 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 	if err := c.router.UpdateRing(ring); err != nil {
 		return 0, err
 	}
-	c.ring.Store(ring)
 	return c.cfg.epoch, nil
 }
 
@@ -979,7 +839,7 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 	if !sh.primary.live() {
 		return 0, fmt.Errorf("ganc: shard %d has no live primary to rejoin under", i)
 	}
-	var dead *shardNode
+	var dead *clusterNode
 	for _, rep := range sh.replicas {
 		if !rep.live() {
 			dead = rep
@@ -1036,7 +896,7 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 	}
 	// Tell the primary's shipper where the rejoined node actually is; its
 	// catch-up loop re-feeds the rest from the primary's WAL.
-	if sp := sh.primary.shipper.Load(); sp != nil {
+	if sp := sh.primary.shipper(); sp != nil {
 		sp.Resync()
 	}
 	return replayed, nil
@@ -1088,7 +948,7 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 			return nil, fmt.Errorf("ganc: shard %d is dead; restart or promote it before resharding", sh.id)
 		}
 	}
-	oldRing := c.ring.Load()
+	oldRing := c.router.Ring()
 	oldEpoch := c.cfg.epoch
 	newEpoch := oldEpoch + 1
 	stats := &ReshardStats{FromShards: oldN, ToShards: target, Epoch: newEpoch}
@@ -1175,7 +1035,7 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 			return fail(fmt.Errorf("ganc: scanning shard %d write-ahead log: %w", d, err))
 		}
 		for u, n := range counts {
-			dest.streams.Migrator.SeedCursor(u, n)
+			dest.node.streams.Migrator.SeedCursor(u, n)
 		}
 	}
 
@@ -1257,7 +1117,6 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	if err := c.router.CompleteReshard(nextRing); err != nil {
 		return abort(err)
 	}
-	c.ring.Store(nextRing)
 	stats.CutoverMs = float64(time.Since(cutStart).Microseconds()) / 1000.0
 	stats.DoubleDispatches = c.router.DoubleDispatches() - ddBefore
 
@@ -1310,7 +1169,7 @@ func (c *Cluster) SaveShards() error {
 		if !sh.primary.live() {
 			continue
 		}
-		if err := sh.primary.ing.Checkpoint(); err != nil {
+		if err := sh.primary.node.ing.Checkpoint(); err != nil {
 			return fmt.Errorf("ganc: checkpointing shard %d: %w", sh.id, err)
 		}
 	}
@@ -1323,7 +1182,7 @@ func (c *Cluster) ShardVersion(i int) int {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
 	if n := c.shards[i].primary; n.live() {
-		return n.srv.Version()
+		return n.node.srv.Version()
 	}
 	return 0
 }
@@ -1352,7 +1211,7 @@ func (c *Cluster) ReplicaAddr(i, r int) string {
 func (c *Cluster) ShardReplication(i int) ReplicationStatus {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	if sp := c.shards[i].primary.shipper.Load(); sp != nil {
+	if sp := c.shards[i].primary.shipper(); sp != nil {
 		return sp.Status()
 	}
 	return ReplicationStatus{}
@@ -1363,7 +1222,7 @@ func (c *Cluster) ShardReplication(i int) ReplicationStatus {
 func (c *Cluster) ReplicaLag(i int) uint64 {
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()
-	if sp := c.shards[i].primary.shipper.Load(); sp != nil {
+	if sp := c.shards[i].primary.shipper(); sp != nil {
 		return sp.MaxLag()
 	}
 	return 0
@@ -1381,7 +1240,7 @@ func (c *Cluster) WaitForReplicaSync(timeout time.Duration) error {
 	c.reshardMu.Lock()
 	shippers := make([]pair, 0, len(c.shards))
 	for _, sh := range c.shards {
-		if sp := sh.primary.shipper.Load(); sp != nil {
+		if sp := sh.primary.shipper(); sp != nil {
 			shippers = append(shippers, pair{sh.id, sp})
 		}
 	}
@@ -1403,12 +1262,11 @@ func (c *Cluster) WaitForReplicaSync(timeout time.Duration) error {
 // (if any) stops, and the work directory is removed when the cluster owns
 // it.
 func (c *Cluster) Close() error {
-	// The detector stops before the topology lock is taken: a suspicion
-	// callback fired during teardown blocks on that lock, and Close waiting
-	// for it while holding the lock would deadlock.
-	if c.detector != nil {
-		c.detector.Close()
-		c.detector = nil
+	// The router's detector stops before the topology lock is taken: a
+	// suspicion callback fired during teardown blocks on that lock, and Close
+	// waiting for it while holding the lock would deadlock.
+	if c.router != nil {
+		c.router.Close()
 	}
 	c.reshardMu.Lock()
 	defer c.reshardMu.Unlock()

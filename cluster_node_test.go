@@ -162,11 +162,11 @@ func TestClusterRejoinPullsLostWAL(t *testing.T) {
 		t.Fatalf("rejoined log holds %d records (%v), want all 60", records, err)
 	}
 	primary := c.shards[0].primary
-	want, err := fingerprintPipeline(context.Background(), primary.pipe, primary.ing, nil)
+	want, err := fingerprintPipeline(context.Background(), primary.node.pipe, primary.node.ing, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fingerprintPipeline(context.Background(), dead.pipe, dead.ing, nil)
+	got, err := fingerprintPipeline(context.Background(), dead.node.pipe, dead.node.ing, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,26 +8,36 @@
 //	            without the training machinery)
 //	split       shard-split a snapshot: write N shard-scoped snapshots
 //	            (shard id + hash-ring epoch in each) into -out
-//	shard       serve one shard snapshot; refuses snapshots whose identity
-//	            disagrees with the -shards/-shard-id/-epoch flags. With
-//	            -replica-addrs it also ships every committed ingest batch to
-//	            the listed replica nodes over POST /replicate
-//	replica     serve one shard snapshot as a warm read replica: no client
-//	            writes (/ingest is absent), POST /replicate applies the
-//	            primary's committed batches into the replica's own
-//	            write-ahead log, /health reports the replication cursor/lag
+//	shard       serve one shard snapshot as the shard's primary; refuses
+//	            snapshots whose identity disagrees with the
+//	            -shards/-shard-id/-epoch flags. With -replica-addrs it ships
+//	            every committed ingest batch to the listed replica nodes,
+//	            and -write-quorum K acks a write only after K of them hold it
+//	replica     serve one shard snapshot as a warm replica of its shard: the
+//	            same node as the shard role, never flipped to primary — client
+//	            writes answer a typed 409, POST /replicate applies the
+//	            primary's committed batches into the node's own write-ahead
+//	            log, /health reports the replication cursor and lag
 //	router      scatter-gather front over -peers: proxies /recommend, fans
 //	            /recommend/batch and /ingest out by user ownership, merges,
 //	            aggregates /info and /health, answers typed 503s for dead
-//	            shards. A "primary+replica" peer entry enables read failover
-//	            to that shard's replicas, bounded by -max-replica-lag
+//	            shards. A "primary+replica" peer entry makes the router run
+//	            its failure detector (-detect-interval-ms, -suspect-after)
+//	            and fail reads over to that shard's replicas from the
+//	            detector's cached view, bounded by -max-replica-lag
 //	cluster     the whole topology in one process (a demo/benchmark form):
 //	            split into a temp dir, boot every shard (-replicas warm
 //	            replicas each), serve the router. -write-quorum K acks each
 //	            committed batch only after K replicas hold it; -auto-failover
 //	            promotes a suspected-dead primary's freshest replica with no
-//	            operator call (tune the detector with -detect-interval-ms
-//	            and -suspect-after)
+//	            operator call
+//
+// The shard and replica roles run the same node assembly the cluster role
+// boots in-process (ganc.ShardNode): both mount POST /replicate, /migrate and
+// /replicate/tail in front of the serving routes, and the role only decides
+// which of them accept — a primary takes client writes and /migrate chunks
+// and refuses pushed /replicate batches, a replica the reverse, each refusal
+// a typed 409.
 //
 // A 3-shard deployment, one process per node:
 //
@@ -38,11 +48,11 @@
 //	gancd -role shard -load shards/shard-002.snap -serve :8083 &
 //	gancd -role router -peers :8081,:8082,:8083 -serve :8080
 //
-// The same topology with one replica behind shard 0:
+// The same topology with one replica behind shard 0, quorum-acked:
 //
 //	gancd -role replica -load shards/shard-000.snap -ingest-log r0.wal -serve :9081 &
 //	gancd -role shard -load shards/shard-000.snap -ingest-log s0.wal \
-//	      -replica-addrs :9081 -serve :8081 &
+//	      -replica-addrs :9081 -write-quorum 1 -serve :8081 &
 //	gancd -role router -peers :8081+:9081,:8082,:8083 -serve :8080
 //
 // The same topology in one process:
@@ -62,33 +72,121 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"ganc"
 )
 
-// obsSettings carries the observability/admission flags every serving role
-// shares: a /metrics endpoint, JSON-line request logging, per-client rate
-// limiting and a concurrency cap.
-type obsSettings struct {
-	metrics       bool
-	requestLog    string
-	rateLimit     float64
-	rateBurst     float64
-	maxConcurrent int
-	maxWaitMs     int
+// options is the parsed command line. set records which flags were given
+// explicitly, so the node roles cross-check only the identity the operator
+// asserted.
+type options struct {
+	role, load, serve, out   string
+	shards, shardID          int
+	epoch                    uint64
+	peers, replicaAddrs      string
+	replicas, writeQuorum    int
+	autoFailover             bool
+	detectIntervalMs         int
+	suspectAfter             int
+	maxReplicaLag            int64
+	cache                    int
+	ingestLog                string
+	checkpointInterval       int
+	retries                  int
+	metrics                  bool
+	requestLog               string
+	rateLimit, rateBurst     float64
+	maxConcurrent, maxWaitMs int
+	set                      map[string]bool
+}
+
+// parseFlags maps the command line to options and rejects the flag
+// combinations no role can honor.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("gancd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.role, "role", "standalone", "standalone | split | shard | replica | router | cluster")
+	fs.StringVar(&o.load, "load", "", "snapshot to load (written by ganc -save, or a shard snapshot from -role split)")
+	fs.StringVar(&o.serve, "serve", "", "listen address (e.g. :8080)")
+	fs.IntVar(&o.shards, "shards", 3, "shard count (split, cluster; cross-checked in the shard and replica roles)")
+	fs.IntVar(&o.shardID, "shard-id", -1, "expected shard id (shard and replica roles; -1 trusts the snapshot)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated shard addresses in shard-id order (router role); \"primary+replica1+replica2\" entries declare read-failover replicas")
+	fs.StringVar(&o.replicaAddrs, "replica-addrs", "", "comma-separated replica addresses this shard ships committed batches to (shard role)")
+	fs.IntVar(&o.replicas, "replicas", 0, "warm replicas per shard (cluster role)")
+	fs.IntVar(&o.writeQuorum, "write-quorum", 0, "k-of-n quorum writes: ack a committed batch only after k replicas hold it (shard and cluster roles; 0 = ship without waiting)")
+	fs.BoolVar(&o.autoFailover, "auto-failover", false, "cluster: promote a suspected-dead primary's freshest replica automatically, no operator call")
+	fs.IntVar(&o.detectIntervalMs, "detect-interval-ms", 0, "failure-detector /health sampling interval in ms (router and cluster roles; 0 = default 250)")
+	fs.IntVar(&o.suspectAfter, "suspect-after", 0, "consecutive missed probes before the detector suspects a node (0 = default 3)")
+	fs.Int64Var(&o.maxReplicaLag, "max-replica-lag", 0, "router: max committed-event lag for a replica to serve a failover read (0 = default 1024, negative disables failover)")
+	fs.Uint64Var(&o.epoch, "epoch", 1, "hash-ring epoch (split, router, cluster; cross-checked in the shard and replica roles)")
+	fs.StringVar(&o.out, "out", "", "output directory for shard snapshots (split role)")
+	fs.IntVar(&o.cache, "cache", 0, "per-node LRU cache capacity (0 = serving default)")
+	fs.StringVar(&o.ingestLog, "ingest-log", "", "write-ahead log path (standalone, shard and replica roles)")
+	fs.IntVar(&o.checkpointInterval, "checkpoint-interval", 0, "checkpoint the snapshot every this many ingested events (standalone, shard and cluster roles; 0 = never)")
+	fs.IntVar(&o.retries, "retries", 2, "router: bounded retries per shard call before the typed 503")
+	fs.BoolVar(&o.metrics, "metrics", false, "mount GET /metrics (Prometheus text format) on serving roles")
+	fs.StringVar(&o.requestLog, "request-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
+	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")
+	fs.Float64Var(&o.rateBurst, "rate-burst", 0, "per-client burst allowance (0 = max(rate-limit, 1))")
+	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "cap on requests inside handlers at once (0 = uncapped)")
+	fs.IntVar(&o.maxWaitMs, "max-wait-ms", 0, "how long an over-capacity request waits for a slot before a 429 (0 = shed immediately)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() > 0 {
+		return o, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	o.set = make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+
+	switch o.role {
+	case "split":
+		if o.out == "" {
+			return o, fmt.Errorf("-out directory is required for -role split")
+		}
+		if o.shards <= 0 {
+			return o, fmt.Errorf("-shards must be positive, got %d", o.shards)
+		}
+	case "standalone", "shard", "replica", "router", "cluster":
+		if o.serve == "" {
+			return o, fmt.Errorf("-serve is required for -role %s", o.role)
+		}
+	default:
+		return o, fmt.Errorf("unknown -role %q (standalone, split, shard, replica, router, cluster)", o.role)
+	}
+	if o.role == "replica" {
+		// A node started as a replica ships to no one and never checkpoints on
+		// its own (it may share the snapshot file with its primary); accepting
+		// these flags would silently drop what they promise.
+		for _, name := range []string{"replica-addrs", "write-quorum", "checkpoint-interval"} {
+			if o.set[name] {
+				return o, fmt.Errorf("-%s does not apply to -role replica (it configures the shard's primary: -role shard)", name)
+			}
+		}
+		if o.ingestLog == "" {
+			return o, fmt.Errorf("-ingest-log is required for -role replica (the replica's own write-ahead log makes it promotable)")
+		}
+	}
+	return o, nil
 }
 
 // admission translates the flags into an admission configuration (the zero
 // value disables both gates).
-func (o obsSettings) admission() ganc.AdmissionConfig {
+func (o options) admission() ganc.AdmissionConfig {
 	return ganc.AdmissionConfig{
 		RatePerSec:    o.rateLimit,
 		Burst:         o.rateBurst,
@@ -97,29 +195,30 @@ func (o obsSettings) admission() ganc.AdmissionConfig {
 	}
 }
 
-// logger opens the request-log sink ("-" = stderr). The cleanup (possibly
-// nil) closes a file sink.
-func (o obsSettings) logger() (*ganc.RequestLogger, func() error, error) {
+// logger opens the request-log sink ("-" = stderr). The cleanup closes a
+// file sink.
+func (o options) logger(stderr io.Writer) (*ganc.RequestLogger, func(), error) {
 	if o.requestLog == "" {
-		return nil, nil, nil
+		return nil, func() {}, nil
 	}
 	if o.requestLog == "-" {
-		return ganc.NewRequestLogger(os.Stderr, ganc.LogInfo), nil, nil
+		return ganc.NewRequestLogger(stderr, ganc.LogInfo), func() {}, nil
 	}
 	f, err := os.OpenFile(o.requestLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("opening request log: %w", err)
 	}
-	return ganc.NewRequestLogger(f, ganc.LogInfo), f.Close, nil
+	// A lost log line at shutdown is not worth failing the exit over.
+	return ganc.NewRequestLogger(f, ganc.LogInfo), func() { _ = f.Close() }, nil
 }
 
 // serverOptions translates the flags into single-node server options.
-func (o obsSettings) serverOptions() ([]ganc.ServerOption, func() error, error) {
+func (o options) serverOptions(stderr io.Writer) ([]ganc.ServerOption, func(), error) {
 	var opts []ganc.ServerOption
 	if o.metrics {
 		opts = append(opts, ganc.WithMetrics(ganc.NewMetricsRegistry()))
 	}
-	log, cleanup, err := o.logger()
+	log, cleanup, err := o.logger(stderr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,66 +231,63 @@ func (o obsSettings) serverOptions() ([]ganc.ServerOption, func() error, error) 
 	if o.maxConcurrent > 0 {
 		opts = append(opts, ganc.WithMaxConcurrent(o.maxConcurrent, time.Duration(o.maxWaitMs)*time.Millisecond))
 	}
+	if o.cache > 0 {
+		opts = append(opts, ganc.WithServerCacheCapacity(o.cache))
+	}
 	return opts, cleanup, nil
 }
 
 func main() {
-	role := flag.String("role", "standalone", "standalone | split | shard | replica | router | cluster")
-	loadPath := flag.String("load", "", "snapshot to load (written by ganc -save, or a shard snapshot from -role split)")
-	serveAddr := flag.String("serve", "", "listen address (e.g. :8080)")
-	shards := flag.Int("shards", 3, "shard count (split, cluster; cross-checked in shard role)")
-	shardID := flag.Int("shard-id", -1, "expected shard id (shard role; -1 trusts the snapshot)")
-	peers := flag.String("peers", "", "comma-separated shard addresses in shard-id order (router role); \"primary+replica1+replica2\" entries declare read-failover replicas")
-	replicaAddrs := flag.String("replica-addrs", "", "comma-separated replica addresses this shard ships committed batches to (shard role)")
-	replicas := flag.Int("replicas", 0, "warm replicas per shard (cluster role)")
-	writeQuorum := flag.Int("write-quorum", 0, "k-of-n quorum writes: ack a committed batch only after k replicas hold it (shard and cluster roles; 0 = fire-and-forget)")
-	autoFailover := flag.Bool("auto-failover", false, "cluster: promote a suspected-dead primary's freshest replica automatically, no operator call")
-	detectIntervalMs := flag.Int("detect-interval-ms", 0, "failure-detector /health sampling interval in ms (router and cluster roles; 0 = default 250)")
-	suspectAfter := flag.Int("suspect-after", 0, "consecutive missed probes before the detector suspects a node (0 = default 3)")
-	maxReplicaLag := flag.Int64("max-replica-lag", 0, "router: max committed-event lag for a replica to serve a failover read (0 = default 1024, negative disables failover)")
-	epoch := flag.Uint64("epoch", 1, "hash-ring epoch (split, router, cluster; cross-checked in shard role)")
-	outDir := flag.String("out", "", "output directory for shard snapshots (split role)")
-	cache := flag.Int("cache", 0, "per-node LRU cache capacity (0 = serving default)")
-	ingestLog := flag.String("ingest-log", "", "write-ahead log path for POST /ingest (standalone and shard roles)")
-	checkpointInterval := flag.Int("checkpoint-interval", 0, "checkpoint the snapshot every this many ingested events (0 = never)")
-	retries := flag.Int("retries", 2, "router: bounded retries per shard call before the typed 503")
-	metrics := flag.Bool("metrics", false, "mount GET /metrics (Prometheus text format) on serving roles")
-	requestLog := flag.String("request-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")
-	rateBurst := flag.Float64("rate-burst", 0, "per-client burst allowance (0 = max(rate-limit, 1))")
-	maxConcurrent := flag.Int("max-concurrent", 0, "cap on requests inside handlers at once (0 = uncapped)")
-	maxWaitMs := flag.Int("max-wait-ms", 0, "how long an over-capacity request waits for a slot before a 429 (0 = shed immediately)")
-	flag.Parse()
-
-	obs := obsSettings{
-		metrics:       *metrics,
-		requestLog:    *requestLog,
-		rateLimit:     *rateLimit,
-		rateBurst:     *rateBurst,
-		maxConcurrent: *maxConcurrent,
-		maxWaitMs:     *maxWaitMs,
-	}
-	var err error
-	switch *role {
-	case "standalone":
-		err = runStandalone(*loadPath, *serveAddr, *cache, *ingestLog, *checkpointInterval, obs)
-	case "split":
-		err = runSplit(*loadPath, *outDir, *shards, *epoch)
-	case "shard":
-		err = runShard(*loadPath, *serveAddr, *shards, *shardID, *epoch, *cache, *ingestLog, *checkpointInterval, *replicaAddrs, *writeQuorum, obs)
-	case "replica":
-		err = runReplica(*loadPath, *serveAddr, *shards, *shardID, *epoch, *cache, *ingestLog, *checkpointInterval, obs)
-	case "router":
-		err = runRouter(*peers, *serveAddr, *epoch, *retries, *maxReplicaLag, *detectIntervalMs, *suspectAfter, obs)
-	case "cluster":
-		err = runCluster(*loadPath, *serveAddr, *shards, *replicas, *writeQuorum, *autoFailover, *detectIntervalMs, *suspectAfter, *epoch, *cache, *checkpointInterval, obs)
-	default:
-		err = fmt.Errorf("unknown -role %q (standalone, split, shard, replica, router, cluster)", *role)
-	}
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "gancd:", err)
 		os.Exit(1)
 	}
+}
+
+// run executes one role and, for the serving roles, blocks until ctx is
+// cancelled (an interrupt, in main), then shuts the listener down and returns.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	switch o.role {
+	case "standalone":
+		return runStandalone(ctx, o, stderr)
+	case "split":
+		return runSplit(o, stderr)
+	case "shard", "replica":
+		return runNode(ctx, o, stderr)
+	case "router":
+		return runRouter(ctx, o, stderr)
+	default:
+		return runCluster(ctx, o, stderr)
+	}
+}
+
+// listenAndServe serves handler on addr until ctx is cancelled, then closes
+// the listener and drains in-flight requests for up to five seconds.
+func listenAndServe(ctx context.Context, addr string, handler http.Handler) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: handler}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		return hs.Close()
+	}
+	return nil
 }
 
 // loadSnapshot loads a snapshot with operator-grade error messages.
@@ -213,348 +309,211 @@ func loadSnapshot(path string) (*ganc.Pipeline, error) {
 	return p, nil
 }
 
-// serveNode stands one serve.Server up around a pipeline (standalone and
-// shard roles share it) and blocks. A non-empty replicaAddrs list attaches
-// the primary-side replication shipper: every committed ingest batch is
-// shipped to the replicas synchronously, with write-ahead-log catch-up for
-// stragglers.
-func serveNode(p *ganc.Pipeline, addr string, cache int, shard *ganc.ShardIdentity,
-	ingestLog string, checkpointPath string, checkpointInterval int, replicaAddrs []string,
-	writeQuorum int, obs obsSettings) error {
-	if addr == "" {
-		return fmt.Errorf("-serve is required for serving roles")
+// reportReplay tells the operator what write-ahead-log recovery restored.
+func reportReplay(stderr io.Writer, replayed int, log string, seq uint64) {
+	if replayed > 0 {
+		fmt.Fprintf(stderr, "replayed %d events from %s (resuming at seq %d)\n", replayed, log, seq)
 	}
-	opts, obsCleanup, err := obs.serverOptions()
+}
+
+// runStandalone serves a plain snapshot on one node, with streaming
+// ingestion behind POST /ingest.
+func runStandalone(ctx context.Context, o options, stderr io.Writer) error {
+	p, err := loadSnapshot(o.load)
 	if err != nil {
 		return err
 	}
-	if obsCleanup != nil {
-		defer func() { _ = obsCleanup() }()
+	fmt.Fprintf(stderr, "loaded %s from %s: %d users, %d items, %d ratings\n",
+		p.Name(), o.load, p.Train().NumUsers(), p.Train().NumItems(), p.Train().NumRatings())
+	opts, cleanup, err := o.serverOptions(stderr)
+	if err != nil {
+		return err
 	}
-	if cache > 0 {
-		opts = append(opts, ganc.WithServerCacheCapacity(cache))
-	}
-	if shard != nil {
-		opts = append(opts, ganc.WithServerShardIdentity(*shard))
-	}
+	defer cleanup()
 	srv, err := ganc.NewServer(p.Train(), p, p.TopN(), opts...)
 	if err != nil {
 		return err
 	}
-	ingOpts := []ganc.IngestorOption{}
-	if ingestLog != "" {
-		ingOpts = append(ingOpts, ganc.WithIngestLog(ingestLog))
+	var ingOpts []ganc.IngestorOption
+	if o.ingestLog != "" {
+		ingOpts = append(ingOpts, ganc.WithIngestLog(o.ingestLog))
 	}
-	if checkpointInterval > 0 {
-		ingOpts = append(ingOpts, ganc.WithIngestCheckpoint(checkpointPath, checkpointInterval))
-	}
-	var shipper *ganc.Shipper
-	if len(replicaAddrs) > 0 {
-		if shard == nil {
-			return fmt.Errorf("-replica-addrs requires a shard snapshot (replication is per shard)")
-		}
-		if ingestLog == "" {
-			return fmt.Errorf("-replica-addrs requires -ingest-log (the shipper replays the write-ahead log to catch lagging replicas up)")
-		}
-		if writeQuorum > len(replicaAddrs) {
-			return fmt.Errorf("-write-quorum %d exceeds the %d replicas in -replica-addrs", writeQuorum, len(replicaAddrs))
-		}
-		shipper = ganc.NewShipper(ganc.ShipperConfig{
-			Shard:       shard.ShardID,
-			Epoch:       shard.RingEpoch,
-			WALPath:     ingestLog,
-			Replicas:    replicaAddrs,
-			WriteQuorum: writeQuorum,
-		})
-		defer shipper.Close()
-		ingOpts = append(ingOpts, ganc.WithCommitHook(shipper.Commit))
-		srv.SetReplicationProbe(shipper.Status)
-	}
-	endpoints := "GET /recommend?user=<id>, POST /recommend/batch, /info, /health"
-	if obs.metrics {
-		endpoints += ", GET /metrics"
+	if o.checkpointInterval > 0 {
+		ingOpts = append(ingOpts, ganc.WithIngestCheckpoint(o.load, o.checkpointInterval))
 	}
 	ing, err := ganc.NewIngestor(srv, p, ingOpts...)
 	if err != nil {
 		return fmt.Errorf("enabling ingestion: %w", err)
 	}
-	if ingestLog != "" {
-		replayed, err := ing.Recover()
-		if err != nil {
-			return fmt.Errorf("replaying ingest log %s: %w", ingestLog, err)
-		}
-		if replayed > 0 {
-			fmt.Fprintf(os.Stderr, "replayed %d events from %s (resuming at seq %d)\n", replayed, ingestLog, ing.Seq())
-		}
-	}
-	if shipper != nil {
-		// Recovery replay already advanced the shipper's head through the
-		// commit hook; the handshake adopts each replica's true cursor so
-		// catch-up starts from reality rather than a guess.
-		shipper.Resync()
-		if writeQuorum > 0 {
-			fmt.Fprintf(os.Stderr, "replicating to %s (write quorum %d of %d)\n",
-				strings.Join(replicaAddrs, ", "), writeQuorum, len(replicaAddrs))
-		} else {
-			fmt.Fprintf(os.Stderr, "replicating to %s\n", strings.Join(replicaAddrs, ", "))
-		}
-	}
-	endpoints += ", POST /ingest"
-	if shard != nil {
-		fmt.Fprintf(os.Stderr, "serving %s on %s as shard %d/%d epoch %d (%s)\n",
-			p.Name(), addr, shard.ShardID, shard.NumShards, shard.RingEpoch, endpoints)
-	} else {
-		fmt.Fprintf(os.Stderr, "serving %s on %s (%s)\n", p.Name(), addr, endpoints)
-	}
-	return http.ListenAndServe(addr, srv.Handler())
-}
-
-// runStandalone serves a plain snapshot on one node.
-func runStandalone(loadPath, addr string, cache int, ingestLog string, checkpointInterval int, obs obsSettings) error {
-	p, err := loadSnapshot(loadPath)
+	defer ing.Close()
+	replayed, err := ing.Recover()
 	if err != nil {
-		return err
+		return fmt.Errorf("replaying ingest log %s: %w", o.ingestLog, err)
 	}
-	fmt.Fprintf(os.Stderr, "loaded %s from %s: %d users, %d items, %d ratings\n",
-		p.Name(), loadPath, p.Train().NumUsers(), p.Train().NumItems(), p.Train().NumRatings())
-	return serveNode(p, addr, cache, nil, ingestLog, loadPath, checkpointInterval, nil, 0, obs)
+	reportReplay(stderr, replayed, o.ingestLog, ing.Seq())
+	fmt.Fprintf(stderr, "serving %s on %s\n", p.Name(), o.serve)
+	return listenAndServe(ctx, o.serve, srv.Handler())
 }
 
 // runSplit writes N shard-scoped snapshots of one plain snapshot.
-func runSplit(loadPath, outDir string, shards int, epoch uint64) error {
-	if outDir == "" {
-		return fmt.Errorf("-out directory is required for -role split")
-	}
-	if shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", shards)
-	}
-	p, err := loadSnapshot(loadPath)
+func runSplit(o options, stderr io.Writer) error {
+	p, err := loadSnapshot(o.load)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return err
 	}
-	for i := 0; i < shards; i++ {
-		path := filepath.Join(outDir, fmt.Sprintf("shard-%03d.snap", i))
-		id := ganc.ShardIdentity{ShardID: i, NumShards: shards, RingEpoch: epoch}
+	for i := 0; i < o.shards; i++ {
+		path := filepath.Join(o.out, fmt.Sprintf("shard-%03d.snap", i))
+		id := ganc.ShardIdentity{ShardID: i, NumShards: o.shards, RingEpoch: o.epoch}
 		if err := p.SaveShard(path, id); err != nil {
 			return fmt.Errorf("writing %s: %w", path, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (shard %d/%d, epoch %d)\n", path, i, shards, epoch)
+		fmt.Fprintf(stderr, "wrote %s (shard %d/%d, epoch %d)\n", path, i, o.shards, o.epoch)
 	}
-	fmt.Fprintf(os.Stderr, "serve each with: gancd -role shard -load %s/shard-NNN.snap -serve :PORT\n", outDir)
+	fmt.Fprintf(stderr, "serve each with: gancd -role shard -load %s/shard-NNN.snap -serve :PORT\n", o.out)
 	return nil
 }
 
 // loadShardSnapshot loads a shard snapshot, cross-checking its identity
-// against the flags when they are given (shard and replica roles share it).
-func loadShardSnapshot(loadPath string, shards, shardID int, epoch uint64) (*ganc.Pipeline, ganc.ShardIdentity, error) {
+// against the flags that were given.
+func loadShardSnapshot(o options) (*ganc.Pipeline, ganc.ShardIdentity, error) {
 	var id ganc.ShardIdentity
-	if loadPath == "" {
+	if o.load == "" {
 		return nil, id, fmt.Errorf("-load is required (produce shard snapshots with -role split)")
 	}
-	p, id, err := ganc.LoadShardEngine(loadPath)
+	p, id, err := ganc.LoadShardEngine(o.load)
 	if err != nil {
 		return nil, id, err
 	}
-	if shardID >= 0 && id.ShardID != shardID {
-		return nil, id, fmt.Errorf("snapshot %s is shard %d, but -shard-id says %d", loadPath, id.ShardID, shardID)
+	if o.shardID >= 0 && id.ShardID != o.shardID {
+		return nil, id, fmt.Errorf("snapshot %s is shard %d, but -shard-id says %d", o.load, id.ShardID, o.shardID)
 	}
-	if flagWasSet("shards") && id.NumShards != shards {
-		return nil, id, fmt.Errorf("snapshot %s was cut for %d shards, but -shards says %d", loadPath, id.NumShards, shards)
+	if o.set["shards"] && id.NumShards != o.shards {
+		return nil, id, fmt.Errorf("snapshot %s was cut for %d shards, but -shards says %d", o.load, id.NumShards, o.shards)
 	}
-	if flagWasSet("epoch") && id.RingEpoch != epoch {
+	if o.set["epoch"] && id.RingEpoch != o.epoch {
 		return nil, id, fmt.Errorf("snapshot %s was cut for ring epoch %d, but -epoch says %d (re-split after membership changes)",
-			loadPath, id.RingEpoch, epoch)
+			o.load, id.RingEpoch, o.epoch)
 	}
 	return p, id, nil
 }
 
-// runShard serves one shard snapshot, cross-checking its identity against
-// the flags when they are given.
-func runShard(loadPath, addr string, shards, shardID int, epoch uint64, cache int,
-	ingestLog string, checkpointInterval int, replicaAddrs string, writeQuorum int, obs obsSettings) error {
-	p, id, err := loadShardSnapshot(loadPath, shards, shardID, epoch)
+// runNode serves one shard snapshot as a node of its shard — the shard and
+// replica roles alike: the same ganc.ShardNode the cluster role boots
+// in-process, recovered from its own write-ahead log. The shard role then
+// flips it to primary (client writes, /migrate, shipping to -replica-addrs
+// under -write-quorum); the replica role leaves it as opened.
+func runNode(ctx context.Context, o options, stderr io.Writer) error {
+	p, id, err := loadShardSnapshot(o)
 	if err != nil {
 		return err
 	}
-	var reps []string
-	if replicaAddrs != "" {
-		for _, a := range strings.Split(replicaAddrs, ",") {
+	opts, cleanup, err := o.serverOptions(stderr)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	node, err := ganc.OpenShardNode(p, id, o.ingestLog, o.load, o.checkpointInterval, opts...)
+	if err != nil {
+		return err
+	}
+	defer node.Close()
+	replayed, err := node.Recover()
+	if err != nil {
+		return fmt.Errorf("replaying ingest log %s: %w", o.ingestLog, err)
+	}
+	reportReplay(stderr, replayed, o.ingestLog, node.Seq())
+	as := "replica"
+	if o.role == "shard" {
+		var replicas []string
+		for _, a := range strings.Split(o.replicaAddrs, ",") {
 			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
+				replicas = append(replicas, a)
 			}
 		}
+		if err := node.MakePrimary(replicas, o.writeQuorum); err != nil {
+			return fmt.Errorf("-replica-addrs/-write-quorum: %w", err)
+		}
+		as = "primary"
+		if len(replicas) > 0 {
+			fmt.Fprintf(stderr, "replicating to %s (write quorum %d of %d)\n", strings.Join(replicas, ", "), o.writeQuorum, len(replicas))
+		}
 	}
-	return serveNode(p, addr, cache, &id, ingestLog, loadPath, checkpointInterval, reps, writeQuorum, obs)
-}
-
-// runReplica serves one shard snapshot as a warm read replica: the only
-// write path is POST /replicate (client /ingest answers a typed 409), applied batches
-// land in the replica's own write-ahead log, and /health reports the
-// replication cursor and lag.
-func runReplica(loadPath, addr string, shards, shardID int, epoch uint64, cache int,
-	ingestLog string, checkpointInterval int, obs obsSettings) error {
-	if addr == "" {
-		return fmt.Errorf("-serve is required for -role replica")
-	}
-	if ingestLog == "" {
-		return fmt.Errorf("-ingest-log is required for -role replica (the replica's own write-ahead log makes it promotable)")
-	}
-	p, id, err := loadShardSnapshot(loadPath, shards, shardID, epoch)
-	if err != nil {
-		return err
-	}
-	opts, obsCleanup, err := obs.serverOptions()
-	if err != nil {
-		return err
-	}
-	if obsCleanup != nil {
-		defer func() { _ = obsCleanup() }()
-	}
-	if cache > 0 {
-		opts = append(opts, ganc.WithServerCacheCapacity(cache))
-	}
-	opts = append(opts, ganc.WithServerShardIdentity(id))
-	srv, err := ganc.NewServer(p.Train(), p, p.TopN(), opts...)
-	if err != nil {
-		return err
-	}
-	ingOpts := []ganc.IngestorOption{
-		ganc.WithIngestLog(ingestLog),
-		ganc.WithoutIngestSink(),
-	}
-	if checkpointInterval > 0 {
-		ingOpts = append(ingOpts, ganc.WithIngestCheckpoint(loadPath, checkpointInterval))
-	}
-	ing, err := ganc.NewIngestor(srv, p, ingOpts...)
-	if err != nil {
-		return fmt.Errorf("enabling replication apply: %w", err)
-	}
-	replayed, err := ing.Recover()
-	if err != nil {
-		return fmt.Errorf("replaying ingest log %s: %w", ingestLog, err)
-	}
-	if replayed > 0 {
-		fmt.Fprintf(os.Stderr, "replayed %d events from %s (resuming at seq %d)\n", replayed, ingestLog, ing.Seq())
-	}
-	// The same stream surface every cluster node mounts, in the replica role:
-	// /replicate accepts, /migrate and client /ingest answer a typed 409.
-	node := ganc.NewStreamNode(id.ShardID, id.RingEpoch, ing, ingestLog)
-	srv.SetReplicationProbe(node.Replica.Status)
-	endpoints := "GET /recommend?user=<id>, POST /recommend/batch, /info, /health, POST /replicate, /migrate, /replicate/tail"
-	if obs.metrics {
-		endpoints += ", GET /metrics"
-	}
-	fmt.Fprintf(os.Stderr, "serving %s on %s as replica of shard %d/%d epoch %d (%s)\n",
-		p.Name(), addr, id.ShardID, id.NumShards, id.RingEpoch, endpoints)
-	return http.ListenAndServe(addr, node.Mount(srv.Handler()))
+	fmt.Fprintf(stderr, "serving %s on %s as %s of shard %d/%d epoch %d\n",
+		p.Name(), o.serve, as, id.ShardID, id.NumShards, id.RingEpoch)
+	return listenAndServe(ctx, o.serve, node.Handler())
 }
 
 // runRouter fronts the peers with the scatter-gather router. When any peer
-// entry declares replicas, a shared failure detector samples every node's
-// /health in the background so failed reads route by the cached liveness
-// view — zero per-request probes — and suspected primaries are skipped
-// without burning the retry budget.
-func runRouter(peers, addr string, epoch uint64, retries int, maxReplicaLag int64,
-	detectIntervalMs, suspectAfter int, obs obsSettings) error {
-	if addr == "" {
-		return fmt.Errorf("-serve is required for -role router")
-	}
-	infos, err := ganc.ParsePeerTopology(peers)
+// entry declares replicas the router runs its own failure detector, so
+// failed reads route by the cached liveness view — zero per-request probes —
+// and suspected primaries are skipped without burning the retry budget.
+func runRouter(ctx context.Context, o options, stderr io.Writer) error {
+	infos, err := ganc.ParsePeerTopology(o.peers)
 	if err != nil {
 		return fmt.Errorf("-peers: %w (expected \"host1:port,host2:port,…\" in shard-id order; append \"+replicahost:port\" for read-failover replicas)", err)
 	}
-	ring, err := ganc.NewRing(epoch, infos)
+	ring, err := ganc.NewRing(o.epoch, infos)
 	if err != nil {
 		return err
 	}
-	cfg := ganc.RouterConfig{Ring: ring, Retries: retries, MaxReplicaLag: maxReplicaLag, Admission: ganc.NewAdmission(obs.admission())}
-	hasReplicas := false
-	for _, info := range infos {
-		if len(info.Replicas) > 0 {
-			hasReplicas = true
-		}
+	log, cleanup, err := o.logger(stderr)
+	if err != nil {
+		return err
 	}
-	if hasReplicas {
-		d := ganc.NewFailureDetector(ganc.FailureDetectorConfig{
-			Ring:         func() *ganc.Ring { return ring },
-			Interval:     time.Duration(detectIntervalMs) * time.Millisecond,
-			SuspectAfter: suspectAfter,
-		})
-		defer d.Close()
-		cfg.Detector = d
+	defer cleanup()
+	cfg := ganc.RouterConfig{
+		Ring:           ring,
+		Retries:        o.retries,
+		MaxReplicaLag:  o.maxReplicaLag,
+		DetectInterval: time.Duration(o.detectIntervalMs) * time.Millisecond,
+		SuspectAfter:   o.suspectAfter,
+		Admission:      ganc.NewAdmission(o.admission()),
+		RequestLog:     log,
 	}
-	if obs.metrics {
+	if o.metrics {
 		cfg.Metrics = ganc.NewMetricsRegistry()
 	}
-	log, logCleanup, err := obs.logger()
-	if err != nil {
-		return err
-	}
-	if logCleanup != nil {
-		defer func() { _ = logCleanup() }()
-	}
-	cfg.RequestLog = log
 	rt, err := ganc.NewRouter(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "routing over %d shards (epoch %d) on %s: %s\n",
-		ring.NumShards(), epoch, addr, peers)
-	return http.ListenAndServe(addr, rt.Handler())
+	defer rt.Close()
+	fmt.Fprintf(stderr, "routing over %d shards (epoch %d) on %s: %s\n", ring.NumShards(), o.epoch, o.serve, o.peers)
+	return listenAndServe(ctx, o.serve, rt.Handler())
 }
 
 // runCluster boots the whole sharded topology in one process.
-func runCluster(loadPath, addr string, shards, replicas, writeQuorum int, autoFailover bool,
-	detectIntervalMs, suspectAfter int, epoch uint64, cache, checkpointInterval int, obs obsSettings) error {
-	if addr == "" {
-		return fmt.Errorf("-serve is required for -role cluster")
-	}
-	if writeQuorum > replicas {
-		return fmt.Errorf("-write-quorum %d exceeds -replicas %d", writeQuorum, replicas)
-	}
-	if autoFailover && replicas < 1 {
-		return fmt.Errorf("-auto-failover requires -replicas >= 1 (promotion needs a replica to promote)")
-	}
-	p, err := loadSnapshot(loadPath)
+func runCluster(ctx context.Context, o options, stderr io.Writer) error {
+	p, err := loadSnapshot(o.load)
 	if err != nil {
 		return err
 	}
+	log, cleanup, err := o.logger(stderr)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
 	opts := []ganc.ClusterOption{
-		ganc.WithShards(shards),
-		ganc.WithRouterAddr(addr),
-		ganc.WithClusterEpoch(epoch),
-		ganc.WithClusterCheckpointEvery(checkpointInterval),
+		ganc.WithShards(o.shards),
+		ganc.WithReplicas(o.replicas),
+		ganc.WithWriteQuorum(o.writeQuorum),
+		ganc.WithRouterAddr(o.serve),
+		ganc.WithClusterEpoch(o.epoch),
+		ganc.WithClusterCheckpointEvery(o.checkpointInterval),
+		ganc.WithFailureDetection(time.Duration(o.detectIntervalMs)*time.Millisecond, o.suspectAfter),
+		ganc.WithClusterAdmission(o.admission()),
 	}
-	if replicas > 0 {
-		opts = append(opts, ganc.WithReplicas(replicas))
-	}
-	if writeQuorum > 0 {
-		opts = append(opts, ganc.WithWriteQuorum(writeQuorum))
-	}
-	if autoFailover {
+	if o.autoFailover {
 		opts = append(opts, ganc.WithAutoFailover())
 	}
-	if detectIntervalMs > 0 || suspectAfter > 0 {
-		opts = append(opts, ganc.WithFailureDetection(time.Duration(detectIntervalMs)*time.Millisecond, suspectAfter))
+	if o.cache > 0 {
+		opts = append(opts, ganc.WithShardCacheCapacity(o.cache))
 	}
-	if cache > 0 {
-		opts = append(opts, ganc.WithShardCacheCapacity(cache))
-	}
-	if obs.metrics {
+	if o.metrics {
 		opts = append(opts, ganc.WithClusterMetrics(ganc.NewMetricsRegistry()))
-	}
-	if a := obs.admission(); ganc.NewAdmission(a) != nil {
-		opts = append(opts, ganc.WithClusterAdmission(a))
-	}
-	log, logCleanup, err := obs.logger()
-	if err != nil {
-		return err
-	}
-	if logCleanup != nil {
-		defer func() { _ = logCleanup() }()
 	}
 	if log != nil {
 		opts = append(opts, ganc.WithClusterRequestLog(log))
@@ -568,19 +527,8 @@ func runCluster(loadPath, addr string, shards, replicas, writeQuorum int, autoFa
 	for i := range shardAddrs {
 		shardAddrs[i] = c.ShardAddr(i)
 	}
-	fmt.Fprintf(os.Stderr, "cluster up: router on %s, %d shards on %s (dir %s)\n",
+	fmt.Fprintf(stderr, "cluster up: router on %s, %d shards on %s (dir %s)\n",
 		c.RouterAddr(), c.NumShards(), strings.Join(shardAddrs, ", "), c.Dir())
-	select {} // serve until killed
-}
-
-// flagWasSet reports whether the named flag was given explicitly (so the
-// shard role only cross-checks identities the operator asserted).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
+	<-ctx.Done()
+	return nil
 }

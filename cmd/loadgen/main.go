@@ -123,7 +123,7 @@ func parseFlags(args []string) (options, error) {
 	zipf := fs.Float64("zipf", 1.1, "item-popularity Zipf exponent")
 	seed := fs.Int64("seed", 1, "universe and stream seed")
 	arec := fs.String("arec", "Pop", "accuracy recommender for the served pipeline")
-	precisionName := fs.String("precision", "f64", "plain mode: scoring precision tier for the served pipeline (f64, f32, int8)")
+	precisionName := fs.String("precision", "f64", "plain mode: scoring precision tier for the served pipeline (f64, f32)")
 	theta := fs.String("theta", "T", "preference model: A, N, T, G, R, C (cheap estimators recommended at scale)")
 	topN := fs.Int("n", 10, "serving list size")
 	cache := fs.Int("cache", 0, "serving LRU capacity per node (0 = serving default)")

@@ -114,6 +114,7 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-cluster 2 -ingest-batch 5":                       "-ingest-batch is a plain-mode flag",
 		"-cluster 2 -request-zipf 1.2":                     "-request-zipf is a plain-mode flag",
 		"-precision f16":                                   "f16",
+		"-precision int8":                                  "tier retired",
 		"-cluster 2 -replicas 1 -write-quorum 2 -autofail": "-write-quorum 2 exceeds -replicas 1",
 	} {
 		if err := run(strings.Fields(args)); err == nil || !strings.Contains(err.Error(), want) {

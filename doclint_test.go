@@ -20,6 +20,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,13 +57,14 @@ func collectPackageDirs(t *testing.T) []string {
 	return dirs
 }
 
+// nonTestFile is the parser.ParseDir filter both gates use.
+func nonTestFile(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+
 func TestDocCommentsDoNotRot(t *testing.T) {
 	var violations []string
 	for _, dir := range collectPackageDirs(t) {
 		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.ParseComments)
+		pkgs, err := parser.ParseDir(fset, dir, nonTestFile, parser.ParseComments)
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
@@ -165,4 +168,205 @@ func funcKind(d *ast.FuncDecl) string {
 func position(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
+}
+
+// The names gate: README.md and DESIGN.md may only name `With*` options,
+// `gancd`/`loadgen` flags and `-role` values that exist in the code. Options
+// and flags are the names a reader copies into a program or a shell, so a
+// document that keeps one the code dropped is wrong in the most expensive
+// way; this keeps a removal and its documentation in the same change.
+
+// declaredOptions collects every exported With* function declared in a
+// non-test file of the module.
+func declaredOptions(t *testing.T) map[string]bool {
+	t.Helper()
+	opts := map[string]bool{}
+	for _, dir := range collectPackageDirs(t) {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nonTestFile, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && optionName.MatchString(fn.Name.Name) {
+						opts[fn.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return opts
+}
+
+// commandFlags collects the flags a command under cmd/ defines — every
+// flag-package definition call whose name argument is a string literal — and,
+// from the usage text of a flag named "role", the role values.
+func commandFlags(t *testing.T, cmd string) (flags, roles map[string]bool) {
+	t.Helper()
+	flags, roles = map[string]bool{}, map[string]bool{}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("cmd", cmd), nonTestFile, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := func(e ast.Expr) (string, bool) {
+		b, ok := e.(*ast.BasicLit)
+		if !ok || b.Kind != token.STRING {
+			return "", false
+		}
+		s, err := strconv.Unquote(b.Value)
+		return s, err == nil
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !flagDefiner.MatchString(sel.Sel.Name) {
+					return true
+				}
+				// fs.Int(name, default, usage) / fs.IntVar(&v, name, default, usage)
+				at := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					at = 1
+				}
+				if len(call.Args) < at+3 {
+					return true
+				}
+				name, ok := lit(call.Args[at])
+				if !ok {
+					return true
+				}
+				flags[name] = true
+				if usage, ok := lit(call.Args[len(call.Args)-1]); ok && name == "role" {
+					for _, r := range strings.Split(usage, "|") {
+						roles[strings.TrimSpace(r)] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatalf("cmd/%s: no flag definitions found; the names gate would pass vacuously", cmd)
+	}
+	return flags, roles
+}
+
+var (
+	optionName  = regexp.MustCompile(`^With[A-Z]\w*$`)
+	optionInDoc = regexp.MustCompile(`\bWith[A-Z]\w*`)
+	flagDefiner = regexp.MustCompile(`^(String|Int|Int64|Uint|Uint64|Float64|Bool|Duration)(Var)?$`)
+	flagInDoc   = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
+)
+
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	options := declaredOptions(t)
+	// A code span that is nothing but flags (a cell of a flag matrix) names no
+	// command, so it is held to anyFlag: the union of every command's flags
+	// plus the go tool flags the documents quote. Invocations are checked for
+	// the two commands whose flags this round keeps pruning.
+	cmdFlags := map[string]map[string]bool{}
+	anyFlag := map[string]bool{"race": true, "tags": true, "short": true}
+	var roles map[string]bool
+	for _, cmd := range []string{"gancd", "loadgen", "ganc", "experiments", "datagen"} {
+		flags, r := commandFlags(t, cmd)
+		for name := range flags {
+			anyFlag[name] = true
+		}
+		switch cmd {
+		case "gancd":
+			cmdFlags[cmd], roles = flags, r
+		case "loadgen":
+			cmdFlags[cmd] = flags
+		}
+	}
+	if len(roles) < 2 {
+		t.Fatalf("gancd's -role usage text yielded the roles %v; the names gate reads them from it", roles)
+	}
+
+	// checkInvocation vets the words after a command name: every -flag must
+	// be one the command defines, every -role value one it runs. It stops at
+	// the end of the command (a pipe, a chain, a comment).
+	checkInvocation := func(where, cmd string, words []string) {
+		for k := 0; k < len(words); k++ {
+			w := words[k]
+			if w == "|" || w == "&&" || w == "||" || w == ";" || w == "&" || strings.HasPrefix(w, "#") {
+				return
+			}
+			m := flagInDoc.FindStringSubmatch(w)
+			if m == nil {
+				continue
+			}
+			if !cmdFlags[cmd][m[1]] {
+				t.Errorf("%s: %s has no flag -%s", where, cmd, m[1])
+			}
+			if m[1] == "role" && cmd == "gancd" && k+1 < len(words) {
+				if role := strings.Trim(words[k+1], "`'\".,;:)"); !roles[role] {
+					t.Errorf("%s: gancd has no -role %q", where, role)
+				}
+			}
+		}
+	}
+	// invocations finds each command name in a run of text and checks what
+	// follows it.
+	invocations := func(where, text string) {
+		words := strings.Fields(text)
+		for k, w := range words {
+			for cmd := range cmdFlags {
+				if w == cmd || strings.HasSuffix(w, "/"+cmd) {
+					checkInvocation(where, cmd, words[k+1:])
+				}
+			}
+		}
+	}
+
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		fenced := false
+		for i := 0; i < len(lines); i++ {
+			where := fmt.Sprintf("%s:%d", doc, i+1)
+			line := lines[i]
+			for _, name := range optionInDoc.FindAllString(line, -1) {
+				if !options[name] {
+					t.Errorf("%s: no option %s is declared anywhere in the module", where, name)
+				}
+			}
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				// A shell command, with its backslash continuations.
+				for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+					i++
+					line = strings.TrimSuffix(line, "\\") + " " + lines[i]
+				}
+				invocations(where, line)
+				continue
+			}
+			// Prose: only inline code spans name commands and flags.
+			for k, span := range strings.Split(line, "`") {
+				if k%2 == 0 {
+					continue
+				}
+				invocations(where, span)
+				// (Double-dash spans are benchmark/run.sh's options, not flags.)
+				if strings.HasPrefix(span, "-") && !strings.HasPrefix(span, "--") {
+					for _, w := range strings.FieldsFunc(span, func(r rune) bool { return r == ' ' || r == '/' }) {
+						if m := flagInDoc.FindStringSubmatch(w); m != nil && !anyFlag[m[1]] {
+							t.Errorf("%s: no command defines the flag -%s", where, m[1])
+						}
+					}
+				}
+			}
+		}
+	}
 }

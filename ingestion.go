@@ -37,8 +37,12 @@ type ingestorConfig struct {
 	logPath         string
 	checkpointPath  string
 	checkpointEvery int
-	onCommit        func(firstSeq uint64, events []IngestEvent)
-	noSink          bool
+	// onCommit runs after every committed batch — live Apply and
+	// write-ahead-log Recover replay alike — with the sequence number of the
+	// batch's first event, under the ingestor's lock (it must not call back
+	// into the ingestor). Only ShardNode sets it, to ship committed batches
+	// to replicas.
+	onCommit func(firstSeq uint64, events []IngestEvent)
 }
 
 // WithIngestLog makes the write path write-ahead: events are appended and
@@ -59,23 +63,6 @@ func WithIngestCheckpoint(path string, every int) IngestorOption {
 	}
 }
 
-// WithCommitHook invokes fn after every committed batch — live Apply and
-// write-ahead-log Recover replay alike — with the sequence number of the
-// batch's first event. It runs under the ingestor's lock and must not call
-// back into the ingestor; the cluster layer uses it to ship committed batches
-// to replicas.
-func WithCommitHook(fn func(firstSeq uint64, events []IngestEvent)) IngestorOption {
-	return func(c *ingestorConfig) { c.onCommit = fn }
-}
-
-// WithoutIngestSink builds the ingestor without attaching it behind the
-// server's POST /ingest endpoint: the replica role, where the only legal
-// write path is /replicate — a replica that accepted client writes would fork
-// its shard's history from the primary's write-ahead log.
-func WithoutIngestSink() IngestorOption {
-	return func(c *ingestorConfig) { c.noSink = true }
-}
-
 // NewIngestor wires streaming ingestion around a pipeline and, when srv is
 // non-nil, attaches itself as the sink behind the server's POST /ingest
 // endpoint. The pipeline must be snapshot-compatible (see Pipeline.Save);
@@ -87,6 +74,18 @@ func NewIngestor(srv *Server, p *Pipeline, opts ...IngestorOption) (*Ingestor, e
 	for _, opt := range opts {
 		opt(&c)
 	}
+	ing, err := newIngestor(srv, p, c)
+	if err == nil && srv != nil {
+		srv.SetIngestSink(ing)
+	}
+	return ing, err
+}
+
+// newIngestor builds the ingestor without attaching it behind the server's
+// POST /ingest endpoint — what a ShardNode needs, whose role decides whether
+// client writes are legal (a replica that accepted them would fork its
+// shard's history from the primary's write-ahead log).
+func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) {
 	kind, err := p.baseKind()
 	if err != nil {
 		return nil, err
@@ -143,14 +142,7 @@ func NewIngestor(srv *Server, p *Pipeline, opts ...IngestorOption) (*Ingestor, e
 		}
 		cfg.CheckpointEvery = c.checkpointEvery
 	}
-	ing, err := ingest.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if srv != nil && !c.noSink {
-		srv.SetIngestSink(ing)
-	}
-	return ing, nil
+	return ingest.New(cfg)
 }
 
 // pipelineFromState reassembles a serving pipeline around the ingestion

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"ganc/internal/obs"
+	"ganc/internal/serve"
 )
 
 // RolePrimary and RoleReplica name a node's role in a detector liveness row.
@@ -47,8 +51,7 @@ type NodeLiveness struct {
 type DetectorConfig struct {
 	// Ring supplies the node set to sample. It is consulted every interval,
 	// so promotions and reshards are picked up without restarting the
-	// detector. It may return nil while the topology is still booting; the
-	// detector skips those ticks. Required.
+	// detector. Required.
 	Ring func() *Ring
 	// Client is the HTTP client used for probes (default: keep-alive pooled,
 	// no global timeout — ProbeTimeout bounds each probe).
@@ -66,7 +69,8 @@ type DetectorConfig struct {
 	// time a shard's primary turns suspected, once per outage episode: the
 	// latch re-arms when the primary answers a probe again or the shard's
 	// primary address changes (a promotion installed a new primary). The
-	// cluster facade hangs automatic promotion off this hook.
+	// cluster facade hangs automatic promotion off this hook (through
+	// RouterConfig.OnSuspectPrimary).
 	OnSuspectPrimary func(shard int, addr string)
 	// Metrics, when set, registers the detector's probe and suspicion series.
 	Metrics *obs.Registry
@@ -80,7 +84,8 @@ type detectorView struct {
 // Detector maintains a cached liveness view of every node in the ring by
 // sampling /health on a fixed interval. Readers (the router's failover path,
 // /health aggregation, the facade's auto-promotion hook) consult the cached
-// view and never probe inline. One detector serves any number of readers.
+// view and never probe inline. A Router over a replicated ring builds and
+// owns one (NewRouter starts it, Router.Close stops it).
 type Detector struct {
 	ringFn       func() *Ring
 	client       *http.Client
@@ -127,17 +132,20 @@ func newDetectorMetrics(reg *obs.Registry) *detectorMetrics {
 	}
 }
 
-// NewDetector builds the detector and starts its sampling loop. Close stops
-// the loop and waits for any in-flight suspicion callback.
+// NewDetector builds the detector, takes the first sample before returning —
+// so the view covers every node of the ring from the first request on — and
+// starts the sampling loop. Close stops the loop and waits for any in-flight
+// suspicion callback.
 func NewDetector(cfg DetectorConfig) *Detector {
 	d := newDetector(cfg)
+	d.sample()
 	d.wg.Add(1)
 	go d.run()
 	return d
 }
 
-// newDetector builds a detector without starting the sampling loop — the
-// fuzz harness drives sample() synchronously.
+// newDetector builds a detector without sampling or starting the loop — the
+// detector's own tests drive sample() synchronously.
 func newDetector(cfg DetectorConfig) *Detector {
 	d := &Detector{
 		ringFn:       cfg.Ring,
@@ -177,10 +185,9 @@ func (d *Detector) Close() {
 	d.wg.Wait()
 }
 
-// run is the sampling loop: one sample immediately, then one per interval.
+// run is the sampling loop: one sample per interval.
 func (d *Detector) run() {
 	defer d.wg.Done()
-	d.sample()
 	ticker := time.NewTicker(d.interval)
 	defer ticker.Stop()
 	for {
@@ -203,9 +210,6 @@ type detectorNode struct {
 // nodes flattens the current ring into the sampling target list.
 func (d *Detector) nodes() []detectorNode {
 	ring := d.ringFn()
-	if ring == nil {
-		return nil
-	}
 	var out []detectorNode
 	for i := 0; i < ring.NumShards(); i++ {
 		info := ring.Shard(i)
@@ -308,7 +312,8 @@ func (d *Detector) sample() {
 }
 
 // Node returns the cached liveness row for an address. ok is false when the
-// detector has not sampled the address yet.
+// detector has not sampled the address yet (a node a ring republish added
+// since the last tick).
 func (d *Detector) Node(addr string) (NodeLiveness, bool) {
 	v := d.view.Load()
 	if v == nil {
@@ -343,22 +348,17 @@ func (d *Detector) View() []NodeLiveness {
 
 // FreshestReplica picks the best failover target among the given replica
 // addresses from the cached view: alive, not suspected, lag within maxLag,
-// highest applied cursor. known reports whether the view covers any of the
-// addresses at all — when it does not (the detector has never sampled this
-// shard's replicas), the caller should fall back to inline probing.
-func (d *Detector) FreshestReplica(replicas []string, maxLag int64) (addr string, known, ok bool) {
+// highest applied cursor. An address the view does not cover yet is not a
+// candidate: unsampled means "no failover yet", never "probe inline".
+func (d *Detector) FreshestReplica(replicas []string, maxLag int64) (addr string, ok bool) {
 	v := d.view.Load()
 	if v == nil {
-		return "", false, false
+		return "", false
 	}
 	var best NodeLiveness
 	for _, a := range replicas {
 		row, present := v.rows[a]
-		if !present {
-			continue
-		}
-		known = true
-		if !row.Alive || row.Suspected {
+		if !present || !row.Alive || row.Suspected {
 			continue
 		}
 		if maxLag >= 0 && row.LagEvents > uint64(maxLag) {
@@ -368,7 +368,34 @@ func (d *Detector) FreshestReplica(replicas []string, maxLag int64) (addr string
 			best, ok = row, true
 		}
 	}
-	return best.Addr, known, ok
+	return best.Addr, ok
+}
+
+// probeHealth fetches and decodes one node's /health without retries — the
+// sampling loop's one probe, and the one parser the hostile-input fuzz
+// target drives.
+func probeHealth(ctx context.Context, client *http.Client, addr string) (*serve.HealthResponse, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/health", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%w: node answered %d", ErrShardUnavailable, resp.StatusCode)
+	}
+	var health serve.HealthResponse
+	if err := json.Unmarshal(body, &health); err != nil {
+		return nil, fmt.Errorf("%w: decoding /health: %v", ErrShardResponse, err)
+	}
+	return &health, nil
 }
 
 // probe records one probe outcome.

@@ -70,6 +70,24 @@ func testDetector(t *testing.T, ring *Ring, cfg DetectorConfig) *Detector {
 	return d
 }
 
+// detectorRouter builds a router over a replicated ring and hands back the
+// detector NewRouter started for it. The sampling interval is an hour, so
+// after the first sample NewRouter takes itself the loop stays parked and the
+// test drives sample() synchronously.
+func detectorRouter(t *testing.T, cfg RouterConfig) (*Router, *Detector) {
+	t.Helper()
+	cfg.DetectInterval = time.Hour
+	rt, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if rt.detector == nil {
+		t.Fatal("a router over a replicated ring must start a detector")
+	}
+	return rt, rt.detector
+}
+
 func TestDetectorSuspicionRisesAndClears(t *testing.T) {
 	primary := newHealthNode(t, 0, "primary")
 	ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: primary.addr()}})
@@ -156,19 +174,18 @@ func TestFreshestReplicaPrefersHighestCursorAndSkipsSuspects(t *testing.T) {
 	d := testDetector(t, ring, DetectorConfig{SuspectAfter: 1})
 	d.sample()
 
-	addr, known, ok := d.FreshestReplica(reps, 1024)
-	if !known || !ok || addr != fresh.addr() {
-		t.Fatalf("FreshestReplica = (%q, known=%v, ok=%v), want the live 50-cursor replica %q", addr, known, ok, fresh.addr())
+	addr, ok := d.FreshestReplica(reps, 1024)
+	if !ok || addr != fresh.addr() {
+		t.Fatalf("FreshestReplica = (%q, ok=%v), want the live 50-cursor replica %q", addr, ok, fresh.addr())
 	}
 	// A tight staleness bound disqualifies the lagging replica too; the fresh
 	// one still wins even though the (dead) replica advertises a higher seq.
-	if addr, _, ok := d.FreshestReplica(reps, 5); !ok || addr != fresh.addr() {
+	if addr, ok := d.FreshestReplica(reps, 5); !ok || addr != fresh.addr() {
 		t.Fatalf("FreshestReplica under lag bound 5 = (%q, ok=%v), want %q", addr, ok, fresh.addr())
 	}
-	// Addresses the view has never sampled report known=false so callers fall
-	// back to live probing instead of concluding "no replica".
-	if _, known, _ := d.FreshestReplica([]string{"127.0.0.1:1"}, 1024); known {
-		t.Fatal("an unsampled address must report known=false")
+	// An address the view has never sampled is not a candidate.
+	if addr, ok := d.FreshestReplica([]string{"127.0.0.1:1"}, 1024); ok {
+		t.Fatalf("an unsampled address was chosen as failover target: %q", addr)
 	}
 }
 
@@ -189,18 +206,14 @@ func TestFailoverReadSkipsSuspectedPrimaryWithZeroInlineProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := testDetector(t, ring, DetectorConfig{SuspectAfter: 2})
-	rt, err := NewRouter(RouterConfig{
-		Ring:     ring,
-		Detector: d,
+	rt, d := detectorRouter(t, RouterConfig{
+		Ring:         ring,
+		SuspectAfter: 2,
 		// A deliberately fat retry budget: if the suspected primary were still
 		// consulted, the hit counters below would show the attempts.
 		Retries:      5,
 		RetryBackoff: time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	primary.down.Store(true)
 	d.sample()
@@ -241,12 +254,15 @@ func TestFailoverReadSkipsSuspectedPrimaryWithZeroInlineProbes(t *testing.T) {
 	}
 }
 
-// TestRouterWithoutDetectorStillProbesInline pins the fallback: a router
-// built without a detector (or whose detector has not sampled the shard yet)
-// keeps the old behavior — primary first, then live replica probing.
-func TestRouterWithoutDetectorStillProbesInline(t *testing.T) {
+// TestRouterOwnsItsDetector pins the wiring NewRouter does on its own: over a
+// replicated ring, with no detector handed in by anyone, a failed read falls
+// over from the router's cached view — zero /health GETs on the request path
+// — /health's replica rows come from the same view, and a replica the view
+// does not cover is "no failover yet", never an inline probe.
+func TestRouterOwnsItsDetector(t *testing.T) {
 	primary := newHealthNode(t, 0, "primary")
 	replica := newHealthNode(t, 0, "replica")
+	replica.seq.Store(7)
 	primary.down.Store(true)
 
 	ring, err := NewRing(1, 0, []ShardInfo{
@@ -255,21 +271,77 @@ func TestRouterWithoutDetectorStillProbesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 0, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	rt, _ := detectorRouter(t, RouterConfig{Ring: ring, Retries: 0, RetryBackoff: time.Millisecond})
+	// NewRouter's own first sample is the only probe either node ever sees.
+	if p, r := primary.healthHits.Load(), replica.healthHits.Load(); p != 1 || r != 1 {
+		t.Fatalf("after NewRouter the nodes saw %d/%d /health probes, want the detector's first sample (1/1)", p, r)
 	}
+
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/recommend?user=u1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("failover read answered %d, want 200", resp.StatusCode)
+		t.Fatalf("failover read answered %d, want 200 from the replica", resp.StatusCode)
 	}
-	if n := replica.healthHits.Load(); n == 0 {
-		t.Fatal("without a detector the router must probe replicas inline")
+	if n := replica.recoHits.Load(); n != 1 {
+		t.Fatalf("replica served %d reads, want 1", n)
+	}
+	var health HealthResponse
+	resp, err = ts.Client().Get(ts.URL + "/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(health.Replicas) != 1 || !health.Replicas[0].Healthy || health.Replicas[0].AppliedSeq != 7 {
+		t.Fatalf("/health replica rows = %+v, want the cached healthy row at cursor 7", health.Replicas)
+	}
+	if n := replica.healthHits.Load(); n != 1 {
+		t.Fatalf("the read and the /health aggregation issued %d replica /health GETs, want 0", n-1)
+	}
+
+	// A ring republish names a replica the view has not sampled: the read
+	// fails with the primary's typed 503 instead of probing it.
+	unsampled := newHealthNode(t, 0, "replica")
+	ring2, err := NewRing(2, 0, []ShardInfo{
+		{ID: 0, Addr: primary.addr(), Replicas: []string{unsampled.addr()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.UpdateRing(ring2); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = ts.Client().Get(ts.URL + "/recommend?user=u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("read with an unsampled replica set answered %d, want 503", resp.StatusCode)
+	}
+	if n := unsampled.healthHits.Load() + unsampled.recoHits.Load(); n != 0 {
+		t.Fatalf("the unsampled replica received %d requests on the request path, want 0", n)
+	}
+
+	// A ring without replicas starts no detector at all.
+	bare, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: primary.addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt2, err := NewRouter(RouterConfig{Ring: bare})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if rt2.detector != nil {
+		t.Fatal("a router over a replica-less ring started a detector")
 	}
 }

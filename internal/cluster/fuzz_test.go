@@ -183,13 +183,13 @@ func FuzzRouterHostileShardResponse(f *testing.F) {
 }
 
 // FuzzDetectorHostileHealth stands hostile nodes whose /health answers
-// attacker-controlled status and body, and drives the failure detector's
-// sampling loop plus a detector-routed read through them. The contract: the
-// detector never panics, a malformed answer (non-200 or undecodable JSON) is
-// a miss — never adopted into the liveness view as an alive row with a
-// garbage cursor — the cached view only ever contains ring addresses, and
-// the router fronting that view still answers every client with a bounded,
-// well-formed status.
+// attacker-controlled status and body, and drives a router's failure detector
+// (NewRouter's first sample plus one driven here) and a detector-routed read
+// through them. The contract: the detector never panics, a malformed answer
+// (non-200 or undecodable JSON) is a miss — never adopted into the liveness
+// view as an alive row with a garbage cursor — the cached view only ever
+// contains ring addresses, and the router fronting that view still answers
+// every client with a bounded, well-formed status.
 func FuzzDetectorHostileHealth(f *testing.F) {
 	f.Add(200, []byte("{}"))
 	f.Add(200, []byte(`{"status":"ok","shard":0,"replication":{"role":"replica","applied_seq":18446744073709551615,"lag_events":7}}`))
@@ -221,9 +221,7 @@ func FuzzDetectorHostileHealth(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := newDetector(DetectorConfig{Ring: func() *Ring { return ring }, SuspectAfter: 1})
-		defer d.Close()
-		d.sample()
+		rt, d := detectorRouter(t, RouterConfig{Ring: ring, SuspectAfter: 1, Retries: 0})
 		d.sample()
 
 		// The answer is adoptable only when it is a 200 carrying valid JSON —
@@ -251,14 +249,10 @@ func FuzzDetectorHostileHealth(f *testing.F) {
 				t.Fatalf("view invented address %q", row.Addr)
 			}
 		}
-		if addr, _, ok := d.FreshestReplica([]string{rAddr}, 1<<40); ok && addr != rAddr {
+		if addr, ok := d.FreshestReplica([]string{rAddr}, 1<<40); ok && addr != rAddr {
 			t.Fatalf("FreshestReplica returned %q, not a candidate", addr)
 		}
 
-		rt, err := NewRouter(RouterConfig{Ring: ring, Detector: d, Retries: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ts := httptest.NewServer(rt.Handler())
 		defer ts.Close()
 		resp, err := http.Get(ts.URL + "/recommend?user=u")

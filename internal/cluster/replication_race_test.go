@@ -288,6 +288,7 @@ func replicatedFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Route
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
 	return rt, shards
 }
 

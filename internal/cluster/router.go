@@ -78,12 +78,18 @@ type RouterConfig struct {
 	// reported lag exceeds this many committed events is never chosen as a
 	// read target (default DefaultMaxReplicaLag; negative disables failover).
 	MaxReplicaLag int64
-	// Detector, when set, supplies the shared cluster-liveness view: failed
-	// reads pick their failover replica from the cached view instead of
-	// probing every replica inline, and a suspected-down primary is skipped
-	// without burning the retry budget. The router does not own the detector;
-	// whoever constructed it must Close it.
-	Detector *Detector
+	// DetectInterval and SuspectAfter tune the failure detector the router
+	// runs whenever its ring declares a replica: the /health sampling period
+	// (default 250ms) and how many consecutive missed probes turn a node
+	// suspected (default 3). Failed reads pick their failover replica from
+	// the detector's cached view, and a suspected-down primary is skipped
+	// without burning the retry budget.
+	DetectInterval time.Duration
+	SuspectAfter   int
+	// OnSuspectPrimary, when set, fires (in its own goroutine) the first time
+	// a shard's primary turns suspected, once per outage episode — the hook
+	// automatic promotion hangs off. It may run until Close returns.
+	OnSuspectPrimary func(shard int, addr string)
 }
 
 // DefaultMaxReplicaLag is the default staleness bound for read failover, in
@@ -95,8 +101,9 @@ const DefaultMaxReplicaLag = 1024
 // Router is the scatter-gather front of a shard set: it proxies single-user
 // reads to the owning shard, fans batch reads and ingest batches out across
 // owning shards, merges the answers, and aggregates health and info. It is
-// stateless apart from its configuration, so any number of router replicas
-// can front the same shard set.
+// stateless apart from its configuration and its liveness cache, so any
+// number of router replicas can front the same shard set. Close a router
+// over a replicated ring when it retires: it owns a sampling goroutine.
 type Router struct {
 	ring     atomic.Pointer[Ring]
 	client   *http.Client
@@ -104,6 +111,10 @@ type Router struct {
 	backoff  time.Duration
 	probe    time.Duration
 	maxLag   int64
+
+	// detector is the router's liveness source: built and started by
+	// NewRouter when the ring declares a replica, nil otherwise (with no
+	// replica there is nothing to fail over to).
 	detector *Detector
 
 	metrics   *obs.Registry
@@ -136,7 +147,9 @@ type migratingUser struct {
 	flipped atomic.Bool
 }
 
-// NewRouter validates the configuration and builds the router.
+// NewRouter validates the configuration and builds the router. Over a ring
+// that declares a replica it also starts the failure detector, whose first
+// sample completes before NewRouter returns.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Ring == nil {
 		return nil, fmt.Errorf("%w: router needs a ring", ErrBadRing)
@@ -174,7 +187,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		backoff:   backoff,
 		probe:     probe,
 		maxLag:    maxLag,
-		detector:  cfg.Detector,
 		metrics:   cfg.Metrics,
 		admission: cfg.Admission,
 	}
@@ -192,7 +204,28 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			cfg.Admission.Register(cfg.Metrics)
 		}
 	}
+	for _, s := range cfg.Ring.Shards() {
+		if len(s.Replicas) > 0 {
+			rt.detector = NewDetector(DetectorConfig{
+				Ring:             rt.Ring,
+				Interval:         cfg.DetectInterval,
+				SuspectAfter:     cfg.SuspectAfter,
+				OnSuspectPrimary: cfg.OnSuspectPrimary,
+				Metrics:          cfg.Metrics,
+			})
+			break
+		}
+	}
 	return rt, nil
+}
+
+// Close stops the router's failure detector and waits for any suspicion
+// callback it spawned. The routes keep answering (without read failover);
+// safe to call more than once, a no-op on a replica-less ring.
+func (rt *Router) Close() {
+	if rt.detector != nil {
+		rt.detector.Close()
+	}
 }
 
 // Ring returns the ring the router currently routes by.
@@ -422,10 +455,9 @@ func (rt *Router) callShardRead(ctx context.Context, shard int, method, pathAndQ
 	var status int
 	var payload []byte
 	var err error
-	// With a detector view on hand, a suspected-down primary is skipped
-	// outright: no call, no retry budget, straight to the cached failover
-	// choice. Without one (or while the primary is merely failing, not yet
-	// suspected) the primary is tried first as before.
+	// A suspected-down primary is skipped outright: no call, no retry budget,
+	// straight to the cached failover choice. While the primary is merely
+	// failing, not yet suspected, it is tried first.
 	if !rt.primarySuspected(shard) {
 		status, payload, err = rt.callShard(ctx, shard, method, pathAndQuery, body)
 		if err == nil {
@@ -456,7 +488,7 @@ func (rt *Router) callShardRead(ctx context.Context, shard int, method, pathAndQ
 	if len(replicas) == 0 || rt.maxLag < 0 {
 		return status, payload, err
 	}
-	addr, ok := rt.failoverTarget(ctx, replicas)
+	addr, ok := rt.failoverTarget(replicas)
 	if !ok {
 		return status, payload, err
 	}
@@ -471,7 +503,7 @@ func (rt *Router) callShardRead(ctx context.Context, shard int, method, pathAndQ
 }
 
 // primarySuspected consults the detector's cached view for the shard's
-// primary. Always false without a detector: suspicion requires evidence.
+// primary. Always false without a sample: suspicion requires evidence.
 func (rt *Router) primarySuspected(shard int) bool {
 	if rt.detector == nil {
 		return false
@@ -484,80 +516,13 @@ func (rt *Router) primarySuspected(shard int) bool {
 	return ok && row.Suspected
 }
 
-// failoverTarget picks the replica a failed read falls over to: from the
-// detector's cached view when one covers these replicas (zero inline
-// probes), by live parallel probing otherwise.
-func (rt *Router) failoverTarget(ctx context.Context, replicas []string) (string, bool) {
-	if rt.detector != nil {
-		if addr, known, ok := rt.detector.FreshestReplica(replicas, rt.maxLag); known {
-			return addr, ok
-		}
+// failoverTarget picks the replica a failed read falls over to, from the
+// detector's cached view only — the request path never probes.
+func (rt *Router) failoverTarget(replicas []string) (string, bool) {
+	if rt.detector == nil {
+		return "", false
 	}
-	return rt.pickReplica(ctx, replicas)
-}
-
-// pickReplica probes the shard's replicas and returns the address of the
-// freshest live one whose reported lag is within the staleness bound.
-func (rt *Router) pickReplica(ctx context.Context, replicas []string) (string, bool) {
-	type candidate struct {
-		addr string
-		seq  uint64
-		ok   bool
-	}
-	probeCtx, cancel := context.WithTimeout(ctx, rt.probe)
-	defer cancel()
-	results := make([]candidate, len(replicas))
-	var wg sync.WaitGroup
-	for i, addr := range replicas {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			health, err := probeHealth(probeCtx, rt.client, addr)
-			if err != nil || health.Replication == nil {
-				return
-			}
-			repl := health.Replication
-			if repl.LagEvents > uint64(rt.maxLag) {
-				return
-			}
-			results[i] = candidate{addr: addr, seq: repl.AppliedSeq, ok: true}
-		}(i, addr)
-	}
-	wg.Wait()
-	best, found := candidate{}, false
-	for _, c := range results {
-		if c.ok && (!found || c.seq > best.seq) {
-			best, found = c, true
-		}
-	}
-	return best.addr, found
-}
-
-// probeHealth fetches and decodes one node's /health without retries. It is
-// shared by the router's inline probes and the failure detector's sampling
-// loop — one parser, one fuzz surface.
-func probeHealth(ctx context.Context, client *http.Client, addr string) (*serve.HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/health", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: replica answered %d", ErrShardUnavailable, resp.StatusCode)
-	}
-	var health serve.HealthResponse
-	if err := json.Unmarshal(body, &health); err != nil {
-		return nil, fmt.Errorf("%w: decoding /health: %v", ErrShardResponse, err)
-	}
-	return &health, nil
+	return rt.detector.FreshestReplica(replicas, rt.maxLag)
 }
 
 // maxShardResponse bounds how much of a shard answer the router will buffer,
@@ -1041,18 +1006,18 @@ type HealthResponse struct {
 	// address in the ring (absent on replica-less clusters).
 	Replicas []ReplicaHealth `json:"replicas,omitempty"`
 	// Detector lists the failure detector's cached per-node liveness rows
-	// (absent when the router runs without a detector).
+	// (absent on replica-less clusters).
 	Detector []NodeLiveness `json:"detector,omitempty"`
 }
 
 // ReplicaHealth is one replica's row in the router's aggregated /health
-// answer: whether it answered its probe, its applied cursor and how many
-// committed events it still lags behind its primary.
+// answer, as of the failure detector's latest sample: whether it answered,
+// its applied cursor and how many committed events it lags its primary.
 type ReplicaHealth struct {
 	// Shard and Addr identify the replica.
 	Shard int    `json:"shard"`
 	Addr  string `json:"addr"`
-	// Healthy reports whether the replica answered its probe.
+	// Healthy reports whether the replica answered the detector's last probe.
 	Healthy bool `json:"healthy"`
 	// Error carries the probe failure when Healthy is false.
 	Error string `json:"error,omitempty"`
@@ -1061,56 +1026,28 @@ type ReplicaHealth struct {
 	LagEvents  uint64 `json:"lag_events"`
 }
 
-// probeReplicas fans a /health GET across every replica address in the ring
-// and records the widest per-shard lag in the replica-lag gauge.
-func (rt *Router) probeReplicas(ctx context.Context) []ReplicaHealth {
-	ring := rt.Ring()
-	type slot struct {
-		shard int
-		addr  string
-	}
-	var slots []slot
-	for i := 0; i < ring.NumShards(); i++ {
-		info := ring.Shard(i)
-		for _, addr := range info.Replicas {
-			slots = append(slots, slot{shard: i, addr: addr})
-		}
-	}
-	if len(slots) == 0 {
+// replicaRows reads every ring replica's row out of the detector's cached
+// view — no probe — and records the widest per-shard lag in the replica-lag
+// gauge. A replica the detector has not sampled yet reads as unhealthy.
+func (rt *Router) replicaRows() []ReplicaHealth {
+	if rt.detector == nil {
 		return nil
 	}
-	probeCtx, cancel := context.WithTimeout(ctx, rt.probe)
-	defer cancel()
-	rows := make([]ReplicaHealth, len(slots))
-	var wg sync.WaitGroup
-	for k, sl := range slots {
-		wg.Add(1)
-		go func(k int, sl slot) {
-			defer wg.Done()
-			row := ReplicaHealth{Shard: ring.Shard(sl.shard).ID, Addr: sl.addr}
-			health, err := probeHealth(probeCtx, rt.client, sl.addr)
-			switch {
-			case err != nil:
-				row.Error = err.Error()
-			case health.Replication == nil:
-				row.Error = "node reports no replication status"
-			default:
-				row.Healthy = true
-				row.AppliedSeq = health.Replication.AppliedSeq
-				row.LagEvents = health.Replication.LagEvents
+	ring := rt.Ring()
+	var rows []ReplicaHealth
+	for i := 0; i < ring.NumShards(); i++ {
+		info := ring.Shard(i)
+		var widest uint64
+		for _, addr := range info.Replicas {
+			row := ReplicaHealth{Shard: info.ID, Addr: addr, Error: "not sampled by the failure detector yet"}
+			if live, ok := rt.detector.Node(addr); ok {
+				row.Healthy, row.Error = live.Alive, live.Error
+				row.AppliedSeq, row.LagEvents = live.AppliedSeq, live.LagEvents
 			}
-			rows[k] = row
-		}(k, sl)
-	}
-	wg.Wait()
-	maxLag := make([]uint64, ring.NumShards())
-	for k, row := range rows {
-		if row.LagEvents > maxLag[slots[k].shard] {
-			maxLag[slots[k].shard] = row.LagEvents
+			widest = max(widest, row.LagEvents)
+			rows = append(rows, row)
 		}
-	}
-	for shard, lag := range maxLag {
-		rt.rm.replicaLag(shard, lag)
+		rt.rm.replicaLag(i, widest)
 	}
 	return rows
 }
@@ -1122,7 +1059,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	statuses := rt.probeShards(r.Context(), "/health")
 	out := HealthResponse{Status: "ok", Shards: len(statuses)}
-	out.Replicas = rt.probeReplicas(r.Context())
+	out.Replicas = rt.replicaRows()
 	if rt.detector != nil {
 		out.Detector = rt.detector.View()
 	}

@@ -544,6 +544,7 @@ func TestReadFollowsRepointedPrimaryMidRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rt.Close()
 
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()

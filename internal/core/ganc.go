@@ -521,10 +521,10 @@ type Config struct {
 	Workers int
 	// Precision selects the arithmetic tier of the modular sweep fast path.
 	// The zero value (PrecisionF64) keeps every sweep on exact float64
-	// arithmetic; PrecisionF32/PrecisionInt8 let sweeps whose accuracy
-	// recommender implements BulkAccuracy32 score and select in a pooled
-	// float32 arena (DESIGN.md §12 documents the tolerance contract). It
-	// should match the precision configured on the underlying base scorer.
+	// arithmetic; PrecisionF32 lets sweeps whose accuracy recommender
+	// implements BulkAccuracy32 score and select in a pooled float32 arena
+	// (DESIGN.md §12 documents the tolerance contract). It should match the
+	// precision configured on the underlying base scorer.
 	Precision types.ScoringPrecision
 }
 

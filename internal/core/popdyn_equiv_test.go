@@ -16,9 +16,7 @@ import (
 	"ganc/internal/types"
 )
 
-var popDynTiers = []types.ScoringPrecision{
-	types.PrecisionF64, types.PrecisionF32, types.PrecisionInt8,
-}
+var popDynTiers = []types.ScoringPrecision{types.PrecisionF64, types.PrecisionF32}
 
 // generalPopDynSweep runs the general modular pipeline (what sweepUser does
 // for non-Pop accuracy recommenders) against the same frozen snapshot,

@@ -83,66 +83,3 @@ scalar:
 done:
 	MOVSS X0, ret+48(FP)
 	RET
-
-// func dotQ8(a, b []int8) int32
-//
-// Symmetric int8 dot product accumulated in int32 (caller guarantees
-// len(b) >= len(a)). Main loop: 16 bytes per iteration, sign-extended to
-// int16 via the SSE2 unpack-with-self + arithmetic-shift idiom, pair-summed
-// into int32 lanes with PMADDWL, accumulated with PADDL. A scalar tail in
-// GPRs handles len%16.
-TEXT ·dotQ8(SB), NOSPLIT, $0-52
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	PXOR X0, X0
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	CMPQ DX, $0
-	JE   qreduce
-
-qloop16:
-	MOVOU     (SI)(AX*1), X4
-	MOVOU     (DI)(AX*1), X5
-	MOVOU     X4, X6
-	MOVOU     X5, X7
-	PUNPCKLBW X4, X4
-	PSRAW     $8, X4             // a, low 8 bytes sign-extended to words
-	PUNPCKHBW X6, X6
-	PSRAW     $8, X6             // a, high 8 bytes
-	PUNPCKLBW X5, X5
-	PSRAW     $8, X5             // b, low
-	PUNPCKHBW X7, X7
-	PSRAW     $8, X7             // b, high
-	PMADDWL   X5, X4             // four int32 pair-sums (low half)
-	PMADDWL   X7, X6             // four int32 pair-sums (high half)
-	PADDL     X4, X0
-	PADDL     X6, X0
-	ADDQ      $16, AX
-	CMPQ      AX, DX
-	JL        qloop16
-
-qreduce:
-	MOVOU X0, X1
-	PSRLO $8, X1
-	PADDL X1, X0
-	MOVOU X0, X1
-	PSRLO $4, X1
-	PADDL X1, X0
-	MOVL  X0, R10                // low int32 lane holds the vector sum
-	CMPQ  AX, CX
-	JGE   qdone
-
-qscalar:
-	MOVBQSX (SI)(AX*1), R8
-	MOVBQSX (DI)(AX*1), R9
-	IMULQ   R9, R8
-	ADDQ    R8, R10
-	INCQ    AX
-	CMPQ    AX, CX
-	JL      qscalar
-
-qdone:
-	MOVL R10, ret+48(FP)
-	RET

@@ -2,9 +2,7 @@
 
 package linalg
 
-// Portable kernel entry points for architectures without a hand-written
-// implementation: the unrolled multi-accumulator Go loops.
+// Portable kernel entry point for architectures without a hand-written
+// implementation: the unrolled multi-accumulator Go loop.
 
 func dot32x8(a, b []float32) float32 { return dot32x8Generic(a, b) }
-
-func dotQ8(a, b []int8) int32 { return dotQ8Generic(a, b) }

@@ -6,17 +6,16 @@ import (
 )
 
 // FactorPair holds one latent-factor model's (user, item) matrices in the
-// reduced-precision layouts, built lazily from the float64 training rows.
-// Models embed one and call the Ensure methods from SetPrecision; blocks
-// already populated (e.g. decoded straight from a snapshot's f32 section)
-// are kept as-is, so loading never round-trips through float64.
+// float32 block layout, built lazily from the float64 training rows. Models
+// embed one and call EnsureF32 from SetPrecision; blocks already populated
+// (e.g. decoded straight from a snapshot's f32 section) are kept as-is, so
+// loading never round-trips through float64.
 //
-// The Ensure methods are not safe for concurrent use with each other or
-// with scoring — precision is fixed at pipeline assembly or snapshot load,
-// before a model starts serving.
+// EnsureF32 is not safe for concurrent use with itself or with scoring —
+// precision is fixed at pipeline assembly or snapshot load, before a model
+// starts serving.
 type FactorPair struct {
 	UserB, ItemB Block
-	UserQ, ItemQ QuantizedBlock
 }
 
 // EnsureF32 builds the float32 blocks from the float64 rows if absent.
@@ -29,22 +28,9 @@ func (p *FactorPair) EnsureF32(userF, itemF [][]float64) {
 	}
 }
 
-// EnsureInt8 builds the int8 quantized blocks if absent (first ensuring the
-// float32 blocks they derive from).
-func (p *FactorPair) EnsureInt8(userF, itemF [][]float64) {
-	p.EnsureF32(userF, itemF)
-	if p.UserQ.Rows() == 0 && p.UserB.Rows() > 0 {
-		p.UserQ = Quantize(p.UserB)
-	}
-	if p.ItemQ.Rows() == 0 && p.ItemB.Rows() > 0 {
-		p.ItemQ = Quantize(p.ItemB)
-	}
-}
-
 // FactorSection is the flat, gob-friendly form of a FactorPair's float32
 // blocks — the versioned model snapshots' "f32 factor section" (DESIGN.md
-// §12). Only the float32 blocks are persisted: the int8 codes derive
-// deterministically from them and are cheap to re-quantize at load time.
+// §12).
 type FactorSection struct {
 	Dims int
 	User []float32

@@ -1,15 +1,13 @@
 package linalg
 
-import "math"
-
 // Scoring kernels and contiguous factor-block layouts for the bulk-scoring
 // hot path. The MF/rank models train in float64 per-row slices (numerically
 // convenient) but serve from the types below: one backing slice per factor
-// matrix (row stride = dims), float32 or symmetric int8 elements, and
-// fixed-width unrolled dot kernels whose independent accumulators break the
-// loop-carried ADD dependency that bounds a naive scalar loop. DESIGN.md §12
-// documents the layout, the quantization scheme and the benchmark
-// methodology; kernels_bench_test.go gates the speedup ratio in CI.
+// matrix (row stride = dims), float32 elements, and fixed-width unrolled dot
+// kernels whose independent accumulators break the loop-carried ADD
+// dependency that bounds a naive scalar loop. DESIGN.md §12 documents the
+// layout and the benchmark methodology; TestKernelSpeedupGate gates the
+// speedup ratio in CI.
 
 // Dot64 is the scalar float64 reference dot product. Single accumulator,
 // left-to-right — the exact summation order the per-row [][]float64 paths
@@ -95,37 +93,6 @@ func dot32x8Generic(a, b []float32) float32 {
 	return s
 }
 
-// DotQ8 computes the integer dot product of two symmetric int8-quantized
-// rows, accumulating in int32. With |x| ≤ 127 a product is ≤ 16129, so
-// int32 holds > 130k dims without overflow — far beyond any factor count
-// this system uses. On amd64 it runs an SSE2 kernel (sign-extend via
-// unpack+shift, PMADDWD pair-sums); elsewhere the 4-wide unrolled Go loop.
-func DotQ8(a, b []int8) int32 {
-	if len(b) < len(a) { // one bounds check up front covers the asm kernel
-		panic("linalg: DotQ8: len(b) < len(a)")
-	}
-	return dotQ8(a, b)
-}
-
-// dotQ8Generic is the portable DotQ8 (4 independent int32 accumulators).
-func dotQ8Generic(a, b []int8) int32 {
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		aa := a[i : i+4 : i+4]
-		bb := b[i : i+4 : i+4]
-		s0 += int32(aa[0]) * int32(bb[0])
-		s1 += int32(aa[1]) * int32(bb[1])
-		s2 += int32(aa[2]) * int32(bb[2])
-		s3 += int32(aa[3]) * int32(bb[3])
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < len(a); i++ {
-		s += int32(a[i]) * int32(b[i])
-	}
-	return s
-}
-
 // Block is a dense rows×dims float32 matrix in one backing slice, row-major
 // with stride = dims. Factor matrices convert into Blocks once after
 // training (or snapshot load) so the scoring loop walks contiguous memory
@@ -178,79 +145,3 @@ func (b Block) Row(r int) []float32 {
 	off := r * b.dims
 	return b.data[off : off+b.dims : off+b.dims]
 }
-
-// QuantizedBlock is a Block quantized to symmetric int8 with one scale per
-// row: q[c] = round(row[c]/scale) clamped to [-127,127], scale =
-// maxabs(row)/127. The dot of two quantized rows recovers the real value as
-// float64(int32 dot) × scaleA × scaleB.
-type QuantizedBlock struct {
-	rows, dims int
-	data       []int8
-	scales     []float32
-}
-
-// Quantize converts a float32 Block to a QuantizedBlock.
-func Quantize(b Block) QuantizedBlock {
-	q := QuantizedBlock{
-		rows:   b.rows,
-		dims:   b.dims,
-		data:   make([]int8, len(b.data)),
-		scales: make([]float32, b.rows),
-	}
-	for r := 0; r < b.rows; r++ {
-		off := r * b.dims
-		q.scales[r] = QuantizeRowInto(b.data[off:off+b.dims], q.data[off:off+b.dims])
-	}
-	return q
-}
-
-// QuantizeRowInto quantizes one float32 row into dst (same length) and
-// returns the row scale. An all-zero row gets scale 0 and all-zero codes; a
-// non-finite element makes the whole row zero (scale 0) rather than
-// poisoning the scale — trained factors are always finite, so this only
-// guards corrupted input.
-func QuantizeRowInto(row []float32, dst []int8) float32 {
-	var maxAbs float32
-	for _, v := range row {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 || math.IsInf(float64(maxAbs), 0) || maxAbs != maxAbs {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return 0
-	}
-	scale := maxAbs / 127
-	inv := 1 / scale
-	for i, v := range row {
-		q := int32(math.RoundToEven(float64(v * inv)))
-		if q > 127 {
-			q = 127
-		} else if q < -127 {
-			q = -127
-		}
-		dst[i] = int8(q)
-	}
-	return scale
-}
-
-// Rows returns the number of rows.
-func (q QuantizedBlock) Rows() int { return q.rows }
-
-// Dims returns the row width.
-func (q QuantizedBlock) Dims() int { return q.dims }
-
-// Row returns quantized row r.
-func (q QuantizedBlock) Row(r int) []int8 {
-	off := r * q.dims
-	return q.data[off : off+q.dims : off+q.dims]
-}
-
-// Scale returns the quantization scale of row r.
-func (q QuantizedBlock) Scale(r int) float32 { return q.scales[r] }

@@ -162,8 +162,8 @@ func LoadPSVD(r io.Reader) (*PSVD, error) {
 
 // restorePrecision reattaches a snapshot's serving tier: the persisted f32
 // factor section (when present) is installed first, so setPrecision — the
-// model's SetPrecision method — only quantizes for int8 or fills gaps
-// instead of rebuilding blocks from float64.
+// model's SetPrecision method — finds the blocks in place instead of
+// rebuilding them from float64.
 func restorePrecision(fp *linalg.FactorPair, precision string, sec *linalg.FactorSection, userRows, itemRows int, setPrecision func(types.ScoringPrecision)) error {
 	p, err := types.ParseScoringPrecision(precision)
 	if err != nil {

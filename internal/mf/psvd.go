@@ -122,15 +122,12 @@ func (m *PSVD) Score(u types.UserID, i types.ItemID) float64 {
 }
 
 // SetPrecision switches the bulk scoring path to the given tier, building
-// the contiguous reduced-precision factor blocks on first use. Pointwise
+// the contiguous float32 factor blocks on first use. Pointwise
 // Score always stays float64. Not safe for concurrent use with scoring —
 // call it at assembly/load time, before the model serves.
 func (m *PSVD) SetPrecision(p types.ScoringPrecision) {
-	switch p {
-	case types.PrecisionF32:
+	if p == types.PrecisionF32 {
 		m.fp.EnsureF32(m.userF, m.itemF)
-	case types.PrecisionInt8:
-		m.fp.EnsureInt8(m.userF, m.itemF)
 	}
 	m.precision = p
 }
@@ -141,7 +138,7 @@ func (m *PSVD) ScoringPrecision() types.ScoringPrecision { return m.precision }
 // ScoreUser implements recommender.BulkScorer: one factor-row lookup, then
 // a dense dot product per candidate. At the default float64 tier the dot
 // uses the same left-to-right summation as Score, so bulk and pointwise
-// scores are bit-identical; at the float32/int8 tiers (SetPrecision) the
+// scores are bit-identical; at the float32 tier (SetPrecision) the
 // dots run unrolled kernels over the contiguous factor blocks and match
 // Score only to the tier's documented tolerance (DESIGN.md §12).
 func (m *PSVD) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
@@ -181,16 +178,6 @@ func (m *PSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 		return
 	}
 	switch {
-	case m.precision == types.PrecisionInt8 && m.fp.UserQ.Rows() > 0:
-		pu := m.fp.UserQ.Row(int(u))
-		su := m.fp.UserQ.Scale(int(u))
-		for k, i := range items {
-			if int(i) < 0 || int(i) >= m.numItems {
-				out[k] = 0
-				continue
-			}
-			out[k] = float32(linalg.DotQ8(pu, m.fp.ItemQ.Row(int(i)))) * su * m.fp.ItemQ.Scale(int(i))
-		}
 	case m.precision == types.PrecisionF32 && m.fp.UserB.Rows() > 0:
 		pu := m.fp.UserB.Row(int(u))
 		for k, i := range items {

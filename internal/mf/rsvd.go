@@ -174,15 +174,12 @@ func (m *RSVD) Score(u types.UserID, i types.ItemID) float64 {
 }
 
 // SetPrecision switches the bulk scoring path to the given tier, building
-// the contiguous reduced-precision factor blocks on first use. Pointwise
+// the contiguous float32 factor blocks on first use. Pointwise
 // Score always stays float64. Not safe for concurrent use with scoring —
 // call it at assembly/load time, before the model serves.
 func (m *RSVD) SetPrecision(p types.ScoringPrecision) {
-	switch p {
-	case types.PrecisionF32:
+	if p == types.PrecisionF32 {
 		m.fp.EnsureF32(m.userF, m.itemF)
-	case types.PrecisionInt8:
-		m.fp.EnsureInt8(m.userF, m.itemF)
 	}
 	m.precision = p
 }
@@ -194,7 +191,7 @@ func (m *RSVD) ScoringPrecision() types.ScoringPrecision { return m.precision }
 // bias are hoisted out of the item loop, so a candidate sweep is len(items)
 // dense dot products. At the default float64 tier it mirrors predict's
 // exact summation order, so bulk and pointwise scores are bit-identical; at
-// the float32/int8 tiers (SetPrecision) the dots run unrolled kernels over
+// the float32 tier (SetPrecision) the dots run unrolled kernels over
 // the contiguous factor blocks and match Score only to the tier's
 // documented tolerance (DESIGN.md §12).
 func (m *RSVD) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
@@ -227,9 +224,8 @@ func (m *RSVD) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
 }
 
 // ScoreUser32 implements recommender.BulkScorer32: the float32 score arena
-// path. At the int8 tier the dot runs the quantized kernel and rescales by
-// the two row scales; at the float32 tier it runs the unrolled kernel over
-// the contiguous blocks. Called before SetPrecision built any block, it
+// path. At the float32 tier the dot runs the unrolled kernel over the
+// contiguous blocks. Called before SetPrecision built any block, it
 // truncates the float64 reference scores (read-only, so always race-safe).
 func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
 	if int(u) < 0 || int(u) >= len(m.userF) {
@@ -244,20 +240,6 @@ func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 		base += m.userBias[u]
 	}
 	switch {
-	case m.precision == types.PrecisionInt8 && m.fp.UserQ.Rows() > 0:
-		pu := m.fp.UserQ.Row(int(u))
-		su := float64(m.fp.UserQ.Scale(int(u)))
-		for k, i := range items {
-			if int(i) < 0 || int(i) >= len(m.itemF) {
-				out[k] = float32(m.globalMean)
-				continue
-			}
-			s := base + float64(linalg.DotQ8(pu, m.fp.ItemQ.Row(int(i))))*su*float64(m.fp.ItemQ.Scale(int(i)))
-			if m.cfg.UseBiases {
-				s += m.itemBias[i]
-			}
-			out[k] = float32(s)
-		}
 	case m.precision == types.PrecisionF32 && m.fp.UserB.Rows() > 0:
 		pu := m.fp.UserB.Row(int(u))
 		for k, i := range items {

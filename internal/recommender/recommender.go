@@ -70,7 +70,7 @@ func BulkScores(s Scorer, u types.UserID, items []types.ItemID, out []float64) {
 
 // BulkScorer32 is the reduced-precision companion of BulkScorer: the same
 // batch contract, but scores land in a float32 buffer so the hot path can
-// run the float32/int8 kernel tiers end to end without a float64 conversion
+// run the float32 kernel tier end to end without a float64 conversion
 // pass. Only models whose ScoringPrecision is not PrecisionF64 serve real
 // reduced-precision scores through it; Bulk32For gates on that.
 //
@@ -85,7 +85,7 @@ type BulkScorer32 interface {
 }
 
 // PrecisionScorer is implemented by models whose bulk path can run at a
-// reduced numeric precision (float32 blocks or int8 quantized blocks).
+// reduced numeric precision (contiguous float32 blocks).
 type PrecisionScorer interface {
 	// ScoringPrecision reports the tier the model's bulk path currently
 	// serves at. Pointwise Score always stays float64.

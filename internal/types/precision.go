@@ -1,14 +1,17 @@
 package types
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // ScoringPrecision selects the numeric tier a model's bulk scoring hot path
 // runs at. The float64 tier is the precision reference: pointwise Score and
-// bulk ScoreUser agree bit-for-bit. The float32 and int8 tiers trade
-// precision for raw speed (contiguous float32 blocks with unrolled kernels,
-// symmetric int8 quantization with per-row scales); their bulk scores agree
-// with the float64 reference only up to documented tolerances (DESIGN.md
-// §12), which is why they are opt-in per pipeline rather than the default.
+// bulk ScoreUser agree bit-for-bit. The float32 tier trades precision for raw
+// speed (contiguous float32 blocks with unrolled kernels); its bulk scores
+// agree with the float64 reference only up to a documented tolerance
+// (DESIGN.md §12), which is why it is opt-in per pipeline rather than the
+// default.
 type ScoringPrecision uint8
 
 const (
@@ -17,10 +20,13 @@ const (
 	// PrecisionF32 scores from contiguous float32 factor blocks through
 	// unrolled 8-wide kernels.
 	PrecisionF32
-	// PrecisionInt8 scores from symmetric int8-quantized factor blocks with
-	// per-row scales (the fastest, least precise tier).
-	PrecisionInt8
 )
+
+// ErrPrecisionRetired marks the spelling of a scoring tier this build no
+// longer carries: "int8" (symmetric per-row quantization) was removed, so a
+// flag or a snapshot that names it is refused instead of silently served at
+// another tier. Re-save the snapshot at f32 or f64.
+var ErrPrecisionRetired = errors.New("types: scoring precision tier retired")
 
 // String returns the stable textual form used by flags, snapshots and logs.
 func (p ScoringPrecision) String() string {
@@ -29,8 +35,6 @@ func (p ScoringPrecision) String() string {
 		return "f64"
 	case PrecisionF32:
 		return "f32"
-	case PrecisionInt8:
-		return "int8"
 	default:
 		return fmt.Sprintf("precision(%d)", uint8(p))
 	}
@@ -38,7 +42,8 @@ func (p ScoringPrecision) String() string {
 
 // ParseScoringPrecision parses the textual form produced by String. The
 // empty string maps to PrecisionF64 so zero-valued snapshot fields from
-// pre-precision format versions load as the exact tier.
+// pre-precision format versions load as the exact tier; "int8" answers
+// ErrPrecisionRetired.
 func ParseScoringPrecision(s string) (ScoringPrecision, error) {
 	switch s {
 	case "", "f64":
@@ -46,8 +51,8 @@ func ParseScoringPrecision(s string) (ScoringPrecision, error) {
 	case "f32":
 		return PrecisionF32, nil
 	case "int8":
-		return PrecisionInt8, nil
+		return PrecisionF64, fmt.Errorf("%w: %q (want f64 or f32)", ErrPrecisionRetired, s)
 	default:
-		return PrecisionF64, fmt.Errorf("types: unknown scoring precision %q (want f64, f32 or int8)", s)
+		return PrecisionF64, fmt.Errorf("types: unknown scoring precision %q (want f64 or f32)", s)
 	}
 }

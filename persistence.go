@@ -57,7 +57,7 @@ type snapshotMeta struct {
 	Seed         int64
 	PrefModel    string
 	PrefConstant float64
-	// Precision is the serving tier ("f64", "f32", "int8"); snapshots from
+	// Precision is the serving tier ("f64" or "f32"); snapshots from
 	// before the tiered hot path carry the empty string, which parses as f64.
 	Precision string
 }
@@ -193,7 +193,7 @@ func (p *Pipeline) snapshotBuilder(seq uint64, avgLambda, prefFill float64) (*pe
 		Workers:      p.cfg.workers,
 		Seed:         p.cfg.seed,
 		PrefModel:    string(p.prefs.Model),
-		PrefConstant: p.cfg.prefConstant,
+		PrefConstant: prefConstant,
 		Precision:    p.cfg.precision.String(),
 	}
 	if err := b.AddGob(sectionMeta, &meta); err != nil {
@@ -345,15 +345,14 @@ func LoadEngine(path string) (*Pipeline, error) {
 		ganc:  g,
 		prefs: prefs,
 		cfg: pipelineConfig{
-			baseName:     meta.BaseKind,
-			prefModel:    longtail.Model(meta.PrefModel),
-			prefConstant: meta.PrefConstant,
-			coverage:     covSpec,
-			topN:         meta.TopN,
-			sampleSize:   meta.SampleSize,
-			workers:      meta.Workers,
-			seed:         meta.Seed,
-			precision:    precision,
+			baseName:   meta.BaseKind,
+			prefModel:  longtail.Model(meta.PrefModel),
+			coverage:   covSpec,
+			topN:       meta.TopN,
+			sampleSize: meta.SampleSize,
+			workers:    meta.Workers,
+			seed:       meta.Seed,
+			precision:  precision,
 		},
 		arec:       arec,
 		baseScorer: baseScorer,

@@ -54,19 +54,23 @@ type Pipeline struct {
 	shard *ShardIdentity
 }
 
+// prefConstant is the θ^C constant the PreferenceConstant estimator assigns
+// every user — the paper's 0.5 (a constant of 0 would degenerate GANC to pure
+// accuracy). It is also what a snapshot's meta section records.
+const prefConstant = 0.5
+
 type pipelineConfig struct {
-	baseName     string
-	scorer       Scorer
-	accuracy     AccuracyRecommender
-	prefModel    PreferenceModel
-	prefConstant float64
-	prefVector   *Preferences
-	coverage     CoverageSpec
-	topN         int
-	sampleSize   int
-	workers      int
-	seed         int64
-	precision    ScoringPrecision
+	baseName   string
+	scorer     Scorer
+	accuracy   AccuracyRecommender
+	prefModel  PreferenceModel
+	prefVector *Preferences
+	coverage   CoverageSpec
+	topN       int
+	sampleSize int
+	workers    int
+	seed       int64
+	precision  ScoringPrecision
 }
 
 // PipelineOption customizes a Pipeline at construction time.
@@ -100,12 +104,6 @@ func WithAccuracy(a AccuracyRecommender) PipelineOption {
 // PreferenceGeneralized, the paper's learned θ^G).
 func WithPreferences(m PreferenceModel) PipelineOption {
 	return func(c *pipelineConfig) { c.prefModel = m }
-}
-
-// WithPreferenceConstant sets the constant used by PreferenceConstant
-// (default 0.5, the paper's θ^C; ignored by every other estimator).
-func WithPreferenceConstant(v float64) PipelineOption {
-	return func(c *pipelineConfig) { c.prefConstant = v }
 }
 
 // WithPreferenceVector bypasses θ estimation entirely and uses the supplied
@@ -146,13 +144,13 @@ func WithSeed(seed int64) PipelineOption {
 }
 
 // WithScoringPrecision selects the arithmetic tier of the pipeline's bulk
-// scoring hot path (default PrecisionF64, exact). PrecisionF32 and
-// PrecisionInt8 switch the base model's candidate sweeps onto contiguous
-// reduced-precision factor blocks and the optimizer's gain loop onto a
-// float32 arena; top-N output then matches the exact pipeline only to the
-// tolerances documented in DESIGN.md §12. Base models without a tiered path
-// (Pop, ItemKNN, custom scorers) keep scoring in float64; the optimizer
-// still uses the float32 selection arena where the accuracy side allows it.
+// scoring hot path (default PrecisionF64, exact). PrecisionF32 switches the
+// base model's candidate sweeps onto contiguous float32 factor blocks and the
+// optimizer's gain loop onto a float32 arena; top-N output then matches the
+// exact pipeline only to the tolerance documented in DESIGN.md §12. Base
+// models without a tiered path (Pop, ItemKNN, custom scorers) keep scoring in
+// float64; the optimizer still uses the float32 selection arena where the
+// accuracy side allows it.
 func WithScoringPrecision(p ScoringPrecision) PipelineOption {
 	return func(c *pipelineConfig) { c.precision = p }
 }
@@ -208,12 +206,11 @@ func NewPipeline(train *Dataset, opts ...PipelineOption) (*Pipeline, error) {
 			train.NumUsers(), train.NumItems())
 	}
 	cfg := pipelineConfig{
-		prefModel:    PreferenceGeneralized,
-		prefConstant: 0.5, // the paper's θ^C default; a constant of 0 would degenerate GANC to pure accuracy
-		coverage:     CoverageDyn(),
-		topN:         10,
-		workers:      1,
-		seed:         1,
+		prefModel: PreferenceGeneralized,
+		coverage:  CoverageDyn(),
+		topN:      10,
+		workers:   1,
+		seed:      1,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -264,7 +261,7 @@ func NewPipeline(train *Dataset, opts ...PipelineOption) (*Pipeline, error) {
 
 	prefs := cfg.prefVector
 	if prefs == nil {
-		prefs, err = longtail.Estimate(cfg.prefModel, train, nil, cfg.prefConstant, cfg.seed)
+		prefs, err = longtail.Estimate(cfg.prefModel, train, nil, prefConstant, cfg.seed)
 		if err != nil {
 			return nil, fmt.Errorf("ganc: estimating θ preferences: %w", err)
 		}

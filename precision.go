@@ -19,20 +19,21 @@ const (
 	// through unrolled SIMD-friendly kernels; scores match the float64
 	// reference to the documented tolerance.
 	PrecisionF32 = types.PrecisionF32
-	// PrecisionInt8 serves bulk scores from symmetrically quantized int8
-	// factor blocks with per-row scales; the cheapest and least precise tier.
-	PrecisionInt8 = types.PrecisionInt8
 )
 
-// ParseScoringPrecision resolves the CLI/config spellings "f64", "f32" and
-// "int8" (the empty string means f64, so older snapshots and configs keep
-// loading).
+// ErrPrecisionRetired marks a flag or snapshot naming the removed "int8"
+// scoring tier; ParseScoringPrecision and LoadEngine wrap it.
+var ErrPrecisionRetired = types.ErrPrecisionRetired
+
+// ParseScoringPrecision resolves the CLI/config spellings "f64" and "f32"
+// (the empty string means f64, so older snapshots and configs keep loading;
+// the retired "int8" answers ErrPrecisionRetired).
 func ParseScoringPrecision(s string) (ScoringPrecision, error) {
 	return types.ParseScoringPrecision(s)
 }
 
 // BulkScorer32 is the reduced-precision bulk scoring interface the float32
-// and int8 tiers serve through (re-exported for custom scorer authors; see
+// tier serves through (re-exported for custom scorer authors; see
 // DESIGN.md §7 for the contract).
 type BulkScorer32 = recommender.BulkScorer32
 

@@ -3,29 +3,27 @@ package ganc
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
 
+	"ganc/internal/persist"
 	"ganc/internal/recommender"
 )
 
 // Reduced-precision equivalence policy (DESIGN.md §12). Pointwise Score at
-// float64 is the reference; the f32 and int8 bulk tiers are not bit-identical
-// to it, they are held to the documented tolerances below instead:
+// float64 is the reference; the f32 bulk tier is not bit-identical to it, it
+// is held to the documented tolerances below instead:
 //
 //   - per-score error, measured relative to the user's full-catalog score
-//     range: ≤ f32ScoreTol for the float32 tier (kernel rounding only) and
-//     ≤ int8ScoreTol for the int8 tier (symmetric per-row quantization at
-//     127 levels);
+//     range: ≤ f32ScoreTol (kernel rounding only);
 //   - ranking agreement: the mean top-10 overlap with the float64 oracle
-//     across sampled users must stay above the per-tier floor.
+//     across sampled users must stay above f32OverlapMin.
 const (
-	f32ScoreTol    = 1e-3
-	int8ScoreTol   = 0.10
-	f32OverlapMin  = 0.90
-	int8OverlapMin = 0.50
-	equivTopN      = 10
+	f32ScoreTol   = 1e-3
+	f32OverlapMin = 0.90
+	equivTopN     = 10
 )
 
 // tieredScorer is the shape shared by the factor models with a
@@ -108,7 +106,7 @@ func overlapFrac(oracle, got TopNSet) float64 {
 
 // TestReducedPrecisionBulkScoreTolerance pins the numeric half of the policy:
 // bulk float64 scores are bit-identical to Score at the default tier, and the
-// f32/int8 tiers stay within their documented relative tolerances.
+// f32 tier stays within its documented relative tolerance.
 func TestReducedPrecisionBulkScoreTolerance(t *testing.T) {
 	split := pipelineFixture(t)
 	train := split.Train
@@ -133,7 +131,6 @@ func TestReducedPrecisionBulkScoreTolerance(t *testing.T) {
 			tol float64
 		}{
 			{PrecisionF32, f32ScoreTol},
-			{PrecisionInt8, int8ScoreTol},
 		}
 		for _, tier := range tiers {
 			m.SetPrecision(tier.p)
@@ -173,8 +170,8 @@ func TestReducedPrecisionBulkScoreTolerance(t *testing.T) {
 }
 
 // TestReducedPrecisionTopNAgreement pins the ranking half of the policy: the
-// candidate-pipeline top-10 lists of the f32 and int8 tiers overlap the
-// float64 oracle's above the per-tier floors.
+// candidate-pipeline top-10 lists of the f32 tier overlap the float64
+// oracle's above the floor.
 func TestReducedPrecisionTopNAgreement(t *testing.T) {
 	split := pipelineFixture(t)
 	train := split.Train
@@ -192,7 +189,6 @@ func TestReducedPrecisionTopNAgreement(t *testing.T) {
 			floor float64
 		}{
 			{PrecisionF32, f32OverlapMin},
-			{PrecisionInt8, int8OverlapMin},
 		}
 		for _, tier := range tiers {
 			m.SetPrecision(tier.p)
@@ -211,8 +207,8 @@ func TestReducedPrecisionTopNAgreement(t *testing.T) {
 }
 
 // TestPipelineScoringPrecisionTiers runs the same agreement check end to end
-// through the facade: pipelines assembled with WithScoringPrecision(f32/int8)
-// serve lists that overlap the float64 pipeline's. Stat coverage keeps the
+// through the facade: a pipeline assembled with WithScoringPrecision(f32)
+// serves lists that overlap the float64 pipeline's. Stat coverage keeps the
 // sweep stateless, so every list is deterministic.
 func TestPipelineScoringPrecisionTiers(t *testing.T) {
 	split := pipelineFixture(t)
@@ -251,7 +247,6 @@ func TestPipelineScoringPrecisionTiers(t *testing.T) {
 		floor float64
 	}{
 		{PrecisionF32, f32OverlapMin},
-		{PrecisionInt8, int8OverlapMin},
 	}
 	for _, tier := range tiers {
 		pl := build(tier.p)
@@ -307,9 +302,8 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Engine-level: an int8 pipeline round-trips through Save/LoadEngine
-	// (the section persists the f32 blocks; int8 codes re-quantize
-	// deterministically at load).
+	// Engine-level: an f32 pipeline round-trips through Save/LoadEngine (the
+	// section persists the f32 blocks).
 	ctx := context.Background()
 	base, err := TrainRSVD(train, smallRSVDConfig())
 	if err != nil {
@@ -320,7 +314,7 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 		WithCoverage(CoverageStat()),
 		WithTopN(equivTopN),
 		WithSeed(7),
-		WithScoringPrecision(PrecisionInt8))
+		WithScoringPrecision(PrecisionF32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +340,42 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 		}
 		for k := range want {
 			if want[k] != got[k] {
-				t.Fatalf("user %d: reloaded int8 engine diverged at rank %d: %d != %d", u, k, got[k], want[k])
+				t.Fatalf("user %d: reloaded f32 engine diverged at rank %d: %d != %d", u, k, got[k], want[k])
 			}
 		}
+	}
+	// The retired int8 tier is refused by name, from a flag and from a
+	// snapshot's meta section alike — never served at another tier.
+	if _, err := ParseScoringPrecision("int8"); !errors.Is(err, ErrPrecisionRetired) {
+		t.Fatalf("ParseScoringPrecision(\"int8\") = %v, want ErrPrecisionRetired", err)
+	}
+	snap, err := persist.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rebuilt persist.Builder
+	for _, name := range snap.Sections() {
+		payload, err := snap.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != sectionMeta {
+			rebuilt.Add(name, payload)
+			continue
+		}
+		var meta snapshotMeta
+		if err := snap.Gob(name, &meta); err != nil {
+			t.Fatal(err)
+		}
+		meta.Precision = "int8"
+		if err := rebuilt.AddGob(name, &meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rebuilt.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEngine(path); !errors.Is(err, ErrPrecisionRetired) {
+		t.Fatalf("LoadEngine of an int8 snapshot = %v, want ErrPrecisionRetired", err)
 	}
 }

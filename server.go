@@ -42,12 +42,6 @@ func WithServerPrecomputed(recs Recommendations) ServerOption {
 	return serve.WithPrecomputed(recs)
 }
 
-// WithServerBatchWorkers bounds the concurrent engine sweeps one batch
-// request may trigger (default serve.DefaultBatchWorkers).
-func WithServerBatchWorkers(workers int) ServerOption {
-	return serve.WithBatchWorkers(workers)
-}
-
 // WithServerShardIdentity marks the server as one shard of a cluster; the
 // identity is echoed in /info and /health for router-side epoch checks.
 func WithServerShardIdentity(id ShardIdentity) ServerOption {

@@ -40,33 +40,9 @@ func NewBaseEngine(s Scorer, train *Dataset, n int) Engine {
 	}
 }
 
-// NewParallelBaseEngine is NewBaseEngine with RecommendAll sharded over
-// contiguous user ranges across the given number of workers, each reusing its
-// own candidate buffer. The scorer must be safe for concurrent use (every
-// built-in model except Rand is).
-func NewParallelBaseEngine(s Scorer, train *Dataset, n, workers int) Engine {
-	return &recommender.TopNEngine{
-		Model:   &recommender.ScorerTopN{Scorer: s, NumItems: train.NumItems()},
-		Train:   train,
-		N:       n,
-		Workers: workers,
-	}
-}
-
-// NewTopNEngine wraps a model that already implements ranked top-N selection
-// (e.g. the Pop recommender's direct path) as an Engine. Models implementing
-// recommender.TopNFrom are served through the candidate pipeline.
-func NewTopNEngine(model TopNRecommender, train *Dataset, n int) Engine {
-	return &recommender.TopNEngine{Model: model, Train: train, N: n}
-}
-
 // BulkScorer re-exports the batch scoring contract of the candidate pipeline
 // (see internal/recommender.BulkScorer) so downstream models can opt in.
 type BulkScorer = recommender.BulkScorer
-
-// TopNRecommender is the per-user ranked-list interface the base models
-// implement (re-exported from internal/recommender).
-type TopNRecommender = recommender.TopN
 
 // StaticEngine serves a frozen precomputed collection: RecommendUser is a map
 // lookup, RecommendAll returns the collection itself. It adapts legacy batch

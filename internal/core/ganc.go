@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -29,7 +28,6 @@ import (
 	"ganc/internal/kde"
 	"ganc/internal/longtail"
 	"ganc/internal/recommender"
-	"ganc/internal/submodular"
 	"ganc/internal/types"
 )
 
@@ -45,6 +43,13 @@ type AccuracyRecommender interface {
 // CoverageRecommender provides the coverage score c(i) ∈ [0,1]. The Dyn
 // recommender is stateful: its score depends on the recommendations made so
 // far, which it learns about through Observe.
+//
+// Contract: an item's score changes only through Observe calls on that same
+// item. The optimizer depends on it — a user's sweep scores every candidate
+// once, selects, and only then Observes its picks (see sweepUser); a
+// recommender whose scores move any other way would be read stale. (Rand
+// redraws on every call; being asked once per candidate is what makes its
+// scores independent per (user, item) pair.)
 type CoverageRecommender interface {
 	// CoverageScore returns c(i) for user u; must lie in [0,1].
 	CoverageScore(u types.UserID, i types.ItemID) float64
@@ -285,26 +290,34 @@ func (p *PopAccuracy) Name() string { return "Pop" }
 
 // --- Coverage recommenders ----------------------------------------------------
 
-// BulkCoverage is an optional CoverageRecommender extension for recommenders
-// whose per-user scores can be materialized once per sweep: implementing it
-// asserts that, within a single user's greedy sweep, an item's coverage score
-// only changes through Observe calls on that same item (which the sweep never
-// re-evaluates, because picked items leave the candidate pool). Stat and Rand
-// qualify trivially; Dyn is handled natively by the optimizer. Stateful
-// custom recommenders that do not implement it are scored live through
-// CoverageScore on every (lazy) gain evaluation, which stays correct for any
-// submodular objective.
+// BulkCoverage is the batch companion of CoverageRecommender, as BulkAccuracy
+// is of AccuracyRecommender: one call fills a preallocated buffer with the
+// values CoverageScore would return. Stat and Rand implement it; Dyn scores
+// are computed by the optimizer from a frequency vector.
 type BulkCoverage interface {
 	// CoverageScores fills out[k] with c(items[k]) for user u;
 	// len(out) == len(items).
 	CoverageScores(u types.UserID, items []types.ItemID, out []float64)
 }
 
+// fillCoverageScores fills out with crec's scores for items, using the bulk
+// path when available and one CoverageScore call per item otherwise — sound
+// once per sweep under the CoverageRecommender contract.
+func fillCoverageScores(crec CoverageRecommender, u types.UserID, items []types.ItemID, out []float64) {
+	if bc, ok := crec.(BulkCoverage); ok {
+		bc.CoverageScores(u, items, out)
+		return
+	}
+	for k, i := range items {
+		out[k] = crec.CoverageScore(u, i)
+	}
+}
+
 // invSqrtTab caches 1/√(f+1) for small frequencies f. Coverage scores are
 // dominated by tiny integer frequencies (train popularities and
 // recommendation counts), so the hot gain loops read a table entry instead
 // of calling math.Sqrt. Entries are computed by the exact expression the
-// live fallback uses, so tabled and computed scores are bit-identical.
+// off-table fallback uses, so tabled and computed scores are bit-identical.
 var invSqrtTab = func() [1024]float64 {
 	var t [1024]float64
 	for f := range t {
@@ -319,27 +332,6 @@ func invSqrtFreq(f int) float64 {
 		return invSqrtTab[f]
 	}
 	return 1 / math.Sqrt(float64(f)+1)
-}
-
-// invSqrtTab32 is invSqrtTab rounded to float32 once at init. Each entry
-// equals float32(invSqrtFreq(f)) bit-for-bit (one float64→float32 rounding of
-// the same double), so the reduced-precision sweep can read the narrow table
-// directly and stay bit-identical to the general float32 gain expression.
-var invSqrtTab32 = func() [1024]float32 {
-	var t [1024]float32
-	for f := range t {
-		t[f] = float32(invSqrtTab[f])
-	}
-	return t
-}()
-
-// invSqrtFreq32 returns float32(invSqrtFreq(f)), from the narrow table when f
-// is small.
-func invSqrtFreq32(f int) float32 {
-	if f >= 0 && f < len(invSqrtTab32) {
-		return invSqrtTab32[f]
-	}
-	return float32(1 / math.Sqrt(float64(f)+1))
 }
 
 // RandCoverage assigns each (user, item) pair an independent uniform score,
@@ -362,7 +354,7 @@ func (r *RandCoverage) CoverageScore(types.UserID, types.ItemID) float64 {
 }
 
 // CoverageScores implements BulkCoverage: the mutex is taken once per sweep
-// instead of once per (item, pick) evaluation.
+// instead of once per item.
 func (r *RandCoverage) CoverageScores(_ types.UserID, items []types.ItemID, out []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -519,12 +511,13 @@ type Config struct {
 	// coverage recommenders. Values ≤ 1 run sequentially; values above
 	// runtime.NumCPU() are clamped to it.
 	Workers int
-	// Precision selects the arithmetic tier of the modular sweep fast path.
-	// The zero value (PrecisionF64) keeps every sweep on exact float64
-	// arithmetic; PrecisionF32 lets sweeps whose accuracy recommender
-	// implements BulkAccuracy32 score and select in a pooled float32 arena
-	// (DESIGN.md §12 documents the tolerance contract). It should match the
-	// precision configured on the underlying base scorer.
+	// Precision selects the arithmetic tier of the sweeps. The zero value
+	// (PrecisionF64) keeps every sweep on exact float64 arithmetic;
+	// PrecisionF32 lets sweeps whose accuracy recommender implements
+	// BulkAccuracy32 score and select in a pooled float32 arena (DESIGN.md §12
+	// documents the tolerance contract) — all but OSLG's sequential phase,
+	// whose picks every later user's scores depend on and which stays exact.
+	// It should match the precision configured on the underlying base scorer.
 	Precision types.ScoringPrecision
 }
 
@@ -548,14 +541,6 @@ type GANC struct {
 	prefs    *longtail.Preferences
 	train    *dataset.Dataset
 	numItems int
-
-	// popRank caches the catalog ranked by Dyn coverage score for the
-	// current frozen snapshot (identified by slice identity), so online
-	// Pop+Dyn sweeps walk ~n ranked positions per request instead of
-	// re-scoring the catalog. Rebuilt whenever the snapshot generation
-	// moves; batch sweeps pass per-θ snapshots and never hit it.
-	popRankMu sync.Mutex
-	popRank   *popDynRank
 }
 
 // New assembles a GANC instance from its three components, following the
@@ -569,6 +554,9 @@ func New(train *dataset.Dataset, arec AccuracyRecommender, prefs *longtail.Prefe
 	}
 	if prefs.Len() != train.NumUsers() {
 		return nil, fmt.Errorf("core: preference vector covers %d users but train set has %d", prefs.Len(), train.NumUsers())
+	}
+	if dyn, ok := crec.(*DynCoverage); ok && dyn.NumItems() != train.NumItems() {
+		return nil, fmt.Errorf("core: Dyn frequency vector covers %d items but train set has %d", dyn.NumItems(), train.NumItems())
 	}
 	return &GANC{
 		cfg:      cfg,
@@ -612,43 +600,19 @@ func (g *GANC) marginalGain(u types.UserID, i types.ItemID) float64 {
 	return (1-theta)*g.arec.AccuracyScore(u, i) + theta*g.crec.CoverageScore(u, i)
 }
 
-// --- Buffered CELF sweep machinery --------------------------------------------
+// --- The per-user sweep -------------------------------------------------------
 
-// coverageMode selects how the sweep oracle resolves coverage scores. Only
-// the live modes reach the oracle: sweeps whose gains are static for the
-// whole sweep (frozen Dyn snapshots, buffered Stat/Rand coverage) take the
-// modular fast path in sweepModular and never build an oracle.
-type coverageMode int
-
-const (
-	// covDynLive reads the shared live Dyn frequency state (the OSLG
-	// sequential in-sample phase).
-	covDynLive coverageMode = iota
-	// covLive calls CoverageScore on every gain evaluation (custom stateful
-	// recommenders without a bulk contract; correct for any submodular gain).
-	covLive
-)
-
-// sweepScratch holds one worker's reusable buffers: the candidate slice,
-// packed staging buffers aligned with it (float64 gains, float64 coverage
-// and the reduced-precision float32 arena), the dense (by-ItemID) accuracy
-// buffer, the streaming top-k selectors of the sparse Pop+Dyn fast path and
-// the CELF heap storage. One scratch serves one sweep at a time. Every buffer
-// starts empty and grows to what the sweeps using it need, so a scratch fits
-// any instance and any catalog size.
+// sweepScratch holds one worker's reusable buffers: the candidate slice and
+// the score buffers aligned with it (a coverage recommender's scores, float64
+// gains and the reduced-precision float32 gains). One scratch serves one sweep
+// at a time. Every buffer starts empty and grows to what the sweeps using it
+// need, so a scratch fits any instance and any catalog size, and none of them
+// points into the instance it last served.
 type sweepScratch struct {
-	cand      []types.ItemID
-	packed    []float64
-	packedCov []float64
-	packed32  []float32
-	acc       []float64
-	hist      []int32
-	popCand   []types.ItemID
-	popBase   []int32
-	top32     recommender.TopK32
-	top64     recommender.TopK64
-	lazy      submodular.LazyScratch
-	oracle    sweepOracle
+	cand    []types.ItemID
+	covs    []float64
+	gains   []float64
+	gains32 []float32
 }
 
 // scratchPool recycles sweep scratches across requests, batch workers and
@@ -660,687 +624,107 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(sweepScratch) }
 
 func getScratch() *sweepScratch { return scratchPool.Get().(*sweepScratch) }
 
-// putScratch returns sc to the pool. The oracle is the one part of a scratch
-// that points into the instance it last served (the coverage recommender);
-// it is cleared so a pooled scratch pins no retired generation.
-func putScratch(sc *sweepScratch) {
-	sc.oracle = sweepOracle{}
-	scratchPool.Put(sc)
-}
-
-// sweepOracle adapts one user's buffered scores to the submodular.Oracle
-// interface consumed by the CELF lazy-greedy selection.
-type sweepOracle struct {
-	crec    CoverageRecommender
-	theta   float64
-	cand    []types.ItemID
-	acc     []float64 // dense by ItemID
-	dyn     *DynCoverage
-	mode    coverageMode
-	observe bool
-}
-
-// Candidates implements submodular.Oracle.
-func (o *sweepOracle) Candidates(types.UserID) []types.ItemID { return o.cand }
-
-// Gain implements submodular.Oracle: (1−θ)·a(i) + θ·c(i) with a(i) read from
-// the dense accuracy buffer and c(i) resolved per the coverage mode.
-func (o *sweepOracle) Gain(u types.UserID, i types.ItemID) float64 {
-	var cov float64
-	switch o.mode {
-	case covDynLive:
-		cov = o.dyn.CoverageScore(u, i)
-	case covLive:
-		cov = o.crec.CoverageScore(u, i)
+// dynScore is the Dyn coverage score of item i under the frequency vector
+// freq; an item outside the vector has never been recommended.
+func dynScore(freq []int, i types.ItemID) float64 {
+	base := 0
+	if int(i) < len(freq) {
+		base = freq[i]
 	}
-	return (1-o.theta)*o.acc[i] + o.theta*cov
+	return invSqrtFreq(base)
 }
 
-// Commit implements submodular.Oracle: batch sweeps report each pick to the
-// coverage recommender; frozen/online sweeps never mutate shared state.
-func (o *sweepOracle) Commit(_ types.UserID, i types.ItemID) {
-	if o.observe {
-		o.crec.Observe(i)
+// sized returns *buf resliced to n elements, reallocating when it is too
+// small; the contents are unspecified.
+func sized[T float32 | float64](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
+	return (*buf)[:n]
 }
 
-// sweepUser builds one user's top-n set through the index-contiguous
-// candidate pipeline: candidates are enumerated by a linear merge against the
-// user's sorted train adjacency, accuracy scores land in a dense buffer via
-// one bulk call, and items are selected with the CELF lazy-greedy heap. When
-// freq is non-nil the sweep runs against that frozen Dyn snapshot; observe
-// reports picks to the shared coverage recommender (the batch path).
+// sweepUser builds one user's top-n set in three stages: enumerate the
+// candidates (a linear merge against the user's sorted train adjacency),
+// score them (one bulk accuracy call into a buffer aligned with the candidate
+// slice, combined in place with the coverage term into the gains
+// (1−θ_u)·a(i) + θ_u·c(i)), and select the n largest gains, ties to the
+// smaller ItemID.
 //
-// Frozen-snapshot and buffered-coverage sweeps never change a candidate's
-// gain mid-sweep (the objective restricted to one user is modular: picked
-// items leave the pool, and the BulkCoverage contract rules out other
-// mutations), so those modes take sweepModular — a straight top-n selection
-// over per-candidate gains that skips the dense scatter and the CELF heap.
-// Live modes (the sequential Dyn phase, custom stateful recommenders) keep
-// the lazy-greedy machinery, which stays correct for any submodular gain.
-func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int, observe bool, sc *sweepScratch) (types.TopNSet, error) {
+// One scoring pass is the whole of a user's turn in Algorithm 1 (lines 5–9),
+// for every coverage recommender. The turn picks n distinct items, and the
+// only thing a pick moves is the coverage score of the item picked (the
+// CoverageRecommender contract; for Dyn, its frequency), which has left the
+// pool. Every remaining candidate's gain is what it was when the turn began,
+// so the locally greedy sequence of picks is the candidates in decreasing
+// order of that gain.
+//
+// freq, when non-nil, is the Dyn frequency vector the coverage scores are
+// computed from: a frozen snapshot (the online path, OSLG's out-of-sample
+// phase) or the live vector (OSLG's sequential phase — with observe set, the
+// picks are reported once the selection is done). With freq nil the coverage
+// recommender is asked. prec is the arithmetic tier: any tier but float64
+// scores and selects in float32 when the accuracy recommender implements
+// BulkAccuracy32, to the serving tier's documented tolerance (DESIGN.md §12).
+func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int, prec types.ScoringPrecision, observe bool, sc *sweepScratch) (types.TopNSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if freq != nil {
-		if pa, ok := g.arec.(*PopAccuracy); ok {
-			return g.sweepPopDyn(u, n, freq, pa, observe, sc), nil
-		}
 	}
 	sc.cand = g.train.AppendCandidates(u, sc.cand[:0])
 	cand := sc.cand
-	if cap(sc.packed) < len(cand) {
-		sc.packed = make([]float64, len(cand))
-	}
-	packed := sc.packed[:len(cand)]
 
-	if freq != nil {
-		return g.sweepModular(ctx, u, n, cand, freq, nil, observe, sc)
-	}
-	if _, isDyn := g.crec.(*DynCoverage); !isDyn {
-		if bc, isBulk := g.crec.(BulkCoverage); isBulk {
-			return g.sweepModular(ctx, u, n, cand, nil, bc, observe, sc)
-		}
+	// Dyn scores are read off freq inside the combining loops below; any
+	// other recommender fills a buffer first.
+	var covs []float64
+	if freq == nil {
+		covs = sized(&sc.covs, len(cand))
+		fillCoverageScores(g.crec, u, cand, covs)
 	}
 
-	fillAccuracyScores(g.arec, u, cand, packed)
-	if len(sc.acc) < g.numItems {
-		sc.acc = make([]float64, g.numItems)
-	}
-	for k, i := range cand {
-		sc.acc[i] = packed[k]
-	}
-	// Re-check cancellation between the scoring and selection stages: the old
-	// per-pick rescan checked ctx once per pick, and on large catalogs the
-	// bulk scoring above is the bulk of a sweep's cost.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	o := &sc.oracle
-	*o = sweepOracle{
-		crec:    g.crec,
-		theta:   g.prefs.Get(u),
-		cand:    cand,
-		acc:     sc.acc,
-		observe: observe,
-	}
-	if dyn, isDyn := g.crec.(*DynCoverage); isDyn {
-		o.mode, o.dyn = covDynLive, dyn
-	} else {
-		o.mode = covLive
-	}
-	return submodular.LazyGreedyForUserScratch(u, n, o, &sc.lazy), nil
-}
-
-// sweepModular is the modular-objective fast path: every candidate's gain
-// (1−θ)·a(i) + θ·c(i) is constant for the duration of the sweep, so the
-// top-n set is selected directly from the packed gain buffer. The gain
-// expression, tie-breaks (higher gain first, ties to the smaller ItemID) and
-// resulting pick order are identical to the lazy-greedy sweep over the same
-// static gains, so results are bit-identical to the CELF path at the float64
-// tier. Exactly one of freq (frozen Dyn snapshot) and bc (buffered coverage)
-// is non-nil. When Config.Precision requests a reduced tier and the accuracy
-// recommender implements BulkAccuracy32, gains are computed and selected in
-// the pooled float32 arena instead.
-func (g *GANC) sweepModular(ctx context.Context, u types.UserID, n int, cand []types.ItemID, freq []int, bc BulkCoverage, observe bool, sc *sweepScratch) (types.TopNSet, error) {
 	theta := g.prefs.Get(u)
-
-	if g.cfg.Precision != types.PrecisionF64 {
-		if ba, ok := g.arec.(BulkAccuracy32); ok {
-			return g.sweepModular32(ctx, u, n, cand, freq, bc, observe, sc, ba, theta)
-		}
-	}
-
-	packed := sc.packed[:len(cand)]
-	fillAccuracyScores(g.arec, u, cand, packed)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if freq != nil {
-		for k, i := range cand {
-			base := 0
-			if int(i) < len(freq) {
-				base = freq[i]
-			}
-			packed[k] = (1-theta)*packed[k] + theta*invSqrtFreq(base)
-		}
-	} else {
-		if cap(sc.packedCov) < len(cand) {
-			sc.packedCov = make([]float64, len(cand))
-		}
-		covs := sc.packedCov[:len(cand)]
-		bc.CoverageScores(u, cand, covs)
-		for k := range packed {
-			packed[k] = (1-theta)*packed[k] + theta*covs[k]
-		}
-	}
-	set := recommender.SelectTopNScored(cand, packed, n)
-	if observe {
-		for _, i := range set {
-			g.crec.Observe(i)
-		}
-	}
-	return set, nil
-}
-
-// sweepModular32 is sweepModular on the float32 arena: accuracy scores land
-// in the pooled float32 buffer via BulkAccuracy32, gains are combined in
-// float32 and the top-n set is selected without ever widening to float64.
-// Scores at this tier match the exact path only to the serving tier's
-// documented tolerance (DESIGN.md §12).
-func (g *GANC) sweepModular32(ctx context.Context, u types.UserID, n int, cand []types.ItemID, freq []int, bc BulkCoverage, observe bool, sc *sweepScratch, ba BulkAccuracy32, theta float64) (types.TopNSet, error) {
-	if cap(sc.packed32) < len(cand) {
-		sc.packed32 = make([]float32, len(cand))
-	}
-	gains := sc.packed32[:len(cand)]
-	ba.AccuracyScores32(u, cand, gains)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t32 := float32(theta)
-	a32 := 1 - t32
-	if freq != nil {
-		for k, i := range cand {
-			base := 0
-			if int(i) < len(freq) {
-				base = freq[i]
-			}
-			gains[k] = a32*gains[k] + t32*float32(invSqrtFreq(base))
-		}
-	} else {
-		if cap(sc.packedCov) < len(cand) {
-			sc.packedCov = make([]float64, len(cand))
-		}
-		covs := sc.packedCov[:len(cand)]
-		bc.CoverageScores(u, cand, covs)
-		for k := range gains {
-			gains[k] = a32*gains[k] + t32*float32(covs[k])
-		}
-	}
-	set := recommender.SelectTopNScored32(cand, gains, n)
-	if observe {
-		for _, i := range set {
-			g.crec.Observe(i)
-		}
-	}
-	return set, nil
-}
-
-const maxFreqCutoff = int(^uint(0) >> 1)
-
-// popDynRank is a frozen snapshot's catalog ranking by Dyn coverage score:
-// every item id sorted by (c32 desc, id asc) with the aligned float32
-// coverage scores, where c32 = float32(invSqrtFreq(freq[i])) — the exact
-// value the general float32 sweep computes. User-specific θ scaling, rated
-// exclusions and B-ties are resolved per request by the walk in sweepPopDyn.
-type popDynRank struct {
-	freq []int // snapshot the ranking was built from (slice identity key)
-	ids  []types.ItemID
-	c32  []float32
-}
-
-// sameIntSlice reports whether two slices are the same array view (identity,
-// not element equality).
-func sameIntSlice(a, b []int) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// buildPopDynRank ranks the full catalog for one frozen snapshot.
-func buildPopDynRank(freq []int, numItems int) *popDynRank {
-	r := &popDynRank{
-		freq: freq,
-		ids:  make([]types.ItemID, numItems),
-		c32:  make([]float32, numItems),
-	}
-	for i := 0; i < numItems; i++ {
-		r.ids[i] = types.ItemID(i)
-		base := 0
-		if i < len(freq) {
-			base = freq[i]
-		}
-		r.c32[i] = invSqrtFreq32(base)
-	}
-	sort.Sort(byCovDesc{r})
-	return r
-}
-
-// byCovDesc sorts a popDynRank's aligned arrays by (c32 desc, id asc).
-type byCovDesc struct{ r *popDynRank }
-
-func (s byCovDesc) Len() int { return len(s.r.ids) }
-func (s byCovDesc) Less(a, b int) bool {
-	if s.r.c32[a] != s.r.c32[b] {
-		return s.r.c32[a] > s.r.c32[b]
-	}
-	return s.r.ids[a] < s.r.ids[b]
-}
-func (s byCovDesc) Swap(a, b int) {
-	s.r.ids[a], s.r.ids[b] = s.r.ids[b], s.r.ids[a]
-	s.r.c32[a], s.r.c32[b] = s.r.c32[b], s.r.c32[a]
-}
-
-// popDynRankFor returns the cached catalog ranking when freq is the Dyn
-// recommender's current frozen snapshot (the online serving path), building
-// it on first use per snapshot generation. Batch sweeps pass per-θ snapshot
-// copies whose identity never matches, so they keep the counting path — a
-// per-call rebuild there would cost more than it saves.
-func (g *GANC) popDynRankFor(freq []int) *popDynRank {
-	dyn, ok := g.crec.(*DynCoverage)
-	if !ok {
-		return nil
-	}
-	g.popRankMu.Lock()
-	defer g.popRankMu.Unlock()
-	if g.popRank != nil && sameIntSlice(g.popRank.freq, freq) {
-		return g.popRank
-	}
-	if !sameIntSlice(dyn.FrozenFrequencies(), freq) {
-		return nil
-	}
-	g.popRank = buildPopDynRank(freq, g.numItems)
-	return g.popRank
-}
-
-// popDynWalk32 is pass 1 of sweepPopDyn over a cached catalog ranking: it
-// appends the top n unrated items by (B, id), B(i) = θ32·c32(i), to
-// cand/gains, skipping boosted items (already present at full gain). Because
-// the ranking orders positions by (c32 desc, id asc) and multiplying by
-// θ32 ≥ 0 is monotone, the first n unrated positions are the winners — except
-// inside the boundary tie class, where equal-B positions are re-broken by
-// ascending id. Within one c32 class position order IS id order; distinct c32
-// classes can collide to one B value only through float32 rounding of the
-// θ32·c32 product, which is the rare gather-and-sort path below. Gains are
-// computed as θ32·c32 — bit-identical to the counting pass and to
-// sweepModular32.
-func popDynWalk32(rank *popDynRank, rated []types.ItemID, boost []uint64, cand []types.ItemID, gains []float32, t32 float32, n int, sc *sweepScratch) ([]types.ItemID, []float32) {
-	ids, c32s := rank.ids, rank.c32
-
-	// Find the position of the n-th unrated item in ranking order.
-	wcount, lastPos := 0, -1
-	for pos := 0; pos < len(ids) && wcount < n; pos++ {
-		if !containsSortedItem(rated, ids[pos]) {
-			wcount++
-			lastPos = pos
-		}
-	}
-	if wcount < n {
-		// Fewer than n candidates in the whole catalog: they all win.
-		for p, item := range ids {
-			if containsSortedItem(rated, item) || inBits(boost, item) {
-				continue
-			}
-			cand = append(cand, item)
-			gains = append(gains, t32*c32s[p])
-		}
-		return cand, gains
-	}
-
-	// The boundary tie class: every position whose B equals the n-th
-	// winner's. Positions strictly before it are definite winners.
-	bMin := t32 * c32s[lastPos]
-	tieStart := lastPos
-	for tieStart > 0 && t32*c32s[tieStart-1] == bMin {
-		tieStart--
-	}
-	slots := n
-	for p := 0; p < tieStart; p++ {
-		item := ids[p]
-		if containsSortedItem(rated, item) {
-			continue
-		}
-		slots--
-		if inBits(boost, item) {
-			continue
-		}
-		cand = append(cand, item)
-		gains = append(gains, t32*c32s[p])
-	}
-
-	tieEnd := lastPos + 1
-	oneClass := c32s[tieStart] == c32s[lastPos]
-	for tieEnd < len(ids) && t32*c32s[tieEnd] == bMin {
-		if c32s[tieEnd] != c32s[lastPos] {
-			oneClass = false
-		}
-		tieEnd++
-	}
-	if oneClass {
-		// Single coverage class: ids ascend within it, so taking unrated
-		// positions in order fills the remaining slots with the smallest ids.
-		for p := tieStart; p < tieEnd && slots > 0; p++ {
-			item := ids[p]
-			if containsSortedItem(rated, item) {
-				continue
-			}
-			slots--
-			if inBits(boost, item) {
-				continue
-			}
-			cand = append(cand, item)
-			gains = append(gains, t32*c32s[p])
-		}
-		return cand, gains
-	}
-
-	// Rare: θ32 rounding collided distinct coverage classes into one B value,
-	// so ids are not ascending across the region — gather the unrated ids and
-	// take the smallest. Every member scores exactly bMin.
-	span := sc.popCand[:0]
-	for p := tieStart; p < tieEnd; p++ {
-		if !containsSortedItem(rated, ids[p]) {
-			span = append(span, ids[p])
-		}
-	}
-	sc.popCand = span
-	sort.Slice(span, func(a, b int) bool { return span[a] < span[b] })
-	for _, item := range span {
-		if slots == 0 {
-			break
-		}
-		slots--
-		if inBits(boost, item) {
-			continue
-		}
-		cand = append(cand, item)
-		gains = append(gains, bMin)
-	}
-	return cand, gains
-}
-
-// containsSortedItem reports whether the ascending slice contains item.
-func containsSortedItem(sorted []types.ItemID, item types.ItemID) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid] < item {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == item
-}
-
-// sweepPopDyn is the frozen-Dyn modular sweep specialized for the PopAccuracy
-// recommender — the serving tier's flagship configuration. It exploits that
-// Pop accuracy scores are sparse indicators: at most topN items (the user's
-// popularity top-N, all of them candidates by construction) carry the
-// (1−θ)·a(i) term, and every other candidate's gain is exactly the coverage
-// term θ·c(i). The sweep therefore never materializes the candidate slice:
-//
-//  1. candidates are enumerated as the gap runs between consecutive rated
-//     items and the top n by the coverage-only score B(i) = θ·c(i) — ties to
-//     the smaller id, SelectTopNScored's order — are found without a float
-//     comparison per item (see the per-tier passes below);
-//  2. the union of those pass-1 winners and the boosted items (≤ n + topN
-//     entries) is re-ranked at true gains by the regular top-n selector.
-//
-// The union contains the true top-n: a non-boosted candidate outside the
-// pass-1 winners was beaten by n entries under the (B, id) order, and each of
-// those beats it under the (gain, id) order too — non-boosted entries keep
-// gain = B, and boosted entries only improve (the boost (1−θ)·1 ≥ 0 wins
-// B-ties when θ < 1, and is zero when θ = 1, making the entry behave
-// non-boosted). Gains use the exact expressions of
-// sweepModular/sweepModular32 — for non-boosted items (1−θ)·0 + θ·c(i)
-// evaluates bit-for-bit to θ·c(i) at both tiers — so the selected sets are
-// bit-identical to the general modular path.
-func (g *GANC) sweepPopDyn(u types.UserID, n int, freq []int, pa *PopAccuracy, observe bool, sc *sweepScratch) types.TopNSet {
-	theta := g.prefs.Get(u)
-	boost := pa.topBits(u)
-	rated := g.train.UserItemsSorted(u)
-	numItems := g.numItems
-
 	var set types.TopNSet
-	if g.cfg.Precision != types.PrecisionF64 {
+	if ba, ok := g.arec.(BulkAccuracy32); ok && prec != types.PrecisionF64 {
+		gains := sized(&sc.gains32, len(cand))
+		ba.AccuracyScores32(u, cand, gains)
+		// Scoring is most of a sweep's cost on a large catalog: a caller that
+		// gave up during it is answered before the selection.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		t32 := float32(theta)
 		a32 := 1 - t32
-
-		// Boosted candidates at their full gain — the same union member set
-		// feeds every pass-1 variant below.
-		cand, gains := sc.cand[:0], sc.packed32[:0]
-		for w, word := range boost {
-			for word != 0 {
-				item := types.ItemID(w<<6 + bits.TrailingZeros64(word))
-				word &= word - 1
-				if int(item) >= numItems || containsSortedItem(rated, item) {
-					continue
-				}
-				base := 0
-				if int(item) < len(freq) {
-					base = freq[item]
-				}
-				cand = append(cand, item)
-				gains = append(gains, a32*1+t32*invSqrtFreq32(base))
+		if freq != nil {
+			for k, i := range cand {
+				gains[k] = a32*gains[k] + t32*float32(dynScore(freq, i))
 			}
-		}
-
-		// Serving steady state: walk the cached (c32 desc, id asc) catalog
-		// ranking instead of re-scanning the catalog — only ~n positions plus
-		// the rated items interleaved among them are inspected. θ = 0 scales
-		// every B to zero (one giant tie), where the counting pass is cheaper.
-		var rank *popDynRank
-		if t32 != 0 {
-			rank = g.popDynRankFor(freq)
-		}
-		if rank != nil {
-			cand, gains = popDynWalk32(rank, rated, boost, cand, gains, t32, n, sc)
-			sc.cand, sc.packed32 = cand, gains
-			set = recommender.SelectTopNScored32(cand, gains, n)
-			if observe {
-				for _, i := range set {
-					g.crec.Observe(i)
-				}
-			}
-			return set
-		}
-
-		if len(sc.hist) != len(invSqrtTab32) {
-			sc.hist = make([]int32, len(invSqrtTab32))
-		}
-		hist := sc.hist
-
-		// Pass A: enumerate candidates as the gap runs between consecutive
-		// rated items, materializing compact (id, frequency) arrays and a
-		// frequency histogram. B(i) depends only on freq[i], so the top-n by
-		// (B, id) can be found by counting: equal-score classes are
-		// contiguous frequency runs (s(f) is monotone non-increasing in f).
-		cids, cbase := sc.popCand[:0], sc.popBase[:0]
-		maxBase := 0
-		overflow := false
-		for r, lo := 0, 0; ; {
-			for r < len(rated) && int(rated[r]) < lo {
-				r++
-			}
-			hi := numItems
-			if r < len(rated) && int(rated[r]) < numItems {
-				hi = int(rated[r])
-			}
-			for idx := lo; idx < hi; idx++ {
-				base := 0
-				if idx < len(freq) {
-					base = freq[idx]
-				}
-				if base < len(hist) {
-					hist[base]++
-					if base > maxBase {
-						maxBase = base
-					}
-				} else {
-					// Off-table frequency; the heap fallback below re-reads
-					// the exact value from freq.
-					overflow = true
-					base = 0
-				}
-				cids = append(cids, types.ItemID(idx))
-				cbase = append(cbase, int32(base))
-			}
-			if hi >= numItems {
-				break
-			}
-			lo = hi + 1
-			r++
-		}
-		sc.popCand, sc.popBase = cids, cbase
-
-		if overflow {
-			// A frequency beyond the score table: off-table scores are not
-			// class-countable, so fall back to a streaming top-n heap with a
-			// cached admission threshold (exactly Push's replacement rule).
-			clear(hist[:maxBase+1])
-			top := &sc.top32
-			top.Reset(n)
-			minItem, minScore := top.Threshold()
-			for _, item := range cids {
-				base := 0
-				if int(item) < len(freq) {
-					base = freq[item]
-				}
-				s := t32 * invSqrtFreq32(base)
-				if s < minScore || (s == minScore && item >= minItem) {
-					continue
-				}
-				top.Push(item, s)
-				minItem, minScore = top.Threshold()
-			}
-			// Heap survivors at coverage-only gain; boosted ones are already
-			// in the union at their full gain, so drop those duplicates.
-			mark := len(cand)
-			cand, gains = top.AppendTo(cand, gains)
-			w := mark
-			for k := mark; k < len(cand); k++ {
-				if !inBits(boost, cand[k]) {
-					cand[w], gains[w] = cand[k], gains[k]
-					w++
-				}
-			}
-			cand, gains = cand[:w], gains[:w]
 		} else {
-			// Class scan: group occupied frequencies with bit-equal scores
-			// (empty buckets between them don't matter — no members) and
-			// accumulate counts in descending score order until the class
-			// holding the n-th entry — the tie class [tieLo, tieHi] with
-			// `slots` openings — is found. total ≤ n means every candidate
-			// wins and the sentinel cutoffs select them all.
-			tieLo, tieHi, slots := maxFreqCutoff, -1, 0
-			if len(cids) > n {
-				cum, f := 0, 0
-				for f <= maxBase {
-					for f <= maxBase && hist[f] == 0 {
-						f++
-					}
-					if f > maxBase {
-						break
-					}
-					s := t32 * invSqrtTab32[f]
-					cnt := int(hist[f])
-					first, last := f, f
-					f++
-					for {
-						for f <= maxBase && hist[f] == 0 {
-							f++
-						}
-						if f > maxBase || t32*invSqrtTab32[f] != s {
-							break
-						}
-						cnt += int(hist[f])
-						last = f
-						f++
-					}
-					if cum+cnt >= n {
-						tieLo, tieHi, slots = first, last, n-cum
-						break
-					}
-					cum += cnt
-				}
-			}
-			clear(hist[:maxBase+1])
-			// Pass B: collect the winners from the compact arrays in
-			// ascending id order — which is exactly the (B, id) tie-break,
-			// so the tie class's `slots` smallest ids are taken. Boosted
-			// winners still consume their slot but are skipped (already
-			// present at full gain).
-			for k, item := range cids {
-				base := int(cbase[k])
-				if base >= tieLo {
-					if base > tieHi || slots == 0 {
-						continue
-					}
-					slots--
-				}
-				if inBits(boost, item) {
-					continue
-				}
-				cand = append(cand, item)
-				gains = append(gains, t32*invSqrtFreq32(base))
+			for k := range gains {
+				gains[k] = a32*gains[k] + t32*float32(covs[k])
 			}
 		}
-		sc.cand, sc.packed32 = cand, gains
 		set = recommender.SelectTopNScored32(cand, gains, n)
 	} else {
-		top := &sc.top64
-		top.Reset(n)
-		minItem, minScore := top.Threshold()
-		for r, lo := 0, 0; ; {
-			for r < len(rated) && int(rated[r]) < lo {
-				r++
-			}
-			hi := numItems
-			if r < len(rated) && int(rated[r]) < numItems {
-				hi = int(rated[r])
-			}
-			for idx := lo; idx < hi; idx++ {
-				base := 0
-				if idx < len(freq) {
-					base = freq[idx]
-				}
-				s := theta * invSqrtFreq(base)
-				if s < minScore || (s == minScore && types.ItemID(idx) >= minItem) {
-					continue
-				}
-				top.Push(types.ItemID(idx), s)
-				minItem, minScore = top.Threshold()
-			}
-			if hi >= numItems {
-				break
-			}
-			lo = hi + 1
-			r++
+		gains := sized(&sc.gains, len(cand))
+		fillAccuracyScores(g.arec, u, cand, gains)
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		cand, gains := sc.cand[:0], sc.packed[:0]
-		for w, word := range boost {
-			for word != 0 {
-				item := types.ItemID(w<<6 + bits.TrailingZeros64(word))
-				word &= word - 1
-				if int(item) >= numItems || containsSortedItem(rated, item) {
-					continue
-				}
-				base := 0
-				if int(item) < len(freq) {
-					base = freq[item]
-				}
-				cand = append(cand, item)
-				gains = append(gains, (1-theta)*1+theta*invSqrtFreq(base))
+		if freq != nil {
+			for k, i := range cand {
+				gains[k] = (1-theta)*gains[k] + theta*dynScore(freq, i)
+			}
+		} else {
+			for k := range gains {
+				gains[k] = (1-theta)*gains[k] + theta*covs[k]
 			}
 		}
-		mark := len(cand)
-		cand, gains = sc.top64.AppendTo(cand, gains)
-		w := mark
-		for k := mark; k < len(cand); k++ {
-			if !inBits(boost, cand[k]) {
-				cand[w], gains[w] = cand[k], gains[k]
-				w++
-			}
-		}
-		sc.cand, sc.packed = cand[:w], gains[:w]
-		set = recommender.SelectTopNScored(sc.cand, sc.packed, n)
+		set = recommender.SelectTopNScored(cand, gains, n)
 	}
 	if observe {
 		for _, i := range set {
 			g.crec.Observe(i)
 		}
 	}
-	return set
+	return set, nil
 }
 
 // forEachShard splits [0, count) into contiguous ranges across the configured
@@ -1387,9 +771,9 @@ func (g *GANC) Recommend() types.Recommendations {
 	ctx := context.Background()
 	g.forEachShard(numUsers, func(lo, hi int) {
 		sc := getScratch()
-		defer putScratch(sc)
+		defer scratchPool.Put(sc)
 		for u := lo; u < hi; u++ {
-			sets[u], _ = g.sweepUser(ctx, types.UserID(u), g.cfg.N, nil, true, sc)
+			sets[u], _ = g.sweepUser(ctx, types.UserID(u), g.cfg.N, nil, g.cfg.Precision, true, sc)
 		}
 	})
 	recs := make(types.Recommendations, numUsers)
@@ -1422,12 +806,13 @@ func (g *GANC) RecommendUser(ctx context.Context, u types.UserID, n int) (types.
 	if n <= 0 {
 		n = g.cfg.N
 	}
-	sc := getScratch()
-	defer putScratch(sc)
+	var freq []int
 	if dyn, ok := g.crec.(*DynCoverage); ok {
-		return g.sweepUser(ctx, u, n, dyn.FrozenFrequencies(), false, sc)
+		freq = dyn.FrozenFrequencies()
 	}
-	return g.sweepUser(ctx, u, n, nil, false, sc)
+	sc := getScratch()
+	defer scratchPool.Put(sc)
+	return g.sweepUser(ctx, u, n, freq, g.cfg.Precision, false, sc)
 }
 
 // RecommendAll is the context-aware batch entry point used by the Engine
@@ -1482,19 +867,22 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 		return sample[a].user < sample[b].user
 	})
 
-	// Sequential pass over the sample (lines 4–10), snapshotting the Dyn
-	// frequency state after each user, keyed by that user's θ.
+	// Sequential pass over the sample (lines 4–10): each user sweeps against
+	// the live frequency vector, in exact arithmetic at every tier, and the
+	// state after them is snapshotted, keyed by their θ, when an out-of-sample
+	// phase will read it.
 	ctx := context.Background()
-	snapshots := make([]freqSnapshot, 0, len(sample))
+	var snapshots []freqSnapshot
 	inSample := make(map[types.UserID]struct{}, len(sample))
 	sc := getScratch()
 	for _, ut := range sample {
 		inSample[ut.user] = struct{}{}
-		set, _ := g.sweepUser(ctx, ut.user, g.cfg.N, nil, true, sc)
-		recs[ut.user] = set
-		snapshots = append(snapshots, freqSnapshot{theta: ut.theta, freq: dyn.Frequencies()})
+		recs[ut.user], _ = g.sweepUser(ctx, ut.user, g.cfg.N, dyn.freq, types.PrecisionF64, true, sc)
+		if !fullSequential {
+			snapshots = append(snapshots, freqSnapshot{theta: ut.theta, freq: dyn.Frequencies()})
+		}
 	}
-	putScratch(sc)
+	scratchPool.Put(sc)
 
 	if fullSequential {
 		return recs
@@ -1515,11 +903,11 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 	sets := make([]types.TopNSet, len(remaining))
 	g.forEachShard(len(remaining), func(lo, hi int) {
 		wsc := getScratch()
-		defer putScratch(wsc)
+		defer scratchPool.Put(wsc)
 		for k := lo; k < hi; k++ {
 			ut := remaining[k]
 			snap := nearestSnapshotFreq(snapshots, ut.theta)
-			sets[k], _ = g.sweepUser(ctx, ut.user, g.cfg.N, snap, false, wsc)
+			sets[k], _ = g.sweepUser(ctx, ut.user, g.cfg.N, snap, g.cfg.Precision, false, wsc)
 		}
 	})
 	// Fold the out-of-sample recommendations into the final frequency state

@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ganc/internal/dataset"
 	"ganc/internal/longtail"
@@ -66,6 +68,45 @@ func TestNewRejectsMissingComponentsAndMismatchedPreferences(t *testing.T) {
 	}
 	if _, err := New(train, arec, prefs, crec, Config{N: 0}); err == nil {
 		t.Fatal("invalid config did not error")
+	}
+	// A Dyn vector of another length than the catalog: the sweep would treat
+	// an item outside it as never recommended, CoverageScore as worthless.
+	for _, dyn := range []*DynCoverage{
+		NewDynCoverage(train.NumItems() - 1),
+		NewDynCoverageFrom(make([]int, train.NumItems()+1)),
+	} {
+		if _, err := New(train, arec, prefs, dyn, Config{N: 5}); err == nil {
+			t.Fatalf("Dyn coverage over %d items accepted for a %d-item train set", dyn.NumItems(), train.NumItems())
+		}
+	}
+}
+
+// TestFullySequentialPassKeepsNoSnapshots pins the default configuration's
+// allocation: with no out-of-sample phase nothing reads a frequency snapshot,
+// so a pass must not take one per user — |U|·|I| ints, 8 GB at the paper's
+// scale. What a pass does allocate per user (the top-N set, the selection
+// heap) does not grow with the catalog and stays far below one snapshot.
+func TestFullySequentialPassKeepsNoSnapshots(t *testing.T) {
+	d, err := synth.Generate(synth.ML100K(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := d.SplitByUser(0.8, rand.New(rand.NewSource(21))).Train
+	prefs := longtail.Constant(train.NumUsers(), 0.5)
+	g, err := New(train, popArec(train, 5), prefs, NewDynCoverage(train.NumItems()), Config{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Recommend() // fills the Pop membership cache and the scratch pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_ = g.Recommend()
+	runtime.ReadMemStats(&after)
+	perUser := (after.TotalAlloc - before.TotalAlloc) / uint64(train.NumUsers())
+	snapshot := uint64(train.NumItems()) * uint64(unsafe.Sizeof(int(0)))
+	t.Logf("%d users × %d items: %d B allocated per user, one snapshot is %d B", train.NumUsers(), train.NumItems(), perUser, snapshot)
+	if perUser > snapshot/4 {
+		t.Fatalf("a fully sequential pass allocated %d B per user; one frequency snapshot is %d B", perUser, snapshot)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // This file preserves the pre-refactor optimizer — per-pick full catalog
 // rescans over map[ItemID]struct{} exclusion sets, one Score call per
 // (user, item, pick) — verbatim. It is NOT used by any production path: the
-// equivalence property tests pin the buffered/CELF pipeline against it, and
+// equivalence property tests pin the candidate pipeline against it, and
 // BenchmarkRecommendAll tracks the speedup it was replaced for.
 
 // ReferenceRecommendAll runs the pre-refactor batch optimizer: the same

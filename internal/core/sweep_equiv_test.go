@@ -1,11 +1,12 @@
 package core
 
-// Equivalence property tests for the buffered/CELF candidate pipeline: across
-// randomized synthetic datasets, the new sweeps must reproduce the
-// pre-refactor per-pick rescan optimizer (kept verbatim in reference.go) —
-// identical recommendations for the modular coverage objectives (Stat, and a
-// deterministic Rand-style stand-in) and an equal objective value for the
-// submodular Dyn objective.
+// Equivalence property tests for the candidate pipeline: across randomized
+// synthetic datasets, the score-once sweeps must reproduce the pre-refactor
+// per-pick rescan optimizer (kept verbatim in reference.go) — identical
+// recommendations for the modular coverage objectives (Stat, and a
+// deterministic Rand-style stand-in) and, for the submodular Dyn objective, an
+// equal objective value and identical recommendations, under indicator (Pop)
+// and dense accuracy scores alike.
 
 import (
 	"context"
@@ -76,19 +77,10 @@ func TestSweepEquivalenceStatCoverage(t *testing.T) {
 	}
 }
 
-// hashCoverage is a deterministic stand-in for the Rand coverage recommender:
-// per-(user, item) pseudo-random scores that, unlike RandCoverage's shared
-// rng, do not depend on evaluation order, so the pre-refactor per-pick rescan
-// and the buffered sweep can be compared exactly. withBulk toggles the
-// BulkCoverage fast path so both the buffered and the live-scoring oracle
-// modes are exercised.
-type hashCoverage struct {
-	seed     uint64
-	withBulk bool
-}
-
-func (h *hashCoverage) score(u types.UserID, i types.ItemID) float64 {
-	x := h.seed ^ (uint64(uint32(u)) << 32) ^ uint64(uint32(i))
+// hashScore is a deterministic per-(user, item) pseudo-random score in [0,1],
+// drawn from a thousand values so ties occur.
+func hashScore(seed uint64, u types.UserID, i types.ItemID) float64 {
+	x := seed ^ (uint64(uint32(u)) << 32) ^ uint64(uint32(i))
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -97,16 +89,40 @@ func (h *hashCoverage) score(u types.UserID, i types.ItemID) float64 {
 	return float64(x%1000) / 999.0
 }
 
-func (h *hashCoverage) CoverageScore(u types.UserID, i types.ItemID) float64 { return h.score(u, i) }
-func (h *hashCoverage) Observe(types.ItemID)                                 {}
-func (h *hashCoverage) Name() string                                         { return "Hash" }
+// hashCoverage is a deterministic stand-in for the Rand coverage recommender:
+// scores that, unlike RandCoverage's shared rng, do not depend on evaluation
+// order, so the pre-refactor per-pick rescan and the score-once sweep can be
+// compared exactly. It has no bulk path: the sweep fills it pointwise.
+type hashCoverage struct{ seed uint64 }
+
+func (h *hashCoverage) CoverageScore(u types.UserID, i types.ItemID) float64 {
+	return hashScore(h.seed, u, i)
+}
+func (h *hashCoverage) Observe(types.ItemID) {}
+func (h *hashCoverage) Name() string         { return "Hash" }
 
 // hashCoverageBulk adds the BulkCoverage contract on top of hashCoverage.
 type hashCoverageBulk struct{ hashCoverage }
 
 func (h *hashCoverageBulk) CoverageScores(u types.UserID, items []types.ItemID, out []float64) {
 	for k, i := range items {
-		out[k] = h.score(u, i)
+		out[k] = hashScore(h.seed, u, i)
+	}
+}
+
+// hashScorer is a dense deterministic base scorer: every candidate carries a
+// different accuracy term, where Pop's indicator gives all but N of them zero.
+type hashScorer struct{ seed uint64 }
+
+func (h hashScorer) Score(u types.UserID, i types.ItemID) float64 { return hashScore(h.seed, u, i) }
+func (h hashScorer) Name() string                                 { return "HashScorer" }
+
+// equivAccuracies are the accuracy recommenders the Dyn comparisons run
+// under: the paper's sparse Pop indicator and a dense scorer.
+func equivAccuracies(train *dataset.Dataset, trial int64) []AccuracyRecommender {
+	return []AccuracyRecommender{
+		NewPopAccuracy(train, 5),
+		&ScorerAccuracy{Scorer: hashScorer{seed: uint64(trial)*104729 + 7}},
 	}
 }
 
@@ -120,8 +136,8 @@ func TestSweepEquivalenceRandStyleCoverage(t *testing.T) {
 		train := sp.Train
 		prefs := equivPrefs(t, train, trial)
 		for _, crec := range []CoverageRecommender{
-			&hashCoverageBulk{hashCoverage{seed: uint64(trial)*7919 + 13, withBulk: true}}, // buffered oracle mode
-			&hashCoverage{seed: uint64(trial)*7919 + 13},                                   // live oracle mode
+			&hashCoverageBulk{hashCoverage{seed: uint64(trial)*7919 + 13}}, // one bulk call
+			&hashCoverage{seed: uint64(trial)*7919 + 13},                   // pointwise fill
 		} {
 			g, err := New(train, NewPopAccuracy(train, 5), prefs, crec, Config{N: 5, Seed: trial})
 			if err != nil {
@@ -143,25 +159,27 @@ func TestSweepEquivalenceDynObjectiveValue(t *testing.T) {
 		sp := equivSplit(t, trial)
 		train := sp.Train
 		prefs := equivPrefs(t, train, trial)
-		for _, sampleSize := range []int{0, train.NumUsers() / 4} {
-			build := func() *GANC {
-				g, err := New(train, NewPopAccuracy(train, 5), prefs, NewDynCoverage(train.NumItems()),
-					Config{N: 5, SampleSize: sampleSize, Seed: trial})
-				if err != nil {
-					t.Fatal(err)
+		for _, arec := range equivAccuracies(train, trial) {
+			for _, sampleSize := range []int{0, train.NumUsers() / 4} {
+				build := func() *GANC {
+					g, err := New(train, arec, prefs, NewDynCoverage(train.NumItems()),
+						Config{N: 5, SampleSize: sampleSize, Seed: trial})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return g
 				}
-				return g
+				gNew, gRef := build(), build()
+				newRecs := gNew.Recommend()
+				refRecs := gRef.ReferenceRecommendAll()
+				newVal := gNew.ValueOf(newRecs)
+				refVal := gRef.ValueOf(refRecs)
+				if math.Abs(newVal-refVal) > 1e-9 {
+					t.Fatalf("trial %d %s S=%d: Dyn objective differs: new %.12f vs reference %.12f",
+						trial, arec.Name(), sampleSize, newVal, refVal)
+				}
+				assertSameCollections(t, "Dyn/"+arec.Name(), newRecs, refRecs)
 			}
-			gNew, gRef := build(), build()
-			newRecs := gNew.Recommend()
-			refRecs := gRef.ReferenceRecommendAll()
-			newVal := gNew.ValueOf(newRecs)
-			refVal := gRef.ValueOf(refRecs)
-			if math.Abs(newVal-refVal) > 1e-9 {
-				t.Fatalf("trial %d S=%d: Dyn objective differs: new %.12f vs reference %.12f",
-					trial, sampleSize, newVal, refVal)
-			}
-			assertSameCollections(t, "Dyn", newRecs, refRecs)
 		}
 	}
 }
@@ -171,34 +189,37 @@ func TestSweepEquivalenceOnlineRecommendUser(t *testing.T) {
 	train := sp.Train
 	prefs := equivPrefs(t, train, 1)
 	ctx := context.Background()
-	for _, crec := range []CoverageRecommender{
-		NewStatCoverage(train),
-		NewDynCoverage(train.NumItems()),
-	} {
-		g, err := New(train, NewPopAccuracy(train, 5), prefs, crec, Config{N: 5, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := crec.(*DynCoverage); ok {
-			// Advance the Dyn state so the frozen snapshot is non-trivial.
-			_ = g.Recommend()
-		}
-		for u := 0; u < 30 && u < train.NumUsers(); u++ {
-			uid := types.UserID(u)
-			got, err := g.RecommendUser(ctx, uid, 7)
+	for _, arec := range equivAccuracies(train, 1) {
+		for _, crec := range []CoverageRecommender{
+			NewStatCoverage(train),
+			NewDynCoverage(train.NumItems()),
+		} {
+			label := arec.Name() + "+" + crec.Name()
+			g, err := New(train, arec, prefs, crec, Config{N: 5, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := g.ReferenceRecommendUser(ctx, uid, 7)
-			if err != nil {
-				t.Fatal(err)
+			if _, ok := crec.(*DynCoverage); ok {
+				// Advance the Dyn state so the frozen snapshot is non-trivial.
+				_ = g.Recommend()
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s user %d: %v vs %v", crec.Name(), u, got, want)
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("%s user %d: new %v != reference %v", crec.Name(), u, got, want)
+			for u := 0; u < 30 && u < train.NumUsers(); u++ {
+				uid := types.UserID(u)
+				got, err := g.RecommendUser(ctx, uid, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := g.ReferenceRecommendUser(ctx, uid, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s user %d: %v vs %v", label, u, got, want)
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("%s user %d: new %v != reference %v", label, u, got, want)
+					}
 				}
 			}
 		}

@@ -17,7 +17,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -312,150 +311,6 @@ func sortScored32Desc(h []scored32) {
 		}
 		h[j+1] = e
 	}
-}
-
-// TopK32 is a streaming top-k selector over (item, float32 score) pairs with
-// SelectTopNScored32's replacement rule, for hot paths that rank while
-// enumerating instead of materializing a candidate slice first. The zero
-// value is ready after Reset; the heap storage is retained across Resets so
-// a pooled TopK32 never allocates in steady state.
-type TopK32 struct {
-	k int
-	h []scored32
-}
-
-// Reset empties the selector and sets its capacity to k.
-func (t *TopK32) Reset(k int) {
-	t.k = k
-	t.h = t.h[:0]
-}
-
-// Push offers one (item, score) pair.
-func (t *TopK32) Push(item types.ItemID, s float32) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, scored32{item: item, score: s})
-		siftUp32(t.h, len(t.h)-1)
-		return
-	}
-	if t.k <= 0 {
-		return
-	}
-	min := t.h[0]
-	if s > min.score || (s == min.score && item < min.item) {
-		t.h[0] = scored32{item: item, score: s}
-		siftDown32(t.h, 0)
-	}
-}
-
-// AppendTo appends the selected pairs (in unspecified order) to items and
-// scores and returns the extended slices.
-func (t *TopK32) AppendTo(items []types.ItemID, scores []float32) ([]types.ItemID, []float32) {
-	for _, e := range t.h {
-		items = append(items, e.item)
-		scores = append(scores, e.score)
-	}
-	return items, scores
-}
-
-// Threshold returns the current admission threshold: the minimum entry while
-// the selector is full, or a −Inf score while it is not. A candidate
-// (item, s) changes the selection iff s > score, or s == score and
-// item < minItem — the replacement rule — so hot enumeration loops cache the
-// threshold in locals, reject most candidates with two inlined comparisons,
-// and only pay the Push call (refreshing the cached threshold afterwards)
-// for candidates that pass.
-func (t *TopK32) Threshold() (minItem types.ItemID, score float32) {
-	if len(t.h) < t.k {
-		return 0, float32(math.Inf(-1))
-	}
-	return t.h[0].item, t.h[0].score
-}
-
-// less64 orders the TopK64 min-heap: smaller score first, ties with the
-// larger item first (the entry top-N selection should evict), matching
-// scoredHeap.Less.
-func less64(a, b types.ScoredItem) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Item > b.Item
-}
-
-func siftUp64(h []types.ScoredItem, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less64(h[i], h[parent]) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func siftDown64(h []types.ScoredItem, i int) {
-	for {
-		left := 2*i + 1
-		if left >= len(h) {
-			return
-		}
-		least := left
-		if right := left + 1; right < len(h) && less64(h[right], h[left]) {
-			least = right
-		}
-		if !less64(h[least], h[i]) {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-}
-
-// TopK64 is the float64 counterpart of TopK32, with SelectTopNScored's
-// replacement rule.
-type TopK64 struct {
-	k int
-	h []types.ScoredItem
-}
-
-// Reset empties the selector and sets its capacity to k.
-func (t *TopK64) Reset(k int) {
-	t.k = k
-	t.h = t.h[:0]
-}
-
-// Push offers one (item, score) pair.
-func (t *TopK64) Push(item types.ItemID, s float64) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, types.ScoredItem{Item: item, Score: s})
-		siftUp64(t.h, len(t.h)-1)
-		return
-	}
-	if t.k <= 0 {
-		return
-	}
-	min := t.h[0]
-	if s > min.Score || (s == min.Score && item < min.Item) {
-		t.h[0] = types.ScoredItem{Item: item, Score: s}
-		siftDown64(t.h, 0)
-	}
-}
-
-// AppendTo appends the selected pairs (in unspecified order) to items and
-// scores and returns the extended slices.
-func (t *TopK64) AppendTo(items []types.ItemID, scores []float64) ([]types.ItemID, []float64) {
-	for _, e := range t.h {
-		items = append(items, e.Item)
-		scores = append(scores, e.Score)
-	}
-	return items, scores
-}
-
-// Threshold is TopK32.Threshold for the float64 selector.
-func (t *TopK64) Threshold() (minItem types.ItemID, score float64) {
-	if len(t.h) < t.k {
-		return 0, math.Inf(-1)
-	}
-	return t.h[0].Item, t.h[0].Score
 }
 
 // scoreBufPool recycles the per-call score buffers of the candidate ranking

@@ -1,16 +1,18 @@
-// Package submodular provides the combinatorial optimization machinery behind
-// GANC's dynamic-coverage objective: marginal-gain oracles, the locally
-// greedy algorithm of Fisher, Nemhauser & Wolsey (1978) for maximizing a
-// monotone submodular function subject to a partition matroid, a lazy-greedy
-// accelerated variant, and small helpers for verifying submodularity and
-// monotonicity empirically (used by the tests and the ablation benchmarks).
+// Package submodular is the executable form of the paper's Appendix B: the
+// combinatorial optimization argument behind GANC's dynamic-coverage
+// objective. It holds marginal-gain oracles, the locally greedy algorithm of
+// Fisher, Nemhauser & Wolsey (1978) for maximizing a monotone submodular
+// function subject to a partition matroid, a lazy-greedy accelerated variant,
+// and small helpers for verifying submodularity and monotonicity empirically.
 //
-// The paper's Appendix B shows that with the Dyn coverage recommender the
-// objective Σ_u v_u(P_u) is monotone submodular over user–item pairs and the
-// constraint "N items per user" is a partition matroid, so locally greedy
-// gives a 1/2-approximation. This package exposes those pieces in a
-// recommender-agnostic way; internal/core wires them to GANC's value
-// functions.
+// Appendix B shows that with the Dyn coverage recommender the objective
+// Σ_u v_u(P_u) is monotone submodular over user–item pairs and the constraint
+// "N items per user" is a partition matroid, so locally greedy gives a
+// 1/2-approximation. No production path runs this package: internal/core's
+// sweep scores a user's candidates once and takes the top N, which is the
+// same sequence of picks because one user's turn is modular (DESIGN.md §7).
+// The tests here and BenchmarkAblation_LazyGreedy keep the general machinery
+// honest against that shortcut.
 package submodular
 
 import (
@@ -88,8 +90,8 @@ type lazyEntry struct {
 }
 
 // lazyHeap is a max-heap over lazyEntry with direct sift operations instead
-// of container/heap: the interface-based API boxes every pushed and popped
-// entry, which dominated the allocation profile of the hot CELF sweeps.
+// of container/heap, whose interface-based API boxes every pushed and popped
+// entry.
 type lazyHeap []lazyEntry
 
 func (h lazyHeap) less(a, b int) bool {
@@ -158,36 +160,14 @@ func (h *lazyHeap) popTop() lazyEntry {
 // (Minoux's accelerated greedy): cached gains are only re-evaluated when an
 // item reaches the top of the priority queue with a stale timestamp. For
 // submodular gains this returns exactly the same set as the plain greedy
-// sweep while evaluating far fewer gains; for the modular parts of GANC's
-// objective (Stat and Rand coverage) it degenerates gracefully to a single
-// evaluation per item.
+// sweep while evaluating far fewer gains; for a modular objective it
+// degenerates gracefully to a single evaluation per item.
 func LazyGreedyForUser(u types.UserID, n int, oracle Oracle) types.TopNSet {
-	return LazyGreedyForUserScratch(u, n, oracle, nil)
-}
-
-// LazyScratch holds the CELF priority queue's backing storage so hot callers
-// (the per-user sweeps of core.GANC's optimizer) can run thousands of lazy
-// selections without reallocating the heap. The zero value is ready to use;
-// a LazyScratch must not be shared between concurrent sweeps.
-type LazyScratch struct {
-	h lazyHeap
-}
-
-// LazyGreedyForUserScratch is LazyGreedyForUser with caller-owned heap
-// storage. A nil scratch allocates fresh storage (LazyGreedyForUser's
-// behaviour); otherwise the scratch's buffer is reused across calls.
-func LazyGreedyForUserScratch(u types.UserID, n int, oracle Oracle, scratch *LazyScratch) types.TopNSet {
 	candidates := oracle.Candidates(u)
 	if n > len(candidates) {
 		n = len(candidates)
 	}
-	var h lazyHeap
-	if scratch != nil {
-		h = scratch.h[:0]
-	}
-	if cap(h) < len(candidates) {
-		h = make(lazyHeap, 0, len(candidates))
-	}
+	h := make(lazyHeap, 0, len(candidates))
 	for _, i := range candidates {
 		h = append(h, lazyEntry{item: i, gain: oracle.Gain(u, i), stamp: 0})
 	}
@@ -208,9 +188,6 @@ func LazyGreedyForUserScratch(u types.UserID, n int, oracle Oracle, scratch *Laz
 		top.gain = oracle.Gain(u, top.item)
 		top.stamp = selections
 		h.replaceTop(top)
-	}
-	if scratch != nil {
-		scratch.h = h[:0]
 	}
 	return set
 }

@@ -187,12 +187,6 @@ func CoverageRand() CoverageSpec {
 	}}
 }
 
-// CoverageCustom wraps an arbitrary coverage recommender constructor so
-// downstream code can extend the framework without leaving the Pipeline API.
-func CoverageCustom(name string, build func(train *Dataset, seed int64) CoverageRecommender) CoverageSpec {
-	return CoverageSpec{name: name, build: build}
-}
-
 // NewPipeline validates and assembles a complete GANC pipeline in one call.
 // The only required choice is the accuracy component (exactly one of
 // WithBase, WithBaseNamed or WithAccuracy); everything else has the paper's

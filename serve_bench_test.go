@@ -6,10 +6,9 @@ package ganc
 // online serving design: cache hits must remain a multiple faster than cold
 // computes. The original gate was 10×; the index-contiguous candidate
 // pipeline cut cold-compute latency by roughly an order of magnitude and
-// moved the gate to 3×, and the sparse Pop+Dyn sweep fast path (see
-// DESIGN.md §12) cut the cold sweep again, so the enforced ratio is now 2× —
-// the cache must still clearly win, but nearly all of the old gap was closed
-// by making the underlying sweep cheap rather than by caching it.
+// moved the gate to 3×, and later to the 2× enforced now — the cache must
+// still clearly win, but nearly all of the old gap was closed by making the
+// underlying sweep cheap rather than by caching it.
 
 import (
 	"math/rand"

@@ -2,11 +2,11 @@ package ganc
 
 // Sweep benchmarks: the candidate-pipeline refactor's acceptance gate. Each
 // benchmark runs the same GANC(Pop, θ^G, Dyn) assembly on the medium synth
-// preset (ML-1M) through both the buffered/CELF pipeline and the preserved
-// pre-refactor per-pick rescan path (core.GANC.ReferenceRecommendAll), so
-// `go test -bench 'RecommendAll|RecommendUser' -benchmem` prints the speedup
-// and allocation ratio directly (add -cpuprofile/-memprofile to profile the
-// loops).
+// preset (ML-1M) through both the score-once candidate pipeline (DESIGN.md §7)
+// and the preserved pre-refactor per-pick rescan path
+// (core.GANC.ReferenceRecommendAll), so `go test -bench
+// 'RecommendAll|RecommendUser' -benchmem` prints the speedup and allocation
+// ratio directly (add -cpuprofile/-memprofile to profile the loops).
 
 import (
 	"context"
@@ -46,8 +46,8 @@ func sweepBenchPipeline(tb testing.TB) *Pipeline {
 	return p
 }
 
-// BenchmarkRecommendAll compares the full batch sweep: the buffered/CELF
-// candidate pipeline vs the pre-refactor per-pick rescan reference.
+// BenchmarkRecommendAll compares the full batch sweep: the candidate pipeline
+// vs the pre-refactor per-pick rescan reference.
 func BenchmarkRecommendAll(b *testing.B) {
 	b.Run("pipeline", func(b *testing.B) {
 		p := sweepBenchPipeline(b)

@@ -171,32 +171,82 @@ func position(fset *token.FileSet, pos token.Pos) string {
 }
 
 // The names gate: README.md and DESIGN.md may only name `With*` options,
-// `gancd`/`loadgen` flags and `-role` values that exist in the code. Options
-// and flags are the names a reader copies into a program or a shell, so a
-// document that keeps one the code dropped is wrong in the most expensive
-// way; this keeps a removal and its documentation in the same change.
+// `gancd`/`loadgen` flags, `-role` values and package-qualified exported
+// identifiers (`recommender.SelectTop`) that exist in the code. Options and
+// flags are the names a reader copies into a program or a shell, and a
+// qualified identifier is where a reader opens the code, so a document that
+// keeps one the code dropped is wrong in the most expensive way; this keeps a
+// removal or a rename and its documentation in the same change.
 
-// declaredOptions collects every exported With* function declared in a
-// non-test file of the module.
-func declaredOptions(t *testing.T) map[string]bool {
+// modulePackages parses every package of the module, test files and comments
+// left out.
+func modulePackages(t *testing.T) []*ast.Package {
 	t.Helper()
-	opts := map[string]bool{}
+	var out []*ast.Package
 	for _, dir := range collectPackageDirs(t) {
 		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nonTestFile, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)
 		}
 		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && optionName.MatchString(fn.Name.Name) {
-						opts[fn.Name.Name] = true
-					}
+			out = append(out, pkg)
+		}
+	}
+	return out
+}
+
+// declaredOptions collects every exported With* function declared in pkgs.
+func declaredOptions(pkgs []*ast.Package) map[string]bool {
+	opts := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && optionName.MatchString(fn.Name.Name) {
+					opts[fn.Name.Name] = true
 				}
 			}
 		}
 	}
 	return opts
+}
+
+// declaredIdentifiers maps each library package in pkgs, by package name, to
+// every name it declares that a document could qualify with it: functions,
+// methods (interface methods included), types, constants, variables and
+// struct fields.
+func declaredIdentifiers(pkgs []*ast.Package) map[string]map[string]bool {
+	decls := map[string]map[string]bool{}
+	for _, pkg := range pkgs {
+		if pkg.Name == "main" {
+			continue
+		}
+		names := decls[pkg.Name]
+		if names == nil {
+			names = map[string]bool{}
+			decls[pkg.Name] = names
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch d := n.(type) {
+				case *ast.FuncDecl:
+					names[d.Name.Name] = true
+					return false // nothing declared inside a body can be qualified
+				case *ast.TypeSpec:
+					names[d.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, name := range d.Names {
+						names[name.Name] = true
+					}
+				case *ast.Field: // struct fields and interface methods
+					for _, name := range d.Names {
+						names[name.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return decls
 }
 
 // commandFlags collects the flags a command under cmd/ defines — every
@@ -261,10 +311,15 @@ var (
 	optionInDoc = regexp.MustCompile(`\bWith[A-Z]\w*`)
 	flagDefiner = regexp.MustCompile(`^(String|Int|Int64|Uint|Uint64|Float64|Bool|Duration)(Var)?$`)
 	flagInDoc   = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
+	// qualifiedInDoc matches pkg.Ident and pkg.Type.Member; a lower-case
+	// member (a metric such as core.sweep_self_us, a file such as simulate.go)
+	// ends the match and is not checked.
+	qualifiedInDoc = regexp.MustCompile(`\b([a-z][a-z0-9]*)((?:\.[A-Z]\w*)+)`)
 )
 
 func TestDocsNameOnlyWhatExists(t *testing.T) {
-	options := declaredOptions(t)
+	pkgs := modulePackages(t)
+	options, identifiers := declaredOptions(pkgs), declaredIdentifiers(pkgs)
 	// A code span that is nothing but flags (a cell of a flag matrix) names no
 	// command, so it is held to anyFlag: the union of every command's flags
 	// plus the go tool flags the documents quote. Invocations are checked for
@@ -358,6 +413,17 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 					continue
 				}
 				invocations(where, span)
+				for _, m := range qualifiedInDoc.FindAllStringSubmatch(span, -1) {
+					names, ours := identifiers[m[1]]
+					if !ours {
+						continue // a standard-library package, a receiver, a file
+					}
+					for _, name := range strings.Split(m[2], ".")[1:] {
+						if !names[name] {
+							t.Errorf("%s: package %s declares no %s (in `%s`)", where, m[1], name, span)
+						}
+					}
+				}
 				// (Double-dash spans are benchmark/run.sh's options, not flags.)
 				if strings.HasPrefix(span, "-") && !strings.HasPrefix(span, "--") {
 					for _, w := range strings.FieldsFunc(span, func(r rune) bool { return r == ' ' || r == '/' }) {

@@ -158,7 +158,7 @@ func (s *ScorerAccuracy) Name() string { return s.Scorer.Name() }
 // serving path never serializes on the cache, and the cache is bounded by
 // cacheCap with arbitrary-entry eviction (map iteration order) once full.
 type PopAccuracy struct {
-	pop   *recommender.Pop
+	pop   recommender.ScorerTopN
 	train *dataset.Dataset
 	topN  int
 	mu    sync.RWMutex
@@ -173,13 +173,7 @@ type PopAccuracy struct {
 // NewPopAccuracy builds the indicator-style Pop accuracy recommender. topN is
 // the N of the top-N sets being constructed.
 func NewPopAccuracy(train *dataset.Dataset, topN int) *PopAccuracy {
-	return &PopAccuracy{
-		pop:      recommender.NewPop(train),
-		train:    train,
-		topN:     topN,
-		cache:    make(map[types.UserID][]uint64),
-		cacheCap: 200_000,
-	}
+	return NewPopAccuracyWith(recommender.NewPop(train), train, topN)
 }
 
 // topBits returns user u's popularity top-N membership bitset, computing and
@@ -191,7 +185,7 @@ func (p *PopAccuracy) topBits(u types.UserID) []uint64 {
 	if ok {
 		return bits
 	}
-	top := p.pop.RecommendFrom(u, p.topN, p.train.AppendCandidates(u, nil))
+	top := p.pop.Recommend(u, p.topN, p.train.AppendCandidates(u, nil))
 	bits = make([]uint64, (p.train.NumItems()+63)/64)
 	for _, it := range top {
 		bits[it>>6] |= 1 << (uint(it) & 63)
@@ -672,8 +666,8 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int,
 	sc.cand = g.train.AppendCandidates(u, sc.cand[:0])
 	cand := sc.cand
 
-	// Dyn scores are read off freq inside the combining loops below; any
-	// other recommender fills a buffer first.
+	// Dyn scores are read off freq inside selectGains; any other recommender
+	// fills a buffer first.
 	var covs []float64
 	if freq == nil {
 		covs = sized(&sc.covs, len(cand))
@@ -682,42 +676,18 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int,
 
 	theta := g.prefs.Get(u)
 	var set types.TopNSet
+	var err error
 	if ba, ok := g.arec.(BulkAccuracy32); ok && prec != types.PrecisionF64 {
 		gains := sized(&sc.gains32, len(cand))
 		ba.AccuracyScores32(u, cand, gains)
-		// Scoring is most of a sweep's cost on a large catalog: a caller that
-		// gave up during it is answered before the selection.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t32 := float32(theta)
-		a32 := 1 - t32
-		if freq != nil {
-			for k, i := range cand {
-				gains[k] = a32*gains[k] + t32*float32(dynScore(freq, i))
-			}
-		} else {
-			for k := range gains {
-				gains[k] = a32*gains[k] + t32*float32(covs[k])
-			}
-		}
-		set = recommender.SelectTopNScored32(cand, gains, n)
+		set, err = selectGains(ctx, cand, gains, theta, freq, covs, n)
 	} else {
 		gains := sized(&sc.gains, len(cand))
 		fillAccuracyScores(g.arec, u, cand, gains)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if freq != nil {
-			for k, i := range cand {
-				gains[k] = (1-theta)*gains[k] + theta*dynScore(freq, i)
-			}
-		} else {
-			for k := range gains {
-				gains[k] = (1-theta)*gains[k] + theta*covs[k]
-			}
-		}
-		set = recommender.SelectTopNScored(cand, gains, n)
+		set, err = selectGains(ctx, cand, gains, theta, freq, covs, n)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if observe {
 		for _, i := range set {
@@ -725,6 +695,29 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int,
 		}
 	}
 	return set, nil
+}
+
+// selectGains turns the accuracy scores in gains into the gains
+// (1−θ)·a(i) + θ·c(i) in place, in the arithmetic of T — c(i) read off freq
+// when it is non-nil, from covs otherwise — and selects the n largest.
+func selectGains[T float32 | float64](ctx context.Context, cand []types.ItemID, gains []T, theta float64, freq []int, covs []float64, n int) (types.TopNSet, error) {
+	// Scoring is most of a sweep's cost on a large catalog: a caller that
+	// gave up during it is answered before the selection.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	t := T(theta)
+	a := 1 - t
+	if freq != nil {
+		for k, i := range cand {
+			gains[k] = a*gains[k] + t*T(dynScore(freq, i))
+		}
+	} else {
+		for k := range gains {
+			gains[k] = a*gains[k] + t*T(covs[k])
+		}
+	}
+	return recommender.SelectTop(cand, gains, n), nil
 }
 
 // forEachShard splits [0, count) into contiguous ranges across the configured
@@ -739,13 +732,16 @@ func (g *GANC) forEachShard(count int, fn func(lo, hi int)) {
 		fn(0, count)
 		return
 	}
+	if workers > count {
+		workers = count
+	}
 	var wg sync.WaitGroup
-	for _, r := range recommender.ShardRanges(count, workers) {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(r.Lo, r.Hi)
+		}(count*w/workers, count*(w+1)/workers)
 	}
 	wg.Wait()
 }

@@ -218,9 +218,9 @@ func TestPopAccuracyIndicatorScores(t *testing.T) {
 	sp := testSplit(t)
 	train := sp.Train
 	pa := NewPopAccuracy(train, 5)
-	pop := recommender.NewPop(train)
+	pop := &recommender.ScorerTopN{Scorer: recommender.NewPop(train)}
 	u := types.UserID(0)
-	top := pop.Recommend(u, 5, train.UserItemSet(u))
+	top := pop.Recommend(u, 5, train.AppendCandidates(u, nil))
 	for _, i := range top {
 		if pa.AccuracyScore(u, i) != 1 {
 			t.Fatalf("item %d in popularity top-5 should score 1", i)
@@ -313,10 +313,10 @@ func TestThetaZeroReproducesAccuracyRecommender(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := g.Recommend()
-	pop := recommender.NewPop(train)
+	pop := &recommender.ScorerTopN{Scorer: recommender.NewPop(train)}
 	for u := 0; u < 25 && u < train.NumUsers(); u++ {
 		uid := types.UserID(u)
-		want := pop.Recommend(uid, n, train.UserItemSet(uid))
+		want := pop.Recommend(uid, n, train.AppendCandidates(uid, nil))
 		got := recs[uid]
 		wantSet := map[types.ItemID]bool{}
 		for _, i := range want {
@@ -345,10 +345,10 @@ func TestThetaOneIgnoresAccuracy(t *testing.T) {
 	stat := NewStatCoverage(train)
 	for u := 0; u < 10; u++ {
 		uid := types.UserID(u)
-		exclude := train.UserItemSet(uid)
-		want := recommender.SelectTopN(train.NumItems(), n, exclude, func(i types.ItemID) float64 {
-			return stat.CoverageScore(uid, i)
-		})
+		cands := train.AppendCandidates(uid, nil)
+		scores := make([]float64, len(cands))
+		stat.CoverageScores(uid, cands, scores)
+		want := recommender.SelectTop(cands, scores, n)
 		got := recs[uid]
 		for k := range want {
 			if got[k] != want[k] {
@@ -367,8 +367,7 @@ func TestDynCoverageIncreasesCatalogCoverage(t *testing.T) {
 	prefs, _ := longtail.Estimate(longtail.ModelGeneralized, train, nil, 0, 1)
 	n := 5
 
-	pop := recommender.NewPop(train)
-	popRecs := recommender.RecommendAll(pop, train, n)
+	popRecs := recommender.RecommendAll(&recommender.ScorerTopN{Scorer: recommender.NewPop(train)}, train, n)
 
 	g, err := New(train, popArec(train, n), prefs, NewDynCoverage(train.NumItems()), Config{N: n, SampleSize: 60, Seed: 5})
 	if err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
 	"ganc/internal/dataset"
@@ -37,6 +39,34 @@ func collectionsEqual(a, b types.Recommendations) bool {
 		}
 	}
 	return true
+}
+
+// TestForEachShardCoversExactly: the ranges handed to the workers tile
+// [0, count) with no gap, overlap or empty range, for any worker count.
+func TestForEachShardCoversExactly(t *testing.T) {
+	for count := 0; count <= 40; count++ {
+		for workers := 0; workers <= 9; workers++ {
+			g := &GANC{cfg: Config{Workers: workers}}
+			var mu sync.Mutex
+			var ranges [][2]int
+			g.forEachShard(count, func(lo, hi int) {
+				mu.Lock()
+				ranges = append(ranges, [2]int{lo, hi})
+				mu.Unlock()
+			})
+			sort.Slice(ranges, func(a, b int) bool { return ranges[a][0] < ranges[b][0] })
+			next := 0
+			for _, r := range ranges {
+				if r[0] != next || (r[1] <= r[0] && count > 0) {
+					t.Fatalf("count=%d workers=%d: bad range %v in %v", count, workers, r, ranges)
+				}
+				next = r[1]
+			}
+			if next != count {
+				t.Fatalf("count=%d workers=%d: ranges %v cover [0,%d)", count, workers, ranges, next)
+			}
+		}
+	}
 }
 
 func TestParallelStatCoverageMatchesSequential(t *testing.T) {

@@ -42,7 +42,7 @@ func NewStatCoverageFromCounts(counts []int) *StatCoverage {
 // ingestion) or counts restored from a snapshot instead of recounting train.
 func NewPopAccuracyWith(pop *recommender.Pop, train *dataset.Dataset, topN int) *PopAccuracy {
 	return &PopAccuracy{
-		pop:      pop,
+		pop:      recommender.ScorerTopN{Scorer: pop},
 		train:    train,
 		topN:     topN,
 		cache:    make(map[types.UserID][]uint64),

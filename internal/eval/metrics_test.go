@@ -316,6 +316,42 @@ func TestRecommendWithProtocolRatedTestItemsOnlyRanksTestItems(t *testing.T) {
 	}
 }
 
+// drawCounter is a scorer whose every Score call is a fresh draw, as
+// recommender.Rand's is; it counts them.
+type drawCounter struct{ calls int }
+
+func (c *drawCounter) Score(types.UserID, types.ItemID) float64 {
+	c.calls++
+	return float64(c.calls * 7 % 5)
+}
+func (c *drawCounter) Name() string { return "draws" }
+
+// TestRatedTestItemsProtocolScoresEachItemOnce: a ranking is only defined when
+// each candidate has one score, and the Appendix C study passes Rand, so the
+// protocol must not score inside a sort comparator.
+func TestRatedTestItemsProtocolScoresEachItemOnce(t *testing.T) {
+	bTrain := dataset.NewBuilder("train", 8)
+	bTest := dataset.NewBuilder("test", 16)
+	bTrain.AddIDs(0, 0, 4)
+	bTrain.AddIDs(1, 0, 3)
+	testItems := 0
+	for u, count := range []int{7, 4} {
+		for i := 1; i <= count; i++ {
+			bTest.AddIDs(types.UserID(u), types.ItemID(i), 5)
+			testItems++
+		}
+	}
+	sp := &dataset.Split{Train: bTrain.Build(), Test: bTest.Build(), Kappa: 0.5}
+	c := &drawCounter{}
+	recs := RecommendWithProtocol(c, sp, 3, ProtocolRatedTestItems)
+	if c.calls != testItems {
+		t.Fatalf("%d Score calls for %d test items", c.calls, testItems)
+	}
+	if len(recs[0]) != 3 || len(recs[1]) != 3 {
+		t.Fatalf("lists %v", recs)
+	}
+}
+
 func TestProtocolBiasMatchesAppendixC(t *testing.T) {
 	// The paper's Appendix C observation: accuracy measured under the
 	// rated-test-items protocol is (much) higher than under the all-unrated

@@ -34,38 +34,24 @@ func (p Protocol) String() string {
 }
 
 // RecommendWithProtocol produces the top-N collection for every user under
-// the chosen protocol using an arbitrary scorer.
+// the chosen protocol using an arbitrary scorer. The two protocols differ only
+// in the candidate slice handed to the one ranking path (ScorerTopN: one bulk
+// score call, one SelectTop), so every candidate is scored exactly once.
 //
 // Under the all-unrated protocol the candidate pool is the full catalog minus
 // the user's train items. Under the rated-test-items protocol the pool is the
 // user's test items only (users without test ratings receive no list and are
 // skipped, as in the paper's evaluation).
 func RecommendWithProtocol(scorer recommender.Scorer, split *dataset.Split, n int, protocol Protocol) types.Recommendations {
-	train, test := split.Train, split.Test
-	recs := make(types.Recommendations, train.NumUsers())
-	switch protocol {
-	case ProtocolRatedTestItems:
-		for u := 0; u < train.NumUsers(); u++ {
-			uid := types.UserID(u)
-			testItems := test.UserItems(uid)
-			if len(testItems) == 0 {
-				continue
-			}
-			// Rank only the user's test items.
-			items := append([]types.ItemID(nil), testItems...)
-			recommender.SortItemsByScoreDesc(items, func(i types.ItemID) float64 {
-				return scorer.Score(uid, i)
-			})
-			if len(items) > n {
-				items = items[:n]
-			}
-			recs[uid] = types.TopNSet(items)
-		}
-	default: // ProtocolAllUnrated
-		top := &recommender.ScorerTopN{Scorer: scorer, NumItems: train.NumItems()}
-		for u := 0; u < train.NumUsers(); u++ {
-			uid := types.UserID(u)
-			recs[uid] = top.Recommend(uid, n, train.UserItemSet(uid))
+	top := &recommender.ScorerTopN{Scorer: scorer}
+	if protocol != ProtocolRatedTestItems {
+		return recommender.RecommendAll(top, split.Train, n)
+	}
+	recs := make(types.Recommendations, split.Train.NumUsers())
+	for u := 0; u < split.Train.NumUsers(); u++ {
+		uid := types.UserID(u)
+		if testItems := split.Test.UserItems(uid); len(testItems) > 0 {
+			recs[uid] = top.Recommend(uid, n, testItems)
 		}
 	}
 	return recs

@@ -187,7 +187,7 @@ func (s *Suite) runPRAWithARec(datasetName string, arec AccuracyRecName, n int) 
 	if err != nil {
 		return nil, "", err
 	}
-	return p.RecommendAll(), p.Name(), nil
+	return recommender.RecommendAll(p, sp.Train, n), p.Name(), nil
 }
 
 // --- Figures 7 and 8 ---------------------------------------------------------------
@@ -222,7 +222,7 @@ func (s *Suite) ProtocolComparison(datasetName string) ([]ProtocolPoint, string,
 		scorer recommender.Scorer
 	}
 	var scorers []namedScorer
-	scorers = append(scorers, namedScorer{"Rand", recommender.NewRand(sp.Train.NumItems(), s.Seed)})
+	scorers = append(scorers, namedScorer{"Rand", recommender.NewRand(s.Seed)})
 	scorers = append(scorers, namedScorer{"Pop", recommender.NewPop(sp.Train)})
 	if m, err := s.RSVD(datasetName); err == nil {
 		scorers = append(scorers, namedScorer{"RSVD", m})

@@ -281,9 +281,7 @@ func (s *Suite) PreferenceModelSweep(datasetName string, arecs []AccuracyRecName
 			if err != nil {
 				return nil, "", err
 			}
-			baseRecs := recommender.RecommendAll(
-				&recommender.ScorerTopN{Scorer: baseScorer, NumItems: sp.Train.NumItems()},
-				sp.Train, n)
+			baseRecs := recommender.RecommendAll(&recommender.ScorerTopN{Scorer: baseScorer}, sp.Train, n)
 			baseRep := ev.Evaluate(string(arec), baseRecs, n)
 			points = append(points, PreferenceSweepPoint{ARec: arec, Theta: "ARec-only", N: n, Report: baseRep})
 			textRows = append(textRows, sweepRow(arec, "ARec-only", n, baseRep))

@@ -367,39 +367,28 @@ func (s *Suite) RunBaseline(datasetName string, algo BaselineName, n int) (types
 	if n <= 0 {
 		n = s.N
 	}
+	var scorer recommender.Scorer
 	switch algo {
 	case BaselineRand:
-		r := recommender.NewRand(sp.Train.NumItems(), s.Seed)
-		return recommender.RecommendAll(r, sp.Train, n), nil
+		// Rand samples its list directly instead of ranking random scores.
+		return recommender.RecommendAll(recommender.NewRand(s.Seed), sp.Train, n), nil
 	case BaselinePop:
-		return recommender.RecommendAll(recommender.NewPop(sp.Train), sp.Train, n), nil
+		scorer = recommender.NewPop(sp.Train)
 	case BaselineRSVD:
-		m, err := s.RSVD(datasetName)
-		if err != nil {
-			return nil, err
-		}
-		return recommender.RecommendAll(&recommender.ScorerTopN{Scorer: m, NumItems: sp.Train.NumItems()}, sp.Train, n), nil
+		scorer, err = s.RSVD(datasetName)
 	case BaselineCofiR:
-		m, err := s.CofiR(datasetName, 50)
-		if err != nil {
-			return nil, err
-		}
-		return recommender.RecommendAll(&recommender.ScorerTopN{Scorer: m, NumItems: sp.Train.NumItems()}, sp.Train, n), nil
+		scorer, err = s.CofiR(datasetName, 50)
 	case BaselinePSVD10:
-		m, err := s.PSVD(datasetName, 10)
-		if err != nil {
-			return nil, err
-		}
-		return recommender.RecommendAll(&recommender.ScorerTopN{Scorer: m, NumItems: sp.Train.NumItems()}, sp.Train, n), nil
+		scorer, err = s.PSVD(datasetName, 10)
 	case BaselinePSVD100:
-		m, err := s.PSVD(datasetName, 100)
-		if err != nil {
-			return nil, err
-		}
-		return recommender.RecommendAll(&recommender.ScorerTopN{Scorer: m, NumItems: sp.Train.NumItems()}, sp.Train, n), nil
+		scorer, err = s.PSVD(datasetName, 100)
 	default:
 		return nil, fmt.Errorf("experiment: unknown baseline %q", algo)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return recommender.RecommendAll(&recommender.ScorerTopN{Scorer: scorer}, sp.Train, n), nil
 }
 
 // RunReranker produces the top-N collection of one of the re-ranking
@@ -409,53 +398,34 @@ func (s *Suite) RunReranker(datasetName, variant string, n int) (types.Recommend
 	if err != nil {
 		return nil, "", err
 	}
-	model, err := s.RSVD(datasetName)
+	base, err := s.RSVD(datasetName)
 	if err != nil {
 		return nil, "", err
 	}
 	if n <= 0 {
 		n = s.N
 	}
+	var model recommender.TopN
 	switch variant {
 	case "5D":
-		f, err := rerank.NewFiveD(sp.Train, model, rerank.DefaultFiveDConfig(n))
-		if err != nil {
-			return nil, "", err
-		}
-		return f.RecommendAll(), f.Name(), nil
+		model, err = rerank.NewFiveD(sp.Train, base, rerank.DefaultFiveDConfig(n))
 	case "5D-A-RR":
-		f, err := rerank.NewFiveD(sp.Train, model, rerank.FiveDConfig{N: n, Q: 1, AccuracyFilter: true, RankByRankings: true})
-		if err != nil {
-			return nil, "", err
-		}
-		return f.RecommendAll(), f.Name(), nil
+		model, err = rerank.NewFiveD(sp.Train, base, rerank.FiveDConfig{N: n, Q: 1, AccuracyFilter: true, RankByRankings: true})
 	case "RBT-Pop":
-		r, err := rerank.NewRBT(sp.Train, model, rerank.DefaultRBTConfig(n, rerank.RBTPop))
-		if err != nil {
-			return nil, "", err
-		}
-		return r.RecommendAll(), r.Name(), nil
+		model, err = rerank.NewRBT(sp.Train, base, rerank.DefaultRBTConfig(n, rerank.RBTPop))
 	case "RBT-Avg":
-		r, err := rerank.NewRBT(sp.Train, model, rerank.DefaultRBTConfig(n, rerank.RBTAvg))
-		if err != nil {
-			return nil, "", err
-		}
-		return r.RecommendAll(), r.Name(), nil
+		model, err = rerank.NewRBT(sp.Train, base, rerank.DefaultRBTConfig(n, rerank.RBTAvg))
 	case "PRA-10":
-		p, err := rerank.NewPRA(sp.Train, model, rerank.DefaultPRAConfig(n, 10))
-		if err != nil {
-			return nil, "", err
-		}
-		return p.RecommendAll(), p.Name(), nil
+		model, err = rerank.NewPRA(sp.Train, base, rerank.DefaultPRAConfig(n, 10))
 	case "PRA-20":
-		p, err := rerank.NewPRA(sp.Train, model, rerank.DefaultPRAConfig(n, 20))
-		if err != nil {
-			return nil, "", err
-		}
-		return p.RecommendAll(), p.Name(), nil
+		model, err = rerank.NewPRA(sp.Train, base, rerank.DefaultPRAConfig(n, 20))
 	default:
 		return nil, "", fmt.Errorf("experiment: unknown re-ranker variant %q", variant)
 	}
+	if err != nil {
+		return nil, "", err
+	}
+	return recommender.RecommendAll(model, sp.Train, n), model.Name(), nil
 }
 
 // formatTable renders rows as a fixed-width text table with a header.

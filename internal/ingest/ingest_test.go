@@ -49,7 +49,7 @@ func testState(t *testing.T, d *dataset.Dataset) *State {
 // model constructed from the incrementally maintained counts.
 func popEngine(s *State) (serve.Engine, error) {
 	return &recommender.TopNEngine{
-		Model: recommender.NewPopFromCounts(s.PopCounts),
+		Model: &recommender.ScorerTopN{Scorer: recommender.NewPopFromCounts(s.PopCounts)},
 		Train: s.Train,
 		N:     5,
 	}, nil

@@ -92,51 +92,44 @@ func TestBulkScoresPanicsOnLengthMismatch(t *testing.T) {
 	BulkScores(plainScorer{}, 0, []types.ItemID{1, 2}, make([]float64, 1))
 }
 
-func TestScorerTopNRecommendFromMatchesRecommend(t *testing.T) {
-	d := bulkTestDataset(4)
-	model := &ScorerTopN{Scorer: NewItemAvg(d, 2), NumItems: d.NumItems()}
+// assertRanksLikeOracle holds model's ranking of each user's candidate slice to
+// the brute-force oracle over the catalog minus the user's train items.
+func assertRanksLikeOracle(t *testing.T, model TopN, s Scorer, d *dataset.Dataset, n int) {
+	t.Helper()
 	var cand []types.ItemID
 	for u := 0; u < d.NumUsers(); u++ {
 		uid := types.UserID(u)
 		cand = d.AppendCandidates(uid, cand[:0])
-		got := model.RecommendFrom(uid, 7, cand)
-		want := model.Recommend(uid, 7, d.UserItemSet(uid))
-		if len(got) != len(want) {
-			t.Fatalf("user %d: lengths differ: %v vs %v", u, got, want)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("user %d: RecommendFrom %v != Recommend %v", u, got, want)
-			}
+		got := model.Recommend(uid, n, cand)
+		want := oracleTopN(d.NumItems(), n, d.UserItemSet(uid), func(i types.ItemID) float64 { return s.Score(uid, i) })
+		if !sameList(got, want) {
+			t.Fatalf("user %d: Recommend %v != oracle %v", u, got, want)
 		}
 	}
+}
+
+func TestScorerTopNRecommendFromMatchesRecommend(t *testing.T) {
+	d := bulkTestDataset(4)
+	s := NewItemAvg(d, 2)
+	assertRanksLikeOracle(t, &ScorerTopN{Scorer: s}, s, d, 7)
+	// A scorer without a bulk path ranks through the same selector.
+	assertRanksLikeOracle(t, &ScorerTopN{Scorer: plainScorer{}}, plainScorer{}, d, 7)
 }
 
 func TestPopRecommendFromMatchesRecommend(t *testing.T) {
 	d := bulkTestDataset(5)
 	pop := NewPop(d)
-	var cand []types.ItemID
-	for u := 0; u < d.NumUsers(); u++ {
-		uid := types.UserID(u)
-		cand = d.AppendCandidates(uid, cand[:0])
-		got := pop.RecommendFrom(uid, 5, cand)
-		want := pop.Recommend(uid, 5, d.UserItemSet(uid))
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("user %d: RecommendFrom %v != Recommend %v", u, got, want)
-			}
-		}
-	}
+	assertRanksLikeOracle(t, &ScorerTopN{Scorer: pop}, pop, d, 5)
 }
 
 func TestRandRecommendFromIsValid(t *testing.T) {
 	d := bulkTestDataset(6)
-	r := NewRand(d.NumItems(), 9)
+	r := NewRand(9)
 	var cand []types.ItemID
 	for u := 0; u < d.NumUsers(); u++ {
 		uid := types.UserID(u)
 		cand = d.AppendCandidates(uid, cand[:0])
-		set := r.RecommendFrom(uid, 5, cand)
+		set := r.Recommend(uid, 5, cand)
 		if len(set) != 5 && len(set) != len(cand) {
 			t.Fatalf("user %d: got %d items", u, len(set))
 		}
@@ -154,6 +147,20 @@ func TestRandRecommendFromIsValid(t *testing.T) {
 	}
 }
 
+// TestRandBulkDrawsInItemOrder pins what keeps every experiment table's bytes:
+// one bulk call consumes the generator exactly as the same Score calls would.
+func TestRandBulkDrawsInItemOrder(t *testing.T) {
+	items := []types.ItemID{4, 0, 9, 2, 7}
+	bulk, point := NewRand(21), NewRand(21)
+	out := make([]float64, len(items))
+	bulk.ScoreUser(3, items, out)
+	for k, i := range items {
+		if want := point.Score(3, i); out[k] != want {
+			t.Fatalf("draw %d: bulk %v != pointwise %v", k, out[k], want)
+		}
+	}
+}
+
 func TestSelectTopNScoredMatchesSelectTopN(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -162,72 +169,18 @@ func TestSelectTopNScoredMatchesSelectTopN(t *testing.T) {
 		for i := range scores {
 			scores[i] = float64(rng.Intn(7)) // coarse values force ties
 		}
-		cands := make([]types.ItemID, numItems)
-		for i := range cands {
-			cands[i] = types.ItemID(i)
-		}
 		n := 1 + rng.Intn(10)
-		got := SelectTopNScored(cands, scores, n)
-		want := SelectTopN(numItems, n, nil, func(i types.ItemID) float64 { return scores[i] })
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d: %v != %v", trial, got, want)
-			}
-		}
-	}
-}
-
-func TestShardRangesCoverExactly(t *testing.T) {
-	for count := 0; count <= 40; count++ {
-		for workers := 1; workers <= 9; workers++ {
-			ranges := ShardRanges(count, workers)
-			next := 0
-			for _, r := range ranges {
-				if r.Lo != next || r.Hi <= r.Lo {
-					t.Fatalf("count=%d workers=%d: bad range %+v (next=%d)", count, workers, r, next)
-				}
-				next = r.Hi
-			}
-			if next != count {
-				t.Fatalf("count=%d workers=%d: ranges cover [0,%d), want [0,%d)", count, workers, next, count)
-			}
-		}
-	}
-}
-
-func TestTopNEngineParallelMatchesSequential(t *testing.T) {
-	d := bulkTestDataset(7)
-	build := func(workers int) *TopNEngine {
-		return &TopNEngine{
-			Model:   &ScorerTopN{Scorer: NewItemAvg(d, 1), NumItems: d.NumItems()},
-			Train:   d,
-			N:       6,
-			Workers: workers,
-		}
-	}
-	seq, err := build(0).RecommendAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := build(8).RecommendAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("user counts differ: %d vs %d", len(seq), len(par))
-	}
-	for u := range seq {
-		for k := range seq[u] {
-			if seq[u][k] != par[u][k] {
-				t.Fatalf("user %d: %v != %v", u, seq[u], par[u])
-			}
+		got := SelectTop(catalogItems(numItems), scores, n)
+		want := oracleTopN(numItems, n, nil, func(i types.ItemID) float64 { return scores[i] })
+		if !sameList(got, want) {
+			t.Fatalf("trial %d: %v != %v", trial, got, want)
 		}
 	}
 }
 
 func TestTopNEngineRecommendUserUsesCandidatePipeline(t *testing.T) {
 	d := bulkTestDataset(8)
-	e := &TopNEngine{Model: &ScorerTopN{Scorer: NewPop(d), NumItems: d.NumItems()}, Train: d, N: 4}
+	e := &TopNEngine{Model: &ScorerTopN{Scorer: NewPop(d)}, Train: d, N: 4}
 	set, err := e.RecommendUser(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -9,12 +9,14 @@
 //     factor models (RSVD, PSVD, CofiRank) and the non-personalized models
 //     all implement it. Scores are model-specific; callers that need [0,1]
 //     scores use NormalizedScorer.
-//   - TopN produces a ranked top-N list per user, excluding the user's train
-//     items. A generic implementation over any Scorer is provided.
+//   - TopN ranks an explicit candidate slice (the catalog minus the user's
+//     train items under the all-unrated-items protocol). It has this one
+//     form: every model — ScorerTopN over any Scorer, Rand, the re-rankers —
+//     is handed its candidates and selects through SelectTop, and
+//     RecommendAll / TopNEngine enumerate them once per user.
 package recommender
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
@@ -109,139 +111,73 @@ func Bulk32For(s Scorer) (BulkScorer32, bool) {
 
 // TopN generates ranked recommendation lists.
 type TopN interface {
-	// Recommend returns the top-N unseen items for user u, ranked best first.
-	// Items in exclude (typically the user's train items) are never returned.
-	Recommend(u types.UserID, n int, exclude map[types.ItemID]struct{}) types.TopNSet
+	// Recommend returns the top-n items among candidates for user u, ranked
+	// best first. candidates (typically dataset.AppendCandidates, the catalog
+	// minus the user's train items) must be free of duplicates; the model
+	// never returns an item outside it.
+	Recommend(u types.UserID, n int, candidates []types.ItemID) types.TopNSet
 	Name() string
 }
 
-// TopNFrom is the candidate-pipeline extension of TopN: models that can rank
-// an explicit pre-filtered candidate slice (typically
-// dataset.AppendCandidates, the catalog minus the user's train items) without
-// consulting an exclusion map. Engines prefer this path because the candidate
-// slice is reusable across users while the map is a per-call allocation.
-type TopNFrom interface {
-	// RecommendFrom returns the top-n items among candidates, ranked best
-	// first. candidates must be sorted in ascending ItemID order and free of
-	// duplicates; the model never returns an item outside it.
-	RecommendFrom(u types.UserID, n int, candidates []types.ItemID) types.TopNSet
-}
-
-// scoredHeap is a min-heap over ScoredItem used for top-N selection.
-type scoredHeap []types.ScoredItem
-
-func (h scoredHeap) Len() int { return len(h) }
-func (h scoredHeap) Less(a, b int) bool {
-	if h[a].Score != h[b].Score {
-		return h[a].Score < h[b].Score
-	}
-	return h[a].Item > h[b].Item
-}
-func (h scoredHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *scoredHeap) Push(x interface{}) { *h = append(*h, x.(types.ScoredItem)) }
-func (h *scoredHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// SelectTopN returns the n highest-scoring items among candidates according
-// to score, excluding any item in exclude. Ties break toward the smaller item
-// identifier so results are deterministic. The candidates callback is invoked
-// once per item identifier in [0, numItems).
-func SelectTopN(numItems, n int, exclude map[types.ItemID]struct{}, score func(types.ItemID) float64) types.TopNSet {
-	if n <= 0 {
-		return nil
-	}
-	h := make(scoredHeap, 0, n+1)
-	for idx := 0; idx < numItems; idx++ {
-		item := types.ItemID(idx)
-		if _, skip := exclude[item]; skip {
-			continue
-		}
-		s := score(item)
-		if len(h) < n {
-			heap.Push(&h, types.ScoredItem{Item: item, Score: s})
-			continue
-		}
-		// Replace the current minimum when strictly better, or equal score
-		// with smaller identifier (to match SortScoredDesc tie-breaking).
-		min := h[0]
-		if s > min.Score || (s == min.Score && item < min.Item) {
-			h[0] = types.ScoredItem{Item: item, Score: s}
-			heap.Fix(&h, 0)
-		}
-	}
-	out := make([]types.ScoredItem, len(h))
-	copy(out, h)
-	types.SortScoredDesc(out)
-	set := make(types.TopNSet, len(out))
-	for k, si := range out {
-		set[k] = si.Item
-	}
-	return set
-}
-
-// SelectTopNFrom returns the n best items of an explicit candidate slice
-// according to score(k, item), where k is the candidate's position. Ties
-// break toward the smaller item identifier, matching SelectTopN.
-func SelectTopNFrom(candidates []types.ItemID, n int, score func(k int, i types.ItemID) float64) types.TopNSet {
-	if n <= 0 {
-		return nil
-	}
-	h := make(scoredHeap, 0, n+1)
-	for k, item := range candidates {
-		s := score(k, item)
-		if len(h) < n {
-			heap.Push(&h, types.ScoredItem{Item: item, Score: s})
-			continue
-		}
-		min := h[0]
-		if s > min.Score || (s == min.Score && item < min.Item) {
-			h[0] = types.ScoredItem{Item: item, Score: s}
-			heap.Fix(&h, 0)
-		}
-	}
-	out := make([]types.ScoredItem, len(h))
-	copy(out, h)
-	types.SortScoredDesc(out)
-	set := make(types.TopNSet, len(out))
-	for k, si := range out {
-		set[k] = si.Item
-	}
-	return set
-}
-
-// SelectTopNScored returns the n best items of candidates given their
-// pre-computed scores (scores[k] belongs to candidates[k]).
-func SelectTopNScored(candidates []types.ItemID, scores []float64, n int) types.TopNSet {
-	return SelectTopNFrom(candidates, n, func(k int, _ types.ItemID) float64 { return scores[k] })
-}
-
-// scored32 is the float32 counterpart of types.ScoredItem, used by the
-// reduced-precision selection path so scores never round-trip through
-// float64.
-type scored32 struct {
+// scored is one entry of SelectTop's heap.
+type scored[T float32 | float64] struct {
 	item  types.ItemID
-	score float32
+	score T
 }
 
-// less32 orders a min-heap of scored32: smaller score first, and on equal
-// scores the LARGER item first (so the heap minimum is the entry top-N
-// selection should evict, matching scoredHeap.Less).
-func less32(a, b scored32) bool {
-	if a.score != b.score {
-		return a.score < b.score
+// worse is the one ranking rule of the library: a smaller score ranks below a
+// larger one, and on equal scores the larger item identifier ranks below the
+// smaller, so results are deterministic.
+func (a scored[T]) worse(b scored[T]) bool {
+	return a.score < b.score || (a.score == b.score && a.item > b.item)
+}
+
+// SelectTop returns the n best items of candidates given their pre-computed
+// scores (scores[k] belongs to candidates[k]), best first. It keeps the n best
+// seen so far in a min-heap whose root is the worst of them — seeded with the
+// first n candidates, so the scan over the rest is one comparison per item —
+// then orders the survivors with an insertion sort: n is small, and a
+// sort.Slice closure would be the path's only allocation besides the heap and
+// the result. Both precision tiers instantiate it, so float32 scores never
+// round-trip through float64 and neither tier boxes an entry.
+func SelectTop[T float32 | float64](candidates []types.ItemID, scores []T, n int) types.TopNSet {
+	if n <= 0 {
+		return nil
 	}
-	return a.item > b.item
+	if n > len(candidates) {
+		n = len(candidates)
+	}
+	h := make([]scored[T], n)
+	for k := range h {
+		h[k] = scored[T]{item: candidates[k], score: scores[k]}
+		siftUp(h[:k+1], k)
+	}
+	rest := scores[n:len(candidates)]
+	for k, item := range candidates[n:] {
+		if e := (scored[T]{item: item, score: rest[k]}); h[0].worse(e) {
+			h[0] = e
+			siftDown(h, 0)
+		}
+	}
+	for i := 1; i < len(h); i++ {
+		e := h[i]
+		j := i - 1
+		for ; j >= 0 && h[j].worse(e); j-- {
+			h[j+1] = h[j]
+		}
+		h[j+1] = e
+	}
+	set := make(types.TopNSet, len(h))
+	for k, e := range h {
+		set[k] = e.item
+	}
+	return set
 }
 
-func siftUp32(h []scored32, i int) {
+func siftUp[T float32 | float64](h []scored[T], i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less32(h[i], h[parent]) {
+		if !h[i].worse(h[parent]) {
 			return
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -249,17 +185,16 @@ func siftUp32(h []scored32, i int) {
 	}
 }
 
-func siftDown32(h []scored32, i int) {
+func siftDown[T float32 | float64](h []scored[T], i int) {
 	for {
-		left := 2*i + 1
-		if left >= len(h) {
+		least := 2*i + 1
+		if least >= len(h) {
 			return
 		}
-		least := left
-		if right := left + 1; right < len(h) && less32(h[right], h[left]) {
+		if right := least + 1; right < len(h) && h[right].worse(h[least]) {
 			least = right
 		}
-		if !less32(h[least], h[i]) {
+		if !h[least].worse(h[i]) {
 			return
 		}
 		h[i], h[least] = h[least], h[i]
@@ -267,110 +202,53 @@ func siftDown32(h []scored32, i int) {
 	}
 }
 
-// SelectTopNScored32 is SelectTopNScored over float32 scores: same
-// replacement rule and the same final ordering (score descending, ties
-// toward the smaller item identifier), on a hand-rolled heap so the float32
-// hot path has no interface boxing. The final ordering uses an insertion
-// sort — n is small, and a sort.Slice closure would be the path's only
-// allocation besides the result.
-func SelectTopNScored32(candidates []types.ItemID, scores []float32, n int) types.TopNSet {
-	if n <= 0 {
-		return nil
-	}
-	h := make([]scored32, 0, n)
-	for k, item := range candidates {
-		s := scores[k]
-		if len(h) < n {
-			h = append(h, scored32{item: item, score: s})
-			siftUp32(h, len(h)-1)
-			continue
-		}
-		min := h[0]
-		if s > min.score || (s == min.score && item < min.item) {
-			h[0] = scored32{item: item, score: s}
-			siftDown32(h, 0)
-		}
-	}
-	sortScored32Desc(h)
-	set := make(types.TopNSet, len(h))
-	for k, si := range h {
-		set[k] = si.item
-	}
-	return set
-}
+// bufPool recycles slices of T across calls, so the serving layer's concurrent
+// requests do not allocate a catalog-sized slice each.
+type bufPool[T any] struct{ pool sync.Pool }
 
-// sortScored32Desc insertion-sorts by score descending, ties toward the
-// smaller item identifier (the SortScoredDesc order on scored32).
-func sortScored32Desc(h []scored32) {
-	for i := 1; i < len(h); i++ {
-		e := h[i]
-		j := i - 1
-		for j >= 0 && (h[j].score < e.score || (h[j].score == e.score && h[j].item > e.item)) {
-			h[j+1] = h[j]
-			j--
-		}
-		h[j+1] = e
+// get returns a pooled buffer of n elements; the contents are unspecified.
+func (p *bufPool[T]) get(n int) *[]T {
+	bp, _ := p.pool.Get().(*[]T)
+	if bp == nil {
+		bp = new([]T)
 	}
-}
-
-// scoreBufPool recycles the per-call score buffers of the candidate ranking
-// path, so concurrent RecommendFrom calls (the serving layer) do not allocate
-// one catalog-sized slice per request.
-var scoreBufPool = sync.Pool{New: func() interface{} { return new([]float64) }}
-
-func getScoreBuf(n int) *[]float64 {
-	bp := scoreBufPool.Get().(*[]float64)
 	if cap(*bp) < n {
-		*bp = make([]float64, n)
+		*bp = make([]T, n)
 	}
 	*bp = (*bp)[:n]
 	return bp
 }
 
-// scoreBuf32Pool is the float32 score arena pool of the reduced-precision
-// path. Like scoreBufPool it amortizes catalog-sized buffers across
-// concurrent requests; each TopNEngine worker's sequential Get/Put cycle
-// keeps one arena hot per worker without any per-worker bookkeeping.
-var scoreBuf32Pool = sync.Pool{New: func() interface{} { return new([]float32) }}
+func (p *bufPool[T]) put(bp *[]T) { p.pool.Put(bp) }
 
-func getScoreBuf32(n int) *[]float32 {
-	bp := scoreBuf32Pool.Get().(*[]float32)
-	if cap(*bp) < n {
-		*bp = make([]float32, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
+// The score arenas of the candidate ranking path, one per precision tier, and
+// the candidate buffers of RecommendUser.
+var (
+	scoreBufPool   bufPool[float64]
+	scoreBuf32Pool bufPool[float32]
+	candBufPool    bufPool[types.ItemID]
+)
 
-// ScorerTopN adapts any Scorer into a TopN by exhaustively scoring the item
-// space (the paper's "all unrated items" ranking protocol).
+// ScorerTopN adapts any Scorer into a TopN: the candidates are scored in one
+// bulk call into a pooled arena and the top n selected from it. Models serving
+// a reduced precision tier (Bulk32For) run the float32 arena end to end —
+// scoring kernel through heap selection — with no float64 conversion.
 type ScorerTopN struct {
-	Scorer   Scorer
-	NumItems int
+	Scorer Scorer
 }
 
 // Recommend implements TopN.
-func (s *ScorerTopN) Recommend(u types.UserID, n int, exclude map[types.ItemID]struct{}) types.TopNSet {
-	return SelectTopN(s.NumItems, n, exclude, func(i types.ItemID) float64 {
-		return s.Scorer.Score(u, i)
-	})
-}
-
-// RecommendFrom implements TopNFrom: the candidates are scored in one bulk
-// call into a pooled arena and the top n selected from it. Models serving a
-// reduced precision tier (Bulk32For) run the float32 arena end to end —
-// scoring kernel through heap selection — with no float64 conversion.
-func (s *ScorerTopN) RecommendFrom(u types.UserID, n int, candidates []types.ItemID) types.TopNSet {
+func (s *ScorerTopN) Recommend(u types.UserID, n int, candidates []types.ItemID) types.TopNSet {
 	if bs32, ok := Bulk32For(s.Scorer); ok {
-		bp := getScoreBuf32(len(candidates))
-		defer scoreBuf32Pool.Put(bp)
+		bp := scoreBuf32Pool.get(len(candidates))
+		defer scoreBuf32Pool.put(bp)
 		bs32.ScoreUser32(u, candidates, *bp)
-		return SelectTopNScored32(candidates, *bp, n)
+		return SelectTop(candidates, *bp, n)
 	}
-	bp := getScoreBuf(len(candidates))
-	defer scoreBufPool.Put(bp)
+	bp := scoreBufPool.get(len(candidates))
+	defer scoreBufPool.put(bp)
 	BulkScores(s.Scorer, u, candidates, *bp)
-	return SelectTopNScored(candidates, *bp, n)
+	return SelectTop(candidates, *bp, n)
 }
 
 // Name implements TopN.
@@ -431,77 +309,50 @@ func (p *Pop) ScoreUser(_ types.UserID, items []types.ItemID, out []float64) {
 // Name implements Scorer.
 func (p *Pop) Name() string { return p.name }
 
-// Recommend implements TopN directly (slightly faster than going through
-// ScorerTopN since the scores do not depend on the user).
-func (p *Pop) Recommend(_ types.UserID, n int, exclude map[types.ItemID]struct{}) types.TopNSet {
-	return SelectTopN(len(p.pop), n, exclude, func(i types.ItemID) float64 { return float64(p.pop[i]) })
-}
-
-// RecommendFrom implements TopNFrom over an explicit candidate slice.
-func (p *Pop) RecommendFrom(_ types.UserID, n int, candidates []types.ItemID) types.TopNSet {
-	return SelectTopNFrom(candidates, n, func(_ int, i types.ItemID) float64 {
-		if int(i) < 0 || int(i) >= len(p.pop) {
-			return 0
-		}
-		return float64(p.pop[i])
-	})
-}
-
 // Rand recommends unseen items uniformly at random. It has maximal coverage
 // and minimal accuracy, and anchors the coverage end of every trade-off plot
-// in the paper.
+// in the paper. It is safe for concurrent use: every draw is taken under mu,
+// so a served Rand does not race on its generator.
 type Rand struct {
-	numItems int
-	rng      *rand.Rand
-	name     string
+	mu   sync.Mutex
+	rng  *rand.Rand
+	name string
 }
 
-// NewRand builds the random recommender over a catalog of numItems items.
-func NewRand(numItems int, seed int64) *Rand {
-	return &Rand{numItems: numItems, rng: rand.New(rand.NewSource(seed)), name: "Rand"}
+// NewRand builds the random recommender.
+func NewRand(seed int64) *Rand {
+	return &Rand{rng: rand.New(rand.NewSource(seed)), name: "Rand"}
 }
 
 // Score implements Scorer with a uniform random score. Successive calls for
 // the same pair return different values; Rand exists for ranking, not for
 // reproducible pointwise scoring.
-func (r *Rand) Score(_ types.UserID, _ types.ItemID) float64 { return r.rng.Float64() }
+func (r *Rand) Score(_ types.UserID, _ types.ItemID) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rng.Float64()
+}
+
+// ScoreUser implements BulkScorer: one draw per item, in item order — the
+// sequence the same Score calls would consume — with the mutex taken once.
+func (r *Rand) ScoreUser(_ types.UserID, items []types.ItemID, out []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k := range items {
+		out[k] = r.rng.Float64()
+	}
+}
 
 // Name implements Scorer.
 func (r *Rand) Name() string { return r.name }
 
-// Recommend implements TopN by sampling n distinct unseen items.
-func (r *Rand) Recommend(_ types.UserID, n int, exclude map[types.ItemID]struct{}) types.TopNSet {
+// Recommend implements TopN by reservoir-sampling n distinct candidates.
+func (r *Rand) Recommend(_ types.UserID, n int, candidates []types.ItemID) types.TopNSet {
 	if n <= 0 {
 		return nil
 	}
-	// Reservoir-sample n items from the eligible set.
-	out := make(types.TopNSet, 0, n)
-	seen := 0
-	for idx := 0; idx < r.numItems; idx++ {
-		item := types.ItemID(idx)
-		if _, skip := exclude[item]; skip {
-			continue
-		}
-		seen++
-		if len(out) < n {
-			out = append(out, item)
-			continue
-		}
-		j := r.rng.Intn(seen)
-		if j < n {
-			out[j] = item
-		}
-	}
-	// Shuffle so position carries no popularity information.
-	r.rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
-	return out
-}
-
-// RecommendFrom implements TopNFrom by reservoir-sampling n candidates.
-func (r *Rand) RecommendFrom(_ types.UserID, n int, candidates []types.ItemID) types.TopNSet {
-	if n <= 0 {
-		return nil
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make(types.TopNSet, 0, n)
 	for seen, item := range candidates {
 		if len(out) < n {
@@ -512,6 +363,7 @@ func (r *Rand) RecommendFrom(_ types.UserID, n int, candidates []types.ItemID) t
 			out[j] = item
 		}
 	}
+	// Shuffle so position carries no popularity information.
 	r.rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
 	return out
 }
@@ -733,12 +585,12 @@ func (n *NormalizedScorer) ScoreUser32(u types.UserID, items []types.ItemID, out
 	if bs32, ok := Bulk32For(n.inner); ok {
 		bs32.ScoreUser32(u, items, out)
 	} else {
-		bp := getScoreBuf(len(items))
+		bp := scoreBufPool.get(len(items))
 		BulkScores(n.inner, u, items, *bp)
 		for k, v := range *bp {
 			out[k] = float32(v)
 		}
-		scoreBufPool.Put(bp)
+		scoreBufPool.put(bp)
 	}
 	if span == 0 {
 		for k := range out {
@@ -788,10 +640,10 @@ func (n *NormalizedScorer) userRange(u types.UserID) (min, span float64) {
 		r = scoreRange{}
 	}
 	missing := catalog[r.upTo:n.numItems]
-	bp := getScoreBuf(len(missing))
+	bp := scoreBufPool.get(len(missing))
 	BulkScores(n.inner, u, missing, *bp)
 	r = r.fold(*bp)
-	scoreBufPool.Put(bp)
+	scoreBufPool.put(bp)
 
 	t.mu.Lock()
 	if cur, ok := t.byUser[u]; !ok || cur.upTo < r.upTo {
@@ -806,46 +658,26 @@ func (n *NormalizedScorer) Name() string { return n.inner.Name() }
 
 // --- Batch recommendation helpers --------------------------------------------
 
-// recommendOne resolves one user's list through the candidate pipeline when
-// the model supports it (TopNFrom + a reusable candidate buffer) and the
-// legacy exclusion-map path otherwise. It returns the possibly-grown buffer.
-func recommendOne(model TopN, train *dataset.Dataset, u types.UserID, n int, candBuf []types.ItemID) (types.TopNSet, []types.ItemID) {
-	if cm, ok := model.(TopNFrom); ok {
-		candBuf = train.AppendCandidates(u, candBuf[:0])
-		return cm.RecommendFrom(u, n, candBuf), candBuf
-	}
-	return model.Recommend(u, n, train.UserItemSet(u)), candBuf
-}
-
 // RecommendAll produces the top-N collection for every user in the train set
-// using model, excluding each user's train items (the all-unrated-items
-// protocol).
+// using model under the all-unrated-items protocol: each user's candidates are
+// the catalog minus their train items.
 func RecommendAll(model TopN, train *dataset.Dataset, n int) types.Recommendations {
-	recs := make(types.Recommendations, train.NumUsers())
-	var candBuf []types.ItemID
-	for u := 0; u < train.NumUsers(); u++ {
-		uid := types.UserID(u)
-		recs[uid], candBuf = recommendOne(model, train, uid, n, candBuf)
-	}
+	e := TopNEngine{Model: model, Train: train, N: n}
+	recs, _ := e.RecommendAll(context.Background()) // fails only when its context ends
 	return recs
 }
 
 // TopNEngine adapts any TopN model into the Engine shape shared by the facade
 // and the serving layer: per-user on-demand recommendation plus batch
-// generation, both excluding each user's train items. The zero value is not
-// usable; Model, Train and N are required.
+// generation, both over the user's unrated items (dataset.AppendCandidates).
+// The zero value is not usable; Model, Train and N are required.
 type TopNEngine struct {
-	// Model produces the ranked lists. Models implementing TopNFrom are
-	// served through the index-contiguous candidate pipeline.
+	// Model produces the ranked lists.
 	Model TopN
-	// Train supplies the user universe and per-user exclusion sets.
+	// Train supplies the user universe and each user's candidates.
 	Train *dataset.Dataset
 	// N is the default list size when a request passes n ≤ 0.
 	N int
-	// Workers shards RecommendAll over user ranges; values ≤ 1 run
-	// sequentially. Leave at 0 for models whose scoring is not safe for
-	// concurrent use (e.g. Rand's shared rng).
-	Workers int
 }
 
 // Name identifies the underlying model.
@@ -865,85 +697,26 @@ func (e *TopNEngine) RecommendUser(ctx context.Context, u types.UserID, n int) (
 	if n <= 0 {
 		n = e.N
 	}
-	bp := candBufPool.Get().(*[]types.ItemID)
-	set, buf := recommendOne(e.Model, e.Train, u, n, *bp)
-	*bp = buf
-	candBufPool.Put(bp)
-	return set, nil
+	bp := candBufPool.get(0)
+	defer candBufPool.put(bp)
+	*bp = e.Train.AppendCandidates(u, *bp)
+	return e.Model.Recommend(u, n, *bp), nil
 }
 
-// candBufPool recycles candidate buffers across concurrent RecommendUser
-// calls, so the online serving hot path does not allocate one catalog-sized
-// slice per request.
-var candBufPool = sync.Pool{New: func() interface{} { return new([]types.ItemID) }}
-
-// RecommendAll generates the full collection. With Workers > 1 the user space
-// is split into contiguous ranges, one goroutine per range, each reusing its
-// own candidate buffer; per-user results land in a shared slice so no mutex
-// is needed. Cancellation is checked between users.
+// RecommendAll generates the full collection, one user after another over one
+// reused candidate buffer. Cancellation is checked between users.
 func (e *TopNEngine) RecommendAll(ctx context.Context) (types.Recommendations, error) {
-	numUsers := e.Train.NumUsers()
-	sets := make([]types.TopNSet, numUsers)
-	workers := e.Workers
-	if workers > numUsers {
-		workers = numUsers
-	}
-	if workers <= 1 {
-		var candBuf []types.ItemID
-		for u := 0; u < numUsers; u++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			sets[u], candBuf = recommendOne(e.Model, e.Train, types.UserID(u), e.N, candBuf)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, r := range ShardRanges(numUsers, workers) {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				var candBuf []types.ItemID
-				for u := lo; u < hi; u++ {
-					if ctx.Err() != nil {
-						return
-					}
-					sets[u], candBuf = recommendOne(e.Model, e.Train, types.UserID(u), e.N, candBuf)
-				}
-			}(r.Lo, r.Hi)
-		}
-		wg.Wait()
+	recs := make(types.Recommendations, e.Train.NumUsers())
+	var cand []types.ItemID
+	for u := 0; u < e.Train.NumUsers(); u++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	recs := make(types.Recommendations, numUsers)
-	for u, set := range sets {
-		recs[types.UserID(u)] = set
+		uid := types.UserID(u)
+		cand = e.Train.AppendCandidates(uid, cand[:0])
+		recs[uid] = e.Model.Recommend(uid, e.N, cand)
 	}
 	return recs, nil
-}
-
-// Range is one contiguous [Lo, Hi) user shard of a parallel sweep.
-type Range struct{ Lo, Hi int }
-
-// ShardRanges splits [0, count) into at most workers near-equal contiguous
-// ranges. Every shard is non-empty.
-func ShardRanges(count, workers int) []Range {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > count {
-		workers = count
-	}
-	out := make([]Range, 0, workers)
-	for w := 0; w < workers; w++ {
-		lo := count * w / workers
-		hi := count * (w + 1) / workers
-		if lo < hi {
-			out = append(out, Range{Lo: lo, Hi: hi})
-		}
-	}
-	return out
 }
 
 // Describe returns a one-line description of a recommendation collection,

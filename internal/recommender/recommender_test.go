@@ -2,6 +2,7 @@ package recommender
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -24,67 +25,122 @@ func trainFixture() *dataset.Dataset {
 	return b.Build()
 }
 
-func TestSelectTopNOrdersAndExcludes(t *testing.T) {
-	scores := []float64{0.1, 0.9, 0.5, 0.7, 0.3}
-	exclude := map[types.ItemID]struct{}{1: {}}
-	got := SelectTopN(5, 3, exclude, func(i types.ItemID) float64 { return scores[i] })
-	want := types.TopNSet{3, 2, 4}
-	if len(got) != 3 {
-		t.Fatalf("got %v", got)
-	}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("SelectTopN = %v, want %v", got, want)
+// oracleTopN is the map-based form of the all-unrated-items ranking the
+// candidate path is held to: every catalog item outside exclude, fully sorted
+// by score descending and item ascending, cut to n.
+func oracleTopN(numItems, n int, exclude map[types.ItemID]struct{}, score func(types.ItemID) float64) types.TopNSet {
+	var all []types.ScoredItem
+	for i := 0; i < numItems; i++ {
+		if _, skip := exclude[types.ItemID(i)]; !skip {
+			all = append(all, types.ScoredItem{Item: types.ItemID(i), Score: score(types.ItemID(i))})
 		}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Score != all[b].Score {
+			return all[a].Score > all[b].Score
+		}
+		return all[a].Item < all[b].Item
+	})
+	if n < 0 {
+		n = 0
+	}
+	if n > len(all) {
+		n = len(all)
+	}
+	set := make(types.TopNSet, n)
+	for k := range set {
+		set[k] = all[k].Item
+	}
+	return set
+}
+
+// catalogItems is the identity candidate slice [0, n).
+func catalogItems(n int) []types.ItemID {
+	out := make([]types.ItemID, n)
+	for i := range out {
+		out[i] = types.ItemID(i)
+	}
+	return out
+}
+
+func sameList(a, b types.TopNSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k] != b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSelectTopNOrdersAndExcludes(t *testing.T) {
+	// Item 1 is not a candidate, so its (best) score is never read.
+	cands := []types.ItemID{0, 2, 3, 4}
+	scores := []float64{0.1, 0.5, 0.7, 0.3}
+	got := SelectTop(cands, scores, 3)
+	if want := (types.TopNSet{3, 2, 4}); !sameList(got, want) {
+		t.Fatalf("SelectTop = %v, want %v", got, want)
 	}
 }
 
 func TestSelectTopNHandlesSmallCandidateSets(t *testing.T) {
-	got := SelectTopN(2, 5, nil, func(i types.ItemID) float64 { return float64(i) })
-	if len(got) != 2 {
-		t.Fatalf("expected all candidates when n > catalog, got %v", got)
+	got := SelectTop(catalogItems(2), []float64{0, 1}, 5)
+	if want := (types.TopNSet{1, 0}); !sameList(got, want) {
+		t.Fatalf("expected all candidates, best first, when n > catalog: got %v", got)
 	}
-	if got := SelectTopN(5, 0, nil, func(types.ItemID) float64 { return 1 }); got != nil {
+	if got := SelectTop(catalogItems(5), make([]float64, 5), 0); got != nil {
 		t.Fatalf("n=0 should return nil, got %v", got)
+	}
+	if got := SelectTop(nil, []float32{}, 3); len(got) != 0 {
+		t.Fatalf("no candidates should give an empty list, got %v", got)
 	}
 }
 
 func TestSelectTopNTieBreaksByItemID(t *testing.T) {
-	got := SelectTopN(10, 4, nil, func(types.ItemID) float64 { return 1.0 })
-	want := types.TopNSet{0, 1, 2, 3}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("tie-break order wrong: %v", got)
-		}
+	scores := []float32{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
+	// Candidate order must not matter: the rule is on the identifier.
+	cands := []types.ItemID{7, 2, 9, 0, 5, 3, 8, 1, 6, 4}
+	if got, want := SelectTop(cands, scores, 4), (types.TopNSet{0, 1, 2, 3}); !sameList(got, want) {
+		t.Fatalf("tie-break order wrong: %v", got)
 	}
 }
 
+// The selector's property test: at both tiers SelectTop returns exactly the
+// head of a full sort by (score descending, item ascending), for shuffled
+// candidate slices with heavy ties and every n from below zero to beyond the
+// slice; and the two instantiations agree whenever the scores are
+// float32-representable.
 func TestSelectTopNMatchesFullSortProperty(t *testing.T) {
-	// Property: heap-based selection returns exactly the same list as a full
-	// sort of all candidate scores.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		numItems := 50
-		scores := make([]float64, numItems)
-		for i := range scores {
-			scores[i] = rng.Float64()
+		numItems := rng.Intn(60) // 0 included: empty input
+		cands := catalogItems(numItems)
+		rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
+		byItem := make([]float64, numItems)
+		for i := range byItem {
+			byItem[i] = float64(rng.Intn(5)) / 4 // five distinct values, all exact in float32
 		}
-		n := 1 + rng.Intn(10)
-		got := SelectTopN(numItems, n, nil, func(i types.ItemID) float64 { return scores[i] })
-
-		all := make([]types.ScoredItem, numItems)
-		for i := range scores {
-			all[i] = types.ScoredItem{Item: types.ItemID(i), Score: scores[i]}
+		scores64 := make([]float64, numItems)
+		scores32 := make([]float32, numItems)
+		for k, i := range cands {
+			scores64[k], scores32[k] = byItem[i], float32(byItem[i])
 		}
-		types.SortScoredDesc(all)
-		for k := 0; k < n; k++ {
-			if got[k] != all[k].Item {
+		for _, n := range []int{-1, 0, 1, 1 + rng.Intn(10), numItems, numItems + 3} {
+			got64, got32 := SelectTop(cands, scores64, n), SelectTop(cands, scores32, n)
+			want := oracleTopN(numItems, n, nil, func(i types.ItemID) float64 { return byItem[i] })
+			if !sameList(got64, want) || !sameList(got32, want) {
+				t.Logf("seed %d n %d: f64 %v f32 %v want %v", seed, n, got64, got32, want)
+				return false
+			}
+			if (n <= 0) != (got64 == nil) || (n <= 0) != (got32 == nil) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,17 +148,15 @@ func TestSelectTopNMatchesFullSortProperty(t *testing.T) {
 func TestPopRecommendsMostPopularUnseen(t *testing.T) {
 	train := trainFixture()
 	pop := NewPop(train)
-	got := pop.Recommend(0, 3, nil)
-	want := types.TopNSet{0, 1, 2}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("Pop.Recommend = %v, want %v", got, want)
-		}
+	top := &ScorerTopN{Scorer: pop}
+	got := top.Recommend(0, 3, catalogItems(train.NumItems()))
+	if want := (types.TopNSet{0, 1, 2}); !sameList(got, want) {
+		t.Fatalf("Pop ranking = %v, want %v", got, want)
 	}
-	// Excluding the head item promotes the next most popular.
-	got = pop.Recommend(0, 3, map[types.ItemID]struct{}{0: {}})
+	// Without the head item among the candidates the next most popular leads.
+	got = top.Recommend(0, 3, catalogItems(train.NumItems())[1:])
 	if got[0] != 1 {
-		t.Fatalf("Pop with exclusion = %v", got)
+		t.Fatalf("Pop without the head item = %v", got)
 	}
 	if pop.Name() != "Pop" {
 		t.Fatal("name")
@@ -113,9 +167,15 @@ func TestPopRecommendsMostPopularUnseen(t *testing.T) {
 }
 
 func TestRandRecommendDistinctAndExcluded(t *testing.T) {
-	r := NewRand(50, 7)
+	r := NewRand(7)
 	exclude := map[types.ItemID]struct{}{3: {}, 7: {}, 11: {}}
-	got := r.Recommend(0, 10, exclude)
+	var cands []types.ItemID
+	for _, i := range catalogItems(50) {
+		if _, skip := exclude[i]; !skip {
+			cands = append(cands, i)
+		}
+	}
+	got := r.Recommend(0, 10, cands)
 	if len(got) != 10 {
 		t.Fatalf("Rand returned %d items, want 10", len(got))
 	}
@@ -132,10 +192,10 @@ func TestRandRecommendDistinctAndExcluded(t *testing.T) {
 }
 
 func TestRandCoversCatalogAcrossUsers(t *testing.T) {
-	r := NewRand(30, 3)
+	r := NewRand(3)
 	hit := map[types.ItemID]bool{}
 	for u := 0; u < 200; u++ {
-		for _, i := range r.Recommend(types.UserID(u), 5, nil) {
+		for _, i := range r.Recommend(types.UserID(u), 5, catalogItems(30)) {
 			hit[i] = true
 		}
 	}
@@ -184,8 +244,8 @@ func (f fixedScorer) Name() string                                 { return "fix
 
 func TestScorerTopNAdapter(t *testing.T) {
 	s := fixedScorer{scores: map[types.ItemID]float64{0: 0.2, 1: 0.8, 2: 0.5}}
-	top := &ScorerTopN{Scorer: s, NumItems: 3}
-	got := top.Recommend(0, 2, nil)
+	top := &ScorerTopN{Scorer: s}
+	got := top.Recommend(0, 2, catalogItems(3))
 	if got[0] != 1 || got[1] != 2 {
 		t.Fatalf("ScorerTopN = %v", got)
 	}
@@ -223,7 +283,7 @@ func TestNormalizedScorerConstantScores(t *testing.T) {
 func TestRecommendAllExcludesTrainItems(t *testing.T) {
 	train := trainFixture()
 	pop := NewPop(train)
-	recs := RecommendAll(pop, train, 2)
+	recs := RecommendAll(&ScorerTopN{Scorer: pop}, train, 2)
 	if len(recs) != train.NumUsers() {
 		t.Fatalf("got recs for %d users, want %d", len(recs), train.NumUsers())
 	}

@@ -140,16 +140,18 @@ func (p *PRA) listNovelty(list []types.ItemID) float64 {
 	return s / float64(len(list))
 }
 
-// Recommend produces user u's adapted top-N set using the "optimal swap"
+// Recommend implements recommender.TopN.
+func (p *PRA) Recommend(u types.UserID, n int, candidates []types.ItemID) types.TopNSet {
+	return cut(p.rerank(u, candidates), n)
+}
+
+// rerank produces user u's adapted top-N set using the "optimal swap"
 // strategy: at each step, perform the single head/exchangeable swap that
 // moves the list novelty closest to the user's tendency; stop when no swap
 // improves the match or the step budget is exhausted.
-func (p *PRA) Recommend(u types.UserID, exclude map[types.ItemID]struct{}) types.TopNSet {
+func (p *PRA) rerank(u types.UserID, candidates []types.ItemID) types.TopNSet {
 	n := p.cfg.N
-	headSize := n + p.cfg.ExchangeableSize
-	ranked := recommender.SelectTopN(p.train.NumItems(), headSize, exclude, func(i types.ItemID) float64 {
-		return p.scorer.Score(u, i)
-	})
+	ranked := accuracyHead(p.scorer, u, n+p.cfg.ExchangeableSize, candidates)
 	if len(ranked) == 0 {
 		return nil
 	}
@@ -189,14 +191,4 @@ func (p *PRA) Recommend(u types.UserID, exclude map[types.ItemID]struct{}) types
 		return top[a] < top[b]
 	})
 	return types.TopNSet(top)
-}
-
-// RecommendAll produces the full top-N collection.
-func (p *PRA) RecommendAll() types.Recommendations {
-	recs := make(types.Recommendations, p.train.NumUsers())
-	for u := 0; u < p.train.NumUsers(); u++ {
-		uid := types.UserID(u)
-		recs[uid] = p.Recommend(uid, p.train.UserItemSet(uid))
-	}
-	return recs
 }

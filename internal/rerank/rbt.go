@@ -15,9 +15,10 @@
 //     and an exchangeable candidate set until the list's novelty matches the
 //     user's tendency.
 //
-// Each re-ranker consumes an accuracy scorer (typically RSVD) and produces a
-// full top-N collection, so they plug into the same evaluation harness as
-// GANC.
+// Each re-ranker consumes an accuracy scorer (typically RSVD) and is a
+// recommender.TopN over the user's candidate slice, so it is batch-generated
+// by recommender.RecommendAll, served by recommender.TopNEngine and plugs into
+// the same evaluation harness as GANC.
 package rerank
 
 import (
@@ -94,7 +95,6 @@ func (c *RBTConfig) Validate() error {
 type RBT struct {
 	cfg     RBTConfig
 	scorer  recommender.Scorer
-	train   *dataset.Dataset
 	pop     []int
 	itemAvg *recommender.ItemAvg
 	name    string
@@ -109,7 +109,6 @@ func NewRBT(train *dataset.Dataset, scorer recommender.Scorer, cfg RBTConfig) (*
 	return &RBT{
 		cfg:     cfg,
 		scorer:  scorer,
-		train:   train,
 		pop:     train.PopularityVector(),
 		itemAvg: recommender.NewItemAvg(train, 0),
 		name:    fmt.Sprintf("RBT(%s, %s)", scorer.Name(), cfg.Criterion),
@@ -120,12 +119,34 @@ func NewRBT(train *dataset.Dataset, scorer recommender.Scorer, cfg RBTConfig) (*
 // template.
 func (r *RBT) Name() string { return r.name }
 
-// Recommend produces user u's re-ranked top-N set.
-func (r *RBT) Recommend(u types.UserID, exclude map[types.ItemID]struct{}) types.TopNSet {
+// accuracyHead is the base scorer's top-k over the candidate slice, the
+// accuracy ranking every re-ranker starts from.
+func accuracyHead(s recommender.Scorer, u types.UserID, k int, candidates []types.ItemID) types.TopNSet {
+	return (&recommender.ScorerTopN{Scorer: s}).Recommend(u, k, candidates)
+}
+
+// cut truncates a list built at a re-ranker's configured N to the n a request
+// asked for: a shorter list is a prefix of the full one, not a re-ranking at
+// a smaller N.
+func cut(set types.TopNSet, n int) types.TopNSet {
+	if n <= 0 {
+		return nil
+	}
+	if n < len(set) {
+		return set[:n]
+	}
+	return set
+}
+
+// Recommend implements recommender.TopN.
+func (r *RBT) Recommend(u types.UserID, n int, candidates []types.ItemID) types.TopNSet {
+	return cut(r.rerank(u, candidates), n)
+}
+
+// rerank produces user u's re-ranked top-N set.
+func (r *RBT) rerank(u types.UserID, candidates []types.ItemID) types.TopNSet {
 	n := r.cfg.N
-	head := recommender.SelectTopN(r.train.NumItems(), n*r.cfg.TMax, exclude, func(i types.ItemID) float64 {
-		return r.scorer.Score(u, i)
-	})
+	head := accuracyHead(r.scorer, u, n*r.cfg.TMax, candidates)
 	if len(head) == 0 {
 		return nil
 	}
@@ -171,14 +192,4 @@ func (r *RBT) Recommend(u types.UserID, exclude map[types.ItemID]struct{}) types
 		merged = merged[:n]
 	}
 	return types.TopNSet(merged)
-}
-
-// RecommendAll produces the full top-N collection.
-func (r *RBT) RecommendAll() types.Recommendations {
-	recs := make(types.Recommendations, r.train.NumUsers())
-	for u := 0; u < r.train.NumUsers(); u++ {
-		uid := types.UserID(u)
-		recs[uid] = r.Recommend(uid, r.train.UserItemSet(uid))
-	}
-	return recs
 }

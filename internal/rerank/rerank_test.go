@@ -88,7 +88,7 @@ func TestRBTProducesValidCollections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := r.RecommendAll()
+		recs := recommender.RecommendAll(r, sp.Train, 5)
 		validateCollection(t, r.Name(), recs, sp.Train, 5)
 		if !strings.Contains(r.Name(), "RBT(RSVD") {
 			t.Fatalf("name %q does not follow the template", r.Name())
@@ -99,14 +99,14 @@ func TestRBTProducesValidCollections(t *testing.T) {
 func TestRBTPopIncreasesCoverageOverBaseRanking(t *testing.T) {
 	sp, model := setupShared(t)
 	n := 5
-	base := recommender.RecommendAll(&recommender.ScorerTopN{Scorer: model, NumItems: sp.Train.NumItems()}, sp.Train, n)
+	base := recommender.RecommendAll(&recommender.ScorerTopN{Scorer: model}, sp.Train, n)
 	// A permissive threshold (TR below the score range top) ensures items
 	// qualify for re-ranking, which is where coverage gains come from.
 	r, err := NewRBT(sp.Train, model, RBTConfig{N: n, TR: 3.5, TMax: 5, TH: 1, Criterion: RBTPop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbt := r.RecommendAll()
+	rbt := recommender.RecommendAll(r, sp.Train, n)
 	if len(rbt.DistinctItems()) <= len(base.DistinctItems()) {
 		t.Fatalf("RBT(Pop) coverage %d should exceed base RSVD coverage %d",
 			len(rbt.DistinctItems()), len(base.DistinctItems()))
@@ -122,11 +122,12 @@ func TestRBTFallsBackWhenNothingQualifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := &recommender.ScorerTopN{Scorer: model, NumItems: sp.Train.NumItems()}
+	base := &recommender.ScorerTopN{Scorer: model}
 	for u := 0; u < 20; u++ {
 		uid := types.UserID(u)
-		want := base.Recommend(uid, n, sp.Train.UserItemSet(uid))
-		got := r.Recommend(uid, sp.Train.UserItemSet(uid))
+		cands := sp.Train.AppendCandidates(uid, nil)
+		want := base.Recommend(uid, n, cands)
+		got := r.Recommend(uid, n, cands)
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("user %d: fallback list %v != base list %v", u, got, want)
@@ -159,7 +160,7 @@ func TestFiveDVariantsProduceValidCollections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := f.RecommendAll()
+		recs := recommender.RecommendAll(f, sp.Train, 5)
 		validateCollection(t, f.Name(), recs, sp.Train, 5)
 		names[f.Name()] = true
 	}
@@ -186,12 +187,12 @@ func TestFiveDPromotesLongTailAggressively(t *testing.T) {
 		}
 		return
 	}
-	base := recommender.RecommendAll(&recommender.ScorerTopN{Scorer: model, NumItems: sp.Train.NumItems()}, sp.Train, n)
+	base := recommender.RecommendAll(&recommender.ScorerTopN{Scorer: model}, sp.Train, n)
 	f, err := NewFiveD(sp.Train, model, DefaultFiveDConfig(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := f.RecommendAll()
+	fd := recommender.RecommendAll(f, sp.Train, n)
 	baseTail, baseTotal := countTail(base)
 	fdTail, fdTotal := countTail(fd)
 	if float64(fdTail)/float64(fdTotal) <= float64(baseTail)/float64(baseTotal) {
@@ -217,7 +218,7 @@ func TestFiveDAccuracyFilterKeepsHigherScoredItems(t *testing.T) {
 		}
 		return s / float64(c)
 	}
-	if avgScore(filtered.RecommendAll()) < avgScore(plain.RecommendAll())-1e-9 {
+	if avgScore(recommender.RecommendAll(filtered, sp.Train, n)) < avgScore(recommender.RecommendAll(plain, sp.Train, n))-1e-9 {
 		t.Fatal("accuracy filter decreased the average predicted rating of recommendations")
 	}
 }
@@ -244,7 +245,7 @@ func TestPRAProducesValidCollections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := p.RecommendAll()
+		recs := recommender.RecommendAll(p, sp.Train, 5)
 		validateCollection(t, p.Name(), recs, sp.Train, 5)
 		if !strings.Contains(p.Name(), "PRA(RSVD,") {
 			t.Fatalf("name %q does not follow the template", p.Name())
@@ -259,13 +260,13 @@ func TestPRAAdaptsListNoveltyTowardUserTendency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := &recommender.ScorerTopN{Scorer: model, NumItems: sp.Train.NumItems()}
+	base := &recommender.ScorerTopN{Scorer: model}
 	improved, worsened := 0, 0
 	for u := 0; u < sp.Train.NumUsers(); u++ {
 		uid := types.UserID(u)
-		exclude := sp.Train.UserItemSet(uid)
-		baseList := base.Recommend(uid, n, exclude)
-		praList := p.Recommend(uid, exclude)
+		cands := sp.Train.AppendCandidates(uid, nil)
+		baseList := base.Recommend(uid, n, cands)
+		praList := p.Recommend(uid, n, cands)
 		target := p.userTendency(uid)
 		baseGap := absF(p.listNovelty(baseList) - target)
 		praGap := absF(p.listNovelty(praList) - target)
@@ -290,12 +291,12 @@ func TestPRAZeroStepsEqualsBaseRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := &recommender.ScorerTopN{Scorer: model, NumItems: sp.Train.NumItems()}
+	base := &recommender.ScorerTopN{Scorer: model}
 	for u := 0; u < 15; u++ {
 		uid := types.UserID(u)
-		exclude := sp.Train.UserItemSet(uid)
-		want := base.Recommend(uid, n, exclude)
-		got := p.Recommend(uid, exclude)
+		cands := sp.Train.AppendCandidates(uid, nil)
+		want := base.Recommend(uid, n, cands)
+		got := p.Recommend(uid, n, cands)
 		wantSet := map[types.ItemID]bool{}
 		for _, i := range want {
 			wantSet[i] = true
@@ -313,4 +314,35 @@ func absF(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestRerankersCutToRequestedN pins the TopN contract the re-rankers share: a
+// list is built at the configured N, so a smaller n is a prefix of it, a larger
+// n returns it whole, and n ≤ 0 returns nothing.
+func TestRerankersCutToRequestedN(t *testing.T) {
+	sp, model := setupShared(t)
+	const n = 5
+	rbt, _ := NewRBT(sp.Train, model, RBTConfig{N: n, TR: 3.5, TMax: 5, TH: 1, Criterion: RBTPop})
+	fiveD, _ := NewFiveD(sp.Train, model, DefaultFiveDConfig(n))
+	pra, _ := NewPRA(sp.Train, model, DefaultPRAConfig(n, 10))
+	for _, m := range []recommender.TopN{rbt, fiveD, pra} {
+		for u := 0; u < 10; u++ {
+			uid := types.UserID(u)
+			cands := sp.Train.AppendCandidates(uid, nil)
+			full := m.Recommend(uid, n, cands)
+			if len(full) != n {
+				t.Fatalf("%s: user %d: %d items at N", m.Name(), u, len(full))
+			}
+			short, long := m.Recommend(uid, 2, cands), m.Recommend(uid, n+4, cands)
+			if len(short) != 2 || short[0] != full[0] || short[1] != full[1] {
+				t.Fatalf("%s: user %d: n=2 list %v is not a prefix of %v", m.Name(), u, short, full)
+			}
+			if len(long) != n {
+				t.Fatalf("%s: user %d: n above N returned %d items", m.Name(), u, len(long))
+			}
+			if got := m.Recommend(uid, 0, cands); got != nil {
+				t.Fatalf("%s: user %d: n=0 returned %v", m.Name(), u, got)
+			}
+		}
+	}
 }

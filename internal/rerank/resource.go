@@ -145,16 +145,19 @@ func (f *FiveD) fiveDScore(u types.UserID, i types.ItemID) float64 {
 	return resource + ltBonus
 }
 
-// Recommend produces user u's re-ranked top-N set.
-func (f *FiveD) Recommend(u types.UserID, exclude map[types.ItemID]struct{}) types.TopNSet {
+// Recommend implements recommender.TopN.
+func (f *FiveD) Recommend(u types.UserID, n int, candidates []types.ItemID) types.TopNSet {
+	return cut(f.rerank(u, candidates), n)
+}
+
+// rerank produces user u's re-ranked top-N set.
+func (f *FiveD) rerank(u types.UserID, candidates []types.ItemID) types.TopNSet {
 	n := f.cfg.N
-	head := recommender.SelectTopN(f.train.NumItems(), f.cfg.K, exclude, func(i types.ItemID) float64 {
-		return f.scorer.Score(u, i)
-	})
+	head := accuracyHead(f.scorer, u, f.cfg.K, candidates)
 	if len(head) == 0 {
 		return nil
 	}
-	candidates := head
+	pool := head
 	if f.cfg.AccuracyFilter {
 		// Keep only items whose accuracy score is at least the mean accuracy
 		// score of the head.
@@ -170,16 +173,16 @@ func (f *FiveD) Recommend(u types.UserID, exclude map[types.ItemID]struct{}) typ
 			}
 		}
 		if len(filtered) >= n {
-			candidates = filtered
+			pool = filtered
 		}
 	}
 
 	if f.cfg.RankByRankings {
 		// Aggregate the rank under the accuracy score and the rank under the
 		// 5D score (lower summed rank is better).
-		accRank := rankPositions(candidates, func(i types.ItemID) float64 { return f.scorer.Score(u, i) })
-		fdRank := rankPositions(candidates, func(i types.ItemID) float64 { return f.fiveDScore(u, i) })
-		out := append([]types.ItemID(nil), candidates...)
+		accRank := rankPositions(pool, func(i types.ItemID) float64 { return f.scorer.Score(u, i) })
+		fdRank := rankPositions(pool, func(i types.ItemID) float64 { return f.fiveDScore(u, i) })
+		out := append([]types.ItemID(nil), pool...)
 		sort.SliceStable(out, func(a, b int) bool {
 			ra := accRank[out[a]] + fdRank[out[a]]
 			rb := accRank[out[b]] + fdRank[out[b]]
@@ -194,12 +197,11 @@ func (f *FiveD) Recommend(u types.UserID, exclude map[types.ItemID]struct{}) typ
 		return types.TopNSet(out)
 	}
 
-	out := append([]types.ItemID(nil), candidates...)
-	recommender.SortItemsByScoreDesc(out, func(i types.ItemID) float64 { return f.fiveDScore(u, i) })
-	if len(out) > n {
-		out = out[:n]
+	scores := make([]float64, len(pool))
+	for k, i := range pool {
+		scores[k] = f.fiveDScore(u, i)
 	}
-	return types.TopNSet(out)
+	return recommender.SelectTop(pool, scores, n)
 }
 
 // rankPositions maps each item to its 1-based rank under score (descending).
@@ -211,14 +213,4 @@ func rankPositions(items []types.ItemID, score func(types.ItemID) float64) map[t
 		out[i] = pos + 1
 	}
 	return out
-}
-
-// RecommendAll produces the full top-N collection.
-func (f *FiveD) RecommendAll() types.Recommendations {
-	recs := make(types.Recommendations, f.train.NumUsers())
-	for u := 0; u < f.train.NumUsers(); u++ {
-		uid := types.UserID(u)
-		recs[uid] = f.Recommend(uid, f.train.UserItemSet(uid))
-	}
-	return recs
 }

@@ -129,22 +129,11 @@ func (in *Interner) Keys() []string {
 	return out
 }
 
-// ScoredItem pairs an item with a model score. It is the unit of currency of
-// every ranking produced in this library.
+// ScoredItem pairs an item with a model score (ItemKNN's neighbour lists are
+// made of them).
 type ScoredItem struct {
 	Item  ItemID
 	Score float64
-}
-
-// SortScoredDesc sorts items by descending score, breaking ties by ascending
-// item identifier so that rankings are deterministic across runs.
-func SortScoredDesc(items []ScoredItem) {
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Score != items[b].Score {
-			return items[a].Score > items[b].Score
-		}
-		return items[a].Item < items[b].Item
-	})
 }
 
 // TopNSet is the ordered top-N recommendation list for a single user. The

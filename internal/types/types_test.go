@@ -1,11 +1,6 @@
 package types
 
-import (
-	"math/rand"
-	"sort"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestInternerAssignsDenseIndices(t *testing.T) {
 	in := NewInterner(4)
@@ -60,63 +55,6 @@ func TestInternerKeysReturnsCopy(t *testing.T) {
 	ks[0] = "mutated"
 	if in.Key(0) != "a" {
 		t.Fatal("Keys() exposed internal storage")
-	}
-}
-
-func TestSortScoredDescOrdersByScoreThenItem(t *testing.T) {
-	items := []ScoredItem{
-		{Item: 5, Score: 0.3},
-		{Item: 2, Score: 0.9},
-		{Item: 9, Score: 0.9},
-		{Item: 1, Score: 0.1},
-	}
-	SortScoredDesc(items)
-	wantOrder := []ItemID{2, 9, 5, 1}
-	for k, w := range wantOrder {
-		if items[k].Item != w {
-			t.Fatalf("position %d: got item %d want %d (full: %v)", k, items[k].Item, w, items)
-		}
-	}
-}
-
-func TestSortScoredDescIsDeterministicUnderTies(t *testing.T) {
-	// Property: shuffling the input never changes the sorted output when all
-	// scores are tied, because ties break on the item identifier.
-	base := make([]ScoredItem, 50)
-	for i := range base {
-		base[i] = ScoredItem{Item: ItemID(i), Score: 1.0}
-	}
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		shuffled := make([]ScoredItem, len(base))
-		copy(shuffled, base)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		SortScoredDesc(shuffled)
-		for i := range shuffled {
-			if shuffled[i].Item != ItemID(i) {
-				t.Fatalf("trial %d: tie-break not deterministic at %d: %v", trial, i, shuffled[i])
-			}
-		}
-	}
-}
-
-func TestSortScoredDescProperty(t *testing.T) {
-	// Property: after sorting, scores are non-increasing.
-	f := func(scores []float64) bool {
-		items := make([]ScoredItem, len(scores))
-		for i, s := range scores {
-			items[i] = ScoredItem{Item: ItemID(i), Score: s}
-		}
-		SortScoredDesc(items)
-		return sort.SliceIsSorted(items, func(a, b int) bool {
-			if items[a].Score != items[b].Score {
-				return items[a].Score > items[b].Score
-			}
-			return items[a].Item < items[b].Item
-		})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

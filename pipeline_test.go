@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -168,31 +169,35 @@ func TestRegistryBasesAndRerankers(t *testing.T) {
 	}
 }
 
-func TestStaticEngine(t *testing.T) {
-	recs := Recommendations{0: {1, 2}, 1: {0}}
-	if _, err := NewStaticEngine("m", nil, 2); err == nil {
-		t.Fatal("empty collection accepted")
-	}
-	e, err := NewStaticEngine("m", recs, 2)
+// TestRandIsSafeToServe holds the Rand base model to the Engine contract
+// ("safe for concurrent use") on both ways the CLI can put it behind a server:
+// as a base engine (-arec Rand -rerank none) and as GANC's accuracy component.
+// The assertion is the race detector's: every draw comes from one generator.
+func TestRandIsSafeToServe(t *testing.T) {
+	train := pipelineFixture(t).Train
+	randScorer, err := NewBaseScorer("Rand", train, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	set, err := e.RecommendUser(ctx, 0, 1)
+	p, err := NewPipeline(train, WithBaseNamed("Rand"), WithTopN(3), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set) != 1 || set[0] != 1 {
-		t.Fatalf("static engine truncation wrong: %v", set)
-	}
-	if _, err := e.RecommendUser(ctx, 99, 1); err == nil {
-		t.Fatal("missing user should error")
-	}
-	all, err := e.RecommendAll(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 {
-		t.Fatalf("static RecommendAll %d users", len(all))
+	for _, e := range []Engine{NewBaseEngine(randScorer, train, 3), p} {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for u := g; u < train.NumUsers(); u += 4 {
+					set, err := e.RecommendUser(context.Background(), UserID(u), 0)
+					if err != nil || len(set) != 3 {
+						t.Errorf("%s: user %d: list %v, error %v", e.Name(), u, set, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

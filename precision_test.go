@@ -179,10 +179,10 @@ func TestReducedPrecisionTopNAgreement(t *testing.T) {
 	users := sampleUsers(train.NumUsers(), 40)
 
 	for name, m := range trainTieredScorers(t, train) {
-		topn := &recommender.ScorerTopN{Scorer: m, NumItems: train.NumItems()}
+		topn := &recommender.ScorerTopN{Scorer: m}
 		oracle := make(map[UserID]TopNSet, len(users))
 		for _, u := range users {
-			oracle[u] = topn.RecommendFrom(u, equivTopN, catalog)
+			oracle[u] = topn.Recommend(u, equivTopN, catalog)
 		}
 		tiers := []struct {
 			p     ScoringPrecision
@@ -194,7 +194,7 @@ func TestReducedPrecisionTopNAgreement(t *testing.T) {
 			m.SetPrecision(tier.p)
 			sum := 0.0
 			for _, u := range users {
-				sum += overlapFrac(oracle[u], topn.RecommendFrom(u, equivTopN, catalog))
+				sum += overlapFrac(oracle[u], topn.Recommend(u, equivTopN, catalog))
 			}
 			mean := sum / float64(len(users))
 			t.Logf("%s at %v: mean top-%d overlap with f64 oracle %.3f (floor %.2f)", name, tier.p, equivTopN, mean, tier.floor)

@@ -1,10 +1,8 @@
 package ganc
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ganc/internal/core"
 	"ganc/internal/knn"
@@ -17,54 +15,29 @@ import (
 // The model registry maps stable string names to constructors for base
 // (accuracy) models and re-ranking baselines, so CLIs and experiment drivers
 // can assemble any base/reranker combination from flags without a hand-rolled
-// switch per binary. The built-in names cover every model the paper
-// evaluates; RegisterBase and RegisterReranker extend the registry.
+// switch per binary. The two tables are filled once, by this file's init, and
+// only read afterwards; the names cover every model the paper evaluates.
 
-// BaseBuilder constructs one named base model.
-type BaseBuilder struct {
-	// Scorer builds the raw base model (for baseline serving/evaluation).
-	Scorer func(train *Dataset, seed int64) (Scorer, error)
-	// Accuracy builds the GANC accuracy component. When nil, the component is
-	// derived from Scorer via per-user min–max normalization.
-	Accuracy func(train *Dataset, topN int, seed int64) (AccuracyRecommender, error)
+// baseBuilder constructs one named base model.
+type baseBuilder struct {
+	// scorer builds the raw base model (for baseline serving/evaluation).
+	scorer func(train *Dataset, seed int64) (Scorer, error)
+	// accuracy builds the GANC accuracy component. When nil, the component is
+	// derived from scorer via per-user min–max normalization.
+	accuracy func(train *Dataset, topN int, seed int64) (AccuracyRecommender, error)
 }
 
-// RerankerBuilder constructs a named re-ranker on top of a base scorer and
+// rerankerBuilder constructs a named re-ranker on top of a base scorer and
 // returns it as an Engine.
-type RerankerBuilder func(train *Dataset, base Scorer, n int, seed int64) (Engine, error)
+type rerankerBuilder func(train *Dataset, base Scorer, n int, seed int64) (Engine, error)
 
 var (
-	registryMu sync.RWMutex
-	baseModels = map[string]BaseBuilder{}
-	rerankers  = map[string]RerankerBuilder{}
+	baseModels = map[string]baseBuilder{}
+	rerankers  = map[string]rerankerBuilder{}
 )
-
-// RegisterBase adds (or replaces) a named base-model builder.
-func RegisterBase(name string, b BaseBuilder) error {
-	if name == "" || b.Scorer == nil {
-		return fmt.Errorf("ganc: base registration requires a name and a Scorer builder")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	baseModels[name] = b
-	return nil
-}
-
-// RegisterReranker adds (or replaces) a named reranker builder.
-func RegisterReranker(name string, b RerankerBuilder) error {
-	if name == "" || b == nil {
-		return fmt.Errorf("ganc: reranker registration requires a name and a builder")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	rerankers[name] = b
-	return nil
-}
 
 // BaseNames lists the registered base-model names, sorted.
 func BaseNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	names := make([]string, 0, len(baseModels))
 	for name := range baseModels {
 		names = append(names, name)
@@ -75,8 +48,6 @@ func BaseNames() []string {
 
 // RerankerNames lists the registered reranker names, sorted.
 func RerankerNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	names := make([]string, 0, len(rerankers))
 	for name := range rerankers {
 		names = append(names, name)
@@ -87,13 +58,11 @@ func RerankerNames() []string {
 
 // NewBaseScorer trains/builds the named base model on the train set.
 func NewBaseScorer(name string, train *Dataset, seed int64) (Scorer, error) {
-	registryMu.RLock()
 	b, ok := baseModels[name]
-	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("ganc: unknown base model %q (known: %v)", name, BaseNames())
 	}
-	return b.Scorer(train, seed)
+	return b.scorer(train, seed)
 }
 
 // newNormalizedAccuracy is the one place a raw scorer becomes a GANC
@@ -112,11 +81,9 @@ func newNormalizedAccuracy(s Scorer, numItems int) AccuracyRecommender {
 // WithBase(popScorer) and WithBaseNamed("Pop") assemble the same model;
 // everything else gets per-user min–max normalization.
 func accuracyForScorer(s Scorer, train *Dataset, topN int, seed int64) (AccuracyRecommender, error) {
-	registryMu.RLock()
 	b, ok := baseModels[s.Name()]
-	registryMu.RUnlock()
-	if ok && b.Accuracy != nil {
-		return b.Accuracy(train, topN, seed)
+	if ok && b.accuracy != nil {
+		return b.accuracy(train, topN, seed)
 	}
 	return newNormalizedAccuracy(s, train.NumItems()), nil
 }
@@ -124,22 +91,20 @@ func accuracyForScorer(s Scorer, train *Dataset, topN int, seed int64) (Accuracy
 // newAccuracyByName resolves a registry base into a GANC accuracy component,
 // also returning the raw base scorer (when one was built) so the pipeline can
 // retain it for persistence and ingestion rebuilds. Entries with a custom
-// Accuracy builder short-circuit before the Scorer constructor runs — the
+// accuracy builder short-circuit before the scorer constructor runs — the
 // scorer may be expensive to train and the accuracy component replaces it
 // entirely (persistence handles the built-in such case, Pop, from the
 // accuracy component itself).
 func newAccuracyByName(name string, train *Dataset, topN int, seed int64) (AccuracyRecommender, Scorer, error) {
-	registryMu.RLock()
 	b, ok := baseModels[name]
-	registryMu.RUnlock()
 	if !ok {
 		return nil, nil, fmt.Errorf("ganc: unknown base model %q (known: %v)", name, BaseNames())
 	}
-	if b.Accuracy != nil {
-		arec, err := b.Accuracy(train, topN, seed)
+	if b.accuracy != nil {
+		arec, err := b.accuracy(train, topN, seed)
 		return arec, nil, err
 	}
-	s, err := b.Scorer(train, seed)
+	s, err := b.scorer(train, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,160 +114,94 @@ func newAccuracyByName(name string, train *Dataset, topN int, seed int64) (Accur
 // NewReranker assembles the named re-ranker over base and returns its Engine.
 // The "GANC" entry assembles a default pipeline (θ^G, Dyn) around the base.
 func NewReranker(name string, train *Dataset, base Scorer, n int, seed int64) (Engine, error) {
-	registryMu.RLock()
 	b, ok := rerankers[name]
-	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("ganc: unknown reranker %q (known: %v)", name, RerankerNames())
 	}
 	return b(train, base, n, seed)
 }
 
-// userReranker is the per-user surface the re-ranking baselines share.
-type userReranker interface {
-	Name() string
-	Recommend(u UserID, exclude map[ItemID]struct{}) TopNSet
-}
-
-// rerankerEngine adapts a userReranker (whose list size is fixed by its
-// config) to the Engine interface.
-type rerankerEngine struct {
-	model userReranker
-	train *Dataset
-	n     int
-}
-
-func (e *rerankerEngine) Name() string { return e.model.Name() }
-func (e *rerankerEngine) TopN() int    { return e.n }
-
-func (e *rerankerEngine) RecommendUser(ctx context.Context, u UserID, n int) (TopNSet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if int(u) < 0 || int(u) >= e.train.NumUsers() {
-		return nil, fmt.Errorf("ganc: user %d out of range [0,%d)", u, e.train.NumUsers())
-	}
-	set := e.model.Recommend(u, e.train.UserItemSet(u))
-	if n > 0 && n < len(set) {
-		set = set[:n]
-	}
-	return set, nil
-}
-
-func (e *rerankerEngine) RecommendAll(ctx context.Context) (Recommendations, error) {
-	recs := make(Recommendations, e.train.NumUsers())
-	for u := 0; u < e.train.NumUsers(); u++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		uid := UserID(u)
-		recs[uid] = e.model.Recommend(uid, e.train.UserItemSet(uid))
-	}
-	return recs, nil
-}
-
 func init() {
 	// Base models (Table II/IV of the paper).
-	mustBase := func(name string, b BaseBuilder) {
-		if err := RegisterBase(name, b); err != nil {
-			panic(err)
-		}
-	}
-	mustBase("Pop", BaseBuilder{
-		Scorer: func(train *Dataset, _ int64) (Scorer, error) { return recommender.NewPop(train), nil },
+	baseModels["Pop"] = baseBuilder{
+		scorer: func(train *Dataset, _ int64) (Scorer, error) { return recommender.NewPop(train), nil },
 		// The paper's Pop accuracy recommender is the indicator a(i)=1 iff i
 		// is in the user's popularity top-N, not a normalized count.
-		Accuracy: func(train *Dataset, topN int, _ int64) (AccuracyRecommender, error) {
+		accuracy: func(train *Dataset, topN int, _ int64) (AccuracyRecommender, error) {
 			return core.NewPopAccuracy(train, topN), nil
 		},
-	})
-	mustBase("Rand", BaseBuilder{
-		Scorer: func(train *Dataset, seed int64) (Scorer, error) {
-			return recommender.NewRand(train.NumItems(), seed), nil
-		},
-	})
-	mustBase("ItemAvg", BaseBuilder{
-		Scorer: func(train *Dataset, _ int64) (Scorer, error) { return recommender.NewItemAvg(train, 5), nil },
-	})
-	mustBase("RSVD", BaseBuilder{
-		Scorer: func(train *Dataset, seed int64) (Scorer, error) {
+	}
+	baseModels["Rand"] = baseBuilder{
+		scorer: func(_ *Dataset, seed int64) (Scorer, error) { return recommender.NewRand(seed), nil },
+	}
+	baseModels["ItemAvg"] = baseBuilder{
+		scorer: func(train *Dataset, _ int64) (Scorer, error) { return recommender.NewItemAvg(train, 5), nil },
+	}
+	baseModels["RSVD"] = baseBuilder{
+		scorer: func(train *Dataset, seed int64) (Scorer, error) {
 			cfg := mf.DefaultRSVDConfig()
 			cfg.Factors = 40
 			cfg.Epochs = 15
 			cfg.Seed = seed
 			return mf.TrainRSVD(train, cfg)
 		},
-	})
+	}
 	for _, factors := range []int{10, 100} {
 		factors := factors
-		mustBase(fmt.Sprintf("PSVD%d", factors), BaseBuilder{
-			Scorer: func(train *Dataset, seed int64) (Scorer, error) {
+		baseModels[fmt.Sprintf("PSVD%d", factors)] = baseBuilder{
+			scorer: func(train *Dataset, seed int64) (Scorer, error) {
 				return mf.TrainPSVD(train, mf.PSVDConfig{Factors: factors, PowerIterations: 2, Seed: seed})
 			},
-		})
+		}
 	}
-	mustBase("ItemKNN", BaseBuilder{
-		Scorer: func(train *Dataset, _ int64) (Scorer, error) {
+	baseModels["ItemKNN"] = baseBuilder{
+		scorer: func(train *Dataset, _ int64) (Scorer, error) {
 			return knn.Train(train, knn.DefaultConfig())
 		},
-	})
-	mustBase("CofiRank", BaseBuilder{
-		Scorer: func(train *Dataset, seed int64) (Scorer, error) {
+	}
+	baseModels["CofiRank"] = baseBuilder{
+		scorer: func(train *Dataset, seed int64) (Scorer, error) {
 			return rank.Train(train, rank.Config{
 				Factors: 16, Regularization: 0.05, LearningRate: 0.02,
 				Epochs: 5, InitStd: 0.1, Seed: seed, PairsPerUser: 10,
 			})
 		},
-	})
+	}
 
 	// Re-ranking baselines (Section V of the paper) plus GANC itself, so one
-	// flag value selects the full framework.
-	mustRerank := func(name string, b RerankerBuilder) {
-		if err := RegisterReranker(name, b); err != nil {
-			panic(err)
-		}
-	}
-	mustRerank("RBT-Pop", func(train *Dataset, base Scorer, n int, _ int64) (Engine, error) {
-		r, err := rerank.NewRBT(train, base, rerank.DefaultRBTConfig(n, rerank.RBTPop))
-		if err != nil {
-			return nil, err
-		}
-		return &rerankerEngine{model: r, train: train, n: n}, nil
-	})
-	mustRerank("RBT-Avg", func(train *Dataset, base Scorer, n int, _ int64) (Engine, error) {
-		r, err := rerank.NewRBT(train, base, rerank.DefaultRBTConfig(n, rerank.RBTAvg))
-		if err != nil {
-			return nil, err
-		}
-		return &rerankerEngine{model: r, train: train, n: n}, nil
-	})
-	mustRerank("5D", func(train *Dataset, base Scorer, n int, _ int64) (Engine, error) {
-		f, err := rerank.NewFiveD(train, base, rerank.DefaultFiveDConfig(n))
-		if err != nil {
-			return nil, err
-		}
-		return &rerankerEngine{model: f, train: train, n: n}, nil
-	})
-	mustRerank("5D-AF", func(train *Dataset, base Scorer, n int, _ int64) (Engine, error) {
-		f, err := rerank.NewFiveD(train, base, rerank.FiveDConfig{N: n, Q: 1, AccuracyFilter: true, RankByRankings: true})
-		if err != nil {
-			return nil, err
-		}
-		return &rerankerEngine{model: f, train: train, n: n}, nil
-	})
-	for _, x := range []int{10, 20} {
-		x := x
-		mustRerank(fmt.Sprintf("PRA-%d", x), func(train *Dataset, base Scorer, n int, _ int64) (Engine, error) {
-			p, err := rerank.NewPRA(train, base, rerank.DefaultPRAConfig(n, x))
+	// flag value selects the full framework. A baseline is a recommender.TopN
+	// over the user's candidates, served by the TopNEngine every base model
+	// uses.
+	baseline := func(build func(train *Dataset, base Scorer, n int) (recommender.TopN, error)) rerankerBuilder {
+		return func(train *Dataset, base Scorer, n int, _ int64) (Engine, error) {
+			model, err := build(train, base, n)
 			if err != nil {
 				return nil, err
 			}
-			return &rerankerEngine{model: p, train: train, n: n}, nil
+			return &recommender.TopNEngine{Model: model, Train: train, N: n}, nil
+		}
+	}
+	rerankers["RBT-Pop"] = baseline(func(train *Dataset, base Scorer, n int) (recommender.TopN, error) {
+		return rerank.NewRBT(train, base, rerank.DefaultRBTConfig(n, rerank.RBTPop))
+	})
+	rerankers["RBT-Avg"] = baseline(func(train *Dataset, base Scorer, n int) (recommender.TopN, error) {
+		return rerank.NewRBT(train, base, rerank.DefaultRBTConfig(n, rerank.RBTAvg))
+	})
+	rerankers["5D"] = baseline(func(train *Dataset, base Scorer, n int) (recommender.TopN, error) {
+		return rerank.NewFiveD(train, base, rerank.DefaultFiveDConfig(n))
+	})
+	rerankers["5D-AF"] = baseline(func(train *Dataset, base Scorer, n int) (recommender.TopN, error) {
+		return rerank.NewFiveD(train, base, rerank.FiveDConfig{N: n, Q: 1, AccuracyFilter: true, RankByRankings: true})
+	})
+	for _, x := range []int{10, 20} {
+		x := x
+		rerankers[fmt.Sprintf("PRA-%d", x)] = baseline(func(train *Dataset, base Scorer, n int) (recommender.TopN, error) {
+			return rerank.NewPRA(train, base, rerank.DefaultPRAConfig(n, x))
 		})
 	}
 	// GANC with the paper defaults (θ^G, Dyn, fully sequential OSLG); callers
 	// needing sampling or other knobs assemble NewPipeline directly.
-	mustRerank("GANC", func(train *Dataset, base Scorer, n int, seed int64) (Engine, error) {
+	rerankers["GANC"] = func(train *Dataset, base Scorer, n int, seed int64) (Engine, error) {
 		return NewPipeline(train, WithBase(base), WithTopN(n), WithSeed(seed))
-	})
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -48,11 +47,7 @@ func TestSweepDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests were recorded on amd64; other architectures fuse and order float operations differently")
 	}
-	data, err := GenerateML100K(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train := SplitByUser(data, 0.8, rand.New(rand.NewSource(7))).Train
+	train := digestTrain(t)
 	bases := []struct {
 		name string
 		opt  func() PipelineOption

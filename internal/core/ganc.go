@@ -130,16 +130,10 @@ func (s *ScorerAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, ou
 
 // AccuracyScores32 implements BulkAccuracy32. When the wrapped scorer serves
 // a reduced-precision tier (recommender.Bulk32For), scores stay in float32
-// end to end; otherwise the float64 scores are computed pointwise and
-// truncated. Clamping mirrors AccuracyScore.
+// end to end; otherwise its float64 bulk scores are truncated
+// (recommender.BulkScores32). Clamping mirrors AccuracyScore.
 func (s *ScorerAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) {
-	if bs, ok := recommender.Bulk32For(s.Scorer); ok {
-		bs.ScoreUser32(u, items, out)
-	} else {
-		for k, i := range items {
-			out[k] = float32(s.Scorer.Score(u, i))
-		}
-	}
+	recommender.BulkScores32(s.Scorer, u, items, out)
 	for k, v := range out {
 		if v < 0 {
 			out[k] = 0
@@ -503,7 +497,9 @@ type Config struct {
 	// OSLG (Algorithm 1, lines 11–15, which the paper notes can run in
 	// parallel) and for the independent per-user sweeps of the stateless
 	// coverage recommenders. Values ≤ 1 run sequentially; values above
-	// runtime.NumCPU() are clamped to it.
+	// runtime.GOMAXPROCS(0) — the Ps the process may run on, which a CPU
+	// quota or `go test -cpu` sets below the machine's CPU count — are
+	// clamped to it: more goroutines than Ps only time-slice.
 	Workers int
 	// Precision selects the arithmetic tier of the sweeps. The zero value
 	// (PrecisionF64) keeps every sweep on exact float64 arithmetic;
@@ -721,12 +717,12 @@ func selectGains[T float32 | float64](ctx context.Context, cand []types.ItemID, 
 }
 
 // forEachShard splits [0, count) into contiguous ranges across the configured
-// workers (clamped to the CPU count) and runs fn(lo, hi) per range, inline
-// when parallelism is disabled.
+// workers (clamped to GOMAXPROCS) and runs fn(lo, hi) per range, inline when
+// parallelism is disabled.
 func (g *GANC) forEachShard(count int, fn func(lo, hi int)) {
 	workers := g.cfg.Workers
-	if workers > runtime.NumCPU() {
-		workers = runtime.NumCPU()
+	if procs := runtime.GOMAXPROCS(0); workers > procs {
+		workers = procs
 	}
 	if workers <= 1 || count <= 1 {
 		fn(0, count)

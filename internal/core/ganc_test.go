@@ -262,6 +262,74 @@ type fixedScorer struct{ vals map[types.ItemID]float64 }
 func (f fixedScorer) Score(_ types.UserID, i types.ItemID) float64 { return f.vals[i] }
 func (f fixedScorer) Name() string                                 { return "fixed" }
 
+// countingBulkScorer is a model without a float32 tier (as ItemAvg, ItemKNN or
+// a custom scorer) that counts how it is asked: pointwise or in bulk.
+type countingBulkScorer struct{ pointwise, bulk int }
+
+func (c *countingBulkScorer) value(u types.UserID, i types.ItemID) float64 {
+	return float64((int(u)*7+int(i)*13)%29) / 29
+}
+
+func (c *countingBulkScorer) Score(u types.UserID, i types.ItemID) float64 {
+	c.pointwise++
+	return c.value(u, i)
+}
+
+func (c *countingBulkScorer) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
+	c.bulk++
+	for k, i := range items {
+		out[k] = c.value(u, i)
+	}
+}
+
+func (c *countingBulkScorer) Name() string { return "counting" }
+
+// TestF32TierScoresUntieredModelsInBulk: under Config.Precision = F32 a model
+// without a float32 path still serves a turn through its bulk scorer — one
+// call per user, none per item — bare or behind the normaliser (where the
+// pointwise route also took the range table's mutex per item), and the
+// truncated scores are float32(Score) either way.
+func TestF32TierScoresUntieredModelsInBulk(t *testing.T) {
+	train := testSplit(t).Train
+	users := train.NumUsers()
+	prefs := longtail.Constant(users, 0.4)
+	for _, tc := range []struct {
+		name string
+		wrap func(recommender.Scorer) recommender.Scorer
+	}{
+		{"bare", func(s recommender.Scorer) recommender.Scorer { return s }},
+		{"normalised", func(s recommender.Scorer) recommender.Scorer {
+			return recommender.NewNormalizedScorer(s, train.NumItems())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := &countingBulkScorer{}
+			arec := &ScorerAccuracy{Scorer: tc.wrap(inner)}
+			g, err := New(train, arec, prefs, NewStatCoverage(train), Config{N: 5, Precision: types.PrecisionF32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				inner.pointwise, inner.bulk = 0, 0
+				g.Recommend()
+				if inner.bulk != users || inner.pointwise != 0 {
+					t.Fatalf("pass %d: %d bulk and %d pointwise calls for %d users, want one bulk call per user and no pointwise call",
+						pass, inner.bulk, inner.pointwise, users)
+				}
+			}
+
+			items := []types.ItemID{3, 0, 7, 1}
+			got := make([]float32, len(items))
+			arec.AccuracyScores32(2, items, got)
+			for k, i := range items {
+				if want := float32(arec.AccuracyScore(2, i)); got[k] != want {
+					t.Fatalf("AccuracyScores32 item %d = %v, float32(AccuracyScore) = %v", i, got[k], want)
+				}
+			}
+		})
+	}
+}
+
 func TestRecommendProducesValidSetsForAllUsers(t *testing.T) {
 	sp := testSplit(t)
 	train := sp.Train

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -125,6 +126,38 @@ func TestParallelWorkersClampedAboveCPUCount(t *testing.T) {
 	recs := g.Recommend()
 	if len(recs) != train.NumUsers() {
 		t.Fatal("huge worker count broke the sweep")
+	}
+}
+
+// TestWorkersClampedToGOMAXPROCS: the worker count follows the Ps the process
+// may run on, not the machine's CPU count. With one P a configured Workers of
+// 4 runs the phase inline as one range — no goroutines to time-slice, no
+// second scratch — and the collection is the sequential one.
+func TestWorkersClampedToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := &GANC{cfg: Config{Workers: 4}}
+	var ranges [][2]int
+	g.forEachShard(10, func(lo, hi int) { ranges = append(ranges, [2]int{lo, hi}) })
+	if len(ranges) != 1 || ranges[0] != [2]int{0, 10} {
+		t.Fatalf("with GOMAXPROCS(1), Workers=4 ran ranges %v, want the single inline range [0 10]", ranges)
+	}
+
+	sp := parallelSplit(t)
+	train := sp.Train
+	prefs, err := longtail.Estimate(longtail.ModelGeneralized, train, nil, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) types.Recommendations {
+		g, err := New(train, NewPopAccuracy(train, 5), prefs, NewDynCoverage(train.NumItems()),
+			Config{N: 5, SampleSize: train.NumUsers() / 4, Seed: 9, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.Recommend()
+	}
+	if !collectionsEqual(run(1), run(4)) {
+		t.Fatal("Workers=4 under GOMAXPROCS(1) differs from the sequential run")
 	}
 }
 

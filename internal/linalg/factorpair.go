@@ -3,6 +3,8 @@ package linalg
 import (
 	"fmt"
 	"sync"
+
+	"ganc/internal/types"
 )
 
 // FactorPair holds one latent-factor model's (user, item) matrices in the
@@ -25,6 +27,26 @@ func (p *FactorPair) EnsureF32(userF, itemF [][]float64) {
 	}
 	if p.ItemB.Rows() == 0 && len(itemF) > 0 {
 		p.ItemB = BlockFrom64(itemF)
+	}
+}
+
+// ItemDots32 fills out[k] with the float32 kernel dot of user row u and item
+// row items[k] — the latent term of a factor model's float32 bulk scores. The
+// row kernel runs once over each stretch of identifiers inside the item
+// block; an identifier outside it scores 0, as a zero factor row would, and
+// the model overwrites that with its own fallback where the two differ. u
+// must be a row of the user block and out hold len(items) elements.
+func (p *FactorPair) ItemDots32(u types.UserID, items []types.ItemID, out []float32) {
+	pu := p.UserB.Row(int(u))
+	p.ItemB.checkRowKernelShape(pu, items, out)
+	for len(items) > 0 {
+		n := p.ItemB.firstOutside(items)
+		dotRows32x8(pu, p.ItemB.data, items[:n], out[:n])
+		if n == len(items) {
+			return
+		}
+		out[n] = 0
+		items, out = items[n+1:], out[n+1:]
 	}
 }
 

@@ -1,5 +1,11 @@
 package linalg
 
+import (
+	"fmt"
+
+	"ganc/internal/types"
+)
+
 // Scoring kernels and contiguous factor-block layouts for the bulk-scoring
 // hot path. The MF/rank models train in float64 per-row slices (numerically
 // convenient) but serve from the types below: one backing slice per factor
@@ -93,6 +99,16 @@ func dot32x8Generic(a, b []float32) float32 {
 	return s
 }
 
+// dotRows32x8Generic is the portable row kernel: dot32x8Generic against each
+// indexed row of the len(v)-wide row-major matrix in data.
+func dotRows32x8Generic(v, data []float32, rows []types.ItemID, out []float32) {
+	dims := len(v)
+	for k, r := range rows {
+		off := int(r) * dims
+		out[k] = dot32x8Generic(v, data[off:off+dims:off+dims])
+	}
+}
+
 // Block is a dense rows×dims float32 matrix in one backing slice, row-major
 // with stride = dims. Factor matrices convert into Blocks once after
 // training (or snapshot load) so the scoring loop walks contiguous memory
@@ -144,4 +160,42 @@ func (b Block) Data() []float32 { return b.data }
 func (b Block) Row(r int) []float32 {
 	off := r * b.dims
 	return b.data[off : off+b.dims : off+b.dims]
+}
+
+// DotRows32x8 fills out[k] with Dot32x8(v, b.Row(rows[k])) for every k below
+// len(rows), in one kernel call: a bulk scorer's whole candidate list costs
+// one call instead of one per item. The index list is an item-identifier
+// slice because candidate slices are the only index lists the scoring path
+// has, and taking them as they are needs neither a copy nor a reinterpreting
+// cast. The row kernel runs the pair kernel's body per row (same
+// accumulators, same reduction tree), so every out[k] carries the bits
+// Dot32x8 returns for that row. It panics, before reading any row or writing
+// any score, when v is not dims wide, out is shorter than rows, or an index
+// is not a row of the block.
+func (b Block) DotRows32x8(v []float32, rows []types.ItemID, out []float32) {
+	b.checkRowKernelShape(v, rows, out)
+	if k := b.firstOutside(rows); k < len(rows) {
+		panic(fmt.Sprintf("linalg: DotRows32x8: rows[%d] = %d outside the block's %d rows", k, rows[k], b.rows))
+	}
+	dotRows32x8(v, b.data, rows, out)
+}
+
+func (b Block) checkRowKernelShape(v []float32, rows []types.ItemID, out []float32) {
+	if len(v) != b.dims {
+		panic(fmt.Sprintf("linalg: DotRows32x8: len(v) = %d, block dims %d", len(v), b.dims))
+	}
+	if len(out) < len(rows) {
+		panic(fmt.Sprintf("linalg: DotRows32x8: len(out) = %d < len(rows) = %d", len(out), len(rows)))
+	}
+}
+
+// firstOutside returns the position of the first index in rows that is not a
+// row of b, len(rows) when every one is.
+func (b Block) firstOutside(rows []types.ItemID) int {
+	for k, r := range rows {
+		if uint(r) >= uint(b.rows) { // one compare: a negative index converts to a huge one
+			return k
+		}
+	}
+	return len(rows)
 }

@@ -179,14 +179,7 @@ func (m *PSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 	}
 	switch {
 	case m.precision == types.PrecisionF32 && m.fp.UserB.Rows() > 0:
-		pu := m.fp.UserB.Row(int(u))
-		for k, i := range items {
-			if int(i) < 0 || int(i) >= m.numItems {
-				out[k] = 0
-				continue
-			}
-			out[k] = linalg.Dot32x8(pu, m.fp.ItemB.Row(int(i)))
-		}
+		m.fp.ItemDots32(u, items, out)
 	default:
 		pu := m.userF[u]
 		for k, i := range items {

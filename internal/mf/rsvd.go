@@ -224,9 +224,10 @@ func (m *RSVD) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
 }
 
 // ScoreUser32 implements recommender.BulkScorer32: the float32 score arena
-// path. At the float32 tier the dot runs the unrolled kernel over the
-// contiguous blocks. Called before SetPrecision built any block, it
-// truncates the float64 reference scores (read-only, so always race-safe).
+// path. At the float32 tier one row-kernel call over the contiguous blocks
+// leaves every candidate's dot in out, and a second pass over out adds the
+// mean and bias terms in float64. Called before SetPrecision built any block,
+// it truncates the float64 reference scores (read-only, so always race-safe).
 func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
 	if int(u) < 0 || int(u) >= len(m.userF) {
 		g := float32(m.globalMean)
@@ -241,15 +242,17 @@ func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 	}
 	switch {
 	case m.precision == types.PrecisionF32 && m.fp.UserB.Rows() > 0:
-		pu := m.fp.UserB.Row(int(u))
+		m.fp.ItemDots32(u, items, out)
+		out = out[:len(items)]
+		oob, useBiases, itemBias := float32(m.globalMean), m.cfg.UseBiases, m.itemBias
 		for k, i := range items {
-			if int(i) < 0 || int(i) >= len(m.itemF) {
-				out[k] = float32(m.globalMean)
+			if uint(i) >= uint(len(m.itemF)) { // one compare: a negative identifier converts to a huge one
+				out[k] = oob
 				continue
 			}
-			s := base + float64(linalg.Dot32x8(pu, m.fp.ItemB.Row(int(i))))
-			if m.cfg.UseBiases {
-				s += m.itemBias[i]
+			s := base + float64(out[k])
+			if useBiases {
+				s += itemBias[i]
 			}
 			out[k] = float32(s)
 		}

@@ -276,13 +276,11 @@ func (m *Model) ScoreUser32(u types.UserID, items []types.ItemID, out []float32)
 	}
 	switch {
 	case m.precision == types.PrecisionF32 && m.fp.UserB.Rows() > 0:
-		pu := m.fp.UserB.Row(int(u))
-		for k, i := range items {
-			if int(i) < 0 || int(i) >= len(m.itemF) {
-				out[k] = oob
-				continue
-			}
-			out[k] = float32(base + float64(linalg.Dot32x8(pu, m.fp.ItemB.Row(int(i)))))
+		// An identifier outside the item block leaves the kernel with a dot
+		// of 0, so the same expression gives it oob.
+		m.fp.ItemDots32(u, items, out)
+		for k, dot := range out[:len(items)] {
+			out[k] = float32(base + float64(dot))
 		}
 	default:
 		pu := m.userF[u]

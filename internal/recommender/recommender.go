@@ -109,6 +109,23 @@ func Bulk32For(s Scorer) (BulkScorer32, bool) {
 	return bs, true
 }
 
+// BulkScores32 is BulkScores into a float32 buffer: the model's own float32
+// bulk path when it serves a reduced tier (Bulk32For), otherwise its float64
+// bulk scores — one BulkScores call into the pooled float64 arena — truncated,
+// so out[k] is float32(Score(u, items[k])) for every model without a tier.
+func BulkScores32(s Scorer, u types.UserID, items []types.ItemID, out []float32) {
+	if bs32, ok := Bulk32For(s); ok {
+		bs32.ScoreUser32(u, items, out)
+		return
+	}
+	bp := scoreBufPool.get(len(items))
+	BulkScores(s, u, items, *bp)
+	for k, v := range *bp {
+		out[k] = float32(v)
+	}
+	scoreBufPool.put(bp)
+}
+
 // TopN generates ranked recommendation lists.
 type TopN interface {
 	// Recommend returns the top-n items among candidates for user u, ranked
@@ -490,12 +507,18 @@ type scoreRange struct {
 	upTo     int
 }
 
-// fold extends the range over the scores of items [upTo, upTo+len(scores)).
-// It performs the comparisons of one scan over [0, upTo+len(scores)) from
-// where the scan over [0, upTo) stopped, so a range folded in steps is bit
-// for bit the range of a single full scan.
-func (r scoreRange) fold(scores []float64) scoreRange {
-	for _, s := range scores {
+// span is the width the min–max map divides by; 0 maps every score to 0.
+func (r scoreRange) span() float64 { return r.max - r.min }
+
+// fold extends r over the scores of items [upTo, upTo+len(scores)). It
+// performs the comparisons of one scan over [0, upTo+len(scores)) from where
+// the scan over [0, upTo) stopped, so a range folded in steps is bit for bit
+// the range of a single full scan. Float32 scores are compared widened, which
+// is exact and order-preserving: the range of a tiered model's float32 scores
+// is the range of the same scores served through its float64 contract.
+func fold[T float32 | float64](r scoreRange, scores []T) scoreRange {
+	for _, v := range scores {
+		s := float64(v)
 		if r.upTo == 0 || s < r.min {
 			r.min = s
 		}
@@ -540,11 +563,12 @@ func (n *NormalizedScorer) ForCatalog(numItems int) *NormalizedScorer {
 // Score implements Scorer, returning the inner score min–max normalized over
 // the user's full catalog scores.
 func (n *NormalizedScorer) Score(u types.UserID, i types.ItemID) float64 {
-	min, span := n.userRange(u)
+	r := n.userRange(u)
+	span := r.span()
 	if span == 0 {
 		return 0
 	}
-	v := (n.inner.Score(u, i) - min) / span
+	v := (n.inner.Score(u, i) - r.min) / span
 	if v < 0 {
 		return 0
 	}
@@ -554,11 +578,12 @@ func (n *NormalizedScorer) Score(u types.UserID, i types.ItemID) float64 {
 	return v
 }
 
-// ScoreUser implements BulkScorer: the normalization range is resolved once
-// and the inner scorer's bulk path fills the buffer before the min–max map.
+// ScoreUser implements BulkScorer: the inner scorer's bulk path fills the
+// buffer and the normalization range is resolved with it (scoreWithRange),
+// before the min–max map.
 func (n *NormalizedScorer) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
-	min, span := n.userRange(u)
-	BulkScores(n.inner, u, items, out)
+	r := n.rawScores(u, items, out)
+	min, span := r.min, r.span()
 	if span == 0 {
 		for k := range out {
 			out[k] = 0
@@ -578,27 +603,31 @@ func (n *NormalizedScorer) ScoreUser(u types.UserID, items []types.ItemID, out [
 
 // ScoreUser32 implements BulkScorer32 by normalizing the inner model's
 // float32 bulk scores in float32 arithmetic. Only meaningful when the inner
-// model serves a reduced precision tier (see ScoringPrecision); the
-// normalization range itself is the cached float64 pair, truncated.
+// model serves a reduced precision tier (see ScoringPrecision): any other
+// model's float64 scores are truncated first. The normalization range itself
+// is the cached float64 pair, truncated.
 func (n *NormalizedScorer) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
-	min, span := n.userRange(u)
+	var r scoreRange
 	if bs32, ok := Bulk32For(n.inner); ok {
-		bs32.ScoreUser32(u, items, out)
+		r = scoreWithRange(n, u, items, out, &scoreBuf32Pool, func(items []types.ItemID, out []float32) {
+			bs32.ScoreUser32(u, items, out)
+		})
 	} else {
 		bp := scoreBufPool.get(len(items))
-		BulkScores(n.inner, u, items, *bp)
+		r = n.rawScores(u, items, *bp)
 		for k, v := range *bp {
 			out[k] = float32(v)
 		}
 		scoreBufPool.put(bp)
 	}
+	span := r.span()
 	if span == 0 {
 		for k := range out {
 			out[k] = 0
 		}
 		return
 	}
-	min32, inv32 := float32(min), 1/float32(span)
+	min32, inv32 := float32(r.min), 1/float32(span)
 	for k := range out {
 		v := (out[k] - min32) * inv32
 		if v < 0 {
@@ -619,19 +648,48 @@ func (n *NormalizedScorer) ScoringPrecision() types.ScoringPrecision {
 	return types.PrecisionF64
 }
 
-// userRange resolves u's normalization range over this normaliser's catalog.
-// A table entry covering exactly the catalog is the answer. One covering a
-// prefix (an earlier generation computed it) is extended over the missing
-// items through the same bulk scoring call and stored back. One covering
-// more (a later generation got there first) is of no use to this reader: it
-// rescans its own catalog and leaves the entry alone.
-func (n *NormalizedScorer) userRange(u types.UserID) (min, span float64) {
+// userRange resolves u's normalization range over this normaliser's catalog
+// without scoring any item for the caller (the pointwise path).
+func (n *NormalizedScorer) userRange(u types.UserID) scoreRange {
+	return n.rawScores(u, nil, nil)
+}
+
+// rawScores is scoreWithRange through the inner model's float64 bulk path.
+func (n *NormalizedScorer) rawScores(u types.UserID, items []types.ItemID, out []float64) scoreRange {
+	return scoreWithRange(n, u, items, out, &scoreBufPool, func(items []types.ItemID, out []float64) {
+		BulkScores(n.inner, u, items, out)
+	})
+}
+
+// scoreWithRange fills out with the inner scores of items — score is the
+// inner model's bulk path at the tier of T — and returns u's normalization
+// range over this normaliser's catalog. A table entry covering exactly the
+// catalog is the answer. One covering a prefix (an earlier generation
+// computed it) is extended over the missing items through the same bulk call
+// and stored back. One covering more (a later generation got there first) is
+// of no use to this reader: it rescans its own catalog and leaves the entry
+// alone.
+//
+// Whenever that scan covers the whole catalog — a user's first touch, and the
+// older generation's rescan — it is also the user's only scoring pass: the
+// catalog is scored once into a pooled buffer, the range folded from it, and
+// out gathered from it by identifier, instead of scoring the items a second
+// time. An items slice holding an identifier outside the catalog cannot be
+// gathered and is scored by its own call.
+func scoreWithRange[T float32 | float64](n *NormalizedScorer, u types.UserID, items []types.ItemID, out []T,
+	pool *bufPool[T], score func(items []types.ItemID, out []T)) scoreRange {
+	if len(out) != len(items) {
+		panic(fmt.Sprintf("recommender: NormalizedScorer buffer length %d != item count %d", len(out), len(items)))
+	}
 	t := n.ranges
 	t.mu.Lock()
 	r, ok := t.byUser[u]
 	if ok && r.upTo == n.numItems {
 		t.mu.Unlock()
-		return r.min, r.max - r.min
+		if len(items) > 0 {
+			score(items, out)
+		}
+		return r
 	}
 	catalog := t.identityLocked(n.numItems)
 	t.mu.Unlock()
@@ -640,17 +698,33 @@ func (n *NormalizedScorer) userRange(u types.UserID) (min, span float64) {
 		r = scoreRange{}
 	}
 	missing := catalog[r.upTo:n.numItems]
-	bp := scoreBufPool.get(len(missing))
-	BulkScores(n.inner, u, missing, *bp)
-	r = r.fold(*bp)
-	scoreBufPool.put(bp)
+	bp := pool.get(len(missing))
+	score(missing, *bp)
+	gathered := r.upTo == 0 && gather(*bp, items, out)
+	r = fold(r, *bp)
+	pool.put(bp)
 
 	t.mu.Lock()
 	if cur, ok := t.byUser[u]; !ok || cur.upTo < r.upTo {
 		t.byUser[u] = r
 	}
 	t.mu.Unlock()
-	return r.min, r.max - r.min
+	if !gathered && len(items) > 0 {
+		score(items, out)
+	}
+	return r
+}
+
+// gather fills out[k] with dense[items[k]], reporting false — out then holds
+// nothing of use — at the first identifier dense does not cover.
+func gather[T float32 | float64](dense []T, items []types.ItemID, out []T) bool {
+	for k, i := range items {
+		if int(i) < 0 || int(i) >= len(dense) {
+			return false
+		}
+		out[k] = dense[i]
+	}
+	return true
 }
 
 // Name implements Scorer.

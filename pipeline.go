@@ -129,10 +129,11 @@ func WithSampleSize(s int) PipelineOption {
 }
 
 // WithWorkers sets the goroutine count for GANC's parallel phases (default 1,
-// fully deterministic sequential execution). RecommendAll shards the user
-// space into contiguous ranges, one range and one reusable sweep scratch per
-// worker; outputs are identical for any worker count (the per-user sweeps
-// are independent — see DESIGN.md §7).
+// fully deterministic sequential execution; values above GOMAXPROCS are
+// clamped to it). RecommendAll shards the user space into contiguous ranges,
+// one range and one reusable sweep scratch per worker; outputs are identical
+// for any worker count (the per-user sweeps are independent — see DESIGN.md
+// §7).
 func WithWorkers(w int) PipelineOption {
 	return func(c *pipelineConfig) { c.workers = w }
 }

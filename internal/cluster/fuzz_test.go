@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -119,27 +120,68 @@ func FuzzPeerListRouting(f *testing.F) {
 	})
 }
 
-// FuzzRouterHostileShardResponse stands a fake shard that answers every
-// request with attacker-controlled status and body, and drives every router
-// route through it. The router must never panic and must answer each client
-// with a bounded, well-formed status: a passthrough, a 4xx of its own, or a
-// typed 503.
-func FuzzRouterHostileShardResponse(f *testing.F) {
-	f.Add(200, []byte("{}"))
-	f.Add(200, []byte("\x00\xff not json"))
-	f.Add(200, []byte(`{"results":[{"user":"u"}],"model":"m","version":1}`))
-	f.Add(500, []byte("boom"))
-	f.Add(404, []byte(`{"error":"nope"}`))
-	f.Add(200, []byte(`{"results":[],"version":-9}`))
+// hostileBatchAnswers are shard answers to a two-user sub-batch that the
+// router must refuse with a typed 503 rather than merge: each is a seed of
+// FuzzRouterHostileShardResponse, and TestRouterRefusesHostileBatchAnswers
+// pins the code each one gets. A declared length above 0 is sent as the
+// answer's Content-Length whatever the body holds.
+var hostileBatchAnswers = []struct {
+	name     string
+	body     string
+	declared int
+	code     string
+}{
+	{"too few results", `{"model":"m","version":1,"results":[{"user":"u"}]}`, 0, "shard_response"},
+	{"too many results", `{"model":"m","version":1,"results":[{"user":"u"},{"user":"v"},{"user":"w"}]}`, 0, "shard_response"},
+	{"results are numbers", `{"model":"m","version":1,"results":[1,2]}`, 0, "shard_response"},
+	{"results are null and a string", `{"model":"m","version":1,"results":[null,"{"]}`, 0, "shard_response"},
+	{"results is an object", `{"model":"m","version":1,"results":{}}`, 0, "shard_response"},
+	{"trailing garbage", `{"model":"m","version":1,"results":[{"user":"u"},{"user":"v"}]} x`, 0, "shard_response"},
+	{"truncated element", `{"model":"m","version":1,"results":[{"user":"u"},{"user":"v"`, 0, "shard_response"},
+	{"envelope field of the wrong type", `{"model":7,"version":1,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	{"declares 64 MiB, sends 10 bytes", `{"model":"`, 64 << 20, "shard_unavailable"},
+}
 
-	f.Fuzz(func(t *testing.T, status int, body []byte) {
+// hostileShard answers every request with the given status and body, and,
+// when declared is positive, with that Content-Length regardless of the body.
+func hostileShard(status int, body []byte, declared int) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if declared > 0 {
+			w.Header().Set("Content-Length", strconv.Itoa(declared))
+		}
+		w.WriteHeader(status)
+		_, _ = w.Write(body)
+	}))
+}
+
+// FuzzRouterHostileShardResponse stands a fake shard that answers every
+// request with attacker-controlled status, body and declared length, and
+// drives every router route through it. The router must never panic and must
+// answer each client with a bounded, well-formed status: a passthrough, a 4xx
+// of its own, or a typed 503. On POST /recommend/batch, where it merges
+// instead of relaying, a 200 is additionally a valid JSON document whose
+// envelope decodes — model, version, shards, and results holding exactly one
+// JSON object per requested user. The types of the fields inside an element
+// are not checked: the router relays an element's bytes as the single-user
+// passthrough has always relayed a whole body.
+func FuzzRouterHostileShardResponse(f *testing.F) {
+	f.Add(200, []byte("{}"), 0)
+	f.Add(200, []byte("\x00\xff not json"), 0)
+	f.Add(200, []byte(`{"results":[{"user":"u"}],"model":"m","version":1}`), 0)
+	f.Add(500, []byte("boom"), 0)
+	f.Add(404, []byte(`{"error":"nope"}`), 0)
+	f.Add(200, []byte(`{"results":[],"version":-9}`), 0)
+	f.Add(200, []byte(`{"model":"m","version":1,"results":[{"user":"u","items":["i"],"version":1},{"user":7,"items":{}}]}`), 0)
+	for _, h := range hostileBatchAnswers {
+		f.Add(200, []byte(h.body), h.declared)
+	}
+
+	users := []string{"u", "v"}
+	f.Fuzz(func(t *testing.T, status int, body []byte, declared int) {
 		if status < 100 || status > 999 {
 			status = 200 + (((status % 500) + 500) % 500)
 		}
-		shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.WriteHeader(status)
-			_, _ = w.Write(body)
-		}))
+		shard := hostileShard(status, body, declared)
 		defer shard.Close()
 		ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: strings.TrimPrefix(shard.URL, "http://")}})
 		if err != nil {
@@ -152,24 +194,47 @@ func FuzzRouterHostileShardResponse(f *testing.F) {
 		ts := httptest.NewServer(rt.Handler())
 		defer ts.Close()
 
-		check := func(route string, resp *http.Response, err error) {
+		check := func(route string, resp *http.Response, err error) []byte {
 			if err != nil {
 				t.Fatalf("%s: transport error through router: %v", route, err)
 			}
 			defer resp.Body.Close()
-			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			answer, err := io.ReadAll(resp.Body)
+			if err != nil {
 				t.Fatalf("%s: reading router answer: %v", route, err)
 			}
 			if resp.StatusCode < 200 || resp.StatusCode > 599 {
 				t.Fatalf("%s: router produced status %d", route, resp.StatusCode)
 			}
+			if resp.StatusCode != http.StatusOK {
+				return nil
+			}
+			return answer
 		}
 
 		resp, err := http.Get(ts.URL + "/recommend?user=u")
 		check("/recommend", resp, err)
-		batch, _ := json.Marshal(serve.BatchRequest{Users: []string{"u", "v"}})
+		batch, _ := json.Marshal(serve.BatchRequest{Users: users})
 		resp, err = http.Post(ts.URL+"/recommend/batch", "application/json", bytes.NewReader(batch))
-		check("/recommend/batch", resp, err)
+		if merged := check("/recommend/batch", resp, err); merged != nil {
+			var env struct {
+				Model   *string           `json:"model"`
+				Version *int              `json:"version"`
+				Results []json.RawMessage `json:"results"`
+				Shards  []ShardBatchMeta  `json:"shards"`
+			}
+			if err := json.Unmarshal(merged, &env); err != nil {
+				t.Fatalf("/recommend/batch: 200 with a body that does not decode: %v\n%s", err, merged)
+			}
+			if env.Model == nil || env.Version == nil || len(env.Shards) != 1 || len(env.Results) != len(users) {
+				t.Fatalf("/recommend/batch: 200 with a broken envelope for %d users: %s", len(users), merged)
+			}
+			for k, el := range env.Results {
+				if len(el) == 0 || el[0] != '{' {
+					t.Fatalf("/recommend/batch: result %d of a 200 is not a JSON object: %s", k, merged)
+				}
+			}
+		}
 		ing, _ := json.Marshal(serve.IngestRequest{Events: []serve.IngestEvent{{User: "u", Item: "i", Value: 1}}})
 		resp, err = http.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(ing))
 		check("/ingest", resp, err)

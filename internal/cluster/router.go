@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -427,7 +429,7 @@ func (rt *Router) callAddr(ctx context.Context, shard int, addr, method, pathAnd
 			lastErr = err
 			continue
 		}
-		payload, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
+		payload, err := readShardBody(resp)
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err
@@ -526,8 +528,39 @@ func (rt *Router) failoverTarget(replicas []string) (string, bool) {
 }
 
 // maxShardResponse bounds how much of a shard answer the router will buffer,
-// so a hostile or broken shard cannot balloon router memory.
-const maxShardResponse = 64 << 20
+// so a hostile or broken shard cannot balloon router memory; maxDeclaredAlloc
+// bounds how much it allocates on the strength of a Content-Length alone.
+const (
+	maxShardResponse = 64 << 20
+	maxDeclaredAlloc = 64 << 10
+)
+
+// readShardBody is io.ReadAll over the bounded body, except that the buffer
+// starts at the declared Content-Length, so an honest answer is read into one
+// allocation with no regrowth. A shard that declares more than it sends costs
+// at most maxDeclaredAlloc; past that the buffer grows only with bytes that
+// actually arrived.
+func readShardBody(resp *http.Response) ([]byte, error) {
+	size := int64(512)
+	if resp.ContentLength > 0 {
+		size = min(resp.ContentLength, maxDeclaredAlloc)
+	}
+	body := io.LimitReader(resp.Body, maxShardResponse)
+	buf := make([]byte, 0, size)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
 
 // Handler returns the router's HTTP surface. The routes mirror the shard
 // servers', so a client cannot tell a router from a single node apart from
@@ -655,74 +688,90 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		shard := rt.readTarget(user)
 		perShard[shard] = append(perShard[shard], k)
 	}
+	shards := slices.Sorted(maps.Keys(perShard))
 
-	type shardAnswer struct {
-		shard   int
-		indices []int
-		resp    serve.BatchResponse
-		err     error
+	// One sub-batch per owning shard, concurrently; the answers land in shard
+	// order, so the merged body does not depend on which shard answered first.
+	answers := make([]batchWire, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, shard := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i], errs[i] = rt.subBatch(r.Context(), shard, req.Users, perShard[shard])
+		}()
 	}
-	answers := make(chan shardAnswer, len(perShard))
-	for shard, indices := range perShard {
-		go func(shard int, indices []int) {
-			users := make([]string, len(indices))
-			for k, idx := range indices {
-				users[k] = req.Users[idx]
-			}
-			payload, _ := json.Marshal(serve.BatchRequest{Users: users})
-			ans := shardAnswer{shard: shard, indices: indices}
-			info, _ := rt.shardInfo(shard)
-			status, body, err := rt.callShardRead(r.Context(), shard, http.MethodPost, "/recommend/batch", payload)
-			switch {
-			case err != nil:
-				ans.err = err
-			case status != http.StatusOK:
-				ans.err = &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1,
-					Err: fmt.Errorf("%w: sub-batch rejected with status %d: %s", ErrShardResponse, status, truncate(body))}
-			default:
-				if err := json.Unmarshal(body, &ans.resp); err != nil {
-					ans.err = &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1,
-						Err: fmt.Errorf("%w: decoding sub-batch answer: %v", ErrShardResponse, err)}
-				} else if len(ans.resp.Results) != len(users) {
-					ans.err = &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1,
-						Err: fmt.Errorf("%w: sub-batch answered %d results for %d users", ErrShardResponse, len(ans.resp.Results), len(users))}
-				}
-			}
-			answers <- ans
-		}(shard, indices)
-	}
+	wg.Wait()
 
-	out := BatchResponse{}
-	out.Results = make([]serve.RecommendResponse, len(req.Users))
-	var failure error
-	for range perShard {
-		ans := <-answers
-		if ans.err != nil {
-			// A partial batch would silently drop users, so any shard failure
-			// fails the whole request loudly; collect the remaining answers
-			// first to keep the channel drained.
-			if failure == nil {
-				failure = ans.err
-			}
-			continue
+	// The merged answer is serve's envelope with the shards' own element
+	// bytes placed by request index, encoded once.
+	out := batchWire{Results: make([]json.RawMessage, len(req.Users)), Shards: make([]ShardBatchMeta, len(shards))}
+	for i, shard := range shards {
+		// A partial batch would silently drop users, so any shard failure
+		// fails the whole request loudly.
+		if errs[i] != nil {
+			writeShardFailure(w, errs[i])
+			return
 		}
-		for k, idx := range ans.indices {
-			out.Results[idx] = ans.resp.Results[k]
+		ans := answers[i]
+		for k, idx := range perShard[shard] {
+			out.Results[idx] = ans.Results[k]
 		}
-		out.Shards = append(out.Shards, ShardBatchMeta{
-			Shard:   ans.shard,
-			Users:   len(ans.indices),
-			Model:   ans.resp.Model,
-			Version: ans.resp.Version,
-		})
-		out.Model = ans.resp.Model
-		out.Version += ans.resp.Version
-	}
-	if failure != nil {
-		writeShardFailure(w, failure)
-		return
+		out.Shards[i] = ShardBatchMeta{Shard: shard, Users: len(perShard[shard]), Model: ans.Model, Version: ans.Version}
+		out.Model = ans.Model
+		out.Version += ans.Version
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// batchWire is BatchResponse as the router handles it: the envelope decoded,
+// each element left as the bytes the shard encoded. It decodes a shard's
+// sub-batch answer (serve.BatchResponse, no shards) and encodes the router's
+// own; for the same content the bytes equal BatchResponse's.
+type batchWire struct {
+	Model   string            `json:"model"`
+	Version int               `json:"version"`
+	Results []json.RawMessage `json:"results"`
+	Shards  []ShardBatchMeta  `json:"shards"`
+}
+
+// subBatch asks one shard for its share of a batch — the users at indices —
+// and checks the envelope: valid JSON, one element per user, each element a
+// JSON object. What is inside an element is the shard's to say and is relayed
+// as it came, as passthrough relays a single-user answer.
+func (rt *Router) subBatch(ctx context.Context, shard int, all []string, indices []int) (batchWire, error) {
+	users := make([]string, len(indices))
+	for k, idx := range indices {
+		users[k] = all[idx]
+	}
+	payload, _ := json.Marshal(serve.BatchRequest{Users: users})
+	info, _ := rt.shardInfo(shard)
+	malformed := func(err error) (batchWire, error) {
+		return batchWire{}, &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1, Err: err}
+	}
+	status, body, err := rt.callShardRead(ctx, shard, http.MethodPost, "/recommend/batch", payload)
+	if err != nil {
+		return batchWire{}, err
+	}
+	if status != http.StatusOK {
+		return malformed(fmt.Errorf("%w: sub-batch rejected with status %d: %s", ErrShardResponse, status, truncate(body)))
+	}
+	// Room for the expected elements up front: the decoder then fills the
+	// slice in place instead of growing it through reflection.
+	ans := batchWire{Results: make([]json.RawMessage, 0, len(users))}
+	if err := json.Unmarshal(body, &ans); err != nil {
+		return malformed(fmt.Errorf("%w: decoding sub-batch answer: %v", ErrShardResponse, err))
+	}
+	if len(ans.Results) != len(users) {
+		return malformed(fmt.Errorf("%w: sub-batch answered %d results for %d users", ErrShardResponse, len(ans.Results), len(users)))
+	}
+	for k, el := range ans.Results {
+		if len(el) == 0 || el[0] != '{' {
+			return malformed(fmt.Errorf("%w: sub-batch result %d is not an object: %s", ErrShardResponse, k, truncate(el)))
+		}
+	}
+	return ans, nil
 }
 
 // ShardIngestMeta records one shard's slice of a routed ingest batch.
@@ -782,47 +831,46 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		perShard[shard] = append(perShard[shard], ev)
 	}
 
-	type shardAnswer struct {
-		shard  int
-		events int
-		result serve.IngestResult
-		err    error
-	}
-	answers := make(chan shardAnswer, len(perShard))
-	for shard, events := range perShard {
-		go func(shard int, events []serve.IngestEvent) {
-			payload, _ := json.Marshal(serve.IngestRequest{Events: events})
-			ans := shardAnswer{shard: shard, events: len(events)}
+	// One slice per owning shard, concurrently; the answers land in shard
+	// order (see handleBatch).
+	shards := slices.Sorted(maps.Keys(perShard))
+	results := make([]serve.IngestResult, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, shard := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload, _ := json.Marshal(serve.IngestRequest{Events: perShard[shard]})
 			info, _ := rt.shardInfo(shard)
 			status, body, err := rt.callShard(r.Context(), shard, http.MethodPost, "/ingest", payload)
 			switch {
 			case err != nil:
-				ans.err = err
+				errs[i] = err
 			case status != http.StatusOK:
-				ans.err = &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1,
+				errs[i] = &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1,
 					Err: fmt.Errorf("%w: ingest slice rejected with status %d: %s", ErrShardResponse, status, truncate(body))}
 			default:
-				if err := json.Unmarshal(body, &ans.result); err != nil {
-					ans.err = &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1,
+				if err := json.Unmarshal(body, &results[i]); err != nil {
+					errs[i] = &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1,
 						Err: fmt.Errorf("%w: decoding ingest answer: %v", ErrShardResponse, err)}
 				}
 			}
-			answers <- ans
-		}(shard, events)
+		}()
 	}
+	wg.Wait()
 
 	out := IngestResponse{}
 	var failure error
-	for range perShard {
-		ans := <-answers
-		if ans.err != nil {
+	for i, shard := range shards {
+		if errs[i] != nil {
 			if failure == nil {
-				failure = ans.err
+				failure = errs[i]
 			}
 			continue
 		}
-		out.Applied += ans.result.Applied
-		out.Shards = append(out.Shards, ShardIngestMeta{Shard: ans.shard, Result: ans.result})
+		out.Applied += results[i].Applied
+		out.Shards = append(out.Shards, ShardIngestMeta{Shard: shard, Result: results[i]})
 	}
 	if failure != nil {
 		// Slices that did land are durably applied at their shards; the 503

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -36,6 +38,11 @@ func (e *echoEngine) RecommendUser(ctx context.Context, u types.UserID, n int) (
 	return types.TopNSet{types.ItemID(int(u) % e.items)}, nil
 }
 
+// escapedUsers are keys encoding/json does not write as they are (HTML
+// escaping, quotes, raw non-ASCII, the U+2028 escape): what the router relays
+// for them must still be the shard's bytes.
+var escapedUsers = []string{`al<ice>&"q"`, "bøb\u2028日本"}
+
 // testShard is one live shard: its server, engine and HTTP listener.
 type testShard struct {
 	srv *serve.Server
@@ -59,6 +66,9 @@ func clusterFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Router, 
 		}
 		for it := 0; it < items; it++ {
 			b.Add("user-0", fmt.Sprintf("item-%d", it), 3)
+		}
+		for _, user := range escapedUsers {
+			b.Add(user, "item-0", 4)
 		}
 		d := b.Build()
 		eng := &echoEngine{name: "echo", items: items}
@@ -112,6 +122,18 @@ func getJSON(t testing.TB, url string, out interface{}) int {
 
 func postJSON(t testing.TB, url string, body, out interface{}) int {
 	t.Helper()
+	status, answer := postRaw(t, url, body)
+	if out != nil {
+		if err := json.Unmarshal(answer, out); err != nil {
+			t.Fatalf("decoding %s answer: %v", url, err)
+		}
+	}
+	return status
+}
+
+// postRaw posts a JSON body and returns the status and the answer's bytes.
+func postRaw(t testing.TB, url string, body interface{}) (int, []byte) {
+	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
@@ -121,12 +143,11 @@ func postJSON(t testing.TB, url string, body, out interface{}) int {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decoding %s answer: %v", url, err)
-		}
+	answer, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return resp.StatusCode
+	return resp.StatusCode, answer
 }
 
 // TestRouterRecommendRoutesToOwner: a single-user read must be computed by
@@ -233,6 +254,149 @@ func TestRouterBatchScatterGather(t *testing.T) {
 	}
 	if status := postJSON(t, ts.URL+"/recommend/batch", serve.BatchRequest{Users: huge}, nil); status != http.StatusBadRequest {
 		t.Fatalf("oversized batch answered %d, want the single-node 400", status)
+	}
+}
+
+// TestRouterBatchBytes pins the merged batch body two ways. It is a function
+// of the request alone: the same two-shard batch sent 50 times gives 50
+// identical bodies, shards in ascending ID whichever answered first. And it is
+// byte for byte what decoding each shard's direct answer into the wire types
+// and encoding the merge gives — the router splices the shards' element bytes
+// instead, which must not show.
+func TestRouterBatchBytes(t *testing.T) {
+	rt, shards := clusterFixture(t, 2)
+	ts := routerServer(t, rt)
+	users := append([]string{"nobody-home"}, escapedUsers...)
+	for k := 0; k < 20; k++ {
+		users = append(users, fmt.Sprintf("user-%d", k))
+	}
+	users = append(users, "user-3", escapedUsers[0]) // duplicates
+
+	status, first := postRaw(t, ts.URL+"/recommend/batch", serve.BatchRequest{Users: users})
+	if status != http.StatusOK {
+		t.Fatalf("batch answered %d: %s", status, first)
+	}
+	for i := 1; i < 50; i++ {
+		if _, again := postRaw(t, ts.URL+"/recommend/batch", serve.BatchRequest{Users: users}); !bytes.Equal(again, first) {
+			t.Fatalf("send %d of the same batch answered differently:\n%s\n%s", i, first, again)
+		}
+	}
+
+	want := BatchResponse{}
+	want.Results = make([]serve.RecommendResponse, len(users))
+	for shard := range shards {
+		var indices []int
+		var owned []string
+		for k, user := range users {
+			if rt.Owner(user) == shard {
+				indices, owned = append(indices, k), append(owned, user)
+			}
+		}
+		if len(owned) == 0 {
+			t.Fatalf("shard %d owns none of the batch; the fixture no longer spans both shards", shard)
+		}
+		var direct serve.BatchResponse
+		if status := postJSON(t, shards[shard].ts.URL+"/recommend/batch", serve.BatchRequest{Users: owned}, &direct); status != http.StatusOK {
+			t.Fatalf("shard %d answered %d", shard, status)
+		}
+		for k, idx := range indices {
+			want.Results[idx] = direct.Results[k]
+		}
+		want.Shards = append(want.Shards, ShardBatchMeta{Shard: shard, Users: len(owned), Model: direct.Model, Version: direct.Version})
+		want.Model = direct.Model
+		want.Version += direct.Version
+	}
+	var oracle bytes.Buffer
+	if err := json.NewEncoder(&oracle).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, oracle.Bytes()) {
+		t.Fatalf("routed batch body differs from the re-encoded merge of the shards' answers:\n got %s\nwant %s", first, oracle.Bytes())
+	}
+}
+
+// TestRouterIngestShardsAscending: the ingest answer lists its shards in
+// ascending ID on every send, success or partial failure.
+func TestRouterIngestShardsAscending(t *testing.T) {
+	rt, shards := clusterFixture(t, 3)
+	for _, s := range shards {
+		s.srv.SetIngestSink(newRecordingSink())
+	}
+	ts := routerServer(t, rt)
+	events := make([]serve.IngestEvent, 30)
+	for k := range events {
+		events[k] = serve.IngestEvent{User: fmt.Sprintf("user-%d", k), Item: "item-1", Value: 4}
+	}
+	ascending := func(body []byte, want int) {
+		t.Helper()
+		var got struct {
+			Shards []ShardIngestMeta `json:"shards"`
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Shards) != want {
+			t.Fatalf("answer lists %d shards, want %d: %s", len(got.Shards), want, body)
+		}
+		for i := 1; i < len(got.Shards); i++ {
+			if got.Shards[i-1].Shard >= got.Shards[i].Shard {
+				t.Fatalf("shards out of order: %s", body)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		status, body := postRaw(t, ts.URL+"/ingest", serve.IngestRequest{Events: events})
+		if status != http.StatusOK {
+			t.Fatalf("ingest answered %d: %s", status, body)
+		}
+		ascending(body, 3)
+	}
+	shards[1].ts.Close()
+	for i := 0; i < 5; i++ {
+		status, body := postRaw(t, ts.URL+"/ingest", serve.IngestRequest{Events: events})
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("ingest with a dead shard answered %d: %s", status, body)
+		}
+		ascending(body, 2)
+	}
+}
+
+// TestRouterRefusesHostileBatchAnswers: every malformed sub-batch answer in
+// hostileBatchAnswers is a typed 503, never a merged 200, and an answer that
+// declares a length it does not send costs the router a bounded buffer, not
+// the declared one.
+func TestRouterRefusesHostileBatchAnswers(t *testing.T) {
+	for _, h := range hostileBatchAnswers {
+		t.Run(h.name, func(t *testing.T) {
+			shard := hostileShard(http.StatusOK, []byte(h.body), h.declared)
+			defer shard.Close()
+			ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: strings.TrimPrefix(shard.URL, "http://")}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 1, RetryBackoff: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := routerServer(t, rt)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			status, body := postRaw(t, ts.URL+"/recommend/batch", serve.BatchRequest{Users: []string{"u", "v"}})
+			runtime.ReadMemStats(&after)
+			var answer map[string]interface{}
+			if err := json.Unmarshal(body, &answer); err != nil {
+				t.Fatalf("router answered %d with an undecodable body %q", status, body)
+			}
+			if status != http.StatusServiceUnavailable || answer["code"] != h.code {
+				t.Fatalf("router answered %d %s, want a 503 coded %s", status, body, h.code)
+			}
+			// Two attempts at most maxDeclaredAlloc each, plus the request
+			// plumbing of three servers: far under the 64 MiB one trusted
+			// Content-Length would cost.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+				t.Fatalf("refusing the answer allocated %d bytes", grew)
+			}
+		})
 	}
 }
 

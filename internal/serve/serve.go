@@ -5,10 +5,11 @@
 // Unlike a precomputed-map server, recommendations are computed lazily, one
 // user at a time, through the Engine interface: a request for one user never
 // pays for the rest of the catalog. Computed lists land in a bounded LRU
-// cache, duplicate in-flight requests for the same user are coalesced into a
-// single Engine call, and the whole engine can be swapped atomically (e.g.
-// after a nightly retrain) while requests are in flight — old requests finish
-// against the old engine, new requests see the new one.
+// cache together with their encoded wire form, so a hit is answered by
+// copying bytes (wire.go); duplicate in-flight requests for the same user are
+// coalesced into a single Engine call, and the whole engine can be swapped
+// atomically (e.g. after a nightly retrain) while requests are in flight —
+// old requests finish against the old engine, new requests see the new one.
 //
 // Endpoints:
 //
@@ -112,10 +113,11 @@ func (s *Server) Shard() *ShardIdentity {
 }
 
 // WithBatchWorkers bounds how many engine sweeps one POST /recommend/batch
-// request may run concurrently (default DefaultBatchWorkers). Engines built
-// on the buffered candidate pipeline pool their sweep scratch, so raising
-// this trades memory for batch latency linearly. Values ≤ 0 select the
-// default.
+// request may run concurrently (default DefaultBatchWorkers). Only a batch's
+// cache misses reach the workers — its hits are resolved inline — so the
+// bound is on cold users. Engines built on the buffered candidate pipeline
+// pool their sweep scratch, so raising this trades memory for batch latency
+// linearly. Values ≤ 0 select the default.
 func WithBatchWorkers(workers int) Option {
 	return func(s *Server) {
 		if workers > 0 {
@@ -133,16 +135,35 @@ type generation struct {
 	version int
 	cache   *lruCache
 
+	// Everything a 200 on the read routes says besides the per-user heads is
+	// fixed for the generation's life, so it is encoded once (see wire.go):
+	// what follows a head in GET /recommend's answer, what follows it in a
+	// batch element, and the batch envelope up to the first element.
+	tail      []byte
+	elemTail  []byte
+	batchHead []byte
+
 	mu     sync.Mutex
 	flight map[types.UserID]*inflight
+}
+
+// entry is one cached list: the user it belongs to, the internal set, and the
+// head of its wire form ({"user":<key>,"items":[…], encoded when the list
+// enters the cache) that every hit copies instead of encoding the list again.
+// A list the engine left empty is never served (the read routes answer it
+// with an error) and carries no head.
+type entry struct {
+	user types.UserID
+	set  types.TopNSet
+	head []byte
 }
 
 // inflight is one coalesced computation: the first request for a user
 // computes, later requests wait on done and share the result.
 type inflight struct {
-	done chan struct{}
-	set  types.TopNSet
-	err  error
+	done  chan struct{}
+	entry *entry
+	err   error
 }
 
 // Server serves one Engine over HTTP with lazy per-user computation.
@@ -211,7 +232,11 @@ func New(train *dataset.Dataset, engine Engine, n int, opts ...Option) (*Server,
 	}
 	gen := s.newGeneration(engine, 1)
 	for u, set := range s.seed {
-		gen.cache.put(u, set)
+		e, err := s.newEntry(u, set)
+		if err != nil {
+			return nil, fmt.Errorf("%w (in the WithPrecomputed collection)", err)
+		}
+		gen.cache.put(e)
 	}
 	s.seed = nil
 	s.gen.Store(gen)
@@ -220,12 +245,14 @@ func New(train *dataset.Dataset, engine Engine, n int, opts ...Option) (*Server,
 }
 
 func (s *Server) newGeneration(engine Engine, version int) *generation {
-	return &generation{
+	gen := &generation{
 		engine:  engine,
 		version: version,
 		cache:   newLRUCache(s.capacity),
 		flight:  make(map[types.UserID]*inflight),
 	}
+	gen.encodeFrame()
+	return gen
 }
 
 // Update atomically swaps in a new engine (e.g. after a nightly retrain),
@@ -270,13 +297,23 @@ func (s *Server) Stats() CacheStats {
 	}
 }
 
+// cached is the hit path: the user's entry in the current generation's cache.
+// On a miss it still returns the generation it looked in.
+func (s *Server) cached(u types.UserID) (*entry, *generation, bool) {
+	gen := s.gen.Load()
+	e, ok := gen.cache.get(u)
+	if ok {
+		s.hits.Add(1)
+	}
+	return e, gen, ok
+}
+
 // recommend resolves one user's list through the current generation:
 // cache hit → coalesced wait → engine compute, in that order.
-func (s *Server) recommend(ctx context.Context, u types.UserID) (set types.TopNSet, gen *generation, err error) {
-	gen = s.gen.Load()
-	if cached, ok := gen.cache.get(u); ok {
-		s.hits.Add(1)
-		return cached, gen, nil
+func (s *Server) recommend(ctx context.Context, u types.UserID) (e *entry, gen *generation, err error) {
+	e, gen, ok := s.cached(u)
+	if ok {
+		return e, gen, nil
 	}
 
 	gen.mu.Lock()
@@ -285,7 +322,7 @@ func (s *Server) recommend(ctx context.Context, u types.UserID) (set types.TopNS
 		s.coalesced.Add(1)
 		select {
 		case <-fl.done:
-			return fl.set, gen, fl.err
+			return fl.entry, gen, fl.err
 		case <-ctx.Done():
 			return nil, gen, ctx.Err()
 		}
@@ -302,10 +339,10 @@ func (s *Server) recommend(ctx context.Context, u types.UserID) (set types.TopNS
 	defer func() {
 		if r := recover(); r != nil {
 			fl.err = fmt.Errorf("serve: engine panic for user %d: %v", u, r)
-			set, err = nil, fl.err
+			e, err = nil, fl.err
 		}
 		if fl.err == nil {
-			gen.cache.put(u, fl.set)
+			gen.cache.put(fl.entry)
 		}
 		gen.mu.Lock()
 		delete(gen.flight, u)
@@ -318,11 +355,16 @@ func (s *Server) recommend(ctx context.Context, u types.UserID) (set types.TopNS
 	if s.computeHist != nil {
 		t0 = time.Now()
 	}
-	fl.set, fl.err = gen.engine.RecommendUser(context.WithoutCancel(ctx), u, s.n)
+	set, err := gen.engine.RecommendUser(context.WithoutCancel(ctx), u, s.n)
 	if s.computeHist != nil {
 		s.computeHist.Observe(time.Since(t0).Seconds())
 	}
-	return fl.set, gen, fl.err
+	if err == nil {
+		// The list is encoded here, once, on its way into the cache.
+		fl.entry, err = s.newEntry(u, set)
+	}
+	fl.err = err
+	return fl.entry, gen, fl.err
 }
 
 // Handler returns the HTTP handler with all routes mounted. When metrics,
@@ -426,20 +468,13 @@ func (s *Server) lookupUser(key string) (types.UserID, bool) {
 	return types.UserID(idx), ok
 }
 
-func (s *Server) externalItems(set types.TopNSet) []string {
-	items := make([]string, len(set))
-	for k, i := range set {
-		items[k] = s.train.ItemInterner().Key(int32(i))
-	}
-	return items
-}
-
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET only"})
 		return
 	}
-	userKey := r.URL.Query().Get("user")
+	query := r.URL.Query()
+	userKey := query.Get("user")
 	if userKey == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing ?user="})
 		return
@@ -449,26 +484,20 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown user " + userKey})
 		return
 	}
-	set, gen, err := s.recommend(r.Context(), u)
+	e, gen, err := s.recommend(r.Context(), u)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
-	if len(set) == 0 {
+	if len(e.set) == 0 {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no recommendations for user " + userKey})
 		return
 	}
 	// An explicit &n= below the server's N truncates the (cached) full list;
 	// values above it are capped so every request stays cacheable.
-	if n := parseN(r.URL.Query().Get("n"), s.n); n < len(set) {
-		set = set[:n]
-	}
-	writeJSON(w, http.StatusOK, RecommendResponse{
-		User:    userKey,
-		Items:   s.externalItems(set),
-		Model:   gen.engine.Name(),
-		Version: gen.version,
-	})
+	buf := getBody()
+	s.appendList(buf, userKey, e, parseN(query.Get("n"), s.n), gen.tail)
+	writeBody(w, buf)
 }
 
 // BatchRequest is the payload of POST /recommend/batch.
@@ -514,54 +543,74 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gen := s.gen.Load()
-	results := make([]RecommendResponse, len(req.Users))
-	// Cold users each cost an engine sweep; resolve them on a bounded worker
-	// pool rather than serializing a potentially huge batch. recommend() is
-	// concurrency-safe (cache, coalescing and the generation swap all are).
-	workers := s.batchWorkers
-	if len(req.Users) < workers {
-		workers = len(req.Users)
+	// One inline pass resolves unknown users and cache hits; only the misses,
+	// each an engine sweep, go to a bounded worker pool. recommend() is
+	// concurrency-safe (cache, coalescing and the generation swap all are),
+	// and an element carries the version of the generation that served it.
+	results := make([]batchElem, len(req.Users))
+	var misses []int
+	for k, userKey := range req.Users {
+		el := &results[k]
+		if el.u, el.known = s.lookupUser(userKey); !el.known {
+			continue
+		}
+		var hit bool
+		if el.entry, el.gen, hit = s.cached(el.u); !hit {
+			misses = append(misses, k)
+		}
 	}
-	var wg sync.WaitGroup
-	idx := make(chan int, len(req.Users))
-	for k := range req.Users {
-		idx <- k
+	if workers := min(s.batchWorkers, len(misses)); workers > 0 {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for {
+					m := int(next.Add(1)) - 1
+					if m >= len(misses) {
+						return
+					}
+					el := &results[misses[m]]
+					el.entry, el.gen, el.err = s.recommend(r.Context(), el.u)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	close(idx)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range idx {
-				userKey := req.Users[k]
-				results[k] = RecommendResponse{User: userKey}
-				u, ok := s.lookupUser(userKey)
-				if !ok {
-					results[k].Error = "unknown user"
-					continue
-				}
-				set, rgen, err := s.recommend(r.Context(), u)
-				if err != nil {
-					results[k].Error = err.Error()
-					continue
-				}
-				if len(set) == 0 {
-					// Mirror the single-user endpoint's 404 contract inline.
-					results[k].Error = "no recommendations for user " + userKey
-					continue
-				}
-				results[k].Items = s.externalItems(set)
-				results[k].Version = rgen.version
-			}
-		}()
-	}
-	wg.Wait()
 	s.batchUsers.Add(int64(len(req.Users)))
-	writeJSON(w, http.StatusOK, BatchResponse{
-		Model:   gen.engine.Name(),
-		Version: gen.version,
-		Results: results,
-	})
+
+	buf := getBody()
+	buf.Write(gen.batchHead)
+	for k, userKey := range req.Users {
+		if k > 0 {
+			buf.WriteByte(',')
+		}
+		switch el := &results[k]; {
+		case !el.known:
+			appendElemError(buf, userKey, "unknown user")
+		case el.err != nil:
+			appendElemError(buf, userKey, el.err.Error())
+		case len(el.entry.set) == 0:
+			// Mirror the single-user endpoint's 404 contract inline.
+			appendElemError(buf, userKey, "no recommendations for user "+userKey)
+		default:
+			// A batch element is the whole cached list, never cut.
+			s.appendList(buf, userKey, el.entry, len(el.entry.set), el.gen.elemTail)
+		}
+	}
+	buf.WriteString(batchClose)
+	writeBody(w, buf)
+}
+
+// batchElem is one user's slot while a batch resolves: the lookup's verdict,
+// then the list and the generation that served it, or the error.
+type batchElem struct {
+	u     types.UserID
+	known bool
+	entry *entry
+	gen   *generation
+	err   error
 }
 
 // --- Streaming ingestion ------------------------------------------------------
@@ -679,18 +728,13 @@ func parseN(raw string, def int) int {
 
 // --- Bounded LRU cache --------------------------------------------------------
 
-// lruCache is a mutex-guarded bounded LRU over per-user top-N sets. A
+// lruCache is a mutex-guarded bounded LRU over per-user cache entries. A
 // capacity ≤ 0 disables it (every get misses, every put is dropped).
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List
 	items    map[types.UserID]*list.Element
-}
-
-type lruEntry struct {
-	user types.UserID
-	set  types.TopNSet
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -701,7 +745,7 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-func (c *lruCache) get(u types.UserID) (types.TopNSet, bool) {
+func (c *lruCache) get(u types.UserID) (*entry, bool) {
 	if c.capacity <= 0 {
 		return nil, false
 	}
@@ -712,25 +756,25 @@ func (c *lruCache) get(u types.UserID) (types.TopNSet, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).set, true
+	return el.Value.(*entry), true
 }
 
-func (c *lruCache) put(u types.UserID, set types.TopNSet) {
+func (c *lruCache) put(e *entry) {
 	if c.capacity <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[u]; ok {
-		el.Value.(*lruEntry).set = set
+	if el, ok := c.items[e.user]; ok {
+		el.Value = e
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[u] = c.ll.PushFront(&lruEntry{user: u, set: set})
+	c.items[e.user] = c.ll.PushFront(e)
 	for c.ll.Len() > c.capacity {
 		back := c.ll.Back()
 		c.ll.Remove(back)
-		delete(c.items, back.Value.(*lruEntry).user)
+		delete(c.items, back.Value.(*entry).user)
 	}
 }
 

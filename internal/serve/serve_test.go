@@ -253,22 +253,27 @@ func TestPrecomputedSeedServesWarm(t *testing.T) {
 
 func TestLRUEvictionBound(t *testing.T) {
 	c := newLRUCache(2)
-	c.put(0, types.TopNSet{0})
-	c.put(1, types.TopNSet{1})
+	c.put(&entry{user: 0, set: types.TopNSet{0}})
+	c.put(&entry{user: 1, set: types.TopNSet{1}})
 	c.get(0) // 0 is now most recently used
-	c.put(2, types.TopNSet{2})
+	c.put(&entry{user: 2, set: types.TopNSet{2}})
 	if _, ok := c.get(1); ok {
 		t.Fatal("user 1 should have been evicted (LRU)")
 	}
-	if _, ok := c.get(0); !ok {
-		t.Fatal("user 0 should have survived (recently used)")
+	if e, ok := c.get(0); !ok || e.user != 0 || len(e.set) != 1 || e.set[0] != 0 {
+		t.Fatalf("user 0 should have survived (recently used), got %+v %v", e, ok)
 	}
 	if c.len() != 2 {
 		t.Fatalf("cache size %d exceeds capacity 2", c.len())
 	}
+	// A second put for a cached user replaces the entry in place.
+	c.put(&entry{user: 0, set: types.TopNSet{2}})
+	if e, _ := c.get(0); c.len() != 2 || e.set[0] != 2 {
+		t.Fatalf("re-put left %+v in a cache of %d", e, c.len())
+	}
 	// Capacity ≤ 0 disables caching.
 	off := newLRUCache(0)
-	off.put(0, types.TopNSet{0})
+	off.put(&entry{user: 0, set: types.TopNSet{0}})
 	if _, ok := off.get(0); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
@@ -291,8 +296,11 @@ func TestCoalescingDuplicateInFlight(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			set, _, err := s.recommend(context.Background(), 0)
-			results[k], errs[k] = set, err
+			e, _, err := s.recommend(context.Background(), 0)
+			if err == nil {
+				results[k] = e.set
+			}
+			errs[k] = err
 		}(k)
 	}
 	// Wait until at least one compute started, then let everyone through.

@@ -1,207 +1,27 @@
 package ganc
 
-// Benchmark harness: one testing.B target per table and figure in the paper's
-// evaluation, plus ablation benches for the design choices called out in
-// DESIGN.md §6. Each benchmark regenerates the corresponding experiment on
-// the synthetic calibrated datasets at a small scale (so the whole suite runs
-// in minutes) and reports a handful of headline numbers as custom metrics, so
-// `go test -bench=. -benchmem` doubles as the reproduction run recorded in
-// EXPERIMENTS.md. Scale and sample size can be raised via the GANC_BENCH_SCALE
-// environment variable for a closer-to-paper run.
+// Ablation benches for the design choices called out in DESIGN.md §6, and
+// micro-benches for the core primitives, on a synthetic calibrated dataset at
+// a small scale. The paper's tables and figures are regenerated by
+// `go run ./cmd/experiments`, not here.
 
 import (
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 
 	"ganc/internal/core"
-	"ganc/internal/experiment"
 	"ganc/internal/longtail"
-	"ganc/internal/submodular"
-	"ganc/internal/synth"
-	"ganc/internal/types"
 )
 
-// benchScale returns the dataset scale used by the benchmark suite.
-func benchScale() synth.Scale {
-	if v := os.Getenv("GANC_BENCH_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			return synth.Scale(f)
-		}
-	}
-	return 0.12
-}
-
-// newBenchSuite builds a fresh experiment suite for a benchmark.
-func newBenchSuite() *experiment.Suite {
-	return experiment.NewSuite(benchScale(), 1, 5, 0)
-}
-
-// --- Table and figure reproduction benches -------------------------------------
-
-// BenchmarkTableII_DatasetStats regenerates Table II (dataset statistics).
-func BenchmarkTableII_DatasetStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		rows, _, err := s.TableII()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(rows)), "datasets")
-	}
-}
-
-// BenchmarkFigure1_AvgPopularityVsActivity regenerates Figure 1 on every dataset.
-func BenchmarkFigure1_AvgPopularityVsActivity(b *testing.B) {
-	s := newBenchSuite()
-	for i := 0; i < b.N; i++ {
-		for _, name := range experiment.DatasetNames() {
-			if _, _, err := s.Figure1(name, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFigure2_PreferenceHistograms regenerates Figure 2 on every dataset.
-func BenchmarkFigure2_PreferenceHistograms(b *testing.B) {
-	s := newBenchSuite()
-	for i := 0; i < b.N; i++ {
-		for _, name := range experiment.DatasetNames() {
-			res, _, err := s.Figure2(name, 20)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if name == "ML-1M" {
-				b.ReportMetric(res.Means[longtail.ModelGeneralized], "thetaG-mean-ML1M")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure3_SampleSizeML1M regenerates the Figure 3 sweep (sample size
-// vs F-measure and coverage on ML-1M).
-func BenchmarkFigure3_SampleSizeML1M(b *testing.B) {
-	s := newBenchSuite()
-	sizes := []int{30, 60, 120}
-	for i := 0; i < b.N; i++ {
-		points, _, err := s.SampleSizeSweep("ML-1M", []experiment.AccuracyRecName{experiment.ARecPSVD100, experiment.ARecPop}, sizes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := points[len(points)-1]
-		b.ReportMetric(last.Coverage, "coverage@maxS")
-		b.ReportMetric(last.FMeasure, "fmeasure@maxS")
-	}
-}
-
-// BenchmarkFigure4_SampleSizeMT200K regenerates the Figure 4 sweep on the
-// sparse MT-200K stand-in.
-func BenchmarkFigure4_SampleSizeMT200K(b *testing.B) {
-	s := newBenchSuite()
-	sizes := []int{30, 60, 120}
-	for i := 0; i < b.N; i++ {
-		points, _, err := s.SampleSizeSweep("MT-200K", []experiment.AccuracyRecName{experiment.ARecPop, experiment.ARecRSVD}, sizes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := points[len(points)-1]
-		b.ReportMetric(last.Coverage, "coverage@maxS")
-	}
-}
-
-// BenchmarkFigure5_PreferenceModelSweep regenerates the Figure 5 sweep
-// (preference models × accuracy recommenders) on ML-1M at N=5.
-func BenchmarkFigure5_PreferenceModelSweep(b *testing.B) {
-	s := newBenchSuite()
-	arecs := []experiment.AccuracyRecName{experiment.ARecPop, experiment.ARecPSVD10}
-	thetas := []longtail.Model{longtail.ModelConstant, longtail.ModelTFIDF, longtail.ModelGeneralized}
-	for i := 0; i < b.N; i++ {
-		points, _, err := s.PreferenceModelSweep("ML-1M", arecs, thetas, []int{5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(points)), "configurations")
-	}
-}
-
-// BenchmarkTableIV_RerankingComparison regenerates Table IV (re-ranking RSVD)
-// on the dense ML-100K and sparse MT-200K stand-ins.
-func BenchmarkTableIV_RerankingComparison(b *testing.B) {
-	s := newBenchSuite()
-	for i := 0; i < b.N; i++ {
-		results, _, err := s.TableIV([]string{"ML-100K", "MT-200K"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Report the GANC(θ^G) and RSVD coverage on ML-100K so regressions in
-		// the headline effect are visible in benchmark diffs.
-		for _, rep := range results[0].Reports {
-			switch {
-			case rep.Algorithm == "RSVD":
-				b.ReportMetric(rep.Coverage, "rsvd-coverage")
-			case rep.Algorithm == "GANC(RSVD, θ^G, Dyn)":
-				b.ReportMetric(rep.Coverage, "ganc-coverage")
-			}
-		}
-	}
-}
-
-// BenchmarkFigure6_TopNComparison regenerates the Figure 6 scatter on the
-// dense ML-100K and sparse MT-200K stand-ins.
-func BenchmarkFigure6_TopNComparison(b *testing.B) {
-	s := newBenchSuite()
-	for i := 0; i < b.N; i++ {
-		points, _, err := s.Figure6([]string{"ML-100K", "MT-200K"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(points)), "algorithm-points")
-	}
-}
-
-// BenchmarkFigure7_ProtocolML100K regenerates the Appendix C protocol
-// comparison on ML-100K.
-func BenchmarkFigure7_ProtocolML100K(b *testing.B) {
-	s := newBenchSuite()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.ProtocolComparison("ML-100K"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure8_ProtocolML1M regenerates the Appendix C protocol
-// comparison on ML-1M.
-func BenchmarkFigure8_ProtocolML1M(b *testing.B) {
-	s := newBenchSuite()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.ProtocolComparison("ML-1M"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTableV_RSVDConfig regenerates Table V (RSVD configuration and
-// held-out error) across all datasets.
-func BenchmarkTableV_RSVDConfig(b *testing.B) {
-	s := newBenchSuite()
-	for i := 0; i < b.N; i++ {
-		rows, _, err := s.TableV(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].RMSE, "rmse-ML100K")
-	}
-}
+// benchScale is the dataset scale the benches run at.
+const benchScale = 0.12
 
 // --- Ablation benches ------------------------------------------------------------
 
 // ablationFixture builds the split and preferences the ablations share.
 func ablationFixture(b *testing.B) (*Split, *Preferences) {
 	b.Helper()
-	data, err := GenerateML100K(float64(benchScale()))
+	data, err := GenerateML100K(benchScale)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -346,50 +166,6 @@ func BenchmarkAblation_PreferenceModel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_LazyGreedy compares lazy-greedy against plain greedy
-// marginal-gain evaluation on a Dyn-style submodular objective.
-func BenchmarkAblation_LazyGreedy(b *testing.B) {
-	const numItems, numUsers, n = 400, 100, 5
-	buildOracle := func() submodular.Oracle { return newDynOracle(numItems) }
-	users := make([]types.UserID, numUsers)
-	for i := range users {
-		users[i] = types.UserID(i)
-	}
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			submodular.LocallyGreedy(users, n, buildOracle())
-		}
-	})
-	b.Run("lazy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := buildOracle()
-			for _, u := range users {
-				submodular.LazyGreedyForUser(u, n, o)
-			}
-		}
-	})
-}
-
-// dynOracle is a minimal Dyn-style oracle for the lazy-greedy ablation.
-type dynOracle struct {
-	freq  []int
-	cands []types.ItemID
-}
-
-func newDynOracle(numItems int) *dynOracle {
-	cands := make([]types.ItemID, numItems)
-	for i := range cands {
-		cands[i] = types.ItemID(i)
-	}
-	return &dynOracle{freq: make([]int, numItems), cands: cands}
-}
-
-func (o *dynOracle) Gain(_ types.UserID, i types.ItemID) float64 {
-	return 1 / (1 + float64(o.freq[i]))
-}
-func (o *dynOracle) Commit(_ types.UserID, i types.ItemID)  { o.freq[i]++ }
-func (o *dynOracle) Candidates(types.UserID) []types.ItemID { return o.cands }
-
 // --- Micro-benches for the core primitives ----------------------------------------
 
 // BenchmarkCore_OSLGRecommend measures a single GANC(Pop, θ^G, Dyn) pass.
@@ -404,7 +180,7 @@ func BenchmarkCore_OSLGRecommend(b *testing.B) {
 
 // BenchmarkCore_GeneralizedPreferenceLearning measures the θ^G minimax solver.
 func BenchmarkCore_GeneralizedPreferenceLearning(b *testing.B) {
-	data, err := GenerateML100K(float64(benchScale()))
+	data, err := GenerateML100K(benchScale)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -419,7 +195,7 @@ func BenchmarkCore_GeneralizedPreferenceLearning(b *testing.B) {
 
 // BenchmarkCore_RSVDTraining measures SGD matrix-factorization training.
 func BenchmarkCore_RSVDTraining(b *testing.B) {
-	data, err := GenerateML100K(float64(benchScale()))
+	data, err := GenerateML100K(benchScale)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -437,7 +213,7 @@ func BenchmarkCore_RSVDTraining(b *testing.B) {
 
 // BenchmarkCore_PSVDTraining measures the randomized truncated SVD.
 func BenchmarkCore_PSVDTraining(b *testing.B) {
-	data, err := GenerateML100K(float64(benchScale()))
+	data, err := GenerateML100K(benchScale)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -391,7 +391,7 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 		Retries:        cfg.retries,
 		Metrics:        c.cfg.metrics,
 		RequestLog:     c.cfg.reqLog,
-		Admission:      admit.New(c.cfg.routerAdmit),
+		Admission:      c.cfg.routerAdmit,
 		DetectInterval: cfg.detectInterval,
 		SuspectAfter:   cfg.suspectAfter,
 	}

@@ -118,6 +118,9 @@ func (s *clusterSystem) Train(train *dataset.Dataset, topN int) error {
 		WithShards(s.shards),
 		WithClusterDir(s.dir),
 		WithClusterCheckpointEvery(s.checkpointEvery),
+		// Admission applies at the router — the surface scenarios drive — so
+		// overload phases shed with the router's typed 429s.
+		WithClusterAdmission(s.cfg.Admission),
 	}
 	if s.replicas > 0 {
 		opts = append(opts, WithReplicas(s.replicas))
@@ -127,11 +130,6 @@ func (s *clusterSystem) Train(train *dataset.Dataset, topN int) error {
 	}
 	if s.cfg.Metrics {
 		opts = append(opts, WithClusterMetrics(NewMetricsRegistry()))
-	}
-	if NewAdmission(s.cfg.Admission) != nil {
-		// Admission applies at the router — the surface scenarios drive — so
-		// overload phases shed with the router's typed 429s.
-		opts = append(opts, WithClusterAdmission(s.cfg.Admission))
 	}
 	opts = append(opts, s.extra...)
 	c, err := NewCluster(p, opts...)

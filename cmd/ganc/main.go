@@ -1,28 +1,25 @@
 // Command ganc trains a base recommender on a ratings file (or a synthetic
 // preset), assembles the GANC re-ranking pipeline on top of it and either
 // prints top-N recommendations, evaluates the result against a held-out test
-// split, or serves recommendations over HTTP with online per-user
-// computation.
+// split, or saves the trained pipeline as a snapshot. It does not listen:
+// serving a snapshot over HTTP is cmd/gancd's job.
 //
 // The accuracy recommender and the optional reranker are resolved by name
 // from the model registry, so any base/reranker combination can be selected
 // from flags.
 //
-// Trained pipelines can be persisted and warm-started: -save writes a
-// versioned snapshot (dataset, trained base, θ preferences, coverage state),
-// -load restores one without retraining, and in serve mode the POST /ingest
-// endpoint absorbs new interactions incrementally, with -ingest-log enabling
-// a write-ahead log and -checkpoint-interval periodic snapshots (see
-// DESIGN.md §8).
+// -save writes a versioned snapshot (dataset, trained base, θ preferences,
+// coverage state) of a GANC pipeline; -load restores one without retraining
+// and prints its lists.
 //
 // Examples:
 //
 //	# Evaluate GANC(RSVD, θ^G, Dyn) on a synthetic ML-100K stand-in.
 //	ganc -preset ML-100K -arec RSVD -theta G -crec Dyn -evaluate
 //
-//	# Train once, snapshot, then serve warm-started with streaming ingestion.
+//	# Train once, snapshot, then serve the snapshot with streaming ingestion.
 //	ganc -preset ML-1M -arec Pop -save model.snap
-//	ganc -load model.snap -serve :8080 -ingest-log events.log -checkpoint-interval 1000
+//	gancd -load model.snap -serve :8080 -ingest-log events.log -checkpoint-interval 1000
 //
 //	# Evaluate a registry baseline instead of GANC (any -rerank name works).
 //	ganc -preset ML-100K -arec RSVD -rerank RBT-Pop -evaluate
@@ -33,302 +30,163 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"ganc"
 )
 
+// options is the parsed command line.
+type options struct {
+	ratings, preset           string
+	scale, kappa              float64
+	arec, rerank, theta, crec string
+	n, sample, workers, show  int
+	seed                      int64
+	evaluate                  bool
+	save, load                string
+}
+
 func main() {
-	ratingsPath := flag.String("ratings", "", "path to a ratings file (CSV, MovieLens ::, or tab separated)")
-	preset := flag.String("preset", "ML-100K", "synthetic preset to use when -ratings is not given")
-	scale := flag.Float64("scale", 0.25, "synthetic preset scale")
-	kappa := flag.Float64("kappa", 0.8, "per-user train ratio")
-	arecName := flag.String("arec", "RSVD", "accuracy recommender: "+strings.Join(ganc.BaseNames(), ", "))
-	rerankName := flag.String("rerank", "GANC", "reranker applied on top of -arec: "+strings.Join(ganc.RerankerNames(), ", ")+", or \"none\" for the raw base model")
-	thetaName := flag.String("theta", "G", "long-tail preference model: A, N, T, G, R, C (GANC only)")
-	crecName := flag.String("crec", "Dyn", "coverage recommender: Dyn, Stat, Rand (GANC only)")
-	n := flag.Int("n", 5, "top-N size")
-	sample := flag.Int("sample", 0, "OSLG sample size (0 = fully sequential)")
-	workers := flag.Int("workers", 1, "worker goroutines for the parallel phases of GANC")
-	seed := flag.Int64("seed", 1, "random seed")
-	evaluate := flag.Bool("evaluate", false, "evaluate against the held-out split instead of printing recommendations")
-	show := flag.Int("show", 3, "number of users whose recommendations are printed")
-	serveAddr := flag.String("serve", "", "serve recommendations over HTTP on this address (e.g. :8080) instead of printing them")
-	cacheCap := flag.Int("cache", 0, "serve-mode LRU cache capacity (0 = default)")
-	warm := flag.Bool("warm", false, "serve-mode: precompute the full batch collection as a warm cache")
-	savePath := flag.String("save", "", "write a warm-start snapshot of the assembled GANC pipeline to this path")
-	loadPath := flag.String("load", "", "load a snapshot written by -save instead of training (skips -ratings/-preset)")
-	ingestLog := flag.String("ingest-log", "", "serve-mode: write-ahead log path for POST /ingest events")
-	checkpointInterval := flag.Int("checkpoint-interval", 0, "serve-mode: snapshot the serving state every this many ingested events (0 = never; target is -save, falling back to -load)")
-	obsFlags := registerObsFlags(flag.CommandLine)
-	flag.Parse()
-
-	engine, train, err := assemble(*ratingsPath, *preset, *scale, *kappa, *arecName, *rerankName,
-		*thetaName, *crecName, *n, *sample, *workers, *seed, *evaluate, *savePath, *loadPath)
-	if err != nil {
-		fatal(err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "ganc:", err)
+		os.Exit(1)
 	}
-	ctx := context.Background()
-
-	if *serveAddr != "" {
-		if err := serveHTTP(ctx, engine, train, *serveAddr, *n, *cacheCap, *warm,
-			*savePath, *loadPath, *ingestLog, *checkpointInterval, obsFlags); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *ingestLog != "" || *checkpointInterval > 0 {
-		fatal(fmt.Errorf("-ingest-log and -checkpoint-interval only apply in serve mode (-serve)"))
-	}
-	if obsFlags.active() {
-		fatal(fmt.Errorf("-metrics, -request-log and the admission flags only apply in serve mode (-serve)"))
-	}
-
-	// The evaluate path prints its report and exits inside assemble (it needs
-	// the held-out split, which only exists at train time).
-	fmt.Fprintf(os.Stderr, "running %s ...\n", engine.Name())
-	recs, err := engine.RecommendAll(ctx)
-	if err != nil {
-		fatal(err)
-	}
-	printRecommendations(recs, train, *show)
 }
 
-// assemble resolves the engine either by loading a snapshot (-load) or by
-// generating data, splitting and training (-preset/-ratings), applying -save
-// when requested. It returns the engine plus the train set backing it (for
-// identifier translation). Every failure path returns a clear error; nothing
-// panics.
-func assemble(ratingsPath, preset string, scale, kappa float64, arecName, rerankName, thetaName, crecName string,
-	n, sample, workers int, seed int64, evaluate bool, savePath, loadPath string) (ganc.Engine, *ganc.Dataset, error) {
-	if loadPath != "" {
-		if ratingsPath != "" {
-			return nil, nil, fmt.Errorf("-load and -ratings are mutually exclusive: a snapshot carries its own dataset")
-		}
-		if evaluate {
-			return nil, nil, fmt.Errorf("-load cannot be combined with -evaluate: a snapshot has no held-out test split (evaluate at train time, before -save)")
-		}
-		if savePath != "" {
-			return nil, nil, fmt.Errorf("-load and -save are mutually exclusive (checkpointing in serve mode re-uses the -load path)")
-		}
-		p, err := ganc.LoadEngine(loadPath)
+// run executes one invocation: results (lists, the metrics report) go to
+// stdout, progress to stderr. Every failure path returns a clear error;
+// nothing panics or exits.
+func run(args []string, stdout, stderr io.Writer) error {
+	var o options
+	fs := flag.NewFlagSet("ganc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.ratings, "ratings", "", "path to a ratings file (CSV, MovieLens ::, or tab separated)")
+	fs.StringVar(&o.preset, "preset", "ML-100K", "synthetic preset to use when -ratings is not given")
+	fs.Float64Var(&o.scale, "scale", 0.25, "synthetic preset scale")
+	fs.Float64Var(&o.kappa, "kappa", 0.8, "per-user train ratio")
+	fs.StringVar(&o.arec, "arec", "RSVD", "accuracy recommender: "+strings.Join(ganc.BaseNames(), ", "))
+	fs.StringVar(&o.rerank, "rerank", "GANC", "reranker applied on top of -arec: "+strings.Join(ganc.RerankerNames(), ", ")+", or \"none\" for the raw base model")
+	fs.StringVar(&o.theta, "theta", "G", "long-tail preference model: A, N, T, G, R, C (GANC only)")
+	fs.StringVar(&o.crec, "crec", "Dyn", "coverage recommender: Dyn, Stat, Rand (GANC only)")
+	fs.IntVar(&o.n, "n", 5, "top-N size")
+	fs.IntVar(&o.sample, "sample", 0, "OSLG sample size (0 = fully sequential)")
+	fs.IntVar(&o.workers, "workers", 1, "worker goroutines for the parallel phases of GANC")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.evaluate, "evaluate", false, "evaluate against the held-out split instead of printing recommendations")
+	fs.IntVar(&o.show, "show", 3, "number of users whose recommendations are printed")
+	fs.StringVar(&o.save, "save", "", "write a warm-start snapshot of the assembled GANC pipeline to this path")
+	fs.StringVar(&o.load, "load", "", "load a snapshot written by -save instead of training (skips -ratings/-preset)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	var engine ganc.Engine
+	var split *ganc.Split // the held-out split exists only at train time
+	var train *ganc.Dataset
+	if o.load != "" {
+		p, err := loadSnapshot(o, stderr)
 		if err != nil {
-			switch {
-			case errors.Is(err, ganc.ErrSnapshotVersion):
-				return nil, nil, fmt.Errorf("snapshot %s was written by an incompatible version of this tool: %w", loadPath, err)
-			case errors.Is(err, ganc.ErrSnapshotBadMagic):
-				return nil, nil, fmt.Errorf("%s is not a GANC snapshot: %w", loadPath, err)
-			case errors.Is(err, ganc.ErrSnapshotCorrupt):
-				return nil, nil, fmt.Errorf("snapshot %s is corrupt (truncated or bit-flipped): %w", loadPath, err)
-			default:
-				return nil, nil, err
-			}
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "loaded %s from %s: %d users, %d items, %d ratings\n",
-			p.Name(), loadPath, p.Train().NumUsers(), p.Train().NumItems(), p.Train().NumRatings())
-		return p, p.Train(), nil
+		engine, train = p, p.Train()
+	} else {
+		var err error
+		if engine, split, err = trainEngine(o, stderr); err != nil {
+			return err
+		}
+		train = split.Train
 	}
 
-	data, err := loadData(ratingsPath, preset, scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	split := data.SplitByUser(kappa, rand.New(rand.NewSource(seed)))
-	fmt.Fprintf(os.Stderr, "dataset %s: %d users, %d items, %d train / %d test ratings\n",
-		data.Name(), data.NumUsers(), data.NumItems(), split.Train.NumRatings(), split.Test.NumRatings())
-
-	engine, err := buildEngine(split.Train, arecName, rerankName, thetaName, crecName, n, sample, workers, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Save before evaluating: -evaluate -save means "snapshot the trained
-	// pipeline AND report its metrics" — the training run must not be lost
-	// to the evaluate path's early exit. Saving first also snapshots the
-	// pristine pre-sweep coverage state.
-	if savePath != "" {
-		p, ok := engine.(*ganc.Pipeline)
-		if !ok {
-			return nil, nil, fmt.Errorf("-save supports GANC pipelines only (use -rerank GANC); %s has no snapshot format", engine.Name())
-		}
-		if err := p.Save(savePath); err != nil {
-			return nil, nil, fmt.Errorf("saving snapshot: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "saved warm-start snapshot to %s\n", savePath)
-	}
-	if evaluate {
-		if err := runEvaluation(engine, split, n); err != nil {
-			return nil, nil, err
-		}
-		os.Exit(0)
-	}
-	return engine, split.Train, nil
-}
-
-// runEvaluation scores the engine's batch output against the held-out split.
-func runEvaluation(engine ganc.Engine, split *ganc.Split, n int) error {
-	fmt.Fprintf(os.Stderr, "running %s ...\n", engine.Name())
+	fmt.Fprintf(stderr, "running %s ...\n", engine.Name())
 	recs, err := engine.RecommendAll(context.Background())
 	if err != nil {
 		return err
 	}
-	ev := ganc.NewEvaluator(split, 0)
-	rep := ev.Evaluate(engine.Name(), recs, n)
-	fmt.Printf("%-40s\n", rep.Algorithm)
-	fmt.Printf("  Precision@%d   : %.4f\n", n, rep.Precision)
-	fmt.Printf("  Recall@%d      : %.4f\n", n, rep.Recall)
-	fmt.Printf("  F-measure@%d   : %.4f\n", n, rep.FMeasure)
-	fmt.Printf("  LTAccuracy@%d  : %.4f\n", n, rep.LTAccuracy)
-	fmt.Printf("  StratRecall@%d : %.4f\n", n, rep.StratRecall)
-	fmt.Printf("  Coverage@%d    : %.4f\n", n, rep.Coverage)
-	fmt.Printf("  Gini@%d        : %.4f\n", n, rep.Gini)
+	if o.evaluate {
+		printReport(stdout, ganc.NewEvaluator(split, 0).Evaluate(engine.Name(), recs, o.n), o.n)
+	} else {
+		printRecommendations(stdout, recs, train, o.show)
+	}
 	return nil
 }
 
-// obsFlags bundles the serve-mode observability and admission flags shared
-// by ganc and gancd.
-type obsFlags struct {
-	metrics       *bool
-	requestLog    *string
-	rateLimit     *float64
-	rateBurst     *float64
-	maxConcurrent *int
-	maxWaitMs     *int
-}
-
-// registerObsFlags declares the observability/admission flag set on fs.
-func registerObsFlags(fs *flag.FlagSet) obsFlags {
-	return obsFlags{
-		metrics:       fs.Bool("metrics", false, "serve-mode: mount GET /metrics (Prometheus text format)"),
-		requestLog:    fs.String("request-log", "", "serve-mode: append one JSON line per request to this file (\"-\" = stderr)"),
-		rateLimit:     fs.Float64("rate-limit", 0, "serve-mode: per-client sustained requests/second (0 = unlimited)"),
-		rateBurst:     fs.Float64("rate-burst", 0, "serve-mode: per-client burst allowance (0 = max(rate-limit, 1))"),
-		maxConcurrent: fs.Int("max-concurrent", 0, "serve-mode: cap on requests inside handlers at once (0 = uncapped)"),
-		maxWaitMs:     fs.Int("max-wait-ms", 0, "serve-mode: how long an over-capacity request waits for a slot before a 429 (0 = shed immediately)"),
-	}
-}
-
-// active reports whether any observability/admission flag was set.
-func (f obsFlags) active() bool {
-	return *f.metrics || *f.requestLog != "" || *f.rateLimit > 0 || *f.maxConcurrent > 0
-}
-
-// serverOptions translates the flags into server options, opening the
-// request-log sink when one was named. The returned cleanup (possibly nil)
-// closes that sink.
-func (f obsFlags) serverOptions() ([]ganc.ServerOption, func() error, error) {
-	var opts []ganc.ServerOption
-	var cleanup func() error
-	if *f.metrics {
-		opts = append(opts, ganc.WithMetrics(ganc.NewMetricsRegistry()))
-	}
-	if *f.requestLog != "" {
-		w := os.Stderr
-		if *f.requestLog != "-" {
-			file, err := os.OpenFile(*f.requestLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, nil, fmt.Errorf("opening request log: %w", err)
-			}
-			w = file
-			cleanup = file.Close
-		}
-		opts = append(opts, ganc.WithRequestLog(ganc.NewRequestLogger(w, ganc.LogInfo)))
-	}
-	if *f.rateLimit > 0 {
-		opts = append(opts, ganc.WithRateLimit(*f.rateLimit, *f.rateBurst))
-	}
-	if *f.maxConcurrent > 0 {
-		opts = append(opts, ganc.WithMaxConcurrent(*f.maxConcurrent, time.Duration(*f.maxWaitMs)*time.Millisecond))
-	}
-	return opts, cleanup, nil
-}
-
-// serveHTTP puts the engine behind the HTTP serving layer, enabling streaming
-// ingestion (POST /ingest) when the engine is a GANC pipeline.
-func serveHTTP(ctx context.Context, engine ganc.Engine, train *ganc.Dataset, addr string,
-	n, cacheCap int, warm bool, savePath, loadPath, ingestLog string, checkpointInterval int, obs obsFlags) error {
-	opts, obsCleanup, err := obs.serverOptions()
+// trainEngine generates or reads the data, splits it, trains the requested
+// engine on the train side and applies -save.
+func trainEngine(o options, stderr io.Writer) (ganc.Engine, *ganc.Split, error) {
+	data, err := loadData(o.ratings, o.preset, o.scale)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if obsCleanup != nil {
-		defer func() { _ = obsCleanup() }()
-	}
-	if cacheCap > 0 {
-		opts = append(opts, ganc.WithServerCacheCapacity(cacheCap))
-	}
-	if warm {
-		fmt.Fprintf(os.Stderr, "precomputing warm cache for %s ...\n", engine.Name())
-		recs, err := engine.RecommendAll(ctx)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, ganc.WithServerPrecomputed(recs))
-	}
-	srv, err := ganc.NewServer(train, engine, n, opts...)
+	split := data.SplitByUser(o.kappa, rand.New(rand.NewSource(o.seed)))
+	fmt.Fprintf(stderr, "dataset %s: %d users, %d items, %d train / %d test ratings\n",
+		data.Name(), data.NumUsers(), data.NumItems(), split.Train.NumRatings(), split.Test.NumRatings())
+	engine, err := buildEngine(split.Train, o)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	// Saved before anything runs: the snapshot holds the pristine pre-sweep
+	// coverage state, and -evaluate -save means "snapshot the trained
+	// pipeline AND report its metrics".
+	if o.save != "" {
+		p, ok := engine.(*ganc.Pipeline)
+		if !ok {
+			return nil, nil, fmt.Errorf("-save supports GANC pipelines only (use -rerank GANC); %s has no snapshot format", engine.Name())
+		}
+		if err := p.Save(o.save); err != nil {
+			return nil, nil, fmt.Errorf("saving snapshot: %w", err)
+		}
+		fmt.Fprintf(stderr, "saved warm-start snapshot to %s\n", o.save)
+	}
+	return engine, split, nil
+}
 
-	// Streaming ingestion requires a snapshot-compatible GANC pipeline. When
-	// the operator asked for it (-ingest-log / -checkpoint-interval), an
-	// incompatible engine is a hard error; otherwise ingestion is enabled
-	// opportunistically and silently skipped for engines that cannot ingest
-	// (rerankers, Rand components), which still serve read-only.
-	ingestRequested := ingestLog != "" || checkpointInterval > 0
-	endpoints := "GET /recommend?user=<id>, POST /recommend/batch, /info, /health"
-	if *obs.metrics {
-		endpoints += ", GET /metrics"
+// loadSnapshot restores the pipeline -load names, refusing the flags a
+// snapshot cannot honor.
+func loadSnapshot(o options, stderr io.Writer) (*ganc.Pipeline, error) {
+	switch {
+	case o.ratings != "":
+		return nil, fmt.Errorf("-load and -ratings are mutually exclusive: a snapshot carries its own dataset")
+	case o.evaluate:
+		return nil, fmt.Errorf("-load cannot be combined with -evaluate: a snapshot has no held-out test split (evaluate at train time, before -save)")
+	case o.save != "":
+		return nil, fmt.Errorf("-load and -save are mutually exclusive")
 	}
-	p, isPipeline := engine.(*ganc.Pipeline)
-	if !isPipeline && ingestRequested {
-		return fmt.Errorf("streaming ingestion supports GANC pipelines only (use -rerank GANC); %s cannot ingest", engine.Name())
+	p, err := ganc.LoadEngine(o.load)
+	switch {
+	case errors.Is(err, ganc.ErrSnapshotVersion):
+		return nil, fmt.Errorf("snapshot %s was written by an incompatible version of this tool: %w", o.load, err)
+	case errors.Is(err, ganc.ErrSnapshotBadMagic):
+		return nil, fmt.Errorf("%s is not a GANC snapshot: %w", o.load, err)
+	case errors.Is(err, ganc.ErrSnapshotCorrupt):
+		return nil, fmt.Errorf("snapshot %s is corrupt (truncated or bit-flipped): %w", o.load, err)
+	case err != nil:
+		return nil, err
 	}
-	if isPipeline {
-		ingOpts := []ganc.IngestorOption{}
-		if ingestLog != "" {
-			ingOpts = append(ingOpts, ganc.WithIngestLog(ingestLog))
-		}
-		checkpointPath := savePath
-		if checkpointPath == "" {
-			checkpointPath = loadPath
-		}
-		if checkpointInterval > 0 && checkpointPath == "" {
-			return fmt.Errorf("-checkpoint-interval needs a snapshot target: pass -save (cold start) or -load (warm start)")
-		}
-		if checkpointPath != "" {
-			ingOpts = append(ingOpts, ganc.WithIngestCheckpoint(checkpointPath, checkpointInterval))
-		}
-		switch ing, err := ganc.NewIngestor(srv, p, ingOpts...); {
-		case err != nil && ingestRequested:
-			return fmt.Errorf("enabling ingestion: %w", err)
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "serving without ingestion (%v)\n", err)
-		default:
-			if ingestLog != "" {
-				replayed, err := ing.Recover()
-				if err != nil {
-					return fmt.Errorf("replaying ingest log %s: %w", ingestLog, err)
-				}
-				if replayed > 0 {
-					fmt.Fprintf(os.Stderr, "replayed %d events from %s (resuming at seq %d)\n", replayed, ingestLog, ing.Seq())
-				}
-			}
-			endpoints += ", POST /ingest"
-		}
-	}
+	fmt.Fprintf(stderr, "loaded %s from %s: %d users, %d items, %d ratings\n",
+		p.Name(), o.load, p.Train().NumUsers(), p.Train().NumItems(), p.Train().NumRatings())
+	return p, nil
+}
 
-	fmt.Fprintf(os.Stderr, "serving %s on %s (%s)\n", engine.Name(), addr, endpoints)
-	return http.ListenAndServe(addr, srv.Handler())
+// printReport prints the metrics of the engine's batch output against the
+// held-out split.
+func printReport(w io.Writer, rep ganc.Report, n int) {
+	fmt.Fprintf(w, "%-40s\n", rep.Algorithm)
+	fmt.Fprintf(w, "  Precision@%d   : %.4f\n", n, rep.Precision)
+	fmt.Fprintf(w, "  Recall@%d      : %.4f\n", n, rep.Recall)
+	fmt.Fprintf(w, "  F-measure@%d   : %.4f\n", n, rep.FMeasure)
+	fmt.Fprintf(w, "  LTAccuracy@%d  : %.4f\n", n, rep.LTAccuracy)
+	fmt.Fprintf(w, "  StratRecall@%d : %.4f\n", n, rep.StratRecall)
+	fmt.Fprintf(w, "  Coverage@%d    : %.4f\n", n, rep.Coverage)
+	fmt.Fprintf(w, "  Gini@%d        : %.4f\n", n, rep.Gini)
 }
 
 // printRecommendations prints the first `show` users' lists with external
 // identifiers.
-func printRecommendations(recs ganc.Recommendations, train *ganc.Dataset, show int) {
+func printRecommendations(w io.Writer, recs ganc.Recommendations, train *ganc.Dataset, show int) {
 	users := make([]ganc.UserID, 0, len(recs))
 	for u := range recs {
 		users = append(users, u)
@@ -339,39 +197,39 @@ func printRecommendations(recs ganc.Recommendations, train *ganc.Dataset, show i
 	}
 	for _, u := range users {
 		key := train.UserInterner().Key(int32(u))
-		fmt.Printf("user %s:", key)
+		fmt.Fprintf(w, "user %s:", key)
 		for _, i := range recs[u] {
-			fmt.Printf(" %s", train.ItemInterner().Key(int32(i)))
+			fmt.Fprintf(w, " %s", train.ItemInterner().Key(int32(i)))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 
 // buildEngine assembles the requested engine: a full GANC pipeline (the
 // default), a registry reranker over the named base, or the raw base model.
-func buildEngine(train *ganc.Dataset, arecName, rerankName, thetaName, crecName string, n, sample, workers int, seed int64) (ganc.Engine, error) {
-	if rerankName == "GANC" {
-		spec, err := coverageSpec(crecName)
+func buildEngine(train *ganc.Dataset, o options) (ganc.Engine, error) {
+	if o.rerank == "GANC" {
+		spec, err := coverageSpec(o.crec)
 		if err != nil {
 			return nil, err
 		}
 		return ganc.NewPipeline(train,
-			ganc.WithBaseNamed(arecName),
-			ganc.WithPreferences(ganc.ParsePreferenceModel(thetaName)),
+			ganc.WithBaseNamed(o.arec),
+			ganc.WithPreferences(ganc.ParsePreferenceModel(o.theta)),
 			ganc.WithCoverage(spec),
-			ganc.WithTopN(n),
-			ganc.WithSampleSize(sample),
-			ganc.WithWorkers(workers),
-			ganc.WithSeed(seed))
+			ganc.WithTopN(o.n),
+			ganc.WithSampleSize(o.sample),
+			ganc.WithWorkers(o.workers),
+			ganc.WithSeed(o.seed))
 	}
-	base, err := ganc.NewBaseScorer(arecName, train, seed)
+	base, err := ganc.NewBaseScorer(o.arec, train, o.seed)
 	if err != nil {
 		return nil, err
 	}
-	if rerankName == "none" {
-		return ganc.NewBaseEngine(base, train, n), nil
+	if o.rerank == "none" {
+		return ganc.NewBaseEngine(base, train, o.n), nil
 	}
-	return ganc.NewReranker(rerankName, train, base, n, seed)
+	return ganc.NewReranker(o.rerank, train, base, o.n, o.seed)
 }
 
 func coverageSpec(name string) (ganc.CoverageSpec, error) {
@@ -401,9 +259,4 @@ func loadData(path, preset string, scale float64) (*ganc.Dataset, error) {
 		return ganc.LoadRatings(path, ganc.LoadOptions{Name: path})
 	}
 	return ganc.GeneratePreset(preset, scale)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ganc:", err)
-	os.Exit(1)
 }

@@ -4,8 +4,8 @@
 //
 // Roles (-role):
 //
-//	standalone  serve one snapshot on one node (the cmd/ganc serve mode,
-//	            without the training machinery)
+//	standalone  serve one snapshot on one node, with streaming ingestion
+//	            behind POST /ingest
 //	split       shard-split a snapshot: write N shard-scoped snapshots
 //	            (shard id + hash-ring epoch in each) into -out
 //	shard       serve one shard snapshot as the shard's primary; refuses
@@ -82,6 +82,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -113,6 +114,40 @@ type options struct {
 	set                      map[string]bool
 }
 
+// observability names the flags every serving role reads: the metrics
+// endpoint, the request log and admission control.
+const observability = "metrics request-log rate-limit rate-burst max-concurrent max-wait-ms"
+
+// roleFlags is the one table of which flags each role reads, beside -role
+// itself and, on every role that takes -serve, the observability flags. A flag
+// given to a role outside its row is refused: accepted, it would change
+// nothing. (README's role matrix is lint-checked against this table.)
+var roleFlags = []struct{ role, flags string }{
+	{"standalone", "load serve cache ingest-log checkpoint-interval"},
+	{"split", "load out shards epoch"},
+	{"shard", "load serve shards shard-id epoch cache ingest-log checkpoint-interval replica-addrs write-quorum"},
+	// A node started as a replica ships to no one and never checkpoints on
+	// its own (it may share the snapshot file with its primary).
+	{"replica", "load serve ingest-log shards shard-id epoch cache"},
+	{"router", "peers serve epoch retries max-replica-lag detect-interval-ms suspect-after"},
+	{"cluster", "load serve shards epoch cache checkpoint-interval replicas write-quorum auto-failover detect-interval-ms suspect-after retries"},
+}
+
+// readers lists the roles that read the flag, in table order.
+func readers(name string) []string {
+	var out []string
+	for _, row := range roleFlags {
+		flags := strings.Fields("role " + row.flags)
+		if slices.Contains(flags, "serve") {
+			flags = append(flags, strings.Fields(observability)...)
+		}
+		if slices.Contains(flags, name) {
+			out = append(out, row.role)
+		}
+	}
+	return out
+}
+
 // parseFlags maps the command line to options and rejects the flag
 // combinations no role can honor.
 func parseFlags(args []string, stderr io.Writer) (options, error) {
@@ -137,7 +172,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.cache, "cache", 0, "per-node LRU cache capacity (0 = serving default)")
 	fs.StringVar(&o.ingestLog, "ingest-log", "", "write-ahead log path (standalone, shard and replica roles)")
 	fs.IntVar(&o.checkpointInterval, "checkpoint-interval", 0, "checkpoint the snapshot every this many ingested events (standalone, shard and cluster roles; 0 = never)")
-	fs.IntVar(&o.retries, "retries", 2, "router: bounded retries per shard call before the typed 503")
+	fs.IntVar(&o.retries, "retries", 2, "bounded retries per shard call before the router's typed 503 (router and cluster roles)")
 	fs.BoolVar(&o.metrics, "metrics", false, "mount GET /metrics (Prometheus text format) on serving roles")
 	fs.StringVar(&o.requestLog, "request-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")
@@ -150,36 +185,31 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	if fs.NArg() > 0 {
 		return o, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	o.set = make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
-
-	switch o.role {
-	case "split":
-		if o.out == "" {
-			return o, fmt.Errorf("-out directory is required for -role split")
-		}
-		if o.shards <= 0 {
-			return o, fmt.Errorf("-shards must be positive, got %d", o.shards)
-		}
-	case "standalone", "shard", "replica", "router", "cluster":
-		if o.serve == "" {
-			return o, fmt.Errorf("-serve is required for -role %s", o.role)
-		}
-	default:
-		return o, fmt.Errorf("unknown -role %q (standalone, split, shard, replica, router, cluster)", o.role)
+	// Every role reads -role, so its readers are the roles there are.
+	if roles := readers("role"); !slices.Contains(roles, o.role) {
+		return o, fmt.Errorf("unknown -role %q (%s)", o.role, strings.Join(roles, ", "))
 	}
-	if o.role == "replica" {
-		// A node started as a replica ships to no one and never checkpoints on
-		// its own (it may share the snapshot file with its primary); accepting
-		// these flags would silently drop what they promise.
-		for _, name := range []string{"replica-addrs", "write-quorum", "checkpoint-interval"} {
-			if o.set[name] {
-				return o, fmt.Errorf("-%s does not apply to -role replica (it configures the shard's primary: -role shard)", name)
-			}
+	o.set = make(map[string]bool)
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		o.set[f.Name] = true
+		if roles := readers(f.Name); stray == nil && !slices.Contains(roles, o.role) {
+			stray = fmt.Errorf("-%s does not apply to -role %s (it is read by -role %s)", f.Name, o.role, strings.Join(roles, ", "))
 		}
-		if o.ingestLog == "" {
-			return o, fmt.Errorf("-ingest-log is required for -role replica (the replica's own write-ahead log makes it promotable)")
-		}
+	})
+	if stray != nil {
+		return o, stray
+	}
+
+	switch {
+	case o.role != "split" && o.serve == "":
+		return o, fmt.Errorf("-serve is required for -role %s", o.role)
+	case o.role == "split" && o.out == "":
+		return o, fmt.Errorf("-out directory is required for -role split")
+	case o.role == "split" && o.shards <= 0:
+		return o, fmt.Errorf("-shards must be positive, got %d", o.shards)
+	case o.role == "replica" && o.ingestLog == "":
+		return o, fmt.Errorf("-ingest-log is required for -role replica (the replica's own write-ahead log makes it promotable)")
 	}
 	return o, nil
 }
@@ -214,7 +244,7 @@ func (o options) logger(stderr io.Writer) (*ganc.RequestLogger, func(), error) {
 
 // serverOptions translates the flags into single-node server options.
 func (o options) serverOptions(stderr io.Writer) ([]ganc.ServerOption, func(), error) {
-	var opts []ganc.ServerOption
+	opts := []ganc.ServerOption{ganc.WithServerAdmission(o.admission())}
 	if o.metrics {
 		opts = append(opts, ganc.WithMetrics(ganc.NewMetricsRegistry()))
 	}
@@ -224,12 +254,6 @@ func (o options) serverOptions(stderr io.Writer) ([]ganc.ServerOption, func(), e
 	}
 	if log != nil {
 		opts = append(opts, ganc.WithRequestLog(log))
-	}
-	if o.rateLimit > 0 {
-		opts = append(opts, ganc.WithRateLimit(o.rateLimit, o.rateBurst))
-	}
-	if o.maxConcurrent > 0 {
-		opts = append(opts, ganc.WithMaxConcurrent(o.maxConcurrent, time.Duration(o.maxWaitMs)*time.Millisecond))
 	}
 	if o.cache > 0 {
 		opts = append(opts, ganc.WithServerCacheCapacity(o.cache))
@@ -470,7 +494,7 @@ func runRouter(ctx context.Context, o options, stderr io.Writer) error {
 		MaxReplicaLag:  o.maxReplicaLag,
 		DetectInterval: time.Duration(o.detectIntervalMs) * time.Millisecond,
 		SuspectAfter:   o.suspectAfter,
-		Admission:      ganc.NewAdmission(o.admission()),
+		Admission:      o.admission(),
 		RequestLog:     log,
 	}
 	if o.metrics {
@@ -505,6 +529,7 @@ func runCluster(ctx context.Context, o options, stderr io.Writer) error {
 		ganc.WithClusterCheckpointEvery(o.checkpointInterval),
 		ganc.WithFailureDetection(time.Duration(o.detectIntervalMs)*time.Millisecond, o.suspectAfter),
 		ganc.WithClusterAdmission(o.admission()),
+		ganc.WithRouterRetries(o.retries),
 	}
 	if o.autoFailover {
 		opts = append(opts, ganc.WithAutoFailover())

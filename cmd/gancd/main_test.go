@@ -74,11 +74,17 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-role cluster -serve :0 -replicas 1 -write-quorum 2 -load " + model:                               "write quorum 2 outside [0, 1 replicas]",
 		"-role cluster -serve :0 -auto-failover -load " + model:                                            "auto-failover requires at least one replica",
 
-		// A node started as a replica ships to no one.
+		// A flag the role does not read is refused, not ignored: a node
+		// started as a replica ships to no one, a router's knobs mean nothing
+		// on a node, one node has no shard count.
 		"-role replica -serve :0 -load " + shard0:                                                 "-ingest-log is required for -role replica",
 		"-role replica -serve :0 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0:      "-replica-addrs does not apply to -role replica",
 		"-role replica -serve :0 -write-quorum 1 -ingest-log " + wal + " -load " + shard0:         "-write-quorum does not apply to -role replica",
 		"-role replica -serve :0 -checkpoint-interval 10 -ingest-log " + wal + " -load " + shard0: "-checkpoint-interval does not apply to -role replica",
+		"-role cluster -serve :0 -max-replica-lag 5 -load " + model:                               "-max-replica-lag does not apply to -role cluster (it is read by -role router)",
+		"-role standalone -serve :0 -shards 5 -load " + model:                                     "-shards does not apply to -role standalone (it is read by -role split, shard, replica, cluster)",
+		"-role standalone -serve :0 -retries 0 -load " + model:                                    "-retries does not apply to -role standalone (it is read by -role router, cluster)",
+		"-role split -metrics -out " + dir + " -load " + model:                                    "-metrics does not apply to -role split",
 		"-role router -serve :0":                 "-peers",
 		"-role router -serve :0 -peers a:1,,b:2": "-peers",
 		"-role standalone -serve :0 -request-log " + filepath.Join(dir, "no", "such", "dir", "r.log") + " -load " + model: "opening request log",
@@ -101,6 +107,95 @@ func freeAddr(t *testing.T) string {
 	}
 	defer ln.Close()
 	return ln.Addr().String()
+}
+
+// waitHealthy polls addr until /health answers 200.
+func waitHealthy(t *testing.T, addr string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + addr + "/health")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never answered /health: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStandaloneServesIngestsAndRecovers is the single-node daemon end to
+// end: serve a snapshot with a write-ahead log and a checkpoint cadence, read,
+// write across one checkpoint, stop on cancel, and start again on the same
+// files — the restart loads the checkpoint, replays the log's suffix and
+// answers as before.
+func TestStandaloneServesIngestsAndRecovers(t *testing.T) {
+	model, _ := splitSnapshots(t, 1)
+	args := fmt.Sprintf("-role standalone -load %s -ingest-log %s -checkpoint-interval 2 -serve ",
+		model, filepath.Join(t.TempDir(), "events.wal"))
+
+	// serve runs the daemon until stop is called, which returns what it logged.
+	serve := func() (addr string, stop func() string) {
+		addr = freeAddr(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		var stderr bytes.Buffer
+		done := make(chan error, 1)
+		go func() { done <- run(ctx, strings.Fields(args+addr), &stderr) }()
+		waitHealthy(t, addr)
+		return addr, func() string {
+			cancel()
+			if err := <-done; err != nil {
+				t.Errorf("gancd %s: %v", args+addr, err)
+			}
+			return stderr.String()
+		}
+	}
+	recommend := func(addr string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + "/recommend?user=u-new")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var list struct{ Items []string }
+		if err := json.NewDecoder(resp.Body).Decode(&list); err != nil || resp.StatusCode != http.StatusOK || len(list.Items) != 5 {
+			t.Fatalf("GET /recommend answered %d with %d items (%v), want 200 with 5", resp.StatusCode, len(list.Items), err)
+		}
+		return strings.Join(list.Items, " ")
+	}
+
+	addr, stop := serve()
+	// Three events in two batches: the checkpoint at two events leaves the
+	// third in the log alone.
+	events := []ganc.IngestEvent{{User: "u-new", Item: "it-1", Value: 4}, {User: "u-new", Item: "it-2", Value: 5}, {User: "u-new", Item: "it-3", Value: 3}}
+	for _, batch := range [][]ganc.IngestEvent{events[:2], events[2:]} {
+		payload, _ := json.Marshal(map[string]interface{}{"events": batch})
+		resp, err := http.Post("http://"+addr+"/ingest", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /ingest answered %d", resp.StatusCode)
+		}
+	}
+	before := recommend(addr)
+	if log := stop(); strings.Contains(log, "replayed") {
+		t.Fatalf("the first start replayed events from an empty log:\n%s", log)
+	}
+
+	addr, stop = serve()
+	after := recommend(addr)
+	if log := stop(); !strings.Contains(log, "replayed 1 events") || !strings.Contains(log, "resuming at seq 3") {
+		t.Fatalf("the restart did not report replaying the one event past the checkpoint:\n%s", log)
+	}
+	if after != before {
+		t.Fatalf("u-new's list changed across the restart: %q, then %q", before, after)
+	}
 }
 
 // TestMultiProcessRolesOverLoopback starts a replica, its shard's primary
@@ -127,30 +222,13 @@ func TestMultiProcessRolesOverLoopback(t *testing.T) {
 	}
 	defer func() { stop(); wg.Wait() }() // every role shuts down cleanly on cancel
 
-	waitHealthy := func(addr string) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get("http://" + addr + "/health")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					return
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never answered /health: %v", addr, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 	start(fmt.Sprintf("-role replica -load %s -ingest-log %s -serve %s", snap, filepath.Join(tmp, "r0.wal"), replicaAddr))
-	waitHealthy(replicaAddr)
+	waitHealthy(t, replicaAddr)
 	start(fmt.Sprintf("-role shard -load %s -ingest-log %s -replica-addrs %s -write-quorum 1 -serve %s",
 		snap, filepath.Join(tmp, "s0.wal"), replicaAddr, shardAddr))
-	waitHealthy(shardAddr)
+	waitHealthy(t, shardAddr)
 	start(fmt.Sprintf("-role router -peers %s+%s -serve %s", shardAddr, replicaAddr, routerAddr))
-	waitHealthy(routerAddr)
+	waitHealthy(t, routerAddr)
 
 	post := func(url string, body interface{}, out interface{}) int {
 		t.Helper()

@@ -45,7 +45,8 @@
 //	loadgen -users 2000 -items 500 -ratings 40000 -requests 2000 -out loadgen-serve.json
 //
 //	# Drive an already running server.
-//	ganc -preset ML-100K -arec Pop -serve :8080 &
+//	ganc -preset ML-100K -arec Pop -save model.snap
+//	gancd -load model.snap -serve :8080 &
 //	loadgen -url http://127.0.0.1:8080 -users 943 ...
 //
 //	# Failover drill on a 3-shard cluster with one replica per shard.
@@ -240,7 +241,7 @@ func runPlain(o options) error {
 		// idealized bare one.
 		extra := []ganc.ServerOption{ganc.WithMetrics(ganc.NewMetricsRegistry())}
 		if o.overload {
-			extra = append(extra, ganc.WithServerAdmission(ganc.NewAdmission(o.admit)))
+			extra = append(extra, ganc.WithServerAdmission(o.admit))
 			fmt.Fprintf(os.Stderr, "overload drill: admission rate=%.1f/s burst=%.1f max-concurrent=%d max-wait=%s\n",
 				o.admit.RatePerSec, o.admit.Burst, o.admit.MaxConcurrent, o.admit.MaxWait)
 		}

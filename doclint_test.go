@@ -171,12 +171,14 @@ func position(fset *token.FileSet, pos token.Pos) string {
 }
 
 // The names gate: README.md and DESIGN.md may only name `With*` options,
-// `gancd`/`loadgen` flags, `-role` values and package-qualified exported
-// identifiers (`recommender.SelectTop`) that exist in the code. Options and
-// flags are the names a reader copies into a program or a shell, and a
-// qualified identifier is where a reader opens the code, so a document that
-// keeps one the code dropped is wrong in the most expensive way; this keeps a
-// removal or a rename and its documentation in the same change.
+// `ganc`/`gancd`/`loadgen` flags, `-role` values, package-qualified exported
+// identifiers (`recommender.SelectTop`) and relative `*.md` files that exist,
+// and README's gancd role matrix lists for each role exactly the flags
+// gancd's own table says the role reads. Options and flags are the names a
+// reader copies into a program or a shell, and a qualified identifier or a
+// file is where a reader opens the code, so a document that keeps one the
+// code dropped is wrong in the most expensive way; this keeps a removal or a
+// rename and its documentation in the same change.
 
 // modulePackages parses every package of the module, test files and comments
 // left out.
@@ -306,6 +308,48 @@ func commandFlags(t *testing.T, cmd string) (flags, roles map[string]bool) {
 	return flags, roles
 }
 
+// gancdRoleFlags reads cmd/gancd's roleFlags table — a composite literal of
+// {"role", "flag flag …"} rows — into role → the set of flags it reads.
+func gancdRoleFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("cmd", "gancd"), nonTestFile, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(e ast.Expr) string {
+		b, ok := e.(*ast.BasicLit)
+		if !ok || b.Kind != token.STRING {
+			t.Fatal("cmd/gancd: a roleFlags row holds something other than two string literals")
+		}
+		s, _ := strconv.Unquote(b.Value)
+		return s
+	}
+	table := map[string]map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				spec, ok := n.(*ast.ValueSpec)
+				if !ok || spec.Names[0].Name != "roleFlags" || len(spec.Values) != 1 {
+					return true
+				}
+				for _, elt := range spec.Values[0].(*ast.CompositeLit).Elts {
+					row := elt.(*ast.CompositeLit).Elts
+					flags := map[string]bool{}
+					for _, name := range strings.Fields(str(row[1])) {
+						flags[name] = true
+					}
+					table[str(row[0])] = flags
+				}
+				return false
+			})
+		}
+	}
+	if len(table) == 0 {
+		t.Fatal("cmd/gancd: no roleFlags table found; the role-matrix check would pass vacuously")
+	}
+	return table
+}
+
 var (
 	optionName  = regexp.MustCompile(`^With[A-Z]\w*$`)
 	optionInDoc = regexp.MustCompile(`\bWith[A-Z]\w*`)
@@ -315,6 +359,12 @@ var (
 	// member (a metric such as core.sweep_self_us, a file such as simulate.go)
 	// ends the match and is not checked.
 	qualifiedInDoc = regexp.MustCompile(`\b([a-z][a-z0-9]*)((?:\.[A-Z]\w*)+)`)
+	// markdownInDoc matches a relative *.md path that is a whole code span or
+	// a link target (an anchor may follow it).
+	markdownInDoc = regexp.MustCompile("`([\\w./-]+\\.md)`|\\]\\(([\\w./-]+\\.md)(?:#[^)]*)?\\)")
+	// matrixRow matches a row of README's gancd role matrix (the table under
+	// matrixHead): the role, then its required-flags and optional-flags cells.
+	matrixRow = regexp.MustCompile("^\\| `([a-z]+)` \\| ([^|]*) \\| ([^|]*) \\|")
 )
 
 func TestDocsNameOnlyWhatExists(t *testing.T) {
@@ -323,7 +373,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	// A code span that is nothing but flags (a cell of a flag matrix) names no
 	// command, so it is held to anyFlag: the union of every command's flags
 	// plus the go tool flags the documents quote. Invocations are checked for
-	// the two commands whose flags this round keeps pruning.
+	// the three commands whose flags this round keeps pruning.
 	cmdFlags := map[string]map[string]bool{}
 	anyFlag := map[string]bool{"race": true, "tags": true, "short": true}
 	var roles map[string]bool
@@ -335,7 +385,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		switch cmd {
 		case "gancd":
 			cmdFlags[cmd], roles = flags, r
-		case "loadgen":
+		case "loadgen", "ganc":
 			cmdFlags[cmd] = flags
 		}
 	}
@@ -379,6 +429,29 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 
+	// checkMatrixRow holds a row of README's role matrix to gancd's table:
+	// required and optional cells together name the role's flags, all of them
+	// and no others.
+	const matrixHead = "| role | required flags | optional flags |"
+	roleFlags := gancdRoleFlags(t)
+	matrixRows, inMatrix := 0, false
+	checkMatrixRow := func(where, role, cells string) {
+		matrixRows++
+		listed := map[string]bool{}
+		for _, w := range strings.Fields(strings.ReplaceAll(cells, "`", " ")) {
+			name := strings.TrimPrefix(w, "-")
+			listed[name] = true
+			if !roleFlags[role][name] {
+				t.Errorf("%s: the matrix lists %s for -role %s, which gancd's roleFlags table says the role does not read", where, w, role)
+			}
+		}
+		for name := range roleFlags[role] {
+			if !listed[name] {
+				t.Errorf("%s: -role %s reads -%s (gancd's roleFlags table), and the matrix leaves it out", where, role, name)
+			}
+		}
+	}
+
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -393,6 +466,15 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				if !options[name] {
 					t.Errorf("%s: no option %s is declared anywhere in the module", where, name)
 				}
+			}
+			for _, m := range markdownInDoc.FindAllStringSubmatch(line, -1) {
+				if _, err := os.Stat(m[1] + m[2]); err != nil {
+					t.Errorf("%s: names the file %s, which is not in the tree", where, m[1]+m[2])
+				}
+			}
+			inMatrix = strings.HasPrefix(line, matrixHead) || (inMatrix && strings.HasPrefix(line, "|"))
+			if m := matrixRow.FindStringSubmatch(line); m != nil && inMatrix {
+				checkMatrixRow(where, m[1], m[2]+" "+m[3])
 			}
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				fenced = !fenced
@@ -434,5 +516,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				}
 			}
 		}
+	}
+	if matrixRows != len(roleFlags) {
+		t.Errorf("README's role matrix has %d rows for gancd's %d roles", matrixRows, len(roleFlags))
 	}
 }

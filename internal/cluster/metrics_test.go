@@ -39,10 +39,9 @@ func scrapeRouter(t *testing.T, url string) *obs.Scrape {
 // admission series.
 func TestRouterMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	ctrl := admit.New(admit.Config{MaxConcurrent: 64})
 	rt, _ := clusterFixture(t, 3, func(cfg *RouterConfig) {
 		cfg.Metrics = reg
-		cfg.Admission = ctrl
+		cfg.Admission = admit.Config{MaxConcurrent: 64}
 	})
 	ts := routerServer(t, rt)
 
@@ -107,7 +106,7 @@ func TestRouterHealthSurfacesShardAdmission(t *testing.T) {
 		eng := &echoEngine{name: "echo", items: 1}
 		srv, err := serve.New(d, eng, 1,
 			serve.WithShardIdentity(serve.ShardIdentity{ShardID: i, NumShards: n, RingEpoch: 1}),
-			serve.WithAdmission(admit.New(admit.Config{RatePerSec: 0.0001, Burst: 1, MaxConcurrent: 4})))
+			serve.WithAdmission(admit.Config{RatePerSec: 0.0001, Burst: 1, MaxConcurrent: 4}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,9 +73,9 @@ type RouterConfig struct {
 	// RequestLog, when set, emits one structured JSON line per routed
 	// request.
 	RequestLog *obs.RequestLogger
-	// Admission, when set, applies rate limiting and a concurrency cap at
-	// the router before any shard is contacted (nil admits everything).
-	Admission *admit.Controller
+	// Admission applies rate limiting and a concurrency cap at the router
+	// before any shard is contacted (the zero value admits everything).
+	Admission admit.Config
 	// MaxReplicaLag is the read-failover staleness bound: a replica whose
 	// reported lag exceeds this many committed events is never chosen as a
 	// read target (default DefaultMaxReplicaLag; negative disables failover).
@@ -190,7 +190,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		probe:     probe,
 		maxLag:    maxLag,
 		metrics:   cfg.Metrics,
-		admission: cfg.Admission,
+		admission: admit.New(cfg.Admission),
 	}
 	rt.ring.Store(cfg.Ring)
 	if cfg.Metrics != nil || cfg.RequestLog != nil {
@@ -202,8 +202,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.Metrics != nil {
 		rt.rm = newRouterMetrics(cfg.Metrics, cfg.Ring.NumShards())
-		if cfg.Admission != nil {
-			cfg.Admission.Register(cfg.Metrics)
+		if rt.admission != nil {
+			rt.admission.Register(cfg.Metrics)
 		}
 	}
 	for _, s := range cfg.Ring.Shards() {

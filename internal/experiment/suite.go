@@ -2,8 +2,8 @@
 // calibrated datasets, the base recommenders, the re-ranking baselines and
 // GANC into runners that regenerate every table and figure of the paper's
 // evaluation (Section IV, Section V and Appendix C). Each runner returns both
-// a structured result (for tests and benchmarks) and a formatted text block
-// (for the cmd/experiments CLI and EXPERIMENTS.md).
+// a structured result (for tests) and a formatted text block (what
+// `go run ./cmd/experiments` prints).
 package experiment
 
 import (

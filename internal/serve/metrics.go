@@ -24,45 +24,11 @@ func WithRequestLog(l *obs.RequestLogger) Option {
 	return func(s *Server) { s.reqLog = l }
 }
 
-// WithAdmission applies an admission controller — per-client rate limiting
-// and a concurrency cap — around every route except /health, /metrics and
-// /info. A nil controller is accepted and admits everything.
-func WithAdmission(c *admit.Controller) Option {
-	return func(s *Server) { s.admission = c }
-}
-
-// WithRateLimit applies per-client token-bucket rate limiting: a sustained
-// ratePerSec with a burst allowance (burst ≤ 0 defaults to max(rate, 1)).
-// Clients are keyed by the X-Client-ID header, falling back to the remote
-// host. Composes with WithMaxConcurrent into one admission controller; an
-// explicit WithAdmission controller overrides both.
-func WithRateLimit(ratePerSec, burst float64) Option {
-	return func(s *Server) {
-		cfg := s.pendingAdmit()
-		cfg.RatePerSec = ratePerSec
-		cfg.Burst = burst
-	}
-}
-
-// WithMaxConcurrent caps requests inside handlers at n; an over-capacity
-// request waits up to maxWait for a slot before being shed with a typed 429.
-// Composes with WithRateLimit into one admission controller.
-func WithMaxConcurrent(n int, maxWait time.Duration) Option {
-	return func(s *Server) {
-		cfg := s.pendingAdmit()
-		cfg.MaxConcurrent = n
-		cfg.MaxWait = maxWait
-	}
-}
-
-// pendingAdmit returns the admission configuration accumulated by
-// WithRateLimit/WithMaxConcurrent, creating it on first use. New builds the
-// controller from it after all options have applied.
-func (s *Server) pendingAdmit() *admit.Config {
-	if s.admitCfg == nil {
-		s.admitCfg = &admit.Config{}
-	}
-	return s.admitCfg
+// WithAdmission applies admission control — per-client rate limiting and a
+// concurrency cap — around every route except /health, /metrics and /info.
+// The zero configuration admits everything.
+func WithAdmission(cfg admit.Config) Option {
+	return func(s *Server) { s.admission = admit.New(cfg) }
 }
 
 // initObservability finishes construction: builds the HTTP instrumentation

@@ -68,13 +68,6 @@ func WithCacheCapacity(capacity int) Option {
 	return func(s *Server) { s.capacity = capacity }
 }
 
-// WithPrecomputed seeds the initial generation's cache with an existing
-// collection (e.g. a batch RecommendAll run), so those users are served warm
-// while everyone else is computed lazily.
-func WithPrecomputed(recs types.Recommendations) Option {
-	return func(s *Server) { s.seed = recs }
-}
-
 // ShardIdentity names a server's place in a sharded cluster: which shard it
 // is, out of how many, cut for which hash-ring epoch. It is reported through
 // /info and /health so a router can detect a shard serving a snapshot from a
@@ -172,7 +165,6 @@ type Server struct {
 	n            int
 	capacity     int
 	batchWorkers int
-	seed         types.Recommendations
 	shard        atomic.Pointer[ShardIdentity]
 
 	gen atomic.Pointer[generation]
@@ -195,7 +187,6 @@ type Server struct {
 	metrics      *obs.Registry
 	reqLog       *obs.RequestLogger
 	admission    *admit.Controller
-	admitCfg     *admit.Config
 	httpObs      *obs.HTTPMetrics
 	computeHist  *obs.Histogram
 	ingestWAL    *obs.Histogram
@@ -225,21 +216,7 @@ func New(train *dataset.Dataset, engine Engine, n int, opts ...Option) (*Server,
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.admission == nil && s.admitCfg != nil {
-		// Build the controller from the WithRateLimit/WithMaxConcurrent
-		// accumulation (admit.New returns nil when neither gate is enabled).
-		s.admission = admit.New(*s.admitCfg)
-	}
-	gen := s.newGeneration(engine, 1)
-	for u, set := range s.seed {
-		e, err := s.newEntry(u, set)
-		if err != nil {
-			return nil, fmt.Errorf("%w (in the WithPrecomputed collection)", err)
-		}
-		gen.cache.put(e)
-	}
-	s.seed = nil
-	s.gen.Store(gen)
+	s.gen.Store(s.newGeneration(engine, 1))
 	s.initObservability()
 	return s, nil
 }

@@ -234,13 +234,28 @@ func TestCacheHitsSkipEngine(t *testing.T) {
 	}
 }
 
+// seedCache puts recs into the server's current cache, so a test starts from
+// warm entries the engine never computed.
+func seedCache(t *testing.T, s *Server, recs types.Recommendations) {
+	t.Helper()
+	gen := s.gen.Load()
+	for u, set := range recs {
+		e, err := s.newEntry(u, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen.cache.put(e)
+	}
+}
+
 func TestPrecomputedSeedServesWarm(t *testing.T) {
 	d, recs := fixture()
 	eng := &countingEngine{name: "m", recs: recs}
-	s, err := New(d, eng, 1, WithPrecomputed(recs))
+	s, err := New(d, eng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seedCache(t, s, recs)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if code := getJSON(t, ts.URL+"/recommend?user=alice", nil); code != http.StatusOK {

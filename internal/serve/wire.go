@@ -56,8 +56,8 @@ func (s *Server) encodeHead(userKey string, set types.TopNSet) []byte {
 }
 
 // newEntry builds the cache entry for u's list, encoding its head. A list
-// naming a user or item outside the identifier tables (a broken engine or
-// WithPrecomputed collection) is refused: nothing could ever render it.
+// naming a user or item outside the identifier tables (a broken engine) is
+// refused: nothing could ever render it.
 func (s *Server) newEntry(u types.UserID, set types.TopNSet) (*entry, error) {
 	e := &entry{user: u, set: set}
 	if len(set) == 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -226,18 +227,14 @@ func TestReadRoutesByteIdentity(t *testing.T) {
 
 	t.Run("precomputed", func(t *testing.T) {
 		eng := newWireEngine("seeded", 0)
-		s, err := New(wireFixture(), eng, 3, WithPrecomputed(eng.recs))
+		s, err := New(wireFixture(), eng, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seedCache(t, s, eng.recs)
 		checkReadRoutes(t, s.Handler(), eng, 1)
 		if got := eng.computes.Load(); got != 2 {
 			t.Fatalf("engine computed %d times over a seeded cache, want 2 (the failing user only)", got)
-		}
-		for _, bad := range []types.Recommendations{{0: {99}}, {77: {1}}, {0: {-1}}} {
-			if _, err := New(wireFixture(), eng, 3, WithPrecomputed(bad)); err == nil {
-				t.Fatalf("seed %v names an identifier outside the train set and was accepted", bad)
-			}
 		}
 	})
 }
@@ -246,18 +243,21 @@ func TestReadRoutesByteIdentity(t *testing.T) {
 // engine's failure, reported as such, and is not cached.
 func TestEngineListOutsideTheCatalog(t *testing.T) {
 	d, _ := fixture()
-	eng := &countingEngine{name: "m", recs: types.Recommendations{0: {42}}}
-	s, err := New(d, eng, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if code, body := serveOnce(s.Handler(), http.MethodGet, "/recommend?user=alice", ""); code != http.StatusInternalServerError || !strings.Contains(body, "item 42") {
-			t.Fatalf("request %d: %d %q, want a 500 naming item 42", i, code, body)
+	for _, item := range []types.ItemID{42, -1} {
+		eng := &countingEngine{name: "m", recs: types.Recommendations{0: {item}}}
+		s, err := New(d, eng, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st := s.Stats(); st.Size != 0 || st.Misses != 2 {
-		t.Fatalf("unrenderable list was cached: %+v", st)
+		want := fmt.Sprintf("item %d", item)
+		for i := 0; i < 2; i++ {
+			if code, body := serveOnce(s.Handler(), http.MethodGet, "/recommend?user=alice", ""); code != http.StatusInternalServerError || !strings.Contains(body, want) {
+				t.Fatalf("request %d: %d %q, want a 500 naming %s", i, code, body, want)
+			}
+		}
+		if st := s.Stats(); st.Size != 0 || st.Misses != 2 {
+			t.Fatalf("unrenderable list was cached: %+v", st)
+		}
 	}
 }
 
@@ -298,10 +298,11 @@ func TestHitPathAllocs(t *testing.T) {
 
 	measure := func(workers int) (single, batch float64) {
 		eng := &countingEngine{name: "GANC(RSVD, θ^T, Dyn)", recs: recs}
-		s, err := New(d, eng, 10, WithMetrics(obs.NewRegistry()), WithPrecomputed(recs), WithBatchWorkers(workers))
+		s, err := New(d, eng, 10, WithMetrics(obs.NewRegistry()), WithBatchWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
+		seedCache(t, s, recs)
 		h := s.Handler()
 		get := httptest.NewRequest(http.MethodGet, "/recommend?user="+keys[3], nil)
 		single = testing.AllocsPerRun(200, func() {

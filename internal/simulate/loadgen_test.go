@@ -117,7 +117,7 @@ func TestRunLoadShedTracking(t *testing.T) {
 	}
 	eng := &echoEngine{}
 	srv, err := serve.New(u.Train(), eng, 5,
-		serve.WithAdmission(admit.New(admit.Config{RatePerSec: 1, Burst: 10})))
+		serve.WithAdmission(admit.Config{RatePerSec: 1, Burst: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -649,7 +649,7 @@ func (r *Runner) train(sc *Scenario, st *runState) error {
 		sc.has(PhaseRestartShard) || sc.has(PhasePromoteReplica) || sc.has(PhaseAwaitPromotion)
 	if needIngest {
 		// The primary runs the full durability stack; checkpoints target the
-		// same snapshot path PhaseSave writes, mirroring cmd/ganc.
+		// same snapshot path PhaseSave writes, mirroring gancd.
 		if err := st.primary.EnableIngest(st.walPath, st.snapPath, sc.CheckpointEvery); err != nil {
 			return err
 		}

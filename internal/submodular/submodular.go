@@ -2,8 +2,8 @@
 // combinatorial optimization argument behind GANC's dynamic-coverage
 // objective. It holds marginal-gain oracles, the locally greedy algorithm of
 // Fisher, Nemhauser & Wolsey (1978) for maximizing a monotone submodular
-// function subject to a partition matroid, a lazy-greedy accelerated variant,
-// and small helpers for verifying submodularity and monotonicity empirically.
+// function subject to a partition matroid, and small helpers for verifying
+// submodularity and monotonicity empirically.
 //
 // Appendix B shows that with the Dyn coverage recommender the objective
 // Σ_u v_u(P_u) is monotone submodular over user–item pairs and the constraint
@@ -11,8 +11,7 @@
 // 1/2-approximation. No production path runs this package: internal/core's
 // sweep scores a user's candidates once and takes the top N, which is the
 // same sequence of picks because one user's turn is modular (DESIGN.md §7).
-// The tests here and BenchmarkAblation_LazyGreedy keep the general machinery
-// honest against that shortcut.
+// The tests here keep the general machinery honest against that shortcut.
 package submodular
 
 import (
@@ -78,116 +77,6 @@ func greedyForUser(u types.UserID, n int, oracle Oracle) types.TopNSet {
 		chosen[bestItem] = struct{}{}
 		set = append(set, bestItem)
 		oracle.Commit(u, bestItem)
-	}
-	return set
-}
-
-// lazyEntry is a heap entry for lazy greedy: the cached gain of an item.
-type lazyEntry struct {
-	item  types.ItemID
-	gain  float64
-	stamp int // selection count at which the gain was computed
-}
-
-// lazyHeap is a max-heap over lazyEntry with direct sift operations instead
-// of container/heap, whose interface-based API boxes every pushed and popped
-// entry.
-type lazyHeap []lazyEntry
-
-func (h lazyHeap) less(a, b int) bool {
-	if h[a].gain != h[b].gain {
-		return h[a].gain > h[b].gain
-	}
-	return h[a].item < h[b].item
-}
-
-func (h lazyHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h lazyHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		best := left
-		if right := left + 1; right < n && h.less(right, left) {
-			best = right
-		}
-		if !h.less(best, i) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
-
-func (h lazyHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-// replaceTop overwrites the maximum entry and restores the heap property —
-// the pop-recompute-push cycle of lazy greedy collapsed into one sift.
-func (h lazyHeap) replaceTop(e lazyEntry) {
-	h[0] = e
-	h.siftDown(0)
-}
-
-// popTop removes and returns the maximum entry.
-func (h *lazyHeap) popTop() lazyEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old = old[:n]
-	old.siftDown(0)
-	*h = old
-	return top
-}
-
-// LazyGreedyForUser selects n items for a single user using lazy evaluation
-// (Minoux's accelerated greedy): cached gains are only re-evaluated when an
-// item reaches the top of the priority queue with a stale timestamp. For
-// submodular gains this returns exactly the same set as the plain greedy
-// sweep while evaluating far fewer gains; for a modular objective it
-// degenerates gracefully to a single evaluation per item.
-func LazyGreedyForUser(u types.UserID, n int, oracle Oracle) types.TopNSet {
-	candidates := oracle.Candidates(u)
-	if n > len(candidates) {
-		n = len(candidates)
-	}
-	h := make(lazyHeap, 0, len(candidates))
-	for _, i := range candidates {
-		h = append(h, lazyEntry{item: i, gain: oracle.Gain(u, i), stamp: 0})
-	}
-	h.init()
-	set := make(types.TopNSet, 0, n)
-	selections := 0
-	for len(set) < n && len(h) > 0 {
-		top := h[0]
-		if top.stamp == selections {
-			// Fresh gain: take it.
-			set = append(set, top.item)
-			oracle.Commit(u, top.item)
-			selections++
-			h.popTop()
-			continue
-		}
-		// Stale: re-evaluate in place and restore the heap property.
-		top.gain = oracle.Gain(u, top.item)
-		top.stamp = selections
-		h.replaceTop(top)
 	}
 	return set
 }

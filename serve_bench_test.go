@@ -139,7 +139,7 @@ func TestServeOnline_CacheHitSpeedup(t *testing.T) {
 func BenchmarkServeOnline_InstrumentedCacheHit(b *testing.B) {
 	srv, train := serveFixture(b,
 		WithMetrics(NewMetricsRegistry()),
-		WithRateLimit(1e9, 1e9))
+		WithServerAdmission(AdmissionConfig{RatePerSec: 1e9, Burst: 1e9}))
 	handler := srv.Handler()
 	key := userKeys(train)[0]
 	serveOnce(b, handler, key) // populate
@@ -163,7 +163,7 @@ func TestServeOnline_InstrumentationOverhead(t *testing.T) {
 	bare, bareTrain := serveFixture(t)
 	inst, instTrain := serveFixture(t,
 		WithMetrics(NewMetricsRegistry()),
-		WithRateLimit(1e9, 1e9))
+		WithServerAdmission(AdmissionConfig{RatePerSec: 1e9, Burst: 1e9}))
 	bareKey := userKeys(bareTrain)[0]
 	instKey := userKeys(instTrain)[0]
 	bareHandler, instHandler := bare.Handler(), inst.Handler()

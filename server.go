@@ -2,7 +2,6 @@ package ganc
 
 import (
 	"io"
-	"time"
 
 	"ganc/internal/admit"
 	"ganc/internal/obs"
@@ -36,12 +35,6 @@ func WithServerCacheCapacity(capacity int) ServerOption {
 	return serve.WithCacheCapacity(capacity)
 }
 
-// WithServerPrecomputed seeds the server's cache with a batch-computed
-// collection so those users are served warm from the first request.
-func WithServerPrecomputed(recs Recommendations) ServerOption {
-	return serve.WithPrecomputed(recs)
-}
-
 // WithServerShardIdentity marks the server as one shard of a cluster; the
 // identity is echoed in /info and /health for router-side epoch checks.
 func WithServerShardIdentity(id ShardIdentity) ServerOption {
@@ -65,12 +58,12 @@ type (
 	RequestLogger = obs.RequestLogger
 	// LogLevel grades request-log entries (LogDebug … LogError).
 	LogLevel = obs.Level
-	// AdmissionConfig tunes an admission controller.
+	// AdmissionConfig tunes admission control: per-client rate limiting and
+	// a concurrency cap in front of the serving routes. The zero value admits
+	// everything.
 	AdmissionConfig = admit.Config
-	// AdmissionController applies per-client rate limiting and a server-wide
-	// concurrency cap in front of the serving routes. Nil admits everything.
-	AdmissionController = admit.Controller
-	// AdmissionStats is a snapshot of an admission controller's counters.
+	// AdmissionStats is a snapshot of a server's or router's admission
+	// counters.
 	AdmissionStats = admit.Stats
 	// ServerHealth is the typed GET /health payload (status, shard, engine
 	// version, admission counters).
@@ -96,10 +89,6 @@ func NewRequestLogger(w io.Writer, min LogLevel) *RequestLogger {
 	return obs.NewRequestLogger(w, min)
 }
 
-// NewAdmission builds an admission controller; returns nil (admit
-// everything) when the configuration enables neither gate.
-func NewAdmission(cfg AdmissionConfig) *AdmissionController { return admit.New(cfg) }
-
 // ParseMetricsText strictly parses a Prometheus text-format exposition —
 // the validation helper tests and CI use against GET /metrics bodies.
 func ParseMetricsText(r io.Reader) (*MetricsScrape, error) { return obs.ParseText(r) }
@@ -113,22 +102,12 @@ func WithMetrics(reg *MetricsRegistry) ServerOption { return serve.WithMetrics(r
 // status, shard, duration, engine version, client key) to the logger.
 func WithRequestLog(l *RequestLogger) ServerOption { return serve.WithRequestLog(l) }
 
-// WithRateLimit applies per-client token-bucket rate limiting: a sustained
-// ratePerSec with a burst allowance (burst ≤ 0 defaults to max(rate, 1)).
-// Clients are keyed by the X-Client-ID header, falling back to the remote
-// host; rejected requests get a typed 429 with Retry-After.
-func WithRateLimit(ratePerSec, burst float64) ServerOption {
-	return serve.WithRateLimit(ratePerSec, burst)
-}
-
-// WithMaxConcurrent caps requests inside handlers at n; an over-capacity
-// request waits up to maxWait for a slot before being shed with a typed 429.
-func WithMaxConcurrent(n int, maxWait time.Duration) ServerOption {
-	return serve.WithMaxConcurrent(n, maxWait)
-}
-
-// WithServerAdmission installs a fully configured admission controller,
-// overriding WithRateLimit/WithMaxConcurrent.
-func WithServerAdmission(c *AdmissionController) ServerOption {
-	return serve.WithAdmission(c)
+// WithServerAdmission applies admission control in front of the serving
+// routes: a per-client token bucket (clients keyed by the X-Client-ID header,
+// falling back to the remote host) and a cap on requests inside handlers,
+// where an over-capacity request waits up to MaxWait for a slot. A request
+// that is not admitted gets a typed 429 with Retry-After. The zero
+// configuration admits everything.
+func WithServerAdmission(cfg AdmissionConfig) ServerOption {
+	return serve.WithAdmission(cfg)
 }

@@ -135,7 +135,8 @@ func RunScenario(ctx context.Context, sc Scenario, dir string, cfg SimSystemConf
 
 // pipelineSystem is the production binding of simulate.System: a Pipeline
 // serving through serve.Server, persisted with Pipeline.Save/LoadEngine and
-// ingesting through NewIngestor — exactly the assembly cmd/ganc stands up.
+// ingesting through NewIngestor — exactly the assembly gancd's standalone role
+// stands up.
 type pipelineSystem struct {
 	cfg  SimSystemConfig
 	topN int
@@ -168,15 +169,12 @@ func (s *pipelineSystem) Train(train *dataset.Dataset, topN int) error {
 
 // serve stands the HTTP layer up around the current pipeline.
 func (s *pipelineSystem) serve() error {
-	opts := []ServerOption{}
+	opts := []ServerOption{WithServerAdmission(s.cfg.Admission)}
 	if s.cfg.CacheCapacity > 0 {
 		opts = append(opts, WithServerCacheCapacity(s.cfg.CacheCapacity))
 	}
 	if s.cfg.Metrics {
 		opts = append(opts, WithMetrics(NewMetricsRegistry()))
-	}
-	if c := NewAdmission(s.cfg.Admission); c != nil {
-		opts = append(opts, WithServerAdmission(c))
 	}
 	srv, err := NewServer(s.pipe.Train(), s.pipe, s.topN, opts...)
 	if err != nil {

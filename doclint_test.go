@@ -13,17 +13,22 @@ package ganc
 // reference and documentation cannot silently rot.
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"ganc/internal/cluster"
 )
 
 // collectPackageDirs walks the module and returns every directory containing
@@ -362,14 +367,70 @@ var (
 	// markdownInDoc matches a relative *.md path that is a whole code span or
 	// a link target (an anchor may follow it).
 	markdownInDoc = regexp.MustCompile("`([\\w./-]+\\.md)`|\\]\\(([\\w./-]+\\.md)(?:#[^)]*)?\\)")
+	// seriesInDoc matches a code span that names a metric series, labels or
+	// not.
+	seriesInDoc = regexp.MustCompile(`^ganc_[a-z_]+`)
 	// matrixRow matches a row of README's gancd role matrix (the table under
 	// matrixHead): the role, then its required-flags and optional-flags cells.
 	matrixRow = regexp.MustCompile("^\\| `([a-z]+)` \\| ([^|]*) \\| ([^|]*) \\|")
 )
 
+// registeredSeries returns the metric families a serving node and a router
+// register, admission control and failure detector included: each is built
+// with a registry, answers one request (per-route series appear with their
+// first request), and its rendered registry is read back through the strict
+// parser.
+func registeredSeries(t *testing.T) map[string]bool {
+	t.Helper()
+	families := map[string]bool{}
+	collect := func(reg *MetricsRegistry, h http.Handler) {
+		t.Helper()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/health", nil))
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		scrape, err := ParseMetricsText(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name := range scrape.Types {
+			families[name] = true
+		}
+	}
+	admission := AdmissionConfig{RatePerSec: 1000, MaxConcurrent: 8}
+
+	train := persistSplit(t, 3).Train
+	reg := NewMetricsRegistry()
+	srv, err := NewServer(train, NewBaseEngine(NewPop(train), train, 5), 5, WithMetrics(reg), WithServerAdmission(admission))
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect(reg, srv.Handler())
+
+	// A ring that declares a replica, so the router starts its detector; the
+	// addresses refuse connections, which is all its first probe needs.
+	ring, err := cluster.NewRing(1, 0, []cluster.ShardInfo{{ID: 0, Addr: "127.0.0.1:1", Replicas: []string{"127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg = NewMetricsRegistry()
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Ring: ring, Metrics: reg, Admission: admission})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	collect(reg, rt.Handler())
+	return families
+}
+
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	pkgs := modulePackages(t)
 	options, identifiers := declaredOptions(pkgs), declaredIdentifiers(pkgs)
+	series := registeredSeries(t)
+	if !series["ganc_cache_hits_total"] || !series["ganc_router_fanout_total"] || !series["ganc_admission_admitted_total"] || !series["ganc_detector_probes_total"] {
+		t.Fatalf("the rendered registries are missing whole layers (%d families); the series check would pass or fail for the wrong reason", len(series))
+	}
 	// A code span that is nothing but flags (a cell of a flag matrix) names no
 	// command, so it is held to anyFlag: the union of every command's flags
 	// plus the go tool flags the documents quote. Invocations are checked for
@@ -495,6 +556,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 					continue
 				}
 				invocations(where, span)
+				if name := seriesInDoc.FindString(span); name != "" && !series[name] {
+					t.Errorf("%s: no server, router or admission controller registers the series %s", where, name)
+				}
 				for _, m := range qualifiedInDoc.FindAllStringSubmatch(span, -1) {
 					names, ours := identifiers[m[1]]
 					if !ours {

@@ -151,9 +151,13 @@ func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) 
 // factor models are reused frozen — ItemKNN rebound so its scoring consults
 // the extended user profiles. What a frozen factor model determines is
 // carried over, not rebuilt: its normaliser keeps p's per-user range table
-// (see frozenAccuracy), so a batch costs a user nothing they already paid.
+// (see frozenAccuracy), so a batch costs a user nothing they already paid —
+// and around such a model the pipeline is a serve.Revalidator, so neither
+// does a batch cost a cached list it did not touch (see Revalidate).
 func (p *Pipeline) pipelineFromState(kind, covName string, s *ingest.State) (*Pipeline, error) {
 	train := s.Train
+	var lineage *serve.Lineage
+	var lastNamed []uint64
 	normalized := func(sc Scorer) AccuracyRecommender {
 		return newNormalizedAccuracy(sc, train.NumItems())
 	}
@@ -173,6 +177,9 @@ func (p *Pipeline) pipelineFromState(kind, covName string, s *ingest.State) (*Pi
 	case "RSVD", "PSVD", "CofiRank":
 		scorer = p.baseScorer
 		arec = p.frozenAccuracy(train.NumItems())
+		// The state keeps writing its vector; the engine needs it as of this
+		// cursor.
+		lineage, lastNamed = s.Lineage, append([]uint64(nil), s.LastNamed...)
 	default:
 		return nil, fmt.Errorf("%w: base kind %q", ErrSnapshotUnsupported, kind)
 	}
@@ -213,8 +220,53 @@ func (p *Pipeline) pipelineFromState(kind, covName string, s *ingest.State) (*Pi
 		ingestSeq:       s.AppliedSeq,
 		ingestPrefFill:  s.PrefFill,
 		ingestAvgLambda: s.AvgLambda,
+		lineage:         lineage,
+		lastNamed:       lastNamed,
 		shard:           p.shard,
 	}, nil
+}
+
+// Mark implements serve.Revalidator: the pipeline's ingestion state and
+// cursor, and the catalog it ranks. A pipeline not rebuilt from an ingestion
+// state around a frozen factor model has no lineage.
+func (p *Pipeline) Mark() serve.Mark {
+	return serve.Mark{Lineage: p.lineage, Seq: p.ingestSeq, Items: p.train.NumItems()}
+}
+
+// Revalidate implements serve.Revalidator: it reports whether list, computed
+// for u by a pipeline of this lineage at the earlier mark from, is exactly
+// what RecommendUser(u, n) returns now, without ranking the catalog. Between
+// the two marks only appended events happened, and around a frozen factor
+// model with Dyn or Stat coverage an event moves one thing a gain reads: the
+// coverage counter of the item it names, upwards (θ, the factors and the
+// adjacency of everyone else stay; the item leaves its rater's pool). So:
+//
+//	(i)   no item of the list was named after from.Seq — the list's items are
+//	      still candidates, with the counters they had;
+//	(ii)  the new items [from.Items, numItems) did not widen u's min–max range,
+//	      so every old item's accuracy score is bit for bit what it was;
+//	(iii) none of the new items out-ranks the list's last item.
+//
+// Then the list's gains are unchanged, every other old candidate's gain is
+// unchanged or — named, its counter higher — no larger (1/√(f+1) and every
+// rounding step after it are monotone), and every new candidate ranks below
+// the list: the strict total order the selection sorts by returns the same n
+// items in the same order. (ii) and (iii) are core.SurvivesGrowth; a catalog
+// that did not grow needs neither. A list shorter than n took every candidate
+// there was, so any new item would join it.
+func (p *Pipeline) Revalidate(u UserID, list TopNSet, n int, from serve.Mark) serve.Revalidation {
+	for _, i := range list {
+		if p.lastNamed[i] > from.Seq {
+			return serve.RevalItemNamed
+		}
+	}
+	if from.Items == p.train.NumItems() {
+		return serve.RevalKept
+	}
+	if len(list) < n || !p.ganc.SurvivesGrowth(u, list, from.Items) {
+		return serve.RevalCatalog
+	}
+	return serve.RevalKept
 }
 
 // frozenAccuracy is the accuracy component of a frozen factor model's next

@@ -693,15 +693,22 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int,
 	return set, nil
 }
 
-// selectGains turns the accuracy scores in gains into the gains
-// (1−θ)·a(i) + θ·c(i) in place, in the arithmetic of T — c(i) read off freq
-// when it is non-nil, from covs otherwise — and selects the n largest.
+// selectGains turns the accuracy scores in gains into gains (combineGains) and
+// selects the n largest.
 func selectGains[T float32 | float64](ctx context.Context, cand []types.ItemID, gains []T, theta float64, freq []int, covs []float64, n int) (types.TopNSet, error) {
 	// Scoring is most of a sweep's cost on a large catalog: a caller that
 	// gave up during it is answered before the selection.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	combineGains(cand, gains, theta, freq, covs)
+	return recommender.SelectTop(cand, gains, n), nil
+}
+
+// combineGains turns the accuracy scores in gains into the gains
+// (1−θ)·a(i) + θ·c(i) in place, in the arithmetic of T — c(i) read off freq
+// when it is non-nil, from covs otherwise.
+func combineGains[T float32 | float64](cand []types.ItemID, gains []T, theta float64, freq []int, covs []float64) {
 	t := T(theta)
 	a := 1 - t
 	if freq != nil {
@@ -713,7 +720,75 @@ func selectGains[T float32 | float64](ctx context.Context, cand []types.ItemID, 
 			gains[k] = a*gains[k] + t*T(covs[k])
 		}
 	}
-	return recommender.SelectTop(cand, gains, n), nil
+}
+
+// SurvivesGrowth reports whether list — u's complete top-len(list) list when
+// the catalog was its first from items, no item of which has had a score move
+// since — is provably still the head of u's ranking over the whole catalog.
+// Two things must hold. The accuracy scores of the old items are unmoved: the
+// accuracy recommender is a min–max normaliser whose range for u the new
+// items did not widen (recommender.RangeHeldSince). And no new item
+// out-ranks the list's last: the items [from, numItems) are scored beside it
+// through the calls, tier and arithmetic of a sweep and each must rank below
+// it under the selection's own rule. New items u has rated since are scored
+// too — they have left the pool, so at worst a list that would have survived
+// is recomputed. Any other accuracy recommender, and a coverage recommender
+// other than Dyn or Stat, answers false.
+func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool {
+	sa, ok := g.arec.(*ScorerAccuracy)
+	if !ok || len(list) == 0 {
+		return false
+	}
+	norm, ok := sa.Scorer.(*recommender.NormalizedScorer)
+	if !ok {
+		return false
+	}
+	var freq []int
+	switch crec := g.crec.(type) {
+	case *DynCoverage:
+		freq = crec.FrozenFrequencies()
+	case *StatCoverage:
+	default:
+		return false
+	}
+	f32 := g.cfg.Precision != types.PrecisionF64
+	if !norm.RangeHeldSince(u, from, f32) {
+		return false
+	}
+
+	sc := getScratch()
+	defer scratchPool.Put(sc)
+	cand := append(sc.cand[:0], list[len(list)-1])
+	for i := from; i < g.numItems; i++ {
+		cand = append(cand, types.ItemID(i))
+	}
+	sc.cand = cand
+	var covs []float64
+	if freq == nil {
+		covs = sized(&sc.covs, len(cand))
+		fillCoverageScores(g.crec, u, cand, covs)
+	}
+	theta := g.prefs.Get(u)
+	if f32 {
+		gains := sized(&sc.gains32, len(cand))
+		sa.AccuracyScores32(u, cand, gains)
+		return lastOutranks(cand, gains, theta, freq, covs)
+	}
+	gains := sized(&sc.gains, len(cand))
+	sa.AccuracyScores(u, cand, gains)
+	return lastOutranks(cand, gains, theta, freq, covs)
+}
+
+// lastOutranks combines the gains of cand and reports whether cand[0] ranks
+// above every other candidate.
+func lastOutranks[T float32 | float64](cand []types.ItemID, gains []T, theta float64, freq []int, covs []float64) bool {
+	combineGains(cand, gains, theta, freq, covs)
+	for k := 1; k < len(cand); k++ {
+		if !recommender.RanksBelow(cand[k], gains[k], cand[0], gains[0]) {
+			return false
+		}
+	}
+	return true
 }
 
 // forEachShard splits [0, count) into contiguous ranges across the configured

@@ -13,6 +13,10 @@
 //   - the Dyn coverage frequency f_i^A, so the paper's dynamic objective
 //     keeps discounting items as they are consumed.
 //
+// Beside them the state notes, per item, the cursor of the last event that
+// named it (State.LastNamed): what lets an engine built from a later state
+// show that a list computed from an earlier one was left alone.
+//
 // The write path is write-ahead: events land in the Log (JSON lines, one
 // event per line) before they touch state, and periodic checkpoints persist
 // the full state together with the applied-sequence cursor. Recovery loads
@@ -265,6 +269,16 @@ type State struct {
 	AvgLambda float64
 	// DynFreq is the Dyn coverage recommendation/consumption frequency f_i^A.
 	DynFreq []int
+	// LastNamed is, per item, the sequence number of the last event of this
+	// state's line of history that named it (0: none has). Together with
+	// Lineage it is what lets the serving layer prove a list computed at an
+	// earlier cursor untouched by the batches since; neither is persisted — a
+	// restored state starts a line of its own.
+	LastNamed []uint64
+	// Lineage identifies this state's line of history: two engines carry the
+	// same one only if they were built from this state, at two cursors. A
+	// state assembled by hand has none (nil).
+	Lineage *serve.Lineage
 	// AppliedSeq is the sequence number of the last event folded into this
 	// state — the checkpoint/replay cursor.
 	AppliedSeq uint64
@@ -286,6 +300,8 @@ func NewStateFromDataset(train *dataset.Dataset, prefs *longtail.Preferences, av
 		AvgCounts: make([]int, train.NumItems()),
 		AvgLambda: avgLambda,
 		DynFreq:   make([]int, train.NumItems()),
+		LastNamed: make([]uint64, train.NumItems()),
+		Lineage:   new(serve.Lineage),
 	}
 	for _, r := range train.Ratings() {
 		s.AvgSums[r.Item] += r.Value
@@ -322,15 +338,17 @@ func (s *State) applyEvents(events []Event) {
 	s.AvgSums = growTo(s.AvgSums, numItems)
 	s.AvgCounts = growTo(s.AvgCounts, numItems)
 	s.DynFreq = growTo(s.DynFreq, numItems)
+	s.LastNamed = growTo(s.LastNamed, numItems)
 	s.growPrefs(users.Len())
 
-	for _, r := range ratings {
+	for k, r := range ratings {
 		s.PopCounts[r.Item]++
 		s.AvgSums[r.Item] += r.Value
 		s.AvgCounts[r.Item]++
 		s.TotalSum += r.Value
 		s.TotalCount++
 		s.DynFreq[r.Item]++
+		s.LastNamed[r.Item] = s.AppliedSeq + uint64(k) + 1
 	}
 	s.Train = s.Train.Extend(ratings)
 	s.AppliedSeq += uint64(len(events))
@@ -339,7 +357,7 @@ func (s *State) applyEvents(events []Event) {
 // growTo zero-extends v to n elements. The state owns these vectors (engines
 // are built from copies), so they grow in place with append's amortised
 // capacity instead of being recopied whenever one item is new.
-func growTo[T int | float64](v []T, n int) []T {
+func growTo[T int | uint64 | float64](v []T, n int) []T {
 	if len(v) >= n {
 		return v
 	}

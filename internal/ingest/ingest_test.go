@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +113,19 @@ func TestIncrementalMatchesRecount(t *testing.T) {
 		}
 		if s.AppliedSeq != uint64(len(events)) {
 			t.Fatalf("applied seq %d, want %d", s.AppliedSeq, len(events))
+		}
+		// Each item remembers the cursor of the last event that named it,
+		// whatever the batch boundaries were.
+		lastNamed := make([]uint64, s.Train.NumItems())
+		for k, ev := range events {
+			i, _ := s.Train.ItemInterner().Lookup(ev.Item)
+			lastNamed[i] = uint64(k) + 1
+		}
+		if !slices.Equal(s.LastNamed, lastNamed) {
+			t.Fatalf("last-named cursors %v, want %v", s.LastNamed, lastNamed)
+		}
+		if s.Lineage == nil {
+			t.Fatal("a state built from a dataset claims no lineage")
 		}
 	})
 }

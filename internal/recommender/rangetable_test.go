@@ -149,3 +149,51 @@ func TestRangeTableScoresOnlyWhatIsMissing(t *testing.T) {
 		t.Fatalf("the older generation's read disturbed the newer entry: %d items rescored", got)
 	}
 }
+
+// tableScorer scores item i scores[i] for every user.
+type tableScorer struct{ scores []float64 }
+
+func (s tableScorer) Name() string { return "table" }
+func (s tableScorer) Score(_ types.UserID, i types.ItemID) float64 {
+	return s.scores[i]
+}
+
+// TestRangeHeldSince: the range over a grown catalog is provably the range
+// over its first items only when every later score lies strictly inside it —
+// a later score that ties an extreme might be the only item there. The answer
+// must be the same whether the table already holds the grown catalog's entry,
+// the prefix's, or nothing.
+func TestRangeHeldSince(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scores []float64
+		from   int
+		want   bool
+	}{
+		{"tail inside", []float64{1, 5, 3, 2, 4}, 3, true},
+		{"no tail", []float64{1, 5, 3}, 3, true},
+		{"tail below the minimum", []float64{1, 5, 3, 0.5}, 3, false},
+		{"tail above the maximum", []float64{1, 5, 3, 2, 6}, 3, false},
+		{"tail ties the maximum", []float64{1, 5, 3, 5}, 3, false},
+		{"tail ties a minimum the prefix never reached", []float64{2, 5, 3, 1, 1}, 3, false},
+		{"flat range", []float64{3, 3, 3, 3}, 2, false},
+		{"not a number", []float64{1, 5, 3, math.NaN()}, 3, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prefix := NewNormalizedScorer(tableScorer{tc.scores}, tc.from)
+			prefix.userRange(0) // the table holds the prefix's entry
+			for label, n := range map[string]*NormalizedScorer{
+				"empty table":    NewNormalizedScorer(tableScorer{tc.scores}, len(tc.scores)),
+				"prefix's entry": prefix.ForCatalog(len(tc.scores)),
+			} {
+				for round, state := range []string{"", ", catalog's entry stored"} {
+					for _, f32 := range []bool{false, true} {
+						if got := n.RangeHeldSince(0, tc.from, f32); got != tc.want {
+							t.Errorf("%s%s (round %d, f32 %v): RangeHeldSince = %v, want %v", label, state, round, f32, got, tc.want)
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -149,6 +149,13 @@ func (a scored[T]) worse(b scored[T]) bool {
 	return a.score < b.score || (a.score == b.score && a.item > b.item)
 }
 
+// RanksBelow reports whether (item, score) ranks strictly below (than,
+// thanScore) under worse, the rule SelectTop orders by. A NaN score ranks
+// below nothing.
+func RanksBelow[T float32 | float64](item types.ItemID, score T, than types.ItemID, thanScore T) bool {
+	return scored[T]{item: item, score: score}.worse(scored[T]{item: than, score: thanScore})
+}
+
 // SelectTop returns the n best items of candidates given their pre-computed
 // scores (scores[k] belongs to candidates[k]), best first. It keeps the n best
 // seen so far in a min-heap whose root is the worst of them — seeded with the
@@ -713,6 +720,43 @@ func scoreWithRange[T float32 | float64](n *NormalizedScorer, u types.UserID, it
 		score(items, out)
 	}
 	return r
+}
+
+// RangeHeldSince reports whether u's normalization range over this
+// normaliser's catalog is provably its range over the first from items: every
+// inner score of items [from, numItems) lies strictly inside the catalog's
+// (min, max). A tail score equal to an extreme answers false — the prefix may
+// or may not have reached that extreme on its own. f32 selects the tier whose
+// range the caller's bulk calls normalise by: ScoreUser32's (the inner
+// model's float32 scores, when it serves them) or ScoreUser's. The range is
+// read — and extended, if this is the catalog's first reader — exactly as a
+// bulk call would.
+func (n *NormalizedScorer) RangeHeldSince(u types.UserID, from int, f32 bool) bool {
+	if bs32, ok := Bulk32For(n.inner); ok && f32 {
+		return tailInsideRange(n, u, from, &scoreBuf32Pool, func(items []types.ItemID, out []float32) {
+			bs32.ScoreUser32(u, items, out)
+		})
+	}
+	return tailInsideRange(n, u, from, &scoreBufPool, func(items []types.ItemID, out []float64) {
+		BulkScores(n.inner, u, items, out)
+	})
+}
+
+func tailInsideRange[T float32 | float64](n *NormalizedScorer, u types.UserID, from int,
+	pool *bufPool[T], score func(items []types.ItemID, out []T)) bool {
+	t := n.ranges
+	t.mu.Lock()
+	tail := t.identityLocked(n.numItems)[from:n.numItems]
+	t.mu.Unlock()
+	bp := pool.get(len(tail))
+	defer pool.put(bp)
+	r := scoreWithRange(n, u, tail, *bp, pool, score)
+	for _, v := range *bp {
+		if s := float64(v); !(s > r.min && s < r.max) {
+			return false
+		}
+	}
+	return true
 }
 
 // gather fills out[k] with dense[items[k]], reporting false — out then holds

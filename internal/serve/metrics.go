@@ -58,17 +58,23 @@ func (s *Server) initObservability() {
 		"Atomic engine swaps since start.",
 		func() float64 { return float64(s.swaps.Load()) })
 	reg.CounterFunc("ganc_cache_hits_total",
-		"Recommendation cache hits.",
+		"Recommendation cache hits, an older generation's list the engine kept included.",
 		func() float64 { return float64(s.hits.Load()) })
 	reg.CounterFunc("ganc_cache_misses_total",
-		"Recommendation cache misses (each one is an engine computation).",
+		"Recommendation cache misses, a refused older list included (each one is an engine computation).",
 		func() float64 { return float64(s.misses.Load()) })
 	reg.CounterFunc("ganc_cache_coalesced_total",
 		"Requests coalesced onto another request's in-flight computation.",
 		func() float64 { return float64(s.coalesced.Load()) })
+	for r := Revalidation(0); r < numRevalidations; r++ {
+		count := &s.revals[r]
+		reg.CounterFunc("ganc_cache_revalidations_total",
+			"Cached lists met by a generation other than the one that computed them, by outcome: kept (served, a hit) or why recomputed.",
+			func() float64 { return float64(count.Load()) }, obs.L("outcome", r.String()))
+	}
 	reg.GaugeFunc("ganc_cache_size",
-		"Entries in the current generation's cache.",
-		func() float64 { return float64(s.gen.Load().cache.len()) })
+		"Entries in the server's cache (one cache, shared by every engine generation).",
+		func() float64 { return float64(s.cache.len()) })
 	reg.GaugeFunc("ganc_cache_capacity",
 		"Configured cache capacity.",
 		func() float64 { return float64(s.capacity) })

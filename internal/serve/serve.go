@@ -10,6 +10,9 @@
 // coalesced into a single Engine call, and the whole engine can be swapped
 // atomically (e.g. after a nightly retrain) while requests are in flight —
 // old requests finish against the old engine, new requests see the new one.
+// The cache outlives a swap: a list an earlier engine computed is served
+// again only once the new engine has proved it is still its exact answer
+// (Revalidator), and is recomputed otherwise.
 //
 // Endpoints:
 //
@@ -55,7 +58,62 @@ type Engine interface {
 	RecommendUser(ctx context.Context, u types.UserID, n int) (types.TopNSet, error)
 }
 
-// DefaultCacheCapacity bounds the per-generation LRU cache when no explicit
+// Lineage identifies one line of engine history — in practice one ingestion
+// state, whose successive batches each publish an engine. Only its address
+// means anything: two engines are of one lineage when they hold the same
+// pointer.
+type Lineage struct{ _ byte }
+
+// Mark places an engine on its lineage: the stream cursor its state stands at
+// and the number of catalog items it ranks. A cached list is stamped with the
+// mark of the engine that computed it.
+type Mark struct {
+	// Lineage is nil for an engine with no history to compare against.
+	Lineage *Lineage
+	// Seq is the sequence number of the last event the engine's state holds.
+	Seq uint64
+	// Items is the size of the catalog the engine ranks.
+	Items int
+}
+
+// Revalidation is what became of a cached list met by a generation other than
+// the one that computed it.
+type Revalidation uint8
+
+const (
+	// RevalKept: the engine proved the list is its exact answer; it is served.
+	RevalKept Revalidation = iota
+	// RevalItemNamed: an event after the list's mark named one of its items.
+	RevalItemNamed
+	// RevalCatalog: the catalog grew in a way the list may not survive.
+	RevalCatalog
+	// RevalForeign: nothing connects the list to the serving engine — either
+	// has no lineage, the lineages differ, or the list's mark is ahead.
+	RevalForeign
+	numRevalidations
+)
+
+// String is the outcome's label on ganc_cache_revalidations_total.
+func (r Revalidation) String() string {
+	return [numRevalidations]string{"kept", "item_named", "catalog", "foreign"}[r]
+}
+
+// Revalidator is the optional interface of an Engine whose lists can outlive
+// the engine: one built, like its predecessors, from a state that only ever
+// moves by appended events. The server asks it about a cached list whose mark
+// is of the engine's own lineage and not ahead of the engine's; every other
+// list is recomputed without asking.
+type Revalidator interface {
+	// Mark is the engine's own place on its lineage. It must not change.
+	Mark() Mark
+	// Revalidate reports whether list — what an engine at from returned for
+	// RecommendUser(u, n) — is exactly what this engine would return now
+	// (RevalKept), or why that cannot be shown (RevalItemNamed, RevalCatalog).
+	// It is on the hit path: no catalog-sized work.
+	Revalidate(u types.UserID, list types.TopNSet, n int, from Mark) Revalidation
+}
+
+// DefaultCacheCapacity bounds the server's LRU cache when no explicit
 // capacity is configured.
 const DefaultCacheCapacity = 65536
 
@@ -119,14 +177,17 @@ func WithBatchWorkers(workers int) Option {
 	}
 }
 
-// generation is one immutable (engine, cache, in-flight table) triple. Update
+// generation is one immutable (engine, version, in-flight table) triple. Update
 // installs a fresh generation atomically: requests that loaded the old
-// pointer finish against the old engine and cache, so a swap never mixes two
-// engines' results under one version.
+// pointer finish against the old engine, and a cached list reaches them only
+// through that engine's own check, so a swap never mixes two engines' results
+// under one version.
 type generation struct {
-	engine  Engine
-	version int
-	cache   *lruCache
+	engine Engine
+	// stamp is what this generation's lists enter the cache with; reval is
+	// the engine's Revalidator, nil when it is not one.
+	stamp stamp
+	reval Revalidator
 
 	// Everything a 200 on the read routes says besides the per-user heads is
 	// fixed for the generation's life, so it is encoded once (see wire.go):
@@ -140,15 +201,27 @@ type generation struct {
 	flight map[types.UserID]*inflight
 }
 
+// stamp says which generation a cached list is known to be exact for: its
+// version, and its engine's mark (zero for an engine that is no Revalidator).
+type stamp struct {
+	version int
+	Mark
+}
+
 // entry is one cached list: the user it belongs to, the internal set, and the
 // head of its wire form ({"user":<key>,"items":[…], encoded when the list
 // enters the cache) that every hit copies instead of encoding the list again.
 // A list the engine left empty is never served (the read routes answer it
-// with an error) and carries no head.
+// with an error) and carries no head. An entry holds nothing of the
+// generation that computed it but the stamp's numbers, so a cache that
+// outlives the generation does not keep it alive.
 type entry struct {
 	user types.UserID
 	set  types.TopNSet
 	head []byte
+	// stamp moves forward when a later generation keeps the list; once the
+	// entry is in the cache it is read and written under the cache's lock.
+	stamp stamp
 }
 
 // inflight is one coalesced computation: the first request for a user
@@ -168,6 +241,8 @@ type Server struct {
 	shard        atomic.Pointer[ShardIdentity]
 
 	gen atomic.Pointer[generation]
+	// cache is the one LRU of the server's life, shared by every generation.
+	cache *lruCache
 
 	// ingest holds the optional streaming-ingestion sink behind POST /ingest.
 	// It is attached after construction (the sink needs the server handle to
@@ -182,6 +257,7 @@ type Server struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
+	revals    [numRevalidations]atomic.Int64
 
 	// Observability and admission wiring (all optional; see metrics.go).
 	metrics      *obs.Registry
@@ -216,32 +292,39 @@ func New(train *dataset.Dataset, engine Engine, n int, opts ...Option) (*Server,
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.gen.Store(s.newGeneration(engine, 1))
+	s.cache = newLRUCache(s.capacity)
+	s.gen.Store(newGeneration(engine, 1))
 	s.initObservability()
 	return s, nil
 }
 
-func (s *Server) newGeneration(engine Engine, version int) *generation {
+func newGeneration(engine Engine, version int) *generation {
 	gen := &generation{
-		engine:  engine,
-		version: version,
-		cache:   newLRUCache(s.capacity),
-		flight:  make(map[types.UserID]*inflight),
+		engine: engine,
+		stamp:  stamp{version: version},
+		flight: make(map[types.UserID]*inflight),
+	}
+	if reval, ok := engine.(Revalidator); ok {
+		gen.reval, gen.stamp.Mark = reval, reval.Mark()
 	}
 	gen.encodeFrame()
 	return gen
 }
 
-// Update atomically swaps in a new engine (e.g. after a nightly retrain),
-// bumps the version reported by /info and drops the old generation's cache.
-// In-flight requests complete against the generation they started with.
+// Update atomically swaps in a new engine (e.g. after a nightly retrain or an
+// ingested batch) and bumps the version reported by /info. In-flight requests
+// complete against the generation they started with. The cache stays: a list
+// an earlier generation computed is served under the new version only after
+// the new engine's Revalidator has kept it, so an engine that is not one —
+// or one of another lineage, or one published out of order — starts from
+// lists it computes itself.
 func (s *Server) Update(engine Engine) error {
 	if engine == nil {
 		return fmt.Errorf("serve: refusing to swap in a nil engine")
 	}
 	for {
 		old := s.gen.Load()
-		next := s.newGeneration(engine, old.version+1)
+		next := newGeneration(engine, old.stamp.version+1)
 		if s.gen.CompareAndSwap(old, next) {
 			s.swaps.Add(1)
 			return nil
@@ -251,7 +334,7 @@ func (s *Server) Update(engine Engine) error {
 
 // Version returns the current engine generation (1 for the initial engine,
 // incremented by each Update).
-func (s *Server) Version() int { return s.gen.Load().version }
+func (s *Server) Version() int { return s.gen.Load().stamp.version }
 
 // CacheStats reports cache effectiveness counters accumulated across all
 // generations.
@@ -261,6 +344,18 @@ type CacheStats struct {
 	Coalesced int64 `json:"coalesced"`
 	Size      int   `json:"size"`
 	Capacity  int   `json:"capacity"`
+	// Revalidations counts, by outcome, the cached lists a generation other
+	// than their own met: kept ones are among Hits, the rest among Misses
+	// (or Coalesced, when another request was already recomputing the list).
+	Revalidations RevalidationStats `json:"revalidations"`
+}
+
+// RevalidationStats is ganc_cache_revalidations_total by outcome.
+type RevalidationStats struct {
+	Kept      int64 `json:"kept"`
+	ItemNamed int64 `json:"item_named"`
+	Catalog   int64 `json:"catalog"`
+	Foreign   int64 `json:"foreign"`
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -269,20 +364,48 @@ func (s *Server) Stats() CacheStats {
 		Hits:      s.hits.Load(),
 		Misses:    s.misses.Load(),
 		Coalesced: s.coalesced.Load(),
-		Size:      s.gen.Load().cache.len(),
+		Size:      s.cache.len(),
 		Capacity:  s.capacity,
+		Revalidations: RevalidationStats{
+			Kept:      s.revals[RevalKept].Load(),
+			ItemNamed: s.revals[RevalItemNamed].Load(),
+			Catalog:   s.revals[RevalCatalog].Load(),
+			Foreign:   s.revals[RevalForeign].Load(),
+		},
 	}
 }
 
-// cached is the hit path: the user's entry in the current generation's cache.
-// On a miss it still returns the generation it looked in.
+// cached is the hit path: the user's cached list, if the serving generation
+// computed it or can show it would compute the same. On a miss — no entry, or
+// one the generation refused — it still returns the generation it looked
+// under.
 func (s *Server) cached(u types.UserID) (*entry, *generation, bool) {
 	gen := s.gen.Load()
-	e, ok := gen.cache.get(u)
-	if ok {
-		s.hits.Add(1)
+	e, from, ok := s.cache.get(u)
+	if !ok {
+		return nil, gen, false
 	}
-	return e, gen, ok
+	if from.version != gen.stamp.version {
+		outcome := gen.revalidate(u, e.set, s.n, from.Mark)
+		s.revals[outcome].Add(1)
+		if outcome != RevalKept {
+			return nil, gen, false
+		}
+		s.cache.restamp(e, gen.stamp)
+	}
+	s.hits.Add(1)
+	return e, gen, true
+}
+
+// revalidate decides whether a list stamped from, by another generation, is
+// this generation's answer too. Only a list from the engine's own past is
+// worth the engine's time.
+func (g *generation) revalidate(u types.UserID, list types.TopNSet, n int, from Mark) Revalidation {
+	at := g.stamp.Mark // zero, so without a lineage, when the engine is no Revalidator
+	if at.Lineage == nil || from.Lineage != at.Lineage || from.Seq > at.Seq {
+		return RevalForeign
+	}
+	return g.reval.Revalidate(u, list, n, from)
 }
 
 // recommend resolves one user's list through the current generation:
@@ -319,7 +442,7 @@ func (s *Server) recommend(ctx context.Context, u types.UserID) (e *entry, gen *
 			e, err = nil, fl.err
 		}
 		if fl.err == nil {
-			gen.cache.put(fl.entry)
+			s.cache.put(fl.entry)
 		}
 		gen.mu.Lock()
 		delete(gen.flight, u)
@@ -338,7 +461,7 @@ func (s *Server) recommend(ctx context.Context, u types.UserID) (e *entry, gen *
 	}
 	if err == nil {
 		// The list is encoded here, once, on its way into the cache.
-		fl.entry, err = s.newEntry(u, set)
+		fl.entry, err = s.newEntry(u, set, gen.stamp)
 	}
 	fl.err = err
 	return fl.entry, gen, fl.err
@@ -424,7 +547,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		NumUsers: s.train.UserInterner().Len(),
 		NumItems: s.train.ItemInterner().Len(),
 		TopN:     s.n,
-		Version:  gen.version,
+		Version:  gen.stamp.version,
 		Cache:    s.Stats(),
 		Shard:    s.shard.Load(),
 	})
@@ -706,7 +829,9 @@ func parseN(raw string, def int) int {
 // --- Bounded LRU cache --------------------------------------------------------
 
 // lruCache is a mutex-guarded bounded LRU over per-user cache entries. A
-// capacity ≤ 0 disables it (every get misses, every put is dropped).
+// capacity ≤ 0 disables it (every get misses, every put is dropped). Entries
+// of every generation share it; their stamps are ordered by version, and
+// neither put nor restamp ever moves a user's stamp backwards.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -722,20 +847,25 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-func (c *lruCache) get(u types.UserID) (*entry, bool) {
+// get returns u's entry and the stamp it carries at this moment.
+func (c *lruCache) get(u types.UserID) (*entry, stamp, bool) {
 	if c.capacity <= 0 {
-		return nil, false
+		return nil, stamp{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[u]
 	if !ok {
-		return nil, false
+		return nil, stamp{}, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*entry), true
+	e := el.Value.(*entry)
+	return e, e.stamp, true
 }
 
+// put caches e unless its user's entry is already known exact for a later
+// generation: a slow compute of a retired generation finishes after the
+// generations that replaced it have cached their own answer.
 func (c *lruCache) put(e *entry) {
 	if c.capacity <= 0 {
 		return
@@ -743,8 +873,10 @@ func (c *lruCache) put(e *entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[e.user]; ok {
-		el.Value = e
-		c.ll.MoveToFront(el)
+		if el.Value.(*entry).stamp.version <= e.stamp.version {
+			el.Value = e
+			c.ll.MoveToFront(el)
+		}
 		return
 	}
 	c.items[e.user] = c.ll.PushFront(e)
@@ -752,6 +884,16 @@ func (c *lruCache) put(e *entry) {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		delete(c.items, back.Value.(*entry).user)
+	}
+}
+
+// restamp records that the generation stamped to has kept e, if e is still
+// its user's entry and no later generation got there first.
+func (c *lruCache) restamp(e *entry, to stamp) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[e.user]; ok && el.Value == any(e) && e.stamp.version < to.version {
+		e.stamp = to
 	}
 }
 

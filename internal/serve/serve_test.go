@@ -234,21 +234,21 @@ func TestCacheHitsSkipEngine(t *testing.T) {
 	}
 }
 
-// seedCache puts recs into the server's current cache, so a test starts from
-// warm entries the engine never computed.
+// seedCache puts recs into the server's cache as the serving generation's own
+// lists, so a test starts from warm entries the engine never computed.
 func seedCache(t *testing.T, s *Server, recs types.Recommendations) {
 	t.Helper()
 	gen := s.gen.Load()
 	for u, set := range recs {
-		e, err := s.newEntry(u, set)
+		e, err := s.newEntry(u, set, gen.stamp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen.cache.put(e)
+		s.cache.put(e)
 	}
 }
 
-func TestPrecomputedSeedServesWarm(t *testing.T) {
+func TestSeededCacheServesWithoutEngine(t *testing.T) {
 	d, recs := fixture()
 	eng := &countingEngine{name: "m", recs: recs}
 	s, err := New(d, eng, 1)
@@ -272,10 +272,10 @@ func TestLRUEvictionBound(t *testing.T) {
 	c.put(&entry{user: 1, set: types.TopNSet{1}})
 	c.get(0) // 0 is now most recently used
 	c.put(&entry{user: 2, set: types.TopNSet{2}})
-	if _, ok := c.get(1); ok {
+	if _, _, ok := c.get(1); ok {
 		t.Fatal("user 1 should have been evicted (LRU)")
 	}
-	if e, ok := c.get(0); !ok || e.user != 0 || len(e.set) != 1 || e.set[0] != 0 {
+	if e, _, ok := c.get(0); !ok || e.user != 0 || len(e.set) != 1 || e.set[0] != 0 {
 		t.Fatalf("user 0 should have survived (recently used), got %+v %v", e, ok)
 	}
 	if c.len() != 2 {
@@ -283,13 +283,13 @@ func TestLRUEvictionBound(t *testing.T) {
 	}
 	// A second put for a cached user replaces the entry in place.
 	c.put(&entry{user: 0, set: types.TopNSet{2}})
-	if e, _ := c.get(0); c.len() != 2 || e.set[0] != 2 {
+	if e, _, _ := c.get(0); c.len() != 2 || e.set[0] != 2 {
 		t.Fatalf("re-put left %+v in a cache of %d", e, c.len())
 	}
 	// Capacity ≤ 0 disables caching.
 	off := newLRUCache(0)
 	off.put(&entry{user: 0, set: types.TopNSet{0}})
-	if _, ok := off.get(0); ok {
+	if _, _, ok := off.get(0); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
 }

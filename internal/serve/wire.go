@@ -36,11 +36,11 @@ const (
 func (g *generation) encodeFrame() {
 	// Marshal cannot fail on these types: strings, ints and slices of them.
 	name := g.engine.Name()
-	tail, _ := json.Marshal(RecommendResponse{Model: name, Version: g.version})
+	tail, _ := json.Marshal(RecommendResponse{Model: name, Version: g.stamp.version})
 	g.tail = append(tail[len(tailCut):], '\n')
-	elemTail, _ := json.Marshal(RecommendResponse{Version: g.version})
+	elemTail, _ := json.Marshal(RecommendResponse{Version: g.stamp.version})
 	g.elemTail = elemTail[len(tailCut):]
-	batchHead, _ := json.Marshal(BatchResponse{Model: name, Version: g.version, Results: []RecommendResponse{}})
+	batchHead, _ := json.Marshal(BatchResponse{Model: name, Version: g.stamp.version, Results: []RecommendResponse{}})
 	g.batchHead = batchHead[:len(batchHead)-len("]}")]
 }
 
@@ -55,11 +55,12 @@ func (s *Server) encodeHead(userKey string, set types.TopNSet) []byte {
 	return head[:len(head)-len(headCut)]
 }
 
-// newEntry builds the cache entry for u's list, encoding its head. A list
-// naming a user or item outside the identifier tables (a broken engine) is
-// refused: nothing could ever render it.
-func (s *Server) newEntry(u types.UserID, set types.TopNSet) (*entry, error) {
-	e := &entry{user: u, set: set}
+// newEntry builds the cache entry for u's list as the generation stamped at
+// computed it, encoding its head. A list naming a user or item outside the
+// identifier tables (a broken engine) is refused: nothing could ever render
+// it.
+func (s *Server) newEntry(u types.UserID, set types.TopNSet, at stamp) (*entry, error) {
+	e := &entry{user: u, set: set, stamp: at}
 	if len(set) == 0 {
 		return e, nil
 	}

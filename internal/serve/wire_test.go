@@ -270,10 +270,27 @@ const (
 	hitAllocsBatch20 = 49
 )
 
+// keeper makes a countingEngine a Revalidator that keeps every list it is
+// asked about, so what the server itself spends on a revalidated hit can be
+// counted.
+type keeper struct {
+	*countingEngine
+	line *Lineage
+}
+
+func (k keeper) Mark() Mark { return Mark{Lineage: k.line, Seq: 1, Items: 12} }
+func (k keeper) Revalidate(types.UserID, types.TopNSet, int, Mark) Revalidation {
+	return RevalKept
+}
+
 // TestHitPathAllocs is the gate on "a cached list is encoded once": a cached
 // single read and an all-hit batch of 20 allocate exactly what the request
 // plumbing allocates, and a batch that finds every user cached starts no
-// worker, so its count does not depend on WithBatchWorkers.
+// worker, so its count does not depend on WithBatchWorkers. A list a later
+// generation keeps is served the same way: the server's side of a
+// revalidation — the lookup, the verdict, the new stamp — allocates nothing,
+// and a batch of twenty of them still starts no worker. (What the engine's
+// own check allocates is TestRevalidateAllocs, in the root package.)
 func TestHitPathAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
@@ -296,47 +313,78 @@ func TestHitPathAllocs(t *testing.T) {
 	d := b.Build()
 	batchBody, _ := json.Marshal(BatchRequest{Users: keys})
 
-	measure := func(workers int) (single, batch float64) {
-		eng := &countingEngine{name: "GANC(RSVD, θ^T, Dyn)", recs: recs}
+	// With swap set, every measured request is preceded by a swap, so each
+	// cached list it reads was stamped by the generation before and goes
+	// through the engine's verdict; what the swap itself allocates is
+	// measured alone and taken off.
+	measure := func(workers int, swap bool) (single, batch float64) {
+		eng := keeper{&countingEngine{name: "GANC(RSVD, θ^T, Dyn)", recs: recs}, new(Lineage)}
 		s, err := New(d, eng, 10, WithMetrics(obs.NewRegistry()), WithBatchWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		seedCache(t, s, recs)
 		h := s.Handler()
+		const runs = 200
+		var swapAllocs float64
+		update := func() {
+			if err := s.Update(eng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if swap {
+			swapAllocs = testing.AllocsPerRun(runs, update)
+		} else {
+			update = func() {}
+		}
 		get := httptest.NewRequest(http.MethodGet, "/recommend?user="+keys[3], nil)
-		single = testing.AllocsPerRun(200, func() {
+		single = testing.AllocsPerRun(runs, func() {
+			update()
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, get)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("single read answered %d", rec.Code)
 			}
-		})
+		}) - swapAllocs
 		body := bytes.NewReader(batchBody)
 		post := httptest.NewRequest(http.MethodPost, "/recommend/batch", body)
-		batch = testing.AllocsPerRun(200, func() {
+		batch = testing.AllocsPerRun(runs, func() {
+			update()
 			body.Reset(batchBody)
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, post)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("batch answered %d", rec.Code)
 			}
-		})
+		}) - swapAllocs
 		if got := eng.computes.Load(); got != 0 {
 			t.Fatalf("the engine computed %d times: the runs were not all hits", got)
+		}
+		wantKept := int64(0)
+		if swap {
+			wantKept = (runs + 1) * (1 + users) // AllocsPerRun warms up with one more run
+		}
+		if kept := s.Stats().Revalidations.Kept; kept != wantKept {
+			t.Fatalf("%d lists were revalidated over the runs, want %d", kept, wantKept)
 		}
 		return single, batch
 	}
 
-	single, batch := measure(DefaultBatchWorkers)
+	single, batch := measure(DefaultBatchWorkers, false)
 	if single != hitAllocsSingle || batch != hitAllocsBatch20 {
 		t.Fatalf("hit path allocates %v per cached read and %v per all-hit batch of %d, want exactly %d and %d",
 			single, batch, users, hitAllocsSingle, hitAllocsBatch20)
 	}
 	for _, workers := range []int{1, 64} {
-		if _, again := measure(workers); again != batch {
+		if _, again := measure(workers, false); again != batch {
 			t.Fatalf("all-hit batch allocates %v with %d batch workers and %v with %d: it must start none",
 				again, workers, batch, DefaultBatchWorkers)
+		}
+	}
+	for _, workers := range []int{DefaultBatchWorkers, 1, 64} {
+		if single, batch := measure(workers, true); single != hitAllocsSingle || batch != hitAllocsBatch20 {
+			t.Fatalf("with %d batch workers a revalidated read allocates %v and an all-revalidated batch of %d %v, want exactly the %d and %d of plain hits",
+				workers, single, users, batch, hitAllocsSingle, hitAllocsBatch20)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ganc/internal/core"
 	"ganc/internal/longtail"
+	"ganc/internal/serve"
 )
 
 // Pipeline is the one-call assembly surface of the library. It validates and
@@ -46,6 +47,15 @@ type Pipeline struct {
 	ingestSeq       uint64
 	ingestPrefFill  float64
 	ingestAvgLambda float64
+
+	// lineage and lastNamed make the pipeline a serve.Revalidator (see
+	// Revalidate): the ingestion state it was rebuilt from and, per item, the
+	// cursor of the last event of that state's history to name it, as of
+	// ingestSeq. Only pipelineFromState sets them, and only around a frozen
+	// factor model; every other pipeline has neither and its lists are never
+	// carried across a swap.
+	lineage   *serve.Lineage
+	lastNamed []uint64
 
 	// shard is the cluster identity of a shard-scoped pipeline (nil for
 	// single-node pipelines). It is written by SaveShard, restored by

@@ -12,6 +12,7 @@ import (
 
 	"ganc/internal/dataset"
 	"ganc/internal/ingest"
+	"ganc/internal/serve"
 	"ganc/internal/types"
 )
 
@@ -26,7 +27,10 @@ import (
 // reclaim every generation but the newest few. One collection, not two: a
 // sync.Pool owned by the generation (what this guards against) is dropped by
 // the runtime at the second collection after its last use, so only the first
-// tells pinned from unpinned.
+// tells pinned from unpinned. The server's cache outlives every generation
+// and is full before the first publish, so at the collection it holds lists
+// stamped by all of them: an entry that kept a reference to the generation
+// that computed or kept it would pin that generation's train set.
 func TestPublishUnpinsRetiredGenerations(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("finalizer timing is not meaningful under the race detector")
@@ -44,6 +48,9 @@ func TestPublishUnpinsRetiredGenerations(t *testing.T) {
 	handler := srv.Handler()
 	keys := userKeys(split.Train)
 	events := streamEvents(t, split.Train, 12*20, 73)
+	for _, key := range keys {
+		serveOnce(t, handler, key)
+	}
 
 	const generations = 12
 	runtime.GC() // start from a settled heap so no collection is due mid-run
@@ -81,8 +88,78 @@ func TestPublishUnpinsRetiredGenerations(t *testing.T) {
 			t.Fatalf("generation %d is the one being served and must not be reclaimed", g)
 		}
 	}
+	// The entries of the reclaimed generations still serve.
+	before := srv.Stats()
+	for _, key := range keys {
+		serveOnce(t, handler, key)
+	}
+	if after := srv.Stats(); after.Revalidations.Kept == before.Revalidations.Kept {
+		t.Fatalf("no list of a retired generation was kept by the newest: %+v", after.Revalidations)
+	}
 	runtime.KeepAlive(srv)
 	runtime.KeepAlive(ing)
+}
+
+// TestRevalidateAllocs is the engine's side of the hit-path gate
+// (TestHitPathAllocs in internal/serve pins the server's): proving an older
+// list still exact allocates nothing when the catalog has not grown since —
+// a scan of the last-named vector — and at most once when it has and the
+// new items are scored, at either tier.
+func TestRevalidateAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	const n = 5
+	for _, precision := range []ScoringPrecision{PrecisionF64, PrecisionF32} {
+		train := persistSplit(t, 71).Train
+		cfg := DefaultRSVDConfig()
+		cfg.Factors, cfg.Epochs, cfg.Seed = 6, 2, 7
+		m, err := TrainRSVD(train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe, err := NewPipeline(train, WithBase(m), WithTopN(n), WithPreferences(PreferenceTFIDF), WithSeed(7), WithScoringPrecision(precision))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := newRevalNode(t, pipe, "RSVD", n)
+		apply := func(item string) *Pipeline {
+			t.Helper()
+			ev := IngestEvent{User: train.UserInterner().Key(0), Item: item, Value: 4}
+			if _, err := node.ing.Apply(context.Background(), []IngestEvent{ev}); err != nil {
+				t.Fatal(err)
+			}
+			return node.truth(t)
+		}
+		first := apply(train.ItemInterner().Key(0))
+		same := apply(train.ItemInterner().Key(1))
+		grown := apply("an-item-nobody-has-seen")
+		if grown.Train().NumItems() != first.Train().NumItems()+1 {
+			t.Fatal("the catalog did not grow")
+		}
+
+		measured := 0
+		for u := 1; u < train.NumUsers() && measured < 5; u++ {
+			list, err := first.RecommendUser(context.Background(), UserID(u), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same.Revalidate(UserID(u), list, n, first.Mark()) != serve.RevalKept ||
+				grown.Revalidate(UserID(u), list, n, first.Mark()) != serve.RevalKept {
+				continue
+			}
+			measured++
+			if allocs := testing.AllocsPerRun(100, func() { same.Revalidate(UserID(u), list, n, first.Mark()) }); allocs != 0 {
+				t.Fatalf("%s, user %d: revalidating over an unchanged catalog allocates %v times, want 0", precision, u, allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { grown.Revalidate(UserID(u), list, n, first.Mark()) }); allocs > 1 {
+				t.Fatalf("%s, user %d: revalidating over a grown catalog allocates %v times, want at most 1", precision, u, allocs)
+			}
+		}
+		if measured == 0 {
+			t.Fatalf("%s: no user's list was kept across both batches", precision)
+		}
+	}
 }
 
 // TestPublishAllocationIndependentOfHistory: what one 20-event batch

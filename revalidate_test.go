@@ -1,0 +1,379 @@
+package ganc
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"testing"
+
+	"ganc/internal/ingest"
+	"ganc/internal/serve"
+)
+
+// The exactness property of the cache that survives a swap: whatever the
+// server answers — from a list it just computed, one the serving generation
+// computed earlier, or one an older generation computed and the engine kept —
+// is what RecommendUser on the newest engine returns. The test drives a node
+// through a few hundred random batches on a small universe where one event in
+// eight names a brand-new item, and after every batch asks the server for
+// every user it has ever cached.
+
+// revalNode is a served ingestion node plus the means to rebuild, from its
+// current state, a second engine nobody has cached anything under: the
+// ground truth.
+type revalNode struct {
+	srv     *Server
+	ing     *Ingestor
+	handler http.Handler
+	// origin is the pipeline the node was assembled around: what
+	// benchmark/probes.go republishes after newer ones.
+	origin  *Pipeline
+	rebuild func(*ingest.State) (*Pipeline, error)
+}
+
+// newRevalNode serves p with n-item lists behind an ingestor. kind names the
+// rebuild branch of pipelineFromState; a base scorer the snapshot layer does
+// not know (the stub) cannot go through NewIngestor and is wired by hand, the
+// same way.
+func newRevalNode(t *testing.T, p *Pipeline, kind string, n int) *revalNode {
+	t.Helper()
+	cov, err := p.coverageName()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(p.Train(), p, n, WithMetrics(NewMetricsRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := &revalNode{srv: srv, handler: srv.Handler(), origin: p,
+		rebuild: func(s *ingest.State) (*Pipeline, error) { return p.pipelineFromState(kind, cov, s) }}
+	if _, err := p.baseKind(); err == nil {
+		node.ing, err = NewIngestor(srv, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	node.ing, err = ingest.New(ingest.Config{
+		State:   ingest.NewStateFromDataset(p.train, p.prefs, 5),
+		Server:  srv,
+		Rebuild: func(s *ingest.State) (serve.Engine, error) { return node.rebuild(s) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node
+}
+
+// truth rebuilds an engine from the node's current state.
+func (n *revalNode) truth(t *testing.T) *Pipeline {
+	t.Helper()
+	var ref *Pipeline
+	var err error
+	n.ing.View(func(s *ingest.State) { ref, err = n.rebuild(s) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// read asks the server for one user's list. An empty list is the 404 the read
+// route answers it with.
+func (n *revalNode) read(t *testing.T, userKey string) (items []string, version int) {
+	t.Helper()
+	w := httptest.NewRecorder()
+	n.handler.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/recommend?user="+userKey, nil))
+	if w.Code == http.StatusNotFound {
+		return nil, n.srv.Version()
+	}
+	if w.Code != http.StatusOK {
+		t.Fatalf("recommend %s → %d: %s", userKey, w.Code, w.Body.String())
+	}
+	var resp serve.RecommendResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp.Items, resp.Version
+}
+
+// listOf is what engine computes for the user, in external keys.
+func listOf(t *testing.T, engine *Pipeline, userKey string, n int) []string {
+	t.Helper()
+	u, ok := engine.Train().UserInterner().Lookup(userKey)
+	if !ok {
+		t.Fatalf("user %s is unknown to the engine", userKey)
+	}
+	set, err := engine.RecommendUser(context.Background(), UserID(u), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]string, len(set))
+	for k, i := range set {
+		items[k] = engine.Train().ItemInterner().Key(int32(i))
+	}
+	return items
+}
+
+// revalStream draws event batches over a universe that keeps growing: new
+// users, new items, and pairs it has sent before.
+type revalStream struct {
+	rng       *rand.Rand
+	train     *Dataset
+	sent      []IngestEvent
+	newUsers  int
+	newItems  int
+	itemEvery int // one event in itemEvery names a brand-new item
+}
+
+func (g *revalStream) batch(size int) []IngestEvent {
+	users, items := g.train.UserInterner(), g.train.ItemInterner()
+	evs := make([]IngestEvent, size)
+	for k := range evs {
+		if len(g.sent) > 0 && g.rng.Intn(10) == 0 {
+			evs[k] = g.sent[g.rng.Intn(len(g.sent))] // a re-rated pair
+			evs[k].Value = float64(1 + g.rng.Intn(5))
+			continue
+		}
+		ev := IngestEvent{Value: float64(1 + g.rng.Intn(5))}
+		if g.rng.Intn(10) == 0 {
+			g.newUsers++
+			ev.User = fmt.Sprintf("new-user-%d", g.newUsers)
+		} else {
+			ev.User = users.Key(int32(g.rng.Intn(users.Len())))
+		}
+		if g.rng.Intn(g.itemEvery) == 0 {
+			g.newItems++
+			ev.Item = fmt.Sprintf("new-item-%d", g.newItems)
+		} else {
+			ev.Item = items.Key(int32(g.rng.Intn(items.Len())))
+		}
+		evs[k] = ev
+		g.sent = append(g.sent, ev)
+	}
+	return evs
+}
+
+// revalSeen is what a run of the property test has witnessed.
+type revalSeen struct {
+	outcomes     serve.RevalidationStats
+	carriedFar   bool // a list kept three or more generations after it was computed
+	newItemWon   bool // refused over the catalog, and a new item is in the recomputed list
+	rangeMoved   bool // refused over the catalog, the recomputed list holds no new item and differs
+	servedOrigin bool // the origin pipeline, republished, served its own lists
+}
+
+func (a *revalSeen) add(b revalSeen) {
+	a.outcomes.Kept += b.outcomes.Kept
+	a.outcomes.ItemNamed += b.outcomes.ItemNamed
+	a.outcomes.Catalog += b.outcomes.Catalog
+	a.outcomes.Foreign += b.outcomes.Foreign
+	a.carriedFar = a.carriedFar || b.carriedFar
+	a.newItemWon = a.newItemWon || b.newItemWon
+	a.rangeMoved = a.rangeMoved || b.rangeMoved
+	a.servedOrigin = a.servedOrigin || b.servedOrigin
+}
+
+// runRevalidationProperty applies batches random batches to the node and
+// checks every cached user after each.
+func runRevalidationProperty(t *testing.T, node *revalNode, n, batches int, seed int64) revalSeen {
+	t.Helper()
+	ctx := context.Background()
+	train := node.origin.Train()
+	stream := &revalStream{rng: rand.New(rand.NewSource(seed)), train: train, itemEvery: 8}
+	rng := rand.New(rand.NewSource(seed + 1))
+	originUsers := node.origin.Train().NumUsers()
+
+	type cachedList struct {
+		items      []string
+		computedAt int // the version that computed the list
+		catalog    int // the catalog that version ranked
+	}
+	cached := make(map[string]*cachedList)
+	var seen revalSeen
+
+	for b := 0; b < batches; b++ {
+		size := 1 + rng.Intn(6)
+		if b == batches/2 {
+			size = 300 // what Recover applies in one piece after a restart
+		}
+		if _, err := node.ing.Apply(ctx, stream.batch(size)); err != nil {
+			t.Fatal(err)
+		}
+
+		// The benchmark's swap probe publishes the node's first pipeline over
+		// newer ones: until the next batch, the server must serve what that
+		// engine computes, from no list of the stream's.
+		if b%29 == 11 {
+			if err := node.srv.Update(node.origin); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 10; k++ {
+				key := train.UserInterner().Key(int32(rng.Intn(originUsers)))
+				got, _ := node.read(t, key)
+				if want := listOf(t, node.origin, key, n); !slices.Equal(got, want) {
+					t.Fatalf("batch %d, origin republished: user %s served %v, the engine computes %v", b, key, got, want)
+				}
+				delete(cached, key) // its entry is the origin's now; the next batch recomputes it
+			}
+			seen.servedOrigin = true
+			continue
+		}
+
+		ref := node.truth(t)
+		for k := 0; k < 3; k++ { // a few first-time readers every batch
+			key := train.UserInterner().Key(int32(rng.Intn(train.UserInterner().Len())))
+			if cached[key] == nil {
+				cached[key] = &cachedList{computedAt: -1}
+			}
+		}
+		for key, c := range cached {
+			before := node.srv.Stats()
+			got, version := node.read(t, key)
+			after := node.srv.Stats()
+			if want := listOf(t, ref, key, n); !slices.Equal(got, want) {
+				t.Fatalf("batch %d (version %d): user %s served %v, the newest engine computes %v (revalidations %+v → %+v)",
+					b, version, key, got, want, before.Revalidations, after.Revalidations)
+			}
+			catalog := ref.Train().NumItems()
+			switch {
+			case after.Revalidations.Kept > before.Revalidations.Kept:
+				if version-c.computedAt >= 3 {
+					seen.carriedFar = true
+				}
+			case after.Revalidations.Catalog > before.Revalidations.Catalog:
+				hasNew := slices.ContainsFunc(got, func(item string) bool {
+					i, _ := train.ItemInterner().Lookup(item)
+					return int(i) >= c.catalog
+				})
+				if hasNew {
+					seen.newItemWon = true
+				} else if !slices.Equal(got, c.items) {
+					seen.rangeMoved = true
+				}
+			}
+			if after.Misses > before.Misses {
+				c.computedAt, c.catalog = version, catalog
+			}
+			c.items = got
+		}
+	}
+	seen.outcomes = node.srv.Stats().Revalidations
+	return seen
+}
+
+// coldScorer is a frozen model with a say over cold items: a pair of the
+// train set's universe scores a hash in [1,5]; the k-th item the stream adds
+// scores 3 (inside every user's range) for odd k and −10−k (below it, and
+// below every cold item before) for even k.
+type coldScorer struct{ warmItems int }
+
+func (coldScorer) Name() string { return "Cold" }
+
+func (c coldScorer) Score(u UserID, i ItemID) float64 {
+	if k := int(i) - c.warmItems; k >= 0 {
+		if k%2 == 1 {
+			return 3
+		}
+		return float64(-10 - k)
+	}
+	h := uint32(u)*2654435761 ^ uint32(i)*40503
+	h ^= h >> 13
+	return 1 + 4*float64(h%1000)/999
+}
+
+func TestRevalidatedListsAreExact(t *testing.T) {
+	const n, batches = 5, 150
+
+	// Ingestion interns new keys into its train set's own tables, so every
+	// node gets a train set of its own. A batch pass first leaves the Dyn
+	// state a saved engine has: popular items already discounted, which is
+	// what lets a new item win a place.
+	factors := func(t *testing.T, precision ScoringPrecision, coverage CoverageSpec) *Pipeline {
+		train := persistSplit(t, 83).Train
+		cfg := DefaultRSVDConfig()
+		cfg.Factors, cfg.Epochs, cfg.Seed = 6, 2, 7
+		m, err := TrainRSVD(train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPipeline(train, WithBase(m), WithTopN(n), WithPreferences(PreferenceTFIDF),
+			WithSeed(7), WithCoverage(coverage), WithScoringPrecision(precision))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.RecommendAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var seen revalSeen
+	for _, tc := range []struct {
+		name      string
+		precision ScoringPrecision
+		coverage  CoverageSpec
+	}{
+		{"RSVD/f64/Dyn", PrecisionF64, CoverageDyn()},
+		{"RSVD/f32/Dyn", PrecisionF32, CoverageDyn()},
+		{"RSVD/f64/Stat", PrecisionF64, CoverageStat()},
+		{"RSVD/f32/Stat", PrecisionF32, CoverageStat()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := newRevalNode(t, factors(t, tc.precision, tc.coverage), "RSVD", n)
+			got := runRevalidationProperty(t, node, n, batches, 89)
+			t.Logf("%+v", got)
+			seen.add(got)
+		})
+	}
+
+	// A frozen model whose cold items can score outside a user's range, which
+	// a trained model's cold-item prediction (near the global mean) never
+	// does here: condition (ii) has to be what refuses these lists.
+	t.Run("cold-scorer/Dyn", func(t *testing.T) {
+		train := persistSplit(t, 83).Train
+		p, err := NewPipeline(train, WithBase(coldScorer{warmItems: train.NumItems()}),
+			WithTopN(n), WithPreferences(PreferenceTFIDF), WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runRevalidationProperty(t, newRevalNode(t, p, "RSVD", n), n, batches, 97)
+		t.Logf("%+v", got)
+		if !got.rangeMoved {
+			t.Error("no list was refused for a moved range alone and recomputed differently: condition (ii) went unexercised")
+		}
+		seen.add(got)
+	})
+
+	// Engines whose accuracy moves with a batch never carry a list.
+	for _, base := range []string{"Pop", "ItemAvg", "ItemKNN"} {
+		t.Run(base, func(t *testing.T) {
+			node := newRevalNode(t, buildPersistablePipeline(t, persistSplit(t, 83).Train, base), base, n)
+			got := runRevalidationProperty(t, node, n, 40, 101)
+			if got.outcomes.Kept != 0 || got.outcomes.ItemNamed != 0 || got.outcomes.Catalog != 0 {
+				t.Fatalf("a %s pipeline revalidated lists: %+v", base, got.outcomes)
+			}
+			if got.outcomes.Foreign == 0 {
+				t.Fatal("no cached list ever met a later generation")
+			}
+		})
+	}
+
+	if t.Failed() {
+		return
+	}
+	if o := seen.outcomes; o.Kept == 0 || o.ItemNamed == 0 || o.Catalog == 0 || o.Foreign == 0 {
+		t.Errorf("not every outcome was observed: %+v", o)
+	}
+	if !seen.carriedFar {
+		t.Error("no list was kept three generations after it was computed")
+	}
+	if !seen.newItemWon {
+		t.Error("no new item ever entered a refused list: condition (iii) went unexercised")
+	}
+	if !seen.servedOrigin {
+		t.Error("the origin pipeline was never republished")
+	}
+}

@@ -1,7 +1,7 @@
 // Command datagen generates a synthetic rating dataset calibrated to one of
 // the paper's evaluation datasets and writes it as CSV (user,item,rating) to
-// stdout or a file. The output can be reloaded by cmd/ganc and the examples
-// through the same loader used for real MovieLens exports.
+// stdout or a file. The output can be reloaded by cmd/ganc (and
+// ganc.LoadRatings) through the same loader used for real MovieLens exports.
 //
 // Usage:
 //

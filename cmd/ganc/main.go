@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&o.arec, "arec", "RSVD", "accuracy recommender: "+strings.Join(ganc.BaseNames(), ", "))
 	fs.StringVar(&o.rerank, "rerank", "GANC", "reranker applied on top of -arec: "+strings.Join(ganc.RerankerNames(), ", ")+", or \"none\" for the raw base model")
 	fs.StringVar(&o.theta, "theta", "G", "long-tail preference model: A, N, T, G, R, C (GANC only)")
-	fs.StringVar(&o.crec, "crec", "Dyn", "coverage recommender: Dyn, Stat, Rand (GANC only)")
+	fs.StringVar(&o.crec, "crec", "Dyn", "coverage recommender (GANC only): "+strings.Join(ganc.CoverageNames(), ", "))
 	fs.IntVar(&o.n, "n", 5, "top-N size")
 	fs.IntVar(&o.sample, "sample", 0, "OSLG sample size (0 = fully sequential)")
 	fs.IntVar(&o.workers, "workers", 1, "worker goroutines for the parallel phases of GANC")
@@ -209,7 +209,7 @@ func printRecommendations(w io.Writer, recs ganc.Recommendations, train *ganc.Da
 // default), a registry reranker over the named base, or the raw base model.
 func buildEngine(train *ganc.Dataset, o options) (ganc.Engine, error) {
 	if o.rerank == "GANC" {
-		spec, err := coverageSpec(o.crec)
+		spec, err := ganc.ParseCoverage(o.crec)
 		if err != nil {
 			return nil, err
 		}
@@ -230,19 +230,6 @@ func buildEngine(train *ganc.Dataset, o options) (ganc.Engine, error) {
 		return ganc.NewBaseEngine(base, train, o.n), nil
 	}
 	return ganc.NewReranker(o.rerank, train, base, o.n, o.seed)
-}
-
-func coverageSpec(name string) (ganc.CoverageSpec, error) {
-	switch name {
-	case "Dyn":
-		return ganc.CoverageDyn(), nil
-	case "Stat":
-		return ganc.CoverageStat(), nil
-	case "Rand":
-		return ganc.CoverageRand(), nil
-	default:
-		return ganc.CoverageSpec{}, fmt.Errorf("unknown coverage recommender %q", name)
-	}
 }
 
 // loadData resolves the input dataset, failing fast with a clear message when

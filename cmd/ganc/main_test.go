@@ -30,7 +30,7 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-load " + snap + " -evaluate":                                "-load cannot be combined with -evaluate",
 		"-load " + snap + " -save " + filepath.Join(tmp, "2.snap"):    "-load and -save are mutually exclusive",
 		"-load " + notASnapshot:                                       "is not a GANC snapshot",
-		tiny + "-crec Nope":                                           `unknown coverage recommender "Nope"`,
+		tiny + "-crec Nope":                                           `ganc: unknown coverage recommender "Nope" (known: [Dyn Stat Rand])`,
 		tiny + "-arec Nope":                                           "Nope",
 		"-ratings " + filepath.Join(tmp, "missing.csv"):               "does not exist",
 		tiny + "-rerank PRA-10 -save " + filepath.Join(tmp, "r.snap"): "-save supports GANC pipelines only",

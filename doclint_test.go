@@ -4,7 +4,7 @@ package ganc
 // the standard library's go/parser so it runs in plain `go test` (and in CI)
 // with no external tooling. It enforces that
 //
-//   - every package (including the mains under cmd/ and examples/) has a
+//   - every package (including the mains under cmd/) has a
 //     package comment, and
 //   - every exported top-level declaration — functions, methods, types, and
 //     const/var specs — in the library packages carries a doc comment,
@@ -175,11 +175,13 @@ func position(fset *token.FileSet, pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }
 
-// The names gate: README.md and DESIGN.md may only name `With*` options,
-// `ganc`/`gancd`/`loadgen` flags, `-role` values, package-qualified exported
-// identifiers (`recommender.SelectTop`) and relative `*.md` files that exist,
-// and README's gancd role matrix lists for each role exactly the flags
-// gancd's own table says the role reads. Options and flags are the names a
+// The names gate: README.md, DESIGN.md and the verify skill may only name
+// `With*` options, `ganc`/`gancd`/`loadgen` flags, `-role` values,
+// package-qualified exported identifiers (`recommender.SelectTop`), test,
+// fuzz, benchmark and example functions (`TestScenario*`: a trailing `*` or
+// `_`, or a place in a -run pattern, marks a prefix), `GET /path` and `POST /path` routes and relative `*.md`
+// files that exist, and README's gancd role matrix lists for each role
+// exactly the flags gancd's own table says the role reads. Options and flags are the names a
 // reader copies into a program or a shell, and a qualified identifier or a
 // file is where a reader opens the code, so a document that keeps one the
 // code dropped is wrong in the most expensive way; this keeps a removal or a
@@ -254,6 +256,29 @@ func declaredIdentifiers(pkgs []*ast.Package) map[string]map[string]bool {
 		}
 	}
 	return decls
+}
+
+// declaredTests collects every Test, Fuzz, Benchmark and Example function of
+// the module's test files.
+func declaredTests(t *testing.T) map[string]bool {
+	t.Helper()
+	tests := map[string]bool{}
+	for _, dir := range collectPackageDirs(t) {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool { return !nonTestFile(fi) }, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testInDoc.MatchString(fn.Name.Name) {
+						tests[fn.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return tests
 }
 
 // commandFlags collects the flags a command under cmd/ defines — every
@@ -370,21 +395,32 @@ var (
 	// seriesInDoc matches a code span that names a metric series, labels or
 	// not.
 	seriesInDoc = regexp.MustCompile(`^ganc_[a-z_]+`)
+	// testInDoc matches the name of a function `go test` runs, or — ending
+	// in `*` or `_` — the prefix of several.
+	testInDoc = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_]\w*\*?`)
+	// routeInDoc matches a method and the path it is sent to; a query string
+	// or a prose full stop ends the path.
+	routeInDoc = regexp.MustCompile(`\b(GET|POST|PUT|DELETE) (/[a-z/_-]*[a-z])`)
 	// matrixRow matches a row of README's gancd role matrix (the table under
 	// matrixHead): the role, then its required-flags and optional-flags cells.
 	matrixRow = regexp.MustCompile("^\\| `([a-z]+)` \\| ([^|]*) \\| ([^|]*) \\|")
 )
 
-// registeredSeries returns the metric families a serving node and a router
-// register, admission control and failure detector included: each is built
-// with a registry, answers one request (per-route series appear with their
-// first request), and its rendered registry is read back through the strict
-// parser.
-func registeredSeries(t *testing.T) map[string]bool {
+// docSurfaces stands up the HTTP surfaces the documents describe — a primary
+// shard node (the serving routes behind the stream routes) and a router, each
+// with admission control and a registry, the router with its failure
+// detector — and returns the metric families they register and a probe for
+// the routes they mount. A family is read back through the strict parser from
+// the rendered registry after one request (per-route series appear with
+// their first request); a route is mounted when some surface answers the
+// method on the path with anything but its mux's 404 or a 405.
+func docSurfaces(t *testing.T) (families map[string]bool, mounted func(method, path string) bool) {
 	t.Helper()
-	families := map[string]bool{}
+	families = map[string]bool{}
+	var handlers []http.Handler
 	collect := func(reg *MetricsRegistry, h http.Handler) {
 		t.Helper()
+		handlers = append(handlers, h)
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/health", nil))
 		var buf bytes.Buffer
 		if err := reg.WriteText(&buf); err != nil {
@@ -400,13 +436,17 @@ func registeredSeries(t *testing.T) map[string]bool {
 	}
 	admission := AdmissionConfig{RatePerSec: 1000, MaxConcurrent: 8}
 
-	train := persistSplit(t, 3).Train
 	reg := NewMetricsRegistry()
-	srv, err := NewServer(train, NewBaseEngine(NewPop(train), train, 5), 5, WithMetrics(reg), WithServerAdmission(admission))
+	node, err := OpenShardNode(buildPersistablePipeline(t, persistSplit(t, 3).Train, "Pop"), ShardIdentity{NumShards: 1},
+		filepath.Join(t.TempDir(), "node.wal"), "", 0, WithMetrics(reg), WithServerAdmission(admission))
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect(reg, srv.Handler())
+	t.Cleanup(func() { node.Close() })
+	if err := node.MakePrimary(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	collect(reg, node.Handler())
 
 	// A ring that declares a replica, so the router starts its detector; the
 	// addresses refuse connections, which is all its first probe needs.
@@ -419,15 +459,34 @@ func registeredSeries(t *testing.T) map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
+	t.Cleanup(rt.Close)
 	collect(reg, rt.Handler())
-	return families
+
+	mounted = func(method, path string) bool {
+		for _, h := range handlers {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(method, path, nil))
+			muxMiss := w.Code == http.StatusNotFound && strings.HasPrefix(w.Header().Get("Content-Type"), "text/plain")
+			if !muxMiss && w.Code != http.StatusMethodNotAllowed {
+				return true
+			}
+		}
+		return false
+	}
+	return families, mounted
 }
 
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	pkgs := modulePackages(t)
 	options, identifiers := declaredOptions(pkgs), declaredIdentifiers(pkgs)
-	series := registeredSeries(t)
+	series, mounted := docSurfaces(t)
+	if !mounted("GET", "/health") || mounted("GET", "/no-such-route") || mounted("POST", "/health") {
+		t.Fatal("the route probe cannot tell a mounted route from a missing one; the route check would pass or fail for the wrong reason")
+	}
+	tests := declaredTests(t)
+	if !tests["TestDocsNameOnlyWhatExists"] || !tests["Example_quickstart"] {
+		t.Fatalf("the module's test files yielded %d functions and not this one; the test-name check would fail for the wrong reason", len(tests))
+	}
 	if !series["ganc_cache_hits_total"] || !series["ganc_router_fanout_total"] || !series["ganc_admission_admitted_total"] || !series["ganc_detector_probes_total"] {
 		t.Fatalf("the rendered registries are missing whole layers (%d families); the series check would pass or fail for the wrong reason", len(series))
 	}
@@ -513,7 +572,32 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	// checkRun vets what a reader would hand to `go test -run` or send to a
+	// node: test-function names and routes, in a code span or a fenced line.
+	// A name is a prefix when it ends in `*` or `_`, or stands in a -run or
+	// -bench pattern, which matches anywhere in a name.
+	checkRun := func(where, text string) {
+		pattern := strings.Contains(text, "-run") || strings.Contains(text, "-bench")
+		for _, name := range testInDoc.FindAllString(text, -1) {
+			prefix := strings.TrimSuffix(name, "*")
+			known := tests[name]
+			if pattern || prefix != name || strings.HasSuffix(name, "_") {
+				for declared := range tests {
+					known = known || strings.HasPrefix(declared, prefix)
+				}
+			}
+			if !known {
+				t.Errorf("%s: no test file declares %s", where, name)
+			}
+		}
+		for _, m := range routeInDoc.FindAllStringSubmatch(text, -1) {
+			if !mounted(m[1], m[2]) {
+				t.Errorf("%s: no server, shard node or router answers %s %s", where, m[1], m[2])
+			}
+		}
+	}
+
+	for _, doc := range []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -548,6 +632,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 					line = strings.TrimSuffix(line, "\\") + " " + lines[i]
 				}
 				invocations(where, line)
+				checkRun(where, line)
 				continue
 			}
 			// Prose: only inline code spans name commands and flags.
@@ -556,6 +641,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 					continue
 				}
 				invocations(where, span)
+				checkRun(where, span)
 				if name := seriesInDoc.FindString(span); name != "" && !series[name] {
 					t.Errorf("%s: no server, router or admission controller registers the series %s", where, name)
 				}

@@ -23,8 +23,8 @@
 // serving layer absorbs new interactions incrementally with write-ahead
 // logging and periodic checkpoints (DESIGN.md §8).
 //
-// See examples/quickstart for a complete end-to-end program (each examples/
-// directory has a README), and DESIGN.md for the architecture and the
+// The package examples (quickstart, warmStart, onlineServing) are complete
+// end-to-end programs; DESIGN.md has the architecture and the
 // experiment-by-experiment map of the paper reproduction.
 package ganc
 

@@ -1,11 +1,8 @@
 package ganc
 
 import (
-	"fmt"
-
 	"ganc/internal/core"
 	"ganc/internal/ingest"
-	"ganc/internal/knn"
 	"ganc/internal/recommender"
 	"ganc/internal/serve"
 )
@@ -86,36 +83,32 @@ func NewIngestor(srv *Server, p *Pipeline, opts ...IngestorOption) (*Ingestor, e
 // client writes are legal (a replica that accepted them would fork its
 // shard's history from the primary's write-ahead log).
 func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) {
-	kind, err := p.baseKind()
-	if err != nil {
-		return nil, err
-	}
-	covName, err := p.coverageName()
+	// The row is resolved once here; every batch's rebuild reads it.
+	kind, err := p.persistable()
 	if err != nil {
 		return nil, err
 	}
 
 	lambda := p.ingestAvgLambda
 	if lambda == 0 {
-		if ia, ok := p.baseScorer.(*recommender.ItemAvg); ok {
-			lambda = ia.Lambda()
-		} else {
-			lambda = 5 // the registry's ItemAvg shrinkage default
+		lambda = itemAvgShrinkage
+		if kind.shrinkage != nil {
+			lambda = kind.shrinkage(p.baseScorer)
 		}
 	}
 	state := ingest.NewStateFromDataset(p.train, p.prefs, lambda)
 	if p.ingestPrefFill > 0 {
 		state.PrefFill = p.ingestPrefFill
 	}
-	if dyn, ok := p.crec.(*core.DynCoverage); ok {
-		state.DynFreq = dyn.Frequencies()
+	if freq := p.dynFreq(); freq != nil {
+		state.DynFreq = freq
 	}
 	state.AppliedSeq = p.ingestSeq
 
 	cfg := ingest.Config{
 		State: state,
 		Rebuild: func(s *ingest.State) (serve.Engine, error) {
-			return p.pipelineFromState(kind, covName, s)
+			return p.pipelineFromState(kind, s)
 		},
 		Server:   srv,
 		OnCommit: c.onCommit,
@@ -130,15 +123,11 @@ func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) 
 	if c.checkpointPath != "" {
 		path := c.checkpointPath
 		cfg.Checkpoint = func(s *ingest.State) error {
-			np, err := p.pipelineFromState(kind, covName, s)
+			np, err := p.pipelineFromState(kind, s)
 			if err != nil {
 				return err
 			}
-			b, err := np.snapshotBuilder(s.AppliedSeq, s.AvgLambda, s.PrefFill)
-			if err != nil {
-				return err
-			}
-			return b.Save(path)
+			return np.Save(path)
 		}
 		cfg.CheckpointEvery = c.checkpointEvery
 	}
@@ -147,83 +136,40 @@ func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) 
 
 // pipelineFromState reassembles a serving pipeline around the ingestion
 // state: incrementally maintained statistics rebuild the cheap components
-// (Pop counts, ItemAvg means, Stat/Dyn coverage, PopAccuracy), while trained
-// factor models are reused frozen — ItemKNN rebound so its scoring consults
-// the extended user profiles. What a frozen factor model determines is
-// carried over, not rebuilt: its normaliser keeps p's per-user range table
-// (see frozenAccuracy), so a batch costs a user nothing they already paid —
-// and around such a model the pipeline is a serve.Revalidator, so neither
-// does a batch cost a cached list it did not touch (see Revalidate).
-func (p *Pipeline) pipelineFromState(kind, covName string, s *ingest.State) (*Pipeline, error) {
-	train := s.Train
-	var lineage *serve.Lineage
-	var lastNamed []uint64
-	normalized := func(sc Scorer) AccuracyRecommender {
-		return newNormalizedAccuracy(sc, train.NumItems())
-	}
-	var arec AccuracyRecommender
-	var scorer Scorer
-	switch kind {
-	case "Pop":
-		pop := recommender.NewPopFromCounts(s.PopCounts)
-		arec = core.NewPopAccuracyWith(pop, train, p.cfg.topN)
-		scorer = pop
-	case "ItemAvg":
-		ia := recommender.NewItemAvgFromStats(s.AvgSums, s.AvgCounts, s.AvgLambda, s.GlobalMean())
-		arec, scorer = normalized(ia), ia
-	case "ItemKNN":
-		m := p.baseScorer.(*knn.ItemKNN).Rebind(train)
-		arec, scorer = normalized(m), m
-	case "RSVD", "PSVD", "CofiRank":
-		scorer = p.baseScorer
-		arec = p.frozenAccuracy(train.NumItems())
-		// The state keeps writing its vector; the engine needs it as of this
-		// cursor.
-		lineage, lastNamed = s.Lineage, append([]uint64(nil), s.LastNamed...)
-	default:
-		return nil, fmt.Errorf("%w: base kind %q", ErrSnapshotUnsupported, kind)
-	}
-
-	var crec CoverageRecommender
-	var covSpec CoverageSpec
-	switch covName {
-	case "Dyn":
-		crec = core.NewDynCoverageFrom(s.DynFreq)
-		covSpec = CoverageDyn()
-	case "Stat":
-		crec = core.NewStatCoverageFromCounts(s.PopCounts)
-		covSpec = CoverageStat()
-	default:
-		return nil, fmt.Errorf("%w: coverage recommender %q", ErrSnapshotUnsupported, covName)
-	}
-
-	g, err := core.New(train, arec, s.Prefs, crec, core.Config{
-		N:          p.cfg.topN,
-		SampleSize: p.cfg.sampleSize,
-		Seed:       p.cfg.seed,
-		Workers:    p.cfg.workers,
-		Precision:  p.cfg.precision,
-	})
+// (kind.rebuild and the coverage spec's restore), while a trained factor
+// model — a kind with no rebuild — is reused frozen. What a frozen model
+// determines is carried over, not rebuilt: its normaliser is p's own, re-aimed
+// at the grown catalog, so the per-user range table it has filled survives the
+// swap and a batch costs a user nothing they already paid — and around such a
+// model the pipeline is a serve.Revalidator, so neither does a batch cost a
+// cached list it did not touch (see Revalidate).
+func (p *Pipeline) pipelineFromState(kind *baseKind, s *ingest.State) (*Pipeline, error) {
+	crec, err := p.cfg.coverage.restore(s.DynFreq, s.PopCounts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := p.cfg
-	cfg.coverage = covSpec
-	return &Pipeline{
-		train:           train,
-		ganc:            g,
+	next := Pipeline{
+		train:           s.Train,
 		prefs:           s.Prefs,
-		cfg:             cfg,
-		arec:            arec,
-		baseScorer:      scorer,
+		cfg:             p.cfg,
 		crec:            crec,
 		ingestSeq:       s.AppliedSeq,
 		ingestPrefFill:  s.PrefFill,
 		ingestAvgLambda: s.AvgLambda,
-		lineage:         lineage,
-		lastNamed:       lastNamed,
 		shard:           p.shard,
-	}, nil
+	}
+	if kind.rebuild != nil {
+		next.baseScorer = kind.rebuild(p.baseScorer, s)
+		next.arec = accuracyFor(kind, next.baseScorer, s.Train, p.cfg.topN)
+	} else {
+		norm := p.arec.(*core.ScorerAccuracy).Scorer.(*recommender.NormalizedScorer)
+		next.baseScorer = p.baseScorer
+		next.arec = &core.ScorerAccuracy{Scorer: norm.ForCatalog(s.Train.NumItems())}
+		// The state keeps writing its vector; the engine needs it as of this
+		// cursor.
+		next.lineage, next.lastNamed = s.Lineage, append([]uint64(nil), s.LastNamed...)
+	}
+	return assemble(next)
 }
 
 // Mark implements serve.Revalidator: the pipeline's ingestion state and
@@ -267,19 +213,4 @@ func (p *Pipeline) Revalidate(u UserID, list TopNSet, n int, from serve.Mark) se
 		return serve.RevalCatalog
 	}
 	return serve.RevalKept
-}
-
-// frozenAccuracy is the accuracy component of a frozen factor model's next
-// generation: p's own normaliser re-aimed at the grown catalog, so the range
-// table it has filled survives the swap. ItemKNN (rebound per batch) and
-// Pop/ItemAvg (their statistics move) cannot share one and get a fresh
-// normaliser, as does a pipeline whose accuracy component is not the
-// normaliser (a registry entry with a custom adaptation).
-func (p *Pipeline) frozenAccuracy(numItems int) AccuracyRecommender {
-	if sa, ok := p.arec.(*core.ScorerAccuracy); ok {
-		if norm, ok := sa.Scorer.(*recommender.NormalizedScorer); ok {
-			return &core.ScorerAccuracy{Scorer: norm.ForCatalog(numItems)}
-		}
-	}
-	return newNormalizedAccuracy(p.baseScorer, numItems)
 }

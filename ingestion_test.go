@@ -1,10 +1,12 @@
 package ganc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ganc/internal/ingest"
@@ -50,17 +52,52 @@ func applyInBatches(t *testing.T, ing *Ingestor, events []IngestEvent, batch int
 	}
 }
 
-// TestIngestCheckpointRestoreParity is the second acceptance property: a
-// stream ingested with a mid-stream crash (checkpoint restore + write-ahead
-// log replay) must land on exactly the Pop/Dyn state — and byte-identical
-// served output — of uninterrupted ingestion.
+// TestIngestCheckpointRestoreParity is the second acceptance property, over
+// every row of baseKinds under both persistable coverage recommenders (and,
+// for the models with a reduced tier, both tiers): a stream ingested with a
+// mid-stream crash (checkpoint restore + write-ahead log replay) must land on
+// exactly the state — and byte-identical served output — of uninterrupted
+// ingestion. It walks the table itself, so a row cannot be added uncovered.
 func TestIngestCheckpointRestoreParity(t *testing.T) {
 	split := persistSplit(t, 53)
 	events := streamEvents(t, split.Train, 150, 59)
+	for k := range baseKinds {
+		row := &baseKinds[k]
+		for _, cov := range []CoverageSpec{CoverageDyn(), CoverageStat()} {
+			for _, precision := range []ScoringPrecision{PrecisionF64, PrecisionF32} {
+				cold := buildPersistablePipeline(t, split.Train, row.name, WithCoverage(cov), WithScoringPrecision(precision))
+				if kindOf(cold.baseScorer) != row {
+					t.Fatalf("the %s pipeline is built around a %T, which is not that row's model", row.name, cold.baseScorer)
+				}
+				if _, tiered := cold.baseScorer.(precisionSetter); precision == PrecisionF32 && !tiered {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", row.name, cov.name, precision), func(t *testing.T) {
+					checkpointRestoreParity(t, cold, events)
+				})
+			}
+		}
+	}
+}
+
+// checkpointRestoreParity saves cold, warm-starts two nodes from the file and
+// ingests events into both, one of them through a crash.
+func checkpointRestoreParity(t *testing.T, cold *Pipeline, events []IngestEvent) {
 	dir := t.TempDir()
+	seedPath := filepath.Join(dir, "seed.snap")
+	if err := cold.Save(seedPath); err != nil {
+		t.Fatal(err)
+	}
+	load := func(path string) *Pipeline {
+		p, err := LoadEngine(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 
 	// Uninterrupted reference.
-	refPipe := buildPersistablePipeline(t, split.Train, "Pop")
+	refPipe := load(seedPath)
 	refIng, err := NewIngestor(nil, refPipe)
 	if err != nil {
 		t.Fatal(err)
@@ -69,22 +106,21 @@ func TestIngestCheckpointRestoreParity(t *testing.T) {
 
 	// Interrupted run: WAL + checkpoint every 60 events → the checkpoint
 	// lands at seq 60 and 120, leaving a 30-event suffix in the log.
-	livePipe := buildPersistablePipeline(t, split.Train, "Pop")
 	logPath := filepath.Join(dir, "events.log")
 	snapPath := filepath.Join(dir, "checkpoint.snap")
-	liveIng, err := NewIngestor(nil, livePipe,
+	liveIng, err := NewIngestor(nil, load(seedPath),
 		WithIngestLog(logPath),
 		WithIngestCheckpoint(snapPath, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
 	applyInBatches(t, liveIng, events, 30)
-
-	// "Crash" and warm-start: restore the checkpoint, replay the log suffix.
-	restoredPipe, err := LoadEngine(snapPath)
-	if err != nil {
+	if err := liveIng.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	// "Crash" and warm-start: restore the checkpoint, replay the log suffix.
+	restoredPipe := load(snapPath)
 	if restoredPipe.ingestSeq != 120 {
 		t.Fatalf("checkpoint cursor %d, want 120", restoredPipe.ingestSeq)
 	}
@@ -100,63 +136,43 @@ func TestIngestCheckpointRestoreParity(t *testing.T) {
 		t.Fatalf("replayed %d events, want 30", replayed)
 	}
 
-	// Pop/Dyn state parity.
+	// State parity.
 	refIng.View(func(want *ingest.State) {
 		restoredIng.View(func(got *ingest.State) {
 			if got.AppliedSeq != want.AppliedSeq {
 				t.Fatalf("seq %d != %d", got.AppliedSeq, want.AppliedSeq)
 			}
-			if len(got.PopCounts) != len(want.PopCounts) {
-				t.Fatalf("pop counts cover %d items, want %d", len(got.PopCounts), len(want.PopCounts))
+			if !slices.Equal(got.PopCounts, want.PopCounts) {
+				t.Fatalf("pop counts %v != %v", got.PopCounts, want.PopCounts)
 			}
-			for i := range want.PopCounts {
-				if got.PopCounts[i] != want.PopCounts[i] {
-					t.Fatalf("pop count of item %d: %d != %d", i, got.PopCounts[i], want.PopCounts[i])
-				}
-			}
-			for i := range want.DynFreq {
-				if got.DynFreq[i] != want.DynFreq[i] {
-					t.Fatalf("dyn freq of item %d: %d != %d", i, got.DynFreq[i], want.DynFreq[i])
-				}
+			// Under Stat nothing reads the Dyn frequencies, and a checkpoint
+			// does not carry them.
+			if refPipe.dynFreq() != nil && !slices.Equal(got.DynFreq, want.DynFreq) {
+				t.Fatalf("dyn frequencies %v != %v", got.DynFreq, want.DynFreq)
 			}
 			if got.Train.NumRatings() != want.Train.NumRatings() {
 				t.Fatalf("ratings %d != %d", got.Train.NumRatings(), want.Train.NumRatings())
 			}
-			if got.Prefs.Len() != want.Prefs.Len() {
-				t.Fatalf("preference vectors cover %d vs %d users", got.Prefs.Len(), want.Prefs.Len())
-			}
-			for u := range want.Prefs.Values {
-				if got.Prefs.Values[u] != want.Prefs.Values[u] {
-					t.Fatalf("θ of user %d: %v != %v", u, got.Prefs.Values[u], want.Prefs.Values[u])
-				}
+			if !slices.Equal(got.Prefs.Values, want.Prefs.Values) {
+				t.Fatalf("θ vectors differ: %v != %v", got.Prefs.Values, want.Prefs.Values)
 			}
 		})
 	})
 
 	// Served-output parity: engines rebuilt from both states must recommend
 	// byte-identically.
-	var wantRecs, gotRecs Recommendations
-	refIng.View(func(s *ingest.State) {
-		p, err := refPipe.pipelineFromState("Pop", "Dyn", s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRecs, err = p.RecommendAll(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	restoredIng.View(func(s *ingest.State) {
-		p, err := restoredPipe.pipelineFromState("Pop", "Dyn", s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotRecs, err = p.RecommendAll(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	assertRecsIdentical(t, "ingested", gotRecs, wantRecs)
+	ctx := context.Background()
+	want, err := fingerprintPipeline(ctx, refPipe, refIng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fingerprintPipeline(ctx, restoredPipe, restoredIng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the restored node recommends differently from the uninterrupted one:\n%s\nvs\n%s", got, want)
+	}
 }
 
 // TestIngestorRejectsUnsupportedPipeline mirrors the Save contract: streaming

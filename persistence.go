@@ -6,20 +6,16 @@ import (
 
 	"ganc/internal/core"
 	"ganc/internal/dataset"
-	"ganc/internal/knn"
 	"ganc/internal/longtail"
-	"ganc/internal/mf"
 	"ganc/internal/persist"
-	"ganc/internal/rank"
-	"ganc/internal/recommender"
 )
 
 // Model persistence facade: Pipeline.Save writes a complete warm-start
-// snapshot — train set, trained base model, θ preferences, coverage state and
-// the PopAccuracy cache — into the versioned container implemented by
-// internal/persist, and LoadEngine reassembles a serving-ready Pipeline from
-// it without retraining anything. DESIGN.md §8 documents the snapshot format
-// and its compatibility rules.
+// snapshot — train set, trained base model, θ preferences and coverage state —
+// into the versioned container implemented by internal/persist, and
+// LoadEngine reassembles a serving-ready Pipeline from it without retraining
+// anything. DESIGN.md §8 documents the snapshot format and its compatibility
+// rules.
 //
 // Restart cost drops from O(retrain + GANC sweep) to O(read + index rebuild):
 // the expensive artifacts (factor matrices, similarity lists, estimated θ,
@@ -34,7 +30,6 @@ const (
 	sectionBase     = "base"
 	sectionPrefs    = "prefs"
 	sectionCoverage = "coverage"
-	sectionPopCache = "popcache"
 	sectionIngest   = "ingest"
 	sectionCluster  = "cluster"
 )
@@ -45,8 +40,9 @@ const (
 // not captured.
 var ErrSnapshotUnsupported = errors.New("ganc: pipeline has components the snapshot format cannot persist")
 
-// snapshotMeta is the "meta" section: everything needed to re-dispatch the
-// remaining sections plus the original pipeline configuration.
+// snapshotMeta is the "meta" section: the baseKinds row and the coverage
+// spec that decode the remaining sections, plus the original pipeline
+// configuration.
 type snapshotMeta struct {
 	PipelineName string
 	BaseKind     string
@@ -105,89 +101,50 @@ type ingestSnapshot struct {
 	PrefFill   float64
 }
 
-// baseKind classifies the pipeline's accuracy component for the snapshot
-// dispatch table.
-func (p *Pipeline) baseKind() (string, error) {
-	if p.baseScorer != nil {
-		switch p.baseScorer.(type) {
-		case *recommender.Pop:
-			return "Pop", nil
-		case *recommender.ItemAvg:
-			return "ItemAvg", nil
-		case *mf.RSVD:
-			return "RSVD", nil
-		case *mf.PSVD:
-			return "PSVD", nil
-		case *knn.ItemKNN:
-			return "ItemKNN", nil
-		case *rank.Model:
-			return "CofiRank", nil
-		default:
-			return "", fmt.Errorf("%w: base scorer %T (%s)", ErrSnapshotUnsupported, p.baseScorer, p.baseScorer.Name())
-		}
+// persistable resolves the baseKinds row a snapshot or an ingestor reads the
+// pipeline's base through, refusing the pipelines the format has no codec
+// for.
+func (p *Pipeline) persistable() (*baseKind, error) {
+	if p.baseScorer == nil {
+		return nil, fmt.Errorf("%w: custom accuracy recommender %T", ErrSnapshotUnsupported, p.arec)
 	}
-	if _, ok := p.arec.(*core.PopAccuracy); ok {
-		return "Pop", nil
+	kind := kindOf(p.baseScorer)
+	if kind == nil {
+		return nil, fmt.Errorf("%w: base scorer %T (%s)", ErrSnapshotUnsupported, p.baseScorer, p.baseScorer.Name())
 	}
-	return "", fmt.Errorf("%w: custom accuracy recommender %T", ErrSnapshotUnsupported, p.arec)
+	if p.cfg.coverage.restore == nil {
+		return nil, fmt.Errorf("%w: coverage recommender %T", ErrSnapshotUnsupported, p.crec)
+	}
+	return kind, nil
 }
 
-// coverageName classifies the pipeline's coverage component.
-func (p *Pipeline) coverageName() (string, error) {
-	switch p.crec.(type) {
-	case *core.DynCoverage:
-		return "Dyn", nil
-	case *core.StatCoverage:
-		return "Stat", nil
-	default:
-		// RandCoverage is deliberately excluded: its shared rng state is
-		// consumed in evaluation order, so a restore could not reproduce the
-		// saved engine's behaviour anyway.
-		return "", fmt.Errorf("%w: coverage recommender %T", ErrSnapshotUnsupported, p.crec)
+// dynFreq is the coverage state worth persisting: the accumulated Dyn
+// frequencies, nil under any other coverage recommender.
+func (p *Pipeline) dynFreq() []int {
+	if dyn, ok := p.crec.(*core.DynCoverage); ok {
+		return dyn.Frequencies()
 	}
+	return nil
 }
 
-// addBaseSection encodes the trained base model under the "base" section.
-func (p *Pipeline) addBaseSection(b *persist.Builder, kind string) error {
-	switch kind {
-	case "Pop":
-		counts := p.train.PopularityVector()
-		if pop, ok := p.baseScorer.(*recommender.Pop); ok {
-			counts = pop.Counts()
-		}
-		return b.AddGob(sectionBase, &popSnapshot{Counts: counts})
-	case "ItemAvg":
-		avg := p.baseScorer.(*recommender.ItemAvg)
-		return b.AddGob(sectionBase, &itemAvgSnapshot{Avg: avg.Averages(), Lambda: avg.Lambda()})
-	case "RSVD":
-		return b.AddFrom(sectionBase, p.baseScorer.(*mf.RSVD).Save)
-	case "PSVD":
-		return b.AddFrom(sectionBase, p.baseScorer.(*mf.PSVD).Save)
-	case "ItemKNN":
-		return b.AddFrom(sectionBase, p.baseScorer.(*knn.ItemKNN).Save)
-	case "CofiRank":
-		return b.AddFrom(sectionBase, p.baseScorer.(*rank.Model).Save)
-	default:
-		return fmt.Errorf("%w: base kind %q", ErrSnapshotUnsupported, kind)
-	}
-}
-
-// snapshotBuilder assembles the full snapshot for this pipeline. seq carries
-// the ingestion cursor (zero outside checkpoints).
-func (p *Pipeline) snapshotBuilder(seq uint64, avgLambda, prefFill float64) (*persist.Builder, error) {
-	kind, err := p.baseKind()
+// Save writes a warm-start snapshot of the pipeline to path, atomically
+// (temp file + rename). The snapshot captures the train set, the trained
+// base model, the θ preferences and the coverage state (including accumulated
+// Dyn frequencies); LoadEngine restores all of it without retraining.
+// Pipelines assembled around custom accuracy/coverage components, or around
+// the Rand baselines, return ErrSnapshotUnsupported. A pipeline restored from
+// or rebuilt by streaming ingestion carries its cursor along (the "ingest"
+// section), which is all that makes a snapshot a checkpoint.
+func (p *Pipeline) Save(path string) error {
+	kind, err := p.persistable()
 	if err != nil {
-		return nil, err
-	}
-	covName, err := p.coverageName()
-	if err != nil {
-		return nil, err
+		return err
 	}
 	var b persist.Builder
 	meta := snapshotMeta{
 		PipelineName: p.Name(),
-		BaseKind:     kind,
-		CoverageName: covName,
+		BaseKind:     kind.name,
+		CoverageName: p.cfg.coverage.name,
 		TopN:         p.cfg.topN,
 		SampleSize:   p.cfg.sampleSize,
 		Workers:      p.cfg.workers,
@@ -197,34 +154,23 @@ func (p *Pipeline) snapshotBuilder(seq uint64, avgLambda, prefFill float64) (*pe
 		Precision:    p.cfg.precision.String(),
 	}
 	if err := b.AddGob(sectionMeta, &meta); err != nil {
-		return nil, err
+		return err
 	}
 	if err := b.AddFrom(sectionDataset, p.train.EncodeSnapshot); err != nil {
-		return nil, err
+		return err
 	}
-	if err := p.addBaseSection(&b, kind); err != nil {
-		return nil, err
+	if err := kind.encode(p.baseScorer, &b); err != nil {
+		return err
 	}
 	if err := b.AddGob(sectionPrefs, &prefsSnapshot{Model: string(p.prefs.Model), Values: p.prefs.Values}); err != nil {
-		return nil, err
+		return err
 	}
-	cov := coverageSnapshot{Name: covName}
-	if dyn, ok := p.crec.(*core.DynCoverage); ok {
-		cov.Freq = dyn.Frequencies()
+	if err := b.AddGob(sectionCoverage, &coverageSnapshot{Name: p.cfg.coverage.name, Freq: p.dynFreq()}); err != nil {
+		return err
 	}
-	if err := b.AddGob(sectionCoverage, &cov); err != nil {
-		return nil, err
-	}
-	if pa, ok := p.arec.(*core.PopAccuracy); ok {
-		if cache := pa.CacheSnapshot(); len(cache) > 0 {
-			if err := b.AddGob(sectionPopCache, cache); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if seq > 0 || avgLambda > 0 {
-		if err := b.AddGob(sectionIngest, &ingestSnapshot{AppliedSeq: seq, AvgLambda: avgLambda, PrefFill: prefFill}); err != nil {
-			return nil, err
+	if p.ingestSeq > 0 || p.ingestAvgLambda > 0 {
+		if err := b.AddGob(sectionIngest, &ingestSnapshot{AppliedSeq: p.ingestSeq, AvgLambda: p.ingestAvgLambda, PrefFill: p.ingestPrefFill}); err != nil {
+			return err
 		}
 	}
 	if p.shard != nil {
@@ -233,22 +179,8 @@ func (p *Pipeline) snapshotBuilder(seq uint64, avgLambda, prefFill float64) (*pe
 			NumShards: p.shard.NumShards,
 			RingEpoch: p.shard.RingEpoch,
 		}); err != nil {
-			return nil, err
+			return err
 		}
-	}
-	return &b, nil
-}
-
-// Save writes a warm-start snapshot of the pipeline to path, atomically
-// (temp file + rename). The snapshot captures the train set, the trained
-// base model, the θ preferences, the coverage state (including accumulated
-// Dyn frequencies) and the PopAccuracy cache; LoadEngine restores all of it
-// without retraining. Pipelines assembled around custom accuracy/coverage
-// components, or around the Rand baselines, return ErrSnapshotUnsupported.
-func (p *Pipeline) Save(path string) error {
-	b, err := p.snapshotBuilder(p.ingestSeq, p.ingestAvgLambda, p.ingestPrefFill)
-	if err != nil {
-		return err
 	}
 	return b.Save(path)
 }
@@ -300,53 +232,35 @@ func LoadEngine(path string) (*Pipeline, error) {
 		return nil, fmt.Errorf("ganc: snapshot %s: %w", path, err)
 	}
 
-	arec, baseScorer, err := loadBase(snap, meta, train)
+	kind := kindNamed(meta.BaseKind)
+	if kind == nil {
+		return nil, fmt.Errorf("ganc: snapshot has unknown base kind %q", meta.BaseKind)
+	}
+	scorer, err := kind.decode(snap, train)
 	if err != nil {
 		return nil, err
-	}
-	if baseScorer != nil && precision != PrecisionF64 {
-		applyScoringPrecision(baseScorer, precision)
 	}
 
 	var covSnap coverageSnapshot
 	if err := snap.Gob(sectionCoverage, &covSnap); err != nil {
 		return nil, err
 	}
-	var crec CoverageRecommender
-	var covSpec CoverageSpec
-	switch covSnap.Name {
-	case "Dyn":
-		if len(covSnap.Freq) != train.NumItems() {
-			return nil, fmt.Errorf("ganc: snapshot Dyn frequencies cover %d items but the dataset has %d",
-				len(covSnap.Freq), train.NumItems())
-		}
-		crec = core.NewDynCoverageFrom(covSnap.Freq)
-		covSpec = CoverageDyn()
-	case "Stat":
-		crec = core.NewStatCoverage(train)
-		covSpec = CoverageStat()
-	default:
-		return nil, fmt.Errorf("ganc: snapshot has unknown coverage recommender %q", covSnap.Name)
-	}
-
-	g, err := core.New(train, arec, prefs, crec, core.Config{
-		N:          meta.TopN,
-		SampleSize: meta.SampleSize,
-		Seed:       meta.Seed,
-		Workers:    meta.Workers,
-		Precision:  precision,
-	})
+	covSpec, err := ParseCoverage(covSnap.Name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ganc: snapshot %s: %w", path, err)
+	}
+	if covSpec.restore == nil {
+		return nil, fmt.Errorf("ganc: snapshot %s: %w: coverage recommender %q", path, ErrSnapshotUnsupported, covSnap.Name)
+	}
+	crec, err := covSpec.restore(covSnap.Freq, train.PopularityVector())
+	if err != nil {
+		return nil, fmt.Errorf("ganc: snapshot %s: %w", path, err)
 	}
 
-	p := &Pipeline{
+	p := Pipeline{
 		train: train,
-		ganc:  g,
 		prefs: prefs,
 		cfg: pipelineConfig{
-			baseName:   meta.BaseKind,
-			prefModel:  longtail.Model(meta.PrefModel),
 			coverage:   covSpec,
 			topN:       meta.TopN,
 			sampleSize: meta.SampleSize,
@@ -354,8 +268,8 @@ func LoadEngine(path string) (*Pipeline, error) {
 			seed:       meta.Seed,
 			precision:  precision,
 		},
-		arec:       arec,
-		baseScorer: baseScorer,
+		arec:       accuracyFor(kind, scorer, train, meta.TopN),
+		baseScorer: scorer,
 		crec:       crec,
 	}
 	if snap.Has(sectionIngest) {
@@ -377,7 +291,7 @@ func LoadEngine(path string) (*Pipeline, error) {
 		}
 		p.shard = &ShardIdentity{ShardID: cs.ShardID, NumShards: cs.NumShards, RingEpoch: cs.RingEpoch}
 	}
-	return p, nil
+	return assemble(p)
 }
 
 // SaveShard writes a shard-scoped warm-start snapshot: the full Pipeline.Save
@@ -391,11 +305,7 @@ func (p *Pipeline) SaveShard(path string, id ShardIdentity) error {
 	}
 	shadow := *p
 	shadow.shard = &id
-	b, err := shadow.snapshotBuilder(p.ingestSeq, p.ingestAvgLambda, p.ingestPrefFill)
-	if err != nil {
-		return err
-	}
-	return b.Save(path)
+	return shadow.Save(path)
 }
 
 // LoadShardEngine restores a shard-scoped snapshot written by SaveShard (or
@@ -413,84 +323,6 @@ func LoadShardEngine(path string) (*Pipeline, ShardIdentity, error) {
 		return nil, ShardIdentity{}, fmt.Errorf("ganc: snapshot %s carries no shard identity (not written by SaveShard)", path)
 	}
 	return p, *p.shard, nil
-}
-
-// loadBase restores the accuracy component and the raw base scorer from the
-// "base" section according to the meta dispatch.
-func loadBase(snap *persist.Snapshot, meta snapshotMeta, train *Dataset) (AccuracyRecommender, Scorer, error) {
-	normalized := func(s Scorer) AccuracyRecommender {
-		return newNormalizedAccuracy(s, train.NumItems())
-	}
-	switch meta.BaseKind {
-	case "Pop":
-		var ps popSnapshot
-		if err := snap.Gob(sectionBase, &ps); err != nil {
-			return nil, nil, err
-		}
-		if len(ps.Counts) != train.NumItems() {
-			return nil, nil, fmt.Errorf("ganc: snapshot Pop counts cover %d items but the dataset has %d",
-				len(ps.Counts), train.NumItems())
-		}
-		pop := recommender.NewPopFromCounts(ps.Counts)
-		arec := core.NewPopAccuracyWith(pop, train, meta.TopN)
-		if snap.Has(sectionPopCache) {
-			var cache map[UserID][]ItemID
-			if err := snap.Gob(sectionPopCache, &cache); err != nil {
-				return nil, nil, err
-			}
-			arec.RestoreCache(cache)
-		}
-		return arec, pop, nil
-	case "ItemAvg":
-		var ia itemAvgSnapshot
-		if err := snap.Gob(sectionBase, &ia); err != nil {
-			return nil, nil, err
-		}
-		s := recommender.NewItemAvgFromAverages(ia.Avg, ia.Lambda)
-		return normalized(s), s, nil
-	case "RSVD":
-		r, err := snap.Reader(sectionBase)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := mf.LoadRSVD(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		return normalized(s), s, nil
-	case "PSVD":
-		r, err := snap.Reader(sectionBase)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := mf.LoadPSVD(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		return normalized(s), s, nil
-	case "ItemKNN":
-		r, err := snap.Reader(sectionBase)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := knn.Load(r, train)
-		if err != nil {
-			return nil, nil, err
-		}
-		return normalized(s), s, nil
-	case "CofiRank":
-		r, err := snap.Reader(sectionBase)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := rank.Load(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		return normalized(s), s, nil
-	default:
-		return nil, nil, fmt.Errorf("ganc: snapshot has unknown base kind %q", meta.BaseKind)
-	}
 }
 
 // Snapshot error sentinels re-exported from internal/persist so callers can

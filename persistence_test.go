@@ -8,7 +8,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+
+	"ganc/internal/persist"
 )
 
 // persistSplit builds the small synthetic split shared by the persistence
@@ -43,14 +49,14 @@ func assertRecsIdentical(t *testing.T, label string, got, want Recommendations) 
 }
 
 // buildPersistablePipeline assembles a pipeline for the named base kind on
-// cheap-to-train configurations.
-func buildPersistablePipeline(t *testing.T, train *Dataset, base string) *Pipeline {
+// cheap-to-train configurations; extra options follow the defaults.
+func buildPersistablePipeline(t *testing.T, train *Dataset, base string, extra ...PipelineOption) *Pipeline {
 	t.Helper()
-	opts := []PipelineOption{
+	opts := append([]PipelineOption{
 		WithTopN(5),
 		WithPreferences(PreferenceTFIDF),
 		WithSeed(7),
-	}
+	}, extra...)
 	switch base {
 	case "RSVD":
 		cfg := DefaultRSVDConfig()
@@ -267,3 +273,107 @@ type constantAccuracy struct{}
 
 func (constantAccuracy) AccuracyScore(UserID, ItemID) float64 { return 0.5 }
 func (constantAccuracy) Name() string                         { return "Const" }
+
+// TestLoadsParentSnapshots is the on-disk contract (DESIGN.md §8's
+// compatibility rules): testdata/snapshots holds one snapshot per baseKinds
+// row, written by Pipeline.Save at fc36d43, the commit before the facade was
+// folded into that table (28 users × 50 items; Pop.snap was saved after a sweep, so it carries
+// accumulated Dyn frequencies and the since-retired "popcache" section), and
+// digests.txt the pipeline name and RecommendAll digest that commit's
+// LoadEngine produced from each. Every file must still load, save back to the
+// sections it was read from byte for byte, and recommend the same lists.
+func TestLoadsParentSnapshots(t *testing.T) {
+	table, err := os.ReadFile(filepath.Join("testdata", "snapshots", "digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[string][2]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(table)), "\n") {
+		cols := strings.Split(line, "\t")
+		if len(cols) != 3 {
+			t.Fatalf("digests.txt: malformed line %q", line)
+		}
+		recorded[cols[0]] = [2]string{cols[1], cols[2]}
+	}
+	for k := range baseKinds {
+		kind := baseKinds[k].name
+		t.Run(kind, func(t *testing.T) {
+			want, ok := recorded[kind]
+			if !ok {
+				t.Fatalf("no parent-written snapshot recorded for base kind %s", kind)
+			}
+			path := filepath.Join("testdata", "snapshots", kind+".snap")
+			golden, err := persist.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind == "Pop" && !golden.Has("popcache") {
+				t.Fatal("Pop.snap lost the retired popcache section it exists to carry")
+			}
+			p, err := LoadEngine(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Name() != want[0] {
+				t.Fatalf("loaded %q, the parent loaded %q", p.Name(), want[0])
+			}
+
+			resaved := filepath.Join(t.TempDir(), "resaved.snap")
+			if err := p.Save(resaved); err != nil {
+				t.Fatal(err)
+			}
+			again, err := persist.Load(resaved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept []string
+			for _, name := range golden.Sections() {
+				if name != "popcache" {
+					kept = append(kept, name)
+				}
+			}
+			if !slices.Equal(again.Sections(), kept) {
+				t.Fatalf("saved sections %v, the parent wrote %v", again.Sections(), kept)
+			}
+			// Gob numbers its types per process, so sections are compared as
+			// what they decode to; the base and dataset payloads through the
+			// lists they produce, below.
+			sameSection[snapshotMeta](t, golden, again, sectionMeta)
+			sameSection[prefsSnapshot](t, golden, again, sectionPrefs)
+			sameSection[coverageSnapshot](t, golden, again, sectionCoverage)
+			reloaded, err := LoadEngine(resaved)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if runtime.GOARCH != "amd64" {
+				t.Skip("digests were recorded on amd64; other architectures fuse and order float operations differently")
+			}
+			for label, engine := range map[string]*Pipeline{"loaded": p, "saved again and loaded": reloaded} {
+				recs, err := engine.RecommendAll(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := collectionDigest(engine.Train(), recs); got != want[1] {
+					t.Errorf("%s: RecommendAll digest %s, the parent's was %s", label, got, want[1])
+				}
+			}
+		})
+	}
+}
+
+// sameSection fails unless the named gob section decodes to the same value in
+// both snapshots.
+func sameSection[T any](t *testing.T, a, b *persist.Snapshot, name string) {
+	t.Helper()
+	var x, y T
+	if err := a.Gob(name, &x); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Gob(name, &y); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(x, y) {
+		t.Errorf("section %q: saved %+v, the parent wrote %+v", name, y, x)
+	}
+}

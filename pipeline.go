@@ -32,8 +32,8 @@ type Pipeline struct {
 	// Handles to the assembled components, retained so the persistence layer
 	// (Pipeline.Save) and the streaming-ingestion rebuild path can reach them
 	// without reaching into the core instance: the accuracy component, the
-	// raw base scorer behind it (nil for fully custom accuracy recommenders)
-	// and the coverage recommender.
+	// raw base scorer behind it (nil only for WithAccuracy's fully custom
+	// recommenders) and the coverage recommender cfg.coverage built.
 	arec       AccuracyRecommender
 	baseScorer Scorer
 	crec       CoverageRecommender
@@ -86,21 +86,20 @@ type pipelineConfig struct {
 // PipelineOption customizes a Pipeline at construction time.
 type PipelineOption func(*pipelineConfig)
 
-// WithBase selects a pre-trained Scorer as the accuracy component. If the
-// scorer's Name matches a registry base with a custom accuracy adaptation
-// (e.g. "Pop", whose paper-faithful form is the indicator-style top-N
-// membership), that adaptation is used; otherwise the scores are min–max
-// normalized per user to [0,1] before entering the value function, as the
-// paper does with RSVD and PSVD predictions. Exactly one of WithBase,
-// WithBaseNamed or WithAccuracy must be given.
+// WithBase selects a pre-trained Scorer as the accuracy component. A model
+// whose type has a custom accuracy adaptation (the library's Pop, whose
+// paper-faithful form is the indicator-style top-N membership) enters the
+// value function through it; any other scorer, whatever its Name, has its
+// scores min–max normalized per user to [0,1] first, as the paper does with
+// RSVD and PSVD predictions. Exactly one of WithBase, WithBaseNamed or
+// WithAccuracy must be given.
 func WithBase(s Scorer) PipelineOption {
 	return func(c *pipelineConfig) { c.scorer = s }
 }
 
-// WithBaseNamed selects the accuracy component from the model registry by
-// name (see BaseNames). Registry entries know the paper-faithful adaptation
-// for each model — e.g. "Pop" uses the indicator-style top-N membership
-// accuracy rather than normalized raw counts.
+// WithBaseNamed trains the named registry model (see BaseNames) and selects
+// it exactly as WithBase would: WithBaseNamed("Pop") and WithBase(NewPop(train))
+// assemble the same pipeline.
 func WithBaseNamed(name string) PipelineOption {
 	return func(c *pipelineConfig) { c.baseName = name }
 }
@@ -168,26 +167,51 @@ func WithScoringPrecision(p ScoringPrecision) PipelineOption {
 
 // CoverageSpec is a deferred coverage-recommender constructor: the pipeline
 // resolves it against the train set during assembly, so callers no longer
-// thread catalog sizes through by hand.
+// thread catalog sizes through by hand. It is also everything the facade
+// knows about a coverage recommender: its snapshot spelling and how a loaded
+// snapshot or an ingested batch brings it back.
 type CoverageSpec struct {
 	name  string
 	build func(train *Dataset, seed int64) CoverageRecommender
+	// restore rebuilds the recommender from persisted or ingested state: the
+	// accumulated Dyn frequencies (nil when the saved recommender kept none)
+	// and the per-item rating counts. nil for Rand, whose shared rng state is
+	// consumed in evaluation order: a restore could not reproduce the saved
+	// engine's behaviour, so such a pipeline is neither saved nor ingested
+	// into.
+	restore func(dynFreq, popCounts []int) (CoverageRecommender, error)
 }
 
 // CoverageDyn selects the dynamic coverage recommender c(i) = 1/√(f_i^A + 1),
 // the paper's submodular default.
 func CoverageDyn() CoverageSpec {
-	return CoverageSpec{name: "Dyn", build: func(train *Dataset, _ int64) CoverageRecommender {
-		return core.NewDynCoverage(train.NumItems())
-	}}
+	return CoverageSpec{
+		name: "Dyn",
+		build: func(train *Dataset, _ int64) CoverageRecommender {
+			return core.NewDynCoverage(train.NumItems())
+		},
+		restore: func(dynFreq, popCounts []int) (CoverageRecommender, error) {
+			if len(dynFreq) != len(popCounts) {
+				return nil, fmt.Errorf("ganc: Dyn frequencies cover %d items but the dataset has %d",
+					len(dynFreq), len(popCounts))
+			}
+			return core.NewDynCoverageFrom(dynFreq), nil
+		},
+	}
 }
 
 // CoverageStat selects the static popularity-based coverage recommender
 // c(i) = 1/√(f_i^R + 1).
 func CoverageStat() CoverageSpec {
-	return CoverageSpec{name: "Stat", build: func(train *Dataset, _ int64) CoverageRecommender {
-		return core.NewStatCoverage(train)
-	}}
+	return CoverageSpec{
+		name: "Stat",
+		build: func(train *Dataset, _ int64) CoverageRecommender {
+			return core.NewStatCoverage(train)
+		},
+		restore: func(_, popCounts []int) (CoverageRecommender, error) {
+			return core.NewStatCoverageFromCounts(popCounts), nil
+		},
+	}
 }
 
 // CoverageRand selects the uniform-random coverage recommender, seeded from
@@ -196,6 +220,32 @@ func CoverageRand() CoverageSpec {
 	return CoverageSpec{name: "Rand", build: func(_ *Dataset, seed int64) CoverageRecommender {
 		return core.NewRandCoverage(seed)
 	}}
+}
+
+// coverageSpecs is every coverage recommender, in the order usage strings
+// list them.
+func coverageSpecs() []CoverageSpec {
+	return []CoverageSpec{CoverageDyn(), CoverageStat(), CoverageRand()}
+}
+
+// CoverageNames lists the coverage recommenders ParseCoverage resolves.
+func CoverageNames() []string {
+	var names []string
+	for _, spec := range coverageSpecs() {
+		names = append(names, spec.name)
+	}
+	return names
+}
+
+// ParseCoverage resolves a coverage recommender by the name CLIs and
+// snapshots spell it with (see CoverageNames).
+func ParseCoverage(name string) (CoverageSpec, error) {
+	for _, spec := range coverageSpecs() {
+		if spec.name == name {
+			return spec, nil
+		}
+	}
+	return CoverageSpec{}, fmt.Errorf("ganc: unknown coverage recommender %q (known: %v)", name, CoverageNames())
 }
 
 // NewPipeline validates and assembles a complete GANC pipeline in one call.
@@ -245,23 +295,16 @@ func NewPipeline(train *Dataset, opts ...PipelineOption) (*Pipeline, error) {
 		return nil, fmt.Errorf("ganc: exactly one of WithBase, WithBaseNamed or WithAccuracy is required (got %d)", sources)
 	}
 
-	arec := cfg.accuracy
-	baseScorer := cfg.scorer
+	scorer := cfg.scorer
 	var err error
-	switch {
-	case cfg.scorer != nil:
-		arec, err = accuracyForScorer(cfg.scorer, train, cfg.topN, cfg.seed)
-	case cfg.baseName != "":
-		arec, baseScorer, err = newAccuracyByName(cfg.baseName, train, cfg.topN, cfg.seed)
+	if cfg.baseName != "" {
+		if scorer, err = NewBaseScorer(cfg.baseName, train, cfg.seed); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	// Only push a non-default tier down: a base scorer whose precision was
-	// set directly (SetPrecision before WithBase) keeps its tier when the
-	// pipeline option is left at the default.
-	if baseScorer != nil && cfg.precision != PrecisionF64 {
-		applyScoringPrecision(baseScorer, cfg.precision)
+	arec := cfg.accuracy
+	if scorer != nil {
+		arec = accuracyFor(kindOf(scorer), scorer, train, cfg.topN)
 	}
 
 	prefs := cfg.prefVector
@@ -271,27 +314,34 @@ func NewPipeline(train *Dataset, opts ...PipelineOption) (*Pipeline, error) {
 			return nil, fmt.Errorf("ganc: estimating θ preferences: %w", err)
 		}
 	}
+	return assemble(Pipeline{
+		train:      train,
+		prefs:      prefs,
+		cfg:        cfg,
+		arec:       arec,
+		baseScorer: scorer,
+		crec:       cfg.coverage.build(train, cfg.seed),
+	})
+}
 
-	crec := cfg.coverage.build(train, cfg.seed)
-	g, err := core.New(train, arec, prefs, crec, core.Config{
-		N:          cfg.topN,
-		SampleSize: cfg.sampleSize,
-		Seed:       cfg.seed,
-		Workers:    cfg.workers,
-		Precision:  cfg.precision,
+// assemble is the one place a Pipeline is built: NewPipeline, LoadEngine and
+// the ingestion rebuild fill in the train set, θ, the configuration, the base
+// scorer with its accuracy component and the coverage recommender, and
+// assemble pushes the scoring tier down and wires the core instance.
+func assemble(p Pipeline) (*Pipeline, error) {
+	applyScoringPrecision(p.baseScorer, p.cfg.precision)
+	g, err := core.New(p.train, p.arec, p.prefs, p.crec, core.Config{
+		N:          p.cfg.topN,
+		SampleSize: p.cfg.sampleSize,
+		Seed:       p.cfg.seed,
+		Workers:    p.cfg.workers,
+		Precision:  p.cfg.precision,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{
-		train:      train,
-		ganc:       g,
-		prefs:      prefs,
-		cfg:        cfg,
-		arec:       arec,
-		baseScorer: baseScorer,
-		crec:       crec,
-	}, nil
+	p.ganc = g
+	return &p, nil
 }
 
 // Name returns the paper-style template string GANC(ARec, θ, CRec).

@@ -1,8 +1,13 @@
 package ganc
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -200,4 +205,90 @@ func TestRandIsSafeToServe(t *testing.T) {
 		}
 		wg.Wait()
 	}
+}
+
+// unpopular is a foreign scorer that calls itself "Pop" and ranks the
+// catalog the other way round: the fewer train ratings, the higher the
+// score (item IDs break ties, so its order is total).
+type unpopular struct{ counts []int }
+
+func (unpopular) Name() string { return "Pop" }
+
+func (s unpopular) Score(_ UserID, i ItemID) float64 {
+	return -float64(s.counts[i]) - float64(i)*1e-6
+}
+
+// TestBaseKindMatchedByType: what a scorer is to the facade is decided by its
+// Go type, never by its Name. A foreign scorer named "Pop" is normalised like
+// any other custom scorer — its scores are not replaced by the library's
+// popularity indicator — and is refused by the snapshot layer, while the
+// library's own Pop assembles the same pipeline through WithBase and
+// WithBaseNamed.
+func TestBaseKindMatchedByType(t *testing.T) {
+	train := pipelineFixture(t).Train
+	const n = 5
+	ctx := context.Background()
+	// θ = 0 for every user: the value function is the accuracy component
+	// alone, so the list is the base's own ranking.
+	accuracyOnly := WithPreferenceVector(&Preferences{Values: make([]float64, train.NumUsers())})
+
+	stub := unpopular{counts: train.PopularityVector()}
+	foreign, err := NewPipeline(train, WithBase(stub), accuracyOnly, WithTopN(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := NewBaseEngine(stub, train, n)
+	for u := UserID(0); u < 10; u++ {
+		got, err := foreign.RecommendUser(ctx, u, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := own.RecommendUser(ctx, u, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRecsIdentical(t, "a foreign scorer named Pop", Recommendations{u: got}, Recommendations{u: want})
+	}
+	if err := foreign.Save(filepath.Join(t.TempDir(), "foreign.snap")); !errors.Is(err, ErrSnapshotUnsupported) {
+		t.Fatalf("Save of a foreign scorer named Pop: err = %v, want ErrSnapshotUnsupported", err)
+	}
+	if _, err := NewIngestor(nil, foreign); !errors.Is(err, ErrSnapshotUnsupported) {
+		t.Fatalf("NewIngestor around a foreign scorer named Pop: err = %v, want ErrSnapshotUnsupported", err)
+	}
+
+	// The library's Pop, given or named: one pipeline, one snapshot.
+	given, err := NewPipeline(train, WithBase(NewPop(train)), WithTopN(n), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := NewPipeline(train, WithBaseNamed("Pop"), WithTopN(n), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var snaps [2][]byte
+	for k, p := range []*Pipeline{given, named} {
+		if kind := kindOf(p.baseScorer); kind == nil || kind.name != "Pop" {
+			t.Fatalf("pipeline %d carries base scorer %T, not the Pop row's", k, p.baseScorer)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("pop%d.snap", k))
+		if err := p.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if snaps[k], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatal("WithBase(NewPop(train)) and WithBaseNamed(\"Pop\") saved different snapshots")
+	}
+	want, err := given.RecommendAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := named.RecommendAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRecsIdentical(t, "Pop given vs named", got, want)
 }

@@ -40,14 +40,19 @@ type BulkScorer32 = recommender.BulkScorer32
 // precisionSetter is implemented by the base models whose bulk path can be
 // switched to a reduced-precision tier (RSVD, PSVD, CofiModel).
 type precisionSetter interface {
+	recommender.PrecisionScorer
 	SetPrecision(types.ScoringPrecision)
 }
 
-// applyScoringPrecision switches scorer's serving tier when it supports
-// tiered scoring; scorers without a reduced-precision path (Pop, ItemKNN,
-// custom scorers) are left untouched and keep serving exact float64.
+// applyScoringPrecision pushes a pipeline's tier down to its base scorer.
+// Only a non-default tier is pushed: a scorer whose precision was set
+// directly (SetPrecision before WithBase) keeps its tier when the pipeline
+// option is left at the default. A scorer already at the tier is not written
+// to — an ingestion rebuild reassembles around a model that is being served.
+// Scorers without a reduced-precision path (Pop, ItemKNN, custom scorers)
+// are left untouched and keep serving exact float64.
 func applyScoringPrecision(scorer Scorer, p ScoringPrecision) {
-	if ps, ok := scorer.(precisionSetter); ok {
+	if ps, ok := scorer.(precisionSetter); ok && p != PrecisionF64 && ps.ScoringPrecision() != p {
 		ps.SetPrecision(p)
 	}
 }

@@ -36,22 +36,22 @@ type revalNode struct {
 }
 
 // newRevalNode serves p with n-item lists behind an ingestor. kind names the
-// rebuild branch of pipelineFromState; a base scorer the snapshot layer does
-// not know (the stub) cannot go through NewIngestor and is wired by hand, the
-// same way.
+// baseKinds row pipelineFromState rebuilds through; a base scorer the table
+// does not own (the stub) cannot go through NewIngestor and is wired by hand,
+// the same way, as the frozen model a row without a rebuild is.
 func newRevalNode(t *testing.T, p *Pipeline, kind string, n int) *revalNode {
 	t.Helper()
-	cov, err := p.coverageName()
-	if err != nil {
-		t.Fatal(err)
+	row := kindNamed(kind)
+	if row == nil {
+		t.Fatalf("no base kind %q", kind)
 	}
 	srv, err := NewServer(p.Train(), p, n, WithMetrics(NewMetricsRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	node := &revalNode{srv: srv, handler: srv.Handler(), origin: p,
-		rebuild: func(s *ingest.State) (*Pipeline, error) { return p.pipelineFromState(kind, cov, s) }}
-	if _, err := p.baseKind(); err == nil {
+		rebuild: func(s *ingest.State) (*Pipeline, error) { return p.pipelineFromState(row, s) }}
+	if _, err := p.persistable(); err == nil {
 		node.ing, err = NewIngestor(srv, p)
 		if err != nil {
 			t.Fatal(err)

@@ -305,11 +305,7 @@ func (s *pipelineSystem) Fingerprint(ctx context.Context) ([]byte, error) {
 // state is never disturbed. A non-nil keep predicate restricts the
 // fingerprint to the users it accepts — the shard-scoped form.
 func fingerprintPipeline(ctx context.Context, p *Pipeline, ing *Ingestor, keep func(userKey string) bool) ([]byte, error) {
-	kind, err := p.baseKind()
-	if err != nil {
-		return nil, err
-	}
-	covName, err := p.coverageName()
+	kind, err := p.persistable()
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +321,7 @@ func fingerprintPipeline(ctx context.Context, p *Pipeline, ing *Ingestor, keep f
 	var clone *Pipeline
 	var cloneErr error
 	viewIng.View(func(st *ingest.State) {
-		clone, cloneErr = p.pipelineFromState(kind, covName, st)
+		clone, cloneErr = p.pipelineFromState(kind, st)
 	})
 	if cloneErr != nil {
 		return nil, cloneErr

@@ -13,20 +13,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"ganc/internal/dataset"
 	"ganc/internal/synth"
 )
 
 func main() {
-	preset := flag.String("preset", "ML-100K", "dataset preset: ML-100K, ML-1M, ML-10M, MT-200K, Netflix")
+	preset := flag.String("preset", "ML-100K", "dataset preset: "+strings.Join(synth.PresetNames(), ", "))
 	scale := flag.Float64("scale", 1.0, "size multiplier applied to the preset")
 	seed := flag.Int64("seed", 0, "override the preset's random seed (0 keeps the default)")
 	out := flag.String("out", "", "output CSV path (default: stdout)")
 	statsOnly := flag.Bool("stats", false, "print Table II-style statistics instead of the ratings")
 	flag.Parse()
 
-	cfg, err := presetByName(*preset, synth.Scale(*scale))
+	cfg, _, err := synth.Preset(*preset, synth.Scale(*scale))
 	if err != nil {
 		fatal(err)
 	}
@@ -64,23 +65,6 @@ func main() {
 	}
 	if *out != "" {
 		fmt.Fprintf(os.Stderr, "wrote %d ratings to %s\n", d.NumRatings(), *out)
-	}
-}
-
-func presetByName(name string, s synth.Scale) (synth.Config, error) {
-	switch name {
-	case "ML-100K":
-		return synth.ML100K(s), nil
-	case "ML-1M":
-		return synth.ML1M(s), nil
-	case "ML-10M":
-		return synth.ML10M(s), nil
-	case "MT-200K":
-		return synth.MT200K(s), nil
-	case "Netflix":
-		return synth.NetflixSample(s), nil
-	default:
-		return synth.Config{}, fmt.Errorf("unknown preset %q", name)
 	}
 }
 

@@ -7,9 +7,10 @@
 // model registry: each entry is either "Base" (the raw model) or
 // "Reranker@Base".
 //
-// Output is deterministic: for a fixed flag set, the report bytes are
-// identical run to run and for any -workers value (pinned by this package's
-// golden-file tests), so regenerated experiment artifacts diff cleanly.
+// Both modes assemble through the ganc facade. Output is deterministic: for a
+// fixed flag set, the report bytes are identical run to run and for any
+// -workers value (this package's golden-file tests pin both at -workers 1 and
+// 8), so regenerated experiment artifacts diff cleanly.
 //
 // Examples:
 //
@@ -53,7 +54,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	n := fs.Int("n", 5, "top-N cutoff")
 	sample := fs.Int("sample", 0, "OSLG sample size (0 = scaled default)")
-	workers := fs.Int("workers", 1, "worker goroutines for GANC's parallel phases (output is identical for any value)")
+	workers := fs.Int("workers", 1, "worker goroutines for GANC's parallel phases (output is identical for any value; Rand coverage always sweeps on one)")
 	only := fs.String("only", "", "comma-separated experiment ids: table2,figure1,figure2,figure3,figure4,figure5,table4,figure6,figure7,figure8,table5")
 	compare := fs.String("compare", "", "comma-separated registry combos to evaluate instead of the paper experiments: Base or Reranker@Base (bases: "+strings.Join(ganc.BaseNames(), ", ")+"; rerankers: "+strings.Join(ganc.RerankerNames(), ", ")+")")
 	preset := fs.String("preset", "ML-100K", "dataset preset for -compare")
@@ -98,7 +99,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	})
 	runOne("figure1", "Figure 1 — avg popularity of rated items vs activity", func() (string, error) {
 		var sb strings.Builder
-		for _, name := range experiment.DatasetNames() {
+		for _, name := range synth.PresetNames() {
 			_, text, err := s.Figure1(name, 10)
 			if err != nil {
 				return "", err
@@ -110,7 +111,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	})
 	runOne("figure2", "Figure 2 — long-tail preference distributions", func() (string, error) {
 		var sb strings.Builder
-		for _, name := range experiment.DatasetNames() {
+		for _, name := range synth.PresetNames() {
 			_, text, err := s.Figure2(name, 20)
 			if err != nil {
 				return "", err

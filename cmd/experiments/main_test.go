@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -83,19 +84,23 @@ func TestCompareReportGoldenAndDeterministic(t *testing.T) {
 	checkGolden(t, "compare_ml100k.golden", first)
 }
 
-// TestSuiteReportGoldenAndDeterministic pins a paper-experiment run (the
-// dataset-statistics table: every synthetic dataset generated, no training)
-// the same three ways.
+// TestSuiteReportGoldenAndDeterministic pins the paper experiments — the
+// dataset statistics and every model-bearing table and figure the suite
+// prints — to golden files recorded from the binary of commit 024c4dc, before
+// the suite became a client of the facade: byte-identical across -workers 1
+// and -workers 8 (GOMAXPROCS is raised so 8 is not clamped to 1) and to the
+// checked-in bytes. figure4 and figure8 run the figure3 and figure7 code on a
+// second dataset; figure1 and figure2 assemble no model.
 func TestSuiteReportGoldenAndDeterministic(t *testing.T) {
-	args := []string{"-only", "table2", "-scale", "0.06", "-seed", "3"}
-	first := runCLI(t, args...)
-	if second := runCLI(t, args...); second != first {
-		t.Fatal("two identical table2 runs produced different reports")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, id := range []string{"table2", "table4", "figure3", "figure5", "figure6", "figure7", "table5"} {
+		args := []string{"-only", id, "-scale", "0.06", "-seed", "3", "-workers"}
+		first := runCLI(t, append(args, "1")...)
+		if parallel := runCLI(t, append(args, "8")...); parallel != first {
+			t.Fatalf("%s: -workers 8 diverged from -workers 1.\n--- workers=8 ---\n%s\n--- workers=1 ---\n%s", id, parallel, first)
+		}
+		checkGolden(t, id+".golden", first)
 	}
-	if !strings.Contains(first, "Table II") {
-		t.Fatalf("report is missing the Table II header:\n%s", first)
-	}
-	checkGolden(t, "table2.golden", first)
 }
 
 // TestCompareRejectsUnknownCombos pins the CLI's error path (no os.Exit in

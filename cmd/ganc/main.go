@@ -156,14 +156,7 @@ func loadSnapshot(o options, stderr io.Writer) (*ganc.Pipeline, error) {
 		return nil, fmt.Errorf("-load and -save are mutually exclusive")
 	}
 	p, err := ganc.LoadEngine(o.load)
-	switch {
-	case errors.Is(err, ganc.ErrSnapshotVersion):
-		return nil, fmt.Errorf("snapshot %s was written by an incompatible version of this tool: %w", o.load, err)
-	case errors.Is(err, ganc.ErrSnapshotBadMagic):
-		return nil, fmt.Errorf("%s is not a GANC snapshot: %w", o.load, err)
-	case errors.Is(err, ganc.ErrSnapshotCorrupt):
-		return nil, fmt.Errorf("snapshot %s is corrupt (truncated or bit-flipped): %w", o.load, err)
-	case err != nil:
+	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(stderr, "loaded %s from %s: %d users, %d items, %d ratings\n",

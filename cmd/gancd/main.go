@@ -314,23 +314,13 @@ func listenAndServe(ctx context.Context, addr string, handler http.Handler) erro
 	return nil
 }
 
-// loadSnapshot loads a snapshot with operator-grade error messages.
+// loadSnapshot loads the snapshot -load names; LoadEngine's errors name the
+// path and the cause.
 func loadSnapshot(path string) (*ganc.Pipeline, error) {
 	if path == "" {
 		return nil, fmt.Errorf("-load is required (train and snapshot with: ganc -arec Pop -save model.snap)")
 	}
-	p, err := ganc.LoadEngine(path)
-	switch {
-	case errors.Is(err, ganc.ErrSnapshotVersion):
-		return nil, fmt.Errorf("snapshot %s was written by an incompatible version of this tool: %w", path, err)
-	case errors.Is(err, ganc.ErrSnapshotBadMagic):
-		return nil, fmt.Errorf("%s is not a GANC snapshot: %w", path, err)
-	case errors.Is(err, ganc.ErrSnapshotCorrupt):
-		return nil, fmt.Errorf("snapshot %s is corrupt (truncated or bit-flipped): %w", path, err)
-	case err != nil:
-		return nil, err
-	}
-	return p, nil
+	return ganc.LoadEngine(path)
 }
 
 // reportReplay tells the operator what write-ahead-log recovery restored.

@@ -27,8 +27,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"ganc/internal/cluster"
+	"ganc/internal/synth"
 )
 
 // collectPackageDirs walks the module and returns every directory containing
@@ -180,7 +182,9 @@ func position(fset *token.FileSet, pos token.Pos) string {
 // package-qualified exported identifiers (`recommender.SelectTop`), test,
 // fuzz, benchmark and example functions (`TestScenario*`: a trailing `*` or
 // `_`, or a place in a -run pattern, marks a prefix), `GET /path` and `POST /path` routes and relative `*.md`
-// files that exist, and README's gancd role matrix lists for each role
+// files that exist, and base, re-ranker, coverage and preset names the
+// registries resolve (BaseNames, RerankerNames, CoverageNames,
+// synth.PresetNames), and README's gancd role matrix lists for each role
 // exactly the flags gancd's own table says the role reads. Options and flags are the names a
 // reader copies into a program or a shell, and a qualified identifier or a
 // file is where a reader opens the code, so a document that keeps one the
@@ -401,6 +405,17 @@ var (
 	// routeInDoc matches a method and the path it is sent to; a query string
 	// or a prose full stop ends the path.
 	routeInDoc = regexp.MustCompile(`\b(GET|POST|PUT|DELETE) (/[a-z/_-]*[a-z])`)
+	// registryFlags, registryCalls and registryShapes say which registry a
+	// name in a document is meant for: the flag it is the value of, the
+	// constructor it is the first argument of, the family its shape puts it in.
+	registryFlags     = map[string]string{"arec": "base", "rerank": "reranker", "crec": "coverage", "preset": "preset"}
+	registryCalls     = map[string]string{"WithBaseNamed": "base", "NewBaseScorer": "base", "NewReranker": "reranker", "ParseCoverage": "coverage", "GeneratePreset": "preset"}
+	registryCallInDoc = regexp.MustCompile(`\b(WithBaseNamed|NewBaseScorer|NewReranker|ParseCoverage|GeneratePreset)\("([^"]*)"`)
+	registryShapes    = map[string]*regexp.Regexp{
+		"reranker": regexp.MustCompile(`^(5D|RBT|PRA)-[\w-]+$`),
+		"preset":   regexp.MustCompile(`^M[LT]-\d+[KM]$`),
+		"base":     regexp.MustCompile(`^PSVD\d+$`),
+	}
 	// matrixRow matches a row of README's gancd role matrix (the table under
 	// matrixHead): the role, then its required-flags and optional-flags cells.
 	matrixRow = regexp.MustCompile("^\\| `([a-z]+)` \\| ([^|]*) \\| ([^|]*) \\|")
@@ -597,6 +612,76 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 
+	// checkRegistry vets the names a reader passes to a registry — base
+	// models, re-rankers, coverage recommenders, dataset presets — wherever a
+	// code span or a fenced line shows which registry a name is meant for:
+	// the value of a flag that takes one, the string handed to a constructor
+	// that resolves one, and a token shaped like a family of names (`PRA-10`,
+	// `ML-1M`, `PSVD100`). list says the text is a whole code span: a comma
+	// list that opens with a registry's name is a list of that registry.
+	registries := map[string]map[string]bool{"base": {}, "reranker": {"none": true}, "coverage": {}, "preset": {}}
+	for kind, names := range map[string][]string{
+		"base": BaseNames(), "reranker": RerankerNames(), "coverage": CoverageNames(), "preset": synth.PresetNames(),
+	} {
+		for _, name := range names {
+			registries[kind][name] = true
+		}
+	}
+	checkRegistry := func(where, text string, list bool) {
+		need := func(kind, name string) {
+			if !registries[kind][name] {
+				t.Errorf("%s: %q is not a registered %s name (in `%s`)", where, name, kind, text)
+			}
+		}
+		words := strings.Fields(text)
+		for k, w := range words[:max(len(words)-1, 0)] {
+			m := flagInDoc.FindStringSubmatch(w)
+			if m == nil {
+				continue
+			}
+			value := strings.Trim(words[k+1], "`'\".,;:)")
+			if kind := registryFlags[m[1]]; kind != "" {
+				need(kind, value)
+			} else if m[1] == "compare" {
+				for _, combo := range strings.Split(value, ",") {
+					if at := strings.IndexByte(combo, '@'); at >= 0 {
+						need("reranker", combo[:at])
+						combo = combo[at+1:]
+					}
+					need("base", combo)
+				}
+			}
+		}
+		for _, m := range registryCallInDoc.FindAllStringSubmatch(text, -1) {
+			need(registryCalls[m[1]], m[2])
+		}
+		for _, tok := range strings.FieldsFunc(text, func(r rune) bool {
+			return r != '-' && !unicode.IsLetter(r) && !unicode.IsDigit(r)
+		}) {
+			for kind, shape := range registryShapes {
+				if shape.MatchString(tok) {
+					need(kind, tok)
+				}
+			}
+		}
+		if entries := strings.Split(text, ", "); list && len(entries) > 1 {
+			for _, kind := range []string{"base", "reranker", "coverage", "preset"} {
+				if !registries[kind][entries[0]] {
+					continue
+				}
+				for _, name := range entries[1:] {
+					if strings.ContainsAny(name, " ()") {
+						return // prose or a template, not a list of names
+					}
+				}
+				for _, name := range entries[1:] {
+					need(kind, name)
+				}
+				return
+			}
+		}
+	}
+
 	for _, doc := range []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -633,6 +718,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				}
 				invocations(where, line)
 				checkRun(where, line)
+				checkRegistry(where, line, false)
 				continue
 			}
 			// Prose: only inline code spans name commands and flags.
@@ -642,6 +728,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				}
 				invocations(where, span)
 				checkRun(where, span)
+				checkRegistry(where, span, true)
 				if name := seriesInDoc.FindString(span); name != "" && !series[name] {
 					t.Errorf("%s: no server, router or admission controller registers the series %s", where, name)
 				}

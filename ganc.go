@@ -6,7 +6,7 @@
 // the types and constructors a downstream application needs for the common
 // workflow:
 //
-//  1. load or generate rating data           (LoadRatings, GenerateML1M, ...)
+//  1. load or generate rating data           (LoadRatings, GeneratePreset, ...)
 //  2. split it per user                       (Dataset.SplitByUser)
 //  3. assemble the pipeline in one call      (NewPipeline + With... options)
 //  4. serve or batch-generate through Engine (RecommendUser / RecommendAll)
@@ -29,7 +29,6 @@
 package ganc
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 
@@ -170,46 +169,16 @@ func GenerateML100K(scale float64) (*Dataset, error) {
 	return synth.Generate(synth.ML100K(synth.Scale(scale)))
 }
 
-// GenerateML1M builds the calibrated synthetic ML-1M stand-in.
-func GenerateML1M(scale float64) (*Dataset, error) {
-	return synth.Generate(synth.ML1M(synth.Scale(scale)))
-}
-
-// GenerateML10M builds the calibrated synthetic ML-10M stand-in.
-func GenerateML10M(scale float64) (*Dataset, error) {
-	return synth.Generate(synth.ML10M(synth.Scale(scale)))
-}
-
-// GenerateMT200K builds the calibrated synthetic MovieTweetings-200K
-// stand-in.
-func GenerateMT200K(scale float64) (*Dataset, error) {
-	return synth.Generate(synth.MT200K(synth.Scale(scale)))
-}
-
-// GenerateNetflixSample builds the calibrated synthetic Netflix-sample
-// stand-in.
-func GenerateNetflixSample(scale float64) (*Dataset, error) {
-	return synth.Generate(synth.NetflixSample(synth.Scale(scale)))
-}
-
-// GeneratePreset generates the named synthetic preset ("ML-100K", "ML-1M",
-// "ML-10M", "MT-200K", "Netflix") at the given scale — the shared lookup the
-// CLIs use for their -preset flags.
+// GeneratePreset generates the named synthetic preset at the given scale — the
+// shared lookup the CLIs use for their -preset flags. The names are the paper's
+// Table II datasets ("ML-100K", "ML-1M", "ML-10M", "MT-200K", "Netflix"); an
+// unknown one answers an error listing them.
 func GeneratePreset(name string, scale float64) (*Dataset, error) {
-	switch name {
-	case "ML-100K":
-		return GenerateML100K(scale)
-	case "ML-1M":
-		return GenerateML1M(scale)
-	case "ML-10M":
-		return GenerateML10M(scale)
-	case "MT-200K":
-		return GenerateMT200K(scale)
-	case "Netflix":
-		return GenerateNetflixSample(scale)
-	default:
-		return nil, fmt.Errorf("ganc: unknown preset %q (known: ML-100K, ML-1M, ML-10M, MT-200K, Netflix)", name)
+	cfg, _, err := synth.Preset(name, synth.Scale(scale))
+	if err != nil {
+		return nil, err
 	}
+	return synth.Generate(cfg)
 }
 
 // SplitByUser partitions d per user, keeping the fraction kappa of each

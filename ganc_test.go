@@ -128,26 +128,19 @@ func TestPublicAPIReadRatings(t *testing.T) {
 }
 
 func TestPublicAPISyntheticGenerators(t *testing.T) {
-	cases := []struct {
-		name string
-		gen  func(float64) (*Dataset, error)
-	}{
-		{"ML-100K", GenerateML100K},
-		{"ML-1M", GenerateML1M},
-		{"ML-10M", GenerateML10M},
-		{"MT-200K", GenerateMT200K},
-		{"Netflix", GenerateNetflixSample},
-	}
-	for _, tc := range cases {
-		d, err := tc.gen(0.05)
+	for _, name := range []string{"ML-100K", "ML-1M", "ML-10M", "MT-200K", "Netflix"} {
+		d, err := GeneratePreset(name, 0.05)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if d.NumRatings() == 0 {
-			t.Fatalf("%s: empty dataset", tc.name)
+			t.Fatalf("%s: empty dataset", name)
 		}
-		if d.Name() != tc.name {
-			t.Fatalf("%s: generated dataset named %q", tc.name, d.Name())
+		if d.Name() != name {
+			t.Fatalf("%s: generated dataset named %q", name, d.Name())
 		}
+	}
+	if _, err := GeneratePreset("ML-20M", 0.05); err == nil || !strings.Contains(err.Error(), "ML-100K, ML-1M, ML-10M, MT-200K, Netflix") {
+		t.Fatalf("unknown preset: err %v, want one listing the known names", err)
 	}
 }

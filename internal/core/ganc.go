@@ -495,8 +495,9 @@ type Config struct {
 	Seed int64
 	// Workers is the number of goroutines used for the out-of-sample phase of
 	// OSLG (Algorithm 1, lines 11–15, which the paper notes can run in
-	// parallel) and for the independent per-user sweeps of the stateless
-	// coverage recommenders. Values ≤ 1 run sequentially; values above
+	// parallel) and for the independent per-user sweeps of Stat coverage (Rand
+	// always sweeps on one worker, see forEachShard), so the output is the same
+	// for any value. Values ≤ 1 run sequentially; values above
 	// runtime.GOMAXPROCS(0) — the Ps the process may run on, which a CPU
 	// quota or `go test -cpu` sets below the machine's CPU count — are
 	// clamped to it: more goroutines than Ps only time-slice.
@@ -793,9 +794,14 @@ func lastOutranks[T float32 | float64](cand []types.ItemID, gains []T, theta flo
 
 // forEachShard splits [0, count) into contiguous ranges across the configured
 // workers (clamped to GOMAXPROCS) and runs fn(lo, hi) per range, inline when
-// parallelism is disabled.
+// parallelism is disabled. Rand's scores are successive draws from one rng, so
+// they depend on the order users are swept in: it gets one range, swept in
+// user order, whatever Config.Workers says.
 func (g *GANC) forEachShard(count int, fn func(lo, hi int)) {
 	workers := g.cfg.Workers
+	if _, orderDependent := g.crec.(*RandCoverage); orderDependent {
+		workers = 1
+	}
 	if procs := runtime.GOMAXPROCS(0); workers > procs {
 		workers = procs
 	}
@@ -830,9 +836,9 @@ func (g *GANC) Recommend() types.Recommendations {
 		return g.recommendOSLG(dyn)
 	}
 	// Stateless coverage recommenders (Rand, Stat): every user's problem is
-	// independent, so the sweep shards across Config.Workers, one contiguous
-	// user range and one scratch per worker. Per-user results land in a slice
-	// indexed by user, so no mutex is needed.
+	// independent, so the sweep shards across Config.Workers (one, for Rand),
+	// one contiguous user range and one scratch per worker. Per-user results
+	// land in a slice indexed by user, so no mutex is needed.
 	numUsers := g.train.NumUsers()
 	sets := make([]types.TopNSet, numUsers)
 	ctx := context.Background()

@@ -162,18 +162,26 @@ func TestWorkersClampedToGOMAXPROCS(t *testing.T) {
 }
 
 func TestParallelRandCoverageProducesCompleteCollection(t *testing.T) {
-	// Rand coverage is inherently nondeterministic across schedules, so only
-	// validate structural invariants under parallelism (and let the race
-	// detector do the rest).
+	// Rand's scores are draws from one shared rng, consumed in the order users
+	// are swept in, so a sharded sweep would answer differently per schedule:
+	// it sweeps on one worker, and Workers=8 gives the Workers=1 collection.
+	// GOMAXPROCS is raised so the worker count is not clamped to 1.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sp := parallelSplit(t)
 	train := sp.Train
 	prefs := longtail.Constant(train.NumUsers(), 0.7)
-	g, err := New(train, NewPopAccuracy(train, 5), prefs, NewRandCoverage(3),
-		Config{N: 5, Seed: 3, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) types.Recommendations {
+		g, err := New(train, NewPopAccuracy(train, 5), prefs, NewRandCoverage(3),
+			Config{N: 5, Seed: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.Recommend()
 	}
-	recs := g.Recommend()
+	recs := run(8)
+	if !collectionsEqual(recs, run(1)) {
+		t.Fatal("Workers=8 under Rand coverage differs from the sequential run")
+	}
 	if len(recs) != train.NumUsers() {
 		t.Fatalf("got %d users, want %d", len(recs), train.NumUsers())
 	}

@@ -3,10 +3,11 @@ package experiment
 import (
 	"fmt"
 
+	"ganc"
 	"ganc/internal/eval"
 	"ganc/internal/longtail"
 	"ganc/internal/recommender"
-	"ganc/internal/rerank"
+	"ganc/internal/synth"
 	"ganc/internal/types"
 )
 
@@ -28,7 +29,7 @@ type TableIVResult struct {
 // GANC(RSVD, θ^G, Dyn), all at the suite's N.
 func (s *Suite) TableIV(datasets []string) ([]TableIVResult, string, error) {
 	if len(datasets) == 0 {
-		datasets = DatasetNames()
+		datasets = synth.PresetNames()
 	}
 	var results []TableIVResult
 	text := ""
@@ -59,8 +60,8 @@ func (s *Suite) tableIVForDataset(datasetName string) (*TableIVResult, string, e
 	reports = append(reports, ev.Evaluate("RSVD", baseRecs, n))
 
 	// Re-ranking baselines on top of RSVD.
-	for _, variant := range []string{"5D", "5D-A-RR", "RBT-Pop", "RBT-Avg", "PRA-10", "PRA-20"} {
-		recs, label, err := s.RunReranker(datasetName, variant, n)
+	for _, variant := range []string{"5D", "5D-AF", "RBT-Pop", "RBT-Avg", "PRA-10", "PRA-20"} {
+		recs, label, err := s.RunReranker(datasetName, ARecRSVD, variant, n)
 		if err != nil {
 			return nil, "", err
 		}
@@ -70,7 +71,7 @@ func (s *Suite) tableIVForDataset(datasetName string) (*TableIVResult, string, e
 	// GANC variants with the same base model (RSVD) as the accuracy
 	// recommender.
 	for _, theta := range []longtail.Model{longtail.ModelTFIDF, longtail.ModelGeneralized} {
-		recs, label, err := s.RunGANC(datasetName, GANCSpec{ARec: ARecRSVD, Theta: theta, CRec: CRecDyn, N: n})
+		recs, label, err := s.RunGANC(datasetName, GANCSpec{ARec: ARecRSVD, Theta: theta, CRec: ganc.CoverageDyn(), N: n})
 		if err != nil {
 			return nil, "", err
 		}
@@ -113,7 +114,7 @@ type Figure6Point struct {
 // everywhere else.
 func (s *Suite) Figure6(datasets []string) ([]Figure6Point, string, error) {
 	if len(datasets) == 0 {
-		datasets = DatasetNames()
+		datasets = synth.PresetNames()
 	}
 	n := s.N
 	var points []Figure6Point
@@ -152,14 +153,14 @@ func (s *Suite) Figure6(datasets []string) ([]Figure6Point, string, error) {
 		}
 
 		// PRA with the dataset-appropriate accuracy recommender.
-		praRecs, praLabel, err := s.runPRAWithARec(name, arec, n)
+		praRecs, praLabel, err := s.RunReranker(name, arec, "PRA-10", n)
 		if err != nil {
 			return nil, "", err
 		}
 		add(praLabel, praRecs)
 
 		// GANC variants with the three coverage recommenders.
-		for _, crec := range []CoverageRecName{CRecDyn, CRecStat, CRecRand} {
+		for _, crec := range []ganc.CoverageSpec{ganc.CoverageDyn(), ganc.CoverageStat(), ganc.CoverageRand()} {
 			recs, label, err := s.RunGANC(name, GANCSpec{ARec: arec, Theta: longtail.ModelGeneralized, CRec: crec, N: n})
 			if err != nil {
 				return nil, "", err
@@ -170,24 +171,6 @@ func (s *Suite) Figure6(datasets []string) ([]Figure6Point, string, error) {
 	text := fmt.Sprintf("Figure 6: accuracy vs coverage vs novelty at N=%d\n", n) +
 		formatTable([]string{"Dataset", "Algorithm", "F-measure", "Coverage", "LTAccuracy"}, rows)
 	return points, text, nil
-}
-
-// runPRAWithARec runs the PRA baseline on top of the same accuracy
-// recommender GANC uses in Figure 6.
-func (s *Suite) runPRAWithARec(datasetName string, arec AccuracyRecName, n int) (types.Recommendations, string, error) {
-	sp, err := s.Split(datasetName)
-	if err != nil {
-		return nil, "", err
-	}
-	scorer, err := s.accuracyScorer(datasetName, arec)
-	if err != nil {
-		return nil, "", err
-	}
-	p, err := rerank.NewPRA(sp.Train, scorer, rerank.DefaultPRAConfig(n, 10))
-	if err != nil {
-		return nil, "", err
-	}
-	return recommender.RecommendAll(p, sp.Train, n), p.Name(), nil
 }
 
 // --- Figures 7 and 8 ---------------------------------------------------------------

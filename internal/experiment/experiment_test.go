@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"ganc"
 	"ganc/internal/longtail"
+	"ganc/internal/synth"
 )
 
 // tinySuite is a very small suite shared across the experiment tests; the
@@ -22,7 +25,7 @@ func TestNewSuiteDefaults(t *testing.T) {
 }
 
 func TestDatasetNamesMatchTableII(t *testing.T) {
-	names := DatasetNames()
+	names := synth.PresetNames()
 	want := []string{"ML-100K", "ML-1M", "ML-10M", "MT-200K", "Netflix"}
 	if len(names) != len(want) {
 		t.Fatalf("got %v", names)
@@ -345,14 +348,16 @@ func TestRunBaselineUnknownAndRerankerUnknown(t *testing.T) {
 	if _, err := s.RunBaseline("ML-100K", BaselineName("bogus"), 5); err == nil {
 		t.Fatal("unknown baseline did not error")
 	}
-	if _, _, err := s.RunReranker("ML-100K", "bogus", 5); err == nil {
-		t.Fatal("unknown re-ranker did not error")
+	// An unknown re-ranker answers the registry's error, which lists the names.
+	_, _, err := s.RunReranker("ML-100K", ARecRSVD, "5D-A-RR", 5)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(ganc.RerankerNames())) {
+		t.Fatalf("unknown re-ranker: err %v, want the registry's error listing %v", err, ganc.RerankerNames())
 	}
-	if _, _, err := s.RunGANC("ML-100K", GANCSpec{ARec: "bogus", Theta: longtail.ModelTFIDF, CRec: CRecDyn}); err == nil {
+	if _, _, err := s.RunGANC("ML-100K", GANCSpec{ARec: "bogus", Theta: longtail.ModelTFIDF, CRec: ganc.CoverageDyn()}); err == nil {
 		t.Fatal("unknown accuracy recommender did not error")
 	}
-	if _, _, err := s.RunGANC("ML-100K", GANCSpec{ARec: ARecPop, Theta: longtail.ModelTFIDF, CRec: "bogus"}); err == nil {
-		t.Fatal("unknown coverage recommender did not error")
+	if _, _, err := s.RunGANC("ML-100K", GANCSpec{ARec: ARecPop, Theta: longtail.ModelTFIDF}); err == nil {
+		t.Fatal("a GANC spec without a coverage recommender did not error")
 	}
 }
 

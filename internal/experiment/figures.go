@@ -3,9 +3,10 @@ package experiment
 import (
 	"fmt"
 
+	"ganc"
 	"ganc/internal/eval"
 	"ganc/internal/longtail"
-	"ganc/internal/recommender"
+	"ganc/internal/synth"
 	"ganc/internal/types"
 )
 
@@ -16,7 +17,7 @@ import (
 func (s *Suite) TableII() ([]TableIIRow, string, error) {
 	var rows []TableIIRow
 	var textRows [][]string
-	for _, name := range DatasetNames() {
+	for _, name := range synth.PresetNames() {
 		sp, err := s.Split(name)
 		if err != nil {
 			return nil, "", err
@@ -220,7 +221,7 @@ func (s *Suite) SampleSizeSweep(datasetName string, arecs []AccuracyRecName, siz
 	var textRows [][]string
 	for _, arec := range arecs {
 		for _, size := range sizes {
-			recs, _, err := s.RunGANC(datasetName, GANCSpec{ARec: arec, Theta: longtail.ModelGeneralized, CRec: CRecDyn, N: s.N, SampleSize: size})
+			recs, _, err := s.RunGANC(datasetName, GANCSpec{ARec: arec, Theta: longtail.ModelGeneralized, CRec: ganc.CoverageDyn(), N: s.N, SampleSize: size})
 			if err != nil {
 				return nil, "", err
 			}
@@ -267,27 +268,22 @@ func (s *Suite) PreferenceModelSweep(datasetName string, arecs []AccuracyRecName
 	if err != nil {
 		return nil, "", err
 	}
-	sp, err := s.Split(datasetName)
-	if err != nil {
-		return nil, "", err
-	}
 	var points []PreferenceSweepPoint
 	var textRows [][]string
 	for _, arec := range arecs {
 		for _, n := range ns {
 			// The plain accuracy recommender as its own row ("ARec" line in
-			// the figure).
-			baseScorer, err := s.accuracyScorer(datasetName, arec)
+			// the figure): the standalone baseline of the same name.
+			baseRecs, err := s.RunBaseline(datasetName, BaselineName(arec), n)
 			if err != nil {
 				return nil, "", err
 			}
-			baseRecs := recommender.RecommendAll(&recommender.ScorerTopN{Scorer: baseScorer}, sp.Train, n)
 			baseRep := ev.Evaluate(string(arec), baseRecs, n)
 			points = append(points, PreferenceSweepPoint{ARec: arec, Theta: "ARec-only", N: n, Report: baseRep})
 			textRows = append(textRows, sweepRow(arec, "ARec-only", n, baseRep))
 
 			for _, theta := range thetas {
-				recs, name, err := s.RunGANC(datasetName, GANCSpec{ARec: arec, Theta: theta, CRec: CRecDyn, N: n})
+				recs, name, err := s.RunGANC(datasetName, GANCSpec{ARec: arec, Theta: theta, CRec: ganc.CoverageDyn(), N: n})
 				if err != nil {
 					return nil, "", err
 				}
@@ -327,7 +323,7 @@ type TableVRow struct {
 // RMSE they achieve, mirroring the paper's Table V.
 func (s *Suite) TableV(datasets []string) ([]TableVRow, string, error) {
 	if len(datasets) == 0 {
-		datasets = DatasetNames()
+		datasets = synth.PresetNames()
 	}
 	var rows []TableVRow
 	var textRows [][]string

@@ -1,25 +1,28 @@
 // Package experiment is the reproduction harness: it wires the synthetic
-// calibrated datasets, the base recommenders, the re-ranking baselines and
-// GANC into runners that regenerate every table and figure of the paper's
-// evaluation (Section IV, Section V and Appendix C). Each runner returns both
-// a structured result (for tests) and a formatted text block (what
+// calibrated datasets and the models it trains once per dataset into runners
+// that regenerate every table and figure of the paper's evaluation (Section
+// IV, Section V and Appendix C). It is a client of the ganc facade: a GANC
+// variant is a ganc.NewPipeline, a re-ranking baseline a ganc.NewReranker, a
+// standalone baseline a ganc.NewBaseEngine — the pipeline the tables are
+// printed from is the one the library serves. Each runner returns both a
+// structured result (for tests) and a formatted text block (what
 // `go run ./cmd/experiments` prints).
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 
-	"ganc/internal/core"
+	"ganc"
 	"ganc/internal/dataset"
 	"ganc/internal/eval"
 	"ganc/internal/longtail"
 	"ganc/internal/mf"
 	"ganc/internal/rank"
 	"ganc/internal/recommender"
-	"ganc/internal/rerank"
 	"ganc/internal/synth"
 	"ganc/internal/types"
 )
@@ -42,8 +45,8 @@ type Suite struct {
 	// fraction of the user base).
 	SampleSize int
 	// Workers drives GANC's parallel phases (0/1 = sequential). Reports are
-	// byte-identical for any worker count — the determinism tests in
-	// cmd/experiments pin this.
+	// byte-identical for any worker count — the golden tests in
+	// cmd/experiments pin this at 1 and 8.
 	Workers int
 
 	mu     sync.Mutex
@@ -81,39 +84,16 @@ func NewSuite(scale synth.Scale, seed int64, n, sampleSize int) *Suite {
 	}
 }
 
-// DatasetNames returns the five paper datasets in Table II order.
-func DatasetNames() []string {
-	return []string{"ML-100K", "ML-1M", "ML-10M", "MT-200K", "Netflix"}
-}
-
-// presetFor maps a dataset name to its synthetic configuration.
-func (s *Suite) presetFor(name string) (synth.Config, error) {
-	switch name {
-	case "ML-100K":
-		return synth.ML100K(s.Scale), nil
-	case "ML-1M":
-		return synth.ML1M(s.Scale), nil
-	case "ML-10M":
-		return synth.ML10M(s.Scale), nil
-	case "MT-200K":
-		return synth.MT200K(s.Scale), nil
-	case "Netflix":
-		return synth.NetflixSample(s.Scale), nil
-	default:
-		return synth.Config{}, fmt.Errorf("experiment: unknown dataset %q", name)
-	}
-}
-
 // Split returns the train/test split for the named dataset, generating and
-// caching it on first use. The split ratio κ follows the paper's protocol
-// (synth.Kappa).
+// caching it on first use. The configuration and the split ratio κ are the
+// preset's row of synth's table.
 func (s *Suite) Split(name string) (*dataset.Split, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sp, ok := s.splits[name]; ok {
 		return sp, nil
 	}
-	cfg, err := s.presetFor(name)
+	cfg, kappa, err := synth.Preset(name, s.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +101,7 @@ func (s *Suite) Split(name string) (*dataset.Split, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: generate %s: %w", name, err)
 	}
-	sp := d.SplitByUser(synth.Kappa(name), rand.New(rand.NewSource(s.Seed)))
+	sp := d.SplitByUser(kappa, rand.New(rand.NewSource(s.Seed)))
 	s.splits[name] = sp
 	return sp, nil
 }
@@ -209,7 +189,7 @@ func (s *Suite) CofiR(name string, factors int) (*rank.Model, error) {
 	return rank.Train(sp.Train, cfg)
 }
 
-// --- GANC assembly helpers -----------------------------------------------------
+// --- GANC runs --------------------------------------------------------------------
 
 // AccuracyRecName identifies a base accuracy recommender in runner arguments.
 type AccuracyRecName string
@@ -222,7 +202,8 @@ const (
 	ARecPSVD100 AccuracyRecName = "PSVD100"
 )
 
-// accuracyScorer returns the raw Scorer behind an accuracy recommender name.
+// accuracyScorer returns the suite's model behind an accuracy recommender
+// name: Pop, or the dataset's cached RSVD or PSVD.
 func (s *Suite) accuracyScorer(datasetName string, arec AccuracyRecName) (recommender.Scorer, error) {
 	switch arec {
 	case ARecPop:
@@ -242,64 +223,20 @@ func (s *Suite) accuracyScorer(datasetName string, arec AccuracyRecName) (recomm
 	}
 }
 
-// accuracyComponent adapts an accuracy recommender name into the GANC
-// AccuracyRecommender component, normalizing scores to [0,1] where needed.
-func (s *Suite) accuracyComponent(datasetName string, arec AccuracyRecName, n int) (core.AccuracyRecommender, error) {
-	sp, err := s.Split(datasetName)
-	if err != nil {
-		return nil, err
-	}
-	if arec == ARecPop {
-		return core.NewPopAccuracy(sp.Train, n), nil
-	}
-	scorer, err := s.accuracyScorer(datasetName, arec)
-	if err != nil {
-		return nil, err
-	}
-	norm := recommender.NewNormalizedScorer(scorer, sp.Train.NumItems())
-	return &core.ScorerAccuracy{Scorer: norm}, nil
-}
-
-// CoverageRecName identifies a coverage recommender in runner arguments.
-type CoverageRecName string
-
-// The paper's three coverage recommenders.
-const (
-	CRecDyn  CoverageRecName = "Dyn"
-	CRecStat CoverageRecName = "Stat"
-	CRecRand CoverageRecName = "Rand"
-)
-
-// coverageComponent builds a fresh coverage recommender (Dyn is stateful, so
-// every GANC run gets its own).
-func (s *Suite) coverageComponent(datasetName string, crec CoverageRecName) (core.CoverageRecommender, error) {
-	sp, err := s.Split(datasetName)
-	if err != nil {
-		return nil, err
-	}
-	switch crec {
-	case CRecDyn:
-		return core.NewDynCoverage(sp.Train.NumItems()), nil
-	case CRecStat:
-		return core.NewStatCoverage(sp.Train), nil
-	case CRecRand:
-		return core.NewRandCoverage(s.Seed), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown coverage recommender %q", crec)
-	}
-}
-
 // GANCSpec describes one GANC variant in the paper's template notation.
 type GANCSpec struct {
-	ARec       AccuracyRecName
-	Theta      longtail.Model
-	CRec       CoverageRecName
+	ARec  AccuracyRecName
+	Theta longtail.Model
+	// CRec is the coverage recommender, e.g. ganc.CoverageDyn().
+	CRec ganc.CoverageSpec
+	// N and SampleSize default to the suite's when not positive.
 	N          int
 	SampleSize int
 }
 
-// RunGANC assembles and runs a GANC variant, returning its recommendations
-// and the instance's display name.
+// RunGANC assembles a GANC variant around the suite's model for spec.ARec and
+// runs its batch sweep, returning the recommendations and the pipeline's
+// display name.
 func (s *Suite) RunGANC(datasetName string, spec GANCSpec) (types.Recommendations, string, error) {
 	sp, err := s.Split(datasetName)
 	if err != nil {
@@ -313,23 +250,23 @@ func (s *Suite) RunGANC(datasetName string, spec GANCSpec) (types.Recommendation
 	if sample <= 0 {
 		sample = s.SampleSize
 	}
-	arec, err := s.accuracyComponent(datasetName, spec.ARec, n)
+	base, err := s.accuracyScorer(datasetName, spec.ARec)
 	if err != nil {
 		return nil, "", err
 	}
-	crec, err := s.coverageComponent(datasetName, spec.CRec)
+	p, err := ganc.NewPipeline(sp.Train,
+		ganc.WithBase(base),
+		ganc.WithPreferences(spec.Theta),
+		ganc.WithCoverage(spec.CRec),
+		ganc.WithTopN(n),
+		ganc.WithSampleSize(sample),
+		ganc.WithSeed(s.Seed),
+		ganc.WithWorkers(s.Workers))
 	if err != nil {
 		return nil, "", err
 	}
-	prefs, err := longtail.Estimate(spec.Theta, sp.Train, nil, 0.5, s.Seed)
-	if err != nil {
-		return nil, "", err
-	}
-	g, err := core.New(sp.Train, arec, prefs, crec, core.Config{N: n, SampleSize: sample, Seed: s.Seed, Workers: s.Workers})
-	if err != nil {
-		return nil, "", err
-	}
-	return g.Recommend(), g.Name(), nil
+	recs, err := p.RecommendAll(context.Background())
+	return recs, p.Name(), err
 }
 
 // Evaluator returns a metrics evaluator for the named dataset.
@@ -388,44 +325,30 @@ func (s *Suite) RunBaseline(datasetName string, algo BaselineName, n int) (types
 	if err != nil {
 		return nil, err
 	}
-	return recommender.RecommendAll(&recommender.ScorerTopN{Scorer: scorer}, sp.Train, n), nil
+	return ganc.NewBaseEngine(scorer, sp.Train, n).RecommendAll(context.Background())
 }
 
-// RunReranker produces the top-N collection of one of the re-ranking
-// baselines (Table IV rows) applied to the dataset's RSVD model.
-func (s *Suite) RunReranker(datasetName, variant string, n int) (types.Recommendations, string, error) {
+// RunReranker produces the top-N collection of a re-ranking baseline, named
+// as the facade's registry names it (ganc.RerankerNames), applied to the
+// suite's model for base.
+func (s *Suite) RunReranker(datasetName string, base AccuracyRecName, variant string, n int) (types.Recommendations, string, error) {
 	sp, err := s.Split(datasetName)
 	if err != nil {
 		return nil, "", err
 	}
-	base, err := s.RSVD(datasetName)
+	scorer, err := s.accuracyScorer(datasetName, base)
 	if err != nil {
 		return nil, "", err
 	}
 	if n <= 0 {
 		n = s.N
 	}
-	var model recommender.TopN
-	switch variant {
-	case "5D":
-		model, err = rerank.NewFiveD(sp.Train, base, rerank.DefaultFiveDConfig(n))
-	case "5D-A-RR":
-		model, err = rerank.NewFiveD(sp.Train, base, rerank.FiveDConfig{N: n, Q: 1, AccuracyFilter: true, RankByRankings: true})
-	case "RBT-Pop":
-		model, err = rerank.NewRBT(sp.Train, base, rerank.DefaultRBTConfig(n, rerank.RBTPop))
-	case "RBT-Avg":
-		model, err = rerank.NewRBT(sp.Train, base, rerank.DefaultRBTConfig(n, rerank.RBTAvg))
-	case "PRA-10":
-		model, err = rerank.NewPRA(sp.Train, base, rerank.DefaultPRAConfig(n, 10))
-	case "PRA-20":
-		model, err = rerank.NewPRA(sp.Train, base, rerank.DefaultPRAConfig(n, 20))
-	default:
-		return nil, "", fmt.Errorf("experiment: unknown re-ranker variant %q", variant)
-	}
+	e, err := ganc.NewReranker(variant, sp.Train, scorer, n, s.Seed)
 	if err != nil {
 		return nil, "", err
 	}
-	return recommender.RecommendAll(model, sp.Train, n), model.Name(), nil
+	recs, err := e.RecommendAll(context.Background())
+	return recs, e.Name(), err
 }
 
 // formatTable renders rows as a fixed-width text table with a header.

@@ -51,16 +51,16 @@ const (
 	maxSectionSize = 1 << 40
 )
 
-// Sentinel errors, matchable with errors.Is so callers (e.g. cmd/ganc) can
-// turn them into precise operator-facing messages.
+// Sentinel errors, matchable with errors.Is. Their text is what an operator
+// reads: Load prefixes the path, so a CLI prints the error as it is.
 var (
 	// ErrBadMagic marks a file that is not a GANC snapshot at all.
-	ErrBadMagic = errors.New("persist: not a GANC snapshot (bad magic)")
+	ErrBadMagic = errors.New("persist: file is not a GANC snapshot (bad magic)")
 	// ErrUnsupportedVersion marks a snapshot written by an incompatible
 	// format version.
-	ErrUnsupportedVersion = errors.New("persist: unsupported snapshot format version")
+	ErrUnsupportedVersion = errors.New("persist: snapshot was written by an incompatible format version")
 	// ErrCorrupt marks a snapshot whose structure or checksums do not hold.
-	ErrCorrupt = errors.New("persist: corrupt snapshot")
+	ErrCorrupt = errors.New("persist: snapshot is corrupt (truncated or bit-flipped)")
 	// ErrNoSection marks a lookup of a section the snapshot does not contain.
 	ErrNoSection = errors.New("persist: snapshot section not found")
 )

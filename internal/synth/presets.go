@@ -1,5 +1,10 @@
 package synth
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Presets calibrated to the paper's Table II. Netflix and ML-10M are scaled
 // down (users, items and ratings divided by roughly the same factor) so the
 // full experiment suite runs on a single machine; density, rating scale, the
@@ -117,25 +122,38 @@ func NetflixSample(s Scale) Config {
 	}
 }
 
-// AllPresets returns the five paper datasets in the order they appear in
-// Table II.
-func AllPresets(s Scale) []Config {
-	return []Config{ML100K(s), ML1M(s), ML10M(s), MT200K(s), NetflixSample(s)}
+// presets is the one table of the paper's evaluation datasets, in the order
+// of Table II: each calibrated configuration (which carries the name) with its
+// per-user train ratio κ — 0.5 for the MovieLens datasets, 0.8 for MT-200K and
+// for the Netflix stand-in (the paper uses the official probe split, which
+// holds out a small fraction; 0.8 keeps the same sparse-test character).
+var presets = []struct {
+	config func(Scale) Config
+	kappa  float64
+}{
+	{ML100K, 0.5},
+	{ML1M, 0.5},
+	{ML10M, 0.5},
+	{MT200K, 0.8},
+	{NetflixSample, 0.8},
 }
 
-// Kappa returns the per-dataset train ratio κ used in the paper: 0.5 for the
-// MovieLens datasets, 0.8 for MT-200K, and 0.8 for the Netflix stand-in
-// (the paper uses the official probe split, which holds out a small
-// fraction; 0.8 keeps the same sparse-test character).
-func Kappa(name string) float64 {
-	switch name {
-	case "ML-100K", "ML-1M", "ML-10M":
-		return 0.5
-	case "MT-200K":
-		return 0.8
-	case "Netflix":
-		return 0.8
-	default:
-		return 0.8
+// PresetNames lists the preset names in Table II order.
+func PresetNames() []string {
+	names := make([]string, len(presets))
+	for k, p := range presets {
+		names[k] = p.config(1).Name
 	}
+	return names
+}
+
+// Preset resolves a preset name to its configuration at scale s and its train
+// ratio κ.
+func Preset(name string, s Scale) (Config, float64, error) {
+	for _, p := range presets {
+		if cfg := p.config(s); cfg.Name == name {
+			return cfg, p.kappa, nil
+		}
+	}
+	return Config{}, 0, fmt.Errorf("synth: unknown preset %q (known: %s)", name, strings.Join(PresetNames(), ", "))
 }

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"ganc/internal/types"
@@ -152,29 +154,33 @@ func TestGenerateDensityRoughlyMatchesTarget(t *testing.T) {
 }
 
 func TestPresetsCoverPaperDatasets(t *testing.T) {
-	names := map[string]bool{}
-	for _, cfg := range AllPresets(0.05) {
-		names[cfg.Name] = true
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("preset %s invalid: %v", cfg.Name, err)
-		}
+	want := []string{"ML-100K", "ML-1M", "ML-10M", "MT-200K", "Netflix"}
+	if got := PresetNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("PresetNames() = %v, want the Table II order %v", got, want)
 	}
-	for _, want := range []string{"ML-100K", "ML-1M", "ML-10M", "MT-200K", "Netflix"} {
-		if !names[want] {
-			t.Errorf("missing preset %s", want)
+	for _, name := range want {
+		cfg, _, err := Preset(name, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Name != name {
+			t.Errorf("preset %s resolved to the configuration named %s", name, cfg.Name)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("preset %s invalid: %v", name, err)
 		}
 	}
 }
 
 func TestKappaMatchesPaperProtocol(t *testing.T) {
-	if Kappa("ML-1M") != 0.5 || Kappa("ML-10M") != 0.5 || Kappa("ML-100K") != 0.5 {
-		t.Fatal("MovieLens kappa should be 0.5")
+	for name, want := range map[string]float64{"ML-100K": 0.5, "ML-1M": 0.5, "ML-10M": 0.5, "MT-200K": 0.8, "Netflix": 0.8} {
+		if _, kappa, err := Preset(name, 1); err != nil || kappa != want {
+			t.Errorf("%s: kappa %v (err %v), want %v", name, kappa, err, want)
+		}
 	}
-	if Kappa("MT-200K") != 0.8 {
-		t.Fatal("MT-200K kappa should be 0.8")
-	}
-	if Kappa("unknown") <= 0 || Kappa("unknown") > 1 {
-		t.Fatal("unknown dataset kappa out of range")
+	_, _, err := Preset("unknown", 1)
+	if err == nil || !strings.Contains(err.Error(), "ML-100K, ML-1M, ML-10M, MT-200K, Netflix") {
+		t.Fatalf("unknown preset: err %v, want one listing the known names", err)
 	}
 }
 

@@ -194,13 +194,22 @@ func (p *Pipeline) Save(path string) error {
 //
 // Unsupported format versions, corruption (bad magic, failed checksums,
 // truncation) and missing sections are reported as errors wrapping the
-// internal/persist sentinels — they never panic, so callers can fail fast
-// with a clear message.
+// internal/persist sentinels — they never panic — and every error names the
+// path and the cause in operator terms, so a CLI prints it as it is.
 func LoadEngine(path string) (*Pipeline, error) {
-	snap, err := persist.Load(path)
+	snap, err := persist.Load(path) // its errors name the path
 	if err != nil {
 		return nil, err
 	}
+	p, err := pipelineFromSnapshot(snap)
+	if err != nil {
+		return nil, fmt.Errorf("ganc: snapshot %s: %w", path, err)
+	}
+	return p, nil
+}
+
+// pipelineFromSnapshot reassembles the pipeline a snapshot's sections hold.
+func pipelineFromSnapshot(snap *persist.Snapshot) (*Pipeline, error) {
 	var meta snapshotMeta
 	if err := snap.Gob(sectionMeta, &meta); err != nil {
 		return nil, err
@@ -214,7 +223,7 @@ func LoadEngine(path string) (*Pipeline, error) {
 		return nil, err
 	}
 	if train.NumUsers() == 0 || train.NumItems() == 0 {
-		return nil, fmt.Errorf("ganc: snapshot %s holds an empty dataset", path)
+		return nil, errors.New("the dataset is empty")
 	}
 
 	var prefSnap prefsSnapshot
@@ -222,19 +231,19 @@ func LoadEngine(path string) (*Pipeline, error) {
 		return nil, err
 	}
 	if len(prefSnap.Values) != train.NumUsers() {
-		return nil, fmt.Errorf("ganc: snapshot preference vector covers %d users but the dataset has %d",
+		return nil, fmt.Errorf("preference vector covers %d users but the dataset has %d",
 			len(prefSnap.Values), train.NumUsers())
 	}
 	prefs := &Preferences{Model: longtail.Model(prefSnap.Model), Values: prefSnap.Values}
 
 	precision, err := ParseScoringPrecision(meta.Precision)
 	if err != nil {
-		return nil, fmt.Errorf("ganc: snapshot %s: %w", path, err)
+		return nil, err
 	}
 
 	kind := kindNamed(meta.BaseKind)
 	if kind == nil {
-		return nil, fmt.Errorf("ganc: snapshot has unknown base kind %q", meta.BaseKind)
+		return nil, fmt.Errorf("unknown base kind %q", meta.BaseKind)
 	}
 	scorer, err := kind.decode(snap, train)
 	if err != nil {
@@ -247,14 +256,14 @@ func LoadEngine(path string) (*Pipeline, error) {
 	}
 	covSpec, err := ParseCoverage(covSnap.Name)
 	if err != nil {
-		return nil, fmt.Errorf("ganc: snapshot %s: %w", path, err)
+		return nil, err
 	}
 	if covSpec.restore == nil {
-		return nil, fmt.Errorf("ganc: snapshot %s: %w: coverage recommender %q", path, ErrSnapshotUnsupported, covSnap.Name)
+		return nil, fmt.Errorf("%w: coverage recommender %q", ErrSnapshotUnsupported, covSnap.Name)
 	}
 	crec, err := covSpec.restore(covSnap.Freq, train.PopularityVector())
 	if err != nil {
-		return nil, fmt.Errorf("ganc: snapshot %s: %w", path, err)
+		return nil, err
 	}
 
 	p := Pipeline{
@@ -287,7 +296,7 @@ func LoadEngine(path string) (*Pipeline, error) {
 			return nil, err
 		}
 		if cs.NumShards <= 0 || cs.ShardID < 0 || cs.ShardID >= cs.NumShards {
-			return nil, fmt.Errorf("ganc: snapshot %s has invalid shard identity %d/%d", path, cs.ShardID, cs.NumShards)
+			return nil, fmt.Errorf("invalid shard identity %d/%d", cs.ShardID, cs.NumShards)
 		}
 		p.shard = &ShardIdentity{ShardID: cs.ShardID, NumShards: cs.NumShards, RingEpoch: cs.RingEpoch}
 	}

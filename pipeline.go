@@ -141,8 +141,9 @@ func WithSampleSize(s int) PipelineOption {
 // fully deterministic sequential execution; values above GOMAXPROCS are
 // clamped to it). RecommendAll shards the user space into contiguous ranges,
 // one range and one reusable sweep scratch per worker; outputs are identical
-// for any worker count (the per-user sweeps are independent — see DESIGN.md
-// §7).
+// for any worker count: the per-user sweeps are independent (DESIGN.md §7),
+// and CoverageRand, whose scores depend on the order users are swept in,
+// sweeps on one worker whatever this says (DESIGN.md §6).
 func WithWorkers(w int) PipelineOption {
 	return func(c *pipelineConfig) { c.workers = w }
 }

@@ -26,7 +26,7 @@ const sweepBenchScale = 0.5
 // sweepBenchPipeline assembles GANC(Pop, θ^G, Dyn) on the ML-1M stand-in.
 func sweepBenchPipeline(tb testing.TB) *Pipeline {
 	tb.Helper()
-	data, err := GenerateML1M(sweepBenchScale)
+	data, err := GeneratePreset("ML-1M", sweepBenchScale)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -13,25 +13,20 @@ type bulkCase struct {
 	scorer Scorer
 }
 
-// bulkEdgeFixtures builds every BulkScorer implementation in the library
-// (non-personalized baselines, all three factor models at each serving tier,
-// the neighbourhood model, and the normalizing wrapper) on one small train
-// set.
+// bulkEdgeFixtures builds every bulk-scoring implementation in the library
+// (non-personalized baselines, all three factor models, the neighbourhood
+// model, and the normalizing wrapper) on one small train set. A name ending in
+// f32 marks a float32 bulk body.
 func bulkEdgeFixtures(t *testing.T, train *Dataset) []bulkCase {
 	t.Helper()
-	tiered := func(p ScoringPrecision) *RSVD {
-		m, err := TrainRSVD(train, smallRSVDConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetPrecision(p)
-		return m
+	rsvd, err := TrainRSVD(train, smallRSVDConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
 	psvd, err := TrainPSVD(train, PSVDConfig{Factors: 8, PowerIterations: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	psvd.SetPrecision(PrecisionF32)
 	cofi, err := TrainCofi(train, CofiConfig{
 		Factors: 8, Regularization: 0.05, LearningRate: 0.02,
 		Epochs: 2, InitStd: 0.1, Seed: 3, PairsPerUser: 5,
@@ -39,7 +34,6 @@ func bulkEdgeFixtures(t *testing.T, train *Dataset) []bulkCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cofi.SetPrecision(PrecisionF32)
 	iknn, err := TrainItemKNN(train, DefaultItemKNNConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -47,21 +41,21 @@ func bulkEdgeFixtures(t *testing.T, train *Dataset) []bulkCase {
 	return []bulkCase{
 		{"Pop", NewPop(train)},
 		{"ItemAvg", recommender.NewItemAvg(train, 5)},
-		{"RSVD/f64", tiered(PrecisionF64)},
-		{"RSVD/f32", tiered(PrecisionF32)},
+		{"RSVD/f32", rsvd},
 		{"PSVD/f32", psvd},
 		{"CofiRank/f32", cofi},
 		{"ItemKNN", iknn},
-		{"Normalized(RSVD/f32)", recommender.NewNormalizedScorer(tiered(PrecisionF32), train.NumItems())},
+		{"Normalized(RSVD/f32)", recommender.NewNormalizedScorer(rsvd, train.NumItems())},
 	}
 }
 
 // TestBulkScorerEdgeCases drives every implementation through the boundary
 // inputs of the BulkScorer/BulkScorer32 contract: empty item slices write
 // nothing, out-of-range user and item identifiers take the documented
-// fallbacks without panicking (and, on the float64 tier, stay equal to the
-// pointwise Score fallback), and an undersized out buffer panics instead of
-// silently truncating the fill.
+// fallbacks without panicking — a float64 bulk body stays equal to the
+// pointwise Score fallback, and a model whose only bulk body is the float32
+// one serves BulkScores those scores widened — and an undersized out buffer
+// panics instead of silently truncating the fill.
 func TestBulkScorerEdgeCases(t *testing.T) {
 	split := pipelineFixture(t)
 	train := split.Train
@@ -70,51 +64,52 @@ func TestBulkScorerEdgeCases(t *testing.T) {
 
 	for _, tc := range bulkEdgeFixtures(t, train) {
 		t.Run(tc.name, func(t *testing.T) {
-			bs, ok := tc.scorer.(recommender.BulkScorer)
-			if !ok {
-				t.Fatalf("%T does not implement BulkScorer", tc.scorer)
-			}
+			bs, has64 := tc.scorer.(recommender.BulkScorer)
 			bs32, has32 := tc.scorer.(recommender.BulkScorer32)
+			if !has64 && !has32 {
+				t.Fatalf("%T implements neither BulkScorer nor BulkScorer32", tc.scorer)
+			}
 
 			// Empty item slices: no write, no panic, on both paths.
-			bs.ScoreUser(0, nil, nil)
-			bs.ScoreUser(oobUser, []ItemID{}, []float64{})
+			recommender.BulkScores(tc.scorer, 0, nil, nil)
+			recommender.BulkScores(tc.scorer, oobUser, []ItemID{}, []float64{})
 			if has32 {
 				bs32.ScoreUser32(0, nil, nil)
 			}
 
-			// Out-of-range users and items: finite fallback scores, and on
-			// the exact float64 tier bit-equal to the pointwise fallback.
-			exact := true
-			if ps, ok := tc.scorer.(recommender.PrecisionScorer); ok {
-				exact = ps.ScoringPrecision() == PrecisionF64
-			}
 			for _, u := range []UserID{0, oobUser} {
 				out := make([]float64, len(edgeItems))
-				bs.ScoreUser(u, edgeItems, out)
+				recommender.BulkScores(tc.scorer, u, edgeItems, out)
+				out32 := make([]float32, len(edgeItems))
+				if has32 {
+					bs32.ScoreUser32(u, edgeItems, out32)
+				}
 				for k, i := range edgeItems {
 					if math.IsNaN(out[k]) || math.IsInf(out[k], 0) {
-						t.Fatalf("ScoreUser(u=%d, i=%d) = %v, want finite", u, i, out[k])
+						t.Fatalf("BulkScores(u=%d, i=%d) = %v, want finite", u, i, out[k])
 					}
-					if exact && out[k] != tc.scorer.Score(u, i) {
-						t.Fatalf("ScoreUser(u=%d, i=%d) = %v differs from Score = %v", u, i, out[k], tc.scorer.Score(u, i))
-					}
-				}
-				if has32 {
-					out32 := make([]float32, len(edgeItems))
-					bs32.ScoreUser32(u, edgeItems, out32)
-					for k, i := range edgeItems {
-						if f := float64(out32[k]); math.IsNaN(f) || math.IsInf(f, 0) {
-							t.Fatalf("ScoreUser32(u=%d, i=%d) = %v, want finite", u, i, out32[k])
+					switch {
+					case !has32:
+						if out[k] != tc.scorer.Score(u, i) {
+							t.Fatalf("BulkScores(u=%d, i=%d) = %v differs from Score = %v", u, i, out[k], tc.scorer.Score(u, i))
 						}
+					case !has64:
+						if out[k] != float64(out32[k]) {
+							t.Fatalf("BulkScores(u=%d, i=%d) = %v is not ScoreUser32's %v widened", u, i, out[k], out32[k])
+						}
+					}
+					if f := float64(out32[k]); math.IsNaN(f) || math.IsInf(f, 0) {
+						t.Fatalf("ScoreUser32(u=%d, i=%d) = %v, want finite", u, i, out32[k])
 					}
 				}
 			}
 
 			// An out buffer shorter than items must panic, not part-fill.
-			mustPanic(t, "ScoreUser with short out", func() {
-				bs.ScoreUser(0, edgeItems, make([]float64, len(edgeItems)-1))
-			})
+			if has64 {
+				mustPanic(t, "ScoreUser with short out", func() {
+					bs.ScoreUser(0, edgeItems, make([]float64, len(edgeItems)-1))
+				})
+			}
 			if has32 {
 				mustPanic(t, "ScoreUser32 with short out", func() {
 					bs32.ScoreUser32(0, edgeItems, make([]float32, len(edgeItems)-1))

@@ -82,15 +82,14 @@ func main() {
 
 // options is the parsed and validated command line.
 type options struct {
-	universe  ganc.UniverseConfig
-	arec      string
-	theta     string
-	precision ganc.ScoringPrecision
-	topN      int
-	cache     int
-	url       string
-	out       string
-	load      ganc.LoadConfig
+	universe ganc.UniverseConfig
+	arec     string
+	theta    string
+	topN     int
+	cache    int
+	url      string
+	out      string
+	load     ganc.LoadConfig
 
 	shards      int
 	replicas    int
@@ -124,7 +123,6 @@ func parseFlags(args []string) (options, error) {
 	zipf := fs.Float64("zipf", 1.1, "item-popularity Zipf exponent")
 	seed := fs.Int64("seed", 1, "universe and stream seed")
 	arec := fs.String("arec", "Pop", "accuracy recommender for the served pipeline")
-	precisionName := fs.String("precision", "f64", "plain mode: scoring precision tier for the served pipeline (f64, f32)")
 	theta := fs.String("theta", "T", "preference model: A, N, T, G, R, C (cheap estimators recommended at scale)")
 	topN := fs.Int("n", 10, "serving list size")
 	cache := fs.Int("cache", 0, "serving LRU capacity per node (0 = serving default)")
@@ -152,10 +150,7 @@ func parseFlags(args []string) (options, error) {
 		return options{}, err
 	}
 
-	precision, err := ganc.ParseScoringPrecision(*precisionName)
-	if err != nil {
-		return options{}, err
-	}
+	var err error
 	switch {
 	case *clusterShards > 0 && *url != "":
 		err = fmt.Errorf("-cluster and -url are mutually exclusive: cluster scenarios self-host their target")
@@ -176,7 +171,7 @@ func parseFlags(args []string) (options, error) {
 		// accepted but changes nothing makes a number nobody can explain.
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "precision", "ingest-batch", "request-zipf":
+			case "ingest-batch", "request-zipf":
 				err = fmt.Errorf("-%s is a plain-mode flag: cluster mode runs scenario phases, which have no such knob", f.Name)
 			}
 		})
@@ -189,7 +184,7 @@ func parseFlags(args []string) (options, error) {
 		universe: ganc.UniverseConfig{
 			Name: "loadgen", Users: *users, Items: *items, Ratings: *ratings, ZipfExponent: *zipf, Seed: *seed,
 		},
-		arec: *arec, theta: *theta, precision: precision, topN: *topN, cache: *cache, url: *url, out: *out,
+		arec: *arec, theta: *theta, topN: *topN, cache: *cache, url: *url, out: *out,
 		load: ganc.LoadConfig{
 			Requests:        *requests,
 			Concurrency:     *concurrency,
@@ -300,7 +295,6 @@ func selfHost(u *ganc.Universe, o options, extra ...ganc.ServerOption) (addr str
 	p, err := ganc.NewPipeline(u.Train(),
 		ganc.WithBaseNamed(o.arec),
 		ganc.WithPreferences(ganc.ParsePreferenceModel(o.theta)),
-		ganc.WithScoringPrecision(o.precision),
 		ganc.WithTopN(o.topN))
 	if err != nil {
 		return "", nil, err

@@ -110,11 +110,8 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-cluster 3 -reshard 3":                            "-reshard must exceed -cluster",
 		"-cluster 2 -autofail":                             "-autofail requires",
 		"-cluster 2 -replicas 1 -write-quorum 2":           "-write-quorum 2 exceeds -replicas 1",
-		"-cluster 2 -precision f32":                        "-precision is a plain-mode flag",
 		"-cluster 2 -ingest-batch 5":                       "-ingest-batch is a plain-mode flag",
 		"-cluster 2 -request-zipf 1.2":                     "-request-zipf is a plain-mode flag",
-		"-precision f16":                                   "f16",
-		"-precision int8":                                  "tier retired",
 		"-cluster 2 -replicas 1 -write-quorum 2 -autofail": "-write-quorum 2 exceeds -replicas 1",
 	} {
 		if err := run(strings.Fields(args)); err == nil || !strings.Contains(err.Error(), want) {

@@ -53,41 +53,46 @@ func applyInBatches(t *testing.T, ing *Ingestor, events []IngestEvent, batch int
 }
 
 // TestIngestCheckpointRestoreParity is the second acceptance property, over
-// every row of baseKinds under both persistable coverage recommenders (and,
-// for the models with a reduced tier, both tiers): a stream ingested with a
-// mid-stream crash (checkpoint restore + write-ahead log replay) must land on
-// exactly the state — and byte-identical served output — of uninterrupted
-// ingestion. It walks the table itself, so a row cannot be added uncovered.
+// every row of baseKinds under both persistable coverage recommenders: a
+// stream ingested with a mid-stream crash (checkpoint restore + write-ahead
+// log replay) must land on exactly the state — and byte-identical served
+// output — of uninterrupted ingestion. It walks the table itself, so a row
+// cannot be added uncovered. The last name component is the precision the
+// seed snapshot's meta section spells: a node upgraded from a build with a
+// precision option starts from such a file ("f64" for every model, "f32" for
+// those that had the tier) and checkpoints without the field.
 func TestIngestCheckpointRestoreParity(t *testing.T) {
 	split := persistSplit(t, 53)
 	events := streamEvents(t, split.Train, 150, 59)
 	for k := range baseKinds {
 		row := &baseKinds[k]
 		for _, cov := range []CoverageSpec{CoverageDyn(), CoverageStat()} {
-			for _, precision := range []ScoringPrecision{PrecisionF64, PrecisionF32} {
-				cold := buildPersistablePipeline(t, split.Train, row.name, WithCoverage(cov), WithScoringPrecision(precision))
-				if kindOf(cold.baseScorer) != row {
-					t.Fatalf("the %s pipeline is built around a %T, which is not that row's model", row.name, cold.baseScorer)
-				}
-				if _, tiered := cold.baseScorer.(precisionSetter); precision == PrecisionF32 && !tiered {
+			cold := buildPersistablePipeline(t, split.Train, row.name, WithCoverage(cov))
+			if kindOf(cold.baseScorer) != row {
+				t.Fatalf("the %s pipeline is built around a %T, which is not that row's model", row.name, cold.baseScorer)
+			}
+			for _, spelling := range []string{"f64", "f32"} {
+				if _, tiered := cold.baseScorer.(BulkScorer32); spelling == "f32" && !tiered {
 					continue
 				}
-				t.Run(fmt.Sprintf("%s/%s/%s", row.name, cov.name, precision), func(t *testing.T) {
-					checkpointRestoreParity(t, cold, events)
+				t.Run(fmt.Sprintf("%s/%s/%s", row.name, cov.name, spelling), func(t *testing.T) {
+					checkpointRestoreParity(t, cold, spelling, events)
 				})
 			}
 		}
 	}
 }
 
-// checkpointRestoreParity saves cold, warm-starts two nodes from the file and
-// ingests events into both, one of them through a crash.
-func checkpointRestoreParity(t *testing.T, cold *Pipeline, events []IngestEvent) {
+// checkpointRestoreParity saves cold with its meta section spelling the given
+// precision, warm-starts two nodes from the file and ingests events into
+// both, one of them through a crash.
+func checkpointRestoreParity(t *testing.T, cold *Pipeline, spelling string, events []IngestEvent) {
 	dir := t.TempDir()
 	seedPath := filepath.Join(dir, "seed.snap")
 	if err := cold.Save(seedPath); err != nil {
 		t.Fatal(err)
 	}
+	respellSnapshotPrecision(t, seedPath, spelling)
 	load := func(path string) *Pipeline {
 		p, err := LoadEngine(path)
 		if err != nil {

@@ -74,11 +74,12 @@ type BulkAccuracy interface {
 	AccuracyScores(u types.UserID, items []types.ItemID, out []float64)
 }
 
-// BulkAccuracy32 is the reduced-precision companion of BulkAccuracy: scores
-// land in a float32 arena instead of a float64 buffer. Implementations must
-// agree with AccuracyScore to the serving tier's documented tolerance
-// (DESIGN.md §12); the optimizer only consults it when Config.Precision is
-// not float64, so the default pipeline never leaves the exact path.
+// BulkAccuracy32 is the float32 companion of BulkAccuracy: scores land in a
+// float32 arena instead of a float64 buffer. Implementations must agree with
+// AccuracyScore to the documented tolerance (DESIGN.md §12). An accuracy
+// recommender that implements it is swept in float32 — scores, gains and
+// selection — everywhere but OSLG's sequential phase; one that does not is
+// swept in float64.
 type BulkAccuracy32 interface {
 	// AccuracyScores32 fills out[k] with a(items[k]) for user u;
 	// len(out) == len(items).
@@ -128,10 +129,10 @@ func (s *ScorerAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, ou
 	}
 }
 
-// AccuracyScores32 implements BulkAccuracy32. When the wrapped scorer serves
-// a reduced-precision tier (recommender.Bulk32For), scores stay in float32
-// end to end; otherwise its float64 bulk scores are truncated
-// (recommender.BulkScores32). Clamping mirrors AccuracyScore.
+// AccuracyScores32 implements BulkAccuracy32. When the wrapped scorer is a
+// recommender.BulkScorer32, scores stay in float32 end to end; otherwise its
+// float64 bulk scores are truncated (recommender.BulkScores32). Clamping
+// mirrors AccuracyScore.
 func (s *ScorerAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) {
 	recommender.BulkScores32(s.Scorer, u, items, out)
 	for k, v := range out {
@@ -240,7 +241,7 @@ func (p *PopAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, out [
 }
 
 // AccuracyScores32 implements BulkAccuracy32: indicator scores are exact in
-// float32, so the reduced-precision sweep path reads the same memberships.
+// float32, so the float32 sweep reads the same memberships.
 func (p *PopAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) {
 	bits := p.topBits(u)
 	for k, i := range items {
@@ -502,14 +503,6 @@ type Config struct {
 	// quota or `go test -cpu` sets below the machine's CPU count — are
 	// clamped to it: more goroutines than Ps only time-slice.
 	Workers int
-	// Precision selects the arithmetic tier of the sweeps. The zero value
-	// (PrecisionF64) keeps every sweep on exact float64 arithmetic;
-	// PrecisionF32 lets sweeps whose accuracy recommender implements
-	// BulkAccuracy32 score and select in a pooled float32 arena (DESIGN.md §12
-	// documents the tolerance contract) — all but OSLG's sequential phase,
-	// whose picks every later user's scores depend on and which stays exact.
-	// It should match the precision configured on the underlying base scorer.
-	Precision types.ScoringPrecision
 }
 
 // Validate checks the configuration.
@@ -595,10 +588,10 @@ func (g *GANC) marginalGain(u types.UserID, i types.ItemID) float64 {
 
 // sweepScratch holds one worker's reusable buffers: the candidate slice and
 // the score buffers aligned with it (a coverage recommender's scores, float64
-// gains and the reduced-precision float32 gains). One scratch serves one sweep
-// at a time. Every buffer starts empty and grows to what the sweeps using it
-// need, so a scratch fits any instance and any catalog size, and none of them
-// points into the instance it last served.
+// gains and float32 gains). One scratch serves one sweep at a time. Every
+// buffer starts empty and grows to what the sweeps using it need, so a scratch
+// fits any instance and any catalog size, and none of them points into the
+// instance it last served.
 type sweepScratch struct {
 	cand    []types.ItemID
 	covs    []float64
@@ -636,10 +629,8 @@ func sized[T float32 | float64](buf *[]T, n int) []T {
 
 // sweepUser builds one user's top-n set in three stages: enumerate the
 // candidates (a linear merge against the user's sorted train adjacency),
-// score them (one bulk accuracy call into a buffer aligned with the candidate
-// slice, combined in place with the coverage term into the gains
-// (1−θ_u)·a(i) + θ_u·c(i)), and select the n largest gains, ties to the
-// smaller ItemID.
+// score them (scoreGains) and select the n largest gains, ties to the smaller
+// ItemID.
 //
 // One scoring pass is the whole of a user's turn in Algorithm 1 (lines 5–9),
 // for every coverage recommender. The turn picks n distinct items, and the
@@ -653,38 +644,25 @@ func sized[T float32 | float64](buf *[]T, n int) []T {
 // computed from: a frozen snapshot (the online path, OSLG's out-of-sample
 // phase) or the live vector (OSLG's sequential phase — with observe set, the
 // picks are reported once the selection is done). With freq nil the coverage
-// recommender is asked. prec is the arithmetic tier: any tier but float64
-// scores and selects in float32 when the accuracy recommender implements
-// BulkAccuracy32, to the serving tier's documented tolerance (DESIGN.md §12).
-func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int, prec types.ScoringPrecision, observe bool, sc *sweepScratch) (types.TopNSet, error) {
+// recommender is asked. exact keeps the turn in float64 whatever the accuracy
+// recommender offers.
+func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int, exact, observe bool, sc *sweepScratch) (types.TopNSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sc.cand = g.train.AppendCandidates(u, sc.cand[:0])
 	cand := sc.cand
-
-	// Dyn scores are read off freq inside selectGains; any other recommender
-	// fills a buffer first.
-	var covs []float64
-	if freq == nil {
-		covs = sized(&sc.covs, len(cand))
-		fillCoverageScores(g.crec, u, cand, covs)
-	}
-
-	theta := g.prefs.Get(u)
-	var set types.TopNSet
-	var err error
-	if ba, ok := g.arec.(BulkAccuracy32); ok && prec != types.PrecisionF64 {
-		gains := sized(&sc.gains32, len(cand))
-		ba.AccuracyScores32(u, cand, gains)
-		set, err = selectGains(ctx, cand, gains, theta, freq, covs, n)
-	} else {
-		gains := sized(&sc.gains, len(cand))
-		fillAccuracyScores(g.arec, u, cand, gains)
-		set, err = selectGains(ctx, cand, gains, theta, freq, covs, n)
-	}
-	if err != nil {
+	gains32, gains := g.scoreGains(u, cand, freq, exact, sc)
+	// Scoring is most of a sweep's cost on a large catalog: a caller that
+	// gave up during it is answered before the selection.
+	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	var set types.TopNSet
+	if gains32 != nil {
+		set = recommender.SelectTop(cand, gains32, n)
+	} else {
+		set = recommender.SelectTop(cand, gains, n)
 	}
 	if observe {
 		for _, i := range set {
@@ -694,16 +672,32 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int,
 	return set, nil
 }
 
-// selectGains turns the accuracy scores in gains into gains (combineGains) and
-// selects the n largest.
-func selectGains[T float32 | float64](ctx context.Context, cand []types.ItemID, gains []T, theta float64, freq []int, covs []float64, n int) (types.TopNSet, error) {
-	// Scoring is most of a sweep's cost on a large catalog: a caller that
-	// gave up during it is answered before the selection.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// scoreGains is the scoring stage of a turn, and the one place its arithmetic
+// is chosen: one bulk accuracy call into a scratch buffer aligned with cand,
+// combined in place with the coverage term into the gains
+// (1−θ_u)·a(i) + θ_u·c(i). An accuracy recommender that implements
+// BulkAccuracy32 is scored and combined in float32, to the documented
+// tolerance (DESIGN.md §12), unless exact is set; any other, in float64. The
+// buffer holding the gains is returned, the other result is nil. Coverage is
+// read off freq when it is non-nil, asked of the coverage recommender
+// otherwise.
+func (g *GANC) scoreGains(u types.UserID, cand []types.ItemID, freq []int, exact bool, sc *sweepScratch) ([]float32, []float64) {
+	var covs []float64
+	if freq == nil {
+		covs = sized(&sc.covs, len(cand))
+		fillCoverageScores(g.crec, u, cand, covs)
 	}
+	theta := g.prefs.Get(u)
+	if ba, ok := g.arec.(BulkAccuracy32); ok && !exact {
+		gains := sized(&sc.gains32, len(cand))
+		ba.AccuracyScores32(u, cand, gains)
+		combineGains(cand, gains, theta, freq, covs)
+		return gains, nil
+	}
+	gains := sized(&sc.gains, len(cand))
+	fillAccuracyScores(g.arec, u, cand, gains)
 	combineGains(cand, gains, theta, freq, covs)
-	return recommender.SelectTop(cand, gains, n), nil
+	return nil, gains
 }
 
 // combineGains turns the accuracy scores in gains into the gains
@@ -730,7 +724,7 @@ func combineGains[T float32 | float64](cand []types.ItemID, gains []T, theta flo
 // accuracy recommender is a min–max normaliser whose range for u the new
 // items did not widen (recommender.RangeHeldSince). And no new item
 // out-ranks the list's last: the items [from, numItems) are scored beside it
-// through the calls, tier and arithmetic of a sweep and each must rank below
+// through the scoring stage of a sweep (scoreGains) and each must rank below
 // it under the selection's own rule. New items u has rated since are scored
 // too — they have left the pool, so at worst a list that would have survived
 // is recomputed. Any other accuracy recommender, and a coverage recommender
@@ -752,8 +746,7 @@ func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool
 	default:
 		return false
 	}
-	f32 := g.cfg.Precision != types.PrecisionF64
-	if !norm.RangeHeldSince(u, from, f32) {
+	if !norm.RangeHeldSince(u, from) {
 		return false
 	}
 
@@ -764,26 +757,16 @@ func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool
 		cand = append(cand, types.ItemID(i))
 	}
 	sc.cand = cand
-	var covs []float64
-	if freq == nil {
-		covs = sized(&sc.covs, len(cand))
-		fillCoverageScores(g.crec, u, cand, covs)
+	gains32, gains := g.scoreGains(u, cand, freq, false, sc)
+	if gains32 != nil {
+		return firstOutranksRest(cand, gains32)
 	}
-	theta := g.prefs.Get(u)
-	if f32 {
-		gains := sized(&sc.gains32, len(cand))
-		sa.AccuracyScores32(u, cand, gains)
-		return lastOutranks(cand, gains, theta, freq, covs)
-	}
-	gains := sized(&sc.gains, len(cand))
-	sa.AccuracyScores(u, cand, gains)
-	return lastOutranks(cand, gains, theta, freq, covs)
+	return firstOutranksRest(cand, gains)
 }
 
-// lastOutranks combines the gains of cand and reports whether cand[0] ranks
-// above every other candidate.
-func lastOutranks[T float32 | float64](cand []types.ItemID, gains []T, theta float64, freq []int, covs []float64) bool {
-	combineGains(cand, gains, theta, freq, covs)
+// firstOutranksRest reports whether cand[0] ranks above every other candidate
+// under the selection's rule.
+func firstOutranksRest[T float32 | float64](cand []types.ItemID, gains []T) bool {
 	for k := 1; k < len(cand); k++ {
 		if !recommender.RanksBelow(cand[k], gains[k], cand[0], gains[0]) {
 			return false
@@ -846,7 +829,7 @@ func (g *GANC) Recommend() types.Recommendations {
 		sc := getScratch()
 		defer scratchPool.Put(sc)
 		for u := lo; u < hi; u++ {
-			sets[u], _ = g.sweepUser(ctx, types.UserID(u), g.cfg.N, nil, g.cfg.Precision, true, sc)
+			sets[u], _ = g.sweepUser(ctx, types.UserID(u), g.cfg.N, nil, false, true, sc)
 		}
 	})
 	recs := make(types.Recommendations, numUsers)
@@ -885,7 +868,7 @@ func (g *GANC) RecommendUser(ctx context.Context, u types.UserID, n int) (types.
 	}
 	sc := getScratch()
 	defer scratchPool.Put(sc)
-	return g.sweepUser(ctx, u, n, freq, g.cfg.Precision, false, sc)
+	return g.sweepUser(ctx, u, n, freq, false, false, sc)
 }
 
 // RecommendAll is the context-aware batch entry point used by the Engine
@@ -941,16 +924,16 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 	})
 
 	// Sequential pass over the sample (lines 4–10): each user sweeps against
-	// the live frequency vector, in exact arithmetic at every tier, and the
-	// state after them is snapshotted, keyed by their θ, when an out-of-sample
-	// phase will read it.
+	// the live frequency vector, in float64 whatever the accuracy recommender
+	// offers, and the state after them is snapshotted, keyed by their θ, when
+	// an out-of-sample phase will read it.
 	ctx := context.Background()
 	var snapshots []freqSnapshot
 	inSample := make(map[types.UserID]struct{}, len(sample))
 	sc := getScratch()
 	for _, ut := range sample {
 		inSample[ut.user] = struct{}{}
-		recs[ut.user], _ = g.sweepUser(ctx, ut.user, g.cfg.N, dyn.freq, types.PrecisionF64, true, sc)
+		recs[ut.user], _ = g.sweepUser(ctx, ut.user, g.cfg.N, dyn.freq, true, true, sc)
 		if !fullSequential {
 			snapshots = append(snapshots, freqSnapshot{theta: ut.theta, freq: dyn.Frequencies()})
 		}
@@ -980,7 +963,7 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 		for k := lo; k < hi; k++ {
 			ut := remaining[k]
 			snap := nearestSnapshotFreq(snapshots, ut.theta)
-			sets[k], _ = g.sweepUser(ctx, ut.user, g.cfg.N, snap, g.cfg.Precision, false, wsc)
+			sets[k], _ = g.sweepUser(ctx, ut.user, g.cfg.N, snap, false, false, wsc)
 		}
 	})
 	// Fold the out-of-sample recommendations into the final frequency state

@@ -262,7 +262,7 @@ type fixedScorer struct{ vals map[types.ItemID]float64 }
 func (f fixedScorer) Score(_ types.UserID, i types.ItemID) float64 { return f.vals[i] }
 func (f fixedScorer) Name() string                                 { return "fixed" }
 
-// countingBulkScorer is a model without a float32 tier (as ItemAvg, ItemKNN or
+// countingBulkScorer is a model without a float32 body (as ItemAvg, ItemKNN or
 // a custom scorer) that counts how it is asked: pointwise or in bulk.
 type countingBulkScorer struct{ pointwise, bulk int }
 
@@ -284,11 +284,11 @@ func (c *countingBulkScorer) ScoreUser(u types.UserID, items []types.ItemID, out
 
 func (c *countingBulkScorer) Name() string { return "counting" }
 
-// TestF32TierScoresUntieredModelsInBulk: under Config.Precision = F32 a model
-// without a float32 path still serves a turn through its bulk scorer — one
-// call per user, none per item — bare or behind the normaliser (where the
-// pointwise route also took the range table's mutex per item), and the
-// truncated scores are float32(Score) either way.
+// TestF32TierScoresUntieredModelsInBulk: a ScorerAccuracy is swept in float32,
+// and a model without a float32 path still serves a turn through its bulk
+// scorer — one call per user, none per item — bare or behind the normaliser
+// (where the pointwise route also took the range table's mutex per item), and
+// the truncated scores are float32(Score) either way.
 func TestF32TierScoresUntieredModelsInBulk(t *testing.T) {
 	train := testSplit(t).Train
 	users := train.NumUsers()
@@ -305,7 +305,7 @@ func TestF32TierScoresUntieredModelsInBulk(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			inner := &countingBulkScorer{}
 			arec := &ScorerAccuracy{Scorer: tc.wrap(inner)}
-			g, err := New(train, arec, prefs, NewStatCoverage(train), Config{N: 5, Precision: types.PrecisionF32})
+			g, err := New(train, arec, prefs, NewStatCoverage(train), Config{N: 5})
 			if err != nil {
 				t.Fatal(err)
 			}

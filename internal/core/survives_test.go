@@ -11,10 +11,20 @@ import (
 	"ganc/internal/types"
 )
 
+// hashScorer32 is hashScorer with a float32 bulk path, as the factor models
+// have: the normaliser then ranges, maps and compares in float32.
+type hashScorer32 struct{ hashScorer }
+
+func (h hashScorer32) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
+	for k, i := range items {
+		out[k] = float32(h.Score(u, i))
+	}
+}
+
 // TestSurvivesGrowth: whenever SurvivesGrowth keeps a list computed over the
 // catalog's first items, a sweep over the grown catalog returns that list —
-// for a normalised frozen scorer under Dyn and Stat coverage at both tiers —
-// and over the trials it both keeps and refuses. The new items are named once
+// for a normalised frozen scorer with and without a float32 bulk path, under
+// Dyn and Stat coverage — and over the trials it both keeps and refuses. The new items are named once
 // (an event introduced them), as ingestion leaves them.
 func TestSurvivesGrowth(t *testing.T) {
 	ctx := context.Background()
@@ -36,9 +46,9 @@ func TestSurvivesGrowth(t *testing.T) {
 			counts = append(counts, 1)
 		}
 		grown := train.Extend(cold)
-		norm := recommender.NewNormalizedScorer(hashScorer{seed: uint64(trial)}, from)
-
-		for _, prec := range []types.ScoringPrecision{types.PrecisionF64, types.PrecisionF32} {
+		var norm *recommender.NormalizedScorer
+		for _, inner := range []recommender.Scorer{hashScorer{seed: uint64(trial)}, hashScorer32{hashScorer{seed: uint64(trial)}}} {
+			norm = recommender.NewNormalizedScorer(inner, from)
 			for _, cov := range []string{"Dyn", "Stat"} {
 				coverage := func(counts []int) CoverageRecommender {
 					if cov == "Dyn" {
@@ -46,7 +56,7 @@ func TestSurvivesGrowth(t *testing.T) {
 					}
 					return NewStatCoverageFromCounts(counts)
 				}
-				cfg := Config{N: n, Precision: prec}
+				cfg := Config{N: n}
 				before, err := New(train, &ScorerAccuracy{Scorer: norm}, prefs, coverage(counts[:from]), cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -66,8 +76,8 @@ func TestSurvivesGrowth(t *testing.T) {
 					}
 					kept++
 					if now, _ := after.RecommendUser(ctx, types.UserID(u), n); !slices.Equal(now, list) {
-						t.Fatalf("trial %d %s %s: user %d's list %v was kept, a sweep over the grown catalog returns %v",
-							trial, prec, cov, u, list, now)
+						t.Fatalf("trial %d %T %s: user %d's list %v was kept, a sweep over the grown catalog returns %v",
+							trial, inner, cov, u, list, now)
 					}
 				}
 			}

@@ -26,46 +26,14 @@ func Dot64(a, b []float64) float64 {
 	return s
 }
 
-// Dot32 is the scalar float32 dot product (single accumulator,
-// left-to-right). It is the remainder loop for the unrolled kernels and the
-// fallback for dims < 4.
-func Dot32(a, b []float32) float32 {
-	var s float32
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Dot32x4 computes a float32 dot product with 4 independent accumulators.
-// The three-index slice expressions pin the slice capacity so the compiler
-// proves all eight loads in a block are in bounds from one comparison.
-func Dot32x4(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		aa := a[i : i+4 : i+4]
-		bb := b[i : i+4 : i+4]
-		s0 += aa[0] * bb[0]
-		s1 += aa[1] * bb[1]
-		s2 += aa[2] * bb[2]
-		s3 += aa[3] * bb[3]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < len(a); i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Dot32x8 computes the widest float32 dot product — the kernel the bulk
-// scorers run and the one the CI ratio gate measures against Dot64. On
-// amd64 it dispatches to a hand-scheduled SSE2 kernel (4 lanes × 4
-// accumulators; SSE2 is part of the amd64 baseline so no feature detection
-// is needed — gc does not auto-vectorize scalar loops, so the unrolled Go
-// version below tops out at the 2-loads-per-element scalar port limit).
-// Other architectures run the 8-accumulator pure-Go version. Both reduce
-// through a fixed tree, so results are deterministic for a given dims.
+// Dot32x8 computes the float32 dot product — the kernel the bulk scorers run
+// and the one the CI ratio gate measures against Dot64. On amd64 it
+// dispatches to a hand-scheduled SSE2 kernel (4 lanes × 4 accumulators; SSE2
+// is part of the amd64 baseline so no feature detection is needed — gc does
+// not auto-vectorize scalar loops, so the unrolled Go version below tops out
+// at the 2-loads-per-element scalar port limit). Other architectures run the
+// 8-accumulator pure-Go version. Both reduce through a fixed tree, so results
+// are deterministic for a given dims.
 func Dot32x8(a, b []float32) float32 {
 	if len(b) < len(a) { // one bounds check up front covers the asm kernel
 		panic("linalg: Dot32x8: len(b) < len(a)")
@@ -137,8 +105,7 @@ func BlockFrom64(m [][]float64) Block {
 }
 
 // BlockFromData wraps an existing flat row-major slice (len = rows*dims)
-// without copying — the snapshot load path hands gob-decoded sections
-// straight to it.
+// without copying.
 func BlockFromData(rows, dims int, data []float32) Block {
 	if len(data) != rows*dims {
 		panic("linalg: BlockFromData length mismatch")
@@ -152,8 +119,7 @@ func (b Block) Rows() int { return b.rows }
 // Dims returns the row width (and stride).
 func (b Block) Dims() int { return b.dims }
 
-// Data returns the backing slice (rows×dims, row-major). Persistence
-// serializes it directly.
+// Data returns the backing slice (rows×dims, row-major).
 func (b Block) Data() []float32 { return b.data }
 
 // Row returns row r as a full-capacity subslice of the backing array.

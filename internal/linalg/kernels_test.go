@@ -44,9 +44,8 @@ func TestDot32KernelsAgree(t *testing.T) {
 			name string
 			fn   func(a, b []float32) float32
 		}{
-			{"Dot32", Dot32},
-			{"Dot32x4", Dot32x4},
 			{"Dot32x8", Dot32x8},
+			{"dot32x8Generic", dot32x8Generic},
 		} {
 			got := float64(k.fn(a, b))
 			if math.Abs(got-want) > tol {
@@ -256,20 +255,6 @@ func BenchmarkDotKernels(b *testing.B) {
 			var s float64
 			for i := 0; i < b.N; i++ {
 				s += Dot64(a64, b64)
-			}
-			_ = s
-		})
-		b.Run(fmt.Sprintf("Dot32/dims=%d", dims), func(b *testing.B) {
-			var s float32
-			for i := 0; i < b.N; i++ {
-				s += Dot32(a32, b32)
-			}
-			_ = s
-		})
-		b.Run(fmt.Sprintf("Dot32x4/dims=%d", dims), func(b *testing.B) {
-			var s float32
-			for i := 0; i < b.N; i++ {
-				s += Dot32x4(a32, b32)
 			}
 			_ = s
 		})

@@ -15,20 +15,19 @@ import (
 // versioned so that incompatible future changes fail loudly instead of
 // silently mis-decoding.
 //
-// Version 2 adds the serving-precision tier and, for models serving a
-// reduced tier, the flat float32 factor section (linalg.FactorSection), so a
-// warm-started process reattaches the contiguous blocks without rebuilding
-// them from the float64 rows. Version-1 snapshots still load (they carry no
-// tier, so they come up at the exact float64 default).
+// Version 2 carried a serving-precision tier and, for the float32 tier, a
+// flat copy of the float32 factor blocks. There is one tier now and the blocks
+// are rebuilt from the float64 rows at load — they are a pure function of
+// them — so the writer emits neither; the reader still accepts both versions,
+// skips the block copy, and refuses only a retired tier's spelling.
 
 const (
 	rsvdSnapshotVersion = 2
 	psvdSnapshotVersion = 2
 )
 
-// rsvdSnapshot is the gob-encoded form of an RSVD model. Precision and F32
-// are the version-2 additions; both decode as zero values from version-1
-// payloads.
+// rsvdSnapshot is the gob-encoded form of an RSVD model. Precision is read
+// from older snapshots and never written.
 type rsvdSnapshot struct {
 	Version    int
 	Config     RSVDConfig
@@ -39,7 +38,6 @@ type rsvdSnapshot struct {
 	ItemF      [][]float64
 	Name       string
 	Precision  string
-	F32        linalg.FactorSection
 }
 
 // Save writes the model to w in gob format.
@@ -53,12 +51,6 @@ func (m *RSVD) Save(w io.Writer) error {
 		UserF:      m.userF,
 		ItemF:      m.itemF,
 		Name:       m.name,
-		Precision:  m.precision.String(),
-	}
-	if m.precision != types.PrecisionF64 {
-		if sec := m.fp.F32Section(); sec != nil {
-			snap.F32 = *sec
-		}
 	}
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
 		return fmt.Errorf("mf: save RSVD: %w", err)
@@ -78,7 +70,10 @@ func LoadRSVD(r io.Reader) (*RSVD, error) {
 	if len(snap.UserF) == 0 || len(snap.ItemF) == 0 {
 		return nil, fmt.Errorf("mf: load RSVD: snapshot has no factors")
 	}
-	m := &RSVD{
+	if err := types.CheckSnapshotPrecision(snap.Precision); err != nil {
+		return nil, fmt.Errorf("mf: load RSVD: %w", err)
+	}
+	return &RSVD{
 		cfg:        snap.Config,
 		globalMean: snap.GlobalMean,
 		userBias:   snap.UserBias,
@@ -86,16 +81,12 @@ func LoadRSVD(r io.Reader) (*RSVD, error) {
 		userF:      snap.UserF,
 		itemF:      snap.ItemF,
 		name:       snap.Name,
-	}
-	if err := restorePrecision(&m.fp, snap.Precision, &snap.F32, len(snap.UserF), len(snap.ItemF), m.SetPrecision); err != nil {
-		return nil, fmt.Errorf("mf: load RSVD: %w", err)
-	}
-	return m, nil
+		fp:         linalg.NewFactorPair(snap.UserF, snap.ItemF),
+	}, nil
 }
 
-// psvdSnapshot is the gob-encoded form of a PSVD model. Precision and F32
-// are the version-2 additions; both decode as zero values from version-1
-// payloads.
+// psvdSnapshot is the gob-encoded form of a PSVD model. Precision is read
+// from older snapshots and never written.
 type psvdSnapshot struct {
 	Version   int
 	Factors   int
@@ -106,7 +97,6 @@ type psvdSnapshot struct {
 	NumUsers  int
 	Singulars []float64
 	Precision string
-	F32       linalg.FactorSection
 }
 
 // Save writes the model to w in gob format.
@@ -120,12 +110,6 @@ func (m *PSVD) Save(w io.Writer) error {
 		NumItems:  m.numItems,
 		NumUsers:  m.numUsers,
 		Singulars: m.singulars,
-		Precision: m.precision.String(),
-	}
-	if m.precision != types.PrecisionF64 {
-		if sec := m.fp.F32Section(); sec != nil {
-			snap.F32 = *sec
-		}
 	}
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
 		return fmt.Errorf("mf: save PSVD: %w", err)
@@ -145,7 +129,10 @@ func LoadPSVD(r io.Reader) (*PSVD, error) {
 	if snap.Factors <= 0 || len(snap.UserF) == 0 {
 		return nil, fmt.Errorf("mf: load PSVD: snapshot has no factors")
 	}
-	m := &PSVD{
+	if err := types.CheckSnapshotPrecision(snap.Precision); err != nil {
+		return nil, fmt.Errorf("mf: load PSVD: %w", err)
+	}
+	return &PSVD{
 		factors:   snap.Factors,
 		userF:     snap.UserF,
 		itemF:     snap.ItemF,
@@ -153,27 +140,6 @@ func LoadPSVD(r io.Reader) (*PSVD, error) {
 		numItems:  snap.NumItems,
 		numUsers:  snap.NumUsers,
 		singulars: snap.Singulars,
-	}
-	if err := restorePrecision(&m.fp, snap.Precision, &snap.F32, len(snap.UserF), len(snap.ItemF), m.SetPrecision); err != nil {
-		return nil, fmt.Errorf("mf: load PSVD: %w", err)
-	}
-	return m, nil
-}
-
-// restorePrecision reattaches a snapshot's serving tier: the persisted f32
-// factor section (when present) is installed first, so setPrecision — the
-// model's SetPrecision method — finds the blocks in place instead of
-// rebuilding them from float64.
-func restorePrecision(fp *linalg.FactorPair, precision string, sec *linalg.FactorSection, userRows, itemRows int, setPrecision func(types.ScoringPrecision)) error {
-	p, err := types.ParseScoringPrecision(precision)
-	if err != nil {
-		return err
-	}
-	if err := fp.RestoreF32Section(sec, userRows, itemRows); err != nil {
-		return err
-	}
-	if p != types.PrecisionF64 {
-		setPrecision(p)
-	}
-	return nil
+		fp:        linalg.NewFactorPair(snap.UserF, snap.ItemF),
+	}, nil
 }

@@ -26,10 +26,9 @@ type PSVD struct {
 	singulars  []float64
 	powerIters int
 
-	// precision is the tier the bulk path serves at; fp holds the contiguous
-	// reduced-precision factor blocks when precision is not float64.
-	precision types.ScoringPrecision
-	fp        linalg.FactorPair
+	// fp holds the factor rows as contiguous float32 blocks, built once at
+	// train or decode time; see RSVD.
+	fp linalg.FactorPair
 }
 
 // PSVDConfig configures PureSVD training.
@@ -104,6 +103,7 @@ func TrainPSVD(train *dataset.Dataset, cfg PSVDConfig) (*PSVD, error) {
 		numUsers:   train.NumUsers(),
 		singulars:  res.S,
 		powerIters: cfg.PowerIterations,
+		fp:         linalg.NewFactorPair(userF, itemF),
 	}, nil
 }
 
@@ -121,55 +121,9 @@ func (m *PSVD) Score(u types.UserID, i types.ItemID) float64 {
 	return s
 }
 
-// SetPrecision switches the bulk scoring path to the given tier, building
-// the contiguous float32 factor blocks on first use. Pointwise
-// Score always stays float64. Not safe for concurrent use with scoring —
-// call it at assembly/load time, before the model serves.
-func (m *PSVD) SetPrecision(p types.ScoringPrecision) {
-	if p == types.PrecisionF32 {
-		m.fp.EnsureF32(m.userF, m.itemF)
-	}
-	m.precision = p
-}
-
-// ScoringPrecision implements recommender.PrecisionScorer.
-func (m *PSVD) ScoringPrecision() types.ScoringPrecision { return m.precision }
-
-// ScoreUser implements recommender.BulkScorer: one factor-row lookup, then
-// a dense dot product per candidate. At the default float64 tier the dot
-// uses the same left-to-right summation as Score, so bulk and pointwise
-// scores are bit-identical; at the float32 tier (SetPrecision) the
-// dots run unrolled kernels over the contiguous factor blocks and match
-// Score only to the tier's documented tolerance (DESIGN.md §12).
-func (m *PSVD) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
-	if m.precision != types.PrecisionF64 {
-		linalg.Widen32(out, func(buf []float32) { m.ScoreUser32(u, items, buf) })
-		return
-	}
-	if int(u) < 0 || int(u) >= m.numUsers {
-		for k := range items {
-			out[k] = 0
-		}
-		return
-	}
-	pu := m.userF[u]
-	for k, i := range items {
-		if int(i) < 0 || int(i) >= m.numItems {
-			out[k] = 0
-			continue
-		}
-		qi := m.itemF[i]
-		s := 0.0
-		for f := range pu {
-			s += pu[f] * qi[f]
-		}
-		out[k] = s
-	}
-}
-
-// ScoreUser32 implements recommender.BulkScorer32; see RSVD.ScoreUser32 for
-// the tier dispatch rules (PSVD has no bias terms, so a score is just the
-// kernel dot, and out-of-range identifiers score zero).
+// ScoreUser32 implements recommender.BulkScorer32, the model's one bulk
+// body: PSVD has no bias terms, so a score is just the kernel dot, and
+// out-of-range identifiers score zero (see RSVD.ScoreUser32).
 func (m *PSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
 	if int(u) < 0 || int(u) >= m.numUsers {
 		for k := range items {
@@ -177,24 +131,7 @@ func (m *PSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 		}
 		return
 	}
-	switch {
-	case m.precision == types.PrecisionF32 && m.fp.UserB.Rows() > 0:
-		m.fp.ItemDots32(u, items, out)
-	default:
-		pu := m.userF[u]
-		for k, i := range items {
-			if int(i) < 0 || int(i) >= m.numItems {
-				out[k] = 0
-				continue
-			}
-			qi := m.itemF[i]
-			s := 0.0
-			for f := range pu {
-				s += pu[f] * qi[f]
-			}
-			out[k] = float32(s)
-		}
-	}
+	m.fp.ItemDots32(u, items, out)
 }
 
 // Name implements recommender.Scorer ("PSVD10", "PSVD100", ...).

@@ -3,9 +3,9 @@
 // the paper's LIBMF configuration) and PSVD (PureSVD over the zero-imputed
 // rating matrix, Cremonesi et al. 2010).
 //
-// Both models implement recommender.Scorer, so they can serve as the accuracy
-// recommender inside GANC or be ranked directly through
-// recommender.ScorerTopN.
+// Both models implement recommender.Scorer and recommender.BulkScorer32, so
+// they can serve as the accuracy recommender inside GANC or be ranked directly
+// through recommender.ScorerTopN.
 package mf
 
 import (
@@ -83,10 +83,10 @@ type RSVD struct {
 	itemF      [][]float64
 	name       string
 
-	// precision is the tier the bulk path serves at; fp holds the contiguous
-	// reduced-precision factor blocks when precision is not float64.
-	precision types.ScoringPrecision
-	fp        linalg.FactorPair
+	// fp holds the factor rows as contiguous float32 blocks, the form bulk
+	// scores are served from. It is built once, when training ends or a
+	// snapshot is decoded; pointwise Score reads the float64 rows.
+	fp linalg.FactorPair
 }
 
 // TrainRSVD fits an RSVD model on the train set.
@@ -123,6 +123,7 @@ func TrainRSVD(train *dataset.Dataset, cfg RSVDConfig) (*RSVD, error) {
 			m.sgdStep(r)
 		}
 	}
+	m.fp = linalg.NewFactorPair(m.userF, m.itemF)
 	return m, nil
 }
 
@@ -173,66 +174,16 @@ func (m *RSVD) Score(u types.UserID, i types.ItemID) float64 {
 	return m.predict(u, i)
 }
 
-// SetPrecision switches the bulk scoring path to the given tier, building
-// the contiguous float32 factor blocks on first use. Pointwise
-// Score always stays float64. Not safe for concurrent use with scoring —
-// call it at assembly/load time, before the model serves.
-func (m *RSVD) SetPrecision(p types.ScoringPrecision) {
-	if p == types.PrecisionF32 {
-		m.fp.EnsureF32(m.userF, m.itemF)
-	}
-	m.precision = p
-}
-
-// ScoringPrecision implements recommender.PrecisionScorer.
-func (m *RSVD) ScoringPrecision() types.ScoringPrecision { return m.precision }
-
-// ScoreUser implements recommender.BulkScorer: the user's factor row and
-// bias are hoisted out of the item loop, so a candidate sweep is len(items)
-// dense dot products. At the default float64 tier it mirrors predict's
-// exact summation order, so bulk and pointwise scores are bit-identical; at
-// the float32 tier (SetPrecision) the dots run unrolled kernels over
-// the contiguous factor blocks and match Score only to the tier's
-// documented tolerance (DESIGN.md §12).
-func (m *RSVD) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
-	if m.precision != types.PrecisionF64 {
-		linalg.Widen32(out, func(buf []float32) { m.ScoreUser32(u, items, buf) })
-		return
-	}
-	if int(u) < 0 || int(u) >= len(m.userF) {
-		for k := range items {
-			out[k] = m.globalMean
-		}
-		return
-	}
-	pu := m.userF[u]
-	for k, i := range items {
-		if int(i) < 0 || int(i) >= len(m.itemF) {
-			out[k] = m.globalMean
-			continue
-		}
-		s := m.globalMean
-		if m.cfg.UseBiases {
-			s += m.userBias[u] + m.itemBias[i]
-		}
-		qi := m.itemF[i]
-		for f := range pu {
-			s += pu[f] * qi[f]
-		}
-		out[k] = s
-	}
-}
-
-// ScoreUser32 implements recommender.BulkScorer32: the float32 score arena
-// path. At the float32 tier one row-kernel call over the contiguous blocks
-// leaves every candidate's dot in out, and a second pass over out adds the
-// mean and bias terms in float64. Called before SetPrecision built any block,
-// it truncates the float64 reference scores (read-only, so always race-safe).
+// ScoreUser32 implements recommender.BulkScorer32, the model's one bulk
+// body: a row-kernel call over the contiguous float32 blocks leaves every
+// candidate's dot in out, and a second pass over out adds the mean and bias
+// terms in float64. Scores match pointwise Score to the tolerance DESIGN.md
+// §12 documents, not bit for bit.
 func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
+	oob := float32(m.globalMean)
 	if int(u) < 0 || int(u) >= len(m.userF) {
-		g := float32(m.globalMean)
 		for k := range items {
-			out[k] = g
+			out[k] = oob
 		}
 		return
 	}
@@ -240,39 +191,19 @@ func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 	if m.cfg.UseBiases {
 		base += m.userBias[u]
 	}
-	switch {
-	case m.precision == types.PrecisionF32 && m.fp.UserB.Rows() > 0:
-		m.fp.ItemDots32(u, items, out)
-		out = out[:len(items)]
-		oob, useBiases, itemBias := float32(m.globalMean), m.cfg.UseBiases, m.itemBias
-		for k, i := range items {
-			if uint(i) >= uint(len(m.itemF)) { // one compare: a negative identifier converts to a huge one
-				out[k] = oob
-				continue
-			}
-			s := base + float64(out[k])
-			if useBiases {
-				s += itemBias[i]
-			}
-			out[k] = float32(s)
+	m.fp.ItemDots32(u, items, out)
+	out = out[:len(items)]
+	useBiases, itemBias := m.cfg.UseBiases, m.itemBias
+	for k, i := range items {
+		if uint(i) >= uint(len(m.itemF)) { // one compare: a negative identifier converts to a huge one
+			out[k] = oob
+			continue
 		}
-	default:
-		pu := m.userF[u]
-		for k, i := range items {
-			if int(i) < 0 || int(i) >= len(m.itemF) {
-				out[k] = float32(m.globalMean)
-				continue
-			}
-			s := base
-			qi := m.itemF[i]
-			for f := range pu {
-				s += pu[f] * qi[f]
-			}
-			if m.cfg.UseBiases {
-				s += m.itemBias[i]
-			}
-			out[k] = float32(s)
+		s := base + float64(out[k])
+		if useBiases {
+			s += itemBias[i]
 		}
+		out[k] = float32(s)
 	}
 }
 

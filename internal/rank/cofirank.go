@@ -12,7 +12,7 @@
 //     weighted more (an NDCG-style position-free weighting).
 //
 // DESIGN.md §4 documents this substitution. Both variants implement
-// recommender.Scorer.
+// recommender.Scorer and recommender.BulkScorer32.
 package rank
 
 import (
@@ -100,10 +100,10 @@ type Model struct {
 	mean  float64
 	name  string
 
-	// precision is the tier the bulk path serves at; fp holds the contiguous
-	// reduced-precision factor blocks when precision is not float64.
-	precision types.ScoringPrecision
-	fp        linalg.FactorPair
+	// fp holds the factor rows as contiguous float32 blocks, the form bulk
+	// scores are served from. It is built once, when training ends or a
+	// snapshot is decoded; pointwise Score reads the float64 rows.
+	fp linalg.FactorPair
 }
 
 // Train fits the model on the train set.
@@ -131,6 +131,7 @@ func Train(train *dataset.Dataset, cfg Config) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("rank: unknown loss %d", cfg.Loss)
 	}
+	m.fp = linalg.NewFactorPair(m.userF, m.itemF)
 	return m, nil
 }
 
@@ -211,86 +212,28 @@ func (m *Model) Score(u types.UserID, i types.ItemID) float64 {
 	return s
 }
 
-// SetPrecision switches the bulk scoring path to the given tier, building
-// the contiguous float32 factor blocks on first use. Pointwise
-// Score always stays float64. Not safe for concurrent use with scoring —
-// call it at assembly/load time, before the model serves.
-func (m *Model) SetPrecision(p types.ScoringPrecision) {
-	if p == types.PrecisionF32 {
-		m.fp.EnsureF32(m.userF, m.itemF)
-	}
-	m.precision = p
-}
-
-// ScoringPrecision implements recommender.PrecisionScorer.
-func (m *Model) ScoringPrecision() types.ScoringPrecision { return m.precision }
-
-// ScoreUser implements recommender.BulkScorer with the user factor row
-// hoisted out of the candidate loop. At the default float64 tier it is
-// bit-identical to Score; at the float32 tier (SetPrecision) the dots
-// run unrolled kernels over the contiguous factor blocks and match Score
-// only to the tier's documented tolerance (DESIGN.md §12).
-func (m *Model) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
-	if m.precision != types.PrecisionF64 {
-		linalg.Widen32(out, func(buf []float32) { m.ScoreUser32(u, items, buf) })
-		return
-	}
-	oob := 0.0
-	if m.cfg.Loss == LossRegression {
-		oob = m.mean
-	}
-	if int(u) < 0 || int(u) >= len(m.userF) {
-		for k := range items {
-			out[k] = oob
-		}
-		return
-	}
-	pu := m.userF[u]
-	for k, i := range items {
-		if int(i) < 0 || int(i) >= len(m.itemF) {
-			out[k] = oob
-			continue
-		}
-		s := dot(pu, m.itemF[i])
-		if m.cfg.Loss == LossRegression {
-			s += m.mean
-		}
-		out[k] = s
-	}
-}
-
-// ScoreUser32 implements recommender.BulkScorer32; see mf.RSVD.ScoreUser32
-// for the tier dispatch rules. The regression loss adds the train mean, the
-// pairwise loss serves the raw kernel dot.
+// ScoreUser32 implements recommender.BulkScorer32, the model's one bulk
+// body: the row kernel over the contiguous float32 blocks, then the train mean
+// added in float64 for the regression loss (the pairwise loss serves the raw
+// kernel dot). Scores match pointwise Score to the tolerance DESIGN.md §12
+// documents, not bit for bit.
 func (m *Model) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
 	base := 0.0
 	if m.cfg.Loss == LossRegression {
 		base = m.mean
 	}
-	oob := float32(base)
 	if int(u) < 0 || int(u) >= len(m.userF) {
+		oob := float32(base)
 		for k := range items {
 			out[k] = oob
 		}
 		return
 	}
-	switch {
-	case m.precision == types.PrecisionF32 && m.fp.UserB.Rows() > 0:
-		// An identifier outside the item block leaves the kernel with a dot
-		// of 0, so the same expression gives it oob.
-		m.fp.ItemDots32(u, items, out)
-		for k, dot := range out[:len(items)] {
-			out[k] = float32(base + float64(dot))
-		}
-	default:
-		pu := m.userF[u]
-		for k, i := range items {
-			if int(i) < 0 || int(i) >= len(m.itemF) {
-				out[k] = oob
-				continue
-			}
-			out[k] = float32(base + dot(pu, m.itemF[i]))
-		}
+	// An identifier outside the item block leaves the kernel with a dot of 0,
+	// so the same expression gives it the out-of-range score.
+	m.fp.ItemDots32(u, items, out)
+	for k, dot := range out[:len(items)] {
+		out[k] = float32(base + float64(dot))
 	}
 }
 

@@ -11,16 +11,16 @@ import (
 
 // Model persistence: trained collaborative-ranking factorizations serialize
 // their factor matrices with encoding/gob behind a version tag, matching the
-// RSVD/PSVD snapshot convention in internal/mf. Version 2 adds the serving
-// precision tier and the flat float32 factor section; version-1 snapshots
-// still load at the exact float64 default.
+// RSVD/PSVD snapshot convention in internal/mf: version 2 carried a serving
+// precision tier and a copy of the float32 factor blocks, neither of which is
+// written any more (the blocks are rebuilt from the float64 rows at load);
+// both versions still load.
 
 // rankSnapshotVersion guards the gob payload layout.
 const rankSnapshotVersion = 2
 
-// rankSnapshot is the gob-encoded form of a rank.Model. Precision and F32
-// are the version-2 additions; both decode as zero values from version-1
-// payloads.
+// rankSnapshot is the gob-encoded form of a rank.Model. Precision is read from
+// older snapshots and never written.
 type rankSnapshot struct {
 	Version   int
 	Config    Config
@@ -29,24 +29,17 @@ type rankSnapshot struct {
 	Mean      float64
 	Name      string
 	Precision string
-	F32       linalg.FactorSection
 }
 
 // Save writes the model to w in its versioned gob form.
 func (m *Model) Save(w io.Writer) error {
 	snap := rankSnapshot{
-		Version:   rankSnapshotVersion,
-		Config:    m.cfg,
-		UserF:     m.userF,
-		ItemF:     m.itemF,
-		Mean:      m.mean,
-		Name:      m.name,
-		Precision: m.precision.String(),
-	}
-	if m.precision != types.PrecisionF64 {
-		if sec := m.fp.F32Section(); sec != nil {
-			snap.F32 = *sec
-		}
+		Version: rankSnapshotVersion,
+		Config:  m.cfg,
+		UserF:   m.userF,
+		ItemF:   m.itemF,
+		Mean:    m.mean,
+		Name:    m.name,
 	}
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
 		return fmt.Errorf("rank: save model: %w", err)
@@ -67,22 +60,15 @@ func Load(r io.Reader) (*Model, error) {
 	if len(snap.UserF) == 0 || len(snap.ItemF) == 0 {
 		return nil, fmt.Errorf("rank: load model: snapshot has no factors")
 	}
-	m := &Model{
+	if err := types.CheckSnapshotPrecision(snap.Precision); err != nil {
+		return nil, fmt.Errorf("rank: load model: %w", err)
+	}
+	return &Model{
 		cfg:   snap.Config,
 		userF: snap.UserF,
 		itemF: snap.ItemF,
 		mean:  snap.Mean,
 		name:  snap.Name,
-	}
-	p, err := types.ParseScoringPrecision(snap.Precision)
-	if err != nil {
-		return nil, fmt.Errorf("rank: load model: %w", err)
-	}
-	if err := m.fp.RestoreF32Section(&snap.F32, len(snap.UserF), len(snap.ItemF)); err != nil {
-		return nil, fmt.Errorf("rank: load model: %w", err)
-	}
-	if p != types.PrecisionF64 {
-		m.SetPrecision(p)
-	}
-	return m, nil
+		fp:    linalg.NewFactorPair(snap.UserF, snap.ItemF),
+	}, nil
 }

@@ -12,7 +12,7 @@ import (
 
 // normalizedBits returns the normaliser's outputs for every (user, item) of
 // its catalog as raw bits: the float64 bulk path and, when the inner model
-// serves a reduced tier, the float32 bulk path after it.
+// has a float32 bulk path, that one after it.
 func normalizedBits(n *NormalizedScorer, numUsers int) [][]uint64 {
 	items := make([]types.ItemID, n.numItems)
 	for k := range items {
@@ -20,7 +20,7 @@ func normalizedBits(n *NormalizedScorer, numUsers int) [][]uint64 {
 	}
 	out64 := make([]float64, len(items))
 	out32 := make([]float32, len(items))
-	_, tiered := Bulk32For(n.inner)
+	_, tiered := n.inner.(BulkScorer32)
 	all := make([][]uint64, numUsers)
 	for u := range all {
 		n.ScoreUser(types.UserID(u), items, out64)
@@ -51,13 +51,21 @@ func assertSameBits(t *testing.T, label string, got, want [][]uint64) {
 	}
 }
 
+// float64Only hides a model's float32 bulk body, leaving what a custom scorer
+// with a float64 bulk method alone shows the normaliser.
+type float64Only struct{ Scorer }
+
+func (f float64Only) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
+	BulkScores(f.Scorer, u, items, out)
+}
+
 // TestRangeTableParityAcrossCatalogGrowth is the exactness contract of the
-// shared range table: for a frozen RSVD at the float64 and float32 tiers, a
+// shared range table: for a frozen RSVD — as it is (f32: both of the
+// normaliser's bulk methods) and behind a float64-only bulk body (f64) — a
 // table filled at one catalog size and read at a larger one (and a smaller
 // one: the older-generation reader that meets a newer entry) normalises bit
 // for bit as a fresh NormalizedScorer scanning that whole catalog — also with
-// every generation reading concurrently, which is what a swap under load
-// does. The smallest catalog stops short of the trained items and the largest
+// every generation reading concurrently, which is what a swap under load does. The smallest catalog stops short of the trained items and the largest
 // runs past them, so the folded-in suffix holds both real scores and the
 // unknown-item fallback.
 func TestRangeTableParityAcrossCatalogGrowth(t *testing.T) {
@@ -67,13 +75,12 @@ func TestRangeTableParityAcrossCatalogGrowth(t *testing.T) {
 	sizes := []int{d.NumItems() - 9, d.NumItems(), d.NumItems() + 7}
 	numUsers := d.NumUsers() + 2 // users the model has never seen included
 
-	for _, tier := range []types.ScoringPrecision{types.PrecisionF64, types.PrecisionF32} {
-		t.Run(tier.String(), func(t *testing.T) {
-			model, err := mf.TrainRSVD(d, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model.SetPrecision(tier)
+	rsvd, err := mf.TrainRSVD(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, model := range map[string]Scorer{"f64": float64Only{rsvd}, "f32": rsvd} {
+		t.Run(name, func(t *testing.T) {
 			want := make([][][]uint64, len(sizes))
 			for g, n := range sizes {
 				want[g] = normalizedBits(NewNormalizedScorer(model, n), numUsers)
@@ -158,11 +165,20 @@ func (s tableScorer) Score(_ types.UserID, i types.ItemID) float64 {
 	return s.scores[i]
 }
 
+// tableScorer32 is tableScorer with a float32 bulk path (the table truncated).
+type tableScorer32 struct{ tableScorer }
+
+func (s tableScorer32) ScoreUser32(_ types.UserID, items []types.ItemID, out []float32) {
+	for k, i := range items {
+		out[k] = float32(s.scores[i])
+	}
+}
+
 // TestRangeHeldSince: the range over a grown catalog is provably the range
 // over its first items only when every later score lies strictly inside it —
 // a later score that ties an extreme might be the only item there. The answer
 // must be the same whether the table already holds the grown catalog's entry,
-// the prefix's, or nothing.
+// the prefix's, or nothing, and whichever bulk path the inner model has.
 func TestRangeHeldSince(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -180,16 +196,19 @@ func TestRangeHeldSince(t *testing.T) {
 		{"not a number", []float64{1, 5, 3, math.NaN()}, 3, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prefix := NewNormalizedScorer(tableScorer{tc.scores}, tc.from)
-			prefix.userRange(0) // the table holds the prefix's entry
-			for label, n := range map[string]*NormalizedScorer{
-				"empty table":    NewNormalizedScorer(tableScorer{tc.scores}, len(tc.scores)),
-				"prefix's entry": prefix.ForCatalog(len(tc.scores)),
+			for width, inner := range map[string]Scorer{
+				"float64 inner": tableScorer{tc.scores},
+				"float32 inner": tableScorer32{tableScorer{tc.scores}},
 			} {
-				for round, state := range []string{"", ", catalog's entry stored"} {
-					for _, f32 := range []bool{false, true} {
-						if got := n.RangeHeldSince(0, tc.from, f32); got != tc.want {
-							t.Errorf("%s%s (round %d, f32 %v): RangeHeldSince = %v, want %v", label, state, round, f32, got, tc.want)
+				prefix := NewNormalizedScorer(inner, tc.from)
+				prefix.userRange(0) // the table holds the prefix's entry
+				for label, n := range map[string]*NormalizedScorer{
+					"empty table":    NewNormalizedScorer(inner, len(tc.scores)),
+					"prefix's entry": prefix.ForCatalog(len(tc.scores)),
+				} {
+					for round, state := range []string{"", ", catalog's entry stored"} {
+						if got := n.RangeHeldSince(0, tc.from); got != tc.want {
+							t.Errorf("%s, %s%s (round %d): RangeHeldSince = %v, want %v", width, label, state, round, got, tc.want)
 						}
 					}
 				}

@@ -53,71 +53,64 @@ type BulkScorer interface {
 	ScoreUser(u types.UserID, items []types.ItemID, out []float64)
 }
 
-// BulkScores fills out with s's scores for items, using the BulkScorer fast
-// path when s implements it and falling back to one Score call per item
-// otherwise. It panics if len(out) != len(items), mirroring copy-style APIs.
-func BulkScores(s Scorer, u types.UserID, items []types.ItemID, out []float64) {
-	if len(out) != len(items) {
-		panic(fmt.Sprintf("recommender: BulkScores buffer length %d != item count %d", len(out), len(items)))
-	}
-	if bs, ok := s.(BulkScorer); ok {
-		bs.ScoreUser(u, items, out)
-		return
-	}
-	for k, i := range items {
-		out[k] = s.Score(u, i)
-	}
-}
-
-// BulkScorer32 is the reduced-precision companion of BulkScorer: the same
-// batch contract, but scores land in a float32 buffer so the hot path can
-// run the float32 kernel tier end to end without a float64 conversion
-// pass. Only models whose ScoringPrecision is not PrecisionF64 serve real
-// reduced-precision scores through it; Bulk32For gates on that.
+// BulkScorer32 is the float32 bulk contract, and the only bulk body of the
+// latent-factor models (RSVD, PSVD, CofiRank): scores land in a float32
+// buffer straight from the row kernel over contiguous float32 factor blocks,
+// so the hot path runs kernel through heap selection with no float64
+// conversion pass.
 //
 // Contract: out must have len(out) == len(items); out[k] receives the score
-// of items[k]. Unlike BulkScorer's float64 tier, values are NOT required to
-// be bit-identical to Score — they must agree with it to the active tier's
-// documented tolerance (DESIGN.md §7, §12).
+// of items[k]. Unlike BulkScorer's, values are NOT required to be
+// bit-identical to Score — they must agree with it to the documented
+// tolerance (DESIGN.md §7, §12). Which bulk path a model has is read off its
+// type; a model implementing both serves BulkScorer's float64 callers from
+// ScoreUser.
 type BulkScorer32 interface {
 	Scorer
 	// ScoreUser32 fills out[k] with the score of items[k] for user u.
 	ScoreUser32(u types.UserID, items []types.ItemID, out []float32)
 }
 
-// PrecisionScorer is implemented by models whose bulk path can run at a
-// reduced numeric precision (contiguous float32 blocks).
-type PrecisionScorer interface {
-	// ScoringPrecision reports the tier the model's bulk path currently
-	// serves at. Pointwise Score always stays float64.
-	ScoringPrecision() types.ScoringPrecision
-}
-
-// Bulk32For resolves the float32 bulk path of s: non-nil only when s
-// implements BulkScorer32 AND declares a non-f64 scoring precision. At
-// PrecisionF64 the float64 path is authoritative (bit-identical to Score),
-// so the 32-bit path is never selected for it.
-func Bulk32For(s Scorer) (BulkScorer32, bool) {
-	bs, ok := s.(BulkScorer32)
-	if !ok {
-		return nil, false
+// BulkScores fills out with s's scores for items: the BulkScorer path when s
+// has one; for a model whose only bulk body is the float32 one, those scores
+// widened — its float64 bulk scores are its float32 scores, never a second
+// computation; and one Score call per item otherwise. It panics if
+// len(out) != len(items), mirroring copy-style APIs.
+func BulkScores(s Scorer, u types.UserID, items []types.ItemID, out []float64) {
+	if len(out) != len(items) {
+		panic(fmt.Sprintf("recommender: BulkScores buffer length %d != item count %d", len(out), len(items)))
 	}
-	ps, ok := s.(PrecisionScorer)
-	if !ok || ps.ScoringPrecision() == types.PrecisionF64 {
-		return nil, false
+	switch bs := s.(type) {
+	case BulkScorer:
+		bs.ScoreUser(u, items, out)
+	case BulkScorer32:
+		bp := scoreBuf32Pool.get(len(items))
+		bs.ScoreUser32(u, items, *bp)
+		for k, v := range *bp {
+			out[k] = float64(v)
+		}
+		scoreBuf32Pool.put(bp)
+	default:
+		for k, i := range items {
+			out[k] = s.Score(u, i)
+		}
 	}
-	return bs, true
 }
 
 // BulkScores32 is BulkScores into a float32 buffer: the model's own float32
-// bulk path when it serves a reduced tier (Bulk32For), otherwise its float64
-// bulk scores — one BulkScores call into the pooled float64 arena — truncated,
-// so out[k] is float32(Score(u, items[k])) for every model without a tier.
+// bulk path when it has one, otherwise its float64 bulk scores truncated, so
+// out[k] is float32(Score(u, items[k])) for every model without one.
 func BulkScores32(s Scorer, u types.UserID, items []types.ItemID, out []float32) {
-	if bs32, ok := Bulk32For(s); ok {
+	if bs32, ok := s.(BulkScorer32); ok {
 		bs32.ScoreUser32(u, items, out)
 		return
 	}
+	truncatedBulkScores(s, u, items, out)
+}
+
+// truncatedBulkScores fills out with s's float64 bulk scores — one BulkScores
+// call into the pooled float64 arena — truncated.
+func truncatedBulkScores(s Scorer, u types.UserID, items []types.ItemID, out []float32) {
 	bp := scoreBufPool.get(len(items))
 	BulkScores(s, u, items, *bp)
 	for k, v := range *bp {
@@ -162,8 +155,8 @@ func RanksBelow[T float32 | float64](item types.ItemID, score T, than types.Item
 // first n candidates, so the scan over the rest is one comparison per item —
 // then orders the survivors with an insertion sort: n is small, and a
 // sort.Slice closure would be the path's only allocation besides the heap and
-// the result. Both precision tiers instantiate it, so float32 scores never
-// round-trip through float64 and neither tier boxes an entry.
+// the result. Both score widths instantiate it, so float32 scores never
+// round-trip through float64 and neither boxes an entry.
 func SelectTop[T float32 | float64](candidates []types.ItemID, scores []T, n int) types.TopNSet {
 	if n <= 0 {
 		return nil
@@ -245,7 +238,7 @@ func (p *bufPool[T]) get(n int) *[]T {
 
 func (p *bufPool[T]) put(bp *[]T) { p.pool.Put(bp) }
 
-// The score arenas of the candidate ranking path, one per precision tier, and
+// The score arenas of the candidate ranking path, one per score width, and
 // the candidate buffers of RecommendUser.
 var (
 	scoreBufPool   bufPool[float64]
@@ -254,16 +247,16 @@ var (
 )
 
 // ScorerTopN adapts any Scorer into a TopN: the candidates are scored in one
-// bulk call into a pooled arena and the top n selected from it. Models serving
-// a reduced precision tier (Bulk32For) run the float32 arena end to end —
-// scoring kernel through heap selection — with no float64 conversion.
+// bulk call into a pooled arena and the top n selected from it. A BulkScorer32
+// runs the float32 arena end to end — scoring kernel through heap selection —
+// with no float64 conversion.
 type ScorerTopN struct {
 	Scorer Scorer
 }
 
 // Recommend implements TopN.
 func (s *ScorerTopN) Recommend(u types.UserID, n int, candidates []types.ItemID) types.TopNSet {
-	if bs32, ok := Bulk32For(s.Scorer); ok {
+	if bs32, ok := s.Scorer.(BulkScorer32); ok {
 		bp := scoreBuf32Pool.get(len(candidates))
 		defer scoreBuf32Pool.put(bp)
 		bs32.ScoreUser32(u, candidates, *bp)
@@ -521,8 +514,8 @@ func (r scoreRange) span() float64 { return r.max - r.min }
 // performs the comparisons of one scan over [0, upTo+len(scores)) from where
 // the scan over [0, upTo) stopped, so a range folded in steps is bit for bit
 // the range of a single full scan. Float32 scores are compared widened, which
-// is exact and order-preserving: the range of a tiered model's float32 scores
-// is the range of the same scores served through its float64 contract.
+// is exact and order-preserving: the range of a factor model's float32 scores
+// is the range of the same scores served widened through BulkScores.
 func fold[T float32 | float64](r scoreRange, scores []T) scoreRange {
 	for _, v := range scores {
 		s := float64(v)
@@ -609,24 +602,18 @@ func (n *NormalizedScorer) ScoreUser(u types.UserID, items []types.ItemID, out [
 }
 
 // ScoreUser32 implements BulkScorer32 by normalizing the inner model's
-// float32 bulk scores in float32 arithmetic. Only meaningful when the inner
-// model serves a reduced precision tier (see ScoringPrecision): any other
-// model's float64 scores are truncated first. The normalization range itself
-// is the cached float64 pair, truncated.
+// float32 bulk scores in float32 arithmetic; the range is the cached float64
+// pair, truncated. Around a model with no float32 path there is nothing to
+// keep in float32: the answer is the float64 normalised scores, truncated.
 func (n *NormalizedScorer) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
-	var r scoreRange
-	if bs32, ok := Bulk32For(n.inner); ok {
-		r = scoreWithRange(n, u, items, out, &scoreBuf32Pool, func(items []types.ItemID, out []float32) {
-			bs32.ScoreUser32(u, items, out)
-		})
-	} else {
-		bp := scoreBufPool.get(len(items))
-		r = n.rawScores(u, items, *bp)
-		for k, v := range *bp {
-			out[k] = float32(v)
-		}
-		scoreBufPool.put(bp)
+	bs32, ok := n.inner.(BulkScorer32)
+	if !ok {
+		truncatedBulkScores(n, u, items, out) // through ScoreUser
+		return
 	}
+	r := scoreWithRange(n, u, items, out, &scoreBuf32Pool, func(items []types.ItemID, out []float32) {
+		bs32.ScoreUser32(u, items, out)
+	})
 	span := r.span()
 	if span == 0 {
 		for k := range out {
@@ -646,15 +633,6 @@ func (n *NormalizedScorer) ScoreUser32(u types.UserID, items []types.ItemID, out
 	}
 }
 
-// ScoringPrecision implements PrecisionScorer by delegating to the wrapped
-// model; wrappers never change the tier, only the scale of the scores.
-func (n *NormalizedScorer) ScoringPrecision() types.ScoringPrecision {
-	if ps, ok := n.inner.(PrecisionScorer); ok {
-		return ps.ScoringPrecision()
-	}
-	return types.PrecisionF64
-}
-
 // userRange resolves u's normalization range over this normaliser's catalog
 // without scoring any item for the caller (the pointwise path).
 func (n *NormalizedScorer) userRange(u types.UserID) scoreRange {
@@ -669,7 +647,7 @@ func (n *NormalizedScorer) rawScores(u types.UserID, items []types.ItemID, out [
 }
 
 // scoreWithRange fills out with the inner scores of items — score is the
-// inner model's bulk path at the tier of T — and returns u's normalization
+// inner model's bulk path at the width of T — and returns u's normalization
 // range over this normaliser's catalog. A table entry covering exactly the
 // catalog is the answer. One covering a prefix (an earlier generation
 // computed it) is extended over the missing items through the same bulk call
@@ -726,13 +704,13 @@ func scoreWithRange[T float32 | float64](n *NormalizedScorer, u types.UserID, it
 // normaliser's catalog is provably its range over the first from items: every
 // inner score of items [from, numItems) lies strictly inside the catalog's
 // (min, max). A tail score equal to an extreme answers false — the prefix may
-// or may not have reached that extreme on its own. f32 selects the tier whose
-// range the caller's bulk calls normalise by: ScoreUser32's (the inner
-// model's float32 scores, when it serves them) or ScoreUser's. The range is
-// read — and extended, if this is the catalog's first reader — exactly as a
-// bulk call would.
-func (n *NormalizedScorer) RangeHeldSince(u types.UserID, from int, f32 bool) bool {
-	if bs32, ok := Bulk32For(n.inner); ok && f32 {
+// or may not have reached that extreme on its own. The tail is scored through
+// the inner model's float32 bulk path when it has one, its float64 path
+// otherwise (widening is exact, so both of the normaliser's bulk methods
+// normalise by this one range). The range is read — and extended, if this is
+// the catalog's first reader — exactly as a bulk call would.
+func (n *NormalizedScorer) RangeHeldSince(u types.UserID, from int) bool {
+	if bs32, ok := n.inner.(BulkScorer32); ok {
 		return tailInsideRange(n, u, from, &scoreBuf32Pool, func(items []types.ItemID, out []float32) {
 			bs32.ScoreUser32(u, items, out)
 		})

@@ -107,8 +107,8 @@ func TestSelectTopNTieBreaksByItemID(t *testing.T) {
 	}
 }
 
-// The selector's property test: at both tiers SelectTop returns exactly the
-// head of a full sort by (score descending, item ascending), for shuffled
+// The selector's property test: at both score widths SelectTop returns exactly
+// the head of a full sort by (score descending, item ascending), for shuffled
 // candidate slices with heavy ties and every n from below zero to beyond the
 // slice; and the two instantiations agree whenever the scores are
 // float32-representable.

@@ -13,7 +13,7 @@ import (
 // scored the catalog once — the range from one bulk scan of the identity
 // catalog through the inner model's float64 contract, then the items scored by
 // a second call of their own and mapped. Kept here, in the arithmetic of each
-// tier, as the reference the fused path is held to bit for bit.
+// bulk method, as the reference the fused path is held to bit for bit.
 
 func oracleRange(inner Scorer, u types.UserID, numItems int) scoreRange {
 	scores := make([]float64, numItems)
@@ -54,7 +54,7 @@ func oracleScoreUser(inner Scorer, u types.UserID, numItems int, items []types.I
 }
 
 // oracleScore is the pointwise path: the inner model's float64 Score (which
-// a tiered model keeps exact) mapped through the same range.
+// a factor model keeps exact) mapped through the same range.
 func oracleScore(inner Scorer, u types.UserID, numItems int, items []types.ItemID) []float64 {
 	r := oracleRange(inner, u, numItems)
 	out := make([]float64, len(items))
@@ -64,16 +64,19 @@ func oracleScore(inner Scorer, u types.UserID, numItems int, items []types.ItemI
 	return out
 }
 
+// oracleScoreUser32 maps the inner model's float32 bulk scores in float32;
+// around a model without that path it is the float64 oracle truncated.
 func oracleScoreUser32(inner Scorer, u types.UserID, numItems int, items []types.ItemID) []float32 {
-	r := oracleRange(inner, u, numItems)
 	out := make([]float32, len(items))
-	if bs32, ok := Bulk32For(inner); ok {
-		bs32.ScoreUser32(u, items, out)
-	} else {
-		for k, i := range items {
-			out[k] = float32(inner.Score(u, i))
+	bs32, ok := inner.(BulkScorer32)
+	if !ok {
+		for k, v := range oracleScoreUser(inner, u, numItems, items) {
+			out[k] = float32(v)
 		}
+		return out
 	}
+	r := oracleRange(inner, u, numItems)
+	bs32.ScoreUser32(u, items, out)
 	min32, inv32 := float32(r.min), 1/float32(r.max-r.min)
 	for k := range out {
 		switch v := (out[k] - min32) * inv32; {
@@ -127,22 +130,18 @@ func (flatScorer) Score(types.UserID, types.ItemID) float64 { return 2.5 }
 func (flatScorer) Name() string                             { return "flat" }
 
 // scoreOnceInners builds the inner models the fused path is checked over: a
-// factor model at each tier, a model without a float32 path, a pointwise-only
-// scorer and one whose span is 0.
+// factor model, a model without a float32 path, a pointwise-only scorer and
+// one whose span is 0.
 func scoreOnceInners(t *testing.T) (map[string]Scorer, int, int) {
 	t.Helper()
 	d := bulkTestDataset(17)
 	cfg := mf.DefaultRSVDConfig()
 	cfg.Factors, cfg.Epochs, cfg.Seed = 8, 3, 17
-	inners := map[string]Scorer{"ItemAvg": NewItemAvg(d, 2), "plain": plainScorer{}, "flat": flatScorer{}}
-	for _, tier := range []types.ScoringPrecision{types.PrecisionF64, types.PrecisionF32} {
-		m, err := mf.TrainRSVD(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetPrecision(tier)
-		inners["RSVD/"+tier.String()] = m
+	m, err := mf.TrainRSVD(d, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	inners := map[string]Scorer{"RSVD": m, "ItemAvg": NewItemAvg(d, 2), "plain": plainScorer{}, "flat": flatScorer{}}
 	return inners, d.NumUsers(), d.NumItems()
 }
 
@@ -229,7 +228,7 @@ func TestFusedFirstTouchKeepsRangeTableRules(t *testing.T) {
 }
 
 // callCounter counts the items its model is asked to score, through whichever
-// path, and serves the model's tier.
+// path.
 type callCounter struct {
 	Scorer
 	items int
@@ -248,13 +247,6 @@ func (c *callCounter) ScoreUser(u types.UserID, items []types.ItemID, out []floa
 func (c *callCounter) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
 	c.items += len(items)
 	BulkScores32(c.Scorer, u, items, out)
-}
-
-func (c *callCounter) ScoringPrecision() types.ScoringPrecision {
-	if ps, ok := c.Scorer.(PrecisionScorer); ok {
-		return ps.ScoringPrecision()
-	}
-	return types.PrecisionF64
 }
 
 // TestConcurrentFirstTouches (run it with -race -count=10): goroutines

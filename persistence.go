@@ -8,6 +8,7 @@ import (
 	"ganc/internal/dataset"
 	"ganc/internal/longtail"
 	"ganc/internal/persist"
+	"ganc/internal/types"
 )
 
 // Model persistence facade: Pipeline.Save writes a complete warm-start
@@ -53,8 +54,9 @@ type snapshotMeta struct {
 	Seed         int64
 	PrefModel    string
 	PrefConstant float64
-	// Precision is the serving tier ("f64" or "f32"); snapshots from
-	// before the tiered hot path carry the empty string, which parses as f64.
+	// Precision is read, never written: snapshots saved while bulk scoring
+	// had a tier to choose carry "f64" or "f32", and both load at the one
+	// tier there is; the retired "int8" answers ErrPrecisionRetired.
 	Precision string
 }
 
@@ -151,7 +153,6 @@ func (p *Pipeline) Save(path string) error {
 		Seed:         p.cfg.seed,
 		PrefModel:    string(p.prefs.Model),
 		PrefConstant: prefConstant,
-		Precision:    p.cfg.precision.String(),
 	}
 	if err := b.AddGob(sectionMeta, &meta); err != nil {
 		return err
@@ -236,8 +237,7 @@ func pipelineFromSnapshot(snap *persist.Snapshot) (*Pipeline, error) {
 	}
 	prefs := &Preferences{Model: longtail.Model(prefSnap.Model), Values: prefSnap.Values}
 
-	precision, err := ParseScoringPrecision(meta.Precision)
-	if err != nil {
+	if err := types.CheckSnapshotPrecision(meta.Precision); err != nil {
 		return nil, err
 	}
 
@@ -275,7 +275,6 @@ func pipelineFromSnapshot(snap *persist.Snapshot) (*Pipeline, error) {
 			sampleSize: meta.SampleSize,
 			workers:    meta.Workers,
 			seed:       meta.Seed,
-			precision:  precision,
 		},
 		arec:       accuracyFor(kind, scorer, train, meta.TopN),
 		baseScorer: scorer,

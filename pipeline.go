@@ -80,7 +80,6 @@ type pipelineConfig struct {
 	sampleSize int
 	workers    int
 	seed       int64
-	precision  ScoringPrecision
 }
 
 // PipelineOption customizes a Pipeline at construction time.
@@ -152,18 +151,6 @@ func WithWorkers(w int) PipelineOption {
 // and any randomized component (default 1).
 func WithSeed(seed int64) PipelineOption {
 	return func(c *pipelineConfig) { c.seed = seed }
-}
-
-// WithScoringPrecision selects the arithmetic tier of the pipeline's bulk
-// scoring hot path (default PrecisionF64, exact). PrecisionF32 switches the
-// base model's candidate sweeps onto contiguous float32 factor blocks and the
-// optimizer's gain loop onto a float32 arena; top-N output then matches the
-// exact pipeline only to the tolerance documented in DESIGN.md §12. Base
-// models without a tiered path (Pop, ItemKNN, custom scorers) keep scoring in
-// float64; the optimizer still uses the float32 selection arena where the
-// accuracy side allows it.
-func WithScoringPrecision(p ScoringPrecision) PipelineOption {
-	return func(c *pipelineConfig) { c.precision = p }
 }
 
 // CoverageSpec is a deferred coverage-recommender constructor: the pipeline
@@ -328,15 +315,13 @@ func NewPipeline(train *Dataset, opts ...PipelineOption) (*Pipeline, error) {
 // assemble is the one place a Pipeline is built: NewPipeline, LoadEngine and
 // the ingestion rebuild fill in the train set, θ, the configuration, the base
 // scorer with its accuracy component and the coverage recommender, and
-// assemble pushes the scoring tier down and wires the core instance.
+// assemble wires the core instance.
 func assemble(p Pipeline) (*Pipeline, error) {
-	applyScoringPrecision(p.baseScorer, p.cfg.precision)
 	g, err := core.New(p.train, p.arec, p.prefs, p.crec, core.Config{
 		N:          p.cfg.topN,
 		SampleSize: p.cfg.sampleSize,
 		Seed:       p.cfg.seed,
 		Workers:    p.cfg.workers,
-		Precision:  p.cfg.precision,
 	})
 	if err != nil {
 		return nil, err

@@ -6,15 +6,17 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ganc/internal/persist"
 	"ganc/internal/recommender"
 )
 
-// Reduced-precision equivalence policy (DESIGN.md §12). Pointwise Score at
-// float64 is the reference; the f32 bulk tier is not bit-identical to it, it
-// is held to the documented tolerances below instead:
+// Bulk-scoring tolerance policy (DESIGN.md §12). Pointwise Score at float64 is
+// the oracle; a factor model's bulk scores come from the float32 row kernel
+// and are not bit-identical to it, they are held to the documented tolerances
+// below instead:
 //
 //   - per-score error, measured relative to the user's full-catalog score
 //     range: ≤ f32ScoreTol (kernel rounding only);
@@ -26,16 +28,6 @@ const (
 	equivTopN     = 10
 )
 
-// tieredScorer is the shape shared by the factor models with a
-// reduced-precision bulk path (RSVD, PSVD, CofiModel).
-type tieredScorer interface {
-	Scorer
-	SetPrecision(ScoringPrecision)
-	ScoringPrecision() ScoringPrecision
-	ScoreUser(UserID, []ItemID, []float64)
-	ScoreUser32(UserID, []ItemID, []float32)
-}
-
 func smallRSVDConfig() RSVDConfig {
 	cfg := DefaultRSVDConfig()
 	cfg.Factors = 16
@@ -44,8 +36,8 @@ func smallRSVDConfig() RSVDConfig {
 	return cfg
 }
 
-// trainTieredScorers fits one small instance of every tiered model on train.
-func trainTieredScorers(t *testing.T, train *Dataset) map[string]tieredScorer {
+// trainFactorScorers fits one small instance of every factor model on train.
+func trainFactorScorers(t *testing.T, train *Dataset) map[string]BulkScorer32 {
 	t.Helper()
 	rsvd, err := TrainRSVD(train, smallRSVDConfig())
 	if err != nil {
@@ -62,7 +54,49 @@ func trainTieredScorers(t *testing.T, train *Dataset) map[string]tieredScorer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]tieredScorer{"RSVD": rsvd, "PSVD": psvd, "CofiRank": cofi}
+	return map[string]BulkScorer32{"RSVD": rsvd, "PSVD": psvd, "CofiRank": cofi}
+}
+
+// float64Bulk hides a model's float32 bulk body: what a custom scorer with a
+// float64 bulk method alone shows a pipeline. Its bulk scores are the model's
+// (recommender.BulkScores widens them).
+type float64Bulk struct{ Scorer }
+
+func (f float64Bulk) ScoreUser(u UserID, items []ItemID, out []float64) {
+	recommender.BulkScores(f.Scorer, u, items, out)
+}
+
+// respellSnapshotPrecision rewrites the snapshot at path with its meta
+// section's Precision set to spelling — the field builds with a precision
+// option wrote ("f64", "f32", once "int8") and this one only reads.
+func respellSnapshotPrecision(t *testing.T, path, spelling string) {
+	t.Helper()
+	snap, err := persist.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rebuilt persist.Builder
+	for _, name := range snap.Sections() {
+		payload, err := snap.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != sectionMeta {
+			rebuilt.Add(name, payload)
+			continue
+		}
+		var meta snapshotMeta
+		if err := snap.Gob(name, &meta); err != nil {
+			t.Fatal(err)
+		}
+		meta.Precision = spelling
+		if err := rebuilt.AddGob(name, &meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rebuilt.Save(path); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // sampleUsers returns up to max users spread evenly across [0, numUsers).
@@ -104,171 +138,133 @@ func overlapFrac(oracle, got TopNSet) float64 {
 	return float64(hits) / float64(len(oracle))
 }
 
+// pointwiseScores is the oracle: one float64 Score call per catalog item.
+func pointwiseScores(m Scorer, u UserID, catalog []ItemID) []float64 {
+	out := make([]float64, len(catalog))
+	for k, i := range catalog {
+		out[k] = m.Score(u, i)
+	}
+	return out
+}
+
 // TestReducedPrecisionBulkScoreTolerance pins the numeric half of the policy:
-// bulk float64 scores are bit-identical to Score at the default tier, and the
-// f32 tier stays within its documented relative tolerance.
+// every factor model's bulk scores stay within the documented relative
+// tolerance of pointwise Score, and its float64 bulk contract is those scores
+// widened, never a second computation.
 func TestReducedPrecisionBulkScoreTolerance(t *testing.T) {
 	split := pipelineFixture(t)
 	train := split.Train
 	catalog := fullCatalog(train.NumItems())
 	users := sampleUsers(train.NumUsers(), 20)
 
-	for name, m := range trainTieredScorers(t, train) {
-		ref := make(map[UserID][]float64, len(users))
+	for name, m := range trainFactorScorers(t, train) {
+		got32 := make([]float32, len(catalog))
+		got64 := make([]float64, len(catalog))
+		worstRel := 0.0
 		for _, u := range users {
-			buf := make([]float64, len(catalog))
-			m.ScoreUser(u, catalog, buf)
-			for k, i := range catalog {
-				if buf[k] != m.Score(u, i) {
-					t.Fatalf("%s: f64 bulk score of (u=%d, i=%d) = %v differs from Score = %v",
-						name, u, i, buf[k], m.Score(u, i))
+			exact := pointwiseScores(m, u, catalog)
+			lo, hi := exact[0], exact[0]
+			for _, s := range exact {
+				lo, hi = math.Min(lo, s), math.Max(hi, s)
+			}
+			span := hi - lo
+			if span == 0 {
+				span = 1
+			}
+			m.ScoreUser32(u, catalog, got32)
+			recommender.BulkScores(m, u, catalog, got64)
+			for k := range catalog {
+				if rel := math.Abs(float64(got32[k])-exact[k]) / span; rel > worstRel {
+					worstRel = rel
+				}
+				if got64[k] != float64(got32[k]) {
+					t.Fatalf("%s: float64 bulk score of item %d is not the float32 one widened", name, k)
 				}
 			}
-			ref[u] = buf
 		}
-		tiers := []struct {
-			p   ScoringPrecision
-			tol float64
-		}{
-			{PrecisionF32, f32ScoreTol},
+		t.Logf("%s: worst per-score error %.2e of range (tolerance %.0e)", name, worstRel, f32ScoreTol)
+		if worstRel > f32ScoreTol {
+			t.Errorf("%s: worst per-score error %.3g of range exceeds tolerance %g", name, worstRel, f32ScoreTol)
 		}
-		for _, tier := range tiers {
-			m.SetPrecision(tier.p)
-			got32 := make([]float32, len(catalog))
-			got64 := make([]float64, len(catalog))
-			worstRel := 0.0
-			for _, u := range users {
-				exact := ref[u]
-				lo, hi := exact[0], exact[0]
-				for _, s := range exact {
-					lo, hi = math.Min(lo, s), math.Max(hi, s)
-				}
-				span := hi - lo
-				if span == 0 {
-					span = 1
-				}
-				m.ScoreUser32(u, catalog, got32)
-				m.ScoreUser(u, catalog, got64)
-				for k := range catalog {
-					if rel := math.Abs(float64(got32[k])-exact[k]) / span; rel > worstRel {
-						worstRel = rel
-					}
-					// The float64 bulk path serves the same tier (converted),
-					// never a mix of tiers.
-					if got64[k] != float64(got32[k]) {
-						t.Fatalf("%s at %v: f64 bulk path diverged from the 32-bit path at item %d", name, tier.p, k)
-					}
-				}
-			}
-			t.Logf("%s at %v: worst per-score error %.2e of range (tolerance %.0e)", name, tier.p, worstRel, tier.tol)
-			if worstRel > tier.tol {
-				t.Errorf("%s at %v: worst per-score error %.3g of range exceeds tolerance %g", name, tier.p, worstRel, tier.tol)
-			}
-		}
-		m.SetPrecision(PrecisionF64)
 	}
 }
 
 // TestReducedPrecisionTopNAgreement pins the ranking half of the policy: the
-// candidate-pipeline top-10 lists of the f32 tier overlap the float64
-// oracle's above the floor.
+// candidate-pipeline top-10 lists, selected from the bulk scores, overlap the
+// lists selected from pointwise Score above the floor.
 func TestReducedPrecisionTopNAgreement(t *testing.T) {
 	split := pipelineFixture(t)
 	train := split.Train
 	catalog := fullCatalog(train.NumItems())
 	users := sampleUsers(train.NumUsers(), 40)
 
-	for name, m := range trainTieredScorers(t, train) {
+	for name, m := range trainFactorScorers(t, train) {
 		topn := &recommender.ScorerTopN{Scorer: m}
-		oracle := make(map[UserID]TopNSet, len(users))
-		for _, u := range users {
-			oracle[u] = topn.Recommend(u, equivTopN, catalog)
-		}
-		tiers := []struct {
-			p     ScoringPrecision
-			floor float64
-		}{
-			{PrecisionF32, f32OverlapMin},
-		}
-		for _, tier := range tiers {
-			m.SetPrecision(tier.p)
-			sum := 0.0
-			for _, u := range users {
-				sum += overlapFrac(oracle[u], topn.Recommend(u, equivTopN, catalog))
-			}
-			mean := sum / float64(len(users))
-			t.Logf("%s at %v: mean top-%d overlap with f64 oracle %.3f (floor %.2f)", name, tier.p, equivTopN, mean, tier.floor)
-			if mean < tier.floor {
-				t.Errorf("%s at %v: mean top-%d overlap %.3f below floor %.2f", name, tier.p, equivTopN, mean, tier.floor)
-			}
-		}
-		m.SetPrecision(PrecisionF64)
-	}
-}
-
-// TestPipelineScoringPrecisionTiers runs the same agreement check end to end
-// through the facade: a pipeline assembled with WithScoringPrecision(f32)
-// serves lists that overlap the float64 pipeline's. Stat coverage keeps the
-// sweep stateless, so every list is deterministic.
-func TestPipelineScoringPrecisionTiers(t *testing.T) {
-	split := pipelineFixture(t)
-	ctx := context.Background()
-	users := sampleUsers(split.Train.NumUsers(), 30)
-
-	build := func(p ScoringPrecision) *Pipeline {
-		t.Helper()
-		m, err := TrainRSVD(split.Train, smallRSVDConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := NewPipeline(split.Train,
-			WithBase(m),
-			WithCoverage(CoverageStat()),
-			WithTopN(equivTopN),
-			WithSeed(7),
-			WithScoringPrecision(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pl
-	}
-
-	ref := build(PrecisionF64)
-	oracle := make(map[UserID]TopNSet, len(users))
-	for _, u := range users {
-		set, err := ref.RecommendUser(ctx, u, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle[u] = set
-	}
-	tiers := []struct {
-		p     ScoringPrecision
-		floor float64
-	}{
-		{PrecisionF32, f32OverlapMin},
-	}
-	for _, tier := range tiers {
-		pl := build(tier.p)
 		sum := 0.0
 		for _, u := range users {
-			set, err := pl.RecommendUser(ctx, u, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += overlapFrac(oracle[u], set)
+			oracle := recommender.SelectTop(catalog, pointwiseScores(m, u, catalog), equivTopN)
+			sum += overlapFrac(oracle, topn.Recommend(u, equivTopN, catalog))
 		}
 		mean := sum / float64(len(users))
-		t.Logf("pipeline at %v: mean top-%d overlap with f64 pipeline %.3f (floor %.2f)", tier.p, equivTopN, mean, tier.floor)
-		if mean < tier.floor {
-			t.Errorf("pipeline at %v: mean top-%d overlap %.3f below floor %.2f", tier.p, equivTopN, mean, tier.floor)
+		t.Logf("%s: mean top-%d overlap with the float64 oracle %.3f (floor %.2f)", name, equivTopN, mean, f32OverlapMin)
+		if mean < f32OverlapMin {
+			t.Errorf("%s: mean top-%d overlap %.3f below floor %.2f", name, equivTopN, mean, f32OverlapMin)
 		}
 	}
 }
 
-// TestPrecisionSnapshotRoundTrip verifies the versioned persistence of the
-// tiers: a model snapshot carries its precision and f32 factor section, and a
-// full engine snapshot restores a pipeline that serves identical lists.
+// TestSavedPipelineServesKernelTier is the deployment recipe (train, Save,
+// LoadEngine, no option anywhere): the loaded base serves the float32 row
+// kernel — its bulk scores carry the trained model's bits, not pointwise
+// Score's — so what gancd serves from `ganc -save` is the tier
+// benchmark/ measures.
+func TestSavedPipelineServesKernelTier(t *testing.T) {
+	train := pipelineFixture(t).Train
+	catalog := fullCatalog(train.NumItems())
+	for name, m := range trainFactorScorers(t, train) {
+		cold, err := NewPipeline(train, WithBase(m), WithTopN(equivTopN), WithPreferences(PreferenceTFIDF), WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name+".snap")
+		if err := cold.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadEngine(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, ok := loaded.baseScorer.(BulkScorer32)
+		if !ok {
+			t.Fatalf("%s: the loaded base %T has no float32 bulk body", name, loaded.baseScorer)
+		}
+		want, got := make([]float32, len(catalog)), make([]float32, len(catalog))
+		wide := make([]float64, len(catalog))
+		offOracle := 0
+		for _, u := range sampleUsers(train.NumUsers(), 10) {
+			m.ScoreUser32(u, catalog, want)
+			base.ScoreUser32(u, catalog, got)
+			recommender.BulkScores(base, u, catalog, wide)
+			for k, i := range catalog {
+				if got[k] != want[k] || wide[k] != float64(want[k]) {
+					t.Fatalf("%s (u=%d, i=%d): loaded bulk scores %v / %v, the trained model's kernel score is %v", name, u, i, got[k], wide[k], want[k])
+				}
+				if wide[k] != base.Score(u, i) {
+					offOracle++
+				}
+			}
+		}
+		if offOracle == 0 {
+			t.Errorf("%s: every bulk score of the loaded base equals pointwise Score: it is not serving the float32 kernel", name)
+		}
+	}
+}
+
+// TestPrecisionSnapshotRoundTrip: a model snapshot restores the same bulk
+// scores (the blocks are rebuilt from the float64 rows it carries), a full
+// engine snapshot restores a pipeline that serves identical lists, and the
+// precision field older builds wrote is read tolerantly — "f64" and "f32" load
+// at the one tier, the retired "int8" is refused by name.
 func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 	split := pipelineFixture(t)
 	train := split.Train
@@ -279,7 +275,6 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetPrecision(PrecisionF32)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -288,33 +283,23 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.ScoringPrecision(); got != PrecisionF32 {
-		t.Fatalf("reloaded RSVD serves %v, want %v", got, PrecisionF32)
-	}
 	a, b := make([]float32, len(catalog)), make([]float32, len(catalog))
 	for _, u := range users {
 		m.ScoreUser32(u, catalog, a)
 		m2.ScoreUser32(u, catalog, b)
 		for k := range a {
 			if a[k] != b[k] {
-				t.Fatalf("reloaded RSVD f32 score of (u=%d, i=%d) = %v differs from original %v", u, k, b[k], a[k])
+				t.Fatalf("reloaded RSVD bulk score of (u=%d, i=%d) = %v differs from original %v", u, k, b[k], a[k])
 			}
 		}
 	}
 
-	// Engine-level: an f32 pipeline round-trips through Save/LoadEngine (the
-	// section persists the f32 blocks).
 	ctx := context.Background()
-	base, err := TrainRSVD(train, smallRSVDConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	pl, err := NewPipeline(train,
-		WithBase(base),
+		WithBase(m),
 		WithCoverage(CoverageStat()),
 		WithTopN(equivTopN),
-		WithSeed(7),
-		WithScoringPrecision(PrecisionF32))
+		WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,59 +307,27 @@ func TestPrecisionSnapshotRoundTrip(t *testing.T) {
 	if err := pl.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadEngine(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range users {
-		want, err := pl.RecommendUser(ctx, u, 0)
+	for _, spelling := range []string{"", "f64", "f32"} {
+		respellSnapshotPrecision(t, path, spelling)
+		loaded, err := LoadEngine(path)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("precision %q: %v", spelling, err)
 		}
-		got, err := loaded.RecommendUser(ctx, u, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) != len(got) {
-			t.Fatalf("user %d: reloaded engine list length %d != %d", u, len(got), len(want))
-		}
-		for k := range want {
-			if want[k] != got[k] {
-				t.Fatalf("user %d: reloaded f32 engine diverged at rank %d: %d != %d", u, k, got[k], want[k])
+		for _, u := range users {
+			want, err := pl.RecommendUser(ctx, u, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.RecommendUser(ctx, u, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("precision %q, user %d: reloaded engine serves %v, the saved one %v", spelling, u, got, want)
 			}
 		}
 	}
-	// The retired int8 tier is refused by name, from a flag and from a
-	// snapshot's meta section alike — never served at another tier.
-	if _, err := ParseScoringPrecision("int8"); !errors.Is(err, ErrPrecisionRetired) {
-		t.Fatalf("ParseScoringPrecision(\"int8\") = %v, want ErrPrecisionRetired", err)
-	}
-	snap, err := persist.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rebuilt persist.Builder
-	for _, name := range snap.Sections() {
-		payload, err := snap.Section(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name != sectionMeta {
-			rebuilt.Add(name, payload)
-			continue
-		}
-		var meta snapshotMeta
-		if err := snap.Gob(name, &meta); err != nil {
-			t.Fatal(err)
-		}
-		meta.Precision = "int8"
-		if err := rebuilt.AddGob(name, &meta); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rebuilt.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	respellSnapshotPrecision(t, path, "int8")
 	if _, err := LoadEngine(path); !errors.Is(err, ErrPrecisionRetired) {
 		t.Fatalf("LoadEngine of an int8 snapshot = %v, want ErrPrecisionRetired", err)
 	}

@@ -104,13 +104,14 @@ func TestPublishUnpinsRetiredGenerations(t *testing.T) {
 // (TestHitPathAllocs in internal/serve pins the server's): proving an older
 // list still exact allocates nothing when the catalog has not grown since —
 // a scan of the last-named vector — and at most once when it has and the
-// new items are scored, at either tier.
+// new items are scored, whether the frozen model has a float32 bulk body
+// (RSVD as it is) or a float64 one alone (RSVD behind float64Bulk).
 func TestRevalidateAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
 	const n = 5
-	for _, precision := range []ScoringPrecision{PrecisionF64, PrecisionF32} {
+	for _, precision := range []string{"f64", "f32"} {
 		train := persistSplit(t, 71).Train
 		cfg := DefaultRSVDConfig()
 		cfg.Factors, cfg.Epochs, cfg.Seed = 6, 2, 7
@@ -118,7 +119,11 @@ func TestRevalidateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe, err := NewPipeline(train, WithBase(m), WithTopN(n), WithPreferences(PreferenceTFIDF), WithSeed(7), WithScoringPrecision(precision))
+		var base Scorer = m
+		if precision == "f64" {
+			base = float64Bulk{m}
+		}
+		pipe, err := NewPipeline(train, WithBase(base), WithTopN(n), WithPreferences(PreferenceTFIDF), WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}

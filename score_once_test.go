@@ -7,9 +7,7 @@ import (
 )
 
 // countingRSVD counts the calls a pipeline makes into its base model, and the
-// items it asks for in bulk. (RSVD's own float64 bulk path reaches its float32
-// one at the f32 tier without passing through here, so a call is counted
-// once.)
+// items it asks for in bulk.
 type countingRSVD struct {
 	*RSVD
 	pointwise, bulk, items atomic.Int64
@@ -18,12 +16,6 @@ type countingRSVD struct {
 func (c *countingRSVD) Score(u UserID, i ItemID) float64 {
 	c.pointwise.Add(1)
 	return c.RSVD.Score(u, i)
-}
-
-func (c *countingRSVD) ScoreUser(u UserID, items []ItemID, out []float64) {
-	c.bulk.Add(1)
-	c.items.Add(int64(len(items)))
-	c.RSVD.ScoreUser(u, items, out)
 }
 
 func (c *countingRSVD) ScoreUser32(u UserID, items []ItemID, out []float32) {
@@ -38,19 +30,24 @@ func (c *countingRSVD) ScoreUser32(u UserID, items []ItemID, out []float32) {
 // call — the range and the gains come from the same scores — and every turn
 // of the second pass, the range cached, scores the candidates only. Sampled
 // OSLG with two workers, so the sequential (float64) and the out-of-sample
-// (tier) phases both run, at both tiers.
+// (float32) phases both run; around a base with a float32 bulk body (f32) and
+// one with a float64 bulk body alone (f64).
 func TestPipelineScoresEachUserOnce(t *testing.T) {
 	train := pipelineFixture(t).Train
 	users, catalog := int64(train.NumUsers()), int64(train.NumItems())
 	ctx := context.Background()
-	for _, prec := range []ScoringPrecision{PrecisionF64, PrecisionF32} {
-		t.Run(prec.String(), func(t *testing.T) {
+	for _, width := range []string{"f64", "f32"} {
+		t.Run(width, func(t *testing.T) {
 			m, err := TrainRSVD(train, smallRSVDConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			base := &countingRSVD{RSVD: m}
-			p, err := NewPipeline(train, WithBase(base), WithScoringPrecision(prec),
+			var scorer Scorer = base
+			if width == "f64" {
+				scorer = float64Bulk{base}
+			}
+			p, err := NewPipeline(train, WithBase(scorer),
 				WithSampleSize(train.NumUsers()/4), WithWorkers(2), WithSeed(5))
 			if err != nil {
 				t.Fatal(err)

@@ -7,7 +7,7 @@ package ganc
 // (core.GANC.ReferenceRecommendAll), so `go test -bench
 // 'RecommendAll|RecommendUser' -benchmem` prints the speedup and allocation
 // ratio directly (add -cpuprofile/-memprofile to profile the loops).
-// BenchmarkRecommendAll/rsvd-f32-* run the assembly benchmark/'s sweep_batch
+// BenchmarkRecommendAll/rsvd-* run the assembly benchmark/'s sweep_batch
 // measures instead, so a profile of them shows the path that workload times.
 
 import (
@@ -49,9 +49,8 @@ func sweepBenchPipeline(tb testing.TB) *Pipeline {
 }
 
 // rsvdBenchPipelines returns a constructor of the pipeline benchmark/'s
-// sweep_batch runs — GANC(RSVD, θ^T, Dyn), f32 tier, two workers, sampled
-// OSLG, trained on the 80 % side of a per-user split of the "loadgen" universe
-// — at a tenth of that workload's users and ratings, which leaves two thirds
+// sweep_batch runs — GANC(RSVD, θ^T, Dyn), two workers, sampled OSLG, trained
+// on the 80 % side of a per-user split of the "loadgen" universe — at a tenth of that workload's users and ratings, which leaves two thirds
 // of its catalog rated (2566 items of 3988): the same turn, a little shorter.
 // Each call assembles a fresh pipeline (empty range table, zero Dyn state)
 // around the one model.
@@ -78,8 +77,7 @@ func rsvdBenchPipelines(tb testing.TB) func() *Pipeline {
 			WithTopN(10),
 			WithSampleSize(50),
 			WithWorkers(2),
-			WithSeed(1),
-			WithScoringPrecision(PrecisionF32))
+			WithSeed(1))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -93,7 +91,7 @@ func rsvdBenchPipelines(tb testing.TB) func() *Pipeline {
 // turn a first touch of the normaliser), and on one kept warm (every turn
 // with its range cached).
 func BenchmarkRecommendAll(b *testing.B) {
-	b.Run("rsvd-f32-fresh", func(b *testing.B) {
+	b.Run("rsvd-fresh", func(b *testing.B) {
 		newPipeline := rsvdBenchPipelines(b)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -106,7 +104,7 @@ func BenchmarkRecommendAll(b *testing.B) {
 			}
 		}
 	})
-	b.Run("rsvd-f32-warm", func(b *testing.B) {
+	b.Run("rsvd-warm", func(b *testing.B) {
 		p := rsvdBenchPipelines(b)()
 		if _, err := p.RecommendAll(context.Background()); err != nil {
 			b.Fatal(err)

@@ -12,12 +12,13 @@ import (
 )
 
 // sweepDigests pins the full RecommendAll collection of GANC(base, θ^G, Dyn)
-// for every base × precision tier × OSLG sample size the sweep treats
-// differently, over two consecutive passes on one pipeline (the second starts
-// from the Dyn state the first left). The values were recorded at the commit
-// before the sweep became one top-N pipeline (PR 17's parent, where the
-// in-sample Dyn phase ran CELF lazy greedy and Pop+Dyn had its own sweep), so a
-// pass here is byte-identity with those paths. Regenerate with
+// for every base × OSLG sample size the sweep treats differently, over two
+// consecutive passes on one pipeline (the second starts from the Dyn state the
+// first left). The values were recorded at the commit before the sweep became
+// one top-N pipeline (PR 17's parent, where the in-sample Dyn phase ran CELF
+// lazy greedy and Pop+Dyn had its own sweep), so a pass here is byte-identity
+// with those paths. They were recorded per precision tier, when a pipeline
+// option chose one; the one tier there is now must reproduce the rows of both. Regenerate with
 // `go test -run TestSweepDigests -v .` and copy the logged table — only when an
 // output change is intended.
 var sweepDigests = map[string][2]string{
@@ -54,8 +55,6 @@ func TestSweepDigests(t *testing.T) {
 	}{
 		{"Pop", func() PipelineOption { return WithBaseNamed("Pop") }},
 		{"RSVD", func() PipelineOption {
-			// A fresh model per pipeline: the precision option is pushed down
-			// into the scorer it is given.
 			m, err := TrainRSVD(train, smallRSVDConfig())
 			if err != nil {
 				t.Fatal(err)
@@ -66,25 +65,24 @@ func TestSweepDigests(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, base := range bases {
-		for _, prec := range []ScoringPrecision{PrecisionF64, PrecisionF32} {
-			for _, sample := range []struct {
-				name string
-				size int
-			}{{"S=0", 0}, {"sampled", train.NumUsers() / 4}} {
-				key := fmt.Sprintf("%s/%s/%s", base.name, prec, sample.name)
-				p, err := NewPipeline(train, base.opt(), WithScoringPrecision(prec),
-					WithSampleSize(sample.size), WithTopN(10), WithSeed(5))
+		for _, sample := range []struct {
+			name string
+			size int
+		}{{"S=0", 0}, {"sampled", train.NumUsers() / 4}} {
+			p, err := NewPipeline(train, base.opt(), WithSampleSize(sample.size), WithTopN(10), WithSeed(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2]string
+			for pass := range got {
+				recs, err := p.RecommendAll(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var got [2]string
-				for pass := range got {
-					recs, err := p.RecommendAll(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[pass] = collectionDigest(train, recs)
-				}
+				got[pass] = collectionDigest(train, recs)
+			}
+			for _, tier := range []string{"f64", "f32"} {
+				key := fmt.Sprintf("%s/%s/%s", base.name, tier, sample.name)
 				t.Logf("%q: {%q, %q},", key, got[0], got[1])
 				if want := sweepDigests[key]; got != want {
 					t.Errorf("%s: collection digests %v, recorded %v", key, got, want)

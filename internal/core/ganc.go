@@ -63,39 +63,25 @@ type CoverageRecommender interface {
 // --- Accuracy recommender adapters -------------------------------------------
 
 // BulkAccuracy is the batch companion of AccuracyRecommender: one call fills
-// a preallocated buffer with a(items[k]) for user u. The candidate pipeline
-// uses it to score a user's whole candidate set in one call; implementations
-// must return exactly the values AccuracyScore would (accuracy scores are
-// stateless by contract, so buffering them for the duration of a sweep is
-// always sound).
+// a preallocated buffer with user u's scores for items and returns the map
+// that takes each to a(i) — the identity, or the min–max map of a normalised
+// model's raw scores, which a turn applies in the walk it makes anyway. Mapped,
+// the values are exactly what AccuracyScore returns (accuracy scores are
+// stateless by contract, so buffering them for a sweep is sound).
 type BulkAccuracy interface {
-	// AccuracyScores fills out[k] with a(items[k]) for user u;
-	// len(out) == len(items).
-	AccuracyScores(u types.UserID, items []types.ItemID, out []float64)
+	// AccuracyScores fills out[k] with the score the returned map takes to
+	// a(items[k]) for user u; len(out) == len(items).
+	AccuracyScores(u types.UserID, items []types.ItemID, out []float64) recommender.MinMax[float64]
 }
 
-// BulkAccuracy32 is the float32 companion of BulkAccuracy: scores land in a
-// float32 arena instead of a float64 buffer. Implementations must agree with
-// AccuracyScore to the documented tolerance (DESIGN.md §12). An accuracy
-// recommender that implements it is swept in float32 — scores, gains and
-// selection — everywhere but OSLG's sequential phase; one that does not is
-// swept in float64.
+// BulkAccuracy32 is the float32 companion of BulkAccuracy. Implementations
+// must agree with AccuracyScore to the documented tolerance (DESIGN.md §12).
+// An accuracy recommender that implements it is swept in float32 — scores,
+// gains and selection — everywhere but OSLG's sequential phase; one that does
+// not is swept in float64.
 type BulkAccuracy32 interface {
-	// AccuracyScores32 fills out[k] with a(items[k]) for user u;
-	// len(out) == len(items).
-	AccuracyScores32(u types.UserID, items []types.ItemID, out []float32)
-}
-
-// fillAccuracyScores fills out with arec's scores for items, using the bulk
-// path when available.
-func fillAccuracyScores(arec AccuracyRecommender, u types.UserID, items []types.ItemID, out []float64) {
-	if ba, ok := arec.(BulkAccuracy); ok {
-		ba.AccuracyScores(u, items, out)
-		return
-	}
-	for k, i := range items {
-		out[k] = arec.AccuracyScore(u, i)
-	}
+	// AccuracyScores32 is AccuracyScores into a float32 arena.
+	AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) recommender.MinMax[float32]
 }
 
 // ScorerAccuracy adapts any recommender.Scorer whose scores are already in
@@ -106,42 +92,28 @@ type ScorerAccuracy struct {
 
 // AccuracyScore implements AccuracyRecommender.
 func (s *ScorerAccuracy) AccuracyScore(u types.UserID, i types.ItemID) float64 {
-	v := s.Scorer.Score(u, i)
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return recommender.Identity[float64]().At(s.Scorer.Score(u, i))
 }
 
-// AccuracyScores implements BulkAccuracy through the scorer's bulk path,
-// clamping to [0,1] exactly as AccuracyScore does.
-func (s *ScorerAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, out []float64) {
+// AccuracyScores implements BulkAccuracy: a normaliser's raw scores and the
+// user's map; any other scorer's bulk scores and the identity, whose clamp to
+// [0,1] is AccuracyScore's.
+func (s *ScorerAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, out []float64) recommender.MinMax[float64] {
+	if norm, ok := s.Scorer.(*recommender.NormalizedScorer); ok {
+		return norm.RawScores(u, items, out)
+	}
 	recommender.BulkScores(s.Scorer, u, items, out)
-	for k, v := range out {
-		if v < 0 {
-			out[k] = 0
-		} else if v > 1 {
-			out[k] = 1
-		}
-	}
+	return recommender.Identity[float64]()
 }
 
-// AccuracyScores32 implements BulkAccuracy32. When the wrapped scorer is a
-// recommender.BulkScorer32, scores stay in float32 end to end; otherwise its
-// float64 bulk scores are truncated (recommender.BulkScores32). Clamping
-// mirrors AccuracyScore.
-func (s *ScorerAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) {
-	recommender.BulkScores32(s.Scorer, u, items, out)
-	for k, v := range out {
-		if v < 0 {
-			out[k] = 0
-		} else if v > 1 {
-			out[k] = 1
-		}
+// AccuracyScores32 implements BulkAccuracy32 likewise, through the scorer's
+// float32 bulk path when it has one (recommender.BulkScores32).
+func (s *ScorerAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) recommender.MinMax[float32] {
+	if norm, ok := s.Scorer.(*recommender.NormalizedScorer); ok {
+		return norm.RawScores32(u, items, out)
 	}
+	recommender.BulkScores32(s.Scorer, u, items, out)
+	return recommender.Identity[float32]()
 }
 
 // Name implements AccuracyRecommender.
@@ -229,28 +201,24 @@ func (p *PopAccuracy) AccuracyScore(u types.UserID, i types.ItemID) float64 {
 
 // AccuracyScores implements BulkAccuracy: the membership bitset is resolved
 // once for the whole candidate slice.
-func (p *PopAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, out []float64) {
-	bits := p.topBits(u)
-	for k, i := range items {
-		if inBits(bits, i) {
-			out[k] = 1
-		} else {
-			out[k] = 0
-		}
-	}
+func (p *PopAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, out []float64) recommender.MinMax[float64] {
+	return fillIndicators(p.topBits(u), items, out)
 }
 
 // AccuracyScores32 implements BulkAccuracy32: indicator scores are exact in
 // float32, so the float32 sweep reads the same memberships.
-func (p *PopAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) {
-	bits := p.topBits(u)
+func (p *PopAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) recommender.MinMax[float32] {
+	return fillIndicators(p.topBits(u), items, out)
+}
+
+func fillIndicators[T float32 | float64](bits []uint64, items []types.ItemID, out []T) recommender.MinMax[T] {
 	for k, i := range items {
+		out[k] = 0
 		if inBits(bits, i) {
 			out[k] = 1
-		} else {
-			out[k] = 0
 		}
 	}
+	return recommender.Identity[T]()
 }
 
 // SetCacheCap overrides the top-N membership cache bound (primarily for
@@ -287,19 +255,6 @@ type BulkCoverage interface {
 	// CoverageScores fills out[k] with c(items[k]) for user u;
 	// len(out) == len(items).
 	CoverageScores(u types.UserID, items []types.ItemID, out []float64)
-}
-
-// fillCoverageScores fills out with crec's scores for items, using the bulk
-// path when available and one CoverageScore call per item otherwise — sound
-// once per sweep under the CoverageRecommender contract.
-func fillCoverageScores(crec CoverageRecommender, u types.UserID, items []types.ItemID, out []float64) {
-	if bc, ok := crec.(BulkCoverage); ok {
-		bc.CoverageScores(u, items, out)
-		return
-	}
-	for k, i := range items {
-		out[k] = crec.CoverageScore(u, i)
-	}
 }
 
 // invSqrtTab caches 1/√(f+1) for small frequencies f. Coverage scores are
@@ -588,15 +543,15 @@ func (g *GANC) marginalGain(u types.UserID, i types.ItemID) float64 {
 
 // sweepScratch holds one worker's reusable buffers: the candidate slice and
 // the score buffers aligned with it (a coverage recommender's scores, float64
-// gains and float32 gains). One scratch serves one sweep at a time. Every
+// accuracy scores and float32 ones). One scratch serves one sweep at a time. Every
 // buffer starts empty and grows to what the sweeps using it need, so a scratch
 // fits any instance and any catalog size, and none of them points into the
 // instance it last served.
 type sweepScratch struct {
-	cand    []types.ItemID
-	covs    []float64
-	gains   []float64
-	gains32 []float32
+	cand  []types.ItemID
+	covs  []float64
+	raw64 []float64
+	raw32 []float32
 }
 
 // scratchPool recycles sweep scratches across requests, batch workers and
@@ -608,16 +563,6 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(sweepScratch) }
 
 func getScratch() *sweepScratch { return scratchPool.Get().(*sweepScratch) }
 
-// dynScore is the Dyn coverage score of item i under the frequency vector
-// freq; an item outside the vector has never been recommended.
-func dynScore(freq []int, i types.ItemID) float64 {
-	base := 0
-	if int(i) < len(freq) {
-		base = freq[i]
-	}
-	return invSqrtFreq(base)
-}
-
 // sized returns *buf resliced to n elements, reallocating when it is too
 // small; the contents are unspecified.
 func sized[T float32 | float64](buf *[]T, n int) []T {
@@ -628,9 +573,9 @@ func sized[T float32 | float64](buf *[]T, n int) []T {
 }
 
 // sweepUser builds one user's top-n set in three stages: enumerate the
-// candidates (a linear merge against the user's sorted train adjacency),
-// score them (scoreGains) and select the n largest gains, ties to the smaller
-// ItemID.
+// candidates (a linear merge against the user's sorted train adjacency), score
+// them (scoreTurn: one bulk accuracy call) and walk them once (turn.top): map,
+// combine, and keep the n largest gains, ties to the smaller ItemID.
 //
 // One scoring pass is the whole of a user's turn in Algorithm 1 (lines 5–9),
 // for every coverage recommender. The turn picks n distinct items, and the
@@ -643,7 +588,7 @@ func sized[T float32 | float64](buf *[]T, n int) []T {
 // freq, when non-nil, is the Dyn frequency vector the coverage scores are
 // computed from: a frozen snapshot (the online path, OSLG's out-of-sample
 // phase) or the live vector (OSLG's sequential phase — with observe set, the
-// picks are reported once the selection is done). With freq nil the coverage
+// picks are reported once the walk is done). With freq nil the coverage
 // recommender is asked. exact keeps the turn in float64 whatever the accuracy
 // recommender offers.
 func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int, exact, observe bool, sc *sweepScratch) (types.TopNSet, error) {
@@ -651,19 +596,13 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int,
 		return nil, err
 	}
 	sc.cand = g.train.AppendCandidates(u, sc.cand[:0])
-	cand := sc.cand
-	gains32, gains := g.scoreGains(u, cand, freq, exact, sc)
+	t := g.scoreTurn(u, sc.cand, freq, exact, sc)
 	// Scoring is most of a sweep's cost on a large catalog: a caller that
-	// gave up during it is answered before the selection.
+	// gave up during it is answered before the walk.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var set types.TopNSet
-	if gains32 != nil {
-		set = recommender.SelectTop(cand, gains32, n)
-	} else {
-		set = recommender.SelectTop(cand, gains, n)
-	}
+	set := t.top(n)
 	if observe {
 		for _, i := range set {
 			g.crec.Observe(i)
@@ -672,49 +611,108 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int,
 	return set, nil
 }
 
-// scoreGains is the scoring stage of a turn, and the one place its arithmetic
-// is chosen: one bulk accuracy call into a scratch buffer aligned with cand,
-// combined in place with the coverage term into the gains
-// (1−θ_u)·a(i) + θ_u·c(i). An accuracy recommender that implements
-// BulkAccuracy32 is scored and combined in float32, to the documented
-// tolerance (DESIGN.md §12), unless exact is set; any other, in float64. The
-// buffer holding the gains is returned, the other result is nil. Coverage is
-// read off freq when it is non-nil, asked of the coverage recommender
-// otherwise.
-func (g *GANC) scoreGains(u types.UserID, cand []types.ItemID, freq []int, exact bool, sc *sweepScratch) ([]float32, []float64) {
-	var covs []float64
-	if freq == nil {
-		covs = sized(&sc.covs, len(cand))
-		fillCoverageScores(g.crec, u, cand, covs)
-	}
-	theta := g.prefs.Get(u)
-	if ba, ok := g.arec.(BulkAccuracy32); ok && !exact {
-		gains := sized(&sc.gains32, len(cand))
-		ba.AccuracyScores32(u, cand, gains)
-		combineGains(cand, gains, theta, freq, covs)
-		return gains, nil
-	}
-	gains := sized(&sc.gains, len(cand))
-	fillAccuracyScores(g.arec, u, cand, gains)
-	combineGains(cand, gains, theta, freq, covs)
-	return nil, gains
+// turn is a user's candidates after the scoring stage: the bulk call's scores
+// aligned with cand (raw32 when the turn runs in float32, raw64 when in
+// float64), the map that takes them to a(i), and where c(i) is read.
+type turn struct {
+	cand  []types.ItemID
+	raw32 []float32
+	map32 recommender.MinMax[float32]
+	raw64 []float64
+	map64 recommender.MinMax[float64]
+	theta float64
+	freq  []int
+	covs  []float64
 }
 
-// combineGains turns the accuracy scores in gains into the gains
-// (1−θ)·a(i) + θ·c(i) in place, in the arithmetic of T — c(i) read off freq
-// when it is non-nil, from covs otherwise.
-func combineGains[T float32 | float64](cand []types.ItemID, gains []T, theta float64, freq []int, covs []float64) {
-	t := T(theta)
-	a := 1 - t
-	if freq != nil {
-		for k, i := range cand {
-			gains[k] = a*gains[k] + t*T(dynScore(freq, i))
-		}
-	} else {
-		for k := range gains {
-			gains[k] = a*gains[k] + t*T(covs[k])
+// scoreTurn is the scoring stage of a turn, and the one place its arithmetic
+// is chosen: one bulk accuracy call into a scratch buffer aligned with cand.
+// An accuracy recommender that implements BulkAccuracy32 is scored and walked
+// in float32, to the documented tolerance (DESIGN.md §12), unless exact is
+// set; any other, in float64. With freq nil the coverage recommender is asked:
+// one bulk call, or one CoverageScore per item — sound once per sweep under
+// its contract.
+func (g *GANC) scoreTurn(u types.UserID, cand []types.ItemID, freq []int, exact bool, sc *sweepScratch) turn {
+	t := turn{cand: cand, theta: g.prefs.Get(u), freq: freq}
+	if freq == nil {
+		t.covs = sized(&sc.covs, len(cand))
+		if bc, ok := g.crec.(BulkCoverage); ok {
+			bc.CoverageScores(u, cand, t.covs)
+		} else {
+			for k, i := range cand {
+				t.covs[k] = g.crec.CoverageScore(u, i)
+			}
 		}
 	}
+	if ba, ok := g.arec.(BulkAccuracy32); ok && !exact {
+		t.raw32 = sized(&sc.raw32, len(cand))
+		t.map32 = ba.AccuracyScores32(u, cand, t.raw32)
+		return t
+	}
+	t.raw64, t.map64 = sized(&sc.raw64, len(cand)), recommender.Identity[float64]()
+	if ba, ok := g.arec.(BulkAccuracy); ok {
+		t.map64 = ba.AccuracyScores(u, cand, t.raw64)
+		return t
+	}
+	for k, i := range cand {
+		t.raw64[k] = g.arec.AccuracyScore(u, i)
+	}
+	return t
+}
+
+// top walks the turn once: its n candidates of largest gain, best first.
+func (t *turn) top(n int) types.TopNSet {
+	if t.raw32 != nil {
+		return topGains(t.cand, t.raw32, t.map32, float32(t.theta), t.freq, t.covs, n)
+	}
+	return topGains(t.cand, t.raw64, t.map64, t.theta, t.freq, t.covs, n)
+}
+
+// gainOf is the one place a gain is computed: (1−θ)·a(i) + θ·c(i) in the
+// arithmetic of T, a(i) the candidate's raw score through the user's map.
+func gainOf[T float32 | float64](raw T, m recommender.MinMax[T], theta T, c float64) T {
+	return (1-theta)*m.At(raw) + theta*T(c)
+}
+
+// coverageOf is c(i) of the k-th candidate i: its entry in covs, or under freq
+// its Dyn score (an item outside the vector has never been recommended).
+func coverageOf(k int, i types.ItemID, freq []int, covs []float64) float64 {
+	switch {
+	case freq == nil:
+		return covs[k]
+	case int(i) < len(freq):
+		return invSqrtFreq(freq[i])
+	}
+	return invSqrtFreq(0)
+}
+
+// topGains is the walk of a turn: each gain is held against the bar of the n
+// best so far, and only one that reaches it touches the heap, whose rule decides.
+func topGains[T float32 | float64](cand []types.ItemID, raw []T, m recommender.MinMax[T], theta T, freq []int, covs []float64, n int) types.TopNSet {
+	if n <= 0 {
+		return nil
+	}
+	h := recommender.NewTopHeap[T](min(n, len(cand)))
+	bar := T(math.Inf(-1))
+	for k, i := range cand {
+		if g := gainOf(raw[k], m, theta, coverageOf(k, i, freq, covs)); !(g < bar) {
+			bar = h.Offer(i, g)
+		}
+	}
+	return h.Ranked()
+}
+
+// firstOutranks reports whether cand[0] ranks above every other candidate
+// under the selection's rule, on the gains the walk computes.
+func firstOutranks[T float32 | float64](cand []types.ItemID, raw []T, m recommender.MinMax[T], theta T, freq []int, covs []float64) bool {
+	first := gainOf(raw[0], m, theta, coverageOf(0, cand[0], freq, covs))
+	for k := 1; k < len(cand); k++ {
+		g := gainOf(raw[k], m, theta, coverageOf(k, cand[k], freq, covs))
+		if !recommender.RanksBelow(cand[k], g, cand[0], first) {
+			return false
+		}
+	}
+	return true
 }
 
 // SurvivesGrowth reports whether list — u's complete top-len(list) list when
@@ -724,11 +722,11 @@ func combineGains[T float32 | float64](cand []types.ItemID, gains []T, theta flo
 // accuracy recommender is a min–max normaliser whose range for u the new
 // items did not widen (recommender.RangeHeldSince). And no new item
 // out-ranks the list's last: the items [from, numItems) are scored beside it
-// through the scoring stage of a sweep (scoreGains) and each must rank below
-// it under the selection's own rule. New items u has rated since are scored
-// too — they have left the pool, so at worst a list that would have survived
-// is recomputed. Any other accuracy recommender, and a coverage recommender
-// other than Dyn or Stat, answers false.
+// through the scoring stage of a sweep (scoreTurn) and each must rank below
+// it under the selection's own rule, on the gain the walk computes (gainOf).
+// New items u has rated since are scored too — they have left the pool, so at
+// worst a list that would have survived is recomputed. Any other accuracy
+// recommender, and a coverage recommender but Dyn or Stat, answers false.
 func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool {
 	sa, ok := g.arec.(*ScorerAccuracy)
 	if !ok || len(list) == 0 {
@@ -757,22 +755,8 @@ func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool
 		cand = append(cand, types.ItemID(i))
 	}
 	sc.cand = cand
-	gains32, gains := g.scoreGains(u, cand, freq, false, sc)
-	if gains32 != nil {
-		return firstOutranksRest(cand, gains32)
-	}
-	return firstOutranksRest(cand, gains)
-}
-
-// firstOutranksRest reports whether cand[0] ranks above every other candidate
-// under the selection's rule.
-func firstOutranksRest[T float32 | float64](cand []types.ItemID, gains []T) bool {
-	for k := 1; k < len(cand); k++ {
-		if !recommender.RanksBelow(cand[k], gains[k], cand[0], gains[0]) {
-			return false
-		}
-	}
-	return true
+	t := g.scoreTurn(u, cand, freq, false, sc) // in float32: a ScorerAccuracy is a BulkAccuracy32
+	return firstOutranks(cand, t.raw32, t.map32, float32(t.theta), freq, t.covs)
 }
 
 // forEachShard splits [0, count) into contiguous ranges across the configured

@@ -320,10 +320,10 @@ func TestF32TierScoresUntieredModelsInBulk(t *testing.T) {
 
 			items := []types.ItemID{3, 0, 7, 1}
 			got := make([]float32, len(items))
-			arec.AccuracyScores32(2, items, got)
+			m := arec.AccuracyScores32(2, items, got)
 			for k, i := range items {
-				if want := float32(arec.AccuracyScore(2, i)); got[k] != want {
-					t.Fatalf("AccuracyScores32 item %d = %v, float32(AccuracyScore) = %v", i, got[k], want)
+				if want := float32(arec.AccuracyScore(2, i)); m.At(got[k]) != want {
+					t.Fatalf("AccuracyScores32 item %d maps to %v, float32(AccuracyScore) = %v", i, m.At(got[k]), want)
 				}
 			}
 		})

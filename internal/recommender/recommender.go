@@ -19,6 +19,7 @@ package recommender
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -129,7 +130,7 @@ type TopN interface {
 	Name() string
 }
 
-// scored is one entry of SelectTop's heap.
+// scored is one entry of a TopHeap.
 type scored[T float32 | float64] struct {
 	item  types.ItemID
 	score T
@@ -143,39 +144,48 @@ func (a scored[T]) worse(b scored[T]) bool {
 }
 
 // RanksBelow reports whether (item, score) ranks strictly below (than,
-// thanScore) under worse, the rule SelectTop orders by. A NaN score ranks
+// thanScore) under worse, the rule TopHeap orders by. A NaN score ranks
 // below nothing.
 func RanksBelow[T float32 | float64](item types.ItemID, score T, than types.ItemID, thanScore T) bool {
 	return scored[T]{item: item, score: score}.worse(scored[T]{item: than, score: thanScore})
 }
 
-// SelectTop returns the n best items of candidates given their pre-computed
-// scores (scores[k] belongs to candidates[k]), best first. It keeps the n best
-// seen so far in a min-heap whose root is the worst of them — seeded with the
-// first n candidates, so the scan over the rest is one comparison per item —
-// then orders the survivors with an insertion sort: n is small, and a
-// sort.Slice closure would be the path's only allocation besides the heap and
-// the result. Both score widths instantiate it, so float32 scores never
-// round-trip through float64 and neither boxes an entry.
-func SelectTop[T float32 | float64](candidates []types.ItemID, scores []T, n int) types.TopNSet {
-	if n <= 0 {
-		return nil
-	}
-	if n > len(candidates) {
-		n = len(candidates)
-	}
-	h := make([]scored[T], n)
-	for k := range h {
-		h[k] = scored[T]{item: candidates[k], score: scores[k]}
-		siftUp(h[:k+1], k)
-	}
-	rest := scores[n:len(candidates)]
-	for k, item := range candidates[n:] {
-		if e := (scored[T]{item: item, score: rest[k]}); h[0].worse(e) {
-			h[0] = e
-			siftDown(h, 0)
+// TopHeap keeps the best of the (item, score) pairs offered to it, as many as
+// it was made for, in a min-heap whose root is the worst of them: the first
+// offers fill it, whatever they score, and a later one replaces the root when
+// the root is worse. Every selection in the library is a loop over one, at
+// its own score width: float32 scores never round-trip through float64.
+type TopHeap[T float32 | float64] struct{ h []scored[T] }
+
+// NewTopHeap returns an empty heap that keeps n entries (its one allocation).
+func NewTopHeap[T float32 | float64](n int) TopHeap[T] { return TopHeap[T]{make([]scored[T], 0, n)} }
+
+// Offer keeps (item, score) if the heap has room or its root is worse, and
+// returns the bar: the score under which a later offer cannot be kept, so a
+// loop may drop it unoffered — −Inf, where a loop starts, until the heap is
+// full. A score that ties the bar must be offered: its identifier decides.
+func (t *TopHeap[T]) Offer(item types.ItemID, score T) T {
+	e := scored[T]{item: item, score: score}
+	if h := t.h; len(h) < cap(h) {
+		t.h = append(h, e)
+		for i := len(h); i > 0 && t.h[i].worse(t.h[(i-1)/2]); i = (i - 1) / 2 { // sift up
+			t.h[i], t.h[(i-1)/2] = t.h[(i-1)/2], t.h[i]
 		}
+	} else if len(h) > 0 && h[0].worse(e) {
+		h[0] = e
+		siftDown(h, 0)
 	}
+	if len(t.h) < cap(t.h) || len(t.h) == 0 {
+		return T(math.Inf(-1))
+	}
+	return t.h[0].score
+}
+
+// Ranked returns the kept items, best first, and leaves the heap spent. They
+// are ordered by insertion: there are few, and a sort.Slice closure would be
+// the path's only allocation besides the heap and the result.
+func (t *TopHeap[T]) Ranked() types.TopNSet {
+	h := t.h
 	for i := 1; i < len(h); i++ {
 		e := h[i]
 		j := i - 1
@@ -191,15 +201,20 @@ func SelectTop[T float32 | float64](candidates []types.ItemID, scores []T, n int
 	return set
 }
 
-func siftUp[T float32 | float64](h []scored[T], i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].worse(h[parent]) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+// SelectTop returns the n best items of candidates given their pre-computed
+// scores (scores[k] belongs to candidates[k]), best first.
+func SelectTop[T float32 | float64](candidates []types.ItemID, scores []T, n int) types.TopNSet {
+	if n <= 0 {
+		return nil
 	}
+	h := NewTopHeap[T](min(n, len(candidates)))
+	bar := T(math.Inf(-1))
+	for k, item := range candidates {
+		if s := scores[k]; !(s < bar) {
+			bar = h.Offer(item, s)
+		}
+	}
+	return h.Ranked()
 }
 
 func siftDown[T float32 | float64](h []scored[T], i int) {
@@ -513,21 +528,23 @@ func (r scoreRange) span() float64 { return r.max - r.min }
 // fold extends r over the scores of items [upTo, upTo+len(scores)). It
 // performs the comparisons of one scan over [0, upTo+len(scores)) from where
 // the scan over [0, upTo) stopped, so a range folded in steps is bit for bit
-// the range of a single full scan. Float32 scores are compared widened, which
-// is exact and order-preserving: the range of a factor model's float32 scores
-// is the range of the same scores served widened through BulkScores.
+// the range of a single full scan. The extremes run at the width of the
+// scores: float32 values widened are exact and keep their order, so a factor
+// model's float32 range is that of the same scores widened through BulkScores.
 func fold[T float32 | float64](r scoreRange, scores []T) scoreRange {
-	for _, v := range scores {
-		s := float64(v)
-		if r.upTo == 0 || s < r.min {
-			r.min = s
-		}
-		if r.upTo == 0 || s > r.max {
-			r.max = s
-		}
-		r.upTo++
+	lo, hi := T(r.min), T(r.max)
+	if r.upTo == 0 && len(scores) > 0 {
+		lo, hi = scores[0], scores[0]
 	}
-	return r
+	for _, s := range scores {
+		if s < lo {
+			lo = s
+		}
+		if s > hi {
+			hi = s
+		}
+	}
+	return scoreRange{min: float64(lo), max: float64(hi), upTo: r.upTo + len(scores)}
 }
 
 // identityLocked returns the identity slice grown to at least n items.
@@ -560,15 +577,29 @@ func (n *NormalizedScorer) ForCatalog(numItems int) *NormalizedScorer {
 	return &NormalizedScorer{inner: n.inner, numItems: numItems, ranges: n.ranges}
 }
 
-// Score implements Scorer, returning the inner score min–max normalized over
-// the user's full catalog scores.
-func (n *NormalizedScorer) Score(u types.UserID, i types.ItemID) float64 {
-	r := n.userRange(u)
-	span := r.span()
-	if span == 0 {
-		return 0
+// MinMax is a user's min–max map in the arithmetic of T: At takes a raw inner
+// score to its place in [0,1] over the user's catalog-wide range. The float64
+// map divides by the span (divide; scale is the span), the float32 map
+// multiplies by the reciprocal of the truncated span: not the same bits, and
+// each width keeps the expression its lists were always computed in.
+type MinMax[T float32 | float64] struct {
+	min, scale T
+	divide     bool
+}
+
+// Identity is the map of scores that already are accuracy scores: At clamps
+// them to [0,1] and changes nothing else.
+func Identity[T float32 | float64]() MinMax[T] { return MinMax[T]{scale: 1} }
+
+// At maps one raw score: (raw − min) over the span, clamped to [0,1]. A NaN
+// stays a NaN.
+func (m MinMax[T]) At(raw T) T {
+	v := raw - m.min
+	if m.divide {
+		v /= m.scale
+	} else {
+		v *= m.scale
 	}
-	v := (n.inner.Score(u, i) - r.min) / span
 	if v < 0 {
 		return 0
 	}
@@ -578,65 +609,63 @@ func (n *NormalizedScorer) Score(u types.UserID, i types.ItemID) float64 {
 	return v
 }
 
-// ScoreUser implements BulkScorer: the inner scorer's bulk path fills the
-// buffer and the normalization range is resolved with it (scoreWithRange),
-// before the min–max map.
-func (n *NormalizedScorer) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
-	r := n.rawScores(u, items, out)
-	min, span := r.min, r.span()
-	if span == 0 {
-		for k := range out {
-			out[k] = 0
-		}
-		return
+// Score implements Scorer, returning the inner score min–max normalized over
+// the user's full catalog scores; a span of 0 maps every score to 0.
+func (n *NormalizedScorer) Score(u types.UserID, i types.ItemID) float64 {
+	r := n.rawScores(u, nil, nil) // the range, resolved without scoring an item
+	if r.span() == 0 {
+		return 0
 	}
-	for k := range out {
-		v := (out[k] - min) / span
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		out[k] = v
+	return MinMax[float64]{min: r.min, scale: r.span(), divide: true}.At(n.inner.Score(u, i))
+}
+
+// ScoreUser implements BulkScorer: RawScores, mapped.
+func (n *NormalizedScorer) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
+	mapAll(n.RawScores(u, items, out), out)
+}
+
+// ScoreUser32 implements BulkScorer32: RawScores32, mapped.
+func (n *NormalizedScorer) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
+	mapAll(n.RawScores32(u, items, out), out)
+}
+
+func mapAll[T float32 | float64](m MinMax[T], scores []T) {
+	for k, v := range scores {
+		scores[k] = m.At(v)
 	}
 }
 
-// ScoreUser32 implements BulkScorer32 by normalizing the inner model's
-// float32 bulk scores in float32 arithmetic; the range is the cached float64
-// pair, truncated. Around a model with no float32 path there is nothing to
-// keep in float32: the answer is the float64 normalised scores, truncated.
-func (n *NormalizedScorer) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
+// RawScores fills out with the inner model's float64 bulk scores of items and
+// returns the map that normalises them (the range resolved by the same call,
+// scoreWithRange), for a caller that walks the scores anyway to apply in its
+// own loop. A span of 0 has no map: out is zeroed and the map is the identity.
+func (n *NormalizedScorer) RawScores(u types.UserID, items []types.ItemID, out []float64) MinMax[float64] {
+	r := n.rawScores(u, items, out)
+	if r.span() == 0 {
+		clear(out)
+		return Identity[float64]()
+	}
+	return MinMax[float64]{min: r.min, scale: r.span(), divide: true}
+}
+
+// RawScores32 is RawScores through the inner model's float32 bulk path, the
+// map in float32 arithmetic over the cached float64 range, truncated. Around a
+// model with no float32 path there is nothing to keep in float32: out receives
+// the float64 normalised scores, truncated, and the map is the identity.
+func (n *NormalizedScorer) RawScores32(u types.UserID, items []types.ItemID, out []float32) MinMax[float32] {
 	bs32, ok := n.inner.(BulkScorer32)
 	if !ok {
 		truncatedBulkScores(n, u, items, out) // through ScoreUser
-		return
+		return Identity[float32]()
 	}
 	r := scoreWithRange(n, u, items, out, &scoreBuf32Pool, func(items []types.ItemID, out []float32) {
 		bs32.ScoreUser32(u, items, out)
 	})
-	span := r.span()
-	if span == 0 {
-		for k := range out {
-			out[k] = 0
-		}
-		return
+	if r.span() == 0 {
+		clear(out)
+		return Identity[float32]()
 	}
-	min32, inv32 := float32(r.min), 1/float32(span)
-	for k := range out {
-		v := (out[k] - min32) * inv32
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		out[k] = v
-	}
-}
-
-// userRange resolves u's normalization range over this normaliser's catalog
-// without scoring any item for the caller (the pointwise path).
-func (n *NormalizedScorer) userRange(u types.UserID) scoreRange {
-	return n.rawScores(u, nil, nil)
+	return MinMax[float32]{min: float32(r.min), scale: 1 / float32(r.span())}
 }
 
 // rawScores is scoreWithRange through the inner model's float64 bulk path.
@@ -705,32 +734,19 @@ func scoreWithRange[T float32 | float64](n *NormalizedScorer, u types.UserID, it
 // inner score of items [from, numItems) lies strictly inside the catalog's
 // (min, max). A tail score equal to an extreme answers false — the prefix may
 // or may not have reached that extreme on its own. The tail is scored through
-// the inner model's float32 bulk path when it has one, its float64 path
-// otherwise (widening is exact, so both of the normaliser's bulk methods
-// normalise by this one range). The range is read — and extended, if this is
-// the catalog's first reader — exactly as a bulk call would.
+// the float64 bulk contract (a float32 body's scores widened, which is exact:
+// both of the normaliser's bulk methods normalise by this one range), and the
+// range read — and extended, by the catalog's first reader — as a bulk call would.
 func (n *NormalizedScorer) RangeHeldSince(u types.UserID, from int) bool {
-	if bs32, ok := n.inner.(BulkScorer32); ok {
-		return tailInsideRange(n, u, from, &scoreBuf32Pool, func(items []types.ItemID, out []float32) {
-			bs32.ScoreUser32(u, items, out)
-		})
-	}
-	return tailInsideRange(n, u, from, &scoreBufPool, func(items []types.ItemID, out []float64) {
-		BulkScores(n.inner, u, items, out)
-	})
-}
-
-func tailInsideRange[T float32 | float64](n *NormalizedScorer, u types.UserID, from int,
-	pool *bufPool[T], score func(items []types.ItemID, out []T)) bool {
 	t := n.ranges
 	t.mu.Lock()
 	tail := t.identityLocked(n.numItems)[from:n.numItems]
 	t.mu.Unlock()
-	bp := pool.get(len(tail))
-	defer pool.put(bp)
-	r := scoreWithRange(n, u, tail, *bp, pool, score)
-	for _, v := range *bp {
-		if s := float64(v); !(s > r.min && s < r.max) {
+	bp := scoreBufPool.get(len(tail))
+	defer scoreBufPool.put(bp)
+	r := n.rawScores(u, tail, *bp)
+	for _, s := range *bp {
+		if !(s > r.min && s < r.max) {
 			return false
 		}
 	}

@@ -50,13 +50,14 @@ func sweepBenchPipeline(tb testing.TB) *Pipeline {
 
 // rsvdBenchPipelines returns a constructor of the pipeline benchmark/'s
 // sweep_batch runs — GANC(RSVD, θ^T, Dyn), two workers, sampled OSLG, trained
-// on the 80 % side of a per-user split of the "loadgen" universe — at a tenth of that workload's users and ratings, which leaves two thirds
-// of its catalog rated (2566 items of 3988): the same turn, a little shorter.
-// Each call assembles a fresh pipeline (empty range table, zero Dyn state)
-// around the one model.
-func rsvdBenchPipelines(tb testing.TB) func() *Pipeline {
+// on the 80 % side of a per-user split of the "loadgen" universe — at users
+// users with ten ratings each. At 2000, a tenth of that workload's, two thirds
+// of its catalog are rated (2566 items of 3988): the same turn, a little
+// shorter. Each call assembles a fresh pipeline (empty range table, zero Dyn
+// state) around the one model.
+func rsvdBenchPipelines(tb testing.TB, users int) func() *Pipeline {
 	tb.Helper()
-	u, err := NewUniverse(UniverseConfig{Name: "loadgen", Users: 2000, Items: 4000, Ratings: 20000, ZipfExponent: 1.1, Seed: 1})
+	u, err := NewUniverse(UniverseConfig{Name: "loadgen", Users: users, Items: 4000, Ratings: 10 * users, ZipfExponent: 1.1, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func rsvdBenchPipelines(tb testing.TB) func() *Pipeline {
 // with its range cached).
 func BenchmarkRecommendAll(b *testing.B) {
 	b.Run("rsvd-fresh", func(b *testing.B) {
-		newPipeline := rsvdBenchPipelines(b)
+		newPipeline := rsvdBenchPipelines(b, 2000)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -105,7 +106,7 @@ func BenchmarkRecommendAll(b *testing.B) {
 		}
 	})
 	b.Run("rsvd-warm", func(b *testing.B) {
-		p := rsvdBenchPipelines(b)()
+		p := rsvdBenchPipelines(b, 2000)()
 		if _, err := p.RecommendAll(context.Background()); err != nil {
 			b.Fatal(err)
 		}
@@ -144,9 +145,25 @@ func BenchmarkRecommendAll(b *testing.B) {
 }
 
 // BenchmarkRecommendUser compares one online request (frozen Dyn snapshot
-// sweep) through both paths, after a batch pass has warmed the Dyn state.
+// sweep) through both paths, after a batch pass has warmed the Dyn state; and
+// times the turn sweep_batch's read_p50_ms times — the benchmark's RSVD
+// pipeline, every user's range cached by the pass.
 func BenchmarkRecommendUser(b *testing.B) {
 	ctx := context.Background()
+	b.Run("rsvd-warm", func(b *testing.B) {
+		p := rsvdBenchPipelines(b, 2000)()
+		if _, err := p.RecommendAll(ctx); err != nil {
+			b.Fatal(err)
+		}
+		users := p.Train().NumUsers()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.RecommendUser(ctx, UserID(i%users), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("pipeline", func(b *testing.B) {
 		p := sweepBenchPipeline(b)
 		if _, err := p.RecommendAll(ctx); err != nil {

@@ -3,19 +3,18 @@ package ganc
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"ganc/internal/admit"
 	"ganc/internal/cluster"
-	"ganc/internal/ingest"
 	"ganc/internal/obs"
 	"ganc/internal/serve"
 )
@@ -70,14 +69,10 @@ var (
 	ErrShardUnavailable = cluster.ErrShardUnavailable
 	// ErrBadPeerList marks a malformed -peers value.
 	ErrBadPeerList = cluster.ErrBadPeers
+	// ErrReplicaRejoin marks a rejoin refused because the node's write-ahead
+	// log could not be brought up to its shard snapshot's cursor.
+	ErrReplicaRejoin = cluster.ErrReplicaRejoin
 )
-
-// ErrReplicaRejoin marks a rejoin attempt whose shard snapshot is ahead of
-// the node's own write-ahead log: replaying would assign file sequence
-// numbers that disagree with the cluster's global cursor, silently forking
-// the shard's history. The node needs a fresh WAL-complete snapshot instead
-// (operationally: re-split the shard).
-var ErrReplicaRejoin = errors.New("ganc: shard snapshot is ahead of the rejoining node's write-ahead log")
 
 // NewRing builds a consistent-hash ring (epoch, default virtual-node count)
 // over the given shards.
@@ -229,21 +224,13 @@ type clusterNode struct {
 	addr    string
 	walPath string
 
-	node *ShardNode // nil while the slot is dead
+	ln   net.Listener // bound when the slot is laid out, nil once its first boot took it
+	node *ShardNode   // nil while the slot is dead
 	hs   *http.Server
 }
 
 // live reports whether the node is running.
 func (n *clusterNode) live() bool { return n.node != nil }
-
-// shipper returns the running node's replication shipper (nil for a dead
-// slot, a replica, or the primary of an unreplicated shard).
-func (n *clusterNode) shipper() *cluster.Shipper {
-	if !n.live() {
-		return nil
-	}
-	return n.node.shipper.Load()
-}
 
 // clusterShard is one in-process shard: the snapshot its nodes boot from,
 // its current primary and its replica set. Promotion swaps which node sits
@@ -346,38 +333,27 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	// Lay every shard out first — paths, nodes, bound listeners — so the
 	// ring carries final addresses; then split every snapshot, then boot
 	// (splitting while earlier shards are already resident would stack the
-	// snapshot encoder's buffers on top of their heaps). A failure releases
-	// the listeners construction never reached (Close, via fail, tears down
-	// the nodes that did boot).
-	var lns [][]net.Listener
-	closeFrom := func(k int) {
-		for _, l := range lns[k:] {
-			closeAll(l)
-		}
-	}
+	// snapshot encoder's buffers on top of their heaps). Close, via fail,
+	// tears down the nodes that did boot and releases the listeners of those
+	// that did not.
 	for i := 0; i < cfg.shards; i++ {
-		sh, l, err := c.newShard(i)
+		sh, err := c.newShard(i)
 		if err != nil {
-			closeFrom(0)
 			return fail(err)
 		}
 		c.shards = append(c.shards, sh)
-		lns = append(lns, l)
 	}
 	ring, err := c.buildRing(cfg.shards)
 	if err != nil {
-		closeFrom(0)
 		return fail(err)
 	}
 	for i, sh := range c.shards {
 		if err := p.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: cfg.shards, RingEpoch: cfg.epoch}); err != nil {
-			closeFrom(0)
 			return fail(fmt.Errorf("ganc: shard-splitting snapshot for shard %d: %w", i, err))
 		}
 	}
 	for i, sh := range c.shards {
-		if err := c.bootNodes(sh, lns[i]); err != nil {
-			closeFrom(i + 1)
+		if err := c.bootNodes(sh); err != nil {
 			return fail(fmt.Errorf("ganc: booting shard %d: %w", i, err))
 		}
 	}
@@ -452,27 +428,20 @@ func (c *Cluster) shardServerOptions() []ServerOption {
 	return opts
 }
 
-// closeAll releases listeners no node was booted on.
-func closeAll(lns []net.Listener) {
-	for _, l := range lns {
-		l.Close()
-	}
-}
-
 // newShard lays shard i out — snapshot path, one node per replica plus the
-// primary, each with its own write-ahead log — and binds a loopback listener
-// per node, in nodes() order.
-func (c *Cluster) newShard(i int) (*clusterShard, []net.Listener, error) {
+// primary, each with its own write-ahead log and a bound loopback listener
+// (so the ring carries final addresses before anything boots).
+func (c *Cluster) newShard(i int) (*clusterShard, error) {
 	sh := &clusterShard{id: i, snapPath: filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d.snap", i))}
-	var lns []net.Listener
 	for r := 0; r <= c.cfg.replicas; r++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			closeAll(lns)
-			return nil, nil, fmt.Errorf("ganc: shard %d listener: %w", i, err)
+			for _, rep := range sh.replicas {
+				rep.ln.Close()
+			}
+			return nil, fmt.Errorf("ganc: shard %d listener: %w", i, err)
 		}
-		lns = append(lns, ln)
-		n := &clusterNode{addr: ln.Addr().String()}
+		n := &clusterNode{addr: ln.Addr().String(), ln: ln}
 		if r < c.cfg.replicas {
 			n.walPath = filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d-replica-%d.wal", i, r))
 			sh.replicas = append(sh.replicas, n)
@@ -481,31 +450,33 @@ func (c *Cluster) newShard(i int) (*clusterShard, []net.Listener, error) {
 			sh.primary = n
 		}
 	}
-	return sh, lns, nil
+	return sh, nil
 }
 
-// bootNodes boots every node of a laid-out shard on newShard's listeners.
-func (c *Cluster) bootNodes(sh *clusterShard, lns []net.Listener) error {
-	for k, n := range sh.nodes() {
-		if _, err := c.bootNode(sh, n, lns[k], n == sh.primary, false); err != nil {
-			closeAll(lns[k+1:])
+// bootNodes boots every node of a laid-out shard on its bound listener, each
+// restored from the shard snapshot. A failure leaves the remaining listeners
+// to the teardown that follows it (killNode).
+func (c *Cluster) bootNodes(sh *clusterShard) error {
+	for _, n := range sh.nodes() {
+		pipe, id, err := c.loadShardNode(sh)
+		if err != nil {
+			return err
+		}
+		ln := n.ln
+		n.ln = nil
+		if _, err := c.startNode(sh, n, ln, pipe, id, n == sh.primary, false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// bootNode restores one node of a shard from the shard snapshot, verifies
-// the identity, and starts it serving on the listener in the given role —
-// the same ShardNode either way. recoverLog replays the node's
-// write-ahead-log suffix past the snapshot first (restart and rejoin; a
-// fresh boot has none).
-func (c *Cluster) bootNode(sh *clusterShard, n *clusterNode, ln net.Listener, primary, recoverLog bool) (replayed int, err error) {
-	pipe, id, err := c.loadShardNode(sh)
-	var node *ShardNode
-	if err == nil {
-		node, err = OpenShardNode(pipe, id, n.walPath, sh.snapPath, c.cfg.checkpointEvery, c.shardServerOptions()...)
-	}
+// startNode starts a loaded shard pipeline serving on the listener in the
+// given role — the same ShardNode either way. recoverLog replays the node's
+// write-ahead-log suffix past the pipeline's cursor first (restart and
+// rejoin; a fresh boot has none).
+func (c *Cluster) startNode(sh *clusterShard, n *clusterNode, ln net.Listener, pipe *Pipeline, id ShardIdentity, primary, recoverLog bool) (replayed int, err error) {
+	node, err := OpenShardNode(pipe, id, n.walPath, sh.snapPath, c.cfg.checkpointEvery, c.shardServerOptions()...)
 	if err == nil && recoverLog {
 		replayed, err = node.Recover()
 	}
@@ -586,9 +557,6 @@ func (c *Cluster) handleReshard(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(stats)
 }
 
-// Router returns the scatter-gather router.
-func (c *Cluster) Router() *Router { return c.router }
-
 // Ring returns the cluster's hash ring.
 func (c *Cluster) Ring() *Ring { return c.router.Ring() }
 
@@ -634,16 +602,14 @@ func (c *Cluster) shardByIndex(i int) (*clusterShard, error) {
 // topology lock, so scenario drivers do not race a concurrent
 // detector-triggered promotion swapping them.
 func (c *Cluster) shardState(i int) (*Pipeline, *Ingestor, error) {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	sh, err := c.shardByIndex(i)
-	if err != nil {
-		return nil, nil, err
+	nodes := c.primaries()
+	if i < 0 || i >= len(nodes) {
+		return nil, nil, fmt.Errorf("ganc: shard %d out of range [0,%d)", i, len(nodes))
 	}
-	if !sh.primary.live() {
+	if nodes[i] == nil {
 		return nil, nil, nil
 	}
-	return sh.primary.node.pipe, sh.primary.node.ing, nil
+	return nodes[i].pipe, nodes[i].ing, nil
 }
 
 // KillShard crashes shard i's primary: its listener and connections close,
@@ -664,32 +630,14 @@ func (c *Cluster) KillShard(i int) error {
 	return killNode(sh.primary)
 }
 
-// KillReplica crashes shard i's replica r: its listener and connections
-// close, in-memory state drops, its write-ahead log survives on disk. The
-// primary's shipper flips the replica to catch-up mode and retries in the
-// background, so the shard's reported lag grows until RejoinAsReplica brings
-// the node back — the lagging-replica half of the reshard × replication
-// chaos drill.
-func (c *Cluster) KillReplica(i, r int) error {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	sh, err := c.shardByIndex(i)
-	if err != nil {
-		return err
-	}
-	if r < 0 || r >= len(sh.replicas) {
-		return fmt.Errorf("ganc: shard %d replica %d out of range [0,%d)", i, r, len(sh.replicas))
-	}
-	if !sh.replicas[r].live() {
-		return fmt.Errorf("ganc: shard %d replica %d is already dead", i, r)
-	}
-	return killNode(sh.replicas[r])
-}
-
 // killNode crashes one node, whatever its role (a no-op on a dead one): the
 // listener and connections close, the shipper stops, the write-ahead-log
 // handle is released. Callers hold the topology lock where it matters.
 func killNode(n *clusterNode) error {
+	if n.ln != nil { // laid out, never booted
+		n.ln.Close()
+		n.ln = nil
+	}
 	if !n.live() {
 		return nil
 	}
@@ -761,19 +709,33 @@ func (c *Cluster) autoPromote(shard int, addr string) {
 	_, _ = c.promoteLocked(shard)
 }
 
-// rebootNode brings a dead node back on its original address — the old
-// listener is closed, so the port is free to rebind, and the ring's address
-// for the node must not change — in the given role, and replays its
-// write-ahead-log suffix past the snapshot cursor.
+// rebootNode brings a dead node back on its original address (free to
+// rebind, and the ring's address for the node must not change) in the given
+// role, and replays its write-ahead-log suffix past the snapshot cursor. The
+// snapshot is loaded once: a replica's log is repaired (cluster.RepairLog) to
+// the cursor of the pipeline that then boots, because the live primary keeps
+// checkpointing into the shared file and a second read could return a later
+// cursor than the log was repaired to — the fork ErrReplicaRejoin refuses.
 func (c *Cluster) rebootNode(sh *clusterShard, n *clusterNode, primary bool) (replayed int, err error) {
+	pipe, id, err := c.loadShardNode(sh)
+	if err == nil && !primary {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = cluster.RepairLog(ctx, nil, n.walPath, sh.primary.addr, sh.id, pipe.ingestSeq)
+		cancel()
+	}
+	if err != nil {
+		return 0, err
+	}
 	ln, err := net.Listen("tcp", n.addr)
 	if err != nil {
 		return 0, fmt.Errorf("ganc: rebinding shard %d node on %s: %w", sh.id, n.addr, err)
 	}
-	return c.bootNode(sh, n, ln, primary, true)
+	return c.startNode(sh, n, ln, pipe, id, primary, true)
 }
 
-// promoteLocked is Promote under an already-held topology lock.
+// promoteLocked is Promote under an already-held topology lock. Which
+// replica wins and what the next ring is are Ring.Promoted's decision; this
+// swaps the two slots it names and makes the nodes and the router follow.
 func (c *Cluster) promoteLocked(i int) (uint64, error) {
 	sh, err := c.shardByIndex(i)
 	if err != nil {
@@ -782,37 +744,21 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 	if sh.primary.live() {
 		return 0, fmt.Errorf("ganc: shard %d still has a live primary (kill it first)", i)
 	}
-	// Freshest live replica: the one with the highest applied cursor — any
-	// other choice would discard committed events it has already applied.
-	best := -1
-	var bestSeq uint64
-	for k, rep := range sh.replicas {
-		if !rep.live() {
-			continue
-		}
-		if seq := rep.node.Seq(); best < 0 || seq > bestSeq {
-			best, bestSeq = k, seq
+	cursors := make(map[string]uint64)
+	for _, rep := range sh.replicas {
+		if rep.live() {
+			cursors[rep.addr] = rep.node.Seq()
 		}
 	}
-	if best < 0 {
-		return 0, fmt.Errorf("ganc: shard %d has no live replica to promote", i)
+	ring, addr, err := c.router.Ring().Promoted(i, cursors)
+	if err != nil {
+		return 0, err
 	}
-	// Swap slots, then flip the role: the dead old primary keeps its address
-	// and WAL as a dead replica slot for RejoinAsReplica; the promoted node
-	// starts accepting client writes and /migrate chunks, checkpointing and
-	// shipping commits, and refuses pushed /replicate batches — a stale
-	// shipper from the demoted primary included.
-	c.cfg.epoch++
+	best := slices.IndexFunc(sh.replicas, func(rep *clusterNode) bool { return rep.addr == addr })
+	c.cfg.epoch = ring.Epoch()
 	sh.primary, sh.replicas[best] = sh.replicas[best], sh.primary
 	c.restamp(c.shards)
 	if err := sh.primary.node.MakePrimary(sh.replicaAddrs(), c.cfg.writeQuorum); err != nil {
-		return 0, err
-	}
-
-	// Re-point the map: same shard IDs (ownership is untouched), new
-	// primary address for shard i, new epoch.
-	ring, err := c.buildRing(len(c.shards))
-	if err != nil {
 		return 0, err
 	}
 	if err := c.router.UpdateRing(ring); err != nil {
@@ -827,7 +773,7 @@ func (c *Cluster) promoteLocked(i int) (uint64, error) {
 // new primary's shipper, which catches it up to the committed head. When the
 // node's local log is shorter than the snapshot cursor (the disk did not
 // survive with the full history), the missing tail is pulled from the live
-// primary over POST /replicate/tail before boot — replica-assisted catch-up.
+// primary over POST /replicate/tail before boot (cluster.RepairLog).
 // Returns how many events the local replay recovered.
 func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 	c.reshardMu.Lock()
@@ -839,95 +785,29 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 	if !sh.primary.live() {
 		return 0, fmt.Errorf("ganc: shard %d has no live primary to rejoin under", i)
 	}
-	var dead *clusterNode
-	for _, rep := range sh.replicas {
-		if !rep.live() {
-			dead = rep
-			break
-		}
-	}
-	if dead == nil {
+	k := slices.IndexFunc(sh.replicas, func(rep *clusterNode) bool { return !rep.live() })
+	if k < 0 {
 		return 0, fmt.Errorf("ganc: shard %d has no dead replica slot to rejoin", i)
 	}
-	// The WAL-sequence invariant: record n of a node's log must be global
-	// event n. A snapshot checkpointed past this node's own log would replay
-	// onto the wrong cursor — so when the local log is short, the missing
-	// records (records, snapSeq] are pulled from the live primary and
-	// appended before boot, restoring the invariant from a peer instead of
-	// refusing the rejoin.
-	records, err := cluster.WALEnd(dead.walPath)
-	if err != nil {
-		return 0, fmt.Errorf("ganc: inspecting rejoin write-ahead log: %w", err)
-	}
-	snapSeq, err := shardSnapshotCursor(sh.snapPath)
-	if err != nil {
-		return 0, err
-	}
-	if snapSeq > records {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		tail, err := cluster.FetchWALTail(ctx, nil, sh.primary.addr, sh.id, records, snapSeq)
-		cancel()
-		if err != nil {
-			return 0, fmt.Errorf("%w: snapshot cursor %d, log has %d records, and the primary could not supply the tail: %v",
-				ErrReplicaRejoin, snapSeq, records, err)
-		}
-		wal, err := ingest.OpenLog(dead.walPath)
-		if err != nil {
-			return 0, fmt.Errorf("ganc: opening rejoin write-ahead log: %w", err)
-		}
-		if head := wal.Seq(); head != records {
-			wal.Close()
-			return 0, fmt.Errorf("%w: log moved from %d to %d records during the tail pull", ErrReplicaRejoin, records, head)
-		}
-		head, err := wal.Append(tail)
-		if closeErr := wal.Close(); err == nil {
-			err = closeErr
-		}
-		if err != nil {
-			return 0, fmt.Errorf("ganc: appending fetched tail: %w", err)
-		}
-		if head != snapSeq {
-			return 0, fmt.Errorf("%w: fetched tail ends at %d, snapshot cursor is %d", ErrReplicaRejoin, head, snapSeq)
-		}
-	}
-	replayed, err = c.rebootNode(sh, dead, false)
-	if err != nil {
+	if replayed, err = c.rebootNode(sh, sh.replicas[k], false); err != nil {
 		return replayed, err
 	}
 	// Tell the primary's shipper where the rejoined node actually is; its
 	// catch-up loop re-feeds the rest from the primary's WAL.
-	if sp := sh.primary.shipper(); sp != nil {
+	if sp := sh.primary.node.shipper.Load(); sp != nil {
 		sp.Resync()
 	}
 	return replayed, nil
 }
 
-// AddShard grows the cluster by one shard with a live migration (see
-// Reshard).
-func (c *Cluster) AddShard() (*ReshardStats, error) { return c.Reshard(len(c.shards) + 1) }
-
-// RemoveShard shrinks the cluster by one shard with a live migration (see
-// Reshard): the highest-numbered shard is drained and retired.
-func (c *Cluster) RemoveShard() (*ReshardStats, error) { return c.Reshard(len(c.shards) - 1) }
-
 // Reshard grows or shrinks the cluster to target shards with zero
 // client-visible downtime. Added shards boot from the pristine baseline
 // snapshot (full trained state, no stream history) at ring epoch E+1; the
-// ownership delta between the current ring and the E+1 ring is computed over
-// every user with write-ahead history (users without history need no
-// migration — every shard holds the full trained baseline); then a staged
-// cutover runs: writes route by the E+1 ring from the moment the transition
-// begins (freezing moving users' histories at their old owners), reads for a
-// moving user stay on the old owner until the user's history has fully
-// landed at the new owner over POST /migrate, and once every mover has
-// flipped the E+1 ring is published to every node and the router. Shrinking
-// retires the highest-numbered shards after a short drain grace; their files
-// stay on disk (a later grow wipes and re-migrates them).
-//
-// Ordering note: ingest accepted during the cutover window is serialized by
-// the user's new owner and may interleave ahead of the user's migrated
-// history in the new owner's log; per-source order is preserved, global
-// cross-owner order is not re-established (DESIGN.md §14).
+// router then runs the staged cutover between the current ring and the E+1
+// ring (cluster.Router.Reshard: migrate every moving user's history to its
+// new owner, flip its reads once it has landed, publish the ring to every
+// node). Shrinking retires the highest-numbered shards after a short drain
+// grace; their files stay on disk (a later grow wipes and re-migrates them).
 //
 // Reshard requires every current primary to be live (each is a migration
 // source) and serializes with other topology changes. On an error before the
@@ -948,10 +828,8 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 			return nil, fmt.Errorf("ganc: shard %d is dead; restart or promote it before resharding", sh.id)
 		}
 	}
-	oldRing := c.router.Ring()
 	oldEpoch := c.cfg.epoch
 	newEpoch := oldEpoch + 1
-	stats := &ReshardStats{FromShards: oldN, ToShards: target, Epoch: newEpoch}
 
 	// The new topology is effective for everything booted from here on: the
 	// added shards' snapshots are stamped with it, and loadShardNode keeps
@@ -977,18 +855,16 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 			return fail(fmt.Errorf("ganc: loading baseline snapshot: %w", err))
 		}
 		for i := oldN; i < target; i++ {
-			sh, lns, err := c.newShard(i)
+			sh, err := c.newShard(i)
 			if err == nil {
+				c.shards = append(c.shards, sh)
 				// A slot retired by an earlier shrink leaves its files
 				// behind; the re-added shard re-migrates its history in full.
 				for _, n := range sh.nodes() {
 					_ = os.Remove(n.walPath)
 				}
-				if err = base.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: target, RingEpoch: newEpoch}); err != nil {
-					closeAll(lns)
-				} else {
-					c.shards = append(c.shards, sh)
-					err = c.bootNodes(sh, lns)
+				if err = base.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: target, RingEpoch: newEpoch}); err == nil {
+					err = c.bootNodes(sh)
 				}
 			}
 			if err != nil {
@@ -1001,127 +877,18 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	if err != nil {
 		return fail(err)
 	}
-
-	// The moving set: every user with write-ahead history whose owner
-	// changes between the two rings.
-	seen := make(map[string]struct{})
-	var keys []string
-	for i := 0; i < oldN; i++ {
-		if err := ingest.ReplayLog(c.shards[i].primary.walPath, 0, func(_ uint64, ev IngestEvent) error {
-			if _, ok := seen[ev.User]; !ok {
-				seen[ev.User] = struct{}{}
-				keys = append(keys, ev.User)
-			}
-			return nil
-		}); err != nil {
-			return fail(fmt.Errorf("ganc: scanning shard %d write-ahead log: %w", i, err))
-		}
+	primaries := make([]*cluster.Node, len(c.shards))
+	for i, sh := range c.shards {
+		primaries[i] = sh.primary.node.streams
 	}
-	moving := cluster.MovedUsers(oldRing, nextRing, keys)
-	stats.UsersMoved = len(moving)
-
-	// Seed destination cursors from the destinations' own logs before any
-	// write can race them: a user returning to a previous owner must not
-	// have its migrated prefix applied twice. Per-user order preservation
-	// makes the destination's local count exactly the already-held prefix
-	// length.
-	for d, sh := range c.shards[:target] {
-		dest := sh.primary
-		counts, err := walUserCounts(dest.walPath, func(u string) bool {
-			mv, ok := moving[u]
-			return ok && mv.To == d
-		})
-		if err != nil {
-			return fail(fmt.Errorf("ganc: scanning shard %d write-ahead log: %w", d, err))
-		}
-		for u, n := range counts {
-			dest.node.streams.Migrator.SeedCursor(u, n)
-		}
-	}
-
-	ddBefore := c.router.DoubleDispatches()
-	cutStart := time.Now()
-	if err := c.router.BeginReshard(nextRing, moving); err != nil {
-		return fail(err)
-	}
-	abort := func(err error) (*ReshardStats, error) {
-		c.router.AbortReshard()
-		return fail(err)
-	}
-
-	// Ship every moving user's history from its old owner to its new one.
-	// Writes route by the next ring from BeginReshard on, so the source logs
-	// are frozen for these users: the first pass is complete, and the drain
-	// passes below catch only appends from requests that were already in
-	// flight when the transition began (including users whose first-ever
-	// event raced the scan above — the ring predicate, not the moving map,
-	// decides what ships).
-	shipped := make(map[string]uint64)
-	shipPass := func() (int, error) {
-		total := 0
-		for s := 0; s < oldN; s++ {
-			s := s
-			hist, _, err := ingest.CollectUserEvents(c.shards[s].primary.walPath, func(u string) bool {
-				return oldRing.Owner(u) == s && nextRing.Owner(u) != s
-			})
-			if err != nil {
-				return total, fmt.Errorf("ganc: collecting shard %d histories: %w", s, err)
-			}
-			for u, evs := range hist {
-				if uint64(len(evs)) <= shipped[u] {
-					continue
-				}
-				d := nextRing.Owner(u)
-				// A generous per-chunk timeout: during a reshard under
-				// saturating load the destination queues migration posts
-				// behind cold-cache serving traffic, and the default 2s can
-				// expire on queueing alone. Patience here is invisible to
-				// clients — reads keep double-dispatching to the old owner
-				// until this user flips.
-				applied, err := cluster.ShipUserHistory(nil, c.shards[d].primary.addr, d, newEpoch, u, evs, 0, 15*time.Second)
-				if err != nil {
-					return total, fmt.Errorf("ganc: migrating user %q to shard %d: %w", u, d, err)
-				}
-				total += applied
-				shipped[u] = uint64(len(evs))
-				c.router.FlipUser(u)
-			}
-		}
-		return total, nil
-	}
-	n, err := shipPass()
-	stats.EventsMigrated += n
+	// At the commit point every surviving node adopts the new epoch and count.
+	stats, err := c.router.Reshard(nextRing, primaries, func() { c.restamp(c.shards[:target]) })
 	if err != nil {
-		return abort(err)
+		return fail(err)
 	}
-	// Movers with no shippable history flip with the herd (idempotent).
-	for u := range moving {
-		c.router.FlipUser(u)
-	}
-	for pass := 0; pass < 8; pass++ {
-		time.Sleep(25 * time.Millisecond)
-		n, err := shipPass()
-		stats.EventsMigrated += n
-		if err != nil {
-			return abort(err)
-		}
-		if n == 0 {
-			break
-		}
-	}
-	stats.UsersMigrated = len(shipped)
 
-	// Publish: every surviving node adopts the new epoch and shard count,
-	// then the router leaves the transition state on the final ring.
-	c.restamp(c.shards[:target])
-	if err := c.router.CompleteReshard(nextRing); err != nil {
-		return abort(err)
-	}
-	stats.CutoverMs = float64(time.Since(cutStart).Microseconds()) / 1000.0
-	stats.DoubleDispatches = c.router.DoubleDispatches() - ddBefore
-
-	// Shrink: the retired shards stopped receiving writes at BeginReshard
-	// and reads at their last user's flip; a short grace period lets
+	// Shrink: the retired shards stopped receiving writes when the cutover
+	// began and reads at their last user's flip; a short grace period lets
 	// in-flight requests drain before their listeners close. Their files
 	// stay on disk — a later grow wipes and re-migrates them. A teardown
 	// error is reported alongside the stats: the reshard itself has already
@@ -1137,40 +904,29 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	return stats, nil
 }
 
-// walUserCounts counts, per user accepted by keep, how many events the
-// write-ahead log at path holds (empty for a missing log).
-func walUserCounts(path string, keep func(string) bool) (map[string]uint64, error) {
-	counts := make(map[string]uint64)
-	err := ingest.ReplayLog(path, 0, func(_ uint64, ev IngestEvent) error {
-		if keep == nil || keep(ev.User) {
-			counts[ev.User]++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// primaries snapshots every shard's running primary, by shard index (nil for
+// a dead one), under the topology lock. SaveShards and WaitForReplicaSync
+// work on the snapshot outside the lock, so they neither race nor block a
+// concurrent promotion or reshard.
+func (c *Cluster) primaries() []*ShardNode {
+	c.reshardMu.Lock()
+	defer c.reshardMu.Unlock()
+	nodes := make([]*ShardNode, len(c.shards))
+	for i, sh := range c.shards {
+		nodes[i] = sh.primary.node
 	}
-	return counts, nil
-}
-
-// shardSnapshotCursor reads the ingestion cursor out of a shard snapshot.
-func shardSnapshotCursor(path string) (uint64, error) {
-	pipe, _, err := LoadShardEngine(path)
-	if err != nil {
-		return 0, err
-	}
-	return pipe.ingestSeq, nil
+	return nodes
 }
 
 // SaveShards checkpoints every live shard's current state into its shard
 // snapshot (the same files RestartShard restores from).
 func (c *Cluster) SaveShards() error {
-	for _, sh := range c.shards {
-		if !sh.primary.live() {
+	for i, n := range c.primaries() {
+		if n == nil {
 			continue
 		}
-		if err := sh.primary.node.ing.Checkpoint(); err != nil {
-			return fmt.Errorf("ganc: checkpointing shard %d: %w", sh.id, err)
+		if err := n.ing.Checkpoint(); err != nil {
+			return fmt.Errorf("ganc: checkpointing shard %d: %w", i, err)
 		}
 	}
 	return nil
@@ -1179,17 +935,11 @@ func (c *Cluster) SaveShards() error {
 // ShardVersion returns shard i's serving-engine generation (0 for a dead
 // shard).
 func (c *Cluster) ShardVersion(i int) int {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	if n := c.shards[i].primary; n.live() {
-		return n.node.srv.Version()
+	if n := c.primaries()[i]; n != nil {
+		return n.srv.Version()
 	}
 	return 0
 }
-
-// NumReplicas returns the per-shard replica count the cluster was built
-// with.
-func (c *Cluster) NumReplicas() int { return c.cfg.replicas }
 
 // Epoch returns the cluster's current ring epoch (bumped by every Promote —
 // manual or detector-triggered — and every Reshard).
@@ -1206,53 +956,29 @@ func (c *Cluster) ReplicaAddr(i, r int) string {
 	return c.shards[i].replicas[r].addr
 }
 
-// ShardReplication returns shard i's primary-side replication status (zero
-// value when the shard has no shipper — dead primary or no replicas).
-func (c *Cluster) ShardReplication(i int) ReplicationStatus {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	if sp := c.shards[i].primary.shipper(); sp != nil {
-		return sp.Status()
-	}
-	return ReplicationStatus{}
-}
-
 // ReplicaLag returns shard i's widest replica lag in committed events (0
 // with no live shipper).
 func (c *Cluster) ReplicaLag(i int) uint64 {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	if sp := c.shards[i].primary.shipper(); sp != nil {
-		return sp.MaxLag()
+	if n := c.primaries()[i]; n != nil {
+		if sp := n.shipper.Load(); sp != nil {
+			return sp.MaxLag()
+		}
 	}
 	return 0
 }
 
 // WaitForReplicaSync blocks until every live primary's replicas have
-// acknowledged its committed head, or the timeout expires. The shipper set is
-// snapshotted under the topology lock, then waited on outside it so a
-// concurrent promotion is not blocked.
+// acknowledged its committed head, or the timeout expires.
 func (c *Cluster) WaitForReplicaSync(timeout time.Duration) error {
-	type pair struct {
-		id      int
-		shipper *cluster.Shipper
-	}
-	c.reshardMu.Lock()
-	shippers := make([]pair, 0, len(c.shards))
-	for _, sh := range c.shards {
-		if sp := sh.primary.shipper(); sp != nil {
-			shippers = append(shippers, pair{sh.id, sp})
-		}
-	}
-	c.reshardMu.Unlock()
 	deadline := time.Now().Add(timeout)
-	for _, p := range shippers {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			remaining = time.Millisecond
+	for i, n := range c.primaries() {
+		if n == nil {
+			continue
 		}
-		if err := p.shipper.WaitSync(remaining); err != nil {
-			return fmt.Errorf("ganc: shard %d: %w", p.id, err)
+		if sp := n.shipper.Load(); sp != nil {
+			if err := sp.WaitSync(max(time.Until(deadline), time.Millisecond)); err != nil {
+				return fmt.Errorf("ganc: shard %d: %w", i, err)
+			}
 		}
 	}
 	return nil
@@ -1288,36 +1014,35 @@ func (c *Cluster) Close() error {
 
 // WaitReady blocks until every shard answers /health (or the timeout
 // expires) — a convenience for callers that start driving traffic
-// immediately after NewCluster.
+// immediately after NewCluster. It probes the node set as of the call.
 func (c *Cluster) WaitReady(timeout time.Duration) error {
+	type target struct{ addr, what string }
+	c.reshardMu.Lock()
+	var targets []target
+	for _, sh := range c.shards {
+		targets = append(targets, target{sh.primary.addr, fmt.Sprintf("shard %d", sh.id)})
+		for r, rep := range sh.replicas {
+			if rep.live() {
+				targets = append(targets, target{rep.addr, fmt.Sprintf("shard %d replica %d", sh.id, r)})
+			}
+		}
+	}
+	c.reshardMu.Unlock()
 	deadline := time.Now().Add(timeout)
 	client := &http.Client{Timeout: time.Second}
-	wait := func(addr, what string) error {
+	for _, t := range targets {
 		for {
-			resp, err := client.Get("http://" + addr + "/health")
+			resp, err := client.Get("http://" + t.addr + "/health")
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK {
-					return nil
+					break
 				}
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("ganc: %s not ready within %v", what, timeout)
+				return fmt.Errorf("ganc: %s not ready within %v", t.what, timeout)
 			}
 			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	for _, sh := range c.shards {
-		if err := wait(sh.primary.addr, fmt.Sprintf("shard %d", sh.id)); err != nil {
-			return err
-		}
-		for r, rep := range sh.replicas {
-			if !rep.live() {
-				continue
-			}
-			if err := wait(rep.addr, fmt.Sprintf("shard %d replica %d", sh.id, r)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

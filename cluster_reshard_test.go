@@ -206,7 +206,7 @@ func TestClusterAddRemoveShardRoundTrip(t *testing.T) {
 		postIngest(t, ts.URL, []IngestEvent{{User: user, Item: "pre-grow", Value: 1}})
 	}
 
-	stats, err := c.AddShard()
+	stats, err := c.Reshard(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestClusterAddRemoveShardRoundTrip(t *testing.T) {
 		postIngest(t, ts.URL, []IngestEvent{{User: user, Item: "mid-grow", Value: 2}})
 	}
 
-	stats, err = c.RemoveShard()
+	stats, err = c.Reshard(2)
 	if err != nil {
 		t.Fatal(err)
 	}

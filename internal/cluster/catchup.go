@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
+	"ganc/internal/ingest"
 	"ganc/internal/serve"
 )
 
@@ -47,21 +49,19 @@ func NewWALTailHandler(shard int, walPath string) http.Handler {
 			err = fmt.Errorf("no record at %d", c.First)
 		}
 		if err != nil {
-			walEnd, _ := WALEnd(walPath) // an unreadable log is refused all the same, citing cursor 0
-			writeAck(w, ShardSpace, Ack{Gap: true, Cursor: walEnd}, fmt.Errorf("%w: %v", ErrStreamGap, err))
+			end, _ := walEnd(walPath) // an unreadable log is refused all the same, citing cursor 0
+			writeAck(w, ShardSpace, Ack{Gap: true, Cursor: end}, fmt.Errorf("%w: %v", ErrStreamGap, err))
 			return
 		}
 		writeJSON(w, http.StatusOK, Chunk{Shard: shard, First: c.First, Head: c.First + uint64(len(events)) - 1, Events: events})
 	})
 }
 
-// FetchWALTail pulls the WAL records (after, upTo] from a node's TailPath in
+// fetchWALTail pulls the WAL records (after, upTo] from a node's TailPath in
 // MaxReplicateEvents chunks and returns them in order. Every answer goes
 // through the stream's chunk parser and a contiguity check, so a broken peer
-// cannot hand back keyless events, a misplaced range or an empty chunk. It
-// is the rejoin path's source of truth when the local disk did not survive
-// with the full log.
-func FetchWALTail(ctx context.Context, client *http.Client, addr string, shard int, after, upTo uint64) ([]serve.IngestEvent, error) {
+// cannot hand back keyless events, a misplaced range or an empty chunk.
+func fetchWALTail(ctx context.Context, client *http.Client, addr string, shard int, after, upTo uint64) ([]serve.IngestEvent, error) {
 	if after >= upTo {
 		return nil, nil
 	}
@@ -92,4 +92,55 @@ func FetchWALTail(ctx context.Context, client *http.Client, addr string, shard i
 		next = chunk.Head + 1
 	}
 	return out, nil
+}
+
+// ErrReplicaRejoin marks a rejoin whose shard snapshot is ahead of the node's
+// own write-ahead log and whose missing records no peer could supply: booting
+// would assign file sequence numbers that disagree with the shard's global
+// cursor, silently forking its history. The node needs a fresh WAL-complete
+// snapshot instead (operationally: re-split the shard).
+var ErrReplicaRejoin = errors.New("cluster: shard snapshot is ahead of the rejoining node's write-ahead log")
+
+// RepairLog restores the WAL-sequence invariant — record n of a node's log
+// is the shard's global event n — before the node boots from a snapshot at
+// cursor. A log that already reaches the cursor is left alone (boot replays
+// whatever lies past it). A shorter one — the disk did not survive with the
+// full history — has the records (its end, cursor] pulled from the shard's
+// live primary and appended, and the rejoin is refused with ErrReplicaRejoin
+// unless the log did not move during the pull and ends exactly at the cursor
+// after it. The cursor must be the one the node then boots at: read it from
+// the pipeline that is booted, never from a second look at a snapshot file a
+// live primary keeps rewriting.
+func RepairLog(ctx context.Context, client *http.Client, walPath, primary string, shard int, cursor uint64) error {
+	records, err := walEnd(walPath)
+	if err != nil {
+		return fmt.Errorf("cluster: inspecting rejoin write-ahead log: %w", err)
+	}
+	if cursor <= records {
+		return nil
+	}
+	tail, err := fetchWALTail(ctx, client, primary, shard, records, cursor)
+	if err != nil {
+		return fmt.Errorf("%w: snapshot cursor %d, log has %d records, and the primary could not supply the tail: %v",
+			ErrReplicaRejoin, cursor, records, err)
+	}
+	wal, err := ingest.OpenLog(walPath)
+	if err != nil {
+		return fmt.Errorf("cluster: opening rejoin write-ahead log: %w", err)
+	}
+	if head := wal.Seq(); head != records {
+		wal.Close()
+		return fmt.Errorf("%w: log moved from %d to %d records during the tail pull", ErrReplicaRejoin, records, head)
+	}
+	head, err := wal.Append(tail)
+	if closeErr := wal.Close(); err == nil {
+		err = closeErr
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: appending fetched tail: %w", err)
+	}
+	if head != cursor {
+		return fmt.Errorf("%w: fetched tail ends at %d, snapshot cursor is %d", ErrReplicaRejoin, head, cursor)
+	}
+	return nil
 }

@@ -125,7 +125,7 @@ func TestFetchWALTailPullsAcrossChunks(t *testing.T) {
 	addr := strings.TrimPrefix(ts.URL, "http://")
 	ctx := context.Background()
 
-	got, err := FetchWALTail(ctx, nil, addr, 0, 3, records)
+	got, err := fetchWALTail(ctx, nil, addr, 0, 3, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,16 +140,16 @@ func TestFetchWALTailPullsAcrossChunks(t *testing.T) {
 	// after ≥ upTo is an empty range, whatever the distance: no pull, no
 	// allocation sized by the difference (it used to underflow and panic).
 	for _, r := range [][2]uint64{{5, 5}, {9, 2}, {math.MaxUint64, 0}, {math.MaxUint64, math.MaxUint64}} {
-		got, err := FetchWALTail(ctx, nil, addr, 0, r[0], r[1])
+		got, err := fetchWALTail(ctx, nil, addr, 0, r[0], r[1])
 		if err != nil || len(got) != 0 {
-			t.Fatalf("FetchWALTail(after=%d, upTo=%d) = %d records, %v", r[0], r[1], len(got), err)
+			t.Fatalf("fetchWALTail(after=%d, upTo=%d) = %d records, %v", r[0], r[1], len(got), err)
 		}
 	}
 	if pulls.Load() != 3 {
 		t.Fatalf("empty ranges issued %d pulls", pulls.Load()-3)
 	}
 	// A range past the log is the peer's typed gap, not a short result.
-	if _, err := FetchWALTail(ctx, nil, addr, 0, records-1, records+5); !errors.Is(err, ErrStreamGap) {
+	if _, err := fetchWALTail(ctx, nil, addr, 0, records-1, records+5); !errors.Is(err, ErrStreamGap) {
 		t.Fatalf("pull past the log: want ErrStreamGap, got %v", err)
 	}
 }
@@ -190,9 +190,103 @@ func TestFetchWALTailRejectsHostileAnswers(t *testing.T) {
 				fmt.Fprint(w, tc.body)
 			}))
 			defer ts.Close()
-			got, err := FetchWALTail(context.Background(), nil, strings.TrimPrefix(ts.URL, "http://"), 0, 4, 9)
+			got, err := fetchWALTail(context.Background(), nil, strings.TrimPrefix(ts.URL, "http://"), 0, 4, 9)
 			if err == nil || got != nil {
 				t.Fatalf("hostile answer %q yielded %d records, err %v", tc.name, len(got), err)
+			}
+		})
+	}
+}
+
+// TestRepairLog drives the rejoin's log repair over the in-memory fabric: a
+// log short of the cursor is completed from the primary's tail route and ends
+// exactly at the cursor, record for record; a log that reaches or passes the
+// cursor is left alone without a pull; and whenever the gap cannot be filled
+// faithfully — the primary is gone, holds too little, answers garbage, or the
+// local log moved during the pull — the repair refuses with ErrReplicaRejoin
+// and the log keeps exactly the records it had.
+func TestRepairLog(t *testing.T) {
+	const primaryRecords = 40
+	primaryWAL := tailWAL(t, primaryRecords)
+	cases := []struct {
+		name    string
+		local   int    // records in the rejoining node's log
+		cursor  uint64 // the cursor the node will boot at
+		primary func(local string) http.Handler
+		pulls   int
+		refused bool
+		after   int // records in the log afterwards
+	}{
+		{name: "lost-log", local: 0, cursor: 30, pulls: 1, after: 30},
+		{name: "short-log", local: 12, cursor: 30, pulls: 1, after: 30},
+		{name: "up-to-the-primary-end", local: 39, cursor: 40, pulls: 1, after: 40},
+		{name: "equal", local: 30, cursor: 30, after: 30},
+		{name: "longer-than-the-cursor", local: 35, cursor: 30, after: 35},
+		{name: "cursor-zero", local: 0, cursor: 0, after: 0},
+		{name: "primary-holds-too-little", local: 12, cursor: 45, pulls: 2, refused: true, after: 12}, // what it has, then the gap
+		{name: "primary-unreachable", local: 12, cursor: 30, refused: true, after: 12,
+			primary: func(string) http.Handler { return nil }},
+		{name: "hostile-tail-misplaced", local: 12, cursor: 30, pulls: 1, refused: true, after: 12,
+			primary: func(string) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					writeJSON(w, http.StatusOK, Chunk{First: 14, Head: 31, Events: evs(14, 18)})
+				})
+			}},
+		{name: "hostile-tail-keyless", local: 29, cursor: 30, pulls: 1, refused: true, after: 29,
+			primary: func(string) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					fmt.Fprint(w, `{"first":30,"head":30,"events":[{"user":"","item":"i","value":30}]}`)
+				})
+			}},
+		{name: "log-moved-during-the-pull", local: 12, cursor: 30, pulls: 1, refused: true, after: 13,
+			primary: func(local string) http.Handler {
+				tail := NewWALTailHandler(0, primaryWAL)
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					wal, err := ingest.OpenLog(local)
+					if err == nil {
+						_, err = wal.Append(evs(13, 1))
+						wal.Close()
+					}
+					if err != nil {
+						t.Error(err)
+					}
+					tail.ServeHTTP(w, r)
+				})
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			local := filepath.Join(t.TempDir(), "lost.wal")
+			if tc.local > 0 {
+				local = tailWAL(t, tc.local)
+			}
+			primary := NewWALTailHandler(0, primaryWAL)
+			if tc.primary != nil {
+				primary = tc.primary(local)
+			}
+			var pulls int
+			net := fabric{}
+			if primary != nil {
+				net["primary.mem"] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					pulls++
+					primary.ServeHTTP(w, r)
+				})
+			}
+			err := RepairLog(context.Background(), net.client(), local, "primary.mem", 0, tc.cursor)
+			if tc.refused != errors.Is(err, ErrReplicaRejoin) || (err != nil) != tc.refused {
+				t.Fatalf("repair answered %v, want refused=%v", err, tc.refused)
+			}
+			if pulls != tc.pulls {
+				t.Fatalf("%d pulls, want %d", pulls, tc.pulls)
+			}
+			got, err := readWAL(local, 0, math.MaxUint64)
+			if err != nil || len(got) != tc.after {
+				t.Fatalf("log holds %d records afterwards (%v), want %d", len(got), err, tc.after)
+			}
+			for k, ev := range got {
+				if ev.Value != float64(k+1) {
+					t.Fatalf("record %d carries event %v", k+1, ev.Value)
+				}
 			}
 		})
 	}

@@ -54,12 +54,10 @@ type DetectorConfig struct {
 	// detector. Required.
 	Ring func() *Ring
 	// Client is the HTTP client used for probes (default: keep-alive pooled,
-	// no global timeout — ProbeTimeout bounds each probe).
+	// no global timeout — each probe is bounded on its own).
 	Client *http.Client
 	// Interval is the sampling period (default 250ms).
 	Interval time.Duration
-	// ProbeTimeout bounds one node's /health probe (default 1s).
-	ProbeTimeout time.Duration
 	// SuspectAfter is how many consecutive missed probes turn a node
 	// suspected (default 3). With the default interval, suspicion takes
 	// ~750ms of sustained unreachability — long enough to ride out a GC
@@ -74,6 +72,10 @@ type DetectorConfig struct {
 	OnSuspectPrimary func(shard int, addr string)
 	// Metrics, when set, registers the detector's probe and suspicion series.
 	Metrics *obs.Registry
+
+	// probeTimeout bounds one node's /health probe (default 1s); only the
+	// package's tests shorten it.
+	probeTimeout time.Duration
 }
 
 // detectorView is one immutable sample generation, swapped in atomically.
@@ -151,7 +153,7 @@ func newDetector(cfg DetectorConfig) *Detector {
 		ringFn:       cfg.Ring,
 		client:       cfg.Client,
 		interval:     cfg.Interval,
-		probeTimeout: cfg.ProbeTimeout,
+		probeTimeout: cfg.probeTimeout,
 		suspectAfter: cfg.SuspectAfter,
 		onSuspect:    cfg.OnSuspectPrimary,
 		misses:       make(map[string]int),

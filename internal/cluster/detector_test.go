@@ -212,7 +212,7 @@ func TestFailoverReadSkipsSuspectedPrimaryWithZeroInlineProbes(t *testing.T) {
 		// A deliberately fat retry budget: if the suspected primary were still
 		// consulted, the hit counters below would show the attempts.
 		Retries:      5,
-		RetryBackoff: time.Millisecond,
+		retryBackoff: time.Millisecond,
 	})
 
 	primary.down.Store(true)
@@ -271,7 +271,7 @@ func TestRouterOwnsItsDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _ := detectorRouter(t, RouterConfig{Ring: ring, Retries: 0, RetryBackoff: time.Millisecond})
+	rt, _ := detectorRouter(t, RouterConfig{Ring: ring, Retries: 0, retryBackoff: time.Millisecond})
 	// NewRouter's own first sample is the only probe either node ever sees.
 	if p, r := primary.healthHits.Load(), replica.healthHits.Load(); p != 1 || r != 1 {
 		t.Fatalf("after NewRouter the nodes saw %d/%d /health probes, want the detector's first sample (1/1)", p, r)

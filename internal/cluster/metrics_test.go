@@ -119,7 +119,7 @@ func TestRouterHealthSurfacesShardAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(RouterConfig{Ring: ring, ProbeTimeout: 2 * time.Second})
+	rt, err := NewRouter(RouterConfig{Ring: ring, probeTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,7 +34,7 @@ func TestMigrationApplierRacesConcurrentShippers(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				n, err := ShipUserHistory(nil, addr, 3, 2, user, history, 5, 0)
+				n, err := shipUserHistory(http.DefaultClient, addr, 3, 2, user, history, 5)
 				if err != nil {
 					errs <- err
 					return
@@ -76,7 +77,7 @@ func TestMigrationApplierRacesConcurrentShippers(t *testing.T) {
 // TestRouterReshardRoutingRacesFlips is the router half of the race suite:
 // readers resolve read and write targets while the coordinator flips moving
 // users one by one and finally completes the transition. Invariants checked
-// under -race: writes route by the next ring from BeginReshard on; a read
+// under -race: writes route by the next ring from beginReshard on; a read
 // for a moving user lands on either its old or its new owner and never
 // anywhere else, monotonically (once a reader sees the new owner, the flip
 // has happened and stays); non-moving users never change owner; and the
@@ -90,11 +91,11 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moving := MovedUsers(old, next, keys)
+	moving := movedUsers(old, next, keys)
 	if len(moving) == 0 {
 		t.Fatal("fixture moved no users")
 	}
-	if err := rt.BeginReshard(next, moving); err != nil {
+	if err := rt.beginReshard(next, moving); err != nil {
 		t.Fatal(err)
 	}
 	if !rt.Resharding() {
@@ -150,8 +151,8 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 	// The coordinator: flip every mover (twice — flips are idempotent), then
 	// complete.
 	for u := range moving {
-		rt.FlipUser(u)
-		rt.FlipUser(u)
+		rt.flipUser(u)
+		rt.flipUser(u)
 	}
 	close(stop)
 	wg.Wait()
@@ -160,7 +161,7 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if err := rt.CompleteReshard(next); err != nil {
+	if err := rt.completeReshard(); err != nil {
 		t.Fatal(err)
 	}
 	if rt.Resharding() {
@@ -170,7 +171,7 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 	// Exact accounting: every old-owner read a worker observed went through
 	// the router's counting branch and nothing else increments it, so the
 	// counter, the metric series and the workers' observations all agree.
-	dd := rt.DoubleDispatches()
+	dd := rt.doubleDispatches.Load()
 	if dd != oldReads.Load() {
 		t.Fatalf("router counted %d double-dispatches, workers observed %d old-owner reads", dd, oldReads.Load())
 	}
@@ -195,14 +196,14 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 			t.Fatalf("post-reshard read for %q routed to %d, want %d", u, got, next.Owner(u))
 		}
 	}
-	if rt.DoubleDispatches() != dd {
+	if rt.doubleDispatches.Load() != dd {
 		t.Fatal("post-reshard reads still count double-dispatches")
 	}
 }
 
 // TestRouterReshardStateMachineRules pins the transition edges: begin
-// requires a newer epoch and refuses a second transition, complete requires a
-// matching shape, abort reverts routing to the current ring.
+// requires a newer epoch and refuses a second transition, complete requires
+// one in flight, abort reverts routing to the current ring.
 func TestRouterReshardStateMachineRules(t *testing.T) {
 	keys := ringKeys(200)
 	old, next := growRings(t, 2, 5)
@@ -210,23 +211,20 @@ func TestRouterReshardStateMachineRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.BeginReshard(old, nil); err == nil {
+	if err := rt.beginReshard(old, nil); err == nil {
 		t.Fatal("begin accepted a ring at the current epoch")
 	}
-	if err := rt.CompleteReshard(next); err == nil {
+	if err := rt.completeReshard(); err == nil {
 		t.Fatal("complete accepted with no transition in flight")
 	}
-	moving := MovedUsers(old, next, keys)
-	if err := rt.BeginReshard(next, moving); err != nil {
+	moving := movedUsers(old, next, keys)
+	if err := rt.beginReshard(next, moving); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.BeginReshard(next, moving); err == nil {
+	if err := rt.beginReshard(next, moving); err == nil {
 		t.Fatal("begin accepted a second in-flight transition")
 	}
-	if err := rt.CompleteReshard(old); err == nil {
-		t.Fatal("complete accepted a ring of the wrong shape")
-	}
-	rt.AbortReshard()
+	rt.abortReshard()
 	if rt.Resharding() {
 		t.Fatal("abort left the transition in flight")
 	}

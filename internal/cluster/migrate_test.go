@@ -16,7 +16,7 @@ func TestMigrationApplierSeedCursor(t *testing.T) {
 	ctx := context.Background()
 	backend := &countingBackend{}
 	ma := NewMigrationApplier(0, 1, backend)
-	ma.SeedCursor("bob", 3)
+	ma.seedCursor("bob", 3)
 	if got := ma.Cursor("bob"); got != 3 {
 		t.Fatalf("seeded cursor = %d, want 3", got)
 	}
@@ -27,7 +27,7 @@ func TestMigrationApplierSeedCursor(t *testing.T) {
 		t.Fatalf("seeded overlap answered %+v, %v", resp, err)
 	}
 	// Seeding backward is a no-op.
-	ma.SeedCursor("bob", 1)
+	ma.seedCursor("bob", 1)
 	if got := ma.Cursor("bob"); got != 5 {
 		t.Fatalf("cursor rewound to %d after a stale seed", got)
 	}
@@ -41,7 +41,7 @@ func TestMigrationApplierSeedCursor(t *testing.T) {
 }
 
 // migrateServer mounts an applier's /migrate endpoint on a test listener and
-// returns its host:port (ShipUserHistory prepends the scheme).
+// returns its host:port (shipUserHistory prepends the scheme).
 func migrateServer(t testing.TB, ma *MigrationApplier) string {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -61,8 +61,8 @@ func TestShipUserHistoryConverges(t *testing.T) {
 	history := userEvs("carol", 1, 23)
 
 	// The destination already holds the first 5 events (its own WAL).
-	ma.SeedCursor("carol", 5)
-	applied, err := ShipUserHistory(nil, addr, 2, 3, "carol", history, 4, 0)
+	ma.seedCursor("carol", 5)
+	applied, err := shipUserHistory(http.DefaultClient, addr, 2, 3, "carol", history, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestShipUserHistoryConverges(t *testing.T) {
 	}
 
 	// Idempotent re-ship: every chunk is a duplicate acknowledgment.
-	applied, err = ShipUserHistory(nil, addr, 2, 3, "carol", history, 4, 0)
+	applied, err = shipUserHistory(http.DefaultClient, addr, 2, 3, "carol", history, 4)
 	if err != nil || applied != 0 {
 		t.Fatalf("re-ship applied %d events (%v), want 0", applied, err)
 	}
@@ -131,7 +131,7 @@ func TestMovedUsersGrowIsMinimal(t *testing.T) {
 	keys := ringKeys(4000)
 	for _, n := range []int{2, 3, 5} {
 		old, next := growRings(t, n, 1)
-		moves := MovedUsers(old, next, keys)
+		moves := movedUsers(old, next, keys)
 		if len(moves) == 0 || len(moves) == len(keys) {
 			t.Fatalf("grow %d→%d moved %d of %d users", n, n+1, len(moves), len(keys))
 		}
@@ -158,7 +158,7 @@ func TestMovedUsersShrinkIsMinimal(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		// The shrink transition is the grow transition reversed.
 		next, old := growRings(t, n, 1)
-		moves := MovedUsers(old, next, keys)
+		moves := movedUsers(old, next, keys)
 		if len(moves) == 0 {
 			t.Fatalf("shrink %d→%d moved no users", n+1, n)
 		}
@@ -191,7 +191,7 @@ func TestRingEpochsAgreeOnNonMovers(t *testing.T) {
 	const n = 3
 	keys := ringKeys(2000)
 	old, next := growRings(t, n, 7)
-	moves := MovedUsers(old, next, keys)
+	moves := movedUsers(old, next, keys)
 	inOldSet := func(shard int) bool { return shard < n }
 	for _, u := range keys {
 		if _, moved := moves[u]; !moved {

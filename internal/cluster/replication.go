@@ -98,14 +98,6 @@ type ShipperConfig struct {
 	// Client is the HTTP client for /replicate calls (default: keep-alive
 	// pooling, no global timeout — per-call timeouts bound each ship).
 	Client *http.Client
-	// ShipTimeout bounds one /replicate call (default 2s).
-	ShipTimeout time.Duration
-	// RetryBackoff is the catch-up loop's pause after a failed ship
-	// (default 100ms).
-	RetryBackoff time.Duration
-	// BatchEvents is the catch-up chunk size (default 1024, capped at
-	// MaxReplicateEvents).
-	BatchEvents int
 	// WriteQuorum, when > 0, makes Commit block until that many replicas
 	// have acknowledged the batch's head — a k-of-n durability guarantee:
 	// a quorum-acked write survives the loss of any n-k replicas plus the
@@ -113,12 +105,20 @@ type ShipperConfig struct {
 	// to in-sync replicas, background catch-up for the rest). Clamped to
 	// the replica count.
 	WriteQuorum int
-	// QuorumTimeout bounds Commit's quorum wait (default 2s). On expiry the
-	// commit degrades to asynchronous catch-up — the client write has
-	// already been accepted by the time the hook runs, so stalling it
-	// forever would turn a replica outage into a primary outage. Expiries
-	// are counted in the replication status.
-	QuorumTimeout time.Duration
+
+	// Pacing only the package's tests change. shipTimeout bounds one
+	// /replicate call (default 2s); retryBackoff is the catch-up loop's pause
+	// after a failed ship (default 100ms); batchEvents is the catch-up chunk
+	// size (default 1024, capped at MaxReplicateEvents). quorumTimeout bounds
+	// Commit's quorum wait (default 2s): on expiry the commit degrades to
+	// asynchronous catch-up — the client write has already been accepted by
+	// the time the hook runs, so stalling it forever would turn a replica
+	// outage into a primary outage. Expiries are counted in the replication
+	// status.
+	shipTimeout   time.Duration
+	retryBackoff  time.Duration
+	batchEvents   int
+	quorumTimeout time.Duration
 }
 
 // Shipper is the primary side of the protocol: it forwards each committed
@@ -165,9 +165,9 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 	sp := &Shipper{
 		cfg:     cfg,
 		client:  cfg.Client,
-		timeout: cfg.ShipTimeout,
-		backoff: cfg.RetryBackoff,
-		batch:   cfg.BatchEvents,
+		timeout: cfg.shipTimeout,
+		backoff: cfg.retryBackoff,
+		batch:   cfg.batchEvents,
 		stop:    make(chan struct{}),
 	}
 	if sp.client == nil {
@@ -188,7 +188,7 @@ func NewShipper(cfg ShipperConfig) *Shipper {
 	if sp.quorum > len(cfg.Replicas) {
 		sp.quorum = len(cfg.Replicas)
 	}
-	sp.qTimeout = cfg.QuorumTimeout
+	sp.qTimeout = cfg.quorumTimeout
 	if sp.qTimeout <= 0 {
 		sp.qTimeout = 2 * time.Second
 	}

@@ -28,8 +28,8 @@ func quorumRig(t *testing.T, n, k int, qTimeout time.Duration) (*ingest.Log, *Sh
 	sp := NewShipper(ShipperConfig{
 		Shard: 0, Epoch: 1, WALPath: walPath,
 		Replicas:    addrs,
-		WriteQuorum: k, QuorumTimeout: qTimeout,
-		ShipTimeout: 2 * time.Second, RetryBackoff: 2 * time.Millisecond,
+		WriteQuorum: k, quorumTimeout: qTimeout,
+		shipTimeout: 2 * time.Second, retryBackoff: 2 * time.Millisecond,
 	})
 	t.Cleanup(sp.Close)
 	return wal, sp, backends

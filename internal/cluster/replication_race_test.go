@@ -55,7 +55,7 @@ func TestReplicationCommitRacesCatchUpAndStatus(t *testing.T) {
 		sp := NewShipper(ShipperConfig{
 			Shard: i, Epoch: 1, WALPath: walPath,
 			Replicas:    []string{replicaServer(t, ra)},
-			ShipTimeout: 2 * time.Second, RetryBackoff: 2 * time.Millisecond, BatchEvents: 7,
+			shipTimeout: 2 * time.Second, retryBackoff: 2 * time.Millisecond, batchEvents: 7,
 		})
 		t.Cleanup(sp.Close)
 		rigs[i] = &shardRig{wal: wal, sp: sp, backend: backend, ra: ra}
@@ -280,7 +280,7 @@ func replicatedFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Route
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RouterConfig{Ring: ring, Retries: 1, RetryBackoff: 2 * time.Millisecond, ProbeTimeout: 2 * time.Second}
+	cfg := RouterConfig{Ring: ring, Retries: 1, retryBackoff: 2 * time.Millisecond, probeTimeout: 2 * time.Second}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -468,8 +468,8 @@ func TestShipperAndDetectorShutdownLeakNoGoroutines(t *testing.T) {
 		sp := NewShipper(ShipperConfig{
 			Shard: 0, Epoch: 1, WALPath: walPath,
 			Replicas:    []string{repAddr, "127.0.0.1:1"}, // one live, one unreachable: its catch-up loop spins until Close
-			WriteQuorum: 2, QuorumTimeout: 20 * time.Millisecond,
-			ShipTimeout: 100 * time.Millisecond, RetryBackoff: 2 * time.Millisecond,
+			WriteQuorum: 2, quorumTimeout: 20 * time.Millisecond,
+			shipTimeout: 100 * time.Millisecond, retryBackoff: 2 * time.Millisecond,
 			StartSeq: wal.Seq(),
 		})
 		first := wal.Seq() + 1
@@ -490,7 +490,7 @@ func TestShipperAndDetectorShutdownLeakNoGoroutines(t *testing.T) {
 		d := NewDetector(DetectorConfig{
 			Ring:         func() *Ring { return ring },
 			Interval:     5 * time.Millisecond,
-			ProbeTimeout: 100 * time.Millisecond,
+			probeTimeout: 100 * time.Millisecond,
 			SuspectAfter: 1,
 			OnSuspectPrimary: func(int, string) {
 				fired.Done()

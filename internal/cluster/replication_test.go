@@ -41,7 +41,7 @@ func TestShipperInlineShipAndWALCatchUp(t *testing.T) {
 
 	sp := NewShipper(ShipperConfig{
 		Shard: 0, Epoch: 1, WALPath: walPath, Replicas: []string{addr},
-		ShipTimeout: 2 * time.Second, RetryBackoff: 5 * time.Millisecond, BatchEvents: 3,
+		shipTimeout: 2 * time.Second, retryBackoff: 5 * time.Millisecond, batchEvents: 3,
 	})
 	defer sp.Close()
 
@@ -129,7 +129,7 @@ func TestShipperResyncAdoptsReplicaCursor(t *testing.T) {
 	// The restarted primary assumes the replica is current (StartSeq 10).
 	sp := NewShipper(ShipperConfig{
 		Shard: 0, Epoch: 1, WALPath: walPath, Replicas: []string{addr},
-		StartSeq: 10, RetryBackoff: 5 * time.Millisecond,
+		StartSeq: 10, retryBackoff: 5 * time.Millisecond,
 	})
 	defer sp.Close()
 	if lag := sp.MaxLag(); lag != 0 {
@@ -175,7 +175,7 @@ func TestShipperGapRewind(t *testing.T) {
 	}
 	sp := NewShipper(ShipperConfig{
 		Shard: 0, Epoch: 1, WALPath: walPath, Replicas: []string{addr},
-		StartSeq: 6, RetryBackoff: 5 * time.Millisecond, BatchEvents: 4,
+		StartSeq: 6, retryBackoff: 5 * time.Millisecond, batchEvents: 4,
 	})
 	defer sp.Close()
 
@@ -220,7 +220,7 @@ func TestShipperCommitNeverBlocksOnDeadReplica(t *testing.T) {
 
 	sp := NewShipper(ShipperConfig{
 		Shard: 0, Epoch: 1, WALPath: walPath, Replicas: []string{deadAddr},
-		ShipTimeout: 200 * time.Millisecond, RetryBackoff: 10 * time.Millisecond,
+		shipTimeout: 200 * time.Millisecond, retryBackoff: 10 * time.Millisecond,
 	})
 	defer sp.Close()
 
@@ -282,7 +282,7 @@ func TestShipperHandlesHostileReplicaAnswers(t *testing.T) {
 			sp := NewShipper(ShipperConfig{
 				Shard: 0, Epoch: 1, WALPath: walPath,
 				Replicas:    []string{strings.TrimPrefix(hostile.URL, "http://")},
-				ShipTimeout: time.Second, RetryBackoff: 5 * time.Millisecond,
+				shipTimeout: time.Second, retryBackoff: 5 * time.Millisecond,
 			})
 			defer sp.Close()
 			sp.Commit(1, batch)

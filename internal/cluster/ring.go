@@ -289,6 +289,36 @@ func (r *Ring) OwnerAmong(userKey string, alive func(shard int) bool) int {
 	return -1
 }
 
+// Promoted is the promotion decision as a pure successor of the topology
+// value: the ring that follows the loss of shard's primary, and the address
+// it names the new primary. cursors holds the applied cursor of every live
+// replica of the shard by address; an address absent from it is dead. The
+// freshest live replica wins — any other choice would discard committed
+// events it has already applied — and a tie goes to the earlier entry of the
+// shard's replica list. The successor has epoch + 1 and the same shard IDs
+// and virtual nodes, so no user changes owner; the dead ex-primary takes the
+// winner's place in the replica list, where a later rejoin finds it without
+// another ring change.
+func (r *Ring) Promoted(shard int, cursors map[string]uint64) (next *Ring, newPrimary string, err error) {
+	if shard < 0 || shard >= len(r.shards) {
+		return nil, "", fmt.Errorf("%w: shard %d is not in the ring", ErrBadRing, shard)
+	}
+	shards := r.Shards()
+	s := &shards[shard]
+	best := -1
+	for k, addr := range s.Replicas {
+		if seq, live := cursors[addr]; live && (best < 0 || seq > cursors[s.Replicas[best]]) {
+			best = k
+		}
+	}
+	if best < 0 {
+		return nil, "", fmt.Errorf("cluster: shard %d has no live replica to promote", s.ID)
+	}
+	s.Addr, s.Replicas[best] = s.Replicas[best], s.Addr
+	next, err = NewRing(r.epoch+1, r.replicas, shards)
+	return next, s.Addr, err
+}
+
 // --- Wire format ---------------------------------------------------------------
 //
 //	offset  size  field

@@ -203,3 +203,82 @@ func TestParsePeers(t *testing.T) {
 		}
 	}
 }
+
+// TestRingPromoted pins the promotion decision as a pure function of the
+// ring and the live replicas' cursors: the freshest live replica wins, a tie
+// goes to the earlier replica-list entry, a dead replica never wins whatever
+// cursor it once reported, and no live replica is a refusal. The successor
+// has epoch + 1, the winner as primary and the dead ex-primary in the
+// winner's place in the replica list; shard IDs, virtual nodes, the other
+// shards and every key's owner (FuzzRingOwnershipPartition's property, here
+// across the two rings) are unchanged, as is the ring it was derived from.
+func TestRingPromoted(t *testing.T) {
+	ring, err := NewRing(7, 64, []ShardInfo{
+		{ID: 0, Addr: "p0", Replicas: []string{"a0"}},
+		{ID: 1, Addr: "p1", Replicas: []string{"a", "b", "c"}},
+		{ID: 2, Addr: "p2"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		shard    int
+		cursors  map[string]uint64
+		primary  string   // "" = refused
+		replicas []string // the promoted shard's replica list afterwards
+	}{
+		{"freshest-wins", 1, map[string]uint64{"a": 5, "b": 9, "c": 7}, "b", []string{"a", "p1", "c"}},
+		{"freshest-is-last", 1, map[string]uint64{"a": 5, "b": 5, "c": 6}, "c", []string{"a", "b", "p1"}},
+		{"tie-goes-to-the-earlier-entry", 1, map[string]uint64{"a": 9, "b": 9, "c": 9}, "a", []string{"p1", "b", "c"}},
+		{"tie-among-the-live-only", 1, map[string]uint64{"b": 4, "c": 4}, "b", []string{"a", "p1", "c"}},
+		{"a-cursor-of-zero-is-live", 1, map[string]uint64{"c": 0}, "c", []string{"a", "b", "p1"}},
+		{"strangers-are-ignored", 1, map[string]uint64{"a0": 99, "p1": 99, "a": 1}, "a", []string{"p1", "b", "c"}},
+		{"single-replica", 0, map[string]uint64{"a0": 3}, "a0", []string{"p0"}},
+		{"no-live-replica", 1, map[string]uint64{}, "", nil},
+		{"only-strangers-live", 1, map[string]uint64{"a0": 3}, "", nil},
+		{"no-replicas-at-all", 2, map[string]uint64{"a": 1}, "", nil},
+		{"shard-out-of-range", 3, map[string]uint64{"a": 1}, "", nil},
+		{"negative-shard", -1, map[string]uint64{"a": 1}, "", nil},
+	}
+	before := ring.Encode()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			next, primary, err := ring.Promoted(tc.shard, tc.cursors)
+			if !slices.Equal(ring.Encode(), before) {
+				t.Fatal("Promoted changed the ring it was called on")
+			}
+			if tc.primary == "" {
+				if err == nil || next != nil || primary != "" {
+					t.Fatalf("promotion with cursors %v answered %q, %v; want a refusal", tc.cursors, primary, err)
+				}
+				if outOfRange := tc.shard < 0 || tc.shard >= ring.NumShards(); errors.Is(err, ErrBadRing) != outOfRange {
+					t.Fatalf("refusal %v, ErrBadRing wanted only for an out-of-range shard", err)
+				}
+				return
+			}
+			if err != nil || primary != tc.primary {
+				t.Fatalf("promoted %q (%v), want %q", primary, err, tc.primary)
+			}
+			if next.Epoch() != ring.Epoch()+1 || next.Replicas() != ring.Replicas() || next.NumShards() != ring.NumShards() {
+				t.Fatalf("successor at epoch %d, %d vnodes, %d shards; want epoch %d and the rest unchanged",
+					next.Epoch(), next.Replicas(), next.NumShards(), ring.Epoch()+1)
+			}
+			for i, was := range ring.Shards() {
+				got := next.Shard(i)
+				if i == tc.shard {
+					was.Addr, was.Replicas = tc.primary, tc.replicas
+				}
+				if got.ID != was.ID || got.Addr != was.Addr || !slices.Equal(got.Replicas, was.Replicas) {
+					t.Fatalf("shard %d is %+v after the promotion, want %+v", i, got, was)
+				}
+			}
+			for k := 0; k < 2000; k++ {
+				key := fmt.Sprintf("user-%d", k)
+				if a, b := ring.Owner(key), next.Owner(key); a != b {
+					t.Fatalf("promotion moved %q from shard %d to shard %d", key, a, b)
+				}
+			}
+		})
+	}
+}

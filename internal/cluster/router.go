@@ -61,11 +61,6 @@ type RouterConfig struct {
 	// Retries is how many times a failed shard call is retried before the
 	// typed 503 (default 2, i.e. 3 attempts). Negative disables retries.
 	Retries int
-	// RetryBackoff is the pause between attempts (default 25ms).
-	RetryBackoff time.Duration
-	// ProbeTimeout bounds one shard's /health or /info probe during
-	// aggregation (default 2s).
-	ProbeTimeout time.Duration
 	// Metrics, when set, registers the router's per-shard fan-out, retry,
 	// failure and epoch-mismatch series plus per-route HTTP instrumentation
 	// on the registry, and mounts GET /metrics on the handler.
@@ -92,6 +87,12 @@ type RouterConfig struct {
 	// a shard's primary turns suspected, once per outage episode — the hook
 	// automatic promotion hangs off. It may run until Close returns.
 	OnSuspectPrimary func(shard int, addr string)
+
+	// retryBackoff is the pause between attempts (default 25ms) and
+	// probeTimeout bounds one shard's /health or /info probe during
+	// aggregation (default 2s); only the package's tests shorten them.
+	retryBackoff time.Duration
+	probeTimeout time.Duration
 }
 
 // DefaultMaxReplicaLag is the default staleness bound for read failover, in
@@ -165,11 +166,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if attempts < 1 {
 		attempts = 1
 	}
-	backoff := cfg.RetryBackoff
+	backoff := cfg.retryBackoff
 	if backoff <= 0 {
 		backoff = 25 * time.Millisecond
 	}
-	probe := cfg.ProbeTimeout
+	probe := cfg.probeTimeout
 	if probe <= 0 {
 		probe = 2 * time.Second
 	}
@@ -261,17 +262,14 @@ func (rt *Router) UpdateRing(ring *Ring) error {
 // the router does).
 func (rt *Router) Owner(userKey string) int { return rt.Ring().Owner(userKey) }
 
-// BeginReshard puts the router into the double-ring transition state: writes
+// beginReshard puts the router into the double-ring transition state: writes
 // are routed by the next ring immediately (freezing moving users' histories
 // at their old owners), while reads for the moving users stay on their old
-// owners until FlipUser raises their flip bit. UpdateRing stays refused for
-// shard-count changes; this, paired with CompleteReshard, is the one
-// sanctioned path through a topology change. Only one reshard may be in
-// flight at a time.
-func (rt *Router) BeginReshard(next *Ring, moving map[string]UserMove) error {
-	if next == nil {
-		return fmt.Errorf("%w: reshard needs a next ring", ErrBadRing)
-	}
+// owners until flipUser raises their flip bit. UpdateRing stays refused for
+// shard-count changes; Reshard (migrate.go), which sequences these four
+// steps, is the one sanctioned path through a topology change. Only one
+// reshard may be in flight at a time.
+func (rt *Router) beginReshard(next *Ring, moving map[string]UserMove) error {
 	cur := rt.Ring()
 	if next.Epoch() <= cur.Epoch() {
 		return fmt.Errorf("%w: next ring epoch %d is not newer than the current epoch %d",
@@ -292,10 +290,10 @@ func (rt *Router) BeginReshard(next *Ring, moving map[string]UserMove) error {
 	return nil
 }
 
-// FlipUser cuts one moving user over to its new owner: the coordinator calls
-// it once the user's history has fully landed there. Reads for the user
-// route by the next ring from this point on. Unknown users are a no-op.
-func (rt *Router) FlipUser(user string) {
+// flipUser cuts one moving user over to its new owner, once the user's
+// history has fully landed there. Reads for the user route by the next ring
+// from this point on. Unknown users are a no-op.
+func (rt *Router) flipUser(user string) {
 	rs := rt.reshard.Load()
 	if rs == nil {
 		return
@@ -305,44 +303,26 @@ func (rt *Router) FlipUser(user string) {
 	}
 }
 
-// CompleteReshard publishes the final ring and leaves the transition state.
-// The final ring must match the shape the transition was begun with (same
-// shard count and epoch; addresses and replica lists may differ, e.g. after
-// replicas finished warming).
-func (rt *Router) CompleteReshard(final *Ring) error {
+// completeReshard publishes the ring the transition was begun with and
+// leaves the transition state.
+func (rt *Router) completeReshard() error {
 	rs := rt.reshard.Load()
 	if rs == nil {
 		return fmt.Errorf("%w: no reshard in flight", ErrBadRing)
 	}
-	if final == nil {
-		return fmt.Errorf("%w: reshard needs a final ring", ErrBadRing)
-	}
-	if final.NumShards() != rs.next.NumShards() || final.Epoch() != rs.next.Epoch() {
-		return fmt.Errorf("%w: final ring (epoch %d, %d shards) does not match the transition (epoch %d, %d shards)",
-			ErrBadRing, final.Epoch(), final.NumShards(), rs.next.Epoch(), rs.next.NumShards())
-	}
-	for _, s := range final.Shards() {
-		if s.Addr == "" {
-			return fmt.Errorf("%w: shard %d has no address", ErrBadRing, s.ID)
-		}
-	}
 	rt.rm.cutover(time.Since(rs.began).Seconds())
-	rt.ring.Store(final)
+	rt.ring.Store(rs.next)
 	rt.reshard.Store(nil)
 	return nil
 }
 
-// AbortReshard abandons an in-flight transition and reverts all routing to
+// abortReshard abandons an in-flight transition and reverts all routing to
 // the current ring (writes that already landed at epoch-E+1-only shards are
 // not replayed back; see DESIGN.md §14 for the failure semantics).
-func (rt *Router) AbortReshard() { rt.reshard.Store(nil) }
+func (rt *Router) abortReshard() { rt.reshard.Store(nil) }
 
 // Resharding reports whether a ring transition is in flight.
 func (rt *Router) Resharding() bool { return rt.reshard.Load() != nil }
-
-// DoubleDispatches returns how many reads the router has served from a
-// user's old owner while the user's history was still migrating.
-func (rt *Router) DoubleDispatches() int64 { return rt.doubleDispatches.Load() }
 
 // readTarget resolves the shard that serves a user's reads: outside a
 // reshard, the current ring's owner; during one, the old owner until the

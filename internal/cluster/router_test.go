@@ -86,7 +86,7 @@ func clusterFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Router, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RouterConfig{Ring: ring, Retries: 1, RetryBackoff: 5 * time.Millisecond, ProbeTimeout: 2 * time.Second}
+	cfg := RouterConfig{Ring: ring, Retries: 1, retryBackoff: 5 * time.Millisecond, probeTimeout: 2 * time.Second}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -374,7 +374,7 @@ func TestRouterRefusesHostileBatchAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 1, RetryBackoff: time.Millisecond})
+			rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 1, retryBackoff: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -611,7 +611,7 @@ func TestRouterRetriesTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 2, RetryBackoff: time.Millisecond})
+	rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 2, retryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +704,7 @@ func TestReadFollowsRepointedPrimaryMidRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err = NewRouter(RouterConfig{Ring: ringA, Retries: 1, RetryBackoff: time.Millisecond})
+	rt, err = NewRouter(RouterConfig{Ring: ringA, Retries: 1, retryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

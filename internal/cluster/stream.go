@@ -361,9 +361,9 @@ func readWAL(path string, after, end uint64) ([]serve.IngestEvent, error) {
 	return out, nil
 }
 
-// WALEnd counts the committed records in a write-ahead log — the position of
+// walEnd counts the committed records in a write-ahead log — the position of
 // its last record (0 for a missing file).
-func WALEnd(path string) (uint64, error) {
+func walEnd(path string) (uint64, error) {
 	var end uint64
 	err := ingest.ReplayLog(path, 0, func(seq uint64, _ ingest.Event) error {
 		end = seq

@@ -37,7 +37,7 @@ func TestScenarioClusterKillShardRecovery(t *testing.T) {
 			{Kind: PhaseTrain},
 			{Kind: PhaseSave},
 			{Kind: PhaseIngestChurn, Events: 180, EventBatch: 30, Concurrency: 4},
-			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8, KillShardMid: &target, KillDelayMs: 150},
+			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8, KillShardMid: &target, MidLoadDelayMs: 150},
 			{Kind: PhaseRestartShard, Shard: drilled},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8},
 		},
@@ -114,7 +114,7 @@ func TestScenarioKillPrimaryMidLoad(t *testing.T) {
 			{Kind: PhaseTrain},
 			{Kind: PhaseIngestChurn, Events: 180, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8,
-				KillShardMid: &target, KillDelayMs: 150, MaxReplicaLagEvents: &noLag},
+				KillShardMid: &target, MidLoadDelayMs: 150, MaxReplicaLagEvents: &noLag},
 			{Kind: PhasePromoteReplica, Shard: drilled},
 			{Kind: PhaseRejoinReplica, Shard: drilled},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8, MaxReplicaLagEvents: &noLag},
@@ -207,8 +207,8 @@ func TestScenarioAutoFailoverKillPrimaryMidLoad(t *testing.T) {
 			{Kind: PhaseTrain},
 			{Kind: PhaseIngestChurn, Events: 180, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8,
-				KillShardMid: &target, KillDelayMs: 150},
-			{Kind: PhaseAwaitPromotion, Shard: drilled, PromotionWindowMs: 10_000},
+				KillShardMid: &target, MidLoadDelayMs: 150},
+			{Kind: PhaseAwaitPromotion, Shard: drilled},
 			{Kind: PhaseRejoinReplica, Shard: drilled},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8, MaxReplicaLagEvents: &noLag},
 		},
@@ -286,14 +286,14 @@ func TestScenarioReshardGrowWhileReplicated(t *testing.T) {
 			{Kind: PhaseTrain},
 			{Kind: PhaseIngestChurn, Events: 180, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8,
-				ReshardMid: &grown, Shard: drilled, ReshardDelayMs: 100},
+				ReshardMid: &grown, Shard: drilled, MidLoadDelayMs: 100},
 			{Kind: PhaseIngestChurn, Events: 120, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseShardParity, Shard: drilled},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8, MaxReplicaLagEvents: &noLag},
 			{Kind: PhaseKillShard, Shard: drilled},
 			{Kind: PhasePromoteReplica, Shard: drilled},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8,
-				ReshardMid: &shrunk, Shard: drilled, ReshardDelayMs: 100, MaxReplicaLagEvents: &noLag},
+				ReshardMid: &shrunk, Shard: drilled, MidLoadDelayMs: 100, MaxReplicaLagEvents: &noLag},
 			{Kind: PhaseIngestChurn, Events: 60, EventBatch: 30, Concurrency: 4},
 		},
 	}
@@ -389,7 +389,7 @@ func TestScenarioReshardGrowMidLoad(t *testing.T) {
 			{Kind: PhaseTrain},
 			{Kind: PhaseIngestChurn, Events: 180, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8,
-				ReshardMid: &grown, Shard: drilled, ReshardDelayMs: 100},
+				ReshardMid: &grown, Shard: drilled, MidLoadDelayMs: 100},
 			{Kind: PhaseIngestChurn, Events: 120, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseShardParity, Shard: drilled},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8},
@@ -461,7 +461,7 @@ func TestScenarioReshardShrinkMidLoad(t *testing.T) {
 			{Kind: PhaseTrain},
 			{Kind: PhaseIngestChurn, Events: 180, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8,
-				ReshardMid: &shrunk, Shard: drilled, ReshardDelayMs: 100},
+				ReshardMid: &shrunk, Shard: drilled, MidLoadDelayMs: 100},
 			{Kind: PhaseIngestChurn, Events: 120, EventBatch: 30, Concurrency: 4},
 			{Kind: PhaseShardParity, Shard: drilled},
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8},

@@ -8,31 +8,18 @@ import (
 	"strings"
 	"sync"
 
+	"ganc/internal/cluster"
 	"ganc/internal/dataset"
 	"ganc/internal/simulate"
 )
 
-// Cluster scenario binding: the multi-node counterpart of
-// NewScenarioSystem. A clusterSystem drives the real NewCluster assembly —
-// router, shard servers, per-shard write-ahead logs and checkpoints —
-// through the scenario runner's ShardedSystem interface, so cluster
-// lifecycles (kill one shard mid-load, restart from snapshot + WAL, compare
-// the recovered shard against a single-node shadow) are expressed as the
-// same phase lists single-node scenarios use.
-
-// ShardedScenarioSystem is the multi-node scenario-system abstraction
-// re-exported from internal/simulate.
-type ShardedScenarioSystem = simulate.ShardedSystem
-
-// ReplicatedScenarioSystem is the replication-aware scenario-system
-// abstraction re-exported from internal/simulate: a sharded system whose
-// shards carry warm replicas, with promotion and rejoin choreography.
-type ReplicatedScenarioSystem = simulate.ReplicatedSystem
-
-// ReshardableScenarioSystem is the elastic scenario-system abstraction
-// re-exported from internal/simulate: a sharded system whose ring can grow
-// or shrink mid-load with a live migration.
-type ReshardableScenarioSystem = simulate.ReshardableSystem
+// Cluster scenario binding: the multi-node counterpart of pipelineSystem. A
+// clusterSystem drives the real NewCluster assembly — router, shard nodes,
+// per-shard write-ahead logs and checkpoints, warm replicas — through the
+// scenario runner's ClusterSystem interface, so cluster lifecycles (kill one
+// shard mid-load, restart from snapshot + WAL, promote a replica, reshard,
+// compare the drilled shard against a single-node shadow) are expressed as
+// the same phase lists single-node scenarios use.
 
 // Cluster scenario phase kinds, re-exported for scenario literals.
 const (
@@ -44,29 +31,20 @@ const (
 	PhaseShardParity    = simulate.PhaseShardParity
 )
 
-// NewClusterScenarioSystem binds the NewCluster assembly to the scenario
-// runner: a sharded primary with `shards` shard servers and `replicas` warm
-// replicas behind each (0 = unreplicated; > 0 enables the promotion and
-// rejoin phases and the router's read failover during mid-load kills), whose
-// durable files (shard snapshots, write-ahead logs) live in dir,
-// checkpointing every checkpointEvery ingested events per shard. Extra
-// cluster options (WithWriteQuorum, WithAutoFailover, WithFailureDetection)
-// are appended after the scenario's own, so hands-off failover drills can
-// shape the cluster without a new constructor per knob.
-func NewClusterScenarioSystem(cfg SimSystemConfig, shards, replicas int, dir string, checkpointEvery int, extra ...ClusterOption) ReplicatedScenarioSystem {
-	return &clusterSystem{cfg: cfg.withDefaults(), shards: shards, replicas: replicas, dir: dir, checkpointEvery: checkpointEvery, extra: extra}
-}
-
 // RunClusterScenario executes a scenario against a sharded primary with a
 // single-node shadow: the cluster serves through its scatter-gather router,
 // the shadow absorbs exactly the events routed to the scenario's drilled
 // shard, and restart-shard, promote-replica and await-promotion phases
 // assert the recovered shard's owned-user output is byte-identical to the
-// shadow's. With replicas > 0, kill-primary drills keep serving through read
-// failover and a promotion re-points the shard at its freshest replica under
-// a bumped epoch. The cluster lives exactly as long as the run.
+// shadow's. The cluster has `shards` shards with `replicas` warm replicas
+// behind each (0 = unreplicated; > 0 enables the promotion and rejoin phases
+// and the router's read failover during mid-load kills), keeps its durable
+// files in dir and checkpoints every sc.CheckpointEvery ingested events per
+// shard. Extra cluster options (WithWriteQuorum, WithAutoFailover,
+// WithFailureDetection) are appended after the scenario's own. The cluster
+// lives exactly as long as the run.
 func RunClusterScenario(ctx context.Context, sc Scenario, dir string, cfg SimSystemConfig, shards, replicas int, extra ...ClusterOption) (*ScenarioResult, error) {
-	primary := NewClusterScenarioSystem(cfg, shards, replicas, dir, sc.CheckpointEvery, extra...).(*clusterSystem)
+	primary := &clusterSystem{cfg: cfg.withDefaults(), shards: shards, replicas: replicas, dir: dir, checkpointEvery: sc.CheckpointEvery, extra: extra}
 	defer func() {
 		if primary.cluster != nil {
 			_ = primary.cluster.Close() // teardown of a finished run: its result is already decided
@@ -74,14 +52,13 @@ func RunClusterScenario(ctx context.Context, sc Scenario, dir string, cfg SimSys
 	}()
 	r := &simulate.Runner{
 		NewSystem: func() simulate.System { return primary },
-		NewShadow: func() simulate.System { return NewScenarioSystem(cfg) },
+		NewShadow: func() simulate.System { return &pipelineSystem{cfg: cfg.withDefaults()} },
 		Dir:       dir,
 	}
 	return r.Run(ctx, sc)
 }
 
-// clusterSystem implements simulate.ShardedSystem (and, with replicas > 0,
-// simulate.ReplicatedSystem) over the facade Cluster.
+// clusterSystem implements simulate.ClusterSystem over the facade Cluster.
 type clusterSystem struct {
 	cfg             SimSystemConfig
 	shards          int
@@ -93,8 +70,7 @@ type clusterSystem struct {
 
 	cluster *Cluster
 
-	// ringMu guards rings, the OwnerAt cache of throwaway rings by shard
-	// count.
+	// ringMu guards rings, the OwnerAt cache of rings by shard count.
 	ringMu sync.Mutex
 	rings  map[int]*Ring
 }
@@ -263,7 +239,7 @@ func (s *clusterSystem) Fingerprint(ctx context.Context) ([]byte, error) {
 	return []byte(strings.Join(lines, "\n")), nil
 }
 
-// NumShards implements simulate.ShardedSystem.
+// NumShards implements simulate.ClusterSystem.
 func (s *clusterSystem) NumShards() int {
 	if s.cluster == nil {
 		return s.shards
@@ -271,19 +247,19 @@ func (s *clusterSystem) NumShards() int {
 	return s.cluster.NumShards()
 }
 
-// ShardOwner implements simulate.ShardedSystem.
+// ShardOwner implements simulate.ClusterSystem.
 func (s *clusterSystem) ShardOwner(userKey string) int { return s.cluster.OwnerShard(userKey) }
 
-// KillShard implements simulate.ShardedSystem.
+// KillShard implements simulate.ClusterSystem.
 func (s *clusterSystem) KillShard(shard int) error { return s.cluster.KillShard(shard) }
 
-// RestartShard implements simulate.ShardedSystem.
+// RestartShard implements simulate.ClusterSystem.
 func (s *clusterSystem) RestartShard(shard int) (int, error) { return s.cluster.RestartShard(shard) }
 
-// NumReplicas implements simulate.ReplicatedSystem.
+// NumReplicas implements simulate.ClusterSystem.
 func (s *clusterSystem) NumReplicas() int { return s.replicas }
 
-// PromoteReplica implements simulate.ReplicatedSystem: promote the freshest
+// PromoteReplica implements simulate.ClusterSystem: promote the freshest
 // live replica of the (killed) shard to primary under a bumped ring epoch.
 func (s *clusterSystem) PromoteReplica(shard int) (uint64, error) {
 	if s.cluster == nil {
@@ -292,7 +268,7 @@ func (s *clusterSystem) PromoteReplica(shard int) (uint64, error) {
 	return s.cluster.Promote(shard)
 }
 
-// RejoinAsReplica implements simulate.ReplicatedSystem: boot the shard's
+// RejoinAsReplica implements simulate.ClusterSystem: boot the shard's
 // dead ex-primary as a replica of the promoted primary.
 func (s *clusterSystem) RejoinAsReplica(shard int) (int, error) {
 	if s.cluster == nil {
@@ -301,7 +277,7 @@ func (s *clusterSystem) RejoinAsReplica(shard int) (int, error) {
 	return s.cluster.RejoinAsReplica(shard)
 }
 
-// Epoch implements simulate.EpochReporter: the cluster's current ring epoch,
+// Epoch implements simulate.ClusterSystem: the cluster's current ring epoch,
 // so await-promotion phases can observe a detector-triggered promotion.
 func (s *clusterSystem) Epoch() uint64 {
 	if s.cluster == nil {
@@ -310,7 +286,7 @@ func (s *clusterSystem) Epoch() uint64 {
 	return s.cluster.Epoch()
 }
 
-// ReplicaLag implements simulate.ReplicatedSystem.
+// ReplicaLag implements simulate.ClusterSystem.
 func (s *clusterSystem) ReplicaLag(shard int) uint64 {
 	if s.cluster == nil {
 		return 0
@@ -318,7 +294,7 @@ func (s *clusterSystem) ReplicaLag(shard int) uint64 {
 	return s.cluster.ReplicaLag(shard)
 }
 
-// Reshard implements simulate.ReshardableSystem: grow or shrink the live
+// Reshard implements simulate.ClusterSystem: grow or shrink the live
 // cluster to target shards with a staged migration and cutover.
 func (s *clusterSystem) Reshard(target int) (*ReshardStats, error) {
 	if s.cluster == nil {
@@ -327,38 +303,29 @@ func (s *clusterSystem) Reshard(target int) (*ReshardStats, error) {
 	return s.cluster.Reshard(target)
 }
 
-// OwnerAt implements simulate.ReshardableSystem: the shard that owns userKey
-// in a ring of the given shard count. Ownership is a pure function of the
-// shard-ID set — neither the epoch nor the addresses are hashed — so a
-// throwaway ring over IDs 0..shards-1 answers for any topology, past or
-// future (the ring-delta unit tests in internal/cluster pin this property).
+// OwnerAt implements simulate.ClusterSystem: the shard that owns userKey in
+// a ring of the given shard count. Ownership is a pure function of the
+// shard-ID set — neither the epoch nor the addresses are hashed — so the
+// uniform ring over IDs 0..shards-1 answers for any topology, past or future
+// (the ring-delta unit tests in internal/cluster pin this property).
 func (s *clusterSystem) OwnerAt(userKey string, shards int) int {
-	if shards <= 0 {
-		return -1
-	}
 	s.ringMu.Lock()
+	defer s.ringMu.Unlock()
 	r, ok := s.rings[shards]
 	if !ok {
-		infos := make([]ShardInfo, shards)
-		for i := range infos {
-			infos[i] = ShardInfo{ID: i, Addr: fmt.Sprintf("owner-at:%d", i)}
-		}
-		ring, err := NewRing(1, infos)
-		if err != nil {
-			s.ringMu.Unlock()
+		var err error
+		if r, err = cluster.NewUniformRing(1, shards); err != nil {
 			return -1
 		}
 		if s.rings == nil {
 			s.rings = make(map[int]*Ring)
 		}
-		s.rings[shards] = ring
-		r = ring
+		s.rings[shards] = r
 	}
-	s.ringMu.Unlock()
 	return r.Owner(userKey)
 }
 
-// ShardFingerprint implements simulate.ShardedSystem: the shard's current
+// ShardFingerprint implements simulate.ClusterSystem: the shard's current
 // state swept on a throwaway clone, restricted to the users the ring
 // assigns to it. The sweep deliberately covers the whole universe even
 // though only the owned users' lines survive: the OSLG batch sweep evolves

@@ -4,21 +4,23 @@
 // `bash benchmark/run.sh` (BENCHMARK.json); what loadgen prints, and writes
 // with -out, describes the one run it just did.
 //
-// By default it is self-contained: it generates a seeded synthetic universe,
-// trains a pipeline on it, serves it on a loopback listener with streaming
-// ingestion enabled, and drives a closed loop of mixed /recommend,
-// /recommend/batch and /ingest traffic at that server. Against -url it
-// becomes a pure driver for an externally running server — the universe flags
-// must then match the dataset the target was trained on, because request user
-// keys are derived from the generated universe. With -overload the
-// self-hosted server gets admission control and the run must shed gracefully.
+// Every self-hosted run is a list of scenario definitions (internal/simulate's
+// phase vocabulary, the same one the tier-2 TestScenario* suite uses), each
+// run on a fresh system through the scenario runner, which owns the
+// choreography and every assertion. A pure function maps the flags to them:
 //
-// With -cluster N it runs scenario definitions (internal/simulate's phase
-// vocabulary, the same one the tier-2 TestScenario* suite uses) against an
-// N-shard cluster behind the scatter-gather router, each on a fresh cluster:
-//
-//   - always: [train, serve-under-load] — the steady-state run the drills'
-//     numbers are read against;
+//   - by default: [train, serve-under-load] on one node — the Pipeline,
+//     Server and Ingestor assembly gancd's standalone role serves, with the
+//     metrics registry mounted and ingestion enabled when the mix sends
+//     writes;
+//   - -overload: [train, overload] on one node built with admission control
+//     (the cap defaults to a quarter of -concurrency, so offered load exceeds
+//     capacity by construction) — shedding with typed 429s, zero 5xx and a
+//     bounded served p99 are required;
+//   - -cluster N: [train, serve-under-load] on an N-shard cluster behind the
+//     scatter-gather router — the steady-state run the drills' numbers are
+//     read against; each drill flag below adds one scenario on a fresh
+//     cluster;
 //   - -replicas R (R > 0): [train, serve-under-load{kill shard 0's primary
 //     150ms in, read-only}, promote-replica] — the router's replica failover
 //     must keep the error count at zero, and the promoted replica's owned-user
@@ -33,8 +35,15 @@
 //     and writes}] — zero client-visible errors across the cutover
 //     (DESIGN.md §14).
 //
-// -out writes the run's record as JSON (a BenchReport in plain mode, the
-// scenario results in cluster mode); without it nothing is written.
+// Against -url it is a pure driver for an externally running server — the
+// universe flags must then match the dataset the target was trained on,
+// because request user keys are derived from the generated universe. Only
+// -url runs take -ingest-batch and -request-zipf: scenario phases have no
+// such knob.
+//
+// -out writes the run's record as JSON (the scenario results of a
+// self-hosted run, a BenchReport of a -url run); without it nothing is
+// written.
 //
 // Examples:
 //
@@ -55,7 +64,7 @@
 //	# Elastic reshard drill: grow 2 shards to 3 mid-run, zero errors required.
 //	loadgen -cluster 2 -reshard 3 -users 2000 -items 500 -ratings 40000 -requests 2000
 //
-//	# Overload drill: admission-controlled server, offered load beyond
+//	# Overload drill: admission-controlled node, offered load beyond
 //	# capacity, graceful shedding required (typed 429s, zero 5xx).
 //	loadgen -overload -users 2000 -items 500 -ratings 40000 -requests 4000 -max-concurrent 4
 package main
@@ -65,8 +74,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -107,10 +114,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if o.shards > 0 {
-		return runCluster(o)
+	if o.url != "" {
+		return runURL(o)
 	}
-	return runPlain(o)
+	return runScenarios(o)
 }
 
 // parseFlags maps the command line to options, rejecting flag combinations
@@ -133,15 +140,15 @@ func parseFlags(args []string) (options, error) {
 	mixBatch := fs.Int("mix-batch", 8, "relative weight of POST /recommend/batch traffic")
 	mixIngest := fs.Int("mix-ingest", 2, "relative weight of POST /ingest traffic")
 	batchSize := fs.Int("batch", 20, "users per batch request")
-	ingestBatch := fs.Int("ingest-batch", 20, "plain mode: events per ingest request")
-	reqZipf := fs.Float64("request-zipf", 1.0, "plain mode: request-popularity skew across users")
+	ingestBatch := fs.Int("ingest-batch", 20, "-url runs: events per ingest request")
+	reqZipf := fs.Float64("request-zipf", 1.0, "-url runs: request-popularity skew across users")
 	out := fs.String("out", "", "write the run's record as JSON to this path (default: write nothing)")
-	clusterShards := fs.Int("cluster", 0, "run the load and the requested drills as scenarios against an N-shard cluster (0 = plain single-target mode)")
+	clusterShards := fs.Int("cluster", 0, "run the load and the requested drills as scenarios against an N-shard cluster (0 = one node)")
 	clusterReplicas := fs.Int("replicas", 0, "cluster mode: warm replicas per shard; > 0 adds the mid-run primary-kill failover drill")
 	writeQuorum := fs.Int("write-quorum", 0, "cluster mode: k-of-n quorum writes — every committed batch waits for k replica acks (0 = fire-and-forget)")
 	autoFail := fs.Bool("autofail", false, "cluster mode: hands-off failover drill — kill a primary mid-run with auto-failover armed and require a detector-driven promotion with zero client errors (replaces the manual failover drill)")
 	reshardTo := fs.Int("reshard", 0, "cluster mode: adds the drill that grows the cluster to this shard count mid-run (0 = no drill)")
-	overload := fs.Bool("overload", false, "overload drill: serve with admission control, offer load beyond capacity and require graceful shedding (typed 429s, zero 5xx)")
+	overload := fs.Bool("overload", false, "overload drill: a node with admission control, offered load beyond capacity, graceful shedding required (typed 429s, zero 5xx)")
 	rateLimit := fs.Float64("rate-limit", 0, "overload mode: per-client sustained requests/second (0 = no rate gate)")
 	rateBurst := fs.Float64("rate-burst", 0, "overload mode: per-client burst allowance (0 = max(rate-limit, 1))")
 	maxConcurrent := fs.Int("max-concurrent", 0, "overload mode: concurrency cap inside handlers (0 with no -rate-limit = defaults to concurrency/4, forcing overload)")
@@ -154,8 +161,10 @@ func parseFlags(args []string) (options, error) {
 	switch {
 	case *clusterShards > 0 && *url != "":
 		err = fmt.Errorf("-cluster and -url are mutually exclusive: cluster scenarios self-host their target")
+	case *url != "" && *overload:
+		err = fmt.Errorf("-url and -overload are mutually exclusive: the overload drill is a scenario on a self-hosted node")
 	case *clusterShards > 0 && *overload:
-		err = fmt.Errorf("-cluster and -overload are mutually exclusive (run the overload drill against a single node, or an external router via -url)")
+		err = fmt.Errorf("-cluster and -overload are mutually exclusive: the overload drill is a scenario on a single self-hosted node")
 	case *clusterReplicas > 0 && *clusterShards <= 0:
 		err = fmt.Errorf("-replicas requires -cluster (replicas are a property of the sharded target)")
 	case *reshardTo > 0 && *clusterShards <= 0:
@@ -166,13 +175,13 @@ func parseFlags(args []string) (options, error) {
 		err = fmt.Errorf("-autofail requires -cluster with -replicas >= 1 (the detector needs a replica to promote)")
 	case *writeQuorum > 0 && *writeQuorum > *clusterReplicas:
 		err = fmt.Errorf("-write-quorum %d exceeds -replicas %d", *writeQuorum, *clusterReplicas)
-	case *clusterShards > 0:
+	case *url == "":
 		// Scenario phases carry no knob for these, and a flag that is
 		// accepted but changes nothing makes a number nobody can explain.
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "ingest-batch", "request-zipf":
-				err = fmt.Errorf("-%s is a plain-mode flag: cluster mode runs scenario phases, which have no such knob", f.Name)
+				err = fmt.Errorf("-%s is a -url flag: a self-hosted run is scenario phases, which have no such knob", f.Name)
 			}
 		})
 	}
@@ -212,11 +221,10 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// runPlain generates the universe, resolves (or stands up) the target
-// server, drives the load and, with -out, writes the report. In overload mode
-// the self-hosted server gets admission control and /metrics, and the run
-// fails unless the target shed (429) without any 5xx.
-func runPlain(o options) error {
+// runURL drives the load against the external server at -url and, with
+// -out, writes the report. It fails on any server-side error, and on
+// rejected traffic that says the universe flags do not match the target.
+func runURL(o options) error {
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "generating universe: %d users × %d items, %d ratings ...\n",
 		o.universe.Users, o.universe.Items, o.universe.Ratings)
@@ -229,25 +237,6 @@ func runPlain(o options) error {
 
 	load := o.load
 	load.BaseURL = o.url
-	if o.url == "" {
-		// The self-hosted target always serves the production configuration —
-		// metrics registry mounted, request instrumentation on the hot path —
-		// so the run prices the instrumented serving stack rather than an
-		// idealized bare one.
-		extra := []ganc.ServerOption{ganc.WithMetrics(ganc.NewMetricsRegistry())}
-		if o.overload {
-			extra = append(extra, ganc.WithServerAdmission(o.admit))
-			fmt.Fprintf(os.Stderr, "overload drill: admission rate=%.1f/s burst=%.1f max-concurrent=%d max-wait=%s\n",
-				o.admit.RatePerSec, o.admit.Burst, o.admit.MaxConcurrent, o.admit.MaxWait)
-		}
-		addr, shutdown, err := selfHost(u, o, extra...)
-		if err != nil {
-			return err
-		}
-		defer shutdown()
-		load.BaseURL = "http://" + addr
-	}
-
 	fmt.Fprintf(os.Stderr, "driving %d requests × %d workers against %s ...\n",
 		load.Requests, load.Concurrency, load.BaseURL)
 	res, err := ganc.RunLoad(context.Background(), u, load)
@@ -256,8 +245,8 @@ func runPlain(o options) error {
 	}
 	printSummary(res)
 
-	// The target's /info is authoritative for what was actually measured —
-	// in external mode the local -n/-arec flags describe nothing.
+	// The target's /info is authoritative for what was actually measured:
+	// the local -n/-arec flags describe nothing here.
 	rep := &ganc.BenchReport{
 		Universe: u.Config(),
 		Engine:   res.Model,
@@ -271,10 +260,6 @@ func runPlain(o options) error {
 	if res.Errors > 0 {
 		return fmt.Errorf("%d of %d requests failed server-side", res.Errors, res.Requests)
 	}
-	if o.overload && res.Shed == 0 {
-		return fmt.Errorf("overload drill shed nothing across %d requests: the target admitted everything "+
-			"(tighten -rate-limit/-max-concurrent, or raise -concurrency)", res.Requests)
-	}
 	// Rejected (4xx) traffic means the driver and the target disagree — the
 	// universe flags don't match the served dataset, or /ingest is disabled —
 	// and its fast error responses would silently flatter every latency
@@ -287,49 +272,19 @@ func runPlain(o options) error {
 	return nil
 }
 
-// selfHost trains the pipeline under test on the universe and serves it
-// (with in-memory streaming ingestion) on a loopback listener.
-func selfHost(u *ganc.Universe, o options, extra ...ganc.ServerOption) (addr string, shutdown func(), err error) {
-	start := time.Now()
-	fmt.Fprintf(os.Stderr, "training %s pipeline ...\n", o.arec)
-	p, err := ganc.NewPipeline(u.Train(),
-		ganc.WithBaseNamed(o.arec),
-		ganc.WithPreferences(ganc.ParsePreferenceModel(o.theta)),
-		ganc.WithTopN(o.topN))
-	if err != nil {
-		return "", nil, err
-	}
-	fmt.Fprintf(os.Stderr, "trained %s in %.1fs\n", p.Name(), time.Since(start).Seconds())
-	if o.cache > 0 {
-		extra = append(extra, ganc.WithServerCacheCapacity(o.cache))
-	}
-	srv, err := ganc.NewServer(u.Train(), p, o.topN, extra...)
-	if err != nil {
-		return "", nil, err
-	}
-	if _, err := ganc.NewIngestor(srv, p); err != nil {
-		return "", nil, fmt.Errorf("enabling ingestion: %w", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	fmt.Fprintf(os.Stderr, "serving %s on %s\n", p.Name(), ln.Addr())
-	return ln.Addr().String(), func() { hs.Close() }, nil
-}
-
-// clusterScenarios maps the cluster flags to the scenarios a run executes:
-// the steady-state load, then one scenario per requested drill. Every drill
-// is a serve-under-load phase with a mid-load event 150ms in; the scenario
-// runner owns the choreography and the assertions (zero client-visible
-// errors, the epoch bump, shadow parity after a promotion) — see the package
-// comment for the phase lists.
-func clusterScenarios(o options) []ganc.Scenario {
+// scenarios maps the flags to the scenarios a self-hosted run executes: the
+// steady-state load or the overload drill on one node, or — with -cluster —
+// the steady-state load and then one scenario per requested drill. Every
+// cluster drill is a serve-under-load phase with a mid-load event 150ms in;
+// the scenario runner owns the choreography and the assertions (zero
+// client-visible errors, the epoch bump, shadow parity after a promotion,
+// shedding under overload) — see the package comment for the phase lists.
+func scenarios(o options) []ganc.Scenario {
 	const midLoadMs = 150
 	scenario := func(name string, load ganc.ScenarioPhase, after ...ganc.ScenarioPhase) ganc.Scenario {
-		load.Kind = ganc.PhaseServeUnderLoad
+		if load.Kind == "" {
+			load.Kind = ganc.PhaseServeUnderLoad
+		}
 		load.Requests, load.Concurrency, load.BatchSize = o.load.Requests, o.load.Concurrency, o.load.BatchSize
 		if load.Mix == (ganc.LoadMix{}) {
 			load.Mix = o.load.Mix
@@ -342,6 +297,9 @@ func clusterScenarios(o options) []ganc.Scenario {
 			Phases:   append([]ganc.ScenarioPhase{{Kind: ganc.PhaseTrain}, load}, after...),
 		}
 	}
+	if o.overload {
+		return []ganc.Scenario{scenario("overload", ganc.ScenarioPhase{Kind: ganc.PhaseOverload})}
+	}
 	scs := []ganc.Scenario{scenario("load", ganc.ScenarioPhase{})}
 	if o.replicas > 0 {
 		// Writes cannot fail over (the shard's write-ahead log dies with its
@@ -349,7 +307,7 @@ func clusterScenarios(o options) []ganc.Scenario {
 		readOnly := o.load.Mix
 		readOnly.Ingest = 0
 		killed := 0
-		kill := ganc.ScenarioPhase{Mix: readOnly, KillShardMid: &killed, KillDelayMs: midLoadMs}
+		kill := ganc.ScenarioPhase{Mix: readOnly, KillShardMid: &killed, MidLoadDelayMs: midLoadMs}
 		name, promote := "failover", ganc.PhasePromoteReplica
 		if o.autoFail {
 			// The hands-off drill replaces the manual one: the armed detector
@@ -365,20 +323,32 @@ func clusterScenarios(o options) []ganc.Scenario {
 		mixed := o.load.Mix
 		mixed.Ingest = max(mixed.Ingest, 2)
 		target := o.reshardTo
-		scs = append(scs, scenario("reshard", ganc.ScenarioPhase{Mix: mixed, ReshardMid: &target, ReshardDelayMs: midLoadMs}))
+		scs = append(scs, scenario("reshard", ganc.ScenarioPhase{Mix: mixed, ReshardMid: &target, MidLoadDelayMs: midLoadMs}))
 	}
 	return scs
 }
 
-// runCluster executes the flag-selected scenarios, each against a fresh
-// cluster, prints what each phase recorded and, with -out, writes the
-// scenario results. The first failed assertion ends the run.
-func runCluster(o options) error {
+// runScenarios executes the flag-selected scenarios, each against a fresh
+// node or cluster, prints what each phase recorded and, with -out, writes
+// the scenario results. The first failed assertion ends the run.
+func runScenarios(o options) error {
 	sys := ganc.SimSystemConfig{
 		Base:          o.arec,
 		Theta:         ganc.ParsePreferenceModel(o.theta),
 		CacheCapacity: o.cache,
 		Seed:          o.load.Seed,
+	}
+	if o.shards == 0 {
+		// A node serves the production configuration — metrics registry
+		// mounted, request instrumentation on the hot path — so the run
+		// prices the instrumented serving stack rather than an idealized
+		// bare one.
+		sys.Metrics = true
+		if o.overload {
+			sys.Admission = o.admit
+			fmt.Fprintf(os.Stderr, "overload drill: admission rate=%.1f/s burst=%.1f max-concurrent=%d max-wait=%s\n",
+				o.admit.RatePerSec, o.admit.Burst, o.admit.MaxConcurrent, o.admit.MaxWait)
+		}
 	}
 	var copts []ganc.ClusterOption
 	if o.writeQuorum > 0 {
@@ -389,11 +359,15 @@ func runCluster(o options) error {
 		// sampling, 3 consecutive misses → suspicion after ~150ms.
 		copts = append(copts, ganc.WithAutoFailover(), ganc.WithFailureDetection(50*time.Millisecond, 3))
 	}
+	target := "one node"
+	if o.shards > 0 {
+		target = fmt.Sprintf("%d shards × %d replicas", o.shards, o.replicas)
+	}
 	var results []*ganc.ScenarioResult
 	var runErr error
-	for _, sc := range clusterScenarios(o) {
-		fmt.Fprintf(os.Stderr, "scenario %q: %d shards × %d replicas, %d requests × %d workers ...\n",
-			sc.Name, o.shards, o.replicas, o.load.Requests, o.load.Concurrency)
+	for _, sc := range scenarios(o) {
+		fmt.Fprintf(os.Stderr, "scenario %q: %s, %d requests × %d workers ...\n",
+			sc.Name, target, o.load.Requests, o.load.Concurrency)
 		res, err := runScenario(sc, sys, o, copts)
 		if res != nil {
 			results = append(results, res)
@@ -407,14 +381,18 @@ func runCluster(o options) error {
 	return errors.Join(runErr, writeOut(o.out, results))
 }
 
-// runScenario runs one scenario on a fresh cluster whose durable files live
-// in a temporary directory for the length of the run.
+// runScenario runs one scenario on a fresh node (RunScenario) or cluster
+// (RunClusterScenario) whose durable files live in a temporary directory for
+// the length of the run.
 func runScenario(sc ganc.Scenario, sys ganc.SimSystemConfig, o options, copts []ganc.ClusterOption) (*ganc.ScenarioResult, error) {
 	dir, err := os.MkdirTemp("", "loadgen-"+sc.Name+"-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
+	if o.shards == 0 {
+		return ganc.RunScenario(context.Background(), sc, dir, sys)
+	}
 	return ganc.RunClusterScenario(context.Background(), sc, dir, sys, o.shards, o.replicas, copts...)
 }
 

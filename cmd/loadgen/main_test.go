@@ -24,19 +24,24 @@ type phaseShape struct {
 func shapeOf(p ganc.ScenarioPhase) phaseShape {
 	s := phaseShape{kind: string(p.Kind), kill: -1, ingest: p.Mix.Ingest, shard: p.Shard}
 	if p.KillShardMid != nil {
-		s.kill, s.delayMs = *p.KillShardMid, p.KillDelayMs
+		s.kill = *p.KillShardMid
 	}
 	if p.ReshardMid != nil {
-		s.reshard, s.delayMs = *p.ReshardMid, p.ReshardDelayMs
+		s.reshard = *p.ReshardMid
+	}
+	if p.KillShardMid != nil || p.ReshardMid != nil {
+		s.delayMs = p.MidLoadDelayMs
 	}
 	return s
 }
 
-// TestClusterScenarios pins the flag → scenario mapping: which scenarios a
-// flag set selects, in which order, and the phase list and knobs of each.
+// TestClusterScenarios pins the flag → scenario mapping of every self-hosted
+// run, one node or a cluster: which scenarios a flag set selects, in which
+// order, and the phase list and knobs of each.
 func TestClusterScenarios(t *testing.T) {
 	train := phaseShape{kind: "train", kill: -1}
 	load := phaseShape{kind: "serve-under-load", kill: -1, ingest: 2}
+	overload := phaseShape{kind: "overload", kill: -1, ingest: 2}
 	kill := phaseShape{kind: "serve-under-load", kill: 0, delayMs: 150}
 	steady := []phaseShape{train, load}
 	failover := []phaseShape{train, kill, {kind: "promote-replica", kill: -1}}
@@ -52,6 +57,8 @@ func TestClusterScenarios(t *testing.T) {
 		args string
 		want []want
 	}{
+		{"", []want{{"load", steady}}},
+		{"-overload", []want{{"overload", []phaseShape{train, overload}}}},
 		{"-cluster 3", []want{{"load", steady}}},
 		{"-cluster 3 -replicas 1", []want{{"load", steady}, {"failover", failover}}},
 		{"-cluster 2 -replicas 2 -write-quorum 2 -autofail", []want{{"load", steady}, {"auto-failover", autoFailover}}},
@@ -62,7 +69,10 @@ func TestClusterScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.args, err)
 		}
-		scs := clusterScenarios(o)
+		if a := o.admit; tc.args == "-overload" && (a.MaxConcurrent != 1 || a.RatePerSec != 0 || a.MaxWait != 0) {
+			t.Fatalf("-overload at -concurrency 3 admits with %+v, want the default cap of a quarter of the workers, floored at 1", o.admit)
+		}
+		scs := scenarios(o)
 		if len(scs) != len(tc.want) {
 			t.Fatalf("%s: %d scenarios, want %d", tc.args, len(scs), len(tc.want))
 		}
@@ -78,7 +88,7 @@ func TestClusterScenarios(t *testing.T) {
 				if got := shapeOf(p); got != w.phases[i] {
 					t.Fatalf("%s: scenario %q phase %d = %+v, want %+v", tc.args, sc.Name, i, got, w.phases[i])
 				}
-				if p.Kind == ganc.PhaseServeUnderLoad && (p.Requests != 77 || p.Concurrency != 3 || p.BatchSize != 5 || p.Mix.Recommend != 90 || p.Mix.Batch != 8) {
+				if (p.Kind == ganc.PhaseServeUnderLoad || p.Kind == ganc.PhaseOverload) && (p.Requests != 77 || p.Concurrency != 3 || p.BatchSize != 5 || p.Mix.Recommend != 90 || p.Mix.Batch != 8) {
 					t.Fatalf("%s: scenario %q load phase lost the load flags: %+v", tc.args, sc.Name, p)
 				}
 			}
@@ -90,7 +100,7 @@ func TestClusterScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scs := clusterScenarios(o)
+	scs := scenarios(o)
 	if got := scs[0].Phases[1].Mix.Ingest; got != 0 {
 		t.Fatalf("steady-state load ingest weight %d, want the configured 0", got)
 	}
@@ -100,7 +110,8 @@ func TestClusterScenarios(t *testing.T) {
 }
 
 // TestRejectedFlagCombinations pins every combination run refuses, by the
-// flag the error names.
+// flag the error names — among them the -url-only knobs on a self-hosted
+// run, one node or a cluster.
 func TestRejectedFlagCombinations(t *testing.T) {
 	for args, want := range map[string]string{
 		"-cluster 2 -url http://x":                         "-url",
@@ -110,13 +121,20 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-cluster 3 -reshard 3":                            "-reshard must exceed -cluster",
 		"-cluster 2 -autofail":                             "-autofail requires",
 		"-cluster 2 -replicas 1 -write-quorum 2":           "-write-quorum 2 exceeds -replicas 1",
-		"-cluster 2 -ingest-batch 5":                       "-ingest-batch is a plain-mode flag",
-		"-cluster 2 -request-zipf 1.2":                     "-request-zipf is a plain-mode flag",
+		"-url http://x -overload":                          "-overload",
+		"-cluster 2 -ingest-batch 5":                       "-ingest-batch is a -url flag",
+		"-cluster 2 -request-zipf 1.2":                     "-request-zipf is a -url flag",
+		"-ingest-batch 5":                                  "-ingest-batch is a -url flag",
+		"-request-zipf 1.2":                                "-request-zipf is a -url flag",
+		"-overload -ingest-batch 5":                        "-ingest-batch is a -url flag",
 		"-cluster 2 -replicas 1 -write-quorum 2 -autofail": "-write-quorum 2 exceeds -replicas 1",
 	} {
 		if err := run(strings.Fields(args)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("loadgen %s: error %v, want one naming %q", args, err, want)
 		}
+	}
+	if _, err := parseFlags(strings.Fields("-url http://x -ingest-batch 5 -request-zipf 1.2")); err != nil {
+		t.Errorf("a -url run refused its own knobs: %v", err)
 	}
 }
 
@@ -163,5 +181,46 @@ func TestClusterDrillsEndToEnd(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Fatalf("a run without -out wrote %d files into its working directory", len(left))
+	}
+}
+
+// TestNodeScenariosEndToEnd runs the single-node steady load and the
+// overload drill on the tiny universe through the real node assembly: the
+// steady run's ingest traffic is served (the runner enables ingestion for a
+// mix that writes), nothing is rejected or fails, and the overload drill
+// sheds under a concurrency cap with typed 429s (a cap of 1 and writes in
+// the mix make handlers overlap even on one CPU).
+func TestNodeScenariosEndToEnd(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "node.json")
+	if err := run(strings.Fields("-users 60 -items 40 -ratings 900 -requests 400 -concurrency 4 -mix-ingest 10 -out " + out)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []ganc.ScenarioResult
+	if err := json.Unmarshal(data, &results); err != nil || len(results) != 1 || len(results[0].Phases) != 2 {
+		t.Fatalf("-out recorded %s (%v), want the one steady-load scenario", data, err)
+	}
+	load := results[0].Phases[1].Load
+	if load == nil || load.Requests != 400 || load.Errors != 0 || load.Rejected != 0 || load.Endpoints["ingest"].Count == 0 {
+		t.Fatalf("steady load %+v: want 400 requests, ingest traffic served, nothing failed or rejected", load)
+	}
+
+	out = filepath.Join(t.TempDir(), "overload.json")
+	if err := run(strings.Fields("-overload -users 60 -items 40 -ratings 900 -requests 400 -concurrency 8 -max-concurrent 1 -mix-ingest 20 -out " + out)); err != nil {
+		t.Fatal(err)
+	}
+	data, err = os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results = nil
+	if err := json.Unmarshal(data, &results); err != nil || len(results) != 1 {
+		t.Fatalf("-out recorded %s (%v), want the one overload scenario", data, err)
+	}
+	if ov := results[0].Phases[1]; ov.Kind != ganc.PhaseOverload || ov.Load.Shed == 0 || ov.Load.Errors != 0 || !ov.MetricsValidated {
+		t.Fatalf("overload drill %+v: want shedding, zero errors and a validated /metrics scrape", ov)
 	}
 }

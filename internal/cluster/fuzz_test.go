@@ -15,79 +15,39 @@ import (
 	"ganc/internal/serve"
 )
 
-// allowedDecodeError reports whether a DecodeRing failure is one of the
-// typed sentinels — the only failures the wire parser may produce.
-func allowedDecodeError(err error) bool {
-	return errors.Is(err, ErrRingMagic) || errors.Is(err, ErrRingVersion) ||
-		errors.Is(err, ErrRingCorrupt) || errors.Is(err, ErrBadRing)
-}
-
-// FuzzRingDecode throws arbitrary bytes at the shard-map wire parser. The
-// contract: never panic, fail only with the typed sentinels, and any map
-// that does parse must route every user key to exactly one in-range shard,
-// deterministically, with ownership surviving a re-encode round trip.
-func FuzzRingDecode(f *testing.F) {
-	good, err := NewRing(3, 16, []ShardInfo{{ID: 0, Addr: "h1:1"}, {ID: 7, Addr: "h2:2"}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Encode())
-	f.Add([]byte(RingMagic))
-	f.Add([]byte("GANCRINGgarbage"))
-	f.Add([]byte{})
-	mutated := good.Encode()
-	mutated[len(mutated)/2] ^= 0x40
-	f.Add(mutated)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeRing(data)
-		if err != nil {
-			if !allowedDecodeError(err) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-		users := []string{"", "alice", string(data), "user-42", "\x00\xff"}
-		for _, u := range users {
-			owner := r.Owner(u)
-			if owner < 0 || owner >= r.NumShards() {
-				t.Fatalf("user %q routed to out-of-range shard %d of %d", u, owner, r.NumShards())
-			}
-			if again := r.Owner(u); again != owner {
-				t.Fatalf("user %q routed to %d then %d", u, owner, again)
-			}
-		}
-		back, err := DecodeRing(r.Encode())
-		if err != nil {
-			t.Fatalf("re-encoded ring does not decode: %v", err)
-		}
-		for _, u := range users {
-			if back.Owner(u) != r.Owner(u) {
-				t.Fatalf("ownership of %q changed across re-encode", u)
-			}
-		}
-	})
-}
-
 // FuzzPeerListRouting feeds hostile peer lists and user keys to the
-// cmd-line parsing and routing pipeline: ParsePeers must fail typed or
-// yield a ring on which every user key routes to exactly one shard, and —
-// with an arbitrary live subset — OwnerAmong lands on a live shard whenever
-// one exists.
+// cmd-line parsing and routing pipeline gancd's router runs: ParsePeerTopology
+// must fail with ErrBadPeers or yield shards whose IDs are their positions
+// and whose addresses — primaries and replicas alike — are all distinct, over
+// which NewRing builds a ring that routes every user key to exactly one
+// shard; with an arbitrary live subset, OwnerAmong lands on a live shard
+// whenever one exists.
 func FuzzPeerListRouting(f *testing.F) {
-	f.Add("h1:8081,h2:8082,h3:8083", "alice", uint8(0b101))
+	f.Add("h1:8081+h1:9081,h2:8082,h3:8083+h3:9083+h3:9084", "alice", uint8(0b101))
 	f.Add("", "u", uint8(0))
-	f.Add(",,,", "u", uint8(1))
-	f.Add("a,a", "u", uint8(3))
-	f.Add(strings.Repeat("x", 300), "u", uint8(7))
+	f.Add(",+,", "u", uint8(1))
+	f.Add("a+b,b", "u", uint8(3))
+	f.Add(strings.Repeat("x", 300)+"+y", "u", uint8(7))
 
 	f.Fuzz(func(t *testing.T, list, user string, liveMask uint8) {
-		shards, err := ParsePeers(list)
+		shards, err := ParsePeerTopology(list)
 		if err != nil {
 			if !errors.Is(err, ErrBadPeers) {
 				t.Fatalf("untyped peer-list error: %v", err)
 			}
 			return
+		}
+		seen := map[string]bool{}
+		for k, s := range shards {
+			if s.ID != k {
+				t.Fatalf("entry %d parsed with shard ID %d", k, s.ID)
+			}
+			for _, addr := range append([]string{s.Addr}, s.Replicas...) {
+				if seen[addr] {
+					t.Fatalf("address %q parsed twice from %q", addr, list)
+				}
+				seen[addr] = true
+			}
 		}
 		r, err := NewRing(1, 0, shards)
 		if err != nil {

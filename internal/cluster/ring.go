@@ -25,13 +25,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"sort"
 	"strings"
 )
 
-// Ring limits guarding against nonsense in corrupt or hostile shard maps.
+// Ring limits guarding against nonsense in hostile peer lists and ring
+// descriptions.
 const (
 	maxShards       = 1 << 10
 	maxReplicas     = 1 << 10
@@ -45,36 +45,14 @@ const (
 // of fair even on unlucky draws.
 const DefaultReplicas = 256
 
-// Sentinel errors for ring construction and wire-format parsing, matchable
+// Sentinel errors for ring construction and peer-list parsing, matchable
 // with errors.Is.
 var (
-	// ErrRingMagic marks bytes that are not a GANC shard map at all.
-	ErrRingMagic = errors.New("cluster: not a GANC shard map (bad magic)")
-	// ErrRingVersion marks a shard map written by an incompatible format
-	// version.
-	ErrRingVersion = errors.New("cluster: unsupported shard-map format version")
-	// ErrRingCorrupt marks a shard map whose structure or checksum does not
-	// hold.
-	ErrRingCorrupt = errors.New("cluster: corrupt shard map")
 	// ErrBadRing marks an invalid ring description (no shards, duplicate
 	// shard IDs, out-of-range replica counts).
 	ErrBadRing = errors.New("cluster: invalid ring")
 	// ErrBadPeers marks a malformed peer list.
 	ErrBadPeers = errors.New("cluster: invalid peer list")
-)
-
-// RingMagic identifies the shard-map wire format. It never changes; the
-// format version after it gates layout evolution.
-const RingMagic = "GANCRING"
-
-// ringFormatVersion is the base wire-format version; ringFormatVersionReplicas
-// extends each shard entry with a replica address list. Encode writes the base
-// version whenever no shard carries replicas — so replica-less shard maps stay
-// byte-identical to those written by older builds — and the replica-aware
-// version otherwise. DecodeRing reads both.
-const (
-	ringFormatVersion         = 1
-	ringFormatVersionReplicas = 2
 )
 
 // ShardInfo describes one shard: its stable identifier (the hashing key) and
@@ -110,8 +88,8 @@ type Ring struct {
 }
 
 // NewRing builds a ring over the given shards. replicas ≤ 0 selects
-// DefaultReplicas. Shard IDs must be unique, non-negative and fit the wire
-// format; the shard order is preserved for index-based lookups.
+// DefaultReplicas. Shard IDs must be unique, non-negative and fit in 32
+// bits; the shard order is preserved for index-based lookups.
 func NewRing(epoch uint64, replicas int, shards []ShardInfo) (*Ring, error) {
 	if replicas <= 0 {
 		replicas = DefaultReplicas
@@ -184,8 +162,8 @@ func NewRing(epoch uint64, replicas int, shards []ShardInfo) (*Ring, error) {
 }
 
 // NewUniformRing builds the standard ring over shards 0..n-1 with empty
-// addresses and DefaultReplicas — the form used to shard-split snapshots,
-// where ownership matters but addresses are not known yet.
+// addresses and DefaultReplicas — the form for questions of ownership alone,
+// which addresses never change.
 func NewUniformRing(epoch uint64, n int) (*Ring, error) {
 	shards := make([]ShardInfo, n)
 	for i := range shards {
@@ -246,16 +224,6 @@ func (r *Ring) Shards() []ShardInfo {
 // Shard returns the descriptor at index i (ring order, not shard ID). The
 // Replicas slice is shared with the ring and must be treated as read-only.
 func (r *Ring) Shard(i int) ShardInfo { return r.shards[i] }
-
-// HasReplicas reports whether any shard carries replica addresses.
-func (r *Ring) HasReplicas() bool {
-	for _, s := range r.shards {
-		if len(s.Replicas) > 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // ownerIndex finds the ring point owning a hash: the first point clockwise
 // from the hash, wrapping at the top.
@@ -319,182 +287,21 @@ func (r *Ring) Promoted(shard int, cursors map[string]uint64) (next *Ring, newPr
 	return next, s.Addr, err
 }
 
-// --- Wire format ---------------------------------------------------------------
-//
-//	offset  size  field
-//	0       8     magic "GANCRING"
-//	8       4     format version (uint32, big endian)
-//	12      8     epoch (uint64)
-//	20      4     replicas (uint32)
-//	24      4     shard count (uint32)
-//	28      …     per shard: 4  shard ID (uint32)
-//	              2  address length (uint16)
-//	              …  address (UTF-8)
-//	              — version 2 only —
-//	              2  replica count (uint16)
-//	              …  per replica: 2 address length (uint16), address (UTF-8)
-//	…       4     CRC-32 (IEEE) of every preceding byte
-
-// Encode serializes the ring's shard map in the wire format documented
-// above, choosing version 1 when no shard carries replica addresses (so the
-// bytes match older builds exactly) and version 2 otherwise.
-func (r *Ring) Encode() []byte {
-	version := uint32(ringFormatVersion)
-	n := 28
-	for _, s := range r.shards {
-		n += 6 + len(s.Addr)
-	}
-	if r.HasReplicas() {
-		version = ringFormatVersionReplicas
-		for _, s := range r.shards {
-			n += 2
-			for _, addr := range s.Replicas {
-				n += 2 + len(addr)
-			}
-		}
-	}
-	buf := make([]byte, 0, n+4)
-	buf = append(buf, RingMagic...)
-	buf = binary.BigEndian.AppendUint32(buf, version)
-	buf = binary.BigEndian.AppendUint64(buf, r.epoch)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(r.replicas))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.shards)))
-	for _, s := range r.shards {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(s.ID))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(s.Addr)))
-		buf = append(buf, s.Addr...)
-		if version == ringFormatVersionReplicas {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(len(s.Replicas)))
-			for _, addr := range s.Replicas {
-				buf = binary.BigEndian.AppendUint16(buf, uint16(len(addr)))
-				buf = append(buf, addr...)
-			}
-		}
-	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-// DecodeRing parses a shard map from the wire format and rebuilds the ring.
-// Malformed input fails with an error wrapping ErrRingMagic, ErrRingVersion,
-// ErrRingCorrupt or ErrBadRing — never a panic — so hostile bytes cannot
-// take a router down.
-func DecodeRing(data []byte) (*Ring, error) {
-	if len(data) < len(RingMagic) {
-		return nil, fmt.Errorf("%w: %d bytes is too short for the magic", ErrRingCorrupt, len(data))
-	}
-	if string(data[:len(RingMagic)]) != RingMagic {
-		return nil, ErrRingMagic
-	}
-	if len(data) < 32 {
-		return nil, fmt.Errorf("%w: %d bytes is too short for the header", ErrRingCorrupt, len(data))
-	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("%w: shard map fails its checksum", ErrRingCorrupt)
-	}
-	version := binary.BigEndian.Uint32(body[8:])
-	if version != ringFormatVersion && version != ringFormatVersionReplicas {
-		return nil, fmt.Errorf("%w: shard map has version %d, this build reads versions %d and %d",
-			ErrRingVersion, version, ringFormatVersion, ringFormatVersionReplicas)
-	}
-	epoch := binary.BigEndian.Uint64(body[12:])
-	replicas := binary.BigEndian.Uint32(body[20:])
-	count := binary.BigEndian.Uint32(body[24:])
-	if replicas == 0 || replicas > maxReplicas {
-		return nil, fmt.Errorf("%w: replica count %d out of range", ErrRingCorrupt, replicas)
-	}
-	if count == 0 || count > maxShards {
-		return nil, fmt.Errorf("%w: shard count %d out of range", ErrRingCorrupt, count)
-	}
-	shards := make([]ShardInfo, 0, count)
-	rest := body[28:]
-	for k := uint32(0); k < count; k++ {
-		if len(rest) < 6 {
-			return nil, fmt.Errorf("%w: shard table truncated at entry %d", ErrRingCorrupt, k)
-		}
-		id := binary.BigEndian.Uint32(rest)
-		addrLen := int(binary.BigEndian.Uint16(rest[4:]))
-		rest = rest[6:]
-		if addrLen > maxAddrLen {
-			return nil, fmt.Errorf("%w: shard %d address length %d out of range", ErrRingCorrupt, id, addrLen)
-		}
-		if len(rest) < addrLen {
-			return nil, fmt.Errorf("%w: shard %d address truncated", ErrRingCorrupt, id)
-		}
-		info := ShardInfo{ID: int(id), Addr: string(rest[:addrLen])}
-		rest = rest[addrLen:]
-		if version == ringFormatVersionReplicas {
-			if len(rest) < 2 {
-				return nil, fmt.Errorf("%w: shard %d replica list truncated", ErrRingCorrupt, id)
-			}
-			repCount := int(binary.BigEndian.Uint16(rest))
-			rest = rest[2:]
-			if repCount > maxReplicaAddrs {
-				return nil, fmt.Errorf("%w: shard %d replica count %d out of range", ErrRingCorrupt, id, repCount)
-			}
-			for rk := 0; rk < repCount; rk++ {
-				if len(rest) < 2 {
-					return nil, fmt.Errorf("%w: shard %d replica %d truncated", ErrRingCorrupt, id, rk)
-				}
-				repLen := int(binary.BigEndian.Uint16(rest))
-				rest = rest[2:]
-				if repLen == 0 || repLen > maxAddrLen {
-					return nil, fmt.Errorf("%w: shard %d replica %d address length %d out of range",
-						ErrRingCorrupt, id, rk, repLen)
-				}
-				if len(rest) < repLen {
-					return nil, fmt.Errorf("%w: shard %d replica %d address truncated", ErrRingCorrupt, id, rk)
-				}
-				info.Replicas = append(info.Replicas, string(rest[:repLen]))
-				rest = rest[repLen:]
-			}
-		}
-		shards = append(shards, info)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after the shard table", ErrRingCorrupt, len(rest))
-	}
-	return NewRing(epoch, int(replicas), shards)
-}
-
-// ParsePeers turns a comma-separated address list ("h1:8081,h2:8082") into
-// shard descriptors with IDs assigned by position — the cmd-line form of a
-// shard map. Empty entries and duplicate addresses fail with ErrBadPeers.
-func ParsePeers(list string) ([]ShardInfo, error) {
-	if strings.TrimSpace(list) == "" {
-		return nil, fmt.Errorf("%w: empty list", ErrBadPeers)
-	}
-	parts := strings.Split(list, ",")
-	shards := make([]ShardInfo, 0, len(parts))
-	seen := make(map[string]struct{}, len(parts))
-	for k, part := range parts {
-		addr := strings.TrimSpace(part)
-		if addr == "" {
-			return nil, fmt.Errorf("%w: entry %d is empty", ErrBadPeers, k)
-		}
-		if len(addr) > maxAddrLen {
-			return nil, fmt.Errorf("%w: entry %d exceeds %d bytes", ErrBadPeers, k, maxAddrLen)
-		}
-		if _, dup := seen[addr]; dup {
-			return nil, fmt.Errorf("%w: duplicate address %q", ErrBadPeers, addr)
-		}
-		seen[addr] = struct{}{}
-		shards = append(shards, ShardInfo{ID: k, Addr: addr})
-	}
-	return shards, nil
-}
-
-// ParsePeerTopology extends ParsePeers with replica addresses: each
-// comma-separated entry is "primary" or "primary+replica1+replica2", e.g.
-// "h1:8081+h1:9081,h2:8082+h2:9082" for a two-shard cluster with one replica
-// each. IDs are assigned by position; empty entries, oversized addresses and
-// duplicate addresses (across primaries and replicas alike) fail with
+// ParsePeerTopology turns a peer list — the cmd-line form of a shard map —
+// into shard descriptors: each comma-separated entry is "primary" or
+// "primary+replica1+replica2", e.g. "h1:8081+h1:9081,h2:8082+h2:9082" for a
+// two-shard cluster with one replica each. IDs are assigned by position;
+// empty entries, oversized addresses, duplicate addresses (across primaries
+// and replicas alike) and more entries than a ring holds fail with
 // ErrBadPeers.
 func ParsePeerTopology(list string) ([]ShardInfo, error) {
 	if strings.TrimSpace(list) == "" {
 		return nil, fmt.Errorf("%w: empty list", ErrBadPeers)
 	}
 	parts := strings.Split(list, ",")
+	if len(parts) > maxShards {
+		return nil, fmt.Errorf("%w: %d entries exceeds the limit of %d shards", ErrBadPeers, len(parts), maxShards)
+	}
 	shards := make([]ShardInfo, 0, len(parts))
 	seen := make(map[string]struct{}, len(parts))
 	take := func(entry int, raw string) (string, error) {

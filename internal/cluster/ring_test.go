@@ -1,12 +1,11 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -113,65 +112,6 @@ func TestOwnerAmongSkipsDeadShards(t *testing.T) {
 	}
 }
 
-// TestRingWireRoundTrip: encode → decode preserves epoch, replicas, shard
-// set and — crucially — ownership.
-func TestRingWireRoundTrip(t *testing.T) {
-	r, err := NewRing(7, 32, []ShardInfo{{ID: 0, Addr: "h1:1"}, {ID: 4, Addr: "h2:2"}, {ID: 9, Addr: ""}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeRing(r.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Epoch() != 7 || back.Replicas() != 32 || back.NumShards() != 3 {
-		t.Fatalf("round-trip lost header: epoch=%d replicas=%d shards=%d", back.Epoch(), back.Replicas(), back.NumShards())
-	}
-	for i, s := range r.Shards() {
-		if got := back.Shard(i); got.ID != s.ID || got.Addr != s.Addr || !slices.Equal(got.Replicas, s.Replicas) {
-			t.Fatalf("shard %d round-tripped as %+v, want %+v", i, got, s)
-		}
-	}
-	for k := 0; k < 2000; k++ {
-		key := fmt.Sprintf("u%d", k)
-		if r.Owner(key) != back.Owner(key) {
-			t.Fatalf("ownership of %q changed across the wire", key)
-		}
-	}
-}
-
-// TestDecodeRingTypedErrors pins the failure taxonomy of the wire parser.
-func TestDecodeRingTypedErrors(t *testing.T) {
-	good := func() []byte { return testRing(t).Encode() }
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
-		{"empty", nil, ErrRingCorrupt},
-		{"bad magic", []byte("NOTARING????????"), ErrRingMagic},
-		{"truncated header", []byte(RingMagic + "xx"), ErrRingCorrupt},
-		{"bit flip", func() []byte { d := good(); d[len(d)/2] ^= 0xff; return d }(), ErrRingCorrupt},
-		{"truncated tail", func() []byte { d := good(); return d[:len(d)-6] }(), ErrRingCorrupt},
-		{"bad version", func() []byte {
-			d := good()
-			d[11] = 99 // format version low byte
-			// Recompute the checksum so the version check is what fires.
-			return append(d[:len(d)-4], testRingChecksum(d[:len(d)-4])...)
-		}(), ErrRingVersion},
-	}
-	for _, tc := range cases {
-		if _, err := DecodeRing(tc.data); !errors.Is(err, tc.want) {
-			t.Fatalf("%s: got %v, want errors.Is %v", tc.name, err, tc.want)
-		}
-	}
-}
-
-// testRingChecksum recomputes the trailing CRC for a doctored body.
-func testRingChecksum(body []byte) []byte {
-	return binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(body))
-}
-
 // TestNewRingRejectsBadShardSets pins construction validation.
 func TestNewRingRejectsBadShardSets(t *testing.T) {
 	if _, err := NewRing(1, 0, nil); !errors.Is(err, ErrBadRing) {
@@ -188,18 +128,34 @@ func TestNewRingRejectsBadShardSets(t *testing.T) {
 	}
 }
 
-// TestParsePeers pins the peer-list grammar and its typed failures.
-func TestParsePeers(t *testing.T) {
-	shards, err := ParsePeers("h1:8081, h2:8082 ,h3:8083")
-	if err != nil {
-		t.Fatal(err)
+// TestParsePeerTopology pins the peer-list grammar and its typed failures.
+func TestParsePeerTopology(t *testing.T) {
+	for list, want := range map[string][]ShardInfo{
+		"h1:8081, h2:8082 ,h3:8083": {{ID: 0, Addr: "h1:8081"}, {ID: 1, Addr: "h2:8082"}, {ID: 2, Addr: "h3:8083"}},
+		"h1:8081+h1:9081, h2:8082 + h2:9082+h2:9083": {
+			{ID: 0, Addr: "h1:8081", Replicas: []string{"h1:9081"}},
+			{ID: 1, Addr: "h2:8082", Replicas: []string{"h2:9082", "h2:9083"}},
+		},
+	} {
+		shards, err := ParsePeerTopology(list)
+		if err != nil {
+			t.Fatalf("peer list %q: %v", list, err)
+		}
+		if !slices.EqualFunc(shards, want, func(a, b ShardInfo) bool {
+			return a.ID == b.ID && a.Addr == b.Addr && slices.Equal(a.Replicas, b.Replicas)
+		}) {
+			t.Fatalf("peer list %q parsed as %+v, want %+v", list, shards, want)
+		}
 	}
-	if len(shards) != 3 || shards[1].ID != 1 || shards[1].Addr != "h2:8082" || shards[1].Replicas != nil {
-		t.Fatalf("parsed %+v", shards)
+	hosts := make([]string, maxShards+1)
+	for k := range hosts {
+		hosts[k] = fmt.Sprintf("h%d:1", k)
 	}
-	for _, bad := range []string{"", "  ", "h1:1,,h2:2", "h1:1,h1:1"} {
-		if _, err := ParsePeers(bad); !errors.Is(err, ErrBadPeers) {
-			t.Fatalf("peer list %q: got %v, want ErrBadPeers", bad, err)
+	tooMany := strings.Join(hosts, ",")
+	for _, bad := range []string{"", "  ", "h1:1,,h2:2", "h1:1,h1:1", "h1:1+,h2:2", "h1:1+h2:2,h2:2",
+		"h1:1" + strings.Repeat("+r", maxReplicaAddrs+1), strings.Repeat("x", maxAddrLen+1), tooMany} {
+		if _, err := ParsePeerTopology(bad); !errors.Is(err, ErrBadPeers) {
+			t.Fatalf("peer list %.40q: got %v, want ErrBadPeers", bad, err)
 		}
 	}
 }
@@ -241,11 +197,13 @@ func TestRingPromoted(t *testing.T) {
 		{"shard-out-of-range", 3, map[string]uint64{"a": 1}, "", nil},
 		{"negative-shard", -1, map[string]uint64{"a": 1}, "", nil},
 	}
-	before := ring.Encode()
+	before := ring.Shards()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			next, primary, err := ring.Promoted(tc.shard, tc.cursors)
-			if !slices.Equal(ring.Encode(), before) {
+			if ring.Epoch() != 7 || !slices.EqualFunc(ring.Shards(), before, func(a, b ShardInfo) bool {
+				return a.ID == b.ID && a.Addr == b.Addr && slices.Equal(a.Replicas, b.Replicas)
+			}) {
 				t.Fatal("Promoted changed the ring it was called on")
 			}
 			if tc.primary == "" {

@@ -416,7 +416,7 @@ func finish(client *http.Client, req *http.Request, s sample, t0 time.Time) samp
 
 // --- Bench report --------------------------------------------------------------
 
-// BenchReport is the serialized form of one plain-mode load run: the
+// BenchReport is the serialized form of one bare load run (loadgen -url): the
 // universe, the load shape and the measured result together, so the document
 // carries its own context. It is a drill record for a person reading one run;
 // the numbers the repo tracks come from `bash benchmark/run.sh`.
@@ -433,8 +433,8 @@ type BenchReport struct {
 	Result *LoadResult `json:"result"`
 }
 
-// WriteBenchReport writes a run's record — a BenchReport, or the scenario
-// Results of a cluster run — as indented JSON, atomically (the shared
+// WriteBenchReport writes a run's record — a BenchReport, or a scenario
+// run's Results — as indented JSON, atomically (the shared
 // persist.AtomicWrite temp+fsync+rename sequence) so a crashed run never
 // leaves a half-written document.
 func WriteBenchReport(path string, rep interface{}) error {

@@ -8,8 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,20 +59,27 @@ type System interface {
 	Fingerprint(ctx context.Context) ([]byte, error)
 }
 
-// ShardedSystem is the multi-node extension of System: a cluster whose
-// shards can be killed and restarted individually. The facade binds it to
-// the real router/shard-server assembly; scenario phases that name a shard
-// (kill-shard, restart-shard, a mid-load kill) require the primary to
-// implement it.
-type ShardedSystem interface {
+// ClusterSystem is a System that is a sharded cluster: its shards can be
+// killed, restarted, promoted from warm replicas and resharded one at a
+// time. The facade binds it to the real router/shard-node assembly; every
+// phase that names a shard, promotes, rejoins or reshards requires the
+// primary to implement it, and the replica phases additionally require
+// NumReplicas > 0.
+type ClusterSystem interface {
 	System
-	// NumShards returns the cluster's shard count.
+	// NumShards returns the cluster's current shard count.
 	NumShards() int
-	// ShardOwner returns the shard index owning an external user key (the
-	// hash ring's assignment).
+	// ShardOwner returns the shard index owning an external user key in the
+	// current ring.
 	ShardOwner(userKey string) int
-	// KillShard crashes one shard: its listener drops, requests routed to it
-	// fail, durable files survive.
+	// OwnerAt returns the shard that would own userKey in a ring of the given
+	// shard count. Ownership is a pure function of the shard-ID set, so the
+	// post-reshard assignment is computable before the reshard runs — the
+	// runner uses it to feed the shadow the drilled shard's final-topology
+	// event slice from the scenario's first phase on.
+	OwnerAt(userKey string, shards int) int
+	// KillShard crashes one shard's primary: requests routed to it fail (or
+	// fail over to a replica), durable files survive.
 	KillShard(shard int) error
 	// RestartShard restores a killed shard from its snapshot and replays its
 	// write-ahead-log suffix, returning the replayed event count.
@@ -81,15 +88,6 @@ type ShardedSystem interface {
 	// output restricted to the users it owns. Like Fingerprint, it must not
 	// disturb serving state.
 	ShardFingerprint(ctx context.Context, shard int) ([]byte, error)
-}
-
-// ReplicatedSystem is the replication extension of ShardedSystem: a cluster
-// whose shards each carry warm replicas, where a killed primary's freshest
-// replica can be promoted in place (new ring epoch, new serving address for
-// the shard) and the dead ex-primary can rejoin as a catching-up replica.
-// Scenario phases that promote or rejoin require the primary to implement it.
-type ReplicatedSystem interface {
-	ShardedSystem
 	// NumReplicas returns the per-shard replica count (0 = unreplicated).
 	NumReplicas() int
 	// PromoteReplica promotes the freshest live replica of a killed shard to
@@ -102,32 +100,30 @@ type ReplicatedSystem interface {
 	// ReplicaLag returns the shard's widest replica lag in committed events
 	// (0 when the shard has no live primary-side shipper).
 	ReplicaLag(shard int) uint64
-}
-
-// EpochReporter is the optional interface behind the await-promotion phase:
-// a system exposes its current ring epoch so the runner can observe a
-// detector-triggered promotion from the outside — the phase never calls
-// PromoteReplica itself; the system's own failure detector must.
-type EpochReporter interface {
-	// Epoch returns the system's current ring epoch.
+	// Epoch returns the current ring epoch. An await-promotion phase observes
+	// a detector-triggered promotion as a bump of it.
 	Epoch() uint64
-}
-
-// ReshardableSystem is the elastic extension of ShardedSystem: a cluster
-// that can grow or shrink its ring with a live migration while it serves.
-// Scenario phases that reshard mid-load require the primary to implement it.
-type ReshardableSystem interface {
-	ShardedSystem
 	// Reshard grows or shrinks the cluster to target shards with a live
 	// migration and a staged cutover, returning the migration stats.
 	Reshard(target int) (*cluster.ReshardStats, error)
-	// OwnerAt returns the shard that would own userKey in a ring of the
-	// given shard count. Ownership is a pure function of the shard-ID set,
-	// so the post-reshard assignment is computable before the reshard runs —
-	// the runner uses it to feed the shadow the drilled shard's final-
-	// topology event slice from the scenario's first phase on.
-	OwnerAt(userKey string, shards int) int
 }
+
+// Fixed bounds of the drills. Each is generous relative to what a passing
+// run needs, so a loaded CI machine does not flake a drill, while still
+// catching the failure it exists for.
+const (
+	// overloadMaxP99Ms bounds the served-request p99 an overload phase
+	// tolerates: "bounded, not collapsing" — a server that stops answering
+	// admitted requests under overload still fails.
+	overloadMaxP99Ms = 2000
+	// promotionWindow bounds how long an await-promotion phase waits for the
+	// failure detector to promote the killed shard's replica; the point of
+	// the bound is that promotion happens at all without an operator.
+	promotionWindow = 10 * time.Second
+	// defaultMidLoadDelayMs is how far into a load a mid-load kill or
+	// reshard fires when the phase does not say.
+	defaultMidLoadDelayMs = 100
+)
 
 // PhaseKind names a lifecycle phase.
 type PhaseKind string
@@ -162,11 +158,11 @@ const (
 	// assertion is vacuous).
 	PhaseOverload PhaseKind = "overload"
 	// PhaseRestartShard restores a killed shard from its snapshot plus its
-	// write-ahead-log suffix and, when the scenario runs a shadow, asserts
-	// the recovered shard's owned-user fingerprint matches the single-node
-	// shadow byte for byte (the shadow is fed exactly the events the router
-	// delivered to that shard, so an uninterrupted single node is the
-	// ground truth for what the shard must look like after recovery).
+	// write-ahead-log suffix and asserts the recovered shard's owned-user
+	// fingerprint matches the single-node shadow byte for byte (the shadow is
+	// fed exactly the events the router delivered to that shard, so an
+	// uninterrupted single node is the ground truth for what the shard must
+	// look like after recovery).
 	PhaseRestartShard PhaseKind = "restart-shard"
 	// PhasePromoteReplica promotes the freshest live replica of a killed
 	// shard (Phase.Shard) to primary and asserts the same owned-user parity
@@ -180,12 +176,11 @@ const (
 	// zero, proving the demoted node converges on the new history.
 	PhaseRejoinReplica PhaseKind = "rejoin-replica"
 	// PhaseAwaitPromotion is the hands-off form of promote-replica: the
-	// runner never calls PromoteReplica — it waits up to Phase.
-	// PromotionWindowMs for the system's own failure detector to suspect the
-	// killed primary and promote its freshest replica (observed as a ring-
-	// epoch bump through EpochReporter), then asserts the same owned-user
-	// parity contract against the shadow. The primary must implement
-	// EpochReporter and run with automatic failover enabled.
+	// runner never calls PromoteReplica — it waits a fixed window for the
+	// system's own failure detector to suspect the killed primary and promote
+	// its freshest replica (observed as a ring-epoch bump), then asserts the
+	// same owned-user parity contract against the shadow. The primary must
+	// run with automatic failover enabled.
 	PhaseAwaitPromotion PhaseKind = "await-promotion"
 	// PhaseShardParity asserts the drilled shard's owned-user fingerprint is
 	// byte-identical to the uninterrupted single-node shadow restricted to
@@ -200,16 +195,20 @@ const (
 type Phase struct {
 	// Kind selects the behavior.
 	Kind PhaseKind `json:"kind"`
-	// Requests is the serve-under-load request count (default 200).
+	// Requests is the serve-under-load request count (default 200; 400 for
+	// overload).
 	Requests int `json:"requests,omitempty"`
-	// Concurrency is the worker count for serve-under-load and the reader
-	// count for ingest-churn (default 4).
+	// Concurrency is the worker count for serve-under-load (default 4) and
+	// overload (default 16), and the reader count for ingest-churn (default
+	// 4).
 	Concurrency int `json:"concurrency,omitempty"`
 	// Mix composes serve-under-load traffic (default 90% single lookups, 10%
-	// batches). The ingest weight is forced to 0 in scenarios with a
-	// kill-and-recover phase: the shadow system cannot observe the driver's
-	// internally generated events, so they would void the equivalence check —
-	// stream events through ingest-churn phases instead.
+	// batches) and overload traffic (default all single lookups). A mix with
+	// ingest weight makes the runner enable ingestion at train. In a
+	// scenario that runs a shadow, serve-under-load forces the ingest weight
+	// to 0: the shadow cannot observe the driver's internally generated
+	// events, so they would void the parity checks — stream events through
+	// ingest-churn phases instead.
 	Mix LoadMix `json:"mix,omitempty"`
 	// BatchSize is the users per batch request (default 20, from the load
 	// driver's own default).
@@ -218,45 +217,34 @@ type Phase struct {
 	Events int `json:"events,omitempty"`
 	// EventBatch is the events per /ingest POST (default 25).
 	EventBatch int `json:"event_batch,omitempty"`
-	// Shard names the target of kill-shard and restart-shard phases.
+	// Shard names the target of the shard phases (kill, restart, promote,
+	// rejoin, await-promotion, shard-parity) and the shard a mid-load
+	// reshard's shadow mirrors.
 	Shard int `json:"shard,omitempty"`
-	// KillShardMid, on a serve-under-load phase against a sharded primary,
-	// kills that shard KillDelayMs into the load (the mid-load outage
-	// drill). Requests hitting the dead shard fail with the router's typed
-	// 503, so the phase tolerates server-side errors instead of failing on
-	// them; a later restart-shard + serve-under-load pair asserts the
-	// cluster is error-free again.
+	// KillShardMid, on a serve-under-load phase against a cluster primary,
+	// kills that shard MidLoadDelayMs into the load (the mid-load outage
+	// drill). Without replicas (or with writes in the mix) requests hitting
+	// the dead shard fail with the router's typed 503, so the phase
+	// tolerates server-side errors instead of failing on them; a later
+	// restart-shard + serve-under-load pair asserts the cluster is
+	// error-free again.
 	KillShardMid *int `json:"kill_shard_mid,omitempty"`
-	// KillDelayMs is how far into the load the mid-load kill fires
-	// (default 100).
-	KillDelayMs int `json:"kill_delay_ms,omitempty"`
-	// MaxP99Ms bounds the served-request p99 an overload phase tolerates
-	// (default 2000). Generous by design: the assertion is "bounded, not
-	// collapsing", robust to a loaded CI machine, while still catching a
-	// server that stops answering admitted requests under overload.
-	MaxP99Ms float64 `json:"max_p99_ms,omitempty"`
+	// ReshardMid, on a serve-under-load phase against a cluster primary,
+	// grows or shrinks the cluster to this shard count MidLoadDelayMs into
+	// the load (the reshard-mid-load drill). The cutover must be invisible:
+	// any client-visible error fails the phase. Phase.Shard names the shard
+	// whose post-reshard state the shadow mirrors for a later shard-parity
+	// phase. Mutually exclusive with KillShardMid.
+	ReshardMid *int `json:"reshard_mid,omitempty"`
+	// MidLoadDelayMs is how far into the load a KillShardMid or ReshardMid
+	// event fires (default 100).
+	MidLoadDelayMs int `json:"mid_load_delay_ms,omitempty"`
 	// MaxReplicaLagEvents, on a serve-under-load phase against a replicated
 	// primary, asserts that every live shard's widest replica lag drains to
 	// at most this many committed events shortly after the load completes
 	// (nil = no assertion; the shard killed by KillShardMid is exempt — its
 	// shipper died with its primary).
 	MaxReplicaLagEvents *uint64 `json:"max_replica_lag_events,omitempty"`
-	// ReshardMid, on a serve-under-load phase against a reshardable primary,
-	// grows or shrinks the cluster to this shard count ReshardDelayMs into
-	// the load (the reshard-mid-load drill). The cutover must be invisible:
-	// any client-visible error fails the phase. Phase.Shard names the shard
-	// whose post-reshard state the shadow mirrors for a later shard-parity
-	// phase. Mutually exclusive with KillShardMid.
-	ReshardMid *int `json:"reshard_mid,omitempty"`
-	// ReshardDelayMs is how far into the load the mid-load reshard fires
-	// (default 100).
-	ReshardDelayMs int `json:"reshard_delay_ms,omitempty"`
-	// PromotionWindowMs bounds how long an await-promotion phase waits for
-	// the system's failure detector to promote the killed shard's replica
-	// (default 15000). Generous relative to real suspicion windows so a
-	// loaded CI machine does not flake the drill; the point of the bound is
-	// that promotion happens at all without an operator.
-	PromotionWindowMs int `json:"promotion_window_ms,omitempty"`
 }
 
 // Scenario is a full lifecycle expressed as data: a universe, a system
@@ -286,10 +274,11 @@ type Scenario struct {
 	Phases []Phase `json:"phases"`
 }
 
-// has reports whether the scenario contains a phase of the given kind.
-func (sc *Scenario) has(kind PhaseKind) bool {
+// has reports whether the scenario contains a phase of any of the given
+// kinds.
+func (sc *Scenario) has(kinds ...PhaseKind) bool {
 	for _, p := range sc.Phases {
-		if p.Kind == kind {
+		if slices.Contains(kinds, p.Kind) {
 			return true
 		}
 	}
@@ -302,36 +291,29 @@ func (sc *Scenario) has(kind PhaseKind) bool {
 // one shard.
 func (sc *Scenario) shardUnderTest() (int, error) {
 	shard := -1
-	consider := func(s int) error {
-		if shard == -1 {
-			shard = s
-			return nil
-		}
-		if shard != s {
-			return fmt.Errorf("simulate: scenario %q drills both shard %d and shard %d; one scenario may target one shard", sc.Name, shard, s)
-		}
-		return nil
-	}
 	for _, p := range sc.Phases {
+		var s int
 		switch {
-		case p.Kind == PhaseKillShard || p.Kind == PhaseRestartShard ||
-			p.Kind == PhasePromoteReplica || p.Kind == PhaseRejoinReplica ||
-			p.Kind == PhaseAwaitPromotion || p.Kind == PhaseShardParity:
-			if err := consider(p.Shard); err != nil {
-				return -1, err
-			}
 		case p.Kind == PhaseServeUnderLoad && p.KillShardMid != nil:
-			if err := consider(*p.KillShardMid); err != nil {
-				return -1, err
-			}
-		case p.Kind == PhaseServeUnderLoad && p.ReshardMid != nil:
-			if err := consider(p.Shard); err != nil {
-				return -1, err
-			}
+			s = *p.KillShardMid
+		case p.Kind == PhaseServeUnderLoad && p.ReshardMid != nil,
+			slices.Contains([]PhaseKind{PhaseKillShard, PhaseRestartShard, PhasePromoteReplica,
+				PhaseRejoinReplica, PhaseAwaitPromotion, PhaseShardParity}, p.Kind):
+			s = p.Shard
+		default:
+			continue
 		}
+		if shard >= 0 && shard != s {
+			return -1, fmt.Errorf("simulate: scenario %q drills both shard %d and shard %d; one scenario may target one shard", sc.Name, shard, s)
+		}
+		shard = s
 	}
 	return shard, nil
 }
+
+// shardParityPhases are the phases that assert the drilled shard's parity
+// against the shadow.
+var shardParityPhases = []PhaseKind{PhaseRestartShard, PhasePromoteReplica, PhaseAwaitPromotion, PhaseShardParity}
 
 // finalShards returns the shard count the drilled shard's parity is last
 // asserted in: the mid-load reshard target in effect at the scenario's last
@@ -345,8 +327,7 @@ func (sc *Scenario) finalShards() int {
 		switch {
 		case p.Kind == PhaseServeUnderLoad && p.ReshardMid != nil:
 			cur = *p.ReshardMid
-		case p.Kind == PhaseShardParity || p.Kind == PhaseRestartShard ||
-			p.Kind == PhasePromoteReplica || p.Kind == PhaseAwaitPromotion:
+		case slices.Contains(shardParityPhases, p.Kind):
 			final, asserted = cur, true
 		}
 	}
@@ -406,9 +387,8 @@ type Result struct {
 // the working directory for snapshots and write-ahead logs (a test's TempDir).
 type Runner struct {
 	// NewSystem constructs one system under test. It is called once for the
-	// primary and once more for the shadow when the scenario contains a
-	// kill-and-recover or restart-shard phase (unless NewShadow overrides
-	// the shadow's construction).
+	// primary and once more for the shadow when the scenario asserts parity
+	// against one (unless NewShadow overrides the shadow's construction).
 	NewSystem func() System
 	// NewShadow, when set, constructs the shadow reference system instead of
 	// NewSystem. Cluster scenarios use it to compare a sharded primary
@@ -422,21 +402,17 @@ type Runner struct {
 type runState struct {
 	universe *Universe
 	primary  System
-	shadow   System // nil unless the scenario kill-and-recovers or restarts a shard
+	// cluster is the primary's cluster view (nil for single-node runs).
+	cluster  ClusterSystem
+	shadow   System // nil unless the scenario asserts parity against one
 	events   *EventStream
 	snapPath string
 	walPath  string
-	// sharded is the primary's multi-node view (nil for single-node runs);
-	// replicated additionally carries per-shard replicas and promotion (nil
-	// for unreplicated clusters); reshardable additionally carries live ring
-	// grow/shrink (nil for fixed-topology systems); shadowShard is the shard
-	// whose routed events feed the shadow (-1 when the shadow absorbs
-	// everything, the single-node semantics); finalShards is the topology
-	// the drilled shard's parity is last asserted in (0 = the boot topology),
-	// which decides the ownership the shadow's event slice is filtered by.
-	sharded     ShardedSystem
-	replicated  ReplicatedSystem
-	reshardable ReshardableSystem
+	// shadowShard is the shard whose routed events feed the shadow (-1 when
+	// the shadow absorbs everything, the single-node semantics); finalShards
+	// is the topology the drilled shard's parity is last asserted in (0 = the
+	// boot topology), which decides the ownership the shadow's event slice is
+	// filtered by.
 	shadowShard int
 	finalShards int
 	// baseEpoch is the highest ring epoch the runner has accounted for — the
@@ -445,13 +421,13 @@ type runState struct {
 	// await-promotion phase succeeds when the live epoch exceeds it: an
 	// unaccounted bump can only be the detector's own promotion.
 	baseEpoch uint64
-	// epochs is the primary's epoch view, set only in scenarios with an
-	// await-promotion phase; promoted then carries the observation of the
-	// watcher the latest shard kill started (nil before any kill), and
-	// watchers lets Run wait for those goroutines to exit.
-	epochs   EpochReporter
-	promoted <-chan promotion
-	watchers sync.WaitGroup
+	// watchEpochs is set in scenarios with an await-promotion phase: every
+	// shard kill then starts an epoch watcher, promoted carries the
+	// observation of the latest one (nil before any kill), and watchers lets
+	// Run wait for those goroutines to exit.
+	watchEpochs bool
+	promoted    <-chan promotion
+	watchers    sync.WaitGroup
 }
 
 // promotion is what an epoch watcher saw: the bumped ring epoch and how long
@@ -516,16 +492,15 @@ func (r *Runner) Run(ctx context.Context, sc Scenario) (*Result, error) {
 	return res, nil
 }
 
-// runPhase dispatches one phase against the run state.
+// runPhase dispatches one phase against the run state. Train is always the
+// first phase, and it refuses a primary that cannot run the rest, so no
+// phase after it re-checks the primary's shape.
 func (r *Runner) runPhase(ctx context.Context, sc *Scenario, st *runState, p Phase) (PhaseResult, error) {
 	pr := PhaseResult{Kind: p.Kind}
 	switch p.Kind {
 	case PhaseTrain:
 		return pr, r.train(sc, st)
 	case PhaseSave:
-		if st.primary == nil {
-			return pr, fmt.Errorf("save before train")
-		}
 		return pr, st.primary.Save(st.snapPath)
 	case PhaseLoad:
 		return r.load(ctx, st, pr)
@@ -537,126 +512,80 @@ func (r *Runner) runPhase(ctx context.Context, sc *Scenario, st *runState, p Pha
 		return r.ingestChurn(ctx, sc, st, p, pr)
 	case PhaseKillAndRecover:
 		return r.killAndRecover(ctx, st, pr)
+	}
+	pr.Shard = p.Shard
+	switch p.Kind {
 	case PhaseKillShard:
-		pr.Shard = p.Shard
-		ss, err := st.shardedOrErr(p.Kind)
-		if err != nil {
-			return pr, err
-		}
-		return pr, st.killShard(ctx, ss, p.Shard)
+		return pr, st.killShard(ctx, p.Shard)
 	case PhaseRestartShard:
-		pr.Shard = p.Shard
-		return r.restartShard(ctx, st, p, pr)
+		replayed, err := st.cluster.RestartShard(p.Shard)
+		if err != nil {
+			return pr, fmt.Errorf("restart shard %d: %w", p.Shard, err)
+		}
+		pr.Replayed = replayed
 	case PhasePromoteReplica:
-		pr.Shard = p.Shard
-		return r.promoteReplica(ctx, st, p, pr)
-	case PhaseRejoinReplica:
-		pr.Shard = p.Shard
-		return r.rejoinReplica(st, p, pr)
+		epoch, err := st.cluster.PromoteReplica(p.Shard)
+		if err != nil {
+			return pr, fmt.Errorf("promote shard %d: %w", p.Shard, err)
+		}
+		pr.Epoch = epoch
 	case PhaseAwaitPromotion:
-		pr.Shard = p.Shard
-		return r.awaitPromotion(ctx, st, p, pr)
-	case PhaseShardParity:
-		pr.Shard = p.Shard
-		if _, err := st.shardedOrErr(p.Kind); err != nil {
+		if err := st.awaitPromotion(ctx, p.Shard, &pr); err != nil {
 			return pr, err
 		}
-		if st.shadow == nil {
-			return pr, fmt.Errorf("shard-parity needs a shadow system (the check would be vacuous without one)")
-		}
-		return r.shardParity(ctx, st, p.Shard, pr)
+	case PhaseRejoinReplica:
+		return pr, st.rejoinReplica(p.Shard, &pr)
+	case PhaseShardParity:
 	default:
 		return pr, fmt.Errorf("unknown phase kind %q", p.Kind)
 	}
+	return pr, st.shardParity(ctx, p.Shard, &pr)
 }
 
-// shardedOrErr returns the primary's multi-node view, erroring for phases
-// that need one against a single-node primary.
-func (st *runState) shardedOrErr(kind PhaseKind) (ShardedSystem, error) {
-	if st.primary == nil {
-		return nil, fmt.Errorf("%s before train", kind)
-	}
-	if st.sharded == nil {
-		return nil, fmt.Errorf("%s phase requires a sharded primary", kind)
-	}
-	return st.sharded, nil
-}
-
-// replicatedOrErr returns the primary's replicated view, erroring for phases
-// that need replicas against an unreplicated primary.
-func (st *runState) replicatedOrErr(kind PhaseKind) (ReplicatedSystem, error) {
-	if _, err := st.shardedOrErr(kind); err != nil {
-		return nil, err
-	}
-	if st.replicated == nil || st.replicated.NumReplicas() == 0 {
-		return nil, fmt.Errorf("%s phase requires a replicated primary", kind)
-	}
-	return st.replicated, nil
-}
-
-// reshardableOrErr returns the primary's reshardable view, erroring for
-// phases that need live topology changes against a fixed-topology primary.
-func (st *runState) reshardableOrErr(kind PhaseKind) (ReshardableSystem, error) {
-	if _, err := st.shardedOrErr(kind); err != nil {
-		return nil, err
-	}
-	if st.reshardable == nil {
-		return nil, fmt.Errorf("%s phase requires a reshardable primary", kind)
-	}
-	return st.reshardable, nil
-}
-
-// train stands up the primary (and the shadow when the scenario needs one)
-// and enables ingestion when later phases will stream events.
+// train stands up the primary (and the shadow when the scenario needs one),
+// refuses a primary the scenario's phases cannot run against, and enables
+// ingestion when later phases will send events.
 func (r *Runner) train(sc *Scenario, st *runState) error {
 	st.primary = r.NewSystem()
 	if err := st.primary.Train(st.universe.Train(), sc.TopN); err != nil {
 		return err
 	}
-	st.sharded, _ = st.primary.(ShardedSystem)
-	st.replicated, _ = st.primary.(ReplicatedSystem)
-	st.reshardable, _ = st.primary.(ReshardableSystem)
+	st.cluster, _ = st.primary.(ClusterSystem)
+	if st.cluster != nil {
+		st.baseEpoch = st.cluster.Epoch()
+	}
+	st.watchEpochs = sc.has(PhaseAwaitPromotion)
+	ingests := sc.has(PhaseIngestChurn, PhaseKillAndRecover, PhaseRestartShard, PhasePromoteReplica, PhaseAwaitPromotion)
+	replicated := sc.has(PhasePromoteReplica, PhaseRejoinReplica, PhaseAwaitPromotion)
+	for _, p := range sc.Phases {
+		ingests = ingests || p.Mix.Ingest > 0
+		replicated = replicated || p.MaxReplicaLagEvents != nil
+	}
 	if st.shadowShard >= 0 {
-		if st.sharded == nil {
+		if st.cluster == nil {
 			return fmt.Errorf("scenario drills shard %d but the primary is not sharded", st.shadowShard)
 		}
 		// The drilled shard must exist at some point of the lifecycle (the
 		// boot topology or a reshard target) and in the final topology, where
 		// the parity check runs.
-		limit := st.sharded.NumShards()
-		if st.finalShards > limit {
-			limit = st.finalShards
-		}
-		if st.shadowShard >= limit {
+		if limit := max(st.cluster.NumShards(), st.finalShards); st.shadowShard >= limit {
 			return fmt.Errorf("scenario drills shard %d of a primary that never exceeds %d shards", st.shadowShard, limit)
 		}
 		if st.finalShards > 0 && st.shadowShard >= st.finalShards {
 			return fmt.Errorf("scenario drills shard %d but asserts its parity in a %d-shard topology; the drilled shard must survive until then", st.shadowShard, st.finalShards)
 		}
 	}
-	if st.finalShards > 0 && st.reshardable == nil {
-		return fmt.Errorf("scenario reshards mid-load but the primary is not reshardable")
+	if replicated && (st.cluster == nil || st.cluster.NumReplicas() == 0) {
+		return fmt.Errorf("scenario promotes, rejoins or bounds the lag of replicas, but the primary has none")
 	}
-	if er, ok := st.primary.(EpochReporter); ok {
-		st.baseEpoch = er.Epoch()
-		if sc.has(PhaseAwaitPromotion) {
-			st.epochs = er
-		}
-	} else if sc.has(PhaseAwaitPromotion) {
-		return fmt.Errorf("scenario awaits a detector promotion but the primary does not report its ring epoch")
-	}
-	needIngest := sc.has(PhaseIngestChurn) || sc.has(PhaseKillAndRecover) ||
-		sc.has(PhaseRestartShard) || sc.has(PhasePromoteReplica) || sc.has(PhaseAwaitPromotion)
-	if needIngest {
+	if ingests {
 		// The primary runs the full durability stack; checkpoints target the
 		// same snapshot path PhaseSave writes, mirroring gancd.
 		if err := st.primary.EnableIngest(st.walPath, st.snapPath, sc.CheckpointEvery); err != nil {
 			return err
 		}
 	}
-	if sc.has(PhaseKillAndRecover) ||
-		((sc.has(PhaseRestartShard) || sc.has(PhasePromoteReplica) ||
-			sc.has(PhaseAwaitPromotion) || sc.has(PhaseShardParity)) && st.shadowShard >= 0) {
+	if sc.has(PhaseKillAndRecover) || sc.has(shardParityPhases...) {
 		newShadow := r.NewShadow
 		if newShadow == nil {
 			newShadow = r.NewSystem
@@ -683,13 +612,12 @@ func (r *Runner) train(sc *Scenario, st *runState) error {
 // churn routes to the drilled shard's users' old owners reach the drilled
 // shard later through the migration, so the shadow must hold them too.
 func (st *runState) shadowEvents(events []serve.IngestEvent) []serve.IngestEvent {
-	if st.sharded == nil || st.shadowShard < 0 {
+	if st.shadowShard < 0 {
 		return events
 	}
-	owner := st.sharded.ShardOwner
-	if st.finalShards > 0 && st.reshardable != nil {
-		final := st.finalShards
-		owner = func(userKey string) int { return st.reshardable.OwnerAt(userKey, final) }
+	owner := st.cluster.ShardOwner
+	if final := st.finalShards; final > 0 {
+		owner = func(userKey string) int { return st.cluster.OwnerAt(userKey, final) }
 	}
 	var out []serve.IngestEvent
 	for _, ev := range events {
@@ -703,9 +631,6 @@ func (st *runState) shadowEvents(events []serve.IngestEvent) []serve.IngestEvent
 // load asserts warm-start parity: reloading the snapshot must not change the
 // system's observable output.
 func (r *Runner) load(ctx context.Context, st *runState, pr PhaseResult) (PhaseResult, error) {
-	if st.primary == nil {
-		return pr, fmt.Errorf("load before train")
-	}
 	before, err := st.primary.Fingerprint(ctx)
 	if err != nil {
 		return pr, fmt.Errorf("fingerprint before load: %w", err)
@@ -724,43 +649,48 @@ func (r *Runner) load(ctx context.Context, st *runState, pr PhaseResult) (PhaseR
 	return pr, nil
 }
 
-// serveUnderLoad runs the closed-loop driver against the primary's handler.
-func (r *Runner) serveUnderLoad(ctx context.Context, sc *Scenario, st *runState, p Phase, pr PhaseResult) (PhaseResult, error) {
-	if st.primary == nil {
-		return pr, fmt.Errorf("serve-under-load before train")
-	}
+// loadTarget serves the primary's handler on a loopback listener for the
+// length of a load phase and builds the driver configuration the phase asks
+// for; zero knobs take the given defaults. serve-under-load and overload
+// share it and differ only in their defaults and assertions.
+func loadTarget(sc *Scenario, st *runState, p Phase, requests, concurrency int, mix LoadMix) (*httptest.Server, LoadConfig, error) {
 	h, err := st.primary.Handler()
 	if err != nil {
-		return pr, err
+		return nil, LoadConfig{}, err
+	}
+	if p.Requests > 0 {
+		requests = p.Requests
+	}
+	if p.Concurrency > 0 {
+		concurrency = p.Concurrency
+	}
+	if p.Mix != (LoadMix{}) {
+		mix = p.Mix
 	}
 	ts := httptest.NewServer(h)
-	defer ts.Close()
-	requests := p.Requests
-	if requests <= 0 {
-		requests = 200
-	}
-	concurrency := p.Concurrency
-	if concurrency <= 0 {
-		concurrency = 4
-	}
-	mix := p.Mix
-	if mix == (LoadMix{}) {
-		mix = LoadMix{Recommend: 90, Batch: 10}
-	}
-	if st.shadow != nil {
-		// Driver-generated ingest traffic would advance the primary past the
-		// shadow (the driver's events never reach it), voiding the recovery
-		// equivalence the shadow exists for; event streaming belongs to
-		// ingest-churn phases, which feed both systems identically.
-		mix.Ingest = 0
-	}
-	cfg := LoadConfig{
+	return ts, LoadConfig{
 		BaseURL:     ts.URL,
 		Requests:    requests,
 		Concurrency: concurrency,
 		Mix:         mix,
 		BatchSize:   p.BatchSize,
 		Seed:        sc.Seed + 1,
+	}, nil
+}
+
+// serveUnderLoad runs the closed-loop driver against the primary's handler.
+func (r *Runner) serveUnderLoad(ctx context.Context, sc *Scenario, st *runState, p Phase, pr PhaseResult) (PhaseResult, error) {
+	ts, cfg, err := loadTarget(sc, st, p, 200, 4, LoadMix{Recommend: 90, Batch: 10})
+	if err != nil {
+		return pr, err
+	}
+	defer ts.Close()
+	if st.shadow != nil {
+		// Driver-generated ingest traffic would advance the primary past the
+		// shadow (the driver's events never reach it), voiding the recovery
+		// equivalence the shadow exists for; event streaming belongs to
+		// ingest-churn phases, which feed both systems identically.
+		cfg.Mix.Ingest = 0
 	}
 
 	// A mid-load event — a shard kill or a reshard — fires on its own timer
@@ -769,7 +699,6 @@ func (r *Runner) serveUnderLoad(ctx context.Context, sc *Scenario, st *runState,
 	var (
 		what      string // names the event in errors
 		fire      func() error
-		delayMs   int
 		wait      time.Duration
 		stats     *cluster.ReshardStats
 		lagSkip   = -1 // the killed shard: its shipper died with its primary
@@ -782,36 +711,29 @@ func (r *Runner) serveUnderLoad(ctx context.Context, sc *Scenario, st *runState,
 		// Nothing here may fail: the staged cutover (writes re-routed at
 		// begin, reads double-dispatched to old owners until each user's
 		// history lands) must make the topology change invisible to clients.
-		rs, err := st.reshardableOrErr("serve-under-load reshard-mid")
-		if err != nil {
-			return pr, err
-		}
 		target := *p.ReshardMid
 		pr.Shard = p.Shard
-		what, delayMs, wait = fmt.Sprintf("reshard to %d shards", target), p.ReshardDelayMs, 60*time.Second
+		what, wait = fmt.Sprintf("reshard to %d shards", target), 60*time.Second
 		fire = func() (err error) {
-			stats, err = rs.Reshard(target)
+			stats, err = st.cluster.Reshard(target)
 			return err
 		}
 	case p.KillShardMid != nil:
-		ss, err := st.shardedOrErr("serve-under-load kill-shard-mid")
-		if err != nil {
-			return pr, err
-		}
 		shard := *p.KillShardMid
 		pr.Shard, lagSkip = shard, shard
-		what, delayMs, wait = fmt.Sprintf("kill of shard %d", shard), p.KillDelayMs, 5*time.Second
-		fire = func() error { return st.killShard(ctx, ss, shard) }
+		what, wait = fmt.Sprintf("kill of shard %d", shard), 5*time.Second
+		fire = func() error { return st.killShard(ctx, shard) }
 		// With warm replicas and a read-only mix the router's read failover
 		// must mask the outage completely. Otherwise requests owned by the
 		// dead shard answer the router's typed 503 from the kill on — those
 		// errors are the point of the outage drill.
-		tolerated = st.replicated == nil || st.replicated.NumReplicas() == 0 || mix.Ingest > 0
+		tolerated = st.cluster.NumReplicas() == 0 || cfg.Mix.Ingest > 0
 	}
 	var fired chan error
 	if fire != nil {
+		delayMs := p.MidLoadDelayMs
 		if delayMs <= 0 {
-			delayMs = 100
+			delayMs = defaultMidLoadDelayMs
 		}
 		fired = make(chan error, 1)
 		timer := time.AfterFunc(time.Duration(delayMs)*time.Millisecond, func() { fired <- fire() })
@@ -843,30 +765,26 @@ func (r *Runner) serveUnderLoad(ctx context.Context, sc *Scenario, st *runState,
 	default:
 		return pr, fmt.Errorf("%d of %d requests failed with server-side errors", res.Errors, res.Requests)
 	}
-	return pr, r.assertReplicaLag(st, p, lagSkip, &pr)
+	return pr, st.assertReplicaLag(p, lagSkip, &pr)
 }
 
 // assertReplicaLag enforces a serve-under-load phase's MaxReplicaLagEvents
 // knob: every shard's widest replica lag (except skip, the shard whose
 // primary a mid-load kill took down) must drain to the bound within a short
 // grace window. A nil knob is a no-op.
-func (r *Runner) assertReplicaLag(st *runState, p Phase, skip int, pr *PhaseResult) error {
+func (st *runState) assertReplicaLag(p Phase, skip int, pr *PhaseResult) error {
 	if p.MaxReplicaLagEvents == nil {
 		return nil
-	}
-	rs, err := st.replicatedOrErr("serve-under-load max-replica-lag")
-	if err != nil {
-		return err
 	}
 	bound := *p.MaxReplicaLagEvents
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var widest uint64
-		for sh := 0; sh < rs.NumShards(); sh++ {
+		for sh := 0; sh < st.cluster.NumShards(); sh++ {
 			if sh == skip {
 				continue
 			}
-			if lag := rs.ReplicaLag(sh); lag > widest {
+			if lag := st.cluster.ReplicaLag(sh); lag > widest {
 				widest = lag
 			}
 		}
@@ -887,40 +805,12 @@ func (r *Runner) assertReplicaLag(st *runState, p Phase, skip int, pr *PhaseResu
 // When the handler exposes /metrics the phase also scrapes it mid-scenario
 // and validates the body with the strict text-format parser.
 func (r *Runner) overload(ctx context.Context, sc *Scenario, st *runState, p Phase, pr PhaseResult) (PhaseResult, error) {
-	if st.primary == nil {
-		return pr, fmt.Errorf("overload before train")
-	}
-	h, err := st.primary.Handler()
+	ts, cfg, err := loadTarget(sc, st, p, 400, 16, LoadMix{Recommend: 100})
 	if err != nil {
 		return pr, err
 	}
-	ts := httptest.NewServer(h)
 	defer ts.Close()
-
-	requests := p.Requests
-	if requests <= 0 {
-		requests = 400
-	}
-	concurrency := p.Concurrency
-	if concurrency <= 0 {
-		concurrency = 16
-	}
-	mix := p.Mix
-	if mix == (LoadMix{}) {
-		mix = LoadMix{Recommend: 100}
-	}
-	maxP99 := p.MaxP99Ms
-	if maxP99 <= 0 {
-		maxP99 = 2000
-	}
-	res, err := RunLoad(ctx, st.universe, LoadConfig{
-		BaseURL:     ts.URL,
-		Requests:    requests,
-		Concurrency: concurrency,
-		Mix:         mix,
-		BatchSize:   p.BatchSize,
-		Seed:        sc.Seed + 1,
-	})
+	res, err := RunLoad(ctx, st.universe, cfg)
 	if err != nil {
 		return pr, err
 	}
@@ -931,16 +821,16 @@ func (r *Runner) overload(ctx context.Context, sc *Scenario, st *runState, p Pha
 	if res.Shed == 0 {
 		return pr, fmt.Errorf("overload shed nothing across %d requests — is the system built with admission control?", res.Requests)
 	}
-	if served := res.Overall.Count; served > 0 && res.Overall.P99Ms > maxP99 {
-		return pr, fmt.Errorf("served-request p99 %.1fms exceeds the %.1fms bound (%d served, %d shed)",
-			res.Overall.P99Ms, maxP99, served, res.Shed)
+	if served := res.Overall.Count; served > 0 && res.Overall.P99Ms > overloadMaxP99Ms {
+		return pr, fmt.Errorf("served-request p99 %.1fms exceeds the %dms bound (%d served, %d shed)",
+			res.Overall.P99Ms, overloadMaxP99Ms, served, res.Shed)
 	}
 
 	// The driver discards response bodies, so re-establish the typed-429
-	// contract directly: the load just drained the admission budget, so a
-	// prompt probe sheds — but admission recovers with time, hence the short
-	// retry loop rather than a single attempt.
-	if err := probeTyped429(ctx, ts.Client(), ts.URL, st.universe); err != nil {
+	// contract directly. The load shed, so a concurrency cap is below its
+	// worker count, and up to twice that many held requests fill the cap; a
+	// drained rate budget sheds the first probe anyway.
+	if err := probeTyped429(ctx, ts.Client(), ts.URL, 2*cfg.Concurrency); err != nil {
 		return pr, err
 	}
 
@@ -954,47 +844,83 @@ func (r *Runner) overload(ctx context.Context, sc *Scenario, st *runState, p Pha
 
 // probeTyped429 provokes one shed response and asserts the typed-429
 // contract: status 429, a Retry-After header, and a JSON body whose code is
-// rate_limited or over_capacity.
-func probeTyped429(ctx context.Context, client *http.Client, base string, u *Universe) error {
-	req := u.RequestStream(RequestStreamConfig{Seed: 424242})
-	const rounds = 200
-	for i := 0; i < rounds; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
+// rate_limited or over_capacity. A concurrency cap sheds only what it cannot
+// hold, and one request at a time never exceeds it, so before each
+// GET /recommend the probe opens one more POST /recommend/batch whose body
+// it does not end until it is done: each one admitted sits in its handler
+// reading, holding its slot, until the cap is full and the next GET is shed.
+// At most limit requests are held.
+func probeTyped429(ctx context.Context, client *http.Client, base string, limit int) error {
+	var bodies []*io.PipeWriter
+	answered := make(chan struct{}, limit)
+	defer func() {
+		// Ending the bodies lets every held handler answer.
+		for _, w := range bodies {
+			w.Close()
 		}
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/recommend?user="+url.QueryEscape(req.NextUser()), nil)
+		for range bodies {
+			<-answered
+		}
+	}()
+	for len(bodies) < limit {
+		rest, w := io.Pipe()
+		body := io.MultiReader(strings.NewReader(`{"users":[`), rest)
+		hold, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/recommend/batch", body)
 		if err != nil {
 			return err
 		}
-		resp, err := client.Do(httpReq)
+		bodies = append(bodies, w)
+		go func() {
+			if resp, err := client.Do(hold); err == nil {
+				drain(resp)
+			}
+			answered <- struct{}{}
+		}()
+		time.Sleep(time.Millisecond) // let it reach its handler first
+
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/recommend?user=probe", nil)
 		if err != nil {
 			return err
 		}
-		if resp.StatusCode != http.StatusTooManyRequests {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
+		resp, err := client.Do(req)
+		if err != nil {
+			return err
 		}
-		defer resp.Body.Close()
-		if resp.Header.Get("Retry-After") == "" {
-			return fmt.Errorf("429 response is missing a Retry-After header")
+		if resp.StatusCode == http.StatusTooManyRequests {
+			defer resp.Body.Close()
+			return typed429(resp)
 		}
-		var body struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			return fmt.Errorf("429 body is not the typed JSON shape: %w", err)
-		}
-		if body.Code != "rate_limited" && body.Code != "over_capacity" {
-			return fmt.Errorf("429 body code = %q, want rate_limited or over_capacity", body.Code)
-		}
-		if body.Error == "" {
-			return fmt.Errorf("429 body has an empty error message")
-		}
-		return nil
+		drain(resp)
 	}
-	return fmt.Errorf("no 429 observed across %d probe requests despite a shedding load", rounds)
+	return fmt.Errorf("no 429 with %d requests held open, despite a shedding load", limit)
+}
+
+// drain reads a response to its end and closes it, so its connection can be
+// reused.
+func drain(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+// typed429 checks a shed response's shape.
+func typed429(resp *http.Response) error {
+	if resp.Header.Get("Retry-After") == "" {
+		return fmt.Errorf("429 response is missing a Retry-After header")
+	}
+	var body struct {
+		Error string `json:"error"`
+		Code  string `json:"code"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		return fmt.Errorf("429 body is not the typed JSON shape: %w", err)
+	}
+	if body.Code != "rate_limited" && body.Code != "over_capacity" {
+		return fmt.Errorf("429 body code = %q, want rate_limited or over_capacity", body.Code)
+	}
+	if body.Error == "" {
+		return fmt.Errorf("429 body has an empty error message")
+	}
+	return nil
 }
 
 // scrapeMetrics fetches GET /metrics and validates the exposition with the
@@ -1023,76 +949,40 @@ func scrapeMetrics(ctx context.Context, client *http.Client, base string) (bool,
 	return true, nil
 }
 
-// restartShard restores a killed shard and, when a shadow exists, asserts
-// the recovered shard's owned-user output is byte-identical to the
-// uninterrupted single-node shadow restricted to the same users.
-func (r *Runner) restartShard(ctx context.Context, st *runState, p Phase, pr PhaseResult) (PhaseResult, error) {
-	ss, err := st.shardedOrErr(p.Kind)
-	if err != nil {
-		return pr, err
-	}
-	replayed, err := ss.RestartShard(p.Shard)
-	if err != nil {
-		return pr, fmt.Errorf("restart shard %d: %w", p.Shard, err)
-	}
-	pr.Replayed = replayed
-	return r.shardParity(ctx, st, p.Shard, pr)
-}
-
 // shardParity asserts the shard's owned-user fingerprint is byte-identical
-// to the single-node shadow restricted to the same users. The check is
-// keyed entirely by shard ID — ShardOwner and ShardFingerprint are
-// address-agnostic — so it holds across a same-address restart and across a
-// promotion that moved the shard to a replica's address under a new ring
-// epoch alike. A scenario without a shadow skips the check.
-func (r *Runner) shardParity(ctx context.Context, st *runState, shard int, pr PhaseResult) (PhaseResult, error) {
-	if st.shadow == nil {
-		return pr, nil
-	}
-	ss := st.sharded
+// to the single-node shadow restricted to the same users — what
+// restart-shard, promote-replica and await-promotion assert after their own
+// step, and shard-parity on its own. The check is keyed entirely by shard
+// ID — ShardOwner and ShardFingerprint are address-agnostic — so it holds
+// across a same-address restart and across a promotion that moved the shard
+// to a replica's address under a new ring epoch alike.
+func (st *runState) shardParity(ctx context.Context, shard int, pr *PhaseResult) error {
 	shadowFp, err := st.shadow.Fingerprint(ctx)
 	if err != nil {
-		return pr, fmt.Errorf("shadow fingerprint: %w", err)
+		return fmt.Errorf("shadow fingerprint: %w", err)
 	}
-	want := FilterCanonical(shadowFp, func(user string) bool { return ss.ShardOwner(user) == shard })
+	want := FilterCanonical(shadowFp, func(user string) bool { return st.cluster.ShardOwner(user) == shard })
 	if len(want) == 0 {
-		return pr, fmt.Errorf("shadow fingerprint covers no users owned by shard %d: the parity check would be vacuous", shard)
+		return fmt.Errorf("shadow fingerprint covers no users owned by shard %d: the parity check would be vacuous", shard)
 	}
-	got, err := ss.ShardFingerprint(ctx, shard)
+	got, err := st.cluster.ShardFingerprint(ctx, shard)
 	if err != nil {
-		return pr, fmt.Errorf("recovered shard fingerprint: %w", err)
+		return fmt.Errorf("recovered shard fingerprint: %w", err)
 	}
 	if !bytes.Equal(got, want) {
-		return pr, fmt.Errorf("shard recovery equivalence broken: shard %d's owned-user output differs from the single-node shadow (replayed %d events, %d vs %d bytes)",
+		return fmt.Errorf("shard recovery equivalence broken: shard %d's owned-user output differs from the single-node shadow (replayed %d events, %d vs %d bytes)",
 			shard, pr.Replayed, len(got), len(want))
 	}
 	pr.ParityChecked = true
-	return pr, nil
-}
-
-// promoteReplica promotes the freshest live replica of a killed shard and
-// asserts the promoted runtime passes the same owned-user parity contract a
-// restarted shard must — non-vacuously, under the shard's new address and
-// the bumped ring epoch.
-func (r *Runner) promoteReplica(ctx context.Context, st *runState, p Phase, pr PhaseResult) (PhaseResult, error) {
-	rs, err := st.replicatedOrErr(p.Kind)
-	if err != nil {
-		return pr, err
-	}
-	epoch, err := rs.PromoteReplica(p.Shard)
-	if err != nil {
-		return pr, fmt.Errorf("promote shard %d: %w", p.Shard, err)
-	}
-	pr.Epoch = epoch
-	return r.shardParity(ctx, st, p.Shard, pr)
+	return nil
 }
 
 // killShard crashes one shard. In a scenario that later awaits a hands-off
 // promotion, the epoch watcher starts at the same instant: promotion time is
 // measured from the kill, while the load still runs, not from whenever the
 // await-promotion phase gets its turn.
-func (st *runState) killShard(ctx context.Context, ss ShardedSystem, shard int) error {
-	if st.epochs != nil {
+func (st *runState) killShard(ctx context.Context, shard int) error {
+	if st.watchEpochs {
 		killedAt, base := time.Now(), st.baseEpoch
 		promoted := make(chan promotion, 1)
 		st.promoted = promoted
@@ -1102,7 +992,7 @@ func (st *runState) killShard(ctx context.Context, ss ShardedSystem, shard int) 
 			tick := time.NewTicker(2 * time.Millisecond)
 			defer tick.Stop()
 			for {
-				if epoch := st.epochs.Epoch(); epoch > base {
+				if epoch := st.cluster.Epoch(); epoch > base {
 					promoted <- promotion{epoch, time.Since(killedAt)}
 					return
 				}
@@ -1114,61 +1004,49 @@ func (st *runState) killShard(ctx context.Context, ss ShardedSystem, shard int) 
 			}
 		}()
 	}
-	return ss.KillShard(shard)
+	return st.cluster.KillShard(shard)
 }
 
 // awaitPromotion observes a hands-off failover: the runner waits for the
 // system's own failure detector to promote the killed shard's replica —
 // visible to the watcher killShard started as a ring-epoch bump past
-// everything the runner has accounted for — then asserts the promoted runtime
-// passes the owned-user parity contract. No PromoteReplica call is made: a
-// promotion that needs the runner is a failed drill.
-func (r *Runner) awaitPromotion(ctx context.Context, st *runState, p Phase, pr PhaseResult) (PhaseResult, error) {
-	if _, err := st.replicatedOrErr(p.Kind); err != nil {
-		return pr, err
-	}
+// everything the runner has accounted for. No PromoteReplica call is made:
+// a promotion that needs the runner is a failed drill.
+func (st *runState) awaitPromotion(ctx context.Context, shard int, pr *PhaseResult) error {
 	if st.promoted == nil {
-		return pr, fmt.Errorf("await-promotion without a preceding kill of shard %d: there is no promotion to wait for", p.Shard)
-	}
-	window := time.Duration(p.PromotionWindowMs) * time.Millisecond
-	if window <= 0 {
-		window = 15 * time.Second
+		return fmt.Errorf("await-promotion without a preceding kill of shard %d: there is no promotion to wait for", shard)
 	}
 	select {
 	case seen := <-st.promoted:
 		pr.Epoch, pr.PromotionMs = seen.epoch, float64(seen.after)/float64(time.Millisecond)
 		st.promoted = nil
+		return nil
 	case <-ctx.Done():
-		return pr, ctx.Err()
-	case <-time.After(window):
-		return pr, fmt.Errorf("the failure detector never promoted shard %d's replica within the %s suspicion window (epoch still %d)",
-			p.Shard, window, st.baseEpoch)
+		return ctx.Err()
+	case <-time.After(promotionWindow):
+		return fmt.Errorf("the failure detector never promoted shard %d's replica within the %s suspicion window (epoch still %d)",
+			shard, promotionWindow, st.baseEpoch)
 	}
-	return r.shardParity(ctx, st, p.Shard, pr)
 }
 
 // rejoinReplica boots the shard's dead ex-primary as a replica and waits for
 // its replication lag to drain to zero: the demoted node must converge on
 // the promoted primary's history.
-func (r *Runner) rejoinReplica(st *runState, p Phase, pr PhaseResult) (PhaseResult, error) {
-	rs, err := st.replicatedOrErr(p.Kind)
+func (st *runState) rejoinReplica(shard int, pr *PhaseResult) error {
+	replayed, err := st.cluster.RejoinAsReplica(shard)
 	if err != nil {
-		return pr, err
-	}
-	replayed, err := rs.RejoinAsReplica(p.Shard)
-	if err != nil {
-		return pr, fmt.Errorf("rejoin shard %d: %w", p.Shard, err)
+		return fmt.Errorf("rejoin shard %d: %w", shard, err)
 	}
 	pr.Replayed = replayed
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		lag := rs.ReplicaLag(p.Shard)
+		lag := st.cluster.ReplicaLag(shard)
 		pr.ReplicaLagEvents = lag
 		if lag == 0 {
-			return pr, nil
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return pr, fmt.Errorf("rejoined shard %d never converged: replica lag stuck at %d committed events", p.Shard, lag)
+			return fmt.Errorf("rejoined shard %d never converged: replica lag stuck at %d committed events", shard, lag)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -1178,9 +1056,6 @@ func (r *Runner) rejoinReplica(st *runState, p Phase, pr PhaseResult) (PhaseResu
 // concurrent readers exercise /recommend and /recommend/batch; the shadow
 // (when present) absorbs the identical batches directly.
 func (r *Runner) ingestChurn(ctx context.Context, sc *Scenario, st *runState, p Phase, pr PhaseResult) (PhaseResult, error) {
-	if st.primary == nil {
-		return pr, fmt.Errorf("ingest-churn before train")
-	}
 	h, err := st.primary.Handler()
 	if err != nil {
 		return pr, err
@@ -1287,12 +1162,6 @@ func (r *Runner) ingestChurn(ctx context.Context, sc *Scenario, st *runState, p 
 // killAndRecover crashes the primary, restores it from the checkpoint plus
 // the WAL suffix, and asserts byte equivalence with the uninterrupted shadow.
 func (r *Runner) killAndRecover(ctx context.Context, st *runState, pr PhaseResult) (PhaseResult, error) {
-	if st.primary == nil {
-		return pr, fmt.Errorf("kill-and-recover before train")
-	}
-	if st.shadow == nil {
-		return pr, fmt.Errorf("kill-and-recover needs a shadow system (runner bug)")
-	}
 	want, err := st.shadow.Fingerprint(ctx)
 	if err != nil {
 		return pr, fmt.Errorf("shadow fingerprint: %w", err)

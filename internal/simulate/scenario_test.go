@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ganc/internal/admit"
+	"ganc/internal/cluster"
 	"ganc/internal/dataset"
 	"ganc/internal/obs"
 	"ganc/internal/serve"
@@ -70,6 +71,11 @@ func (f *fakeSystem) Handler() (http.Handler, error) {
 		json.NewEncoder(w).Encode(serve.RecommendResponse{User: r.URL.Query().Get("user")})
 	})
 	mux.HandleFunc("/recommend/batch", func(w http.ResponseWriter, r *http.Request) {
+		var req serve.BatchRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
 		json.NewEncoder(w).Encode(serve.BatchResponse{})
 	})
 	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
@@ -228,8 +234,8 @@ func canonicalEvents(events []serve.IngestEvent) []byte {
 
 // shardedFake is a multi-node fake: one fakeSystem per shard behind a
 // hash-partitioning mux — the same topology the real cluster binding has,
-// without any training. It implements ShardedSystem for the cluster-phase
-// runner tests.
+// without any training. It is the ClusterSystem of the cluster-phase runner
+// tests.
 type shardedFake struct {
 	shards []*fakeSystem
 	n      int
@@ -247,7 +253,9 @@ func newShardedFake(n int) *shardedFake {
 }
 
 // owner assigns users to shards by a stable string hash.
-func (f *shardedFake) owner(user string) int {
+func (f *shardedFake) owner(user string) int { return f.OwnerAt(user, f.n) }
+
+func (f *shardedFake) OwnerAt(user string, shards int) int {
 	h := 0
 	for _, c := range user {
 		h = h*31 + int(c)
@@ -255,7 +263,7 @@ func (f *shardedFake) owner(user string) int {
 	if h < 0 {
 		h = -h
 	}
-	return h % f.n
+	return h % shards
 }
 
 func (f *shardedFake) shardPath(prefix string, i int) string {
@@ -408,17 +416,21 @@ func (f *shardedFake) Fingerprint(ctx context.Context) ([]byte, error) {
 	return canonicalEvents(all), nil
 }
 
-// NumShards implements ShardedSystem.
-func (f *shardedFake) NumShards() int { return f.n }
-
-// ShardOwner implements ShardedSystem.
+func (f *shardedFake) NumShards() int                { return f.n }
 func (f *shardedFake) ShardOwner(userKey string) int { return f.owner(userKey) }
+func (f *shardedFake) KillShard(shard int) error     { return f.shards[shard].Kill() }
 
-// KillShard implements ShardedSystem.
-func (f *shardedFake) KillShard(shard int) error { return f.shards[shard].Kill() }
+// The fake is unreplicated and cannot reshard; failoverFake adds replicas.
+func (f *shardedFake) NumReplicas() int                   { return 0 }
+func (f *shardedFake) PromoteReplica(int) (uint64, error) { return 0, fmt.Errorf("fake: no replicas") }
+func (f *shardedFake) RejoinAsReplica(int) (int, error)   { return 0, fmt.Errorf("fake: no replicas") }
+func (f *shardedFake) ReplicaLag(int) uint64              { return 0 }
+func (f *shardedFake) Epoch() uint64                      { return 0 }
+func (f *shardedFake) Reshard(int) (*cluster.ReshardStats, error) {
+	return nil, fmt.Errorf("fake: cannot reshard")
+}
 
-// RestartShard implements ShardedSystem: reload the shard's snapshot, then
-// replay its WAL suffix.
+// RestartShard reloads the shard's snapshot, then replays its WAL suffix.
 func (f *shardedFake) RestartShard(shard int) (int, error) {
 	s := f.shards[shard]
 	if err := s.Load(s.ckptPath); err != nil {
@@ -427,7 +439,6 @@ func (f *shardedFake) RestartShard(shard int) (int, error) {
 	return s.Recover()
 }
 
-// ShardFingerprint implements ShardedSystem.
 func (f *shardedFake) ShardFingerprint(ctx context.Context, shard int) ([]byte, error) {
 	s := f.shards[shard]
 	s.mu.Lock()
@@ -541,7 +552,7 @@ func TestRunnerClusterLifecycle(t *testing.T) {
 		{Kind: PhaseTrain},
 		{Kind: PhaseSave},
 		{Kind: PhaseIngestChurn, Events: 90, EventBatch: 30, Concurrency: 2},
-		{Kind: PhaseServeUnderLoad, Requests: 200, Concurrency: 2, KillShardMid: &target, KillDelayMs: 1},
+		{Kind: PhaseServeUnderLoad, Requests: 200, Concurrency: 2, KillShardMid: &target, MidLoadDelayMs: 1},
 		{Kind: PhaseRestartShard, Shard: drilled},
 		{Kind: PhaseIngestChurn, Events: 30, EventBatch: 10, Concurrency: 2},
 	}
@@ -656,8 +667,8 @@ func TestRunnerMeasuresPromotionDuringLoad(t *testing.T) {
 	sc.Phases = []Phase{
 		{Kind: PhaseTrain},
 		{Kind: PhaseIngestChurn, Events: 60, EventBatch: 30, Concurrency: 2},
-		{Kind: PhaseServeUnderLoad, Requests: 160, Concurrency: 2, KillShardMid: &drilled, KillDelayMs: 20},
-		{Kind: PhaseAwaitPromotion, Shard: drilled, PromotionWindowMs: 5000},
+		{Kind: PhaseServeUnderLoad, Requests: 160, Concurrency: 2, KillShardMid: &drilled, MidLoadDelayMs: 20},
+		{Kind: PhaseAwaitPromotion, Shard: drilled},
 	}
 	res, err := newRunner().Run(context.Background(), sc)
 	if err != nil {
@@ -703,6 +714,29 @@ func TestRunnerClusterPhaseValidation(t *testing.T) {
 	sc.Phases = []Phase{{Kind: PhaseTrain}, {Kind: PhaseRestartShard, Shard: 7}}
 	if _, err := sharded.Run(ctx, sc); err == nil {
 		t.Fatal("out-of-range shard accepted")
+	}
+	sc.Phases = []Phase{{Kind: PhaseTrain}, {Kind: PhaseKillShard, Shard: 0}, {Kind: PhasePromoteReplica, Shard: 0}}
+	if _, err := sharded.Run(ctx, sc); err == nil || !strings.Contains(err.Error(), "replicas") {
+		t.Fatalf("promote-replica against an unreplicated cluster: %v", err)
+	}
+}
+
+// TestRunnerEnablesIngestForWritingMix: a serve-under-load mix that sends
+// writes makes train enable ingestion, so the driver's events are served.
+func TestRunnerEnablesIngestForWritingMix(t *testing.T) {
+	primary := &fakeSystem{}
+	r := &Runner{NewSystem: func() System { return primary }, Dir: t.TempDir()}
+	sc := scenarioFixture()
+	sc.Phases = []Phase{{Kind: PhaseTrain}, {Kind: PhaseServeUnderLoad, Requests: 40, Concurrency: 2, Mix: LoadMix{Recommend: 1, Ingest: 1}}}
+	res, err := r.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(primary.calls, ","); got != "train,enable-ingest" {
+		t.Fatalf("primary lifecycle %s, want train then enable-ingest", got)
+	}
+	if load := res.Phases[1].Load; load.Endpoints["ingest"].Count == 0 || load.Rejected != 0 {
+		t.Fatalf("writing mix: %+v, want ingest traffic served and nothing rejected", load)
 	}
 }
 
@@ -774,9 +808,11 @@ func (d *divergingSystem) Load(path string) error {
 // admittedFake wraps fakeSystem's handler with real admission control and
 // metrics, mirroring the facade's middleware order: instrumentation outermost
 // (sheds are counted), then admission, then the mux, with /metrics mounted.
+// Every admitted request spends hold inside the handler, as real work would.
 type admittedFake struct {
 	fakeSystem
-	cfg admit.Config
+	cfg  admit.Config
+	hold time.Duration
 }
 
 func (f *admittedFake) Handler() (http.Handler, error) {
@@ -788,43 +824,57 @@ func (f *admittedFake) Handler() (http.Handler, error) {
 	ctrl := admit.New(f.cfg)
 	ctrl.Register(reg)
 	mux := http.NewServeMux()
-	mux.Handle("/", inner)
+	mux.Handle("/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(f.hold)
+		inner.ServeHTTP(w, r)
+	}))
 	mux.Handle("/metrics", reg.Handler())
 	hm := obs.NewHTTPMetrics(reg, nil, nil, nil)
 	return hm.Wrap(ctrl.Middleware(mux)), nil
 }
 
 // TestRunnerOverloadPhase drives the overload phase against an
-// admission-limited system: the load must shed without 5xx, the typed-429
-// probe must pass, and the mid-phase /metrics scrape must validate.
+// admission-limited system, once per gate: the load must shed without 5xx,
+// the typed-429 probe must pass, and the mid-phase /metrics scrape must
+// validate. A concurrency cap sheds only requests beyond the ones it holds,
+// so its row passes only if the probe keeps more than one request in flight.
 func TestRunnerOverloadPhase(t *testing.T) {
-	r := &Runner{
-		NewSystem: func() System {
-			return &admittedFake{cfg: admit.Config{RatePerSec: 1, Burst: 8}}
-		},
-		Dir: t.TempDir(),
-	}
-	sc := scenarioFixture()
-	sc.Phases = []Phase{
-		{Kind: PhaseTrain},
-		{Kind: PhaseOverload, Requests: 150, Concurrency: 8},
-	}
-	res, err := r.Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := res.Phases[1]
-	if pr.Load == nil {
-		t.Fatal("overload phase recorded no load result")
-	}
-	if pr.Load.Errors != 0 {
-		t.Fatalf("overload produced %d server-side errors", pr.Load.Errors)
-	}
-	if pr.Load.Shed == 0 {
-		t.Fatal("overload shed nothing against a burst-8 rate limit")
-	}
-	if !pr.MetricsValidated {
-		t.Fatal("overload phase did not validate the /metrics scrape")
+	for _, tc := range []struct {
+		name string
+		cfg  admit.Config
+		hold time.Duration
+	}{
+		{"rate-limit", admit.Config{RatePerSec: 1, Burst: 8}, 0},
+		{"max-concurrent", admit.Config{MaxConcurrent: 2}, 2 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &Runner{
+				NewSystem: func() System { return &admittedFake{cfg: tc.cfg, hold: tc.hold} },
+				Dir:       t.TempDir(),
+			}
+			sc := scenarioFixture()
+			sc.Phases = []Phase{
+				{Kind: PhaseTrain},
+				{Kind: PhaseOverload, Requests: 150, Concurrency: 8},
+			}
+			res, err := r.Run(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := res.Phases[1]
+			if pr.Load == nil {
+				t.Fatal("overload phase recorded no load result")
+			}
+			if pr.Load.Errors != 0 {
+				t.Fatalf("overload produced %d server-side errors", pr.Load.Errors)
+			}
+			if pr.Load.Shed == 0 {
+				t.Fatalf("overload shed nothing against %+v", tc.cfg)
+			}
+			if !pr.MetricsValidated {
+				t.Fatal("overload phase did not validate the /metrics scrape")
+			}
+		})
 	}
 }
 

@@ -124,39 +124,53 @@ func TestScenarioKillRecoverEquivalence(t *testing.T) {
 // admission budget and assert the system degrades gracefully — typed 429s
 // with Retry-After, zero 5xx, bounded served-request p99 — while /metrics
 // stays scrapeable mid-scenario and parses under the strict text-format
-// parser. The token bucket (1 req/s, burst 8) against 300 closed-loop
-// requests from one client key makes shedding an arithmetic certainty, so
-// the assertion is deterministic under the scenario seed.
+// parser. Once per gate: the token bucket (1 req/s, burst 8) against 300
+// closed-loop requests from one client key makes shedding an arithmetic
+// certainty; a concurrency cap (what `loadgen -overload` configures by
+// default) sheds only requests beyond the ones it holds, and a cap of 1
+// against 8 workers sheds on every overlap — writes in the mix block on the
+// write-ahead log, so handlers overlap even on one CPU.
 func TestScenarioOverloadGracefulDegradation(t *testing.T) {
-	cfg := e2eSystem()
-	cfg.Metrics = true
-	cfg.Admission = AdmissionConfig{RatePerSec: 1, Burst: 8}
-	sc := Scenario{
-		Name:     "overload-graceful-degradation",
-		Universe: e2eUniverse(19),
-		TopN:     10,
-		Seed:     37,
-		Phases: []ScenarioPhase{
-			{Kind: PhaseTrain},
-			{Kind: PhaseOverload, Requests: 300, Concurrency: 8},
-		},
-	}
-	res, err := RunScenario(context.Background(), sc, t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov := res.Phases[1]
-	if ov.Load == nil || ov.Load.Requests == 0 {
-		t.Fatal("overload phase recorded no load result")
-	}
-	if ov.Load.Shed == 0 {
-		t.Fatalf("overload shed nothing across %d requests", ov.Load.Requests)
-	}
-	if ov.Load.Errors != 0 {
-		t.Fatalf("overload produced %d hard errors; degradation must be 429s, not 5xx", ov.Load.Errors)
-	}
-	if !ov.MetricsValidated {
-		t.Fatal("mid-scenario /metrics scrape was not validated")
+	for _, tc := range []struct {
+		name  string
+		admit AdmissionConfig
+		mix   LoadMix
+	}{
+		{"rate-limit", AdmissionConfig{RatePerSec: 1, Burst: 8}, LoadMix{}},
+		{"max-concurrent", AdmissionConfig{MaxConcurrent: 1}, LoadMix{Recommend: 80, Batch: 10, Ingest: 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := e2eSystem()
+			cfg.Metrics = true
+			cfg.Admission = tc.admit
+			sc := Scenario{
+				Name:     "overload-graceful-degradation",
+				Universe: e2eUniverse(19),
+				TopN:     10,
+				Seed:     37,
+				Phases: []ScenarioPhase{
+					{Kind: PhaseTrain},
+					{Kind: PhaseOverload, Requests: 300, Concurrency: 8, Mix: tc.mix},
+				},
+			}
+			res, err := RunScenario(context.Background(), sc, t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ov := res.Phases[1]
+			if ov.Load == nil || ov.Load.Requests == 0 {
+				t.Fatal("overload phase recorded no load result")
+			}
+			if ov.Load.Shed == 0 {
+				t.Fatalf("overload shed nothing across %d requests", ov.Load.Requests)
+			}
+			if ov.Load.Errors != 0 {
+				t.Fatalf("overload produced %d hard errors; degradation must be 429s, not 5xx", ov.Load.Errors)
+			}
+			if !ov.MetricsValidated {
+				t.Fatal("mid-scenario /metrics scrape was not validated")
+			}
+		})
 	}
 }
 

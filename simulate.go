@@ -32,7 +32,7 @@ type (
 	LoadResult = simulate.LoadResult
 	// LatencyStats summarizes a latency distribution.
 	LatencyStats = simulate.LatencyStats
-	// BenchReport is the record of one plain-mode load run.
+	// BenchReport is the record of one bare load run (loadgen -url).
 	BenchReport = simulate.BenchReport
 	// Scenario is a system lifecycle expressed as a phase list.
 	Scenario = simulate.Scenario
@@ -40,8 +40,6 @@ type (
 	ScenarioPhase = simulate.Phase
 	// ScenarioResult is the per-phase record of one scenario run.
 	ScenarioResult = simulate.Result
-	// ScenarioSystem is the stack abstraction the scenario runner drives.
-	ScenarioSystem = simulate.System
 )
 
 // Scenario phase kinds, re-exported for scenario literals.
@@ -69,8 +67,8 @@ func RunLoad(ctx context.Context, u *Universe, cfg LoadConfig) (*LoadResult, err
 	return simulate.RunLoad(ctx, u, cfg)
 }
 
-// WriteBenchReport writes a run's record (a BenchReport, or a cluster run's
-// scenario results) as indented JSON, atomically.
+// WriteBenchReport writes a run's record (a BenchReport, or a scenario
+// run's results) as indented JSON, atomically.
 func WriteBenchReport(path string, rep interface{}) error {
 	return simulate.WriteBenchReport(path, rep)
 }
@@ -115,19 +113,15 @@ func (c SimSystemConfig) withDefaults() SimSystemConfig {
 	return c
 }
 
-// NewScenarioSystem binds the Pipeline/Server/Ingestor stack to the scenario
-// runner's System interface.
-func NewScenarioSystem(cfg SimSystemConfig) ScenarioSystem {
-	return &pipelineSystem{cfg: cfg.withDefaults()}
-}
-
 // RunScenario executes a scenario against the real stack, using dir for the
 // snapshot and write-ahead-log files. It is the one-call surface of the E2E
-// suite: every assertion (warm-start parity, recovery equivalence, error-free
-// serving under churn) is enforced by the runner and surfaces as an error.
+// suite and of loadgen's single-node runs: every assertion (warm-start
+// parity, recovery equivalence, error-free serving under churn, graceful
+// shedding under overload) is enforced by the runner and surfaces as an
+// error.
 func RunScenario(ctx context.Context, sc Scenario, dir string, cfg SimSystemConfig) (*ScenarioResult, error) {
 	r := &simulate.Runner{
-		NewSystem: func() simulate.System { return NewScenarioSystem(cfg) },
+		NewSystem: func() simulate.System { return &pipelineSystem{cfg: cfg.withDefaults()} },
 		Dir:       dir,
 	}
 	return r.Run(ctx, sc)

@@ -513,6 +513,8 @@ var (
 	// matrixRow matches a row of README's gancd role matrix (the table under
 	// matrixHead): the role, then its required-flags and optional-flags cells.
 	matrixRow = regexp.MustCompile("^\\| `([a-z]+)` \\| ([^|]*) \\| ([^|]*) \\|")
+	// packageRow matches a row of DESIGN §2's package map.
+	packageRow = regexp.MustCompile("(?m)^\\| `(internal/[a-z0-9]+)` \\|")
 )
 
 // docSurfaces stands up the HTTP surfaces the documents describe — a primary
@@ -858,5 +860,27 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 	if matrixRows != len(roleFlags) {
 		t.Errorf("README's role matrix has %d rows for gancd's %d roles", matrixRows, len(roleFlags))
+	}
+
+	// DESIGN §2's package map has one row for every package under internal/
+	// and none for a package that is gone.
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, m := range packageRow.FindAllStringSubmatch(string(design), -1) {
+		rows[m[1]] = true
+	}
+	for _, dir := range collectPackageDirs(t) {
+		if dir = filepath.ToSlash(dir); strings.HasPrefix(dir, "internal/") {
+			if !rows[dir] {
+				t.Errorf("DESIGN.md §2: the package map has no row for %s", dir)
+			}
+			delete(rows, dir)
+		}
+	}
+	for dir := range rows {
+		t.Errorf("DESIGN.md §2: the package map has a row for %s, which holds no package", dir)
 	}
 }

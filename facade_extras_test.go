@@ -29,16 +29,14 @@ func TestPublicAPIItemKNNAndRankingMetrics(t *testing.T) {
 	if rep.Coverage <= 0 {
 		t.Fatal("item-KNN produced no coverage at all")
 	}
-	// The position-sensitive metrics must be internally consistent:
-	// HitRate ≥ NDCG and HitRate ≥ MRR for binary relevance.
-	ndcg := ev.NDCG(recs, 5)
-	mrr := ev.MRR(recs, 5)
-	hit := ev.HitRate(recs, 5)
-	if ndcg < 0 || ndcg > 1 || mrr < 0 || mrr > 1 || hit < 0 || hit > 1 {
-		t.Fatalf("ranking metrics out of range: ndcg=%v mrr=%v hit=%v", ndcg, mrr, hit)
+	// The ranking-accuracy metrics must be internally consistent: the
+	// F-measure P·R/(P+R) lies between min(P, R)/2 and min(P, R).
+	p, r, f := rep.Precision, rep.Recall, rep.FMeasure
+	if p <= 0 || p > 1 || r <= 0 || r > 1 {
+		t.Fatalf("ranking metrics out of range: precision=%v recall=%v", p, r)
 	}
-	if hit+1e-9 < ndcg || hit+1e-9 < mrr {
-		t.Fatalf("hit rate %v cannot be below ndcg %v or mrr %v", hit, ndcg, mrr)
+	if f < min(p, r)/2-1e-9 || f > min(p, r)+1e-9 {
+		t.Fatalf("F-measure %v outside [min/2, min] of precision %v and recall %v", f, p, r)
 	}
 }
 

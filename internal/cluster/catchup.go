@@ -70,7 +70,7 @@ func fetchWALTail(ctx context.Context, client *http.Client, addr string, shard i
 	}
 	var out []serve.IngestEvent
 	for next := after + 1; next <= upTo; {
-		status, body, err := post(ctx, client, addr, TailPath, &Chunk{Shard: shard, First: next, Head: upTo}, maxChunkBody)
+		status, body, err := post(ctx, client, addr, TailPath, &Chunk{Shard: shard, First: next, Head: upTo}, serve.MaxBodyBytes)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: tail pull from %s: %w", addr, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ganc/internal/ingest"
+	"ganc/internal/serve"
 )
 
 // tailWAL writes n events (values 1..n) into a fresh write-ahead log.
@@ -179,7 +180,7 @@ func TestFetchWALTailRejectsHostileAnswers(t *testing.T) {
 		{"itemless-event", 200, `{"first":5,"head":5,"events":[{"user":"u","item":"","value":1}]}`},
 		{"undecodable", 200, `][ not json`},
 		{"empty-body", 200, ``},
-		{"oversized-body", 200, `{"first":5,"head":5,"pad":"` + strings.Repeat("x", maxChunkBody) + `","events":[{"user":"u","item":"i","value":1}]}`},
+		{"oversized-body", 200, `{"first":5,"head":5,"pad":"` + strings.Repeat("x", serve.MaxBodyBytes) + `","events":[{"user":"u","item":"i","value":1}]}`},
 		{"teapot", http.StatusTeapot, chunk(5, 9, 5)},
 		{"plain-404", http.StatusNotFound, "404 page not found\n"},
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"ganc/internal/ingest"
+	"ganc/internal/obs"
 	"ganc/internal/serve"
 )
 
@@ -179,8 +181,8 @@ func (rig *cutoverRig) guardOrder(published *atomic.Bool) {
 // sequence sits exactly once, in order, in its owner's log.
 func (rig *cutoverRig) checkSettled(want *Ring, sent map[string][]float64) {
 	rig.t.Helper()
-	if rig.rt.Resharding() || rig.rt.Ring() != want {
-		rig.t.Fatalf("router resharding=%v on epoch %d, want settled on epoch %d", rig.rt.Resharding(), rig.rt.Ring().Epoch(), want.Epoch())
+	if rig.rt.reshard.Load() != nil || rig.rt.Ring() != want {
+		rig.t.Fatalf("router resharding=%v on epoch %d, want settled on epoch %d", rig.rt.reshard.Load() != nil, rig.rt.Ring().Epoch(), want.Epoch())
 	}
 	for user, values := range sent {
 		owner := want.Owner(user)
@@ -228,7 +230,7 @@ func TestReshardCutoverHappyPath(t *testing.T) {
 	stats, err := rig.rt.Reshard(next, rig.nodes(), func() {
 		publishes++
 		published.Store(true)
-		if !rig.rt.Resharding() || rig.rt.Ring() != old {
+		if rig.rt.reshard.Load() == nil || rig.rt.Ring() != old {
 			t.Error("publish ran after the router had already left the transition")
 		}
 		for user := range sent {
@@ -274,8 +276,8 @@ func TestReshardCutoverRefusals(t *testing.T) {
 		if stats, err := try(); !errors.Is(err, ErrBadRing) || stats != nil {
 			t.Fatalf("%s: answered %+v, %v; want an ErrBadRing refusal", name, stats, err)
 		}
-		if rig.rt.Resharding() || rig.rt.Ring() != old {
-			t.Fatalf("%s left the router resharding=%v on epoch %d", name, rig.rt.Resharding(), rig.rt.Ring().Epoch())
+		if rig.rt.reshard.Load() != nil || rig.rt.Ring() != old {
+			t.Fatalf("%s left the router resharding=%v on epoch %d", name, rig.rt.reshard.Load() != nil, rig.rt.Ring().Epoch())
 		}
 	}
 }
@@ -307,8 +309,8 @@ func TestReshardCutoverShipFailureAborts(t *testing.T) {
 	if landed != 4*2 {
 		t.Fatalf("%d events landed before the failure, want the 4 acknowledged users' 8", landed)
 	}
-	if rig.rt.Resharding() || rig.rt.Ring() != old {
-		t.Fatalf("aborted reshard left the router resharding=%v on epoch %d", rig.rt.Resharding(), rig.rt.Ring().Epoch())
+	if rig.rt.reshard.Load() != nil || rig.rt.Ring() != old {
+		t.Fatalf("aborted reshard left the router resharding=%v on epoch %d", rig.rt.reshard.Load() != nil, rig.rt.Ring().Epoch())
 	}
 	for user := range sent {
 		if got := rig.rt.readTarget(user); got != old.Owner(user) {
@@ -433,4 +435,38 @@ func TestReshardCutoverNoProgressAborts(t *testing.T) {
 		t.Fatalf("gave up only after %v", time.Since(start))
 	}
 	rig.checkSettled(old, sent)
+}
+
+// TestReshardGrowsRouterMetrics: a grow adds the new shard's per-shard
+// series, so the first read routed to the added shard is counted.
+func TestReshardGrowsRouterMetrics(t *testing.T) {
+	rig := newCutoverRig(t, 2, 3)
+	reg := obs.NewRegistry()
+	rt, err := NewRouter(RouterConfig{Ring: rig.ring(1, 2), Client: rig.net.client(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.rt = rt
+	next := rig.ring(2, 3)
+	if _, err := rt.Reshard(next, rig.nodes(), func() {}); err != nil {
+		t.Fatal(err)
+	}
+	user := ""
+	for u := 0; user == ""; u++ {
+		if key := fmt.Sprintf("user-%03d", u); next.Owner(key) == 2 {
+			user = key
+		}
+	}
+	rt.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/recommend?user="+user, nil))
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := obs.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := scrape.Value("ganc_router_fanout_total", obs.L("shard", "2")); !ok || v != 1 {
+		t.Fatalf(`ganc_router_fanout_total{shard="2"} = %v (present %v) after one read for %s, which shard 2 owns; want 1`, v, ok, user)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -89,6 +90,38 @@ func TestRouterMetrics(t *testing.T) {
 	}
 	if v, ok := sc.Value("ganc_router_retries_total", obs.L("shard", "0")); !ok || v != 0 {
 		t.Errorf("retries shard 0 = %v, %v", v, ok)
+	}
+}
+
+// TestRouterMetricsGrowRacesRecording: rows grow while requests record
+// against every shard index. Under -race the swap is all the request path
+// needs, and no call to a shard that already had a row is lost.
+func TestRouterMetricsGrowRacesRecording(t *testing.T) {
+	rm := newRouterMetrics(obs.NewRegistry(), 2)
+	const workers, calls = 4, 600
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				rm.call(i % 2)
+				rm.call(2 + i%6)
+			}
+		}()
+	}
+	for n := 3; n <= 8; n++ {
+		rm.grow(n)
+	}
+	wg.Wait()
+	rows := *rm.rows.Load()
+	if len(rows) != 8 {
+		t.Fatalf("%d rows after growing to 8", len(rows))
+	}
+	for shard := range 2 {
+		if got := rows[shard].fanout.Value(); got != workers*calls/2 {
+			t.Fatalf("shard %d counted %v calls, want %d", shard, got, workers*calls/2)
+		}
 	}
 }
 

@@ -23,19 +23,17 @@ import (
 // replicated, before the router flips the user). This file holds what is
 // migration's own: per-user cursors seeded from the destination's WAL
 // (seedCursor makes the transfer exactly-once even across destination
-// restarts and users that migrate away and later return), done-accounting,
-// the sender's chunk iteration, the ring delta, and the staged cutover that
-// sequences them (Router.Reshard).
+// restarts and users that migrate away and later return), the sender's
+// chunk iteration, the ring delta, and the staged cutover that sequences
+// them (Router.Reshard).
 
 // MigrationApplier is the destination side of the user stream: a receiver
 // with one cursor per moving user, seeded from the node's own write-ahead
-// log, plus the exact accounting (events applied, users completed) the
-// reshard statistics and the race suite read. One applier guards one shard
-// node; only a primary's accepts chunks.
+// log, plus the count of events applied that the race suite reads. One
+// applier guards one shard node; only a primary's accepts chunks.
 type MigrationApplier struct {
 	receiver
 	cursors map[string]uint64
-	done    map[string]struct{}
 	events  atomic.Int64
 }
 
@@ -45,7 +43,6 @@ func NewMigrationApplier(shard int, epoch uint64, backend ReplicaBackend) *Migra
 	ma := &MigrationApplier{
 		receiver: receiver{space: UserSpace, shard: shard, backend: backend},
 		cursors:  make(map[string]uint64),
-		done:     make(map[string]struct{}),
 	}
 	ma.epoch.Store(epoch)
 	return ma
@@ -79,14 +76,6 @@ func (ma *MigrationApplier) Cursor(user string) uint64 {
 // backend — the exact-accounting counter the race suite pins.
 func (ma *MigrationApplier) EventsApplied() int64 { return ma.events.Load() }
 
-// UsersCompleted returns how many distinct users have reported Done (cursor
-// reached the announced history total).
-func (ma *MigrationApplier) UsersCompleted() int {
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
-	return len(ma.done)
-}
-
 // Apply runs one /migrate chunk through the stream rules at the user's
 // cursor. The ack always carries that cursor; the error (when non-nil) wraps
 // one of the ErrStream* sentinels, or the backend's own failure. Done is
@@ -105,9 +94,6 @@ func (ma *MigrationApplier) Apply(ctx context.Context, c *Chunk) (Ack, error) {
 	if ack.Applied > 0 {
 		ma.cursors[c.Key] = ack.Cursor
 		ma.events.Add(int64(ack.Applied))
-		if ack.Done {
-			ma.done[c.Key] = struct{}{}
-		}
 	}
 	return ack, nil
 }

@@ -17,7 +17,7 @@ import (
 // reshard performs), with a chunk size that forces multi-chunk transfers.
 // Under -race the applier's per-user serialization is exercised for real;
 // afterward the accounting must be exact — every event applied exactly once,
-// every user completed exactly once, per-user order preserved.
+// every user's cursor at the end of its history, per-user order preserved.
 func TestMigrationApplierRacesConcurrentShippers(t *testing.T) {
 	const users, perUser = 24, 17
 	backend := &countingBackend{}
@@ -57,8 +57,10 @@ func TestMigrationApplierRacesConcurrentShippers(t *testing.T) {
 	if got := ma.EventsApplied(); got != users*perUser {
 		t.Fatalf("EventsApplied = %d, want %d", got, users*perUser)
 	}
-	if got := ma.UsersCompleted(); got != users {
-		t.Fatalf("UsersCompleted = %d, want %d", got, users)
+	for u := 0; u < users; u++ {
+		if user := fmt.Sprintf("mover-%03d", u); ma.Cursor(user) != perUser {
+			t.Fatalf("%s's cursor stands at %d, want the end of its %d-event history", user, ma.Cursor(user), perUser)
+		}
 	}
 	backend.mu.Lock()
 	defer backend.mu.Unlock()
@@ -98,7 +100,7 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 	if err := rt.beginReshard(next, moving); err != nil {
 		t.Fatal(err)
 	}
-	if !rt.Resharding() {
+	if rt.reshard.Load() == nil {
 		t.Fatal("router does not report an in-flight reshard")
 	}
 
@@ -164,7 +166,7 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 	if err := rt.completeReshard(); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Resharding() {
+	if rt.reshard.Load() != nil {
 		t.Fatal("router still reports a reshard after completion")
 	}
 
@@ -225,7 +227,7 @@ func TestRouterReshardStateMachineRules(t *testing.T) {
 		t.Fatal("begin accepted a second in-flight transition")
 	}
 	rt.abortReshard()
-	if rt.Resharding() {
+	if rt.reshard.Load() != nil {
 		t.Fatal("abort left the transition in flight")
 	}
 	for _, u := range keys {

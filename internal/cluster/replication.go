@@ -288,16 +288,6 @@ func (sp *Shipper) waitQuorum(seq uint64) bool {
 	}
 }
 
-// SetHead advances the committed head without shipping (the recovery path:
-// events replayed from the WAL are already durable there) and wakes every
-// catch-up loop to re-feed replicas up to it.
-func (sp *Shipper) SetHead(seq uint64) {
-	storeMax(&sp.head, seq)
-	for _, rep := range sp.reps {
-		rep.poke()
-	}
-}
-
 // SetEpoch moves the shipper to a new ring epoch.
 func (sp *Shipper) SetEpoch(epoch uint64) { sp.epoch.Store(epoch) }
 

@@ -112,7 +112,9 @@ func TestReplicationCommitRacesCatchUpAndStatus(t *testing.T) {
 				case 1:
 					rig.sp.Resync()
 				case 2:
-					rig.sp.SetHead(rig.wal.Seq())
+					for _, rep := range rig.sp.reps {
+						rep.poke()
+					}
 				}
 			}
 		}(rig)

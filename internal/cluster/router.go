@@ -284,6 +284,8 @@ func (rt *Router) beginReshard(next *Ring, moving map[string]UserMove) error {
 	for user, mv := range moving {
 		rs.users[user] = &migratingUser{from: mv.From}
 	}
+	// Rows first: writes route by the next ring as soon as rs is in.
+	rt.rm.grow(next.NumShards())
 	if !rt.reshard.CompareAndSwap(nil, rs) {
 		return fmt.Errorf("%w: a reshard is already in flight", ErrBadRing)
 	}
@@ -320,9 +322,6 @@ func (rt *Router) completeReshard() error {
 // the current ring (writes that already landed at epoch-E+1-only shards are
 // not replayed back; see DESIGN.md §14 for the failure semantics).
 func (rt *Router) abortReshard() { rt.reshard.Store(nil) }
-
-// Resharding reports whether a ring transition is in flight.
-func (rt *Router) Resharding() bool { return rt.reshard.Load() != nil }
 
 // readTarget resolves the shard that serves a user's reads: outside a
 // reshard, the current ring's owner; during one, the old owner until the
@@ -643,21 +642,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
 		return
 	}
-	var req serve.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid JSON: " + err.Error()})
-		return
-	}
-	if len(req.Users) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "users list is empty"})
-		return
-	}
-	// The router enforces the single-node batch limit itself: fanning an
+	// The router enforces the single node's body checks itself: fanning an
 	// oversized batch out would either multiply the limit by the shard count
 	// or bounce a client mistake back as a misleading shard-side 503.
-	if len(req.Users) > serve.MaxBatchUsers {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("batch of %d users exceeds the limit of %d", len(req.Users), serve.MaxBatchUsers)})
+	req, ok := serve.ReadBatchRequest(w, r)
+	if !ok {
 		return
 	}
 	// Partition the users by owning shard (the read target, so mid-reshard
@@ -778,27 +767,10 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
 		return
 	}
-	var req serve.IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid JSON: " + err.Error()})
+	// The single node's body checks, for the reason handleBatch gives.
+	req, ok := serve.ReadIngestRequest(w, r)
+	if !ok {
 		return
-	}
-	if len(req.Events) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "events list is empty"})
-		return
-	}
-	// Mirror the single-node ingest limit (see handleBatch for the reason).
-	if len(req.Events) > serve.MaxIngestEvents {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("batch of %d events exceeds the limit of %d", len(req.Events), serve.MaxIngestEvents)})
-		return
-	}
-	for k, ev := range req.Events {
-		if ev.User == "" || ev.Item == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("event %d is missing a user or item key", k)})
-			return
-		}
 	}
 	// Events go to the shard owning their user: the owner's write-ahead log
 	// is the durability point for that user's interactions. Mid-reshard the

@@ -466,6 +466,47 @@ func TestRouterIngestRoutedToOwners(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesAre413: a batch or ingest body one byte past
+// serve.MaxBodyBytes — here one huge user key, which the count limits alone
+// would pass — is refused with a 413 by a single node and by the router
+// alike, in the usual error shape, and reaches no engine or sink.
+func TestOversizedBodiesAre413(t *testing.T) {
+	rt, shards := clusterFixture(t, 2)
+	sinks := make([]*recordingSink, len(shards))
+	for i, s := range shards {
+		sinks[i] = newRecordingSink()
+		s.srv.SetIngestSink(sinks[i])
+	}
+	// pad fills the one key so the body comes to exactly MaxBodyBytes+1.
+	pad := func(head, tail string) string {
+		return head + strings.Repeat("x", serve.MaxBodyBytes+1-len(head)-len(tail)) + tail
+	}
+	batch := pad(`{"users":["`, `"]}`)
+	ingest := pad(`{"events":[{"user":"`, `","item":"item-0","value":1}]}`)
+	for _, row := range []struct {
+		surface   string
+		h         http.Handler
+		path, raw string
+	}{
+		{"server", shards[0].srv.Handler(), "/recommend/batch", batch},
+		{"server", shards[0].srv.Handler(), "/ingest", ingest},
+		{"router", rt.Handler(), "/recommend/batch", batch},
+		{"router", rt.Handler(), "/ingest", ingest},
+	} {
+		w := httptest.NewRecorder()
+		row.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, row.path, strings.NewReader(row.raw)))
+		var answer struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &answer); w.Code != http.StatusRequestEntityTooLarge || err != nil || answer.Error == "" {
+			t.Errorf("%s %s: a %d-byte body answered %d %.80q, want a 413 with an error", row.surface, row.path, len(row.raw), w.Code, w.Body)
+		}
+	}
+	for i, sink := range sinks {
+		if len(sink.events) != 0 {
+			t.Errorf("shard %d's sink absorbed %d events from refused bodies", i, len(sink.events))
+		}
+	}
+}
+
 // TestRouterInfoAggregation: /info must sum versions and cache counters,
 // carry every shard's row, and stay decodable as a single-node InfoResponse.
 func TestRouterInfoAggregation(t *testing.T) {

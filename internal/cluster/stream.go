@@ -63,12 +63,9 @@ var (
 )
 
 // MaxReplicateEvents bounds one chunk, mirroring the ingest limit so a node
-// never absorbs more per call than a client write could carry; maxChunkBody
-// bounds the body a node will buffer, so hostile input cannot balloon memory.
-const (
-	MaxReplicateEvents = serve.MaxIngestEvents
-	maxChunkBody       = 16 << 20
-)
+// never absorbs more per call than a client write could carry; a chunk's
+// body is bounded by serve.MaxBodyBytes, as a client write's is.
+const MaxReplicateEvents = serve.MaxIngestEvents
 
 // TailPath is the route WAL-tail pulls are served on: a rejoining node whose
 // local log is shorter than its snapshot cursor pulls the missing records
@@ -142,7 +139,7 @@ type Ack struct {
 // capped at the wire limit before any decoding happens.
 func ParseChunk(r io.Reader, sp Space) (*Chunk, error) {
 	var c Chunk
-	if err := json.NewDecoder(io.LimitReader(r, maxChunkBody)).Decode(&c); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r, serve.MaxBodyBytes)).Decode(&c); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStreamBody, err)
 	}
 	n := uint64(len(c.Events))
@@ -272,7 +269,7 @@ func readChunk(w http.ResponseWriter, r *http.Request, sp Space) (*Chunk, error)
 	if r.Method != http.MethodPost {
 		return nil, errStreamMethod
 	}
-	return ParseChunk(http.MaxBytesReader(w, r.Body, maxChunkBody), sp)
+	return ParseChunk(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes), sp)
 }
 
 // writeAck answers a chunk: 200 with the ack, or the refusal's status with

@@ -259,9 +259,6 @@ func testStreamCursorRules(t *testing.T, rig spaceRig) {
 		if got := ma.EventsApplied(); got != 6 {
 			t.Fatalf("EventsApplied = %d, want 6", got)
 		}
-		if got := ma.UsersCompleted(); got != 1 {
-			t.Fatalf("UsersCompleted = %d, want 1", got)
-		}
 	}
 	// Exactly-once: positions 1..6 applied, each once, in order.
 	got := b.values()

@@ -137,12 +137,6 @@ type PopAccuracy struct {
 	cacheCap int
 }
 
-// NewPopAccuracy builds the indicator-style Pop accuracy recommender. topN is
-// the N of the top-N sets being constructed.
-func NewPopAccuracy(train *dataset.Dataset, topN int) *PopAccuracy {
-	return NewPopAccuracyWith(recommender.NewPop(train), train, topN)
-}
-
 // topBits returns user u's popularity top-N membership bitset, computing and
 // caching it on first use. The fast path is a read-locked map lookup.
 func (p *PopAccuracy) topBits(u types.UserID) []uint64 {
@@ -219,27 +213,6 @@ func fillIndicators[T float32 | float64](bits []uint64, items []types.ItemID, ou
 		}
 	}
 	return recommender.Identity[T]()
-}
-
-// SetCacheCap overrides the top-N membership cache bound (primarily for
-// tests). Caps ≤ 0 are treated as 1.
-func (p *PopAccuracy) SetCacheCap(cap int) {
-	if cap <= 0 {
-		cap = 1
-	}
-	p.mu.Lock()
-	p.cacheCap = cap
-	for len(p.cache) > cap {
-		p.evictOneLocked()
-	}
-	p.mu.Unlock()
-}
-
-// CacheLen reports how many users' top-N sets are currently cached.
-func (p *PopAccuracy) CacheLen() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.cache)
 }
 
 // Name implements AccuracyRecommender.
@@ -364,9 +337,9 @@ type DynCoverage struct {
 
 	// gen counts mutations of freq; FrozenFrequencies compares it against
 	// snapGen to decide whether the cached read-only snapshot is still
-	// current. Mutators (Observe, SetFrequencies — the batch path) must not
-	// run concurrently with readers, per the engine contract; snapMu only
-	// serializes concurrent online snapshot requests against each other.
+	// current. Observe (the batch path) must not run concurrently with
+	// readers, per the engine contract; snapMu only serializes concurrent
+	// online snapshot requests against each other.
 	gen     uint64
 	snapMu  sync.Mutex
 	snap    []int
@@ -422,16 +395,6 @@ func (d *DynCoverage) FrozenFrequencies() []int {
 		d.hasSnap = true
 	}
 	return d.snap
-}
-
-// SetFrequencies replaces the frequency state (OSLG restores snapshots for
-// out-of-sample users).
-func (d *DynCoverage) SetFrequencies(f []int) {
-	if len(f) != len(d.freq) {
-		panic(fmt.Sprintf("core: frequency vector length %d != catalog size %d", len(f), len(d.freq)))
-	}
-	copy(d.freq, f)
-	d.gen++
 }
 
 // NumItems returns the catalog size the recommender was built for.
@@ -969,7 +932,7 @@ func (g *GANC) sampleUsersByKDE(all []userTheta, sampleSize int, rng *rand.Rand)
 	for k, ut := range all {
 		thetas[k] = ut.theta
 	}
-	density, err := kde.New(thetas, 0)
+	density, err := kde.New(thetas)
 	var draws []float64
 	if err == nil {
 		draws = density.SampleClamped(sampleSize, 0, 1, rng)

@@ -28,8 +28,8 @@ func testSplit(t *testing.T) *dataset.Split {
 
 // popArec builds the Pop accuracy recommender used in most tests (cheap and
 // deterministic).
-func popArec(train *dataset.Dataset, n int) AccuracyRecommender {
-	return NewPopAccuracy(train, n)
+func popArec(train *dataset.Dataset, n int) *PopAccuracy {
+	return NewPopAccuracyWith(recommender.NewPop(train), train, n)
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -187,15 +187,14 @@ func TestDynCoverageDiminishingReturns(t *testing.T) {
 	if math.Abs(mid-1/math.Sqrt(2)) > 1e-12 {
 		t.Fatalf("score after one recommendation = %v, want 1/√2", mid)
 	}
-	// Frequencies round trip.
+	// Frequencies is a copy of the state, not a view of it.
 	f := dyn.Frequencies()
 	if f[3] != 2 {
 		t.Fatalf("frequency = %d, want 2", f[3])
 	}
 	f[3] = 7
-	dyn.SetFrequencies(f)
-	if dyn.Frequencies()[3] != 7 {
-		t.Fatal("SetFrequencies did not apply")
+	if dyn.Frequencies()[3] != 2 {
+		t.Fatal("writing to Frequencies' result changed the state")
 	}
 	// Observe on out-of-range item is a no-op, not a panic.
 	dyn.Observe(types.ItemID(99))
@@ -204,20 +203,10 @@ func TestDynCoverageDiminishingReturns(t *testing.T) {
 	}
 }
 
-func TestDynSetFrequenciesPanicsOnWrongLength(t *testing.T) {
-	dyn := NewDynCoverage(5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	dyn.SetFrequencies([]int{1, 2})
-}
-
 func TestPopAccuracyIndicatorScores(t *testing.T) {
 	sp := testSplit(t)
 	train := sp.Train
-	pa := NewPopAccuracy(train, 5)
+	pa := popArec(train, 5)
 	pop := &recommender.ScorerTopN{Scorer: recommender.NewPop(train)}
 	u := types.UserID(0)
 	top := pop.Recommend(u, 5, train.AppendCandidates(u, nil))

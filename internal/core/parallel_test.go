@@ -78,7 +78,7 @@ func TestParallelStatCoverageMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) types.Recommendations {
-		g, err := New(train, NewPopAccuracy(train, 5), prefs, NewStatCoverage(train),
+		g, err := New(train, popArec(train, 5), prefs, NewStatCoverage(train),
 			Config{N: 5, Seed: 1, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestParallelOSLGOutOfSampleMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) types.Recommendations {
-		g, err := New(train, NewPopAccuracy(train, 5), prefs, NewDynCoverage(train.NumItems()),
+		g, err := New(train, popArec(train, 5), prefs, NewDynCoverage(train.NumItems()),
 			Config{N: 5, SampleSize: train.NumUsers() / 4, Seed: 9, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestParallelWorkersClampedAboveCPUCount(t *testing.T) {
 	sp := parallelSplit(t)
 	train := sp.Train
 	prefs := longtail.Constant(train.NumUsers(), 0.5)
-	g, err := New(train, NewPopAccuracy(train, 3), prefs, NewStatCoverage(train),
+	g, err := New(train, popArec(train, 3), prefs, NewStatCoverage(train),
 		Config{N: 3, Seed: 1, Workers: 10_000})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestWorkersClampedToGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) types.Recommendations {
-		g, err := New(train, NewPopAccuracy(train, 5), prefs, NewDynCoverage(train.NumItems()),
+		g, err := New(train, popArec(train, 5), prefs, NewDynCoverage(train.NumItems()),
 			Config{N: 5, SampleSize: train.NumUsers() / 4, Seed: 9, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestParallelRandCoverageProducesCompleteCollection(t *testing.T) {
 	train := sp.Train
 	prefs := longtail.Constant(train.NumUsers(), 0.7)
 	run := func(workers int) types.Recommendations {
-		g, err := New(train, NewPopAccuracy(train, 5), prefs, NewRandCoverage(3),
+		g, err := New(train, popArec(train, 5), prefs, NewRandCoverage(3),
 			Config{N: 5, Seed: 3, Workers: workers})
 		if err != nil {
 			t.Fatal(err)

@@ -11,20 +11,20 @@ import (
 func TestPopAccuracyCacheStaysBounded(t *testing.T) {
 	sp := testSplit(t)
 	train := sp.Train
-	pa := NewPopAccuracy(train, 5)
-	pa.SetCacheCap(4)
+	pa := popArec(train, 5)
+	pa.cacheCap = 4
 	numUsers := train.NumUsers()
 	if numUsers < 10 {
 		t.Fatalf("fixture too small: %d users", numUsers)
 	}
 	for u := 0; u < numUsers; u++ {
 		pa.AccuracyScore(types.UserID(u), 0)
-		if got := pa.CacheLen(); got > 4 {
+		if got := len(pa.cache); got > 4 {
 			t.Fatalf("cache grew to %d entries with cap 4", got)
 		}
 	}
 	// Evicted users must still score correctly (recomputed on demand).
-	fresh := NewPopAccuracy(train, 5)
+	fresh := popArec(train, 5)
 	for u := 0; u < 10; u++ {
 		for i := 0; i < 25; i++ {
 			uid, iid := types.UserID(u), types.ItemID(i)
@@ -35,24 +35,12 @@ func TestPopAccuracyCacheStaysBounded(t *testing.T) {
 	}
 }
 
-func TestPopAccuracyShrinksWhenCapLowered(t *testing.T) {
-	sp := testSplit(t)
-	pa := NewPopAccuracy(sp.Train, 3)
-	for u := 0; u < 20; u++ {
-		pa.AccuracyScore(types.UserID(u), 0)
-	}
-	pa.SetCacheCap(5)
-	if got := pa.CacheLen(); got > 5 {
-		t.Fatalf("SetCacheCap did not shrink the cache: %d entries", got)
-	}
-}
-
 func TestPopAccuracyConcurrentReadsAgree(t *testing.T) {
 	sp := testSplit(t)
 	train := sp.Train
-	pa := NewPopAccuracy(train, 5)
-	pa.SetCacheCap(8) // force eviction churn under concurrency
-	want := NewPopAccuracy(train, 5)
+	pa := popArec(train, 5)
+	pa.cacheCap = 8 // force eviction churn under concurrency
+	want := popArec(train, 5)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)

@@ -34,9 +34,10 @@ func NewStatCoverageFromCounts(counts []int) *StatCoverage {
 	return &StatCoverage{scores: scores}
 }
 
-// NewPopAccuracyWith is NewPopAccuracy with an explicit popularity model,
-// letting callers supply incrementally maintained counts (streaming
-// ingestion) or counts restored from a snapshot instead of recounting train.
+// NewPopAccuracyWith builds the paper's indicator-style Pop accuracy
+// recommender over an explicit popularity model — incrementally maintained
+// counts (streaming ingestion) or counts restored from a snapshot. topN is
+// the N of the top-N sets being constructed.
 func NewPopAccuracyWith(pop *recommender.Pop, train *dataset.Dataset, topN int) *PopAccuracy {
 	return &PopAccuracy{
 		pop:      recommender.ScorerTopN{Scorer: pop},

@@ -67,7 +67,7 @@ func TestSweepEquivalenceStatCoverage(t *testing.T) {
 		sp := equivSplit(t, trial)
 		train := sp.Train
 		prefs := equivPrefs(t, train, trial)
-		g, err := New(train, NewPopAccuracy(train, 5), prefs, NewStatCoverage(train), Config{N: 5, Seed: trial})
+		g, err := New(train, popArec(train, 5), prefs, NewStatCoverage(train), Config{N: 5, Seed: trial})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func (h hashScorer) Name() string                                 { return "Hash
 // under: the paper's sparse Pop indicator and a dense scorer.
 func equivAccuracies(train *dataset.Dataset, trial int64) []AccuracyRecommender {
 	return []AccuracyRecommender{
-		NewPopAccuracy(train, 5),
+		popArec(train, 5),
 		&ScorerAccuracy{Scorer: hashScorer{seed: uint64(trial)*104729 + 7}},
 	}
 }
@@ -139,7 +139,7 @@ func TestSweepEquivalenceRandStyleCoverage(t *testing.T) {
 			&hashCoverageBulk{hashCoverage{seed: uint64(trial)*7919 + 13}}, // one bulk call
 			&hashCoverage{seed: uint64(trial)*7919 + 13},                   // pointwise fill
 		} {
-			g, err := New(train, NewPopAccuracy(train, 5), prefs, crec, Config{N: 5, Seed: trial})
+			g, err := New(train, popArec(train, 5), prefs, crec, Config{N: 5, Seed: trial})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func TestSweepEquivalenceShardedMatchesSequential(t *testing.T) {
 		{"Dyn-OSLG", func() CoverageRecommender { return NewDynCoverage(train.NumItems()) }, train.NumUsers() / 5},
 	} {
 		run := func(workers int) types.Recommendations {
-			g, err := New(train, NewPopAccuracy(train, 5), prefs, tc.build(),
+			g, err := New(train, popArec(train, 5), prefs, tc.build(),
 				Config{N: 5, SampleSize: tc.sample, Seed: 3, Workers: workers})
 			if err != nil {
 				t.Fatal(err)

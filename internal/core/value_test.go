@@ -19,7 +19,7 @@ func TestMarginalGainStaysInUnitInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(train, NewPopAccuracy(train, 5), prefs, NewDynCoverage(train.NumItems()), Config{N: 5, Seed: 1})
+	g, err := New(train, popArec(train, 5), prefs, NewDynCoverage(train.NumItems()), Config{N: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestValueOfMatchesSumOfSequentialGains(t *testing.T) {
 	prefs := longtail.Constant(train.NumUsers(), 0.5)
 
 	// First run: produce the collection.
-	g1, err := New(train, NewPopAccuracy(train, 3), prefs, NewDynCoverage(train.NumItems()), Config{N: 3, SampleSize: 0, Seed: 2})
+	g1, err := New(train, popArec(train, 3), prefs, NewDynCoverage(train.NumItems()), Config{N: 3, SampleSize: 0, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestValueOfMatchesSumOfSequentialGains(t *testing.T) {
 	// Second run: replay the same construction manually, accumulating gains
 	// in the same (θ, user id) order the optimizer uses.
 	dyn := NewDynCoverage(train.NumItems())
-	arec := NewPopAccuracy(train, 3)
+	arec := popArec(train, 3)
 	total := 0.0
 	users := make([]types.UserID, train.NumUsers())
 	for u := range users {
@@ -105,7 +105,7 @@ func TestValueOfIsOrderInvariantForStaticCoverage(t *testing.T) {
 	train := sp.Train
 	prefs, _ := longtail.Estimate(longtail.ModelTFIDF, train, nil, 0, 1)
 	build := func() *GANC {
-		g, err := New(train, NewPopAccuracy(train, 4), prefs, NewStatCoverage(train), Config{N: 4, Seed: 3})
+		g, err := New(train, popArec(train, 4), prefs, NewStatCoverage(train), Config{N: 4, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestOSLGSampleSizeOneStillCoversAllUsers(t *testing.T) {
 	sp := testSplit(t)
 	train := sp.Train
 	prefs, _ := longtail.Estimate(longtail.ModelGeneralized, train, nil, 0, 1)
-	g, err := New(train, NewPopAccuracy(train, 3), prefs, NewDynCoverage(train.NumItems()), Config{N: 3, SampleSize: 1, Seed: 4})
+	g, err := New(train, popArec(train, 3), prefs, NewDynCoverage(train.NumItems()), Config{N: 3, SampleSize: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestOSLGWithRandomPreferencesIsReproducibleAcrossSeeds(t *testing.T) {
 	prefs, _ := longtail.Estimate(longtail.ModelRandom, train, nil, 0, 99)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 3; trial++ {
-		g, err := New(train, NewPopAccuracy(train, 2), prefs, NewDynCoverage(train.NumItems()),
+		g, err := New(train, popArec(train, 2), prefs, NewDynCoverage(train.NumItems()),
 			Config{N: 2, SampleSize: 10 + rng.Intn(30), Seed: rng.Int63()})
 		if err != nil {
 			t.Fatal(err)

@@ -72,9 +72,6 @@ func TestAppendCandidatesMatchesSetComplement(t *testing.T) {
 					t.Fatalf("seed %d user %d: candidate %d = %d, want %d", seed, u, k, buf[k], want[k])
 				}
 			}
-			if got := d.NumCandidates(uid); got != len(want) {
-				t.Fatalf("seed %d user %d: NumCandidates = %d, want %d", seed, u, got, len(want))
-			}
 		}
 	}
 }

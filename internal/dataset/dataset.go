@@ -257,22 +257,6 @@ func (d *Dataset) AppendCandidates(u types.UserID, buf []types.ItemID) []types.I
 	return buf[:n+w]
 }
 
-// NumCandidates returns how many candidate items AppendCandidates would yield
-// for user u.
-func (d *Dataset) NumCandidates(u types.UserID) int {
-	return d.NumItems() - len(d.UserItemsSorted(u))
-}
-
-// ItemUsers returns the users who rated item i.
-func (d *Dataset) ItemUsers(i types.ItemID) []types.UserID {
-	idxs := d.ItemRatings(i)
-	out := make([]types.UserID, len(idxs))
-	for k, idx := range idxs {
-		out[k] = d.ratings[idx].User
-	}
-	return out
-}
-
 // UserRating returns the value user u gave item i and whether such a rating
 // exists. Lookup is linear in the user's profile size, which is small for the
 // vast majority of users in CF data.

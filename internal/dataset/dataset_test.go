@@ -54,9 +54,8 @@ func TestUserAndItemIndexes(t *testing.T) {
 	if d.ItemPopularity(0) != 4 {
 		t.Fatalf("item 0 popularity = %d, want 4", d.ItemPopularity(0))
 	}
-	users := d.ItemUsers(0)
-	if len(users) != 4 {
-		t.Fatalf("item 0 user count = %d, want 4", len(users))
+	if got := len(d.ItemRatings(0)); got != 4 {
+		t.Fatalf("item 0 has %d ratings, want 4", got)
 	}
 	if d.ItemPopularity(5) != 1 {
 		t.Fatalf("item 5 popularity = %d, want 1", d.ItemPopularity(5))

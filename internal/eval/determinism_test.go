@@ -56,13 +56,4 @@ func TestEvaluateIsDeterministicAcrossMapInstances(t *testing.T) {
 	if repA != repB {
 		t.Fatalf("reports differ across map instances:\n%+v\n%+v", repA, repB)
 	}
-	if a, b := ev.NDCG(build(forward), 5), ev.NDCG(build(shuffled), 5); a != b {
-		t.Fatalf("NDCG differs: %v vs %v", a, b)
-	}
-	if a, b := ev.MRR(build(forward), 5), ev.MRR(build(shuffled), 5); a != b {
-		t.Fatalf("MRR differs: %v vs %v", a, b)
-	}
-	if a, b := ev.HitRate(build(forward), 5), ev.HitRate(build(shuffled), 5); a != b {
-		t.Fatalf("HitRate differs: %v vs %v", a, b)
-	}
 }

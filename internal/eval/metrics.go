@@ -110,9 +110,6 @@ func NewEvaluator(split *dataset.Split, beta float64) *Evaluator {
 // LongTail exposes the train-set long-tail item set used by LTAccuracy.
 func (e *Evaluator) LongTail() map[types.ItemID]struct{} { return e.tail }
 
-// RelevantItems returns the relevant test items of user u (rated ≥ 4).
-func (e *Evaluator) RelevantItems(u types.UserID) map[types.ItemID]struct{} { return e.relevant[u] }
-
 // Evaluate computes the full Table III report for a recommendation
 // collection produced by algorithm `name` at cutoff n. Lists longer than n
 // are truncated; shorter lists are evaluated as-is (matching the paper's

@@ -1,13 +1,12 @@
 // Package kde implements Gaussian kernel density estimation over a
-// one-dimensional sample, with rule-of-thumb and cross-validated bandwidth
-// selection, plus sampling from the estimated density.
+// one-dimensional sample, with Silverman's rule-of-thumb bandwidth, and
+// sampling from the estimated density.
 //
 // GANC's OSLG optimization (Algorithm 1, line 2) approximates the probability
 // density of the user long-tail preferences θ with a KDE and draws the sample
 // of users it processes sequentially from that density. The paper cites the
-// Sheather–Jones bandwidth selector; this package provides Silverman's
-// rule-of-thumb (the standard plug-in approximation) and an optional
-// leave-one-out likelihood cross-validation refinement, either of which gives
+// Sheather–Jones bandwidth selector; this package uses Silverman's
+// rule-of-thumb (the standard plug-in approximation), which gives
 // statistically indistinguishable samples for the smooth, unimodal θ
 // distributions involved (DESIGN.md §4).
 package kde
@@ -74,42 +73,13 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// New fits a KDE to data with the given bandwidth. A non-positive bandwidth
-// selects Silverman's rule automatically. New copies the data.
-func New(data []float64, bandwidth float64) (*KDE, error) {
+// New fits a KDE to data at Silverman's bandwidth. New copies the data.
+func New(data []float64) (*KDE, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("kde: cannot fit a density to an empty sample")
 	}
-	if bandwidth <= 0 {
-		bandwidth = Silverman(data)
-	}
 	cp := append([]float64(nil), data...)
-	return &KDE{data: cp, bandwidth: bandwidth}, nil
-}
-
-// Bandwidth returns the bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
-// PDF evaluates the estimated density at x.
-func (k *KDE) PDF(x float64) float64 {
-	h := k.bandwidth
-	sum := 0.0
-	for _, xi := range k.data {
-		z := (x - xi) / h
-		sum += math.Exp(-0.5 * z * z)
-	}
-	norm := float64(len(k.data)) * h * math.Sqrt(2*math.Pi)
-	return sum / norm
-}
-
-// CDF evaluates the estimated cumulative distribution at x.
-func (k *KDE) CDF(x float64) float64 {
-	h := k.bandwidth
-	sum := 0.0
-	for _, xi := range k.data {
-		sum += 0.5 * (1 + math.Erf((x-xi)/(h*math.Sqrt2)))
-	}
-	return sum / float64(len(k.data))
+	return &KDE{data: cp, bandwidth: Silverman(data)}, nil
 }
 
 // Sample draws n points from the estimated density: pick a data point
@@ -142,47 +112,4 @@ func (k *KDE) SampleClamped(n int, lo, hi float64, rng *rand.Rand) []float64 {
 		}
 	}
 	return out
-}
-
-// CrossValidatedBandwidth refines the Silverman bandwidth by maximizing the
-// leave-one-out log-likelihood over a small multiplicative grid. It is more
-// expensive (O(n²) per grid point) and only worthwhile for small samples or
-// strongly multimodal data.
-func CrossValidatedBandwidth(data []float64, gridFactors []float64) float64 {
-	base := Silverman(data)
-	if len(data) < 3 {
-		return base
-	}
-	if len(gridFactors) == 0 {
-		gridFactors = []float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0}
-	}
-	bestH, bestLL := base, math.Inf(-1)
-	for _, f := range gridFactors {
-		h := base * f
-		if h <= 0 {
-			continue
-		}
-		ll := 0.0
-		valid := true
-		for i, xi := range data {
-			sum := 0.0
-			for j, xj := range data {
-				if i == j {
-					continue
-				}
-				z := (xi - xj) / h
-				sum += math.Exp(-0.5 * z * z)
-			}
-			density := sum / (float64(len(data)-1) * h * math.Sqrt(2*math.Pi))
-			if density <= 0 {
-				valid = false
-				break
-			}
-			ll += math.Log(density)
-		}
-		if valid && ll > bestLL {
-			bestLL, bestH = ll, h
-		}
-	}
-	return bestH
 }

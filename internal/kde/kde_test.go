@@ -4,11 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewRejectsEmptySample(t *testing.T) {
-	if _, err := New(nil, 0); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("empty sample did not error")
 	}
 }
@@ -41,70 +40,6 @@ func TestSilvermanDegenerateSamples(t *testing.T) {
 	}
 }
 
-func TestPDFIntegratesToApproximatelyOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	data := make([]float64, 300)
-	for i := range data {
-		data[i] = 0.3 + 0.15*rng.NormFloat64()
-	}
-	k, err := New(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trapezoidal integration over a wide interval.
-	integral := 0.0
-	lo, hi, steps := -2.0, 3.0, 2000
-	dx := (hi - lo) / float64(steps)
-	for s := 0; s <= steps; s++ {
-		x := lo + float64(s)*dx
-		w := dx
-		if s == 0 || s == steps {
-			w /= 2
-		}
-		integral += k.PDF(x) * w
-	}
-	if math.Abs(integral-1) > 0.02 {
-		t.Fatalf("PDF integrates to %v, want ≈ 1", integral)
-	}
-}
-
-func TestPDFPeaksNearTheData(t *testing.T) {
-	data := []float64{0.2, 0.21, 0.19, 0.22, 0.18, 0.2}
-	k, err := New(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.PDF(0.2) <= k.PDF(0.8) {
-		t.Fatal("density at the data cluster should exceed density far away")
-	}
-}
-
-func TestCDFMonotoneAndBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	data := make([]float64, 200)
-	for i := range data {
-		data[i] = rng.Float64()
-	}
-	k, err := New(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := -1.0
-	for x := -0.5; x <= 1.5; x += 0.05 {
-		c := k.CDF(x)
-		if c < prev-1e-12 {
-			t.Fatalf("CDF not monotone at %v", x)
-		}
-		if c < 0 || c > 1 {
-			t.Fatalf("CDF out of range at %v: %v", x, c)
-		}
-		prev = c
-	}
-	if k.CDF(-5) > 0.01 || k.CDF(5) < 0.99 {
-		t.Fatal("CDF tails wrong")
-	}
-}
-
 func TestSampleReproducesDistributionRoughly(t *testing.T) {
 	// Data drawn from a bimodal mixture; samples from the KDE should land in
 	// both modes with roughly the right proportions.
@@ -117,7 +52,7 @@ func TestSampleReproducesDistributionRoughly(t *testing.T) {
 			data[i] = 0.2 + 0.03*rng.NormFloat64()
 		}
 	}
-	k, err := New(data, 0)
+	k, err := New(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +67,42 @@ func TestSampleReproducesDistributionRoughly(t *testing.T) {
 	if frac < 0.15 || frac > 0.35 {
 		t.Fatalf("upper-mode fraction %v, want ≈ 0.25", frac)
 	}
+
+	// The first two moments, exactly: the mixture has the data's mean and the
+	// data's variance plus h² at Silverman's h. A small sample makes h² about
+	// a sixth of the variance, so sampling at any other bandwidth shows.
+	data = data[:0]
+	for i := 0; i < 50; i++ {
+		data = append(data, 0.5+0.1*rng.NormFloat64())
+	}
+	if k, err = New(data); err != nil {
+		t.Fatal(err)
+	}
+	h := Silverman(data)
+	dataMean, dataVar := moments(data)
+	mean, variance := moments(k.Sample(50000, rand.New(rand.NewSource(6))))
+	if math.Abs(mean-dataMean) > 0.002 {
+		t.Fatalf("sample mean %v, want the data's %v", mean, dataMean)
+	}
+	if want := dataVar + h*h; math.Abs(variance-want) > 0.2*h*h {
+		t.Fatalf("sample variance %v, want %v (data %v + h² %v)", variance, want, dataVar, h*h)
+	}
+}
+
+// moments returns the mean and the population variance of xs.
+func moments(xs []float64) (mean, variance float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		variance += (x - mean) * (x - mean)
+	}
+	return mean, variance / float64(len(xs))
 }
 
 func TestSampleEdgeCases(t *testing.T) {
-	k, err := New([]float64{0.5}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := &KDE{data: []float64{0.5}, bandwidth: 0.1}
 	if got := k.Sample(0, nil); got != nil {
 		t.Fatal("n=0 should return nil")
 	}
@@ -152,10 +116,7 @@ func TestSampleEdgeCases(t *testing.T) {
 
 func TestSampleClampedStaysInRange(t *testing.T) {
 	data := []float64{0.01, 0.02, 0.99, 0.98}
-	k, err := New(data, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := &KDE{data: data, bandwidth: 0.2}
 	out := k.SampleClamped(500, 0, 1, rand.New(rand.NewSource(6)))
 	for _, v := range out {
 		if v < 0 || v > 1 {
@@ -166,71 +127,12 @@ func TestSampleClampedStaysInRange(t *testing.T) {
 
 func TestSamplingIsDeterministicGivenRNG(t *testing.T) {
 	data := []float64{0.1, 0.5, 0.9}
-	k, _ := New(data, 0.05)
+	k := &KDE{data: data, bandwidth: 0.05}
 	a := k.Sample(20, rand.New(rand.NewSource(7)))
 	b := k.Sample(20, rand.New(rand.NewSource(7)))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same RNG seed produced different samples")
 		}
-	}
-}
-
-func TestBandwidthOverrideRespected(t *testing.T) {
-	k, err := New([]float64{0.4, 0.6}, 0.123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Bandwidth() != 0.123 {
-		t.Fatalf("bandwidth = %v", k.Bandwidth())
-	}
-}
-
-func TestCrossValidatedBandwidthReasonable(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	data := make([]float64, 150)
-	for i := range data {
-		data[i] = 0.5 + 0.1*rng.NormFloat64()
-	}
-	h := CrossValidatedBandwidth(data, nil)
-	if h <= 0 {
-		t.Fatal("cross-validated bandwidth not positive")
-	}
-	base := Silverman(data)
-	if h < base/5 || h > base*5 {
-		t.Fatalf("cross-validated bandwidth %v unreasonably far from Silverman %v", h, base)
-	}
-	// Degenerate small samples fall back to Silverman.
-	if CrossValidatedBandwidth([]float64{0.1, 0.2}, nil) != Silverman([]float64{0.1, 0.2}) {
-		t.Fatal("tiny sample should fall back to Silverman")
-	}
-}
-
-func TestPDFNonNegativeProperty(t *testing.T) {
-	f := func(xs []float64, query float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, math.Mod(x, 100))
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		k, err := New(clean, 0)
-		if err != nil {
-			return false
-		}
-		q := math.Mod(query, 100)
-		if math.IsNaN(q) || math.IsInf(q, 0) {
-			q = 0
-		}
-		return k.PDF(q) >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -104,23 +104,8 @@ func BlockFrom64(m [][]float64) Block {
 	return Block{rows: len(m), dims: dims, data: data}
 }
 
-// BlockFromData wraps an existing flat row-major slice (len = rows*dims)
-// without copying.
-func BlockFromData(rows, dims int, data []float32) Block {
-	if len(data) != rows*dims {
-		panic("linalg: BlockFromData length mismatch")
-	}
-	return Block{rows: rows, dims: dims, data: data}
-}
-
 // Rows returns the number of rows.
 func (b Block) Rows() int { return b.rows }
-
-// Dims returns the row width (and stride).
-func (b Block) Dims() int { return b.dims }
-
-// Data returns the backing slice (rows×dims, row-major).
-func (b Block) Data() []float32 { return b.data }
 
 // Row returns row r as a full-capacity subslice of the backing array.
 func (b Block) Row(r int) []float32 {

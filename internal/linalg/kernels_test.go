@@ -107,8 +107,8 @@ func TestDot64MatchesNaive(t *testing.T) {
 func TestBlockFrom64(t *testing.T) {
 	m := [][]float64{{1, 2, 3}, {4, 5, 6}}
 	b := BlockFrom64(m)
-	if b.Rows() != 2 || b.Dims() != 3 {
-		t.Fatalf("got %dx%d, want 2x3", b.Rows(), b.Dims())
+	if b.Rows() != 2 || b.dims != 3 {
+		t.Fatalf("got %dx%d, want 2x3", b.Rows(), b.dims)
 	}
 	for r := range m {
 		row := b.Row(r)
@@ -122,23 +122,9 @@ func TestBlockFrom64(t *testing.T) {
 		}
 	}
 	empty := BlockFrom64(nil)
-	if empty.Rows() != 0 || empty.Dims() != 0 || len(empty.Data()) != 0 {
+	if empty.Rows() != 0 || empty.dims != 0 || len(empty.data) != 0 {
 		t.Fatalf("empty block not empty: %+v", empty)
 	}
-}
-
-func TestBlockFromData(t *testing.T) {
-	data := []float32{1, 2, 3, 4, 5, 6}
-	b := BlockFromData(3, 2, data)
-	if got := b.Row(2); got[0] != 5 || got[1] != 6 {
-		t.Fatalf("Row(2) = %v, want [5 6]", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BlockFromData with wrong length did not panic")
-		}
-	}()
-	BlockFromData(2, 2, data)
 }
 
 // TestKernelSpeedupGate is the CI kernel regression gate (ISSUE 7 satellite
@@ -275,7 +261,7 @@ func rowKernelBlock(rng *rand.Rand, rows, dims int) (Block, []float32) {
 	for i := range data {
 		data[i] = float32(rng.NormFloat64())
 	}
-	return BlockFromData(rows, dims, data), to32(randRow64(rng, dims))
+	return Block{rows: rows, dims: dims, data: data}, to32(randRow64(rng, dims))
 }
 
 // rowKernelLists returns the index-list shapes the row kernel must handle
@@ -317,7 +303,7 @@ func TestDotRowsBitExact(t *testing.T) {
 				pair func(a, b []float32) float32
 			}{
 				{"dispatched", func(out []float32) { b.DotRows32x8(v, list, out) }, Dot32x8},
-				{"portable", func(out []float32) { dotRows32x8Generic(v, b.Data(), list, out) }, dot32x8Generic},
+				{"portable", func(out []float32) { dotRows32x8Generic(v, b.data, list, out) }, dot32x8Generic},
 			} {
 				out := make([]float32, len(list)+2)
 				for i := range out {
@@ -430,7 +416,7 @@ func BenchmarkDotRows(b *testing.B) {
 	})
 	b.Run("portable", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dotRows32x8Generic(v, block.Data(), list, out)
+			dotRows32x8Generic(v, block.data, list, out)
 		}
 	})
 }

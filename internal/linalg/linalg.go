@@ -111,9 +111,6 @@ func (s *Sparse) Rows() int { return s.rows }
 // Cols returns the number of columns.
 func (s *Sparse) Cols() int { return s.cols }
 
-// NNZ returns the number of stored non-zeros.
-func (s *Sparse) NNZ() int { return len(s.values) }
-
 // At returns the element at (r, c); zero if not stored.
 func (s *Sparse) At(r, c int) float64 {
 	for p := s.rowPtr[r]; p < s.rowPtr[r+1]; p++ {
@@ -122,40 +119,6 @@ func (s *Sparse) At(r, c int) float64 {
 		}
 	}
 	return 0
-}
-
-// MulVec computes s·v (length cols → length rows).
-func (s *Sparse) MulVec(v []float64) []float64 {
-	if len(v) != s.cols {
-		panic("linalg: MulVec length mismatch")
-	}
-	out := make([]float64, s.rows)
-	for r := 0; r < s.rows; r++ {
-		sum := 0.0
-		for p := s.rowPtr[r]; p < s.rowPtr[r+1]; p++ {
-			sum += s.values[p] * v[s.colIdx[p]]
-		}
-		out[r] = sum
-	}
-	return out
-}
-
-// TMulVec computes sᵀ·v (length rows → length cols).
-func (s *Sparse) TMulVec(v []float64) []float64 {
-	if len(v) != s.rows {
-		panic("linalg: TMulVec length mismatch")
-	}
-	out := make([]float64, s.cols)
-	for r := 0; r < s.rows; r++ {
-		vr := v[r]
-		if vr == 0 {
-			continue
-		}
-		for p := s.rowPtr[r]; p < s.rowPtr[r+1]; p++ {
-			out[s.colIdx[p]] += s.values[p] * vr
-		}
-	}
-	return out
 }
 
 // MulDense computes s·B where B is cols×k, returning a rows×k dense matrix.
@@ -422,17 +385,4 @@ func TruncatedSVD(a *Sparse, k, powerIters int, seed int64) (*SVDResult, error) 
 		result.V.SetCol(j, vj)
 	}
 	return result, nil
-}
-
-// Reconstruct returns the dense rank-k approximation U·diag(S)·Vᵀ. Intended
-// for tests and small matrices only.
-func (r *SVDResult) Reconstruct() *mat.Dense {
-	k := len(r.S)
-	us := r.U.Clone()
-	for j := 0; j < k; j++ {
-		col := us.Col(j)
-		mat.Scale(col, r.S[j])
-		us.SetCol(j, col)
-	}
-	return mat.Mul(us, r.V.T())
 }

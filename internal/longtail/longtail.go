@@ -389,9 +389,3 @@ func Estimate(model Model, train *dataset.Dataset, tail map[types.ItemID]struct{
 		return nil, fmt.Errorf("longtail: unknown preference model %q", model)
 	}
 }
-
-// AllModels lists every preference model in the order the paper discusses
-// them.
-func AllModels() []Model {
-	return []Model{ModelActivity, ModelNormalizedLongTail, ModelTFIDF, ModelGeneralized, ModelRandom, ModelConstant}
-}

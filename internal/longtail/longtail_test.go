@@ -221,7 +221,7 @@ func TestGeneralizedWeightsDownMediocreItems(t *testing.T) {
 
 func TestEstimateDispatch(t *testing.T) {
 	d := fixture()
-	for _, m := range AllModels() {
+	for _, m := range []Model{ModelActivity, ModelNormalizedLongTail, ModelTFIDF, ModelGeneralized, ModelRandom, ModelConstant} {
 		p, err := Estimate(m, d, nil, 0.5, 1)
 		if err != nil {
 			t.Fatalf("Estimate(%s) failed: %v", m, err)

@@ -88,20 +88,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
-// Scale multiplies every element by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-}
-
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	out := NewDense(m.cols, m.rows)
@@ -136,38 +122,6 @@ func Mul(a, b *Dense) *Dense {
 	return out
 }
 
-// MulVec returns the matrix-vector product m·v.
-func (m *Dense) MulVec(v []float64) []float64 {
-	if len(v) != m.cols {
-		panic("mat: MulVec length mismatch")
-	}
-	out := make([]float64, m.rows)
-	for r := 0; r < m.rows; r++ {
-		out[r] = Dot(m.Row(r), v)
-	}
-	return out
-}
-
-// TMulVec returns the product of the transpose with v, i.e. mᵀ·v, without
-// materializing the transpose.
-func (m *Dense) TMulVec(v []float64) []float64 {
-	if len(v) != m.rows {
-		panic("mat: TMulVec length mismatch")
-	}
-	out := make([]float64, m.cols)
-	for r := 0; r < m.rows; r++ {
-		vr := v[r]
-		if vr == 0 {
-			continue
-		}
-		row := m.Row(r)
-		for c, mv := range row {
-			out[c] += mv * vr
-		}
-	}
-	return out
-}
-
 // Equal reports whether a and b have identical shape and all elements agree
 // within tolerance tol.
 func Equal(a, b *Dense, tol float64) bool {
@@ -180,13 +134,4 @@ func Equal(a, b *Dense, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// FrobeniusNorm returns the Frobenius norm of the matrix.
-func (m *Dense) FrobeniusNorm() float64 {
-	sum := 0.0
-	for _, v := range m.data {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
 }

@@ -64,8 +64,7 @@ func TestPSVDSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	sv := loaded.SingularValues()
-	if len(sv) != orig.Factors() {
+	if len(loaded.singulars) != orig.Factors() {
 		t.Fatal("singular values lost in round trip")
 	}
 }

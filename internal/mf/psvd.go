@@ -42,11 +42,6 @@ type PSVDConfig struct {
 	Seed int64
 }
 
-// DefaultPSVDConfig returns a PSVD100-style configuration.
-func DefaultPSVDConfig() PSVDConfig {
-	return PSVDConfig{Factors: 100, PowerIterations: 2, Seed: 1}
-}
-
 // TrainPSVD factorizes the zero-imputed train matrix at rank cfg.Factors.
 func TrainPSVD(train *dataset.Dataset, cfg PSVDConfig) (*PSVD, error) {
 	if cfg.Factors <= 0 {
@@ -140,11 +135,3 @@ func (m *PSVD) Name() string { return m.name }
 // Factors returns the effective truncation rank (it may be smaller than the
 // configured rank when the matrix is smaller than the request).
 func (m *PSVD) Factors() int { return m.factors }
-
-// SingularValues returns the singular values of the factorization in
-// descending order.
-func (m *PSVD) SingularValues() []float64 {
-	out := make([]float64, len(m.singulars))
-	copy(out, m.singulars)
-	return out
-}

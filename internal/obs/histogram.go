@@ -110,37 +110,6 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Quantile returns an upper-bound estimate of the q-quantile (0 < q ≤ 1)
-// from the bucket counts: the upper bound of the bucket containing the
-// nearest-rank sample. Returns NaN when the histogram is empty. Coarse by
-// construction — it is for in-process assertions ("p99 below the top
-// bucket"), not for dashboards, which should compute quantiles server-side.
-func (h *Histogram) Quantile(q float64) float64 {
-	cum, count, _ := h.snapshot()
-	if count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(count)))
-	if rank == 0 {
-		rank = 1
-	}
-	for i, c := range cum {
-		if c >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(+1)
-		}
-	}
-	return math.Inf(+1)
-}
-
 // splitmix64 finalizes a 64-bit value into a well-mixed hash (the same
 // finalizer internal/cluster uses on its ring hashes).
 func splitmix64(x uint64) uint64 {

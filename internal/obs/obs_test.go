@@ -70,44 +70,35 @@ func TestRegistryKindCollision(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]float64{0.1, 0.5, 1})
+	r := NewRegistry()
+	h := r.Histogram("hb_seconds", "buckets", []float64{0.1, 0.5, 1})
 	for _, v := range []float64{0.05, 0.1, 0.3, 0.9, 5, math.NaN()} {
 		h.Observe(v)
 	}
-	cum, count, sum := h.snapshot()
-	if count != 5 {
-		t.Fatalf("count = %d, want 5 (NaN dropped)", count)
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
 	}
-	// le semantics: 0.1 falls in the 0.1 bucket.
-	want := []uint64{2, 3, 4, 5}
-	for i, w := range want {
-		if cum[i] != w {
-			t.Fatalf("cum[%d] = %d, want %d (full: %v)", i, cum[i], w, cum)
+	sc, err := ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// le semantics, as a scraper reads them: a bucket counts every
+	// observation at or below its bound (0.1 falls in le="0.1"), +Inf counts
+	// the overflow too, and NaN is dropped from every series.
+	for _, b := range []struct {
+		le   string
+		want float64
+	}{{"0.1", 2}, {"0.5", 3}, {"1", 4}, {"+Inf", 5}} {
+		if v, ok := sc.Value("hb_seconds_bucket", L("le", b.le)); !ok || v != b.want {
+			t.Fatalf("bucket le=%s = %v (present %v), want %v", b.le, v, ok, b.want)
 		}
 	}
-	if math.Abs(sum-6.35) > 1e-9 {
-		t.Fatalf("sum = %v, want 6.35", sum)
+	if v, ok := sc.Value("hb_seconds_count"); !ok || v != 5 {
+		t.Fatalf("count = %v, want 5 (NaN dropped)", v)
 	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{0.01, 0.1, 1})
-	if !math.IsNaN(h.Quantile(0.99)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
-	for i := 0; i < 99; i++ {
-		h.Observe(0.005)
-	}
-	h.Observe(0.5)
-	if got := h.Quantile(0.5); got != 0.01 {
-		t.Fatalf("p50 = %v, want 0.01", got)
-	}
-	if got := h.Quantile(1); got != 1.0 {
-		t.Fatalf("p100 = %v, want 1 (upper bound of bucket holding 0.5)", got)
-	}
-	h.Observe(100)
-	if got := h.Quantile(1); !math.IsInf(got, +1) {
-		t.Fatalf("p100 with overflow sample = %v, want +Inf", got)
+	if v, ok := sc.Value("hb_seconds_sum"); !ok || math.Abs(v-6.35) > 1e-9 {
+		t.Fatalf("sum = %v, want 6.35", v)
 	}
 }
 

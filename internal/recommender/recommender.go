@@ -831,21 +831,6 @@ func (e *TopNEngine) RecommendAll(ctx context.Context) (types.Recommendations, e
 	return recs, nil
 }
 
-// Describe returns a one-line description of a recommendation collection,
-// useful for logs and CLI output.
-func Describe(recs types.Recommendations, numItems int) string {
-	distinct := len(recs.DistinctItems())
-	return fmt.Sprintf("%d users, %d distinct items recommended (%.1f%% of catalog)",
-		recs.NumUsers(), distinct, 100*float64(distinct)/float64(maxInt(numItems, 1)))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SortItemsByScoreDesc is a convenience wrapper used by re-rankers that need
 // a full ranking rather than just the top N.
 func SortItemsByScoreDesc(items []types.ItemID, score func(types.ItemID) float64) {

@@ -298,14 +298,6 @@ func TestRecommendAllExcludesTrainItems(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	recs := types.Recommendations{0: {0, 1}, 1: {1, 2}}
-	got := Describe(recs, 10)
-	if got == "" {
-		t.Fatal("empty description")
-	}
-}
-
 func TestSortItemsByScoreDesc(t *testing.T) {
 	items := []types.ItemID{3, 1, 2}
 	SortItemsByScoreDesc(items, func(i types.ItemID) float64 { return float64(i) })

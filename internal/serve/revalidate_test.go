@@ -203,7 +203,7 @@ func TestRevalidationRacesUpdate(t *testing.T) {
 	const users, swaps = 12, 60
 	d, keys := lineFixture(users)
 	line := new(Lineage)
-	s, err := New(d, &lineEngine{line: line, items: users}, 1, WithBatchWorkers(3))
+	s, err := New(d, &lineEngine{line: line, items: users}, 1, withBatchWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

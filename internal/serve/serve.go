@@ -36,6 +36,7 @@ import (
 	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -163,20 +164,6 @@ func (s *Server) Shard() *ShardIdentity {
 	return s.shard.Load()
 }
 
-// WithBatchWorkers bounds how many engine sweeps one POST /recommend/batch
-// request may run concurrently (default DefaultBatchWorkers). Only a batch's
-// cache misses reach the workers — its hits are resolved inline — so the
-// bound is on cold users. Engines built on the buffered candidate pipeline
-// pool their sweep scratch, so raising this trades memory for batch latency
-// linearly. Values ≤ 0 select the default.
-func WithBatchWorkers(workers int) Option {
-	return func(s *Server) {
-		if workers > 0 {
-			s.batchWorkers = workers
-		}
-	}
-}
-
 // generation is one immutable (engine, version, in-flight table) triple. Update
 // installs a fresh generation atomically: requests that loaded the old
 // pointer finish against the old engine, and a cached list reaches them only
@@ -237,7 +224,7 @@ type Server struct {
 	train        *dataset.Dataset
 	n            int
 	capacity     int
-	batchWorkers int
+	batchWorkers int // DefaultBatchWorkers; the tests vary it
 	shard        atomic.Pointer[ShardIdentity]
 
 	gen atomic.Pointer[generation]
@@ -616,8 +603,10 @@ type BatchResponse struct {
 
 // MaxBatchUsers bounds a single batch request so a malformed client cannot
 // ask for the whole catalog in one call; DefaultBatchWorkers bounds the
-// concurrent engine sweeps one batch request may trigger unless
-// WithBatchWorkers overrides it.
+// concurrent engine sweeps one batch request may trigger. Only a batch's
+// cache misses reach the workers — its hits are resolved inline — so the
+// bound is on cold users; engines built on the buffered candidate pipeline
+// pool their sweep scratch, so the bound trades memory for batch latency.
 const (
 	MaxBatchUsers       = 10000
 	DefaultBatchWorkers = 8
@@ -628,18 +617,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
 		return
 	}
-	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid JSON: " + err.Error()})
-		return
-	}
-	if len(req.Users) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "users list is empty"})
-		return
-	}
-	if len(req.Users) > MaxBatchUsers {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("batch of %d users exceeds the limit of %d", len(req.Users), MaxBatchUsers)})
+	req, ok := ReadBatchRequest(w, r)
+	if !ok {
 		return
 	}
 	gen := s.gen.Load()
@@ -766,6 +745,73 @@ type IngestRequest struct {
 // exactly what a single node rejects.
 const MaxIngestEvents = 10000
 
+// MaxBodyBytes bounds the body of one batch, ingest or stream request: a
+// node or router reads no more of it, so one oversized key cannot balloon
+// memory before the count limits above get to run.
+const MaxBodyBytes = 16 << 20
+
+// ReadBatchRequest decodes and checks a POST /recommend/batch body, for the
+// single node and the router alike. When the body is refused — past
+// MaxBodyBytes (413), not JSON, an empty list or one over MaxBatchUsers
+// (400) — it has already answered, and reports false.
+func ReadBatchRequest(w http.ResponseWriter, r *http.Request) (BatchRequest, bool) {
+	var req BatchRequest
+	switch {
+	case !decodeBody(w, r, &req):
+		return req, false
+	case len(req.Users) == 0:
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "users list is empty"})
+		return req, false
+	case len(req.Users) > MaxBatchUsers:
+		writeJSON(w, http.StatusBadRequest, map[string]string{
+			"error": fmt.Sprintf("batch of %d users exceeds the limit of %d", len(req.Users), MaxBatchUsers)})
+		return req, false
+	}
+	return req, true
+}
+
+// ReadIngestRequest is ReadBatchRequest for a POST /ingest body: it also
+// refuses an event missing its user or item key.
+func ReadIngestRequest(w http.ResponseWriter, r *http.Request) (IngestRequest, bool) {
+	var req IngestRequest
+	switch {
+	case !decodeBody(w, r, &req):
+		return req, false
+	case len(req.Events) == 0:
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "events list is empty"})
+		return req, false
+	case len(req.Events) > MaxIngestEvents:
+		writeJSON(w, http.StatusBadRequest, map[string]string{
+			"error": fmt.Sprintf("batch of %d events exceeds the limit of %d", len(req.Events), MaxIngestEvents)})
+		return req, false
+	}
+	for k, ev := range req.Events {
+		if ev.User == "" || ev.Item == "" {
+			writeJSON(w, http.StatusBadRequest, map[string]string{
+				"error": fmt.Sprintf("event %d is missing a user or item key", k)})
+			return req, false
+		}
+	}
+	return req, true
+}
+
+// decodeBody decodes at most MaxBodyBytes of JSON body into v, answering 413
+// or 400 itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("request body exceeds the limit of %d bytes", MaxBodyBytes)})
+	} else {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid JSON: " + err.Error()})
+	}
+	return false
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
@@ -776,26 +822,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "ingestion is not enabled on this server"})
 		return
 	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid JSON: " + err.Error()})
+	req, ok := ReadIngestRequest(w, r)
+	if !ok {
 		return
-	}
-	if len(req.Events) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "events list is empty"})
-		return
-	}
-	if len(req.Events) > MaxIngestEvents {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("batch of %d events exceeds the limit of %d", len(req.Events), MaxIngestEvents)})
-		return
-	}
-	for k, ev := range req.Events {
-		if ev.User == "" || ev.Item == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("event %d is missing a user or item key", k)})
-			return
-		}
 	}
 	res, err := holder.sink.IngestEvents(r.Context(), req.Events)
 	if err != nil {

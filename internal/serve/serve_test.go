@@ -69,6 +69,63 @@ func newTestServer(t *testing.T, opts ...Option) (*Server, *countingEngine, *htt
 	return s, eng, ts
 }
 
+// withBatchWorkers sets the bound on one batch's concurrent engine sweeps,
+// which every server outside the tests keeps at DefaultBatchWorkers.
+func withBatchWorkers(workers int) Option {
+	return func(s *Server) { s.batchWorkers = workers }
+}
+
+// peakEngine records the most RecommendUser calls it ever had in flight.
+type peakEngine struct{ inflight, peak, calls atomic.Int64 }
+
+func (e *peakEngine) Name() string { return "peak" }
+
+func (e *peakEngine) RecommendUser(context.Context, types.UserID, int) (types.TopNSet, error) {
+	e.calls.Add(1)
+	cur := e.inflight.Add(1)
+	for {
+		if p := e.peak.Load(); cur <= p || e.peak.CompareAndSwap(p, cur) {
+			break
+		}
+	}
+	time.Sleep(time.Millisecond)
+	e.inflight.Add(-1)
+	return types.TopNSet{0}, nil
+}
+
+// TestBatchWorkersBoundSweeps pins the bound on a cold batch: however many
+// misses it holds, no more engine sweeps run at once than the server's batch
+// workers, and every miss is swept.
+func TestBatchWorkersBoundSweeps(t *testing.T) {
+	const users = 4 * DefaultBatchWorkers
+	b := dataset.NewBuilder("cold", users)
+	keys := make([]string, users)
+	for u := range keys {
+		keys[u] = fmt.Sprintf("user-%02d", u)
+		b.Add(keys[u], "item", 3)
+	}
+	d := b.Build()
+	body, _ := json.Marshal(BatchRequest{Users: keys})
+	for _, tc := range []struct {
+		opts  []Option
+		bound int64
+	}{{nil, DefaultBatchWorkers}, {[]Option{withBatchWorkers(1)}, 1}} {
+		eng := &peakEngine{}
+		s, err := New(d, eng, 1, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/recommend/batch", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("cold batch answered %d: %s", w.Code, w.Body)
+		}
+		if calls, peak := eng.calls.Load(), eng.peak.Load(); calls != users || peak < 1 || peak > tc.bound {
+			t.Fatalf("bound %d: %d sweeps for %d misses, at most %d at once", tc.bound, calls, users, peak)
+		}
+	}
+}
+
 func getJSON(t *testing.T, url string, out interface{}) int {
 	t.Helper()
 	resp, err := http.Get(url)

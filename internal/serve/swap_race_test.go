@@ -37,7 +37,7 @@ func (s *updatingSink) IngestEvents(ctx context.Context, events []IngestEvent) (
 // coherent generation and the version counter advances exactly once per
 // ingest batch.
 func TestIngestPublishRacesBatchAndStats(t *testing.T) {
-	s, _, ts := newTestServer(t, WithBatchWorkers(4))
+	s, _, ts := newTestServer(t, withBatchWorkers(4))
 	sink := &updatingSink{srv: s}
 	s.SetIngestSink(sink)
 

@@ -206,7 +206,7 @@ func TestReadRoutesByteIdentity(t *testing.T) {
 	t.Run("batch-misses", func(t *testing.T) {
 		// A cold batch: every element goes through the worker pool.
 		eng := newWireEngine("m", 0)
-		s, err := New(wireFixture(), eng, 3, WithBatchWorkers(2))
+		s, err := New(wireFixture(), eng, 3, withBatchWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,9 +265,10 @@ func TestEngineListOutsideTheCatalog(t *testing.T) {
 // (instrumentation middleware, mux, handler) into a recorder. They repeat
 // exactly; at the parent commit (per-hit externalItems + json.NewEncoder, a
 // channel and eight goroutines per batch) the same measurement read 18 and 77.
+// One of a batch's is the reader that caps its body at MaxBodyBytes.
 const (
 	hitAllocsSingle  = 15
-	hitAllocsBatch20 = 49
+	hitAllocsBatch20 = 50
 )
 
 // keeper makes a countingEngine a Revalidator that keeps every list it is
@@ -286,7 +287,7 @@ func (k keeper) Revalidate(types.UserID, types.TopNSet, int, Mark) Revalidation 
 // TestHitPathAllocs is the gate on "a cached list is encoded once": a cached
 // single read and an all-hit batch of 20 allocate exactly what the request
 // plumbing allocates, and a batch that finds every user cached starts no
-// worker, so its count does not depend on WithBatchWorkers. A list a later
+// worker, so its count does not depend on the batch-worker bound. A list a later
 // generation keeps is served the same way: the server's side of a
 // revalidation — the lookup, the verdict, the new stamp — allocates nothing,
 // and a batch of twenty of them still starts no worker. (What the engine's
@@ -319,7 +320,7 @@ func TestHitPathAllocs(t *testing.T) {
 	// measured alone and taken off.
 	measure := func(workers int, swap bool) (single, batch float64) {
 		eng := keeper{&countingEngine{name: "GANC(RSVD, θ^T, Dyn)", recs: recs}, new(Lineage)}
-		s, err := New(d, eng, 10, WithMetrics(obs.NewRegistry()), WithBatchWorkers(workers))
+		s, err := New(d, eng, 10, WithMetrics(obs.NewRegistry()), withBatchWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -185,8 +185,6 @@ type EventStream struct {
 	rng      *rand.Rand
 	newUsers int
 	newItems int
-	// generated counts the events produced so far.
-	generated int
 }
 
 // EventStream builds a stream over the universe. Zero-value rates select the
@@ -229,7 +227,6 @@ func (s *EventStream) Next() serve.IngestEvent {
 	}
 	levels := s.u.cfg.RatingLevels
 	ev.Value = levels[s.rng.Intn(len(levels))]
-	s.generated++
 	return ev
 }
 
@@ -241,9 +238,6 @@ func (s *EventStream) NextBatch(n int) []serve.IngestEvent {
 	}
 	return batch
 }
-
-// Generated reports how many events the stream has produced.
-func (s *EventStream) Generated() int { return s.generated }
 
 // --- Request streams -----------------------------------------------------------
 

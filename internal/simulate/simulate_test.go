@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// TinyConfig is the unit-test universe: big enough for non-degenerate
+// streams and caches, small enough to generate in microseconds.
+func TinyConfig(seed int64) UniverseConfig {
+	return UniverseConfig{Users: 60, Items: 40, Ratings: 900, Seed: seed}
+}
+
 // TestUniverseDeterministic is the generator half of the determinism
 // acceptance criterion: the same seed must produce the byte-identical
 // dataset; a different seed must not.
@@ -86,9 +92,6 @@ func TestEventStreamInjectsNewUsersAndItems(t *testing.T) {
 	}
 	if got := float64(newUsers) / n; got > 0.3 {
 		t.Fatalf("new-user share %.2f far above the configured 0.2", got)
-	}
-	if s.Generated() != n {
-		t.Fatalf("generated count %d, want %d", s.Generated(), n)
 	}
 }
 

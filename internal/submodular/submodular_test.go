@@ -61,10 +61,12 @@ func TestLocallyGreedySpreadsItemsUnderDynCoverage(t *testing.T) {
 	o := newCoverageOracle(6)
 	users := []types.UserID{0, 1, 2}
 	recs := LocallyGreedy(users, 2, o)
-	freq := recs.ItemFrequencies()
-	for item, count := range freq {
-		if count > 1 {
-			t.Fatalf("item %d recommended %d times; Dyn coverage should spread items", item, count)
+	freq := map[types.ItemID]int{}
+	for _, set := range recs {
+		for _, item := range set {
+			if freq[item]++; freq[item] > 1 {
+				t.Fatalf("item %d recommended twice; Dyn coverage should spread items", item)
+			}
 		}
 	}
 	if len(recs.DistinctItems()) != 6 {

@@ -197,14 +197,3 @@ func (r Recommendations) DistinctItems() map[ItemID]struct{} {
 	}
 	return out
 }
-
-// ItemFrequencies counts how often each item is recommended across all users.
-func (r Recommendations) ItemFrequencies() map[ItemID]int {
-	out := make(map[ItemID]int)
-	for _, p := range r {
-		for _, i := range p {
-			out[i]++
-		}
-	}
-	return out
-}

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"ganc/internal/simtest"
 )
 
 // The tier-2 E2E scenario suite: full system lifecycles — train, snapshot,
@@ -24,22 +22,13 @@ import (
 // and error-free serving (PhaseServeUnderLoad, PhaseIngestChurn) all fail the
 // scenario with a descriptive error.
 
-// e2eUniverse is the shared tier-2 universe fixture (internal/simtest):
+// e2eUniverse is the tier-2 universe of every scenario in this package:
 // large enough to exercise real eviction/coalescing behavior but small
-// enough for -race throughput.
-func e2eUniverse(seed int64) UniverseConfig {
-	return simtest.E2E(seed)
-}
-
-// e2eSystem is the standard system under test from the shared fixture
-// parameters: the cheapest snapshot-compatible pipeline, so scenario time
+// enough for -race throughput. The system under test is SimSystemConfig's
+// defaults — the cheapest snapshot-compatible pipeline — so scenario time
 // goes to lifecycle coverage rather than training.
-func e2eSystem() SimSystemConfig {
-	return SimSystemConfig{
-		Base:  simtest.StandardBase,
-		Theta: ParsePreferenceModel(simtest.StandardTheta),
-		Seed:  simtest.StandardSeed,
-	}
+func e2eUniverse(seed int64) UniverseConfig {
+	return UniverseConfig{Users: 400, Items: 300, Ratings: 8000, Seed: seed}
 }
 
 // TestScenarioWarmStartParity: train → save → serve under load → reload the
@@ -60,7 +49,7 @@ func TestScenarioWarmStartParity(t *testing.T) {
 			{Kind: PhaseServeUnderLoad, Requests: 400, Concurrency: 8},
 		},
 	}
-	res, err := RunScenario(context.Background(), sc, t.TempDir(), e2eSystem())
+	res, err := RunScenario(context.Background(), sc, t.TempDir(), SimSystemConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +88,7 @@ func TestScenarioKillRecoverEquivalence(t *testing.T) {
 			{Kind: PhaseServeUnderLoad, Requests: 300, Concurrency: 8},
 		},
 	}
-	res, err := RunScenario(context.Background(), sc, t.TempDir(), e2eSystem())
+	res, err := RunScenario(context.Background(), sc, t.TempDir(), SimSystemConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +129,7 @@ func TestScenarioOverloadGracefulDegradation(t *testing.T) {
 		{"max-concurrent", AdmissionConfig{MaxConcurrent: 1}, LoadMix{Recommend: 80, Batch: 10, Ingest: 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := e2eSystem()
-			cfg.Metrics = true
-			cfg.Admission = tc.admit
+			cfg := SimSystemConfig{Metrics: true, Admission: tc.admit}
 			sc := Scenario{
 				Name:     "overload-graceful-degradation",
 				Universe: e2eUniverse(19),
@@ -194,7 +181,7 @@ func TestScenarioIngestChurnUnderLoad(t *testing.T) {
 			{Kind: PhaseIngestChurn, Events: 200, EventBatch: 20, Concurrency: 8},
 		},
 	}
-	res, err := RunScenario(context.Background(), sc, t.TempDir(), e2eSystem())
+	res, err := RunScenario(context.Background(), sc, t.TempDir(), SimSystemConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,11 +135,11 @@ func WithWriteQuorum(k int) ClusterOption {
 	return func(c *clusterConfig) { c.writeQuorum = k }
 }
 
-// WithAutoFailover turns on hands-off failover: the cluster's failure
+// WithAutoFailover turns on hands-off failover: the router's failure
 // detector watches every primary, and sustained suspicion (the detector's
-// consecutive-miss threshold) triggers an automatic Promote of the shard's
-// freshest live replica followed by a ring republish — no operator call.
-// Requires WithReplicas(n ≥ 1).
+// consecutive-miss threshold) makes the router promote the shard's freshest
+// live replica (Router.Promote) — no operator call. Requires
+// WithReplicas(n ≥ 1).
 func WithAutoFailover() ClusterOption {
 	return func(c *clusterConfig) { c.autoFailover = true }
 }
@@ -181,9 +181,9 @@ func WithClusterCheckpointEvery(every int) ClusterOption {
 	return func(c *clusterConfig) { c.checkpointEvery = every }
 }
 
-// WithClusterEpoch sets the hash-ring epoch stamped into the shard
-// snapshots and the router's ring (default 1). Bump it whenever the shard
-// count changes.
+// WithClusterEpoch sets the hash-ring epoch the cluster boots at, stamped
+// into the shard snapshots and the router's first ring (default 1); Promote
+// and Reshard bump it from there.
 func WithClusterEpoch(epoch uint64) ClusterOption {
 	return func(c *clusterConfig) { c.epoch = epoch }
 }
@@ -217,9 +217,9 @@ func WithClusterAdmission(cfg AdmissionConfig) ClusterOption {
 }
 
 // clusterNode is one node slot of an in-process shard: the address and
-// write-ahead log that outlive a kill — so RestartShard, Promote and
-// RejoinAsReplica can bring the node back where the ring expects it — and,
-// while the node runs, the ShardNode serving on that address.
+// write-ahead log that outlive a kill — so RestartShard and RejoinAsReplica
+// bring the node back where the ring names it — and, while the node runs, the
+// ShardNode serving on that address.
 type clusterNode struct {
 	addr    string
 	walPath string
@@ -232,29 +232,35 @@ type clusterNode struct {
 // live reports whether the node is running.
 func (n *clusterNode) live() bool { return n.node != nil }
 
-// clusterShard is one in-process shard: the snapshot its nodes boot from,
-// its current primary and its replica set. Promotion swaps which node sits
-// in which slot.
+// clusterShard is one in-process shard: the snapshot its nodes boot from and
+// its nodes, laid out replicas first and the boot primary last. Which node is
+// the primary now is the router's ring's to say (Cluster.primary).
 type clusterShard struct {
 	id       int
 	snapPath string
-	primary  *clusterNode
-	replicas []*clusterNode
+	nodes    []*clusterNode
 }
 
-// nodes lists the shard's nodes in boot order: replicas, then the primary
-// (whose shipper's first heartbeat must find them listening).
-func (sh *clusterShard) nodes() []*clusterNode {
-	return append(sh.replicas[:len(sh.replicas):len(sh.replicas)], sh.primary)
-}
-
-// replicaAddrs lists the shard's current replica addresses.
-func (sh *clusterShard) replicaAddrs() []string {
-	addrs := make([]string, len(sh.replicas))
-	for i, rep := range sh.replicas {
-		addrs[i] = rep.addr
+// node returns the shard's node at addr (nil when none is).
+func (sh *clusterShard) node(addr string) *clusterNode {
+	for _, n := range sh.nodes {
+		if n.addr == addr {
+			return n
+		}
 	}
-	return addrs
+	return nil
+}
+
+// bootInfo is the ring entry of a freshly laid-out shard: the last node is
+// the primary, the others its replicas (in slot order, so ReplicaAddr's r
+// is the slot).
+func (sh *clusterShard) bootInfo() ShardInfo {
+	last := len(sh.nodes) - 1
+	info := ShardInfo{ID: sh.id, Addr: sh.nodes[last].addr}
+	for _, n := range sh.nodes[:last] {
+		info.Replicas = append(info.Replicas, n.addr)
+	}
+	return info
 }
 
 // Cluster is an in-process sharded serving tier: N shard servers behind a
@@ -263,18 +269,20 @@ func (sh *clusterShard) replicaAddrs() []string {
 type Cluster struct {
 	cfg     clusterConfig
 	router  *Router
-	shards  []*clusterShard
 	ownsDir bool
 
 	// baselinePath is the pristine pre-split snapshot Reshard boots added
 	// shards from; lineage records every shard count this cluster has ever
-	// run, so loadShardNode accepts checkpoints stamped before a reshard;
-	// reshardMu serializes topology changes — Promote, Reshard, kills and
-	// rejoins all hold it, so the detector's automatic promotion cannot race
-	// an operator-driven topology change.
+	// run, so loadShardNode accepts checkpoints stamped before a reshard.
 	baselinePath string
 	lineage      map[int]bool
-	reshardMu    sync.Mutex
+
+	// mu guards the node table — the shards and each node's running state —
+	// across kills, restarts, rejoins and reshards. The topology (each
+	// shard's primary and replicas, the epoch, the shard count) is the
+	// router's ring and nothing else.
+	mu     sync.Mutex
+	shards []*clusterShard
 
 	routerLn net.Listener
 	routerHS *http.Server
@@ -336,14 +344,16 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	// snapshot encoder's buffers on top of their heaps). Close, via fail,
 	// tears down the nodes that did boot and releases the listeners of those
 	// that did not.
-	for i := 0; i < cfg.shards; i++ {
+	infos := make([]ShardInfo, cfg.shards)
+	for i := range infos {
 		sh, err := c.newShard(i)
 		if err != nil {
 			return fail(err)
 		}
 		c.shards = append(c.shards, sh)
+		infos[i] = sh.bootInfo()
 	}
-	ring, err := c.buildRing(cfg.shards)
+	ring, err := cluster.NewRing(cfg.epoch, 0, infos)
 	if err != nil {
 		return fail(err)
 	}
@@ -353,16 +363,15 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 		}
 	}
 	for i, sh := range c.shards {
-		if err := c.bootNodes(sh); err != nil {
+		if err := c.bootNodes(sh, cfg.shards, cfg.epoch); err != nil {
 			return fail(fmt.Errorf("ganc: booting shard %d: %w", i, err))
 		}
 	}
 
 	// Over a replicated ring the router runs the failure detector itself;
-	// with auto-failover its suspicion callback promotes dead primaries
-	// without an operator. The callback takes the topology lock, so holding
-	// it here keeps an early suspicion from seeing a half-built cluster.
-	rcfg := cluster.RouterConfig{
+	// with auto-failover its suspicion promotes dead primaries without an
+	// operator.
+	c.router, err = cluster.NewRouter(cluster.RouterConfig{
 		Ring:           ring,
 		Retries:        cfg.retries,
 		Metrics:        c.cfg.metrics,
@@ -370,13 +379,8 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 		Admission:      c.cfg.routerAdmit,
 		DetectInterval: cfg.detectInterval,
 		SuspectAfter:   cfg.suspectAfter,
-	}
-	if cfg.autoFailover {
-		rcfg.OnSuspectPrimary = c.autoPromote
-	}
-	c.reshardMu.Lock()
-	c.router, err = cluster.NewRouter(rcfg)
-	c.reshardMu.Unlock()
+		AutoFailover:   cfg.autoFailover,
+	})
 	if err != nil {
 		return fail(err)
 	}
@@ -394,38 +398,24 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 }
 
 // loadShardNode restores a shard-scoped snapshot and validates its identity
-// against the cluster. The snapshot's ring epoch may be older than the
-// cluster's current epoch — promotion and resharding bump the epoch without
-// rewriting checkpoints — and its shard count may be any count in the
-// cluster's lineage: a checkpoint written before a reshard still names the
-// old topology (a shard's user set after a migration legitimately differs
+// against the topology the node boots into (numShards at epoch). The
+// snapshot's ring epoch may be older — promotion and resharding bump the
+// epoch without rewriting checkpoints — and its shard count may be any count
+// in the cluster's lineage: a checkpoint written before a reshard still names
+// the old topology (a shard's user set after a migration legitimately differs
 // from the original split). The returned identity is stamped up to the
-// current topology before it reaches a server.
-func (c *Cluster) loadShardNode(sh *clusterShard) (*Pipeline, ShardIdentity, error) {
+// topology before it reaches a server.
+func (c *Cluster) loadShardNode(sh *clusterShard, numShards int, epoch uint64) (*Pipeline, ShardIdentity, error) {
 	pipe, id, err := LoadShardEngine(sh.snapPath)
 	if err != nil {
 		return nil, ShardIdentity{}, err
 	}
-	if id.ShardID != sh.id || !(id.NumShards == c.cfg.shards || c.lineage[id.NumShards]) || id.RingEpoch > c.cfg.epoch {
+	if id.ShardID != sh.id || !c.lineage[id.NumShards] || id.RingEpoch > epoch {
 		return nil, ShardIdentity{}, fmt.Errorf("snapshot %s identifies as shard %d/%d epoch %d, want %d/%d epoch ≤ %d",
-			sh.snapPath, id.ShardID, id.NumShards, id.RingEpoch, sh.id, c.cfg.shards, c.cfg.epoch)
+			sh.snapPath, id.ShardID, id.NumShards, id.RingEpoch, sh.id, numShards, epoch)
 	}
-	id.NumShards = c.cfg.shards
-	id.RingEpoch = c.cfg.epoch
+	id.NumShards, id.RingEpoch = numShards, epoch
 	return pipe, id, nil
-}
-
-// shardServerOptions are the serving options every node of the cluster
-// shares, primary and replica alike.
-func (c *Cluster) shardServerOptions() []ServerOption {
-	var opts []ServerOption
-	if c.cfg.cacheCap > 0 {
-		opts = append(opts, WithServerCacheCapacity(c.cfg.cacheCap))
-	}
-	if c.cfg.metrics != nil {
-		opts = append(opts, serve.WithMetrics(obs.NewRegistry()))
-	}
-	return opts
 }
 
 // newShard lays shard i out — snapshot path, one node per replica plus the
@@ -436,35 +426,34 @@ func (c *Cluster) newShard(i int) (*clusterShard, error) {
 	for r := 0; r <= c.cfg.replicas; r++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			for _, rep := range sh.replicas {
-				rep.ln.Close()
+			for _, n := range sh.nodes {
+				n.ln.Close()
 			}
 			return nil, fmt.Errorf("ganc: shard %d listener: %w", i, err)
 		}
-		n := &clusterNode{addr: ln.Addr().String(), ln: ln}
-		if r < c.cfg.replicas {
-			n.walPath = filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d-replica-%d.wal", i, r))
-			sh.replicas = append(sh.replicas, n)
-		} else {
-			n.walPath = filepath.Join(c.cfg.dir, fmt.Sprintf("shard-%03d.wal", i))
-			sh.primary = n
+		wal := fmt.Sprintf("shard-%03d-replica-%d.wal", i, r)
+		if r == c.cfg.replicas {
+			wal = fmt.Sprintf("shard-%03d.wal", i)
 		}
+		sh.nodes = append(sh.nodes, &clusterNode{addr: ln.Addr().String(), walPath: filepath.Join(c.cfg.dir, wal), ln: ln})
 	}
 	return sh, nil
 }
 
 // bootNodes boots every node of a laid-out shard on its bound listener, each
-// restored from the shard snapshot. A failure leaves the remaining listeners
-// to the teardown that follows it (killNode).
-func (c *Cluster) bootNodes(sh *clusterShard) error {
-	for _, n := range sh.nodes() {
-		pipe, id, err := c.loadShardNode(sh)
+// restored from the shard snapshot into numShards at epoch, the primary last
+// (its shipper's first heartbeat must find the replicas listening). A failure
+// leaves the remaining listeners to the teardown that follows it (killNode).
+func (c *Cluster) bootNodes(sh *clusterShard, numShards int, epoch uint64) error {
+	info := sh.bootInfo()
+	for _, n := range sh.nodes {
+		pipe, id, err := c.loadShardNode(sh, numShards, epoch)
 		if err != nil {
 			return err
 		}
 		ln := n.ln
 		n.ln = nil
-		if _, err := c.startNode(sh, n, ln, pipe, id, n == sh.primary, false); err != nil {
+		if _, err := c.startNode(sh, n, ln, pipe, id, info, false); err != nil {
 			return err
 		}
 	}
@@ -472,16 +461,25 @@ func (c *Cluster) bootNodes(sh *clusterShard) error {
 }
 
 // startNode starts a loaded shard pipeline serving on the listener in the
-// given role — the same ShardNode either way. recoverLog replays the node's
+// role the shard's ring entry gives it — the same ShardNode either way, the
+// primary shipping to the entry's replicas. recoverLog replays the node's
 // write-ahead-log suffix past the pipeline's cursor first (restart and
-// rejoin; a fresh boot has none).
-func (c *Cluster) startNode(sh *clusterShard, n *clusterNode, ln net.Listener, pipe *Pipeline, id ShardIdentity, primary, recoverLog bool) (replayed int, err error) {
-	node, err := OpenShardNode(pipe, id, n.walPath, sh.snapPath, c.cfg.checkpointEvery, c.shardServerOptions()...)
+// rejoin; a fresh boot has none). Every node, primary or replica, gets the
+// same serving options and its own metrics registry.
+func (c *Cluster) startNode(sh *clusterShard, n *clusterNode, ln net.Listener, pipe *Pipeline, id ShardIdentity, info ShardInfo, recoverLog bool) (replayed int, err error) {
+	var opts []ServerOption
+	if c.cfg.cacheCap > 0 {
+		opts = append(opts, WithServerCacheCapacity(c.cfg.cacheCap))
+	}
+	if c.cfg.metrics != nil {
+		opts = append(opts, serve.WithMetrics(obs.NewRegistry()))
+	}
+	node, err := OpenShardNode(pipe, id, n.walPath, sh.snapPath, c.cfg.checkpointEvery, opts...)
 	if err == nil && recoverLog {
 		replayed, err = node.Recover()
 	}
-	if err == nil && primary {
-		err = node.MakePrimary(sh.replicaAddrs(), c.cfg.writeQuorum)
+	if err == nil && n.addr == info.Addr {
+		err = node.MakePrimary(info.Replicas, c.cfg.writeQuorum)
 	}
 	if err != nil {
 		ln.Close()
@@ -496,27 +494,10 @@ func (c *Cluster) startNode(sh *clusterShard, n *clusterNode, ln net.Listener, p
 	return replayed, nil
 }
 
-// buildRing builds the ring over the first n shards at the cluster's
-// current epoch and node addresses.
-func (c *Cluster) buildRing(n int) (*Ring, error) {
-	infos := make([]ShardInfo, n)
-	for i, sh := range c.shards[:n] {
-		infos[i] = ShardInfo{ID: sh.id, Addr: sh.primary.addr, Replicas: sh.replicaAddrs()}
-	}
-	return cluster.NewRing(c.cfg.epoch, 0, infos)
-}
-
-// restamp makes every live node of the given shards adopt the cluster's
-// current epoch and shard count.
-func (c *Cluster) restamp(shards []*clusterShard) {
-	for _, sh := range shards {
-		id := ShardIdentity{ShardID: sh.id, NumShards: c.cfg.shards, RingEpoch: c.cfg.epoch}
-		for _, n := range sh.nodes() {
-			if n.live() {
-				n.node.restamp(id)
-			}
-		}
-	}
+// primary returns the node the router's ring names sh's primary. Callers
+// hold c.mu.
+func (c *Cluster) primary(sh *clusterShard) *clusterNode {
+	return sh.node(c.router.Ring().Shard(sh.id).Addr)
 }
 
 // Handler returns the router's HTTP surface (for mounting on a test
@@ -561,20 +542,19 @@ func (c *Cluster) handleReshard(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) Ring() *Ring { return c.router.Ring() }
 
 // NumShards returns the shard count.
-func (c *Cluster) NumShards() int {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	return len(c.shards)
-}
+func (c *Cluster) NumShards() int { return c.Ring().NumShards() }
 
 // OwnerShard returns the shard index owning an external user key.
 func (c *Cluster) OwnerShard(userKey string) int { return c.router.Owner(userKey) }
 
-// ShardAddr returns shard i's listen address.
+// ShardAddr returns the listen address of shard i's primary, or "" when the
+// ring has no shard i.
 func (c *Cluster) ShardAddr(i int) string {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	return c.shards[i].primary.addr
+	ring := c.Ring()
+	if i < 0 || i >= ring.NumShards() {
+		return ""
+	}
+	return ring.Shard(i).Addr
 }
 
 // RouterAddr returns the router's listen address, or "" when the cluster
@@ -590,26 +570,25 @@ func (c *Cluster) RouterAddr() string {
 // logs.
 func (c *Cluster) Dir() string { return c.cfg.dir }
 
-// shardByIndex validates a shard index.
-func (c *Cluster) shardByIndex(i int) (*clusterShard, error) {
+// shardByIndex validates a shard index and returns the shard and the node
+// the ring names its primary. Callers hold c.mu.
+func (c *Cluster) shardByIndex(i int) (*clusterShard, *clusterNode, error) {
 	if i < 0 || i >= len(c.shards) {
-		return nil, fmt.Errorf("ganc: shard %d out of range [0,%d)", i, len(c.shards))
+		return nil, nil, fmt.Errorf("ganc: shard %d out of range [0,%d)", i, len(c.shards))
 	}
-	return c.shards[i], nil
+	return c.shards[i], c.primary(c.shards[i]), nil
 }
 
-// shardState snapshots shard i's live pipeline and ingestor under the
-// topology lock, so scenario drivers do not race a concurrent
-// detector-triggered promotion swapping them.
-func (c *Cluster) shardState(i int) (*Pipeline, *Ingestor, error) {
-	nodes := c.primaries()
-	if i < 0 || i >= len(nodes) {
-		return nil, nil, fmt.Errorf("ganc: shard %d out of range [0,%d)", i, len(nodes))
+// primaryNode returns shard i's running primary, read under c.mu (nil when
+// it is dead), or an error when shard i does not exist.
+func (c *Cluster) primaryNode(i int) (*ShardNode, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, p, err := c.shardByIndex(i)
+	if err != nil {
+		return nil, err
 	}
-	if nodes[i] == nil {
-		return nil, nil, nil
-	}
-	return nodes[i].pipe, nodes[i].ing, nil
+	return p.node, nil
 }
 
 // KillShard crashes shard i's primary: its listener and connections close,
@@ -618,21 +597,21 @@ func (c *Cluster) shardState(i int) (*Pipeline, *Ingestor, error) {
 // serving, so reads fail over while writes get the router's typed 503 until
 // a restart or a promotion.
 func (c *Cluster) KillShard(i int) error {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	sh, err := c.shardByIndex(i)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, p, err := c.shardByIndex(i)
 	if err != nil {
 		return err
 	}
-	if !sh.primary.live() {
+	if !p.live() {
 		return fmt.Errorf("ganc: shard %d is already dead", i)
 	}
-	return killNode(sh.primary)
+	return killNode(p)
 }
 
 // killNode crashes one node, whatever its role (a no-op on a dead one): the
 // listener and connections close, the shipper stops, the write-ahead-log
-// handle is released. Callers hold the topology lock where it matters.
+// handle is released. Callers hold c.mu where it matters.
 func killNode(n *clusterNode) error {
 	if n.ln != nil { // laid out, never booted
 		n.ln.Close()
@@ -654,7 +633,7 @@ func killNode(n *clusterNode) error {
 func killShards(shards []*clusterShard) error {
 	var firstErr error
 	for _, sh := range shards {
-		for _, n := range sh.nodes() {
+		for _, n := range sh.nodes {
 			if err := killNode(n); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -668,59 +647,37 @@ func killShards(shards []*clusterShard) error {
 // ingestion re-attaches, and the write-ahead-log suffix past the checkpoint
 // cursor is replayed. Returns how many events the replay recovered.
 func (c *Cluster) RestartShard(i int) (replayed int, err error) {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	sh, err := c.shardByIndex(i)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sh, p, err := c.shardByIndex(i)
 	if err != nil {
 		return 0, err
 	}
-	if sh.primary.live() {
+	if p.live() {
 		return 0, fmt.Errorf("ganc: shard %d is still running (kill it first)", i)
 	}
-	return c.rebootNode(sh, sh.primary, true)
+	return c.rebootNode(sh, p, c.Ring())
 }
 
 // Promote turns shard i's freshest live replica into its primary after a
-// kill: the ring epoch bumps, the promoted node gains the client write path
-// and a shipper over the remaining replica set (including the dead old
-// primary's address, so a later RejoinAsReplica needs no further ring
-// change), every surviving node adopts the new epoch, and the router is
-// re-pointed at the new shard map. Returns the new epoch.
-func (c *Cluster) Promote(i int) (uint64, error) {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	return c.promoteLocked(i)
-}
-
-// autoPromote is the detector's suspicion callback under WithAutoFailover:
-// it re-checks, under the topology lock, that the suspected primary is
-// actually dead at the address the suspicion was raised for — a restarted
-// primary, a completed promotion or a false suspicion all make it a no-op —
-// and then runs the regular promotion. Promotion failures (e.g. no live
-// replica either) are dropped: the detector fires again next outage episode,
-// and the router keeps failing reads over meanwhile.
-func (c *Cluster) autoPromote(shard int, addr string) {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	sh, err := c.shardByIndex(shard)
-	if err != nil || sh.primary.live() || sh.primary.addr != addr {
-		return
-	}
-	_, _ = c.promoteLocked(shard)
-}
+// kill (Router.Promote) and returns the new ring epoch. The dead old primary
+// stays in the replica set, so a later RejoinAsReplica needs no ring change.
+func (c *Cluster) Promote(i int) (uint64, error) { return c.router.Promote(i) }
 
 // rebootNode brings a dead node back on its original address (free to
-// rebind, and the ring's address for the node must not change) in the given
-// role, and replays its write-ahead-log suffix past the snapshot cursor. The
-// snapshot is loaded once: a replica's log is repaired (cluster.RepairLog) to
-// the cursor of the pipeline that then boots, because the live primary keeps
-// checkpointing into the shared file and a second read could return a later
-// cursor than the log was repaired to — the fork ErrReplicaRejoin refuses.
-func (c *Cluster) rebootNode(sh *clusterShard, n *clusterNode, primary bool) (replayed int, err error) {
-	pipe, id, err := c.loadShardNode(sh)
-	if err == nil && !primary {
+// rebind, and the ring's address for the node must not change) in the role
+// ring gives it, and replays its write-ahead-log suffix past the snapshot
+// cursor. The snapshot is loaded once: a replica's log is repaired
+// (cluster.RepairLog) from ring's primary to the cursor of the pipeline that
+// then boots, because the live primary keeps checkpointing into the shared
+// file and a second read could return a later cursor than the log was
+// repaired to — the fork ErrReplicaRejoin refuses.
+func (c *Cluster) rebootNode(sh *clusterShard, n *clusterNode, ring *Ring) (replayed int, err error) {
+	info := ring.Shard(sh.id)
+	pipe, id, err := c.loadShardNode(sh, ring.NumShards(), ring.Epoch())
+	if err == nil && n.addr != info.Addr {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		err = cluster.RepairLog(ctx, nil, n.walPath, sh.primary.addr, sh.id, pipe.ingestSeq)
+		err = cluster.RepairLog(ctx, nil, n.walPath, info.Addr, sh.id, pipe.ingestSeq)
 		cancel()
 	}
 	if err != nil {
@@ -730,71 +687,38 @@ func (c *Cluster) rebootNode(sh *clusterShard, n *clusterNode, primary bool) (re
 	if err != nil {
 		return 0, fmt.Errorf("ganc: rebinding shard %d node on %s: %w", sh.id, n.addr, err)
 	}
-	return c.startNode(sh, n, ln, pipe, id, primary, true)
+	return c.startNode(sh, n, ln, pipe, id, info, true)
 }
 
-// promoteLocked is Promote under an already-held topology lock. Which
-// replica wins and what the next ring is are Ring.Promoted's decision; this
-// swaps the two slots it names and makes the nodes and the router follow.
-func (c *Cluster) promoteLocked(i int) (uint64, error) {
-	sh, err := c.shardByIndex(i)
-	if err != nil {
-		return 0, err
-	}
-	if sh.primary.live() {
-		return 0, fmt.Errorf("ganc: shard %d still has a live primary (kill it first)", i)
-	}
-	cursors := make(map[string]uint64)
-	for _, rep := range sh.replicas {
-		if rep.live() {
-			cursors[rep.addr] = rep.node.Seq()
-		}
-	}
-	ring, addr, err := c.router.Ring().Promoted(i, cursors)
-	if err != nil {
-		return 0, err
-	}
-	best := slices.IndexFunc(sh.replicas, func(rep *clusterNode) bool { return rep.addr == addr })
-	c.cfg.epoch = ring.Epoch()
-	sh.primary, sh.replicas[best] = sh.replicas[best], sh.primary
-	c.restamp(c.shards)
-	if err := sh.primary.node.MakePrimary(sh.replicaAddrs(), c.cfg.writeQuorum); err != nil {
-		return 0, err
-	}
-	if err := c.router.UpdateRing(ring); err != nil {
-		return 0, err
-	}
-	return c.cfg.epoch, nil
-}
-
-// RejoinAsReplica boots shard i's dead replica slot — after a promotion,
+// RejoinAsReplica boots shard i's first dead replica — after a promotion,
 // the demoted old primary — back as a replica: restored from the shard
 // snapshot, its own write-ahead-log suffix replayed, and re-announced to the
-// new primary's shipper, which catches it up to the committed head. When the
+// primary's shipper, which catches it up to the committed head. When the
 // node's local log is shorter than the snapshot cursor (the disk did not
 // survive with the full history), the missing tail is pulled from the live
 // primary over POST /replicate/tail before boot (cluster.RepairLog).
 // Returns how many events the local replay recovered.
 func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	sh, err := c.shardByIndex(i)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sh, p, err := c.shardByIndex(i)
 	if err != nil {
 		return 0, err
 	}
-	if !sh.primary.live() {
+	if !p.live() {
 		return 0, fmt.Errorf("ganc: shard %d has no live primary to rejoin under", i)
 	}
-	k := slices.IndexFunc(sh.replicas, func(rep *clusterNode) bool { return !rep.live() })
+	ring := c.Ring()
+	k := slices.IndexFunc(ring.Shard(i).Replicas, func(addr string) bool { return !sh.node(addr).live() })
 	if k < 0 {
-		return 0, fmt.Errorf("ganc: shard %d has no dead replica slot to rejoin", i)
+		return 0, fmt.Errorf("ganc: shard %d has no dead replica to rejoin", i)
 	}
-	if replayed, err = c.rebootNode(sh, sh.replicas[k], false); err != nil {
+	if replayed, err = c.rebootNode(sh, sh.node(ring.Shard(i).Replicas[k]), ring); err != nil {
 		return replayed, err
 	}
 	// Tell the primary's shipper where the rejoined node actually is; its
 	// catch-up loop re-feeds the rest from the primary's WAL.
-	if sp := sh.primary.node.shipper.Load(); sp != nil {
+	if sp := p.node.shipper.Load(); sp != nil {
 		sp.Resync()
 	}
 	return replayed, nil
@@ -802,20 +726,18 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 
 // Reshard grows or shrinks the cluster to target shards with zero
 // client-visible downtime. Added shards boot from the pristine baseline
-// snapshot (full trained state, no stream history) at ring epoch E+1; the
-// router then runs the staged cutover between the current ring and the E+1
-// ring (cluster.Router.Reshard: migrate every moving user's history to its
-// new owner, flip its reads once it has landed, publish the ring to every
-// node). Shrinking retires the highest-numbered shards after a short drain
-// grace; their files stay on disk (a later grow wipes and re-migrates them).
+// snapshot (full trained state, no stream history) at the current epoch E;
+// the router then runs the staged cutover to the E+1 ring (Router.Reshard).
+// Shrinking retires the highest-numbered shards after a short drain grace;
+// their files stay on disk (a later grow wipes and re-migrates them).
 //
 // Reshard requires every current primary to be live (each is a migration
-// source) and serializes with other topology changes. On an error before the
-// ring publish the transition is aborted: routing reverts to the old ring
-// and added shards are torn down.
+// source) and serializes with kills, restarts and rejoins. On an error before
+// the commit the transition is aborted: routing stays on the old ring and
+// added shards are torn down.
 func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	oldN := len(c.shards)
 	if target <= 0 {
 		return nil, fmt.Errorf("ganc: reshard needs a positive shard count, got %d", target)
@@ -823,32 +745,31 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	if target == oldN {
 		return nil, fmt.Errorf("ganc: cluster already has %d shards", oldN)
 	}
+	ring := c.Ring()
+	primaries := make([]*cluster.Node, 0, max(oldN, target))
 	for _, sh := range c.shards {
-		if !sh.primary.live() {
+		p := c.primary(sh)
+		if !p.live() {
 			return nil, fmt.Errorf("ganc: shard %d is dead; restart or promote it before resharding", sh.id)
 		}
+		primaries = append(primaries, p.node.streams)
 	}
-	oldEpoch := c.cfg.epoch
-	newEpoch := oldEpoch + 1
 
-	// The new topology is effective for everything booted from here on: the
-	// added shards' snapshots are stamped with it, and loadShardNode keeps
-	// accepting pre-reshard checkpoints through the lineage set.
-	c.cfg.epoch, c.cfg.shards = newEpoch, target
+	// loadShardNode accepts checkpoints of the target count from here on.
 	lineageAdded := !c.lineage[target]
 	c.lineage[target] = true
-	// fail reverts everything a reshard did before the ring publish: added
-	// shards are torn down and the old topology is effective again.
+	// fail reverts everything a reshard did before the commit: added shards
+	// are torn down and the target leaves the lineage again.
 	fail := func(err error) (*ReshardStats, error) {
 		_ = killShards(c.shards[oldN:])
 		c.shards = c.shards[:oldN]
-		c.cfg.epoch, c.cfg.shards = oldEpoch, oldN
 		if lineageAdded {
 			delete(c.lineage, target)
 		}
 		return nil, err
 	}
 
+	infos := ring.Shards()[:min(oldN, target)]
 	if target > oldN {
 		base, _, err := LoadShardEngine(c.baselinePath)
 		if err != nil {
@@ -860,60 +781,52 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 				c.shards = append(c.shards, sh)
 				// A slot retired by an earlier shrink leaves its files
 				// behind; the re-added shard re-migrates its history in full.
-				for _, n := range sh.nodes() {
+				for _, n := range sh.nodes {
 					_ = os.Remove(n.walPath)
 				}
-				if err = base.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: target, RingEpoch: newEpoch}); err == nil {
-					err = c.bootNodes(sh)
+				if err = base.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: target, RingEpoch: ring.Epoch()}); err == nil {
+					err = c.bootNodes(sh, target, ring.Epoch())
 				}
 			}
 			if err != nil {
 				return fail(fmt.Errorf("ganc: adding shard %d: %w", i, err))
 			}
+			infos = append(infos, sh.bootInfo())
+			primaries = append(primaries, sh.nodes[len(sh.nodes)-1].node.streams)
 		}
 	}
 
-	nextRing, err := c.buildRing(target)
+	next, err := cluster.NewRing(ring.Epoch()+1, 0, infos)
 	if err != nil {
 		return fail(err)
 	}
-	primaries := make([]*cluster.Node, len(c.shards))
-	for i, sh := range c.shards {
-		primaries[i] = sh.primary.node.streams
-	}
-	// At the commit point every surviving node adopts the new epoch and count.
-	stats, err := c.router.Reshard(nextRing, primaries, func() { c.restamp(c.shards[:target]) })
-	if err != nil {
+	stats, err := c.router.Reshard(next, primaries)
+	if stats == nil {
 		return fail(err)
 	}
 
-	// Shrink: the retired shards stopped receiving writes when the cutover
-	// began and reads at their last user's flip; a short grace period lets
-	// in-flight requests drain before their listeners close. Their files
-	// stay on disk — a later grow wipes and re-migrates them. A teardown
-	// error is reported alongside the stats: the reshard itself has already
-	// been published.
+	// Shrink: the retired shards took their last write at the cutover's
+	// begin and their last read at their last user's flip; a short grace
+	// lets in-flight requests drain. A push or teardown error is reported
+	// alongside the stats: the reshard itself has already been published.
 	if target < oldN {
 		time.Sleep(200 * time.Millisecond)
-		err := killShards(c.shards[target:])
-		c.shards = c.shards[:target]
-		if err != nil {
-			return stats, err
+		if kerr := killShards(c.shards[target:]); err == nil {
+			err = kerr
 		}
+		c.shards = c.shards[:target]
 	}
-	return stats, nil
+	return stats, err
 }
 
-// primaries snapshots every shard's running primary, by shard index (nil for
-// a dead one), under the topology lock. SaveShards and WaitForReplicaSync
-// work on the snapshot outside the lock, so they neither race nor block a
-// concurrent promotion or reshard.
+// primaries snapshots every shard's running primary by shard index (nil for a
+// dead one) under c.mu, so its callers neither race nor block a reshard.
 func (c *Cluster) primaries() []*ShardNode {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	nodes := make([]*ShardNode, len(c.shards))
 	for i, sh := range c.shards {
-		nodes[i] = sh.primary.node
+		nodes[i] = c.primary(sh).node
 	}
 	return nodes
 }
@@ -933,9 +846,9 @@ func (c *Cluster) SaveShards() error {
 }
 
 // ShardVersion returns shard i's serving-engine generation (0 for a dead
-// shard).
+// shard or one the cluster does not have).
 func (c *Cluster) ShardVersion(i int) int {
-	if n := c.primaries()[i]; n != nil {
+	if n, _ := c.primaryNode(i); n != nil {
 		return n.srv.Version()
 	}
 	return 0
@@ -943,23 +856,23 @@ func (c *Cluster) ShardVersion(i int) int {
 
 // Epoch returns the cluster's current ring epoch (bumped by every Promote —
 // manual or detector-triggered — and every Reshard).
-func (c *Cluster) Epoch() uint64 {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	return c.cfg.epoch
-}
+func (c *Cluster) Epoch() uint64 { return c.Ring().Epoch() }
 
-// ReplicaAddr returns shard i's replica r's listen address.
+// ReplicaAddr returns the listen address of shard i's replica r, in the
+// ring's replica order (a promotion puts the demoted primary in the promoted
+// replica's place), or "" when the ring has no such replica.
 func (c *Cluster) ReplicaAddr(i, r int) string {
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
-	return c.shards[i].replicas[r].addr
+	ring := c.Ring()
+	if i < 0 || i >= ring.NumShards() || r < 0 || r >= len(ring.Shard(i).Replicas) {
+		return ""
+	}
+	return ring.Shard(i).Replicas[r]
 }
 
 // ReplicaLag returns shard i's widest replica lag in committed events (0
-// with no live shipper).
+// with no live shipper, or for a shard the cluster does not have).
 func (c *Cluster) ReplicaLag(i int) uint64 {
-	if n := c.primaries()[i]; n != nil {
+	if n, _ := c.primaryNode(i); n != nil {
 		if sp := n.shipper.Load(); sp != nil {
 			return sp.MaxLag()
 		}
@@ -988,14 +901,13 @@ func (c *Cluster) WaitForReplicaSync(timeout time.Duration) error {
 // (if any) stops, and the work directory is removed when the cluster owns
 // it.
 func (c *Cluster) Close() error {
-	// The router's detector stops before the topology lock is taken: a
-	// suspicion callback fired during teardown blocks on that lock, and Close
-	// waiting for it while holding the lock would deadlock.
+	// The router closes first: its detector stops, and a promotion it started
+	// finishes pushing to nodes that are still up.
 	if c.router != nil {
 		c.router.Close()
 	}
-	c.reshardMu.Lock()
-	defer c.reshardMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	firstErr := killShards(c.shards)
 	if c.routerHS != nil {
 		if err := c.routerHS.Close(); err != nil && firstErr == nil {
@@ -1012,27 +924,26 @@ func (c *Cluster) Close() error {
 	return firstErr
 }
 
-// WaitReady blocks until every shard answers /health (or the timeout
-// expires) — a convenience for callers that start driving traffic
-// immediately after NewCluster. It probes the node set as of the call.
+// WaitReady blocks until every shard's primary and every live replica
+// answers /health (or the timeout expires) — a convenience for callers that
+// start driving traffic immediately after NewCluster. It probes the node set
+// as of the call.
 func (c *Cluster) WaitReady(timeout time.Duration) error {
-	type target struct{ addr, what string }
-	c.reshardMu.Lock()
-	var targets []target
+	c.mu.Lock()
+	var addrs []string
 	for _, sh := range c.shards {
-		targets = append(targets, target{sh.primary.addr, fmt.Sprintf("shard %d", sh.id)})
-		for r, rep := range sh.replicas {
-			if rep.live() {
-				targets = append(targets, target{rep.addr, fmt.Sprintf("shard %d replica %d", sh.id, r)})
+		for _, n := range sh.nodes {
+			if n.live() || n == c.primary(sh) {
+				addrs = append(addrs, n.addr)
 			}
 		}
 	}
-	c.reshardMu.Unlock()
+	c.mu.Unlock()
 	deadline := time.Now().Add(timeout)
 	client := &http.Client{Timeout: time.Second}
-	for _, t := range targets {
+	for _, addr := range addrs {
 		for {
-			resp, err := client.Get("http://" + t.addr + "/health")
+			resp, err := client.Get("http://" + addr + "/health")
 			if err == nil {
 				resp.Body.Close()
 				if resp.StatusCode == http.StatusOK {
@@ -1040,7 +951,7 @@ func (c *Cluster) WaitReady(timeout time.Duration) error {
 				}
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("ganc: %s not ready within %v", t.what, timeout)
+				return fmt.Errorf("ganc: node %s not ready within %v", addr, timeout)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

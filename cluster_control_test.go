@@ -40,15 +40,16 @@ func shardSnapshotCursor(path string) (uint64, error) {
 }
 
 // TestClusterRejoinBootsAtTheCursorItRepairedTo is the regression test for
-// the rejoin's double snapshot read. A rejoin holds only the topology lock,
+// the rejoin's double snapshot read. A rejoin holds only the node-table lock,
 // which does not stop the live primary from checkpointing into the snapshot
 // file the rejoining node boots from. The test makes a checkpoint land at the
 // one point both the old and the new code pass between "read the cursor" and
-// "boot": the tail pull, proxied here. The old code read the file again at
-// boot, came up at the later cursor over a log repaired only to the earlier
-// one, and appended the next replicated chunk under the wrong record numbers;
-// the node must instead boot the pipeline whose cursor the log was repaired
-// to and end with every record, in place.
+// "boot": the tail pull, proxied here — the rejoin's reboot is handed a ring
+// that names the proxy as the shard's primary. The old code read the file
+// again at boot, came up at the later cursor over a log repaired only to the
+// earlier one, and appended the next replicated chunk under the wrong record
+// numbers; the node must instead boot the pipeline whose cursor the log was
+// repaired to and end with every record, in place.
 func TestClusterRejoinBootsAtTheCursorItRepairedTo(t *testing.T) {
 	c, ts := replicatedTestCluster(t, WithShards(1), WithReplicas(1), WithClusterCheckpointEvery(10))
 	// send is postIngest for events valued from..from+n-1, returning its error
@@ -79,14 +80,14 @@ func TestClusterRejoinBootsAtTheCursorItRepairedTo(t *testing.T) {
 	killAndPromote(t, c, 0)
 	must(send(25, 25)) // the promoted primary checkpoints at 50
 	sh := c.shards[0]
-	dead := sh.replicas[0]
+	dead := sh.node(c.ReplicaAddr(0, 0))
 	must(os.Remove(dead.walPath)) // the log is short of the snapshot: the rejoin must pull
 
 	// The proxy stands where the rejoin looks for the primary's tail route. It
 	// relays the pull, and before it hands the answer back it ingests one more
 	// checkpoint interval through the router, so the snapshot file moves from
 	// cursor 50 to 60 while the rejoin is between its cursor read and its boot.
-	primary := sh.primary.addr
+	primary := c.ShardAddr(0)
 	var pulls atomic.Int32
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		resp, err := http.Post("http://"+primary+r.URL.Path, "application/json", r.Body)
@@ -106,12 +107,17 @@ func TestClusterRejoinBootsAtTheCursorItRepairedTo(t *testing.T) {
 		_, _ = w.Write(answer)
 	}))
 	defer proxy.Close()
-	sh.primary.addr = strings.TrimPrefix(proxy.URL, "http://")
-	_, err := c.RejoinAsReplica(0)
-	sh.primary.addr = primary
+	infos := c.Ring().Shards()
+	infos[0].Addr = strings.TrimPrefix(proxy.URL, "http://")
+	viaProxy, err := NewRing(c.Epoch(), infos)
+	must(err)
+	c.mu.Lock()
+	_, err = c.rebootNode(sh, dead, viaProxy)
+	c.mu.Unlock()
 	if err != nil {
 		t.Fatalf("rejoin across a checkpoint: %v", err)
 	}
+	sh.node(primary).node.shipper.Load().Resync() // as RejoinAsReplica does after the reboot
 	if pulls.Load() == 0 {
 		t.Fatal("the rejoin never pulled through the proxy; the test no longer opens the window it is about")
 	}
@@ -146,7 +152,7 @@ func walValues(path string) ([]float64, error) {
 
 // TestClusterSaveAndWaitReadyDuringTopologyChanges runs SaveShards and
 // WaitReady, which used to walk the shard table unlocked, against the two
-// things that rewrite it: a promotion (swaps a shard's primary slot) and a
+// things that rewrite it: a promotion (re-points a shard's primary) and a
 // grow (appends shards). Under -race the unlocked walk is a reported race.
 func TestClusterSaveAndWaitReadyDuringTopologyChanges(t *testing.T) {
 	c, _ := replicatedTestCluster(t, WithShards(2), WithReplicas(1))

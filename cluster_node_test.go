@@ -140,7 +140,7 @@ func TestClusterRejoinPullsLostWAL(t *testing.T) {
 	ingest(0, 25)
 	killAndPromote(t, c, 0)
 	ingest(25, 25) // checkpointed by the promoted primary: the snapshot is now ahead of everything the dead node ever logged
-	dead := c.shards[0].replicas[0]
+	dead := c.shards[0].node(c.ReplicaAddr(0, 0))
 	if dead.live() {
 		t.Fatal("the demoted primary's slot is not dead")
 	}
@@ -161,7 +161,7 @@ func TestClusterRejoinPullsLostWAL(t *testing.T) {
 	if records, err := countRecords(dead.walPath); err != nil || records != 60 {
 		t.Fatalf("rejoined log holds %d records (%v), want all 60", records, err)
 	}
-	primary := c.shards[0].primary
+	primary := c.shards[0].node(c.ShardAddr(0))
 	want, err := fingerprintPipeline(context.Background(), primary.node.pipe, primary.node.ing, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +223,31 @@ func TestClusterEveryNodeSpeaksEveryStreamRoute(t *testing.T) {
 					t.Errorf("%s: %s %s answered %d %+v (%v), want a typed JSON refusal", role, method, route, resp.StatusCode, refusal, err)
 				}
 			}
+		}
+	}
+}
+
+// TestClusterAccessorsOutOfRange: the accessors that return an address, a
+// version or a lag answer their documented zero value for a shard or replica
+// the cluster does not have, as the error-returning calls refuse one.
+func TestClusterAccessorsOutOfRange(t *testing.T) {
+	const shards, replicas = 2, 1
+	c, _ := replicatedTestCluster(t, WithShards(shards), WithReplicas(replicas))
+	for _, tc := range []struct {
+		name string
+		i, r int
+	}{
+		{"negative shard", -1, 0},
+		{"shard past the ring", shards, 0},
+		{"replica past the shard", 0, replicas},
+	} {
+		if tc.r == 0 {
+			if addr, version, lag := c.ShardAddr(tc.i), c.ShardVersion(tc.i), c.ReplicaLag(tc.i); addr != "" || version != 0 || lag != 0 {
+				t.Errorf("%s: ShardAddr %q, ShardVersion %d, ReplicaLag %d; want the zero values", tc.name, addr, version, lag)
+			}
+		}
+		if addr := c.ReplicaAddr(tc.i, tc.r); addr != "" {
+			t.Errorf("%s: ReplicaAddr(%d, %d) = %q, want \"\"", tc.name, tc.i, tc.r, addr)
 		}
 	}
 }

@@ -182,14 +182,14 @@ func (s *clusterSystem) Ingest(ctx context.Context, events []IngestEvent) error 
 		perShard[owner] = append(perShard[owner], ev)
 	}
 	for shard, evs := range perShard {
-		_, ing, err := s.cluster.shardState(shard)
+		n, err := s.cluster.primaryNode(shard)
 		if err != nil {
 			return err
 		}
-		if ing == nil {
+		if n == nil {
 			return fmt.Errorf("ganc: shard %d is not ingesting (killed?)", shard)
 		}
-		if _, err := ing.Apply(ctx, evs); err != nil {
+		if _, err := n.ing.Apply(ctx, evs); err != nil {
 			return err
 		}
 	}
@@ -333,14 +333,14 @@ func (s *clusterSystem) OwnerAt(userKey string, shards int) int {
 // different lists than the single-node shadow's full sweep — the filter
 // must come after the sweep for the byte-identical parity contract to hold.
 func (s *clusterSystem) ShardFingerprint(ctx context.Context, shard int) ([]byte, error) {
-	pipe, ing, err := s.cluster.shardState(shard)
+	n, err := s.cluster.primaryNode(shard)
 	if err != nil {
 		return nil, err
 	}
-	if pipe == nil {
+	if n == nil {
 		return nil, fmt.Errorf("ganc: cannot fingerprint dead shard %d", shard)
 	}
-	return fingerprintPipeline(ctx, pipe, ing, func(userKey string) bool {
+	return fingerprintPipeline(ctx, n.pipe, n.ing, func(userKey string) bool {
 		return s.cluster.OwnerShard(userKey) == shard
 	})
 }

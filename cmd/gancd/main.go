@@ -14,17 +14,21 @@
 //	            every committed ingest batch to the listed replica nodes,
 //	            and -write-quorum K acks a write only after K of them hold it
 //	replica     serve one shard snapshot as a warm replica of its shard: the
-//	            same node as the shard role, never flipped to primary — client
+//	            same node as the shard role, started as a replica — client
 //	            writes answer a typed 409, POST /replicate applies the
 //	            primary's committed batches into the node's own write-ahead
-//	            log, /health reports the replication cursor and lag
+//	            log, /health reports the replication cursor and lag — and
+//	            flipped to primary when the router's ring push names it
 //	router      scatter-gather front over -peers: proxies /recommend, fans
 //	            /recommend/batch and /ingest out by user ownership, merges,
 //	            aggregates /info and /health, answers typed 503s for dead
 //	            shards. A "primary+replica" peer entry makes the router run
 //	            its failure detector (-detect-interval-ms, -suspect-after)
 //	            and fail reads over to that shard's replicas from the
-//	            detector's cached view, bounded by -max-replica-lag
+//	            detector's cached view, bounded by -max-replica-lag;
+//	            -auto-failover promotes a suspected-dead primary's freshest
+//	            replica by pushing the next ring to every node over
+//	            POST /admin/ring
 //	cluster     the whole topology in one process (a demo/benchmark form):
 //	            split into a temp dir, boot every shard (-replicas warm
 //	            replicas each), serve the router. -write-quorum K acks each
@@ -33,11 +37,11 @@
 //	            operator call
 //
 // The shard and replica roles run the same node assembly the cluster role
-// boots in-process (ganc.ShardNode): both mount POST /replicate, /migrate and
-// /replicate/tail in front of the serving routes, and the role only decides
-// which of them accept — a primary takes client writes and /migrate chunks
-// and refuses pushed /replicate batches, a replica the reverse, each refusal
-// a typed 409.
+// boots in-process (ganc.ShardNode): both mount POST /replicate, /migrate,
+// /replicate/tail and /admin/ring in front of the serving routes, and the
+// role only decides which stream routes accept — a primary takes client
+// writes and /migrate chunks and refuses pushed /replicate batches, a replica
+// the reverse, each refusal a typed 409.
 //
 // A 3-shard deployment, one process per node:
 //
@@ -53,7 +57,7 @@
 //	gancd -role replica -load shards/shard-000.snap -ingest-log r0.wal -serve :9081 &
 //	gancd -role shard -load shards/shard-000.snap -ingest-log s0.wal \
 //	      -replica-addrs :9081 -write-quorum 1 -serve :8081 &
-//	gancd -role router -peers :8081+:9081,:8082,:8083 -serve :8080
+//	gancd -role router -peers :8081+:9081,:8082,:8083 -auto-failover -serve :8080
 //
 // The same topology in one process:
 //
@@ -129,7 +133,7 @@ var roleFlags = []struct{ role, flags string }{
 	// A node started as a replica ships to no one and never checkpoints on
 	// its own (it may share the snapshot file with its primary).
 	{"replica", "load serve ingest-log shards shard-id epoch cache"},
-	{"router", "peers serve epoch retries max-replica-lag detect-interval-ms suspect-after"},
+	{"router", "peers serve epoch retries max-replica-lag detect-interval-ms suspect-after auto-failover"},
 	{"cluster", "load serve shards epoch cache checkpoint-interval replicas write-quorum auto-failover detect-interval-ms suspect-after retries"},
 }
 
@@ -163,7 +167,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.replicaAddrs, "replica-addrs", "", "comma-separated replica addresses this shard ships committed batches to (shard role)")
 	fs.IntVar(&o.replicas, "replicas", 0, "warm replicas per shard (cluster role)")
 	fs.IntVar(&o.writeQuorum, "write-quorum", 0, "k-of-n quorum writes: ack a committed batch only after k replicas hold it (shard and cluster roles; 0 = ship without waiting)")
-	fs.BoolVar(&o.autoFailover, "auto-failover", false, "cluster: promote a suspected-dead primary's freshest replica automatically, no operator call")
+	fs.BoolVar(&o.autoFailover, "auto-failover", false, "router and cluster roles: promote a suspected-dead primary's freshest replica automatically, no operator call")
 	fs.IntVar(&o.detectIntervalMs, "detect-interval-ms", 0, "failure-detector /health sampling interval in ms (router and cluster roles; 0 = default 250)")
 	fs.IntVar(&o.suspectAfter, "suspect-after", 0, "consecutive missed probes before the detector suspects a node (0 = default 3)")
 	fs.Int64Var(&o.maxReplicaLag, "max-replica-lag", 0, "router: max committed-event lag for a replica to serve a failover read (0 = default 1024, negative disables failover)")
@@ -463,11 +467,15 @@ func runNode(ctx context.Context, o options, stderr io.Writer) error {
 // runRouter fronts the peers with the scatter-gather router. When any peer
 // entry declares replicas the router runs its own failure detector, so
 // failed reads route by the cached liveness view — zero per-request probes —
-// and suspected primaries are skipped without burning the retry budget.
+// and suspected primaries are skipped without burning the retry budget;
+// with -auto-failover a suspected primary is replaced (Router.Promote).
 func runRouter(ctx context.Context, o options, stderr io.Writer) error {
 	infos, err := ganc.ParsePeerTopology(o.peers)
 	if err != nil {
 		return fmt.Errorf("-peers: %w (expected \"host1:port,host2:port,…\" in shard-id order; append \"+replicahost:port\" for read-failover replicas)", err)
+	}
+	if o.autoFailover && !slices.ContainsFunc(infos, func(s ganc.ShardInfo) bool { return len(s.Replicas) > 0 }) {
+		return fmt.Errorf("-auto-failover needs a \"primary+replica\" entry in -peers: there is no replica to promote")
 	}
 	ring, err := ganc.NewRing(o.epoch, infos)
 	if err != nil {
@@ -484,6 +492,7 @@ func runRouter(ctx context.Context, o options, stderr io.Writer) error {
 		MaxReplicaLag:  o.maxReplicaLag,
 		DetectInterval: time.Duration(o.detectIntervalMs) * time.Millisecond,
 		SuspectAfter:   o.suspectAfter,
+		AutoFailover:   o.autoFailover,
 		Admission:      o.admission(),
 		RequestLog:     log,
 	}

@@ -85,8 +85,9 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-role standalone -serve :0 -shards 5 -load " + model:                                     "-shards does not apply to -role standalone (it is read by -role split, shard, replica, cluster)",
 		"-role standalone -serve :0 -retries 0 -load " + model:                                    "-retries does not apply to -role standalone (it is read by -role router, cluster)",
 		"-role split -metrics -out " + dir + " -load " + model:                                    "-metrics does not apply to -role split",
-		"-role router -serve :0":                 "-peers",
-		"-role router -serve :0 -peers a:1,,b:2": "-peers",
+		"-role router -serve :0":                               "-peers",
+		"-role router -serve :0 -peers a:1,,b:2":               "-peers",
+		"-role router -serve :0 -peers a:1,b:2 -auto-failover": "no replica to promote",
 		"-role standalone -serve :0 -request-log " + filepath.Join(dir, "no", "such", "dir", "r.log") + " -load " + model: "opening request log",
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -285,5 +286,84 @@ func TestMultiProcessRolesOverLoopback(t *testing.T) {
 	}
 	if status := post("http://"+replicaAddr+"/ingest", map[string]interface{}{"events": events}, &refusal); status != http.StatusConflict || refusal.Code != "ingest_role" {
 		t.Fatalf("replica answered a client write with %d %q, want 409 ingest_role", status, refusal.Code)
+	}
+}
+
+// TestRouterRoleAutoFailover runs one process per node — a shard, two
+// replicas and a -role router -auto-failover, each run on its own listener —
+// and stops the shard. Within the detector window the router promotes a
+// replica over the wire: a routed write is accepted again, and exactly one
+// replica's /health reports the primary role.
+func TestRouterRoleAutoFailover(t *testing.T) {
+	_, dir := splitSnapshots(t, 1)
+	snap := filepath.Join(dir, "shard-000.snap")
+	tmp := t.TempDir()
+	replicas := []string{freeAddr(t), freeAddr(t)}
+	shardAddr, routerAddr := freeAddr(t), freeAddr(t)
+
+	ctx, stop := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	start := func(ctx context.Context, args string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := run(ctx, strings.Fields(args), io.Discard); err != nil {
+				t.Errorf("gancd %s: %v", args, err)
+			}
+		}()
+	}
+	defer func() { stop(); wg.Wait() }()
+
+	for k, addr := range replicas {
+		start(ctx, fmt.Sprintf("-role replica -load %s -ingest-log %s -serve %s", snap, filepath.Join(tmp, fmt.Sprintf("r%d.wal", k)), addr))
+		waitHealthy(t, addr)
+	}
+	shardCtx, killShard := context.WithCancel(ctx)
+	start(shardCtx, fmt.Sprintf("-role shard -load %s -ingest-log %s -replica-addrs %s -write-quorum 1 -serve %s",
+		snap, filepath.Join(tmp, "s0.wal"), strings.Join(replicas, ","), shardAddr))
+	waitHealthy(t, shardAddr)
+	start(ctx, fmt.Sprintf("-role router -peers %s -auto-failover -detect-interval-ms 20 -suspect-after 2 -serve %s",
+		strings.Join(append([]string{shardAddr}, replicas...), "+"), routerAddr))
+	waitHealthy(t, routerAddr)
+
+	ingest := func() int {
+		payload, _ := json.Marshal(map[string]interface{}{"events": []ganc.IngestEvent{{User: "u-new", Item: "it-1", Value: 4}}})
+		resp, err := http.Post("http://"+routerAddr+"/ingest", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if status := ingest(); status != http.StatusOK {
+		t.Fatalf("routed write before the kill answered %d", status)
+	}
+
+	killShard()
+	deadline := time.Now().Add(5 * time.Second)
+	for ingest() != http.StatusOK {
+		if time.Now().After(deadline) {
+			t.Fatal("no routed write was accepted within 5s of the primary's loss")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var promoted []string
+	for _, addr := range replicas {
+		var health ganc.ServerHealth
+		resp, err := http.Get("http://" + addr + "/health")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&health)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if health.Replication != nil && health.Replication.Role == "primary" {
+			promoted = append(promoted, addr)
+		}
+	}
+	if len(promoted) != 1 {
+		t.Fatalf("replicas reporting the primary role after the failover: %v, want exactly one", promoted)
 	}
 }

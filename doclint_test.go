@@ -883,4 +883,39 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	for dir := range rows {
 		t.Errorf("DESIGN.md §2: the package map has a row for %s, which holds no package", dir)
 	}
+
+	// A CHANGES.md entry — from its "- PR N" line to the next one — numbered
+	// firstCappedEntry or higher is one paragraph of at most changesCap bytes
+	// (tables go in the pull request's description); earlier entries are
+	// grandfathered.
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := changesEntry.FindAllSubmatchIndex(changes, -1)
+	latest := 0
+	for k, m := range starts {
+		end := len(changes)
+		if k+1 < len(starts) {
+			end = starts[k+1][0]
+		}
+		pr, _ := strconv.Atoi(string(changes[m[2]:m[3]]))
+		latest = max(latest, pr)
+		if size := end - m[0]; pr >= firstCappedEntry && size > changesCap {
+			t.Errorf("CHANGES.md: the PR %d entry is %d bytes, over the cap of %d; move tables and detail to the PR body", pr, size, changesCap)
+		}
+	}
+	if latest < firstCappedEntry-1 {
+		t.Errorf("CHANGES.md's entries read as reaching PR %d; the size check would pass vacuously", latest)
+	}
 }
+
+// changesEntry matches the first line of a CHANGES.md entry, capturing its
+// number; changesCap is an entry's size cap in bytes, enforced from entry
+// firstCappedEntry on.
+var changesEntry = regexp.MustCompile(`(?m)^- PR (\d+)\b`)
+
+const (
+	changesCap       = 4096
+	firstCappedEntry = 31
+)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,13 +21,14 @@ import (
 // fabric is an in-memory network: an http.RoundTripper that answers each
 // request from the http.Handler registered under the request's host — no
 // socket, no goroutine. It plugs into the Client field every sender in this
-// package already takes. A host nobody registered refuses the connection.
+// package already takes. A host nobody registered, or a shard that is down,
+// refuses the connection.
 type fabric map[string]http.Handler
 
 // RoundTrip implements http.RoundTripper.
 func (f fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, ok := f[req.URL.Host]
-	if !ok {
+	if s, isShard := h.(*memShard); !ok || isShard && s.down.Load() {
 		return nil, fmt.Errorf("fabric: connection refused: %s", req.URL.Host)
 	}
 	if req.Body == nil {
@@ -40,18 +42,55 @@ func (f fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 
 func (f fabric) client() *http.Client { return &http.Client{Transport: f} }
 
-// memShard is one shard's primary on the fabric: a stream Node whose /migrate
-// receiver applies into a write-ahead log of its own (client writes go
-// straight to the log, as a router-delivered ingest would). onMigrate, when
-// set, sees each migrated batch before it is logged.
+// memShard is one node on the fabric: a Node whose stream receivers apply
+// into a write-ahead log of its own (client writes go straight to the log,
+// as a router-delivered ingest would), mounted over a /health that reports
+// the node's role and cursor — and, on a primary, write quorum. onMigrate,
+// when set, sees each migrated batch before it is logged; rings records every
+// ring change the node adopted, after onRing (when set) has had its say.
 type memShard struct {
-	addr string
-	node *Node
-	log  *ingest.Log
+	addr    string
+	node    *Node
+	log     *ingest.Log
+	handler http.Handler
+	quorum  int
+	down    atomic.Bool
 
 	onMigrate func(events []serve.IngestEvent)
 	migrated  []serve.IngestEvent
+	onRing    func(RingChange) error
+	rings     []RingChange
 }
+
+// open builds the node over the shard's log at epoch, in the primary role or
+// not, and mounts it; the adopt action records the change and flips the role.
+func (s *memShard) open(shard int, epoch uint64, primary bool) {
+	s.node = NewNode(shard, epoch, s, s.log.Path(), func(c RingChange) error {
+		if s.onRing != nil {
+			if err := s.onRing(c); err != nil {
+				return err
+			}
+		}
+		s.rings = append(s.rings, c)
+		if c.Primary {
+			s.node.SetPrimary(true)
+		}
+		return nil
+	})
+	s.node.SetPrimary(primary)
+	health := http.NewServeMux()
+	health.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
+		st := s.node.Replica.Status()
+		if s.node.Primary() {
+			st = serve.ReplicationStatus{Role: RolePrimary, AppliedSeq: s.Seq(), PrimarySeq: s.Seq(), WriteQuorum: s.quorum}
+		}
+		writeJSON(w, http.StatusOK, serve.HealthResponse{Status: "ok", Replication: &st})
+	})
+	s.handler = s.node.Mount(health)
+}
+
+// ServeHTTP implements http.Handler.
+func (s *memShard) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // Seq implements ReplicaBackend.
 func (s *memShard) Seq() uint64 { return s.log.Seq() }
@@ -91,18 +130,8 @@ type cutoverRig struct {
 func newCutoverRig(t *testing.T, serving, n int) *cutoverRig {
 	t.Helper()
 	rig := &cutoverRig{t: t, net: fabric{}}
-	dir := t.TempDir()
 	for i := 0; i < n; i++ {
-		wal, err := ingest.OpenLog(filepath.Join(dir, fmt.Sprintf("shard-%d.wal", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { wal.Close() })
-		s := &memShard{addr: fmt.Sprintf("shard-%d.mem", i), log: wal}
-		s.node = NewNode(i, 1, s, wal.Path())
-		s.node.SetPrimary(true)
-		rig.net[s.addr] = s.node.Mount(http.NotFoundHandler())
-		rig.shards = append(rig.shards, s)
+		rig.addNode(i, true)
 	}
 	rt, err := NewRouter(RouterConfig{Ring: rig.ring(1, serving), Client: rig.net.client()})
 	if err != nil {
@@ -110,6 +139,23 @@ func newCutoverRig(t *testing.T, serving, n int) *cutoverRig {
 	}
 	rig.rt = rt
 	return rig
+}
+
+// addNode puts node number len(rig.shards), a node of the given shard at
+// epoch 1, on the fabric.
+func (rig *cutoverRig) addNode(shard int, primary bool) *memShard {
+	rig.t.Helper()
+	k := len(rig.shards)
+	wal, err := ingest.OpenLog(filepath.Join(rig.t.TempDir(), fmt.Sprintf("node-%d.wal", k)))
+	if err != nil {
+		rig.t.Fatal(err)
+	}
+	rig.t.Cleanup(func() { wal.Close() })
+	s := &memShard{addr: fmt.Sprintf("node-%d.mem", k), log: wal}
+	s.open(shard, 1, primary)
+	rig.net[s.addr] = s
+	rig.shards = append(rig.shards, s)
+	return s
 }
 
 // ring builds the ring over the first n shards at the given epoch.
@@ -152,12 +198,20 @@ func (rig *cutoverRig) writeTo(shard int, sent map[string][]float64, user string
 	sent[user] = append(sent[user], v)
 }
 
+// onRing makes every node run fn on each ring change pushed to it — the
+// commit of a reshard, observed where it lands.
+func (rig *cutoverRig) onRing(fn func(RingChange)) {
+	for _, s := range rig.shards {
+		s.onRing = func(c RingChange) error { fn(c); return nil }
+	}
+}
+
 // guardOrder makes every shard check, on each migrated batch, the two
 // orderings the cutover's exactly-once argument rests on: a user is never
 // flipped before its new owner has acknowledged its history (a batch arriving
 // for an already-flipped user at an owner that holds none of its events means
 // the flip ran ahead of the ack; a drain pass tops up an owner that holds the
-// rest), and nothing ships after the publish.
+// rest), and nothing ships after the ring push.
 func (rig *cutoverRig) guardOrder(published *atomic.Bool) {
 	for _, s := range rig.shards {
 		s.onMigrate = func(events []serve.IngestEvent) {
@@ -208,9 +262,10 @@ func (rig *cutoverRig) seedHistories(n, perUser int) map[string][]float64 {
 }
 
 // TestReshardCutoverHappyPath grows 2→3 with history on both sources: the
-// stats count exactly the movers and their events, the publish callback runs
-// once — after the last shipped chunk, before the router leaves the
-// transition — and every user ends exactly once at its owner.
+// stats count exactly the movers and their events, every node of the next
+// ring is pushed its place in it once — after the last shipped chunk, before
+// the router leaves the transition — and every user ends exactly once at its
+// owner.
 func TestReshardCutoverHappyPath(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	sent := rig.seedHistories(90, 3)
@@ -226,26 +281,30 @@ func TestReshardCutoverHappyPath(t *testing.T) {
 	}
 	var published atomic.Bool
 	rig.guardOrder(&published)
-	publishes := 0
-	stats, err := rig.rt.Reshard(next, rig.nodes(), func() {
-		publishes++
+	rig.onRing(func(RingChange) {
 		published.Store(true)
 		if rig.rt.reshard.Load() == nil || rig.rt.Ring() != old {
-			t.Error("publish ran after the router had already left the transition")
+			t.Error("a node was pushed the ring after the router had already left the transition")
 		}
 		for user := range sent {
 			if rig.rt.readTarget(user) != next.Owner(user) {
-				t.Errorf("user %q not yet cut over at the publish", user)
+				t.Errorf("user %q not yet cut over at the ring push", user)
 			}
 		}
 	})
+	stats, err := rig.rt.Reshard(next, rig.nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ReshardStats{FromShards: 2, ToShards: 3, Epoch: 2, UsersMoved: movers, UsersMigrated: movers, EventsMigrated: 3 * movers,
 		DoubleDispatches: stats.DoubleDispatches, CutoverMs: stats.CutoverMs}
-	if *stats != want || publishes != 1 || stats.CutoverMs <= 0 {
-		t.Fatalf("stats %+v after %d publishes, want %+v after 1", *stats, publishes, want)
+	if *stats != want || stats.CutoverMs <= 0 {
+		t.Fatalf("stats %+v, want %+v", *stats, want)
+	}
+	for i, s := range rig.shards {
+		if got, want := fmt.Sprintf("%+v", s.rings), fmt.Sprintf("%+v", []RingChange{{Shard: i, Epoch: 2, NumShards: 3, Primary: true}}); got != want {
+			t.Fatalf("shard %d adopted the ring changes %s, want %s", i, got, want)
+		}
 	}
 	rig.checkSettled(next, sent)
 	if got := len(rig.shards[2].migrated); got != 3*movers {
@@ -258,8 +317,8 @@ func TestReshardCutoverHappyPath(t *testing.T) {
 }
 
 // TestReshardCutoverRefusals: a nil ring, a stale epoch, a node set that does
-// not cover both rings and a ring with an unaddressed shard are refused, and
-// the router stays settled on its ring.
+// not cover both rings and a ring with an unaddressed shard are refused, the
+// router stays settled on its ring, and no node is pushed a ring change.
 func TestReshardCutoverRefusals(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	old := rig.rt.Ring()
@@ -268,10 +327,10 @@ func TestReshardCutoverRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, try := range map[string]func() (*ReshardStats, error){
-		"nil-ring":      func() (*ReshardStats, error) { return rig.rt.Reshard(nil, rig.nodes(), t.FailNow) },
-		"stale-epoch":   func() (*ReshardStats, error) { return rig.rt.Reshard(rig.ring(1, 3), rig.nodes(), t.FailNow) },
-		"missing-nodes": func() (*ReshardStats, error) { return rig.rt.Reshard(rig.ring(2, 3), rig.nodes()[:2], t.FailNow) },
-		"no-address":    func() (*ReshardStats, error) { return rig.rt.Reshard(unaddressed, rig.nodes(), t.FailNow) },
+		"nil-ring":      func() (*ReshardStats, error) { return rig.rt.Reshard(nil, rig.nodes()) },
+		"stale-epoch":   func() (*ReshardStats, error) { return rig.rt.Reshard(rig.ring(1, 3), rig.nodes()) },
+		"missing-nodes": func() (*ReshardStats, error) { return rig.rt.Reshard(rig.ring(2, 3), rig.nodes()[:2]) },
+		"no-address":    func() (*ReshardStats, error) { return rig.rt.Reshard(unaddressed, rig.nodes()) },
 	} {
 		if stats, err := try(); !errors.Is(err, ErrBadRing) || stats != nil {
 			t.Fatalf("%s: answered %+v, %v; want an ErrBadRing refusal", name, stats, err)
@@ -279,12 +338,17 @@ func TestReshardCutoverRefusals(t *testing.T) {
 		if rig.rt.reshard.Load() != nil || rig.rt.Ring() != old {
 			t.Fatalf("%s left the router resharding=%v on epoch %d", name, rig.rt.reshard.Load() != nil, rig.rt.Ring().Epoch())
 		}
+		for _, s := range rig.shards {
+			if len(s.rings) != 0 {
+				t.Fatalf("%s pushed %s the ring changes %+v", name, s.addr, s.rings)
+			}
+		}
 	}
 }
 
 // TestReshardCutoverShipFailureAborts breaks the destination after it has
 // acknowledged a few users: the cutover gives up, the router is back on the
-// old ring with no user left flipped and no publish — and what already landed
+// old ring with no user left flipped and no ring pushed — and what already landed
 // is harmless, because a second attempt over the healed destination finds the
 // cursors where the first left them and ends exactly-once all the same.
 func TestReshardCutoverShipFailureAborts(t *testing.T) {
@@ -301,7 +365,8 @@ func TestReshardCutoverShipFailureAborts(t *testing.T) {
 		}
 		healthy.ServeHTTP(w, r)
 	})
-	stats, err := rig.rt.Reshard(next, rig.nodes(), func() { t.Error("published an aborted reshard") })
+	rig.onRing(func(RingChange) { t.Error("pushed the ring of an aborted reshard") })
+	stats, err := rig.rt.Reshard(next, rig.nodes())
 	if err == nil || stats != nil {
 		t.Fatalf("reshard over a failing destination answered %+v, %v", stats, err)
 	}
@@ -322,7 +387,8 @@ func TestReshardCutoverShipFailureAborts(t *testing.T) {
 	}
 
 	rig.net[rig.shards[2].addr] = healthy
-	stats, err = rig.rt.Reshard(next, rig.nodes(), func() {})
+	rig.onRing(func(RingChange) {})
+	stats, err = rig.rt.Reshard(next, rig.nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +407,7 @@ func TestReshardCutoverReturnToFormerOwner(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	sent := rig.seedHistories(60, 2)
 	grown := rig.ring(2, 3)
-	if _, err := rig.rt.Reshard(grown, rig.nodes(), func() {}); err != nil {
+	if _, err := rig.rt.Reshard(grown, rig.nodes()); err != nil {
 		t.Fatal(err)
 	}
 	returning := 0
@@ -354,15 +420,14 @@ func TestReshardCutoverReturnToFormerOwner(t *testing.T) {
 	// Fresh stream nodes over the same logs, as after a restart: whatever the
 	// destinations know about held prefixes must come from their logs.
 	for i, s := range rig.shards {
-		s.node = NewNode(i, 2, s, s.log.Path())
-		s.node.SetPrimary(true)
-		rig.net[s.addr] = s.node.Mount(http.NotFoundHandler())
+		s.open(i, 2, true)
 		s.migrated = nil
 	}
 	var published atomic.Bool
 	rig.guardOrder(&published)
+	rig.onRing(func(RingChange) { published.Store(true) })
 	shrunk := rig.ring(3, 2)
-	stats, err := rig.rt.Reshard(shrunk, rig.nodes(), func() { published.Store(true) })
+	stats, err := rig.rt.Reshard(shrunk, rig.nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,9 +446,9 @@ func TestReshardCutoverReturnToFormerOwner(t *testing.T) {
 
 // TestReshardCutoverDrainCatchesLateAppend: a write routed by the old ring
 // just before the transition began reaches the old owner's log after the
-// first pass has read it. A drain pass must ship it before the publish — a
-// publish ahead of the last pass would strand it at a shard that no longer
-// owns the user.
+// first pass has read it. A drain pass must ship it before the ring push — a
+// push ahead of the last pass would strand it at a shard that no longer owns
+// the user.
 func TestReshardCutoverDrainCatchesLateAppend(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	sent := rig.seedHistories(90, 2)
@@ -401,12 +466,13 @@ func TestReshardCutoverDrainCatchesLateAppend(t *testing.T) {
 			rig.writeTo(old.Owner(late), sent, late)
 		}
 	}
-	stats, err := rig.rt.Reshard(next, rig.nodes(), func() {
+	rig.onRing(func(RingChange) {
 		published.Store(true)
 		if got := rig.shards[2].history(late); len(got) != 3 {
-			t.Errorf("published with %q's late event still at its old owner (new owner holds %v)", late, got)
+			t.Errorf("pushed the ring with %q's late event still at its old owner (new owner holds %v)", late, got)
 		}
 	})
+	stats, err := rig.rt.Reshard(next, rig.nodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +493,8 @@ func TestReshardCutoverNoProgressAborts(t *testing.T) {
 		writeJSON(w, http.StatusOK, Ack{Cursor: 0})
 	})
 	start := time.Now()
-	stats, err := rig.rt.Reshard(rig.ring(2, 3), rig.nodes(), func() { t.Error("published an aborted reshard") })
+	rig.onRing(func(RingChange) { t.Error("pushed the ring of an aborted reshard") })
+	stats, err := rig.rt.Reshard(rig.ring(2, 3), rig.nodes())
 	if err == nil || stats != nil {
 		t.Fatalf("reshard over a stuck destination answered %+v, %v", stats, err)
 	}
@@ -448,7 +515,7 @@ func TestReshardGrowsRouterMetrics(t *testing.T) {
 	}
 	rig.rt = rt
 	next := rig.ring(2, 3)
-	if _, err := rt.Reshard(next, rig.nodes(), func() {}); err != nil {
+	if _, err := rt.Reshard(next, rig.nodes()); err != nil {
 		t.Fatal(err)
 	}
 	user := ""
@@ -468,5 +535,199 @@ func TestReshardGrowsRouterMetrics(t *testing.T) {
 	}
 	if v, ok := scrape.Value("ganc_router_fanout_total", obs.L("shard", "2")); !ok || v != 1 {
 		t.Fatalf(`ganc_router_fanout_total{shard="2"} = %v (present %v) after one read for %s, which shard 2 owns; want 1`, v, ok, user)
+	}
+}
+
+// newPromoteRig is one shard on the fabric — node 0 its primary, acking under
+// write quorum 1, and nodes 1 and 2 its replicas, node 2 two events ahead —
+// behind a router whose detector samples every node once, at construction.
+func newPromoteRig(t *testing.T) *cutoverRig {
+	t.Helper()
+	rig := &cutoverRig{t: t, net: fabric{}}
+	rig.addNode(0, true).quorum = 1
+	rig.addNode(0, false)
+	if _, err := rig.addNode(0, false).log.Append([]serve.IngestEvent{{User: "u", Item: "a", Value: 1}, {User: "u", Item: "b", Value: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	rig.rt = rig.promoteRouter()
+	return rig
+}
+
+// promoteRouter builds a router over the promote rig's shard at epoch 1.
+func (rig *cutoverRig) promoteRouter() *Router {
+	rig.t.Helper()
+	s := rig.shards
+	ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: s[0].addr, Replicas: []string{s[1].addr, s[2].addr}}})
+	if err != nil {
+		rig.t.Fatal(err)
+	}
+	rt, err := NewRouter(RouterConfig{Ring: ring, Client: rig.net.client(), DetectInterval: time.Hour})
+	if err != nil {
+		rig.t.Fatal(err)
+	}
+	rig.t.Cleanup(rt.Close)
+	return rt
+}
+
+// TestPromotePushesNewPrimaryLast: with the primary down, Promote names the
+// freshest replica, pushes the epoch-2 ring to the other replica first and
+// to the new primary last — which ships to the rest of the shard under the
+// quorum the old primary reported — skips the unreachable old primary, and
+// only then routes by the new ring.
+func TestPromotePushesNewPrimaryLast(t *testing.T) {
+	rig := newPromoteRig(t)
+	old, fresh, stale := rig.shards[0], rig.shards[2], rig.shards[1]
+	var order []string
+	for _, s := range rig.shards {
+		s.onRing = func(RingChange) error {
+			order = append(order, s.addr)
+			if rig.rt.Ring().Epoch() != 1 {
+				t.Error("the router stored the ring before every push")
+			}
+			return nil
+		}
+	}
+	old.down.Store(true)
+	epoch, err := rig.rt.Promote(0)
+	if err != nil || epoch != 2 {
+		t.Fatalf("Promote answered epoch %d, %v; want epoch 2", epoch, err)
+	}
+	if fmt.Sprint(order) != fmt.Sprint([]string{stale.addr, fresh.addr}) {
+		t.Fatalf("pushed the ring to %v, want the other replica, then the new primary", order)
+	}
+	want := RingChange{Shard: 0, Epoch: 2, NumShards: 1, Primary: true, Replicas: []string{stale.addr, old.addr}, WriteQuorum: 1}
+	if got := fresh.rings; len(got) != 1 || fmt.Sprintf("%+v", got[0]) != fmt.Sprintf("%+v", want) || !fresh.node.Primary() || stale.node.Primary() {
+		t.Fatalf("the new primary adopted %+v (primary %v, the other replica %v), want %+v", got, fresh.node.Primary(), stale.node.Primary(), want)
+	}
+	if info := rig.rt.Ring().Shard(0); rig.rt.Ring().Epoch() != 2 || info.Addr != fresh.addr {
+		t.Fatalf("the router routes shard 0 to %s at epoch %d, want %s at 2", info.Addr, rig.rt.Ring().Epoch(), fresh.addr)
+	}
+}
+
+// TestPromoteRefusals: a primary that still answers, a reshard in flight and
+// a primary whose write quorum was never sampled each refuse the promotion
+// with ErrPromotionRefused, pushing nothing and leaving the ring as it was.
+func TestPromoteRefusals(t *testing.T) {
+	rig := newPromoteRig(t)
+	for name, try := range map[string]func() (*Router, error){
+		"primary answers": func() (*Router, error) { _, err := rig.rt.Promote(0); return rig.rt, err },
+		"reshard in flight": func() (*Router, error) {
+			rig.shards[0].down.Store(true)
+			defer rig.shards[0].down.Store(false)
+			rig.rt.reshard.Store(&reshardState{next: rig.rt.Ring()})
+			defer rig.rt.reshard.Store(nil)
+			_, err := rig.rt.Promote(0)
+			return rig.rt, err
+		},
+		"quorum never sampled": func() (*Router, error) {
+			rig.shards[0].down.Store(true)
+			defer rig.shards[0].down.Store(false)
+			rt := rig.promoteRouter() // its detector's only sample misses the primary
+			_, err := rt.Promote(0)
+			return rt, err
+		},
+	} {
+		rt, err := try()
+		if !errors.Is(err, ErrPromotionRefused) || rt.Ring().Epoch() != 1 {
+			t.Fatalf("%s: Promote answered %v with the router at epoch %d; want ErrPromotionRefused at epoch 1", name, err, rt.Ring().Epoch())
+		}
+		for _, s := range rig.shards {
+			if len(s.rings) != 0 {
+				t.Fatalf("%s: pushed %s the ring changes %+v", name, s.addr, s.rings)
+			}
+		}
+	}
+}
+
+// TestPromoteRetriesAfterFailedPush: when the new primary refuses its push,
+// the router's ring is unchanged and the error is returned; the retry
+// converges under the next epoch, which the replica that adopted the first
+// attempt takes as newer.
+func TestPromoteRetriesAfterFailedPush(t *testing.T) {
+	rig := newPromoteRig(t)
+	rig.shards[0].down.Store(true)
+	before := rig.rt.Ring()
+	rig.shards[2].onRing = func(RingChange) error { return errors.New("disk on fire") }
+	if epoch, err := rig.rt.Promote(0); err == nil || rig.rt.Ring() != before {
+		t.Fatalf("Promote over a failing new primary answered epoch %d, %v, with the router at epoch %d", epoch, err, rig.rt.Ring().Epoch())
+	}
+	if len(rig.shards[1].rings) != 1 {
+		t.Fatalf("the other replica adopted %+v before the new primary's push", rig.shards[1].rings)
+	}
+	rig.shards[2].onRing = nil
+	if epoch, err := rig.rt.Promote(0); err != nil || epoch != 3 || rig.rt.Ring().Shard(0).Addr != rig.shards[2].addr {
+		t.Fatalf("the retry answered epoch %d, %v, routing to %s; want node-2.mem at epoch 3", epoch, err, rig.rt.Ring().Shard(0).Addr)
+	}
+	if len(rig.shards[1].rings) != 2 || len(rig.shards[2].rings) != 1 || !rig.shards[2].node.Primary() {
+		t.Fatalf("after the retry the nodes adopted %+v and %+v, want two changes and one", rig.shards[1].rings, rig.shards[2].rings)
+	}
+}
+
+// TestPromoteAbortsWhenOldPrimaryReturns: an old primary that misses its
+// re-probe but is back by the push refuses to be demoted; that refusal comes
+// first, so no other node adopts the change, no node becomes primary, and
+// the router keeps routing to the old primary.
+func TestPromoteAbortsWhenOldPrimaryReturns(t *testing.T) {
+	rig := newPromoteRig(t)
+	old := rig.shards[0]
+	rig.net[old.addr] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/health" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		old.ServeHTTP(w, r)
+	})
+	before := rig.rt.Ring()
+	if epoch, err := rig.rt.Promote(0); err == nil || !strings.Contains(err.Error(), "ring_role") || rig.rt.Ring() != before {
+		t.Fatalf("Promote past a returning primary answered epoch %d, %v, with the router at epoch %d; want a ring_role refusal at epoch 1",
+			epoch, err, rig.rt.Ring().Epoch())
+	}
+	for _, s := range rig.shards[1:] {
+		if len(s.rings) != 0 || s.node.Primary() {
+			t.Fatalf("replica %s adopted %+v (primary %v) after the old primary refused", s.addr, s.rings, s.node.Primary())
+		}
+	}
+	if !old.node.Primary() {
+		t.Fatal("the old primary was demoted")
+	}
+}
+
+// TestPromoteAfterSuccessorDiesMidPush: the chosen successor answers its
+// probe and dies before its push, after the other replica adopted the change
+// naming it primary. A second Promote chooses that other replica under a
+// newer epoch, and the replica takes it.
+func TestPromoteAfterSuccessorDiesMidPush(t *testing.T) {
+	rig := newPromoteRig(t)
+	old, stale, fresh := rig.shards[0], rig.shards[1], rig.shards[2]
+	old.down.Store(true)
+	stale.onRing = func(RingChange) error { fresh.down.Store(true); return nil }
+	if _, err := rig.rt.Promote(0); err == nil || rig.rt.Ring().Epoch() != 1 {
+		t.Fatalf("Promote over a successor dead at its push answered %v, with the router at epoch %d", err, rig.rt.Ring().Epoch())
+	}
+	stale.onRing = nil
+	epoch, err := rig.rt.Promote(0)
+	if err != nil || epoch != 3 || rig.rt.Ring().Shard(0).Addr != stale.addr || !stale.node.Primary() {
+		t.Fatalf("the second Promote answered epoch %d, %v, routing to %s (primary %v); want %s at epoch 3",
+			epoch, err, rig.rt.Ring().Shard(0).Addr, stale.node.Primary(), stale.addr)
+	}
+}
+
+// TestPromoteAgainAfterNewPrimaryDies: a promoted primary that dies before
+// the detector ever samples it can still be replaced — under the write
+// quorum the router gave it.
+func TestPromoteAgainAfterNewPrimaryDies(t *testing.T) {
+	rig := newPromoteRig(t)
+	old, stale, fresh := rig.shards[0], rig.shards[1], rig.shards[2]
+	old.down.Store(true)
+	if epoch, err := rig.rt.Promote(0); err != nil || epoch != 2 {
+		t.Fatalf("the first Promote answered epoch %d, %v", epoch, err)
+	}
+	fresh.down.Store(true)
+	epoch, err := rig.rt.Promote(0)
+	if err != nil || epoch != 3 || rig.rt.Ring().Shard(0).Addr != stale.addr {
+		t.Fatalf("the second Promote answered epoch %d, %v, routing to %s; want %s at epoch 3", epoch, err, rig.rt.Ring().Shard(0).Addr, stale.addr)
+	}
+	if got := stale.rings[len(stale.rings)-1]; !got.Primary || got.WriteQuorum != 1 {
+		t.Fatalf("the second successor adopted %+v, want primary under write quorum 1", got)
 	}
 }

@@ -67,8 +67,8 @@ type DetectorConfig struct {
 	// time a shard's primary turns suspected, once per outage episode: the
 	// latch re-arms when the primary answers a probe again or the shard's
 	// primary address changes (a promotion installed a new primary). The
-	// cluster facade hangs automatic promotion off this hook (through
-	// RouterConfig.OnSuspectPrimary).
+	// router hangs automatic promotion off this hook under
+	// RouterConfig.AutoFailover.
 	OnSuspectPrimary func(shard int, addr string)
 	// Metrics, when set, registers the detector's probe and suspicion series.
 	Metrics *obs.Registry
@@ -79,15 +79,19 @@ type DetectorConfig struct {
 }
 
 // detectorView is one immutable sample generation, swapped in atomically.
+// quorums holds, by primary address, the write quorum the node last reported
+// while answering as a primary — kept across the misses of a dead primary,
+// because a promotion needs it exactly then.
 type detectorView struct {
-	rows map[string]NodeLiveness // keyed by node address
+	rows    map[string]NodeLiveness // keyed by node address
+	quorums map[string]int
 }
 
 // Detector maintains a cached liveness view of every node in the ring by
 // sampling /health on a fixed interval. Readers (the router's failover path,
-// /health aggregation, the facade's auto-promotion hook) consult the cached
-// view and never probe inline. A Router over a replicated ring builds and
-// owns one (NewRouter starts it, Router.Close stops it).
+// /health aggregation, promotion) consult the cached view and never probe
+// inline. A Router over a replicated ring builds and owns one (NewRouter
+// starts it, Router.Close stops it).
 type Detector struct {
 	ringFn       func() *Ring
 	client       *http.Client
@@ -134,20 +138,8 @@ func newDetectorMetrics(reg *obs.Registry) *detectorMetrics {
 	}
 }
 
-// NewDetector builds the detector, takes the first sample before returning —
-// so the view covers every node of the ring from the first request on — and
-// starts the sampling loop. Close stops the loop and waits for any in-flight
-// suspicion callback.
-func NewDetector(cfg DetectorConfig) *Detector {
-	d := newDetector(cfg)
-	d.sample()
-	d.wg.Add(1)
-	go d.run()
-	return d
-}
-
-// newDetector builds a detector without sampling or starting the loop — the
-// detector's own tests drive sample() synchronously.
+// newDetector builds a detector without sampling; start begins the loop (the
+// detector's own tests drive sample() synchronously instead).
 func newDetector(cfg DetectorConfig) *Detector {
 	d := &Detector{
 		ringFn:       cfg.Ring,
@@ -178,6 +170,15 @@ func newDetector(cfg DetectorConfig) *Detector {
 		d.dm = newDetectorMetrics(cfg.Metrics)
 	}
 	return d
+}
+
+// start takes the first sample before returning — so the view covers every
+// node of the ring from the first request on — and starts the sampling loop.
+// Close stops the loop and waits for any in-flight suspicion callback.
+func (d *Detector) start() {
+	d.sample()
+	d.wg.Add(1)
+	go d.run()
 }
 
 // Close stops the sampling loop and waits for it — and for any suspicion
@@ -234,9 +235,11 @@ func (d *Detector) sample() {
 		return
 	}
 	type outcome struct {
-		seq uint64
-		lag uint64
-		err error
+		seq     uint64
+		lag     uint64
+		quorum  int
+		primary bool // answered with a primary's replication status
+		err     error
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), d.probeTimeout)
 	results := make([]outcome, len(targets))
@@ -254,6 +257,7 @@ func (d *Detector) sample() {
 			if repl := health.Replication; repl != nil {
 				o.seq = repl.AppliedSeq
 				o.lag = repl.LagEvents
+				o.quorum, o.primary = repl.WriteQuorum, repl.Role == RolePrimary
 			}
 			results[i] = o
 		}(i, n.addr)
@@ -261,10 +265,18 @@ func (d *Detector) sample() {
 	pwg.Wait()
 	cancel()
 
+	prev := d.view.Load()
 	rows := make(map[string]NodeLiveness, len(targets))
+	quorums := make(map[string]int)
 	live, suspected := 0, 0
 	for i, n := range targets {
 		o := results[i]
+		switch q, ok := prev.quorum(n.addr); {
+		case o.primary:
+			quorums[n.addr] = o.quorum
+		case o.err != nil && ok:
+			quorums[n.addr] = q // a dead primary keeps its last report
+		}
 		d.dm.probe(o.err != nil)
 		row := NodeLiveness{Shard: n.shard, Addr: n.addr, Role: n.role}
 		if o.err != nil {
@@ -309,8 +321,27 @@ func (d *Detector) sample() {
 			delete(d.misses, addr)
 		}
 	}
-	d.view.Store(&detectorView{rows: rows})
+	d.view.Store(&detectorView{rows: rows, quorums: quorums})
 	d.dm.levels(live, suspected)
+}
+
+// quorum looks a primary's last reported write quorum up in a view (nil: no
+// sample yet).
+func (v *detectorView) quorum(addr string) (int, bool) {
+	if v == nil {
+		return 0, false
+	}
+	q, ok := v.quorums[addr]
+	return q, ok
+}
+
+// writeQuorum returns the write quorum the node at addr last reported while
+// answering as a primary; ok is false when it never did (or no detector runs).
+func (d *Detector) writeQuorum(addr string) (int, bool) {
+	if d == nil {
+		return 0, false
+	}
+	return d.view.Load().quorum(addr)
 }
 
 // Node returns the cached liveness row for an address. ok is false when the

@@ -316,9 +316,7 @@ func TestRouterOwnsItsDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.UpdateRing(ring2); err != nil {
-		t.Fatal(err)
-	}
+	rt.ring.Store(ring2)
 	resp, err = ts.Client().Get(ts.URL + "/recommend?user=u1")
 	if err != nil {
 		t.Fatal(err)

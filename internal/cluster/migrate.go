@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -219,16 +220,20 @@ const (
 //  4. drain: further passes catch appends from requests already in flight at
 //     begin (the ring predicate, not the moving set, decides what ships, so a
 //     user whose first event raced the count is caught too);
-//  5. publish, then complete: the caller's callback makes every node adopt
-//     next's epoch and shard count, then the router leaves the transition.
+//  5. commit: every node of next is pushed its place in it over POST
+//     /admin/ring (control.go), then the router leaves the transition on
+//     next.
 //
-// Any error before the publish aborts: routing reverts to the current ring
-// with no user left flipped, and what already landed at a destination is
-// harmless — its cursors make the next attempt acknowledge it. Ingest
-// accepted during the window is serialized by the user's new owner and may
-// sit ahead of the migrated history in that owner's log; per-source order
-// holds, cross-owner order is not re-established (DESIGN.md §14).
-func (rt *Router) Reshard(next *Ring, primaries []*Node, publish func()) (*ReshardStats, error) {
+// Begin and commit hold the router's ring-change lock, so a promotion is
+// refused in between. Any error before the commit aborts: routing reverts to
+// the current ring with no user left flipped, and what already landed at a
+// destination is harmless — its cursors make the next attempt acknowledge
+// it. A push a node refused at the commit is returned alongside the stats:
+// the ring is published all the same. Ingest accepted during the window is
+// serialized by the user's new owner and may sit ahead of the migrated
+// history in that owner's log; per-source order holds, cross-owner order is
+// not re-established (DESIGN.md §14).
+func (rt *Router) Reshard(next *Ring, primaries []*Node) (*ReshardStats, error) {
 	if next == nil {
 		return nil, fmt.Errorf("%w: reshard needs a next ring", ErrBadRing)
 	}
@@ -263,7 +268,10 @@ func (rt *Router) Reshard(next *Ring, primaries []*Node, publish func()) (*Resha
 
 	ddBefore := rt.doubleDispatches.Load()
 	cutStart := time.Now()
-	if err := rt.beginReshard(next, moving); err != nil {
+	rt.topo.Lock()
+	err := rt.beginReshard(next, moving)
+	rt.topo.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	shipped := make(map[string]uint64)
@@ -313,11 +321,18 @@ func (rt *Router) Reshard(next *Ring, primaries []*Node, publish func()) (*Resha
 	}
 	stats.UsersMigrated = len(shipped)
 
-	publish()
+	rt.topo.Lock()
+	defer rt.topo.Unlock()
+	var pushErr error
+	for _, p := range ringPushes(next) {
+		if err := rt.sendRing(p); err != nil && !errors.Is(err, errUnreachable) && pushErr == nil {
+			pushErr = err
+		}
+	}
 	if err := rt.completeReshard(); err != nil {
 		return nil, err
 	}
 	stats.CutoverMs = float64(time.Since(cutStart).Microseconds()) / 1000.0
 	stats.DoubleDispatches = rt.doubleDispatches.Load() - ddBefore
-	return stats, nil
+	return stats, pushErr
 }

@@ -489,7 +489,7 @@ func TestShipperAndDetectorShutdownLeakNoGoroutines(t *testing.T) {
 
 		var fired sync.WaitGroup
 		fired.Add(1)
-		d := NewDetector(DetectorConfig{
+		d := newDetector(DetectorConfig{
 			Ring:         func() *Ring { return ring },
 			Interval:     5 * time.Millisecond,
 			probeTimeout: 100 * time.Millisecond,
@@ -498,6 +498,7 @@ func TestShipperAndDetectorShutdownLeakNoGoroutines(t *testing.T) {
 				fired.Done()
 			},
 		})
+		d.start()
 		fired.Wait() // a callback goroutine ran; Close must also have waited for it
 
 		d.Close()

@@ -83,10 +83,10 @@ type RouterConfig struct {
 	// without burning the retry budget.
 	DetectInterval time.Duration
 	SuspectAfter   int
-	// OnSuspectPrimary, when set, fires (in its own goroutine) the first time
-	// a shard's primary turns suspected, once per outage episode — the hook
-	// automatic promotion hangs off. It may run until Close returns.
-	OnSuspectPrimary func(shard int, addr string)
+	// AutoFailover makes the detector's suspicion of a shard's primary — the
+	// first in each outage episode — run Promote for the shard, with no
+	// operator call. A promotion in flight may run until Close returns.
+	AutoFailover bool
 
 	// retryBackoff is the pause between attempts (default 25ms) and
 	// probeTimeout bounds one shard's /health or /info probe during
@@ -130,6 +130,16 @@ type Router struct {
 	// user was still migrating, across the router's lifetime.
 	reshard          atomic.Pointer[reshardState]
 	doubleDispatches atomic.Int64
+
+	// topo serializes ring changes: a promotion, and a reshard's begin and
+	// its commit (control.go). Under it, pushed is the highest ring epoch
+	// the router has pushed to a node or heard a node hold — a ring change
+	// the router starts must be newer — and quorums the write quorum the
+	// router gave each primary it promoted, by address, for when the
+	// detector never sampled that primary before it died.
+	topo    sync.Mutex
+	pushed  uint64
+	quorums map[string]int
 }
 
 // reshardState is the router's view of an in-flight ring transition: the
@@ -192,6 +202,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		maxLag:    maxLag,
 		metrics:   cfg.Metrics,
 		admission: admit.New(cfg.Admission),
+		quorums:   make(map[string]int),
 	}
 	rt.ring.Store(cfg.Ring)
 	if cfg.Metrics != nil || cfg.RequestLog != nil {
@@ -209,13 +220,19 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	for _, s := range cfg.Ring.Shards() {
 		if len(s.Replicas) > 0 {
-			rt.detector = NewDetector(DetectorConfig{
-				Ring:             rt.Ring,
-				Interval:         cfg.DetectInterval,
-				SuspectAfter:     cfg.SuspectAfter,
-				OnSuspectPrimary: cfg.OnSuspectPrimary,
-				Metrics:          cfg.Metrics,
-			})
+			dcfg := DetectorConfig{
+				Ring:         rt.Ring,
+				Client:       cfg.Client,
+				Interval:     cfg.DetectInterval,
+				SuspectAfter: cfg.SuspectAfter,
+				Metrics:      cfg.Metrics,
+			}
+			if cfg.AutoFailover {
+				dcfg.OnSuspectPrimary = rt.promoteSuspect
+			}
+			// Set before the first sample, which a promotion may already read.
+			rt.detector = newDetector(dcfg)
+			rt.detector.start()
 			break
 		}
 	}
@@ -234,29 +251,6 @@ func (rt *Router) Close() {
 // Ring returns the ring the router currently routes by.
 func (rt *Router) Ring() *Ring { return rt.ring.Load() }
 
-// UpdateRing atomically re-points the router at a new shard map — the
-// promotion path: the shard count must match (ownership is hashed by shard
-// ID, and the per-shard metric slices are sized once), but addresses,
-// replica lists and the epoch may all change. In-flight requests finish
-// against the ring they started with.
-func (rt *Router) UpdateRing(ring *Ring) error {
-	if ring == nil {
-		return fmt.Errorf("%w: router needs a ring", ErrBadRing)
-	}
-	cur := rt.Ring()
-	if ring.NumShards() != cur.NumShards() {
-		return fmt.Errorf("%w: shard count changed from %d to %d; a router cannot re-shard in place",
-			ErrBadRing, cur.NumShards(), ring.NumShards())
-	}
-	for _, s := range ring.Shards() {
-		if s.Addr == "" {
-			return fmt.Errorf("%w: shard %d has no address", ErrBadRing, s.ID)
-		}
-	}
-	rt.ring.Store(ring)
-	return nil
-}
-
 // Owner returns the index of the shard owning the user key (the ring's
 // assignment; exposed so drivers and tests can partition work the same way
 // the router does).
@@ -265,15 +259,13 @@ func (rt *Router) Owner(userKey string) int { return rt.Ring().Owner(userKey) }
 // beginReshard puts the router into the double-ring transition state: writes
 // are routed by the next ring immediately (freezing moving users' histories
 // at their old owners), while reads for the moving users stay on their old
-// owners until flipUser raises their flip bit. UpdateRing stays refused for
-// shard-count changes; Reshard (migrate.go), which sequences these four
-// steps, is the one sanctioned path through a topology change. Only one
-// reshard may be in flight at a time.
+// owners until flipUser raises their flip bit. Reshard (migrate.go), which
+// sequences these four steps, is the one path through a shard-count change.
+// Only one reshard may be in flight at a time.
 func (rt *Router) beginReshard(next *Ring, moving map[string]UserMove) error {
-	cur := rt.Ring()
-	if next.Epoch() <= cur.Epoch() {
-		return fmt.Errorf("%w: next ring epoch %d is not newer than the current epoch %d",
-			ErrBadRing, next.Epoch(), cur.Epoch())
+	if cur := max(rt.Ring().Epoch(), rt.pushed); next.Epoch() <= cur {
+		return fmt.Errorf("%w: next ring epoch %d is not newer than epoch %d, the newest the router has pushed",
+			ErrBadRing, next.Epoch(), cur)
 	}
 	for _, s := range next.Shards() {
 		if s.Addr == "" {

@@ -277,25 +277,35 @@ func readChunk(w http.ResponseWriter, r *http.Request, sp Space) (*Chunk, error)
 func writeAck(w http.ResponseWriter, sp Space, ack Ack, err error) {
 	status := http.StatusOK
 	if err != nil {
-		suffix := "apply"
-		status = http.StatusInternalServerError
-		switch {
-		case errors.Is(err, errStreamMethod):
-			status, suffix = http.StatusMethodNotAllowed, "body"
-		case errors.Is(err, ErrStreamBody):
-			status, suffix = http.StatusBadRequest, "body"
-		case errors.Is(err, ErrStreamShard):
-			status, suffix = http.StatusConflict, "shard"
-		case errors.Is(err, ErrStreamEpoch):
-			status, suffix = http.StatusConflict, "epoch"
-		case errors.Is(err, ErrStreamGap):
-			status, suffix = http.StatusConflict, "gap"
-		case errors.Is(err, ErrStreamRole):
-			status, suffix = http.StatusConflict, "role"
-		}
+		var suffix string
+		status, suffix = refusal(err)
 		ack.Error, ack.Code = err.Error(), sp.code+"_"+suffix
 	}
 	writeJSON(w, status, ack)
+}
+
+// refusal maps a node route's error to its status and code suffix: 405/400
+// body (413 for a body over the cap), 409 shard / epoch / gap / role, and
+// 500 apply for anything else.
+func refusal(err error) (status int, suffix string) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.Is(err, errStreamMethod):
+		return http.StatusMethodNotAllowed, "body"
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, "body"
+	case errors.Is(err, ErrStreamBody):
+		return http.StatusBadRequest, "body"
+	case errors.Is(err, ErrStreamShard):
+		return http.StatusConflict, "shard"
+	case errors.Is(err, ErrStreamEpoch):
+		return http.StatusConflict, "epoch"
+	case errors.Is(err, ErrStreamGap):
+		return http.StatusConflict, "gap"
+	case errors.Is(err, ErrStreamRole):
+		return http.StatusConflict, "role"
+	}
+	return http.StatusInternalServerError, "apply"
 }
 
 // post sends one chunk to a node's stream route and returns the status and
@@ -379,11 +389,12 @@ func storeMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// Node is the stream surface of one shard node. Every node — primary or
-// replica, fresh, promoted or rejoined — mounts the same three routes; the
-// role only decides which of them accept: a replica takes /replicate pushes
-// and refuses /migrate chunks and client writes, a primary the reverse, each
-// refusal a typed 409. Promotion and demotion are SetPrimary flips.
+// Node is the surface of one shard node. Every node — primary or replica,
+// fresh, promoted or rejoined — mounts the same three stream routes and the
+// ring-change route (control.go); the role only decides which stream routes
+// accept: a replica takes /replicate pushes and refuses /migrate chunks and
+// client writes, a primary the reverse, each refusal a typed 409. The role
+// flips once, replica to primary, with SetPrimary.
 type Node struct {
 	// Replica is the /replicate receiver (open while the node is a replica).
 	Replica *ReplicaApplier
@@ -392,17 +403,27 @@ type Node struct {
 
 	shard   int
 	walPath string
+
+	// ringMu serializes ring changes; ring is the last one adopted (at open,
+	// only the shard and the epoch the node was opened at), and adopt is the
+	// node owner's action for a new one.
+	ringMu sync.Mutex
+	ring   RingChange
+	adopt  func(RingChange) error
 }
 
-// NewNode builds the stream surface of one node of a shard at a ring epoch,
-// applying into backend and serving tail pulls from the node's own
-// write-ahead log. It starts in the replica role.
-func NewNode(shard int, epoch uint64, backend ReplicaBackend, walPath string) *Node {
+// NewNode builds the surface of one node of a shard at a ring epoch, applying
+// stream chunks into backend, serving tail pulls from the node's own
+// write-ahead log, and carrying out an accepted POST /admin/ring through
+// adopt. It starts in the replica role.
+func NewNode(shard int, epoch uint64, backend ReplicaBackend, walPath string, adopt func(RingChange) error) *Node {
 	n := &Node{
 		Replica:  NewReplicaApplier(shard, epoch, backend),
 		Migrator: NewMigrationApplier(shard, epoch, backend),
 		shard:    shard,
 		walPath:  walPath,
+		ring:     RingChange{Shard: shard, Epoch: epoch},
+		adopt:    adopt,
 	}
 	n.SetPrimary(false)
 	return n
@@ -423,13 +444,15 @@ func (n *Node) SetEpoch(epoch uint64) {
 	n.Migrator.SetEpoch(epoch)
 }
 
-// Mount returns the node's HTTP surface: the three stream routes and the
-// role gate on client writes, in front of the serving handler next.
+// Mount returns the node's HTTP surface: the three stream routes, the
+// ring-change route and the role gate on client writes, in front of the
+// serving handler next.
 func (n *Node) Mount(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle(ShardSpace.Route, streamHandler(ShardSpace, n.Replica))
 	mux.Handle(UserSpace.Route, streamHandler(UserSpace, n.Migrator))
 	mux.Handle(TailPath, NewWALTailHandler(n.shard, n.walPath))
+	mux.HandleFunc(RingPath, n.handleRing)
 	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
 		if !n.Primary() {
 			writeAck(w, Space{code: "ingest"}, Ack{Cursor: n.Replica.Cursor("")},

@@ -10,14 +10,15 @@ import (
 
 // ShardNode is one node of a shard — primary or replica, the same assembly:
 // a restored shard pipeline behind a server, an ingestor over the node's own
-// write-ahead log, and the cursor-stream surface (POST /replicate, /migrate,
-// /replicate/tail) mounted in front of the serving routes. It is the one
-// place a node is wired: NewCluster boots every in-process node through it
-// and cmd/gancd's shard and replica roles serve one each.
+// write-ahead log, and the node surface (POST /replicate, /migrate,
+// /replicate/tail and /admin/ring) mounted in front of the serving routes. It
+// is the one place a node is wired: NewCluster boots every in-process node
+// through it and cmd/gancd's shard and replica roles serve one each.
 //
 // A node opens in the replica role — no client write path, /replicate open,
 // /migrate and /ingest refused with a typed 409, checkpoints manual-only —
-// and MakePrimary is the only role flip.
+// and MakePrimary is the only role flip: at boot, or when a ring change
+// pushed to /admin/ring names the node its shard's primary.
 type ShardNode struct {
 	id              ShardIdentity
 	walPath         string
@@ -55,7 +56,7 @@ func OpenShardNode(p *Pipeline, id ShardIdentity, walPath, checkpointPath string
 		return nil, err
 	}
 	n.srv, n.ing = srv, ing
-	n.streams = cluster.NewNode(id.ShardID, id.RingEpoch, ing, walPath)
+	n.streams = cluster.NewNode(id.ShardID, id.RingEpoch, ing, walPath, n.adopt)
 	srv.SetReplicationProbe(n.streams.Replica.Status)
 	return n, nil
 }
@@ -122,17 +123,23 @@ func (n *ShardNode) MakePrimary(replicaAddrs []string, writeQuorum int) error {
 	return nil
 }
 
-// restamp moves the node to a new ring epoch and shard count (promotions and
-// reshards bump them cluster-wide): the stream receivers and the shipper ship
-// and fence under the epoch, and the server's /info identity carries it so
-// the router's epoch cross-check holds.
-func (n *ShardNode) restamp(id ShardIdentity) {
-	n.id = id
-	n.streams.SetEpoch(id.RingEpoch)
-	n.srv.SetShardIdentity(id)
+// adopt carries out a ring change the node's POST /admin/ring accepted (a
+// promotion or a reshard's commit, pushed by the router): the node takes the
+// new epoch and shard count — the stream receivers and the shipper ship and
+// fence under the epoch, and the server's /info identity carries it so the
+// router's epoch cross-check holds — and a replica named primary becomes one
+// through MakePrimary, shipping under the new epoch.
+func (n *ShardNode) adopt(c cluster.RingChange) error {
+	n.id = ShardIdentity{ShardID: c.Shard, NumShards: c.NumShards, RingEpoch: c.Epoch}
+	n.streams.SetEpoch(c.Epoch)
+	n.srv.SetShardIdentity(n.id)
 	if sp := n.shipper.Load(); sp != nil {
-		sp.SetEpoch(id.RingEpoch)
+		sp.SetEpoch(c.Epoch)
 	}
+	if c.Primary && !n.streams.Primary() {
+		return n.MakePrimary(c.Replicas, c.WriteQuorum)
+	}
+	return nil
 }
 
 // Handler returns the node's HTTP surface: the serving routes behind the

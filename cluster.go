@@ -2,14 +2,12 @@ package ganc
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -26,8 +24,9 @@ import (
 // hash ring; every shard holds the full model state but serves (and caches,
 // and ingests) only its owned users, so the cluster's aggregate cache and
 // compute capacity scale with the shard count. DESIGN.md §10 documents the
-// architecture, the hash-ring epoch rules and the failure semantics;
-// cmd/gancd runs the same roles as separate processes.
+// architecture, the hash-ring epoch rules and the failure semantics. The
+// Cluster is the form tests, drills and the benchmark drive; a deployment
+// runs the same nodes and router as separate cmd/gancd processes.
 
 // Cluster re-exported types from internal/cluster, so drivers and tests can
 // partition work exactly the way the router does.
@@ -99,16 +98,17 @@ type clusterConfig struct {
 	autoFailover    bool
 	detectInterval  time.Duration
 	suspectAfter    int
-	routerAddr      string
 	dir             string
 	cacheCap        int
 	checkpointEvery int
-	epoch           uint64
-	retries         int
 	metrics         *obs.Registry
-	reqLog          *obs.RequestLogger
 	routerAdmit     admit.Config
 }
+
+// bootEpoch is the ring epoch a cluster boots at, stamped into its shard
+// snapshots and the router's first ring; Promote and Reshard bump it from
+// there.
+const bootEpoch = 1
 
 // WithShards sets the shard count (default 3).
 func WithShards(n int) ClusterOption {
@@ -153,14 +153,6 @@ func WithFailureDetection(interval time.Duration, suspectAfter int) ClusterOptio
 	return func(c *clusterConfig) { c.detectInterval, c.suspectAfter = interval, suspectAfter }
 }
 
-// WithRouterAddr makes the cluster listen for router traffic on addr (e.g.
-// ":8080"). Without it the router is reachable only through
-// Cluster.Handler() — the in-process form tests and benchmarks mount
-// themselves.
-func WithRouterAddr(addr string) ClusterOption {
-	return func(c *clusterConfig) { c.routerAddr = addr }
-}
-
 // WithClusterDir places the shard snapshots and write-ahead logs in dir
 // (which must exist). Without it the cluster owns a temporary directory,
 // removed on Close.
@@ -181,19 +173,6 @@ func WithClusterCheckpointEvery(every int) ClusterOption {
 	return func(c *clusterConfig) { c.checkpointEvery = every }
 }
 
-// WithClusterEpoch sets the hash-ring epoch the cluster boots at, stamped
-// into the shard snapshots and the router's first ring (default 1); Promote
-// and Reshard bump it from there.
-func WithClusterEpoch(epoch uint64) ClusterOption {
-	return func(c *clusterConfig) { c.epoch = epoch }
-}
-
-// WithRouterRetries sets the router's bounded retry budget per shard call
-// (default 2).
-func WithRouterRetries(retries int) ClusterOption {
-	return func(c *clusterConfig) { c.retries = retries }
-}
-
 // WithClusterMetrics instruments the whole tier: the router registers its
 // per-shard fan-out/retry/failure counters, epoch-mismatch gauges and
 // per-route HTTP series on reg and mounts GET /metrics; every shard gets its
@@ -201,13 +180,6 @@ func WithRouterRetries(retries int) ClusterOption {
 // shard's own address (registries must not be shared between servers).
 func WithClusterMetrics(reg *MetricsRegistry) ClusterOption {
 	return func(c *clusterConfig) { c.metrics = reg }
-}
-
-// WithClusterRequestLog emits one structured JSON line per router request to
-// the logger (shard-level requests are not logged; enable per-shard logging
-// by running shards as separate processes with cmd/gancd -request-log).
-func WithClusterRequestLog(l *RequestLogger) ClusterOption {
-	return func(c *clusterConfig) { c.reqLog = l }
 }
 
 // WithClusterAdmission applies admission control at the router: per-client
@@ -230,7 +202,7 @@ type clusterNode struct {
 }
 
 // live reports whether the node is running.
-func (n *clusterNode) live() bool { return n.node != nil }
+func (n *clusterNode) live() bool { return n != nil && n.node != nil }
 
 // clusterShard is one in-process shard: the snapshot its nodes boot from and
 // its nodes, laid out replicas first and the boot primary last. Which node is
@@ -265,7 +237,7 @@ func (sh *clusterShard) bootInfo() ShardInfo {
 
 // Cluster is an in-process sharded serving tier: N shard servers behind a
 // scatter-gather router. Construct with NewCluster; drive it through
-// Handler() (or the WithRouterAddr listener); tear it down with Close.
+// Handler(), mounted on a listener of the caller's; tear it down with Close.
 type Cluster struct {
 	cfg     clusterConfig
 	router  *Router
@@ -283,9 +255,6 @@ type Cluster struct {
 	// router's ring and nothing else.
 	mu     sync.Mutex
 	shards []*clusterShard
-
-	routerLn net.Listener
-	routerHS *http.Server
 }
 
 // NewCluster shard-splits a trained (snapshot-compatible) pipeline and
@@ -298,7 +267,7 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	if p == nil {
 		return nil, fmt.Errorf("ganc: cluster requires a trained pipeline")
 	}
-	cfg := clusterConfig{shards: 3, epoch: 1, retries: 2}
+	cfg := clusterConfig{shards: 3}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -333,7 +302,7 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	// shards from: full trained state, no stream history, no shard-slice
 	// identity skew. Written once, before any shard can diverge.
 	c.baselinePath = filepath.Join(c.cfg.dir, "baseline.snap")
-	if err := p.SaveShard(c.baselinePath, ShardIdentity{ShardID: 0, NumShards: 1, RingEpoch: cfg.epoch}); err != nil {
+	if err := p.SaveShard(c.baselinePath, ShardIdentity{ShardID: 0, NumShards: 1, RingEpoch: bootEpoch}); err != nil {
 		return fail(fmt.Errorf("ganc: saving baseline snapshot: %w", err))
 	}
 	c.lineage = map[int]bool{cfg.shards: true}
@@ -353,17 +322,17 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 		c.shards = append(c.shards, sh)
 		infos[i] = sh.bootInfo()
 	}
-	ring, err := cluster.NewRing(cfg.epoch, 0, infos)
+	ring, err := cluster.NewRing(bootEpoch, 0, infos)
 	if err != nil {
 		return fail(err)
 	}
 	for i, sh := range c.shards {
-		if err := p.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: cfg.shards, RingEpoch: cfg.epoch}); err != nil {
+		if err := p.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: cfg.shards, RingEpoch: bootEpoch}); err != nil {
 			return fail(fmt.Errorf("ganc: shard-splitting snapshot for shard %d: %w", i, err))
 		}
 	}
 	for i, sh := range c.shards {
-		if err := c.bootNodes(sh, cfg.shards, cfg.epoch); err != nil {
+		if err := c.bootNodes(sh, cfg.shards, bootEpoch); err != nil {
 			return fail(fmt.Errorf("ganc: booting shard %d: %w", i, err))
 		}
 	}
@@ -373,9 +342,8 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	// operator.
 	c.router, err = cluster.NewRouter(cluster.RouterConfig{
 		Ring:           ring,
-		Retries:        cfg.retries,
+		Retries:        2,
 		Metrics:        c.cfg.metrics,
-		RequestLog:     c.cfg.reqLog,
 		Admission:      c.cfg.routerAdmit,
 		DetectInterval: cfg.detectInterval,
 		SuspectAfter:   cfg.suspectAfter,
@@ -383,16 +351,6 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	})
 	if err != nil {
 		return fail(err)
-	}
-
-	if cfg.routerAddr != "" {
-		ln, err := net.Listen("tcp", cfg.routerAddr)
-		if err != nil {
-			return fail(fmt.Errorf("ganc: router listener on %s: %w", cfg.routerAddr, err))
-		}
-		c.routerLn = ln
-		c.routerHS = &http.Server{Handler: c.Handler()}
-		go func() { _ = c.routerHS.Serve(ln) }()
 	}
 	return c, nil
 }
@@ -494,49 +452,22 @@ func (c *Cluster) startNode(sh *clusterShard, n *clusterNode, ln net.Listener, p
 	return replayed, nil
 }
 
-// primary returns the node the router's ring names sh's primary. Callers
-// hold c.mu.
+// primary returns the node the router's ring names sh's primary (nil for a
+// shard the ring no longer has). Callers hold c.mu.
 func (c *Cluster) primary(sh *clusterShard) *clusterNode {
-	return sh.node(c.router.Ring().Shard(sh.id).Addr)
+	ring := c.router.Ring()
+	if sh.id >= ring.NumShards() {
+		return nil
+	}
+	return sh.node(ring.Shard(sh.id).Addr)
 }
 
-// Handler returns the router's HTTP surface (for mounting on a test
-// listener or an existing mux), with the cluster admin endpoints mounted
-// under /admin/: POST /admin/reshard?target=N grows or shrinks the live
-// ring (see Reshard).
-func (c *Cluster) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", c.router.Handler())
-	mux.HandleFunc("/admin/reshard", c.handleReshard)
-	return mux
-}
-
-// handleReshard answers POST /admin/reshard?target=N: it runs a live
-// reshard to the requested shard count and reports the migration
-// statistics. Refused reshards (bad target, dead shard, one already in
-// flight) answer 409 with the error; a malformed target answers 400.
-func (c *Cluster) handleReshard(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		w.WriteHeader(http.StatusMethodNotAllowed)
-		_ = json.NewEncoder(w).Encode(map[string]string{"error": "reshard requires POST"})
-		return
-	}
-	target, err := strconv.Atoi(r.URL.Query().Get("target"))
-	if err != nil {
-		w.WriteHeader(http.StatusBadRequest)
-		_ = json.NewEncoder(w).Encode(map[string]string{"error": "missing or malformed ?target=N"})
-		return
-	}
-	stats, err := c.Reshard(target)
-	if err != nil {
-		w.WriteHeader(http.StatusConflict)
-		_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-		return
-	}
-	_ = json.NewEncoder(w).Encode(stats)
-}
+// Handler returns the router's HTTP surface, for mounting on a listener or
+// an existing mux. Its POST /admin/reshard drives the router alone, over
+// nodes someone else runs: a shrink through it leaves the retired shards'
+// nodes running until Close, and a grow must name nodes already serving, so
+// Reshard is how a Cluster grows.
+func (c *Cluster) Handler() http.Handler { return c.router.Handler() }
 
 // Ring returns the cluster's hash ring.
 func (c *Cluster) Ring() *Ring { return c.router.Ring() }
@@ -557,24 +488,11 @@ func (c *Cluster) ShardAddr(i int) string {
 	return ring.Shard(i).Addr
 }
 
-// RouterAddr returns the router's listen address, or "" when the cluster
-// was built without WithRouterAddr.
-func (c *Cluster) RouterAddr() string {
-	if c.routerLn == nil {
-		return ""
-	}
-	return c.routerLn.Addr().String()
-}
-
-// Dir returns the directory holding the shard snapshots and write-ahead
-// logs.
-func (c *Cluster) Dir() string { return c.cfg.dir }
-
 // shardByIndex validates a shard index and returns the shard and the node
 // the ring names its primary. Callers hold c.mu.
 func (c *Cluster) shardByIndex(i int) (*clusterShard, *clusterNode, error) {
-	if i < 0 || i >= len(c.shards) {
-		return nil, nil, fmt.Errorf("ganc: shard %d out of range [0,%d)", i, len(c.shards))
+	if n := min(len(c.shards), c.NumShards()); i < 0 || i >= n {
+		return nil, nil, fmt.Errorf("ganc: shard %d out of range [0,%d)", i, n)
 	}
 	return c.shards[i], c.primary(c.shards[i]), nil
 }
@@ -734,25 +652,26 @@ func (c *Cluster) RejoinAsReplica(i int) (replayed int, err error) {
 // Reshard requires every current primary to be live (each is a migration
 // source) and serializes with kills, restarts and rejoins. On an error before
 // the commit the transition is aborted: routing stays on the old ring and
-// added shards are torn down.
+// added shards are torn down. A cluster whose ring was resharded through the
+// router's POST /admin/reshard runs other nodes than its ring names and is
+// refused.
 func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ring := c.Ring()
 	oldN := len(c.shards)
-	if target <= 0 {
+	switch {
+	case ring.NumShards() != oldN:
+		return nil, fmt.Errorf("ganc: the ring has %d shards and the cluster runs %d: it was resharded through the router", ring.NumShards(), oldN)
+	case target <= 0:
 		return nil, fmt.Errorf("ganc: reshard needs a positive shard count, got %d", target)
-	}
-	if target == oldN {
+	case target == oldN:
 		return nil, fmt.Errorf("ganc: cluster already has %d shards", oldN)
 	}
-	ring := c.Ring()
-	primaries := make([]*cluster.Node, 0, max(oldN, target))
 	for _, sh := range c.shards {
-		p := c.primary(sh)
-		if !p.live() {
+		if !c.primary(sh).live() {
 			return nil, fmt.Errorf("ganc: shard %d is dead; restart or promote it before resharding", sh.id)
 		}
-		primaries = append(primaries, p.node.streams)
 	}
 
 	// loadShardNode accepts checkpoints of the target count from here on.
@@ -792,7 +711,6 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 				return fail(fmt.Errorf("ganc: adding shard %d: %w", i, err))
 			}
 			infos = append(infos, sh.bootInfo())
-			primaries = append(primaries, sh.nodes[len(sh.nodes)-1].node.streams)
 		}
 	}
 
@@ -800,7 +718,7 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 	if err != nil {
 		return fail(err)
 	}
-	stats, err := c.router.Reshard(next, primaries)
+	stats, err := c.router.Reshard(next)
 	if stats == nil {
 		return fail(err)
 	}
@@ -826,7 +744,9 @@ func (c *Cluster) primaries() []*ShardNode {
 	defer c.mu.Unlock()
 	nodes := make([]*ShardNode, len(c.shards))
 	for i, sh := range c.shards {
-		nodes[i] = c.primary(sh).node
+		if p := c.primary(sh); p != nil {
+			nodes[i] = p.node
+		}
 	}
 	return nodes
 }
@@ -897,9 +817,8 @@ func (c *Cluster) WaitForReplicaSync(timeout time.Duration) error {
 	return nil
 }
 
-// Close tears the cluster down: every shard is killed, the router listener
-// (if any) stops, and the work directory is removed when the cluster owns
-// it.
+// Close tears the cluster down: every shard is killed and the work directory
+// is removed when the cluster owns it.
 func (c *Cluster) Close() error {
 	// The router closes first: its detector stops, and a promotion it started
 	// finishes pushing to nodes that are still up.
@@ -909,12 +828,6 @@ func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	firstErr := killShards(c.shards)
-	if c.routerHS != nil {
-		if err := c.routerHS.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		c.routerHS, c.routerLn = nil, nil
-	}
 	if c.ownsDir && c.cfg.dir != "" {
 		if err := os.RemoveAll(c.cfg.dir); err != nil && firstErr == nil {
 			firstErr = err

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,13 +53,14 @@ func postIngest(t *testing.T, url string, events []IngestEvent) {
 func ownedWALEvents(t *testing.T, c *Cluster, user string) []float64 {
 	t.Helper()
 	owner := c.OwnerShard(user)
-	hist, _, err := ingest.CollectUserEvents(c.shards[owner].node(c.ShardAddr(owner)).walPath, func(u string) bool { return u == user })
-	if err != nil {
+	var out []float64
+	if err := ingest.ReplayLog(c.shards[owner].node(c.ShardAddr(owner)).walPath, 0, func(_ uint64, ev ingest.Event) error {
+		if ev.User == user {
+			out = append(out, ev.Value)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
-	}
-	out := make([]float64, 0, len(hist[user]))
-	for _, ev := range hist[user] {
-		out = append(out, ev.Value)
 	}
 	return out
 }
@@ -254,15 +256,21 @@ func TestClusterAddRemoveShardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClusterReshardAdminEndpoint drives a live grow through the router's
-// admin surface — the path cmd/gancd operators use — and pins its error
-// taxonomy: 405 for non-POST, 400 for a malformed target, 409 for a refused
-// reshard, 200 with the migration statistics on success.
+// TestClusterReshardAdminEndpoint drives the router's POST /admin/reshard
+// through a cluster's handler and pins its error taxonomy: 405 for non-POST,
+// 400 for a malformed target or a grow that names no added node, 409 for a
+// refused reshard, 200 with the migration statistics for a shrink, which
+// needs no node started. The cluster's own Reshard then refuses a ring it no
+// longer runs the nodes of.
 func TestClusterReshardAdminEndpoint(t *testing.T) {
-	c, _, ts := reshardTestCluster(t, 2)
+	c, u, ts := reshardTestCluster(t, 2)
+	users := u.Train().UserInterner()
+	for k := 0; k < u.Train().NumUsers(); k += 3 {
+		postIngest(t, ts.URL, []IngestEvent{{User: users.Key(int32(k)), Item: "seed", Value: 3}})
+	}
 
-	post := func(target string) (int, map[string]interface{}) {
-		resp, err := http.Post(ts.URL+"/admin/reshard?target="+target, "application/json", nil)
+	post := func(query string) (int, map[string]interface{}) {
+		resp, err := http.Post(ts.URL+"/admin/reshard"+query, "application/json", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,21 +288,32 @@ func TestClusterReshardAdminEndpoint(t *testing.T) {
 			t.Fatalf("GET answered %d, want 405", resp.StatusCode)
 		}
 	}
-	if status, _ := post("abc"); status != http.StatusBadRequest {
+	if status, _ := post("?target=abc"); status != http.StatusBadRequest {
 		t.Fatalf("malformed target answered %d, want 400", status)
 	}
-	if status, body := post("2"); status != http.StatusConflict || body["error"] == "" {
+	if status, body := post("?target=3"); status != http.StatusBadRequest || body["error"] == "" {
+		t.Fatalf("a grow naming no added node answered %d %v, want a 400 with an error", status, body)
+	}
+	if status, body := post("?target=2"); status != http.StatusConflict || body["error"] == "" {
 		t.Fatalf("no-op reshard answered %d %v, want a 409 with an error", status, body)
 	}
-	status, body := post("3")
+	status, body := post("?target=1")
 	if status != http.StatusOK {
-		t.Fatalf("grow answered %d %v", status, body)
+		t.Fatalf("shrink answered %d %v", status, body)
 	}
-	if body["to_shards"] != float64(3) || body["epoch"] != float64(2) {
-		t.Fatalf("grow answered stats %v, want to_shards 3 at epoch 2", body)
+	if body["to_shards"] != float64(1) || body["epoch"] != float64(2) {
+		t.Fatalf("shrink answered stats %v, want to_shards 1 at epoch 2", body)
 	}
-	if c.NumShards() != 3 {
-		t.Fatalf("cluster has %d shards after the admin grow", c.NumShards())
+	if c.NumShards() != 1 || c.ShardAddr(1) != "" {
+		t.Fatalf("cluster routes over %d shards after the admin shrink", c.NumShards())
+	}
+	for k := 0; k < u.Train().NumUsers(); k += 3 {
+		if got := ownedWALEvents(t, c, users.Key(int32(k))); len(got) != 1 {
+			t.Fatalf("user %q: shard 0 holds %v after the shrink, want its one event", users.Key(int32(k)), got)
+		}
+	}
+	if _, err := c.Reshard(2); err == nil || !strings.Contains(err.Error(), "resharded through the router") {
+		t.Fatalf("Reshard over a ring the router resharded answered %v", err)
 	}
 }
 

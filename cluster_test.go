@@ -140,7 +140,7 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 // identical answers and replays the WAL suffix of any ingested events.
 func TestClusterKillRestartShard(t *testing.T) {
 	p, u := clusterTestPipeline(t)
-	c, err := NewCluster(p, WithShards(2), WithClusterDir(t.TempDir()), WithRouterRetries(0))
+	c, err := NewCluster(p, WithShards(2), WithClusterDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

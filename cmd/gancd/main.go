@@ -28,16 +28,11 @@
 //	            detector's cached view, bounded by -max-replica-lag;
 //	            -auto-failover promotes a suspected-dead primary's freshest
 //	            replica by pushing the next ring to every node over
-//	            POST /admin/ring
-//	cluster     the whole topology in one process (a demo/benchmark form):
-//	            split into a temp dir, boot every shard (-replicas warm
-//	            replicas each), serve the router. -write-quorum K acks each
-//	            committed batch only after K replicas hold it; -auto-failover
-//	            promotes a suspected-dead primary's freshest replica with no
-//	            operator call
+//	            POST /admin/ring. POST /admin/reshard grows or shrinks the
+//	            ring live
 //
-// The shard and replica roles run the same node assembly the cluster role
-// boots in-process (ganc.ShardNode): both mount POST /replicate, /migrate,
+// The shard and replica roles run the same node assembly ganc.Cluster boots
+// in-process (ganc.ShardNode): both mount POST /replicate, /migrate,
 // /replicate/tail and /admin/ring in front of the serving routes, and the
 // role only decides which stream routes accept — a primary takes client
 // writes and /migrate chunks and refuses pushed /replicate batches, a replica
@@ -47,9 +42,9 @@
 //
 //	ganc -preset ML-1M -arec Pop -save model.snap
 //	gancd -role split -load model.snap -shards 3 -out shards/
-//	gancd -role shard -load shards/shard-000.snap -serve :8081 &
-//	gancd -role shard -load shards/shard-001.snap -serve :8082 &
-//	gancd -role shard -load shards/shard-002.snap -serve :8083 &
+//	gancd -role shard -load shards/shard-000.snap -ingest-log s0.wal -serve :8081 &
+//	gancd -role shard -load shards/shard-001.snap -ingest-log s1.wal -serve :8082 &
+//	gancd -role shard -load shards/shard-002.snap -ingest-log s2.wal -serve :8083 &
 //	gancd -role router -peers :8081,:8082,:8083 -serve :8080
 //
 // The same topology with one replica behind shard 0, quorum-acked:
@@ -59,20 +54,21 @@
 //	      -replica-addrs :9081 -write-quorum 1 -serve :8081 &
 //	gancd -role router -peers :8081+:9081,:8082,:8083 -auto-failover -serve :8080
 //
-// The same topology in one process:
+// The router reshards live — it reads every involved primary's write-ahead
+// log over /replicate/tail and streams the moving users' histories to their
+// new owners while traffic keeps flowing (DESIGN.md §14). A grow names the
+// added shards, whose processes serve a snapshot split for the new count:
 //
-//	gancd -role cluster -load model.snap -shards 3 -replicas 1 -serve :8080
-//
-// A cluster-role daemon can be resharded live — user histories stream to
-// the new owners while traffic keeps flowing (DESIGN.md §14):
-//
-//	curl -X POST 'http://localhost:8080/admin/reshard?target=4'
+//	gancd -role split -load model.snap -shards 4 -out shards4/
+//	gancd -role shard -load shards4/shard-003.snap -ingest-log s3.wal -serve :8084 &
+//	curl -X POST 'http://localhost:8080/admin/reshard?target=4&add=:8084'
 //
 // The router and the shard snapshots must agree on (epoch, shard count):
 // ownership is a pure function of that pair, so a mismatched deployment
 // would silently route users to shards that never ingested their events.
 // Shard servers embed their identity in /info and the router flags
-// mismatches there (see DESIGN.md §10 for the epoch rules).
+// mismatches there; a ring push (promotion, reshard) moves a node's identity
+// with the ring (see DESIGN.md §10 for the epoch rules).
 package main
 
 import (
@@ -102,7 +98,7 @@ type options struct {
 	shards, shardID          int
 	epoch                    uint64
 	peers, replicaAddrs      string
-	replicas, writeQuorum    int
+	writeQuorum              int
 	autoFailover             bool
 	detectIntervalMs         int
 	suspectAfter             int
@@ -134,7 +130,6 @@ var roleFlags = []struct{ role, flags string }{
 	// its own (it may share the snapshot file with its primary).
 	{"replica", "load serve ingest-log shards shard-id epoch cache"},
 	{"router", "peers serve epoch retries max-replica-lag detect-interval-ms suspect-after auto-failover"},
-	{"cluster", "load serve shards epoch cache checkpoint-interval replicas write-quorum auto-failover detect-interval-ms suspect-after retries"},
 }
 
 // readers lists the roles that read the flag, in table order.
@@ -158,25 +153,24 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("gancd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&o.role, "role", "standalone", "standalone | split | shard | replica | router | cluster")
+	fs.StringVar(&o.role, "role", "standalone", "standalone | split | shard | replica | router")
 	fs.StringVar(&o.load, "load", "", "snapshot to load (written by ganc -save, or a shard snapshot from -role split)")
 	fs.StringVar(&o.serve, "serve", "", "listen address (e.g. :8080)")
-	fs.IntVar(&o.shards, "shards", 3, "shard count (split, cluster; cross-checked in the shard and replica roles)")
+	fs.IntVar(&o.shards, "shards", 3, "shard count (split; cross-checked in the shard and replica roles)")
 	fs.IntVar(&o.shardID, "shard-id", -1, "expected shard id (shard and replica roles; -1 trusts the snapshot)")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated shard addresses in shard-id order (router role); \"primary+replica1+replica2\" entries declare read-failover replicas")
 	fs.StringVar(&o.replicaAddrs, "replica-addrs", "", "comma-separated replica addresses this shard ships committed batches to (shard role)")
-	fs.IntVar(&o.replicas, "replicas", 0, "warm replicas per shard (cluster role)")
-	fs.IntVar(&o.writeQuorum, "write-quorum", 0, "k-of-n quorum writes: ack a committed batch only after k replicas hold it (shard and cluster roles; 0 = ship without waiting)")
-	fs.BoolVar(&o.autoFailover, "auto-failover", false, "router and cluster roles: promote a suspected-dead primary's freshest replica automatically, no operator call")
-	fs.IntVar(&o.detectIntervalMs, "detect-interval-ms", 0, "failure-detector /health sampling interval in ms (router and cluster roles; 0 = default 250)")
+	fs.IntVar(&o.writeQuorum, "write-quorum", 0, "k-of-n quorum writes: ack a committed batch only after k replicas hold it (shard role; 0 = ship without waiting)")
+	fs.BoolVar(&o.autoFailover, "auto-failover", false, "router role: promote a suspected-dead primary's freshest replica automatically, no operator call")
+	fs.IntVar(&o.detectIntervalMs, "detect-interval-ms", 0, "failure-detector /health sampling interval in ms (router role; 0 = default 250)")
 	fs.IntVar(&o.suspectAfter, "suspect-after", 0, "consecutive missed probes before the detector suspects a node (0 = default 3)")
 	fs.Int64Var(&o.maxReplicaLag, "max-replica-lag", 0, "router: max committed-event lag for a replica to serve a failover read (0 = default 1024, negative disables failover)")
-	fs.Uint64Var(&o.epoch, "epoch", 1, "hash-ring epoch (split, router, cluster; cross-checked in the shard and replica roles)")
+	fs.Uint64Var(&o.epoch, "epoch", 1, "hash-ring epoch (split, router; cross-checked in the shard and replica roles)")
 	fs.StringVar(&o.out, "out", "", "output directory for shard snapshots (split role)")
 	fs.IntVar(&o.cache, "cache", 0, "per-node LRU cache capacity (0 = serving default)")
 	fs.StringVar(&o.ingestLog, "ingest-log", "", "write-ahead log path (standalone, shard and replica roles)")
-	fs.IntVar(&o.checkpointInterval, "checkpoint-interval", 0, "checkpoint the snapshot every this many ingested events (standalone, shard and cluster roles; 0 = never)")
-	fs.IntVar(&o.retries, "retries", 2, "bounded retries per shard call before the router's typed 503 (router and cluster roles)")
+	fs.IntVar(&o.checkpointInterval, "checkpoint-interval", 0, "checkpoint the snapshot every this many ingested events (standalone and shard roles; 0 = never)")
+	fs.IntVar(&o.retries, "retries", 2, "bounded retries per shard call before the router's typed 503 (router role)")
 	fs.BoolVar(&o.metrics, "metrics", false, "mount GET /metrics (Prometheus text format) on serving roles")
 	fs.StringVar(&o.requestLog, "request-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")
@@ -288,10 +282,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return runSplit(o, stderr)
 	case "shard", "replica":
 		return runNode(ctx, o, stderr)
-	case "router":
+	default: // router: parseFlags refused every other role
 		return runRouter(ctx, o, stderr)
-	default:
-		return runCluster(ctx, o, stderr)
 	}
 }
 
@@ -419,7 +411,7 @@ func loadShardSnapshot(o options) (*ganc.Pipeline, ganc.ShardIdentity, error) {
 }
 
 // runNode serves one shard snapshot as a node of its shard — the shard and
-// replica roles alike: the same ganc.ShardNode the cluster role boots
+// replica roles alike: the same ganc.ShardNode ganc.Cluster boots
 // in-process, recovered from its own write-ahead log. The shard role then
 // flips it to primary (client writes, /migrate, shipping to -replica-addrs
 // under -write-quorum); the replica role leaves it as opened.
@@ -468,7 +460,8 @@ func runNode(ctx context.Context, o options, stderr io.Writer) error {
 // entry declares replicas the router runs its own failure detector, so
 // failed reads route by the cached liveness view — zero per-request probes —
 // and suspected primaries are skipped without burning the retry budget;
-// with -auto-failover a suspected primary is replaced (Router.Promote).
+// with -auto-failover a suspected primary is replaced (Router.Promote). The
+// router's POST /admin/reshard grows or shrinks the ring (Router.Reshard).
 func runRouter(ctx context.Context, o options, stderr io.Writer) error {
 	infos, err := ganc.ParsePeerTopology(o.peers)
 	if err != nil {
@@ -506,53 +499,4 @@ func runRouter(ctx context.Context, o options, stderr io.Writer) error {
 	defer rt.Close()
 	fmt.Fprintf(stderr, "routing over %d shards (epoch %d) on %s: %s\n", ring.NumShards(), o.epoch, o.serve, o.peers)
 	return listenAndServe(ctx, o.serve, rt.Handler())
-}
-
-// runCluster boots the whole sharded topology in one process.
-func runCluster(ctx context.Context, o options, stderr io.Writer) error {
-	p, err := loadSnapshot(o.load)
-	if err != nil {
-		return err
-	}
-	log, cleanup, err := o.logger(stderr)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	opts := []ganc.ClusterOption{
-		ganc.WithShards(o.shards),
-		ganc.WithReplicas(o.replicas),
-		ganc.WithWriteQuorum(o.writeQuorum),
-		ganc.WithRouterAddr(o.serve),
-		ganc.WithClusterEpoch(o.epoch),
-		ganc.WithClusterCheckpointEvery(o.checkpointInterval),
-		ganc.WithFailureDetection(time.Duration(o.detectIntervalMs)*time.Millisecond, o.suspectAfter),
-		ganc.WithClusterAdmission(o.admission()),
-		ganc.WithRouterRetries(o.retries),
-	}
-	if o.autoFailover {
-		opts = append(opts, ganc.WithAutoFailover())
-	}
-	if o.cache > 0 {
-		opts = append(opts, ganc.WithShardCacheCapacity(o.cache))
-	}
-	if o.metrics {
-		opts = append(opts, ganc.WithClusterMetrics(ganc.NewMetricsRegistry()))
-	}
-	if log != nil {
-		opts = append(opts, ganc.WithClusterRequestLog(log))
-	}
-	c, err := ganc.NewCluster(p, opts...)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	shardAddrs := make([]string, c.NumShards())
-	for i := range shardAddrs {
-		shardAddrs[i] = c.ShardAddr(i)
-	}
-	fmt.Fprintf(stderr, "cluster up: router on %s, %d shards on %s (dir %s)\n",
-		c.RouterAddr(), c.NumShards(), strings.Join(shardAddrs, ", "), c.Dir())
-	<-ctx.Done()
-	return nil
 }

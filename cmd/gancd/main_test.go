@@ -71,8 +71,8 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-role shard -serve :0 -write-quorum 2 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0: "write quorum 2 outside [0, 1 replicas]",
 		"-role shard -serve :0 -write-quorum -1 -ingest-log " + wal + " -load " + shard0:                   "write quorum -1 outside",
 		"-role shard -serve :0 -replica-addrs h:1 -load " + shard0:                                         "needs a write-ahead log",
-		"-role cluster -serve :0 -replicas 1 -write-quorum 2 -load " + model:                               "write quorum 2 outside [0, 1 replicas]",
-		"-role cluster -serve :0 -auto-failover -load " + model:                                            "auto-failover requires at least one replica",
+		"-role cluster -serve :0 -load " + model:                                                           `unknown -role "cluster"`,
+		"-role router -serve :0 -peers a:1 -replicas 1":                                                    "flag provided but not defined: -replicas",
 
 		// A flag the role does not read is refused, not ignored: a node
 		// started as a replica ships to no one, a router's knobs mean nothing
@@ -81,9 +81,9 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-role replica -serve :0 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0:      "-replica-addrs does not apply to -role replica",
 		"-role replica -serve :0 -write-quorum 1 -ingest-log " + wal + " -load " + shard0:         "-write-quorum does not apply to -role replica",
 		"-role replica -serve :0 -checkpoint-interval 10 -ingest-log " + wal + " -load " + shard0: "-checkpoint-interval does not apply to -role replica",
-		"-role cluster -serve :0 -max-replica-lag 5 -load " + model:                               "-max-replica-lag does not apply to -role cluster (it is read by -role router)",
-		"-role standalone -serve :0 -shards 5 -load " + model:                                     "-shards does not apply to -role standalone (it is read by -role split, shard, replica, cluster)",
-		"-role standalone -serve :0 -retries 0 -load " + model:                                    "-retries does not apply to -role standalone (it is read by -role router, cluster)",
+		"-role shard -serve :0 -max-replica-lag 5 -load " + shard0:                                "-max-replica-lag does not apply to -role shard (it is read by -role router)",
+		"-role standalone -serve :0 -shards 5 -load " + model:                                     "-shards does not apply to -role standalone (it is read by -role split, shard, replica)",
+		"-role standalone -serve :0 -retries 0 -load " + model:                                    "-retries does not apply to -role standalone (it is read by -role router)",
 		"-role split -metrics -out " + dir + " -load " + model:                                    "-metrics does not apply to -role split",
 		"-role router -serve :0":                               "-peers",
 		"-role router -serve :0 -peers a:1,,b:2":               "-peers",
@@ -366,4 +366,124 @@ func TestRouterRoleAutoFailover(t *testing.T) {
 	if len(promoted) != 1 {
 		t.Fatalf("replicas reporting the primary role after the failover: %v, want exactly one", promoted)
 	}
+}
+
+// TestRouterRoleReshard grows a deployment of one process per node — two
+// shards behind a -role router — onto a third shard process through the
+// router's POST /admin/reshard, then shrinks it back. The router reads the
+// sources' logs and ships the movers' histories over the wire alone: every
+// user's events sit at their owner after each step, and every node's /info
+// carries the ring it was pushed.
+func TestRouterRoleReshard(t *testing.T) {
+	model, dir := splitSnapshots(t, 2)
+	grown := filepath.Join(t.TempDir(), "grown")
+	args := fmt.Sprintf("-role split -load %s -shards 3 -out %s", model, grown)
+	if err := run(context.Background(), strings.Fields(args), io.Discard); err != nil {
+		t.Fatalf("gancd %s: %v", args, err)
+	}
+	tmp := t.TempDir()
+	shards := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
+	routerAddr := freeAddr(t)
+
+	ctx, stop := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	start := func(args string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := run(ctx, strings.Fields(args), io.Discard); err != nil {
+				t.Errorf("gancd %s: %v", args, err)
+			}
+		}()
+	}
+	defer func() { stop(); wg.Wait() }()
+	snaps := []string{filepath.Join(dir, "shard-000.snap"), filepath.Join(dir, "shard-001.snap"), filepath.Join(grown, "shard-002.snap")}
+	for i, addr := range shards {
+		start(fmt.Sprintf("-role shard -load %s -ingest-log %s -serve %s", snaps[i], filepath.Join(tmp, fmt.Sprintf("s%d.wal", i)), addr))
+		waitHealthy(t, addr)
+	}
+	start(fmt.Sprintf("-role router -peers %s,%s -serve %s", shards[0], shards[1], routerAddr))
+	waitHealthy(t, routerAddr)
+
+	post := func(path string, body, out interface{}) int {
+		t.Helper()
+		payload, _ := json.Marshal(body)
+		resp, err := http.Post("http://"+routerAddr+path, "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("POST %s answered %d with an undecodable body: %v", path, resp.StatusCode, err)
+		}
+		return resp.StatusCode
+	}
+	users := make([]string, 40)
+	var events []ganc.IngestEvent
+	for k := range users {
+		users[k] = fmt.Sprintf("u-%02d", k)
+		events = append(events, ganc.IngestEvent{User: users[k], Item: "it-1", Value: 4})
+	}
+	var ingested struct{ Applied int }
+	if status := post("/ingest", map[string]interface{}{"events": events}, &ingested); status != http.StatusOK || ingested.Applied != len(events) {
+		t.Fatalf("ingest through the router answered %d, applied %d of %d", status, ingested.Applied, len(events))
+	}
+
+	// check asserts the router routes n shards at epoch, every node of the
+	// ring agrees, and each user's one event sits at its owner.
+	check := func(n int, epoch uint64) {
+		t.Helper()
+		var info ganc.ClusterInfoResponse
+		resp, err := http.Get("http://" + routerAddr + "/info")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil || info.Cluster.NumShards != n || info.Cluster.Epoch != epoch || info.Cluster.Healthy != n {
+			t.Fatalf("router /info cluster = %+v (%v), want %d healthy shards at epoch %d", info.Cluster, err, n, epoch)
+		}
+		ring, err := ganc.NewRing(epoch, []ganc.ShardInfo{{ID: 0, Addr: shards[0]}, {ID: 1, Addr: shards[1]}, {ID: 2, Addr: shards[2]}}[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := make([]int, n)
+		for k, st := range info.Cluster.Shards {
+			if st.EpochMismatch {
+				t.Fatalf("shard %d's /info disagrees with the router's ring: %+v", k, st.Info.Shard)
+			}
+			var tail struct{ Events []ganc.IngestEvent }
+			payload, _ := json.Marshal(map[string]interface{}{"shard": k, "first": 1, "head": 1000})
+			resp, err := http.Post("http://"+shards[k]+"/replicate/tail", "application/json", bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = json.NewDecoder(resp.Body).Decode(&tail)
+			resp.Body.Close()
+			for _, ev := range tail.Events {
+				if ring.Owner(ev.User) == k {
+					held[k]++
+				}
+			}
+		}
+		for _, u := range users {
+			held[ring.Owner(u)]--
+		}
+		for k, extra := range held {
+			if extra != 0 {
+				t.Fatalf("at epoch %d shard %d holds %d events more than the users it owns sent", epoch, k, extra)
+			}
+		}
+	}
+	check(2, 1)
+
+	var stats ganc.ReshardStats
+	if status := post("/admin/reshard?target=3&add="+shards[2], nil, &stats); status != http.StatusOK || stats.ToShards != 3 || stats.UsersMigrated == 0 {
+		t.Fatalf("the grow answered %d %+v, want 200 with migrated users", status, stats)
+	}
+	check(3, 2)
+	if status := post("/admin/reshard?target=2", nil, &stats); status != http.StatusOK || stats.ToShards != 2 || stats.UsersMigrated == 0 {
+		t.Fatalf("the shrink answered %d %+v, want 200 with migrated users", status, stats)
+	}
+	check(2, 3)
 }

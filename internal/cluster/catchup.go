@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 
 // The pull direction of the shard stream: a node serves the records of its
 // own write-ahead log on TailPath, in the same chunk shape /replicate pushes
-// carry, and a rejoining node pulls what its disk lost.
+// carry. A rejoining node pulls what its disk lost, and a reshard reads every
+// involved primary's log (Router.Reshard).
 
 // NewWALTailHandler serves TailPath for one shard node. The puller asks for
 // the records [First, Head] (no events); the node answers with a contiguous
@@ -57,10 +59,15 @@ func NewWALTailHandler(shard int, walPath string) http.Handler {
 	})
 }
 
+// toLogEnd, as fetchWALTail's upTo, pulls to wherever the log ends.
+const toLogEnd = math.MaxUint64
+
 // fetchWALTail pulls the WAL records (after, upTo] from a node's TailPath in
-// MaxReplicateEvents chunks and returns them in order. Every answer goes
-// through the stream's chunk parser and a contiguity check, so a broken peer
-// cannot hand back keyless events, a misplaced range or an empty chunk.
+// MaxReplicateEvents chunks and returns them in order; with upTo toLogEnd the
+// node's gap answer past its last record ends the pull. Every
+// answer goes through the stream's chunk parser and a contiguity check, so a
+// broken peer cannot hand back keyless events, a misplaced range or an empty
+// chunk.
 func fetchWALTail(ctx context.Context, client *http.Client, addr string, shard int, after, upTo uint64) ([]serve.IngestEvent, error) {
 	if after >= upTo {
 		return nil, nil
@@ -77,6 +84,9 @@ func fetchWALTail(ctx context.Context, client *http.Client, addr string, shard i
 		if status != http.StatusOK {
 			var refusal Ack
 			_ = json.Unmarshal(body, &refusal) // best effort: the refusal's text only enriches the error
+			if upTo == toLogEnd && status == http.StatusConflict && refusal.Gap && refusal.Cursor >= next-1 {
+				return out, nil // the log ended here when read; a later pull reads what it appends
+			}
 			return nil, fmt.Errorf("%w: %s answered %d to a pull of [%d, %d]: %s", ErrStreamGap, addr, status, next, upTo, refusal.Error)
 		}
 		chunk, err := ParseChunk(bytes.NewReader(body), ShardSpace)

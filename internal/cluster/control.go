@@ -9,13 +9,15 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strconv"
 
 	"ganc/internal/serve"
 )
 
 // The control plane: how a ring change reaches the nodes. The router is the
-// configuration master — the one place a promotion or a reshard's commit
-// decides the next ring — and it reaches nodes only over HTTP: every node
+// configuration master — the one place a promotion or a reshard (its own
+// POST /admin/reshard, or Reshard called in-process) decides the next ring —
+// and it reaches nodes only over HTTP: every node
 // mounts POST /admin/ring and adopts a change only when its epoch is newer
 // than the one the node holds (epoch-numbered reconfiguration). DESIGN.md §15
 // is the reference.
@@ -179,8 +181,8 @@ func (rt *Router) Promote(shard int) (uint64, error) {
 		}
 	}
 	next, addr, err := ring.Promoted(shard, cursors)
-	if err == nil && next.Epoch() <= rt.pushed {
-		next, err = NewRing(rt.pushed+1, next.Replicas(), next.Shards())
+	if err == nil {
+		next, err = rt.fresh(next)
 	}
 	if err != nil {
 		return 0, err
@@ -207,6 +209,69 @@ func (rt *Router) Promote(shard int) (uint64, error) {
 	rt.quorums[addr] = quorum
 	rt.ring.Store(next)
 	return next.Epoch(), nil
+}
+
+// fresh returns next, renumbered above the highest epoch the router has
+// handed out when it is not already above it: a ring change the router starts
+// must be newer than whatever an earlier, failed one left on the nodes.
+// Ownership does not depend on the epoch, so the renumbered ring routes every
+// user as next does. The caller holds rt.topo.
+func (rt *Router) fresh(next *Ring) (*Ring, error) {
+	if next.Epoch() > rt.pushed {
+		return next, nil
+	}
+	return NewRing(rt.pushed+1, next.Replicas(), next.Shards())
+}
+
+// handleReshard serves the router's POST /admin/reshard?target=N: a live
+// reshard of the ring to N shards at the next epoch (Reshard). A shrink
+// retires the ring's last shards. A grow names the added shards in add=, in
+// -peers syntax, one entry per shard in shard-id order ("a:1,b:2+c:3"), and
+// their nodes must already serve. A malformed target or add answers 400, a
+// refused or failed reshard 409 with the error, a published one 200 with its
+// ReshardStats.
+func (rt *Router) handleReshard(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
+		return
+	}
+	next, err := rt.resized(r.URL.Query().Get("target"), r.URL.Query().Get("add"))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return
+	}
+	stats, err := rt.Reshard(next)
+	if err != nil {
+		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, stats)
+}
+
+// resized builds the ring handleReshard moves to: the current ring's first
+// target shards, then the added ones, at the next epoch.
+func (rt *Router) resized(target, add string) (*Ring, error) {
+	ring := rt.Ring()
+	n, err := strconv.Atoi(target)
+	if err != nil || n < 1 {
+		return nil, fmt.Errorf("%w: missing or malformed ?target=N", ErrBadRing)
+	}
+	var added []ShardInfo
+	if add != "" {
+		if added, err = ParsePeerTopology(add); err != nil {
+			return nil, err
+		}
+	}
+	if want := max(n-ring.NumShards(), 0); len(added) != want {
+		return nil, fmt.Errorf("%w: a reshard from %d to %d shards names %d added shards in add=, got %d",
+			ErrBadRing, ring.NumShards(), n, want, len(added))
+	}
+	infos := ring.Shards()[:min(n, ring.NumShards())]
+	for k, s := range added {
+		s.ID = ring.NumShards() + k
+		infos = append(infos, s)
+	}
+	return NewRing(ring.Epoch()+1, ring.Replicas(), infos)
 }
 
 // promoteSuspect is the detector's suspicion handler under AutoFailover: it

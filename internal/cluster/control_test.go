@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -112,6 +114,53 @@ func FuzzRingChangeHostileBody(f *testing.F) {
 		}
 		if *adopted != 0 || n.ringEpoch() != math.MaxUint64 || ans.Epoch != math.MaxUint64 || n.Primary() {
 			t.Fatalf("body %q ran the action %d times and left the node at epoch %d (primary %v)", truncate(raw), *adopted, n.ringEpoch(), n.Primary())
+		}
+	})
+}
+
+// FuzzReshardRouteHostileQuery throws hostile target and add values at the
+// router's POST /admin/reshard over the fabric — two serving shards and a
+// spare node. Every answer is a typed 200, 400 or 409 with a decodable body;
+// a refusal leaves the router on its ring with no transition in flight and no
+// node pushed a ring change, and a published reshard routes the asked-for
+// shard count at the next epoch.
+func FuzzReshardRouteHostileQuery(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"3", "node-2.mem"}, {"1", ""}, {"2", ""}, {"0", ""}, {"-1", ""}, {"abc", ""},
+		{"99999999999999999999", ""}, {"3", ""}, {"3", "a:1,,b:2"}, {"3", "node-0.mem"},
+		{"3", "nobody.mem"}, {"4", "node-2.mem,x.mem"}, {"3", "node-2.mem+node-2.mem"},
+		{"1", "node-2.mem"}, {"3", strings.Repeat("x", 300)},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	allowed := map[int]bool{http.StatusOK: true, http.StatusBadRequest: true, http.StatusConflict: true}
+	f.Fuzz(func(t *testing.T, target, add string) {
+		rig := newCutoverRig(t, 2, 3)
+		old := rig.rt.Ring()
+		query := url.Values{"target": {target}, "add": {add}}.Encode()
+		rec := httptest.NewRecorder()
+		rig.rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/reshard?"+query, nil))
+		var body map[string]interface{}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !allowed[rec.Code] {
+			t.Fatalf("?%s answered %d %q (%v), want a decodable 200, 400 or 409", query, rec.Code, rec.Body, err)
+		}
+		ring := rig.rt.Ring()
+		if rig.rt.reshard.Load() != nil {
+			t.Fatalf("?%s left a transition in flight", query)
+		}
+		if rec.Code == http.StatusOK {
+			if n, _ := strconv.Atoi(target); ring.Epoch() != 2 || ring.NumShards() != n {
+				t.Fatalf("?%s published %d shards at epoch %d, want %d at epoch 2", query, ring.NumShards(), ring.Epoch(), n)
+			}
+			return
+		}
+		if body["error"] == "" || ring != old {
+			t.Fatalf("?%s answered %d %v and moved the router to %d shards at epoch %d", query, rec.Code, body, ring.NumShards(), ring.Epoch())
+		}
+		for _, s := range rig.shards {
+			if len(s.rings) != 0 {
+				t.Fatalf("?%s was refused, and %s adopted %+v", query, s.addr, s.rings)
+			}
 		}
 	})
 }

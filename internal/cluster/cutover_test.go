@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -107,13 +108,14 @@ func (s *memShard) Apply(_ context.Context, events []serve.IngestEvent) (serve.I
 
 // history lists the values of user's events in the shard's log, in log order.
 func (s *memShard) history(user string) []float64 {
-	hist, _, err := ingest.CollectUserEvents(s.log.Path(), func(u string) bool { return u == user })
-	if err != nil {
-		panic(err) // the rig's own log, written by the rig
-	}
 	var out []float64
-	for _, ev := range hist[user] {
-		out = append(out, ev.Value)
+	if err := ingest.ReplayLog(s.log.Path(), 0, func(_ uint64, ev ingest.Event) error {
+		if ev.User == user {
+			out = append(out, ev.Value)
+		}
+		return nil
+	}); err != nil {
+		panic(err) // the rig's own log, written by the rig
 	}
 	return out
 }
@@ -172,15 +174,6 @@ func (rig *cutoverRig) ring(epoch uint64, n int) *Ring {
 	return r
 }
 
-// nodes lists every shard's stream node, by ring index.
-func (rig *cutoverRig) nodes() []*Node {
-	out := make([]*Node, len(rig.shards))
-	for i, s := range rig.shards {
-		out[i] = s.node
-	}
-	return out
-}
-
 // write delivers one client event for user to the shard the router's write
 // path resolves right now, with the next value of the user's sequence.
 func (rig *cutoverRig) write(sent map[string][]float64, user string) {
@@ -231,12 +224,13 @@ func (rig *cutoverRig) guardOrder(published *atomic.Bool) {
 }
 
 // checkSettled asserts the end state of a finished or aborted reshard: the
-// router is out of the transition on the wanted ring, and every user's full
-// sequence sits exactly once, in order, in its owner's log.
+// router is out of the transition on the wanted epoch and shard count, and
+// every user's full sequence sits exactly once, in order, in its owner's log.
 func (rig *cutoverRig) checkSettled(want *Ring, sent map[string][]float64) {
 	rig.t.Helper()
-	if rig.rt.reshard.Load() != nil || rig.rt.Ring() != want {
-		rig.t.Fatalf("router resharding=%v on epoch %d, want settled on epoch %d", rig.rt.reshard.Load() != nil, rig.rt.Ring().Epoch(), want.Epoch())
+	if got := rig.rt.Ring(); rig.rt.reshard.Load() != nil || got.Epoch() != want.Epoch() || got.NumShards() != want.NumShards() {
+		rig.t.Fatalf("router resharding=%v on %d shards at epoch %d, want settled on %d at epoch %d",
+			rig.rt.reshard.Load() != nil, got.NumShards(), got.Epoch(), want.NumShards(), want.Epoch())
 	}
 	for user, values := range sent {
 		owner := want.Owner(user)
@@ -292,7 +286,7 @@ func TestReshardCutoverHappyPath(t *testing.T) {
 			}
 		}
 	})
-	stats, err := rig.rt.Reshard(next, rig.nodes())
+	stats, err := rig.rt.Reshard(next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,9 +310,9 @@ func TestReshardCutoverHappyPath(t *testing.T) {
 	}
 }
 
-// TestReshardCutoverRefusals: a nil ring, a stale epoch, a node set that does
-// not cover both rings and a ring with an unaddressed shard are refused, the
-// router stays settled on its ring, and no node is pushed a ring change.
+// TestReshardCutoverRefusals: a nil ring, a stale epoch, a ring of the same
+// shard count and a ring with an unaddressed shard are refused, the router
+// stays settled on its ring, and no node is pushed a ring change.
 func TestReshardCutoverRefusals(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	old := rig.rt.Ring()
@@ -327,10 +321,10 @@ func TestReshardCutoverRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, try := range map[string]func() (*ReshardStats, error){
-		"nil-ring":      func() (*ReshardStats, error) { return rig.rt.Reshard(nil, rig.nodes()) },
-		"stale-epoch":   func() (*ReshardStats, error) { return rig.rt.Reshard(rig.ring(1, 3), rig.nodes()) },
-		"missing-nodes": func() (*ReshardStats, error) { return rig.rt.Reshard(rig.ring(2, 3), rig.nodes()[:2]) },
-		"no-address":    func() (*ReshardStats, error) { return rig.rt.Reshard(unaddressed, rig.nodes()) },
+		"nil-ring":    func() (*ReshardStats, error) { return rig.rt.Reshard(nil) },
+		"stale-epoch": func() (*ReshardStats, error) { return rig.rt.Reshard(rig.ring(1, 3)) },
+		"same-count":  func() (*ReshardStats, error) { return rig.rt.Reshard(rig.ring(2, 2)) },
+		"no-address":  func() (*ReshardStats, error) { return rig.rt.Reshard(unaddressed) },
 	} {
 		if stats, err := try(); !errors.Is(err, ErrBadRing) || stats != nil {
 			t.Fatalf("%s: answered %+v, %v; want an ErrBadRing refusal", name, stats, err)
@@ -348,9 +342,10 @@ func TestReshardCutoverRefusals(t *testing.T) {
 
 // TestReshardCutoverShipFailureAborts breaks the destination after it has
 // acknowledged a few users: the cutover gives up, the router is back on the
-// old ring with no user left flipped and no ring pushed — and what already landed
-// is harmless, because a second attempt over the healed destination finds the
-// cursors where the first left them and ends exactly-once all the same.
+// old ring with no user left flipped and no ring pushed — and what already
+// landed is harmless, because a second attempt over the healed destination
+// runs under a newer epoch, reads what landed in the destination's log as
+// held, and ends exactly-once all the same.
 func TestReshardCutoverShipFailureAborts(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	sent := rig.seedHistories(90, 2)
@@ -359,14 +354,14 @@ func TestReshardCutoverShipFailureAborts(t *testing.T) {
 	healthy := rig.net[rig.shards[2].addr]
 	var chunks atomic.Int32
 	rig.net[rig.shards[2].addr] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if chunks.Add(1) > 4 {
+		if r.URL.Path == UserSpace.Route && chunks.Add(1) > 4 {
 			http.Error(w, "disk on fire", http.StatusInternalServerError)
 			return
 		}
 		healthy.ServeHTTP(w, r)
 	})
 	rig.onRing(func(RingChange) { t.Error("pushed the ring of an aborted reshard") })
-	stats, err := rig.rt.Reshard(next, rig.nodes())
+	stats, err := rig.rt.Reshard(next)
 	if err == nil || stats != nil {
 		t.Fatalf("reshard over a failing destination answered %+v, %v", stats, err)
 	}
@@ -388,15 +383,15 @@ func TestReshardCutoverShipFailureAborts(t *testing.T) {
 
 	rig.net[rig.shards[2].addr] = healthy
 	rig.onRing(func(RingChange) {})
-	stats, err = rig.rt.Reshard(next, rig.nodes())
+	stats, err = rig.rt.Reshard(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.EventsMigrated != 2*stats.UsersMoved-landed {
-		t.Fatalf("second attempt applied %d events for %d movers after %d had landed; want only the rest",
-			stats.EventsMigrated, stats.UsersMoved, landed)
+	if stats.EventsMigrated != 2*stats.UsersMoved-landed || stats.Epoch != 3 {
+		t.Fatalf("second attempt applied %d events for %d movers after %d had landed, at epoch %d; want only the rest, at epoch 3",
+			stats.EventsMigrated, stats.UsersMoved, landed, stats.Epoch)
 	}
-	rig.checkSettled(next, sent)
+	rig.checkSettled(rig.ring(3, 3), sent)
 }
 
 // TestReshardCutoverReturnToFormerOwner is A→B→A: users move to the added
@@ -407,7 +402,7 @@ func TestReshardCutoverReturnToFormerOwner(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	sent := rig.seedHistories(60, 2)
 	grown := rig.ring(2, 3)
-	if _, err := rig.rt.Reshard(grown, rig.nodes()); err != nil {
+	if _, err := rig.rt.Reshard(grown); err != nil {
 		t.Fatal(err)
 	}
 	returning := 0
@@ -427,7 +422,7 @@ func TestReshardCutoverReturnToFormerOwner(t *testing.T) {
 	rig.guardOrder(&published)
 	rig.onRing(func(RingChange) { published.Store(true) })
 	shrunk := rig.ring(3, 2)
-	stats, err := rig.rt.Reshard(shrunk, rig.nodes())
+	stats, err := rig.rt.Reshard(shrunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +467,7 @@ func TestReshardCutoverDrainCatchesLateAppend(t *testing.T) {
 			t.Errorf("pushed the ring with %q's late event still at its old owner (new owner holds %v)", late, got)
 		}
 	})
-	stats, err := rig.rt.Reshard(next, rig.nodes())
+	stats, err := rig.rt.Reshard(next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,12 +484,17 @@ func TestReshardCutoverNoProgressAborts(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	sent := rig.seedHistories(30, 2)
 	old := rig.rt.Ring()
-	rig.net[rig.shards[2].addr] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Ack{Cursor: 0})
+	stuck := rig.shards[2]
+	rig.net[stuck.addr] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == UserSpace.Route {
+			writeJSON(w, http.StatusOK, Ack{Cursor: 0})
+			return
+		}
+		stuck.ServeHTTP(w, r)
 	})
 	start := time.Now()
 	rig.onRing(func(RingChange) { t.Error("pushed the ring of an aborted reshard") })
-	stats, err := rig.rt.Reshard(rig.ring(2, 3), rig.nodes())
+	stats, err := rig.rt.Reshard(rig.ring(2, 3))
 	if err == nil || stats != nil {
 		t.Fatalf("reshard over a stuck destination answered %+v, %v", stats, err)
 	}
@@ -515,7 +515,7 @@ func TestReshardGrowsRouterMetrics(t *testing.T) {
 	}
 	rig.rt = rt
 	next := rig.ring(2, 3)
-	if _, err := rt.Reshard(next, rig.nodes()); err != nil {
+	if _, err := rt.Reshard(next); err != nil {
 		t.Fatal(err)
 	}
 	user := ""
@@ -730,4 +730,59 @@ func TestPromoteAgainAfterNewPrimaryDies(t *testing.T) {
 	if got := stale.rings[len(stale.rings)-1]; !got.Primary || got.WriteQuorum != 1 {
 		t.Fatalf("the second successor adopted %+v, want primary under write quorum 1", got)
 	}
+}
+
+// TestRouterReshardRoute drives the router's POST /admin/reshard over the
+// fabric: a GET is refused, a malformed target and a grow that does not name
+// its added shard are 400s that reach no node, a reshard Reshard refuses is a
+// 409, a grow naming the added shard's node is published with its stats, and
+// a shrink needs no add=.
+func TestRouterReshardRoute(t *testing.T) {
+	rig := newCutoverRig(t, 2, 3)
+	sent := rig.seedHistories(60, 2)
+	call := func(method, query string) (int, map[string]interface{}) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		rig.rt.Handler().ServeHTTP(w, httptest.NewRequest(method, "/admin/reshard"+query, nil))
+		var body map[string]interface{}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s %s answered %d with an undecodable body %q", method, query, w.Code, w.Body)
+		}
+		return w.Code, body
+	}
+	for _, tc := range []struct {
+		method, query string
+		status        int
+	}{
+		{http.MethodGet, "?target=3", http.StatusMethodNotAllowed},
+		{http.MethodPost, "", http.StatusBadRequest},
+		{http.MethodPost, "?target=abc", http.StatusBadRequest},
+		{http.MethodPost, "?target=0", http.StatusBadRequest},
+		{http.MethodPost, "?target=3", http.StatusBadRequest},
+		{http.MethodPost, "?target=1&add=" + rig.shards[2].addr, http.StatusBadRequest},
+		{http.MethodPost, "?target=3&add=a:1,,b:2", http.StatusBadRequest},
+		{http.MethodPost, "?target=2", http.StatusConflict},
+		{http.MethodPost, "?target=3&add=nobody.mem", http.StatusConflict},
+	} {
+		if status, body := call(tc.method, tc.query); status != tc.status || body["error"] == "" {
+			t.Fatalf("%s %s answered %d %v, want %d with an error", tc.method, tc.query, status, body, tc.status)
+		}
+	}
+	for _, s := range rig.shards {
+		if len(s.rings) != 0 || len(s.migrated) != 0 {
+			t.Fatalf("a refused reshard reached %s: rings %+v, %d migrated events", s.addr, s.rings, len(s.migrated))
+		}
+	}
+	rig.checkSettled(rig.ring(1, 2), sent)
+
+	status, body := call(http.MethodPost, "?target=3&add="+rig.shards[2].addr)
+	if status != http.StatusOK || body["to_shards"] != float64(3) || body["epoch"] != float64(2) {
+		t.Fatalf("the grow answered %d %v, want 200 with to_shards 3 at epoch 2", status, body)
+	}
+	rig.checkSettled(rig.ring(2, 3), sent)
+	status, body = call(http.MethodPost, "?target=2")
+	if status != http.StatusOK || body["to_shards"] != float64(2) || body["epoch"] != float64(3) {
+		t.Fatalf("the shrink answered %d %v, want 200 with to_shards 2 at epoch 3", status, body)
+	}
+	rig.checkSettled(rig.ring(3, 2), sent)
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ganc/internal/ingest"
 	"ganc/internal/serve"
 )
 
@@ -16,24 +15,27 @@ import (
 // grows or shrinks. Every shard holds the full trained model, so moving a
 // user means moving only what the model does not have — the user's ingested
 // interaction history, which the old owner's append-only write-ahead log
-// holds in per-user order. The old owner ships that history to the new owner
-// over POST /migrate — the cursor stream (stream.go) in the user key space:
-// positions index the user's history slice, one cursor per user — and the
-// new owner folds it through the same Ingestor machinery that serves its
-// reads (so the events land in the new owner's own WAL, durable and
-// replicated, before the router flips the user). This file holds what is
-// migration's own: per-user cursors seeded from the destination's WAL
-// (seedCursor makes the transfer exactly-once even across destination
-// restarts and users that migrate away and later return), the sender's
-// chunk iteration, the ring delta, and the staged cutover that sequences
-// them (Router.Reshard).
+// holds in per-user order. The router reads every involved log over POST
+// /replicate/tail and ships the part of each moving user's history its new
+// owner lacks over POST /migrate — the cursor stream (stream.go) in the user
+// key space: one cursor per user and transfer, positions indexing the shipped
+// part — and the new owner folds it through the same Ingestor machinery that
+// serves its reads (so the events land in the new owner's own WAL, durable
+// and replicated, before the router flips the user). Nothing is read by path:
+// the router reaches every node over HTTP alone. This file holds what is
+// migration's own: the epoch-scoped per-user cursors, the sender's chunk
+// iteration, the ring delta, and the staged cutover that sequences them
+// (Router.Reshard).
 
 // MigrationApplier is the destination side of the user stream: a receiver
-// with one cursor per moving user, seeded from the node's own write-ahead
-// log, plus the count of events applied that the race suite reads. One
-// applier guards one shard node; only a primary's accepts chunks.
+// with one cursor per moving user, plus the count of events applied that the
+// race suite reads. A transfer's cursors live for its epoch: a chunk from a
+// newer epoch — a new reshard, or a retry of an aborted one — starts every
+// cursor over, because the sender counts what the node holds afresh for each
+// attempt. One applier guards one shard node; only a primary's accepts chunks.
 type MigrationApplier struct {
 	receiver
+	at      uint64 // the epoch cursors belong to
 	cursors map[string]uint64
 	events  atomic.Int64
 }
@@ -43,26 +45,11 @@ type MigrationApplier struct {
 func NewMigrationApplier(shard int, epoch uint64, backend ReplicaBackend) *MigrationApplier {
 	ma := &MigrationApplier{
 		receiver: receiver{space: UserSpace, shard: shard, backend: backend},
+		at:       epoch,
 		cursors:  make(map[string]uint64),
 	}
 	ma.epoch.Store(epoch)
 	return ma
-}
-
-// seedCursor pre-positions a user's cursor at the number of that user's
-// events already present in the destination's own WAL, so a history prefix
-// the node already holds (an earlier migration round, a restart mid-transfer,
-// a user returning to a former owner) is acknowledged instead of applied
-// twice. The cursor only ever moves forward.
-func (ma *MigrationApplier) seedCursor(user string, idx uint64) {
-	if user == "" {
-		return
-	}
-	ma.mu.Lock()
-	if idx > ma.cursors[user] {
-		ma.cursors[user] = idx
-	}
-	ma.mu.Unlock()
 }
 
 // Cursor returns the applier's cursor into the user's history (0 when the
@@ -87,6 +74,14 @@ func (ma *MigrationApplier) Apply(ctx context.Context, c *Chunk) (Ack, error) {
 	}
 	ma.mu.Lock()
 	defer ma.mu.Unlock()
+	switch {
+	case c.Epoch < ma.at: // a newer transfer began between the fence and the lock
+		return Ack{Key: c.Key, Cursor: ma.cursors[c.Key]},
+			fmt.Errorf("%w: chunk from epoch %d, the node's transfer is at epoch %d", ErrStreamEpoch, c.Epoch, ma.at)
+	case c.Epoch > ma.at:
+		clear(ma.cursors)
+		ma.at = c.Epoch
+	}
 	ack, err := ma.sequence(ctx, c, ma.cursors[c.Key])
 	if err != nil {
 		return ack, err
@@ -101,12 +96,12 @@ func (ma *MigrationApplier) Apply(ctx context.Context, c *Chunk) (Ack, error) {
 
 // --- Sender side ---------------------------------------------------------------
 
-// shipUserHistory streams one user's complete event history to its next
-// owner over POST /migrate in cursor-sequenced chunks of batch events,
+// shipUserHistory streams the events of one user's history its next owner
+// lacks over POST /migrate in cursor-sequenced chunks of batch events,
 // converging on the destination's acknowledged cursor: duplicates advance it
 // for free, gap refusals rewind the send position, and transient transport
 // failures are retried with backoff. It returns how many events the
-// destination actually applied (0 when it already held the full history).
+// destination actually applied (0 when a re-ship finds them all acknowledged).
 //
 // The per-chunk timeout is generous: during a reshard under saturating load
 // the destination queues migration posts behind cold-cache serving traffic,
@@ -202,24 +197,24 @@ const (
 
 // Reshard moves the router, and the shard set behind it, from the current
 // ring to next — a grow or a shrink at epoch E+1 — with a staged cutover that
-// no client sees. primaries holds every involved shard's live primary by ring
-// index (the old ring's shards and the next ring's; each node knows its own
-// write-ahead log and /migrate cursors); next carries the addresses chunks
-// are shipped to. The steps, in the only order that is exactly-once:
+// no client sees. It reaches the nodes over HTTP alone: next carries the
+// address of every shard it adds, and the current ring of every shard it
+// retires. The steps, in the only order that is exactly-once:
 //
-//  1. count: one pass over every log yields the moving set (users with
-//     history whose owner changes; users without history need no migration —
-//     every shard holds the full trained baseline) and seeds each
-//     destination's cursors with the prefix it already holds, before any
-//     write can race them, so a user returning to a former owner is not
-//     applied twice;
+//  1. count: the write-ahead log of every involved primary is read over
+//     POST /replicate/tail, which yields the moving set (users with history
+//     whose owner changes; users without history need no migration — every
+//     shard holds the full trained baseline) and how many events of each
+//     mover its new owner already holds — read before any write can race it,
+//     so a user returning to a former owner is not applied twice;
 //  2. begin: writes route by next from here on, freezing the movers'
 //     histories at their old owners; their reads stay on the old owner;
 //  3. ship, then flip: a user's reads move only after the new owner has
-//     acknowledged the user's whole history;
-//  4. drain: further passes catch appends from requests already in flight at
-//     begin (the ring predicate, not the moving set, decides what ships, so a
-//     user whose first event raced the count is caught too);
+//     acknowledged the part of the user's history it lacked;
+//  4. drain: further passes read what the old owners' logs appended since
+//     and catch writes from requests already in flight at begin (the ring
+//     predicate, not the moving set, decides what ships, so a user whose
+//     first event raced the count is caught too);
 //  5. commit: every node of next is pushed its place in it over POST
 //     /admin/ring (control.go), then the router leaves the transition on
 //     next.
@@ -227,69 +222,74 @@ const (
 // Begin and commit hold the router's ring-change lock, so a promotion is
 // refused in between. Any error before the commit aborts: routing reverts to
 // the current ring with no user left flipped, and what already landed at a
-// destination is harmless — its cursors make the next attempt acknowledge
-// it. A push a node refused at the commit is returned alongside the stats:
-// the ring is published all the same. Ingest accepted during the window is
-// serialized by the user's new owner and may sit ahead of the migrated
-// history in that owner's log; per-source order holds, cross-owner order is
-// not re-established (DESIGN.md §14).
-func (rt *Router) Reshard(next *Ring, primaries []*Node) (*ReshardStats, error) {
+// destination is harmless — the next attempt runs under a newer epoch and
+// counts it as held. A push a node refused at the commit is returned
+// alongside the stats: the ring is published all the same. Ingest accepted
+// during the window is serialized by the user's new owner and may sit ahead
+// of the migrated history in that owner's log; per-source order holds,
+// cross-owner order is not re-established (DESIGN.md §14).
+func (rt *Router) Reshard(next *Ring) (*ReshardStats, error) {
 	if next == nil {
 		return nil, fmt.Errorf("%w: reshard needs a next ring", ErrBadRing)
 	}
 	old := rt.Ring()
 	oldN, target := old.NumShards(), next.NumShards()
-	if len(primaries) < max(oldN, target) {
-		return nil, fmt.Errorf("%w: a %d→%d reshard needs every shard's primary, got %d", ErrBadRing, oldN, target, len(primaries))
+	if target == oldN {
+		return nil, fmt.Errorf("%w: the next ring keeps the %d shards of the current one", ErrBadRing, oldN)
 	}
-	stats := &ReshardStats{FromShards: oldN, ToShards: target, Epoch: next.Epoch()}
+	for _, s := range next.Shards() {
+		if s.Addr == "" {
+			return nil, fmt.Errorf("%w: shard %d has no address", ErrBadRing, s.ID)
+		}
+	}
 
-	counts := make([]map[string]uint64, len(primaries))
-	for i, n := range primaries {
-		counts[i] = make(map[string]uint64)
-		if err := ingest.ReplayLog(n.walPath, 0, func(_ uint64, ev ingest.Event) error {
-			counts[i][ev.User]++
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("cluster: scanning shard %d write-ahead log: %w", i, err)
+	logs := make([]*shardLog, max(oldN, target))
+	for i := range logs {
+		ring := old
+		if i >= oldN {
+			ring = next
+		}
+		logs[i] = &shardLog{addr: ring.Shard(i).Addr, shard: i, counts: make(map[string]uint64),
+			leaving: make(map[string][]serve.IngestEvent)}
+		if err := logs[i].pull(rt.client, old, next); err != nil {
+			return nil, err
 		}
 	}
 	var keys []string
-	for _, c := range counts[:oldN] {
-		for u := range c {
+	for _, l := range logs[:oldN] {
+		for u := range l.counts {
 			keys = append(keys, u)
 		}
 	}
 	moving := movedUsers(old, next, keys)
-	stats.UsersMoved = len(moving)
+	held := make(map[string]uint64, len(moving))
 	for u, mv := range moving {
-		primaries[mv.To].Migrator.seedCursor(u, counts[mv.To][u])
+		held[u] = logs[mv.To].counts[u]
 	}
 
 	ddBefore := rt.doubleDispatches.Load()
 	cutStart := time.Now()
 	rt.topo.Lock()
-	err := rt.beginReshard(next, moving)
+	next, err := rt.beginReshard(next, moving)
 	rt.topo.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	stats := &ReshardStats{FromShards: oldN, ToShards: target, Epoch: next.Epoch(), UsersMoved: len(moving)}
 	shipped := make(map[string]uint64)
 	shipPass := func() (int, error) {
 		total := 0
-		for s := range oldN {
-			hist, _, err := ingest.CollectUserEvents(primaries[s].walPath, func(u string) bool {
-				return old.Owner(u) == s && next.Owner(u) != s
-			})
-			if err != nil {
-				return total, fmt.Errorf("cluster: collecting shard %d histories: %w", s, err)
+		for _, l := range logs[:oldN] {
+			if err := l.pull(rt.client, old, next); err != nil {
+				return total, err
 			}
-			for u, evs := range hist {
+			for u, evs := range l.leaving {
 				if uint64(len(evs)) <= shipped[u] {
 					continue
 				}
 				dest := next.Shard(next.Owner(u))
-				applied, err := shipUserHistory(rt.client, dest.Addr, dest.ID, next.Epoch(), u, evs, migrateBatch)
+				applied, err := shipUserHistory(rt.client, dest.Addr, dest.ID, next.Epoch(), u,
+					evs[min(held[u], uint64(len(evs))):], migrateBatch)
 				if err != nil {
 					return total, err
 				}
@@ -335,4 +335,32 @@ func (rt *Router) Reshard(next *Ring, primaries []*Node) (*ReshardStats, error) 
 	stats.CutoverMs = float64(time.Since(cutStart).Microseconds()) / 1000.0
 	stats.DoubleDispatches = rt.doubleDispatches.Load() - ddBefore
 	return stats, pushErr
+}
+
+// shardLog is one involved primary's write-ahead log as far as a reshard has
+// read it over TailPath: how many events each user has in it, and the
+// histories of the users leaving the shard for another owner.
+type shardLog struct {
+	addr    string
+	shard   int
+	read    uint64
+	counts  map[string]uint64
+	leaving map[string][]serve.IngestEvent
+}
+
+// pull reads the records the log appended since the last pull (the log is
+// append-only, so what was read stays true) and files them.
+func (l *shardLog) pull(client *http.Client, old, next *Ring) error {
+	events, err := fetchWALTail(context.Background(), client, l.addr, l.shard, l.read, toLogEnd)
+	if err != nil {
+		return fmt.Errorf("cluster: reading shard %d's write-ahead log: %w", l.shard, err)
+	}
+	l.read += uint64(len(events))
+	for _, ev := range events {
+		l.counts[ev.User]++
+		if old.Owner(ev.User) == l.shard && next.Owner(ev.User) != l.shard {
+			l.leaving[ev.User] = append(l.leaving[ev.User], ev)
+		}
+	}
+	return nil
 }

@@ -97,7 +97,7 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 	if len(moving) == 0 {
 		t.Fatal("fixture moved no users")
 	}
-	if err := rt.beginReshard(next, moving); err != nil {
+	if _, err := rt.beginReshard(next, moving); err != nil {
 		t.Fatal(err)
 	}
 	if rt.reshard.Load() == nil {
@@ -213,17 +213,17 @@ func TestRouterReshardStateMachineRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.beginReshard(old, nil); err == nil {
+	if _, err := rt.beginReshard(old, nil); err == nil {
 		t.Fatal("begin accepted a ring at the current epoch")
 	}
 	if err := rt.completeReshard(); err == nil {
 		t.Fatal("complete accepted with no transition in flight")
 	}
 	moving := movedUsers(old, next, keys)
-	if err := rt.beginReshard(next, moving); err != nil {
+	if _, err := rt.beginReshard(next, moving); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.beginReshard(next, moving); err == nil {
+	if _, err := rt.beginReshard(next, moving); err == nil {
 		t.Fatal("begin accepted a second in-flight transition")
 	}
 	rt.abortReshard()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,34 +10,28 @@ import (
 	"testing"
 )
 
-// TestMigrationApplierSeedCursor: a destination that already holds a prefix
-// of the user's history (its own WAL) acknowledges that prefix instead of
-// applying it twice, and the seed never rewinds an advanced cursor.
-func TestMigrationApplierSeedCursor(t *testing.T) {
+// TestMigrationApplierCursorsPerEpoch: a user's cursor belongs to the
+// transfer's epoch. A chunk from a newer epoch — the next reshard, or the
+// retry of an aborted one, whose sender counted afresh what the node holds —
+// starts the cursor over, and the older epoch is refused from then on.
+func TestMigrationApplierCursorsPerEpoch(t *testing.T) {
 	ctx := context.Background()
 	backend := &countingBackend{}
 	ma := NewMigrationApplier(0, 1, backend)
-	ma.seedCursor("bob", 3)
-	if got := ma.Cursor("bob"); got != 3 {
-		t.Fatalf("seeded cursor = %d, want 3", got)
+	if ack, err := ma.Apply(ctx, &Chunk{Shard: 0, Epoch: 1, Key: "bob", First: 1, Head: 3, Events: userEvs("bob", 1, 3)}); err != nil || ack.Cursor != 3 || !ack.Done {
+		t.Fatalf("epoch-1 transfer answered %+v, %v", ack, err)
 	}
-	// A full re-ship of 5 events applies only the unseen 2.
-	resp, err := ma.Apply(ctx, &Chunk{Shard: 0, Epoch: 1, Key: "bob",
-		First: 1, Head: 5, Events: userEvs("bob", 1, 5)})
-	if err != nil || resp.Applied != 2 || resp.Cursor != 5 || !resp.Done {
-		t.Fatalf("seeded overlap answered %+v, %v", resp, err)
+	// The retry under epoch 2 ships only the two events the node lacked, as
+	// positions 1 and 2 of its own transfer.
+	ack, err := ma.Apply(ctx, &Chunk{Shard: 0, Epoch: 2, Key: "bob", First: 1, Head: 2, Events: userEvs("bob", 4, 2)})
+	if err != nil || ack.Applied != 2 || ack.Cursor != 2 || !ack.Done || ma.Cursor("bob") != 2 {
+		t.Fatalf("epoch-2 transfer answered %+v, %v; want both events applied at cursor 2", ack, err)
 	}
-	// Seeding backward is a no-op.
-	ma.seedCursor("bob", 1)
-	if got := ma.Cursor("bob"); got != 5 {
-		t.Fatalf("cursor rewound to %d after a stale seed", got)
+	if _, err := ma.Apply(ctx, &Chunk{Shard: 0, Epoch: 1, Key: "bob", First: 4, Head: 4, Events: userEvs("bob", 4, 1)}); !errors.Is(err, ErrStreamEpoch) {
+		t.Fatalf("a chunk of the older transfer answered %v, want ErrStreamEpoch", err)
 	}
-	backend.mu.Lock()
-	defer backend.mu.Unlock()
-	for i, ev := range backend.events {
-		if ev.Value != float64(i+4) {
-			t.Fatalf("event %d has value %v, want %d (the seeded prefix must be skipped)", i, ev.Value, i+4)
-		}
+	if got := backend.values(); fmt.Sprint(got) != fmt.Sprint([]float64{1, 2, 3, 4, 5}) {
+		t.Fatalf("backend holds %v, want each event once, in order", got)
 	}
 }
 
@@ -52,25 +47,27 @@ func migrateServer(t testing.TB, ma *MigrationApplier) string {
 }
 
 // TestShipUserHistoryConverges: the sender chunks a history, converges on the
-// destination's cursor, skips prefixes the destination already holds, and a
-// full re-ship applies nothing.
+// destination's cursor — skipping what a lost acknowledgment already landed —
+// and a full re-ship applies nothing.
 func TestShipUserHistoryConverges(t *testing.T) {
 	backend := &countingBackend{}
 	ma := NewMigrationApplier(2, 3, backend)
 	addr := migrateServer(t, ma)
-	history := userEvs("carol", 1, 23)
+	history := userEvs("carol", 6, 18)
 
-	// The destination already holds the first 5 events (its own WAL).
-	ma.seedCursor("carol", 5)
+	// The first 5 events landed, and their acknowledgment was lost.
+	if _, err := ma.Apply(context.Background(), &Chunk{Shard: 2, Epoch: 3, Key: "carol", First: 1, Head: 18, Events: history[:5]}); err != nil {
+		t.Fatal(err)
+	}
 	applied, err := shipUserHistory(http.DefaultClient, addr, 2, 3, "carol", history, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 18 {
-		t.Fatalf("shipped %d events, want 18 (5 already held)", applied)
+	if applied != 13 {
+		t.Fatalf("shipped %d events, want 13 (5 already landed)", applied)
 	}
-	if got := ma.Cursor("carol"); got != 23 {
-		t.Fatalf("destination cursor %d, want 23", got)
+	if got := ma.Cursor("carol"); got != 18 {
+		t.Fatalf("destination cursor %d, want 18", got)
 	}
 
 	// Idempotent re-ship: every chunk is a duplicate acknowledgment.

@@ -133,8 +133,9 @@ type Router struct {
 
 	// topo serializes ring changes: a promotion, and a reshard's begin and
 	// its commit (control.go). Under it, pushed is the highest ring epoch
-	// the router has pushed to a node or heard a node hold — a ring change
-	// the router starts must be newer — and quorums the write quorum the
+	// the router has handed out — pushed to a node, shipped migration chunks
+	// under, or heard a node hold — which a ring change the router starts
+	// must exceed (fresh), and quorums the write quorum the
 	// router gave each primary it promoted, by address, for when the
 	// detector never sampled that primary before it died.
 	topo    sync.Mutex
@@ -261,16 +262,17 @@ func (rt *Router) Owner(userKey string) int { return rt.Ring().Owner(userKey) }
 // at their old owners), while reads for the moving users stay on their old
 // owners until flipUser raises their flip bit. Reshard (migrate.go), which
 // sequences these four steps, is the one path through a shard-count change.
-// Only one reshard may be in flight at a time.
-func (rt *Router) beginReshard(next *Ring, moving map[string]UserMove) error {
-	if cur := max(rt.Ring().Epoch(), rt.pushed); next.Epoch() <= cur {
-		return fmt.Errorf("%w: next ring epoch %d is not newer than epoch %d, the newest the router has pushed",
-			ErrBadRing, next.Epoch(), cur)
+// Only one reshard may be in flight at a time. The ring the transition runs
+// under is returned: next, renumbered above every epoch the router has handed
+// out when an earlier attempt or promotion already used its epoch. The caller
+// holds rt.topo.
+func (rt *Router) beginReshard(next *Ring, moving map[string]UserMove) (*Ring, error) {
+	if cur := rt.Ring().Epoch(); next.Epoch() <= cur {
+		return nil, fmt.Errorf("%w: next ring epoch %d is not newer than the current epoch %d", ErrBadRing, next.Epoch(), cur)
 	}
-	for _, s := range next.Shards() {
-		if s.Addr == "" {
-			return fmt.Errorf("%w: shard %d has no address", ErrBadRing, s.ID)
-		}
+	next, err := rt.fresh(next)
+	if err != nil {
+		return nil, err
 	}
 	rs := &reshardState{next: next, users: make(map[string]*migratingUser, len(moving)), began: time.Now()}
 	for user, mv := range moving {
@@ -279,9 +281,12 @@ func (rt *Router) beginReshard(next *Ring, moving map[string]UserMove) error {
 	// Rows first: writes route by the next ring as soon as rs is in.
 	rt.rm.grow(next.NumShards())
 	if !rt.reshard.CompareAndSwap(nil, rs) {
-		return fmt.Errorf("%w: a reshard is already in flight", ErrBadRing)
+		return nil, fmt.Errorf("%w: a reshard is already in flight", ErrBadRing)
 	}
-	return nil
+	// Migration chunks carry the epoch from here on, and a destination adopts
+	// it: a retry after an abort must run under a newer one.
+	rt.pushed = next.Epoch()
+	return next, nil
 }
 
 // flipUser cuts one moving user over to its new owner, once the user's
@@ -535,7 +540,8 @@ func readShardBody(resp *http.Response) ([]byte, error) {
 
 // Handler returns the router's HTTP surface. The routes mirror the shard
 // servers', so a client cannot tell a router from a single node apart from
-// the extra cluster detail in /info.
+// the extra cluster detail in /info — and the one admin route, POST
+// /admin/reshard (control.go).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/health", rt.handleHealth)
@@ -544,6 +550,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/recommend/batch", rt.handleBatch)
 	mux.HandleFunc("/ingest", rt.handleIngest)
 	mux.HandleFunc("/users", rt.handleUsers)
+	mux.HandleFunc("/admin/reshard", rt.handleReshard)
 	if rt.metrics != nil {
 		mux.Handle("/metrics", rt.metrics.Handler())
 	}

@@ -398,8 +398,9 @@ func storeMax(a *atomic.Uint64, v uint64) {
 type Node struct {
 	// Replica is the /replicate receiver (open while the node is a replica).
 	Replica *ReplicaApplier
-	// Migrator is the /migrate receiver (open while the node is a primary).
-	Migrator *MigrationApplier
+	// migrator is the /migrate receiver (open while the node is a primary);
+	// only the route reaches it — the router ships over the wire.
+	migrator *MigrationApplier
 
 	shard   int
 	walPath string
@@ -419,7 +420,7 @@ type Node struct {
 func NewNode(shard int, epoch uint64, backend ReplicaBackend, walPath string, adopt func(RingChange) error) *Node {
 	n := &Node{
 		Replica:  NewReplicaApplier(shard, epoch, backend),
-		Migrator: NewMigrationApplier(shard, epoch, backend),
+		migrator: NewMigrationApplier(shard, epoch, backend),
 		shard:    shard,
 		walPath:  walPath,
 		ring:     RingChange{Shard: shard, Epoch: epoch},
@@ -432,7 +433,7 @@ func NewNode(shard int, epoch uint64, backend ReplicaBackend, walPath string, ad
 // SetPrimary flips the node's role.
 func (n *Node) SetPrimary(primary bool) {
 	n.Replica.refuses.Store(primary)
-	n.Migrator.refuses.Store(!primary)
+	n.migrator.refuses.Store(!primary)
 }
 
 // Primary reports whether the node currently holds the primary role.
@@ -441,7 +442,7 @@ func (n *Node) Primary() bool { return n.Replica.refuses.Load() }
 // SetEpoch moves both receivers to a new ring epoch.
 func (n *Node) SetEpoch(epoch uint64) {
 	n.Replica.SetEpoch(epoch)
-	n.Migrator.SetEpoch(epoch)
+	n.migrator.SetEpoch(epoch)
 }
 
 // Mount returns the node's HTTP surface: the three stream routes, the
@@ -450,7 +451,7 @@ func (n *Node) SetEpoch(epoch uint64) {
 func (n *Node) Mount(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle(ShardSpace.Route, streamHandler(ShardSpace, n.Replica))
-	mux.Handle(UserSpace.Route, streamHandler(UserSpace, n.Migrator))
+	mux.Handle(UserSpace.Route, streamHandler(UserSpace, n.migrator))
 	mux.Handle(TailPath, NewWALTailHandler(n.shard, n.walPath))
 	mux.HandleFunc(RingPath, n.handleRing)
 	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {

@@ -47,9 +47,6 @@ type (
 	// ShardAdmissionStatus is one shard's admission row in the router's
 	// aggregated /health: shed counts and limiter saturation.
 	ShardAdmissionStatus = cluster.ShardAdmission
-	// ReplicaHealthStatus is one replica's liveness/lag row in the router's
-	// aggregated /health.
-	ReplicaHealthStatus = cluster.ReplicaHealth
 	// ReplicationStatus is a node's replication role and cursor/lag report,
 	// exposed through /health and the ganc_replication_* metric series.
 	ReplicationStatus = serve.ReplicationStatus
@@ -97,7 +94,6 @@ type clusterConfig struct {
 	writeQuorum     int
 	autoFailover    bool
 	detectInterval  time.Duration
-	suspectAfter    int
 	dir             string
 	cacheCap        int
 	checkpointEvery int
@@ -144,13 +140,13 @@ func WithAutoFailover() ClusterOption {
 	return func(c *clusterConfig) { c.autoFailover = true }
 }
 
-// WithFailureDetection tunes the shared failure detector: the /health
-// sampling interval and how many consecutive missed probes turn a node
-// suspected (defaults 250ms and 3 — suspicion after ~750ms of sustained
-// unreachability). The detector runs on every replicated cluster; this knob
-// mainly serves chaos drills that want a tighter suspicion window.
-func WithFailureDetection(interval time.Duration, suspectAfter int) ClusterOption {
-	return func(c *clusterConfig) { c.detectInterval, c.suspectAfter = interval, suspectAfter }
+// WithFailureDetection sets the shared failure detector's /health sampling
+// interval (default 250ms). A node turns suspected after 3 consecutive missed
+// probes — with the default interval, ~750ms of sustained unreachability. The
+// detector runs on every replicated cluster; this knob mainly serves chaos
+// drills that want a tighter suspicion window.
+func WithFailureDetection(interval time.Duration) ClusterOption {
+	return func(c *clusterConfig) { c.detectInterval = interval }
 }
 
 // WithClusterDir places the shard snapshots and write-ahead logs in dir
@@ -342,11 +338,9 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 	// operator.
 	c.router, err = cluster.NewRouter(cluster.RouterConfig{
 		Ring:           ring,
-		Retries:        2,
 		Metrics:        c.cfg.metrics,
 		Admission:      c.cfg.routerAdmit,
 		DetectInterval: cfg.detectInterval,
-		SuspectAfter:   cfg.suspectAfter,
 		AutoFailover:   cfg.autoFailover,
 	})
 	if err != nil {

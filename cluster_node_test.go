@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"ganc/internal/ingest"
 )
 
 // replicatedTestCluster boots a replicated cluster over the standard small
@@ -173,6 +177,57 @@ func TestClusterRejoinPullsLostWAL(t *testing.T) {
 	if len(want) == 0 || !bytes.Equal(got, want) {
 		t.Fatalf("rejoined node's fingerprint (%d bytes) differs from the primary's (%d bytes)", len(got), len(want))
 	}
+}
+
+// TestOpenShardNodeRefusesShortLog: a node restarted over the snapshot its
+// primary checkpointed into, with a log of its own that ends before the
+// snapshot's cursor, is refused at open — booting it would number its next
+// events from the log's end and fork the shard's history. The primary's own
+// log, which reaches the cursor, opens.
+func TestOpenShardNodeRefusesShortLog(t *testing.T) {
+	p, _ := clusterTestPipeline(t)
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "shard-000.snap")
+	if err := p.SaveShard(snap, ShardIdentity{ShardID: 0, NumShards: 1, RingEpoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	open := func(wal string) (*ShardNode, error) {
+		pipe, id, err := LoadShardEngine(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return OpenShardNode(pipe, id, wal, snap, 0)
+	}
+	primaryWAL := filepath.Join(dir, "primary.wal")
+	primary, err := open(primaryWAL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.MakePrimary(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	evs := []IngestEvent{{User: "u-1", Item: "it-1", Value: 5}, {User: "u-2", Item: "it-2", Value: 4}}
+	if _, err := primary.ing.Apply(context.Background(), evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.ing.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if node, err := open(filepath.Join(dir, "replica.wal")); !errors.Is(err, ingest.ErrShortLog) {
+		if node != nil {
+			node.Close()
+		}
+		t.Fatalf("a fresh log under a snapshot at event %d opened with %v, want ingest.ErrShortLog", len(evs), err)
+	}
+	node, err := open(primaryWAL)
+	if err != nil {
+		t.Fatalf("the primary's own log, which reaches the snapshot's cursor, was refused: %v", err)
+	}
+	node.Close()
 }
 
 // countRecords counts a write-ahead log's committed records.

@@ -214,7 +214,7 @@ func TestScenarioAutoFailoverKillPrimaryMidLoad(t *testing.T) {
 		},
 	}
 	res, err := RunClusterScenario(context.Background(), sc, t.TempDir(), SimSystemConfig{}, 2, 2,
-		WithWriteQuorum(2), WithAutoFailover(), WithFailureDetection(50*time.Millisecond, 3))
+		WithWriteQuorum(2), WithAutoFailover(), WithFailureDetection(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,19 @@
 //	            writes answer a typed 409, POST /replicate applies the
 //	            primary's committed batches into the node's own write-ahead
 //	            log, /health reports the replication cursor and lag — and
-//	            flipped to primary when the router's ring push names it
+//	            flipped to primary when the router's ring push names it. A
+//	            node whose -ingest-log ends before its snapshot's cursor
+//	            (a replica restarted over a snapshot its primary
+//	            checkpointed into) is refused at start-up
 //	router      scatter-gather front over -peers: proxies /recommend, fans
 //	            /recommend/batch and /ingest out by user ownership, merges,
 //	            aggregates /info and /health, answers typed 503s for dead
-//	            shards. A "primary+replica" peer entry makes the router run
-//	            its failure detector (-detect-interval-ms, -suspect-after)
-//	            and fail reads over to that shard's replicas from the
-//	            detector's cached view, bounded by -max-replica-lag;
+//	            shards; a failed shard call is retried twice, a write only
+//	            when the shard cannot have applied it. A "primary+replica"
+//	            peer entry makes the router run its failure detector
+//	            (-detect-interval-ms; 3 missed probes suspect a node) and
+//	            fail reads over to that shard's replicas from the detector's
+//	            cached view, to a replica at most 1024 events behind;
 //	            -auto-failover promotes a suspected-dead primary's freshest
 //	            replica by pushing the next ring to every node over
 //	            POST /admin/ring. POST /admin/reshard grows or shrinks the
@@ -101,12 +106,9 @@ type options struct {
 	writeQuorum              int
 	autoFailover             bool
 	detectIntervalMs         int
-	suspectAfter             int
-	maxReplicaLag            int64
 	cache                    int
 	ingestLog                string
 	checkpointInterval       int
-	retries                  int
 	metrics                  bool
 	requestLog               string
 	rateLimit, rateBurst     float64
@@ -129,7 +131,7 @@ var roleFlags = []struct{ role, flags string }{
 	// A node started as a replica ships to no one and never checkpoints on
 	// its own (it may share the snapshot file with its primary).
 	{"replica", "load serve ingest-log shards shard-id epoch cache"},
-	{"router", "peers serve epoch retries max-replica-lag detect-interval-ms suspect-after auto-failover"},
+	{"router", "peers serve epoch detect-interval-ms auto-failover"},
 }
 
 // readers lists the roles that read the flag, in table order.
@@ -163,14 +165,11 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.writeQuorum, "write-quorum", 0, "k-of-n quorum writes: ack a committed batch only after k replicas hold it (shard role; 0 = ship without waiting)")
 	fs.BoolVar(&o.autoFailover, "auto-failover", false, "router role: promote a suspected-dead primary's freshest replica automatically, no operator call")
 	fs.IntVar(&o.detectIntervalMs, "detect-interval-ms", 0, "failure-detector /health sampling interval in ms (router role; 0 = default 250)")
-	fs.IntVar(&o.suspectAfter, "suspect-after", 0, "consecutive missed probes before the detector suspects a node (0 = default 3)")
-	fs.Int64Var(&o.maxReplicaLag, "max-replica-lag", 0, "router: max committed-event lag for a replica to serve a failover read (0 = default 1024, negative disables failover)")
 	fs.Uint64Var(&o.epoch, "epoch", 1, "hash-ring epoch (split, router; cross-checked in the shard and replica roles)")
 	fs.StringVar(&o.out, "out", "", "output directory for shard snapshots (split role)")
 	fs.IntVar(&o.cache, "cache", 0, "per-node LRU cache capacity (0 = serving default)")
 	fs.StringVar(&o.ingestLog, "ingest-log", "", "write-ahead log path (standalone, shard and replica roles)")
 	fs.IntVar(&o.checkpointInterval, "checkpoint-interval", 0, "checkpoint the snapshot every this many ingested events (standalone and shard roles; 0 = never)")
-	fs.IntVar(&o.retries, "retries", 2, "bounded retries per shard call before the router's typed 503 (router role)")
 	fs.BoolVar(&o.metrics, "metrics", false, "mount GET /metrics (Prometheus text format) on serving roles")
 	fs.StringVar(&o.requestLog, "request-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")
@@ -481,10 +480,7 @@ func runRouter(ctx context.Context, o options, stderr io.Writer) error {
 	defer cleanup()
 	cfg := ganc.RouterConfig{
 		Ring:           ring,
-		Retries:        o.retries,
-		MaxReplicaLag:  o.maxReplicaLag,
 		DetectInterval: time.Duration(o.detectIntervalMs) * time.Millisecond,
-		SuspectAfter:   o.suspectAfter,
 		AutoFailover:   o.autoFailover,
 		Admission:      o.admission(),
 		RequestLog:     log,

@@ -73,6 +73,9 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-role shard -serve :0 -replica-addrs h:1 -load " + shard0:                                         "needs a write-ahead log",
 		"-role cluster -serve :0 -load " + model:                                                           `unknown -role "cluster"`,
 		"-role router -serve :0 -peers a:1 -replicas 1":                                                    "flag provided but not defined: -replicas",
+		"-role router -serve :0 -peers a:1 -retries 0":                                                     "flag provided but not defined: -retries",
+		"-role router -serve :0 -peers a:1 -max-replica-lag 5":                                             "flag provided but not defined: -max-replica-lag",
+		"-role router -serve :0 -peers a:1 -suspect-after 2":                                               "flag provided but not defined: -suspect-after",
 
 		// A flag the role does not read is refused, not ignored: a node
 		// started as a replica ships to no one, a router's knobs mean nothing
@@ -81,9 +84,9 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		"-role replica -serve :0 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0:      "-replica-addrs does not apply to -role replica",
 		"-role replica -serve :0 -write-quorum 1 -ingest-log " + wal + " -load " + shard0:         "-write-quorum does not apply to -role replica",
 		"-role replica -serve :0 -checkpoint-interval 10 -ingest-log " + wal + " -load " + shard0: "-checkpoint-interval does not apply to -role replica",
-		"-role shard -serve :0 -max-replica-lag 5 -load " + shard0:                                "-max-replica-lag does not apply to -role shard (it is read by -role router)",
+		"-role shard -serve :0 -detect-interval-ms 5 -load " + shard0:                             "-detect-interval-ms does not apply to -role shard (it is read by -role router)",
 		"-role standalone -serve :0 -shards 5 -load " + model:                                     "-shards does not apply to -role standalone (it is read by -role split, shard, replica)",
-		"-role standalone -serve :0 -retries 0 -load " + model:                                    "-retries does not apply to -role standalone (it is read by -role router)",
+		"-role standalone -serve :0 -auto-failover -load " + model:                                "-auto-failover does not apply to -role standalone (it is read by -role router)",
 		"-role split -metrics -out " + dir + " -load " + model:                                    "-metrics does not apply to -role split",
 		"-role router -serve :0":                               "-peers",
 		"-role router -serve :0 -peers a:1,,b:2":               "-peers",
@@ -322,7 +325,7 @@ func TestRouterRoleAutoFailover(t *testing.T) {
 	start(shardCtx, fmt.Sprintf("-role shard -load %s -ingest-log %s -replica-addrs %s -write-quorum 1 -serve %s",
 		snap, filepath.Join(tmp, "s0.wal"), strings.Join(replicas, ","), shardAddr))
 	waitHealthy(t, shardAddr)
-	start(ctx, fmt.Sprintf("-role router -peers %s -auto-failover -detect-interval-ms 20 -suspect-after 2 -serve %s",
+	start(ctx, fmt.Sprintf("-role router -peers %s -auto-failover -detect-interval-ms 20 -serve %s",
 		strings.Join(append([]string{shardAddr}, replicas...), "+"), routerAddr))
 	waitHealthy(t, routerAddr)
 

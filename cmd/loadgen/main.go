@@ -357,7 +357,7 @@ func runScenarios(o options) error {
 	if o.autoFail {
 		// A tight suspicion window keeps the drill (and CI) fast: 50ms
 		// sampling, 3 consecutive misses → suspicion after ~150ms.
-		copts = append(copts, ganc.WithAutoFailover(), ganc.WithFailureDetection(50*time.Millisecond, 3))
+		copts = append(copts, ganc.WithAutoFailover(), ganc.WithFailureDetection(50*time.Millisecond))
 	}
 	target := "one node"
 	if o.shards > 0 {

@@ -131,7 +131,11 @@ func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) 
 		}
 		cfg.CheckpointEvery = c.checkpointEvery
 	}
-	return ingest.New(cfg)
+	ing, err := ingest.New(cfg)
+	if err != nil && cfg.Log != nil {
+		cfg.Log.Close() // the refusal is the error to report
+	}
+	return ing, err
 }
 
 // pipelineFromState reassembles a serving pipeline around the ingestion

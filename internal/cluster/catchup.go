@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"time"
 
 	"ganc/internal/ingest"
 	"ganc/internal/serve"
@@ -73,7 +72,7 @@ func fetchWALTail(ctx context.Context, client *http.Client, addr string, shard i
 		return nil, nil
 	}
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+		client = newClient()
 	}
 	var out []serve.IngestEvent
 	for next := after + 1; next <= upTo; {

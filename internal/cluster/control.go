@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -325,18 +324,17 @@ func (rt *Router) sendRing(p ringPush) error {
 	if err != nil {
 		return err
 	}
-	resp, err := rt.client.Post("http://"+p.addr+RingPath, "application/json", bytes.NewReader(body))
+	status, answer, err := exchange(context.Background(), rt.client, http.MethodPost, p.addr, RingPath, body, 1<<20)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", errUnreachable, p.addr, err)
 	}
-	defer resp.Body.Close()
 	var ans ringAnswer
 	// An undecodable answer still fails on its status.
-	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ans)
+	_ = json.Unmarshal(answer, &ans)
 	rt.pushed = max(rt.pushed, ans.Epoch)
-	if resp.StatusCode != http.StatusOK {
+	if status != http.StatusOK {
 		return fmt.Errorf("cluster: node %s refused the ring change to epoch %d: status %d, code %q: %s",
-			p.addr, p.c.Epoch, resp.StatusCode, ans.Code, ans.Error)
+			p.addr, p.c.Epoch, status, ans.Code, ans.Error)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -23,14 +24,14 @@ import (
 // request from the http.Handler registered under the request's host — no
 // socket, no goroutine. It plugs into the Client field every sender in this
 // package already takes. A host nobody registered, or a shard that is down,
-// refuses the connection.
+// refuses the connection: the dial fails, as it does on a real network.
 type fabric map[string]http.Handler
 
 // RoundTrip implements http.RoundTripper.
 func (f fabric) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, ok := f[req.URL.Host]
 	if s, isShard := h.(*memShard); !ok || isShard && s.down.Load() {
-		return nil, fmt.Errorf("fabric: connection refused: %s", req.URL.Host)
+		return nil, &net.OpError{Op: "dial", Net: "fabric", Err: fmt.Errorf("connection refused: %s", req.URL.Host)}
 	}
 	if req.Body == nil {
 		req = req.Clone(req.Context())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -32,7 +31,7 @@ type NodeLiveness struct {
 	// Alive reports whether the node answered its most recent probe with a
 	// decodable /health document.
 	Alive bool `json:"alive"`
-	// Suspected rises after SuspectAfter consecutive missed probes and falls
+	// Suspected rises after suspectAfter consecutive missed probes and falls
 	// on the first successful one. A suspected primary is skipped by the
 	// router's read path and, under auto-failover, triggers promotion.
 	Suspected bool `json:"suspected"`
@@ -53,16 +52,11 @@ type DetectorConfig struct {
 	// so promotions and reshards are picked up without restarting the
 	// detector. Required.
 	Ring func() *Ring
-	// Client is the HTTP client used for probes (default: keep-alive pooled,
-	// no global timeout — each probe is bounded on its own).
+	// Client is the HTTP client used for probes: the router's. Required;
+	// each probe is bounded on its own.
 	Client *http.Client
 	// Interval is the sampling period (default 250ms).
 	Interval time.Duration
-	// SuspectAfter is how many consecutive missed probes turn a node
-	// suspected (default 3). With the default interval, suspicion takes
-	// ~750ms of sustained unreachability — long enough to ride out a GC
-	// pause, short enough that failover beats a client timeout.
-	SuspectAfter int
 	// OnSuspectPrimary, when set, fires (in its own goroutine) the first
 	// time a shard's primary turns suspected, once per outage episode: the
 	// latch re-arms when the primary answers a probe again or the shard's
@@ -73,10 +67,18 @@ type DetectorConfig struct {
 	// Metrics, when set, registers the detector's probe and suspicion series.
 	Metrics *obs.Registry
 
-	// probeTimeout bounds one node's /health probe (default 1s); only the
-	// package's tests shorten it.
+	// probeTimeout bounds one node's /health probe (default 1s), and
+	// suspectAfter is the miss threshold (default suspectAfter); only the
+	// package's tests change them.
 	probeTimeout time.Duration
+	suspectAfter int
 }
+
+// suspectAfter is how many consecutive missed probes turn a node suspected.
+// With the default interval, suspicion takes ~750ms of sustained
+// unreachability — long enough to ride out a GC pause, short enough that
+// failover beats a client timeout.
+const suspectAfter = 3
 
 // detectorView is one immutable sample generation, swapped in atomically.
 // quorums holds, by primary address, the write quorum the node last reported
@@ -146,16 +148,11 @@ func newDetector(cfg DetectorConfig) *Detector {
 		client:       cfg.Client,
 		interval:     cfg.Interval,
 		probeTimeout: cfg.probeTimeout,
-		suspectAfter: cfg.SuspectAfter,
+		suspectAfter: cfg.suspectAfter,
 		onSuspect:    cfg.OnSuspectPrimary,
 		misses:       make(map[string]int),
 		fired:        make(map[int]string),
 		stop:         make(chan struct{}),
-	}
-	if d.client == nil {
-		transport := http.DefaultTransport.(*http.Transport).Clone()
-		transport.MaxIdleConnsPerHost = 16
-		d.client = &http.Client{Transport: transport}
 	}
 	if d.interval <= 0 {
 		d.interval = 250 * time.Millisecond
@@ -164,7 +161,7 @@ func newDetector(cfg DetectorConfig) *Detector {
 		d.probeTimeout = time.Second
 	}
 	if d.suspectAfter <= 0 {
-		d.suspectAfter = 3
+		d.suspectAfter = suspectAfter
 	}
 	if cfg.Metrics != nil {
 		d.dm = newDetectorMetrics(cfg.Metrics)
@@ -380,10 +377,10 @@ func (d *Detector) View() []NodeLiveness {
 }
 
 // FreshestReplica picks the best failover target among the given replica
-// addresses from the cached view: alive, not suspected, lag within maxLag,
-// highest applied cursor. An address the view does not cover yet is not a
-// candidate: unsampled means "no failover yet", never "probe inline".
-func (d *Detector) FreshestReplica(replicas []string, maxLag int64) (addr string, ok bool) {
+// addresses from the cached view: alive, not suspected, lag within maxLag
+// events, highest applied cursor. An address the view does not cover yet is
+// not a candidate: unsampled means "no failover yet", never "probe inline".
+func (d *Detector) FreshestReplica(replicas []string, maxLag uint64) (addr string, ok bool) {
 	v := d.view.Load()
 	if v == nil {
 		return "", false
@@ -391,10 +388,7 @@ func (d *Detector) FreshestReplica(replicas []string, maxLag int64) (addr string
 	var best NodeLiveness
 	for _, a := range replicas {
 		row, present := v.rows[a]
-		if !present || !row.Alive || row.Suspected {
-			continue
-		}
-		if maxLag >= 0 && row.LagEvents > uint64(maxLag) {
+		if !present || !row.Alive || row.Suspected || row.LagEvents > maxLag {
 			continue
 		}
 		if !ok || row.AppliedSeq > best.AppliedSeq {
@@ -408,21 +402,12 @@ func (d *Detector) FreshestReplica(replicas []string, maxLag int64) (addr string
 // sampling loop's one probe, and the one parser the hostile-input fuzz
 // target drives.
 func probeHealth(ctx context.Context, client *http.Client, addr string) (*serve.HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/health", nil)
+	status, body, err := exchange(ctx, client, http.MethodGet, addr, "/health", nil, maxShardResponse)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: node answered %d", ErrShardUnavailable, resp.StatusCode)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("%w: node answered %d", ErrShardUnavailable, status)
 	}
 	var health serve.HealthResponse
 	if err := json.Unmarshal(body, &health); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -65,6 +66,7 @@ func (n *healthNode) addr() string { return strings.TrimPrefix(n.ts.URL, "http:/
 func testDetector(t *testing.T, ring *Ring, cfg DetectorConfig) *Detector {
 	t.Helper()
 	cfg.Ring = func() *Ring { return ring }
+	cfg.Client = newClient()
 	d := newDetector(cfg)
 	t.Cleanup(d.Close)
 	return d
@@ -94,7 +96,7 @@ func TestDetectorSuspicionRisesAndClears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := testDetector(t, ring, DetectorConfig{SuspectAfter: 3})
+	d := testDetector(t, ring, DetectorConfig{})
 
 	d.sample()
 	row, ok := d.Node(primary.addr())
@@ -129,7 +131,7 @@ func TestDetectorSuspicionCallbackFiresOncePerEpisode(t *testing.T) {
 	}
 	var fired atomic.Int64
 	d := testDetector(t, ring, DetectorConfig{
-		SuspectAfter:     2,
+		suspectAfter:     2,
 		OnSuspectPrimary: func(int, string) { fired.Add(1) },
 	})
 
@@ -171,7 +173,7 @@ func TestFreshestReplicaPrefersHighestCursorAndSkipsSuspects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := testDetector(t, ring, DetectorConfig{SuspectAfter: 1})
+	d := testDetector(t, ring, DetectorConfig{suspectAfter: 1})
 	d.sample()
 
 	addr, ok := d.FreshestReplica(reps, 1024)
@@ -208,10 +210,10 @@ func TestFailoverReadSkipsSuspectedPrimaryWithZeroInlineProbes(t *testing.T) {
 	}
 	rt, d := detectorRouter(t, RouterConfig{
 		Ring:         ring,
-		SuspectAfter: 2,
+		suspectAfter: 2,
 		// A deliberately fat retry budget: if the suspected primary were still
 		// consulted, the hit counters below would show the attempts.
-		Retries:      5,
+		attempts:     6,
 		retryBackoff: time.Millisecond,
 	})
 
@@ -257,7 +259,7 @@ func TestFailoverReadSkipsSuspectedPrimaryWithZeroInlineProbes(t *testing.T) {
 // TestRouterOwnsItsDetector pins the wiring NewRouter does on its own: over a
 // replicated ring, with no detector handed in by anyone, a failed read falls
 // over from the router's cached view — zero /health GETs on the request path
-// — /health's replica rows come from the same view, and a replica the view
+// — /health's detector rows are the same view, and a replica the view
 // does not cover is "no failover yet", never an inline probe.
 func TestRouterOwnsItsDetector(t *testing.T) {
 	primary := newHealthNode(t, 0, "primary")
@@ -271,7 +273,7 @@ func TestRouterOwnsItsDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _ := detectorRouter(t, RouterConfig{Ring: ring, Retries: 0, retryBackoff: time.Millisecond})
+	rt, _ := detectorRouter(t, RouterConfig{Ring: ring, attempts: 1, retryBackoff: time.Millisecond})
 	// NewRouter's own first sample is the only probe either node ever sees.
 	if p, r := primary.healthHits.Load(), replica.healthHits.Load(); p != 1 || r != 1 {
 		t.Fatalf("after NewRouter the nodes saw %d/%d /health probes, want the detector's first sample (1/1)", p, r)
@@ -300,8 +302,9 @@ func TestRouterOwnsItsDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(health.Replicas) != 1 || !health.Replicas[0].Healthy || health.Replicas[0].AppliedSeq != 7 {
-		t.Fatalf("/health replica rows = %+v, want the cached healthy row at cursor 7", health.Replicas)
+	if k := slices.IndexFunc(health.Detector, func(row NodeLiveness) bool { return row.Addr == replica.addr() }); k < 0 ||
+		!health.Detector[k].Alive || health.Detector[k].AppliedSeq != 7 {
+		t.Fatalf("/health detector rows = %+v, want the cached alive replica row at cursor 7", health.Detector)
 	}
 	if n := replica.healthHits.Load(); n != 1 {
 		t.Fatalf("the read and the /health aggregation issued %d replica /health GETs, want 0", n-1)

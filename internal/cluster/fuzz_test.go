@@ -116,14 +116,18 @@ func hostileShard(status int, body []byte, declared int) *httptest.Server {
 
 // FuzzRouterHostileShardResponse stands a fake shard that answers every
 // request with attacker-controlled status, body and declared length, and
-// drives every router route through it. The router must never panic and must
-// answer each client with a bounded, well-formed status: a passthrough, a 4xx
-// of its own, or a typed 503. On POST /recommend/batch, where it merges
+// drives every router route through it, then a promotion and a reshard, so
+// that every kind of answer the router reads over its one exchange — shard
+// answers, /health probes, ring-push answers and tail-pull answers — comes
+// from the fuzzer. The router must never panic and must answer each client
+// with a bounded, well-formed status: a passthrough, a 4xx of its own, or a
+// typed 503. On POST /recommend/batch, where it merges
 // instead of relaying, a 200 is additionally a valid JSON document whose
 // envelope decodes — model, version, shards, and results holding exactly one
 // JSON object per requested user. The types of the fields inside an element
 // are not checked: the router relays an element's bytes as the single-user
-// passthrough has always relayed a whole body.
+// passthrough has always relayed a whole body. A promotion or a reshard
+// either publishes its ring or leaves the router on the one it had.
 func FuzzRouterHostileShardResponse(f *testing.F) {
 	f.Add(200, []byte("{}"), 0)
 	f.Add(200, []byte("\x00\xff not json"), 0)
@@ -135,6 +139,9 @@ func FuzzRouterHostileShardResponse(f *testing.F) {
 	for _, h := range hostileBatchAnswers {
 		f.Add(200, []byte(h.body), h.declared)
 	}
+	// A gap at cursor 0 ends every tail pull at once: the reshard reaches its
+	// ring pushes, which the node then refuses.
+	f.Add(409, []byte(`{"gap":true,"cursor":0,"code":"replicate_gap"}`), 0)
 
 	users := []string{"u", "v"}
 	f.Fuzz(func(t *testing.T, status int, body []byte, declared int) {
@@ -147,7 +154,7 @@ func FuzzRouterHostileShardResponse(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 0})
+		rt, err := NewRouter(RouterConfig{Ring: ring, attempts: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,6 +211,40 @@ func FuzzRouterHostileShardResponse(f *testing.F) {
 		check("/health", resp, err)
 		resp, err = http.Get(ts.URL + "/users")
 		check("/users", resp, err)
+
+		// Promotion: the primary is dead and its write quorum known, so the
+		// replica's /health probe and the ring pushes are the node's answers.
+		second := hostileShard(status, body, declared)
+		defer second.Close()
+		hostile := []string{strings.TrimPrefix(shard.URL, "http://"), strings.TrimPrefix(second.URL, "http://")}
+		replicated, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: "127.0.0.1:1", Replicas: hostile[:1]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prt, _ := detectorRouter(t, RouterConfig{Ring: replicated})
+		prt.topo.Lock()
+		prt.quorums["127.0.0.1:1"] = 0
+		prt.topo.Unlock()
+		if epoch, err := prt.Promote(0); err == nil {
+			if r := prt.Ring(); r.Epoch() != epoch || r.Shard(0).Addr != hostile[0] {
+				t.Fatalf("promotion returned epoch %d but the router routes by epoch %d, primary %s", epoch, r.Epoch(), r.Shard(0).Addr)
+			}
+		} else if prt.Ring() != replicated {
+			t.Fatalf("a failed promotion (%v) changed the ring", err)
+		}
+
+		// Reshard: the tail pulls and the ring pushes are the nodes' answers.
+		next, err := NewRing(2, 0, []ShardInfo{{ID: 0, Addr: hostile[0]}, {ID: 1, Addr: hostile[1]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats, err := rt.Reshard(next); stats != nil {
+			if r := rt.Ring(); r.NumShards() != 2 || r.Epoch() != stats.Epoch {
+				t.Fatalf("reshard reported epoch %d but the router routes by %d shards at epoch %d", stats.Epoch, r.NumShards(), r.Epoch())
+			}
+		} else if rt.Ring() != ring || rt.reshard.Load() != nil {
+			t.Fatalf("a failed reshard (%v) left the router off its ring", err)
+		}
 	})
 }
 
@@ -246,7 +287,7 @@ func FuzzDetectorHostileHealth(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, d := detectorRouter(t, RouterConfig{Ring: ring, SuspectAfter: 1, Retries: 0})
+		rt, d := detectorRouter(t, RouterConfig{Ring: ring, suspectAfter: 1, attempts: 1})
 		d.sample()
 
 		// The answer is adoptable only when it is a 200 carrying valid JSON —

@@ -95,9 +95,6 @@ type ShipperConfig struct {
 	// snapshot cursor on a fresh boot). Replica positions are assumed equal
 	// until their first response corrects the guess.
 	StartSeq uint64
-	// Client is the HTTP client for /replicate calls (default: keep-alive
-	// pooling, no global timeout — per-call timeouts bound each ship).
-	Client *http.Client
 	// WriteQuorum, when > 0, makes Commit block until that many replicas
 	// have acknowledged the batch's head — a k-of-n durability guarantee:
 	// a quorum-acked write survives the loss of any n-k replicas plus the
@@ -164,16 +161,11 @@ type shipperReplica struct {
 func NewShipper(cfg ShipperConfig) *Shipper {
 	sp := &Shipper{
 		cfg:     cfg,
-		client:  cfg.Client,
+		client:  newClient(),
 		timeout: cfg.shipTimeout,
 		backoff: cfg.retryBackoff,
 		batch:   cfg.batchEvents,
 		stop:    make(chan struct{}),
-	}
-	if sp.client == nil {
-		transport := http.DefaultTransport.(*http.Transport).Clone()
-		transport.MaxIdleConnsPerHost = 4
-		sp.client = &http.Client{Transport: transport}
 	}
 	if sp.timeout <= 0 {
 		sp.timeout = 2 * time.Second

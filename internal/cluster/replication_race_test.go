@@ -282,7 +282,7 @@ func replicatedFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Route
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RouterConfig{Ring: ring, Retries: 1, retryBackoff: 2 * time.Millisecond, probeTimeout: 2 * time.Second}
+	cfg := RouterConfig{Ring: ring, attempts: 2, retryBackoff: 2 * time.Millisecond, probeTimeout: 2 * time.Second}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -372,17 +372,21 @@ func TestRouterFailoverReadsRaceHealthAggregation(t *testing.T) {
 				if len(health.Down) != 1 || health.Down[0] != dead {
 					errs <- fmt.Errorf("health reader %d: down list %v", r, health.Down)
 				}
-				if len(health.Replicas) != len(shards) {
-					errs <- fmt.Errorf("health reader %d: %d replica rows, want %d", r, len(health.Replicas), len(shards))
-					continue
-				}
-				for _, row := range health.Replicas {
-					if !row.Healthy {
-						errs <- fmt.Errorf("health reader %d: replica %d/%s unhealthy: %s", r, row.Shard, row.Addr, row.Error)
+				var replicas int
+				for _, row := range health.Detector {
+					if row.Role != RoleReplica {
+						continue
+					}
+					replicas++
+					if !row.Alive {
+						errs <- fmt.Errorf("health reader %d: replica %d/%s not alive: %s", r, row.Shard, row.Addr, row.Error)
 					}
 					if row.LagEvents != 0 {
 						errs <- fmt.Errorf("health reader %d: replica %d lags %d events on an idle cluster", r, row.Shard, row.LagEvents)
 					}
+				}
+				if replicas != len(shards) {
+					errs <- fmt.Errorf("health reader %d: %d replica rows, want %d", r, replicas, len(shards))
 				}
 			}
 		}(r)
@@ -491,9 +495,10 @@ func TestShipperAndDetectorShutdownLeakNoGoroutines(t *testing.T) {
 		fired.Add(1)
 		d := newDetector(DetectorConfig{
 			Ring:         func() *Ring { return ring },
+			Client:       newClient(),
 			Interval:     5 * time.Millisecond,
 			probeTimeout: 100 * time.Millisecond,
-			SuspectAfter: 1,
+			suspectAfter: 1,
 			OnSuspectPrimary: func(int, string) {
 				fired.Done()
 			},

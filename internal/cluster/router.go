@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"net/http"
 	"slices"
@@ -55,12 +53,11 @@ type RouterConfig struct {
 	// Ring supplies shard ownership and addresses. Required; every shard
 	// must carry a non-empty address.
 	Ring *Ring
-	// Client is the HTTP client used for shard calls (default: a client with
-	// keep-alive pooling sized for the shard count and a 30s timeout).
+	// Client is the HTTP client every call the router makes goes through —
+	// shard calls, detector and promotion probes, ring pushes, a reshard's
+	// tail pulls and chunk ships (default: the package's one client, with
+	// keep-alive pooling and a 30s timeout).
 	Client *http.Client
-	// Retries is how many times a failed shard call is retried before the
-	// typed 503 (default 2, i.e. 3 attempts). Negative disables retries.
-	Retries int
 	// Metrics, when set, registers the router's per-shard fan-out, retry,
 	// failure and epoch-mismatch series plus per-route HTTP instrumentation
 	// on the registry, and mounts GET /metrics on the handler.
@@ -71,35 +68,38 @@ type RouterConfig struct {
 	// Admission applies rate limiting and a concurrency cap at the router
 	// before any shard is contacted (the zero value admits everything).
 	Admission admit.Config
-	// MaxReplicaLag is the read-failover staleness bound: a replica whose
-	// reported lag exceeds this many committed events is never chosen as a
-	// read target (default DefaultMaxReplicaLag; negative disables failover).
-	MaxReplicaLag int64
-	// DetectInterval and SuspectAfter tune the failure detector the router
-	// runs whenever its ring declares a replica: the /health sampling period
-	// (default 250ms) and how many consecutive missed probes turn a node
-	// suspected (default 3). Failed reads pick their failover replica from
-	// the detector's cached view, and a suspected-down primary is skipped
-	// without burning the retry budget.
+	// DetectInterval is the /health sampling period of the failure detector
+	// the router runs whenever its ring declares a replica (default 250ms).
+	// Failed reads pick their failover replica from the detector's cached
+	// view, and a suspected-down primary — suspectAfter consecutive missed
+	// probes — is skipped without burning the retry budget.
 	DetectInterval time.Duration
-	SuspectAfter   int
 	// AutoFailover makes the detector's suspicion of a shard's primary — the
 	// first in each outage episode — run Promote for the shard, with no
 	// operator call. A promotion in flight may run until Close returns.
 	AutoFailover bool
 
-	// retryBackoff is the pause between attempts (default 25ms) and
-	// probeTimeout bounds one shard's /health or /info probe during
-	// aggregation (default 2s); only the package's tests shorten them.
+	// Only the package's tests set these. retryBackoff is the pause between
+	// attempts (default 25ms); attempts is how many a shard call gets
+	// (default shardRetries+1); suspectAfter is the detector's miss threshold
+	// (default suspectAfter); probeTimeout bounds one shard's /health or
+	// /info probe during aggregation (default 2s).
 	retryBackoff time.Duration
+	attempts     int
+	suspectAfter int
 	probeTimeout time.Duration
 }
 
-// DefaultMaxReplicaLag is the default staleness bound for read failover, in
-// committed events. A replica kept in sync by the shipper sits at 0–1 events
-// of lag; the bound only bites while a replica is catching up from the WAL,
-// when serving its answers would silently rewind a user's visible history.
-const DefaultMaxReplicaLag = 1024
+// A failed shard call is retried shardRetries times — shardRetries+1
+// attempts — before the typed 503. A replica whose reported lag exceeds
+// maxReplicaLag committed events never serves a failover read: one kept in
+// sync by the shipper sits at 0–1 events of lag, so the bound only bites
+// while a replica catches up from the WAL, when serving its answers would
+// silently rewind a user's visible history.
+const (
+	shardRetries  = 2
+	maxReplicaLag = 1024
+)
 
 // Router is the scatter-gather front of a shard set: it proxies single-user
 // reads to the owning shard, fans batch reads and ingest batches out across
@@ -113,7 +113,6 @@ type Router struct {
 	attempts int
 	backoff  time.Duration
 	probe    time.Duration
-	maxLag   int64
 
 	// detector is the router's liveness source: built and started by
 	// NewRouter when the ring declares a replica, nil otherwise (with no
@@ -173,9 +172,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			return nil, fmt.Errorf("%w: shard %d has no address", ErrBadRing, s.ID)
 		}
 	}
-	attempts := cfg.Retries + 1
-	if attempts < 1 {
-		attempts = 1
+	attempts := cfg.attempts
+	if attempts <= 0 {
+		attempts = shardRetries + 1
 	}
 	backoff := cfg.retryBackoff
 	if backoff <= 0 {
@@ -187,20 +186,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		transport := http.DefaultTransport.(*http.Transport).Clone()
-		transport.MaxIdleConnsPerHost = 64
-		client = &http.Client{Transport: transport, Timeout: 30 * time.Second}
-	}
-	maxLag := cfg.MaxReplicaLag
-	if maxLag == 0 {
-		maxLag = DefaultMaxReplicaLag
+		client = newClient()
 	}
 	rt := &Router{
 		client:    client,
 		attempts:  attempts,
 		backoff:   backoff,
 		probe:     probe,
-		maxLag:    maxLag,
 		metrics:   cfg.Metrics,
 		admission: admit.New(cfg.Admission),
 		quorums:   make(map[string]int),
@@ -223,10 +215,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if len(s.Replicas) > 0 {
 			dcfg := DetectorConfig{
 				Ring:         rt.Ring,
-				Client:       cfg.Client,
+				Client:       rt.client,
 				Interval:     cfg.DetectInterval,
-				SuspectAfter: cfg.SuspectAfter,
 				Metrics:      cfg.Metrics,
+				suspectAfter: cfg.suspectAfter,
 			}
 			if cfg.AutoFailover {
 				dcfg.OnSuspectPrimary = rt.promoteSuspect
@@ -360,21 +352,24 @@ func (rt *Router) shardInfo(shard int) (ShardInfo, error) {
 	return ring.Shard(shard), nil
 }
 
-// callShard performs one call against the shard's primary.
-func (rt *Router) callShard(ctx context.Context, shard int, method, pathAndQuery string, body []byte) (int, []byte, error) {
+// callShard performs one call against the shard's primary; write marks a
+// call that changes the shard (see callAddr).
+func (rt *Router) callShard(ctx context.Context, shard int, method, pathAndQuery string, body []byte, write bool) (int, []byte, error) {
 	info, err := rt.shardInfo(shard)
 	if err != nil {
 		return 0, nil, &ShardError{Shard: shard, Attempts: 0, Err: fmt.Errorf("%w: %v", ErrShardUnavailable, err)}
 	}
-	return rt.callAddr(ctx, shard, info.Addr, method, pathAndQuery, body)
+	return rt.callAddr(ctx, shard, info.Addr, method, pathAndQuery, body, write)
 }
 
 // callAddr performs one shard call against an explicit address with the
-// bounded retry budget: transport errors and 5xx answers are retried with
-// backoff; any other HTTP answer is returned as-is (4xx is the shard's
-// verdict, not a routing failure). The returned body is fully read so
-// connections return to the keep-alive pool.
-func (rt *Router) callAddr(ctx context.Context, shard int, addr, method, pathAndQuery string, body []byte) (int, []byte, error) {
+// bounded retry budget: a 5xx answer is retried with backoff, and so is a
+// transport error — for a write only when the dial failed, because a write
+// the shard applied before its answer was lost would be applied twice
+// (serve's /ingest answers 5xx only before its commit point). Any other HTTP
+// answer is returned as-is (4xx is the shard's verdict, not a routing
+// failure).
+func (rt *Router) callAddr(ctx context.Context, shard int, addr, method, pathAndQuery string, body []byte, write bool) (int, []byte, error) {
 	rt.rm.call(shard)
 	var lastErr error
 	for attempt := 0; attempt < rt.attempts; attempt++ {
@@ -388,34 +383,19 @@ func (rt *Router) callAddr(ctx context.Context, shard int, addr, method, pathAnd
 			case <-time.After(rt.backoff):
 			}
 		}
-		var reader io.Reader
-		if body != nil {
-			reader = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+pathAndQuery, reader)
-		if err != nil {
+		status, payload, err := exchange(ctx, rt.client, method, addr, pathAndQuery, body, maxShardResponse)
+		switch {
+		case err != nil && write && !dialFailed(err):
+			rt.rm.failure(shard)
 			return 0, nil, &ShardError{Shard: shard, Addr: addr, Attempts: attempt + 1,
-				Err: fmt.Errorf("%w: building request: %v", ErrShardUnavailable, err)}
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
+				Err: fmt.Errorf("%w: %v (not retried: the shard may have applied the write)", ErrShardUnavailable, err)}
+		case err != nil:
 			lastErr = err
-			continue
+		case status >= 500:
+			lastErr = fmt.Errorf("shard answered %d", status)
+		default:
+			return status, payload, nil
 		}
-		payload, err := readShardBody(resp)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode >= 500 {
-			lastErr = fmt.Errorf("shard answered %d", resp.StatusCode)
-			continue
-		}
-		return resp.StatusCode, payload, nil
 	}
 	rt.rm.failure(shard)
 	return 0, nil, &ShardError{Shard: shard, Addr: addr, Attempts: rt.attempts,
@@ -437,7 +417,7 @@ func (rt *Router) callShardRead(ctx context.Context, shard int, method, pathAndQ
 	// straight to the cached failover choice. While the primary is merely
 	// failing, not yet suspected, it is tried first.
 	if !rt.primarySuspected(shard) {
-		status, payload, err = rt.callShard(ctx, shard, method, pathAndQuery, body)
+		status, payload, err = rt.callShard(ctx, shard, method, pathAndQuery, body, false)
 		if err == nil {
 			return status, payload, nil
 		}
@@ -458,20 +438,16 @@ func (rt *Router) callShardRead(ctx context.Context, shard int, method, pathAndQ
 	// the dead ex-primary.
 	var se *ShardError
 	if errors.As(err, &se) && se.Addr != "" && se.Addr != info.Addr {
-		if st, repointed, err2 := rt.callAddr(ctx, shard, info.Addr, method, pathAndQuery, body); err2 == nil {
+		if st, repointed, err2 := rt.callAddr(ctx, shard, info.Addr, method, pathAndQuery, body, false); err2 == nil {
 			return st, repointed, nil
 		}
 	}
-	replicas := info.Replicas
-	if len(replicas) == 0 || rt.maxLag < 0 {
-		return status, payload, err
-	}
-	addr, ok := rt.failoverTarget(replicas)
+	addr, ok := rt.failoverTarget(info.Replicas)
 	if !ok {
 		return status, payload, err
 	}
 	rt.rm.failover(shard)
-	st, body2, err2 := rt.callAddr(ctx, shard, addr, method, pathAndQuery, body)
+	st, body2, err2 := rt.callAddr(ctx, shard, addr, method, pathAndQuery, body, false)
 	if err2 != nil {
 		// Report the primary's failure: it is the root cause, and the
 		// replica's may just be the same outage.
@@ -500,42 +476,7 @@ func (rt *Router) failoverTarget(replicas []string) (string, bool) {
 	if rt.detector == nil {
 		return "", false
 	}
-	return rt.detector.FreshestReplica(replicas, rt.maxLag)
-}
-
-// maxShardResponse bounds how much of a shard answer the router will buffer,
-// so a hostile or broken shard cannot balloon router memory; maxDeclaredAlloc
-// bounds how much it allocates on the strength of a Content-Length alone.
-const (
-	maxShardResponse = 64 << 20
-	maxDeclaredAlloc = 64 << 10
-)
-
-// readShardBody is io.ReadAll over the bounded body, except that the buffer
-// starts at the declared Content-Length, so an honest answer is read into one
-// allocation with no regrowth. A shard that declares more than it sends costs
-// at most maxDeclaredAlloc; past that the buffer grows only with bytes that
-// actually arrived.
-func readShardBody(resp *http.Response) ([]byte, error) {
-	size := int64(512)
-	if resp.ContentLength > 0 {
-		size = min(resp.ContentLength, maxDeclaredAlloc)
-	}
-	body := io.LimitReader(resp.Body, maxShardResponse)
-	buf := make([]byte, 0, size)
-	for {
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-	}
+	return rt.detector.FreshestReplica(replicas, maxReplicaLag)
 }
 
 // Handler returns the router's HTTP surface. The routes mirror the shard
@@ -794,7 +735,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			payload, _ := json.Marshal(serve.IngestRequest{Events: perShard[shard]})
 			info, _ := rt.shardInfo(shard)
-			status, body, err := rt.callShard(r.Context(), shard, http.MethodPost, "/ingest", payload)
+			status, body, err := rt.callShard(r.Context(), shard, http.MethodPost, "/ingest", payload, true)
 			switch {
 			case err != nil:
 				errs[i] = err
@@ -905,7 +846,7 @@ func (rt *Router) probeShards(ctx context.Context, path string) []ShardStatus {
 			defer wg.Done()
 			info := ring.Shard(i)
 			st := ShardStatus{Shard: info.ID, Addr: info.Addr}
-			status, body, err := rt.callShard(ctx, i, http.MethodGet, path, nil)
+			status, body, err := rt.callShard(ctx, i, http.MethodGet, path, nil, false)
 			switch {
 			case err != nil:
 				st.Error = err.Error()
@@ -1001,54 +942,9 @@ type HealthResponse struct {
 	// RouterAdmission is the router's own admission snapshot when admission
 	// control is enabled at the router.
 	RouterAdmission *admit.Stats `json:"router_admission,omitempty"`
-	// Replicas lists per-replica liveness and lag, one row per replica
-	// address in the ring (absent on replica-less clusters).
-	Replicas []ReplicaHealth `json:"replicas,omitempty"`
 	// Detector lists the failure detector's cached per-node liveness rows
 	// (absent on replica-less clusters).
 	Detector []NodeLiveness `json:"detector,omitempty"`
-}
-
-// ReplicaHealth is one replica's row in the router's aggregated /health
-// answer, as of the failure detector's latest sample: whether it answered,
-// its applied cursor and how many committed events it lags its primary.
-type ReplicaHealth struct {
-	// Shard and Addr identify the replica.
-	Shard int    `json:"shard"`
-	Addr  string `json:"addr"`
-	// Healthy reports whether the replica answered the detector's last probe.
-	Healthy bool `json:"healthy"`
-	// Error carries the probe failure when Healthy is false.
-	Error string `json:"error,omitempty"`
-	// AppliedSeq and LagEvents echo the replica's replication cursor.
-	AppliedSeq uint64 `json:"applied_seq"`
-	LagEvents  uint64 `json:"lag_events"`
-}
-
-// replicaRows reads every ring replica's row out of the detector's cached
-// view — no probe — and records the widest per-shard lag in the replica-lag
-// gauge. A replica the detector has not sampled yet reads as unhealthy.
-func (rt *Router) replicaRows() []ReplicaHealth {
-	if rt.detector == nil {
-		return nil
-	}
-	ring := rt.Ring()
-	var rows []ReplicaHealth
-	for i := 0; i < ring.NumShards(); i++ {
-		info := ring.Shard(i)
-		var widest uint64
-		for _, addr := range info.Replicas {
-			row := ReplicaHealth{Shard: info.ID, Addr: addr, Error: "not sampled by the failure detector yet"}
-			if live, ok := rt.detector.Node(addr); ok {
-				row.Healthy, row.Error = live.Alive, live.Error
-				row.AppliedSeq, row.LagEvents = live.AppliedSeq, live.LagEvents
-			}
-			widest = max(widest, row.LagEvents)
-			rows = append(rows, row)
-		}
-		rt.rm.replicaLag(i, widest)
-	}
-	return rows
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -1058,9 +954,9 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	statuses := rt.probeShards(r.Context(), "/health")
 	out := HealthResponse{Status: "ok", Shards: len(statuses)}
-	out.Replicas = rt.replicaRows()
 	if rt.detector != nil {
 		out.Detector = rt.detector.View()
+		rt.recordReplicaLag(out.Detector)
 	}
 	for _, st := range statuses {
 		if st.Healthy {
@@ -1085,6 +981,21 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		out.RouterAdmission = &stats
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// recordReplicaLag sets each ring shard's replica-lag gauge to the widest lag
+// among its replicas' detector rows (0 for a shard none of whose replicas the
+// detector has sampled).
+func (rt *Router) recordReplicaLag(rows []NodeLiveness) {
+	widest := make([]uint64, rt.Ring().NumShards())
+	for _, row := range rows {
+		if row.Role == RoleReplica && row.Shard < len(widest) {
+			widest[row.Shard] = max(widest[row.Shard], row.LagEvents)
+		}
+	}
+	for shard, lag := range widest {
+		rt.rm.replicaLag(shard, lag)
+	}
 }
 
 func (rt *Router) handleUsers(w http.ResponseWriter, r *http.Request) {

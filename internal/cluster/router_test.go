@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -86,7 +87,7 @@ func clusterFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Router, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RouterConfig{Ring: ring, Retries: 1, retryBackoff: 5 * time.Millisecond, probeTimeout: 2 * time.Second}
+	cfg := RouterConfig{Ring: ring, attempts: 2, retryBackoff: 5 * time.Millisecond, probeTimeout: 2 * time.Second}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -374,7 +375,7 @@ func TestRouterRefusesHostileBatchAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 1, retryBackoff: time.Millisecond})
+			rt, err := NewRouter(RouterConfig{Ring: ring, attempts: 2, retryBackoff: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -652,7 +653,7 @@ func TestRouterRetriesTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 2, retryBackoff: time.Millisecond})
+	rt, err := NewRouter(RouterConfig{Ring: ring, retryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,6 +664,82 @@ func TestRouterRetriesTransientFailure(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("shard called %d times, want 2 (one failure, one retry)", calls.Load())
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+// RoundTrip implements http.RoundTripper.
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestIngestRetriedOnlyWhenNotApplied: the router sends a write slice again
+// only when the shard cannot have applied it — a failed dial or a 5xx answer.
+// A slice the shard served whose answer was then lost is not sent again: the
+// client gets the typed 503 and the shard holds the events once.
+func TestIngestRetriedOnlyWhenNotApplied(t *testing.T) {
+	refused := &net.OpError{Op: "dial", Net: "tcp", Err: errors.New("connection refused")}
+	for _, tc := range []struct {
+		name string
+		// trip answers the n-th call; serve delivers it to the shard.
+		trip   func(n int, serve func() (*http.Response, error)) (*http.Response, error)
+		status int
+		calls  int
+	}{
+		{"answer lost after the shard applied the slice", func(n int, serve func() (*http.Response, error)) (*http.Response, error) {
+			if _, err := serve(); err != nil {
+				return nil, err
+			}
+			return nil, errors.New("connection reset by peer")
+		}, http.StatusServiceUnavailable, 1},
+		{"dial refused once", func(n int, serve func() (*http.Response, error)) (*http.Response, error) {
+			if n == 1 {
+				return nil, refused
+			}
+			return serve()
+		}, http.StatusOK, 2},
+		{"5xx once", func(n int, serve func() (*http.Response, error)) (*http.Response, error) {
+			if n == 1 {
+				rec := httptest.NewRecorder()
+				rec.WriteHeader(http.StatusServiceUnavailable)
+				return rec.Result(), nil
+			}
+			return serve()
+		}, http.StatusOK, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logged []serve.IngestEvent
+			shard := fabric{"shard.mem": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var req serve.IngestRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					t.Errorf("shard got an undecodable slice: %v", err)
+				}
+				logged = append(logged, req.Events...)
+				writeJSON(w, http.StatusOK, serve.IngestResult{Applied: len(req.Events), Seq: uint64(len(logged))})
+			})}
+			calls := 0
+			client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+				calls++
+				return tc.trip(calls, func() (*http.Response, error) { return shard.RoundTrip(req) })
+			})}
+			ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: "shard.mem"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := NewRouter(RouterConfig{Ring: ring, Client: client, retryBackoff: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := `{"events":[{"user":"u","item":"i","value":5},{"user":"u","item":"j","value":4}]}`
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
+			if rec.Code != tc.status || calls != tc.calls {
+				t.Fatalf("router answered %d after %d shard calls, want %d after %d: %s", rec.Code, calls, tc.status, tc.calls, rec.Body)
+			}
+			if len(logged) != 2 {
+				t.Fatalf("the shard logged %d events for a slice of 2: %+v", len(logged), logged)
+			}
+		})
 	}
 }
 
@@ -677,7 +754,7 @@ func TestRouterHostileShardResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRouter(RouterConfig{Ring: ring, Retries: 0})
+	rt, err := NewRouter(RouterConfig{Ring: ring, attempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,7 +822,7 @@ func TestReadFollowsRepointedPrimaryMidRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err = NewRouter(RouterConfig{Ring: ringA, Retries: 1, retryBackoff: time.Millisecond})
+	rt, err = NewRouter(RouterConfig{Ring: ringA, attempts: 2, retryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

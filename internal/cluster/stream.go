@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -308,25 +307,14 @@ func refusal(err error) (status int, suffix string) {
 	return http.StatusInternalServerError, "apply"
 }
 
-// post sends one chunk to a node's stream route and returns the status and
-// the answer body, read up to limit bytes.
+// post sends one chunk to a node's stream route over the exchange and
+// returns the status and the answer body, read up to limit bytes.
 func post(ctx context.Context, client *http.Client, addr, route string, c *Chunk, limit int64) (int, []byte, error) {
 	payload, err := json.Marshal(c)
 	if err != nil {
 		return 0, nil, fmt.Errorf("cluster: encode %s chunk: %w", route, err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+route, bytes.NewReader(payload))
-	if err != nil {
-		return 0, nil, fmt.Errorf("cluster: build %s request: %w", route, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
-	resp.Body.Close()
-	return resp.StatusCode, body, err
+	return exchange(ctx, client, http.MethodPost, addr, route, payload, limit)
 }
 
 // shipChunk pushes one chunk and decodes the ack. A 200 and a well-formed

@@ -54,6 +54,15 @@ import (
 // errors.Is through every wrapping layer (OpenLog, ReplayLog).
 var ErrCorruptLog = errors.New("ingest: corrupt log")
 
+// ErrShortLog marks a write-ahead log that ends before the state's applied
+// cursor. Recovery replays the records past the cursor by position and the
+// next append continues the log's own count, so over such a log record n is
+// no longer event n: later events would be misnumbered and a recovery would
+// lose the acknowledged ones. The log must reach the cursor — a rejoining
+// replica pulls the missing tail from its primary first (cluster.RepairLog) —
+// or the state must come from a snapshot the log covers.
+var ErrShortLog = errors.New("ingest: write-ahead log ends before the state's cursor")
+
 // Event is one interaction record, keyed by external identifiers. It is the
 // serving layer's ingestion payload, re-used verbatim so the HTTP body and
 // the write-ahead log share one schema.
@@ -430,7 +439,8 @@ type Ingestor struct {
 	sinceCheckpoint int
 }
 
-// New validates the configuration and returns an Ingestor.
+// New validates the configuration and returns an Ingestor. A log that ends
+// before the state's cursor is refused with ErrShortLog.
 func New(cfg Config) (*Ingestor, error) {
 	if cfg.State == nil {
 		return nil, fmt.Errorf("ingest: an initial state is required")
@@ -440,6 +450,10 @@ func New(cfg Config) (*Ingestor, error) {
 	}
 	if cfg.CheckpointEvery > 0 && cfg.Checkpoint == nil {
 		return nil, fmt.Errorf("ingest: CheckpointEvery is set but no Checkpointer is configured")
+	}
+	if cfg.Log != nil && cfg.Log.Seq() < cfg.State.AppliedSeq {
+		return nil, fmt.Errorf("%w: %s holds %d records, the state is at event %d",
+			ErrShortLog, cfg.Log.Path(), cfg.Log.Seq(), cfg.State.AppliedSeq)
 	}
 	return &Ingestor{cfg: cfg}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -249,6 +250,32 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestNewRefusesShortLog: a write-ahead log that ends before the state's
+// cursor is refused at construction — over it, recovery would replay the
+// wrong records and the next append would be misnumbered — while a log that
+// reaches the cursor, or runs past it, is accepted.
+func TestNewRefusesShortLog(t *testing.T) {
+	const cursor = 5
+	for _, records := range []int{0, 2, cursor, cursor + 2} {
+		wal, err := OpenLog(filepath.Join(t.TempDir(), "events.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if records > 0 {
+			if _, err := wal.Append(randomEvents(records, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state := testState(t, testDataset(t, 20, 15, 300, 7))
+		state.AppliedSeq = cursor
+		_, err = New(Config{State: state, Rebuild: popEngine, Log: wal})
+		wal.Close()
+		if short := records < cursor; short != errors.Is(err, ErrShortLog) || !short && err != nil {
+			t.Fatalf("a log of %d records under a state at event %d: New returned %v", records, cursor, err)
+		}
+	}
 }
 
 func assertIntsEqual(t *testing.T, label string, got, want []int) {

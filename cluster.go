@@ -81,8 +81,9 @@ func NewRing(epoch uint64, shards []ShardInfo) (*Ring, error) {
 func ParsePeerTopology(list string) ([]ShardInfo, error) { return cluster.ParsePeerTopology(list) }
 
 // NewRouter builds a scatter-gather router over a ring whose shards carry
-// addresses. Over a ring that declares replicas the router runs its own
-// failure detector; Close it when the router retires.
+// addresses. It keeps pooled connections to the nodes and, over a ring that
+// declares replicas, runs its own failure detector; Close it when the router
+// retires.
 func NewRouter(cfg RouterConfig) (*Router, error) { return cluster.NewRouter(cfg) }
 
 // ClusterOption customizes a Cluster at construction time.

@@ -1,14 +1,15 @@
 package ganc
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,32 +84,68 @@ func TestClusterRejoinBootsAtTheCursorItRepairedTo(t *testing.T) {
 	dead := sh.node(c.ReplicaAddr(0, 0))
 	must(os.Remove(dead.walPath)) // the log is short of the snapshot: the rejoin must pull
 
-	// The proxy stands where the rejoin looks for the primary's tail route. It
-	// relays the pull, and before it hands the answer back it ingests one more
-	// checkpoint interval through the router, so the snapshot file moves from
-	// cursor 50 to 60 while the rejoin is between its cursor read and its boot.
+	// The proxy stands where the rejoin looks for the primary's tail route: a
+	// relay of every connection to the primary, which holds the first answer
+	// frame back until it has ingested one more checkpoint interval through
+	// the router, so the snapshot file moves from cursor 50 to 60 while the
+	// rejoin is between its cursor read and its boot.
 	primary := c.ShardAddr(0)
 	var pulls atomic.Int32
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		resp, err := http.Post("http://"+primary+r.URL.Path, "application/json", r.Body)
-		if err != nil {
-			t.Error(err)
-			w.WriteHeader(http.StatusBadGateway)
-			return
-		}
-		answer, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if pulls.Add(1) == 1 {
-			if err := send(50, 10); err != nil {
-				t.Error(err)
+	relay := func(down, up net.Conn) {
+		defer down.Close()
+		br := bufio.NewReader(up)
+		for { // the upgrade's answer, through its blank line
+			line, err := br.ReadSlice('\n')
+			if err != nil {
+				return
+			}
+			if _, err := down.Write(line); err != nil {
+				return
+			}
+			if len(bytes.TrimSpace(line)) == 0 {
+				break
 			}
 		}
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(answer)
-	}))
+		var hdr [6]byte // an answer frame: its body length and status, then the body
+		for {
+			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+				return
+			}
+			frame := append(hdr[:], make([]byte, binary.BigEndian.Uint32(hdr[:4]))...)
+			if _, err := io.ReadFull(br, frame[len(hdr):]); err != nil {
+				return
+			}
+			if pulls.Add(1) == 1 {
+				if err := send(50, 10); err != nil {
+					t.Error(err)
+				}
+			}
+			if _, err := down.Write(frame); err != nil {
+				return
+			}
+		}
+	}
+	proxy, err := net.Listen("tcp", "127.0.0.1:0")
+	must(err)
 	defer proxy.Close()
+	go func() {
+		for {
+			down, err := proxy.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", primary)
+			if err != nil {
+				t.Error(err)
+				down.Close()
+				continue
+			}
+			go func() { _, _ = io.Copy(up, down); up.Close() }()
+			go relay(down, up)
+		}
+	}()
 	infos := c.Ring().Shards()
-	infos[0].Addr = strings.TrimPrefix(proxy.URL, "http://")
+	infos[0].Addr = proxy.Addr().String()
 	viaProxy, err := NewRing(c.Epoch(), infos)
 	must(err)
 	c.mu.Lock()

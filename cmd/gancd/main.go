@@ -18,7 +18,8 @@
 //	            writes answer a typed 409, POST /replicate applies the
 //	            primary's committed batches into the node's own write-ahead
 //	            log, /health reports the replication cursor and lag — and
-//	            flipped to primary when the router's ring push names it. A
+//	            flipped to primary when the router's ring push names it,
+//	            checkpointing from then on every -checkpoint-interval events. A
 //	            node whose -ingest-log ends before its snapshot's cursor
 //	            (a replica restarted over a snapshot its primary
 //	            checkpointed into) is refused at start-up
@@ -38,7 +39,8 @@
 //
 // The shard and replica roles run the same node assembly ganc.Cluster boots
 // in-process (ganc.ShardNode): both mount POST /replicate, /migrate,
-// /replicate/tail and /admin/ring in front of the serving routes, and the
+// /replicate/tail and /admin/ring in front of the serving routes, and GET
+// /hop, the upgrade the router reaches every one of those routes through; the
 // role only decides which stream routes accept — a primary takes client
 // writes and /migrate chunks and refuses pushed /replicate batches, a replica
 // the reverse, each refusal a typed 409.
@@ -128,9 +130,10 @@ var roleFlags = []struct{ role, flags string }{
 	{"standalone", "load serve cache ingest-log checkpoint-interval"},
 	{"split", "load out shards epoch"},
 	{"shard", "load serve shards shard-id epoch cache ingest-log checkpoint-interval replica-addrs write-quorum"},
-	// A node started as a replica ships to no one and never checkpoints on
-	// its own (it may share the snapshot file with its primary).
-	{"replica", "load serve ingest-log shards shard-id epoch cache"},
+	// A node started as a replica ships to no one; its checkpoint cadence
+	// starts only when a promotion makes it primary (until then it may share
+	// the snapshot file with its primary).
+	{"replica", "load serve ingest-log shards shard-id epoch cache checkpoint-interval"},
 	{"router", "peers serve epoch detect-interval-ms auto-failover"},
 }
 
@@ -169,7 +172,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.out, "out", "", "output directory for shard snapshots (split role)")
 	fs.IntVar(&o.cache, "cache", 0, "per-node LRU cache capacity (0 = serving default)")
 	fs.StringVar(&o.ingestLog, "ingest-log", "", "write-ahead log path (standalone, shard and replica roles)")
-	fs.IntVar(&o.checkpointInterval, "checkpoint-interval", 0, "checkpoint the snapshot every this many ingested events (standalone and shard roles; 0 = never)")
+	fs.IntVar(&o.checkpointInterval, "checkpoint-interval", 0, "checkpoint the snapshot every this many ingested events (standalone and shard roles, and a replica once promoted; 0 = never)")
 	fs.BoolVar(&o.metrics, "metrics", false, "mount GET /metrics (Prometheus text format) on serving roles")
 	fs.StringVar(&o.requestLog, "request-log", "", "append one JSON line per request to this file (\"-\" = stderr)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-client sustained requests/second (0 = unlimited)")

@@ -80,14 +80,13 @@ func TestRejectedFlagCombinations(t *testing.T) {
 		// A flag the role does not read is refused, not ignored: a node
 		// started as a replica ships to no one, a router's knobs mean nothing
 		// on a node, one node has no shard count.
-		"-role replica -serve :0 -load " + shard0:                                                 "-ingest-log is required for -role replica",
-		"-role replica -serve :0 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0:      "-replica-addrs does not apply to -role replica",
-		"-role replica -serve :0 -write-quorum 1 -ingest-log " + wal + " -load " + shard0:         "-write-quorum does not apply to -role replica",
-		"-role replica -serve :0 -checkpoint-interval 10 -ingest-log " + wal + " -load " + shard0: "-checkpoint-interval does not apply to -role replica",
-		"-role shard -serve :0 -detect-interval-ms 5 -load " + shard0:                             "-detect-interval-ms does not apply to -role shard (it is read by -role router)",
-		"-role standalone -serve :0 -shards 5 -load " + model:                                     "-shards does not apply to -role standalone (it is read by -role split, shard, replica)",
-		"-role standalone -serve :0 -auto-failover -load " + model:                                "-auto-failover does not apply to -role standalone (it is read by -role router)",
-		"-role split -metrics -out " + dir + " -load " + model:                                    "-metrics does not apply to -role split",
+		"-role replica -serve :0 -load " + shard0:                                            "-ingest-log is required for -role replica",
+		"-role replica -serve :0 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0: "-replica-addrs does not apply to -role replica",
+		"-role replica -serve :0 -write-quorum 1 -ingest-log " + wal + " -load " + shard0:    "-write-quorum does not apply to -role replica",
+		"-role shard -serve :0 -detect-interval-ms 5 -load " + shard0:                        "-detect-interval-ms does not apply to -role shard (it is read by -role router)",
+		"-role standalone -serve :0 -shards 5 -load " + model:                                "-shards does not apply to -role standalone (it is read by -role split, shard, replica)",
+		"-role standalone -serve :0 -auto-failover -load " + model:                           "-auto-failover does not apply to -role standalone (it is read by -role router)",
+		"-role split -metrics -out " + dir + " -load " + model:                               "-metrics does not apply to -role split",
 		"-role router -serve :0":                               "-peers",
 		"-role router -serve :0 -peers a:1,,b:2":               "-peers",
 		"-role router -serve :0 -peers a:1,b:2 -auto-failover": "no replica to promote",
@@ -295,8 +294,9 @@ func TestMultiProcessRolesOverLoopback(t *testing.T) {
 // TestRouterRoleAutoFailover runs one process per node — a shard, two
 // replicas and a -role router -auto-failover, each run on its own listener —
 // and stops the shard. Within the detector window the router promotes a
-// replica over the wire: a routed write is accepted again, and exactly one
-// replica's /health reports the primary role.
+// replica over the wire: a routed write is accepted again, exactly one
+// replica's /health reports the primary role, and the promoted replica
+// checkpoints at the -checkpoint-interval it was started with.
 func TestRouterRoleAutoFailover(t *testing.T) {
 	_, dir := splitSnapshots(t, 1)
 	snap := filepath.Join(dir, "shard-000.snap")
@@ -318,7 +318,7 @@ func TestRouterRoleAutoFailover(t *testing.T) {
 	defer func() { stop(); wg.Wait() }()
 
 	for k, addr := range replicas {
-		start(ctx, fmt.Sprintf("-role replica -load %s -ingest-log %s -serve %s", snap, filepath.Join(tmp, fmt.Sprintf("r%d.wal", k)), addr))
+		start(ctx, fmt.Sprintf("-role replica -load %s -ingest-log %s -checkpoint-interval 1 -serve %s", snap, filepath.Join(tmp, fmt.Sprintf("r%d.wal", k)), addr))
 		waitHealthy(t, addr)
 	}
 	shardCtx, killShard := context.WithCancel(ctx)
@@ -368,6 +368,16 @@ func TestRouterRoleAutoFailover(t *testing.T) {
 	}
 	if len(promoted) != 1 {
 		t.Fatalf("replicas reporting the primary role after the failover: %v, want exactly one", promoted)
+	}
+	// The shard never checkpointed; the write before the kill and the one
+	// accepted after it are both in the snapshot only if the promoted
+	// replica checkpointed.
+	p, _, err := ganc.LoadShardEngine(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq := p.Mark().Seq; seq < 2 {
+		t.Fatalf("the shard snapshot's cursor is %d after a write the promoted replica accepted, want at least 2", seq)
 	}
 }
 

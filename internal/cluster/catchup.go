@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 
 	"ganc/internal/ingest"
@@ -67,16 +68,13 @@ const toLogEnd = math.MaxUint64
 // answer goes through the stream's chunk parser and a contiguity check, so a
 // broken peer cannot hand back keyless events, a misplaced range or an empty
 // chunk.
-func fetchWALTail(ctx context.Context, client *http.Client, addr string, shard int, after, upTo uint64) ([]serve.IngestEvent, error) {
+func fetchWALTail(ctx context.Context, h *hop, addr string, shard int, after, upTo uint64) ([]serve.IngestEvent, error) {
 	if after >= upTo {
 		return nil, nil
 	}
-	if client == nil {
-		client = newClient()
-	}
 	var out []serve.IngestEvent
 	for next := after + 1; next <= upTo; {
-		status, body, err := post(ctx, client, addr, TailPath, &Chunk{Shard: shard, First: next, Head: upTo}, serve.MaxBodyBytes)
+		status, body, err := post(ctx, h, addr, TailPath, &Chunk{Shard: shard, First: next, Head: upTo}, serve.MaxBodyBytes)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: tail pull from %s: %w", addr, err)
 		}
@@ -119,8 +117,9 @@ var ErrReplicaRejoin = errors.New("cluster: shard snapshot is ahead of the rejoi
 // unless the log did not move during the pull and ends exactly at the cursor
 // after it. The cursor must be the one the node then boots at: read it from
 // the pipeline that is booted, never from a second look at a snapshot file a
-// live primary keeps rewriting.
-func RepairLog(ctx context.Context, client *http.Client, walPath, primary string, shard int, cursor uint64) error {
+// live primary keeps rewriting. The pull runs over a hop of its own, whose
+// connections dial opens (nil: a net.Dialer).
+func RepairLog(ctx context.Context, dial func(ctx context.Context, network, addr string) (net.Conn, error), walPath, primary string, shard int, cursor uint64) error {
 	records, err := walEnd(walPath)
 	if err != nil {
 		return fmt.Errorf("cluster: inspecting rejoin write-ahead log: %w", err)
@@ -128,7 +127,9 @@ func RepairLog(ctx context.Context, client *http.Client, walPath, primary string
 	if cursor <= records {
 		return nil
 	}
-	tail, err := fetchWALTail(ctx, client, primary, shard, records, cursor)
+	h := newHop(dial)
+	tail, err := fetchWALTail(ctx, h, primary, shard, records, cursor)
+	h.Close()
 	if err != nil {
 		return fmt.Errorf("%w: snapshot cursor %d, log has %d records, and the primary could not supply the tail: %v",
 			ErrReplicaRejoin, cursor, records, err)

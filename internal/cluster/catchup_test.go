@@ -118,15 +118,17 @@ func TestFetchWALTailPullsAcrossChunks(t *testing.T) {
 	const records = 2*MaxReplicateEvents + 7
 	var pulls atomic.Int32
 	tail := NewWALTailHandler(0, tailWAL(t, records))
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := newNodeServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		pulls.Add(1)
 		tail.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	addr := strings.TrimPrefix(ts.URL, "http://")
+	addr := ts.addr()
 	ctx := context.Background()
+	h := newHop(nil)
+	defer h.Close()
 
-	got, err := fetchWALTail(ctx, nil, addr, 0, 3, records)
+	got, err := fetchWALTail(ctx, h, addr, 0, 3, records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestFetchWALTailPullsAcrossChunks(t *testing.T) {
 	// after ≥ upTo is an empty range, whatever the distance: no pull, no
 	// allocation sized by the difference (it used to underflow and panic).
 	for _, r := range [][2]uint64{{5, 5}, {9, 2}, {math.MaxUint64, 0}, {math.MaxUint64, math.MaxUint64}} {
-		got, err := fetchWALTail(ctx, nil, addr, 0, r[0], r[1])
+		got, err := fetchWALTail(ctx, h, addr, 0, r[0], r[1])
 		if err != nil || len(got) != 0 {
 			t.Fatalf("fetchWALTail(after=%d, upTo=%d) = %d records, %v", r[0], r[1], len(got), err)
 		}
@@ -150,7 +152,7 @@ func TestFetchWALTailPullsAcrossChunks(t *testing.T) {
 		t.Fatalf("empty ranges issued %d pulls", pulls.Load()-3)
 	}
 	// A range past the log is the peer's typed gap, not a short result.
-	if _, err := fetchWALTail(ctx, nil, addr, 0, records-1, records+5); !errors.Is(err, ErrStreamGap) {
+	if _, err := fetchWALTail(ctx, h, addr, 0, records-1, records+5); !errors.Is(err, ErrStreamGap) {
 		t.Fatalf("pull past the log: want ErrStreamGap, got %v", err)
 	}
 }
@@ -186,12 +188,14 @@ func TestFetchWALTailRejectsHostileAnswers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			ts := newNodeServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(tc.status)
 				fmt.Fprint(w, tc.body)
 			}))
 			defer ts.Close()
-			got, err := fetchWALTail(context.Background(), nil, strings.TrimPrefix(ts.URL, "http://"), 0, 4, 9)
+			h := newHop(nil)
+			defer h.Close()
+			got, err := fetchWALTail(context.Background(), h, ts.addr(), 0, 4, 9)
 			if err == nil || got != nil {
 				t.Fatalf("hostile answer %q yielded %d records, err %v", tc.name, len(got), err)
 			}
@@ -273,7 +277,7 @@ func TestRepairLog(t *testing.T) {
 					primary.ServeHTTP(w, r)
 				})
 			}
-			err := RepairLog(context.Background(), net.client(), local, "primary.mem", 0, tc.cursor)
+			err := RepairLog(context.Background(), net.dial, local, "primary.mem", 0, tc.cursor)
 			if tc.refused != errors.Is(err, ErrReplicaRejoin) || (err != nil) != tc.refused {
 				t.Fatalf("repair answered %v, want refused=%v", err, tc.refused)
 			}

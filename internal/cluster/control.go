@@ -16,7 +16,7 @@ import (
 // The control plane: how a ring change reaches the nodes. The router is the
 // configuration master — the one place a promotion or a reshard (its own
 // POST /admin/reshard, or Reshard called in-process) decides the next ring —
-// and it reaches nodes only over HTTP: every node
+// and it reaches nodes only over its hop: every node
 // mounts POST /admin/ring and adopts a change only when its epoch is newer
 // than the one the node holds (epoch-numbered reconfiguration). DESIGN.md §15
 // is the reference.
@@ -287,7 +287,7 @@ func (rt *Router) promoteSuspect(shard int, addr string) {
 func (rt *Router) health(addr string) (*serve.HealthResponse, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.probe)
 	defer cancel()
-	return probeHealth(ctx, rt.client, addr)
+	return probeHealth(ctx, rt.hop, addr)
 }
 
 // ringPush is one node's place in a ring, addressed to the node.
@@ -324,7 +324,7 @@ func (rt *Router) sendRing(p ringPush) error {
 	if err != nil {
 		return err
 	}
-	status, answer, err := exchange(context.Background(), rt.client, http.MethodPost, p.addr, RingPath, body, 1<<20)
+	status, answer, err := exchange(context.Background(), rt.hop, http.MethodPost, p.addr, RingPath, body, 1<<20)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", errUnreachable, p.addr, err)
 	}

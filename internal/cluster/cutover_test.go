@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,29 +22,35 @@ import (
 	"ganc/internal/serve"
 )
 
-// fabric is an in-memory network: an http.RoundTripper that answers each
-// request from the http.Handler registered under the request's host — no
-// socket, no goroutine. It plugs into the Client field every sender in this
-// package already takes. A host nobody registered, or a shard that is down,
-// refuses the connection: the dial fails, as it does on a real network.
+// fabric is an in-memory network: a dialer over net.Pipe for the Dial seam
+// every hop in this package takes. The far end of each pipe answers the hop
+// upgrade and runs the production frame server (serveHop) over the handler
+// registered under the dialled address, looked up per frame. A host nobody
+// registered, or a shard that is down, refuses the dial, as it does on a
+// real network; taking a shard down also closes its open pipes.
 type fabric map[string]http.Handler
 
-// RoundTrip implements http.RoundTripper.
-func (f fabric) RoundTrip(req *http.Request) (*http.Response, error) {
-	h, ok := f[req.URL.Host]
-	if s, isShard := h.(*memShard); !ok || isShard && s.down.Load() {
-		return nil, &net.OpError{Op: "dial", Net: "fabric", Err: fmt.Errorf("connection refused: %s", req.URL.Host)}
+// dial implements the Dial seam.
+func (f fabric) dial(_ context.Context, _, addr string) (net.Conn, error) {
+	h, ok := f[addr]
+	s, isShard := h.(*memShard)
+	near, far := net.Pipe()
+	if !ok || isShard && !s.accept(far) {
+		return nil, &net.OpError{Op: "dial", Net: "fabric", Err: fmt.Errorf("connection refused: %s", addr)}
 	}
-	if req.Body == nil {
-		req = req.Clone(req.Context())
-		req.Body = http.NoBody
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec.Result(), nil
+	go func() {
+		br := bufio.NewReader(far)
+		if _, err := http.ReadRequest(br); err != nil {
+			far.Close()
+			return
+		}
+		serveHop(far, br, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { f[addr].ServeHTTP(w, r) }))
+	}()
+	return near, nil
 }
 
-func (f fabric) client() *http.Client { return &http.Client{Transport: f} }
+// hop is a hop over the fabric.
+func (f fabric) hop() *hop { return newHop(f.dial) }
 
 // memShard is one node on the fabric: a Node whose stream receivers apply
 // into a write-ahead log of its own (client writes go straight to the log,
@@ -56,12 +64,40 @@ type memShard struct {
 	log     *ingest.Log
 	handler http.Handler
 	quorum  int
-	down    atomic.Bool
+
+	// mu guards down and the far ends of the pipes dialled to the node.
+	mu    sync.Mutex
+	down  bool
+	pipes []net.Conn
 
 	onMigrate func(events []serve.IngestEvent)
 	migrated  []serve.IngestEvent
 	onRing    func(RingChange) error
 	rings     []RingChange
+}
+
+// accept records a pipe dialled to the node; false while the node is down.
+func (s *memShard) accept(far net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.down {
+		s.pipes = append(s.pipes, far)
+	}
+	return !s.down
+}
+
+// setDown takes the node down — its open pipes close and dials are refused —
+// or brings it back.
+func (s *memShard) setDown(down bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.down = down
+	if down {
+		for _, c := range s.pipes {
+			c.Close()
+		}
+		s.pipes = nil
+	}
 }
 
 // open builds the node over the shard's log at epoch, in the primary role or
@@ -136,7 +172,7 @@ func newCutoverRig(t *testing.T, serving, n int) *cutoverRig {
 	for i := 0; i < n; i++ {
 		rig.addNode(i, true)
 	}
-	rt, err := NewRouter(RouterConfig{Ring: rig.ring(1, serving), Client: rig.net.client()})
+	rt, err := NewRouter(RouterConfig{Ring: rig.ring(1, serving), Dial: rig.net.dial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +546,7 @@ func TestReshardCutoverNoProgressAborts(t *testing.T) {
 func TestReshardGrowsRouterMetrics(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	reg := obs.NewRegistry()
-	rt, err := NewRouter(RouterConfig{Ring: rig.ring(1, 2), Client: rig.net.client(), Metrics: reg})
+	rt, err := NewRouter(RouterConfig{Ring: rig.ring(1, 2), Dial: rig.net.dial, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +598,7 @@ func (rig *cutoverRig) promoteRouter() *Router {
 	if err != nil {
 		rig.t.Fatal(err)
 	}
-	rt, err := NewRouter(RouterConfig{Ring: ring, Client: rig.net.client(), DetectInterval: time.Hour})
+	rt, err := NewRouter(RouterConfig{Ring: ring, Dial: rig.net.dial, DetectInterval: time.Hour})
 	if err != nil {
 		rig.t.Fatal(err)
 	}
@@ -588,7 +624,7 @@ func TestPromotePushesNewPrimaryLast(t *testing.T) {
 			return nil
 		}
 	}
-	old.down.Store(true)
+	old.setDown(true)
 	epoch, err := rig.rt.Promote(0)
 	if err != nil || epoch != 2 {
 		t.Fatalf("Promote answered epoch %d, %v; want epoch 2", epoch, err)
@@ -613,16 +649,16 @@ func TestPromoteRefusals(t *testing.T) {
 	for name, try := range map[string]func() (*Router, error){
 		"primary answers": func() (*Router, error) { _, err := rig.rt.Promote(0); return rig.rt, err },
 		"reshard in flight": func() (*Router, error) {
-			rig.shards[0].down.Store(true)
-			defer rig.shards[0].down.Store(false)
+			rig.shards[0].setDown(true)
+			defer rig.shards[0].setDown(false)
 			rig.rt.reshard.Store(&reshardState{next: rig.rt.Ring()})
 			defer rig.rt.reshard.Store(nil)
 			_, err := rig.rt.Promote(0)
 			return rig.rt, err
 		},
 		"quorum never sampled": func() (*Router, error) {
-			rig.shards[0].down.Store(true)
-			defer rig.shards[0].down.Store(false)
+			rig.shards[0].setDown(true)
+			defer rig.shards[0].setDown(false)
 			rt := rig.promoteRouter() // its detector's only sample misses the primary
 			_, err := rt.Promote(0)
 			return rt, err
@@ -646,7 +682,7 @@ func TestPromoteRefusals(t *testing.T) {
 // attempt takes as newer.
 func TestPromoteRetriesAfterFailedPush(t *testing.T) {
 	rig := newPromoteRig(t)
-	rig.shards[0].down.Store(true)
+	rig.shards[0].setDown(true)
 	before := rig.rt.Ring()
 	rig.shards[2].onRing = func(RingChange) error { return errors.New("disk on fire") }
 	if epoch, err := rig.rt.Promote(0); err == nil || rig.rt.Ring() != before {
@@ -700,8 +736,8 @@ func TestPromoteAbortsWhenOldPrimaryReturns(t *testing.T) {
 func TestPromoteAfterSuccessorDiesMidPush(t *testing.T) {
 	rig := newPromoteRig(t)
 	old, stale, fresh := rig.shards[0], rig.shards[1], rig.shards[2]
-	old.down.Store(true)
-	stale.onRing = func(RingChange) error { fresh.down.Store(true); return nil }
+	old.setDown(true)
+	stale.onRing = func(RingChange) error { fresh.setDown(true); return nil }
 	if _, err := rig.rt.Promote(0); err == nil || rig.rt.Ring().Epoch() != 1 {
 		t.Fatalf("Promote over a successor dead at its push answered %v, with the router at epoch %d", err, rig.rt.Ring().Epoch())
 	}
@@ -719,17 +755,58 @@ func TestPromoteAfterSuccessorDiesMidPush(t *testing.T) {
 func TestPromoteAgainAfterNewPrimaryDies(t *testing.T) {
 	rig := newPromoteRig(t)
 	old, stale, fresh := rig.shards[0], rig.shards[1], rig.shards[2]
-	old.down.Store(true)
+	old.setDown(true)
 	if epoch, err := rig.rt.Promote(0); err != nil || epoch != 2 {
 		t.Fatalf("the first Promote answered epoch %d, %v", epoch, err)
 	}
-	fresh.down.Store(true)
+	fresh.setDown(true)
 	epoch, err := rig.rt.Promote(0)
 	if err != nil || epoch != 3 || rig.rt.Ring().Shard(0).Addr != stale.addr {
 		t.Fatalf("the second Promote answered epoch %d, %v, routing to %s; want %s at epoch 3", epoch, err, rig.rt.Ring().Shard(0).Addr, stale.addr)
 	}
 	if got := stale.rings[len(stale.rings)-1]; !got.Primary || got.WriteQuorum != 1 {
 		t.Fatalf("the second successor adopted %+v, want primary under write quorum 1", got)
+	}
+}
+
+// TestPromoteAfterGrow: a primary a reshard added can be replaced before the
+// detector ever samples it — the reshard read its write quorum before the
+// commit. Shard 0's replica makes the router run a detector, whose only
+// sample, at construction, predates shard 2.
+func TestPromoteAfterGrow(t *testing.T) {
+	rig := &cutoverRig{t: t, net: fabric{}}
+	for i := 0; i < 3; i++ {
+		rig.addNode(i, true)
+	}
+	rig.shards[2].quorum = 1
+	replica0, replica2 := rig.addNode(0, false), rig.addNode(2, false)
+	ring := func(epoch uint64, n int) *Ring {
+		infos := []ShardInfo{
+			{ID: 0, Addr: rig.shards[0].addr, Replicas: []string{replica0.addr}},
+			{ID: 1, Addr: rig.shards[1].addr},
+			{ID: 2, Addr: rig.shards[2].addr, Replicas: []string{replica2.addr}},
+		}
+		r, err := NewRing(epoch, 0, infos[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	rt, err := NewRouter(RouterConfig{Ring: ring(1, 2), Dial: rig.net.dial, DetectInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if _, err := rt.Reshard(ring(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	rig.shards[2].setDown(true)
+	epoch, err := rt.Promote(2)
+	if err != nil || epoch != 3 || rt.Ring().Shard(2).Addr != replica2.addr {
+		t.Fatalf("promoting the grown shard answered epoch %d, %v, routing to %s; want %s at epoch 3", epoch, err, rt.Ring().Shard(2).Addr, replica2.addr)
+	}
+	if got := replica2.rings[len(replica2.rings)-1]; !got.Primary || got.WriteQuorum != 1 || !replica2.node.Primary() {
+		t.Fatalf("the successor adopted %+v, want primary under the added primary's write quorum 1", got)
 	}
 }
 

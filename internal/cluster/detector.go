@@ -52,9 +52,6 @@ type DetectorConfig struct {
 	// so promotions and reshards are picked up without restarting the
 	// detector. Required.
 	Ring func() *Ring
-	// Client is the HTTP client used for probes: the router's. Required;
-	// each probe is bounded on its own.
-	Client *http.Client
 	// Interval is the sampling period (default 250ms).
 	Interval time.Duration
 	// OnSuspectPrimary, when set, fires (in its own goroutine) the first
@@ -67,6 +64,9 @@ type DetectorConfig struct {
 	// Metrics, when set, registers the detector's probe and suspicion series.
 	Metrics *obs.Registry
 
+	// hop carries the probes: the router's, which owns it. Required; each
+	// probe is bounded on its own.
+	hop *hop
 	// probeTimeout bounds one node's /health probe (default 1s), and
 	// suspectAfter is the miss threshold (default suspectAfter); only the
 	// package's tests change them.
@@ -96,7 +96,7 @@ type detectorView struct {
 // starts it, Router.Close stops it).
 type Detector struct {
 	ringFn       func() *Ring
-	client       *http.Client
+	hop          *hop
 	interval     time.Duration
 	probeTimeout time.Duration
 	suspectAfter int
@@ -145,7 +145,7 @@ func newDetectorMetrics(reg *obs.Registry) *detectorMetrics {
 func newDetector(cfg DetectorConfig) *Detector {
 	d := &Detector{
 		ringFn:       cfg.Ring,
-		client:       cfg.Client,
+		hop:          cfg.hop,
 		interval:     cfg.Interval,
 		probeTimeout: cfg.probeTimeout,
 		suspectAfter: cfg.suspectAfter,
@@ -245,7 +245,7 @@ func (d *Detector) sample() {
 		pwg.Add(1)
 		go func(i int, addr string) {
 			defer pwg.Done()
-			health, err := probeHealth(ctx, d.client, addr)
+			health, err := probeHealth(ctx, d.hop, addr)
 			if err != nil {
 				results[i] = outcome{err: err}
 				return
@@ -401,8 +401,8 @@ func (d *Detector) FreshestReplica(replicas []string, maxLag uint64) (addr strin
 // probeHealth fetches and decodes one node's /health without retries — the
 // sampling loop's one probe, and the one parser the hostile-input fuzz
 // target drives.
-func probeHealth(ctx context.Context, client *http.Client, addr string) (*serve.HealthResponse, error) {
-	status, body, err := exchange(ctx, client, http.MethodGet, addr, "/health", nil, maxShardResponse)
+func probeHealth(ctx context.Context, h *hop, addr string) (*serve.HealthResponse, error) {
+	status, body, err := exchange(ctx, h, http.MethodGet, addr, "/health", nil, maxShardResponse)
 	if err != nil {
 		return nil, err
 	}

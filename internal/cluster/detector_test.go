@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +16,7 @@ import (
 // with a configurable replication cursor, counts hits per path, and can be
 // switched to answering 500 (down) without closing its listener.
 type healthNode struct {
-	ts         *httptest.Server
+	ts         *nodeServer
 	down       atomic.Bool
 	healthHits atomic.Int64
 	recoHits   atomic.Int64
@@ -54,21 +53,21 @@ func newHealthNode(t *testing.T, shard int, role string) *healthNode {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"served_by": n.role})
 	})
-	n.ts = httptest.NewServer(mux)
+	n.ts = newNodeServer(mux)
 	t.Cleanup(n.ts.Close)
 	return n
 }
 
-func (n *healthNode) addr() string { return strings.TrimPrefix(n.ts.URL, "http://") }
+func (n *healthNode) addr() string { return n.ts.addr() }
 
 // testDetector builds a loop-less detector over a fixed ring; tests drive
 // sample() synchronously so suspicion timing is deterministic.
 func testDetector(t *testing.T, ring *Ring, cfg DetectorConfig) *Detector {
 	t.Helper()
 	cfg.Ring = func() *Ring { return ring }
-	cfg.Client = newClient()
+	cfg.hop = newHop(nil)
 	d := newDetector(cfg)
-	t.Cleanup(d.Close)
+	t.Cleanup(func() { d.Close(); cfg.hop.Close() })
 	return d
 }
 

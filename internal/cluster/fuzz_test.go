@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,7 +89,7 @@ func FuzzPeerListRouting(f *testing.F) {
 // router must refuse with a typed 503 rather than merge: each is a seed of
 // FuzzRouterHostileShardResponse, and TestRouterRefusesHostileBatchAnswers
 // pins the code each one gets. A declared length above 0 is sent as the
-// answer's Content-Length whatever the body holds.
+// answer frame's length whatever the body holds.
 var hostileBatchAnswers = []struct {
 	name     string
 	body     string
@@ -102,62 +107,126 @@ var hostileBatchAnswers = []struct {
 	{"declares 64 MiB, sends 10 bytes", `{"model":"`, 64 << 20, "shard_unavailable"},
 }
 
-// hostileShard answers every request with the given status and body, and,
-// when declared is positive, with that Content-Length regardless of the body.
-func hostileShard(status int, body []byte, declared int) *httptest.Server {
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if declared > 0 {
-			w.Header().Set("Content-Length", strconv.Itoa(declared))
+// Hostile answer modes, taken modulo 4: an upgrade and an answer frame, a
+// refused upgrade, the body alone in place of the upgrade's answer, and an
+// upgrade followed by three bytes of a frame header.
+const (
+	answerFrame uint8 = iota
+	refusedUpgrade
+	garbledUpgrade
+	shortHeader
+)
+
+// hostileNodes dials the nodes at addrs, each of which answers every
+// connection by mode: under answerFrame, every request frame it reads gets one
+// answer frame declaring declared bytes and status and carrying as much of
+// body as it declares. A frame that sends less than it declares, and every
+// other mode, closes the connection once written. Any other address refuses
+// the dial.
+func hostileNodes(mode uint8, status uint16, declared uint32, body []byte, addrs ...string) func(ctx context.Context, network, addr string) (net.Conn, error) {
+	frame := binary.BigEndian.AppendUint32(nil, declared)
+	frame = binary.BigEndian.AppendUint16(frame, status)
+	frame = append(frame, body[:min(uint64(declared), uint64(len(body)))]...)
+	complete := uint64(declared) <= uint64(len(body))
+	return func(_ context.Context, _, addr string) (net.Conn, error) {
+		if !slices.Contains(addrs, addr) {
+			return nil, &net.OpError{Op: "dial", Net: "hostile", Err: errors.New("connection refused")}
 		}
-		w.WriteHeader(status)
-		_, _ = w.Write(body)
-	}))
+		near, far := net.Pipe()
+		go func() {
+			defer far.Close()
+			br := bufio.NewReader(far)
+			if _, err := http.ReadRequest(br); err != nil {
+				return
+			}
+			switch mode % 4 {
+			case refusedUpgrade:
+				far.Write([]byte("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"))
+				return
+			case garbledUpgrade:
+				far.Write(body)
+				return
+			}
+			if _, err := far.Write([]byte(hopSwitch)); err != nil {
+				return
+			}
+			var hdr [reqHeaderLen]byte
+			for {
+				if _, err := io.ReadFull(br, hdr[:]); err != nil {
+					return
+				}
+				rest := int64(binary.BigEndian.Uint32(hdr[0:4])) + int64(hdr[4]) + int64(binary.BigEndian.Uint16(hdr[5:7]))
+				if _, err := io.CopyN(io.Discard, br, rest); err != nil {
+					return
+				}
+				if mode%4 == shortHeader {
+					far.Write(frame[:3])
+					return
+				}
+				if _, err := far.Write(frame); err != nil || !complete {
+					return
+				}
+			}
+		}()
+		return near, nil
+	}
 }
 
-// FuzzRouterHostileShardResponse stands a fake shard that answers every
-// request with attacker-controlled status, body and declared length, and
-// drives every router route through it, then a promotion and a reshard, so
-// that every kind of answer the router reads over its one exchange — shard
-// answers, /health probes, ring-push answers and tail-pull answers — comes
-// from the fuzzer. The router must never panic and must answer each client
-// with a bounded, well-formed status: a passthrough, a 4xx of its own, or a
-// typed 503. On POST /recommend/batch, where it merges
-// instead of relaying, a 200 is additionally a valid JSON document whose
-// envelope decodes — model, version, shards, and results holding exactly one
-// JSON object per requested user. The types of the fields inside an element
-// are not checked: the router relays an element's bytes as the single-user
-// passthrough has always relayed a whole body. A promotion or a reshard
-// either publishes its ring or leaves the router on the one it had.
+// FuzzRouterHostileShardResponse stands fake nodes that answer every
+// connection with an attacker-controlled hop upgrade and answer frame —
+// refused or garbled upgrades, short headers, lengths over the caller's limit
+// or longer than what follows, statuses out of range — and drives every router
+// route through them, then a promotion and a reshard, so that every kind of
+// answer the router reads over its hop — shard answers, /health probes,
+// ring-push answers and tail-pull answers — comes from the fuzzer. The router
+// must never panic and must answer each client with a bounded, well-formed
+// status: a passthrough, a 4xx of its own, or a typed 503. On POST
+// /recommend/batch, where it merges instead of relaying, a 200 is
+// additionally a valid JSON document whose envelope decodes — model, version,
+// shards, and results holding exactly one JSON object per requested user. The
+// types of the fields inside an element are not checked: the router relays an
+// element's bytes as the single-user passthrough has always relayed a whole
+// body. A promotion or a reshard either publishes its ring or leaves the
+// router on the one it had.
 func FuzzRouterHostileShardResponse(f *testing.F) {
-	f.Add(200, []byte("{}"), 0)
-	f.Add(200, []byte("\x00\xff not json"), 0)
-	f.Add(200, []byte(`{"results":[{"user":"u"}],"model":"m","version":1}`), 0)
-	f.Add(500, []byte("boom"), 0)
-	f.Add(404, []byte(`{"error":"nope"}`), 0)
-	f.Add(200, []byte(`{"results":[],"version":-9}`), 0)
-	f.Add(200, []byte(`{"model":"m","version":1,"results":[{"user":"u","items":["i"],"version":1},{"user":7,"items":{}}]}`), 0)
+	seed := func(status uint16, body string) { f.Add(answerFrame, status, uint32(len(body)), []byte(body)) }
+	seed(200, "{}")
+	seed(200, "\x00\xff not json")
+	seed(200, `{"results":[{"user":"u"}],"model":"m","version":1}`)
+	seed(500, "boom")
+	seed(404, `{"error":"nope"}`)
+	seed(200, `{"results":[],"version":-9}`)
+	seed(200, `{"model":"m","version":1,"results":[{"user":"u","items":["i"],"version":1},{"user":7,"items":{}}]}`)
 	for _, h := range hostileBatchAnswers {
-		f.Add(200, []byte(h.body), h.declared)
+		declared := uint32(len(h.body))
+		if h.declared > 0 {
+			declared = uint32(h.declared)
+		}
+		f.Add(answerFrame, uint16(200), declared, []byte(h.body))
 	}
 	// A gap at cursor 0 ends every tail pull at once: the reshard reaches its
 	// ring pushes, which the node then refuses.
-	f.Add(409, []byte(`{"gap":true,"cursor":0,"code":"replicate_gap"}`), 0)
+	seed(409, `{"gap":true,"cursor":0,"code":"replicate_gap"}`)
+	f.Add(refusedUpgrade, uint16(200), uint32(2), []byte("{}"))
+	f.Add(garbledUpgrade, uint16(200), uint32(2), []byte("HTTP/1.1 101 \r\n\r\n{}"))
+	f.Add(shortHeader, uint16(200), uint32(2), []byte("{}"))
+	f.Add(answerFrame, uint16(200), uint32(maxShardResponse+1), []byte("{}"))
+	f.Add(answerFrame, uint16(0), uint32(2), []byte("{}"))
+	f.Add(answerFrame, uint16(700), uint32(2), []byte("{}"))
 
 	users := []string{"u", "v"}
-	f.Fuzz(func(t *testing.T, status int, body []byte, declared int) {
-		if status < 100 || status > 999 {
-			status = 200 + (((status % 500) + 500) % 500)
-		}
-		shard := hostileShard(status, body, declared)
-		defer shard.Close()
-		ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: strings.TrimPrefix(shard.URL, "http://")}})
+	f.Fuzz(func(t *testing.T, mode uint8, status uint16, declared uint32, body []byte) {
+		hostile := []string{"hostile-0.mem", "hostile-1.mem"}
+		dial := hostileNodes(mode, status, declared, body, hostile...)
+		ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: hostile[0]}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := NewRouter(RouterConfig{Ring: ring, attempts: 1})
+		rt, err := NewRouter(RouterConfig{Ring: ring, Dial: dial, attempts: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer rt.Close()
 		ts := httptest.NewServer(rt.Handler())
 		defer ts.Close()
 
@@ -214,16 +283,13 @@ func FuzzRouterHostileShardResponse(f *testing.F) {
 
 		// Promotion: the primary is dead and its write quorum known, so the
 		// replica's /health probe and the ring pushes are the node's answers.
-		second := hostileShard(status, body, declared)
-		defer second.Close()
-		hostile := []string{strings.TrimPrefix(shard.URL, "http://"), strings.TrimPrefix(second.URL, "http://")}
-		replicated, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: "127.0.0.1:1", Replicas: hostile[:1]}})
+		replicated, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: "dead.mem", Replicas: hostile[:1]}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prt, _ := detectorRouter(t, RouterConfig{Ring: replicated})
+		prt, _ := detectorRouter(t, RouterConfig{Ring: replicated, Dial: dial})
 		prt.topo.Lock()
-		prt.quorums["127.0.0.1:1"] = 0
+		prt.quorums["dead.mem"] = 0
 		prt.topo.Unlock()
 		if epoch, err := prt.Promote(0); err == nil {
 			if r := prt.Ring(); r.Epoch() != epoch || r.Shard(0).Addr != hostile[0] {
@@ -248,60 +314,53 @@ func FuzzRouterHostileShardResponse(f *testing.F) {
 	})
 }
 
-// FuzzDetectorHostileHealth stands hostile nodes whose /health answers
-// attacker-controlled status and body, and drives a router's failure detector
-// (NewRouter's first sample plus one driven here) and a detector-routed read
-// through them. The contract: the detector never panics, a malformed answer
-// (non-200 or undecodable JSON) is a miss — never adopted into the liveness
-// view as an alive row with a garbage cursor — the cached view only ever
-// contains ring addresses, and the router fronting that view still answers
-// every client with a bounded, well-formed status.
+// FuzzDetectorHostileHealth stands hostile nodes whose hop answers every
+// /health probe with an attacker-controlled upgrade and answer frame (see
+// hostileNodes), and drives a router's failure detector (NewRouter's first
+// sample plus one driven here) and a detector-routed read through them. The
+// contract: the detector never panics, a malformed answer (a failed upgrade,
+// a broken frame, a non-200 status or undecodable JSON) is a miss — never
+// adopted into the liveness view as an alive row with a garbage cursor — the
+// cached view only ever contains ring addresses, and the router fronting
+// that view still answers every client with a bounded, well-formed status.
 func FuzzDetectorHostileHealth(f *testing.F) {
-	f.Add(200, []byte("{}"))
-	f.Add(200, []byte(`{"status":"ok","shard":0,"replication":{"role":"replica","applied_seq":18446744073709551615,"lag_events":7}}`))
-	f.Add(200, []byte("\x00\xff not json"))
-	f.Add(200, []byte(`{"replication":{"applied_seq":-1}}`))
-	f.Add(500, []byte("boom"))
-	f.Add(204, []byte{})
-	f.Add(200, []byte(`{"replication":`))
+	seed := func(status uint16, body string) { f.Add(answerFrame, status, uint32(len(body)), []byte(body)) }
+	seed(200, "{}")
+	seed(200, `{"status":"ok","shard":0,"replication":{"role":"replica","applied_seq":18446744073709551615,"lag_events":7}}`)
+	seed(200, "\x00\xff not json")
+	seed(200, `{"replication":{"applied_seq":-1}}`)
+	seed(500, "boom")
+	seed(204, "")
+	seed(200, `{"replication":`)
+	f.Add(refusedUpgrade, uint16(200), uint32(2), []byte("{}"))
+	f.Add(garbledUpgrade, uint16(200), uint32(2), []byte("HTTP/1.0 200 OK\r\n\r\n{}"))
+	f.Add(shortHeader, uint16(200), uint32(2), []byte("{}"))
+	f.Add(answerFrame, uint16(200), uint32(40), []byte(`{"status":"ok"}`))
+	f.Add(answerFrame, uint16(99), uint32(2), []byte("{}"))
 
-	f.Fuzz(func(t *testing.T, status int, body []byte) {
-		// 1xx is excluded: the server treats it as informational and the
-		// handler's body write becomes a separate final 200, so the probe
-		// legitimately sees a different status than the fuzzer chose.
-		if status < 200 || status > 999 {
-			status = 200 + (((status % 500) + 500) % 500)
-		}
-		hostile := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.WriteHeader(status)
-			_, _ = w.Write(body)
-		})
-		primary := httptest.NewServer(hostile)
-		defer primary.Close()
-		replica := httptest.NewServer(hostile)
-		defer replica.Close()
-		pAddr := strings.TrimPrefix(primary.URL, "http://")
-		rAddr := strings.TrimPrefix(replica.URL, "http://")
-
+	f.Fuzz(func(t *testing.T, mode uint8, status uint16, declared uint32, body []byte) {
+		pAddr, rAddr := "primary.mem", "replica.mem"
 		ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: pAddr, Replicas: []string{rAddr}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, d := detectorRouter(t, RouterConfig{Ring: ring, suspectAfter: 1, attempts: 1})
+		rt, d := detectorRouter(t, RouterConfig{Ring: ring, Dial: hostileNodes(mode, status, declared, body, pAddr, rAddr), suspectAfter: 1, attempts: 1})
 		d.sample()
 
-		// The answer is adoptable only when it is a 200 carrying valid JSON —
-		// the same decode the probe performs. Anything else must read as a
-		// dead node, not as an alive row with a poisoned cursor.
+		// The answer is adoptable only when the upgrade succeeds and its one
+		// frame is whole, a 200, and valid JSON — the same decode the probe
+		// performs. Anything else must read as a dead node, not as an alive
+		// row with a poisoned cursor.
 		var parsed serve.HealthResponse
-		adoptable := status == http.StatusOK && json.Unmarshal(body, &parsed) == nil
+		adoptable := mode%4 == answerFrame && uint64(declared) <= uint64(len(body)) && status == http.StatusOK &&
+			json.Unmarshal(body[:declared], &parsed) == nil
 		for _, addr := range []string{pAddr, rAddr} {
 			row, ok := d.Node(addr)
 			if !ok {
 				t.Fatalf("sampled node %s missing from the view", addr)
 			}
 			if row.Alive != adoptable {
-				t.Fatalf("node %s alive=%v after a status-%d answer (adoptable=%v)", addr, row.Alive, status, adoptable)
+				t.Fatalf("node %s alive=%v after a mode-%d status-%d answer (adoptable=%v)", addr, row.Alive, mode%4, status, adoptable)
 			}
 			if adoptable && parsed.Replication != nil && row.AppliedSeq != parsed.Replication.AppliedSeq {
 				t.Fatalf("view cursor %d does not match the served cursor %d", row.AppliedSeq, parsed.Replication.AppliedSeq)
@@ -331,6 +390,58 @@ func FuzzDetectorHostileHealth(f *testing.F) {
 		}
 		if resp.StatusCode < 200 || resp.StatusCode > 599 {
 			t.Fatalf("router produced status %d", resp.StatusCode)
+		}
+	})
+}
+
+// FuzzHopHostileRequest writes arbitrary bytes to a node's hop after the
+// upgrade. The node must never panic, must serve only well-formed frames, and
+// must allocate no more than the body cap whatever lengths the bytes declare:
+// a frame declaring a body over the cap, or malformed, closes the connection
+// before anything is allocated for it.
+func FuzzHopHostileRequest(f *testing.F) {
+	frame := func(method, path string, body []byte) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+		out = append(out, byte(len(method)))
+		out = binary.BigEndian.AppendUint16(out, uint16(len(path)))
+		return append(append(append(out, method...), path...), body...)
+	}
+	f.Add(frame("GET", "/health", nil))
+	f.Add(frame("POST", "/replicate", []byte(`{"shard":0,"epoch":1,"first":1,"head":1,"events":[{"user":"u","item":"i","value":1}]}`)))
+	f.Add(append(frame("GET", "/recommend?user=u", nil), frame("POST", "/admin/ring", []byte(`{}`))...))
+	f.Add(frame("GET", "/hop", nil))
+	f.Add(binary.BigEndian.AppendUint32(nil, serve.MaxBodyBytes+1))
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 1<<31), 4, 0xff, 0xff))
+	f.Add(frame("", "/x", nil))
+	f.Add(frame("GET", "no-slash", nil))
+	f.Add(frame("GET", "/%zz", nil))
+	f.Add(frame("POST", "/replicate", []byte("{"))[:12])
+	f.Add([]byte{0, 0, 1})
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		n := NewNode(0, 1, &countingBackend{}, "", func(RingChange) error { return nil })
+		h := n.Mount(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
+			if err != nil {
+				w.WriteHeader(http.StatusRequestEntityTooLarge)
+			}
+			_, _ = w.Write(body)
+		}))
+		near, far := net.Pipe()
+		done := make(chan struct{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		go func() {
+			defer close(done)
+			serveHop(far, bufio.NewReader(far), h)
+		}()
+		go io.Copy(io.Discard, near)
+		_, _ = near.Write(stream)
+		near.Close()
+		<-done
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > serve.MaxBodyBytes {
+			t.Fatalf("%d bytes of hostile frames allocated %d bytes, over the %d-byte body cap", len(stream), grew, serve.MaxBodyBytes)
 		}
 	})
 }

@@ -3,9 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,10 +141,10 @@ func TestRouterHealthSurfacesShardAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hts := httptest.NewServer(srv.Handler())
+		hts := newNodeServer(srv.Handler())
 		t.Cleanup(hts.Close)
 		shardURLs[i] = hts.URL
-		infos[i] = ShardInfo{ID: i, Addr: strings.TrimPrefix(hts.URL, "http://")}
+		infos[i] = ShardInfo{ID: i, Addr: hts.addr()}
 	}
 	ring, err := NewRing(1, 0, infos)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -22,7 +21,7 @@ import (
 // part — and the new owner folds it through the same Ingestor machinery that
 // serves its reads (so the events land in the new owner's own WAL, durable
 // and replicated, before the router flips the user). Nothing is read by path:
-// the router reaches every node over HTTP alone. This file holds what is
+// the router reaches every node over its hop alone. This file holds what is
 // migration's own: the epoch-scoped per-user cursors, the sender's chunk
 // iteration, the ring delta, and the staged cutover that sequences them
 // (Router.Reshard).
@@ -108,14 +107,14 @@ func (ma *MigrationApplier) Apply(ctx context.Context, c *Chunk) (Ack, error) {
 // and a couple of seconds can expire on queueing alone. Patience here is
 // invisible to clients — reads keep double-dispatching to the old owner until
 // the user flips.
-func shipUserHistory(client *http.Client, addr string, shard int, epoch uint64, user string, events []serve.IngestEvent, batch int) (int, error) {
+func shipUserHistory(h *hop, addr string, shard int, epoch uint64, user string, events []serve.IngestEvent, batch int) (int, error) {
 	const timeout = 15 * time.Second
 	total := uint64(len(events))
 	var pos uint64 // events[:pos] acknowledged by the destination
 	applied, failures := 0, 0
 	for pos < total {
 		end := min(pos+uint64(batch), total)
-		ack, err := shipChunk(client, addr, timeout, UserSpace,
+		ack, err := shipChunk(h, addr, timeout, UserSpace,
 			&Chunk{Shard: shard, Epoch: epoch, Key: user, First: pos + 1, Head: total, Events: events[pos:end]})
 		if err != nil {
 			failures++
@@ -197,7 +196,7 @@ const (
 
 // Reshard moves the router, and the shard set behind it, from the current
 // ring to next — a grow or a shrink at epoch E+1 — with a staged cutover that
-// no client sees. It reaches the nodes over HTTP alone: next carries the
+// no client sees. It reaches the nodes over its hop alone: next carries the
 // address of every shard it adds, and the current ring of every shard it
 // retires. The steps, in the only order that is exactly-once:
 //
@@ -215,9 +214,10 @@ const (
 //     and catch writes from requests already in flight at begin (the ring
 //     predicate, not the moving set, decides what ships, so a user whose
 //     first event raced the count is caught too);
-//  5. commit: every node of next is pushed its place in it over POST
-//     /admin/ring (control.go), then the router leaves the transition on
-//     next.
+//  5. commit: each added primary's write quorum is read from its /health,
+//     so a promotion need not wait for the detector to sample it; every node
+//     of next is pushed its place in it over POST /admin/ring (control.go),
+//     then the router leaves the transition on next.
 //
 // Begin and commit hold the router's ring-change lock, so a promotion is
 // refused in between. Any error before the commit aborts: routing reverts to
@@ -251,7 +251,7 @@ func (rt *Router) Reshard(next *Ring) (*ReshardStats, error) {
 		}
 		logs[i] = &shardLog{addr: ring.Shard(i).Addr, shard: i, counts: make(map[string]uint64),
 			leaving: make(map[string][]serve.IngestEvent)}
-		if err := logs[i].pull(rt.client, old, next); err != nil {
+		if err := logs[i].pull(rt.hop, old, next); err != nil {
 			return nil, err
 		}
 	}
@@ -280,7 +280,7 @@ func (rt *Router) Reshard(next *Ring) (*ReshardStats, error) {
 	shipPass := func() (int, error) {
 		total := 0
 		for _, l := range logs[:oldN] {
-			if err := l.pull(rt.client, old, next); err != nil {
+			if err := l.pull(rt.hop, old, next); err != nil {
 				return total, err
 			}
 			for u, evs := range l.leaving {
@@ -288,7 +288,7 @@ func (rt *Router) Reshard(next *Ring) (*ReshardStats, error) {
 					continue
 				}
 				dest := next.Shard(next.Owner(u))
-				applied, err := shipUserHistory(rt.client, dest.Addr, dest.ID, next.Epoch(), u,
+				applied, err := shipUserHistory(rt.hop, dest.Addr, dest.ID, next.Epoch(), u,
 					evs[min(held[u], uint64(len(evs))):], migrateBatch)
 				if err != nil {
 					return total, err
@@ -323,6 +323,13 @@ func (rt *Router) Reshard(next *Ring) (*ReshardStats, error) {
 
 	rt.topo.Lock()
 	defer rt.topo.Unlock()
+	// An added primary can be promoted away from the commit on, before the
+	// detector need have sampled it: its write quorum is read here.
+	for _, s := range next.Shards()[min(oldN, target):] {
+		if h, err := rt.health(s.Addr); err == nil && h.Replication != nil && h.Replication.Role == RolePrimary {
+			rt.quorums[s.Addr] = h.Replication.WriteQuorum
+		}
+	}
 	var pushErr error
 	for _, p := range ringPushes(next) {
 		if err := rt.sendRing(p); err != nil && !errors.Is(err, errUnreachable) && pushErr == nil {
@@ -350,8 +357,8 @@ type shardLog struct {
 
 // pull reads the records the log appended since the last pull (the log is
 // append-only, so what was read stays true) and files them.
-func (l *shardLog) pull(client *http.Client, old, next *Ring) error {
-	events, err := fetchWALTail(context.Background(), client, l.addr, l.shard, l.read, toLogEnd)
+func (l *shardLog) pull(h *hop, old, next *Ring) error {
+	events, err := fetchWALTail(context.Background(), h, l.addr, l.shard, l.read, toLogEnd)
 	if err != nil {
 		return fmt.Errorf("cluster: reading shard %d's write-ahead log: %w", l.shard, err)
 	}

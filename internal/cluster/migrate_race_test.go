@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +23,8 @@ func TestMigrationApplierRacesConcurrentShippers(t *testing.T) {
 	ma := NewMigrationApplier(3, 2, backend)
 	addr := migrateServer(t, ma)
 
+	h := newHop(nil)
+	defer h.Close()
 	var wg sync.WaitGroup
 	var applied atomic.Int64
 	errs := make(chan error, users*2)
@@ -34,7 +35,7 @@ func TestMigrationApplierRacesConcurrentShippers(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				n, err := shipUserHistory(http.DefaultClient, addr, 3, 2, user, history, 5)
+				n, err := shipUserHistory(h, addr, 3, 2, user, history, 5)
 				if err != nil {
 					errs <- err
 					return

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -41,9 +39,9 @@ func migrateServer(t testing.TB, ma *MigrationApplier) string {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.Handle(UserSpace.Route, streamHandler(UserSpace, ma))
-	ts := httptest.NewServer(mux)
+	ts := newNodeServer(mux)
 	t.Cleanup(ts.Close)
-	return strings.TrimPrefix(ts.URL, "http://")
+	return ts.addr()
 }
 
 // TestShipUserHistoryConverges: the sender chunks a history, converges on the
@@ -59,7 +57,9 @@ func TestShipUserHistoryConverges(t *testing.T) {
 	if _, err := ma.Apply(context.Background(), &Chunk{Shard: 2, Epoch: 3, Key: "carol", First: 1, Head: 18, Events: history[:5]}); err != nil {
 		t.Fatal(err)
 	}
-	applied, err := shipUserHistory(http.DefaultClient, addr, 2, 3, "carol", history, 4)
+	h := newHop(nil)
+	defer h.Close()
+	applied, err := shipUserHistory(h, addr, 2, 3, "carol", history, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestShipUserHistoryConverges(t *testing.T) {
 	}
 
 	// Idempotent re-ship: every chunk is a duplicate acknowledgment.
-	applied, err = shipUserHistory(http.DefaultClient, addr, 2, 3, "carol", history, 4)
+	applied, err = shipUserHistory(h, addr, 2, 3, "carol", history, 4)
 	if err != nil || applied != 0 {
 		t.Fatalf("re-ship applied %d events (%v), want 0", applied, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,7 +126,7 @@ type ShipperConfig struct {
 // without operator action.
 type Shipper struct {
 	cfg     ShipperConfig
-	client  *http.Client
+	hop     *hop
 	timeout time.Duration
 	backoff time.Duration
 	batch   int
@@ -161,7 +160,7 @@ type shipperReplica struct {
 func NewShipper(cfg ShipperConfig) *Shipper {
 	sp := &Shipper{
 		cfg:     cfg,
-		client:  newClient(),
+		hop:     newHop(nil),
 		timeout: cfg.shipTimeout,
 		backoff: cfg.retryBackoff,
 		batch:   cfg.batchEvents,
@@ -379,10 +378,12 @@ func (sp *Shipper) WaitSync(timeout time.Duration) error {
 	}
 }
 
-// Close stops the catch-up loops. Safe to call more than once.
+// Close stops the catch-up loops and drops the hop's idle connections. Safe
+// to call more than once.
 func (sp *Shipper) Close() {
 	sp.once.Do(func() { close(sp.stop) })
 	sp.wg.Wait()
+	sp.hop.Close()
 }
 
 // poke wakes the replica's catch-up loop without blocking.
@@ -452,6 +453,6 @@ func (sp *Shipper) catchUp(rep *shipperReplica) {
 
 // ship pushes one /replicate chunk (a heartbeat when events is empty).
 func (sp *Shipper) ship(addr string, firstSeq, head uint64, events []serve.IngestEvent) (*Ack, error) {
-	return shipChunk(sp.client, addr, sp.timeout, ShardSpace,
+	return shipChunk(sp.hop, addr, sp.timeout, ShardSpace,
 		&Chunk{Shard: sp.cfg.Shard, Epoch: sp.epoch.Load(), First: firstSeq, Head: head, Events: events})
 }

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -253,7 +251,7 @@ func replicatedFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Route
 	infos := make([]ShardInfo, n)
 	for i := 0; i < n; i++ {
 		psrv, peng := build(i)
-		pts := httptest.NewServer(psrv.Handler())
+		pts := newNodeServer(psrv.Handler())
 		t.Cleanup(pts.Close)
 
 		rsrv, reng := build(i)
@@ -263,7 +261,7 @@ func replicatedFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Route
 		mux := http.NewServeMux()
 		mux.Handle(ShardSpace.Route, streamHandler(ShardSpace, applier))
 		mux.Handle("/", rsrv.Handler())
-		rts := httptest.NewServer(mux)
+		rts := newNodeServer(mux)
 		t.Cleanup(rts.Close)
 
 		shards[i] = &replicatedShard{
@@ -274,8 +272,8 @@ func replicatedFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Route
 		}
 		infos[i] = ShardInfo{
 			ID:       i,
-			Addr:     strings.TrimPrefix(pts.URL, "http://"),
-			Replicas: []string{strings.TrimPrefix(rts.URL, "http://")},
+			Addr:     pts.addr(),
+			Replicas: []string{rts.addr()},
 		}
 	}
 	ring, err := NewRing(1, 0, infos)
@@ -493,9 +491,10 @@ func TestShipperAndDetectorShutdownLeakNoGoroutines(t *testing.T) {
 
 		var fired sync.WaitGroup
 		fired.Add(1)
+		probes := newHop(nil)
 		d := newDetector(DetectorConfig{
 			Ring:         func() *Ring { return ring },
-			Client:       newClient(),
+			hop:          probes,
 			Interval:     5 * time.Millisecond,
 			probeTimeout: 100 * time.Millisecond,
 			suspectAfter: 1,
@@ -513,10 +512,9 @@ func TestShipperAndDetectorShutdownLeakNoGoroutines(t *testing.T) {
 		if err := wal.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Keep-alive connections opened this round hold transport goroutines;
-		// they are owned by the clients the closed machines leave behind.
-		sp.client.CloseIdleConnections()
-		d.client.CloseIdleConnections()
+		// The detector probes over a hop it does not own (a router's, in
+		// production), so its idle connections are dropped by hand.
+		probes.Close()
 		if err := waitBaseline(base); err != nil {
 			t.Fatalf("round %d leaked: %v", round, err)
 		}

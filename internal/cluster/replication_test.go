@@ -18,9 +18,9 @@ import (
 // host:port address.
 func replicaServer(t testing.TB, ra *ReplicaApplier) string {
 	t.Helper()
-	ts := httptest.NewServer(streamHandler(ShardSpace, ra))
+	ts := newNodeServer(streamHandler(ShardSpace, ra))
 	t.Cleanup(ts.Close)
-	return strings.TrimPrefix(ts.URL, "http://")
+	return ts.addr()
 }
 
 // TestShipperInlineShipAndWALCatchUp drives the shipper through both of its
@@ -274,14 +274,14 @@ func TestShipperHandlesHostileReplicaAnswers(t *testing.T) {
 		{"teapot", http.StatusTeapot, `{"cursor": 99999}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hostile := newNodeServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(tc.status)
 				fmt.Fprint(w, tc.body)
 			}))
 			defer hostile.Close()
 			sp := NewShipper(ShipperConfig{
 				Shard: 0, Epoch: 1, WALPath: walPath,
-				Replicas:    []string{strings.TrimPrefix(hostile.URL, "http://")},
+				Replicas:    []string{hostile.addr()},
 				shipTimeout: time.Second, retryBackoff: 5 * time.Millisecond,
 			})
 			defer sp.Close()

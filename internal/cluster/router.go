@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"net"
 	"net/http"
 	"slices"
 	"sync"
@@ -53,11 +54,11 @@ type RouterConfig struct {
 	// Ring supplies shard ownership and addresses. Required; every shard
 	// must carry a non-empty address.
 	Ring *Ring
-	// Client is the HTTP client every call the router makes goes through —
-	// shard calls, detector and promotion probes, ring pushes, a reshard's
-	// tail pulls and chunk ships (default: the package's one client, with
-	// keep-alive pooling and a 30s timeout).
-	Client *http.Client
+	// Dial opens the connections of the router's hop, which every call the
+	// router makes goes through — shard calls, detector and promotion probes,
+	// ring pushes, a reshard's tail pulls and chunk ships (default: a
+	// net.Dialer).
+	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	// Metrics, when set, registers the router's per-shard fan-out, retry,
 	// failure and epoch-mismatch series plus per-route HTTP instrumentation
 	// on the registry, and mounts GET /metrics on the handler.
@@ -106,10 +107,11 @@ const (
 // owning shards, merges the answers, and aggregates health and info. It is
 // stateless apart from its configuration and its liveness cache, so any
 // number of router replicas can front the same shard set. Close a router
-// over a replicated ring when it retires: it owns a sampling goroutine.
+// when it retires: it owns its hop's pooled connections and, over a
+// replicated ring, a sampling goroutine.
 type Router struct {
 	ring     atomic.Pointer[Ring]
-	client   *http.Client
+	hop      *hop
 	attempts int
 	backoff  time.Duration
 	probe    time.Duration
@@ -134,9 +136,9 @@ type Router struct {
 	// its commit (control.go). Under it, pushed is the highest ring epoch
 	// the router has handed out — pushed to a node, shipped migration chunks
 	// under, or heard a node hold — which a ring change the router starts
-	// must exceed (fresh), and quorums the write quorum the
-	// router gave each primary it promoted, by address, for when the
-	// detector never sampled that primary before it died.
+	// must exceed (fresh), and quorums the write quorum of each primary the
+	// router promoted or a reshard added, by address, for when the detector
+	// never sampled that primary before it died.
 	topo    sync.Mutex
 	pushed  uint64
 	quorums map[string]int
@@ -184,12 +186,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if probe <= 0 {
 		probe = 2 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		client = newClient()
-	}
 	rt := &Router{
-		client:    client,
+		hop:       newHop(cfg.Dial),
 		attempts:  attempts,
 		backoff:   backoff,
 		probe:     probe,
@@ -215,7 +213,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		if len(s.Replicas) > 0 {
 			dcfg := DetectorConfig{
 				Ring:         rt.Ring,
-				Client:       rt.client,
+				hop:          rt.hop,
 				Interval:     cfg.DetectInterval,
 				Metrics:      cfg.Metrics,
 				suspectAfter: cfg.suspectAfter,
@@ -232,13 +230,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the router's failure detector and waits for any suspicion
-// callback it spawned. The routes keep answering (without read failover);
-// safe to call more than once, a no-op on a replica-less ring.
+// Close stops the router's failure detector, waits for any suspicion
+// callback it spawned and drops the hop's idle connections. The routes keep
+// answering (without read failover, each call on a fresh connection); safe
+// to call more than once.
 func (rt *Router) Close() {
 	if rt.detector != nil {
 		rt.detector.Close()
 	}
+	rt.hop.Close()
 }
 
 // Ring returns the ring the router currently routes by.
@@ -383,7 +383,7 @@ func (rt *Router) callAddr(ctx context.Context, shard int, addr, method, pathAnd
 			case <-time.After(rt.backoff):
 			}
 		}
-		status, payload, err := exchange(ctx, rt.client, method, addr, pathAndQuery, body, maxShardResponse)
+		status, payload, err := exchange(ctx, rt.hop, method, addr, pathAndQuery, body, maxShardResponse)
 		switch {
 		case err != nil && write && !dialFailed(err):
 			rt.rm.failure(shard)

@@ -44,11 +44,11 @@ func (e *echoEngine) RecommendUser(ctx context.Context, u types.UserID, n int) (
 // for them must still be the shard's bytes.
 var escapedUsers = []string{`al<ice>&"q"`, "bøb\u2028日本"}
 
-// testShard is one live shard: its server, engine and HTTP listener.
+// testShard is one live shard: its server, engine and listener.
 type testShard struct {
 	srv *serve.Server
 	eng *echoEngine
-	ts  *httptest.Server
+	ts  *nodeServer
 }
 
 // clusterFixture stands up n real shard servers over a shared tiny universe
@@ -78,10 +78,10 @@ func clusterFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Router, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		ts := newNodeServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		shards[i] = &testShard{srv: srv, eng: eng, ts: ts}
-		infos[i] = ShardInfo{ID: i, Addr: strings.TrimPrefix(ts.URL, "http://")}
+		infos[i] = ShardInfo{ID: i, Addr: ts.addr()}
 	}
 	ring, err := NewRing(1, 0, infos)
 	if err != nil {
@@ -369,16 +369,20 @@ func TestRouterIngestShardsAscending(t *testing.T) {
 func TestRouterRefusesHostileBatchAnswers(t *testing.T) {
 	for _, h := range hostileBatchAnswers {
 		t.Run(h.name, func(t *testing.T) {
-			shard := hostileShard(http.StatusOK, []byte(h.body), h.declared)
-			defer shard.Close()
-			ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: strings.TrimPrefix(shard.URL, "http://")}})
+			declared := uint32(len(h.body))
+			if h.declared > 0 {
+				declared = uint32(h.declared)
+			}
+			ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: "hostile.mem"}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := NewRouter(RouterConfig{Ring: ring, attempts: 2, retryBackoff: time.Millisecond})
+			rt, err := NewRouter(RouterConfig{Ring: ring, attempts: 2, retryBackoff: time.Millisecond,
+				Dial: hostileNodes(answerFrame, http.StatusOK, declared, []byte(h.body), "hostile.mem")})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer rt.Close()
 			ts := routerServer(t, rt)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -392,8 +396,8 @@ func TestRouterRefusesHostileBatchAnswers(t *testing.T) {
 				t.Fatalf("router answered %d %s, want a 503 coded %s", status, body, h.code)
 			}
 			// Two attempts at most maxDeclaredAlloc each, plus the request
-			// plumbing of three servers: far under the 64 MiB one trusted
-			// Content-Length would cost.
+			// plumbing: far under the 64 MiB one trusted declared length
+			// would cost.
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
 				t.Fatalf("refusing the answer allocated %d bytes", grew)
 			}
@@ -559,10 +563,10 @@ func TestRouterDetectsEpochMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(srv.Handler())
+	ts1 := newNodeServer(srv.Handler())
 	t.Cleanup(ts1.Close)
 	infos := rt.Ring().Shards()
-	infos[1].Addr = strings.TrimPrefix(ts1.URL, "http://")
+	infos[1].Addr = ts1.addr()
 	ring, err := NewRing(1, 0, infos)
 	if err != nil {
 		t.Fatal(err)
@@ -641,7 +645,7 @@ func TestRouterShardFailure(t *testing.T) {
 // must be retried within the budget, invisibly to the client.
 func TestRouterRetriesTransientFailure(t *testing.T) {
 	var calls atomic.Int64
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	flaky := newNodeServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.WriteHeader(http.StatusInternalServerError)
 			return
@@ -649,7 +653,7 @@ func TestRouterRetriesTransientFailure(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(serve.RecommendResponse{User: "u", Items: []string{"item-1"}, Version: 1})
 	}))
 	t.Cleanup(flaky.Close)
-	ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: strings.TrimPrefix(flaky.URL, "http://")}})
+	ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: flaky.addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,49 +671,56 @@ func TestRouterRetriesTransientFailure(t *testing.T) {
 	}
 }
 
-// roundTripFunc adapts a function to http.RoundTripper.
-type roundTripFunc func(*http.Request) (*http.Response, error)
+// lossyConn is a hop connection that loses every answer after the upgrade's:
+// the node serves each request it is sent and answers it, and the caller
+// reads a reset in place of the answer.
+type lossyConn struct {
+	net.Conn
+	writes int
+}
 
-// RoundTrip implements http.RoundTripper.
-func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+func (c *lossyConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+func (c *lossyConn) Read(p []byte) (int, error) {
+	if c.writes < 2 {
+		return c.Conn.Read(p) // the upgrade's answer
+	}
+	if _, err := c.Conn.Read(p); err != nil {
+		return 0, err
+	}
+	return 0, errors.New("connection reset by peer")
+}
 
 // TestIngestRetriedOnlyWhenNotApplied: the router sends a write slice again
 // only when the shard cannot have applied it — a failed dial or a 5xx answer.
 // A slice the shard served whose answer was then lost is not sent again: the
-// client gets the typed 503 and the shard holds the events once.
+// client gets the typed 503 and the shard holds the events once. The faults
+// sit at the connection, under the router's hop.
 func TestIngestRetriedOnlyWhenNotApplied(t *testing.T) {
 	refused := &net.OpError{Op: "dial", Net: "tcp", Err: errors.New("connection refused")}
 	for _, tc := range []struct {
 		name string
-		// trip answers the n-th call; serve delivers it to the shard.
-		trip   func(n int, serve func() (*http.Response, error)) (*http.Response, error)
-		status int
-		calls  int
+		// refuse fails the first dial; lose loses every answer; fail answers
+		// the first request 503 without applying it.
+		refuse, lose, fail bool
+		status             int
+		calls              int32
 	}{
-		{"answer lost after the shard applied the slice", func(n int, serve func() (*http.Response, error)) (*http.Response, error) {
-			if _, err := serve(); err != nil {
-				return nil, err
-			}
-			return nil, errors.New("connection reset by peer")
-		}, http.StatusServiceUnavailable, 1},
-		{"dial refused once", func(n int, serve func() (*http.Response, error)) (*http.Response, error) {
-			if n == 1 {
-				return nil, refused
-			}
-			return serve()
-		}, http.StatusOK, 2},
-		{"5xx once", func(n int, serve func() (*http.Response, error)) (*http.Response, error) {
-			if n == 1 {
-				rec := httptest.NewRecorder()
-				rec.WriteHeader(http.StatusServiceUnavailable)
-				return rec.Result(), nil
-			}
-			return serve()
-		}, http.StatusOK, 2},
+		{name: "answer lost after the shard applied the slice", lose: true, status: http.StatusServiceUnavailable, calls: 1},
+		{name: "dial refused once", refuse: true, status: http.StatusOK, calls: 2},
+		{name: "5xx once", fail: true, status: http.StatusOK, calls: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var logged []serve.IngestEvent
+			var calls atomic.Int32
 			shard := fabric{"shard.mem": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if calls.Add(1) == 1 && tc.fail {
+					w.WriteHeader(http.StatusServiceUnavailable)
+					return
+				}
 				var req serve.IngestRequest
 				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 					t.Errorf("shard got an undecodable slice: %v", err)
@@ -717,24 +728,32 @@ func TestIngestRetriedOnlyWhenNotApplied(t *testing.T) {
 				logged = append(logged, req.Events...)
 				writeJSON(w, http.StatusOK, serve.IngestResult{Applied: len(req.Events), Seq: uint64(len(logged))})
 			})}
-			calls := 0
-			client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
-				calls++
-				return tc.trip(calls, func() (*http.Response, error) { return shard.RoundTrip(req) })
-			})}
+			dials := 0
+			dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+				if dials++; dials == 1 && tc.refuse {
+					calls.Add(1)
+					return nil, refused
+				}
+				conn, err := shard.dial(ctx, network, addr)
+				if err == nil && tc.lose {
+					conn = &lossyConn{Conn: conn}
+				}
+				return conn, err
+			}
 			ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: "shard.mem"}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := NewRouter(RouterConfig{Ring: ring, Client: client, retryBackoff: time.Millisecond})
+			rt, err := NewRouter(RouterConfig{Ring: ring, Dial: dial, retryBackoff: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer rt.Close()
 			body := `{"events":[{"user":"u","item":"i","value":5},{"user":"u","item":"j","value":4}]}`
 			rec := httptest.NewRecorder()
 			rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
-			if rec.Code != tc.status || calls != tc.calls {
-				t.Fatalf("router answered %d after %d shard calls, want %d after %d: %s", rec.Code, calls, tc.status, tc.calls, rec.Body)
+			if rec.Code != tc.status || calls.Load() != tc.calls {
+				t.Fatalf("router answered %d after %d shard calls, want %d after %d: %s", rec.Code, calls.Load(), tc.status, tc.calls, rec.Body)
 			}
 			if len(logged) != 2 {
 				t.Fatalf("the shard logged %d events for a slice of 2: %+v", len(logged), logged)
@@ -746,11 +765,11 @@ func TestIngestRetriedOnlyWhenNotApplied(t *testing.T) {
 // TestRouterHostileShardResponse: garbage where JSON is expected must fail
 // with the typed shard_response 503 — never a panic, never silent success.
 func TestRouterHostileShardResponse(t *testing.T) {
-	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	hostile := newNodeServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("\x00\xff not json {{{"))
 	}))
 	t.Cleanup(hostile.Close)
-	ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: strings.TrimPrefix(hostile.URL, "http://")}})
+	ring, err := NewRing(1, 0, []ShardInfo{{ID: 0, Addr: hostile.addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -812,9 +831,9 @@ func TestReadFollowsRepointedPrimaryMidRetry(t *testing.T) {
 		}
 		http.Error(w, "dying", http.StatusInternalServerError)
 	})
-	oldTS := httptest.NewServer(oldMux)
+	oldTS := newNodeServer(oldMux)
 	defer oldTS.Close()
-	oldAddr = strings.TrimPrefix(oldTS.URL, "http://")
+	oldAddr = oldTS.addr()
 
 	ringA, err := NewRing(1, 0, []ShardInfo{
 		{ID: 0, Addr: oldAddr, Replicas: []string{newPrimary.addr()}},

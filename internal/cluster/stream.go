@@ -309,21 +309,21 @@ func refusal(err error) (status int, suffix string) {
 
 // post sends one chunk to a node's stream route over the exchange and
 // returns the status and the answer body, read up to limit bytes.
-func post(ctx context.Context, client *http.Client, addr, route string, c *Chunk, limit int64) (int, []byte, error) {
+func post(ctx context.Context, h *hop, addr, route string, c *Chunk, limit int64) (int, []byte, error) {
 	payload, err := json.Marshal(c)
 	if err != nil {
 		return 0, nil, fmt.Errorf("cluster: encode %s chunk: %w", route, err)
 	}
-	return exchange(ctx, client, http.MethodPost, addr, route, payload, limit)
+	return exchange(ctx, h, http.MethodPost, addr, route, payload, limit)
 }
 
 // shipChunk pushes one chunk and decodes the ack. A 200 and a well-formed
 // gap refusal are returned as acks (the caller advances or rewinds); every
 // other outcome is an error.
-func shipChunk(client *http.Client, addr string, timeout time.Duration, sp Space, c *Chunk) (*Ack, error) {
+func shipChunk(h *hop, addr string, timeout time.Duration, sp Space, c *Chunk) (*Ack, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	status, body, err := post(ctx, client, addr, sp.Route, c, 1<<20)
+	status, body, err := post(ctx, h, addr, sp.Route, c, 1<<20)
 	if err != nil {
 		return nil, err
 	}
@@ -378,11 +378,11 @@ func storeMax(a *atomic.Uint64, v uint64) {
 }
 
 // Node is the surface of one shard node. Every node — primary or replica,
-// fresh, promoted or rejoined — mounts the same three stream routes and the
-// ring-change route (control.go); the role only decides which stream routes
-// accept: a replica takes /replicate pushes and refuses /migrate chunks and
-// client writes, a primary the reverse, each refusal a typed 409. The role
-// flips once, replica to primary, with SetPrimary.
+// fresh, promoted or rejoined — mounts the same three stream routes, the
+// ring-change route (control.go) and the hop (hop.go); the role only decides
+// which stream routes accept: a replica takes /replicate pushes and refuses
+// /migrate chunks and client writes, a primary the reverse, each refusal a
+// typed 409. The role flips once, replica to primary, with SetPrimary.
 type Node struct {
 	// Replica is the /replicate receiver (open while the node is a replica).
 	Replica *ReplicaApplier
@@ -399,6 +399,9 @@ type Node struct {
 	ringMu sync.Mutex
 	ring   RingChange
 	adopt  func(RingChange) error
+
+	// hops holds the hop connections Mount's GET /hop upgraded.
+	hops hopConns
 }
 
 // NewNode builds the surface of one node of a shard at a ring epoch, applying
@@ -435,9 +438,11 @@ func (n *Node) SetEpoch(epoch uint64) {
 
 // Mount returns the node's HTTP surface: the three stream routes, the
 // ring-change route and the role gate on client writes, in front of the
-// serving handler next.
+// serving handler next — and GET /hop, which serves hop frames (hop.go)
+// through that same surface.
 func (n *Node) Mount(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
+	mux.Handle(hopPath, n.hops.upgrade(mux))
 	mux.Handle(ShardSpace.Route, streamHandler(ShardSpace, n.Replica))
 	mux.Handle(UserSpace.Route, streamHandler(UserSpace, n.migrator))
 	mux.Handle(TailPath, NewWALTailHandler(n.shard, n.walPath))
@@ -453,3 +458,7 @@ func (n *Node) Mount(next http.Handler) http.Handler {
 	mux.Handle("/", next)
 	return mux
 }
+
+// Close closes the node's hop connections and refuses new ones: a closed node
+// answers no frame, on a connection old or new.
+func (n *Node) Close() { n.hops.close() }

@@ -146,9 +146,11 @@ func (n *ShardNode) adopt(c cluster.RingChange) error {
 // stream routes and the role gate on client writes.
 func (n *ShardNode) Handler() http.Handler { return n.streams.Mount(n.srv.Handler()) }
 
-// Close stops the node's shipper, if any, and releases its write-ahead-log
-// handle. The caller closes the listener the handler is mounted on.
+// Close closes the node's hop connections, stops its shipper, if any, and
+// releases its write-ahead-log handle. The caller closes the listener the
+// handler is mounted on.
 func (n *ShardNode) Close() error {
+	n.streams.Close()
 	if sp := n.shipper.Swap(nil); sp != nil {
 		sp.Close()
 	}

@@ -171,12 +171,14 @@ func TestConcurrencyCap(t *testing.T) {
 func TestBoundedWaitAdmitsWhenSlotFrees(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1, MaxWait: 2 * time.Second})
 	release := make(chan struct{})
-	started := make(chan struct{})
+	// Buffered, so the first request signals whether or not the test is
+	// already waiting; only that first request holds the slot until release.
+	started := make(chan struct{}, 1)
+	var first atomic.Bool
 	h := c.Middleware(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		select {
-		case started <- struct{}{}:
+		if first.CompareAndSwap(false, true) {
+			started <- struct{}{}
 			<-release
-		default:
 		}
 		w.WriteHeader(http.StatusOK)
 	}))

@@ -25,7 +25,7 @@ import (
 // by value.
 type Dataset struct {
 	name string
-	// ratings, and each inner slice of byUser and byItem, may have capacity
+	// ratings, and each entry of byUser and byItem, may have capacity
 	// beyond its length: the tail is reserved for the dataset's first Extend
 	// successor and is never read through this dataset (see Extend). The
 	// accessors hand out capacity-clipped views.
@@ -37,14 +37,14 @@ type Dataset struct {
 	users *types.Interner
 	items *types.Interner
 
-	byUser [][]int // rating indices per user
-	byItem [][]int // rating indices per item
+	byUser paged[[]int] // rating indices per user
+	byItem paged[[]int] // rating indices per item
 
 	// sortedItemsByUser holds each user's distinct rated items in ascending
 	// ItemID order. It is the index-contiguous complement of byUser: the
 	// candidate pipeline merges it linearly against the catalog to enumerate
 	// "all unrated items" without building a map per call.
-	sortedItemsByUser [][]types.ItemID
+	sortedItemsByUser paged[[]types.ItemID]
 }
 
 // Builder accumulates ratings and produces a Dataset. The zero value is not
@@ -117,31 +117,30 @@ func FromRatings(name string, ratings []types.Rating) *Dataset {
 }
 
 func (d *Dataset) buildIndexes() {
-	d.byUser = make([][]int, d.users.Len())
-	d.byItem = make([][]int, d.items.Len())
+	d.byUser = newPaged[[]int](d.users.Len())
+	d.byItem = newPaged[[]int](d.items.Len())
 	for idx, r := range d.ratings {
-		d.byUser[r.User] = append(d.byUser[r.User], idx)
-		d.byItem[r.Item] = append(d.byItem[r.Item], idx)
+		byUser, byItem := d.byUser.slot(int(r.User)), d.byItem.slot(int(r.Item))
+		*byUser = append(*byUser, idx)
+		*byItem = append(*byItem, idx)
 	}
-	d.sortedItemsByUser = make([][]types.ItemID, len(d.byUser))
-	for u, idxs := range d.byUser {
-		if len(idxs) == 0 {
-			continue
+	d.sortedItemsByUser = newPaged[[]types.ItemID](d.byUser.n)
+	for u := 0; u < d.byUser.n; u++ {
+		if idxs := d.byUser.at(u); len(idxs) > 0 {
+			*d.sortedItemsByUser.slot(u) = d.sortedItems(idxs)
 		}
-		items := make([]types.ItemID, len(idxs))
-		for k, idx := range idxs {
-			items[k] = d.ratings[idx].Item
-		}
-		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-		// Deduplicate in place (a user may rate the same item more than once).
-		out := items[:1]
-		for _, it := range items[1:] {
-			if it != out[len(out)-1] {
-				out = append(out, it)
-			}
-		}
-		d.sortedItemsByUser[u] = out
 	}
+}
+
+// sortedItems returns the distinct items of the given ratings in ascending
+// order (a user may rate the same item more than once).
+func (d *Dataset) sortedItems(idxs []int) []types.ItemID {
+	items := make([]types.ItemID, len(idxs))
+	for k, idx := range idxs {
+		items[k] = d.ratings[idx].Item
+	}
+	slices.Sort(items)
+	return slices.Compact(items)
 }
 
 // Name returns the dataset's human-readable name.
@@ -152,11 +151,11 @@ func (d *Dataset) Name() string { return d.name }
 // into the shared identifier tables afterwards, but this snapshot's universe
 // (and every index sized by it) does not move — the extended universe belongs
 // to the Dataset returned by Extend.
-func (d *Dataset) NumUsers() int { return len(d.byUser) }
+func (d *Dataset) NumUsers() int { return d.byUser.n }
 
 // NumItems returns |I|, the item universe this dataset was indexed over (see
 // NumUsers for the frozen-snapshot semantics).
-func (d *Dataset) NumItems() int { return len(d.byItem) }
+func (d *Dataset) NumItems() int { return d.byItem.n }
 
 // NumRatings returns |D|, the number of ratings.
 func (d *Dataset) NumRatings() int { return len(d.ratings) }
@@ -173,19 +172,19 @@ func (d *Dataset) Rating(idx int) types.Rating { return d.ratings[idx] }
 // UserRatings returns the indices of ratings belonging to user u. Like
 // Ratings, the slice is shared, read-only and capacity-clipped.
 func (d *Dataset) UserRatings(u types.UserID) []int {
-	if int(u) < 0 || int(u) >= len(d.byUser) {
+	if int(u) < 0 || int(u) >= d.byUser.n {
 		return nil
 	}
-	return slices.Clip(d.byUser[u])
+	return slices.Clip(d.byUser.at(int(u)))
 }
 
 // ItemRatings returns the indices of ratings belonging to item i (shared,
 // read-only and capacity-clipped, as UserRatings).
 func (d *Dataset) ItemRatings(i types.ItemID) []int {
-	if int(i) < 0 || int(i) >= len(d.byItem) {
+	if int(i) < 0 || int(i) >= d.byItem.n {
 		return nil
 	}
-	return slices.Clip(d.byItem[i])
+	return slices.Clip(d.byItem.at(int(i)))
 }
 
 // UserItems returns the set of items rated by user u, in rating order.
@@ -212,10 +211,10 @@ func (d *Dataset) UserItemSet(u types.UserID) map[types.ItemID]struct{} {
 // order. The returned slice is shared with the dataset and must not be
 // modified.
 func (d *Dataset) UserItemsSorted(u types.UserID) []types.ItemID {
-	if int(u) < 0 || int(u) >= len(d.sortedItemsByUser) {
+	if int(u) < 0 || int(u) >= d.sortedItemsByUser.n {
 		return nil
 	}
-	return d.sortedItemsByUser[u]
+	return d.sortedItemsByUser.at(int(u))
 }
 
 // AppendCandidates appends user u's candidate items — the catalog minus the
@@ -278,7 +277,7 @@ func (d *Dataset) ItemPopularity(i types.ItemID) int {
 func (d *Dataset) PopularityVector() []int {
 	out := make([]int, d.NumItems())
 	for i := range out {
-		out[i] = len(d.byItem[i])
+		out[i] = len(d.byItem.at(i))
 	}
 	return out
 }
@@ -330,7 +329,7 @@ func (d *Dataset) LongTail(tailShare float64) map[types.ItemID]struct{} {
 	pops := make([]itemPop, 0, d.NumItems())
 	total := 0
 	for i := 0; i < d.NumItems(); i++ {
-		p := len(d.byItem[i])
+		p := len(d.byItem.at(i))
 		total += p
 		pops = append(pops, itemPop{item: types.ItemID(i), pop: p})
 	}
@@ -382,14 +381,11 @@ func (d *Dataset) ComputeStats() Stats {
 	tail := d.LongTail(DefaultTailShare)
 	minDeg, maxDeg := 0, 0
 	if d.NumUsers() > 0 {
-		minDeg = len(d.byUser[0])
-		for _, rs := range d.byUser {
-			if len(rs) < minDeg {
-				minDeg = len(rs)
-			}
-			if len(rs) > maxDeg {
-				maxDeg = len(rs)
-			}
+		minDeg = len(d.byUser.at(0))
+		for u := 0; u < d.byUser.n; u++ {
+			n := len(d.byUser.at(u))
+			minDeg = min(minDeg, n)
+			maxDeg = max(maxDeg, n)
 		}
 	}
 	return Stats{
@@ -441,7 +437,7 @@ func (d *Dataset) SplitByUser(kappa float64, rng *rand.Rand) *Split {
 	testRatings := make([]types.Rating, 0, len(d.ratings)-cap(trainRatings)/2)
 
 	for u := 0; u < d.NumUsers(); u++ {
-		idxs := d.byUser[u]
+		idxs := d.byUser.at(u)
 		n := len(idxs)
 		if n == 0 {
 			continue
@@ -484,8 +480,11 @@ func (d *Dataset) childFromRatings(name string, ratings []types.Rating) *Dataset
 // Extend returns a new Dataset containing this dataset's ratings plus the
 // given new ones, sharing the (concurrency-safe) identifier spaces with the
 // parent. It is the incremental-ingestion counterpart of Build, and costs
-// O(|U| + |I| + batch), not O(|D|):
+// O(batch + (|U| + |I|)/64), not O(|D|):
 //
+//   - The per-user and per-item indexes are stored in pages of 64 entries
+//     behind a page table. The child copies the page tables and clones only
+//     the pages its batch writes; every other page is shared with the parent.
 //   - The first Extend of a dataset is its single linear successor — the
 //     ingestion stream's case. It shares the parent's storage and appends in
 //     place: the new ratings go into the reserved tail of the rating array,
@@ -493,9 +492,11 @@ func (d *Dataset) childFromRatings(name string, ratings []types.Rating) *Dataset
 //     (append's amortised growth reallocates a full one). The parent's slices
 //     end at their own lengths, so it never sees what the successor appends.
 //   - Extending the same parent again is a fork. The tails are taken, so the
-//     fork copies the ratings and any index it appends to.
-//   - Either way the outer index slices are copied, and the sorted adjacency
-//     is rebuilt for the users that received ratings.
+//     fork copies the ratings and clips every index it inherits, once, into
+//     pages of its own: O(|U| + |I|). Its appends then copy, and its own
+//     successors append into the fork's arrays, never the first line's.
+//   - Either way the sorted adjacency is rebuilt for the users that received
+//     ratings.
 //
 // The parent dataset is never mutated and stays fully usable, concurrently
 // with the Extend (the serving layer keeps answering against it until the
@@ -513,32 +514,25 @@ func (d *Dataset) Extend(newRatings []types.Rating) *Dataset {
 		}
 	}
 
-	// Clone the outer index slices, grown to the current interner sizes so
-	// freshly interned users/items get entries.
+	// Page tables grown to the current interner sizes, so freshly interned
+	// users/items get entries.
 	child := &Dataset{
 		name:              d.name,
 		ratings:           d.ratings,
 		users:             d.users,
 		items:             d.items,
-		byUser:            make([][]int, numUsers),
-		byItem:            make([][]int, numItems),
-		sortedItemsByUser: make([][]types.ItemID, numUsers),
+		byUser:            d.byUser.successor(numUsers),
+		byItem:            d.byItem.successor(numItems),
+		sortedItemsByUser: d.sortedItemsByUser.successor(numUsers),
 	}
-	copy(child.byUser, d.byUser)
-	copy(child.byItem, d.byItem)
-	copy(child.sortedItemsByUser, d.sortedItemsByUser)
 
 	if !d.extended.CompareAndSwap(false, true) {
 		// A fork: another successor owns every tail the parent's slices
 		// have. With capacity clipped to length, the appends below copy
 		// instead of writing there.
 		child.ratings = slices.Clip(child.ratings)
-		for u, idxs := range child.byUser {
-			child.byUser[u] = slices.Clip(idxs)
-		}
-		for i, idxs := range child.byItem {
-			child.byItem[i] = slices.Clip(idxs)
-		}
+		clipAll(child.byUser)
+		clipAll(child.byItem)
 	}
 
 	child.ratings = append(child.ratings, newRatings...)
@@ -546,25 +540,14 @@ func (d *Dataset) Extend(newRatings []types.Rating) *Dataset {
 	for k, r := range newRatings {
 		idx := len(d.ratings) + k
 		touchedUser[r.User] = struct{}{}
-		child.byUser[r.User] = append(child.byUser[r.User], idx)
-		child.byItem[r.Item] = append(child.byItem[r.Item], idx)
+		byUser, byItem := child.byUser.cow(d.byUser, int(r.User)), child.byItem.cow(d.byItem, int(r.Item))
+		*byUser = append(*byUser, idx)
+		*byItem = append(*byItem, idx)
 	}
 
 	// Re-sort the adjacency of touched users only.
 	for u := range touchedUser {
-		idxs := child.byUser[u]
-		items := make([]types.ItemID, len(idxs))
-		for k, idx := range idxs {
-			items[k] = child.ratings[idx].Item
-		}
-		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-		out := items[:1]
-		for _, it := range items[1:] {
-			if it != out[len(out)-1] {
-				out = append(out, it)
-			}
-		}
-		child.sortedItemsByUser[u] = out
+		*child.sortedItemsByUser.cow(d.sortedItemsByUser, int(u)) = child.sortedItems(child.byUser.at(int(u)))
 	}
 	return child
 }

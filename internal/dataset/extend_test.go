@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -100,6 +102,134 @@ func assertIndexesMatchRatings(t *testing.T, d *Dataset) {
 		if !slices.Equal(got, byItem[types.ItemID(i)]) || cap(got) != len(got) {
 			t.Fatalf("%d ratings: index of item %d is %v (cap %d), a recount gives %v", d.NumRatings(), i, got, cap(got), byItem[types.ItemID(i)])
 		}
+	}
+}
+
+// views is every slice a dataset handed out, beside a copy taken when it
+// was handed out: a later Extend anywhere must leave each one as it was.
+type views struct {
+	d                        *Dataset
+	ratings, ratingsCopy     []types.Rating
+	users, usersCopy         [][]int
+	items, itemsCopy         [][]int
+	adjacency, adjacencyCopy [][]types.ItemID
+}
+
+func takeViews(d *Dataset) *views {
+	v := &views{d: d, ratings: d.Ratings()}
+	v.ratingsCopy = slices.Clone(v.ratings)
+	for u := 0; u < d.NumUsers(); u++ {
+		v.users = append(v.users, d.UserRatings(types.UserID(u)))
+		v.usersCopy = append(v.usersCopy, slices.Clone(v.users[u]))
+		v.adjacency = append(v.adjacency, d.UserItemsSorted(types.UserID(u)))
+		v.adjacencyCopy = append(v.adjacencyCopy, slices.Clone(v.adjacency[u]))
+	}
+	for i := 0; i < d.NumItems(); i++ {
+		v.items = append(v.items, d.ItemRatings(types.ItemID(i)))
+		v.itemsCopy = append(v.itemsCopy, slices.Clone(v.items[i]))
+	}
+	return v
+}
+
+func (v *views) assertUnchanged(t *testing.T, label string) {
+	t.Helper()
+	if !slices.Equal(v.ratings, v.ratingsCopy) {
+		t.Fatalf("%s: a later Extend wrote inside the Ratings() view of a %d-rating dataset", label, len(v.ratingsCopy))
+	}
+	for u := range v.users {
+		if !slices.Equal(v.users[u], v.usersCopy[u]) || !slices.Equal(v.adjacency[u], v.adjacencyCopy[u]) {
+			t.Fatalf("%s: a later Extend wrote inside user %d's views of a %d-rating dataset: %v / %v, handed out as %v / %v",
+				label, u, len(v.ratingsCopy), v.users[u], v.adjacency[u], v.usersCopy[u], v.adjacencyCopy[u])
+		}
+	}
+	for i := range v.items {
+		if !slices.Equal(v.items[i], v.itemsCopy[i]) {
+			t.Fatalf("%s: a later Extend wrote inside item %d's view of a %d-rating dataset: %v, handed out as %v",
+				label, i, len(v.ratingsCopy), v.items[i], v.itemsCopy[i])
+		}
+	}
+}
+
+// TestExtendAcrossPagesProperty: seeded random sequences of linear Extends
+// and forks over a universe three index pages wide, growing past a page
+// boundary as new users and items are interned. After every step each
+// dataset recounts equal to its own ratings and every view any of them
+// handed out is unchanged. Each sequence opens with the case a lazy,
+// per-touch clip gets wrong: a fork whose successors touch the users whose
+// slices the parent's first successor keeps appending into.
+func TestExtendAcrossPagesProperty(t *testing.T) {
+	const numUsers, numItems = 3*pageSize - 3, 3*pageSize - 2
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			b := NewBuilder("pages", 4096)
+			for k := 0; k < 600; k++ {
+				u, i := k%numUsers, k%numItems
+				if k >= numUsers {
+					u, i = rng.Intn(numUsers), rng.Intn(numItems)
+				}
+				b.AddIDs(types.UserID(u), types.ItemID(i), float64(1+rng.Intn(5)))
+			}
+			base := b.Build()
+			batch := func(users []types.UserID) []types.Rating {
+				// Now and then intern a new user and item, so the universe
+				// grows across the page boundary at 3 × pageSize.
+				if rng.Intn(4) == 0 {
+					base.UserInterner().Intern(fmt.Sprintf("new-user-%d", base.UserInterner().Len()))
+					base.ItemInterner().Intern(fmt.Sprintf("new-item-%d", base.ItemInterner().Len()))
+				}
+				n, m := base.UserInterner().Len(), base.ItemInterner().Len()
+				out := make([]types.Rating, 1+rng.Intn(24))
+				for k := range out {
+					u := types.UserID(rng.Intn(n))
+					if len(users) > 0 {
+						u = users[rng.Intn(len(users))]
+					}
+					out[k] = types.Rating{User: u, Item: types.ItemID(rng.Intn(m)), Value: float64(1 + rng.Intn(5))}
+				}
+				return out
+			}
+			all := []*views{takeViews(base)}
+			check := func(step string) {
+				t.Helper()
+				for _, v := range all {
+					assertIndexesMatchRatings(t, v.d)
+					v.assertUnchanged(t, step)
+				}
+			}
+			extend := func(from *Dataset, users []types.UserID) *Dataset {
+				d := from.Extend(batch(users))
+				all = append(all, takeViews(d))
+				return d
+			}
+
+			// One user on each of the three pages.
+			shared := []types.UserID{1, pageSize + 1, 2*pageSize + 1}
+			first := extend(base, shared)
+			fork := extend(base, shared)
+			forkLine := extend(fork, shared)
+			firstLine := extend(first, shared)
+			for k := 0; k < 3; k++ {
+				forkLine = extend(forkLine, shared)
+				firstLine = extend(firstLine, shared)
+				check(fmt.Sprintf("interleaved lines, round %d", k))
+			}
+
+			tips := []*Dataset{firstLine, forkLine}
+			for step := 0; step < 40; step++ {
+				if rng.Intn(3) == 0 {
+					// A fork, or the first Extend of a dataset never extended.
+					tips = append(tips, extend(all[rng.Intn(len(all))].d, nil))
+				} else {
+					k := rng.Intn(len(tips))
+					tips[k] = extend(tips[k], nil)
+				}
+				check(fmt.Sprintf("step %d", step))
+			}
+			if base.UserInterner().Len() <= 3*pageSize || base.ItemInterner().Len() <= 3*pageSize {
+				t.Fatalf("the universe never crossed the page boundary: %d users, %d items", base.UserInterner().Len(), base.ItemInterner().Len())
+			}
+		})
 	}
 }
 

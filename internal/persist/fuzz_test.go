@@ -9,18 +9,12 @@ import (
 
 // fuzzSeedContainer builds a realistic two-section snapshot for the corpus —
 // the shape every real snapshot (dataset + base + prefs + coverage) has.
-func fuzzSeedContainer(t interface{ Fatal(...interface{}) }) []byte {
+func fuzzSeedContainer(t testing.TB) []byte {
 	var b Builder
 	b.Add("meta", []byte(`{"name":"GANC(Pop)","topn":10}`))
-	if err := b.AddGob("prefs", struct{ Values []float64 }{Values: []float64{0.1, 0.9, 0.5}}); err != nil {
-		t.Fatal(err)
-	}
+	b.AddGob("prefs", struct{ Values []float64 }{Values: []float64{0.1, 0.9, 0.5}})
 	b.Add("coverage", bytes.Repeat([]byte{0xAB, 0xCD}, 512))
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return saved(t, &b)
 }
 
 // FuzzSnapshotRead throws arbitrary bytes at the container parser. The
@@ -93,24 +87,15 @@ func FuzzSnapshotRead(f *testing.F) {
 func FuzzSnapshotGob(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0xFF, 0x82, 0x00})
-	var ok bytes.Buffer
 	b := &Builder{}
-	if err := b.AddGob("v", []float64{1, 2, 3}); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := b.WriteTo(&ok); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ok.Bytes()[len(ok.Bytes())/2:])
+	b.AddGob("v", []float64{1, 2, 3})
+	ok := saved(f, b)
+	f.Add(ok[len(ok)/2:])
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var b Builder
 		b.Add("v", payload)
-		var buf bytes.Buffer
-		if _, err := b.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		snap, err := Read(&buf)
+		snap, err := Read(bytes.NewReader(saved(t, &b)))
 		if err != nil {
 			t.Fatalf("self-built container unreadable: %v", err)
 		}

@@ -66,113 +66,106 @@ var (
 )
 
 // Builder accumulates named sections and writes the container. Sections are
-// written in Add order. The zero value is ready to use.
+// written in Add order, each encoded only when Save streams it into the
+// file. The zero value is ready to use.
 type Builder struct {
 	names    []string
-	payloads [][]byte
+	encoders []func(io.Writer) error
 }
 
-// Add appends a raw section. Adding a duplicate name is rejected at WriteTo
-// time. The payload is not copied; callers must not mutate it afterwards.
+// Add appends a raw section. The payload is not copied; callers must not
+// mutate it before Save.
 func (b *Builder) Add(name string, payload []byte) {
+	b.AddFrom(name, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
+
+// AddGob appends a section holding the gob encoding of v, taken at Save.
+func (b *Builder) AddGob(name string, v interface{}) {
+	b.AddFrom(name, func(w io.Writer) error { return gob.NewEncoder(w).Encode(v) })
+}
+
+// AddFrom appends a section that encode writes at Save (the model Save
+// methods all have the shape func(io.Writer) error). Invalid or duplicate
+// names are rejected at Save.
+func (b *Builder) AddFrom(name string, encode func(io.Writer) error) {
 	b.names = append(b.names, name)
-	b.payloads = append(b.payloads, payload)
+	b.encoders = append(b.encoders, encode)
 }
 
-// AddGob appends a section holding the gob encoding of v.
-func (b *Builder) AddGob(name string, v interface{}) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("persist: encode section %q: %w", name, err)
-	}
-	b.Add(name, buf.Bytes())
-	return nil
-}
+// headerLen is the size of the magic, the format version and the section
+// count.
+const headerLen = len(Magic) + 4 + 4
 
-// AddFrom appends a section produced by a writer-style encoder (the model
-// Save methods all have the shape func(io.Writer) error).
-func (b *Builder) AddFrom(name string, encode func(io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := encode(&buf); err != nil {
-		return fmt.Errorf("persist: encode section %q: %w", name, err)
-	}
-	b.Add(name, buf.Bytes())
-	return nil
-}
-
-// WriteTo writes the complete container to w.
-func (b *Builder) WriteTo(w io.Writer) (int64, error) {
+// Save writes the container atomically to path (see AtomicWrite). Each
+// section is encoded straight into the file through a writer that counts
+// its length and checksum, so only one section's encoder works at a time;
+// the header and section table, whose size the names alone fix, are written
+// back in front of the payloads once every length and checksum is known.
+func (b *Builder) Save(path string) error {
 	if len(b.names) > maxSections {
-		return 0, fmt.Errorf("persist: %d sections exceeds the limit of %d", len(b.names), maxSections)
+		return fmt.Errorf("persist: %d sections exceeds the limit of %d", len(b.names), maxSections)
 	}
 	seen := make(map[string]struct{}, len(b.names))
-	var table bytes.Buffer
-	for k, name := range b.names {
+	payloadsAt := headerLen
+	for _, name := range b.names {
 		if name == "" || len(name) > maxNameLen {
-			return 0, fmt.Errorf("persist: invalid section name %q", name)
+			return fmt.Errorf("persist: invalid section name %q", name)
 		}
 		if _, dup := seen[name]; dup {
-			return 0, fmt.Errorf("persist: duplicate section %q", name)
+			return fmt.Errorf("persist: duplicate section %q", name)
 		}
 		seen[name] = struct{}{}
-		if err := binary.Write(&table, binary.BigEndian, uint16(len(name))); err != nil {
-			return 0, err
-		}
-		table.WriteString(name)
-		if err := binary.Write(&table, binary.BigEndian, uint64(len(b.payloads[k]))); err != nil {
-			return 0, err
-		}
-		if err := binary.Write(&table, binary.BigEndian, crc32.ChecksumIEEE(b.payloads[k])); err != nil {
-			return 0, err
-		}
+		payloadsAt += 2 + len(name) + 8 + 4
 	}
-
-	var header bytes.Buffer
-	header.WriteString(Magic)
-	if err := binary.Write(&header, binary.BigEndian, uint32(FormatVersion)); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(&header, binary.BigEndian, uint32(len(b.names))); err != nil {
-		return 0, err
-	}
-
-	total := int64(0)
-	for _, chunk := range [][]byte{header.Bytes(), table.Bytes()} {
-		n, err := w.Write(chunk)
-		total += int64(n)
-		if err != nil {
-			return total, err
+	return AtomicWrite(path, func(f *os.File) error {
+		if _, err := f.Seek(int64(payloadsAt), io.SeekStart); err != nil {
+			return fmt.Errorf("persist: write snapshot: %w", err)
 		}
-	}
-	for _, payload := range b.payloads {
-		n, err := w.Write(payload)
-		total += int64(n)
-		if err != nil {
-			return total, err
+		head := make([]byte, 0, payloadsAt)
+		head = append(head, Magic...)
+		head = binary.BigEndian.AppendUint32(head, FormatVersion)
+		head = binary.BigEndian.AppendUint32(head, uint32(len(b.names)))
+		for k, name := range b.names {
+			section := sectionWriter{w: f}
+			if err := b.encoders[k](&section); err != nil {
+				return fmt.Errorf("persist: write section %q: %w", name, err)
+			}
+			head = binary.BigEndian.AppendUint16(head, uint16(len(name)))
+			head = append(head, name...)
+			head = binary.BigEndian.AppendUint64(head, section.n)
+			head = binary.BigEndian.AppendUint32(head, section.crc)
 		}
-	}
-	return total, nil
-}
-
-// Save writes the container atomically to path: the bytes land in a temp file
-// in the same directory, are fsynced, and are renamed over the target only on
-// success.
-func (b *Builder) Save(path string) error {
-	return AtomicWrite(path, func(w io.Writer) error {
-		if _, err := b.WriteTo(w); err != nil {
+		if _, err := f.WriteAt(head, 0); err != nil {
 			return fmt.Errorf("persist: write snapshot: %w", err)
 		}
 		return nil
 	})
 }
 
-// AtomicWrite streams write's output into a file at path atomically: the
-// bytes land in a temp file in the same directory (widened from CreateTemp's
-// 0600 to the usual umask-limited 0644), are fsynced, and are renamed over
-// the target only on success — a crash mid-write never leaves a half-written
-// file at path. Shared by the snapshot container and every other durable
-// artifact (e.g. the load-benchmark report).
-func AtomicWrite(path string, write func(w io.Writer) error) error {
+// sectionWriter passes a section's bytes to w, counting their length and
+// CRC-32 (IEEE) on the way.
+type sectionWriter struct {
+	w   io.Writer
+	n   uint64
+	crc uint32
+}
+
+func (s *sectionWriter) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	s.n += uint64(n)
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p[:n])
+	return n, err
+}
+
+// AtomicWrite hands write a temp file in the same directory as path (widened
+// from CreateTemp's 0600 to the usual umask-limited 0644), fsyncs it, and
+// renames it over path only on success — a crash mid-write never leaves a
+// half-written file at path. Shared by the snapshot container and every
+// other durable artifact (e.g. the load-benchmark report).
+func AtomicWrite(path string, write func(f *os.File) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

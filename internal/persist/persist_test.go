@@ -2,25 +2,106 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
+// saved returns the bytes b.Save writes.
+func saved(t testing.TB, b *Builder) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snap.ganc")
+	if err := b.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func buildSample(t *testing.T) []byte {
 	t.Helper()
 	var b Builder
 	b.Add("alpha", []byte("hello snapshot"))
-	if err := b.AddGob("beta", map[string]int{"x": 1, "y": 2}); err != nil {
-		t.Fatal(err)
-	}
+	b.AddGob("beta", map[string]int{"x": 1, "y": 2})
 	b.Add("gamma", nil) // empty payloads are legal
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
+	return saved(t, &b)
+}
+
+// TestSaveStreamsTheSameBytes: Save streams each section into the file and
+// writes the section table back in front of the payloads afterwards. The
+// file must be byte for byte the container laid out in memory: header, then
+// table, then payloads, each payload produced by the same encoder.
+func TestSaveStreamsTheSameBytes(t *testing.T) {
+	chunked := func(w io.Writer) error {
+		for k := 0; k < 50; k++ {
+			if _, err := w.Write(bytes.Repeat([]byte{byte(k)}, 100+k)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	prefs := struct{ Values []float64 }{Values: []float64{0.1, 0.9, 0.5}}
+	var b Builder
+	b.Add("meta", []byte(`{"name":"GANC(Pop)","topn":10}`))
+	b.AddGob("prefs", &prefs)
+	b.AddFrom("base", chunked)
+	b.Add("empty", nil)
+
+	names := []string{"meta", "prefs", "base", "empty"}
+	var gobbed bytes.Buffer
+	if err := gob.NewEncoder(&gobbed).Encode(&prefs); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	var streamed bytes.Buffer
+	if err := chunked(&streamed); err != nil {
+		t.Fatal(err)
+	}
+	payloads := [][]byte{[]byte(`{"name":"GANC(Pop)","topn":10}`), gobbed.Bytes(), streamed.Bytes(), nil}
+	var want bytes.Buffer
+	want.WriteString(Magic)
+	binary.Write(&want, binary.BigEndian, uint32(FormatVersion))
+	binary.Write(&want, binary.BigEndian, uint32(len(names)))
+	for k, name := range names {
+		binary.Write(&want, binary.BigEndian, uint16(len(name)))
+		want.WriteString(name)
+		binary.Write(&want, binary.BigEndian, uint64(len(payloads[k])))
+		binary.Write(&want, binary.BigEndian, crc32.ChecksumIEEE(payloads[k]))
+	}
+	for _, payload := range payloads {
+		want.Write(payload)
+	}
+
+	if got := saved(t, &b); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("Save wrote %d bytes that differ from the %d-byte container laid out in memory", len(got), want.Len())
+	}
+}
+
+// TestSaveFailureLeavesNoFile: an encoder's error fails Save with the
+// section's name, and neither the target nor a temp file is left behind.
+func TestSaveFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	boom := errors.New("boom")
+	var b Builder
+	b.Add("first", []byte("fine"))
+	b.AddFrom("second", func(w io.Writer) error {
+		w.Write([]byte("half"))
+		return boom
+	})
+	err := b.Save(filepath.Join(dir, "snap.ganc"))
+	if !errors.Is(err, boom) || !bytes.Contains([]byte(err.Error()), []byte(`"second"`)) {
+		t.Fatalf("err = %v, want the encoder's error naming its section", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a failed Save left %d entries in %s", len(entries), dir)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -116,8 +197,7 @@ func TestDuplicateSectionRejected(t *testing.T) {
 	var b Builder
 	b.Add("dup", []byte("a"))
 	b.Add("dup", []byte("b"))
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err == nil {
+	if err := b.Save(filepath.Join(t.TempDir(), "snap.ganc")); err == nil {
 		t.Fatal("duplicate section names must be rejected")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -443,8 +444,8 @@ func WriteBenchReport(path string, rep interface{}) error {
 		return fmt.Errorf("simulate: encode bench report: %w", err)
 	}
 	data = append(data, '\n')
-	return persist.AtomicWrite(path, func(w io.Writer) error {
-		if _, err := w.Write(data); err != nil {
+	return persist.AtomicWrite(path, func(f *os.File) error {
+		if _, err := f.Write(data); err != nil {
 			return fmt.Errorf("simulate: write bench report: %w", err)
 		}
 		return nil

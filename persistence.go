@@ -154,34 +154,20 @@ func (p *Pipeline) Save(path string) error {
 		PrefModel:    string(p.prefs.Model),
 		PrefConstant: prefConstant,
 	}
-	if err := b.AddGob(sectionMeta, &meta); err != nil {
-		return err
-	}
-	if err := b.AddFrom(sectionDataset, p.train.EncodeSnapshot); err != nil {
-		return err
-	}
-	if err := kind.encode(p.baseScorer, &b); err != nil {
-		return err
-	}
-	if err := b.AddGob(sectionPrefs, &prefsSnapshot{Model: string(p.prefs.Model), Values: p.prefs.Values}); err != nil {
-		return err
-	}
-	if err := b.AddGob(sectionCoverage, &coverageSnapshot{Name: p.cfg.coverage.name, Freq: p.dynFreq()}); err != nil {
-		return err
-	}
+	b.AddGob(sectionMeta, &meta)
+	b.AddFrom(sectionDataset, p.train.EncodeSnapshot)
+	kind.encode(p.baseScorer, &b)
+	b.AddGob(sectionPrefs, &prefsSnapshot{Model: string(p.prefs.Model), Values: p.prefs.Values})
+	b.AddGob(sectionCoverage, &coverageSnapshot{Name: p.cfg.coverage.name, Freq: p.dynFreq()})
 	if p.ingestSeq > 0 || p.ingestAvgLambda > 0 {
-		if err := b.AddGob(sectionIngest, &ingestSnapshot{AppliedSeq: p.ingestSeq, AvgLambda: p.ingestAvgLambda, PrefFill: p.ingestPrefFill}); err != nil {
-			return err
-		}
+		b.AddGob(sectionIngest, &ingestSnapshot{AppliedSeq: p.ingestSeq, AvgLambda: p.ingestAvgLambda, PrefFill: p.ingestPrefFill})
 	}
 	if p.shard != nil {
-		if err := b.AddGob(sectionCluster, &clusterSnapshot{
+		b.AddGob(sectionCluster, &clusterSnapshot{
 			ShardID:   p.shard.ShardID,
 			NumShards: p.shard.NumShards,
 			RingEpoch: p.shard.RingEpoch,
-		}); err != nil {
-			return err
-		}
+		})
 	}
 	return b.Save(path)
 }

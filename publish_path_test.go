@@ -176,8 +176,8 @@ func TestPublishAllocationIndependentOfHistory(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation totals are not meaningful under the race detector")
 	}
-	small := applyAllocBytes(t, 50_000)
-	large := applyAllocBytes(t, 200_000)
+	small := applyAllocBytes(t, 5000, 50_000)
+	large := applyAllocBytes(t, 5000, 200_000)
 	t.Logf("bytes allocated per 20-event Apply: |D|=50k → %d, |D|=200k → %d (ratio %.2f)",
 		small, large, float64(large)/float64(small))
 	if float64(large) > 1.5*float64(small) {
@@ -186,13 +186,34 @@ func TestPublishAllocationIndependentOfHistory(t *testing.T) {
 	}
 }
 
-// applyAllocBytes builds a Pop+Dyn node over a fixed 5000×2000 universe with
-// the given number of ratings and returns the median bytes allocated by one
-// 20-event Ingestor.Apply (engine rebuild and swap included), taken after a
-// warm-up batch.
-func applyAllocBytes(t *testing.T, numRatings int) uint64 {
+// TestPublishAllocationIndependentOfUniverse: what one 20-event batch
+// allocates does not grow with the user universe either. The dataset's
+// indexes are paged, so a publish copies the page tables and the pages its
+// batch writes; two universes of 5k and 50k users over the same 2000 items
+// and 100k ratings must cost a batch the same to within 1.5×. Copying an
+// index entry per user per batch (24 B each, three indexes) would make it
+// several times that.
+func TestPublishAllocationIndependentOfUniverse(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation totals are not meaningful under the race detector")
+	}
+	small := applyAllocBytes(t, 5000, 100_000)
+	large := applyAllocBytes(t, 50_000, 100_000)
+	t.Logf("bytes allocated per 20-event Apply: |U|=5k → %d, |U|=50k → %d (ratio %.2f)",
+		small, large, float64(large)/float64(small))
+	if float64(large) > 1.5*float64(small) {
+		t.Fatalf("a batch at |U|=50k allocates %d B, more than 1.5× the %d B at |U|=5k: the publish path copies state that grows with the user universe",
+			large, small)
+	}
+}
+
+// applyAllocBytes builds a Pop+Dyn node over a universe of numUsers users and
+// 2000 items with the given number of ratings and returns the median bytes
+// allocated by one 20-event Ingestor.Apply (engine rebuild and swap
+// included), taken after a warm-up batch.
+func applyAllocBytes(t *testing.T, numUsers, numRatings int) uint64 {
 	t.Helper()
-	const numUsers, numItems, batch, rounds = 5000, 2000, 20, 7
+	const numItems, batch, rounds = 2000, 20, 7
 	rng := rand.New(rand.NewSource(79))
 	ratings := make([]types.Rating, numRatings)
 	for k := range ratings {
@@ -204,7 +225,7 @@ func applyAllocBytes(t *testing.T, numRatings int) uint64 {
 		}
 		ratings[k] = types.Rating{User: types.UserID(u), Item: types.ItemID(i), Value: float64(1 + rng.Intn(5))}
 	}
-	train := dataset.FromRatings(fmt.Sprintf("alloc-%d", numRatings), ratings)
+	train := dataset.FromRatings(fmt.Sprintf("alloc-%d-%d", numUsers, numRatings), ratings)
 	pipe, err := NewPipeline(train, WithBaseNamed("Pop"), WithPreferences(PreferenceActivity), WithTopN(5))
 	if err != nil {
 		t.Fatal(err)

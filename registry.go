@@ -78,7 +78,7 @@ type baseKind struct {
 	owns func(s Scorer) bool
 	// encode writes the model as the snapshot's "base" section; decode
 	// restores it bit-identically (train is the snapshot's dataset).
-	encode func(s Scorer, b *persist.Builder) error
+	encode func(s Scorer, b *persist.Builder)
 	decode func(snap *persist.Snapshot, train *Dataset) (Scorer, error)
 	// rebuild is what an ingested batch does to the model: the next
 	// generation's scorer, from the previous one and the ingestion state. nil
@@ -97,8 +97,8 @@ var baseKinds = []baseKind{
 	{
 		name: "Pop",
 		owns: func(s Scorer) bool { _, ok := s.(*recommender.Pop); return ok },
-		encode: func(s Scorer, b *persist.Builder) error {
-			return b.AddGob(sectionBase, &popSnapshot{Counts: s.(*recommender.Pop).Counts()})
+		encode: func(s Scorer, b *persist.Builder) {
+			b.AddGob(sectionBase, &popSnapshot{Counts: s.(*recommender.Pop).Counts()})
 		},
 		decode: func(snap *persist.Snapshot, train *Dataset) (Scorer, error) {
 			var ps popSnapshot
@@ -121,9 +121,9 @@ var baseKinds = []baseKind{
 	{
 		name: "ItemAvg",
 		owns: func(s Scorer) bool { _, ok := s.(*recommender.ItemAvg); return ok },
-		encode: func(s Scorer, b *persist.Builder) error {
+		encode: func(s Scorer, b *persist.Builder) {
 			avg := s.(*recommender.ItemAvg)
-			return b.AddGob(sectionBase, &itemAvgSnapshot{Avg: avg.Averages(), Lambda: avg.Lambda()})
+			b.AddGob(sectionBase, &itemAvgSnapshot{Avg: avg.Averages(), Lambda: avg.Lambda()})
 		},
 		decode: func(snap *persist.Snapshot, _ *Dataset) (Scorer, error) {
 			var ia itemAvgSnapshot
@@ -140,8 +140,8 @@ var baseKinds = []baseKind{
 	{
 		name: "RSVD",
 		owns: func(s Scorer) bool { _, ok := s.(*mf.RSVD); return ok },
-		encode: func(s Scorer, b *persist.Builder) error {
-			return b.AddFrom(sectionBase, s.(*mf.RSVD).Save)
+		encode: func(s Scorer, b *persist.Builder) {
+			b.AddFrom(sectionBase, s.(*mf.RSVD).Save)
 		},
 		decode: func(snap *persist.Snapshot, _ *Dataset) (Scorer, error) {
 			r, err := snap.Reader(sectionBase)
@@ -154,8 +154,8 @@ var baseKinds = []baseKind{
 	{
 		name: "PSVD",
 		owns: func(s Scorer) bool { _, ok := s.(*mf.PSVD); return ok },
-		encode: func(s Scorer, b *persist.Builder) error {
-			return b.AddFrom(sectionBase, s.(*mf.PSVD).Save)
+		encode: func(s Scorer, b *persist.Builder) {
+			b.AddFrom(sectionBase, s.(*mf.PSVD).Save)
 		},
 		decode: func(snap *persist.Snapshot, _ *Dataset) (Scorer, error) {
 			r, err := snap.Reader(sectionBase)
@@ -168,8 +168,8 @@ var baseKinds = []baseKind{
 	{
 		name: "ItemKNN",
 		owns: func(s Scorer) bool { _, ok := s.(*knn.ItemKNN); return ok },
-		encode: func(s Scorer, b *persist.Builder) error {
-			return b.AddFrom(sectionBase, s.(*knn.ItemKNN).Save)
+		encode: func(s Scorer, b *persist.Builder) {
+			b.AddFrom(sectionBase, s.(*knn.ItemKNN).Save)
 		},
 		decode: func(snap *persist.Snapshot, train *Dataset) (Scorer, error) {
 			r, err := snap.Reader(sectionBase)
@@ -185,8 +185,8 @@ var baseKinds = []baseKind{
 	{
 		name: "CofiRank",
 		owns: func(s Scorer) bool { _, ok := s.(*rank.Model); return ok },
-		encode: func(s Scorer, b *persist.Builder) error {
-			return b.AddFrom(sectionBase, s.(*rank.Model).Save)
+		encode: func(s Scorer, b *persist.Builder) {
+			b.AddFrom(sectionBase, s.(*rank.Model).Save)
 		},
 		decode: func(snap *persist.Snapshot, _ *Dataset) (Scorer, error) {
 			r, err := snap.Reader(sectionBase)

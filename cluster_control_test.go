@@ -14,21 +14,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ganc/internal/ingest"
 )
 
-// walUserCounts counts, per user accepted by keep (nil keeps everyone), how
-// many events the write-ahead log at path holds (empty for a missing log).
-func walUserCounts(path string, keep func(string) bool) (map[string]uint64, error) {
-	counts := make(map[string]uint64)
-	err := ingest.ReplayLog(path, 0, func(_ uint64, ev IngestEvent) error {
-		if keep == nil || keep(ev.User) {
-			counts[ev.User]++
-		}
-		return nil
-	})
-	return counts, err
+// nodeLog reads every record of a live node's write-ahead log through the
+// log the node holds open.
+func nodeLog(n *clusterNode) ([]IngestEvent, error) {
+	wal := n.node.ing.Log()
+	return wal.ReadRange(0, wal.Seq())
 }
 
 // shardSnapshotCursor reads the ingestion cursor out of a shard snapshot.
@@ -165,26 +157,16 @@ func TestClusterRejoinBootsAtTheCursorItRepairedTo(t *testing.T) {
 	must(send(60, 10))
 	must(c.WaitForReplicaSync(5 * time.Second))
 	// Record n of the rejoined log is global event n: all 70, values in order.
-	values, err := walValues(dead.walPath)
+	events, err := nodeLog(dead)
 	must(err)
-	if len(values) != 70 {
-		t.Fatalf("rejoined log holds %d records, want all 70 (booted past the cursor the log was repaired to)", len(values))
+	if len(events) != 70 {
+		t.Fatalf("rejoined log holds %d records, want all 70 (booted past the cursor the log was repaired to)", len(events))
 	}
-	for k, v := range values {
-		if v != float64(k) {
-			t.Fatalf("rejoined log record %d carries event %v, want %d", k+1, v, k)
+	for k, ev := range events {
+		if ev.Value != float64(k) {
+			t.Fatalf("rejoined log record %d carries event %v, want %d", k+1, ev.Value, k)
 		}
 	}
-}
-
-// walValues lists every logged event's value, in log order.
-func walValues(path string) ([]float64, error) {
-	var values []float64
-	err := ingest.ReplayLog(path, 0, func(_ uint64, ev IngestEvent) error {
-		values = append(values, ev.Value)
-		return nil
-	})
-	return values, err
 }
 
 // TestClusterSaveAndWaitReadyDuringTopologyChanges runs SaveShards and

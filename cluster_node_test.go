@@ -162,8 +162,8 @@ func TestClusterRejoinPullsLostWAL(t *testing.T) {
 	if err := c.WaitForReplicaSync(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if records, err := countRecords(dead.walPath); err != nil || records != 60 {
-		t.Fatalf("rejoined log holds %d records (%v), want all 60", records, err)
+	if events, err := nodeLog(dead); err != nil || len(events) != 60 {
+		t.Fatalf("rejoined log holds %d records (%v), want all 60", len(events), err)
 	}
 	primary := c.shards[0].node(c.ShardAddr(0))
 	want, err := fingerprintPipeline(context.Background(), primary.node.pipe, primary.node.ing, nil)
@@ -228,16 +228,6 @@ func TestOpenShardNodeRefusesShortLog(t *testing.T) {
 		t.Fatalf("the primary's own log, which reaches the snapshot's cursor, was refused: %v", err)
 	}
 	node.Close()
-}
-
-// countRecords counts a write-ahead log's committed records.
-func countRecords(path string) (int, error) {
-	n := 0
-	counts, err := walUserCounts(path, nil)
-	for _, c := range counts {
-		n += int(c)
-	}
-	return n, err
 }
 
 // TestClusterEveryNodeSpeaksEveryStreamRoute: whatever way a node came to

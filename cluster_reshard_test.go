@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ganc/internal/ingest"
 )
 
 // reshardTestCluster boots a cluster over the standard small fixture and a
@@ -53,14 +51,15 @@ func postIngest(t *testing.T, url string, events []IngestEvent) {
 func ownedWALEvents(t *testing.T, c *Cluster, user string) []float64 {
 	t.Helper()
 	owner := c.OwnerShard(user)
+	events, err := nodeLog(c.shards[owner].node(c.ShardAddr(owner)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []float64
-	if err := ingest.ReplayLog(c.shards[owner].node(c.ShardAddr(owner)).walPath, 0, func(_ uint64, ev ingest.Event) error {
+	for _, ev := range events {
 		if ev.User == user {
 			out = append(out, ev.Value)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	return out
 }

@@ -19,14 +19,16 @@ import (
 // carry. A rejoining node pulls what its disk lost, and a reshard reads every
 // involved primary's log (Router.Reshard).
 
-// NewWALTailHandler serves TailPath for one shard node. The puller asks for
-// the records [First, Head] (no events); the node answers with a contiguous
-// chunk starting at First — capped at MaxReplicateEvents, so the puller
-// loops — with Head set to the last position included. Pulls are reads of
-// committed records, so neither the role gate nor epoch fencing applies; a
-// range the log cannot cover is refused with a typed 409 gap carrying the
-// position the log ends at.
-func NewWALTailHandler(shard int, walPath string) http.Handler {
+// NewWALTailHandler serves TailPath for one shard node from the node's open
+// write-ahead log (nil: the node keeps none, and holds no record). The puller
+// asks for the records [First, Head] (no events); the node answers with a
+// contiguous chunk starting at First — capped at MaxReplicateEvents, so the
+// puller loops, and at the log's acknowledged end — with Head set to the last
+// position included. Pulls are reads of committed records, so neither the
+// role gate nor epoch fencing applies; a pull starting past the log's end is
+// refused with a typed 409 gap carrying the position the log ends at, and a
+// log that cannot be read (closed, corrupt) with a 500.
+func NewWALTailHandler(shard int, log *ingest.Log) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c, err := readChunk(w, r, ShardSpace)
 		switch {
@@ -42,20 +44,21 @@ func NewWALTailHandler(shard int, walPath string) http.Handler {
 			writeAck(w, ShardSpace, Ack{}, err)
 			return
 		}
-		end := c.Head
-		if end-c.First >= MaxReplicateEvents {
-			end = c.First + MaxReplicateEvents - 1
+		var end uint64
+		if log != nil {
+			end = log.Seq()
 		}
-		events, err := readWAL(walPath, c.First-1, end)
-		if err == nil && len(events) == 0 {
-			err = fmt.Errorf("no record at %d", c.First)
-		}
-		if err != nil {
-			end, _ := walEnd(walPath) // an unreadable log is refused all the same, citing cursor 0
-			writeAck(w, ShardSpace, Ack{Gap: true, Cursor: end}, fmt.Errorf("%w: %v", ErrStreamGap, err))
+		if c.First > end {
+			writeAck(w, ShardSpace, Ack{Gap: true, Cursor: end}, fmt.Errorf("%w: no record at %d, the log ends at %d", ErrStreamGap, c.First, end))
 			return
 		}
-		writeJSON(w, http.StatusOK, Chunk{Shard: shard, First: c.First, Head: c.First + uint64(len(events)) - 1, Events: events})
+		end = min(end, c.Head, c.First+MaxReplicateEvents-1)
+		events, err := log.ReadRange(c.First-1, end)
+		if err != nil {
+			writeAck(w, ShardSpace, Ack{}, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, Chunk{Shard: shard, First: c.First, Head: end, Events: events})
 	})
 }
 
@@ -110,20 +113,22 @@ var ErrReplicaRejoin = errors.New("cluster: shard snapshot is ahead of the rejoi
 
 // RepairLog restores the WAL-sequence invariant — record n of a node's log
 // is the shard's global event n — before the node boots from a snapshot at
-// cursor. A log that already reaches the cursor is left alone (boot replays
-// whatever lies past it). A shorter one — the disk did not survive with the
-// full history — has the records (its end, cursor] pulled from the shard's
-// live primary and appended, and the rejoin is refused with ErrReplicaRejoin
-// unless the log did not move during the pull and ends exactly at the cursor
+// cursor. It opens the log at walPath once. A log that already reaches the
+// cursor is left alone (boot replays whatever lies past it). A shorter one —
+// the disk did not survive with the full history — has the records (its end,
+// cursor] pulled from the shard's live primary and appended, and the rejoin
+// is refused with ErrReplicaRejoin unless the log ends exactly at the cursor
 // after it. The cursor must be the one the node then boots at: read it from
 // the pipeline that is booted, never from a second look at a snapshot file a
 // live primary keeps rewriting. The pull runs over a hop of its own, whose
 // connections dial opens (nil: a net.Dialer).
 func RepairLog(ctx context.Context, dial func(ctx context.Context, network, addr string) (net.Conn, error), walPath, primary string, shard int, cursor uint64) error {
-	records, err := walEnd(walPath)
+	wal, err := ingest.OpenLog(walPath)
 	if err != nil {
-		return fmt.Errorf("cluster: inspecting rejoin write-ahead log: %w", err)
+		return fmt.Errorf("cluster: opening rejoin write-ahead log: %w", err)
 	}
+	defer wal.Close() // every appended batch is already durable
+	records := wal.Seq()
 	if cursor <= records {
 		return nil
 	}
@@ -134,18 +139,7 @@ func RepairLog(ctx context.Context, dial func(ctx context.Context, network, addr
 		return fmt.Errorf("%w: snapshot cursor %d, log has %d records, and the primary could not supply the tail: %v",
 			ErrReplicaRejoin, cursor, records, err)
 	}
-	wal, err := ingest.OpenLog(walPath)
-	if err != nil {
-		return fmt.Errorf("cluster: opening rejoin write-ahead log: %w", err)
-	}
-	if head := wal.Seq(); head != records {
-		wal.Close()
-		return fmt.Errorf("%w: log moved from %d to %d records during the tail pull", ErrReplicaRejoin, records, head)
-	}
 	head, err := wal.Append(tail)
-	if closeErr := wal.Close(); err == nil {
-		err = closeErr
-	}
 	if err != nil {
 		return fmt.Errorf("cluster: appending fetched tail: %w", err)
 	}

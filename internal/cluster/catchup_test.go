@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -17,23 +18,21 @@ import (
 	"ganc/internal/serve"
 )
 
-// tailWAL writes n events (values 1..n) into a fresh write-ahead log.
-func tailWAL(t *testing.T, n int) string {
+// tailWAL writes n events (values 1..n) into a fresh write-ahead log and
+// returns it open, as a node holds it; the test's cleanup closes it.
+func tailWAL(t *testing.T, n int) *ingest.Log {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "tail.wal")
-	wal, err := ingest.OpenLog(path)
+	wal, err := ingest.OpenLog(filepath.Join(t.TempDir(), "tail.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { wal.Close() })
 	for done := 0; done < n; done += 5000 {
 		if _, err := wal.Append(evs(done+1, min(5000, n-done))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return wal
 }
 
 // TestWALTailHandlerTable pins the pull side of the shard stream: what a
@@ -207,9 +206,9 @@ func TestFetchWALTailRejectsHostileAnswers(t *testing.T) {
 // log short of the cursor is completed from the primary's tail route and ends
 // exactly at the cursor, record for record; a log that reaches or passes the
 // cursor is left alone without a pull; and whenever the gap cannot be filled
-// faithfully — the primary is gone, holds too little, answers garbage, or the
-// local log moved during the pull — the repair refuses with ErrReplicaRejoin
-// and the log keeps exactly the records it had.
+// faithfully — the primary is gone, holds too little or answers garbage —
+// the repair refuses with ErrReplicaRejoin and the log keeps exactly the
+// records it had.
 func TestRepairLog(t *testing.T) {
 	const primaryRecords = 40
 	primaryWAL := tailWAL(t, primaryRecords)
@@ -217,7 +216,7 @@ func TestRepairLog(t *testing.T) {
 		name    string
 		local   int    // records in the rejoining node's log
 		cursor  uint64 // the cursor the node will boot at
-		primary func(local string) http.Handler
+		primary func() http.Handler
 		pulls   int
 		refused bool
 		after   int // records in the log afterwards
@@ -230,32 +229,17 @@ func TestRepairLog(t *testing.T) {
 		{name: "cursor-zero", local: 0, cursor: 0, after: 0},
 		{name: "primary-holds-too-little", local: 12, cursor: 45, pulls: 2, refused: true, after: 12}, // what it has, then the gap
 		{name: "primary-unreachable", local: 12, cursor: 30, refused: true, after: 12,
-			primary: func(string) http.Handler { return nil }},
+			primary: func() http.Handler { return nil }},
 		{name: "hostile-tail-misplaced", local: 12, cursor: 30, pulls: 1, refused: true, after: 12,
-			primary: func(string) http.Handler {
+			primary: func() http.Handler {
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					writeJSON(w, http.StatusOK, Chunk{First: 14, Head: 31, Events: evs(14, 18)})
 				})
 			}},
 		{name: "hostile-tail-keyless", local: 29, cursor: 30, pulls: 1, refused: true, after: 29,
-			primary: func(string) http.Handler {
+			primary: func() http.Handler {
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					fmt.Fprint(w, `{"first":30,"head":30,"events":[{"user":"","item":"i","value":30}]}`)
-				})
-			}},
-		{name: "log-moved-during-the-pull", local: 12, cursor: 30, pulls: 1, refused: true, after: 13,
-			primary: func(local string) http.Handler {
-				tail := NewWALTailHandler(0, primaryWAL)
-				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					wal, err := ingest.OpenLog(local)
-					if err == nil {
-						_, err = wal.Append(evs(13, 1))
-						wal.Close()
-					}
-					if err != nil {
-						t.Error(err)
-					}
-					tail.ServeHTTP(w, r)
 				})
 			}},
 	}
@@ -263,11 +247,13 @@ func TestRepairLog(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			local := filepath.Join(t.TempDir(), "lost.wal")
 			if tc.local > 0 {
-				local = tailWAL(t, tc.local)
+				wal := tailWAL(t, tc.local)
+				local = wal.Path()
+				wal.Close() // the rejoining node is down: nothing holds its log
 			}
 			primary := NewWALTailHandler(0, primaryWAL)
 			if tc.primary != nil {
-				primary = tc.primary(local)
+				primary = tc.primary()
 			}
 			var pulls int
 			net := fabric{}
@@ -284,7 +270,12 @@ func TestRepairLog(t *testing.T) {
 			if pulls != tc.pulls {
 				t.Fatalf("%d pulls, want %d", pulls, tc.pulls)
 			}
-			got, err := readWAL(local, 0, math.MaxUint64)
+			wal, err := ingest.OpenLog(local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer wal.Close()
+			got, err := wal.ReadRange(0, wal.Seq())
 			if err != nil || len(got) != tc.after {
 				t.Fatalf("log holds %d records afterwards (%v), want %d", len(got), err, tc.after)
 			}
@@ -294,5 +285,65 @@ func TestRepairLog(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTailServesOnlyAcknowledgedRecords: a complete, valid line past the open
+// log's acknowledged end — what Append's write leaves on disk until its fsync
+// returns, and a failed fsync rolls back — is never served: a pull to the
+// log's end ends at Log.Seq(), and a pull past it is a gap citing Log.Seq().
+// A closed log is a typed refusal, never a silently short pull.
+func TestTailServesOnlyAcknowledgedRecords(t *testing.T) {
+	const records = 5
+	wal := tailWAL(t, records)
+	f, err := os.OpenFile(wal.Path(), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"user":"ghost","item":"i","value":6}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts := newNodeServer(NewWALTailHandler(0, wal))
+	defer ts.Close()
+	h := newHop(nil)
+	defer h.Close()
+	ctx := context.Background()
+
+	got, err := fetchWALTail(ctx, h, ts.addr(), 0, 0, toLogEnd)
+	if err != nil || uint64(len(got)) != wal.Seq() {
+		t.Fatalf("a pull to the log's end served %d records (%v), Log.Seq() is %d", len(got), err, wal.Seq())
+	}
+	for k, ev := range got {
+		if ev.User == "ghost" || ev.Value != float64(k+1) {
+			t.Fatalf("record %d served as %+v", k+1, ev)
+		}
+	}
+	pull := func(first, head uint64) (int, Ack) {
+		t.Helper()
+		status, body, err := post(ctx, h, ts.addr(), TailPath, &Chunk{First: first, Head: head}, serve.MaxBodyBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refusal Ack
+		if err := json.Unmarshal(body, &refusal); err != nil {
+			t.Fatalf("undecodable refusal %q: %v", body, err)
+		}
+		return status, refusal
+	}
+	if status, refusal := pull(records+1, toLogEnd); status != http.StatusConflict || !refusal.Gap || refusal.Cursor != wal.Seq() {
+		t.Fatalf("a pull past the acknowledged end answered %d %+v, want a gap citing %d", status, refusal, wal.Seq())
+	}
+
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if status, refusal := pull(1, records); status != http.StatusInternalServerError || refusal.Code != "replicate_apply" || refusal.Gap {
+		t.Fatalf("a pull of a closed log answered %d %+v, want a typed 500", status, refusal)
+	}
+	if got, err := fetchWALTail(ctx, h, ts.addr(), 0, 0, toLogEnd); err == nil {
+		t.Fatalf("a pull to the end of a closed log returned %d records and no error", len(got))
 	}
 }

@@ -19,7 +19,7 @@ import (
 func ringNode(epoch uint64) (*Node, *int) {
 	adopted := new(int)
 	var n *Node
-	n = NewNode(0, epoch, &countingBackend{}, "", func(c RingChange) error {
+	n = NewNode(0, epoch, &countingBackend{}, nil, func(c RingChange) error {
 		*adopted++
 		if c.Primary {
 			n.SetPrimary(true)

@@ -103,7 +103,7 @@ func (s *memShard) setDown(down bool) {
 // open builds the node over the shard's log at epoch, in the primary role or
 // not, and mounts it; the adopt action records the change and flips the role.
 func (s *memShard) open(shard int, epoch uint64, primary bool) {
-	s.node = NewNode(shard, epoch, s, s.log.Path(), func(c RingChange) error {
+	s.node = NewNode(shard, epoch, s, s.log, func(c RingChange) error {
 		if s.onRing != nil {
 			if err := s.onRing(c); err != nil {
 				return err
@@ -145,14 +145,15 @@ func (s *memShard) Apply(_ context.Context, events []serve.IngestEvent) (serve.I
 
 // history lists the values of user's events in the shard's log, in log order.
 func (s *memShard) history(user string) []float64 {
+	events, err := s.log.ReadRange(0, s.log.Seq())
+	if err != nil {
+		panic(err) // the rig's own log, written by the rig
+	}
 	var out []float64
-	if err := ingest.ReplayLog(s.log.Path(), 0, func(_ uint64, ev ingest.Event) error {
+	for _, ev := range events {
 		if ev.User == user {
 			out = append(out, ev.Value)
 		}
-		return nil
-	}); err != nil {
-		panic(err) // the rig's own log, written by the rig
 	}
 	return out
 }

@@ -174,7 +174,7 @@ func TestCancelledCallClosesItsConnection(t *testing.T) {
 // connection pooled before its Close, nor on a new one, whose upgrade it
 // refuses: the call fails as one the node never saw.
 func TestNodeCloseEndsItsHop(t *testing.T) {
-	n := NewNode(0, 1, &countingBackend{}, "", func(RingChange) error { return nil })
+	n := NewNode(0, 1, &countingBackend{}, nil, func(RingChange) error { return nil })
 	ts := httptest.NewServer(n.Mount(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{})
 	})))

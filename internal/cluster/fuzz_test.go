@@ -419,7 +419,7 @@ func FuzzHopHostileRequest(f *testing.F) {
 	f.Add([]byte{0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		n := NewNode(0, 1, &countingBackend{}, "", func(RingChange) error { return nil })
+		n := NewNode(0, 1, &countingBackend{}, nil, func(RingChange) error { return nil })
 		h := n.Mount(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 			if err != nil {

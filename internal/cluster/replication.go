@@ -3,13 +3,13 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ganc/internal/ingest"
 	"ganc/internal/serve"
 )
 
@@ -86,8 +86,8 @@ type ShipperConfig struct {
 	// Shard and Epoch identify the primary's place in the ring.
 	Shard int
 	Epoch uint64
-	// WALPath is the primary's write-ahead log — the catch-up source.
-	WALPath string
+	// Log is the primary's open write-ahead log — the catch-up source.
+	Log *ingest.Log
 	// Replicas lists the replica addresses to ship to.
 	Replicas []string
 	// StartSeq is the primary's committed cursor at construction (the
@@ -119,8 +119,8 @@ type ShipperConfig struct {
 
 // Shipper is the primary side of the protocol: it forwards each committed
 // batch to every replica inline (hooked into the ingestor's post-commit
-// path), and falls back to a per-replica background catch-up loop — re-read
-// the WAL from the replica's acknowledged cursor, ship chunks until drained —
+// path), and falls back to a per-replica background catch-up loop — read the
+// WAL from the replica's acknowledged cursor, ship chunks until drained —
 // whenever a replica is down, behind, or answers with a gap. A replica
 // therefore lags only while it is actually unreachable, and re-converges
 // without operator action.
@@ -404,9 +404,10 @@ func (sp *Shipper) sleep(d time.Duration) bool {
 	}
 }
 
-// catchUp is the per-replica background loop: whenever woken it re-reads the
-// WAL from the replica's acknowledged cursor and ships chunks until the
-// replica has the committed head, then flips it back to in-sync shipping.
+// catchUp is the per-replica background loop: whenever woken it reads the WAL
+// from the replica's acknowledged cursor — through the primary's open log,
+// one chunk costing its own records — and ships chunks until the replica has
+// the committed head, then flips it back to in-sync shipping.
 func (sp *Shipper) catchUp(rep *shipperReplica) {
 	defer sp.wg.Done()
 	for {
@@ -433,12 +434,7 @@ func (sp *Shipper) catchUp(rep *shipperReplica) {
 				break
 			}
 			// One chunk: (acked, min(head, acked+batch)].
-			events, err := readWAL(sp.cfg.WALPath, acked, min(head, acked+uint64(sp.batch)))
-			if err == nil && len(events) == 0 {
-				// A WAL shorter than the committed head — a read racing an
-				// in-flight append — heals once the append lands.
-				err = errors.New("wal behind committed head")
-			}
+			events, err := sp.cfg.Log.ReadRange(acked, min(head, acked+uint64(sp.batch)))
 			var ack *Ack
 			if err == nil {
 				ack, err = sp.ship(rep.addr, acked+1, head, events)

@@ -26,7 +26,7 @@ func quorumRig(t *testing.T, n, k int, qTimeout time.Duration) (*ingest.Log, *Sh
 		addrs[i] = replicaServer(t, NewReplicaApplier(0, 1, backends[i]))
 	}
 	sp := NewShipper(ShipperConfig{
-		Shard: 0, Epoch: 1, WALPath: walPath,
+		Shard: 0, Epoch: 1, Log: wal,
 		Replicas:    addrs,
 		WriteQuorum: k, quorumTimeout: qTimeout,
 		shipTimeout: 2 * time.Second, retryBackoff: 2 * time.Millisecond,

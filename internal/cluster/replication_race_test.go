@@ -51,7 +51,7 @@ func TestReplicationCommitRacesCatchUpAndStatus(t *testing.T) {
 		backend := &countingBackend{}
 		ra := NewReplicaApplier(i, 1, backend)
 		sp := NewShipper(ShipperConfig{
-			Shard: i, Epoch: 1, WALPath: walPath,
+			Shard: i, Epoch: 1, Log: wal,
 			Replicas:    []string{replicaServer(t, ra)},
 			shipTimeout: 2 * time.Second, retryBackoff: 2 * time.Millisecond, batchEvents: 7,
 		})
@@ -470,7 +470,7 @@ func TestShipperAndDetectorShutdownLeakNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := NewShipper(ShipperConfig{
-			Shard: 0, Epoch: 1, WALPath: walPath,
+			Shard: 0, Epoch: 1, Log: wal,
 			Replicas:    []string{repAddr, "127.0.0.1:1"}, // one live, one unreachable: its catch-up loop spins until Close
 			WriteQuorum: 2, quorumTimeout: 20 * time.Millisecond,
 			shipTimeout: 100 * time.Millisecond, retryBackoff: 2 * time.Millisecond,

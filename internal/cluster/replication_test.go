@@ -40,7 +40,7 @@ func TestShipperInlineShipAndWALCatchUp(t *testing.T) {
 	addr := replicaServer(t, ra)
 
 	sp := NewShipper(ShipperConfig{
-		Shard: 0, Epoch: 1, WALPath: walPath, Replicas: []string{addr},
+		Shard: 0, Epoch: 1, Log: wal, Replicas: []string{addr},
 		shipTimeout: 2 * time.Second, retryBackoff: 5 * time.Millisecond, batchEvents: 3,
 	})
 	defer sp.Close()
@@ -128,7 +128,7 @@ func TestShipperResyncAdoptsReplicaCursor(t *testing.T) {
 
 	// The restarted primary assumes the replica is current (StartSeq 10).
 	sp := NewShipper(ShipperConfig{
-		Shard: 0, Epoch: 1, WALPath: walPath, Replicas: []string{addr},
+		Shard: 0, Epoch: 1, Log: wal, Replicas: []string{addr},
 		StartSeq: 10, retryBackoff: 5 * time.Millisecond,
 	})
 	defer sp.Close()
@@ -174,7 +174,7 @@ func TestShipperGapRewind(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := NewShipper(ShipperConfig{
-		Shard: 0, Epoch: 1, WALPath: walPath, Replicas: []string{addr},
+		Shard: 0, Epoch: 1, Log: wal, Replicas: []string{addr},
 		StartSeq: 6, retryBackoff: 5 * time.Millisecond, batchEvents: 4,
 	})
 	defer sp.Close()
@@ -219,7 +219,7 @@ func TestShipperCommitNeverBlocksOnDeadReplica(t *testing.T) {
 	dead.Close()
 
 	sp := NewShipper(ShipperConfig{
-		Shard: 0, Epoch: 1, WALPath: walPath, Replicas: []string{deadAddr},
+		Shard: 0, Epoch: 1, Log: wal, Replicas: []string{deadAddr},
 		shipTimeout: 200 * time.Millisecond, retryBackoff: 10 * time.Millisecond,
 	})
 	defer sp.Close()
@@ -280,7 +280,7 @@ func TestShipperHandlesHostileReplicaAnswers(t *testing.T) {
 			}))
 			defer hostile.Close()
 			sp := NewShipper(ShipperConfig{
-				Shard: 0, Epoch: 1, WALPath: walPath,
+				Shard: 0, Epoch: 1, Log: wal,
 				Replicas:    []string{hostile.addr()},
 				shipTimeout: time.Second, retryBackoff: 5 * time.Millisecond,
 			})

@@ -337,36 +337,6 @@ func shipChunk(h *hop, addr string, timeout time.Duration, sp Space, c *Chunk) (
 	return nil, fmt.Errorf("cluster: node %s refused %s chunk: status %d, code %q: %s", addr, sp.code, status, ack.Code, ack.Error)
 }
 
-// errStopReplay aborts a WAL scan early once the range is read.
-var errStopReplay = errors.New("cluster: stop replay")
-
-// readWAL collects the records (after, end] of the write-ahead log at path.
-func readWAL(path string, after, end uint64) ([]serve.IngestEvent, error) {
-	var out []serve.IngestEvent
-	err := ingest.ReplayLog(path, after, func(seq uint64, ev ingest.Event) error {
-		if seq > end {
-			return errStopReplay
-		}
-		out = append(out, ev)
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopReplay) {
-		return nil, err
-	}
-	return out, nil
-}
-
-// walEnd counts the committed records in a write-ahead log — the position of
-// its last record (0 for a missing file).
-func walEnd(path string) (uint64, error) {
-	var end uint64
-	err := ingest.ReplayLog(path, 0, func(seq uint64, _ ingest.Event) error {
-		end = seq
-		return nil
-	})
-	return end, err
-}
-
 // storeMax advances a monotone cursor to v unless it is already there.
 func storeMax(a *atomic.Uint64, v uint64) {
 	for {
@@ -390,8 +360,8 @@ type Node struct {
 	// only the route reaches it — the router ships over the wire.
 	migrator *MigrationApplier
 
-	shard   int
-	walPath string
+	shard int
+	log   *ingest.Log
 
 	// ringMu serializes ring changes; ring is the last one adopted (at open,
 	// only the shard and the epoch the node was opened at), and adopt is the
@@ -405,15 +375,15 @@ type Node struct {
 }
 
 // NewNode builds the surface of one node of a shard at a ring epoch, applying
-// stream chunks into backend, serving tail pulls from the node's own
-// write-ahead log, and carrying out an accepted POST /admin/ring through
-// adopt. It starts in the replica role.
-func NewNode(shard int, epoch uint64, backend ReplicaBackend, walPath string, adopt func(RingChange) error) *Node {
+// stream chunks into backend, serving tail pulls from the node's own open
+// write-ahead log (nil: none), and carrying out an accepted POST /admin/ring
+// through adopt. It starts in the replica role.
+func NewNode(shard int, epoch uint64, backend ReplicaBackend, log *ingest.Log, adopt func(RingChange) error) *Node {
 	n := &Node{
 		Replica:  NewReplicaApplier(shard, epoch, backend),
 		migrator: NewMigrationApplier(shard, epoch, backend),
 		shard:    shard,
-		walPath:  walPath,
+		log:      log,
 		ring:     RingChange{Shard: shard, Epoch: epoch},
 		adopt:    adopt,
 	}
@@ -445,7 +415,7 @@ func (n *Node) Mount(next http.Handler) http.Handler {
 	mux.Handle(hopPath, n.hops.upgrade(mux))
 	mux.Handle(ShardSpace.Route, streamHandler(ShardSpace, n.Replica))
 	mux.Handle(UserSpace.Route, streamHandler(UserSpace, n.migrator))
-	mux.Handle(TailPath, NewWALTailHandler(n.shard, n.walPath))
+	mux.Handle(TailPath, NewWALTailHandler(n.shard, n.log))
 	mux.HandleFunc(RingPath, n.handleRing)
 	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
 		if !n.Primary() {

@@ -404,7 +404,7 @@ func testStreamHandlerStatusMapping(t *testing.T, rig spaceRig) {
 	}
 
 	// A closed role gate is a typed 409 <route>_role that applies nothing.
-	node := NewNode(0, 2, b, "", nil)
+	node := NewNode(0, 2, b, nil, nil)
 	node.SetPrimary(rig.space == ShardSpace) // close this space's receiver
 	gated := httptest.NewServer(node.Mount(http.NotFoundHandler()))
 	defer gated.Close()
@@ -480,7 +480,7 @@ func TestReplicateRoundTripJSON(t *testing.T) {
 // chunk.
 func TestNodeRoleGatesEveryRoute(t *testing.T) {
 	b := &countingBackend{}
-	node := NewNode(0, 1, b, "", nil)
+	node := NewNode(0, 1, b, nil, nil)
 	var passed atomic.Int32
 	ts := httptest.NewServer(node.Mount(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		passed.Add(1)

@@ -22,7 +22,10 @@
 // the full state together with the applied-sequence cursor. Recovery loads
 // the latest checkpoint and replays the log suffix, which reproduces exactly
 // the state an uninterrupted process would have reached (this equivalence is
-// tested under -race).
+// tested under -race). Every read of the log — recovery here, replication
+// catch-up and tail pulls in the cluster layer — goes through the open Log's
+// ReadRange, which seeks by a sparse byte-offset index, so a read costs the
+// records it returns rather than the log's history.
 //
 // The package is engine-agnostic: a Rebuild callback (supplied by the facade,
 // which knows how to assemble a Pipeline) turns the updated State into a
@@ -37,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -51,8 +55,12 @@ import (
 // ErrCorruptLog marks a write-ahead log whose non-trailing records cannot be
 // parsed — genuine corruption, as opposed to the torn trailing record a crash
 // mid-append legitimately leaves (which is repaired silently). Matchable with
-// errors.Is through every wrapping layer (OpenLog, ReplayLog).
+// errors.Is through every wrapping layer (OpenLog, ReadRange).
 var ErrCorruptLog = errors.New("ingest: corrupt log")
+
+// ErrPastEnd marks a ReadRange that asks for records past the log's
+// acknowledged end.
+var ErrPastEnd = errors.New("ingest: read past the log's acknowledged end")
 
 // ErrShortLog marks a write-ahead log that ends before the state's applied
 // cursor. Recovery replays the records past the cursor by position and the
@@ -70,18 +78,25 @@ type Event = serve.IngestEvent
 
 // --- Append-only interaction log ----------------------------------------------
 
+// indexEvery is the stride of a log's sparse offset index: a read starts at
+// most indexEvery-1 records before its first, however long the log.
+const indexEvery = 1024
+
 // Log is an append-only, JSON-lines interaction log: record n (1-based) is
-// the n-th event ever ingested, so a byte offset never needs to be tracked —
-// a checkpoint stores the applied sequence number and recovery replays every
-// record after it. Appends are fsynced per batch; a record is only
-// acknowledged (and only counts toward the sequence) once its full line,
-// newline included, is durable.
+// the n-th event ever ingested, so a checkpoint stores the applied sequence
+// number and recovery replays every record after it. Appends are fsynced per
+// batch; a record is only acknowledged (and only counts toward the sequence)
+// once its full line, newline included, is durable. The open Log is the
+// log's one reader too: ReadRange positions itself by a sparse byte-offset
+// index that OpenLog's scan builds and every acknowledged Append extends.
 type Log struct {
 	mu   sync.Mutex
 	f    *os.File
 	seq  uint64
 	size int64 // byte offset past the last acknowledged record
 	path string
+	// index[k] is the byte offset of record k*indexEvery+1.
+	index []int64
 	// broken is set when a failed append could not be rolled back; further
 	// appends are refused so unacknowledged bytes can never be followed by
 	// acknowledged ones (which would desynchronize replay positions from
@@ -89,13 +104,14 @@ type Log struct {
 	broken bool
 }
 
-// forEachRecord streams the complete, valid JSON-line records of r to fn and
-// returns their count plus the byte offset just past the last good record.
-// A torn trailing record — the partial line a crash mid-append leaves behind
-// — is tolerated and excluded (it was never acknowledged); an invalid record
-// with more data after it is genuine corruption and errors.
-func forEachRecord(r *bufio.Reader, fn func(line []byte) error) (records uint64, goodEnd int64, err error) {
-	for {
+// forEachRecord streams up to limit complete, valid JSON-line records of r to
+// fn — each with its 0-based position and the byte offset its line starts at
+// — and returns their count plus the byte offset just past the last good
+// record. A torn trailing record — the partial line a crash mid-append leaves
+// behind — is tolerated and excluded (it was never acknowledged); an invalid
+// record with more data after it is genuine corruption and errors.
+func forEachRecord(r *bufio.Reader, limit uint64, fn func(rec uint64, start int64, line []byte) error) (records uint64, goodEnd int64, err error) {
+	for records < limit {
 		line, err := r.ReadBytes('\n')
 		switch {
 		case err == io.EOF:
@@ -116,25 +132,31 @@ func forEachRecord(r *bufio.Reader, fn func(line []byte) error) (records uint64,
 			}
 			return records, goodEnd, fmt.Errorf("%w: unparseable record at byte %d", ErrCorruptLog, goodEnd)
 		}
-		if fn != nil {
-			if err := fn(trimmed); err != nil {
-				return records, goodEnd, err
-			}
+		if err := fn(records, goodEnd, trimmed); err != nil {
+			return records, goodEnd, err
 		}
 		records++
 		goodEnd += int64(len(line))
 	}
+	return records, goodEnd, nil
 }
 
 // OpenLog opens (or creates) the log at path, counting existing records so
-// new appends continue the sequence. A torn trailing record left by a crash
-// mid-append is truncated away, so the next append starts on a clean line.
+// new appends continue the sequence and indexing them for ReadRange. A torn
+// trailing record left by a crash mid-append is truncated away, so the next
+// append starts on a clean line.
 func OpenLog(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: open log %s: %w", path, err)
 	}
-	seq, goodEnd, err := forEachRecord(bufio.NewReader(f), nil)
+	var index []int64
+	seq, goodEnd, err := forEachRecord(bufio.NewReader(f), math.MaxUint64, func(rec uint64, start int64, _ []byte) error {
+		if rec%indexEvery == 0 {
+			index = append(index, start)
+		}
+		return nil
+	})
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("ingest: scan log %s: %w", path, err)
@@ -143,19 +165,16 @@ func OpenLog(path string) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("ingest: repair log %s: %w", path, err)
 	}
-	if _, err := f.Seek(goodEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ingest: seek log %s: %w", path, err)
-	}
-	return &Log{f: f, seq: seq, size: goodEnd, path: path}, nil
+	return &Log{f: f, seq: seq, size: goodEnd, path: path, index: index}, nil
 }
 
 // Append writes the events as one durable batch and returns the sequence
 // number of the last record written. The batch is all-or-nothing: every
 // record is encoded before anything touches the file, the lines go out in a
-// single write, and the sequence advances only after the fsync succeeds. A
-// failed write or sync is rolled back by truncating to the pre-batch offset,
-// so a retried batch never lands behind its own partial ghost.
+// single write at the acknowledged end, and the sequence advances — and the
+// index learns the batch's offsets — only after the fsync succeeds. A failed
+// write or sync is rolled back by truncating to the pre-batch offset, so a
+// retried batch never lands behind its own partial ghost.
 func (l *Log) Append(events []Event) (uint64, error) {
 	var buf bytes.Buffer
 	for _, ev := range events {
@@ -171,13 +190,22 @@ func (l *Log) Append(events []Event) (uint64, error) {
 	if l.broken {
 		return l.seq, fmt.Errorf("ingest: log %s is in a failed state (reopen to repair)", l.path)
 	}
-	if _, err := l.f.Write(buf.Bytes()); err != nil {
+	if _, err := l.f.WriteAt(buf.Bytes(), l.size); err != nil {
 		l.rollbackLocked()
 		return l.seq, fmt.Errorf("ingest: append log batch: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
 		l.rollbackLocked()
 		return l.seq, fmt.Errorf("ingest: sync log: %w", err)
+	}
+	// Index the batch's records that fall on the stride; rest starts at
+	// record line (JSON encodes no raw newline inside a record).
+	rest, line := buf.Bytes(), l.seq+1
+	for r := uint64(len(l.index))*indexEvery + 1; r <= l.seq+uint64(len(events)); r += indexEvery {
+		for ; line < r; line++ {
+			rest = rest[bytes.IndexByte(rest, '\n')+1:]
+		}
+		l.index = append(l.index, l.size+int64(buf.Len()-len(rest)))
 	}
 	l.size += int64(buf.Len())
 	l.seq += uint64(len(events))
@@ -189,10 +217,6 @@ func (l *Log) Append(events []Event) (uint64, error) {
 // no further append can follow the ghost bytes. Callers hold l.mu.
 func (l *Log) rollbackLocked() {
 	if err := l.f.Truncate(l.size); err != nil {
-		l.broken = true
-		return
-	}
-	if _, err := l.f.Seek(l.size, io.SeekStart); err != nil {
 		l.broken = true
 	}
 }
@@ -215,35 +239,47 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// ReplayLog streams the records of the log at path with sequence numbers in
-// (after, ∞) to fn, in order. A missing file replays nothing (a fresh deploy
-// has no history to recover), and a torn trailing record is skipped exactly
-// as OpenLog would truncate it.
-func ReplayLog(path string, after uint64, fn func(seq uint64, ev Event) error) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
+// ReadRange returns the records (after, end] in order. It reads with ReadAt
+// on the log's own handle, starting at the indexed record at or before
+// after+1, and never past the acknowledged end it captures when it starts:
+// a line an Append has written but not yet synced — and may still roll back
+// — is never returned. A range past that end is ErrPastEnd; a read of a
+// closed log fails with the file's error; a record that does not decode as
+// an event is ErrCorruptLog.
+func (l *Log) ReadRange(after, end uint64) ([]Event, error) {
+	l.mu.Lock()
+	seq, size := l.seq, l.size
+	var from int64
+	if after < seq {
+		from = l.index[after/indexEvery]
 	}
-	if err != nil {
-		return fmt.Errorf("ingest: open log %s: %w", path, err)
+	l.mu.Unlock()
+	if end > seq {
+		return nil, fmt.Errorf("%w: records (%d, %d] asked of %s, which ends at %d", ErrPastEnd, after, end, l.path, seq)
 	}
-	defer f.Close()
-	seq := uint64(0)
-	_, _, err = forEachRecord(bufio.NewReader(f), func(line []byte) error {
-		seq++
-		if seq <= after {
+	if after >= end {
+		return nil, nil
+	}
+	base := after / indexEvery * indexEvery // the record at from is base+1
+	out := make([]Event, 0, end-after)
+	n, _, err := forEachRecord(bufio.NewReader(io.NewSectionReader(l.f, from, size-from)), end-base, func(rec uint64, _ int64, line []byte) error {
+		if base+rec < after {
 			return nil
 		}
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("%w: log %s record %d: %v", ErrCorruptLog, path, seq, err)
+			return fmt.Errorf("%w: record %d: %v", ErrCorruptLog, base+rec+1, err)
 		}
-		return fn(seq, ev)
+		out = append(out, ev)
+		return nil
 	})
-	if err != nil {
-		return fmt.Errorf("ingest: replay log %s: %w", path, err)
+	if err == nil && n < end-base {
+		err = fmt.Errorf("%w: record %d is not a complete record", ErrCorruptLog, base+n+1)
 	}
-	return nil
+	if err != nil {
+		return nil, fmt.Errorf("ingest: read log %s: %w", l.path, err)
+	}
+	return out, nil
 }
 
 // --- Mutable serving state ----------------------------------------------------
@@ -556,11 +592,7 @@ func (in *Ingestor) Recover() (replayed int, err error) {
 	if in.cfg.Log == nil {
 		return 0, nil
 	}
-	var batch []Event
-	err = ReplayLog(in.cfg.Log.Path(), in.cfg.State.AppliedSeq, func(_ uint64, ev Event) error {
-		batch = append(batch, ev)
-		return nil
-	})
+	batch, err := in.cfg.Log.ReadRange(in.cfg.State.AppliedSeq, in.cfg.Log.Seq())
 	if err != nil {
 		return 0, err
 	}
@@ -626,6 +658,10 @@ func (in *Ingestor) View(fn func(s *State)) {
 	defer in.mu.Unlock()
 	fn(in.cfg.State)
 }
+
+// Log returns the ingestor's write-ahead log (nil without one): the handle
+// every reader of the node's log reads through.
+func (in *Ingestor) Log() *Log { return in.cfg.Log }
 
 // Seq returns the applied-event cursor.
 func (in *Ingestor) Seq() uint64 {

@@ -291,9 +291,10 @@ func assertIntsEqual(t *testing.T, label string, got, want []int) {
 }
 
 // TestTornTrailingLogRecord simulates a crash mid-append: the partial final
-// record must be truncated on open (not counted, not concatenated onto by
-// later appends) and skipped on replay, while mid-file corruption still
-// fails loudly.
+// record is never read (an open log reads only what it acknowledged), is
+// truncated on open (not counted, not concatenated onto by later appends),
+// while mid-file corruption still fails loudly — on open, and on a read of
+// an open log whose acknowledged bytes were overwritten.
 func TestTornTrailingLogRecord(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "events.log")
@@ -302,9 +303,6 @@ func TestTornTrailingLogRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := wal.Append([]Event{{User: "u1", Item: "i1", Value: 5}, {User: "u2", Item: "i2", Value: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the tail: a partial JSON line with no newline.
@@ -317,16 +315,16 @@ func TestTornTrailingLogRecord(t *testing.T) {
 	}
 	f.Close()
 
-	// Replay tolerates the torn tail.
-	var replayed []Event
-	if err := ReplayLog(path, 0, func(_ uint64, ev Event) error {
-		replayed = append(replayed, ev)
-		return nil
-	}); err != nil {
-		t.Fatalf("replay over a torn tail must succeed, got %v", err)
+	// The read tolerates the torn tail.
+	replayed, err := wal.ReadRange(0, wal.Seq())
+	if err != nil {
+		t.Fatalf("a read over a torn tail must succeed, got %v", err)
 	}
 	if len(replayed) != 2 {
-		t.Fatalf("replayed %d records, want 2", len(replayed))
+		t.Fatalf("read %d records, want 2", len(replayed))
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Re-opening repairs the file and appends continue cleanly.
@@ -334,32 +332,27 @@ func TestTornTrailingLogRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer wal2.Close()
 	if wal2.Seq() != 2 {
 		t.Fatalf("seq after repair = %d, want 2", wal2.Seq())
 	}
 	if _, err := wal2.Append([]Event{{User: "u3", Item: "i3", Value: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wal2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	replayed = nil
-	if err := ReplayLog(path, 0, func(_ uint64, ev Event) error {
-		replayed = append(replayed, ev)
-		return nil
-	}); err != nil {
+	replayed, err = wal2.ReadRange(0, wal2.Seq())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(replayed) != 3 || replayed[2].User != "u3" || replayed[2].Item != "i3" {
-		t.Fatalf("after repair+append, replayed %v", replayed)
+		t.Fatalf("after repair+append, read %v", replayed)
 	}
 
 	// Mid-file corruption (garbage followed by more records) must error.
 	if err := os.WriteFile(path, []byte("garbage not json\n{\"user\":\"u1\",\"item\":\"i1\",\"value\":5}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayLog(path, 0, func(uint64, Event) error { return nil }); err == nil {
-		t.Fatal("mid-file corruption must fail replay")
+	if _, err := wal2.ReadRange(0, wal2.Seq()); !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("mid-file corruption must fail a read with ErrCorruptLog, got %v", err)
 	}
 	if _, err := OpenLog(path); err == nil {
 		t.Fatal("mid-file corruption must fail open")
@@ -579,4 +572,175 @@ func TestPrefsGrowthNeverWritesAPublishedVector(t *testing.T) {
 	if got := fork.Prefs.Get(types.UserID(s.Prefs.Len())); got != 0.123 {
 		t.Fatalf("the fork's own new user has θ %v, want its fill 0.123", got)
 	}
+}
+
+// TestReadRangeDuringAppends: readers running beside concurrent Append
+// batches only ever see a prefix of the final log — whole batches, every
+// record acknowledged, none torn — and a read racing or following Close fails
+// with an error, never a panic.
+func TestReadRangeDuringAppends(t *testing.T) {
+	wal, err := OpenLog(filepath.Join(t.TempDir(), "events.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, batches, size = 4, 30, 37 // batches straddle offset-index entries
+	var writing sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for b := 0; b < batches; b++ {
+				events := make([]Event, size)
+				for k := range events {
+					events[k] = Event{User: fmt.Sprintf("w%d", w), Item: fmt.Sprintf("b%d", b), Value: float64(k)}
+				}
+				if _, err := wal.Append(events); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	// wholeBatches reports whether got is made of complete batches only.
+	wholeBatches := func(got []Event) bool {
+		if len(got)%size != 0 {
+			return false
+		}
+		for k, ev := range got {
+			head := got[k-k%size]
+			if ev.User != head.User || ev.Item != head.Item || ev.Value != float64(k%size) {
+				return false
+			}
+		}
+		return true
+	}
+	read := func(answers *[][]Event, stop <-chan struct{}) {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			seq := wal.Seq()
+			got, err := wal.ReadRange(0, seq)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if uint64(len(got)) != seq || !wholeBatches(got) {
+				t.Errorf("a read of (0, %d] returned %d records, not all of them whole batches", seq, len(got))
+				return
+			}
+			if len(*answers) < 40 {
+				*answers = append(*answers, got)
+			}
+		}
+	}
+	stop := make(chan struct{})
+	answers := make([][][]Event, 3)
+	var reading sync.WaitGroup
+	for r := range answers {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			read(&answers[r], stop)
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	final, err := wal.ReadRange(0, wal.Seq())
+	if err != nil || len(final) != writers*batches*size {
+		t.Fatalf("the final log reads %d records (%v), want %d", len(final), err, writers*batches*size)
+	}
+	for _, rs := range answers {
+		for _, got := range rs {
+			if !slices.Equal(got, final[:len(got)]) {
+				t.Fatalf("a %d-record answer is not a prefix of the final log", len(got))
+			}
+		}
+	}
+
+	// Close while readers run, then read after it: errors, no panic.
+	var racing sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		racing.Add(1)
+		go func() {
+			defer racing.Done()
+			for k := 0; k < 20; k++ {
+				if got, err := wal.ReadRange(0, wal.Seq()); err == nil && !slices.Equal(got, final) {
+					t.Errorf("a read beside Close returned %d records that are not the log", len(got))
+				}
+			}
+		}()
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	racing.Wait()
+	if got, err := wal.ReadRange(0, wal.Seq()); err == nil {
+		t.Fatalf("a read after Close returned %d records and no error", len(got))
+	}
+}
+
+// TestCatchUpReadIndependentOfLogLength: what one 1 024-record ReadRange at
+// the tail of a log allocates — the read behind a catch-up chunk, a tail
+// pull and a rejoin — does not grow with the log: ReadRange seeks through
+// the offset index instead of scanning from byte 0. A 10 k-record log and a
+// 500 k-record one must cost the read the same to within 1.5×.
+func TestCatchUpReadIndependentOfLogLength(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation totals are not meaningful under the race detector")
+	}
+	small := tailReadAllocs(t, 10_000)
+	large := tailReadAllocs(t, 500_000)
+	t.Logf("allocations per 1024-record tail read: 10k records → %.0f, 500k records → %.0f (ratio %.2f)",
+		small, large, large/small)
+	if large > 1.5*small {
+		t.Fatalf("a tail read of a 500k-record log allocates %.0f times, more than 1.5× the %.0f of a 10k-record log: the read scans the history",
+			large, small)
+	}
+}
+
+// tailReadAllocs builds a log of n records — all but the last 2 048 written
+// to the file and indexed by OpenLog's scan, the rest indexed by two Appends
+// — and returns the allocations of one ReadRange of its last 1 024 records.
+func tailReadAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	record := func(seq int) Event {
+		return Event{User: fmt.Sprintf("u%07d", seq%5000), Item: fmt.Sprintf("i%07d", seq%700), Value: float64(seq)}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for seq := 1; seq <= n-2048; seq++ {
+		if err := enc.Encode(record(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "events.log")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	tail := make([]Event, 2048)
+	for k := range tail {
+		tail[k] = record(n - 2048 + k + 1)
+	}
+	for _, batch := range [][]Event{tail[:1000], tail[1000:]} {
+		if _, err := wal.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []Event
+	allocs := testing.AllocsPerRun(5, func() {
+		got, err = wal.ReadRange(uint64(n-1024), uint64(n))
+	})
+	if err != nil || !slices.Equal(got, tail[1024:]) {
+		t.Fatalf("the tail read of a %d-record log returned %d records (%v), not its last 1024", n, len(got), err)
+	}
+	return allocs
 }

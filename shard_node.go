@@ -21,7 +21,6 @@ import (
 // pushed to /admin/ring names the node its shard's primary.
 type ShardNode struct {
 	id              ShardIdentity
-	walPath         string
 	checkpointEvery int
 
 	pipe    *Pipeline
@@ -46,7 +45,7 @@ type ShardNode struct {
 // top of the identity. Call Recover before serving when the log may hold a
 // suffix past the snapshot, and Close when done.
 func OpenShardNode(p *Pipeline, id ShardIdentity, walPath, checkpointPath string, checkpointEvery int, opts ...ServerOption) (*ShardNode, error) {
-	n := &ShardNode{id: id, walPath: walPath, checkpointEvery: checkpointEvery, pipe: p}
+	n := &ShardNode{id: id, checkpointEvery: checkpointEvery, pipe: p}
 	srv, err := NewServer(p.Train(), p, p.TopN(), append([]ServerOption{WithServerShardIdentity(id)}, opts...)...)
 	if err != nil {
 		return nil, err
@@ -56,7 +55,7 @@ func OpenShardNode(p *Pipeline, id ShardIdentity, walPath, checkpointPath string
 		return nil, err
 	}
 	n.srv, n.ing = srv, ing
-	n.streams = cluster.NewNode(id.ShardID, id.RingEpoch, ing, walPath, n.adopt)
+	n.streams = cluster.NewNode(id.ShardID, id.RingEpoch, ing, ing.Log(), n.adopt)
 	srv.SetReplicationProbe(n.streams.Replica.Status)
 	return n, nil
 }
@@ -99,7 +98,7 @@ func (n *ShardNode) MakePrimary(replicaAddrs []string, writeQuorum int) error {
 	if err := validateWriteQuorum(writeQuorum, len(replicaAddrs)); err != nil {
 		return err
 	}
-	if len(replicaAddrs) > 0 && n.walPath == "" {
+	if len(replicaAddrs) > 0 && n.ing.Log() == nil {
 		return fmt.Errorf("ganc: a replicated primary needs a write-ahead log (lagging replicas are caught up from it)")
 	}
 	n.srv.SetIngestSink(n.ing)
@@ -112,7 +111,7 @@ func (n *ShardNode) MakePrimary(replicaAddrs []string, writeQuorum int) error {
 	sp := cluster.NewShipper(cluster.ShipperConfig{
 		Shard:       n.id.ShardID,
 		Epoch:       n.id.RingEpoch,
-		WALPath:     n.walPath,
+		Log:         n.ing.Log(),
 		Replicas:    replicaAddrs,
 		StartSeq:    n.ing.Seq(),
 		WriteQuorum: writeQuorum,

@@ -2,7 +2,11 @@
 
 package linalg
 
-import "ganc/internal/types"
+import (
+	"unsafe"
+
+	"ganc/internal/types"
+)
 
 // SSE2 kernel entry points (dot_amd64.s). SSE2 is part of the amd64
 // architecture baseline, so they need no runtime feature detection. Neither
@@ -16,3 +20,11 @@ func dot32x8(a, b []float32) float32
 
 //go:noescape
 func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32)
+
+// Prefetch hints (dot_amd64.s): PREFETCHT0 is part of the amd64 baseline too.
+
+//go:noescape
+func prefetchRow(row []float64)
+
+//go:noescape
+func prefetchLine(p unsafe.Pointer)

@@ -119,3 +119,33 @@ row:
 
 done:
 	RET
+
+// func prefetchRow(row []float64)
+//
+// PREFETCHT0 on every 64 B line row spans: one hint per 64 bytes from its
+// first element, and one on its last byte for the line a start that is not
+// 64 B aligned leaves over. A hint never faults, so nothing is checked.
+TEXT ·prefetchRow(SB), NOSPLIT, $0-24
+	MOVQ  row_base+0(FP), SI
+	MOVQ  row_len+8(FP), CX
+	TESTQ CX, CX
+	JE    done
+	LEAQ  (SI)(CX*8), DI
+	PREFETCHT0 -1(DI)
+
+line:
+	PREFETCHT0 (SI)
+	ADDQ  $64, SI
+	CMPQ  SI, DI
+	JB    line
+
+done:
+	RET
+
+// func prefetchLine(p unsafe.Pointer)
+//
+// PREFETCHT0 on the 64 B line holding p.
+TEXT ·prefetchLine(SB), NOSPLIT, $0-8
+	MOVQ p+0(FP), SI
+	PREFETCHT0 (SI)
+	RET

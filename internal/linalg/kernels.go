@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"unsafe"
 
 	"ganc/internal/types"
 )
@@ -40,6 +41,16 @@ func Dot32x8(a, b []float32) float32 {
 	}
 	return dot32x8(a, b)
 }
+
+// PrefetchRow asks the CPU to pull every 64 B line of row into its L1 cache
+// before it is read: a hint, so it changes no value and never faults.
+// mf.TrainRSVD issues it a few steps ahead of the factor rows it will read
+// (DESIGN.md §12, "Training"). It is PREFETCHT0 on amd64 and does nothing
+// elsewhere.
+func PrefetchRow(row []float64) { prefetchRow(row) }
+
+// Prefetch is PrefetchRow for the one 64 B line holding *p.
+func Prefetch[T any](p *T) { prefetchLine(unsafe.Pointer(p)) }
 
 // dot32x8Generic is the portable Dot32x8: 8 independent accumulators break
 // the loop-carried ADD dependency of the single-accumulator scalar loop;

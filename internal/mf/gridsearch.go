@@ -40,9 +40,12 @@ type GridResult struct {
 }
 
 // CrossValidateRSVD evaluates every configuration in the grid with k-fold
-// cross-validation over the train set and returns all results sorted is not
-// guaranteed; use Best to select the winner. The base configuration supplies
-// everything the grid does not vary (epochs, biases, seed).
+// cross-validation over the train set and returns one result per
+// configuration, in grid order (factors outermost, then regularization, then
+// learning rate), not sorted by RMSE; use Best to select the winner. A
+// configuration whose every validation fold came out empty has no result.
+// The base configuration supplies everything the grid does not vary (epochs,
+// biases, seed).
 func CrossValidateRSVD(train *dataset.Dataset, base RSVDConfig, grid Grid, folds int, seed int64) ([]GridResult, error) {
 	if train.NumRatings() < folds || folds < 2 {
 		return nil, fmt.Errorf("mf: need at least %d ratings and 2 folds, got %d ratings / %d folds",

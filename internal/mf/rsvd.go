@@ -33,8 +33,9 @@ type RSVDConfig struct {
 	// LIBMF setup factorizes the raw matrix; biases are kept optional and on
 	// by default because they improve RMSE on every dataset.
 	UseBiases bool
-	// NonNegative clamps factors at zero after each update (the paper's
-	// RSVDN variant).
+	// NonNegative keeps every factor at or above zero (the paper's RSVDN
+	// variant): the initial factors are reflected to their absolute values,
+	// and a factor an update takes below zero is clamped to zero.
 	NonNegative bool
 	// InitStd is the standard deviation of the factor initialization.
 	InitStd float64
@@ -109,8 +110,8 @@ func TrainRSVD(train *dataset.Dataset, cfg RSVDConfig) (*RSVD, error) {
 	}
 	if cfg.NonNegative {
 		m.name = "RSVDN"
-		clampNonNegative(m.userF)
-		clampNonNegative(m.itemF)
+		absFactors(m.userF)
+		absFactors(m.itemF)
 	}
 
 	ratings := train.Ratings()
@@ -118,18 +119,62 @@ func TrainRSVD(train *dataset.Dataset, cfg RSVDConfig) (*RSVD, error) {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Reshuffle the visiting order each epoch.
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, idx := range order {
-			r := ratings[idx]
-			m.sgdStep(r)
-		}
+		m.epoch(ratings, order)
 	}
 	m.fp = linalg.NewFactorPair(m.userF, m.itemF)
 	return m, nil
 }
 
-func (m *RSVD) sgdStep(r types.Rating) {
+// Prefetch distances of the epoch loop, in steps: a rating is requested
+// ratingAhead steps before its step, and its user and item rows rowsAhead
+// steps before, by which time the rating itself has arrived.
+const (
+	ratingAhead = 16
+	rowsAhead   = 4
+)
+
+// epoch makes one SGD pass over ratings in the given order, with the bits of
+// one plain step per rating taken in that order (DESIGN.md §12, "Training").
+// It walks the order two ratings at a time. A pair that shares neither user
+// nor item has its two predictions computed in one loop — two independent add
+// chains, so the second does not wait on the first's latency — and then its
+// two updates applied in order: that is exact, because neither step reads a
+// row or a bias the other writes. A pair that shares either, and an odd last
+// rating, take plain steps. Prefetch hints run ahead of both.
+func (m *RSVD) epoch(ratings []types.Rating, order []int) {
+	n := len(order)
+	for k := 0; k < n; k += 2 {
+		for j := k; j < k+2; j++ {
+			if j+ratingAhead < n {
+				linalg.Prefetch(&ratings[order[j+ratingAhead]])
+			}
+			if j+rowsAhead < n {
+				r := ratings[order[j+rowsAhead]]
+				linalg.PrefetchRow(m.userF[r.User])
+				linalg.PrefetchRow(m.itemF[r.Item])
+			}
+		}
+		a := ratings[order[k]]
+		if k+1 == n {
+			m.apply(a, m.predict(a.User, a.Item))
+			break
+		}
+		b := ratings[order[k+1]]
+		if a.User == b.User || a.Item == b.Item {
+			m.apply(a, m.predict(a.User, a.Item))
+			m.apply(b, m.predict(b.User, b.Item))
+			continue
+		}
+		pa, pb := m.predictPair(a, b)
+		m.apply(a, pa)
+		m.apply(b, pb)
+	}
+}
+
+// apply is the update half of an SGD step on r, given the model's prediction
+// for it.
+func (m *RSVD) apply(r types.Rating, pred float64) {
 	u, i := r.User, r.Item
-	pred := m.predict(u, i)
 	err := r.Value - pred
 	lr, reg := m.cfg.LearningRate, m.cfg.Regularization
 
@@ -138,11 +183,13 @@ func (m *RSVD) sgdStep(r types.Rating) {
 		m.itemBias[i] += lr * (err - reg*m.itemBias[i])
 	}
 	pu, qi := m.userF[u], m.itemF[i]
+	qi = qi[:len(pu)]
+	nonNegative := m.cfg.NonNegative
 	for f := range pu {
 		puf, qif := pu[f], qi[f]
 		pu[f] += lr * (err*qif - reg*puf)
 		qi[f] += lr * (err*puf - reg*qif)
-		if m.cfg.NonNegative {
+		if nonNegative {
 			if pu[f] < 0 {
 				pu[f] = 0
 			}
@@ -165,8 +212,26 @@ func (m *RSVD) predict(u types.UserID, i types.ItemID) float64 {
 	return s
 }
 
-// Score implements recommender.Scorer: the predicted rating r̂_ui. Unknown
-// users or items fall back to the global mean (plus the known side's bias).
+// predictPair is predict for a and for b, each sum taken in predict's order,
+// in one loop.
+func (m *RSVD) predictPair(a, b types.Rating) (float64, float64) {
+	sa, sb := m.globalMean, m.globalMean
+	if m.cfg.UseBiases {
+		sa += m.userBias[a.User] + m.itemBias[a.Item]
+		sb += m.userBias[b.User] + m.itemBias[b.Item]
+	}
+	pa := m.userF[a.User]
+	qa, pb, qb := m.itemF[a.Item][:len(pa)], m.userF[b.User][:len(pa)], m.itemF[b.Item][:len(pa)]
+	for f := range pa {
+		sa += pa[f] * qa[f]
+		sb += pb[f] * qb[f]
+	}
+	return sa, sb
+}
+
+// Score implements recommender.Scorer: the predicted rating r̂_ui. A pair
+// whose user or item the model has no row for scores the global mean μ alone:
+// no bias is added, not even the known side's.
 func (m *RSVD) Score(u types.UserID, i types.ItemID) float64 {
 	if int(u) < 0 || int(u) >= len(m.userF) || int(i) < 0 || int(i) >= len(m.itemF) {
 		return m.globalMean
@@ -251,7 +316,9 @@ func initFactors(rng *rand.Rand, n, k int, std float64) [][]float64 {
 	return out
 }
 
-func clampNonNegative(factors [][]float64) {
+// absFactors replaces every factor by its absolute value: NonNegative's
+// start, which keeps the initial spread where clamping would zero half of it.
+func absFactors(factors [][]float64) {
 	for _, row := range factors {
 		for f := range row {
 			if row[f] < 0 {

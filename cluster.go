@@ -127,7 +127,8 @@ func WithReplicas(n int) ClusterOption {
 // degrades to asynchronous catch-up). A quorum-acked write survives the loss
 // of the primary plus any replicas beyond the k that acknowledged. Requires
 // k ≤ the WithReplicas count; 0 (the default) keeps fire-and-forget
-// shipping.
+// shipping. k is part of every shard snapshot the cluster writes (its
+// ShardIdentity), so a promoted replica acks under it too.
 func WithWriteQuorum(k int) ClusterOption {
 	return func(c *clusterConfig) { c.writeQuorum = k }
 }
@@ -324,7 +325,7 @@ func NewCluster(p *Pipeline, opts ...ClusterOption) (*Cluster, error) {
 		return fail(err)
 	}
 	for i, sh := range c.shards {
-		if err := p.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: cfg.shards, RingEpoch: bootEpoch}); err != nil {
+		if err := p.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: cfg.shards, RingEpoch: bootEpoch, WriteQuorum: cfg.writeQuorum}); err != nil {
 			return fail(fmt.Errorf("ganc: shard-splitting snapshot for shard %d: %w", i, err))
 		}
 	}
@@ -432,7 +433,7 @@ func (c *Cluster) startNode(sh *clusterShard, n *clusterNode, ln net.Listener, p
 		replayed, err = node.Recover()
 	}
 	if err == nil && n.addr == info.Addr {
-		err = node.MakePrimary(info.Replicas, c.cfg.writeQuorum)
+		err = node.MakePrimary(info.Replicas)
 	}
 	if err != nil {
 		ln.Close()
@@ -698,7 +699,7 @@ func (c *Cluster) Reshard(target int) (*ReshardStats, error) {
 				for _, n := range sh.nodes {
 					_ = os.Remove(n.walPath)
 				}
-				if err = base.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: target, RingEpoch: ring.Epoch()}); err == nil {
+				if err = base.SaveShard(sh.snapPath, ShardIdentity{ShardID: i, NumShards: target, RingEpoch: ring.Epoch(), WriteQuorum: c.cfg.writeQuorum}); err == nil {
 					err = c.bootNodes(sh, target, ring.Epoch())
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"ganc/internal/cluster"
 	"ganc/internal/ingest"
 )
 
@@ -203,7 +205,7 @@ func TestOpenShardNodeRefusesShortLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.MakePrimary(nil, 0); err != nil {
+	if err := primary.MakePrimary(nil); err != nil {
 		t.Fatal(err)
 	}
 	evs := []IngestEvent{{User: "u-1", Item: "it-1", Value: 5}, {User: "u-2", Item: "it-2", Value: 4}}
@@ -228,6 +230,73 @@ func TestOpenShardNodeRefusesShortLog(t *testing.T) {
 		t.Fatalf("the primary's own log, which reaches the snapshot's cursor, was refused: %v", err)
 	}
 	node.Close()
+}
+
+// TestPromotedReplicaAcksUnderItsSnapshotQuorum: a replica opened from a
+// snapshot split with write quorum 1 and promoted by a ring change that
+// names one replica — and no quorum — ships under quorum 1, as its
+// replication status reports, and its /info identity keeps the quorum at the
+// new epoch; the same snapshot with no replica to ack is refused as a
+// primary at boot.
+func TestPromotedReplicaAcksUnderItsSnapshotQuorum(t *testing.T) {
+	p, _ := clusterTestPipeline(t)
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "shard-000.snap")
+	if err := p.SaveShard(snap, ShardIdentity{ShardID: 0, NumShards: 1, RingEpoch: 1, WriteQuorum: 1}); err != nil {
+		t.Fatal(err)
+	}
+	open := func(wal string) *ShardNode {
+		t.Helper()
+		pipe, id, err := LoadShardEngine(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := OpenShardNode(pipe, id, filepath.Join(dir, wal), snap, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		return node
+	}
+	if err := open("boot.wal").MakePrimary(nil); err == nil || !strings.Contains(err.Error(), "write quorum 1 outside [0, 0 replicas]") {
+		t.Fatalf("MakePrimary with no replica under write quorum 1 answered %v", err)
+	}
+
+	replica := open("replica.wal")
+	// The one replica the ring change names is a closed listener: the
+	// promoted node ships to it, and nothing needs an answer here.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	body, _ := json.Marshal(cluster.RingChange{Shard: 0, Epoch: 2, NumShards: 1, Primary: true, Replicas: []string{dead}})
+	rec := httptest.NewRecorder()
+	replica.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, cluster.RingPath, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("the promotion answered %d %s", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	replica.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/health", nil))
+	var health ServerHealth
+	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
+		t.Fatal(err)
+	}
+	if r := health.Replication; r == nil || r.Role != "primary" || r.WriteQuorum != 1 {
+		t.Fatalf("the promoted replica reports replication %+v, want the primary role under write quorum 1", r)
+	}
+	rec = httptest.NewRecorder()
+	replica.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/info", nil))
+	var info struct {
+		Shard *ShardIdentity `json:"cluster_shard"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if want := (ShardIdentity{ShardID: 0, NumShards: 1, RingEpoch: 2, WriteQuorum: 1}); info.Shard == nil || *info.Shard != want {
+		t.Fatalf("the promoted replica's /info identity is %+v, want %+v", info.Shard, want)
+	}
 }
 
 // TestClusterEveryNodeSpeaksEveryStreamRoute: whatever way a node came to

@@ -2,12 +2,17 @@ package ganc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"ganc/internal/persist"
 )
 
 // clusterTestPipeline trains the cheapest snapshot-compatible pipeline on a
@@ -93,20 +98,21 @@ type RecommendResponsePayload struct {
 }
 
 // TestShardSnapshotRoundTrip pins the shard-scoped snapshot format: the
-// identity survives save/load, plain snapshots are refused by
-// LoadShardEngine, and invalid identities are rejected at save time.
+// identity, write quorum included, survives save/load, plain snapshots are
+// refused by LoadShardEngine, and invalid identities are rejected at save
+// time.
 func TestShardSnapshotRoundTrip(t *testing.T) {
 	p, _ := clusterTestPipeline(t)
 	dir := t.TempDir()
 	shardPath := dir + "/shard.snap"
-	if err := p.SaveShard(shardPath, ShardIdentity{ShardID: 2, NumShards: 5, RingEpoch: 9}); err != nil {
+	if err := p.SaveShard(shardPath, ShardIdentity{ShardID: 2, NumShards: 5, RingEpoch: 9, WriteQuorum: 2}); err != nil {
 		t.Fatal(err)
 	}
 	sp, id, err := LoadShardEngine(shardPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != (ShardIdentity{ShardID: 2, NumShards: 5, RingEpoch: 9}) {
+	if id != (ShardIdentity{ShardID: 2, NumShards: 5, RingEpoch: 9, WriteQuorum: 2}) {
 		t.Fatalf("identity round-tripped as %+v", id)
 	}
 	if got := sp.Shard(); got == nil || *got != id {
@@ -128,10 +134,83 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	if p.Shard() != nil {
 		t.Fatalf("SaveShard leaked identity %+v into the source pipeline", p.Shard())
 	}
-	for _, bad := range []ShardIdentity{{ShardID: -1, NumShards: 3}, {ShardID: 3, NumShards: 3}, {ShardID: 0, NumShards: 0}} {
+	for _, bad := range []ShardIdentity{{ShardID: -1, NumShards: 3}, {ShardID: 3, NumShards: 3}, {ShardID: 0, NumShards: 0}, {NumShards: 1, WriteQuorum: -1}} {
 		if err := p.SaveShard(dir+"/bad.snap", bad); err == nil {
 			t.Fatalf("SaveShard accepted invalid identity %+v", bad)
 		}
+	}
+}
+
+// TestShardSnapshotWriteQuorum pins the write quorum's place in the shard
+// identity beyond SaveShard's round trip: an ingestion checkpoint keeps it, a
+// cluster section written before it existed loads as 0, and a negative one
+// is refused on load.
+func TestShardSnapshotWriteQuorum(t *testing.T) {
+	p, _ := clusterTestPipeline(t)
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "shard.snap")
+	want := ShardIdentity{ShardID: 1, NumShards: 2, RingEpoch: 3, WriteQuorum: 2}
+	if err := p.SaveShard(snap, want); err != nil {
+		t.Fatal(err)
+	}
+	pipe, id, err := LoadShardEngine(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	node, err := OpenShardNode(pipe, id, filepath.Join(dir, "node.wal"), snap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.ing.Apply(context.Background(), []IngestEvent{{User: "u-1", Item: "it-1", Value: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.ing.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cp, id, err := LoadShardEngine(snap); err != nil || id != want || cp.Mark().Seq != 1 {
+		t.Fatalf("the checkpoint loads as %+v, %v, want %+v at cursor 1", id, err, want)
+	}
+
+	// rewrite copies the snapshot with its cluster section replaced.
+	rewrite := func(cluster interface{}) string {
+		t.Helper()
+		src, err := persist.Load(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b persist.Builder
+		for _, name := range src.Sections() {
+			payload, err := src.Section(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == sectionCluster {
+				b.AddGob(name, cluster)
+			} else {
+				b.Add(name, payload)
+			}
+		}
+		path := filepath.Join(dir, "rewritten.snap")
+		if err := b.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	legacy := struct {
+		ShardID, NumShards int
+		RingEpoch          uint64
+	}{1, 2, 3}
+	if _, id, err := LoadShardEngine(rewrite(&legacy)); err != nil || id != (ShardIdentity{ShardID: 1, NumShards: 2, RingEpoch: 3}) {
+		t.Fatalf("a cluster section without a write quorum loads as %+v, %v; want write quorum 0", id, err)
+	}
+	negative := want
+	negative.WriteQuorum = -1
+	if _, _, err := LoadShardEngine(rewrite(&negative)); err == nil || !strings.Contains(err.Error(), "invalid write quorum -1") {
+		t.Fatalf("a cluster section with write quorum -1 loaded: %v", err)
 	}
 }
 

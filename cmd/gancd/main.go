@@ -7,22 +7,25 @@
 //	standalone  serve one snapshot on one node, with streaming ingestion
 //	            behind POST /ingest
 //	split       shard-split a snapshot: write N shard-scoped snapshots
-//	            (shard id + hash-ring epoch in each) into -out
+//	            (shard id, hash-ring epoch and the -write-quorum K every
+//	            primary of the shard acks under, in each) into -out
 //	shard       serve one shard snapshot as the shard's primary; refuses
 //	            snapshots whose identity disagrees with the
-//	            -shards/-shard-id/-epoch flags. With -replica-addrs it ships
-//	            every committed ingest batch to the listed replica nodes,
-//	            and -write-quorum K acks a write only after K of them hold it
+//	            -shards/-shard-id/-epoch/-write-quorum flags. With
+//	            -replica-addrs it ships every committed ingest batch to the
+//	            listed replica nodes, and acks a write only after the
+//	            snapshot's write quorum of them hold it
 //	replica     serve one shard snapshot as a warm replica of its shard: the
 //	            same node as the shard role, started as a replica — client
 //	            writes answer a typed 409, POST /replicate applies the
 //	            primary's committed batches into the node's own write-ahead
 //	            log, /health reports the replication cursor and lag — and
-//	            flipped to primary when the router's ring push names it,
-//	            checkpointing from then on every -checkpoint-interval events. A
-//	            node whose -ingest-log ends before its snapshot's cursor
-//	            (a replica restarted over a snapshot its primary
-//	            checkpointed into) is refused at start-up
+//	            flipped to primary, under the snapshot's write quorum, when
+//	            the router's ring push names it, checkpointing from then on
+//	            every -checkpoint-interval events. A node whose -ingest-log
+//	            ends before its snapshot's cursor (a replica restarted over a
+//	            snapshot its primary checkpointed into) is refused at
+//	            start-up
 //	router      scatter-gather front over -peers: proxies /recommend, fans
 //	            /recommend/batch and /ingest out by user ownership, merges,
 //	            aggregates /info and /health, answers typed 503s for dead
@@ -54,11 +57,14 @@
 //	gancd -role shard -load shards/shard-002.snap -ingest-log s2.wal -serve :8083 &
 //	gancd -role router -peers :8081,:8082,:8083 -serve :8080
 //
-// The same topology with one replica behind shard 0, quorum-acked:
+// The same topology with one replica behind shard 0, quorum-acked — the
+// quorum is split into the snapshots, so the replica acks under it too once
+// promoted:
 //
+//	gancd -role split -load model.snap -shards 3 -write-quorum 1 -out shards/
 //	gancd -role replica -load shards/shard-000.snap -ingest-log r0.wal -serve :9081 &
 //	gancd -role shard -load shards/shard-000.snap -ingest-log s0.wal \
-//	      -replica-addrs :9081 -write-quorum 1 -serve :8081 &
+//	      -replica-addrs :9081 -serve :8081 &
 //	gancd -role router -peers :8081+:9081,:8082,:8083 -auto-failover -serve :8080
 //
 // The router reshards live — it reads every involved primary's write-ahead
@@ -128,12 +134,12 @@ const observability = "metrics request-log rate-limit rate-burst max-concurrent 
 // nothing. (README's role matrix is lint-checked against this table.)
 var roleFlags = []struct{ role, flags string }{
 	{"standalone", "load serve cache ingest-log checkpoint-interval"},
-	{"split", "load out shards epoch"},
-	{"shard", "load serve shards shard-id epoch cache ingest-log checkpoint-interval replica-addrs write-quorum"},
+	{"split", "load out shards epoch write-quorum"},
+	{"shard", "load serve shards shard-id epoch write-quorum cache ingest-log checkpoint-interval replica-addrs"},
 	// A node started as a replica ships to no one; its checkpoint cadence
 	// starts only when a promotion makes it primary (until then it may share
 	// the snapshot file with its primary).
-	{"replica", "load serve ingest-log shards shard-id epoch cache checkpoint-interval"},
+	{"replica", "load serve ingest-log shards shard-id epoch write-quorum cache checkpoint-interval"},
 	{"router", "peers serve epoch detect-interval-ms auto-failover"},
 }
 
@@ -165,7 +171,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.IntVar(&o.shardID, "shard-id", -1, "expected shard id (shard and replica roles; -1 trusts the snapshot)")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated shard addresses in shard-id order (router role); \"primary+replica1+replica2\" entries declare read-failover replicas")
 	fs.StringVar(&o.replicaAddrs, "replica-addrs", "", "comma-separated replica addresses this shard ships committed batches to (shard role)")
-	fs.IntVar(&o.writeQuorum, "write-quorum", 0, "k-of-n quorum writes: ack a committed batch only after k replicas hold it (shard role; 0 = ship without waiting)")
+	fs.IntVar(&o.writeQuorum, "write-quorum", 0, "k-of-n quorum writes: the shard's primary acks a committed batch only after k replicas hold it (split; cross-checked in the shard and replica roles; 0 = ship without waiting)")
 	fs.BoolVar(&o.autoFailover, "auto-failover", false, "router role: promote a suspected-dead primary's freshest replica automatically, no operator call")
 	fs.IntVar(&o.detectIntervalMs, "detect-interval-ms", 0, "failure-detector /health sampling interval in ms (router role; 0 = default 250)")
 	fs.Uint64Var(&o.epoch, "epoch", 1, "hash-ring epoch (split, router; cross-checked in the shard and replica roles)")
@@ -232,14 +238,14 @@ func (o options) logger(stderr io.Writer) (*ganc.RequestLogger, func(), error) {
 		return nil, func() {}, nil
 	}
 	if o.requestLog == "-" {
-		return ganc.NewRequestLogger(stderr, ganc.LogInfo), func() {}, nil
+		return ganc.NewRequestLogger(stderr), func() {}, nil
 	}
 	f, err := os.OpenFile(o.requestLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("opening request log: %w", err)
 	}
 	// A lost log line at shutdown is not worth failing the exit over.
-	return ganc.NewRequestLogger(f, ganc.LogInfo), func() { _ = f.Close() }, nil
+	return ganc.NewRequestLogger(f), func() { _ = f.Close() }, nil
 }
 
 // serverOptions translates the flags into single-node server options.
@@ -378,11 +384,11 @@ func runSplit(o options, stderr io.Writer) error {
 	}
 	for i := 0; i < o.shards; i++ {
 		path := filepath.Join(o.out, fmt.Sprintf("shard-%03d.snap", i))
-		id := ganc.ShardIdentity{ShardID: i, NumShards: o.shards, RingEpoch: o.epoch}
+		id := ganc.ShardIdentity{ShardID: i, NumShards: o.shards, RingEpoch: o.epoch, WriteQuorum: o.writeQuorum}
 		if err := p.SaveShard(path, id); err != nil {
 			return fmt.Errorf("writing %s: %w", path, err)
 		}
-		fmt.Fprintf(stderr, "wrote %s (shard %d/%d, epoch %d)\n", path, i, o.shards, o.epoch)
+		fmt.Fprintf(stderr, "wrote %s (shard %d/%d, epoch %d, write quorum %d)\n", path, i, o.shards, o.epoch, o.writeQuorum)
 	}
 	fmt.Fprintf(stderr, "serve each with: gancd -role shard -load %s/shard-NNN.snap -serve :PORT\n", o.out)
 	return nil
@@ -409,6 +415,9 @@ func loadShardSnapshot(o options) (*ganc.Pipeline, ganc.ShardIdentity, error) {
 		return nil, id, fmt.Errorf("snapshot %s was cut for ring epoch %d, but -epoch says %d (re-split after membership changes)",
 			o.load, id.RingEpoch, o.epoch)
 	}
+	if o.set["write-quorum"] && id.WriteQuorum != o.writeQuorum {
+		return nil, id, fmt.Errorf("snapshot %s was cut for write quorum %d, but -write-quorum says %d", o.load, id.WriteQuorum, o.writeQuorum)
+	}
 	return p, id, nil
 }
 
@@ -416,7 +425,7 @@ func loadShardSnapshot(o options) (*ganc.Pipeline, ganc.ShardIdentity, error) {
 // replica roles alike: the same ganc.ShardNode ganc.Cluster boots
 // in-process, recovered from its own write-ahead log. The shard role then
 // flips it to primary (client writes, /migrate, shipping to -replica-addrs
-// under -write-quorum); the replica role leaves it as opened.
+// under the snapshot's write quorum); the replica role leaves it as opened.
 func runNode(ctx context.Context, o options, stderr io.Writer) error {
 	p, id, err := loadShardSnapshot(o)
 	if err != nil {
@@ -445,12 +454,12 @@ func runNode(ctx context.Context, o options, stderr io.Writer) error {
 				replicas = append(replicas, a)
 			}
 		}
-		if err := node.MakePrimary(replicas, o.writeQuorum); err != nil {
-			return fmt.Errorf("-replica-addrs/-write-quorum: %w", err)
+		if err := node.MakePrimary(replicas); err != nil {
+			return fmt.Errorf("-replica-addrs: %w", err)
 		}
 		as = "primary"
 		if len(replicas) > 0 {
-			fmt.Fprintf(stderr, "replicating to %s (write quorum %d of %d)\n", strings.Join(replicas, ", "), o.writeQuorum, len(replicas))
+			fmt.Fprintf(stderr, "replicating to %s (write quorum %d of %d)\n", strings.Join(replicas, ", "), id.WriteQuorum, len(replicas))
 		}
 	}
 	fmt.Fprintf(stderr, "serving %s on %s as %s of shard %d/%d epoch %d\n",

@@ -18,9 +18,10 @@ import (
 )
 
 // splitSnapshots trains a small Pop pipeline, saves it, and shard-splits it
-// through run — the same files an operator's `ganc -save` + `gancd -role
-// split` leave behind. It returns the plain snapshot and the shard directory.
-func splitSnapshots(t *testing.T, shards int) (model, dir string) {
+// through run with the given split flags — the same files an operator's
+// `ganc -save` + `gancd -role split` leave behind. It returns the plain
+// snapshot and the shard directory.
+func splitSnapshots(t *testing.T, flags string) (model, dir string) {
 	t.Helper()
 	u, err := ganc.NewUniverse(ganc.UniverseConfig{Users: 50, Items: 30, Ratings: 700, Seed: 41})
 	if err != nil {
@@ -39,57 +40,68 @@ func splitSnapshots(t *testing.T, shards int) (model, dir string) {
 	if err := p.Save(model); err != nil {
 		t.Fatal(err)
 	}
-	dir = filepath.Join(tmp, "shards")
-	args := fmt.Sprintf("-role split -load %s -shards %d -out %s", model, shards, dir)
+	return model, split(t, model, flags)
+}
+
+// split shard-splits model through run, with the given split flags, into a
+// fresh directory it returns.
+func split(t *testing.T, model, flags string) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "shards")
+	args := fmt.Sprintf("-role split -load %s -out %s %s", model, dir, flags)
 	if err := run(context.Background(), strings.Fields(args), io.Discard); err != nil {
 		t.Fatalf("gancd %s: %v", args, err)
 	}
-	return model, dir
+	return dir
 }
 
 // TestRejectedFlagCombinations pins every combination run refuses, by what
 // the error names. A combination run accepted instead would serve until its
 // context expired and return nil, which fails the row too.
 func TestRejectedFlagCombinations(t *testing.T) {
-	model, dir := splitSnapshots(t, 2)
+	model, dir := splitSnapshots(t, "-shards 2")
 	shard0 := filepath.Join(dir, "shard-000.snap")
+	quorum1 := filepath.Join(split(t, model, "-shards 1 -write-quorum 1"), "shard-000.snap")
+	quorum2 := filepath.Join(split(t, model, "-shards 1 -write-quorum 2"), "shard-000.snap")
 	wal := filepath.Join(t.TempDir(), "n.wal")
 	for args, want := range map[string]string{
-		"-role nope":                                                               `unknown -role "nope"`,
-		"-role shard -load " + shard0:                                              "-serve is required",
-		"-role split -load " + model:                                               "-out directory is required",
-		"-role standalone -serve :0 extra":                                         `unexpected argument "extra"`,
-		"-role shard -serve :0":                                                    "-load is required",
-		"-role shard -serve :0 -load " + model:                                     "carries no shard identity",
-		"-role shard -serve :0 -shard-id 1 -load " + shard0:                        "-shard-id says 1",
-		"-role shard -serve :0 -shards 3 -load " + shard0:                          "-shards says 3",
-		"-role replica -serve :0 -epoch 2 -ingest-log " + wal + " -load " + shard0: "-epoch says 2",
+		"-role nope":                                                                       `unknown -role "nope"`,
+		"-role shard -load " + shard0:                                                      "-serve is required",
+		"-role split -load " + model:                                                       "-out directory is required",
+		"-role standalone -serve :0 extra":                                                 `unexpected argument "extra"`,
+		"-role shard -serve :0":                                                            "-load is required",
+		"-role shard -serve :0 -load " + model:                                             "carries no shard identity",
+		"-role shard -serve :0 -shard-id 1 -load " + shard0:                                "-shard-id says 1",
+		"-role shard -serve :0 -shards 3 -load " + shard0:                                  "-shards says 3",
+		"-role replica -serve :0 -epoch 2 -ingest-log " + wal + " -load " + shard0:         "-epoch says 2",
+		"-role shard -serve :0 -write-quorum 1 -ingest-log " + wal + " -load " + shard0:    "-write-quorum says 1",
+		"-role replica -serve :0 -write-quorum 0 -ingest-log " + wal + " -load " + quorum1: "-write-quorum says 0",
 
 		// The silent quorum downgrade: a quorum nobody can acknowledge used to
 		// be accepted and then acked unreplicated writes.
-		"-role shard -serve :0 -write-quorum 1 -ingest-log " + wal + " -load " + shard0:                    "write quorum 1 outside [0, 0 replicas]",
-		"-role shard -serve :0 -write-quorum 2 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0: "write quorum 2 outside [0, 1 replicas]",
-		"-role shard -serve :0 -write-quorum -1 -ingest-log " + wal + " -load " + shard0:                   "write quorum -1 outside",
-		"-role shard -serve :0 -replica-addrs h:1 -load " + shard0:                                         "needs a write-ahead log",
-		"-role cluster -serve :0 -load " + model:                                                           `unknown -role "cluster"`,
-		"-role router -serve :0 -peers a:1 -replicas 1":                                                    "flag provided but not defined: -replicas",
-		"-role router -serve :0 -peers a:1 -retries 0":                                                     "flag provided but not defined: -retries",
-		"-role router -serve :0 -peers a:1 -max-replica-lag 5":                                             "flag provided but not defined: -max-replica-lag",
-		"-role router -serve :0 -peers a:1 -suspect-after 2":                                               "flag provided but not defined: -suspect-after",
+		"-role shard -serve :0 -ingest-log " + wal + " -load " + quorum1:                    "write quorum 1 outside [0, 0 replicas]",
+		"-role shard -serve :0 -replica-addrs h:1 -ingest-log " + wal + " -load " + quorum2: "write quorum 2 outside [0, 1 replicas]",
+		"-role split -write-quorum -1 -out " + dir + " -load " + model:                      "invalid write quorum -1",
+		"-role shard -serve :0 -replica-addrs h:1 -load " + shard0:                          "needs a write-ahead log",
+		"-role cluster -serve :0 -load " + model:                                            `unknown -role "cluster"`,
+		"-role router -serve :0 -peers a:1 -replicas 1":                                     "flag provided but not defined: -replicas",
+		"-role router -serve :0 -peers a:1 -retries 0":                                      "flag provided but not defined: -retries",
+		"-role router -serve :0 -peers a:1 -max-replica-lag 5":                              "flag provided but not defined: -max-replica-lag",
+		"-role router -serve :0 -peers a:1 -suspect-after 2":                                "flag provided but not defined: -suspect-after",
 
 		// A flag the role does not read is refused, not ignored: a node
 		// started as a replica ships to no one, a router's knobs mean nothing
 		// on a node, one node has no shard count.
-		"-role replica -serve :0 -load " + shard0:                                            "-ingest-log is required for -role replica",
-		"-role replica -serve :0 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0: "-replica-addrs does not apply to -role replica",
-		"-role replica -serve :0 -write-quorum 1 -ingest-log " + wal + " -load " + shard0:    "-write-quorum does not apply to -role replica",
-		"-role shard -serve :0 -detect-interval-ms 5 -load " + shard0:                        "-detect-interval-ms does not apply to -role shard (it is read by -role router)",
-		"-role standalone -serve :0 -shards 5 -load " + model:                                "-shards does not apply to -role standalone (it is read by -role split, shard, replica)",
-		"-role standalone -serve :0 -auto-failover -load " + model:                           "-auto-failover does not apply to -role standalone (it is read by -role router)",
-		"-role split -metrics -out " + dir + " -load " + model:                               "-metrics does not apply to -role split",
-		"-role router -serve :0":                               "-peers",
-		"-role router -serve :0 -peers a:1,,b:2":               "-peers",
-		"-role router -serve :0 -peers a:1,b:2 -auto-failover": "no replica to promote",
+		"-role replica -serve :0 -load " + shard0:                                                                         "-ingest-log is required for -role replica",
+		"-role replica -serve :0 -replica-addrs h:1 -ingest-log " + wal + " -load " + shard0:                              "-replica-addrs does not apply to -role replica",
+		"-role router -serve :0 -peers a:1 -write-quorum 1":                                                               "-write-quorum does not apply to -role router (it is read by -role split, shard, replica)",
+		"-role shard -serve :0 -detect-interval-ms 5 -load " + shard0:                                                     "-detect-interval-ms does not apply to -role shard (it is read by -role router)",
+		"-role standalone -serve :0 -shards 5 -load " + model:                                                             "-shards does not apply to -role standalone (it is read by -role split, shard, replica)",
+		"-role standalone -serve :0 -auto-failover -load " + model:                                                        "-auto-failover does not apply to -role standalone (it is read by -role router)",
+		"-role split -metrics -out " + dir + " -load " + model:                                                            "-metrics does not apply to -role split",
+		"-role router -serve :0":                                                                                          "-peers",
+		"-role router -serve :0 -peers a:1,,b:2":                                                                          "-peers",
+		"-role router -serve :0 -peers a:1,b:2 -auto-failover":                                                            "no replica to promote",
 		"-role standalone -serve :0 -request-log " + filepath.Join(dir, "no", "such", "dir", "r.log") + " -load " + model: "opening request log",
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -137,7 +149,7 @@ func waitHealthy(t *testing.T, addr string) {
 // files — the restart loads the checkpoint, replays the log's suffix and
 // answers as before.
 func TestStandaloneServesIngestsAndRecovers(t *testing.T) {
-	model, _ := splitSnapshots(t, 1)
+	model, _ := splitSnapshots(t, "-shards 1")
 	args := fmt.Sprintf("-role standalone -load %s -ingest-log %s -checkpoint-interval 2 -serve ",
 		model, filepath.Join(t.TempDir(), "events.wal"))
 
@@ -202,12 +214,13 @@ func TestStandaloneServesIngestsAndRecovers(t *testing.T) {
 }
 
 // TestMultiProcessRolesOverLoopback starts a replica, its shard's primary
-// (write quorum 1) and a router — three run calls, as three processes would —
-// ingests through the router, and checks that the write reached the replica
-// and that the primary is the same node an in-process one is: it answers
-// /replicate/tail and refuses pushed /replicate chunks by role.
+// (split with write quorum 1, which the shard role cross-checks) and a
+// router — three run calls, as three processes would — ingests through the
+// router, and checks that the write reached the replica and that the primary
+// is the same node an in-process one is: it answers /replicate/tail and
+// refuses pushed /replicate chunks by role.
 func TestMultiProcessRolesOverLoopback(t *testing.T) {
-	_, dir := splitSnapshots(t, 1)
+	_, dir := splitSnapshots(t, "-shards 1 -write-quorum 1")
 	snap := filepath.Join(dir, "shard-000.snap")
 	tmp := t.TempDir()
 	replicaAddr, shardAddr, routerAddr := freeAddr(t), freeAddr(t), freeAddr(t)
@@ -292,13 +305,15 @@ func TestMultiProcessRolesOverLoopback(t *testing.T) {
 }
 
 // TestRouterRoleAutoFailover runs one process per node — a shard, two
-// replicas and a -role router -auto-failover, each run on its own listener —
-// and stops the shard. Within the detector window the router promotes a
-// replica over the wire: a routed write is accepted again, exactly one
-// replica's /health reports the primary role, and the promoted replica
-// checkpoints at the -checkpoint-interval it was started with.
+// replicas and a -role router -auto-failover, each run on its own listener,
+// from a split with write quorum 1 — and stops the shard. Within the
+// detector window the router promotes a replica over the wire: a routed
+// write is accepted again, exactly one replica's /health reports the primary
+// role under write quorum 1, and the promoted replica checkpoints at the
+// -checkpoint-interval it was started with, keeping the quorum in the
+// snapshot.
 func TestRouterRoleAutoFailover(t *testing.T) {
-	_, dir := splitSnapshots(t, 1)
+	_, dir := splitSnapshots(t, "-shards 1 -write-quorum 1")
 	snap := filepath.Join(dir, "shard-000.snap")
 	tmp := t.TempDir()
 	replicas := []string{freeAddr(t), freeAddr(t)}
@@ -322,7 +337,7 @@ func TestRouterRoleAutoFailover(t *testing.T) {
 		waitHealthy(t, addr)
 	}
 	shardCtx, killShard := context.WithCancel(ctx)
-	start(shardCtx, fmt.Sprintf("-role shard -load %s -ingest-log %s -replica-addrs %s -write-quorum 1 -serve %s",
+	start(shardCtx, fmt.Sprintf("-role shard -load %s -ingest-log %s -replica-addrs %s -serve %s",
 		snap, filepath.Join(tmp, "s0.wal"), strings.Join(replicas, ","), shardAddr))
 	waitHealthy(t, shardAddr)
 	start(ctx, fmt.Sprintf("-role router -peers %s -auto-failover -detect-interval-ms 20 -serve %s",
@@ -362,8 +377,11 @@ func TestRouterRoleAutoFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if health.Replication != nil && health.Replication.Role == "primary" {
+		if r := health.Replication; r != nil && r.Role == "primary" {
 			promoted = append(promoted, addr)
+			if r.WriteQuorum != 1 {
+				t.Fatalf("the promoted replica %s acks under write quorum %d, want the split's 1", addr, r.WriteQuorum)
+			}
 		}
 	}
 	if len(promoted) != 1 {
@@ -372,12 +390,15 @@ func TestRouterRoleAutoFailover(t *testing.T) {
 	// The shard never checkpointed; the write before the kill and the one
 	// accepted after it are both in the snapshot only if the promoted
 	// replica checkpointed.
-	p, _, err := ganc.LoadShardEngine(snap)
+	p, id, err := ganc.LoadShardEngine(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq := p.Mark().Seq; seq < 2 {
 		t.Fatalf("the shard snapshot's cursor is %d after a write the promoted replica accepted, want at least 2", seq)
+	}
+	if id.WriteQuorum != 1 {
+		t.Fatalf("the promoted replica's checkpoint carries write quorum %d, want 1", id.WriteQuorum)
 	}
 }
 
@@ -388,12 +409,8 @@ func TestRouterRoleAutoFailover(t *testing.T) {
 // user's events sit at their owner after each step, and every node's /info
 // carries the ring it was pushed.
 func TestRouterRoleReshard(t *testing.T) {
-	model, dir := splitSnapshots(t, 2)
-	grown := filepath.Join(t.TempDir(), "grown")
-	args := fmt.Sprintf("-role split -load %s -shards 3 -out %s", model, grown)
-	if err := run(context.Background(), strings.Fields(args), io.Discard); err != nil {
-		t.Fatalf("gancd %s: %v", args, err)
-	}
+	model, dir := splitSnapshots(t, "-shards 2")
+	grown := split(t, model, "-shards 3")
 	tmp := t.TempDir()
 	shards := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
 	routerAddr := freeAddr(t)

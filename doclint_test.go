@@ -554,7 +554,7 @@ func docSurfaces(t *testing.T) (families map[string]bool, mounted func(method, p
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	if err := node.MakePrimary(nil, 0); err != nil {
+	if err := node.MakePrimary(nil); err != nil {
 		t.Fatal(err)
 	}
 	collect(reg, node.Handler())

@@ -25,8 +25,7 @@ import (
 const RingPath = "/admin/ring"
 
 // ErrPromotionRefused marks a promotion the router declined: the primary
-// still answers, a reshard is in flight, or the router never sampled the
-// write quorum the new primary must ack under.
+// still answers, or a reshard is in flight.
 var ErrPromotionRefused = errors.New("cluster: promotion refused")
 
 // RingChange is the body of POST /admin/ring: one node's place in a ring.
@@ -36,11 +35,11 @@ type RingChange struct {
 	Epoch     uint64 `json:"epoch"`
 	NumShards int    `json:"num_shards"`
 	// Primary is set for the shard's primary. Sent to a replica, it promotes
-	// the node, which then ships to Replicas and acks a write once
-	// WriteQuorum of them hold it.
-	Primary     bool     `json:"primary"`
-	Replicas    []string `json:"replicas"`
-	WriteQuorum int      `json:"write_quorum"`
+	// the node, which then ships to Replicas and acks a write once the write
+	// quorum of its own shard identity holds it — every node of a shard loads
+	// the same quorum, so a ring change never carries one.
+	Primary  bool     `json:"primary"`
+	Replicas []string `json:"replicas"`
 }
 
 // ringAnswer is a node's answer to a ring change: the epoch of the ring it
@@ -66,8 +65,6 @@ func parseRingChange(r io.Reader) (*RingChange, error) {
 		return nil, fmt.Errorf("%w: shard %d outside a ring of %d", ErrStreamBody, c.Shard, c.NumShards)
 	case len(c.Replicas) > maxReplicaAddrs:
 		return nil, fmt.Errorf("%w: %d replicas, the limit is %d", ErrStreamBody, len(c.Replicas), maxReplicaAddrs)
-	case c.WriteQuorum < 0 || c.WriteQuorum > len(c.Replicas):
-		return nil, fmt.Errorf("%w: write quorum %d outside [0, %d replicas]", ErrStreamBody, c.WriteQuorum, len(c.Replicas))
 	}
 	for k, addr := range c.Replicas {
 		if addr == "" || len(addr) > maxAddrLen {
@@ -104,7 +101,7 @@ func (n *Node) changeRing(c *RingChange) error {
 	defer n.ringMu.Unlock()
 	cur := n.ring
 	same := c.Shard == cur.Shard && c.Epoch == cur.Epoch && c.NumShards == cur.NumShards &&
-		c.Primary == cur.Primary && slices.Equal(c.Replicas, cur.Replicas) && c.WriteQuorum == cur.WriteQuorum
+		c.Primary == cur.Primary && slices.Equal(c.Replicas, cur.Replicas)
 	switch {
 	case c.Shard != n.shard:
 		return fmt.Errorf("%w: change for shard %d reached shard %d", ErrStreamShard, c.Shard, n.shard)
@@ -140,7 +137,7 @@ func (n *Node) ringEpoch() uint64 {
 //     Ring.Promoted chooses the successor;
 //  3. every reachable node is pushed its place in the next ring — the old
 //     primary first, the new primary last (it ships and acks under the write
-//     quorum its predecessor reported) — and only then is the ring stored.
+//     quorum of its own shard identity) — and only then is the ring stored.
 //
 // A refusal stops the pushes before the new primary's: an old primary that
 // came back answers first that a live primary is not demoted, so no node
@@ -161,14 +158,6 @@ func (rt *Router) Promote(shard int) (uint64, error) {
 	old := ring.Shard(shard).Addr
 	if _, err := rt.health(old); err == nil {
 		return 0, fmt.Errorf("%w: shard %d's primary %s still answers", ErrPromotionRefused, shard, old)
-	}
-	quorum, known := rt.quorums[old]
-	if !known {
-		quorum, known = rt.detector.writeQuorum(old)
-	}
-	if !known {
-		return 0, fmt.Errorf("%w: shard %d's primary %s was never sampled, so its write quorum is unknown",
-			ErrPromotionRefused, shard, old)
 	}
 	cursors := make(map[string]uint64)
 	for _, addr := range ring.Shard(shard).Replicas {
@@ -198,14 +187,10 @@ func (rt *Router) Promote(shard int) (uint64, error) {
 	}
 	slices.SortStableFunc(pushes, func(a, b ringPush) int { return rank(a) - rank(b) })
 	for _, p := range pushes {
-		if p.addr == addr {
-			p.c.WriteQuorum = quorum
-		}
 		if err := rt.sendRing(p); err != nil && (p.addr == addr || !errors.Is(err, errUnreachable)) {
 			return 0, fmt.Errorf("cluster: promoting %s for shard %d: %w", addr, shard, err)
 		}
 	}
-	rt.quorums[addr] = quorum
 	rt.ring.Store(next)
 	return next.Epoch(), nil
 }
@@ -228,7 +213,8 @@ func (rt *Router) fresh(next *Ring) (*Ring, error) {
 // -peers syntax, one entry per shard in shard-id order ("a:1,b:2+c:3"), and
 // their nodes must already serve. A malformed target or add answers 400, a
 // refused or failed reshard 409 with the error, a published one 200 with its
-// ReshardStats.
+// ReshardStats — and, when a node refused its commit push (the ring is
+// published all the same), that refusal in an error field beside them.
 func (rt *Router) handleReshard(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
@@ -240,11 +226,17 @@ func (rt *Router) handleReshard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stats, err := rt.Reshard(next)
-	if err != nil {
+	switch {
+	case stats == nil:
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
-		return
+	case err != nil:
+		writeJSON(w, http.StatusOK, struct {
+			*ReshardStats
+			Error string `json:"error"`
+		}{stats, err.Error()})
+	default:
+		writeJSON(w, http.StatusOK, stats)
 	}
-	writeJSON(w, http.StatusOK, stats)
 }
 
 // resized builds the ring handleReshard moves to: the current ring's first

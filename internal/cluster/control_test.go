@@ -49,7 +49,7 @@ func postRing(t *testing.T, h http.Handler, method, body string) (int, ringAnswe
 func TestRingChangeRoute(t *testing.T) {
 	n, adopted := ringNode(5)
 	h := n.Mount(http.NotFoundHandler())
-	promote := `{"shard":0,"epoch":6,"num_shards":2,"primary":true,"replicas":["r:1"],"write_quorum":1}`
+	promote := `{"shard":0,"epoch":6,"num_shards":2,"primary":true,"replicas":["r:1"]}`
 	for _, tc := range []struct {
 		name, method, body string
 		status             int
@@ -60,7 +60,6 @@ func TestRingChangeRoute(t *testing.T) {
 		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed, "ring_body", 5, 0},
 		{"not JSON", http.MethodPost, "not json", http.StatusBadRequest, "ring_body", 5, 0},
 		{"shard outside the ring", http.MethodPost, `{"shard":2,"epoch":6,"num_shards":2}`, http.StatusBadRequest, "ring_body", 5, 0},
-		{"quorum over the replicas", http.MethodPost, `{"shard":0,"epoch":6,"num_shards":1,"write_quorum":1}`, http.StatusBadRequest, "ring_body", 5, 0},
 		{"oversized", http.MethodPost, `{"replicas":["` + strings.Repeat("x", serve.MaxBodyBytes) + `"]}`, http.StatusRequestEntityTooLarge, "ring_body", 5, 0},
 		{"another shard", http.MethodPost, `{"shard":1,"epoch":6,"num_shards":2}`, http.StatusConflict, "ring_shard", 5, 0},
 		{"stale epoch", http.MethodPost, `{"shard":0,"epoch":5,"num_shards":2}`, http.StatusConflict, "ring_epoch", 5, 0},
@@ -88,11 +87,11 @@ func FuzzRingChangeHostileBody(f *testing.F) {
 	for _, seed := range []string{
 		`{"shard":0,"epoch":18446744073709551615,"num_shards":1,"primary":true}`,
 		`{"shard":0,"epoch":18446744073709551615,"num_shards":1}`,
-		`{"shard":0,"epoch":1,"num_shards":4,"primary":true,"replicas":["a:1","b:2"],"write_quorum":2}`,
+		`{"shard":0,"epoch":1,"num_shards":4,"primary":true,"replicas":["a:1","b:2"]}`,
 		`{"shard":3,"epoch":9,"num_shards":4}`,
 		`{"shard":-1,"epoch":9,"num_shards":1}`,
 		`{"shard":0,"epoch":9,"num_shards":0}`,
-		`{"shard":0,"epoch":9,"num_shards":1,"replicas":[""],"write_quorum":-1}`,
+		`{"shard":0,"epoch":9,"num_shards":1,"replicas":[""]}`,
 		`{"shard":0,"epoch":-1}`,
 		`not json`,
 		``,

@@ -55,15 +55,14 @@ func (f fabric) hop() *hop { return newHop(f.dial) }
 // memShard is one node on the fabric: a Node whose stream receivers apply
 // into a write-ahead log of its own (client writes go straight to the log,
 // as a router-delivered ingest would), mounted over a /health that reports
-// the node's role and cursor — and, on a primary, write quorum. onMigrate,
-// when set, sees each migrated batch before it is logged; rings records every
-// ring change the node adopted, after onRing (when set) has had its say.
+// the node's role and cursor. onMigrate, when set, sees each migrated batch
+// before it is logged; rings records every ring change the node adopted,
+// after onRing (when set) has had its say.
 type memShard struct {
 	addr    string
 	node    *Node
 	log     *ingest.Log
 	handler http.Handler
-	quorum  int
 
 	// mu guards down and the far ends of the pipes dialled to the node.
 	mu    sync.Mutex
@@ -120,7 +119,7 @@ func (s *memShard) open(shard int, epoch uint64, primary bool) {
 	health.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
 		st := s.node.Replica.Status()
 		if s.node.Primary() {
-			st = serve.ReplicationStatus{Role: RolePrimary, AppliedSeq: s.Seq(), PrimarySeq: s.Seq(), WriteQuorum: s.quorum}
+			st = serve.ReplicationStatus{Role: RolePrimary, AppliedSeq: s.Seq(), PrimarySeq: s.Seq()}
 		}
 		writeJSON(w, http.StatusOK, serve.HealthResponse{Status: "ok", Replication: &st})
 	})
@@ -576,13 +575,13 @@ func TestReshardGrowsRouterMetrics(t *testing.T) {
 	}
 }
 
-// newPromoteRig is one shard on the fabric — node 0 its primary, acking under
-// write quorum 1, and nodes 1 and 2 its replicas, node 2 two events ahead —
-// behind a router whose detector samples every node once, at construction.
+// newPromoteRig is one shard on the fabric — node 0 its primary, and nodes 1
+// and 2 its replicas, node 2 two events ahead — behind a router whose
+// detector samples every node once, at construction.
 func newPromoteRig(t *testing.T) *cutoverRig {
 	t.Helper()
 	rig := &cutoverRig{t: t, net: fabric{}}
-	rig.addNode(0, true).quorum = 1
+	rig.addNode(0, true)
 	rig.addNode(0, false)
 	if _, err := rig.addNode(0, false).log.Append([]serve.IngestEvent{{User: "u", Item: "a", Value: 1}, {User: "u", Item: "b", Value: 2}}); err != nil {
 		t.Fatal(err)
@@ -609,9 +608,8 @@ func (rig *cutoverRig) promoteRouter() *Router {
 
 // TestPromotePushesNewPrimaryLast: with the primary down, Promote names the
 // freshest replica, pushes the epoch-2 ring to the other replica first and
-// to the new primary last — which ships to the rest of the shard under the
-// quorum the old primary reported — skips the unreachable old primary, and
-// only then routes by the new ring.
+// to the new primary last — which ships to the rest of the shard — skips the
+// unreachable old primary, and only then routes by the new ring.
 func TestPromotePushesNewPrimaryLast(t *testing.T) {
 	rig := newPromoteRig(t)
 	old, fresh, stale := rig.shards[0], rig.shards[2], rig.shards[1]
@@ -633,7 +631,7 @@ func TestPromotePushesNewPrimaryLast(t *testing.T) {
 	if fmt.Sprint(order) != fmt.Sprint([]string{stale.addr, fresh.addr}) {
 		t.Fatalf("pushed the ring to %v, want the other replica, then the new primary", order)
 	}
-	want := RingChange{Shard: 0, Epoch: 2, NumShards: 1, Primary: true, Replicas: []string{stale.addr, old.addr}, WriteQuorum: 1}
+	want := RingChange{Shard: 0, Epoch: 2, NumShards: 1, Primary: true, Replicas: []string{stale.addr, old.addr}}
 	if got := fresh.rings; len(got) != 1 || fmt.Sprintf("%+v", got[0]) != fmt.Sprintf("%+v", want) || !fresh.node.Primary() || stale.node.Primary() {
 		t.Fatalf("the new primary adopted %+v (primary %v, the other replica %v), want %+v", got, fresh.node.Primary(), stale.node.Primary(), want)
 	}
@@ -642,9 +640,9 @@ func TestPromotePushesNewPrimaryLast(t *testing.T) {
 	}
 }
 
-// TestPromoteRefusals: a primary that still answers, a reshard in flight and
-// a primary whose write quorum was never sampled each refuse the promotion
-// with ErrPromotionRefused, pushing nothing and leaving the ring as it was.
+// TestPromoteRefusals: a primary that still answers and a reshard in flight
+// each refuse the promotion with ErrPromotionRefused, pushing nothing and
+// leaving the ring as it was.
 func TestPromoteRefusals(t *testing.T) {
 	rig := newPromoteRig(t)
 	for name, try := range map[string]func() (*Router, error){
@@ -657,13 +655,6 @@ func TestPromoteRefusals(t *testing.T) {
 			_, err := rig.rt.Promote(0)
 			return rig.rt, err
 		},
-		"quorum never sampled": func() (*Router, error) {
-			rig.shards[0].setDown(true)
-			defer rig.shards[0].setDown(false)
-			rt := rig.promoteRouter() // its detector's only sample misses the primary
-			_, err := rt.Promote(0)
-			return rt, err
-		},
 	} {
 		rt, err := try()
 		if !errors.Is(err, ErrPromotionRefused) || rt.Ring().Epoch() != 1 {
@@ -674,6 +665,25 @@ func TestPromoteRefusals(t *testing.T) {
 				t.Fatalf("%s: pushed %s the ring changes %+v", name, s.addr, s.rings)
 			}
 		}
+	}
+}
+
+// TestPromoteUnsampledPrimary: a primary the router's detector never
+// sampled — it was down before the router started — is replaced all the
+// same: the successor's write quorum is its own, so the router needs nothing
+// it had to learn from the dead node.
+func TestPromoteUnsampledPrimary(t *testing.T) {
+	rig := newPromoteRig(t)
+	old, fresh := rig.shards[0], rig.shards[2]
+	old.setDown(true)
+	rt := rig.promoteRouter() // its detector's only sample misses the primary
+	if row, ok := rt.detector.Node(old.addr); !ok || row.Alive {
+		t.Fatalf("the detector's view of the primary is %+v (sampled %v), want a miss", row, ok)
+	}
+	epoch, err := rt.Promote(0)
+	if err != nil || epoch != 2 || rt.Ring().Shard(0).Addr != fresh.addr || !fresh.node.Primary() {
+		t.Fatalf("Promote answered epoch %d, %v, routing to %s (primary %v); want %s at epoch 2",
+			epoch, err, rt.Ring().Shard(0).Addr, fresh.node.Primary(), fresh.addr)
 	}
 }
 
@@ -751,8 +761,7 @@ func TestPromoteAfterSuccessorDiesMidPush(t *testing.T) {
 }
 
 // TestPromoteAgainAfterNewPrimaryDies: a promoted primary that dies before
-// the detector ever samples it can still be replaced — under the write
-// quorum the router gave it.
+// the detector ever samples it can still be replaced.
 func TestPromoteAgainAfterNewPrimaryDies(t *testing.T) {
 	rig := newPromoteRig(t)
 	old, stale, fresh := rig.shards[0], rig.shards[1], rig.shards[2]
@@ -765,21 +774,19 @@ func TestPromoteAgainAfterNewPrimaryDies(t *testing.T) {
 	if err != nil || epoch != 3 || rig.rt.Ring().Shard(0).Addr != stale.addr {
 		t.Fatalf("the second Promote answered epoch %d, %v, routing to %s; want %s at epoch 3", epoch, err, rig.rt.Ring().Shard(0).Addr, stale.addr)
 	}
-	if got := stale.rings[len(stale.rings)-1]; !got.Primary || got.WriteQuorum != 1 {
-		t.Fatalf("the second successor adopted %+v, want primary under write quorum 1", got)
+	if got := stale.rings[len(stale.rings)-1]; !got.Primary || !stale.node.Primary() {
+		t.Fatalf("the second successor adopted %+v (primary %v), want the primary's place", got, stale.node.Primary())
 	}
 }
 
 // TestPromoteAfterGrow: a primary a reshard added can be replaced before the
-// detector ever samples it — the reshard read its write quorum before the
-// commit. Shard 0's replica makes the router run a detector, whose only
-// sample, at construction, predates shard 2.
+// detector ever samples it. Shard 0's replica makes the router run a
+// detector, whose only sample, at construction, predates shard 2.
 func TestPromoteAfterGrow(t *testing.T) {
 	rig := &cutoverRig{t: t, net: fabric{}}
 	for i := 0; i < 3; i++ {
 		rig.addNode(i, true)
 	}
-	rig.shards[2].quorum = 1
 	replica0, replica2 := rig.addNode(0, false), rig.addNode(2, false)
 	ring := func(epoch uint64, n int) *Ring {
 		infos := []ShardInfo{
@@ -806,16 +813,17 @@ func TestPromoteAfterGrow(t *testing.T) {
 	if err != nil || epoch != 3 || rt.Ring().Shard(2).Addr != replica2.addr {
 		t.Fatalf("promoting the grown shard answered epoch %d, %v, routing to %s; want %s at epoch 3", epoch, err, rt.Ring().Shard(2).Addr, replica2.addr)
 	}
-	if got := replica2.rings[len(replica2.rings)-1]; !got.Primary || got.WriteQuorum != 1 || !replica2.node.Primary() {
-		t.Fatalf("the successor adopted %+v, want primary under the added primary's write quorum 1", got)
+	if got := replica2.rings[len(replica2.rings)-1]; !got.Primary || !replica2.node.Primary() {
+		t.Fatalf("the successor adopted %+v (primary %v), want the primary's place", got, replica2.node.Primary())
 	}
 }
 
 // TestRouterReshardRoute drives the router's POST /admin/reshard over the
 // fabric: a GET is refused, a malformed target and a grow that does not name
 // its added shard are 400s that reach no node, a reshard Reshard refuses is a
-// 409, a grow naming the added shard's node is published with its stats, and
-// a shrink needs no add=.
+// 409, a grow naming the added shard's node is published with its stats —
+// a 200 even though node 0 refuses its commit push, with that refusal in the
+// body's error — and a shrink needs no add=.
 func TestRouterReshardRoute(t *testing.T) {
 	rig := newCutoverRig(t, 2, 3)
 	sent := rig.seedHistories(60, 2)
@@ -854,14 +862,17 @@ func TestRouterReshardRoute(t *testing.T) {
 	}
 	rig.checkSettled(rig.ring(1, 2), sent)
 
+	rig.shards[0].onRing = func(RingChange) error { return errors.New("disk on fire") }
 	status, body := call(http.MethodPost, "?target=3&add="+rig.shards[2].addr)
-	if status != http.StatusOK || body["to_shards"] != float64(3) || body["epoch"] != float64(2) {
-		t.Fatalf("the grow answered %d %v, want 200 with to_shards 3 at epoch 2", status, body)
+	if msg, _ := body["error"].(string); status != http.StatusOK || body["to_shards"] != float64(3) || body["epoch"] != float64(2) ||
+		!strings.Contains(msg, "refused the ring change to epoch 2") {
+		t.Fatalf("the grow answered %d %v, want 200 with to_shards 3 at epoch 2 and node 0's refusal", status, body)
 	}
 	rig.checkSettled(rig.ring(2, 3), sent)
+	rig.shards[0].onRing = nil
 	status, body = call(http.MethodPost, "?target=2")
-	if status != http.StatusOK || body["to_shards"] != float64(2) || body["epoch"] != float64(3) {
-		t.Fatalf("the shrink answered %d %v, want 200 with to_shards 2 at epoch 3", status, body)
+	if _, refused := body["error"]; status != http.StatusOK || body["to_shards"] != float64(2) || body["epoch"] != float64(3) || refused {
+		t.Fatalf("the shrink answered %d %v, want 200 with to_shards 2 at epoch 3 and no error", status, body)
 	}
 	rig.checkSettled(rig.ring(3, 2), sent)
 }

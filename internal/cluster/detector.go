@@ -80,20 +80,11 @@ type DetectorConfig struct {
 // failover beats a client timeout.
 const suspectAfter = 3
 
-// detectorView is one immutable sample generation, swapped in atomically.
-// quorums holds, by primary address, the write quorum the node last reported
-// while answering as a primary — kept across the misses of a dead primary,
-// because a promotion needs it exactly then.
-type detectorView struct {
-	rows    map[string]NodeLiveness // keyed by node address
-	quorums map[string]int
-}
-
 // Detector maintains a cached liveness view of every node in the ring by
 // sampling /health on a fixed interval. Readers (the router's failover path,
-// /health aggregation, promotion) consult the cached view and never probe
-// inline. A Router over a replicated ring builds and owns one (NewRouter
-// starts it, Router.Close stops it).
+// /health aggregation) consult the cached view and never probe inline. A
+// Router over a replicated ring builds and owns one (NewRouter starts it,
+// Router.Close stops it).
 type Detector struct {
 	ringFn       func() *Ring
 	hop          *hop
@@ -102,7 +93,9 @@ type Detector struct {
 	suspectAfter int
 	onSuspect    func(shard int, addr string)
 
-	view atomic.Pointer[detectorView]
+	// view is one immutable sample generation — the rows by node address —
+	// swapped in atomically.
+	view atomic.Pointer[map[string]NodeLiveness]
 
 	// misses and fired are touched only by the sampling goroutine: misses
 	// holds consecutive-failure runs per address, fired the per-shard
@@ -232,11 +225,8 @@ func (d *Detector) sample() {
 		return
 	}
 	type outcome struct {
-		seq     uint64
-		lag     uint64
-		quorum  int
-		primary bool // answered with a primary's replication status
-		err     error
+		health *serve.HealthResponse
+		err    error
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), d.probeTimeout)
 	results := make([]outcome, len(targets))
@@ -246,34 +236,16 @@ func (d *Detector) sample() {
 		go func(i int, addr string) {
 			defer pwg.Done()
 			health, err := probeHealth(ctx, d.hop, addr)
-			if err != nil {
-				results[i] = outcome{err: err}
-				return
-			}
-			var o outcome
-			if repl := health.Replication; repl != nil {
-				o.seq = repl.AppliedSeq
-				o.lag = repl.LagEvents
-				o.quorum, o.primary = repl.WriteQuorum, repl.Role == RolePrimary
-			}
-			results[i] = o
+			results[i] = outcome{health, err}
 		}(i, n.addr)
 	}
 	pwg.Wait()
 	cancel()
 
-	prev := d.view.Load()
 	rows := make(map[string]NodeLiveness, len(targets))
-	quorums := make(map[string]int)
 	live, suspected := 0, 0
 	for i, n := range targets {
 		o := results[i]
-		switch q, ok := prev.quorum(n.addr); {
-		case o.primary:
-			quorums[n.addr] = o.quorum
-		case o.err != nil && ok:
-			quorums[n.addr] = q // a dead primary keeps its last report
-		}
 		d.dm.probe(o.err != nil)
 		row := NodeLiveness{Shard: n.shard, Addr: n.addr, Role: n.role}
 		if o.err != nil {
@@ -284,8 +256,9 @@ func (d *Detector) sample() {
 		} else {
 			d.misses[n.addr] = 0
 			row.Alive = true
-			row.AppliedSeq = o.seq
-			row.LagEvents = o.lag
+			if repl := o.health.Replication; repl != nil {
+				row.AppliedSeq, row.LagEvents = repl.AppliedSeq, repl.LagEvents
+			}
 		}
 		if row.Alive {
 			live++
@@ -318,50 +291,35 @@ func (d *Detector) sample() {
 			delete(d.misses, addr)
 		}
 	}
-	d.view.Store(&detectorView{rows: rows, quorums: quorums})
+	d.view.Store(&rows)
 	d.dm.levels(live, suspected)
-}
-
-// quorum looks a primary's last reported write quorum up in a view (nil: no
-// sample yet).
-func (v *detectorView) quorum(addr string) (int, bool) {
-	if v == nil {
-		return 0, false
-	}
-	q, ok := v.quorums[addr]
-	return q, ok
-}
-
-// writeQuorum returns the write quorum the node at addr last reported while
-// answering as a primary; ok is false when it never did (or no detector runs).
-func (d *Detector) writeQuorum(addr string) (int, bool) {
-	if d == nil {
-		return 0, false
-	}
-	return d.view.Load().quorum(addr)
 }
 
 // Node returns the cached liveness row for an address. ok is false when the
 // detector has not sampled the address yet (a node a ring republish added
 // since the last tick).
 func (d *Detector) Node(addr string) (NodeLiveness, bool) {
-	v := d.view.Load()
-	if v == nil {
-		return NodeLiveness{}, false
-	}
-	row, ok := v.rows[addr]
+	row, ok := d.rows()[addr]
 	return row, ok
+}
+
+// rows returns the last sample's rows by address (nil before the first).
+func (d *Detector) rows() map[string]NodeLiveness {
+	if v := d.view.Load(); v != nil {
+		return *v
+	}
+	return nil
 }
 
 // View returns the cached liveness rows sorted by shard, primary first —
 // the /health detector section.
 func (d *Detector) View() []NodeLiveness {
-	v := d.view.Load()
-	if v == nil {
+	rows := d.rows()
+	if rows == nil {
 		return nil
 	}
-	out := make([]NodeLiveness, 0, len(v.rows))
-	for _, row := range v.rows {
+	out := make([]NodeLiveness, 0, len(rows))
+	for _, row := range rows {
 		out = append(out, row)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -381,13 +339,10 @@ func (d *Detector) View() []NodeLiveness {
 // events, highest applied cursor. An address the view does not cover yet is
 // not a candidate: unsampled means "no failover yet", never "probe inline".
 func (d *Detector) FreshestReplica(replicas []string, maxLag uint64) (addr string, ok bool) {
-	v := d.view.Load()
-	if v == nil {
-		return "", false
-	}
+	rows := d.rows()
 	var best NodeLiveness
 	for _, a := range replicas {
-		row, present := v.rows[a]
+		row, present := rows[a]
 		if !present || !row.Alive || row.Suspected || row.LagEvents > maxLag {
 			continue
 		}

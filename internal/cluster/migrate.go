@@ -214,10 +214,9 @@ const (
 //     and catch writes from requests already in flight at begin (the ring
 //     predicate, not the moving set, decides what ships, so a user whose
 //     first event raced the count is caught too);
-//  5. commit: each added primary's write quorum is read from its /health,
-//     so a promotion need not wait for the detector to sample it; every node
-//     of next is pushed its place in it over POST /admin/ring (control.go),
-//     then the router leaves the transition on next.
+//  5. commit: every node of next is pushed its place in it over POST
+//     /admin/ring (control.go), then the router leaves the transition on
+//     next.
 //
 // Begin and commit hold the router's ring-change lock, so a promotion is
 // refused in between. Any error before the commit aborts: routing reverts to
@@ -323,13 +322,6 @@ func (rt *Router) Reshard(next *Ring) (*ReshardStats, error) {
 
 	rt.topo.Lock()
 	defer rt.topo.Unlock()
-	// An added primary can be promoted away from the commit on, before the
-	// detector need have sampled it: its write quorum is read here.
-	for _, s := range next.Shards()[min(oldN, target):] {
-		if h, err := rt.health(s.Addr); err == nil && h.Replication != nil && h.Replication.Role == RolePrimary {
-			rt.quorums[s.Addr] = h.Replication.WriteQuorum
-		}
-	}
 	var pushErr error
 	for _, p := range ringPushes(next) {
 		if err := rt.sendRing(p); err != nil && !errors.Is(err, errUnreachable) && pushErr == nil {

@@ -225,7 +225,8 @@ func (sp *Shipper) Commit(firstSeq uint64, events []serve.IngestEvent) {
 // reports whether it is still in sync: a transport failure or refusal keeps
 // the acknowledged cursor, a gap rewinds it to the replica's answer (the
 // replica moved backwards — a restart), an ack advances it. Failures and
-// gaps both leave the replica to the catch-up loop.
+// gaps both leave the replica to the catch-up loop; lastErr is the failure
+// of the last exchange, cleared by any answer.
 func (r *shipperReplica) settle(ack *Ack, err error) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -233,15 +234,14 @@ func (r *shipperReplica) settle(ack *Ack, err error) bool {
 	case err != nil:
 		r.insync = false
 		r.lastErr = err.Error()
+		return false
 	case ack.Gap:
 		r.insync = false
 		r.acked = ack.Cursor
-	default:
-		if ack.Cursor > r.acked {
-			r.acked = ack.Cursor
-		}
-		r.lastErr = ""
+	case ack.Cursor > r.acked:
+		r.acked = ack.Cursor
 	}
+	r.lastErr = ""
 	return r.insync
 }
 
@@ -288,24 +288,31 @@ func (sp *Shipper) SetEpoch(epoch uint64) { sp.epoch.Store(epoch) }
 // rejoin). Replicas that do not answer, or answer from behind the head, are
 // flipped to catch-up mode.
 func (sp *Shipper) Resync() {
-	head := sp.head.Load()
 	for _, rep := range sp.reps {
-		ack, err := sp.ship(rep.addr, 0, head, nil)
-		rep.mu.Lock()
-		if err != nil {
-			rep.insync = false
-			rep.lastErr = err.Error()
-		} else {
-			rep.acked = ack.Cursor
-			rep.insync = ack.Cursor >= head
-			rep.lastErr = ""
-		}
-		insync := rep.insync
-		rep.mu.Unlock()
-		if !insync {
+		if insync, _ := sp.heartbeat(rep); !insync {
 			rep.poke()
 		}
 	}
+}
+
+// heartbeat ships one replica an empty chunk announcing the committed head
+// and adopts the cursor it answers as its acknowledged position. It reports
+// whether that put the replica in sync (it answered, holding the head) and
+// the failure of an unanswered heartbeat, which keeps the cursor.
+func (sp *Shipper) heartbeat(rep *shipperReplica) (insync bool, err error) {
+	head := sp.head.Load()
+	ack, err := sp.ship(rep.addr, 0, head, nil)
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if err != nil {
+		rep.insync = false
+		rep.lastErr = err.Error()
+		return false, err
+	}
+	rep.acked = ack.Cursor
+	rep.insync = ack.Cursor >= head
+	rep.lastErr = ""
+	return rep.insync, nil
 }
 
 // Head returns the committed head the shipper replicates up to.
@@ -407,7 +414,9 @@ func (sp *Shipper) sleep(d time.Duration) bool {
 // catchUp is the per-replica background loop: whenever woken it reads the WAL
 // from the replica's acknowledged cursor — through the primary's open log,
 // one chunk costing its own records — and ships chunks until the replica has
-// the committed head, then flips it back to in-sync shipping.
+// the committed head, then flips it back to in-sync shipping. Only an answer
+// does that: a replica whose last exchange failed with nothing left to ship
+// is sent heartbeats, the backoff apart, until one is answered.
 func (sp *Shipper) catchUp(rep *shipperReplica) {
 	defer sp.wg.Done()
 	for {
@@ -425,21 +434,29 @@ func (sp *Shipper) catchUp(rep *shipperReplica) {
 			head := sp.head.Load()
 			rep.mu.Lock()
 			acked := rep.acked
-			if acked >= head {
+			done := acked >= head && rep.lastErr == ""
+			if done {
 				rep.insync = true
-				rep.lastErr = ""
 			}
 			rep.mu.Unlock()
-			if acked >= head {
+			if done {
 				break
 			}
-			// One chunk: (acked, min(head, acked+batch)].
-			events, err := sp.cfg.Log.ReadRange(acked, min(head, acked+uint64(sp.batch)))
-			var ack *Ack
-			if err == nil {
-				ack, err = sp.ship(rep.addr, acked+1, head, events)
+			var err error
+			if acked >= head {
+				// Nothing is left to ship, but the last exchange failed: a
+				// heartbeat asks the replica where it stands.
+				_, err = sp.heartbeat(rep)
+			} else {
+				// One chunk: (acked, min(head, acked+batch)].
+				var events []serve.IngestEvent
+				events, err = sp.cfg.Log.ReadRange(acked, min(head, acked+uint64(sp.batch)))
+				var ack *Ack
+				if err == nil {
+					ack, err = sp.ship(rep.addr, acked+1, head, events)
+				}
+				rep.settle(ack, err)
 			}
-			rep.settle(ack, err)
 			if err != nil && !sp.sleep(sp.backoff) {
 				return
 			}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,6 +246,43 @@ func TestShipperCommitNeverBlocksOnDeadReplica(t *testing.T) {
 	}
 	if lag := sp.MaxLag(); lag != 3 {
 		t.Fatalf("lag %d with a dead replica, want 3", lag)
+	}
+}
+
+// TestShipperKeepsUnansweredReplicaOutOfSync: with nothing to ship, a
+// replica that did not answer Resync's heartbeat is not reported in sync —
+// the catch-up loop heartbeats it, the backoff apart, and only its first
+// answer puts it back in sync.
+func TestShipperKeepsUnansweredReplicaOutOfSync(t *testing.T) {
+	var down atomic.Bool
+	down.Store(true)
+	replica := streamHandler(ShardSpace, NewReplicaApplier(0, 1, &countingBackend{}))
+	ts := newNodeServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
+		}
+		replica.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	sp := NewShipper(ShipperConfig{
+		Shard: 0, Epoch: 1, Replicas: []string{ts.addr()},
+		shipTimeout: time.Second, retryBackoff: 2 * time.Millisecond,
+	})
+	defer sp.Close()
+
+	sp.Resync()
+	time.Sleep(50 * time.Millisecond) // many backoffs of the catch-up loop
+	if st := sp.Status().Replicas[0]; st.InSync || st.Error == "" {
+		t.Fatalf("a replica that answered nothing is reported %+v, want out of sync with its error", st)
+	}
+	down.Store(false)
+	deadline := time.Now().Add(5 * time.Second)
+	for st := sp.Status().Replicas[0]; !st.InSync || st.Error != ""; st = sp.Status().Replicas[0] {
+		if time.Now().After(deadline) {
+			t.Fatalf("the replica answers again but is still reported %+v", st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

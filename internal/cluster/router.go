@@ -136,12 +136,9 @@ type Router struct {
 	// its commit (control.go). Under it, pushed is the highest ring epoch
 	// the router has handed out — pushed to a node, shipped migration chunks
 	// under, or heard a node hold — which a ring change the router starts
-	// must exceed (fresh), and quorums the write quorum of each primary the
-	// router promoted or a reshard added, by address, for when the detector
-	// never sampled that primary before it died.
-	topo    sync.Mutex
-	pushed  uint64
-	quorums map[string]int
+	// must exceed (fresh).
+	topo   sync.Mutex
+	pushed uint64
 }
 
 // reshardState is the router's view of an in-flight ring transition: the
@@ -193,7 +190,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		probe:     probe,
 		metrics:   cfg.Metrics,
 		admission: admit.New(cfg.Admission),
-		quorums:   make(map[string]int),
 	}
 	rt.ring.Store(cfg.Ring)
 	if cfg.Metrics != nil || cfg.RequestLog != nil {
@@ -221,7 +217,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			if cfg.AutoFailover {
 				dcfg.OnSuspectPrimary = rt.promoteSuspect
 			}
-			// Set before the first sample, which a promotion may already read.
 			rt.detector = newDetector(dcfg)
 			rt.detector.start()
 			break

@@ -14,8 +14,7 @@ type Level int8
 
 // The log levels, least to most severe.
 const (
-	LevelDebug Level = iota
-	LevelInfo
+	LevelInfo Level = iota
 	LevelWarn
 	LevelError
 )
@@ -23,8 +22,6 @@ const (
 // String returns the level's JSON spelling.
 func (l Level) String() string {
 	switch l {
-	case LevelDebug:
-		return "debug"
 	case LevelWarn:
 		return "warn"
 	case LevelError:
@@ -63,22 +60,21 @@ type RequestEntry struct {
 // concurrent use; each entry is one Write call so lines never interleave.
 // The zero value discards everything; construct with NewRequestLogger.
 type RequestLogger struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min Level
+	mu sync.Mutex
+	w  io.Writer
 }
 
-// NewRequestLogger logs JSON lines at or above min to w. A nil writer
+// NewRequestLogger logs every request as one JSON line to w. A nil writer
 // returns a logger that discards everything (callers can pass it around
 // unconditionally).
-func NewRequestLogger(w io.Writer, min Level) *RequestLogger {
-	return &RequestLogger{w: w, min: min}
+func NewRequestLogger(w io.Writer) *RequestLogger {
+	return &RequestLogger{w: w}
 }
 
-// Log writes one entry if its level clears the threshold. Encoding errors
-// are swallowed: losing a log line must never fail a request.
+// Log writes one entry at the given level. Encoding errors are swallowed:
+// losing a log line must never fail a request.
 func (l *RequestLogger) Log(level Level, e RequestEntry) {
-	if l == nil || l.w == nil || level < l.min {
+	if l == nil || l.w == nil {
 		return
 	}
 	e.Level = level.String()

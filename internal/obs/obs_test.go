@@ -218,7 +218,7 @@ func TestParseTextRejects(t *testing.T) {
 func TestHTTPMiddleware(t *testing.T) {
 	r := NewRegistry()
 	var logBuf bytes.Buffer
-	logger := NewRequestLogger(&logBuf, LevelInfo)
+	logger := NewRequestLogger(&logBuf)
 	shard := 2
 	hm := NewHTTPMetrics(r, logger, func(*http.Request) (*int, int, string) {
 		return &shard, 7, "client-a"
@@ -295,17 +295,10 @@ func TestHTTPMiddleware(t *testing.T) {
 	}
 }
 
-func TestRequestLoggerThreshold(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewRequestLogger(&buf, LevelWarn)
-	l.Log(LevelInfo, RequestEntry{Route: "/health"})
-	if buf.Len() != 0 {
-		t.Fatalf("info line should be suppressed below warn: %q", buf.String())
-	}
-	l.Log(LevelError, RequestEntry{Route: "/recommend", Status: 500})
-	if !strings.Contains(buf.String(), `"level":"error"`) {
-		t.Fatalf("error line missing: %q", buf.String())
-	}
+// TestRequestLoggerNilDiscards: a nil logger, and one over a nil writer,
+// discard an entry without panicking.
+func TestRequestLoggerNilDiscards(t *testing.T) {
 	var nilLogger *RequestLogger
-	nilLogger.Log(LevelError, RequestEntry{}) // must not panic
+	nilLogger.Log(LevelError, RequestEntry{})
+	NewRequestLogger(nil).Log(LevelError, RequestEntry{})
 }

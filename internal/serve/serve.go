@@ -138,6 +138,10 @@ type ShardIdentity struct {
 	NumShards int `json:"num_shards"`
 	// RingEpoch is the hash-ring membership epoch the shard was cut for.
 	RingEpoch uint64 `json:"ring_epoch"`
+	// WriteQuorum is the k of the shard's k-of-n write acknowledgement: how
+	// many replicas must hold a batch before whichever node is the shard's
+	// primary acks it (0 = ship without waiting).
+	WriteQuorum int `json:"write_quorum,omitempty"`
 }
 
 // WithShardIdentity marks the server as one shard of a cluster; the identity

@@ -84,16 +84,6 @@ type itemAvgSnapshot struct {
 	Lambda float64
 }
 
-// clusterSnapshot is the "cluster" section written by shard-scoped
-// snapshots: the shard's identity and the hash-ring epoch the split was cut
-// for, so a shard server can refuse a snapshot from another ring generation
-// and a router can detect a mixed-epoch deployment through /info.
-type clusterSnapshot struct {
-	ShardID   int
-	NumShards int
-	RingEpoch uint64
-}
-
 // ingestSnapshot is the "ingest" section written by checkpoints: the
 // applied-event cursor plus the incremental statistics that are cheaper to
 // restore than to recount.
@@ -163,11 +153,7 @@ func (p *Pipeline) Save(path string) error {
 		b.AddGob(sectionIngest, &ingestSnapshot{AppliedSeq: p.ingestSeq, AvgLambda: p.ingestAvgLambda, PrefFill: p.ingestPrefFill})
 	}
 	if p.shard != nil {
-		b.AddGob(sectionCluster, &clusterSnapshot{
-			ShardID:   p.shard.ShardID,
-			NumShards: p.shard.NumShards,
-			RingEpoch: p.shard.RingEpoch,
-		})
+		b.AddGob(sectionCluster, p.shard)
 	}
 	return b.Save(path)
 }
@@ -276,30 +262,46 @@ func pipelineFromSnapshot(snap *persist.Snapshot) (*Pipeline, error) {
 		p.ingestAvgLambda = ing.AvgLambda
 	}
 	if snap.Has(sectionCluster) {
-		var cs clusterSnapshot
-		if err := snap.Gob(sectionCluster, &cs); err != nil {
+		var id ShardIdentity
+		if err := snap.Gob(sectionCluster, &id); err != nil {
 			return nil, err
 		}
-		if cs.NumShards <= 0 || cs.ShardID < 0 || cs.ShardID >= cs.NumShards {
-			return nil, fmt.Errorf("invalid shard identity %d/%d", cs.ShardID, cs.NumShards)
+		if err := checkShardIdentity(id); err != nil {
+			return nil, err
 		}
-		p.shard = &ShardIdentity{ShardID: cs.ShardID, NumShards: cs.NumShards, RingEpoch: cs.RingEpoch}
+		p.shard = &id
 	}
 	return assemble(p)
 }
 
 // SaveShard writes a shard-scoped warm-start snapshot: the full Pipeline.Save
-// payload plus a cluster section naming the shard, the shard count and the
-// hash-ring epoch the split was cut for. A snapshot dealt out by SaveShard is
-// what bootstraps one shard server of a cluster (see NewCluster and
-// cmd/gancd -role split).
+// payload plus a cluster section holding the shard identity — the shard, the
+// shard count, the hash-ring epoch the split was cut for and the shard's write
+// quorum. A snapshot dealt out by SaveShard is what bootstraps every node of
+// one shard of a cluster (see NewCluster and cmd/gancd -role split), so each
+// of them, primary or replica, knows the quorum it acks under once it is the
+// primary. A cluster section written before the quorum was part of it loads
+// with WriteQuorum 0.
 func (p *Pipeline) SaveShard(path string, id ShardIdentity) error {
-	if id.NumShards <= 0 || id.ShardID < 0 || id.ShardID >= id.NumShards {
-		return fmt.Errorf("ganc: invalid shard identity %d/%d", id.ShardID, id.NumShards)
+	if err := checkShardIdentity(id); err != nil {
+		return fmt.Errorf("ganc: %w", err)
 	}
 	shadow := *p
 	shadow.shard = &id
 	return shadow.Save(path)
+}
+
+// checkShardIdentity is the rule SaveShard and LoadEngine share: the shard
+// lies inside its ring and the write quorum is not negative (whether the
+// shard has k replicas is MakePrimary's check).
+func checkShardIdentity(id ShardIdentity) error {
+	switch {
+	case id.NumShards <= 0 || id.ShardID < 0 || id.ShardID >= id.NumShards:
+		return fmt.Errorf("invalid shard identity %d/%d", id.ShardID, id.NumShards)
+	case id.WriteQuorum < 0:
+		return fmt.Errorf("invalid write quorum %d", id.WriteQuorum)
+	}
+	return nil
 }
 
 // LoadShardEngine restores a shard-scoped snapshot written by SaveShard (or

@@ -56,8 +56,6 @@ type (
 	MetricsScrape = obs.Scrape
 	// RequestLogger writes leveled JSON-line request records.
 	RequestLogger = obs.RequestLogger
-	// LogLevel grades request-log entries (LogDebug … LogError).
-	LogLevel = obs.Level
 	// AdmissionConfig tunes admission control: per-client rate limiting and
 	// a concurrency cap in front of the serving routes. The zero value admits
 	// everything.
@@ -70,24 +68,14 @@ type (
 	ServerHealth = serve.HealthResponse
 )
 
-// Request-log levels, least to most severe.
-const (
-	LogDebug = obs.LevelDebug
-	LogInfo  = obs.LevelInfo
-	LogWarn  = obs.LevelWarn
-	LogError = obs.LevelError
-)
-
 // NewMetricsRegistry builds an empty metrics registry. Each server (or
 // router) needs its own: series names are fixed, so two servers must not
 // share one registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewRequestLogger logs JSON-line request records at or above min to w. A
-// nil writer discards everything.
-func NewRequestLogger(w io.Writer, min LogLevel) *RequestLogger {
-	return obs.NewRequestLogger(w, min)
-}
+// NewRequestLogger logs one JSON line per request to w, leveled by status
+// (5xx error, 4xx warn, the rest info). A nil writer discards everything.
+func NewRequestLogger(w io.Writer) *RequestLogger { return obs.NewRequestLogger(w) }
 
 // ParseMetricsText strictly parses a Prometheus text-format exposition —
 // the validation helper tests and CI use against GET /metrics bodies.

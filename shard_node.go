@@ -89,12 +89,14 @@ func validateWriteQuorum(k, replicas int) error {
 // switch on, /migrate opens and pushed /replicate chunks are refused (a stale
 // shipper from a demoted primary included), and with replicaAddrs the node
 // starts shipping every committed batch to them from its current cursor,
-// acknowledging a write only after writeQuorum of them hold it (0 = ship
-// without waiting). The shipper assumes every replica sits at the node's
-// cursor; one heartbeat round adopts their true cursors before any commit
-// ships, and stragglers are caught up from the write-ahead log. Call it once,
-// on a node still in the replica role.
-func (n *ShardNode) MakePrimary(replicaAddrs []string, writeQuorum int) error {
+// acknowledging a write only after the write quorum of its own identity holds
+// it (0 = ship without waiting); a quorum above the replica count is refused.
+// The shipper assumes every replica sits at the node's cursor; one heartbeat
+// round adopts their true cursors before any commit ships, and stragglers are
+// caught up from the write-ahead log. Call it once, on a node still in the
+// replica role.
+func (n *ShardNode) MakePrimary(replicaAddrs []string) error {
+	writeQuorum := n.id.WriteQuorum
 	if err := validateWriteQuorum(writeQuorum, len(replicaAddrs)); err != nil {
 		return err
 	}
@@ -126,17 +128,17 @@ func (n *ShardNode) MakePrimary(replicaAddrs []string, writeQuorum int) error {
 // promotion or a reshard's commit, pushed by the router): the node takes the
 // new epoch and shard count — the stream receivers and the shipper ship and
 // fence under the epoch, and the server's /info identity carries it so the
-// router's epoch cross-check holds — and a replica named primary becomes one
-// through MakePrimary, shipping under the new epoch.
+// router's epoch cross-check holds — and keeps its write quorum; a replica
+// named primary becomes one through MakePrimary, shipping under the new epoch.
 func (n *ShardNode) adopt(c cluster.RingChange) error {
-	n.id = ShardIdentity{ShardID: c.Shard, NumShards: c.NumShards, RingEpoch: c.Epoch}
+	n.id.ShardID, n.id.NumShards, n.id.RingEpoch = c.Shard, c.NumShards, c.Epoch
 	n.streams.SetEpoch(c.Epoch)
 	n.srv.SetShardIdentity(n.id)
 	if sp := n.shipper.Load(); sp != nil {
 		sp.SetEpoch(c.Epoch)
 	}
 	if c.Primary && !n.streams.Primary() {
-		return n.MakePrimary(c.Replicas, c.WriteQuorum)
+		return n.MakePrimary(c.Replicas)
 	}
 	return nil
 }

@@ -29,6 +29,7 @@
 package ganc
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 
@@ -210,11 +211,24 @@ func NewPop(train *Dataset) Scorer { return recommender.NewPop(train) }
 
 // LoadRSVD reloads a model previously written with (*RSVD).Save, so
 // applications can train offline and serve from snapshots. (Full-pipeline
-// snapshots use Pipeline.Save / LoadEngine instead.)
-func LoadRSVD(r io.Reader) (*RSVD, error) { return mf.LoadRSVD(r) }
+// snapshots use Pipeline.Save / LoadEngine instead.) It reads r to its end.
+func LoadRSVD(r io.Reader) (*RSVD, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("mf: load RSVD: %w", err)
+	}
+	return mf.LoadRSVD(data)
+}
 
-// LoadPSVD reloads a model previously written with (*PSVD).Save.
-func LoadPSVD(r io.Reader) (*PSVD, error) { return mf.LoadPSVD(r) }
+// LoadPSVD reloads a model previously written with (*PSVD).Save. It reads r
+// to its end.
+func LoadPSVD(r io.Reader) (*PSVD, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("mf: load PSVD: %w", err)
+	}
+	return mf.LoadPSVD(data)
+}
 
 // RSVDGrid and RSVDGridResult re-export the cross-validation grid search used
 // to select the Table V hyper-parameters.

@@ -116,20 +116,61 @@ func FromRatings(name string, ratings []types.Rating) *Dataset {
 	return b.Build()
 }
 
+// buildIndexes indexes the ratings by counting: byUser, byItem and
+// sortedItemsByUser are each one backing array cut into per-user or
+// per-item ranges. A range's capacity ends where its neighbour's begins —
+// at its own headroom for the rating indexes (countingIndex), at its own
+// end for the adjacency — so an Extend's append never writes into a
+// neighbour's range.
 func (d *Dataset) buildIndexes() {
-	d.byUser = newPaged[[]int](d.users.Len())
-	d.byItem = newPaged[[]int](d.items.Len())
-	for idx, r := range d.ratings {
-		byUser, byItem := d.byUser.slot(int(r.User)), d.byItem.slot(int(r.Item))
-		*byUser = append(*byUser, idx)
-		*byItem = append(*byItem, idx)
+	numUsers, numItems := d.users.Len(), d.items.Len()
+	d.byUser = countingIndex(numUsers, d.ratings, func(r types.Rating) int { return int(r.User) })
+	d.byItem = countingIndex(numItems, d.ratings, func(r types.Rating) int { return int(r.Item) })
+	d.sortedItemsByUser = newPaged[[]types.ItemID](numUsers)
+	free := make([]types.ItemID, len(d.ratings))
+	for u := 0; u < numUsers; u++ {
+		idxs := d.byUser.at(u)
+		if len(idxs) == 0 {
+			continue
+		}
+		items := free[:len(idxs):len(idxs)]
+		free = free[len(idxs):]
+		for k, idx := range idxs {
+			items[k] = d.ratings[idx].Item
+		}
+		slices.Sort(items)
+		*d.sortedItemsByUser.slot(u) = slices.Clip(slices.Compact(items))
 	}
-	d.sortedItemsByUser = newPaged[[]types.ItemID](d.byUser.n)
-	for u := 0; u < d.byUser.n; u++ {
-		if idxs := d.byUser.at(u); len(idxs) > 0 {
-			*d.sortedItemsByUser.slot(u) = d.sortedItems(idxs)
+}
+
+// countingIndex returns, for each of n keys, the indices of the ratings
+// with that key in ascending order: a count per key places every key's
+// range in one backing array, each followed by headroom of a quarter of its
+// length that its capacity covers — the tail reserved for the dataset's
+// first Extend successor (see Extend). Keys without ratings keep a nil entry.
+func countingIndex(n int, ratings []types.Rating, key func(types.Rating) int) paged[[]int] {
+	start := make([]int, n+1)
+	for _, r := range ratings {
+		start[key(r)+1]++
+	}
+	for k := 0; k < n; k++ {
+		c := start[k+1]
+		start[k+1] = start[k] + c + c/4
+	}
+	backing := make([]int, start[n])
+	fill := slices.Clone(start[:n])
+	for idx, r := range ratings {
+		k := key(r)
+		backing[fill[k]] = idx
+		fill[k]++
+	}
+	index := newPaged[[]int](n)
+	for k, hi := range fill {
+		if lo := start[k]; hi > lo {
+			*index.slot(k) = backing[lo:hi:start[k+1]]
 		}
 	}
+	return index
 }
 
 // sortedItems returns the distinct items of the given ratings in ascending
@@ -489,7 +530,8 @@ func (d *Dataset) childFromRatings(name string, ratings []types.Rating) *Dataset
 //     ingestion stream's case. It shares the parent's storage and appends in
 //     place: the new ratings go into the reserved tail of the rating array,
 //     and each touched user's and item's rating index grows in its own tail
-//     (append's amortised growth reallocates a full one). The parent's slices
+//     (a build leaves each a quarter of its length; append's amortised
+//     growth reallocates a full one). The parent's slices
 //     end at their own lengths, so it never sees what the successor appends.
 //   - Extending the same parent again is a fork. The tails are taken, so the
 //     fork copies the ratings and clips every index it inherits, once, into

@@ -1,6 +1,11 @@
 package linalg
 
-import "ganc/internal/types"
+import (
+	"errors"
+	"fmt"
+
+	"ganc/internal/types"
+)
 
 // FactorPair holds one latent-factor model's (user, item) matrices in the
 // float32 block layout its bulk scores are served from. A model builds one
@@ -33,4 +38,26 @@ func (p *FactorPair) ItemDots32(u types.UserID, items []types.ItemID, out []floa
 		out[n] = 0
 		items, out = items[n+1:], out[n+1:]
 	}
+}
+
+// CheckFactors reports why userF and itemF cannot be a factor model's rows:
+// a row, of either matrix, whose length differs from the first row's, or
+// rows of no values. NewFactorPair and the models' dot products assume
+// the shape, so a decoder checks it before building either.
+func CheckFactors(userF, itemF [][]float64) error {
+	dims := -1
+	for side, rows := range [2][][]float64{userF, itemF} {
+		for r, row := range rows {
+			if dims < 0 {
+				dims = len(row)
+			}
+			if len(row) != dims {
+				return fmt.Errorf("%s row %d has %d factors, the first row has %d", [2]string{"user", "item"}[side], r, len(row), dims)
+			}
+		}
+	}
+	if dims == 0 {
+		return errors.New("factor rows have no values")
+	}
+	return nil
 }

@@ -140,7 +140,7 @@ func TestScoreUser32MatchesPerItemKernel(t *testing.T) {
 		if err := m.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadRSVD(&buf)
+		loaded, err := LoadRSVD(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestScoreUser32MatchesPerItemKernel(t *testing.T) {
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPSVD(&buf)
+	loaded, err := LoadPSVD(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package mf
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"ganc/internal/types"
@@ -19,7 +18,7 @@ func TestRSVDSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadRSVD(&buf)
+	loaded, err := LoadRSVD(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestPSVDSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPSVD(&buf)
+	loaded, err := LoadPSVD(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +69,10 @@ func TestPSVDSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbageAndWrongVersions(t *testing.T) {
-	if _, err := LoadRSVD(strings.NewReader("not a gob stream")); err == nil {
+	if _, err := LoadRSVD([]byte("not a gob stream")); err == nil {
 		t.Fatal("garbage RSVD snapshot did not error")
 	}
-	if _, err := LoadPSVD(strings.NewReader("still not a gob stream")); err == nil {
+	if _, err := LoadPSVD([]byte("still not a gob stream")); err == nil {
 		t.Fatal("garbage PSVD snapshot did not error")
 	}
 	// A structurally valid but empty snapshot must be rejected too.
@@ -82,7 +81,7 @@ func TestLoadRejectsGarbageAndWrongVersions(t *testing.T) {
 	if err := empty.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRSVD(&buf); err == nil {
+	if _, err := LoadRSVD(buf.Bytes()); err == nil {
 		t.Fatal("snapshot without factors did not error")
 	}
 }

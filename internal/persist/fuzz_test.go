@@ -19,7 +19,8 @@ func fuzzSeedContainer(t testing.TB) []byte {
 
 // FuzzSnapshotRead throws arbitrary bytes at the container parser. The
 // contract under corruption: never panic, never allocate unboundedly (the
-// parser copies incrementally and caps counts/names), and always fail with
+// parser caps counts and names, checks the section table against the bytes
+// present and allocates no payload), and always fail with
 // one of the three typed sentinels so callers can produce precise operator
 // messages. Structurally valid inputs must yield enumerable sections.
 func FuzzSnapshotRead(f *testing.F) {
@@ -40,8 +41,8 @@ func FuzzSnapshotRead(f *testing.F) {
 			f.Add(mut)
 		}
 	}
-	// A header claiming an absurd section size: must fail at EOF with memory
-	// growth bounded by the bytes actually present.
+	// A header claiming an absurd section size: must fail on the table
+	// check, before any payload is touched.
 	huge := append([]byte(nil), valid[:16]...)
 	var hdr bytes.Buffer
 	hdr.WriteString(Magic)
@@ -57,7 +58,7 @@ func FuzzSnapshotRead(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := Read(bytes.NewReader(data))
+		snap, err := parse(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrUnsupportedVersion) && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped parse error %v (input %d bytes)", err, len(data))
@@ -95,7 +96,7 @@ func FuzzSnapshotGob(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var b Builder
 		b.Add("v", payload)
-		snap, err := Read(bytes.NewReader(saved(t, &b)))
+		snap, err := parse(saved(t, &b))
 		if err != nil {
 			t.Fatalf("self-built container unreadable: %v", err)
 		}

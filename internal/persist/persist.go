@@ -22,7 +22,10 @@
 // mis-decoding into a plausible-looking model.
 //
 // Save writes atomically (temp file + rename), so a crash mid-checkpoint
-// never leaves a half-written snapshot at the target path.
+// never leaves a half-written snapshot at the target path. Load reads the
+// file once, into one buffer, and every section is a view of it. A section
+// whose bulk is numeric arrays stores them as fixed-width columns behind a
+// gob envelope (columns.go).
 package persist
 
 import (
@@ -199,35 +202,58 @@ func AtomicWrite(path string, write func(f *os.File) error) error {
 	return nil
 }
 
-// Snapshot is a fully read and checksum-verified container.
+// Snapshot is a fully read and checksum-verified container. Its sections
+// are capacity-clipped views of the one buffer the file was read into.
 type Snapshot struct {
 	sections map[string][]byte
 	order    []string
 }
 
-// Read parses a container from r, verifying magic, version, structure and
-// every section checksum.
-func Read(r io.Reader) (*Snapshot, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, err)
+// Load reads the snapshot at path into one buffer, sized by the file's
+// Stat, and parses it (see parse): one read of the file, and no copy of a
+// section.
+func Load(path string) (*Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("persist: read snapshot %s: %w", path, err)
 	}
-	if string(magic[:]) != Magic {
+	snap, err := parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w", path, err)
+	}
+	return snap, nil
+}
+
+// parse verifies a container's magic, version, structure and every section
+// checksum. The section table is checked against the bytes data holds
+// before any payload is touched, so a table claiming more than the file
+// holds is ErrCorrupt at once; payloads are sub-slices of data.
+func parse(data []byte) (*Snapshot, error) {
+	if len(data) < len(Magic) {
+		return nil, fmt.Errorf("%w: %d bytes, shorter than the magic", ErrCorrupt, len(data))
+	}
+	if string(data[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
 	}
-	var version, count uint32
-	if err := binary.Read(r, binary.BigEndian, &version); err != nil {
-		return nil, fmt.Errorf("%w: reading format version: %v", ErrCorrupt, err)
+	if len(data) < headerLen {
+		return nil, fmt.Errorf("%w: %d bytes, shorter than the header", ErrCorrupt, len(data))
 	}
-	if version != FormatVersion {
+	if version := binary.BigEndian.Uint32(data[len(Magic):]); version != FormatVersion {
 		return nil, fmt.Errorf("%w: snapshot has version %d, this build reads version %d",
 			ErrUnsupportedVersion, version, FormatVersion)
 	}
-	if err := binary.Read(r, binary.BigEndian, &count); err != nil {
-		return nil, fmt.Errorf("%w: reading section count: %v", ErrCorrupt, err)
-	}
+	count := binary.BigEndian.Uint32(data[len(Magic)+4:])
 	if count > maxSections {
 		return nil, fmt.Errorf("%w: section count %d exceeds the limit of %d", ErrCorrupt, count, maxSections)
+	}
+	rest := data[headerLen:]
+	take := func(n int, what string) ([]byte, error) {
+		if len(rest) < n {
+			return nil, fmt.Errorf("%w: section table truncated reading %s", ErrCorrupt, what)
+		}
+		b := rest[:n:n]
+		rest = rest[n:]
+		return b, nil
 	}
 
 	type entry struct {
@@ -236,63 +262,45 @@ func Read(r io.Reader) (*Snapshot, error) {
 		crc  uint32
 	}
 	entries := make([]entry, count)
+	var total uint64
 	for k := range entries {
-		var nameLen uint16
-		if err := binary.Read(r, binary.BigEndian, &nameLen); err != nil {
-			return nil, fmt.Errorf("%w: reading section table: %v", ErrCorrupt, err)
+		b, err := take(2, "a name length")
+		if err != nil {
+			return nil, err
 		}
-		if nameLen == 0 || int(nameLen) > maxNameLen {
+		nameLen := int(binary.BigEndian.Uint16(b))
+		if nameLen == 0 || nameLen > maxNameLen {
 			return nil, fmt.Errorf("%w: section name length %d out of range", ErrCorrupt, nameLen)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, fmt.Errorf("%w: reading section name: %v", ErrCorrupt, err)
+		if b, err = take(nameLen, "a name"); err != nil {
+			return nil, err
 		}
-		entries[k].name = string(name)
-		if err := binary.Read(r, binary.BigEndian, &entries[k].size); err != nil {
-			return nil, fmt.Errorf("%w: reading section size: %v", ErrCorrupt, err)
+		entries[k].name = string(b)
+		if b, err = take(8+4, "a section size"); err != nil {
+			return nil, err
 		}
+		entries[k].size, entries[k].crc = binary.BigEndian.Uint64(b), binary.BigEndian.Uint32(b[8:])
 		if entries[k].size > maxSectionSize {
 			return nil, fmt.Errorf("%w: section %q size %d out of range", ErrCorrupt, entries[k].name, entries[k].size)
 		}
-		if err := binary.Read(r, binary.BigEndian, &entries[k].crc); err != nil {
-			return nil, fmt.Errorf("%w: reading section checksum: %v", ErrCorrupt, err)
-		}
+		total += entries[k].size // at most maxSections × maxSectionSize: no overflow
+	}
+	if total > uint64(len(rest)) {
+		return nil, fmt.Errorf("%w: the section table claims %d payload bytes, the file holds %d",
+			ErrCorrupt, total, len(rest))
 	}
 
-	snap := &Snapshot{sections: make(map[string][]byte, count)}
+	snap := &Snapshot{sections: make(map[string][]byte, count), order: make([]string, 0, count)}
 	for _, e := range entries {
 		if _, dup := snap.sections[e.name]; dup {
 			return nil, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, e.name)
 		}
-		// Copy incrementally rather than trusting the declared size with one
-		// up-front allocation: a corrupt or hostile header claiming a huge
-		// section then fails at EOF after the real bytes, with memory growth
-		// bounded by the data actually present.
-		var buf bytes.Buffer
-		if n, err := io.CopyN(&buf, r, int64(e.size)); err != nil {
-			return nil, fmt.Errorf("%w: section %q truncated at byte %d of %d: %v", ErrCorrupt, e.name, n, e.size, err)
-		}
-		payload := buf.Bytes()
+		payload, _ := take(int(e.size), "") // the total was checked above
 		if crc32.ChecksumIEEE(payload) != e.crc {
 			return nil, fmt.Errorf("%w: section %q fails its checksum", ErrCorrupt, e.name)
 		}
 		snap.sections[e.name] = payload
 		snap.order = append(snap.order, e.name)
-	}
-	return snap, nil
-}
-
-// Load reads and verifies the snapshot at path.
-func Load(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: open snapshot %s: %w", path, err)
-	}
-	defer f.Close()
-	snap, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w", path, err)
 	}
 	return snap, nil
 }

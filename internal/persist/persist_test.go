@@ -106,7 +106,7 @@ func TestSaveFailureLeavesNoFile(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	raw := buildSample(t)
-	snap, err := Read(bytes.NewReader(raw))
+	snap, err := parse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSaveLoadAtomic(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOTASNAPxxxxxxxxxxx"))); !errors.Is(err, ErrBadMagic) {
+	if _, err := parse([]byte("NOTASNAPxxxxxxxxxxx")); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestBadMagic(t *testing.T) {
 func TestUnsupportedVersion(t *testing.T) {
 	raw := buildSample(t)
 	raw[11] = 99 // big-endian format version's low byte
-	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrUnsupportedVersion) {
+	if _, err := parse(raw); !errors.Is(err, ErrUnsupportedVersion) {
 		t.Fatalf("err = %v, want ErrUnsupportedVersion", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestUnsupportedVersion(t *testing.T) {
 func TestTruncated(t *testing.T) {
 	raw := buildSample(t)
 	for _, cut := range []int{4, 13, len(raw) / 2, len(raw) - 1} {
-		if _, err := Read(bytes.NewReader(raw[:cut])); !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) {
+		if _, err := parse(raw[:cut]); !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("cut at %d: err = %v, want corruption", cut, err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestBitFlippedPayload(t *testing.T) {
 	raw := buildSample(t)
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)-10] ^= 0x40 // somewhere inside a payload
-	if _, err := Read(bytes.NewReader(flipped)); !errors.Is(err, ErrCorrupt) {
+	if _, err := parse(flipped); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }

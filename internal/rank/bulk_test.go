@@ -111,7 +111,7 @@ func TestCofiScoreUser32MatchesPerItemKernel(t *testing.T) {
 		if err := m.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(&buf)
+		loaded, err := Load(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -187,11 +187,11 @@ func pipelineFromSnapshot(snap *persist.Snapshot) (*Pipeline, error) {
 	if err := snap.Gob(sectionMeta, &meta); err != nil {
 		return nil, err
 	}
-	dsReader, err := snap.Reader(sectionDataset)
+	dsData, err := snap.Section(sectionDataset)
 	if err != nil {
 		return nil, err
 	}
-	train, err := dataset.DecodeSnapshot(dsReader)
+	train, err := dataset.DecodeSnapshot(dsData)
 	if err != nil {
 		return nil, err
 	}

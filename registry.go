@@ -144,11 +144,11 @@ var baseKinds = []baseKind{
 			b.AddFrom(sectionBase, s.(*mf.RSVD).Save)
 		},
 		decode: func(snap *persist.Snapshot, _ *Dataset) (Scorer, error) {
-			r, err := snap.Reader(sectionBase)
+			data, err := snap.Section(sectionBase)
 			if err != nil {
 				return nil, err
 			}
-			return mf.LoadRSVD(r)
+			return mf.LoadRSVD(data)
 		},
 	},
 	{
@@ -158,11 +158,11 @@ var baseKinds = []baseKind{
 			b.AddFrom(sectionBase, s.(*mf.PSVD).Save)
 		},
 		decode: func(snap *persist.Snapshot, _ *Dataset) (Scorer, error) {
-			r, err := snap.Reader(sectionBase)
+			data, err := snap.Section(sectionBase)
 			if err != nil {
 				return nil, err
 			}
-			return mf.LoadPSVD(r)
+			return mf.LoadPSVD(data)
 		},
 	},
 	{
@@ -189,11 +189,11 @@ var baseKinds = []baseKind{
 			b.AddFrom(sectionBase, s.(*rank.Model).Save)
 		},
 		decode: func(snap *persist.Snapshot, _ *Dataset) (Scorer, error) {
-			r, err := snap.Reader(sectionBase)
+			data, err := snap.Section(sectionBase)
 			if err != nil {
 				return nil, err
 			}
-			return rank.Load(r)
+			return rank.Load(data)
 		},
 	},
 }

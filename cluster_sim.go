@@ -33,10 +33,10 @@ const (
 
 // RunClusterScenario executes a scenario against a sharded primary with a
 // single-node shadow: the cluster serves through its scatter-gather router,
-// the shadow absorbs exactly the events routed to the scenario's drilled
-// shard, and restart-shard, promote-replica and await-promotion phases
-// assert the recovered shard's owned-user output is byte-identical to the
-// shadow's. The cluster has `shards` shards with `replicas` warm replicas
+// the shadow (in dir's "shadow" subdirectory) absorbs exactly the events
+// routed to the scenario's drilled shard, and restart-shard, promote-replica
+// and await-promotion phases assert the recovered shard's owned-user output
+// is byte-identical to the shadow's. The cluster has `shards` shards with `replicas` warm replicas
 // behind each (0 = unreplicated; > 0 enables the promotion and rejoin phases
 // and the router's read failover during mid-load kills), keeps its durable
 // files in dir and checkpoints every sc.CheckpointEvery ingested events per
@@ -52,8 +52,7 @@ func RunClusterScenario(ctx context.Context, sc Scenario, dir string, cfg SimSys
 	}()
 	r := &simulate.Runner{
 		NewSystem: func() simulate.System { return primary },
-		NewShadow: func() simulate.System { return &pipelineSystem{cfg: cfg.withDefaults()} },
-		Dir:       dir,
+		NewShadow: newShadowSystem(cfg.withDefaults(), dir),
 	}
 	return r.Run(ctx, sc)
 }
@@ -76,9 +75,8 @@ type clusterSystem struct {
 }
 
 // Train implements simulate.System: build the pipeline, shard-split it and
-// stand the whole cluster (shards + router) up. Streaming ingestion is part
-// of the cluster's standing configuration — every shard runs its
-// write-ahead log from boot — so EnableIngest below only confirms it.
+// stand the whole cluster (shards + router) up. Every shard boots from its
+// shard snapshot and runs its write-ahead log from boot.
 func (s *clusterSystem) Train(train *dataset.Dataset, topN int) error {
 	p, err := NewPipeline(train,
 		WithBaseNamed(s.cfg.Base),
@@ -124,50 +122,13 @@ func (s *clusterSystem) Handler() (http.Handler, error) {
 	return s.cluster.Handler(), nil
 }
 
-// Save implements simulate.System: checkpoint every shard into its own
-// shard snapshot (the path argument names the single-node snapshot file and
-// is ignored — shard snapshots live at the cluster's fixed per-shard
-// paths).
-func (s *clusterSystem) Save(string) error {
+// Checkpoint implements simulate.System: every live primary checkpoints into
+// its shard snapshot.
+func (s *clusterSystem) Checkpoint() error {
 	if s.cluster == nil {
-		return fmt.Errorf("ganc: cluster scenario system has nothing to save")
+		return fmt.Errorf("ganc: cluster scenario system has nothing to checkpoint")
 	}
 	return s.cluster.SaveShards()
-}
-
-// Load implements simulate.System: restore every shard from its snapshot
-// (killing live ones first), replaying each write-ahead-log suffix — the
-// whole-cluster restart. Warm-start parity holds because checkpoint + WAL
-// suffix reconstructs exactly the pre-restart state.
-func (s *clusterSystem) Load(string) error {
-	if s.cluster == nil {
-		return fmt.Errorf("ganc: cluster scenario system was never trained")
-	}
-	for i := 0; i < s.cluster.NumShards(); i++ {
-		if s.cluster.ShardVersion(i) > 0 {
-			if err := s.cluster.KillShard(i); err != nil {
-				return err
-			}
-		}
-		if _, err := s.cluster.RestartShard(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EnableIngest implements simulate.System. The cluster's durability stack
-// (per-shard WAL + checkpoints) is wired at construction, so this only
-// validates the request: a cluster cannot run the shadow's pure in-memory
-// mode.
-func (s *clusterSystem) EnableIngest(logPath, checkpointPath string, every int) error {
-	if s.cluster == nil {
-		return fmt.Errorf("ganc: cannot enable ingestion before training")
-	}
-	if every != s.checkpointEvery {
-		return fmt.Errorf("ganc: cluster checkpoint cadence is fixed at construction (%d), cannot change to %d", s.checkpointEvery, every)
-	}
-	return nil
 }
 
 // Ingest implements simulate.System: apply a batch directly, partitioned by
@@ -196,12 +157,9 @@ func (s *clusterSystem) Ingest(ctx context.Context, events []IngestEvent) error 
 	return nil
 }
 
-// Recover implements simulate.System. Load already replayed every shard's
-// write-ahead-log suffix, so there is nothing left to recover.
-func (s *clusterSystem) Recover() (int, error) { return 0, nil }
-
-// Kill implements simulate.System: crash every shard. Durable files survive
-// for Load; the cluster's listeners' addresses stay reserved for restarts.
+// Kill implements simulate.System: crash every shard's primary. Durable files
+// survive for Restart; the cluster's listeners' addresses stay reserved for
+// restarts.
 func (s *clusterSystem) Kill() error {
 	if s.cluster == nil {
 		return nil
@@ -216,6 +174,27 @@ func (s *clusterSystem) Kill() error {
 		}
 	}
 	return firstErr
+}
+
+// Restart implements simulate.System: the whole-cluster restart. Every
+// running primary is killed, then every shard boots from its snapshot and
+// replays its write-ahead-log suffix; the replayed counts add up.
+func (s *clusterSystem) Restart() (int, error) {
+	if s.cluster == nil {
+		return 0, fmt.Errorf("ganc: cluster scenario system was never trained")
+	}
+	if err := s.Kill(); err != nil {
+		return 0, err
+	}
+	total := 0
+	for i := 0; i < s.cluster.NumShards(); i++ {
+		n, err := s.cluster.RestartShard(i)
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // Fingerprint implements simulate.System: the union of every shard's

@@ -3,10 +3,14 @@ package ganc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"ganc/internal/ingest"
@@ -190,5 +194,57 @@ func TestIngestorRejectsUnsupportedPipeline(t *testing.T) {
 	}
 	if _, err := NewIngestor(nil, p); err == nil {
 		t.Fatal("expected NewIngestor to reject a Rand-coverage pipeline")
+	}
+}
+
+// TestInternedUserNotYetServedIsUnknown: an ingest interns a new user before
+// the engine that covers them is published. In that window the served engine
+// does not know the user, and both routes must say so as they do for a key
+// never seen — a 404 on GET /recommend, an inline "unknown user" in a batch —
+// not a 500.
+func TestInternedUserNotYetServedIsUnknown(t *testing.T) {
+	split := persistSplit(t, 5)
+	p := buildPersistablePipeline(t, split.Train, "Pop")
+	srv, err := NewServer(p.Train(), p, p.TopN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	known := p.Train().UserInterner().Key(0)
+	p.Train().UserInterner().Intern("interned-not-served")
+
+	resp, err := http.Get(ts.URL + "/recommend?user=interned-not-served")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var single struct{ Error string }
+	err = json.NewDecoder(resp.Body).Decode(&single)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusNotFound || single.Error != "unknown user interned-not-served" {
+		t.Fatalf("GET /recommend for an interned, unserved user: %d %+v (%v), want 404 unknown user", resp.StatusCode, single, err)
+	}
+
+	body := fmt.Sprintf(`{"users":["interned-not-served",%q]}`, known)
+	resp, err = http.Post(ts.URL+"/recommend/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch struct {
+		Results []struct {
+			Items []string
+			Error string
+		}
+	}
+	err = json.NewDecoder(resp.Body).Decode(&batch)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(batch.Results) != 2 {
+		t.Fatalf("batch: %d %+v (%v)", resp.StatusCode, batch, err)
+	}
+	if got := batch.Results[0]; got.Error != "unknown user" || len(got.Items) != 0 {
+		t.Fatalf("batch element for an interned, unserved user: %+v, want unknown user", got)
+	}
+	if got := batch.Results[1]; got.Error != "" || len(got.Items) == 0 {
+		t.Fatalf("batch element for %s: %+v, want a list", known, got)
 	}
 }

@@ -804,7 +804,7 @@ func (g *GANC) RecommendUser(ctx context.Context, u types.UserID, n int) (types.
 		return nil, err
 	}
 	if int(u) < 0 || int(u) >= g.train.NumUsers() {
-		return nil, fmt.Errorf("core: user %d out of range [0,%d)", u, g.train.NumUsers())
+		return nil, fmt.Errorf("core: user %d out of range [0,%d): %w", u, g.train.NumUsers(), types.ErrUnknownUser)
 	}
 	if n <= 0 {
 		n = g.cfg.N

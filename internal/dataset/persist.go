@@ -36,13 +36,14 @@ type datasetSnapshot struct {
 }
 
 // EncodeSnapshot writes the dataset to w: its envelope, then the user, item
-// and value columns.
+// and value columns. The key tables are only the keys this version covers:
+// its interners are shared with, and grown by, its Extend successors.
 func (d *Dataset) EncodeSnapshot(w io.Writer) error {
 	snap := datasetSnapshot{
 		Version:  datasetSnapshotVersion,
 		Name:     d.name,
-		UserKeys: d.users.Keys(),
-		ItemKeys: d.items.Keys(),
+		UserKeys: d.users.Keys()[:d.NumUsers()],
+		ItemKeys: d.items.Keys()[:d.NumItems()],
 	}
 	users := make([]int32, len(d.ratings))
 	items := make([]int32, len(d.ratings))

@@ -804,7 +804,7 @@ func (e *TopNEngine) RecommendUser(ctx context.Context, u types.UserID, n int) (
 		return nil, err
 	}
 	if int(u) < 0 || int(u) >= e.Train.NumUsers() {
-		return nil, fmt.Errorf("recommender: user %d out of range [0,%d)", u, e.Train.NumUsers())
+		return nil, fmt.Errorf("recommender: user %d out of range [0,%d): %w", u, e.Train.NumUsers(), types.ErrUnknownUser)
 	}
 	if n <= 0 {
 		n = e.N

@@ -576,6 +576,11 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e, gen, err := s.recommend(r.Context(), u)
+	if errors.Is(err, types.ErrUnknownUser) {
+		// Interned by an ingest whose engine is not published yet.
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown user " + userKey})
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
@@ -670,7 +675,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			buf.WriteByte(',')
 		}
 		switch el := &results[k]; {
-		case !el.known:
+		case !el.known || errors.Is(el.err, types.ErrUnknownUser):
 			appendElemError(buf, userKey, "unknown user")
 		case el.err != nil:
 			appendElemError(buf, userKey, el.err.Error())

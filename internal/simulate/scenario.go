@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -23,35 +22,34 @@ import (
 	"ganc/internal/types"
 )
 
-// System is the recommendation stack a scenario drives: trainable,
-// persistable, servable, ingestible, killable. The facade binds it to the
-// real Pipeline/Server/Ingestor assembly; tests can substitute fakes. A
-// scenario may run two instances side by side (a primary and an uninterrupted
-// shadow) and compare their Fingerprints for equivalence.
+// System is the recommendation stack a scenario drives: trainable, servable,
+// ingestible, checkpointable, killable and restartable. A system owns its
+// durable files: it gets its directory and checkpoint cadence when it is
+// constructed, writes its snapshot and opens its write-ahead log at Train, and
+// boots from them again at Restart. The facade binds it to the real
+// Pipeline/Server/Ingestor assembly and to the real cluster; tests can
+// substitute fakes. A scenario may run two instances side by side (a primary
+// and an uninterrupted shadow) and compare their Fingerprints for
+// equivalence.
 type System interface {
-	// Train builds the serving engine from the train set and stands the
-	// serving layer up.
+	// Train builds the serving engine from the train set, writes the
+	// system's snapshot, opens its write-ahead log and stands serving up.
 	Train(train *dataset.Dataset, topN int) error
 	// Handler exposes the current HTTP serving surface.
 	Handler() (http.Handler, error)
-	// Save writes a warm-start snapshot of the current state to path.
-	Save(path string) error
-	// Load replaces the running system with one restored from the snapshot at
-	// path (the process-restart half of a crash).
-	Load(path string) error
-	// EnableIngest attaches streaming ingestion. Empty paths select a pure
-	// in-memory ingestor (no WAL, no checkpoints); checkpointEvery ≤ 0
-	// disables periodic snapshots.
-	EnableIngest(logPath, checkpointPath string, checkpointEvery int) error
+	// Checkpoint writes the current state into the system's snapshot, the
+	// one Restart boots from.
+	Checkpoint() error
 	// Ingest applies one event batch directly (the shadow system's path; the
 	// primary ingests over HTTP so the full endpoint stack is exercised).
 	Ingest(ctx context.Context, events []serve.IngestEvent) error
-	// Recover re-attaches ingestion after Load and replays the write-ahead
-	// log suffix past the restored checkpoint cursor.
-	Recover() (replayed int, err error)
 	// Kill drops every in-memory structure and releases file handles,
-	// simulating a crash; durable files survive for Load/Recover.
+	// simulating a crash; the durable files survive for Restart.
 	Kill() error
+	// Restart stops whatever still runs, boots from the system's snapshot and
+	// replays the write-ahead-log suffix past its cursor, returning the
+	// replayed event count (the process-restart half of a crash).
+	Restart() (replayed int, err error)
 	// Fingerprint returns a canonical byte serialization of the system's full
 	// batch output in external identifiers. It must not disturb serving state
 	// (implementations sweep a throwaway clone), so scenarios can fingerprint
@@ -133,17 +131,18 @@ const (
 	// PhaseTrain generates nothing itself: it trains the system on the
 	// universe's dataset and stands serving up. Must come first.
 	PhaseTrain PhaseKind = "train"
-	// PhaseSave snapshots the system to the scenario's snapshot path.
+	// PhaseSave checkpoints the primary into its own snapshot.
 	PhaseSave PhaseKind = "save"
-	// PhaseLoad restores the snapshot into the primary and asserts warm-start
-	// parity: the fingerprint before and after the reload must be identical.
+	// PhaseLoad restarts the primary from its snapshot and write-ahead-log
+	// suffix and asserts warm-start parity: the fingerprint before and after
+	// the restart must be identical.
 	PhaseLoad PhaseKind = "load"
 	// PhaseServeUnderLoad runs the closed-loop driver against the primary.
 	PhaseServeUnderLoad PhaseKind = "serve-under-load"
 	// PhaseIngestChurn streams event batches through POST /ingest while
 	// concurrent readers hammer /recommend and /recommend/batch.
 	PhaseIngestChurn PhaseKind = "ingest-churn"
-	// PhaseKillAndRecover crashes the primary, restores it from the last
+	// PhaseKillAndRecover crashes the primary, restarts it from its last
 	// checkpoint plus the write-ahead-log suffix, and asserts its fingerprint
 	// matches the uninterrupted shadow system byte for byte.
 	PhaseKillAndRecover PhaseKind = "kill-and-recover"
@@ -203,8 +202,7 @@ type Phase struct {
 	// 4).
 	Concurrency int `json:"concurrency,omitempty"`
 	// Mix composes serve-under-load traffic (default 90% single lookups, 10%
-	// batches) and overload traffic (default all single lookups). A mix with
-	// ingest weight makes the runner enable ingestion at train. In a
+	// batches) and overload traffic (default all single lookups). In a
 	// scenario that runs a shadow, serve-under-load forces the ingest weight
 	// to 0: the shadow cannot observe the driver's internally generated
 	// events, so they would void the parity checks — stream events through
@@ -256,8 +254,9 @@ type Scenario struct {
 	Universe UniverseConfig `json:"universe"`
 	// TopN is the serving list size (default 10).
 	TopN int `json:"top_n"`
-	// CheckpointEvery is the ingestion checkpoint cadence in events (0 =
-	// only explicit PhaseSave snapshots).
+	// CheckpointEvery is the primary's ingestion checkpoint cadence in
+	// events, which the bindings construct it with (0 = only PhaseSave
+	// checkpoints).
 	CheckpointEvery int `json:"checkpoint_every"`
 	// Seed drives the scenario's event and request streams (the universe has
 	// its own seed).
@@ -349,8 +348,8 @@ type PhaseResult struct {
 	// ingest-churn phase.
 	ReaderRequests int64 `json:"reader_requests,omitempty"`
 	ReaderErrors   int64 `json:"reader_errors,omitempty"`
-	// Replayed is the write-ahead-log suffix length a kill-and-recover or
-	// restart-shard phase replayed.
+	// Replayed is the write-ahead-log suffix length a load, kill-and-recover
+	// or restart-shard phase replayed.
 	Replayed int `json:"replayed,omitempty"`
 	// ParityChecked marks phases that asserted a fingerprint equivalence.
 	ParityChecked bool `json:"parity_checked,omitempty"`
@@ -383,19 +382,17 @@ type Result struct {
 	Phases []PhaseResult `json:"phases"`
 }
 
-// Runner executes scenarios. NewSystem builds a fresh system instance; Dir is
-// the working directory for snapshots and write-ahead logs (a test's TempDir).
+// Runner executes scenarios on the systems its factories build.
 type Runner struct {
 	// NewSystem constructs one system under test. It is called once for the
 	// primary and once more for the shadow when the scenario asserts parity
-	// against one (unless NewShadow overrides the shadow's construction).
+	// against one (unless NewShadow overrides the shadow's construction), so
+	// each system it returns must own files of its own.
 	NewSystem func() System
 	// NewShadow, when set, constructs the shadow reference system instead of
 	// NewSystem. Cluster scenarios use it to compare a sharded primary
 	// against a single-node shadow.
 	NewShadow func() System
-	// Dir holds the scenario's durable files (snapshot, WAL).
-	Dir string
 }
 
 // runState carries one run's live pieces between phase executions.
@@ -403,11 +400,9 @@ type runState struct {
 	universe *Universe
 	primary  System
 	// cluster is the primary's cluster view (nil for single-node runs).
-	cluster  ClusterSystem
-	shadow   System // nil unless the scenario asserts parity against one
-	events   *EventStream
-	snapPath string
-	walPath  string
+	cluster ClusterSystem
+	shadow  System // nil unless the scenario asserts parity against one
+	events  *EventStream
 	// shadowShard is the shard whose routed events feed the shadow (-1 when
 	// the shadow absorbs everything, the single-node semantics); finalShards
 	// is the topology the drilled shard's parity is last asserted in (0 = the
@@ -444,9 +439,6 @@ func (r *Runner) Run(ctx context.Context, sc Scenario) (*Result, error) {
 	if r.NewSystem == nil {
 		return nil, fmt.Errorf("simulate: runner needs a NewSystem factory")
 	}
-	if r.Dir == "" {
-		return nil, fmt.Errorf("simulate: runner needs a working directory")
-	}
 	if len(sc.Phases) == 0 {
 		return nil, fmt.Errorf("simulate: scenario %q has no phases", sc.Name)
 	}
@@ -469,8 +461,6 @@ func (r *Runner) Run(ctx context.Context, sc Scenario) (*Result, error) {
 	st := &runState{
 		universe:    u,
 		events:      u.EventStream(streamCfg),
-		snapPath:    filepath.Join(r.Dir, "scenario.snap"),
-		walPath:     filepath.Join(r.Dir, "scenario.wal"),
 		shadowShard: shadowShard,
 		finalShards: sc.finalShards(),
 	}
@@ -501,7 +491,7 @@ func (r *Runner) runPhase(ctx context.Context, sc *Scenario, st *runState, p Pha
 	case PhaseTrain:
 		return pr, r.train(sc, st)
 	case PhaseSave:
-		return pr, st.primary.Save(st.snapPath)
+		return pr, st.primary.Checkpoint()
 	case PhaseLoad:
 		return r.load(ctx, st, pr)
 	case PhaseServeUnderLoad:
@@ -542,9 +532,8 @@ func (r *Runner) runPhase(ctx context.Context, sc *Scenario, st *runState, p Pha
 	return pr, st.shardParity(ctx, p.Shard, &pr)
 }
 
-// train stands up the primary (and the shadow when the scenario needs one),
-// refuses a primary the scenario's phases cannot run against, and enables
-// ingestion when later phases will send events.
+// train stands up the primary (and the shadow when the scenario needs one)
+// and refuses a primary the scenario's phases cannot run against.
 func (r *Runner) train(sc *Scenario, st *runState) error {
 	st.primary = r.NewSystem()
 	if err := st.primary.Train(st.universe.Train(), sc.TopN); err != nil {
@@ -555,10 +544,8 @@ func (r *Runner) train(sc *Scenario, st *runState) error {
 		st.baseEpoch = st.cluster.Epoch()
 	}
 	st.watchEpochs = sc.has(PhaseAwaitPromotion)
-	ingests := sc.has(PhaseIngestChurn, PhaseKillAndRecover, PhaseRestartShard, PhasePromoteReplica, PhaseAwaitPromotion)
 	replicated := sc.has(PhasePromoteReplica, PhaseRejoinReplica, PhaseAwaitPromotion)
 	for _, p := range sc.Phases {
-		ingests = ingests || p.Mix.Ingest > 0
 		replicated = replicated || p.MaxReplicaLagEvents != nil
 	}
 	if st.shadowShard >= 0 {
@@ -578,27 +565,17 @@ func (r *Runner) train(sc *Scenario, st *runState) error {
 	if replicated && (st.cluster == nil || st.cluster.NumReplicas() == 0) {
 		return fmt.Errorf("scenario promotes, rejoins or bounds the lag of replicas, but the primary has none")
 	}
-	if ingests {
-		// The primary runs the full durability stack; checkpoints target the
-		// same snapshot path PhaseSave writes, mirroring gancd.
-		if err := st.primary.EnableIngest(st.walPath, st.snapPath, sc.CheckpointEvery); err != nil {
-			return err
-		}
-	}
 	if sc.has(PhaseKillAndRecover) || sc.has(shardParityPhases...) {
 		newShadow := r.NewShadow
 		if newShadow == nil {
 			newShadow = r.NewSystem
 		}
+		// The shadow is the uninterrupted reference: same events, never
+		// killed. For a sharded primary it absorbs only the drilled shard's
+		// routed events, making it the single-node ground truth for that
+		// shard's recovery.
 		st.shadow = newShadow()
 		if err := st.shadow.Train(st.universe.Train(), sc.TopN); err != nil {
-			return fmt.Errorf("shadow: %w", err)
-		}
-		// The shadow is the uninterrupted reference: same events, no WAL, no
-		// checkpoints, no crash. For a sharded primary it absorbs only the
-		// drilled shard's routed events, making it the single-node ground
-		// truth for that shard's recovery.
-		if err := st.shadow.EnableIngest("", "", 0); err != nil {
 			return fmt.Errorf("shadow: %w", err)
 		}
 	}
@@ -628,22 +605,23 @@ func (st *runState) shadowEvents(events []serve.IngestEvent) []serve.IngestEvent
 	return out
 }
 
-// load asserts warm-start parity: reloading the snapshot must not change the
-// system's observable output.
+// load restarts the primary and asserts warm-start parity: a restart must
+// not change the system's observable output.
 func (r *Runner) load(ctx context.Context, st *runState, pr PhaseResult) (PhaseResult, error) {
 	before, err := st.primary.Fingerprint(ctx)
 	if err != nil {
-		return pr, fmt.Errorf("fingerprint before load: %w", err)
+		return pr, fmt.Errorf("fingerprint before restart: %w", err)
 	}
-	if err := st.primary.Load(st.snapPath); err != nil {
-		return pr, err
+	if pr.Replayed, err = st.primary.Restart(); err != nil {
+		return pr, fmt.Errorf("restart: %w", err)
 	}
 	after, err := st.primary.Fingerprint(ctx)
 	if err != nil {
-		return pr, fmt.Errorf("fingerprint after load: %w", err)
+		return pr, fmt.Errorf("fingerprint after restart: %w", err)
 	}
 	if !bytes.Equal(before, after) {
-		return pr, fmt.Errorf("warm-start parity broken: output changed across save/load (%d vs %d bytes)", len(before), len(after))
+		return pr, fmt.Errorf("warm-start parity broken: output changed across the restart (replayed %d events, %d vs %d bytes)",
+			pr.Replayed, len(before), len(after))
 	}
 	pr.ParityChecked = true
 	return pr, nil
@@ -1159,7 +1137,7 @@ func (r *Runner) ingestChurn(ctx context.Context, sc *Scenario, st *runState, p 
 	return pr, nil
 }
 
-// killAndRecover crashes the primary, restores it from the checkpoint plus
+// killAndRecover crashes the primary, restarts it from its checkpoint plus
 // the WAL suffix, and asserts byte equivalence with the uninterrupted shadow.
 func (r *Runner) killAndRecover(ctx context.Context, st *runState, pr PhaseResult) (PhaseResult, error) {
 	want, err := st.shadow.Fingerprint(ctx)
@@ -1169,20 +1147,15 @@ func (r *Runner) killAndRecover(ctx context.Context, st *runState, pr PhaseResul
 	if err := st.primary.Kill(); err != nil {
 		return pr, err
 	}
-	if err := st.primary.Load(st.snapPath); err != nil {
-		return pr, fmt.Errorf("restore checkpoint: %w", err)
+	if pr.Replayed, err = st.primary.Restart(); err != nil {
+		return pr, fmt.Errorf("restart: %w", err)
 	}
-	replayed, err := st.primary.Recover()
-	if err != nil {
-		return pr, fmt.Errorf("replay WAL: %w", err)
-	}
-	pr.Replayed = replayed
 	got, err := st.primary.Fingerprint(ctx)
 	if err != nil {
 		return pr, fmt.Errorf("recovered fingerprint: %w", err)
 	}
 	if !bytes.Equal(got, want) {
-		return pr, fmt.Errorf("recovery equivalence broken: recovered output differs from uninterrupted shadow (replayed %d events)", replayed)
+		return pr, fmt.Errorf("recovery equivalence broken: recovered output differs from uninterrupted shadow (replayed %d events)", pr.Replayed)
 	}
 	pr.ParityChecked = true
 	return pr, nil

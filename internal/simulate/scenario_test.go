@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -21,24 +22,30 @@ import (
 	"ganc/internal/types"
 )
 
-// fakeSystem is an in-memory System: state is the ordered list of applied
-// events, "snapshots" serialize that list to disk, the WAL mirrors the real
-// ingestor's append-then-checkpoint contract. It lets the runner's sequencing
-// and assertions be tested without training anything.
+// fakeSystem is an in-memory System over files of its own: state is the
+// ordered list of applied events, its "snapshot" serializes that list to
+// disk, its WAL mirrors the real ingestor's append-then-checkpoint contract.
+// It lets the runner's sequencing and assertions be tested without training
+// anything.
 type fakeSystem struct {
 	mu     sync.Mutex
 	train  *dataset.Dataset
 	events []serve.IngestEvent
-	// walPath/ckptPath/every mirror EnableIngest.
-	walPath  string
-	ckptPath string
-	every    int
+	// dir holds the snapshot and the WAL; every is the checkpoint cadence.
+	dir   string
+	every int
 	// checkpointed is the event count covered by the last checkpoint.
 	checkpointed int
 	sinceCkpt    int
 	killed       bool
 	// calls records the lifecycle for sequencing assertions.
 	calls []string
+}
+
+// newFake builds a fake owning a fresh directory, checkpointing every
+// `every` events (0 = on Checkpoint only).
+func newFake(t *testing.T, every int) *fakeSystem {
+	return &fakeSystem{dir: t.TempDir(), every: every}
 }
 
 // fakeState is the snapshot/WAL wire form.
@@ -52,11 +59,16 @@ func (f *fakeSystem) record(call string) {
 	f.calls = append(f.calls, call)
 }
 
+func (f *fakeSystem) snapPath() string { return filepath.Join(f.dir, "fake.snap") }
+func (f *fakeSystem) walPath() string  { return filepath.Join(f.dir, "fake.wal") }
+
 func (f *fakeSystem) Train(train *dataset.Dataset, topN int) error {
 	f.record("train")
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.train = train
 	f.killed = false
-	return nil
+	return f.writeStateLocked()
 }
 
 func (f *fakeSystem) Handler() (http.Handler, error) {
@@ -93,44 +105,21 @@ func (f *fakeSystem) Handler() (http.Handler, error) {
 	return mux, nil
 }
 
-func (f *fakeSystem) Save(path string) error {
-	f.record("save")
+func (f *fakeSystem) Checkpoint() error {
+	f.record("checkpoint")
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.writeStateLocked(path)
+	return f.writeStateLocked()
 }
 
-func (f *fakeSystem) writeStateLocked(path string) error {
+func (f *fakeSystem) writeStateLocked() error {
 	data, err := json.Marshal(fakeState{Events: f.events})
 	if err != nil {
 		return err
 	}
 	f.checkpointed = len(f.events)
-	return os.WriteFile(path, data, 0o644)
-}
-
-func (f *fakeSystem) Load(path string) error {
-	f.record("load")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var st fakeState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.events = st.Events
-	f.checkpointed = len(st.Events)
-	f.killed = false
-	return nil
-}
-
-func (f *fakeSystem) EnableIngest(logPath, checkpointPath string, every int) error {
-	f.record("enable-ingest")
-	f.walPath, f.ckptPath, f.every = logPath, checkpointPath, every
-	return nil
+	f.sinceCkpt = 0
+	return os.WriteFile(f.snapPath(), data, 0o644)
 }
 
 func (f *fakeSystem) Ingest(ctx context.Context, events []serve.IngestEvent) error {
@@ -140,50 +129,48 @@ func (f *fakeSystem) Ingest(ctx context.Context, events []serve.IngestEvent) err
 		return fmt.Errorf("fake: killed")
 	}
 	// WAL first, then state, then maybe checkpoint — the real contract.
-	if f.walPath != "" {
-		wal, err := os.OpenFile(f.walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		for _, ev := range events {
-			line, _ := json.Marshal(ev)
-			if _, err := wal.Write(append(line, '\n')); err != nil {
-				wal.Close()
-				return err
-			}
-		}
-		if err := wal.Close(); err != nil {
+	wal, err := os.OpenFile(f.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, ev := range events {
+		line, _ := json.Marshal(ev)
+		if _, err := wal.Write(append(line, '\n')); err != nil {
+			wal.Close()
 			return err
 		}
 	}
+	if err := wal.Close(); err != nil {
+		return err
+	}
 	f.events = append(f.events, events...)
 	f.sinceCkpt += len(events)
-	if f.every > 0 && f.sinceCkpt >= f.every && f.ckptPath != "" {
-		if err := f.writeStateLocked(f.ckptPath); err != nil {
-			return err
-		}
-		f.sinceCkpt = 0
+	if f.every > 0 && f.sinceCkpt >= f.every {
+		return f.writeStateLocked()
 	}
 	return nil
 }
 
-func (f *fakeSystem) Recover() (int, error) {
-	f.record("recover")
-	if f.walPath == "" {
-		return 0, nil
-	}
-	data, err := os.ReadFile(f.walPath)
+// Restart boots from the snapshot, then replays the WAL past its cursor.
+func (f *fakeSystem) Restart() (int, error) {
+	f.record("restart")
+	data, err := os.ReadFile(f.snapPath())
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
+		return 0, err
+	}
+	var st fakeState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return 0, err
+	}
+	wal, err := os.ReadFile(f.walPath())
+	if err != nil && !os.IsNotExist(err) {
 		return 0, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	f.events, f.checkpointed, f.sinceCkpt, f.killed = st.Events, len(st.Events), 0, false
 	replayed := 0
-	for k, line := range lines {
+	for k, line := range strings.Split(strings.TrimSpace(string(wal)), "\n") {
 		if line == "" || k < f.checkpointed {
 			continue
 		}
@@ -192,6 +179,7 @@ func (f *fakeSystem) Recover() (int, error) {
 			return replayed, err
 		}
 		f.events = append(f.events, ev)
+		f.sinceCkpt++
 		replayed++
 	}
 	return replayed, nil
@@ -239,15 +227,14 @@ func canonicalEvents(events []serve.IngestEvent) []byte {
 type shardedFake struct {
 	shards []*fakeSystem
 	n      int
-	// paths remember the prefixes EnableIngest/Save derived per-shard files
-	// from, so RestartShard can reload shard i alone.
-	snapPrefix string
 }
 
-func newShardedFake(n int) *shardedFake {
+// newShardedFake builds n shards, each owning a directory of its own and
+// checkpointing every `every` events.
+func newShardedFake(t *testing.T, n, every int) *shardedFake {
 	f := &shardedFake{n: n}
 	for i := 0; i < n; i++ {
-		f.shards = append(f.shards, &fakeSystem{})
+		f.shards = append(f.shards, newFake(t, every))
 	}
 	return f
 }
@@ -264,10 +251,6 @@ func (f *shardedFake) OwnerAt(user string, shards int) int {
 		h = -h
 	}
 	return h % shards
-}
-
-func (f *shardedFake) shardPath(prefix string, i int) string {
-	return fmt.Sprintf("%s-shard%03d", prefix, i)
 }
 
 func (f *shardedFake) Train(train *dataset.Dataset, topN int) error {
@@ -331,36 +314,16 @@ func (f *shardedFake) Handler() (http.Handler, error) {
 	return mux, nil
 }
 
-func (f *shardedFake) Save(path string) error {
-	f.snapPrefix = path
-	for i, s := range f.shards {
-		if err := s.Save(f.shardPath(path, i)); err != nil {
-			return err
+// Checkpoint checkpoints every live shard.
+func (f *shardedFake) Checkpoint() error {
+	for _, s := range f.shards {
+		s.mu.Lock()
+		dead := s.killed
+		s.mu.Unlock()
+		if dead {
+			continue
 		}
-	}
-	return nil
-}
-
-func (f *shardedFake) Load(path string) error {
-	for i, s := range f.shards {
-		if err := s.Load(f.shardPath(path, i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *shardedFake) EnableIngest(logPath, checkpointPath string, every int) error {
-	for i, s := range f.shards {
-		log := ""
-		if logPath != "" {
-			log = f.shardPath(logPath, i)
-		}
-		ckpt := ""
-		if checkpointPath != "" {
-			ckpt = f.shardPath(checkpointPath, i)
-		}
-		if err := s.EnableIngest(log, ckpt, every); err != nil {
+		if err := s.Checkpoint(); err != nil {
 			return err
 		}
 	}
@@ -381,10 +344,11 @@ func (f *shardedFake) Ingest(ctx context.Context, events []serve.IngestEvent) er
 	return nil
 }
 
-func (f *shardedFake) Recover() (int, error) {
+// Restart restarts every shard from its own files.
+func (f *shardedFake) Restart() (int, error) {
 	total := 0
 	for _, s := range f.shards {
-		n, err := s.Recover()
+		n, err := s.Restart()
 		total += n
 		if err != nil {
 			return total, err
@@ -431,13 +395,7 @@ func (f *shardedFake) Reshard(int) (*cluster.ReshardStats, error) {
 }
 
 // RestartShard reloads the shard's snapshot, then replays its WAL suffix.
-func (f *shardedFake) RestartShard(shard int) (int, error) {
-	s := f.shards[shard]
-	if err := s.Load(s.ckptPath); err != nil {
-		return 0, err
-	}
-	return s.Recover()
-}
+func (f *shardedFake) RestartShard(shard int) (int, error) { return f.shards[shard].Restart() }
 
 func (f *shardedFake) ShardFingerprint(ctx context.Context, shard int) ([]byte, error) {
 	s := f.shards[shard]
@@ -452,11 +410,10 @@ func (f *shardedFake) ShardFingerprint(ctx context.Context, shard int) ([]byte, 
 // scenarioFixture is a small but real universe for runner tests.
 func scenarioFixture() Scenario {
 	return Scenario{
-		Name:            "fake-lifecycle",
-		Universe:        UniverseConfig{Users: 30, Items: 20, Ratings: 400, Seed: 5},
-		TopN:            5,
-		CheckpointEvery: 40,
-		Seed:            17,
+		Name:     "fake-lifecycle",
+		Universe: UniverseConfig{Users: 30, Items: 20, Ratings: 400, Seed: 5},
+		TopN:     5,
+		Seed:     17,
 	}
 }
 
@@ -464,18 +421,16 @@ func scenarioFixture() Scenario {
 // checks the sequencing, the shadow bookkeeping and the recovery equivalence.
 func TestRunnerFullLifecycle(t *testing.T) {
 	var systems []*fakeSystem
+	// Checkpoint cadence 45 with 30-event batches: checkpoint at 60 applied
+	// events, leaving a 40-event WAL suffix for the recovery to replay.
 	r := &Runner{
 		NewSystem: func() System {
-			f := &fakeSystem{}
+			f := newFake(t, 45)
 			systems = append(systems, f)
 			return f
 		},
-		Dir: t.TempDir(),
 	}
 	sc := scenarioFixture()
-	// Checkpoint cadence 45 with 30-event batches: checkpoint at 60 applied
-	// events, leaving a 40-event WAL suffix for the recovery to replay.
-	sc.CheckpointEvery = 45
 	sc.Phases = []Phase{
 		{Kind: PhaseTrain},
 		{Kind: PhaseSave},
@@ -520,7 +475,7 @@ func TestRunnerFullLifecycle(t *testing.T) {
 	if string(pFp) != string(sFp) {
 		t.Fatal("runner accepted diverged primary/shadow states")
 	}
-	wantCalls := []string{"train", "enable-ingest", "save", "load", "kill", "load", "recover"}
+	wantCalls := []string{"train", "checkpoint", "restart", "kill", "restart"}
 	if got := strings.Join(primary.calls, ","); got != strings.Join(wantCalls, ",") {
 		t.Fatalf("primary lifecycle %v, want %v", primary.calls, wantCalls)
 	}
@@ -535,18 +490,17 @@ func TestRunnerClusterLifecycle(t *testing.T) {
 	var primary *shardedFake
 	var shadow *fakeSystem
 	r := &Runner{
+		// WAL-only durability: the restart must replay everything.
 		NewSystem: func() System {
-			primary = newShardedFake(3)
+			primary = newShardedFake(t, 3, 0)
 			return primary
 		},
 		NewShadow: func() System {
-			shadow = &fakeSystem{}
+			shadow = newFake(t, 0)
 			return shadow
 		},
-		Dir: t.TempDir(),
 	}
 	sc := scenarioFixture()
-	sc.CheckpointEvery = 0 // WAL-only durability: the restart must replay everything
 	target := drilled
 	sc.Phases = []Phase{
 		{Kind: PhaseTrain},
@@ -655,14 +609,12 @@ func TestRunnerMeasuresPromotionDuringLoad(t *testing.T) {
 	newRunner := func() *Runner {
 		return &Runner{
 			NewSystem: func() System {
-				return &failoverFake{shardedFake: newShardedFake(2), promoteAfter: 30 * time.Millisecond}
+				return &failoverFake{shardedFake: newShardedFake(t, 2, 0), promoteAfter: 30 * time.Millisecond}
 			},
-			NewShadow: func() System { return &fakeSystem{} },
-			Dir:       t.TempDir(),
+			NewShadow: func() System { return newFake(t, 0) },
 		}
 	}
 	sc := scenarioFixture()
-	sc.CheckpointEvery = 0
 	drilled := 0
 	sc.Phases = []Phase{
 		{Kind: PhaseTrain},
@@ -698,14 +650,14 @@ func TestRunnerMeasuresPromotionDuringLoad(t *testing.T) {
 // primaries and conflicting shard targets must be rejected.
 func TestRunnerClusterPhaseValidation(t *testing.T) {
 	ctx := context.Background()
-	single := &Runner{NewSystem: func() System { return &fakeSystem{} }, Dir: t.TempDir()}
+	single := &Runner{NewSystem: func() System { return newFake(t, 0) }}
 	sc := scenarioFixture()
 	sc.Phases = []Phase{{Kind: PhaseTrain}, {Kind: PhaseKillShard, Shard: 0}}
 	if _, err := single.Run(ctx, sc); err == nil || !strings.Contains(err.Error(), "sharded") {
 		t.Fatalf("kill-shard against a single-node primary: %v", err)
 	}
 
-	sharded := &Runner{NewSystem: func() System { return newShardedFake(2) }, Dir: t.TempDir()}
+	sharded := &Runner{NewSystem: func() System { return newShardedFake(t, 2, 0) }}
 	sc = scenarioFixture()
 	sc.Phases = []Phase{{Kind: PhaseTrain}, {Kind: PhaseKillShard, Shard: 0}, {Kind: PhaseRestartShard, Shard: 1}}
 	if _, err := sharded.Run(ctx, sc); err == nil || !strings.Contains(err.Error(), "one shard") {
@@ -722,18 +674,14 @@ func TestRunnerClusterPhaseValidation(t *testing.T) {
 }
 
 // TestRunnerEnablesIngestForWritingMix: a serve-under-load mix that sends
-// writes makes train enable ingestion, so the driver's events are served.
+// writes is served, since a system ingests from Train on.
 func TestRunnerEnablesIngestForWritingMix(t *testing.T) {
-	primary := &fakeSystem{}
-	r := &Runner{NewSystem: func() System { return primary }, Dir: t.TempDir()}
+	r := &Runner{NewSystem: func() System { return newFake(t, 0) }}
 	sc := scenarioFixture()
 	sc.Phases = []Phase{{Kind: PhaseTrain}, {Kind: PhaseServeUnderLoad, Requests: 40, Concurrency: 2, Mix: LoadMix{Recommend: 1, Ingest: 1}}}
 	res, err := r.Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := strings.Join(primary.calls, ","); got != "train,enable-ingest" {
-		t.Fatalf("primary lifecycle %s, want train then enable-ingest", got)
 	}
 	if load := res.Phases[1].Load; load.Endpoints["ingest"].Count == 0 || load.Rejected != 0 {
 		t.Fatalf("writing mix: %+v, want ingest traffic served and nothing rejected", load)
@@ -758,7 +706,7 @@ func TestFilterCanonical(t *testing.T) {
 
 // TestRunnerRejectsBadScenarios pins the validation paths.
 func TestRunnerRejectsBadScenarios(t *testing.T) {
-	r := &Runner{NewSystem: func() System { return &fakeSystem{} }, Dir: t.TempDir()}
+	r := &Runner{NewSystem: func() System { return newFake(t, 0) }}
 	ctx := context.Background()
 	sc := scenarioFixture()
 	if _, err := r.Run(ctx, sc); err == nil {
@@ -772,7 +720,7 @@ func TestRunnerRejectsBadScenarios(t *testing.T) {
 	if _, err := r.Run(ctx, sc); err == nil {
 		t.Fatal("unknown phase kind accepted")
 	}
-	if _, err := (&Runner{Dir: t.TempDir()}).Run(ctx, scenarioFixture()); err == nil {
+	if _, err := (&Runner{}).Run(ctx, scenarioFixture()); err == nil {
 		t.Fatal("runner without a factory accepted")
 	}
 }
@@ -781,8 +729,7 @@ func TestRunnerRejectsBadScenarios(t *testing.T) {
 // teeth: a system whose reload diverges must fail the scenario.
 func TestRunnerDetectsBrokenParity(t *testing.T) {
 	r := &Runner{
-		NewSystem: func() System { return &divergingSystem{fakeSystem{}} },
-		Dir:       t.TempDir(),
+		NewSystem: func() System { return &divergingSystem{fakeSystem{dir: t.TempDir()}} },
 	}
 	sc := scenarioFixture()
 	sc.Phases = []Phase{{Kind: PhaseTrain}, {Kind: PhaseSave}, {Kind: PhaseLoad}}
@@ -792,17 +739,15 @@ func TestRunnerDetectsBrokenParity(t *testing.T) {
 	}
 }
 
-// divergingSystem corrupts its state on reload.
+// divergingSystem corrupts its state on restart.
 type divergingSystem struct{ fakeSystem }
 
-func (d *divergingSystem) Load(path string) error {
-	if err := d.fakeSystem.Load(path); err != nil {
-		return err
-	}
+func (d *divergingSystem) Restart() (int, error) {
+	replayed, err := d.fakeSystem.Restart()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.events = append(d.events, serve.IngestEvent{User: "ghost", Item: "ghost", Value: 1})
-	return nil
+	return replayed, err
 }
 
 // admittedFake wraps fakeSystem's handler with real admission control and
@@ -849,8 +794,9 @@ func TestRunnerOverloadPhase(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := &Runner{
-				NewSystem: func() System { return &admittedFake{cfg: tc.cfg, hold: tc.hold} },
-				Dir:       t.TempDir(),
+				NewSystem: func() System {
+					return &admittedFake{fakeSystem: fakeSystem{dir: t.TempDir()}, cfg: tc.cfg, hold: tc.hold}
+				},
 			}
 			sc := scenarioFixture()
 			sc.Phases = []Phase{
@@ -881,7 +827,7 @@ func TestRunnerOverloadPhase(t *testing.T) {
 // TestRunnerOverloadRequiresShedding gives the overload phase a system
 // without admission control: the phase must fail rather than pass vacuously.
 func TestRunnerOverloadRequiresShedding(t *testing.T) {
-	r := &Runner{NewSystem: func() System { return &fakeSystem{} }, Dir: t.TempDir()}
+	r := &Runner{NewSystem: func() System { return newFake(t, 0) }}
 	sc := scenarioFixture()
 	sc.Phases = []Phase{
 		{Kind: PhaseTrain},

@@ -9,6 +9,7 @@
 package types
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -42,6 +43,12 @@ type Rating struct {
 func (r Rating) String() string {
 	return fmt.Sprintf("Rating{u=%d i=%d v=%.2f}", r.User, r.Item, r.Value)
 }
+
+// ErrUnknownUser marks a user index an engine does not cover. Interner
+// tables are shared with, and grown by, later dataset versions, so a key
+// interned after an engine's version was built has an index past that
+// engine's users: to the engine it is as unknown as a key never seen.
+var ErrUnknownUser = errors.New("types: unknown user")
 
 // Interner maps external string keys to dense indices. The zero value is not
 // usable; construct with NewInterner or NewInternerFromKeys.

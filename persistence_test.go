@@ -179,6 +179,51 @@ func TestSaveLoadPreservesDynState(t *testing.T) {
 	assertRecsIdentical(t, "post-sweep", got, want)
 }
 
+// TestSaveAfterIngestInternedNewUsers: a pipeline whose ingestor has since
+// interned new users and items (the interner tables are shared with every
+// Extend successor) still saves only what it covers: the snapshot loads, and
+// it is byte for byte the one the pipeline saved before the growth.
+func TestSaveAfterIngestInternedNewUsers(t *testing.T) {
+	split := persistSplit(t, 3)
+	p := buildPersistablePipeline(t, split.Train, "Pop")
+	dir := t.TempDir()
+	before, after := filepath.Join(dir, "before.snap"), filepath.Join(dir, "after.snap")
+	if err := p.Save(before); err != nil {
+		t.Fatal(err)
+	}
+	ing, err := NewIngestor(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []IngestEvent
+	for k := 0; k < 5; k++ {
+		events = append(events, IngestEvent{User: fmt.Sprintf("new-user-%d", k), Item: fmt.Sprintf("new-item-%d", k), Value: 4})
+	}
+	if _, err := ing.Apply(context.Background(), events); err != nil {
+		t.Fatal(err)
+	}
+	if got, had := p.Train().UserInterner().Len(), p.Train().NumUsers(); got != had+5 {
+		t.Fatalf("interner holds %d users, want the saved pipeline's %d plus 5", got, had)
+	}
+	if err := p.Save(after); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEngine(after); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("the snapshot of one pipeline changed when a successor grew the interners (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
 // TestLoadEngineErrorPaths exercises the corrupted/truncated/unsupported
 // snapshot failure modes: every one must yield a matchable error, never a
 // panic or a silently wrong engine.

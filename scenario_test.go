@@ -109,6 +109,52 @@ func TestScenarioKillRecoverEquivalence(t *testing.T) {
 	}
 }
 
+// TestScenarioRestartAfterChurn: a restart boots the system from its own
+// snapshot and replays its write-ahead-log suffix, so whether the checkpoint
+// came before the churn (the whole churn replays) or after it (nothing does),
+// the restarted output must be byte-identical to the output before the
+// restart. Both orders, on one node and on a 2-shard cluster.
+func TestScenarioRestartAfterChurn(t *testing.T) {
+	const events = 150
+	churn := ScenarioPhase{Kind: PhaseIngestChurn, Events: events, EventBatch: 25, Concurrency: 4}
+	save, train, load := ScenarioPhase{Kind: PhaseSave}, ScenarioPhase{Kind: PhaseTrain}, ScenarioPhase{Kind: PhaseLoad}
+	for _, order := range []struct {
+		name     string
+		phases   []ScenarioPhase
+		replayed int
+	}{
+		{"save-then-churn", []ScenarioPhase{train, save, churn, load}, events},
+		{"churn-then-save", []ScenarioPhase{train, churn, save, load}, 0},
+	} {
+		for _, binding := range []struct {
+			name string
+			run  func(sc Scenario, dir string) (*ScenarioResult, error)
+		}{
+			{"node", func(sc Scenario, dir string) (*ScenarioResult, error) {
+				return RunScenario(context.Background(), sc, dir, SimSystemConfig{})
+			}},
+			{"cluster", func(sc Scenario, dir string) (*ScenarioResult, error) {
+				return RunClusterScenario(context.Background(), sc, dir, SimSystemConfig{}, 2, 0)
+			}},
+		} {
+			t.Run(binding.name+"/"+order.name, func(t *testing.T) {
+				sc := Scenario{Name: order.name, Universe: e2eUniverse(43), TopN: 10, Seed: 47, Phases: order.phases}
+				res, err := binding.run(sc, t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				restart := res.Phases[3]
+				if !restart.ParityChecked {
+					t.Fatal("load phase did not assert warm-start parity")
+				}
+				if restart.Replayed != order.replayed {
+					t.Fatalf("restart replayed %d events, want %d", restart.Replayed, order.replayed)
+				}
+			})
+		}
+	}
+}
+
 // TestScenarioOverloadGracefulDegradation: drive offered load well past the
 // admission budget and assert the system degrades gracefully — typed 429s
 // with Retry-After, zero 5xx, bounded served-request p99 — while /metrics

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 
 	"ganc/internal/dataset"
 	"ganc/internal/ingest"
@@ -75,8 +77,8 @@ func WriteBenchReport(path string, rep interface{}) error {
 
 // SimSystemConfig describes the pipeline a scenario system assembles: a
 // registry base, a θ model and the serving knobs. Every component must be
-// snapshot-compatible (see Pipeline.Save) because scenarios exercise the
-// persistence and ingestion lifecycles.
+// snapshot-compatible (see Pipeline.Save), because every scenario system
+// boots from its own snapshot and ingests over its own write-ahead log.
 type SimSystemConfig struct {
 	// Base is the registry base name (default "Pop", the cheapest to train).
 	Base string
@@ -113,40 +115,52 @@ func (c SimSystemConfig) withDefaults() SimSystemConfig {
 	return c
 }
 
-// RunScenario executes a scenario against the real stack, using dir for the
-// snapshot and write-ahead-log files. It is the one-call surface of the E2E
-// suite and of loadgen's single-node runs: every assertion (warm-start
-// parity, recovery equivalence, error-free serving under churn, graceful
-// shedding under overload) is enforced by the runner and surfaces as an
-// error.
+// RunScenario executes a scenario against the real stack. The primary keeps
+// its snapshot and write-ahead log in dir, which must be fresh; the shadow,
+// when the scenario compares against one, keeps its own in dir's "shadow"
+// subdirectory. It is the one-call surface of the E2E suite and of loadgen's
+// single-node runs: every assertion (warm-start parity, recovery
+// equivalence, error-free serving under churn, graceful shedding under
+// overload) is enforced by the runner and surfaces as an error.
 func RunScenario(ctx context.Context, sc Scenario, dir string, cfg SimSystemConfig) (*ScenarioResult, error) {
+	cfg = cfg.withDefaults()
 	r := &simulate.Runner{
-		NewSystem: func() simulate.System { return &pipelineSystem{cfg: cfg.withDefaults()} },
-		Dir:       dir,
+		NewSystem: func() simulate.System {
+			return &pipelineSystem{cfg: cfg, dir: dir, checkpointEvery: sc.CheckpointEvery}
+		},
+		NewShadow: newShadowSystem(cfg, dir),
 	}
 	return r.Run(ctx, sc)
 }
 
+// newShadowSystem returns the factory of a scenario's shadow: a single node
+// in dir's "shadow" subdirectory that checkpoints only when asked, since
+// nothing ever restarts it.
+func newShadowSystem(cfg SimSystemConfig, dir string) func() simulate.System {
+	return func() simulate.System { return &pipelineSystem{cfg: cfg, dir: filepath.Join(dir, "shadow")} }
+}
+
 // pipelineSystem is the production binding of simulate.System: a Pipeline
-// serving through serve.Server, persisted with Pipeline.Save/LoadEngine and
-// ingesting through NewIngestor — exactly the assembly gancd's standalone role
-// stands up.
+// serving through serve.Server with an Ingestor behind it, booted from its
+// own snapshot over its own write-ahead log — exactly the assembly gancd's
+// standalone role stands up.
 type pipelineSystem struct {
-	cfg  SimSystemConfig
-	topN int
+	cfg SimSystemConfig
+	// dir holds the system's snapshot and write-ahead log; checkpointEvery
+	// is its ingestion checkpoint cadence (0 = Checkpoint calls only).
+	dir             string
+	checkpointEvery int
 
 	pipe *Pipeline
 	srv  *Server
 	ing  *Ingestor
-
-	// Ingestion wiring survives Kill so Recover can re-attach it.
-	ingestEnabled   bool
-	logPath         string
-	checkpointPath  string
-	checkpointEvery int
 }
 
-// Train implements simulate.System.
+// file names one of the system's durable files.
+func (s *pipelineSystem) file(name string) string { return filepath.Join(s.dir, name) }
+
+// Train implements simulate.System: train, write the snapshot, then boot from
+// it — the way every deployment starts.
 func (s *pipelineSystem) Train(train *dataset.Dataset, topN int) error {
 	p, err := NewPipeline(train,
 		WithBaseNamed(s.cfg.Base),
@@ -157,12 +171,24 @@ func (s *pipelineSystem) Train(train *dataset.Dataset, topN int) error {
 	if err != nil {
 		return err
 	}
-	s.pipe, s.topN = p, topN
-	return s.serve()
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return err
+	}
+	if err := p.Save(s.file("scenario.snap")); err != nil {
+		return err
+	}
+	_, err = s.boot()
+	return err
 }
 
-// serve stands the HTTP layer up around the current pipeline.
-func (s *pipelineSystem) serve() error {
+// boot serves the system's snapshot with ingestion behind it, then replays the
+// write-ahead-log suffix past the snapshot's cursor, as gancd's standalone
+// role does at start-up.
+func (s *pipelineSystem) boot() (replayed int, err error) {
+	p, err := LoadEngine(s.file("scenario.snap"))
+	if err != nil {
+		return 0, err
+	}
 	opts := []ServerOption{WithServerAdmission(s.cfg.Admission)}
 	if s.cfg.CacheCapacity > 0 {
 		opts = append(opts, WithServerCacheCapacity(s.cfg.CacheCapacity))
@@ -170,12 +196,18 @@ func (s *pipelineSystem) serve() error {
 	if s.cfg.Metrics {
 		opts = append(opts, WithMetrics(NewMetricsRegistry()))
 	}
-	srv, err := NewServer(s.pipe.Train(), s.pipe, s.topN, opts...)
+	srv, err := NewServer(p.Train(), p, p.TopN(), opts...)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	s.srv = srv
-	return nil
+	ing, err := NewIngestor(srv, p,
+		WithIngestLog(s.file("scenario.wal")),
+		WithIngestCheckpoint(s.file("scenario.snap"), s.checkpointEvery))
+	if err != nil {
+		return 0, err
+	}
+	s.pipe, s.srv, s.ing = p, srv, ing
+	return ing.Recover()
 }
 
 // Handler implements simulate.System.
@@ -186,93 +218,26 @@ func (s *pipelineSystem) Handler() (http.Handler, error) {
 	return s.srv.Handler(), nil
 }
 
-// Save implements simulate.System.
-func (s *pipelineSystem) Save(path string) error {
-	if s.pipe == nil {
-		return fmt.Errorf("ganc: scenario system has no pipeline to save")
+// Checkpoint implements simulate.System: the ingestor's checkpoint into the
+// snapshot Restart boots from.
+func (s *pipelineSystem) Checkpoint() error {
+	if s.ing == nil {
+		return fmt.Errorf("ganc: cannot checkpoint a killed or untrained scenario system")
 	}
-	return s.pipe.Save(path)
-}
-
-// Load implements simulate.System: restore the snapshot and serve it, exactly
-// like a warm-started process — including re-attaching ingestion when it was
-// enabled, so a reloaded system keeps accepting events (Recover then replays
-// any write-ahead-log suffix past the restored cursor).
-func (s *pipelineSystem) Load(path string) error {
-	p, err := LoadEngine(path)
-	if err != nil {
-		return err
-	}
-	if s.ing != nil {
-		// Release the old WAL handle before the successor reopens it.
-		if err := s.ing.Close(); err != nil {
-			return err
-		}
-		s.ing = nil
-	}
-	s.pipe = p
-	s.topN = p.TopN()
-	if err := s.serve(); err != nil {
-		return err
-	}
-	if s.ingestEnabled {
-		return s.attachIngest()
-	}
-	return nil
-}
-
-// EnableIngest implements simulate.System.
-func (s *pipelineSystem) EnableIngest(logPath, checkpointPath string, every int) error {
-	s.ingestEnabled = true
-	s.logPath, s.checkpointPath, s.checkpointEvery = logPath, checkpointPath, every
-	return s.attachIngest()
-}
-
-// attachIngest wires an ingestor around the current pipeline/server pair.
-func (s *pipelineSystem) attachIngest() error {
-	if s.pipe == nil {
-		return fmt.Errorf("ganc: cannot enable ingestion before training")
-	}
-	opts := []IngestorOption{}
-	if s.logPath != "" {
-		opts = append(opts, WithIngestLog(s.logPath))
-	}
-	if s.checkpointPath != "" {
-		opts = append(opts, WithIngestCheckpoint(s.checkpointPath, s.checkpointEvery))
-	}
-	ing, err := NewIngestor(s.srv, s.pipe, opts...)
-	if err != nil {
-		return err
-	}
-	s.ing = ing
-	return nil
+	return s.ing.Checkpoint()
 }
 
 // Ingest implements simulate.System (the shadow's direct path).
 func (s *pipelineSystem) Ingest(ctx context.Context, events []IngestEvent) error {
 	if s.ing == nil {
-		return fmt.Errorf("ganc: ingestion is not enabled on this scenario system")
+		return fmt.Errorf("ganc: scenario system is not ingesting (killed or untrained)")
 	}
 	_, err := s.ing.Apply(ctx, events)
 	return err
 }
 
-// Recover implements simulate.System: after Load, re-attach ingestion and
-// replay the write-ahead-log suffix past the checkpoint cursor.
-func (s *pipelineSystem) Recover() (int, error) {
-	if !s.ingestEnabled {
-		return 0, nil
-	}
-	if s.ing == nil {
-		if err := s.attachIngest(); err != nil {
-			return 0, err
-		}
-	}
-	return s.ing.Recover()
-}
-
 // Kill implements simulate.System: drop everything in memory and release the
-// WAL handle; durable files survive for Load/Recover.
+// WAL handle; durable files survive for Restart.
 func (s *pipelineSystem) Kill() error {
 	var err error
 	if s.ing != nil {
@@ -282,10 +247,18 @@ func (s *pipelineSystem) Kill() error {
 	return err
 }
 
+// Restart implements simulate.System.
+func (s *pipelineSystem) Restart() (int, error) {
+	if err := s.Kill(); err != nil {
+		return 0, err
+	}
+	return s.boot()
+}
+
 // Fingerprint implements simulate.System. The batch sweep mutates Dyn
 // coverage state, so it never runs on the live pipeline: the sweep runs on a
-// throwaway clone rebuilt from the current ingestion state (or an equivalent
-// fresh state for systems that never ingested), leaving serving untouched.
+// throwaway clone rebuilt from the current ingestion state, leaving serving
+// untouched.
 func (s *pipelineSystem) Fingerprint(ctx context.Context) ([]byte, error) {
 	if s.pipe == nil {
 		return nil, fmt.Errorf("ganc: cannot fingerprint a killed scenario system")
@@ -293,28 +266,18 @@ func (s *pipelineSystem) Fingerprint(ctx context.Context) ([]byte, error) {
 	return fingerprintPipeline(ctx, s.pipe, s.ing, nil)
 }
 
-// fingerprintPipeline computes the canonical batch fingerprint of a
-// pipeline's current state (live ingestor state when ing is non-nil, an
-// equivalent fresh view otherwise), sweeping a throwaway clone so serving
-// state is never disturbed. A non-nil keep predicate restricts the
-// fingerprint to the users it accepts — the shard-scoped form.
+// fingerprintPipeline computes the canonical batch fingerprint of the state
+// ing holds around p, sweeping a throwaway clone so serving state is never
+// disturbed. A non-nil keep predicate restricts the fingerprint to the users
+// it accepts — the shard-scoped form.
 func fingerprintPipeline(ctx context.Context, p *Pipeline, ing *Ingestor, keep func(userKey string) bool) ([]byte, error) {
 	kind, err := p.persistable()
 	if err != nil {
 		return nil, err
 	}
-	viewIng := ing
-	if viewIng == nil {
-		// No live ingestor: derive a state view the same way NewIngestor
-		// would, without attaching anything to the server.
-		viewIng, err = NewIngestor(nil, p)
-		if err != nil {
-			return nil, err
-		}
-	}
 	var clone *Pipeline
 	var cloneErr error
-	viewIng.View(func(st *ingest.State) {
+	ing.View(func(st *ingest.State) {
 		clone, cloneErr = p.pipelineFromState(kind, st)
 	})
 	if cloneErr != nil {

@@ -2,14 +2,15 @@ package core
 
 // The property test of the fused walk (scoreTurn → turn.top, and
 // firstOutranks for SurvivesGrowth): a turn is held, list for list and verdict for
-// verdict, to the stages it ran as before they were one loop — normalise,
-// clamp, clamp again, combine, select — written out longhand below and kept
-// here as the oracle.
+// verdict, to the stages it ran as before they were one loop — enumerate the
+// candidates, normalise, clamp, clamp again, combine, select — written out
+// longhand below and kept here as the oracle.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -19,18 +20,28 @@ import (
 	"ganc/internal/types"
 )
 
-// tableScorer scores from a table, so a test chooses every raw score.
-type tableScorer struct{ scores [][]float64 }
+// tableScorer scores from a table, so a test chooses every raw score. An item
+// past a user's row is one the model has no factor row for: it scores oob, as
+// a factor model scores an item the catalog grew by after training.
+type tableScorer struct {
+	scores [][]float64
+	oob    float64
+}
 
-func (s tableScorer) Score(u types.UserID, i types.ItemID) float64 { return s.scores[u][i] }
-func (s tableScorer) Name() string                                 { return "table" }
+func (s tableScorer) Score(u types.UserID, i types.ItemID) float64 {
+	if int(i) >= len(s.scores[u]) {
+		return s.oob
+	}
+	return s.scores[u][i]
+}
+func (s tableScorer) Name() string { return "table" }
 
 // tableScorer32 adds the float32 bulk body the factor models have.
 type tableScorer32 struct{ tableScorer }
 
 func (s tableScorer32) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
 	for k, i := range items {
-		out[k] = float32(s.scores[u][i])
+		out[k] = float32(s.Score(u, i))
 	}
 }
 
@@ -163,20 +174,40 @@ func stagedFirstOutranksRest[T float32 | float64](cand []types.ItemID, gains []T
 	return true
 }
 
+// stagedCandidates is the enumeration stage: every item of the catalog that
+// rated does not name, in ascending order, found by set membership.
+func stagedCandidates(rated []types.ItemID, numItems int) []types.ItemID {
+	seen := make(map[types.ItemID]bool, len(rated))
+	for _, r := range rated {
+		seen[r] = true
+	}
+	var cand []types.ItemID
+	for i := types.ItemID(0); int(i) < numItems; i++ {
+		if !seen[i] {
+			cand = append(cand, i)
+		}
+	}
+	return cand
+}
+
 // fusedUniverse is a train set of users × items in which user u has rated
-// item u, and a score table over it drawn from a palette small enough that
-// gains tie, with the values a broken model produces mixed in: user 0 scores
-// every item the same (a span of 0), users 1 and 2 score finite values only,
-// the rest see NaN and ±Inf too.
-func fusedUniverse(rng *rand.Rand, users, items int) (*dataset.Dataset, tableScorer) {
+// item u, the last user has rated every item, and a score table over it drawn
+// from a palette small enough that gains tie, with the values a broken model
+// produces mixed in: user 0 scores every item the same (a span of 0), users 1
+// and 2 score finite values only, the rest see NaN and ±Inf too. The table is
+// modelItems wide: a catalog grown past it scores the rest out of range.
+func fusedUniverse(rng *rand.Rand, users, items, modelItems int) (*dataset.Dataset, tableScorer) {
 	ratings := []types.Rating{{User: 0, Item: types.ItemID(items - 1), Value: 3}}
 	for u := 0; u < users; u++ {
 		ratings = append(ratings, types.Rating{User: types.UserID(u), Item: types.ItemID(u), Value: 4})
 	}
+	for i := 0; i < items; i++ {
+		ratings = append(ratings, types.Rating{User: types.UserID(users - 1), Item: types.ItemID(i), Value: 2})
+	}
 	palette := []float64{0, 0.25, 0.25, 0.5, 0.5, 1, 2.5, -3, 1e-3, math.NaN(), math.Inf(1), math.Inf(-1)}
 	table := make([][]float64, users)
 	for u := range table {
-		table[u] = make([]float64, items)
+		table[u] = make([]float64, modelItems)
 		for i := range table[u] {
 			switch {
 			case u == 0:
@@ -188,38 +219,69 @@ func fusedUniverse(rng *rand.Rand, users, items int) (*dataset.Dataset, tableSco
 			}
 		}
 	}
-	return dataset.FromRatings("fused", ratings), tableScorer{table}
+	return dataset.FromRatings("fused", ratings), tableScorer{scores: table, oob: 0.5}
+}
+
+// withStrays is a sorted rated run as a turn may be handed one: every
+// identifier twice, and identifiers at and past the catalog's end after them.
+func withStrays(rated []types.ItemID, numItems int) []types.ItemID {
+	var out []types.ItemID
+	for _, r := range rated {
+		out = append(out, r, r)
+	}
+	return append(out, types.ItemID(numItems), types.ItemID(numItems), types.ItemID(numItems+7))
+}
+
+// allocatedBy is the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestFusedWalkMatchesStagedOracle: over random raw scores (NaN, ±Inf, a span
-// of 0, ties at every rank), the walk returns the staged oracle's list and
-// firstOutranks its verdict — in float32 over a float32 bulk body, in
-// float32 over truncated float64 scores, and in float64 (OSLG's sequential
-// phase); under Dyn, Stat and a coverage recommender without a bulk path; for
-// the sorted candidate list of a sweep and the unsorted ones SurvivesGrowth
-// passes, in which an item tying the bar may carry a smaller identifier than
-// the entry it ties — the case the walk's `gain < bar` skip must let through;
-// for n from 0 to past the candidates.
+// of 0, ties at every rank), the walk returns the staged oracle's list over
+// the user's candidates, and firstOutranks its verdict over the item lists
+// SurvivesGrowth passes — in float32 over a float32 bulk body, in float32 over
+// truncated float64 scores, and in float64 (OSLG's sequential phase); under
+// Dyn (its row), Stat (its static row) and the Rand hash stand-in (asked in
+// bulk and one candidate at a time); for the sorted list SurvivesGrowth
+// passes and unsorted ones, in which an item tying the bar may carry a
+// smaller identifier than the entry it ties — the case the walk's
+// `gain < bar` skip must let through; for n from 0 to past the candidates.
+// The walk's edge cases ride along: a rated run holding duplicates and
+// identifiers at or past the catalog (withStrays), a user who rated every
+// item, a user whose scores span 0, n far above the candidate count (the heap
+// is sized by the candidates: a heap sized by n would allocate megabytes),
+// and on odd trials a catalog grown past the model's items, which score the
+// out-of-range fallback.
 func TestFusedWalkMatchesStagedOracle(t *testing.T) {
-	const users, items = 6, 48
+	const users, items = 7, 48
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 8; trial++ {
-		train, table := fusedUniverse(rng, users, items)
+		modelItems := items
+		if trial%2 == 1 {
+			modelItems = items - 6
+		}
+		train, table := fusedUniverse(rng, users, items, modelItems)
 		prefs := longtail.Random(users, int64(trial))
 		prefs.Values[1] = 0 // accuracy alone ranks: ties wherever the palette repeats
 		counts := make([]int, items)
 		for i := range counts {
 			counts[i] = rng.Intn(4)
 		}
-		hash := &hashCoverage{seed: uint64(trial)}
+		hash := hashCoverage{seed: uint64(trial)}
+		dynAt := func(_ types.UserID, i types.ItemID) float64 { return 1 / math.Sqrt(float64(counts[i])+1) }
 		coverages := map[string]struct {
 			crec CoverageRecommender
-			freq []int
 			at   func(u types.UserID, i types.ItemID) float64
 		}{
-			"Dyn":  {NewDynCoverageFrom(counts), counts, func(_ types.UserID, i types.ItemID) float64 { return 1 / math.Sqrt(float64(counts[i])+1) }},
-			"Stat": {NewStatCoverageFromCounts(counts), nil, func(_ types.UserID, i types.ItemID) float64 { return 1 / math.Sqrt(float64(counts[i])+1) }},
-			"Hash": {hash, nil, hash.CoverageScore},
+			"Dyn":      {NewDynCoverageFrom(counts), dynAt},
+			"Stat":     {NewStatCoverageFromCounts(counts), dynAt},
+			"Hash":     {&hash, hash.CoverageScore},
+			"HashBulk": {&hashCoverageBulk{hash}, hash.CoverageScore},
 		}
 		for covName, cov := range coverages {
 			for _, inner := range []recommender.Scorer{table, tableScorer32{table}} {
@@ -230,85 +292,123 @@ func TestFusedWalkMatchesStagedOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					var state coverage // where the callers of a turn read a Dyn state
+					if dyn, ok := cov.crec.(*DynCoverage); ok {
+						state = dyn.frozen(!exact)
+					}
 					for u := types.UserID(0); int(u) < users; u++ {
-						sorted := train.AppendCandidates(u, nil)
-						shuffled := slices.Clone(sorted)
-						rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-						shapes := map[string][]types.ItemID{
-							"sorted":   sorted,
-							"shuffled": shuffled,
-							"grown":    append([]types.ItemID{types.ItemID(10 + rng.Intn(20))}, sorted[len(sorted)-1-rng.Intn(8):]...),
-							"one":      {types.ItemID(rng.Intn(items))},
-						}
-						for shape, cand := range shapes {
-							label := fmt.Sprintf("trial %d %s inner32=%v exact=%v user %d %s", trial, covName, has32, exact, u, shape)
-							covs := make([]float64, len(cand))
-							for k, i := range cand {
-								covs[k] = cov.at(u, i)
+						for _, strays := range []bool{false, true} {
+							rated := train.UserItemsSorted(u)
+							if strays {
+								rated = withStrays(rated, items)
 							}
+							label := fmt.Sprintf("trial %d %s inner32=%v exact=%v user %d strays=%v", trial, covName, has32, exact, u, strays)
 							// The accuracy stage as it was staged: the model's
 							// scores at the width the normaliser reads them, its
 							// range over the catalog, the min–max loop, the clamp
 							// ScorerAccuracy repeated, then the combine.
-							catalog := slices.Clone(table.scores[u])
-							raw := make([]float64, len(cand))
-							for k, i := range cand {
-								raw[k] = table.scores[u][i]
-							}
-							if has32 {
-								for _, s := range [][]float64{catalog, raw} {
-									for k := range s {
-										s[k] = float64(float32(s[k]))
-									}
+							catalog := make([]float64, items)
+							for i := range catalog {
+								catalog[i] = table.Score(u, types.ItemID(i))
+								if has32 {
+									catalog[i] = float64(float32(catalog[i]))
 								}
 							}
-							min, max := stagedRange(catalog)
+							lo, hi := stagedRange(catalog)
 							theta := prefs.Get(u)
-
-							sc := new(sweepScratch)
-							scored := g.scoreTurn(u, cand, cov.freq, exact, sc)
-							var wantTop func(n int) types.TopNSet
-							var wantFirst bool
-							if exact {
-								stagedNormalise64(raw, min, max)
-								stagedClamp(raw)
-								stagedCombine(raw, theta, covs)
-								wantTop = func(n int) types.TopNSet { return stagedSelect(cand, raw, n) }
-								wantFirst = stagedFirstOutranksRest(cand, raw)
-							} else {
+							gainsOf := func(cand []types.ItemID) (g64 []float64, g32 []float32) {
+								covs := make([]float64, len(cand))
+								raw := make([]float64, len(cand))
+								for k, i := range cand {
+									covs[k], raw[k] = cov.at(u, i), catalog[i]
+								}
+								if exact {
+									stagedNormalise64(raw, lo, hi)
+									stagedClamp(raw)
+									stagedCombine(raw, theta, covs)
+									return raw, nil
+								}
 								acc := make([]float32, len(cand))
 								if has32 {
 									for k, v := range raw {
 										acc[k] = float32(v)
 									}
-									stagedNormalise32(acc, min, max)
+									stagedNormalise32(acc, lo, hi)
 								} else {
-									stagedNormalise64(raw, min, max)
+									stagedNormalise64(raw, lo, hi)
 									for k, v := range raw {
 										acc[k] = float32(v)
 									}
 								}
 								stagedClamp(acc)
 								stagedCombine(acc, theta, covs)
-								wantTop = func(n int) types.TopNSet { return stagedSelect(cand, acc, n) }
-								wantFirst = stagedFirstOutranksRest(cand, acc)
+								return nil, acc
 							}
+							cand := stagedCandidates(rated, items)
+							g64, g32 := gainsOf(cand)
+							wantTop := func(n int) types.TopNSet {
+								if exact {
+									return stagedSelect(cand, g64, n)
+								}
+								return stagedSelect(cand, g32, n)
+							}
+
+							sc := new(sweepScratch)
+							scored := g.scoreTurn(u, rated, state, exact, sc)
 							if (scored.raw32 != nil) == exact {
 								t.Fatalf("%s: scored in float32: %v", label, scored.raw32 != nil)
-							}
-							var got bool
-							if exact {
-								got = firstOutranks(cand, scored.raw64, scored.map64, theta, cov.freq, scored.covs)
-							} else {
-								got = firstOutranks(cand, scored.raw32, scored.map32, float32(theta), cov.freq, scored.covs)
-							}
-							if got != wantFirst {
-								t.Fatalf("%s: firstOutranks = %v, staged oracle %v", label, got, wantFirst)
 							}
 							for _, n := range []int{0, 1, 3, len(cand), len(cand) + 5} {
 								got, want := scored.top(n), wantTop(n)
 								if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 									t.Fatalf("%s n=%d: walk %v, staged oracle %v", label, n, got, want)
+								}
+							}
+							var got types.TopNSet
+							if bytes := allocatedBy(func() { got = scored.top(1 << 20) }); bytes > 1<<16 {
+								t.Fatalf("%s: a walk with n = 2^20 allocated %d bytes for %d candidates", label, bytes, len(cand))
+							}
+							if want := wantTop(len(cand)); !slices.Equal(got, want) {
+								t.Fatalf("%s n=2^20: walk %v, staged oracle %v", label, got, want)
+							}
+
+							// firstOutranks over SurvivesGrowth's list shapes, on
+							// the turn's catalog scores and a full coverage row.
+							if len(cand) == 0 || strays {
+								continue
+							}
+							row := make([]float64, items)
+							for i := range row {
+								row[i] = cov.at(u, types.ItemID(i))
+							}
+							shuffled := slices.Clone(cand)
+							rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+							shapes := map[string][]types.ItemID{
+								"sorted":   cand,
+								"shuffled": shuffled,
+								"grown":    append([]types.ItemID{types.ItemID(10 + rng.Intn(20))}, cand[len(cand)-1-rng.Intn(min(8, len(cand))):]...),
+								"one":      {types.ItemID(rng.Intn(items))},
+							}
+							for shape, list := range shapes {
+								g64, g32 := gainsOf(list)
+								var got, want bool
+								if exact {
+									raw := make([]float64, len(list))
+									for k, i := range list {
+										raw[k] = scored.raw64[i]
+									}
+									got = firstOutranks(list, raw, scored.map64, theta, row)
+									want = stagedFirstOutranksRest(list, g64)
+								} else {
+									raw := make([]float32, len(list))
+									for k, i := range list {
+										raw[k] = scored.raw32[i]
+									}
+									got = firstOutranks(list, raw, scored.map32, float32(theta), row)
+									want = stagedFirstOutranksRest(list, g32)
+								}
+								if got != want {
+									t.Fatalf("%s %s: firstOutranks = %v, staged oracle %v", label, shape, got, want)
 								}
 							}
 						}

@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"runtime"
@@ -63,15 +64,15 @@ type CoverageRecommender interface {
 // --- Accuracy recommender adapters -------------------------------------------
 
 // BulkAccuracy is the batch companion of AccuracyRecommender: one call fills
-// a preallocated buffer with user u's scores for items and returns the map
-// that takes each to a(i) — the identity, or the min–max map of a normalised
-// model's raw scores, which a turn applies in the walk it makes anyway. Mapped,
-// the values are exactly what AccuracyScore returns (accuracy scores are
-// stateless by contract, so buffering them for a sweep is sound).
+// a catalog-wide buffer with user u's scores for every item and returns the
+// map that takes each to a(i) — the identity, or the min–max map of a
+// normalised model's raw scores, which a turn applies in the walk it makes
+// anyway. Mapped, the values are exactly what AccuracyScore returns (accuracy
+// scores are stateless by contract, so buffering them for a sweep is sound).
 type BulkAccuracy interface {
-	// AccuracyScores fills out[k] with the score the returned map takes to
-	// a(items[k]) for user u; len(out) == len(items).
-	AccuracyScores(u types.UserID, items []types.ItemID, out []float64) recommender.MinMax[float64]
+	// AccuracyScores fills out[i] with the score the returned map takes to
+	// a(i) for user u, for every item i below len(out) — the catalog's size.
+	AccuracyScores(u types.UserID, out []float64) recommender.MinMax[float64]
 }
 
 // BulkAccuracy32 is the float32 companion of BulkAccuracy. Implementations
@@ -80,8 +81,8 @@ type BulkAccuracy interface {
 // gains and selection — everywhere but OSLG's sequential phase; one that does
 // not is swept in float64.
 type BulkAccuracy32 interface {
-	// AccuracyScores32 is AccuracyScores into a float32 arena.
-	AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) recommender.MinMax[float32]
+	// AccuracyScores32 is AccuracyScores into a float32 buffer.
+	AccuracyScores32(u types.UserID, out []float32) recommender.MinMax[float32]
 }
 
 // ScorerAccuracy adapts any recommender.Scorer whose scores are already in
@@ -95,24 +96,24 @@ func (s *ScorerAccuracy) AccuracyScore(u types.UserID, i types.ItemID) float64 {
 	return recommender.Identity[float64]().At(s.Scorer.Score(u, i))
 }
 
-// AccuracyScores implements BulkAccuracy: a normaliser's raw scores and the
-// user's map; any other scorer's bulk scores and the identity, whose clamp to
-// [0,1] is AccuracyScore's.
-func (s *ScorerAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, out []float64) recommender.MinMax[float64] {
+// AccuracyScores implements BulkAccuracy: a normaliser's raw catalog scores
+// and the user's map; any other scorer's bulk scores of the catalog and the
+// identity, whose clamp to [0,1] is AccuracyScore's.
+func (s *ScorerAccuracy) AccuracyScores(u types.UserID, out []float64) recommender.MinMax[float64] {
 	if norm, ok := s.Scorer.(*recommender.NormalizedScorer); ok {
-		return norm.RawScores(u, items, out)
+		return norm.CatalogScores(u, out)
 	}
-	recommender.BulkScores(s.Scorer, u, items, out)
+	recommender.BulkScores(s.Scorer, u, recommender.CatalogItems(len(out)), out)
 	return recommender.Identity[float64]()
 }
 
 // AccuracyScores32 implements BulkAccuracy32 likewise, through the scorer's
 // float32 bulk path when it has one (recommender.BulkScores32).
-func (s *ScorerAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) recommender.MinMax[float32] {
+func (s *ScorerAccuracy) AccuracyScores32(u types.UserID, out []float32) recommender.MinMax[float32] {
 	if norm, ok := s.Scorer.(*recommender.NormalizedScorer); ok {
-		return norm.RawScores32(u, items, out)
+		return norm.CatalogScores32(u, out)
 	}
-	recommender.BulkScores32(s.Scorer, u, items, out)
+	recommender.BulkScores32(s.Scorer, u, recommender.CatalogItems(len(out)), out)
 	return recommender.Identity[float32]()
 }
 
@@ -132,7 +133,7 @@ type PopAccuracy struct {
 	// cache maps a user to their top-N membership bitset: bit i set means
 	// item i is in the user's popularity top-N. A bitset row costs |I|/8
 	// bytes and answers a membership probe with one shift instead of a map
-	// probe, which is what the candidate-sweep hot loop does per item.
+	// probe, which is what a turn's catalog-wide fill does per item.
 	cache    map[types.UserID][]uint64
 	cacheCap int
 }
@@ -194,22 +195,22 @@ func (p *PopAccuracy) AccuracyScore(u types.UserID, i types.ItemID) float64 {
 }
 
 // AccuracyScores implements BulkAccuracy: the membership bitset is resolved
-// once for the whole candidate slice.
-func (p *PopAccuracy) AccuracyScores(u types.UserID, items []types.ItemID, out []float64) recommender.MinMax[float64] {
-	return fillIndicators(p.topBits(u), items, out)
+// once for the whole catalog.
+func (p *PopAccuracy) AccuracyScores(u types.UserID, out []float64) recommender.MinMax[float64] {
+	return fillIndicators(p.topBits(u), out)
 }
 
 // AccuracyScores32 implements BulkAccuracy32: indicator scores are exact in
 // float32, so the float32 sweep reads the same memberships.
-func (p *PopAccuracy) AccuracyScores32(u types.UserID, items []types.ItemID, out []float32) recommender.MinMax[float32] {
-	return fillIndicators(p.topBits(u), items, out)
+func (p *PopAccuracy) AccuracyScores32(u types.UserID, out []float32) recommender.MinMax[float32] {
+	return fillIndicators(p.topBits(u), out)
 }
 
-func fillIndicators[T float32 | float64](bits []uint64, items []types.ItemID, out []T) recommender.MinMax[T] {
-	for k, i := range items {
-		out[k] = 0
-		if inBits(bits, i) {
-			out[k] = 1
+func fillIndicators[T float32 | float64](bits []uint64, out []T) recommender.MinMax[T] {
+	for i := range out {
+		out[i] = 0
+		if inBits(bits, types.ItemID(i)) {
+			out[i] = 1
 		}
 	}
 	return recommender.Identity[T]()
@@ -221,13 +222,15 @@ func (p *PopAccuracy) Name() string { return "Pop" }
 // --- Coverage recommenders ----------------------------------------------------
 
 // BulkCoverage is the batch companion of CoverageRecommender, as BulkAccuracy
-// is of AccuracyRecommender: one call fills a preallocated buffer with the
-// values CoverageScore would return. Stat and Rand implement it; Dyn scores
-// are computed by the optimizer from a frequency vector.
+// is of AccuracyRecommender: one call fills a catalog-indexed row with the
+// values CoverageScore would return for a user's candidates. Rand implements
+// it; a turn reads Stat's static row as it is, and Dyn's rows are built from
+// a frequency state (coverage).
 type BulkCoverage interface {
-	// CoverageScores fills out[k] with c(items[k]) for user u;
-	// len(out) == len(items).
-	CoverageScores(u types.UserID, items []types.ItemID, out []float64)
+	// CoverageRow sets row[i] to c(i) for user u for every candidate i: every
+	// item below len(row) outside the sorted run rated, in ascending order
+	// (candidateRuns). It leaves the other entries alone.
+	CoverageRow(u types.UserID, rated []types.ItemID, row []float64)
 }
 
 // invSqrtTab caches 1/√(f+1) for small frequencies f. Coverage scores are
@@ -270,14 +273,12 @@ func (r *RandCoverage) CoverageScore(types.UserID, types.ItemID) float64 {
 	return r.rng.Float64()
 }
 
-// CoverageScores implements BulkCoverage: the mutex is taken once per sweep
-// instead of once per item.
-func (r *RandCoverage) CoverageScores(_ types.UserID, items []types.ItemID, out []float64) {
+// CoverageRow implements BulkCoverage: the mutex is taken once per sweep
+// instead of once per item, and the draws are taken in candidate order.
+func (r *RandCoverage) CoverageRow(_ types.UserID, rated []types.ItemID, row []float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k := range items {
-		out[k] = r.rng.Float64()
-	}
+	fillCandidates(row, rated, func(types.ItemID) float64 { return r.rng.Float64() })
 }
 
 // Observe implements CoverageRecommender (no state).
@@ -310,18 +311,6 @@ func (s *StatCoverage) CoverageScore(_ types.UserID, i types.ItemID) float64 {
 	return s.scores[i]
 }
 
-// CoverageScores implements BulkCoverage: a vectorized lookup of the
-// precomputed static scores.
-func (s *StatCoverage) CoverageScores(_ types.UserID, items []types.ItemID, out []float64) {
-	for k, i := range items {
-		if int(i) >= len(s.scores) {
-			out[k] = 0
-			continue
-		}
-		out[k] = s.scores[i]
-	}
-}
-
 // Observe implements CoverageRecommender (no state).
 func (s *StatCoverage) Observe(types.ItemID) {}
 
@@ -335,14 +324,14 @@ func (s *StatCoverage) Name() string { return "Stat" }
 type DynCoverage struct {
 	freq []int
 
-	// gen counts mutations of freq; FrozenFrequencies compares it against
-	// snapGen to decide whether the cached read-only snapshot is still
-	// current. Observe (the batch path) must not run concurrently with
-	// readers, per the engine contract; snapMu only serializes concurrent
-	// online snapshot requests against each other.
+	// gen counts mutations of freq; frozen compares it against snapGen to
+	// decide whether the cached read-only row is still current. Observe (the
+	// batch path) must not run concurrently with readers, per the engine
+	// contract; snapMu only serializes concurrent online row requests against
+	// each other.
 	gen     uint64
 	snapMu  sync.Mutex
-	snap    []int
+	snap    coverage
 	snapGen uint64
 	hasSnap bool
 }
@@ -373,28 +362,46 @@ func (d *DynCoverage) Observe(i types.ItemID) {
 func (d *DynCoverage) Name() string { return "Dyn" }
 
 // Frequencies returns a copy of the current recommendation-frequency state
-// (OSLG snapshots it per sampled user).
+// (what an engine snapshot persists).
 func (d *DynCoverage) Frequencies() []int {
 	out := make([]int, len(d.freq))
 	copy(out, d.freq)
 	return out
 }
 
-// FrozenFrequencies returns a read-only snapshot of the current frequency
-// state for the online serving path. The snapshot is cached and shared across
-// requests until the next mutation: when the generation counter has moved, a
-// fresh slice is built (never the old one re-filled, since earlier callers
-// may still be reading it), otherwise the call is a mutex-protected pointer
-// read. Callers must not modify the returned slice.
-func (d *DynCoverage) FrozenFrequencies() []int {
+// frozen returns the coverage row of the current frequency state for the
+// online serving path, at the walk's width (float32 when f32 is set). The row
+// is cached and shared across requests until the next mutation: when the
+// generation counter has moved, or the width asked is the other one, a fresh
+// row is built (never the old one re-filled, since earlier callers may still
+// be reading it), otherwise the call is a mutex-protected read. Callers must
+// not modify the row.
+func (d *DynCoverage) frozen(f32 bool) coverage {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
-	if !d.hasSnap || d.snapGen != d.gen {
-		d.snap = append([]int(nil), d.freq...)
-		d.snapGen = d.gen
-		d.hasSnap = true
+	if !d.hasSnap || d.snapGen != d.gen || (d.snap.row32 != nil) != f32 {
+		d.snap, d.snapGen, d.hasSnap = dynRow(d.freq, f32), d.gen, true
 	}
 	return d.snap
+}
+
+// dynRow is the coverage row of the Dyn frequency state freq, c(i) =
+// 1/√(f_i+1) for every item, at the walk's width (float32 when f32 is set).
+// Every frequency state a turn reads has one: the frozen state of the online
+// path, and OSLG's snapshot after each sampled user.
+func dynRow(freq []int, f32 bool) coverage {
+	if f32 {
+		return coverage{row32: invSqrtRow[float32](freq)}
+	}
+	return coverage{row64: invSqrtRow[float64](freq)}
+}
+
+func invSqrtRow[T float32 | float64](freq []int) []T {
+	row := make([]T, len(freq))
+	for i, f := range freq {
+		row[i] = T(invSqrtFreq(f))
+	}
+	return row
 }
 
 // NumItems returns the catalog size the recommender was built for.
@@ -443,6 +450,9 @@ type GANC struct {
 	prefs    *longtail.Preferences
 	train    *dataset.Dataset
 	numItems int
+	// f32 is set when the accuracy recommender is a BulkAccuracy32: every
+	// turn but OSLG's sequential phase then runs in float32.
+	f32 bool
 }
 
 // New assembles a GANC instance from its three components, following the
@@ -460,6 +470,10 @@ func New(train *dataset.Dataset, arec AccuracyRecommender, prefs *longtail.Prefe
 	if dyn, ok := crec.(*DynCoverage); ok && dyn.NumItems() != train.NumItems() {
 		return nil, fmt.Errorf("core: Dyn frequency vector covers %d items but train set has %d", dyn.NumItems(), train.NumItems())
 	}
+	if stat, ok := crec.(*StatCoverage); ok && len(stat.scores) != train.NumItems() {
+		return nil, fmt.Errorf("core: Stat scores cover %d items but train set has %d", len(stat.scores), train.NumItems())
+	}
+	_, f32 := arec.(BulkAccuracy32)
 	return &GANC{
 		cfg:      cfg,
 		arec:     arec,
@@ -467,6 +481,7 @@ func New(train *dataset.Dataset, arec AccuracyRecommender, prefs *longtail.Prefe
 		prefs:    prefs,
 		train:    train,
 		numItems: train.NumItems(),
+		f32:      f32,
 	}, nil
 }
 
@@ -504,17 +519,18 @@ func (g *GANC) marginalGain(u types.UserID, i types.ItemID) float64 {
 
 // --- The per-user sweep -------------------------------------------------------
 
-// sweepScratch holds one worker's reusable buffers: the candidate slice and
-// the score buffers aligned with it (a coverage recommender's scores, float64
-// accuracy scores and float32 ones). One scratch serves one sweep at a time. Every
-// buffer starts empty and grows to what the sweeps using it need, so a scratch
-// fits any instance and any catalog size, and none of them points into the
-// instance it last served.
+// sweepScratch holds one worker's reusable buffers: the catalog-indexed rows a
+// turn scores into (float32 and float64 accuracy scores, and the coverage row
+// of a recommender that is asked), and the short item list SurvivesGrowth
+// scores. One scratch serves one sweep at a time. Every buffer starts empty
+// and grows to what the sweeps using it need, so a scratch fits any instance
+// and any catalog size, and none of them points into the instance it last
+// served.
 type sweepScratch struct {
-	cand  []types.ItemID
-	covs  []float64
-	raw64 []float64
 	raw32 []float32
+	raw64 []float64
+	cov   []float64
+	cand  []types.ItemID
 }
 
 // scratchPool recycles sweep scratches across requests, batch workers and
@@ -535,10 +551,43 @@ func sized[T float32 | float64](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// sweepUser builds one user's top-n set in three stages: enumerate the
-// candidates (a linear merge against the user's sorted train adjacency), score
-// them (scoreTurn: one bulk accuracy call) and walk them once (turn.top): map,
-// combine, and keep the n largest gains, ties to the smaller ItemID.
+// candidateRuns yields the candidates of a user whose sorted rated run is
+// rated — the items below numItems it does not name — as the runs [lo, hi)
+// between its items, in ascending order. A duplicate in the run, and an
+// identifier at or past numItems, are passed over, as
+// dataset.AppendCandidates passes them.
+func candidateRuns(rated []types.ItemID, numItems int) iter.Seq2[int, int] {
+	return func(yield func(lo, hi int) bool) {
+		next := 0
+		for _, r := range rated {
+			if int(r) >= numItems {
+				break
+			}
+			if int(r) < next {
+				continue
+			}
+			if !yield(next, int(r)) {
+				return
+			}
+			next = int(r) + 1
+		}
+		yield(next, numItems)
+	}
+}
+
+// coverage is where a turn reads c(i): a catalog-indexed row — row32 beside a
+// float32 walk of a Dyn state, row64 otherwise — or neither, and the turn asks
+// the coverage recommender.
+type coverage struct {
+	row32 []float32
+	row64 []float64
+}
+
+// sweepUser builds one user's top-n set in one pass over item-indexed
+// buffers: one bulk accuracy call scores the user's whole catalog (scoreTurn)
+// and one walk reads each candidate's score and c(i) by item ID, skipping the
+// user's sorted rated run, and keeps the n largest gains, ties to the smaller
+// ItemID (turn.top). No candidate list is built.
 //
 // One scoring pass is the whole of a user's turn in Algorithm 1 (lines 5–9),
 // for every coverage recommender. The turn picks n distinct items, and the
@@ -546,131 +595,146 @@ func sized[T float32 | float64](buf *[]T, n int) []T {
 // CoverageRecommender contract; for Dyn, its frequency), which has left the
 // pool. Every remaining candidate's gain is what it was when the turn began,
 // so the locally greedy sequence of picks is the candidates in decreasing
-// order of that gain.
+// order of that gain. The caller observes the picks, if anyone does.
 //
-// freq, when non-nil, is the Dyn frequency vector the coverage scores are
-// computed from: a frozen snapshot (the online path, OSLG's out-of-sample
-// phase) or the live vector (OSLG's sequential phase — with observe set, the
-// picks are reported once the walk is done). With freq nil the coverage
-// recommender is asked. exact keeps the turn in float64 whatever the accuracy
-// recommender offers.
-func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, freq []int, exact, observe bool, sc *sweepScratch) (types.TopNSet, error) {
+// cov is the row c(i) is read from: a Dyn frequency state's row (the frozen
+// state of the online path, OSLG's snapshots, the live state of its sequential
+// phase), or none, and the coverage recommender is asked. exact keeps the turn
+// in float64 whatever the accuracy recommender offers; a row32 comes only with
+// a turn that is not.
+func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, cov coverage, exact bool, sc *sweepScratch) (types.TopNSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sc.cand = g.train.AppendCandidates(u, sc.cand[:0])
-	t := g.scoreTurn(u, sc.cand, freq, exact, sc)
+	t := g.scoreTurn(u, g.train.UserItemsSorted(u), cov, exact, sc)
 	// Scoring is most of a sweep's cost on a large catalog: a caller that
 	// gave up during it is answered before the walk.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	set := t.top(n)
-	if observe {
-		for _, i := range set {
-			g.crec.Observe(i)
-		}
-	}
-	return set, nil
+	return t.top(n), nil
 }
 
-// turn is a user's candidates after the scoring stage: the bulk call's scores
-// aligned with cand (raw32 when the turn runs in float32, raw64 when in
-// float64), the map that takes them to a(i), and where c(i) is read.
+// turn is a user's turn after the scoring stage: the bulk call's scores of the
+// whole catalog, indexed by item (raw32 when the turn runs in float32, raw64
+// when in float64), the map that takes them to a(i), the row c(i) is read
+// from, and the user's sorted rated run, which the walk skips.
 type turn struct {
-	cand  []types.ItemID
 	raw32 []float32
 	map32 recommender.MinMax[float32]
 	raw64 []float64
 	map64 recommender.MinMax[float64]
 	theta float64
-	freq  []int
-	covs  []float64
+	coverage
+	rated []types.ItemID
 }
 
 // scoreTurn is the scoring stage of a turn, and the one place its arithmetic
-// is chosen: one bulk accuracy call into a scratch buffer aligned with cand.
-// An accuracy recommender that implements BulkAccuracy32 is scored and walked
-// in float32, to the documented tolerance (DESIGN.md §12), unless exact is
-// set; any other, in float64. With freq nil the coverage recommender is asked:
-// one bulk call, or one CoverageScore per item — sound once per sweep under
-// its contract.
-func (g *GANC) scoreTurn(u types.UserID, cand []types.ItemID, freq []int, exact bool, sc *sweepScratch) turn {
-	t := turn{cand: cand, theta: g.prefs.Get(u), freq: freq}
-	if freq == nil {
-		t.covs = sized(&sc.covs, len(cand))
-		if bc, ok := g.crec.(BulkCoverage); ok {
-			bc.CoverageScores(u, cand, t.covs)
-		} else {
-			for k, i := range cand {
-				t.covs[k] = g.crec.CoverageScore(u, i)
-			}
+// is chosen: one bulk accuracy call into a catalog-wide scratch buffer. An
+// accuracy recommender that implements BulkAccuracy32 is scored and walked in
+// float32, to the documented tolerance (DESIGN.md §12), unless exact is set;
+// any other, in float64, and one that is not a BulkAccuracy is asked one
+// candidate at a time. Without a row in cov, Stat's static row is read as it
+// is, and any other coverage recommender fills the scratch row for the
+// candidates: one bulk call, or one CoverageScore per candidate — sound once
+// per sweep under its contract.
+func (g *GANC) scoreTurn(u types.UserID, rated []types.ItemID, cov coverage, exact bool, sc *sweepScratch) turn {
+	t := turn{theta: g.prefs.Get(u), coverage: cov, rated: rated}
+	if cov.row32 == nil && cov.row64 == nil {
+		switch crec := g.crec.(type) {
+		case *StatCoverage:
+			t.row64 = crec.scores
+		case BulkCoverage:
+			t.row64 = sized(&sc.cov, g.numItems)
+			crec.CoverageRow(u, rated, t.row64)
+		default:
+			t.row64 = sized(&sc.cov, g.numItems)
+			fillCandidates(t.row64, rated, func(i types.ItemID) float64 { return crec.CoverageScore(u, i) })
 		}
 	}
-	if ba, ok := g.arec.(BulkAccuracy32); ok && !exact {
-		t.raw32 = sized(&sc.raw32, len(cand))
-		t.map32 = ba.AccuracyScores32(u, cand, t.raw32)
+	if g.f32 && !exact {
+		t.raw32 = sized(&sc.raw32, g.numItems)
+		t.map32 = g.arec.(BulkAccuracy32).AccuracyScores32(u, t.raw32)
 		return t
 	}
-	t.raw64, t.map64 = sized(&sc.raw64, len(cand)), recommender.Identity[float64]()
+	t.raw64, t.map64 = sized(&sc.raw64, g.numItems), recommender.Identity[float64]()
 	if ba, ok := g.arec.(BulkAccuracy); ok {
-		t.map64 = ba.AccuracyScores(u, cand, t.raw64)
+		t.map64 = ba.AccuracyScores(u, t.raw64)
 		return t
 	}
-	for k, i := range cand {
-		t.raw64[k] = g.arec.AccuracyScore(u, i)
-	}
+	fillCandidates(t.raw64, rated, func(i types.ItemID) float64 { return g.arec.AccuracyScore(u, i) })
 	return t
+}
+
+// fillCandidates sets row[i] to at(i) for every candidate i, in ascending
+// order.
+func fillCandidates(row []float64, rated []types.ItemID, at func(types.ItemID) float64) {
+	for lo, hi := range candidateRuns(rated, len(row)) {
+		for i := lo; i < hi; i++ {
+			row[i] = at(types.ItemID(i))
+		}
+	}
 }
 
 // top walks the turn once: its n candidates of largest gain, best first.
 func (t *turn) top(n int) types.TopNSet {
-	if t.raw32 != nil {
-		return topGains(t.cand, t.raw32, t.map32, float32(t.theta), t.freq, t.covs, n)
+	switch {
+	case t.raw32 != nil && t.row32 != nil:
+		return walk(t.raw32, t.map32, float32(t.theta), t.row32, t.rated, n)
+	case t.raw32 != nil:
+		return walk(t.raw32, t.map32, float32(t.theta), t.row64, t.rated, n)
 	}
-	return topGains(t.cand, t.raw64, t.map64, t.theta, t.freq, t.covs, n)
+	return walk(t.raw64, t.map64, t.theta, t.row64, t.rated, n)
 }
 
 // gainOf is the one place a gain is computed: (1−θ)·a(i) + θ·c(i) in the
-// arithmetic of T, a(i) the candidate's raw score through the user's map.
-func gainOf[T float32 | float64](raw T, m recommender.MinMax[T], theta T, c float64) T {
+// arithmetic of T, a(i) the item's raw score through the user's map.
+func gainOf[T, C float32 | float64](raw T, m recommender.MinMax[T], theta T, c C) T {
 	return (1-theta)*m.At(raw) + theta*T(c)
 }
 
-// coverageOf is c(i) of the k-th candidate i: its entry in covs, or under freq
-// its Dyn score (an item outside the vector has never been recommended).
-func coverageOf(k int, i types.ItemID, freq []int, covs []float64) float64 {
-	switch {
-	case freq == nil:
-		return covs[k]
-	case int(i) < len(freq):
-		return invSqrtFreq(freq[i])
-	}
-	return invSqrtFreq(0)
-}
-
-// topGains is the walk of a turn: each gain is held against the bar of the n
-// best so far, and only one that reaches it touches the heap, whose rule decides.
-func topGains[T float32 | float64](cand []types.ItemID, raw []T, m recommender.MinMax[T], theta T, freq []int, covs []float64, n int) types.TopNSet {
+// walk is the walk of a turn: raw and cov are indexed by item over the whole
+// catalog, and the candidates are read run by run between the rated items.
+// Each gain is held against the bar of the n best so far, and only one that
+// reaches it touches the heap, whose rule decides. The heap holds at most as
+// many entries as there are candidates, whatever n asks.
+func walk[T, C float32 | float64](raw []T, m recommender.MinMax[T], theta T, cov []C, rated []types.ItemID, n int) types.TopNSet {
 	if n <= 0 {
 		return nil
 	}
-	h := recommender.NewTopHeap[T](min(n, len(cand)))
+	candidates := 0
+	for lo, hi := range candidateRuns(rated, len(raw)) {
+		candidates += hi - lo
+	}
+	h := recommender.NewTopHeap[T](min(n, candidates))
 	bar := T(math.Inf(-1))
-	for k, i := range cand {
-		if g := gainOf(raw[k], m, theta, coverageOf(k, i, freq, covs)); !(g < bar) {
-			bar = h.Offer(i, g)
-		}
+	for lo, hi := range candidateRuns(rated, len(raw)) {
+		bar = walkRun(&h, bar, raw[lo:hi], cov[lo:hi], lo, m, theta)
 	}
 	return h.Ranked()
 }
 
-// firstOutranks reports whether cand[0] ranks above every other candidate
-// under the selection's rule, on the gains the walk computes.
-func firstOutranks[T float32 | float64](cand []types.ItemID, raw []T, m recommender.MinMax[T], theta T, freq []int, covs []float64) bool {
-	first := gainOf(raw[0], m, theta, coverageOf(0, cand[0], freq, covs))
+// walkRun offers the items [lo, lo+len(raw)) of one run to h and returns the
+// bar it leaves. It is a function of its own so that the bar lives in a
+// register: in the body of walk's range-over-func loop it would be a variable
+// captured by reference, and the walk measurably slower.
+func walkRun[T, C float32 | float64](h *recommender.TopHeap[T], bar T, raw []T, cov []C, lo int, m recommender.MinMax[T], theta T) T {
+	cov = cov[:len(raw)]
+	for k, s := range raw {
+		if g := gainOf(s, m, theta, cov[k]); !(g < bar) {
+			bar = h.Offer(types.ItemID(lo+k), g)
+		}
+	}
+	return bar
+}
+
+// firstOutranks reports whether cand[0] ranks above every other item of cand
+// under the selection's rule, on the gains the walk computes: raw is aligned
+// with cand, cov indexed by item.
+func firstOutranks[T, C float32 | float64](cand []types.ItemID, raw []T, m recommender.MinMax[T], theta T, cov []C) bool {
+	first := gainOf(raw[0], m, theta, cov[cand[0]])
 	for k := 1; k < len(cand); k++ {
-		g := gainOf(raw[k], m, theta, coverageOf(k, cand[k], freq, covs))
+		g := gainOf(raw[k], m, theta, cov[cand[k]])
 		if !recommender.RanksBelow(cand[k], g, cand[0], first) {
 			return false
 		}
@@ -685,11 +749,13 @@ func firstOutranks[T float32 | float64](cand []types.ItemID, raw []T, m recommen
 // accuracy recommender is a min–max normaliser whose range for u the new
 // items did not widen (recommender.RangeHeldSince). And no new item
 // out-ranks the list's last: the items [from, numItems) are scored beside it
-// through the scoring stage of a sweep (scoreTurn) and each must rank below
-// it under the selection's own rule, on the gain the walk computes (gainOf).
-// New items u has rated since are scored too — they have left the pool, so at
-// worst a list that would have survived is recomputed. Any other accuracy
-// recommender, and a coverage recommender but Dyn or Stat, answers false.
+// — a short list, one bulk call through the normaliser's float32 path, as a
+// turn of a ScorerAccuracy runs — and each must rank below it under the
+// selection's own rule, on the gain the walk computes (gainOf), c(i) read from
+// the row a turn reads. New items u has rated since are scored too — they have
+// left the pool, so at worst a list that would have survived is recomputed.
+// Any other accuracy recommender, and a coverage recommender but Dyn or Stat,
+// answers false.
 func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool {
 	sa, ok := g.arec.(*ScorerAccuracy)
 	if !ok || len(list) == 0 {
@@ -699,11 +765,12 @@ func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool
 	if !ok {
 		return false
 	}
-	var freq []int
+	var cov coverage
 	switch crec := g.crec.(type) {
 	case *DynCoverage:
-		freq = crec.FrozenFrequencies()
+		cov = crec.frozen(true)
 	case *StatCoverage:
+		cov.row64 = crec.scores
 	default:
 		return false
 	}
@@ -718,8 +785,12 @@ func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool
 		cand = append(cand, types.ItemID(i))
 	}
 	sc.cand = cand
-	t := g.scoreTurn(u, cand, freq, false, sc) // in float32: a ScorerAccuracy is a BulkAccuracy32
-	return firstOutranks(cand, t.raw32, t.map32, float32(t.theta), freq, t.covs)
+	raw := sized(&sc.raw32, len(cand))
+	m, theta := norm.RawScores32(u, cand, raw), float32(g.prefs.Get(u))
+	if cov.row32 != nil {
+		return firstOutranks(cand, raw, m, theta, cov.row32)
+	}
+	return firstOutranks(cand, raw, m, theta, cov.row64)
 }
 
 // forEachShard splits [0, count) into contiguous ranges across the configured
@@ -776,7 +847,10 @@ func (g *GANC) Recommend() types.Recommendations {
 		sc := getScratch()
 		defer scratchPool.Put(sc)
 		for u := lo; u < hi; u++ {
-			sets[u], _ = g.sweepUser(ctx, types.UserID(u), g.cfg.N, nil, false, true, sc)
+			sets[u], _ = g.sweepUser(ctx, types.UserID(u), g.cfg.N, coverage{}, false, sc)
+			for _, i := range sets[u] {
+				g.crec.Observe(i)
+			}
 		}
 	})
 	recs := make(types.Recommendations, numUsers)
@@ -791,8 +865,8 @@ func (g *GANC) TopN() int { return g.cfg.N }
 
 // RecommendUser computes a single user's top-N list on demand, without
 // touching any other user. With the Dyn coverage recommender the sweep runs
-// against the shared frozen snapshot of the frequency state (rebuilt only
-// when the state has actually mutated, see DynCoverage.FrozenFrequencies),
+// against the shared frozen row of the frequency state (rebuilt only when the
+// state has actually mutated, see DynCoverage.frozen),
 // so concurrent RecommendUser calls are safe and never mutate shared state;
 // the result is deterministic for a given state, which makes it cacheable.
 // n ≤ 0 selects the configured Config.N.
@@ -809,13 +883,13 @@ func (g *GANC) RecommendUser(ctx context.Context, u types.UserID, n int) (types.
 	if n <= 0 {
 		n = g.cfg.N
 	}
-	var freq []int
+	var cov coverage
 	if dyn, ok := g.crec.(*DynCoverage); ok {
-		freq = dyn.FrozenFrequencies()
+		cov = dyn.frozen(g.f32)
 	}
 	sc := getScratch()
 	defer scratchPool.Put(sc)
-	return g.sweepUser(ctx, u, n, freq, false, false, sc)
+	return g.sweepUser(ctx, u, n, cov, false, sc)
 }
 
 // RecommendAll is the context-aware batch entry point used by the Engine
@@ -871,18 +945,24 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 	})
 
 	// Sequential pass over the sample (lines 4–10): each user sweeps against
-	// the live frequency vector, in float64 whatever the accuracy recommender
-	// offers, and the state after them is snapshotted, keyed by their θ, when
-	// an out-of-sample phase will read it.
+	// the row of the live frequency state, in float64 whatever the accuracy
+	// recommender offers; their picks are observed and the row follows them.
+	// The state after them is snapshotted as a row at the out-of-sample walk's
+	// width, keyed by their θ, when an out-of-sample phase will read it.
 	ctx := context.Background()
-	var snapshots []freqSnapshot
+	var snapshots []snapshot[coverage]
 	inSample := make(map[types.UserID]struct{}, len(sample))
+	live := invSqrtRow[float64](dyn.freq)
 	sc := getScratch()
 	for _, ut := range sample {
 		inSample[ut.user] = struct{}{}
-		recs[ut.user], _ = g.sweepUser(ctx, ut.user, g.cfg.N, dyn.freq, true, true, sc)
+		recs[ut.user], _ = g.sweepUser(ctx, ut.user, g.cfg.N, coverage{row64: live}, true, sc)
+		for _, i := range recs[ut.user] {
+			dyn.Observe(i)
+			live[i] = invSqrtFreq(dyn.freq[i])
+		}
 		if !fullSequential {
-			snapshots = append(snapshots, freqSnapshot{theta: ut.theta, freq: dyn.Frequencies()})
+			snapshots = append(snapshots, snapshot[coverage]{theta: ut.theta, state: dynRow(dyn.freq, g.f32)})
 		}
 	}
 	scratchPool.Put(sc)
@@ -892,7 +972,7 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 	}
 
 	// Out-of-sample pass (lines 11–15): each remaining user reuses the frozen
-	// frequency snapshot of the sampled user with the closest θ. These users'
+	// coverage row of the sampled user with the closest θ. These users'
 	// value functions are independent of each other, so the pass shards
 	// across Config.Workers, one contiguous range and one scratch per worker,
 	// exactly as the paper observes.
@@ -909,8 +989,7 @@ func (g *GANC) recommendOSLG(dyn *DynCoverage) types.Recommendations {
 		defer scratchPool.Put(wsc)
 		for k := lo; k < hi; k++ {
 			ut := remaining[k]
-			snap := nearestSnapshotFreq(snapshots, ut.theta)
-			sets[k], _ = g.sweepUser(ctx, ut.user, g.cfg.N, snap, false, false, wsc)
+			sets[k], _ = g.sweepUser(ctx, ut.user, g.cfg.N, nearestSnapshot(snapshots, ut.theta), false, wsc)
 		}
 	})
 	// Fold the out-of-sample recommendations into the final frequency state
@@ -977,31 +1056,33 @@ func (g *GANC) sampleUsersByKDE(all []userTheta, sampleSize int, rng *rand.Rand)
 	return sample
 }
 
-// freqSnapshot is the Dyn frequency state recorded after a sampled user's
-// top-N set was assigned, keyed by that user's θ (Algorithm 1, line 8).
-type freqSnapshot struct {
+// snapshot is the Dyn frequency state recorded after a sampled user's top-N
+// set was assigned, keyed by that user's θ (Algorithm 1, line 8): its coverage
+// row, or (the reference optimizer) the frequencies themselves.
+type snapshot[S any] struct {
 	theta float64
-	freq  []int
+	state S
 }
 
-// nearestSnapshotFreq returns the frequency snapshot whose θ is closest to
+// nearestSnapshot returns the state of the snapshot whose θ is closest to
 // theta. snapshots must be sorted by θ (they are, because the sample is
 // processed in increasing θ).
-func nearestSnapshotFreq(snapshots []freqSnapshot, theta float64) []int {
+func nearestSnapshot[S any](snapshots []snapshot[S], theta float64) S {
+	var none S
 	if len(snapshots) == 0 {
-		return nil
+		return none
 	}
 	idx := sort.Search(len(snapshots), func(k int) bool { return snapshots[k].theta >= theta })
 	if idx == 0 {
-		return snapshots[0].freq
+		return snapshots[0].state
 	}
 	if idx >= len(snapshots) {
-		return snapshots[len(snapshots)-1].freq
+		return snapshots[len(snapshots)-1].state
 	}
 	if theta-snapshots[idx-1].theta <= snapshots[idx].theta-theta {
-		return snapshots[idx-1].freq
+		return snapshots[idx-1].state
 	}
-	return snapshots[idx].freq
+	return snapshots[idx].state
 }
 
 // ValueOf computes the objective value Σ_u v_u(P_u) of a recommendation

@@ -307,12 +307,11 @@ func TestF32TierScoresUntieredModelsInBulk(t *testing.T) {
 				}
 			}
 
-			items := []types.ItemID{3, 0, 7, 1}
-			got := make([]float32, len(items))
-			m := arec.AccuracyScores32(2, items, got)
-			for k, i := range items {
-				if want := float32(arec.AccuracyScore(2, i)); m.At(got[k]) != want {
-					t.Fatalf("AccuracyScores32 item %d maps to %v, float32(AccuracyScore) = %v", i, m.At(got[k]), want)
+			got := make([]float32, train.NumItems())
+			m := arec.AccuracyScores32(2, got)
+			for _, i := range []types.ItemID{3, 0, 7, 1} {
+				if want := float32(arec.AccuracyScore(2, i)); m.At(got[i]) != want {
+					t.Fatalf("AccuracyScores32 item %d maps to %v, float32(AccuracyScore) = %v", i, m.At(got[i]), want)
 				}
 			}
 		})
@@ -404,7 +403,9 @@ func TestThetaOneIgnoresAccuracy(t *testing.T) {
 		uid := types.UserID(u)
 		cands := train.AppendCandidates(uid, nil)
 		scores := make([]float64, len(cands))
-		stat.CoverageScores(uid, cands, scores)
+		for k, i := range cands {
+			scores[k] = stat.CoverageScore(uid, i)
+		}
 		want := recommender.SelectTop(cands, scores, n)
 		got := recs[uid]
 		for k := range want {

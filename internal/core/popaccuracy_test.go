@@ -49,16 +49,16 @@ func TestPopAccuracyConcurrentReadsAgree(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			out := make([]float64, 16)
+			out := make([]float64, train.NumItems())
 			items := make([]types.ItemID, 16)
 			for trial := 0; trial < 200; trial++ {
 				u := types.UserID(rng.Intn(train.NumUsers()))
 				for k := range items {
 					items[k] = types.ItemID(rng.Intn(train.NumItems()))
 				}
-				pa.AccuracyScores(u, items, out)
-				for k, i := range items {
-					if out[k] != want.AccuracyScore(u, i) {
+				pa.AccuracyScores(u, out)
+				for _, i := range items {
+					if out[i] != want.AccuracyScore(u, i) {
 						select {
 						case errs <- "concurrent bulk score diverged":
 						default:

@@ -159,13 +159,13 @@ func (g *GANC) referenceOSLG(dyn *DynCoverage) types.Recommendations {
 		return sample[a].user < sample[b].user
 	})
 
-	snapshots := make([]freqSnapshot, 0, len(sample))
+	snapshots := make([]snapshot[[]int], 0, len(sample))
 	inSample := make(map[types.UserID]struct{}, len(sample))
 	for _, ut := range sample {
 		inSample[ut.user] = struct{}{}
 		set, _ := g.referenceSweep(context.Background(), ut.user, g.train.UserItemSet(ut.user), g.cfg.N, true)
 		recs[ut.user] = set
-		snapshots = append(snapshots, freqSnapshot{theta: ut.theta, freq: dyn.Frequencies()})
+		snapshots = append(snapshots, snapshot[[]int]{theta: ut.theta, state: dyn.Frequencies()})
 	}
 
 	if fullSequential {
@@ -182,7 +182,7 @@ func (g *GANC) referenceOSLG(dyn *DynCoverage) types.Recommendations {
 	var mu sync.Mutex
 	g.referenceForEach(len(remaining), func(k int) {
 		ut := remaining[k]
-		snap := nearestSnapshotFreq(snapshots, ut.theta)
+		snap := nearestSnapshot(snapshots, ut.theta)
 		set, _ := g.referenceFrozen(context.Background(), ut.user, g.train.UserItemSet(ut.user), snap, g.cfg.N)
 		mu.Lock()
 		recs[ut.user] = set

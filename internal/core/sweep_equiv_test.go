@@ -20,7 +20,10 @@ import (
 	"ganc/internal/types"
 )
 
-// equivSplit generates a randomized synthetic dataset for one property trial.
+// equivSplit generates a randomized synthetic dataset for one property trial,
+// with a turn's edge cases added to its train set: a user who rated every
+// item, and one whose adjacency names an item twice and grows the catalog by
+// an item no one else rated.
 func equivSplit(t *testing.T, trial int64) *dataset.Split {
 	t.Helper()
 	cfg := synth.ML100K(synth.Scale(0.06 + 0.02*float64(trial%3)))
@@ -29,7 +32,18 @@ func equivSplit(t *testing.T, trial int64) *dataset.Split {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d.SplitByUser(0.8, rand.New(rand.NewSource(trial)))
+	sp := d.SplitByUser(0.8, rand.New(rand.NewSource(trial)))
+	users, items := types.UserID(sp.Train.NumUsers()), types.ItemID(sp.Train.NumItems())
+	ratings := sp.Train.Ratings()
+	for i := types.ItemID(0); i <= items; i++ {
+		ratings = append(ratings, types.Rating{User: users, Item: i, Value: 3})
+	}
+	ratings = append(ratings,
+		types.Rating{User: users + 1, Item: 2, Value: 4},
+		types.Rating{User: users + 1, Item: 2, Value: 2},
+		types.Rating{User: users + 1, Item: items, Value: 5})
+	sp.Train = dataset.FromRatings(sp.Train.Name(), ratings)
+	return sp
 }
 
 // equivPrefs estimates a θ vector, alternating models across trials so the
@@ -104,10 +118,8 @@ func (h *hashCoverage) Name() string         { return "Hash" }
 // hashCoverageBulk adds the BulkCoverage contract on top of hashCoverage.
 type hashCoverageBulk struct{ hashCoverage }
 
-func (h *hashCoverageBulk) CoverageScores(u types.UserID, items []types.ItemID, out []float64) {
-	for k, i := range items {
-		out[k] = hashScore(h.seed, u, i)
-	}
+func (h *hashCoverageBulk) CoverageRow(u types.UserID, rated []types.ItemID, row []float64) {
+	fillCandidates(row, rated, func(i types.ItemID) float64 { return hashScore(h.seed, u, i) })
 }
 
 // hashScorer is a dense deterministic base scorer: every candidate carries a
@@ -203,7 +215,11 @@ func TestSweepEquivalenceOnlineRecommendUser(t *testing.T) {
 				// Advance the Dyn state so the frozen snapshot is non-trivial.
 				_ = g.Recommend()
 			}
+			users := []int{train.NumUsers() - 2, train.NumUsers() - 1} // equivSplit's edge cases
 			for u := 0; u < 30 && u < train.NumUsers(); u++ {
+				users = append(users, u)
+			}
+			for _, u := range users {
 				uid := types.UserID(u)
 				got, err := g.RecommendUser(ctx, uid, 7)
 				if err != nil {

@@ -10,16 +10,16 @@ import (
 
 // SSE2 kernel entry points (dot_amd64.s). SSE2 is part of the amd64
 // architecture baseline, so they need no runtime feature detection. Neither
-// checks a bound: dot32x8 requires len(b) ≥ len(a), dotRows32x8 that every
-// rows[k] is a row of the len(v)-wide matrix in data and that out holds
-// len(rows) elements; the exported wrappers enforce that in Go before the
-// assembly touches memory.
+// checks a bound it is not given: dot32x8 requires len(b) ≥ len(a),
+// dotRows32x8 that data holds n rows of len(v) and that out holds len(rows)
+// elements (an index outside the n rows it checks itself, and scores 0); the
+// exported wrappers enforce that in Go before the assembly touches memory.
 
 //go:noescape
 func dot32x8(a, b []float32) float32
 
 //go:noescape
-func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32)
+func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32, n int)
 
 // Prefetch hints (dot_amd64.s): PREFETCHT0 is part of the amd64 baseline too.
 

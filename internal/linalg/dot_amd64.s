@@ -91,18 +91,21 @@ TEXT ·dot32x8(SB), NOSPLIT, $0-52
 	MOVSS X0, ret+48(FP)
 	RET
 
-// func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32)
+// func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32, n int)
 //
 // out[k] = dot32x8(v, data[rows[k]*len(v):][:len(v)]) for every k below
-// len(rows): one call walks a whole index list. The caller guarantees every
-// rows[k]*len(v)+len(v) <= len(data) and len(out) >= len(rows).
-TEXT ·dotRows32x8(SB), NOSPLIT, $0-96
+// len(rows) whose rows[k] is a row of the n-row matrix in data, and 0 for
+// every other k (one unsigned compare: a negative index is a huge one): one
+// call walks a whole index list. The caller guarantees n*len(v) <= len(data)
+// and len(out) >= len(rows).
+TEXT ·dotRows32x8(SB), NOSPLIT, $0-104
 	MOVQ v_base+0(FP), SI
 	MOVQ v_len+8(FP), CX
 	MOVQ data_base+24(FP), R8
 	MOVQ rows_base+48(FP), R9
 	MOVQ rows_len+56(FP), R10
 	MOVQ out_base+72(FP), R11
+	MOVQ n+96(FP), R13
 	XORQ R12, R12
 	DOT32X8_BOUNDS
 
@@ -110,12 +113,19 @@ row:
 	CMPQ    R12, R10
 	JGE     done
 	MOVLQSX (R9)(R12*4), DI
+	CMPQ    DI, R13
+	JAE     outside
 	IMULQ   CX, DI
 	LEAQ    (R8)(DI*4), DI
 	DOT32X8
 	MOVSS   X0, (R11)(R12*4)
 	INCQ    R12
 	JMP     row
+
+outside:
+	MOVL $0, (R11)(R12*4)
+	INCQ R12
+	JMP  row
 
 done:
 	RET

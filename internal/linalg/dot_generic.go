@@ -14,8 +14,8 @@ import (
 
 func dot32x8(a, b []float32) float32 { return dot32x8Generic(a, b) }
 
-func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32) {
-	dotRows32x8Generic(v, data, rows, out)
+func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32, n int) {
+	dotRows32x8Generic(v, data, rows, out, n)
 }
 
 func prefetchRow([]float64) {}

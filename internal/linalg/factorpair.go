@@ -21,23 +21,16 @@ func NewFactorPair(userF, itemF [][]float64) FactorPair {
 }
 
 // ItemDots32 fills out[k] with the float32 kernel dot of user row u and item
-// row items[k] — the latent term of a factor model's float32 bulk scores. The
-// row kernel runs once over each stretch of identifiers inside the item
-// block; an identifier outside it scores 0, as a zero factor row would, and
-// the model overwrites that with its own fallback where the two differ. u
-// must be a row of the user block and out hold len(items) elements.
+// row items[k] — the latent term of a factor model's float32 bulk scores — in
+// one row-kernel call. An identifier outside the item block scores 0, as a
+// zero factor row would: the kernel checks each index against the block's
+// rows as it goes, and the model overwrites that 0 with its own fallback where
+// the two differ. u must be a row of the user block and out hold len(items)
+// elements.
 func (p *FactorPair) ItemDots32(u types.UserID, items []types.ItemID, out []float32) {
 	pu := p.UserB.Row(int(u))
 	p.ItemB.checkRowKernelShape(pu, items, out)
-	for len(items) > 0 {
-		n := p.ItemB.firstOutside(items)
-		dotRows32x8(pu, p.ItemB.data, items[:n], out[:n])
-		if n == len(items) {
-			return
-		}
-		out[n] = 0
-		items, out = items[n+1:], out[n+1:]
-	}
+	dotRows32x8(pu, p.ItemB.data, items, out, p.ItemB.rows)
 }
 
 // CheckFactors reports why userF and itemF cannot be a factor model's rows:

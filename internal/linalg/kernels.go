@@ -79,10 +79,15 @@ func dot32x8Generic(a, b []float32) float32 {
 }
 
 // dotRows32x8Generic is the portable row kernel: dot32x8Generic against each
-// indexed row of the len(v)-wide row-major matrix in data.
-func dotRows32x8Generic(v, data []float32, rows []types.ItemID, out []float32) {
+// indexed row of the n-row, len(v)-wide row-major matrix in data, and 0 for
+// an index that is not one of its rows.
+func dotRows32x8Generic(v, data []float32, rows []types.ItemID, out []float32, n int) {
 	dims := len(v)
 	for k, r := range rows {
+		if uint(r) >= uint(n) { // one compare: a negative index converts to a huge one
+			out[k] = 0
+			continue
+		}
 		off := int(r) * dims
 		out[k] = dot32x8Generic(v, data[off:off+dims:off+dims])
 	}
@@ -125,11 +130,11 @@ func (b Block) Row(r int) []float32 {
 }
 
 // DotRows32x8 fills out[k] with Dot32x8(v, b.Row(rows[k])) for every k below
-// len(rows), in one kernel call: a bulk scorer's whole candidate list costs
-// one call instead of one per item. The index list is an item-identifier
-// slice because candidate slices are the only index lists the scoring path
-// has, and taking them as they are needs neither a copy nor a reinterpreting
-// cast. The row kernel runs the pair kernel's body per row (same
+// len(rows), in one kernel call: a bulk scorer's whole item list (a turn's
+// catalog, an engine's candidates) costs one call instead of one per item.
+// The index list is an item-identifier slice because item slices are the
+// only index lists the scoring path has, and taking them as they are needs
+// neither a copy nor a reinterpreting cast. The row kernel runs the pair kernel's body per row (same
 // accumulators, same reduction tree), so every out[k] carries the bits
 // Dot32x8 returns for that row. It panics, before reading any row or writing
 // any score, when v is not dims wide, out is shorter than rows, or an index
@@ -139,7 +144,7 @@ func (b Block) DotRows32x8(v []float32, rows []types.ItemID, out []float32) {
 	if k := b.firstOutside(rows); k < len(rows) {
 		panic(fmt.Sprintf("linalg: DotRows32x8: rows[%d] = %d outside the block's %d rows", k, rows[k], b.rows))
 	}
-	dotRows32x8(v, b.data, rows, out)
+	dotRows32x8(v, b.data, rows, out, b.rows)
 }
 
 func (b Block) checkRowKernelShape(v []float32, rows []types.ItemID, out []float32) {

@@ -303,7 +303,7 @@ func TestDotRowsBitExact(t *testing.T) {
 				pair func(a, b []float32) float32
 			}{
 				{"dispatched", func(out []float32) { b.DotRows32x8(v, list, out) }, Dot32x8},
-				{"portable", func(out []float32) { dotRows32x8Generic(v, b.data, list, out) }, dot32x8Generic},
+				{"portable", func(out []float32) { dotRows32x8Generic(v, b.data, list, out, rows) }, dot32x8Generic},
 			} {
 				out := make([]float32, len(list)+2)
 				for i := range out {
@@ -365,8 +365,8 @@ func TestDotRowsRefusesBadInput(t *testing.T) {
 
 // TestItemDots32 covers the factor models' entry to the row kernel:
 // identifiers inside the item block score the pair kernel's bits, identifiers
-// outside it — leading, trailing, adjacent, alone — score 0, and a short out
-// is refused.
+// outside it — leading, trailing, adjacent, alone — score 0, on the
+// dispatched kernel and on the portable one, and a short out is refused.
 func TestItemDots32(t *testing.T) {
 	const items, dims = 11, 20
 	rng := rand.New(rand.NewSource(33))
@@ -383,13 +383,19 @@ func TestItemDots32(t *testing.T) {
 			out[i] = -12345
 		}
 		p.ItemDots32(2, list, out)
+		portable := make([]float32, len(list))
+		dotRows32x8Generic(userB.Row(2), itemB.data, list, portable, items)
 		for k, i := range list {
-			want := float32(0)
+			want, wantPortable := float32(0), float32(0)
 			if i >= 0 && int(i) < items {
 				want = Dot32x8(userB.Row(2), itemB.Row(int(i)))
+				wantPortable = dot32x8Generic(userB.Row(2), itemB.Row(int(i)))
 			}
 			if out[k] != want {
 				t.Fatalf("list %v: out[%d] (item %d) = %v, want %v", list, k, i, out[k], want)
+			}
+			if portable[k] != wantPortable {
+				t.Fatalf("list %v: portable kernel out[%d] (item %d) = %v, want %v", list, k, i, portable[k], wantPortable)
 			}
 		}
 	}
@@ -416,7 +422,7 @@ func BenchmarkDotRows(b *testing.B) {
 	})
 	b.Run("portable", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dotRows32x8Generic(v, block.data, list, out)
+			dotRows32x8Generic(v, block.data, list, out, block.Rows())
 		}
 	})
 }

@@ -201,7 +201,7 @@ func TestRangeHeldSince(t *testing.T) {
 				"float32 inner": tableScorer32{tableScorer{tc.scores}},
 			} {
 				prefix := NewNormalizedScorer(inner, tc.from)
-				prefix.rawScores(0, nil, nil) // the table holds the prefix's entry
+				prefix.rangeOf(0) // the table holds the prefix's entry
 				for label, n := range map[string]*NormalizedScorer{
 					"empty table":    NewNormalizedScorer(inner, len(tc.scores)),
 					"prefix's entry": prefix.ForCatalog(len(tc.scores)),

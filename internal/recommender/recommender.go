@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ganc/internal/dataset"
 	"ganc/internal/types"
@@ -40,9 +41,10 @@ type Scorer interface {
 // BulkScorer is the batch companion of Scorer: one call fills a preallocated
 // dense buffer with a user's scores for an explicit item slice. It is the
 // contract the index-contiguous candidate pipeline is built on — a user's
-// whole candidate set is scored in one call instead of one virtual dispatch
-// per (user, item) pair, letting implementations hoist per-user work (factor
-// rows, rating lookups, normalization ranges) out of the item loop.
+// whole catalog or candidate set is scored in one call instead of one
+// virtual dispatch per (user, item) pair, letting implementations hoist
+// per-user work (factor rows, rating lookups, normalization ranges) out of
+// the item loop.
 //
 // Contract: out must have len(out) == len(items); out[k] receives the score
 // of items[k] and every value must equal what Score(u, items[k]) returns at
@@ -495,7 +497,7 @@ func (a *ItemAvg) Avg(i types.ItemID) float64 { return a.Score(0, i) }
 // plugging predicted ratings into the GANC value function. A user's range is
 // computed on first use and kept in a range table. The table can outlive the
 // normaliser: ForCatalog hands it to the normaliser of a later, larger
-// catalog, which then scores only the items the entry does not cover yet —
+// catalog, which then folds in only the items the entry does not cover yet —
 // for a frozen inner model that makes the range a once-per-user cost instead
 // of a once-per-generation one. It is safe for concurrent use provided the
 // wrapped Scorer is (the latent-factor models are read-only after training).
@@ -510,10 +512,6 @@ type NormalizedScorer struct {
 type rangeTable struct {
 	mu     sync.Mutex
 	byUser map[types.UserID]scoreRange
-	// catalog is the identity slice [0, len) the bulk range computation
-	// scores against. It only ever grows, and written elements never change,
-	// so a prefix handed out under mu stays valid without it.
-	catalog []types.ItemID
 }
 
 // scoreRange is the min and max of a user's scores over items [0, upTo).
@@ -547,13 +545,24 @@ func fold[T float32 | float64](r scoreRange, scores []T) scoreRange {
 	return scoreRange{min: float64(lo), max: float64(hi), upTo: r.upTo + len(scores)}
 }
 
-// identityLocked returns the identity slice grown to at least n items.
-// Callers hold t.mu.
-func (t *rangeTable) identityLocked(n int) []types.ItemID {
-	for len(t.catalog) < n {
-		t.catalog = append(t.catalog, types.ItemID(len(t.catalog)))
+// catalog is the identity slice every catalog-wide bulk call scores: item k
+// at position k. A slice is never written once it is published, and a call
+// that needs a longer one publishes a fresh one, so any it hands out stays
+// valid; racing callers each publish a complete one.
+var catalog atomic.Pointer[[]types.ItemID]
+
+// CatalogItems returns the items of a catalog of n, in identifier order: the
+// identity slice [0, n). It is shared: callers must not modify it.
+func CatalogItems(n int) []types.ItemID {
+	if p := catalog.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
 	}
-	return t.catalog
+	items := make([]types.ItemID, n)
+	for i := range items {
+		items[i] = types.ItemID(i)
+	}
+	catalog.Store(&items)
+	return items
 }
 
 // NewNormalizedScorer wraps inner for a catalog of numItems items, with an
@@ -609,19 +618,41 @@ func (m MinMax[T]) At(raw T) T {
 	return v
 }
 
+// map64 is the float64 map of range r for the raw scores in out. A span of 0
+// has no map: out is zeroed and the map is the identity.
+func map64(r scoreRange, out []float64) MinMax[float64] {
+	if r.span() == 0 {
+		clear(out)
+		return Identity[float64]()
+	}
+	return MinMax[float64]{min: r.min, scale: r.span(), divide: true}
+}
+
+// map32 is map64 in float32 arithmetic over the float64 range, truncated.
+func map32(r scoreRange, out []float32) MinMax[float32] {
+	if r.span() == 0 {
+		clear(out)
+		return Identity[float32]()
+	}
+	return MinMax[float32]{min: float32(r.min), scale: 1 / float32(r.span())}
+}
+
 // Score implements Scorer, returning the inner score min–max normalized over
 // the user's full catalog scores; a span of 0 maps every score to 0.
 func (n *NormalizedScorer) Score(u types.UserID, i types.ItemID) float64 {
-	r := n.rawScores(u, nil, nil) // the range, resolved without scoring an item
+	r := n.rangeOf(u)
 	if r.span() == 0 {
 		return 0
 	}
-	return MinMax[float64]{min: r.min, scale: r.span(), divide: true}.At(n.inner.Score(u, i))
+	return map64(r, nil).At(n.inner.Score(u, i))
 }
 
-// ScoreUser implements BulkScorer: RawScores, mapped.
+// ScoreUser implements BulkScorer: the inner model's float64 bulk scores of
+// items, mapped over u's range.
 func (n *NormalizedScorer) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
-	mapAll(n.RawScores(u, items, out), out)
+	r := n.rangeOf(u)
+	BulkScores(n.inner, u, items, out)
+	mapAll(map64(r, out), out)
 }
 
 // ScoreUser32 implements BulkScorer32: RawScores32, mapped.
@@ -635,97 +666,115 @@ func mapAll[T float32 | float64](m MinMax[T], scores []T) {
 	}
 }
 
-// RawScores fills out with the inner model's float64 bulk scores of items and
-// returns the map that normalises them (the range resolved by the same call,
-// scoreWithRange), for a caller that walks the scores anyway to apply in its
-// own loop. A span of 0 has no map: out is zeroed and the map is the identity.
-func (n *NormalizedScorer) RawScores(u types.UserID, items []types.ItemID, out []float64) MinMax[float64] {
-	r := n.rawScores(u, items, out)
-	if r.span() == 0 {
-		clear(out)
-		return Identity[float64]()
-	}
-	return MinMax[float64]{min: r.min, scale: r.span(), divide: true}
-}
-
-// RawScores32 is RawScores through the inner model's float32 bulk path, the
-// map in float32 arithmetic over the cached float64 range, truncated. Around a
-// model with no float32 path there is nothing to keep in float32: out receives
-// the float64 normalised scores, truncated, and the map is the identity.
+// RawScores32 fills out with the inner model's float32 bulk scores of items
+// and returns the map that normalises them, for a caller that walks the
+// scores anyway to apply it in its own loop. Around a model with no float32
+// path there is nothing to keep in float32: out receives the float64
+// normalised scores, truncated, and the map is the identity.
 func (n *NormalizedScorer) RawScores32(u types.UserID, items []types.ItemID, out []float32) MinMax[float32] {
 	bs32, ok := n.inner.(BulkScorer32)
 	if !ok {
 		truncatedBulkScores(n, u, items, out) // through ScoreUser
 		return Identity[float32]()
 	}
-	r := scoreWithRange(n, u, items, out, &scoreBuf32Pool, func(items []types.ItemID, out []float32) {
-		bs32.ScoreUser32(u, items, out)
-	})
-	if r.span() == 0 {
-		clear(out)
+	r := n.rangeOf(u)
+	bs32.ScoreUser32(u, items, out)
+	return map32(r, out)
+}
+
+// CatalogScores fills out — one element per item of this normaliser's
+// catalog, in identifier order — with the inner model's float64 bulk scores
+// and returns the map that normalises them. It is a turn's one bulk call: a
+// range the table does not hold yet (a user's first touch, a successor
+// generation's missing suffix, an older generation's rescan) is folded from
+// out itself, so the catalog is scored once either way.
+func (n *NormalizedScorer) CatalogScores(u types.UserID, out []float64) MinMax[float64] {
+	return map64(catalogRange(n, u, out, func(items []types.ItemID, out []float64) {
+		BulkScores(n.inner, u, items, out)
+	}), out)
+}
+
+// CatalogScores32 is CatalogScores through the inner model's float32 bulk
+// path, with the map of RawScores32. Around a model with no float32 path, out
+// receives CatalogScores' normalised scores, truncated, and the map is the
+// identity.
+func (n *NormalizedScorer) CatalogScores32(u types.UserID, out []float32) MinMax[float32] {
+	bs32, ok := n.inner.(BulkScorer32)
+	if !ok {
+		bp := scoreBufPool.get(len(out))
+		m := n.CatalogScores(u, *bp)
+		for k, v := range *bp {
+			out[k] = float32(m.At(v))
+		}
+		scoreBufPool.put(bp)
 		return Identity[float32]()
 	}
-	return MinMax[float32]{min: float32(r.min), scale: 1 / float32(r.span())}
+	return map32(catalogRange(n, u, out, func(items []types.ItemID, out []float32) {
+		bs32.ScoreUser32(u, items, out)
+	}), out)
 }
 
-// rawScores is scoreWithRange through the inner model's float64 bulk path.
-func (n *NormalizedScorer) rawScores(u types.UserID, items []types.ItemID, out []float64) scoreRange {
-	return scoreWithRange(n, u, items, out, &scoreBufPool, func(items []types.ItemID, out []float64) {
-		BulkScores(n.inner, u, items, out)
-	})
-}
-
-// scoreWithRange fills out with the inner scores of items — score is the
-// inner model's bulk path at the width of T — and returns u's normalization
-// range over this normaliser's catalog. A table entry covering exactly the
-// catalog is the answer. One covering a prefix (an earlier generation
-// computed it) is extended over the missing items through the same bulk call
-// and stored back. One covering more (a later generation got there first) is
-// of no use to this reader: it rescans its own catalog and leaves the entry
-// alone.
-//
-// Whenever that scan covers the whole catalog — a user's first touch, and the
-// older generation's rescan — it is also the user's only scoring pass: the
-// catalog is scored once into a pooled buffer, the range folded from it, and
-// out gathered from it by identifier, instead of scoring the items a second
-// time. An items slice holding an identifier outside the catalog cannot be
-// gathered and is scored by its own call.
-func scoreWithRange[T float32 | float64](n *NormalizedScorer, u types.UserID, items []types.ItemID, out []T,
-	pool *bufPool[T], score func(items []types.ItemID, out []T)) scoreRange {
-	if len(out) != len(items) {
-		panic(fmt.Sprintf("recommender: NormalizedScorer buffer length %d != item count %d", len(out), len(items)))
+// catalogRange fills out with the inner scores of this normaliser's whole
+// catalog — score is the inner model's bulk path at the width of T — and
+// returns u's range over it: the table's entry, or one extended over out.
+func catalogRange[T float32 | float64](n *NormalizedScorer, u types.UserID, out []T, score func(items []types.ItemID, out []T)) scoreRange {
+	if len(out) != n.numItems {
+		panic(fmt.Sprintf("recommender: NormalizedScorer buffer length %d != catalog size %d", len(out), n.numItems))
 	}
+	score(CatalogItems(n.numItems), out)
+	r, held := n.entry(u)
+	if held {
+		return r
+	}
+	return extend(n, u, r, out[r.upTo:])
+}
+
+// rangeOf returns u's range over this normaliser's catalog for a caller that
+// scores only some items: the table's entry, or one extended over the items
+// it does not cover, scored for the purpose through the inner model's float64
+// bulk path.
+func (n *NormalizedScorer) rangeOf(u types.UserID) scoreRange {
+	r, held := n.entry(u)
+	if held {
+		return r
+	}
+	missing := CatalogItems(n.numItems)[r.upTo:]
+	bp := scoreBufPool.get(len(missing))
+	defer scoreBufPool.put(bp)
+	BulkScores(n.inner, u, missing, *bp)
+	return extend(n, u, r, *bp)
+}
+
+// entry returns u's range-table entry and whether it covers exactly this
+// normaliser's catalog. One covering a prefix (an earlier generation computed
+// it) comes back to be extended over the missing items. One covering more (a
+// later generation got there first) is of no use to this reader: it comes
+// back empty, the reader folds its own catalog, and extend leaves the entry
+// alone.
+func (n *NormalizedScorer) entry(u types.UserID) (scoreRange, bool) {
 	t := n.ranges
 	t.mu.Lock()
 	r, ok := t.byUser[u]
-	if ok && r.upTo == n.numItems {
-		t.mu.Unlock()
-		if len(items) > 0 {
-			score(items, out)
-		}
-		return r
-	}
-	catalog := t.identityLocked(n.numItems)
 	t.mu.Unlock()
-
-	if !ok || r.upTo > n.numItems {
-		r = scoreRange{}
+	switch {
+	case ok && r.upTo == n.numItems:
+		return r, true
+	case ok && r.upTo < n.numItems:
+		return r, false
 	}
-	missing := catalog[r.upTo:n.numItems]
-	bp := pool.get(len(missing))
-	score(missing, *bp)
-	gathered := r.upTo == 0 && gather(*bp, items, out)
-	r = fold(r, *bp)
-	pool.put(bp)
+	return scoreRange{}, false
+}
 
+// extend folds r over scores, the inner scores of items [r.upTo, numItems),
+// and stores the result unless the table holds an entry at least as long.
+func extend[T float32 | float64](n *NormalizedScorer, u types.UserID, r scoreRange, scores []T) scoreRange {
+	r = fold(r, scores)
+	t := n.ranges
 	t.mu.Lock()
 	if cur, ok := t.byUser[u]; !ok || cur.upTo < r.upTo {
 		t.byUser[u] = r
 	}
 	t.mu.Unlock()
-	if !gathered && len(items) > 0 {
-		score(items, out)
-	}
 	return r
 }
 
@@ -738,29 +787,15 @@ func scoreWithRange[T float32 | float64](n *NormalizedScorer, u types.UserID, it
 // both of the normaliser's bulk methods normalise by this one range), and the
 // range read — and extended, by the catalog's first reader — as a bulk call would.
 func (n *NormalizedScorer) RangeHeldSince(u types.UserID, from int) bool {
-	t := n.ranges
-	t.mu.Lock()
-	tail := t.identityLocked(n.numItems)[from:n.numItems]
-	t.mu.Unlock()
+	tail := CatalogItems(n.numItems)[from:]
 	bp := scoreBufPool.get(len(tail))
 	defer scoreBufPool.put(bp)
-	r := n.rawScores(u, tail, *bp)
+	r := n.rangeOf(u)
+	BulkScores(n.inner, u, tail, *bp)
 	for _, s := range *bp {
 		if !(s > r.min && s < r.max) {
 			return false
 		}
-	}
-	return true
-}
-
-// gather fills out[k] with dense[items[k]], reporting false — out then holds
-// nothing of use — at the first identifier dense does not cover.
-func gather[T float32 | float64](dense []T, items []types.ItemID, out []T) bool {
-	for k, i := range items {
-		if int(i) < 0 || int(i) >= len(dense) {
-			return false
-		}
-		out[k] = dense[i]
 	}
 	return true
 }

@@ -13,7 +13,9 @@ import (
 // scored the catalog once — the range from one bulk scan of the identity
 // catalog through the inner model's float64 contract, then the items scored by
 // a second call of their own and mapped. Kept here, in the arithmetic of each
-// bulk method, as the reference the fused path is held to bit for bit.
+// bulk method, as the reference the fused path (a turn's one catalog call,
+// CatalogScores and CatalogScores32) and the item-slice path are held to bit
+// for bit.
 
 func oracleRange(inner Scorer, u types.UserID, numItems int) scoreRange {
 	scores := make([]float64, numItems)
@@ -146,12 +148,12 @@ func scoreOnceInners(t *testing.T) (map[string]Scorer, int, int) {
 }
 
 // TestFusedFirstTouchMatchesTwoPassOracle: scoring the catalog once and
-// gathering gives, bit for bit, the scores and the stored (min, max, upTo) of
-// the two-pass computation — through both bulk paths, for every item-slice
-// shape (the candidate shape, unsorted, short, empty, and holding identifiers
-// outside the catalog, which cannot be gathered), for users the model has
-// never seen, and again on the second touch, when the range is cached and
-// only the items are scored.
+// folding the range from the same scores (CatalogScores, CatalogScores32)
+// gives, bit for bit, the scores and the stored (min, max, upTo) of the
+// two-pass computation, as the item-slice path does for every item-slice shape
+// (the candidate shape, unsorted, short, empty, and holding identifiers
+// outside the catalog) — through both bulk paths, for users the model has
+// never seen, and again on the second touch, when the range is cached.
 func TestFusedFirstTouchMatchesTwoPassOracle(t *testing.T) {
 	inners, numUsers, numItems := scoreOnceInners(t)
 	var candidates []types.ItemID
@@ -168,6 +170,24 @@ func TestFusedFirstTouchMatchesTwoPassOracle(t *testing.T) {
 		"outside":    {3, types.ItemID(numItems), 1, -1, types.ItemID(numItems + 40), 0},
 	}
 	for name, inner := range inners {
+		for _, u := range []types.UserID{0, 7, types.UserID(numUsers + 3)} {
+			label := name + "/catalog"
+			want64 := oracleScoreUser(inner, u, numItems, catalogItems(numItems))
+			want32 := oracleScoreUser32(inner, u, numItems, catalogItems(numItems))
+			got64, got32 := make([]float64, numItems), make([]float32, numItems)
+			n := NewNormalizedScorer(inner, numItems)
+			for _, touch := range []string{"first touch", "second touch"} {
+				mapAll(n.CatalogScores(u, got64), got64)
+				assertBits64(t, label+" CatalogScores "+touch, got64, want64)
+				assertStoredRange(t, label+" CatalogScores "+touch, n, u, numItems)
+			}
+			n = NewNormalizedScorer(inner, numItems)
+			for _, touch := range []string{"first touch", "second touch"} {
+				mapAll(n.CatalogScores32(u, got32), got32)
+				assertBits32(t, label+" CatalogScores32 "+touch, got32, want32)
+				assertStoredRange(t, label+" CatalogScores32 "+touch, n, u, numItems)
+			}
+		}
 		for shape, items := range shapes {
 			for _, u := range []types.UserID{0, 7, types.UserID(numUsers + 3)} {
 				label := name + "/" + shape
@@ -192,38 +212,43 @@ func TestFusedFirstTouchMatchesTwoPassOracle(t *testing.T) {
 	}
 }
 
-// TestFusedFirstTouchKeepsRangeTableRules: a ForCatalog successor meeting a
-// prefix entry scores only the missing suffix for the range and stores the
+// TestFusedFirstTouchKeepsRangeTableRules: a turn's one catalog call scores
+// the catalog once, whatever the table holds. A ForCatalog successor meeting
+// a prefix entry folds the missing suffix from those scores and stores the
 // extended entry; the retired smaller generation reading beside it finds an
-// entry it cannot use, scores its own catalog once for range and scores alike,
-// and leaves the entry alone. Every read matches the two-pass oracle of its
-// own catalog.
+// entry it cannot use, folds its own catalog, and leaves the entry alone.
+// Every read matches the two-pass oracle of its own catalog.
 func TestFusedFirstTouchKeepsRangeTableRules(t *testing.T) {
 	inners, _, numItems := scoreOnceInners(t)
 	small, large := numItems-9, numItems+7 // short of the trained items, and past them
-	items := []types.ItemID{4, 0, 22, types.ItemID(small - 1)}
 	const u = types.UserID(5)
 	for name, inner := range inners {
 		counter := &callCounter{Scorer: inner}
 		old := NewNormalizedScorer(counter, small)
 		grown := old.ForCatalog(large)
-		got64, got32 := make([]float64, len(items)), make([]float32, len(items))
-		check := func(label string, n *NormalizedScorer, numItems, wantStored int, wantItemsScored int) {
+		check := func(label string, n *NormalizedScorer, numItems, wantStored int) {
 			t.Helper()
+			got64, got32 := make([]float64, numItems), make([]float32, numItems)
 			counter.items = 0
-			n.ScoreUser(u, items, got64)
-			if counter.items != wantItemsScored {
-				t.Fatalf("%s %s: inner model scored %d items, want %d", name, label, counter.items, wantItemsScored)
+			m64 := n.CatalogScores(u, got64)
+			if counter.items != numItems {
+				t.Fatalf("%s %s: CatalogScores scored %d items, want the catalog's %d once", name, label, counter.items, numItems)
 			}
-			assertBits64(t, name+" "+label+" ScoreUser", got64, oracleScoreUser(counter, u, numItems, items))
-			n.ScoreUser32(u, items, got32)
-			assertBits32(t, name+" "+label+" ScoreUser32", got32, oracleScoreUser32(counter, u, numItems, items))
+			mapAll(m64, got64)
+			assertBits64(t, name+" "+label+" CatalogScores", got64, oracleScoreUser(counter, u, numItems, catalogItems(numItems)))
+			counter.items = 0
+			m32 := n.CatalogScores32(u, got32)
+			if counter.items != numItems {
+				t.Fatalf("%s %s: CatalogScores32 scored %d items, want the catalog's %d once", name, label, counter.items, numItems)
+			}
+			mapAll(m32, got32)
+			assertBits32(t, name+" "+label+" CatalogScores32", got32, oracleScoreUser32(counter, u, numItems, catalogItems(numItems)))
 			assertStoredRange(t, name+" "+label, n, u, wantStored)
 		}
-		check("first touch", old, small, small, small)
-		check("successor extends the prefix", grown, large, large, large-small+len(items))
-		check("retired generation rescans", old, small, large, small)
-		check("successor's entry undisturbed", grown, large, large, len(items))
+		check("first touch", old, small, small)
+		check("successor extends the prefix", grown, large, large)
+		check("retired generation rescans", old, small, large)
+		check("successor's entry undisturbed", grown, large, large)
 	}
 }
 
@@ -250,9 +275,10 @@ func (c *callCounter) ScoreUser32(u types.UserID, items []types.ItemID, out []fl
 }
 
 // TestConcurrentFirstTouches (run it with -race -count=10): goroutines
-// first-touch the same users through ScoreUser, ScoreUser32 and Score at
-// once, on one table shared by two catalog generations; whichever of them
-// computes a user's range, every reader sees the two-pass oracle's values.
+// first-touch the same users through ScoreUser, ScoreUser32, Score and a
+// turn's CatalogScores32 at once, on one table shared by two catalog
+// generations; whichever of them computes a user's range, every reader sees
+// the two-pass oracle's values.
 func TestConcurrentFirstTouches(t *testing.T) {
 	inners, numUsers, numItems := scoreOnceInners(t)
 	sizes := []int{numItems - 5, numItems}
@@ -261,23 +287,26 @@ func TestConcurrentFirstTouches(t *testing.T) {
 		want64 := make([][][]float64, len(sizes))
 		want32 := make([][][]float32, len(sizes))
 		wantPoint := make([][][]float64, len(sizes))
+		wantCatalog := make([][][]float32, len(sizes))
 		for g, size := range sizes {
 			for u := 0; u < numUsers; u++ {
 				want64[g] = append(want64[g], oracleScoreUser(inner, types.UserID(u), size, items))
 				want32[g] = append(want32[g], oracleScoreUser32(inner, types.UserID(u), size, items))
 				wantPoint[g] = append(wantPoint[g], oracleScore(inner, types.UserID(u), size, items))
+				wantCatalog[g] = append(wantCatalog[g], oracleScoreUser32(inner, types.UserID(u), size, catalogItems(size)))
 			}
 		}
 		root := NewNormalizedScorer(inner, sizes[0])
 		var wg sync.WaitGroup
 		for g := range sizes {
 			n := root.ForCatalog(sizes[g])
-			for path := 0; path < 3; path++ {
+			for path := 0; path < 4; path++ {
 				for copies := 0; copies < 2; copies++ {
 					wg.Add(1)
 					go func(g, path int) {
 						defer wg.Done()
 						got64, got32 := make([]float64, len(items)), make([]float32, len(items))
+						catalog := make([]float32, sizes[g])
 						for u := 0; u < numUsers; u++ {
 							uid := types.UserID(u)
 							want := want64[g][u]
@@ -289,6 +318,15 @@ func TestConcurrentFirstTouches(t *testing.T) {
 								for k := range items {
 									if math.Float32bits(got32[k]) != math.Float32bits(want32[g][u][k]) {
 										t.Errorf("%s: ScoreUser32 user %d item %d = %v, oracle %v", name, u, items[k], got32[k], want32[g][u][k])
+										return
+									}
+								}
+								continue
+							case 2:
+								mapAll(n.CatalogScores32(uid, catalog), catalog)
+								for i := range catalog {
+									if math.Float32bits(catalog[i]) != math.Float32bits(wantCatalog[g][u][i]) {
+										t.Errorf("%s: CatalogScores32 user %d item %d = %v, oracle %v", name, u, i, catalog[i], wantCatalog[g][u][i])
 										return
 									}
 								}

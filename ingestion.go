@@ -9,11 +9,12 @@ import (
 
 // Streaming-ingestion facade: NewIngestor puts a Pipeline's state behind the
 // internal/ingest consumer, so POST /ingest events (or direct Apply calls)
-// update the served model incrementally — popularity counts, item-average
-// sums, the dataset adjacency and the Dyn coverage frequencies — and publish
-// each batch through the server's versioned atomic engine swap. Trained
-// factor models stay frozen between full retrains (warm-start semantics);
-// everything derived cheaply from counts is rebuilt per batch.
+// update the served model incrementally — the extended train set, whose
+// rating counts Pop, Stat and ItemAvg read, the item-average sums and the Dyn
+// coverage frequencies — and publish each batch through the server's
+// versioned atomic engine swap. Trained factor models stay frozen between
+// full retrains (warm-start semantics); everything derived cheaply from counts
+// is rebuilt per batch.
 
 // IngestEvent is one interaction event, keyed by external identifiers. New
 // users and items are interned on the fly.
@@ -88,15 +89,7 @@ func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) 
 	if err != nil {
 		return nil, err
 	}
-
-	lambda := p.ingestAvgLambda
-	if lambda == 0 {
-		lambda = itemAvgShrinkage
-		if kind.shrinkage != nil {
-			lambda = kind.shrinkage(p.baseScorer)
-		}
-	}
-	state := ingest.NewStateFromDataset(p.train, p.prefs, lambda)
+	state := ingest.NewStateFromDataset(p.train, p.prefs)
 	if p.ingestPrefFill > 0 {
 		state.PrefFill = p.ingestPrefFill
 	}
@@ -139,28 +132,28 @@ func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) 
 }
 
 // pipelineFromState reassembles a serving pipeline around the ingestion
-// state: incrementally maintained statistics rebuild the cheap components
-// (kind.rebuild and the coverage spec's restore), while a trained factor
-// model — a kind with no rebuild — is reused frozen. What a frozen model
-// determines is carried over, not rebuilt: its normaliser is p's own, re-aimed
-// at the grown catalog, so the per-user range table it has filled survives the
-// swap and a batch costs a user nothing they already paid — and around such a
-// model the pipeline is a serve.Revalidator, so neither does a batch cost a
-// cached list it did not touch (see Revalidate).
+// state: the extended train set and the incrementally maintained statistics
+// rebuild the cheap components (kind.rebuild and the coverage spec's
+// restore), while a trained factor model — a kind with no rebuild — is reused
+// frozen. What a frozen model determines is carried over, not rebuilt: its
+// normaliser is p's own, re-aimed at the grown catalog, so the per-user range
+// table it has filled survives the swap and a batch costs a user nothing they
+// already paid — and around such a model the pipeline is a serve.Revalidator,
+// so neither does a batch cost a cached list it did not touch (see
+// Revalidate).
 func (p *Pipeline) pipelineFromState(kind *baseKind, s *ingest.State) (*Pipeline, error) {
-	crec, err := p.cfg.coverage.restore(s.DynFreq, s.PopCounts)
+	crec, err := p.cfg.coverage.restore(s.DynFreq, s.Train)
 	if err != nil {
 		return nil, err
 	}
 	next := Pipeline{
-		train:           s.Train,
-		prefs:           s.Prefs,
-		cfg:             p.cfg,
-		crec:            crec,
-		ingestSeq:       s.AppliedSeq,
-		ingestPrefFill:  s.PrefFill,
-		ingestAvgLambda: s.AvgLambda,
-		shard:           p.shard,
+		train:          s.Train,
+		prefs:          s.Prefs,
+		cfg:            p.cfg,
+		crec:           crec,
+		ingestSeq:      s.AppliedSeq,
+		ingestPrefFill: s.PrefFill,
+		shard:          p.shard,
 	}
 	if kind.rebuild != nil {
 		next.baseScorer = kind.rebuild(p.baseScorer, s)
@@ -169,9 +162,7 @@ func (p *Pipeline) pipelineFromState(kind *baseKind, s *ingest.State) (*Pipeline
 		norm := p.arec.(*core.ScorerAccuracy).Scorer.(*recommender.NormalizedScorer)
 		next.baseScorer = p.baseScorer
 		next.arec = &core.ScorerAccuracy{Scorer: norm.ForCatalog(s.Train.NumItems())}
-		// The state keeps writing its vector; the engine needs it as of this
-		// cursor.
-		next.lineage, next.lastNamed = s.Lineage, append([]uint64(nil), s.LastNamed...)
+		next.lineage = s.Lineage
 	}
 	return assemble(next)
 }
@@ -201,12 +192,21 @@ func (p *Pipeline) Mark() serve.Mark {
 // unchanged or — named, its counter higher — no larger (1/√(f+1) and every
 // rounding step after it are monotone), and every new candidate ranks below
 // the list: the strict total order the selection sorts by returns the same n
-// items in the same order. (ii) and (iii) are core.SurvivesGrowth; a catalog
-// that did not grow needs neither. A list shorter than n took every candidate
-// there was, so any new item would join it.
+// items in the same order. (i) reads the train set: each event of the lineage
+// appended one rating, so the events after from.Seq are its last
+// ingestSeq − from.Seq ratings, and an item was named by one of them exactly
+// when its last rating index reaches that cut. (ii) and (iii) are
+// core.SurvivesGrowth; a catalog that did not grow needs neither. A list
+// shorter than n took every candidate there was, so any new item would join
+// it. A mark of another lineage, or one past this pipeline's cursor, has no
+// cut in this train set and answers RevalForeign.
 func (p *Pipeline) Revalidate(u UserID, list TopNSet, n int, from serve.Mark) serve.Revalidation {
+	if p.lineage == nil || from.Lineage != p.lineage || from.Seq > p.ingestSeq {
+		return serve.RevalForeign
+	}
+	cut := p.train.NumRatings() - int(p.ingestSeq-from.Seq)
 	for _, i := range list {
-		if p.lastNamed[i] > from.Seq {
+		if named := p.train.ItemRatings(i); len(named) > 0 && named[len(named)-1] >= cut {
 			return serve.RevalItemNamed
 		}
 	}

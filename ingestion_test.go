@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ganc/internal/ingest"
+	"ganc/internal/persist"
 )
 
 // streamEvents synthesizes an interaction stream: mostly existing users and
@@ -151,8 +152,8 @@ func checkpointRestoreParity(t *testing.T, cold *Pipeline, spelling string, even
 			if got.AppliedSeq != want.AppliedSeq {
 				t.Fatalf("seq %d != %d", got.AppliedSeq, want.AppliedSeq)
 			}
-			if !slices.Equal(got.PopCounts, want.PopCounts) {
-				t.Fatalf("pop counts %v != %v", got.PopCounts, want.PopCounts)
+			if got, want := got.Train.PopularityVector(), want.Train.PopularityVector(); !slices.Equal(got, want) {
+				t.Fatalf("pop counts %v != %v", got, want)
 			}
 			// Under Stat nothing reads the Dyn frequencies, and a checkpoint
 			// does not carry them.
@@ -181,6 +182,92 @@ func checkpointRestoreParity(t *testing.T, cold *Pipeline, spelling string, even
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("the restored node recommends differently from the uninterrupted one:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCheckpointWithLambdaLoads: a checkpoint whose ingest section still
+// carries the ItemAvg λ — every checkpoint written before the λ came from the
+// base section alone — loads, and the stream resumed from it serves what the
+// uninterrupted stream serves.
+func TestCheckpointWithLambdaLoads(t *testing.T) {
+	split := persistSplit(t, 53)
+	events := streamEvents(t, split.Train, 120, 61)
+	dir := t.TempDir()
+	seedPath := filepath.Join(dir, "seed.snap")
+	if err := buildPersistablePipeline(t, split.Train, "ItemAvg").Save(seedPath); err != nil {
+		t.Fatal(err)
+	}
+	load := func(path string) *Pipeline {
+		p, err := LoadEngine(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ingestInto := func(p *Pipeline, events []IngestEvent, opts ...IngestorOption) *Ingestor {
+		ing, err := NewIngestor(nil, p, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applyInBatches(t, ing, events, 30)
+		return ing
+	}
+
+	refPipe := load(seedPath)
+	refIng := ingestInto(refPipe, events)
+
+	const cut = 60
+	ckPath := filepath.Join(dir, "checkpoint.snap")
+	if err := ingestInto(load(seedPath), events[:cut], WithIngestCheckpoint(ckPath, 0)).Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := persist.Load(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var current ingestSnapshot
+	if err := snap.Gob(sectionIngest, &current); err != nil {
+		t.Fatal(err)
+	}
+	type ingestSnapshotWithLambda struct {
+		AppliedSeq uint64
+		AvgLambda  float64
+		PrefFill   float64
+	}
+	var old persist.Builder
+	for _, name := range snap.Sections() {
+		payload, err := snap.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == sectionIngest {
+			old.AddGob(name, &ingestSnapshotWithLambda{AppliedSeq: current.AppliedSeq, AvgLambda: itemAvgShrinkage, PrefFill: current.PrefFill})
+			continue
+		}
+		old.Add(name, payload)
+	}
+	if err := old.Save(ckPath); err != nil {
+		t.Fatal(err)
+	}
+
+	restored := load(ckPath)
+	if restored.ingestSeq != cut || restored.ingestPrefFill != current.PrefFill {
+		t.Fatalf("the old-shape section restored cursor %d and fill %v, want %d and %v",
+			restored.ingestSeq, restored.ingestPrefFill, cut, current.PrefFill)
+	}
+	resumedIng := ingestInto(restored, events[cut:])
+
+	ctx := context.Background()
+	want, err := fingerprintPipeline(ctx, refPipe, refIng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fingerprintPipeline(ctx, restored, resumedIng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the stream resumed from the old checkpoint recommends differently from the uninterrupted one:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -232,6 +232,16 @@ func withStrays(rated []types.ItemID, numItems int) []types.ItemID {
 	return append(out, types.ItemID(numItems), types.ItemID(numItems), types.ItemID(numItems+7))
 }
 
+// statCoverageOf is the Stat coverage recommender of a train set whose items
+// have the given rating counts.
+func statCoverageOf(counts []int) *StatCoverage {
+	scores := make([]float64, len(counts))
+	for i, c := range counts {
+		scores[i] = invSqrtFreq(c)
+	}
+	return &StatCoverage{scores: scores}
+}
+
 // allocatedBy is the bytes f allocates.
 func allocatedBy(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -279,7 +289,7 @@ func TestFusedWalkMatchesStagedOracle(t *testing.T) {
 			at   func(u types.UserID, i types.ItemID) float64
 		}{
 			"Dyn":      {NewDynCoverageFrom(counts), dynAt},
-			"Stat":     {NewStatCoverageFromCounts(counts), dynAt},
+			"Stat":     {statCoverageOf(counts), dynAt},
 			"Hash":     {&hash, hash.CoverageScore},
 			"HashBulk": {&hashCoverageBulk{hash}, hash.CoverageScore},
 		}

@@ -298,7 +298,7 @@ type StatCoverage struct {
 func NewStatCoverage(train *dataset.Dataset) *StatCoverage {
 	scores := make([]float64, train.NumItems())
 	for i := range scores {
-		scores[i] = 1 / math.Sqrt(float64(train.ItemPopularity(types.ItemID(i)))+1)
+		scores[i] = invSqrtFreq(train.ItemPopularity(types.ItemID(i)))
 	}
 	return &StatCoverage{scores: scores}
 }

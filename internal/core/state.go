@@ -22,21 +22,9 @@ func NewDynCoverageFrom(freq []int) *DynCoverage {
 	return &DynCoverage{freq: out}
 }
 
-// NewStatCoverageFromCounts builds the Stat coverage recommender from an
-// explicit per-item rating-count vector instead of scanning a dataset, so the
-// streaming-ingestion layer can rebuild it from its incrementally maintained
-// counts in O(|I|).
-func NewStatCoverageFromCounts(counts []int) *StatCoverage {
-	scores := make([]float64, len(counts))
-	for i, c := range counts {
-		scores[i] = invSqrtFreq(c)
-	}
-	return &StatCoverage{scores: scores}
-}
-
 // NewPopAccuracyWith builds the paper's indicator-style Pop accuracy
-// recommender over an explicit popularity model — incrementally maintained
-// counts (streaming ingestion) or counts restored from a snapshot. topN is
+// recommender over an explicit popularity model — one counted from an
+// ingested train set or restored from a snapshot. topN is
 // the N of the top-N sets being constructed.
 func NewPopAccuracyWith(pop *recommender.Pop, train *dataset.Dataset, topN int) *PopAccuracy {
 	return &PopAccuracy{

@@ -54,7 +54,7 @@ func TestSurvivesGrowth(t *testing.T) {
 					if cov == "Dyn" {
 						return NewDynCoverageFrom(counts)
 					}
-					return NewStatCoverageFromCounts(counts)
+					return statCoverageOf(counts)
 				}
 				cfg := Config{N: n}
 				before, err := New(train, &ScorerAccuracy{Scorer: norm}, prefs, coverage(counts[:from]), cfg)

@@ -3,19 +3,20 @@
 // events into the recommendation state incrementally and publishes the result
 // through the serving layer's versioned atomic engine swap.
 //
-// Each applied event updates four things without retraining anything:
+// Each applied event updates three things without retraining anything:
 //
-//   - the per-item popularity counts (the Pop base and PopAccuracy input),
-//   - the per-item rating sums/counts behind the damped ItemAvg means,
-//   - the dataset adjacency, appended to in place with only touched users
+//   - the train set, extended in place with only touched users' adjacency
 //     re-sorted (dataset.Extend), so candidate enumeration immediately stops
-//     offering the consumed item to that user, and
+//     offering the consumed item to that user,
+//   - the per-item rating sums behind the damped ItemAvg means, and
 //   - the Dyn coverage frequency f_i^A, so the paper's dynamic objective
 //     keeps discounting items as they are consumed.
 //
-// Beside them the state notes, per item, the cursor of the last event that
-// named it (State.LastNamed): what lets an engine built from a later state
-// show that a list computed from an earlier one was left alone.
+// Whatever the extended train set already indexes is read from it, not kept
+// beside it: the rating counts f_i^R behind Pop, Stat and the ItemAvg means,
+// and — since each event appends one rating — which items the events after
+// a cursor named, what lets an engine built from a later state show that a
+// list computed from an earlier one was left alone.
 //
 // The write path is write-ahead: events land in the Log (JSON lines, one
 // event per line) before they touch state, and periodic checkpoints persist
@@ -284,16 +285,18 @@ func (l *Log) ReadRange(after, end uint64) ([]Event, error) {
 
 // --- Mutable serving state ----------------------------------------------------
 
-// State is the mutable mirror of everything an engine rebuild needs: the
-// (extended) train set, the θ preference vector, the incrementally maintained
-// popularity and item-average statistics, the Dyn coverage frequencies and
-// the applied-event cursor. It is owned by one Ingestor and mutated only
-// under its lock; the immutable structures it points to (Dataset, engine
-// inputs) are shared freely with the serving layer.
+// State is the mutable mirror of everything an engine rebuild needs that the
+// (extended) train set cannot say itself: the θ preference vector, the
+// item-average sums, the Dyn coverage frequencies and the applied-event
+// cursor. It is owned by one Ingestor and mutated only under its lock; the
+// immutable structures it points to (Dataset, engine inputs) are shared
+// freely with the serving layer.
 type State struct {
 	// Train is the current train set; every applied batch replaces it with
 	// its Extend successor (the state is the linear line Extend appends in
-	// place for).
+	// place for). Each event appends exactly one rating, so the set's last
+	// AppliedSeq − s ratings are the events after cursor s of this state's
+	// line of history.
 	Train *dataset.Dataset
 	// Prefs is the per-user θ vector, grown with PrefFill for new users. It
 	// is shared with every engine built from the state, so it is replaced,
@@ -302,27 +305,17 @@ type State struct {
 	// PrefFill is the θ assigned to users first seen in the event stream
 	// (typically the mean of the estimated population).
 	PrefFill float64
-	// PopCounts is the per-item rating count f_i^R, indexed by ItemID.
-	PopCounts []int
-	// AvgSums and AvgCounts accumulate per-item rating totals for the damped
-	// ItemAvg means; TotalSum and TotalCount track the global mean.
-	AvgSums    []float64
-	AvgCounts  []int
-	TotalSum   float64
-	TotalCount int
-	// AvgLambda is the ItemAvg shrinkage pseudo-count.
-	AvgLambda float64
+	// AvgSums accumulates per-item rating totals for the damped ItemAvg
+	// means, and TotalSum the global total; the counts they divide by are
+	// the train set's.
+	AvgSums  []float64
+	TotalSum float64
 	// DynFreq is the Dyn coverage recommendation/consumption frequency f_i^A.
 	DynFreq []int
-	// LastNamed is, per item, the sequence number of the last event of this
-	// state's line of history that named it (0: none has). Together with
-	// Lineage it is what lets the serving layer prove a list computed at an
-	// earlier cursor untouched by the batches since; neither is persisted — a
-	// restored state starts a line of its own.
-	LastNamed []uint64
 	// Lineage identifies this state's line of history: two engines carry the
-	// same one only if they were built from this state, at two cursors. A
-	// state assembled by hand has none (nil).
+	// same one only if they were built from this state, at two cursors. It is
+	// not persisted — a restored state starts a line of its own. A state
+	// assembled by hand has none (nil).
 	Lineage *serve.Lineage
 	// AppliedSeq is the sequence number of the last event folded into this
 	// state — the checkpoint/replay cursor.
@@ -335,34 +328,20 @@ type State struct {
 
 // NewStateFromDataset derives the incremental statistics of a fresh state
 // from a train set (the cold-start path, before any events are applied).
-func NewStateFromDataset(train *dataset.Dataset, prefs *longtail.Preferences, avgLambda float64) *State {
+func NewStateFromDataset(train *dataset.Dataset, prefs *longtail.Preferences) *State {
 	s := &State{
-		Train:     train,
-		Prefs:     prefs.Clone(),
-		PrefFill:  prefs.Mean(),
-		PopCounts: train.PopularityVector(),
-		AvgSums:   make([]float64, train.NumItems()),
-		AvgCounts: make([]int, train.NumItems()),
-		AvgLambda: avgLambda,
-		DynFreq:   make([]int, train.NumItems()),
-		LastNamed: make([]uint64, train.NumItems()),
-		Lineage:   new(serve.Lineage),
+		Train:    train,
+		Prefs:    prefs.Clone(),
+		PrefFill: prefs.Mean(),
+		AvgSums:  make([]float64, train.NumItems()),
+		DynFreq:  make([]int, train.NumItems()),
+		Lineage:  new(serve.Lineage),
 	}
 	for _, r := range train.Ratings() {
 		s.AvgSums[r.Item] += r.Value
-		s.AvgCounts[r.Item]++
 		s.TotalSum += r.Value
-		s.TotalCount++
 	}
 	return s
-}
-
-// GlobalMean returns the running global mean rating.
-func (s *State) GlobalMean() float64 {
-	if s.TotalCount == 0 {
-		return 0
-	}
-	return s.TotalSum / float64(s.TotalCount)
 }
 
 // applyEvents interns the events' keys, grows every per-user/per-item mirror
@@ -379,21 +358,14 @@ func (s *State) applyEvents(events []Event) {
 	}
 
 	numItems := items.Len()
-	s.PopCounts = growTo(s.PopCounts, numItems)
 	s.AvgSums = growTo(s.AvgSums, numItems)
-	s.AvgCounts = growTo(s.AvgCounts, numItems)
 	s.DynFreq = growTo(s.DynFreq, numItems)
-	s.LastNamed = growTo(s.LastNamed, numItems)
 	s.growPrefs(users.Len())
 
-	for k, r := range ratings {
-		s.PopCounts[r.Item]++
+	for _, r := range ratings {
 		s.AvgSums[r.Item] += r.Value
-		s.AvgCounts[r.Item]++
 		s.TotalSum += r.Value
-		s.TotalCount++
 		s.DynFreq[r.Item]++
-		s.LastNamed[r.Item] = s.AppliedSeq + uint64(k) + 1
 	}
 	s.Train = s.Train.Extend(ratings)
 	s.AppliedSeq += uint64(len(events))
@@ -402,7 +374,7 @@ func (s *State) applyEvents(events []Event) {
 // growTo zero-extends v to n elements. The state owns these vectors (engines
 // are built from copies), so they grow in place with append's amortised
 // capacity instead of being recopied whenever one item is new.
-func growTo[T int | uint64 | float64](v []T, n int) []T {
+func growTo[T int | float64](v []T, n int) []T {
 	if len(v) >= n {
 		return v
 	}
@@ -600,6 +572,9 @@ func (in *Ingestor) Recover() (replayed int, err error) {
 		return 0, nil
 	}
 	in.cfg.State.applyEvents(batch)
+	// The replayed events are past the last checkpoint like any applied
+	// batch, so they count toward the next one.
+	in.sinceCheckpoint += len(batch)
 	if err := in.publishLocked(); err != nil {
 		return 0, err
 	}

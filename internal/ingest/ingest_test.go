@@ -44,14 +44,14 @@ func testState(t *testing.T, d *dataset.Dataset) *State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewStateFromDataset(d, prefs, 5)
+	return NewStateFromDataset(d, prefs)
 }
 
 // popEngine is the minimal engine rebuild used across these tests: a Pop
-// model constructed from the incrementally maintained counts.
+// model counted from the extended train set.
 func popEngine(s *State) (serve.Engine, error) {
 	return &recommender.TopNEngine{
-		Model: &recommender.ScorerTopN{Scorer: recommender.NewPopFromCounts(s.PopCounts)},
+		Model: &recommender.ScorerTopN{Scorer: recommender.NewPop(s.Train)},
 		Train: s.Train,
 		N:     5,
 	}, nil
@@ -91,16 +91,14 @@ func TestIncrementalMatchesRecount(t *testing.T) {
 		}
 	}
 	ing.View(func(s *State) {
-		want := s.Train.PopularityVector()
-		if len(want) != len(s.PopCounts) {
-			t.Fatalf("pop counts cover %d items, dataset has %d", len(s.PopCounts), len(want))
+		sums := make([]float64, s.Train.NumItems())
+		for _, r := range s.Train.Ratings() {
+			sums[r.Item] += r.Value
 		}
-		for i := range want {
-			if want[i] != s.PopCounts[i] {
-				t.Fatalf("item %d: incremental count %d != recount %d", i, s.PopCounts[i], want[i])
-			}
+		if !slices.Equal(s.AvgSums, sums) {
+			t.Fatalf("incremental item sums %v != recount %v", s.AvgSums, sums)
 		}
-		if got, want := s.GlobalMean(), s.Train.MeanRating(); got != want {
+		if got, want := s.TotalSum/float64(s.Train.NumRatings()), s.Train.MeanRating(); got != want {
 			t.Fatalf("incremental global mean %v != dataset mean %v", got, want)
 		}
 		// Adjacency must be sorted and deduplicated for every user.
@@ -114,16 +112,6 @@ func TestIncrementalMatchesRecount(t *testing.T) {
 		}
 		if s.AppliedSeq != uint64(len(events)) {
 			t.Fatalf("applied seq %d, want %d", s.AppliedSeq, len(events))
-		}
-		// Each item remembers the cursor of the last event that named it,
-		// whatever the batch boundaries were.
-		lastNamed := make([]uint64, s.Train.NumItems())
-		for k, ev := range events {
-			i, _ := s.Train.ItemInterner().Lookup(ev.Item)
-			lastNamed[i] = uint64(k) + 1
-		}
-		if !slices.Equal(s.LastNamed, lastNamed) {
-			t.Fatalf("last-named cursors %v, want %v", s.LastNamed, lastNamed)
 		}
 		if s.Lineage == nil {
 			t.Fatal("a state built from a dataset claims no lineage")
@@ -149,31 +137,25 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	}
 
 	// Interrupted run: WAL + checkpoint every 50 events. The "checkpoint"
-	// captures the state the way the facade snapshot would: deep copies of
-	// the incremental statistics plus the cursor.
+	// captures the state the way the facade snapshot would: the train set,
+	// deep copies of the incremental statistics, and the cursor.
 	type checkpoint struct {
-		seq       uint64
-		pop       []int
-		dyn       []int
-		train     *dataset.Dataset
-		prefs     *longtail.Preferences
-		avgSums   []float64
-		avgCounts []int
-		totalSum  float64
-		totalCnt  int
+		seq      uint64
+		dyn      []int
+		train    *dataset.Dataset
+		prefs    *longtail.Preferences
+		avgSums  []float64
+		totalSum float64
 	}
 	var last checkpoint
 	save := func(s *State) error {
 		last = checkpoint{
-			seq:       s.AppliedSeq,
-			pop:       append([]int(nil), s.PopCounts...),
-			dyn:       append([]int(nil), s.DynFreq...),
-			train:     s.Train,
-			prefs:     s.Prefs.Clone(),
-			avgSums:   append([]float64(nil), s.AvgSums...),
-			avgCounts: append([]int(nil), s.AvgCounts...),
-			totalSum:  s.TotalSum,
-			totalCnt:  s.TotalCount,
+			seq:      s.AppliedSeq,
+			dyn:      append([]int(nil), s.DynFreq...),
+			train:    s.Train,
+			prefs:    s.Prefs.Clone(),
+			avgSums:  append([]float64(nil), s.AvgSums...),
+			totalSum: s.TotalSum,
 		}
 		return nil
 	}
@@ -209,12 +191,8 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 		Train:      last.train,
 		Prefs:      last.prefs,
 		PrefFill:   liveState.PrefFill,
-		PopCounts:  last.pop,
 		AvgSums:    last.avgSums,
-		AvgCounts:  last.avgCounts,
 		TotalSum:   last.totalSum,
-		TotalCount: last.totalCnt,
-		AvgLambda:  5,
 		DynFreq:    last.dyn,
 		AppliedSeq: last.seq,
 	}
@@ -240,16 +218,67 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			if got.AppliedSeq != want.AppliedSeq {
 				t.Fatalf("seq %d != %d", got.AppliedSeq, want.AppliedSeq)
 			}
-			assertIntsEqual(t, "pop counts", got.PopCounts, want.PopCounts)
+			assertIntsEqual(t, "pop counts", got.Train.PopularityVector(), want.Train.PopularityVector())
 			assertIntsEqual(t, "dyn freq", got.DynFreq, want.DynFreq)
-			if got.TotalSum != want.TotalSum || got.TotalCount != want.TotalCount {
-				t.Fatalf("global stats (%v,%d) != (%v,%d)", got.TotalSum, got.TotalCount, want.TotalSum, want.TotalCount)
+			if !slices.Equal(got.AvgSums, want.AvgSums) || got.TotalSum != want.TotalSum {
+				t.Fatalf("item sums %v (total %v) != %v (total %v)", got.AvgSums, got.TotalSum, want.AvgSums, want.TotalSum)
 			}
 			if got.Train.NumRatings() != want.Train.NumRatings() {
 				t.Fatalf("ratings %d != %d", got.Train.NumRatings(), want.Train.NumRatings())
 			}
 		})
 	})
+}
+
+// TestRecoverCountsTowardCheckpoint: the events Recover replays lie past the
+// last checkpoint like any applied batch, so they count toward the next one
+// and the log suffix a restart leaves stays under CheckpointEvery. A process
+// checkpointing every 10 events dies at event 15 (checkpoint at 10); its
+// successor replays 5 and must checkpoint again at 20, not 25.
+func TestRecoverCountsTowardCheckpoint(t *testing.T) {
+	const every = 10
+	events := randomEvents(25, 31)
+	logPath := filepath.Join(t.TempDir(), "events.log")
+	var checkpoints []uint64
+	save := func(s *State) error {
+		checkpoints = append(checkpoints, s.AppliedSeq)
+		return nil
+	}
+	run := func(state *State, events []Event) *Ingestor {
+		wal, err := OpenLog(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { wal.Close() })
+		ing, err := New(Config{State: state, Rebuild: popEngine, Log: wal, Checkpoint: save, CheckpointEvery: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ing.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		for k := range events {
+			if _, err := ing.Apply(context.Background(), events[k:k+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ing
+	}
+
+	first := run(testState(t, testDataset(t, 20, 15, 300, 7)), events[:15])
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(checkpoints, []uint64{10}) {
+		t.Fatalf("the first process checkpointed at %v, want [10]", checkpoints)
+	}
+	// The successor starts from the checkpoint: the state at event 10.
+	restored := testState(t, testDataset(t, 20, 15, 300, 7))
+	restored.applyEvents(events[:10])
+	run(restored, events[15:])
+	if !slices.Equal(checkpoints, []uint64{10, 20}) {
+		t.Fatalf("checkpoints at %v, want [10 20]: the replayed events did not count toward the cadence", checkpoints)
+	}
 }
 
 // TestNewRefusesShortLog: a write-ahead log that ends before the state's

@@ -85,11 +85,11 @@ type itemAvgSnapshot struct {
 }
 
 // ingestSnapshot is the "ingest" section written by checkpoints: the
-// applied-event cursor plus the incremental statistics that are cheaper to
-// restore than to recount.
+// applied-event cursor and the θ new users get. Sections written while it
+// also carried the ItemAvg λ (now read from the base section) still decode;
+// gob skips the field.
 type ingestSnapshot struct {
 	AppliedSeq uint64
-	AvgLambda  float64
 	PrefFill   float64
 }
 
@@ -149,8 +149,8 @@ func (p *Pipeline) Save(path string) error {
 	kind.encode(p.baseScorer, &b)
 	b.AddGob(sectionPrefs, &prefsSnapshot{Model: string(p.prefs.Model), Values: p.prefs.Values})
 	b.AddGob(sectionCoverage, &coverageSnapshot{Name: p.cfg.coverage.name, Freq: p.dynFreq()})
-	if p.ingestSeq > 0 || p.ingestAvgLambda > 0 {
-		b.AddGob(sectionIngest, &ingestSnapshot{AppliedSeq: p.ingestSeq, AvgLambda: p.ingestAvgLambda, PrefFill: p.ingestPrefFill})
+	if p.ingestSeq > 0 {
+		b.AddGob(sectionIngest, &ingestSnapshot{AppliedSeq: p.ingestSeq, PrefFill: p.ingestPrefFill})
 	}
 	if p.shard != nil {
 		b.AddGob(sectionCluster, p.shard)
@@ -233,7 +233,7 @@ func pipelineFromSnapshot(snap *persist.Snapshot) (*Pipeline, error) {
 	if covSpec.restore == nil {
 		return nil, fmt.Errorf("%w: coverage recommender %q", ErrSnapshotUnsupported, covSnap.Name)
 	}
-	crec, err := covSpec.restore(covSnap.Freq, train.PopularityVector())
+	crec, err := covSpec.restore(covSnap.Freq, train)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +259,6 @@ func pipelineFromSnapshot(snap *persist.Snapshot) (*Pipeline, error) {
 		}
 		p.ingestSeq = ing.AppliedSeq
 		p.ingestPrefFill = ing.PrefFill
-		p.ingestAvgLambda = ing.AvgLambda
 	}
 	if snap.Has(sectionCluster) {
 		var id ShardIdentity

@@ -41,21 +41,17 @@ type Pipeline struct {
 	// ingestSeq is the applied-event cursor carried by a loaded checkpoint
 	// snapshot (zero for cold-built pipelines); NewIngestor seeds its state
 	// with it so write-ahead-log recovery replays only the un-checkpointed
-	// suffix. ingestPrefFill and ingestAvgLambda carry the matching
-	// ingestion parameters so a restored stream treats new users and item
-	// averages exactly as the uninterrupted one would have.
-	ingestSeq       uint64
-	ingestPrefFill  float64
-	ingestAvgLambda float64
+	// suffix. ingestPrefFill carries the θ new users get, so a restored
+	// stream treats them exactly as the uninterrupted one would have.
+	ingestSeq      uint64
+	ingestPrefFill float64
 
-	// lineage and lastNamed make the pipeline a serve.Revalidator (see
-	// Revalidate): the ingestion state it was rebuilt from and, per item, the
-	// cursor of the last event of that state's history to name it, as of
-	// ingestSeq. Only pipelineFromState sets them, and only around a frozen
-	// factor model; every other pipeline has neither and its lists are never
-	// carried across a swap.
-	lineage   *serve.Lineage
-	lastNamed []uint64
+	// lineage makes the pipeline a serve.Revalidator (see Revalidate): the
+	// ingestion state it was rebuilt from, whose history up to ingestSeq the
+	// tail of train holds. Only pipelineFromState sets it, and only around a
+	// frozen factor model; every other pipeline has none and its lists are
+	// never carried across a swap.
+	lineage *serve.Lineage
 
 	// shard is the cluster identity of a shard-scoped pipeline (nil for
 	// single-node pipelines). It is written by SaveShard, restored by
@@ -163,11 +159,10 @@ type CoverageSpec struct {
 	build func(train *Dataset, seed int64) CoverageRecommender
 	// restore rebuilds the recommender from persisted or ingested state: the
 	// accumulated Dyn frequencies (nil when the saved recommender kept none)
-	// and the per-item rating counts. nil for Rand, whose shared rng state is
-	// consumed in evaluation order: a restore could not reproduce the saved
-	// engine's behaviour, so such a pipeline is neither saved nor ingested
-	// into.
-	restore func(dynFreq, popCounts []int) (CoverageRecommender, error)
+	// and the train set. nil for Rand, whose shared rng state is consumed in
+	// evaluation order: a restore could not reproduce the saved engine's
+	// behaviour, so such a pipeline is neither saved nor ingested into.
+	restore func(dynFreq []int, train *Dataset) (CoverageRecommender, error)
 }
 
 // CoverageDyn selects the dynamic coverage recommender c(i) = 1/√(f_i^A + 1),
@@ -178,10 +173,10 @@ func CoverageDyn() CoverageSpec {
 		build: func(train *Dataset, _ int64) CoverageRecommender {
 			return core.NewDynCoverage(train.NumItems())
 		},
-		restore: func(dynFreq, popCounts []int) (CoverageRecommender, error) {
-			if len(dynFreq) != len(popCounts) {
+		restore: func(dynFreq []int, train *Dataset) (CoverageRecommender, error) {
+			if len(dynFreq) != train.NumItems() {
 				return nil, fmt.Errorf("ganc: Dyn frequencies cover %d items but the dataset has %d",
-					len(dynFreq), len(popCounts))
+					len(dynFreq), train.NumItems())
 			}
 			return core.NewDynCoverageFrom(dynFreq), nil
 		},
@@ -196,8 +191,8 @@ func CoverageStat() CoverageSpec {
 		build: func(train *Dataset, _ int64) CoverageRecommender {
 			return core.NewStatCoverage(train)
 		},
-		restore: func(_, popCounts []int) (CoverageRecommender, error) {
-			return core.NewStatCoverageFromCounts(popCounts), nil
+		restore: func(_ []int, train *Dataset) (CoverageRecommender, error) {
+			return core.NewStatCoverage(train), nil
 		},
 	}
 }

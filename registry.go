@@ -33,8 +33,8 @@ var (
 	rerankers  = map[string]rerankerBuilder{}
 )
 
-// itemAvgShrinkage is the registry's ItemAvg shrinkage pseudo-count, and the
-// one an ingestion state carries when its base is not an ItemAvg.
+// itemAvgShrinkage is the registry's ItemAvg shrinkage pseudo-count. An
+// ingested batch keeps the one its model was built with (ItemAvg.Lambda).
 const itemAvgShrinkage = 5
 
 // BaseNames lists the registered base-model names, sorted.
@@ -88,9 +88,6 @@ type baseKind struct {
 	// accuracy is how the model enters the value function; nil means per-user
 	// min–max normalisation, like any scorer outside the table.
 	accuracy func(s Scorer, train *Dataset, topN int) AccuracyRecommender
-	// shrinkage is the λ a fresh ingestion state must carry for rebuild to
-	// reproduce the model; nil means the state's default.
-	shrinkage func(s Scorer) float64
 }
 
 var baseKinds = []baseKind{
@@ -111,7 +108,7 @@ var baseKinds = []baseKind{
 			}
 			return recommender.NewPopFromCounts(ps.Counts), nil
 		},
-		rebuild: func(_ Scorer, s *ingest.State) Scorer { return recommender.NewPopFromCounts(s.PopCounts) },
+		rebuild: func(_ Scorer, s *ingest.State) Scorer { return recommender.NewPop(s.Train) },
 		// The paper's Pop accuracy recommender is the indicator a(i)=1 iff i
 		// is in the user's popularity top-N, not a normalized count.
 		accuracy: func(s Scorer, train *Dataset, topN int) AccuracyRecommender {
@@ -132,10 +129,12 @@ var baseKinds = []baseKind{
 			}
 			return recommender.NewItemAvgFromAverages(ia.Avg, ia.Lambda), nil
 		},
-		rebuild: func(_ Scorer, s *ingest.State) Scorer {
-			return recommender.NewItemAvgFromStats(s.AvgSums, s.AvgCounts, s.AvgLambda, s.GlobalMean())
+		// The counts are the train set's; λ is the one the model was built
+		// with.
+		rebuild: func(prev Scorer, s *ingest.State) Scorer {
+			global := s.TotalSum / float64(s.Train.NumRatings())
+			return recommender.NewItemAvgFromStats(s.AvgSums, s.Train.PopularityVector(), prev.(*recommender.ItemAvg).Lambda(), global)
 		},
-		shrinkage: func(s Scorer) float64 { return s.(*recommender.ItemAvg).Lambda() },
 	},
 	{
 		name: "RSVD",

@@ -59,7 +59,7 @@ func newRevalNode(t *testing.T, p *Pipeline, kind string, n int) *revalNode {
 		return node
 	}
 	node.ing, err = ingest.New(ingest.Config{
-		State:   ingest.NewStateFromDataset(p.train, p.prefs, 5),
+		State:   ingest.NewStateFromDataset(p.train, p.prefs),
 		Server:  srv,
 		Rebuild: func(s *ingest.State) (serve.Engine, error) { return node.rebuild(s) },
 	})
@@ -381,5 +381,122 @@ func TestRevalidatedListsAreExact(t *testing.T) {
 	}
 	if !seen.servedOrigin {
 		t.Error("the origin pipeline was never republished")
+	}
+}
+
+// TestRevalidateAnswersItemNamedExactly pins condition (i) of Revalidate to
+// its meaning: against every earlier mark of its lineage, each generation
+// answers RevalItemNamed for a one-item list exactly when an event after the
+// mark named that item. The stream names an item with the first event of a
+// batch and another with its last, re-rates a pair on its own, then runs
+// irregular batches that also add items; the lineage's start is one of the
+// marks. A mark past the generation's cursor, or of another lineage, answers
+// RevalForeign.
+func TestRevalidateAnswersItemNamedExactly(t *testing.T) {
+	train := persistSplit(t, 83).Train
+	cfg := DefaultRSVDConfig()
+	cfg.Factors, cfg.Epochs, cfg.Seed = 6, 2, 7
+	m, err := TrainRSVD(train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin, err := NewPipeline(train, WithBase(m), WithTopN(1), WithPreferences(PreferenceTFIDF), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := newRevalNode(t, origin, "RSVD", 1)
+	users, items := train.UserInterner(), train.ItemInterner()
+	ev := func(u, i int) IngestEvent {
+		return IngestEvent{User: users.Key(int32(u)), Item: items.Key(int32(i)), Value: 4}
+	}
+	batches := [][]IngestEvent{
+		{ev(0, 3), ev(1, 5), ev(2, 5), ev(3, 8)}, // item 3 first, item 8 last
+		{ev(1, 5)},                               // a re-rated pair alone
+	}
+	stream := &revalStream{rng: rand.New(rand.NewSource(5)), train: train, itemEvery: 6}
+	rng := rand.New(rand.NewSource(6))
+	for len(batches) < 24 {
+		batches = append(batches, stream.batch(1+rng.Intn(7)))
+	}
+
+	var events []IngestEvent // events[k] is event k+1 of the lineage
+	gens := []*Pipeline{node.truth(t)}
+	for _, b := range batches {
+		if _, err := node.ing.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, b...)
+		gens = append(gens, node.truth(t))
+	}
+	if gens[0].Mark().Seq != 0 || gens[0].Mark().Lineage == nil {
+		t.Fatalf("the first generation's mark %+v is not the lineage's start", gens[0].Mark())
+	}
+	if gens[len(gens)-1].Train().NumItems() == train.NumItems() {
+		t.Fatal("the stream added no item")
+	}
+
+	named, kept := 0, 0
+	for g, now := range gens {
+		for _, from := range gens[:g+1] {
+			mark := from.Mark()
+			namedSince := map[string]bool{}
+			for _, e := range events[mark.Seq:now.Mark().Seq] {
+				namedSince[e.Item] = true
+			}
+			for i := 0; i < mark.Items; i++ {
+				got := now.Revalidate(0, TopNSet{ItemID(i)}, 1, mark)
+				if want := namedSince[items.Key(int32(i))]; (got == serve.RevalItemNamed) != want || got == serve.RevalForeign {
+					t.Fatalf("generation at %d, mark at %d: item %d answers %v, named since the mark: %v",
+						now.Mark().Seq, mark.Seq, i, got, want)
+				}
+				if got == serve.RevalItemNamed {
+					named++
+				} else {
+					kept++
+				}
+			}
+		}
+	}
+	t.Logf("%d named and %d unnamed answers over %d generations", named, kept, len(gens))
+	if named == 0 || kept == 0 {
+		t.Fatalf("%d named and %d unnamed answers: the property went unexercised", named, kept)
+	}
+
+	// The cases the stream was built for, by name.
+	for _, c := range []struct {
+		what     string
+		now      *Pipeline
+		from     *Pipeline
+		item     int
+		wantName bool
+	}{
+		{"the first event of a batch", gens[1], gens[0], 3, true},
+		{"the last event of a batch", gens[1], gens[0], 8, true},
+		{"a re-rated pair", gens[2], gens[1], 5, true},
+		{"an item the re-rating batch left alone", gens[2], gens[1], 3, false},
+	} {
+		if got := c.now.Revalidate(0, TopNSet{ItemID(c.item)}, 1, c.from.Mark()); (got == serve.RevalItemNamed) != c.wantName {
+			t.Errorf("%s: item %d answers %v", c.what, c.item, got)
+		}
+	}
+
+	now := gens[len(gens)-1]
+	future := now.Mark()
+	future.Seq++
+	foreign := now.Mark()
+	foreign.Lineage = new(serve.Lineage)
+	for _, c := range []struct {
+		what string
+		now  *Pipeline
+		from serve.Mark
+	}{
+		{"a mark past the cursor", now, future},
+		{"a mark of another lineage", now, foreign},
+		{"a mark of no lineage", now, origin.Mark()},
+		{"a pipeline of no lineage", origin, origin.Mark()},
+	} {
+		if got := c.now.Revalidate(0, TopNSet{0}, 1, c.from); got != serve.RevalForeign {
+			t.Errorf("%s answers %v, want %v", c.what, got, serve.RevalForeign)
+		}
 	}
 }

@@ -89,12 +89,9 @@ func newIngestor(srv *Server, p *Pipeline, c ingestorConfig) (*Ingestor, error) 
 	if err != nil {
 		return nil, err
 	}
-	state := ingest.NewStateFromDataset(p.train, p.prefs)
+	state := ingest.NewStateFromDataset(p.train, p.prefs, p.dynFreq(), kind.itemSums)
 	if p.ingestPrefFill > 0 {
 		state.PrefFill = p.ingestPrefFill
-	}
-	if freq := p.dynFreq(); freq != nil {
-		state.DynFreq = freq
 	}
 	state.AppliedSeq = p.ingestSeq
 

@@ -155,9 +155,8 @@ func checkpointRestoreParity(t *testing.T, cold *Pipeline, spelling string, even
 			if got, want := got.Train.PopularityVector(), want.Train.PopularityVector(); !slices.Equal(got, want) {
 				t.Fatalf("pop counts %v != %v", got, want)
 			}
-			// Under Stat nothing reads the Dyn frequencies, and a checkpoint
-			// does not carry them.
-			if refPipe.dynFreq() != nil && !slices.Equal(got.DynFreq, want.DynFreq) {
+			// Under Stat neither state keeps Dyn frequencies: both are nil.
+			if !slices.Equal(got.DynFreq, want.DynFreq) || (got.DynFreq == nil) != (want.DynFreq == nil) {
 				t.Fatalf("dyn frequencies %v != %v", got.DynFreq, want.DynFreq)
 			}
 			if got.Train.NumRatings() != want.Train.NumRatings() {

@@ -97,11 +97,13 @@ func stagedNormalise32(scores []float32, min, max float64) {
 	stagedClamp(scores)
 }
 
+// stagedCombine is the combine loop, each product rounded to T before the sum
+// (no target fuses them), as gainOf defines the gain.
 func stagedCombine[T float32 | float64](gains []T, theta float64, covs []float64) {
 	t := T(theta)
 	a := 1 - t
 	for k := range gains {
-		gains[k] = a*gains[k] + t*T(covs[k])
+		gains[k] = T(a*gains[k]) + T(t*T(covs[k]))
 	}
 }
 

@@ -676,11 +676,13 @@ func fillCandidates(row []float64, rated []types.ItemID, at func(types.ItemID) f
 	}
 }
 
-// top walks the turn once: its n candidates of largest gain, best first.
+// top walks the turn once: its n candidates of largest gain, best first. A
+// float32 turn over a float32 coverage row — every Dyn turn but OSLG's
+// sequential phase — finds the gains that reach the bar with the gain scan.
 func (t *turn) top(n int) types.TopNSet {
 	switch {
 	case t.raw32 != nil && t.row32 != nil:
-		return walk(t.raw32, t.map32, float32(t.theta), t.row32, t.rated, n)
+		return scanWalk(t.raw32, t.map32, float32(t.theta), t.row32, t.rated, n)
 	case t.raw32 != nil:
 		return walk(t.raw32, t.map32, float32(t.theta), t.row64, t.rated, n)
 	}
@@ -688,25 +690,23 @@ func (t *turn) top(n int) types.TopNSet {
 }
 
 // gainOf is the one place a gain is computed: (1−θ)·a(i) + θ·c(i) in the
-// arithmetic of T, a(i) the item's raw score through the user's map.
+// arithmetic of T, a(i) the item's raw score through the user's map. Each
+// product is converted to T before the sum, which the language defines to
+// round it: no build may fuse a product and the sum into one FMA, so the gain
+// is the same on every target and equals the gain scan's.
 func gainOf[T, C float32 | float64](raw T, m recommender.MinMax[T], theta T, c C) T {
-	return (1-theta)*m.At(raw) + theta*T(c)
+	return T((1-theta)*m.At(raw)) + T(theta*T(c))
 }
 
 // walk is the walk of a turn: raw and cov are indexed by item over the whole
 // catalog, and the candidates are read run by run between the rated items.
 // Each gain is held against the bar of the n best so far, and only one that
-// reaches it touches the heap, whose rule decides. The heap holds at most as
-// many entries as there are candidates, whatever n asks.
+// reaches it touches the heap, whose rule decides.
 func walk[T, C float32 | float64](raw []T, m recommender.MinMax[T], theta T, cov []C, rated []types.ItemID, n int) types.TopNSet {
 	if n <= 0 {
 		return nil
 	}
-	candidates := 0
-	for lo, hi := range candidateRuns(rated, len(raw)) {
-		candidates += hi - lo
-	}
-	h := recommender.NewTopHeap[T](min(n, candidates))
+	h := walkHeap[T](rated, len(raw), n)
 	bar := T(math.Inf(-1))
 	for lo, hi := range candidateRuns(rated, len(raw)) {
 		bar = walkRun(&h, bar, raw[lo:hi], cov[lo:hi], lo, m, theta)
@@ -714,10 +714,35 @@ func walk[T, C float32 | float64](raw []T, m recommender.MinMax[T], theta T, cov
 	return h.Ranked()
 }
 
-// walkRun offers the items [lo, lo+len(raw)) of one run to h and returns the
-// bar it leaves. It is a function of its own so that the bar lives in a
-// register: in the body of walk's range-over-func loop it would be a variable
-// captured by reference, and the walk measurably slower.
+// scanWalk is walk for a float32 turn beside a float32 row, run by run
+// through scanRun.
+func scanWalk(raw []float32, m recommender.MinMax[float32], theta float32, cov []float32, rated []types.ItemID, n int) types.TopNSet {
+	if n <= 0 {
+		return nil
+	}
+	h := walkHeap[float32](rated, len(raw), n)
+	bar := float32(math.Inf(-1))
+	for lo, hi := range candidateRuns(rated, len(raw)) {
+		bar = scanRun(&h, bar, raw[lo:hi], cov[lo:hi], lo, m, theta)
+	}
+	return h.Ranked()
+}
+
+// walkHeap is the heap of a walk that keeps n of the candidates of a catalog
+// of numItems items: at most as many entries as there are candidates,
+// whatever n asks.
+func walkHeap[T float32 | float64](rated []types.ItemID, numItems, n int) recommender.TopHeap[T] {
+	candidates := 0
+	for lo, hi := range candidateRuns(rated, numItems) {
+		candidates += hi - lo
+	}
+	return recommender.NewTopHeap[T](min(n, candidates))
+}
+
+// walkRun offers the items [lo, lo+len(raw)) of one run to h, item by item,
+// and returns the bar it leaves. It is a function of its own so that the bar
+// lives in a register: in the body of walk's range-over-func loop it would be
+// a variable captured by reference, and the walk measurably slower.
 func walkRun[T, C float32 | float64](h *recommender.TopHeap[T], bar T, raw []T, cov []C, lo int, m recommender.MinMax[T], theta T) T {
 	cov = cov[:len(raw)]
 	for k, s := range raw {
@@ -726,6 +751,30 @@ func walkRun[T, C float32 | float64](h *recommender.TopHeap[T], bar T, raw []T, 
 		}
 	}
 	return bar
+}
+
+// scanRun is walkRun for a float32 turn beside a float32 row: gainScan finds
+// the next item whose gain reaches the bar, and the offer carries the gain
+// gainOf computes, so it offers what walkRun offers, in the same order.
+func scanRun(h *recommender.TopHeap[float32], bar float32, raw, cov []float32, lo int, m recommender.MinMax[float32], theta float32) float32 {
+	cov = cov[:len(raw)]
+	for k := gainScan(raw, cov, m, theta, bar); k < len(raw); k += 1 + gainScan(raw[k+1:], cov[k+1:], m, theta, bar) {
+		bar = h.Offer(types.ItemID(lo+k), gainOf(raw[k], m, theta, cov[k]))
+	}
+	return bar
+}
+
+// gainScanGeneric returns the position of the first item of raw whose gain
+// reaches bar — !(g < bar), so a tie and a NaN gain reach it — and len(raw)
+// when none does. It is walkRun's test, and the portable gain scan.
+func gainScanGeneric(raw, cov []float32, m recommender.MinMax[float32], theta, bar float32) int {
+	cov = cov[:len(raw)]
+	for k, s := range raw {
+		if g := gainOf(s, m, theta, cov[k]); !(g < bar) {
+			return k
+		}
+	}
+	return len(raw)
 }
 
 // firstOutranks reports whether cand[0] ranks above every other item of cand

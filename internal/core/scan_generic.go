@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package core
+
+import "ganc/internal/recommender"
+
+// gainScan is gainScanGeneric on architectures without a hand-written scan.
+func gainScan(raw, cov []float32, m recommender.MinMax[float32], theta, bar float32) int {
+	return gainScanGeneric(raw, cov, m, theta, bar)
+}

@@ -3,11 +3,11 @@
 // events into the recommendation state incrementally and publishes the result
 // through the serving layer's versioned atomic engine swap.
 //
-// Each applied event updates three things without retraining anything:
+// Each applied event updates, without retraining anything, the train set,
+// extended in place with only touched users' adjacency re-sorted
+// (dataset.Extend), so candidate enumeration immediately stops offering the
+// consumed item to that user; and, where the engines read them,
 //
-//   - the train set, extended in place with only touched users' adjacency
-//     re-sorted (dataset.Extend), so candidate enumeration immediately stops
-//     offering the consumed item to that user,
 //   - the per-item rating sums behind the damped ItemAvg means, and
 //   - the Dyn coverage frequency f_i^A, so the paper's dynamic objective
 //     keeps discounting items as they are consumed.
@@ -287,10 +287,11 @@ func (l *Log) ReadRange(after, end uint64) ([]Event, error) {
 
 // State is the mutable mirror of everything an engine rebuild needs that the
 // (extended) train set cannot say itself: the θ preference vector, the
-// item-average sums, the Dyn coverage frequencies and the applied-event
-// cursor. It is owned by one Ingestor and mutated only under its lock; the
-// immutable structures it points to (Dataset, engine inputs) are shared
-// freely with the serving layer.
+// item-average sums under an ItemAvg base, the Dyn coverage frequencies under
+// Dyn coverage, and the applied-event cursor. A mirror no engine reads is nil
+// and stays nil. The state is owned by one Ingestor and mutated only under its
+// lock; the immutable structures it points to (Dataset, engine inputs) are
+// shared freely with the serving layer.
 type State struct {
 	// Train is the current train set; every applied batch replaces it with
 	// its Extend successor (the state is the linear line Extend appends in
@@ -307,10 +308,11 @@ type State struct {
 	PrefFill float64
 	// AvgSums accumulates per-item rating totals for the damped ItemAvg
 	// means, and TotalSum the global total; the counts they divide by are
-	// the train set's.
+	// the train set's. nil (and TotalSum 0) unless the base is ItemAvg.
 	AvgSums  []float64
 	TotalSum float64
-	// DynFreq is the Dyn coverage recommendation/consumption frequency f_i^A.
+	// DynFreq is the Dyn coverage recommendation/consumption frequency f_i^A;
+	// nil under any other coverage recommender.
 	DynFreq []int
 	// Lineage identifies this state's line of history: two engines carry the
 	// same one only if they were built from this state, at two cursors. It is
@@ -326,27 +328,32 @@ type State struct {
 	prefBuf []float64
 }
 
-// NewStateFromDataset derives the incremental statistics of a fresh state
-// from a train set (the cold-start path, before any events are applied).
-func NewStateFromDataset(train *dataset.Dataset, prefs *longtail.Preferences) *State {
+// NewStateFromDataset derives a fresh state from a train set (the cold-start
+// path, before any events are applied), with only the mirrors its engines
+// read: dynFreq is the Dyn frequencies to carry on from, which the state takes
+// over (nil when the coverage recommender is not Dyn), and itemSums asks for
+// the item-average sums, counted from the train set (an ItemAvg base).
+func NewStateFromDataset(train *dataset.Dataset, prefs *longtail.Preferences, dynFreq []int, itemSums bool) *State {
 	s := &State{
 		Train:    train,
 		Prefs:    prefs.Clone(),
 		PrefFill: prefs.Mean(),
-		AvgSums:  make([]float64, train.NumItems()),
-		DynFreq:  make([]int, train.NumItems()),
+		DynFreq:  dynFreq,
 		Lineage:  new(serve.Lineage),
 	}
-	for _, r := range train.Ratings() {
-		s.AvgSums[r.Item] += r.Value
-		s.TotalSum += r.Value
+	if itemSums {
+		s.AvgSums = make([]float64, train.NumItems())
+		for _, r := range train.Ratings() {
+			s.AvgSums[r.Item] += r.Value
+			s.TotalSum += r.Value
+		}
 	}
 	return s
 }
 
-// applyEvents interns the events' keys, grows every per-user/per-item mirror
-// to the new universe sizes, bumps the incremental statistics and extends the
-// train set. It advances AppliedSeq by one per event.
+// applyEvents interns the events' keys, grows the preference vector and the
+// per-item mirrors the state keeps to the new universe sizes, bumps those
+// mirrors and extends the train set. It advances AppliedSeq by one per event.
 func (s *State) applyEvents(events []Event) {
 	users := s.Train.UserInterner()
 	items := s.Train.ItemInterner()
@@ -357,15 +364,19 @@ func (s *State) applyEvents(events []Event) {
 		ratings[k] = types.Rating{User: u, Item: i, Value: ev.Value}
 	}
 
-	numItems := items.Len()
-	s.AvgSums = growTo(s.AvgSums, numItems)
-	s.DynFreq = growTo(s.DynFreq, numItems)
 	s.growPrefs(users.Len())
-
-	for _, r := range ratings {
-		s.AvgSums[r.Item] += r.Value
-		s.TotalSum += r.Value
-		s.DynFreq[r.Item]++
+	if s.AvgSums != nil {
+		s.AvgSums = growTo(s.AvgSums, items.Len())
+		for _, r := range ratings {
+			s.AvgSums[r.Item] += r.Value
+			s.TotalSum += r.Value
+		}
+	}
+	if s.DynFreq != nil {
+		s.DynFreq = growTo(s.DynFreq, items.Len())
+		for _, r := range ratings {
+			s.DynFreq[r.Item]++
+		}
 	}
 	s.Train = s.Train.Extend(ratings)
 	s.AppliedSeq += uint64(len(events))

@@ -44,7 +44,7 @@ func testState(t *testing.T, d *dataset.Dataset) *State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewStateFromDataset(d, prefs)
+	return NewStateFromDataset(d, prefs, make([]int, d.NumItems()), true)
 }
 
 // popEngine is the minimal engine rebuild used across these tests: a Pop
@@ -117,6 +117,56 @@ func TestIncrementalMatchesRecount(t *testing.T) {
 			t.Fatal("a state built from a dataset claims no lineage")
 		}
 	})
+}
+
+// TestStateKeepsOnlyItsMirrors: a state keeps the Dyn frequencies only when
+// it was given them and the item sums only when it was asked for them; a
+// mirror it does not keep stays nil through every batch, one it keeps grows
+// with the catalog and counts the events.
+func TestStateKeepsOnlyItsMirrors(t *testing.T) {
+	events := randomEvents(90, 13)
+	for _, tc := range []struct {
+		name     string
+		dyn      bool
+		itemSums bool
+	}{{"neither", false, false}, {"Dyn", true, false}, {"ItemAvg", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := testDataset(t, 20, 15, 300, 7)
+			prefs, err := longtail.Estimate(longtail.ModelActivity, d, nil, 0.5, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var freq []int
+			if tc.dyn {
+				freq = make([]int, d.NumItems())
+			}
+			ing, err := New(Config{State: NewStateFromDataset(d, prefs, freq, tc.itemSums), Rebuild: popEngine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < len(events); lo += 30 {
+				if _, err := ing.Apply(context.Background(), events[lo:lo+30]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ing.View(func(s *State) {
+				if (s.DynFreq != nil) != tc.dyn || (s.AvgSums != nil) != tc.itemSums {
+					t.Fatalf("kept Dyn frequencies %v and item sums %v, want %v and %v", s.DynFreq != nil, s.AvgSums != nil, tc.dyn, tc.itemSums)
+				}
+				if !tc.itemSums && s.TotalSum != 0 {
+					t.Fatalf("a state without item sums totals %v", s.TotalSum)
+				}
+				if !tc.dyn {
+					return
+				}
+				want := make([]int, s.Train.NumItems())
+				for _, r := range s.Train.Ratings()[d.NumRatings():] {
+					want[r.Item]++
+				}
+				assertIntsEqual(t, "dyn freq", s.DynFreq, want)
+			})
+		})
+	}
 }
 
 // TestCheckpointRestoreEquivalence is the acceptance property: ingesting a

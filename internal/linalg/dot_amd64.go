@@ -9,17 +9,28 @@ import (
 )
 
 // SSE2 kernel entry points (dot_amd64.s). SSE2 is part of the amd64
-// architecture baseline, so they need no runtime feature detection. Neither
+// architecture baseline, so they need no runtime feature detection. None
 // checks a bound it is not given: dot32x8 requires len(b) ≥ len(a),
 // dotRows32x8 that data holds n rows of len(v) and that out holds len(rows)
-// elements (an index outside the n rows it checks itself, and scores 0); the
-// exported wrappers enforce that in Go before the assembly touches memory.
+// elements (an index outside the n rows it checks itself, and scores 0),
+// dotSpan32x8 that data holds len(out) rows of len(v), and addBaseBias32
+// that len(bias) ≥ len(out); the exported wrappers enforce that in Go before
+// the assembly touches memory.
 
 //go:noescape
 func dot32x8(a, b []float32) float32
 
 //go:noescape
 func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32, n int)
+
+//go:noescape
+func dotSpan32x8(v, data, out []float32)
+
+//go:noescape
+func addBase32(out []float32, base float64)
+
+//go:noescape
+func addBaseBias32(out []float32, base float64, bias []float64)
 
 // Prefetch hints (dot_amd64.s): PREFETCHT0 is part of the amd64 baseline too.
 

@@ -130,6 +130,122 @@ outside:
 done:
 	RET
 
+// func dotSpan32x8(v, data, out []float32)
+//
+// out[k] = dot32x8(v, data[k*len(v):][:len(v)]) for every k below len(out):
+// the row kernel over the first len(out) rows of the matrix in data, read in
+// order, so there is no index to load or check. The caller guarantees
+// len(out)*len(v) <= len(data).
+TEXT ·dotSpan32x8(SB), NOSPLIT, $0-72
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	MOVQ data_base+24(FP), DI
+	MOVQ out_base+48(FP), R11
+	MOVQ out_len+56(FP), R10
+	MOVQ CX, R13
+	SHLQ $2, R13
+	XORQ R12, R12
+	DOT32X8_BOUNDS
+
+row:
+	CMPQ  R12, R10
+	JGE   done
+	DOT32X8
+	MOVSS X0, (R11)(R12*4)
+	ADDQ  R13, DI
+	INCQ  R12
+	JMP   row
+
+done:
+	RET
+
+// ADDBASE32_PAIR and ADDBASE32_ONE widen out's float32 scores at AX, two and
+// one of them, add the float64 base broadcast in X0 lane by lane (the score
+// is the destination, as in the Go loop) and leave the sums in X1; the
+// callers add a bias, or not, and narrow. CVTPS2PD, ADDPD and CVTPD2PS are
+// CVTSS2SD, ADDSD and CVTSD2SS per lane, rounding by the same MXCSR, so each
+// lane carries the bits of the scalar expression (there is no multiply to
+// fuse). The conversions bound the loop: taking four scores an iteration
+// measured no faster.
+#define ADDBASE32_PAIR \
+	MOVSD    (DI)(AX*4), X1; \
+	CVTPS2PD X1, X1; \
+	ADDPD    X0, X1;
+
+#define ADDBASE32_ONE \
+	MOVSS    (DI)(AX*4), X1; \
+	CVTSS2SD X1, X1; \
+	ADDSD    X0, X1;
+
+// func addBase32(out []float32, base float64)
+//
+// out[k] = float32(base + float64(out[k])) for every k below len(out), two
+// lanes at a time, then the odd one.
+TEXT ·addBase32(SB), NOSPLIT, $0-32
+	MOVQ     out_base+0(FP), DI
+	MOVQ     out_len+8(FP), CX
+	MOVSD    base+24(FP), X0
+	UNPCKLPD X0, X0
+	MOVQ     CX, DX
+	ANDQ     $-2, DX
+	XORQ     AX, AX
+
+pair:
+	CMPQ     AX, DX
+	JGE      odd
+	ADDBASE32_PAIR
+	CVTPD2PS X1, X1
+	MOVSD    X1, (DI)(AX*4)
+	ADDQ     $2, AX
+	JMP      pair
+
+odd:
+	CMPQ     AX, CX
+	JGE      done
+	ADDBASE32_ONE
+	CVTSD2SS X1, X1
+	MOVSS    X1, (DI)(AX*4)
+
+done:
+	RET
+
+// func addBaseBias32(out []float32, base float64, bias []float64)
+//
+// out[k] = float32(base + float64(out[k]) + bias[k]) for every k below
+// len(out), two lanes at a time, then the odd one; the sum is taken left to
+// right, as the Go loop takes it. The caller guarantees len(bias) >= len(out).
+TEXT ·addBaseBias32(SB), NOSPLIT, $0-56
+	MOVQ     out_base+0(FP), DI
+	MOVQ     out_len+8(FP), CX
+	MOVSD    base+24(FP), X0
+	MOVQ     bias_base+32(FP), SI
+	UNPCKLPD X0, X0
+	MOVQ     CX, DX
+	ANDQ     $-2, DX
+	XORQ     AX, AX
+
+pair:
+	CMPQ     AX, DX
+	JGE      odd
+	ADDBASE32_PAIR
+	MOVUPD   (SI)(AX*8), X2
+	ADDPD    X2, X1
+	CVTPD2PS X1, X1
+	MOVSD    X1, (DI)(AX*4)
+	ADDQ     $2, AX
+	JMP      pair
+
+odd:
+	CMPQ     AX, CX
+	JGE      done
+	ADDBASE32_ONE
+	ADDSD    (SI)(AX*8), X1
+	CVTSD2SS X1, X1
+	MOVSS    X1, (DI)(AX*4)
+
+done:
+	RET
+
 // func prefetchRow(row []float64)
 //
 // PREFETCHT0 on every 64 B line row spans: one hint per 64 bytes from its

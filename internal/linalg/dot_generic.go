@@ -9,13 +9,21 @@ import (
 )
 
 // Portable kernel entry points for architectures without a hand-written
-// implementation: the unrolled multi-accumulator Go loops, and prefetch hints
-// that do nothing.
+// implementation: the unrolled multi-accumulator Go loops, the scalar score
+// epilogues, and prefetch hints that do nothing.
 
 func dot32x8(a, b []float32) float32 { return dot32x8Generic(a, b) }
 
 func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32, n int) {
 	dotRows32x8Generic(v, data, rows, out, n)
+}
+
+func dotSpan32x8(v, data, out []float32) { dotSpan32x8Generic(v, data, out) }
+
+func addBase32(out []float32, base float64) { addBase32Generic(out, base) }
+
+func addBaseBias32(out []float32, base float64, bias []float64) {
+	addBaseBias32Generic(out, base, bias)
 }
 
 func prefetchRow([]float64) {}

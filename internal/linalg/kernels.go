@@ -93,6 +93,49 @@ func dotRows32x8Generic(v, data []float32, rows []types.ItemID, out []float32, n
 	}
 }
 
+// dotSpan32x8Generic is the portable span kernel: dot32x8Generic against each
+// of the first len(out) rows of the len(v)-wide row-major matrix in data.
+func dotSpan32x8Generic(v, data, out []float32) {
+	dims := len(v)
+	for k := range out {
+		off := k * dims
+		out[k] = dot32x8Generic(v, data[off:off+dims:off+dims])
+	}
+}
+
+// AddBase32 is the score epilogue of a factor model without per-item terms:
+// out[k] = float32(base + float64(out[k])) for every k, the float64 sum a
+// per-item loop takes, rounded once. On amd64 it is an SSE2 kernel that
+// takes two lanes at a time; elsewhere it is that loop. It adds no zero bias
+// in place of a missing one: −0 + +0 is +0, so that would change a score.
+func AddBase32(out []float32, base float64) { addBase32(out, base) }
+
+// AddBaseBias32 is the score epilogue of a factor model with per-item bias
+// terms: out[k] = float32(base + float64(out[k]) + bias[k]) for every k,
+// summed left to right, on amd64 two lanes at a time. It panics when bias is
+// shorter than out.
+func AddBaseBias32(out []float32, base float64, bias []float64) {
+	if len(bias) < len(out) {
+		panic(fmt.Sprintf("linalg: AddBaseBias32: len(bias) = %d < len(out) = %d", len(bias), len(out)))
+	}
+	addBaseBias32(out, base, bias)
+}
+
+// addBase32Generic is the portable AddBase32.
+func addBase32Generic(out []float32, base float64) {
+	for k, s := range out {
+		out[k] = float32(base + float64(s))
+	}
+}
+
+// addBaseBias32Generic is the portable AddBaseBias32.
+func addBaseBias32Generic(out []float32, base float64, bias []float64) {
+	bias = bias[:len(out)]
+	for k, s := range out {
+		out[k] = float32(base + float64(s) + bias[k])
+	}
+}
+
 // Block is a dense rows×dims float32 matrix in one backing slice, row-major
 // with stride = dims. Factor matrices convert into Blocks once after
 // training (or snapshot load) so the scoring loop walks contiguous memory

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,9 +130,10 @@ func TestBlockFrom64(t *testing.T) {
 
 // TestKernelSpeedupGate is the CI kernel regression gate (ISSUE 7 satellite
 // 5): Dot32x8 must beat the scalar float64 baseline by ≥2x on the serving
-// factor width, and the row kernel must cost no more per row than the
-// Dot32x8 call loop it replaced. Skipped under -race (instrumentation
-// distorts the ratios) and -short.
+// factor width, the row kernel must cost no more per row than the Dot32x8
+// call loop it replaced, and on amd64 each SSE2 score epilogue must beat its
+// Go loop (epilogueArms). Skipped under -race (instrumentation distorts the
+// ratios) and -short.
 func TestKernelSpeedupGate(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("kernel ratio gate is meaningless under the race detector")
@@ -200,10 +202,62 @@ func TestKernelSpeedupGate(t *testing.T) {
 		loop, rows = perRow(best[0]), perRow(best[1])
 		t.Logf("attempt %d, per row: Dot32x8 call loop %.2f ns, DotRows32x8 %.2f ns, speedup %.2fx", attempt, loop, rows, loop/rows)
 		if rows <= loop {
+			epilogueArms(t)
 			return
 		}
 	}
 	t.Fatalf("DotRows32x8 costs %.2f ns per row, the Dot32x8 call loop it replaced %.2f ns, in each of %d attempts", rows, loop, attempts)
+}
+
+// epilogueArms are the gate's arms for the score epilogues: over a turn's
+// 3 988 scores, AddBaseBias32 and AddBase32 must each cost at most 1/bound
+// of their Go loops, best of alternating rounds, a losing reading measured
+// again. Where the epilogues are the Go loops (not amd64) there is nothing
+// to gate.
+func epilogueArms(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Log("the score epilogues are their Go loops on " + runtime.GOARCH)
+		return
+	}
+	out, bias := epilogueBench()
+	// Measured on a 2-vCPU VM over seven runs, per score: AddBaseBias32
+	// 0.49–0.79 ns against 0.98–1.50 ns (1.79–2.01×), AddBase32 0.41–0.73 ns
+	// against 0.81–1.42 ns (1.89–2.18×). The bound leaves room for a busy
+	// neighbour.
+	const bound = 1.3
+	for _, arm := range []struct {
+		name       string
+		twin, simd func()
+	}{
+		{"AddBaseBias32", func() { addBaseBias32Generic(out, 0.5, bias) }, func() { AddBaseBias32(out, -0.5, bias) }},
+		{"AddBase32", func() { addBase32Generic(out, 0.5) }, func() { AddBase32(out, -0.5) }},
+	} {
+		const attempts, rounds, calls = 3, 9, 200
+		perScore := func(d time.Duration) float64 { return float64(d) / float64(calls*len(out)) }
+		var twin, simd float64
+		for attempt := 1; attempt <= attempts; attempt++ {
+			var best [2]time.Duration
+			for round := 0; round < rounds; round++ {
+				for s, fn := range [2]func(){arm.twin, arm.simd} {
+					t0 := time.Now()
+					for c := 0; c < calls; c++ {
+						fn()
+					}
+					if d := time.Since(t0); round == 0 || d < best[s] {
+						best[s] = d
+					}
+				}
+			}
+			twin, simd = perScore(best[0]), perScore(best[1])
+			t.Logf("%s attempt %d, per score: Go loop %.3f ns, SSE2 %.3f ns, speedup %.2fx", arm.name, attempt, twin, simd, twin/simd)
+			if twin >= bound*simd {
+				break
+			}
+			if attempt == attempts {
+				t.Errorf("%s costs %.3f ns a score, its Go loop %.3f ns: under %.1fx in each of %d attempts", arm.name, simd, twin, bound, attempts)
+			}
+		}
+	}
 }
 
 // rowKernelBench is the benchmark universe's item block (4000 × 100) with a

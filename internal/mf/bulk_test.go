@@ -2,6 +2,7 @@ package mf
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -39,19 +40,21 @@ func kernelTestItems(numItems int) []types.ItemID {
 	return append(items, 3, types.ItemID(numItems+1))
 }
 
-// assertBulkContract holds a factor model's one bulk body to want, the
-// per-item expression it stands for — the pair kernel's dot per item, the
+// assertBulkContract holds a factor model's bulk bodies to want, the
+// per-item expression they stand for — the pair kernel's dot per item, the
 // mean and bias terms added in float64, the model's own fallback for an
 // identifier outside the model — for every user, the two just outside the
-// model included: ScoreUser32 equals it exactly, and recommender.BulkScores,
-// the float64 bulk contract, is those values widened.
-func assertBulkContract(t *testing.T, m recommender.BulkScorer32, want func(u types.UserID, i types.ItemID) float32, numUsers, numItems int) {
+// model included: ScoreUser32 equals it exactly, recommender.BulkScores, the
+// float64 bulk contract, is those values widened, and ScoreCatalog32 has the
+// bits of ScoreUser32 over the same catalog (assertCatalogBody).
+func assertBulkContract(t *testing.T, m recommender.CatalogScorer32, want func(u types.UserID, i types.ItemID) float32, numUsers, numItems int) {
 	t.Helper()
 	items := kernelTestItems(numItems)
 	out := make([]float32, len(items))
 	wide := make([]float64, len(items))
 	for u := -1; u <= numUsers; u++ {
 		uid := types.UserID(u)
+		assertCatalogBody(t, m, uid, numItems)
 		m.ScoreUser32(uid, items, out)
 		recommender.BulkScores(m, uid, items, wide)
 		for k, i := range items {
@@ -61,6 +64,33 @@ func assertBulkContract(t *testing.T, m recommender.BulkScorer32, want func(u ty
 			}
 			if wide[k] != float64(w) {
 				t.Fatalf("%s: user %d item %d: BulkScores %v, per-item kernel widened %v", m.Name(), u, i, wide[k], float64(w))
+			}
+		}
+	}
+}
+
+// assertCatalogBody holds ScoreCatalog32 to ScoreUser32 over the identity
+// catalog, bit for bit, for catalogs shorter than the model's item block,
+// equal to it and longer (the items the catalog grew by after training),
+// each starting at every offset of a larger buffer so the epilogue's pairs
+// start unaligned too.
+func assertCatalogBody(t *testing.T, m recommender.CatalogScorer32, u types.UserID, numItems int) {
+	t.Helper()
+	for _, n := range []int{0, 1, 2, 3, numItems - 3, numItems, numItems + 1, numItems + 6} {
+		want := make([]float32, n)
+		m.ScoreUser32(u, recommender.CatalogItems(n), want)
+		for off := 0; off < 4; off++ {
+			buf := make([]float32, off+n+1)
+			buf[off+n] = 42 // past the catalog: must stay
+			got := buf[off : off+n]
+			m.ScoreCatalog32(u, got)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s: user %d, catalog of %d at offset %d: ScoreCatalog32 item %d = %v, ScoreUser32 %v", m.Name(), u, n, off, i, got[i], want[i])
+				}
+			}
+			if buf[off+n] != 42 {
+				t.Fatalf("%s: user %d, catalog of %d: ScoreCatalog32 wrote past its buffer", m.Name(), u, n)
 			}
 		}
 	}

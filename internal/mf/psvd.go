@@ -129,6 +129,18 @@ func (m *PSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 	m.fp.ItemDots32(u, items, out)
 }
 
+// ScoreCatalog32 implements recommender.CatalogScorer32: ScoreUser32 over the
+// items [0, len(out)), bit for bit — the row kernel over the item block's
+// rows in order, and zero for the items past it.
+func (m *PSVD) ScoreCatalog32(u types.UserID, out []float32) {
+	if int(u) < 0 || int(u) >= m.numUsers {
+		clear(out)
+		return
+	}
+	n := m.fp.CatalogDots32(u, out)
+	clear(out[n:])
+}
+
 // Name implements recommender.Scorer ("PSVD10", "PSVD100", ...).
 func (m *PSVD) Name() string { return m.name }
 

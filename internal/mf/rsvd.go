@@ -247,9 +247,7 @@ func (m *RSVD) Score(u types.UserID, i types.ItemID) float64 {
 func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
 	oob := float32(m.globalMean)
 	if int(u) < 0 || int(u) >= len(m.userF) {
-		for k := range items {
-			out[k] = oob
-		}
+		fill(out[:len(items)], oob)
 		return
 	}
 	base := m.globalMean
@@ -269,6 +267,33 @@ func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 			s += itemBias[i]
 		}
 		out[k] = float32(s)
+	}
+}
+
+// ScoreCatalog32 implements recommender.CatalogScorer32: ScoreUser32 over the
+// items [0, len(out)), bit for bit, in two passes over contiguous memory —
+// the row kernel over the item block's rows, then the mean and bias terms in
+// one linalg epilogue call (the items' biases are contiguous too). Items past
+// the block score the global mean, as in ScoreUser32.
+func (m *RSVD) ScoreCatalog32(u types.UserID, out []float32) {
+	oob := float32(m.globalMean)
+	if int(u) < 0 || int(u) >= len(m.userF) {
+		fill(out, oob)
+		return
+	}
+	n := m.fp.CatalogDots32(u, out)
+	if m.cfg.UseBiases {
+		linalg.AddBaseBias32(out[:n], m.globalMean+m.userBias[u], m.itemBias)
+	} else {
+		linalg.AddBase32(out[:n], m.globalMean)
+	}
+	fill(out[n:], oob)
+}
+
+// fill sets every element of out to v.
+func fill(out []float32, v float32) {
+	for k := range out {
+		out[k] = v
 	}
 }
 

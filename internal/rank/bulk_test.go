@@ -2,6 +2,7 @@ package rank
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,16 +46,37 @@ func kernelScore(m *Model, u types.UserID, i types.ItemID) float32 {
 	return float32(base + float64(linalg.Dot32x8(row32(m.userF[u]), row32(m.itemF[i]))))
 }
 
-// assertBulkContract holds the model's one bulk body to kernelScore for every
+// assertBulkContract holds the model's bulk bodies to kernelScore for every
 // user, the two just outside the model included: ScoreUser32 equals it
-// exactly, and recommender.BulkScores, the float64 bulk contract, is those
-// values widened.
+// exactly, recommender.BulkScores, the float64 bulk contract, is those values
+// widened, and ScoreCatalog32 has the bits of ScoreUser32 over the same
+// catalog — shorter than the item block, equal to it and longer, starting at
+// every offset of a larger buffer.
 func assertBulkContract(t *testing.T, m *Model, numUsers int, items []types.ItemID) {
 	t.Helper()
 	out := make([]float32, len(items))
 	wide := make([]float64, len(items))
+	numItems := len(m.itemF)
 	for u := -1; u <= numUsers; u++ {
 		uid := types.UserID(u)
+		for _, n := range []int{0, 1, 2, 3, numItems - 3, numItems, numItems + 1, numItems + 6} {
+			want := make([]float32, n)
+			m.ScoreUser32(uid, recommender.CatalogItems(n), want)
+			for off := 0; off < 4; off++ {
+				buf := make([]float32, off+n+1)
+				buf[off+n] = 42
+				got := buf[off : off+n]
+				m.ScoreCatalog32(uid, got)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s user %d, catalog of %d at offset %d: ScoreCatalog32 item %d = %v, ScoreUser32 %v", m.Name(), u, n, off, i, got[i], want[i])
+					}
+				}
+				if buf[off+n] != 42 {
+					t.Fatalf("%s user %d, catalog of %d: ScoreCatalog32 wrote past its buffer", m.Name(), u, n)
+				}
+			}
+		}
 		m.ScoreUser32(uid, items, out)
 		recommender.BulkScores(m, uid, items, wide)
 		for k, i := range items {

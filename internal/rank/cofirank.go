@@ -237,6 +237,27 @@ func (m *Model) ScoreUser32(u types.UserID, items []types.ItemID, out []float32)
 	}
 }
 
+// ScoreCatalog32 implements recommender.CatalogScorer32: ScoreUser32 over the
+// items [0, len(out)), bit for bit — the row kernel over the item block's
+// rows in order, a zero dot for the items past it, then the mean in one
+// linalg epilogue call, which adds no bias term.
+func (m *Model) ScoreCatalog32(u types.UserID, out []float32) {
+	base := 0.0
+	if m.cfg.Loss == LossRegression {
+		base = m.mean
+	}
+	if int(u) < 0 || int(u) >= len(m.userF) {
+		oob := float32(base)
+		for k := range out {
+			out[k] = oob
+		}
+		return
+	}
+	n := m.fp.CatalogDots32(u, out)
+	clear(out[n:])
+	linalg.AddBase32(out, base)
+}
+
 // Name implements recommender.Scorer ("CofiR100", "CofiN100", ...).
 func (m *Model) Name() string { return m.name }
 

@@ -74,6 +74,19 @@ type BulkScorer32 interface {
 	ScoreUser32(u types.UserID, items []types.ItemID, out []float32)
 }
 
+// CatalogScorer32 is a BulkScorer32 with a body for the one list a turn
+// scores, the whole catalog: the items [0, len(out)) in order, whose model
+// rows and per-item terms are contiguous, so the model takes them in
+// contiguous passes instead of item by item. RSVD, PSVD and CofiRank have it.
+//
+// Contract: ScoreCatalog32(u, out) fills out exactly as ScoreUser32(u,
+// CatalogItems(len(out)), out) does, bit for bit.
+type CatalogScorer32 interface {
+	BulkScorer32
+	// ScoreCatalog32 fills out[i] with the score of item i for user u.
+	ScoreCatalog32(u types.UserID, out []float32)
+}
+
 // BulkScores fills out with s's scores for items: the BulkScorer path when s
 // has one; for a model whose only bulk body is the float32 one, those scores
 // widened — its float64 bulk scores are its float32 scores, never a second
@@ -618,6 +631,11 @@ func (m MinMax[T]) At(raw T) T {
 	return v
 }
 
+// Affine returns the map as (raw − min)·scale before the clamp, for a caller
+// that applies it in a kernel of its own; ok is false for a map that divides
+// by its span instead (a float64 map of a range), which has no such form.
+func (m MinMax[T]) Affine() (min, scale T, ok bool) { return m.min, m.scale, !m.divide }
+
 // map64 is the float64 map of range r for the raw scores in out. A span of 0
 // has no map: out is zeroed and the map is the identity.
 func map64(r scoreRange, out []float64) MinMax[float64] {
@@ -689,15 +707,15 @@ func (n *NormalizedScorer) RawScores32(u types.UserID, items []types.ItemID, out
 // generation's missing suffix, an older generation's rescan) is folded from
 // out itself, so the catalog is scored once either way.
 func (n *NormalizedScorer) CatalogScores(u types.UserID, out []float64) MinMax[float64] {
-	return map64(catalogRange(n, u, out, func(items []types.ItemID, out []float64) {
-		BulkScores(n.inner, u, items, out)
+	return map64(catalogRange(n, u, out, func(out []float64) {
+		BulkScores(n.inner, u, CatalogItems(len(out)), out)
 	}), out)
 }
 
 // CatalogScores32 is CatalogScores through the inner model's float32 bulk
-// path, with the map of RawScores32. Around a model with no float32 path, out
-// receives CatalogScores' normalised scores, truncated, and the map is the
-// identity.
+// path — its catalog body when it has one (CatalogScorer32) — with the map of
+// RawScores32. Around a model with no float32 path, out receives
+// CatalogScores' normalised scores, truncated, and the map is the identity.
 func (n *NormalizedScorer) CatalogScores32(u types.UserID, out []float32) MinMax[float32] {
 	bs32, ok := n.inner.(BulkScorer32)
 	if !ok {
@@ -709,19 +727,23 @@ func (n *NormalizedScorer) CatalogScores32(u types.UserID, out []float32) MinMax
 		scoreBufPool.put(bp)
 		return Identity[float32]()
 	}
-	return map32(catalogRange(n, u, out, func(items []types.ItemID, out []float32) {
-		bs32.ScoreUser32(u, items, out)
+	return map32(catalogRange(n, u, out, func(out []float32) {
+		if cs, ok := bs32.(CatalogScorer32); ok {
+			cs.ScoreCatalog32(u, out)
+			return
+		}
+		bs32.ScoreUser32(u, CatalogItems(len(out)), out)
 	}), out)
 }
 
 // catalogRange fills out with the inner scores of this normaliser's whole
 // catalog — score is the inner model's bulk path at the width of T — and
 // returns u's range over it: the table's entry, or one extended over out.
-func catalogRange[T float32 | float64](n *NormalizedScorer, u types.UserID, out []T, score func(items []types.ItemID, out []T)) scoreRange {
+func catalogRange[T float32 | float64](n *NormalizedScorer, u types.UserID, out []T, score func(out []T)) scoreRange {
 	if len(out) != n.numItems {
 		panic(fmt.Sprintf("recommender: NormalizedScorer buffer length %d != catalog size %d", len(out), n.numItems))
 	}
-	score(CatalogItems(n.numItems), out)
+	score(out)
 	r, held := n.entry(u)
 	if held {
 		return r

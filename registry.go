@@ -81,10 +81,16 @@ type baseKind struct {
 	encode func(s Scorer, b *persist.Builder)
 	decode func(snap *persist.Snapshot, train *Dataset) (Scorer, error)
 	// rebuild is what an ingested batch does to the model: the next
-	// generation's scorer, from the previous one and the ingestion state. nil
-	// for the trained factor models, which stay frozen between retrains —
-	// and whose cached lists can therefore be revalidated across a swap.
-	rebuild func(prev Scorer, s *ingest.State) Scorer
+	// generation's scorer, from the ingestion state and origin, the scorer of
+	// the pipeline the ingestor was built around (what stays fixed across
+	// generations, such as ItemAvg's λ and ItemKNN's similarity lists, is read
+	// from it). nil for the trained factor models, which stay frozen between
+	// retrains — and whose cached lists can therefore be revalidated across a
+	// swap.
+	rebuild func(origin Scorer, s *ingest.State) Scorer
+	// itemSums is set when rebuild reads the ingestion state's item-average
+	// sums, so the state keeps them.
+	itemSums bool
 	// accuracy is how the model enters the value function; nil means per-user
 	// min–max normalisation, like any scorer outside the table.
 	accuracy func(s Scorer, train *Dataset, topN int) AccuracyRecommender
@@ -129,12 +135,13 @@ var baseKinds = []baseKind{
 			}
 			return recommender.NewItemAvgFromAverages(ia.Avg, ia.Lambda), nil
 		},
-		// The counts are the train set's; λ is the one the model was built
-		// with.
-		rebuild: func(prev Scorer, s *ingest.State) Scorer {
+		// The counts are the train set's; λ is the one the origin model was
+		// built with.
+		rebuild: func(origin Scorer, s *ingest.State) Scorer {
 			global := s.TotalSum / float64(s.Train.NumRatings())
-			return recommender.NewItemAvgFromStats(s.AvgSums, s.Train.PopularityVector(), prev.(*recommender.ItemAvg).Lambda(), global)
+			return recommender.NewItemAvgFromStats(s.AvgSums, s.Train.PopularityVector(), origin.(*recommender.ItemAvg).Lambda(), global)
 		},
+		itemSums: true,
 	},
 	{
 		name: "RSVD",
@@ -177,9 +184,9 @@ var baseKinds = []baseKind{
 			}
 			return knn.Load(r, train)
 		},
-		// The similarity lists stay frozen; scoring consults the extended
-		// user profiles.
-		rebuild: func(prev Scorer, s *ingest.State) Scorer { return prev.(*knn.ItemKNN).Rebind(s.Train) },
+		// The origin model's similarity lists stay frozen; scoring consults
+		// the extended user profiles.
+		rebuild: func(origin Scorer, s *ingest.State) Scorer { return origin.(*knn.ItemKNN).Rebind(s.Train) },
 	},
 	{
 		name: "CofiRank",

@@ -59,7 +59,7 @@ func newRevalNode(t *testing.T, p *Pipeline, kind string, n int) *revalNode {
 		return node
 	}
 	node.ing, err = ingest.New(ingest.Config{
-		State:   ingest.NewStateFromDataset(p.train, p.prefs),
+		State:   ingest.NewStateFromDataset(p.train, p.prefs, p.dynFreq(), row.itemSums),
 		Server:  srv,
 		Rebuild: func(s *ingest.State) (serve.Engine, error) { return node.rebuild(s) },
 	})

@@ -7,7 +7,8 @@ import (
 )
 
 // countingRSVD counts the calls a pipeline makes into its base model, and the
-// items it asks for in bulk.
+// items it asks for in bulk, through the list body and the catalog body
+// alike.
 type countingRSVD struct {
 	*RSVD
 	pointwise, bulk, items atomic.Int64
@@ -22,6 +23,12 @@ func (c *countingRSVD) ScoreUser32(u UserID, items []ItemID, out []float32) {
 	c.bulk.Add(1)
 	c.items.Add(int64(len(items)))
 	c.RSVD.ScoreUser32(u, items, out)
+}
+
+func (c *countingRSVD) ScoreCatalog32(u UserID, out []float32) {
+	c.bulk.Add(1)
+	c.items.Add(int64(len(out)))
+	c.RSVD.ScoreCatalog32(u, out)
 }
 
 // TestPipelineScoresEachUserOnce pins what a turn costs (DESIGN.md §7): every

@@ -103,7 +103,7 @@ func (s *ScorerAccuracy) AccuracyScores(u types.UserID, out []float64) recommend
 	if norm, ok := s.Scorer.(*recommender.NormalizedScorer); ok {
 		return norm.CatalogScores(u, out)
 	}
-	recommender.BulkScores(s.Scorer, u, recommender.CatalogItems(len(out)), out)
+	recommender.BulkScores(s.Scorer, u, types.CatalogItems(len(out)), out)
 	return recommender.Identity[float64]()
 }
 
@@ -113,7 +113,7 @@ func (s *ScorerAccuracy) AccuracyScores32(u types.UserID, out []float32) recomme
 	if norm, ok := s.Scorer.(*recommender.NormalizedScorer); ok {
 		return norm.CatalogScores32(u, out)
 	}
-	recommender.BulkScores32(s.Scorer, u, recommender.CatalogItems(len(out)), out)
+	recommender.BulkScores32(s.Scorer, u, types.CatalogItems(len(out)), out)
 	return recommender.Identity[float32]()
 }
 

@@ -15,9 +15,6 @@ func scanGains(raw, cov []float32, min, scale, theta, bar float32) int
 // gainScan returns the position of the first item of raw whose gain reaches
 // bar, len(raw) when none does (gainScanGeneric, which it equals).
 func gainScan(raw, cov []float32, m recommender.MinMax[float32], theta, bar float32) int {
-	min, scale, ok := m.Affine()
-	if !ok {
-		return gainScanGeneric(raw, cov, m, theta, bar)
-	}
+	min, scale := m.Affine()
 	return scanGains(raw, cov[:len(raw)], min, scale, theta, bar)
 }

@@ -47,7 +47,7 @@ var (
 // mapping to exactly 0 and exactly 1 and their neighbours either side.
 func scanRaws(m recommender.MinMax[float32]) []float32 {
 	raws := []float32{nan32, inf32, -inf32, 0, negZero, 1, -1, 0.5, math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32}
-	min, scale, _ := m.Affine()
+	min, scale := m.Affine()
 	edge := func(r float32) {
 		raws = append(raws, r, math.Nextafter32(r, -inf32), math.Nextafter32(r, inf32))
 	}

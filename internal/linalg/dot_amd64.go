@@ -12,19 +12,15 @@ import (
 // architecture baseline, so they need no runtime feature detection. None
 // checks a bound it is not given: dot32x8 requires len(b) ≥ len(a),
 // dotRows32x8 that data holds n rows of len(v) and that out holds len(rows)
-// elements (an index outside the n rows it checks itself, and scores 0),
-// dotSpan32x8 that data holds len(out) rows of len(v), and addBaseBias32
-// that len(bias) ≥ len(out); the exported wrappers enforce that in Go before
-// the assembly touches memory.
+// elements (an index outside the n rows it checks itself, and scores 0), and
+// addBaseBias32 that len(bias) ≥ len(out); the exported wrappers enforce that
+// in Go before the assembly touches memory.
 
 //go:noescape
 func dot32x8(a, b []float32) float32
 
 //go:noescape
 func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32, n int)
-
-//go:noescape
-func dotSpan32x8(v, data, out []float32)
 
 //go:noescape
 func addBase32(out []float32, base float64)

@@ -130,35 +130,6 @@ outside:
 done:
 	RET
 
-// func dotSpan32x8(v, data, out []float32)
-//
-// out[k] = dot32x8(v, data[k*len(v):][:len(v)]) for every k below len(out):
-// the row kernel over the first len(out) rows of the matrix in data, read in
-// order, so there is no index to load or check. The caller guarantees
-// len(out)*len(v) <= len(data).
-TEXT ·dotSpan32x8(SB), NOSPLIT, $0-72
-	MOVQ v_base+0(FP), SI
-	MOVQ v_len+8(FP), CX
-	MOVQ data_base+24(FP), DI
-	MOVQ out_base+48(FP), R11
-	MOVQ out_len+56(FP), R10
-	MOVQ CX, R13
-	SHLQ $2, R13
-	XORQ R12, R12
-	DOT32X8_BOUNDS
-
-row:
-	CMPQ  R12, R10
-	JGE   done
-	DOT32X8
-	MOVSS X0, (R11)(R12*4)
-	ADDQ  R13, DI
-	INCQ  R12
-	JMP   row
-
-done:
-	RET
-
 // ADDBASE32_PAIR and ADDBASE32_ONE widen out's float32 scores at AX, two and
 // one of them, add the float64 base broadcast in X0 lane by lane (the score
 // is the destination, as in the Go loop) and leave the sums in X1; the

@@ -18,8 +18,6 @@ func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32, n int) {
 	dotRows32x8Generic(v, data, rows, out, n)
 }
 
-func dotSpan32x8(v, data, out []float32) { dotSpan32x8Generic(v, data, out) }
-
 func addBase32(out []float32, base float64) { addBase32Generic(out, base) }
 
 func addBaseBias32(out []float32, base float64, bias []float64) {

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"ganc/internal/types"
 )
 
 // epilogueValues are the float32 dots the epilogue tests draw from: NaN, both
@@ -111,55 +109,6 @@ func TestAddBaseBiasRefusesShortBias(t *testing.T) {
 		}
 	}()
 	AddBaseBias32(out, 1, []float64{1, 2})
-}
-
-// TestCatalogDots32 holds the span kernel to the row kernel over the identity
-// list, bit for bit, on the dispatched kernel and the portable one: for
-// catalogs shorter than the item block, equal to it and longer — where it
-// fills only the block's rows, reports how many, and leaves the rest alone —
-// at widths that run every loop of the dot.
-func TestCatalogDots32(t *testing.T) {
-	const items = 13
-	const sentinel = float32(-12345)
-	rng := rand.New(rand.NewSource(43))
-	for _, dims := range []int{1, 3, 4, 7, 16, 22, 40, 41} {
-		itemB, _ := rowKernelBlock(rng, items, dims)
-		userB, _ := rowKernelBlock(rng, 2, dims)
-		p := FactorPair{UserB: userB, ItemB: itemB}
-		for _, n := range []int{0, 1, 5, items - 1, items, items + 1, items + 9} {
-			out := make([]float32, n)
-			for i := range out {
-				out[i] = sentinel
-			}
-			filled := p.CatalogDots32(1, out)
-			if want := min(n, items); filled != want {
-				t.Fatalf("dims=%d catalog of %d: CatalogDots32 filled %d, want %d", dims, n, filled, want)
-			}
-			ids := make([]types.ItemID, filled)
-			for i := range ids {
-				ids[i] = types.ItemID(i)
-			}
-			want := make([]float32, filled)
-			p.ItemDots32(1, ids, want)
-			portable := make([]float32, filled)
-			dotSpan32x8Generic(userB.Row(1), itemB.data, portable)
-			portableRows := make([]float32, filled)
-			dotRows32x8Generic(userB.Row(1), itemB.data, ids, portableRows, items)
-			for i := range want {
-				if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("dims=%d catalog of %d: item %d = %v, row kernel %v", dims, n, i, out[i], want[i])
-				}
-				if math.Float32bits(portable[i]) != math.Float32bits(portableRows[i]) {
-					t.Fatalf("dims=%d catalog of %d: portable span item %d = %v, portable row kernel %v", dims, n, i, portable[i], portableRows[i])
-				}
-			}
-			for i := filled; i < n; i++ {
-				if out[i] != sentinel {
-					t.Fatalf("dims=%d catalog of %d: item %d past the block written", dims, n, i)
-				}
-			}
-		}
-	}
 }
 
 func BenchmarkEpilogues(b *testing.B) {

@@ -33,20 +33,6 @@ func (p *FactorPair) ItemDots32(u types.UserID, items []types.ItemID, out []floa
 	dotRows32x8(pu, p.ItemB.data, items, out, p.ItemB.rows)
 }
 
-// CatalogDots32 is ItemDots32 over the catalog: it fills out[i] with the
-// float32 kernel dot of user row u and item row i for every item row i below
-// len(out), in one call of the row kernel over the block's rows in order,
-// and returns how many it filled, min(len(out), item rows). Each carries the
-// bits ItemDots32 gives the same row. The rest of out, the items past the
-// block, is left to the model's fallback. u must be a row of the user block.
-func (p *FactorPair) CatalogDots32(u types.UserID, out []float32) int {
-	pu := p.UserB.Row(int(u))
-	p.ItemB.checkRowKernelShape(pu, nil, out)
-	n := min(len(out), p.ItemB.rows)
-	dotSpan32x8(pu, p.ItemB.data, out[:n])
-	return n
-}
-
 // CheckFactors reports why userF and itemF cannot be a factor model's rows:
 // a row, of either matrix, whose length differs from the first row's, or
 // rows of no values. NewFactorPair and the models' dot products assume

@@ -93,16 +93,6 @@ func dotRows32x8Generic(v, data []float32, rows []types.ItemID, out []float32, n
 	}
 }
 
-// dotSpan32x8Generic is the portable span kernel: dot32x8Generic against each
-// of the first len(out) rows of the len(v)-wide row-major matrix in data.
-func dotSpan32x8Generic(v, data, out []float32) {
-	dims := len(v)
-	for k := range out {
-		off := k * dims
-		out[k] = dot32x8Generic(v, data[off:off+dims:off+dims])
-	}
-}
-
 // AddBase32 is the score epilogue of a factor model without per-item terms:
 // out[k] = float32(base + float64(out[k])) for every k, the float64 sum a
 // per-item loop takes, rounded once. On amd64 it is an SSE2 kernel that

@@ -78,7 +78,7 @@ func assertCatalogBody(t *testing.T, m recommender.CatalogScorer32, u types.User
 	t.Helper()
 	for _, n := range []int{0, 1, 2, 3, numItems - 3, numItems, numItems + 1, numItems + 6} {
 		want := make([]float32, n)
-		m.ScoreUser32(u, recommender.CatalogItems(n), want)
+		m.ScoreUser32(u, types.CatalogItems(n), want)
 		for off := 0; off < 4; off++ {
 			buf := make([]float32, off+n+1)
 			buf[off+n] = 42 // past the catalog: must stay

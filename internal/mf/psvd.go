@@ -137,7 +137,8 @@ func (m *PSVD) ScoreCatalog32(u types.UserID, out []float32) {
 		clear(out)
 		return
 	}
-	n := m.fp.CatalogDots32(u, out)
+	n := min(len(out), m.fp.ItemB.Rows())
+	m.fp.ItemDots32(u, types.CatalogItems(n), out[:n])
 	clear(out[n:])
 }
 

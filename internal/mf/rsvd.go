@@ -281,7 +281,8 @@ func (m *RSVD) ScoreCatalog32(u types.UserID, out []float32) {
 		fill(out, oob)
 		return
 	}
-	n := m.fp.CatalogDots32(u, out)
+	n := min(len(out), m.fp.ItemB.Rows())
+	m.fp.ItemDots32(u, types.CatalogItems(n), out[:n])
 	if m.cfg.UseBiases {
 		linalg.AddBaseBias32(out[:n], m.globalMean+m.userBias[u], m.itemBias)
 	} else {

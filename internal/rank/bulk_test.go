@@ -61,7 +61,7 @@ func assertBulkContract(t *testing.T, m *Model, numUsers int, items []types.Item
 		uid := types.UserID(u)
 		for _, n := range []int{0, 1, 2, 3, numItems - 3, numItems, numItems + 1, numItems + 6} {
 			want := make([]float32, n)
-			m.ScoreUser32(uid, recommender.CatalogItems(n), want)
+			m.ScoreUser32(uid, types.CatalogItems(n), want)
 			for off := 0; off < 4; off++ {
 				buf := make([]float32, off+n+1)
 				buf[off+n] = 42

@@ -253,7 +253,8 @@ func (m *Model) ScoreCatalog32(u types.UserID, out []float32) {
 		}
 		return
 	}
-	n := m.fp.CatalogDots32(u, out)
+	n := min(len(out), m.fp.ItemB.Rows())
+	m.fp.ItemDots32(u, types.CatalogItems(n), out[:n])
 	clear(out[n:])
 	linalg.AddBase32(out, base)
 }

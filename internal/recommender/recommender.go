@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ganc/internal/dataset"
 	"ganc/internal/types"
@@ -80,7 +79,7 @@ type BulkScorer32 interface {
 // contiguous passes instead of item by item. RSVD, PSVD and CofiRank have it.
 //
 // Contract: ScoreCatalog32(u, out) fills out exactly as ScoreUser32(u,
-// CatalogItems(len(out)), out) does, bit for bit.
+// types.CatalogItems(len(out)), out) does, bit for bit.
 type CatalogScorer32 interface {
 	BulkScorer32
 	// ScoreCatalog32 fills out[i] with the score of item i for user u.
@@ -100,17 +99,23 @@ func BulkScores(s Scorer, u types.UserID, items []types.ItemID, out []float64) {
 	case BulkScorer:
 		bs.ScoreUser(u, items, out)
 	case BulkScorer32:
-		bp := scoreBuf32Pool.get(len(items))
-		bs.ScoreUser32(u, items, *bp)
-		for k, v := range *bp {
-			out[k] = float64(v)
-		}
-		scoreBuf32Pool.put(bp)
+		widened(out, func(out []float32) { bs.ScoreUser32(u, items, out) })
 	default:
 		for k, i := range items {
 			out[k] = s.Score(u, i)
 		}
 	}
+}
+
+// widened fills out with the float32 scores score writes into a pooled
+// buffer of its length, widened.
+func widened(out []float64, score func(out []float32)) {
+	bp := scoreBuf32Pool.get(len(out))
+	score(*bp)
+	for k, v := range *bp {
+		out[k] = float64(v)
+	}
+	scoreBuf32Pool.put(bp)
 }
 
 // BulkScores32 is BulkScores into a float32 buffer: the model's own float32
@@ -558,26 +563,6 @@ func fold[T float32 | float64](r scoreRange, scores []T) scoreRange {
 	return scoreRange{min: float64(lo), max: float64(hi), upTo: r.upTo + len(scores)}
 }
 
-// catalog is the identity slice every catalog-wide bulk call scores: item k
-// at position k. A slice is never written once it is published, and a call
-// that needs a longer one publishes a fresh one, so any it hands out stays
-// valid; racing callers each publish a complete one.
-var catalog atomic.Pointer[[]types.ItemID]
-
-// CatalogItems returns the items of a catalog of n, in identifier order: the
-// identity slice [0, n). It is shared: callers must not modify it.
-func CatalogItems(n int) []types.ItemID {
-	if p := catalog.Load(); p != nil && len(*p) >= n {
-		return (*p)[:n:n]
-	}
-	items := make([]types.ItemID, n)
-	for i := range items {
-		items[i] = types.ItemID(i)
-	}
-	catalog.Store(&items)
-	return items
-}
-
 // NewNormalizedScorer wraps inner for a catalog of numItems items, with an
 // empty range table.
 func NewNormalizedScorer(inner Scorer, numItems int) *NormalizedScorer {
@@ -632,9 +617,15 @@ func (m MinMax[T]) At(raw T) T {
 }
 
 // Affine returns the map as (raw − min)·scale before the clamp, for a caller
-// that applies it in a kernel of its own; ok is false for a map that divides
-// by its span instead (a float64 map of a range), which has no such form.
-func (m MinMax[T]) Affine() (min, scale T, ok bool) { return m.min, m.scale, !m.divide }
+// that applies it in a kernel of its own. A map that divides by its span (a
+// float64 map of a range; a float32 map never divides) has no such form, and
+// Affine panics on one.
+func (m MinMax[T]) Affine() (min, scale T) {
+	if m.divide {
+		panic("recommender: Affine of a map that divides by its span")
+	}
+	return m.min, m.scale
+}
 
 // map64 is the float64 map of range r for the raw scores in out. A span of 0
 // has no map: out is zeroed and the map is the identity.
@@ -705,10 +696,17 @@ func (n *NormalizedScorer) RawScores32(u types.UserID, items []types.ItemID, out
 // and returns the map that normalises them. It is a turn's one bulk call: a
 // range the table does not hold yet (a user's first touch, a successor
 // generation's missing suffix, an older generation's rescan) is folded from
-// out itself, so the catalog is scored once either way.
+// out itself, so the catalog is scored once either way. A model whose only
+// bulk body is the float32 one scores through its catalog body when it has
+// one, widened, as BulkScores widens its list body: the same bits.
 func (n *NormalizedScorer) CatalogScores(u types.UserID, out []float64) MinMax[float64] {
 	return map64(catalogRange(n, u, out, func(out []float64) {
-		BulkScores(n.inner, u, CatalogItems(len(out)), out)
+		_, f64 := n.inner.(BulkScorer)
+		if bs32, ok := n.inner.(BulkScorer32); ok && !f64 {
+			widened(out, func(out []float32) { scoreCatalog32(bs32, u, out) })
+			return
+		}
+		BulkScores(n.inner, u, types.CatalogItems(len(out)), out)
 	}), out)
 }
 
@@ -728,12 +726,18 @@ func (n *NormalizedScorer) CatalogScores32(u types.UserID, out []float32) MinMax
 		return Identity[float32]()
 	}
 	return map32(catalogRange(n, u, out, func(out []float32) {
-		if cs, ok := bs32.(CatalogScorer32); ok {
-			cs.ScoreCatalog32(u, out)
-			return
-		}
-		bs32.ScoreUser32(u, CatalogItems(len(out)), out)
+		scoreCatalog32(bs32, u, out)
 	}), out)
+}
+
+// scoreCatalog32 fills out with s's float32 scores of the items
+// [0, len(out)): its catalog body when it has one, its list body otherwise.
+func scoreCatalog32(s BulkScorer32, u types.UserID, out []float32) {
+	if cs, ok := s.(CatalogScorer32); ok {
+		cs.ScoreCatalog32(u, out)
+		return
+	}
+	s.ScoreUser32(u, types.CatalogItems(len(out)), out)
 }
 
 // catalogRange fills out with the inner scores of this normaliser's whole
@@ -760,7 +764,7 @@ func (n *NormalizedScorer) rangeOf(u types.UserID) scoreRange {
 	if held {
 		return r
 	}
-	missing := CatalogItems(n.numItems)[r.upTo:]
+	missing := types.CatalogItems(n.numItems)[r.upTo:]
 	bp := scoreBufPool.get(len(missing))
 	defer scoreBufPool.put(bp)
 	BulkScores(n.inner, u, missing, *bp)
@@ -809,7 +813,7 @@ func extend[T float32 | float64](n *NormalizedScorer, u types.UserID, r scoreRan
 // both of the normaliser's bulk methods normalise by this one range), and the
 // range read — and extended, by the catalog's first reader — as a bulk call would.
 func (n *NormalizedScorer) RangeHeldSince(u types.UserID, from int) bool {
-	tail := CatalogItems(n.numItems)[from:]
+	tail := types.CatalogItems(n.numItems)[from:]
 	bp := scoreBufPool.get(len(tail))
 	defer scoreBufPool.put(bp)
 	r := n.rangeOf(u)

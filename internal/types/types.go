@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // UserID is a dense, zero-based index identifying a user within a Dataset.
@@ -28,6 +29,26 @@ const (
 	InvalidUser UserID = -1
 	InvalidItem ItemID = -1
 )
+
+// catalog is the identity slice every catalog-wide bulk call scores: item k
+// at position k. A slice is never written once it is published, and a call
+// that needs a longer one publishes a fresh one, so any it hands out stays
+// valid; racing callers each publish a complete one.
+var catalog atomic.Pointer[[]ItemID]
+
+// CatalogItems returns the items of a catalog of n, in identifier order: the
+// identity slice [0, n). It is shared: callers must not modify it.
+func CatalogItems(n int) []ItemID {
+	if p := catalog.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
+	}
+	items := make([]ItemID, n)
+	for i := range items {
+		items[i] = ItemID(i)
+	}
+	catalog.Store(&items)
+	return items
+}
 
 // Rating is a single observed interaction: user u gave item i the value
 // Value. Values are kept as float64 so that datasets with half-star

@@ -53,21 +53,19 @@ func TestTurnAllocs(t *testing.T) {
 }
 
 // TestTurnCostGate keeps the layer where the item-indexed turn put it, in two
-// arms, each against the one bulk call a turn cannot avoid. Warm: a turn of
-// sweep_batch's assembly with the user's range cached — one ScoreUser32 call
-// over the catalog, one walk — costs at most 1.6 × a ScoreUser32 call over the
-// user's candidates alone (about 1.8 × while the walk was four, 1.4 × fused,
-// 1.35–1.4 × item-indexed). Cold: a turn on a fresh normaliser, which also
-// folds the user's range from the same scores, costs at most 1.65 × a
-// ScoreUser32 call over the catalog (1.45–1.55 × measured; 1.7–1.9 × while the
-// first touch scored the catalog into a pooled copy and gathered it into
-// candidate order). It runs at 8000 users, enough to leave most of the
-// catalog rated as on that workload: an item no one rated has no factor row,
-// the kernel skips it and the walk does not, so a smaller universe reads a
-// ratio the workload never sees. Both sides of an arm run over the same users
-// in alternating short rounds and each keeps its best: a busy neighbour slows
-// a round, it never speeds one up; only seven losing attempts in a row fail.
-// Skipped under -race and -short, where the ratio means nothing.
+// arms, each against the one bulk call a turn cannot avoid: ScoreCatalog32
+// over the catalog, the model's catalog body, which is all a turn scores.
+// Warm: a turn of sweep_batch's assembly with the user's range cached — that
+// call and one walk — costs at most 1.6 × the call alone (1.26–1.49 ×
+// measured). Cold: a turn on a fresh normaliser, which also folds the user's
+// range from the same scores, costs at most 1.65 × it (1.22–1.49 ×). It runs at
+// 8000 users, enough to leave most of the catalog rated as on that workload:
+// an item no one rated has no factor row, the kernel skips it and the walk
+// does not, so a smaller universe reads a ratio the workload never sees. Both
+// sides of an arm run over the same users in alternating short rounds and
+// each keeps its best: a busy neighbour slows a round, it never speeds one
+// up; only seven losing attempts in a row fail. Skipped under -race and
+// -short, where the ratio means nothing.
 func TestTurnCostGate(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the turn cost gate is meaningless under the race detector")
@@ -81,14 +79,10 @@ func TestTurnCostGate(t *testing.T) {
 	if _, err := p.RecommendAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	kernel := p.baseScorer.(recommender.BulkScorer32)
+	kernel := p.baseScorer.(recommender.CatalogScorer32)
 	const users = 400
-	cands := make([][]ItemID, users)
-	catalog := recommender.CatalogItems(p.Train().NumItems())
-	out := make([]float32, len(catalog))
-	for u := range cands {
-		cands[u] = p.Train().AppendCandidates(UserID(u), nil)
-	}
+	out := make([]float32, p.Train().NumItems())
+	catalogCall := func(u int) { kernel.ScoreCatalog32(UserID(u), out) }
 	turn := func(p **Pipeline) func(u int) {
 		return func(u int) {
 			if _, err := (*p).RecommendUser(ctx, UserID(u), 0); err != nil {
@@ -97,17 +91,11 @@ func TestTurnCostGate(t *testing.T) {
 		}
 	}
 	t.Run("warm", func(t *testing.T) {
-		turnCostArm(t, users, 1.6, nil, [2]func(u int){
-			func(u int) { kernel.ScoreUser32(UserID(u), cands[u], out[:len(cands[u])]) },
-			turn(&p),
-		})
+		turnCostArm(t, users, 1.6, nil, [2]func(u int){catalogCall, turn(&p)})
 	})
 	t.Run("cold", func(t *testing.T) {
 		fresh := newPipeline()
-		turnCostArm(t, users, 1.65, func() { fresh = newPipeline() }, [2]func(u int){
-			func(u int) { kernel.ScoreUser32(UserID(u), catalog, out) },
-			turn(&fresh),
-		})
+		turnCostArm(t, users, 1.65, func() { fresh = newPipeline() }, [2]func(u int){catalogCall, turn(&fresh)})
 	})
 }
 
@@ -134,11 +122,11 @@ func turnCostArm(t *testing.T, users int, bound float64, before func(), sides [2
 			}
 		}
 		ratio = float64(best[1]) / float64(best[0])
-		t.Logf("attempt %d: ScoreUser32 %.1f µs, a turn %.1f µs, ratio %.2f",
+		t.Logf("attempt %d: ScoreCatalog32 %.1f µs, a turn %.1f µs, ratio %.2f",
 			attempt, best[0].Seconds()*1e6/float64(users), best[1].Seconds()*1e6/float64(users), ratio)
 		if ratio <= bound {
 			return
 		}
 	}
-	t.Fatalf("a turn costs %.2f × its ScoreUser32 call in each of %d attempts, want ≤ %.2f ×", ratio, attempts, bound)
+	t.Fatalf("a turn costs %.2f × its ScoreCatalog32 call in each of %d attempts, want ≤ %.2f ×", ratio, attempts, bound)
 }

@@ -14,8 +14,8 @@ type bulkCase struct {
 }
 
 // bulkEdgeFixtures builds every bulk-scoring implementation in the library
-// (non-personalized baselines, all three factor models, the neighbourhood
-// model, and the normalizing wrapper) on one small train set. A name ending in
+// (non-personalized baselines, all three factor models and the neighbourhood
+// model) on one small train set. A name ending in
 // f32 marks a float32 bulk body.
 func bulkEdgeFixtures(t *testing.T, train *Dataset) []bulkCase {
 	t.Helper()
@@ -45,7 +45,6 @@ func bulkEdgeFixtures(t *testing.T, train *Dataset) []bulkCase {
 		{"PSVD/f32", psvd},
 		{"CofiRank/f32", cofi},
 		{"ItemKNN", iknn},
-		{"Normalized(RSVD/f32)", recommender.NewNormalizedScorer(rsvd, train.NumItems())},
 	}
 }
 

@@ -1,7 +1,6 @@
 package ganc
 
 import (
-	"ganc/internal/core"
 	"ganc/internal/ingest"
 	"ganc/internal/recommender"
 	"ganc/internal/serve"
@@ -156,9 +155,8 @@ func (p *Pipeline) pipelineFromState(kind *baseKind, s *ingest.State) (*Pipeline
 		next.baseScorer = kind.rebuild(p.baseScorer, s)
 		next.arec = accuracyFor(kind, next.baseScorer, s.Train, p.cfg.topN)
 	} else {
-		norm := p.arec.(*core.ScorerAccuracy).Scorer.(*recommender.NormalizedScorer)
 		next.baseScorer = p.baseScorer
-		next.arec = &core.ScorerAccuracy{Scorer: norm.ForCatalog(s.Train.NumItems())}
+		next.arec = p.arec.(*recommender.NormalizedScorer).ForCatalog(s.Train.NumItems())
 		next.lineage = s.Lineage
 	}
 	return assemble(next)

@@ -300,7 +300,7 @@ func TestFusedWalkMatchesStagedOracle(t *testing.T) {
 				_, has32 := inner.(recommender.BulkScorer32)
 				for _, exact := range []bool{false, true} {
 					norm := recommender.NewNormalizedScorer(inner, items)
-					g, err := New(train, &ScorerAccuracy{Scorer: norm}, prefs, cov.crec, Config{N: 5})
+					g, err := New(train, norm, prefs, cov.crec, Config{N: 5})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -318,7 +318,7 @@ func TestFusedWalkMatchesStagedOracle(t *testing.T) {
 							// The accuracy stage as it was staged: the model's
 							// scores at the width the normaliser reads them, its
 							// range over the catalog, the min–max loop, the clamp
-							// ScorerAccuracy repeated, then the combine.
+							// the accuracy wrapper repeated, then the combine.
 							catalog := make([]float64, items)
 							for i := range catalog {
 								catalog[i] = table.Score(u, types.ItemID(i))

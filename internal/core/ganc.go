@@ -85,41 +85,6 @@ type BulkAccuracy32 interface {
 	AccuracyScores32(u types.UserID, out []float32) recommender.MinMax[float32]
 }
 
-// ScorerAccuracy adapts any recommender.Scorer whose scores are already in
-// [0,1] (e.g. a NormalizedScorer around RSVD or PSVD).
-type ScorerAccuracy struct {
-	Scorer recommender.Scorer
-}
-
-// AccuracyScore implements AccuracyRecommender.
-func (s *ScorerAccuracy) AccuracyScore(u types.UserID, i types.ItemID) float64 {
-	return recommender.Identity[float64]().At(s.Scorer.Score(u, i))
-}
-
-// AccuracyScores implements BulkAccuracy: a normaliser's raw catalog scores
-// and the user's map; any other scorer's bulk scores of the catalog and the
-// identity, whose clamp to [0,1] is AccuracyScore's.
-func (s *ScorerAccuracy) AccuracyScores(u types.UserID, out []float64) recommender.MinMax[float64] {
-	if norm, ok := s.Scorer.(*recommender.NormalizedScorer); ok {
-		return norm.CatalogScores(u, out)
-	}
-	recommender.BulkScores(s.Scorer, u, types.CatalogItems(len(out)), out)
-	return recommender.Identity[float64]()
-}
-
-// AccuracyScores32 implements BulkAccuracy32 likewise, through the scorer's
-// float32 bulk path when it has one (recommender.BulkScores32).
-func (s *ScorerAccuracy) AccuracyScores32(u types.UserID, out []float32) recommender.MinMax[float32] {
-	if norm, ok := s.Scorer.(*recommender.NormalizedScorer); ok {
-		return norm.CatalogScores32(u, out)
-	}
-	recommender.BulkScores32(s.Scorer, u, types.CatalogItems(len(out)), out)
-	return recommender.Identity[float32]()
-}
-
-// Name implements AccuracyRecommender.
-func (s *ScorerAccuracy) Name() string { return s.Scorer.Name() }
-
 // PopAccuracy is the paper's Pop accuracy recommender: a(i) = 1 when i is in
 // the user's popularity top-N (excluding their train items), 0 otherwise.
 // It is safe for concurrent use: lookups take a read lock only, so the hot
@@ -235,9 +200,11 @@ type BulkCoverage interface {
 
 // invSqrtTab caches 1/√(f+1) for small frequencies f. Coverage scores are
 // dominated by tiny integer frequencies (train popularities and
-// recommendation counts), so the hot gain loops read a table entry instead
-// of calling math.Sqrt. Entries are computed by the exact expression the
-// off-table fallback uses, so tabled and computed scores are bit-identical.
+// recommendation counts), so the rows a turn reads — Stat's row, each Dyn row
+// (invSqrtRow) and OSLG's live row — and Dyn's CoverageScore take a table
+// entry instead of calling math.Sqrt. Entries are computed by the exact
+// expression the off-table fallback uses, so tabled and computed scores are
+// bit-identical.
 var invSqrtTab = func() [1024]float64 {
 	var t [1024]float64
 	for f := range t {
@@ -799,19 +766,15 @@ func firstOutranks[T, C float32 | float64](cand []types.ItemID, raw []T, m recom
 // items did not widen (recommender.RangeHeldSince). And no new item
 // out-ranks the list's last: the items [from, numItems) are scored beside it
 // — a short list, one bulk call through the normaliser's float32 path, as a
-// turn of a ScorerAccuracy runs — and each must rank below it under the
+// turn of the normaliser runs — and each must rank below it under the
 // selection's own rule, on the gain the walk computes (gainOf), c(i) read from
 // the row a turn reads. New items u has rated since are scored too — they have
 // left the pool, so at worst a list that would have survived is recomputed.
 // Any other accuracy recommender, and a coverage recommender but Dyn or Stat,
 // answers false.
 func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool {
-	sa, ok := g.arec.(*ScorerAccuracy)
+	norm, ok := g.arec.(*recommender.NormalizedScorer)
 	if !ok || len(list) == 0 {
-		return false
-	}
-	norm, ok := sa.Scorer.(*recommender.NormalizedScorer)
-	if !ok {
 		return false
 	}
 	var cov coverage

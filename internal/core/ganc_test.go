@@ -233,24 +233,6 @@ func TestPopAccuracyIndicatorScores(t *testing.T) {
 	}
 }
 
-func TestScorerAccuracyClampsToUnitInterval(t *testing.T) {
-	s := &ScorerAccuracy{Scorer: fixedScorer{vals: map[types.ItemID]float64{0: -2, 1: 0.4, 2: 3}}}
-	if s.AccuracyScore(0, 0) != 0 || s.AccuracyScore(0, 2) != 1 {
-		t.Fatal("clamping failed")
-	}
-	if s.AccuracyScore(0, 1) != 0.4 {
-		t.Fatal("in-range score modified")
-	}
-	if s.Name() != "fixed" {
-		t.Fatal("name passthrough")
-	}
-}
-
-type fixedScorer struct{ vals map[types.ItemID]float64 }
-
-func (f fixedScorer) Score(_ types.UserID, i types.ItemID) float64 { return f.vals[i] }
-func (f fixedScorer) Name() string                                 { return "fixed" }
-
 // countingBulkScorer is a model without a float32 body (as ItemAvg, ItemKNN or
 // a custom scorer) that counts how it is asked: pointwise or in bulk.
 type countingBulkScorer struct{ pointwise, bulk int }
@@ -273,49 +255,53 @@ func (c *countingBulkScorer) ScoreUser(u types.UserID, items []types.ItemID, out
 
 func (c *countingBulkScorer) Name() string { return "counting" }
 
-// TestF32TierScoresUntieredModelsInBulk: a ScorerAccuracy is swept in float32,
-// and a model without a float32 path still serves a turn through its bulk
-// scorer — one call per user, none per item — bare or behind the normaliser
-// (where the pointwise route also took the range table's mutex per item), and
-// the truncated scores are float32(Score) either way.
+// float32Accuracy is what an accuracy recommender implements to be swept in
+// float32: GANC.f32 is read off its type, so a renamed method would drop every
+// pipeline to float64 turns without a word. The production ones must stay it.
+type float32Accuracy interface {
+	AccuracyRecommender
+	BulkAccuracy
+	BulkAccuracy32
+}
+
+var (
+	_ float32Accuracy = (*recommender.NormalizedScorer)(nil)
+	_ float32Accuracy = (*PopAccuracy)(nil)
+)
+
+// TestF32TierScoresUntieredModelsInBulk: the normaliser is swept in float32,
+// and a model without a float32 path behind it still serves a turn through
+// its bulk scorer — one call per user, none per item (the pointwise route
+// also took the range table's mutex per item) — and the truncated scores are
+// float32(AccuracyScore).
 func TestF32TierScoresUntieredModelsInBulk(t *testing.T) {
 	train := testSplit(t).Train
 	users := train.NumUsers()
 	prefs := longtail.Constant(users, 0.4)
-	for _, tc := range []struct {
-		name string
-		wrap func(recommender.Scorer) recommender.Scorer
-	}{
-		{"bare", func(s recommender.Scorer) recommender.Scorer { return s }},
-		{"normalised", func(s recommender.Scorer) recommender.Scorer {
-			return recommender.NewNormalizedScorer(s, train.NumItems())
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			inner := &countingBulkScorer{}
-			arec := &ScorerAccuracy{Scorer: tc.wrap(inner)}
-			g, err := New(train, arec, prefs, NewStatCoverage(train), Config{N: 5})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("normalised", func(t *testing.T) {
+		inner := &countingBulkScorer{}
+		arec := recommender.NewNormalizedScorer(inner, train.NumItems())
+		g, err := New(train, arec, prefs, NewStatCoverage(train), Config{N: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			inner.pointwise, inner.bulk = 0, 0
+			g.Recommend()
+			if inner.bulk != users || inner.pointwise != 0 {
+				t.Fatalf("pass %d: %d bulk and %d pointwise calls for %d users, want one bulk call per user and no pointwise call",
+					pass, inner.bulk, inner.pointwise, users)
 			}
-			for pass := 0; pass < 2; pass++ {
-				inner.pointwise, inner.bulk = 0, 0
-				g.Recommend()
-				if inner.bulk != users || inner.pointwise != 0 {
-					t.Fatalf("pass %d: %d bulk and %d pointwise calls for %d users, want one bulk call per user and no pointwise call",
-						pass, inner.bulk, inner.pointwise, users)
-				}
-			}
+		}
 
-			got := make([]float32, train.NumItems())
-			m := arec.AccuracyScores32(2, got)
-			for _, i := range []types.ItemID{3, 0, 7, 1} {
-				if want := float32(arec.AccuracyScore(2, i)); m.At(got[i]) != want {
-					t.Fatalf("AccuracyScores32 item %d maps to %v, float32(AccuracyScore) = %v", i, m.At(got[i]), want)
-				}
+		got := make([]float32, train.NumItems())
+		m := arec.AccuracyScores32(2, got)
+		for _, i := range []types.ItemID{3, 0, 7, 1} {
+			if want := float32(arec.AccuracyScore(2, i)); m.At(got[i]) != want {
+				t.Fatalf("AccuracyScores32 item %d maps to %v, float32(AccuracyScore) = %v", i, m.At(got[i]), want)
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestRecommendProducesValidSetsForAllUsers(t *testing.T) {

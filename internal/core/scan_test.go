@@ -22,7 +22,7 @@ import (
 // span, the identity when the span is 0.
 func rangeMap(lo, hi float32) recommender.MinMax[float32] {
 	norm := recommender.NewNormalizedScorer(tableScorer32{tableScorer{scores: [][]float64{{float64(lo), float64(hi)}}}}, 2)
-	return norm.CatalogScores32(0, make([]float32, 2))
+	return norm.AccuracyScores32(0, make([]float32, 2))
 }
 
 var (

@@ -57,11 +57,11 @@ func TestSurvivesGrowth(t *testing.T) {
 					return statCoverageOf(counts)
 				}
 				cfg := Config{N: n}
-				before, err := New(train, &ScorerAccuracy{Scorer: norm}, prefs, coverage(counts[:from]), cfg)
+				before, err := New(train, norm, prefs, coverage(counts[:from]), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				after, err := New(grown, &ScorerAccuracy{Scorer: norm.ForCatalog(grown.NumItems())}, prefs, coverage(counts), cfg)
+				after, err := New(grown, norm.ForCatalog(grown.NumItems()), prefs, coverage(counts), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +89,7 @@ func TestSurvivesGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		random, err := New(grown, &ScorerAccuracy{Scorer: norm.ForCatalog(grown.NumItems())}, prefs, NewRandCoverage(1), Config{N: n})
+		random, err := New(grown, norm.ForCatalog(grown.NumItems()), prefs, NewRandCoverage(1), Config{N: n})
 		if err != nil {
 			t.Fatal(err)
 		}

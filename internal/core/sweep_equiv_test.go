@@ -16,6 +16,7 @@ import (
 
 	"ganc/internal/dataset"
 	"ganc/internal/longtail"
+	"ganc/internal/recommender"
 	"ganc/internal/synth"
 	"ganc/internal/types"
 )
@@ -130,11 +131,11 @@ func (h hashScorer) Score(u types.UserID, i types.ItemID) float64 { return hashS
 func (h hashScorer) Name() string                                 { return "HashScorer" }
 
 // equivAccuracies are the accuracy recommenders the Dyn comparisons run
-// under: the paper's sparse Pop indicator and a dense scorer.
+// under: the paper's sparse Pop indicator and a dense scorer, normalised.
 func equivAccuracies(train *dataset.Dataset, trial int64) []AccuracyRecommender {
 	return []AccuracyRecommender{
 		popArec(train, 5),
-		&ScorerAccuracy{Scorer: hashScorer{seed: uint64(trial)*104729 + 7}},
+		recommender.NewNormalizedScorer(hashScorer{seed: uint64(trial)*104729 + 7}, train.NumItems()),
 	}
 }
 

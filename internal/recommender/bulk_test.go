@@ -57,10 +57,30 @@ func TestItemAvgBulkMatchesScore(t *testing.T) {
 	assertBulkMatchesScore(t, NewItemAvg(d, 5), d.NumUsers(), d.NumItems())
 }
 
+// TestNormalizedScorerBulkMatchesScore: around a deterministic inner scorer
+// (item average), the normaliser's catalog scores taken through their map are
+// AccuracyScore bit for bit, and its float32 item-slice scores — out-of-range
+// items included — are AccuracyScore truncated.
 func TestNormalizedScorerBulkMatchesScore(t *testing.T) {
 	d := bulkTestDataset(3)
-	// Wrap a deterministic inner scorer (item average) in the normalizer.
-	assertBulkMatchesScore(t, NewNormalizedScorer(NewItemAvg(d, 0), d.NumItems()), d.NumUsers(), d.NumItems())
+	n := NewNormalizedScorer(NewItemAvg(d, 0), d.NumItems())
+	items := catalogItems(d.NumItems() + 2)
+	catalog := make([]float64, d.NumItems())
+	out32 := make([]float32, len(items))
+	for u := 0; u < d.NumUsers(); u++ {
+		uid := types.UserID(u)
+		m := n.AccuracyScores(uid, catalog)
+		m32 := n.RawScores32(uid, items, out32)
+		for k, i := range items {
+			want := n.AccuracyScore(uid, i)
+			if k < len(catalog) && m.At(catalog[k]) != want {
+				t.Fatalf("user %d item %d: AccuracyScores maps to %v, AccuracyScore %v", u, i, m.At(catalog[k]), want)
+			}
+			if got := m32.At(out32[k]); got != float32(want) {
+				t.Fatalf("user %d item %d: RawScores32 maps to %v, float32(AccuracyScore) %v", u, i, got, float32(want))
+			}
+		}
+	}
 }
 
 // plainScorer deliberately does NOT implement BulkScorer, to exercise the

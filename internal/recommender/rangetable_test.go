@@ -11,28 +11,23 @@ import (
 )
 
 // normalizedBits returns the normaliser's outputs for every (user, item) of
-// its catalog as raw bits: the float64 bulk path and, when the inner model
-// has a float32 bulk path, that one after it.
+// its catalog as raw bits: its float64 catalog scores mapped, which fold a
+// missing range from the catalog they score, then its float32 item-slice
+// scores mapped, which read the range before they score.
 func normalizedBits(n *NormalizedScorer, numUsers int) [][]uint64 {
-	items := make([]types.ItemID, n.numItems)
-	for k := range items {
-		items[k] = types.ItemID(k)
-	}
+	items := catalogItems(n.numItems)
 	out64 := make([]float64, len(items))
 	out32 := make([]float32, len(items))
-	_, tiered := n.inner.(BulkScorer32)
 	all := make([][]uint64, numUsers)
 	for u := range all {
-		n.ScoreUser(types.UserID(u), items, out64)
+		mapAll(n.AccuracyScores(types.UserID(u), out64), out64)
 		bits := make([]uint64, 0, 2*len(items))
 		for _, v := range out64 {
 			bits = append(bits, math.Float64bits(v))
 		}
-		if tiered {
-			n.ScoreUser32(types.UserID(u), items, out32)
-			for _, v := range out32 {
-				bits = append(bits, uint64(math.Float32bits(v)))
-			}
+		mapAll(n.RawScores32(types.UserID(u), items, out32), out32)
+		for _, v := range out32 {
+			bits = append(bits, uint64(math.Float32bits(v)))
 		}
 		all[u] = bits
 	}
@@ -60,14 +55,14 @@ func (f float64Only) ScoreUser(u types.UserID, items []types.ItemID, out []float
 }
 
 // TestRangeTableParityAcrossCatalogGrowth is the exactness contract of the
-// shared range table: for a frozen RSVD — as it is (f32: both of the
-// normaliser's bulk methods) and behind a float64-only bulk body (f64) — a
-// table filled at one catalog size and read at a larger one (and a smaller
-// one: the older-generation reader that meets a newer entry) normalises bit
-// for bit as a fresh NormalizedScorer scanning that whole catalog — also with
-// every generation reading concurrently, which is what a swap under load does. The smallest catalog stops short of the trained items and the largest
-// runs past them, so the folded-in suffix holds both real scores and the
-// unknown-item fallback.
+// shared range table: for a frozen RSVD — as it is (f32) and behind a
+// float64-only bulk body (f64) — a table filled at one catalog size and read
+// at a larger one (and a smaller one: the older-generation reader that meets
+// a newer entry) normalises bit for bit as a fresh NormalizedScorer scanning
+// that whole catalog — also with every generation reading concurrently,
+// which is what a swap under load does. The smallest catalog stops short of
+// the trained items and the largest runs past them, so the folded-in suffix
+// holds both real scores and the unknown-item fallback.
 func TestRangeTableParityAcrossCatalogGrowth(t *testing.T) {
 	d := bulkTestDataset(11)
 	cfg := mf.DefaultRSVDConfig()
@@ -135,7 +130,7 @@ func TestRangeTableScoresOnlyWhatIsMissing(t *testing.T) {
 	inner := &countingScorer{}
 	rangeCost := func(n *NormalizedScorer) int64 {
 		before := inner.scored.Load()
-		n.Score(3, 0)
+		n.AccuracyScore(3, 0)
 		return inner.scored.Load() - before - 1 // minus the scored item itself
 	}
 	old := NewNormalizedScorer(inner, 100)

@@ -29,7 +29,7 @@ import (
 )
 
 // Scorer scores a single (user, item) pair. Higher is better. Scores may be
-// on any scale; see NormalizedScores for a [0,1] mapping.
+// on any scale; see NormalizedScorer for a [0,1] mapping.
 type Scorer interface {
 	// Score returns the model's relevance score of item i for user u.
 	Score(u types.UserID, i types.ItemID) float64
@@ -116,28 +116,6 @@ func widened(out []float64, score func(out []float32)) {
 		out[k] = float64(v)
 	}
 	scoreBuf32Pool.put(bp)
-}
-
-// BulkScores32 is BulkScores into a float32 buffer: the model's own float32
-// bulk path when it has one, otherwise its float64 bulk scores truncated, so
-// out[k] is float32(Score(u, items[k])) for every model without one.
-func BulkScores32(s Scorer, u types.UserID, items []types.ItemID, out []float32) {
-	if bs32, ok := s.(BulkScorer32); ok {
-		bs32.ScoreUser32(u, items, out)
-		return
-	}
-	truncatedBulkScores(s, u, items, out)
-}
-
-// truncatedBulkScores fills out with s's float64 bulk scores — one BulkScores
-// call into the pooled float64 arena — truncated.
-func truncatedBulkScores(s Scorer, u types.UserID, items []types.ItemID, out []float32) {
-	bp := scoreBufPool.get(len(items))
-	BulkScores(s, u, items, *bp)
-	for k, v := range *bp {
-		out[k] = float32(v)
-	}
-	scoreBufPool.put(bp)
 }
 
 // TopN generates ranked recommendation lists.
@@ -512,7 +490,9 @@ func (a *ItemAvg) Avg(i types.ItemID) float64 { return a.Score(0, i) }
 
 // NormalizedScorer wraps a Scorer and rescales each user's scores over the
 // whole catalog to [0,1] by min–max normalization, as the paper does before
-// plugging predicted ratings into the GANC value function. A user's range is
+// plugging predicted ratings into the GANC value function: it is GANC's
+// accuracy recommender a(i) over a scoring model, and implements core's
+// AccuracyRecommender, BulkAccuracy and BulkAccuracy32. A user's range is
 // computed on first use and kept in a range table. The table can outlive the
 // normaliser: ForCatalog hands it to the normaliser of a later, larger
 // catalog, which then folds in only the items the entry does not cover yet —
@@ -646,9 +626,10 @@ func map32(r scoreRange, out []float32) MinMax[float32] {
 	return MinMax[float32]{min: float32(r.min), scale: 1 / float32(r.span())}
 }
 
-// Score implements Scorer, returning the inner score min–max normalized over
-// the user's full catalog scores; a span of 0 maps every score to 0.
-func (n *NormalizedScorer) Score(u types.UserID, i types.ItemID) float64 {
+// AccuracyScore is a(i) of the accuracy recommender (core.AccuracyRecommender):
+// the inner score min–max normalized over the user's full catalog scores; a
+// span of 0 maps every score to 0.
+func (n *NormalizedScorer) AccuracyScore(u types.UserID, i types.ItemID) float64 {
 	r := n.rangeOf(u)
 	if r.span() == 0 {
 		return 0
@@ -656,34 +637,19 @@ func (n *NormalizedScorer) Score(u types.UserID, i types.ItemID) float64 {
 	return map64(r, nil).At(n.inner.Score(u, i))
 }
 
-// ScoreUser implements BulkScorer: the inner model's float64 bulk scores of
-// items, mapped over u's range.
-func (n *NormalizedScorer) ScoreUser(u types.UserID, items []types.ItemID, out []float64) {
-	r := n.rangeOf(u)
-	BulkScores(n.inner, u, items, out)
-	mapAll(map64(r, out), out)
-}
-
-// ScoreUser32 implements BulkScorer32: RawScores32, mapped.
-func (n *NormalizedScorer) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
-	mapAll(n.RawScores32(u, items, out), out)
-}
-
-func mapAll[T float32 | float64](m MinMax[T], scores []T) {
-	for k, v := range scores {
-		scores[k] = m.At(v)
-	}
-}
-
 // RawScores32 fills out with the inner model's float32 bulk scores of items
 // and returns the map that normalises them, for a caller that walks the
 // scores anyway to apply it in its own loop. Around a model with no float32
-// path there is nothing to keep in float32: out receives the float64
-// normalised scores, truncated, and the map is the identity.
+// path there is nothing to keep in float32: out receives the inner model's
+// float64 bulk scores normalised, truncated, and the map is the identity.
 func (n *NormalizedScorer) RawScores32(u types.UserID, items []types.ItemID, out []float32) MinMax[float32] {
 	bs32, ok := n.inner.(BulkScorer32)
 	if !ok {
-		truncatedBulkScores(n, u, items, out) // through ScoreUser
+		narrowed(out, func(out []float64) MinMax[float64] {
+			r := n.rangeOf(u)
+			BulkScores(n.inner, u, items, out)
+			return map64(r, out)
+		})
 		return Identity[float32]()
 	}
 	r := n.rangeOf(u)
@@ -691,15 +657,27 @@ func (n *NormalizedScorer) RawScores32(u types.UserID, items []types.ItemID, out
 	return map32(r, out)
 }
 
-// CatalogScores fills out — one element per item of this normaliser's
-// catalog, in identifier order — with the inner model's float64 bulk scores
-// and returns the map that normalises them. It is a turn's one bulk call: a
+// narrowed fills out with the float64 scores score writes into a pooled
+// buffer of its length, taken through the map it returns and truncated.
+func narrowed(out []float32, score func(out []float64) MinMax[float64]) {
+	bp := scoreBufPool.get(len(out))
+	m := score(*bp)
+	for k, v := range *bp {
+		out[k] = float32(m.At(v))
+	}
+	scoreBufPool.put(bp)
+}
+
+// AccuracyScores implements core.BulkAccuracy: it fills out — one element per
+// item of this normaliser's catalog, in identifier order — with the inner
+// model's float64 bulk scores and returns the map that normalises them, which
+// takes each to its AccuracyScore. It is a turn's one bulk call: a
 // range the table does not hold yet (a user's first touch, a successor
 // generation's missing suffix, an older generation's rescan) is folded from
 // out itself, so the catalog is scored once either way. A model whose only
 // bulk body is the float32 one scores through its catalog body when it has
 // one, widened, as BulkScores widens its list body: the same bits.
-func (n *NormalizedScorer) CatalogScores(u types.UserID, out []float64) MinMax[float64] {
+func (n *NormalizedScorer) AccuracyScores(u types.UserID, out []float64) MinMax[float64] {
 	return map64(catalogRange(n, u, out, func(out []float64) {
 		_, f64 := n.inner.(BulkScorer)
 		if bs32, ok := n.inner.(BulkScorer32); ok && !f64 {
@@ -710,19 +688,15 @@ func (n *NormalizedScorer) CatalogScores(u types.UserID, out []float64) MinMax[f
 	}), out)
 }
 
-// CatalogScores32 is CatalogScores through the inner model's float32 bulk
-// path — its catalog body when it has one (CatalogScorer32) — with the map of
-// RawScores32. Around a model with no float32 path, out receives
-// CatalogScores' normalised scores, truncated, and the map is the identity.
-func (n *NormalizedScorer) CatalogScores32(u types.UserID, out []float32) MinMax[float32] {
+// AccuracyScores32 implements core.BulkAccuracy32: AccuracyScores through the
+// inner model's float32 bulk path — its catalog body when it has one
+// (CatalogScorer32) — with the map of RawScores32. Around a model with no
+// float32 path, out receives AccuracyScores' normalised scores, truncated,
+// and the map is the identity.
+func (n *NormalizedScorer) AccuracyScores32(u types.UserID, out []float32) MinMax[float32] {
 	bs32, ok := n.inner.(BulkScorer32)
 	if !ok {
-		bp := scoreBufPool.get(len(out))
-		m := n.CatalogScores(u, *bp)
-		for k, v := range *bp {
-			out[k] = float32(m.At(v))
-		}
-		scoreBufPool.put(bp)
+		narrowed(out, func(out []float64) MinMax[float64] { return n.AccuracyScores(u, out) })
 		return Identity[float32]()
 	}
 	return map32(catalogRange(n, u, out, func(out []float32) {
@@ -826,7 +800,7 @@ func (n *NormalizedScorer) RangeHeldSince(u types.UserID, from int) bool {
 	return true
 }
 
-// Name implements Scorer.
+// Name implements core.AccuracyRecommender.
 func (n *NormalizedScorer) Name() string { return n.inner.Name() }
 
 // --- Batch recommendation helpers --------------------------------------------

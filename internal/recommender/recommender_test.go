@@ -257,13 +257,13 @@ func TestScorerTopNAdapter(t *testing.T) {
 func TestNormalizedScorerMapsToUnitInterval(t *testing.T) {
 	s := fixedScorer{scores: map[types.ItemID]float64{0: -10, 1: 0, 2: 30}}
 	ns := NewNormalizedScorer(s, 3)
-	if got := ns.Score(0, 0); got != 0 {
+	if got := ns.AccuracyScore(0, 0); got != 0 {
 		t.Fatalf("min score normalized to %v, want 0", got)
 	}
-	if got := ns.Score(0, 2); got != 1 {
+	if got := ns.AccuracyScore(0, 2); got != 1 {
 		t.Fatalf("max score normalized to %v, want 1", got)
 	}
-	mid := ns.Score(0, 1)
+	mid := ns.AccuracyScore(0, 1)
 	if mid <= 0 || mid >= 1 {
 		t.Fatalf("mid score %v not strictly inside (0,1)", mid)
 	}
@@ -275,7 +275,7 @@ func TestNormalizedScorerMapsToUnitInterval(t *testing.T) {
 func TestNormalizedScorerConstantScores(t *testing.T) {
 	s := fixedScorer{scores: map[types.ItemID]float64{0: 3, 1: 3, 2: 3}}
 	ns := NewNormalizedScorer(s, 3)
-	if got := ns.Score(0, 1); got != 0 {
+	if got := ns.AccuracyScore(0, 1); got != 0 {
 		t.Fatalf("constant scores should normalize to 0, got %v", got)
 	}
 }

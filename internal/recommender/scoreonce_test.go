@@ -14,8 +14,8 @@ import (
 // catalog through the inner model's float64 contract, then the items scored by
 // a second call of their own and mapped. Kept here, in the arithmetic of each
 // bulk method, as the reference the fused path (a turn's one catalog call,
-// CatalogScores and CatalogScores32) and the item-slice path are held to bit
-// for bit.
+// AccuracyScores and AccuracyScores32), the float32 item-slice path
+// (RawScores32) and the pointwise one (AccuracyScore) are held to bit for bit.
 
 func oracleRange(inner Scorer, u types.UserID, numItems int) scoreRange {
 	scores := make([]float64, numItems)
@@ -93,6 +93,13 @@ func oracleScoreUser32(inner Scorer, u types.UserID, numItems int, items []types
 	return out
 }
 
+// mapAll takes scores through m in place.
+func mapAll[T float32 | float64](m MinMax[T], scores []T) {
+	for k, v := range scores {
+		scores[k] = m.At(v)
+	}
+}
+
 func assertBits64(t *testing.T, label string, got, want []float64) {
 	t.Helper()
 	for k := range want {
@@ -148,11 +155,11 @@ func scoreOnceInners(t *testing.T) (map[string]Scorer, int, int) {
 }
 
 // TestFusedFirstTouchMatchesTwoPassOracle: scoring the catalog once and
-// folding the range from the same scores (CatalogScores, CatalogScores32)
+// folding the range from the same scores (AccuracyScores, AccuracyScores32)
 // gives, bit for bit, the scores and the stored (min, max, upTo) of the
-// two-pass computation, as the item-slice path does for every item-slice shape
-// (the candidate shape, unsorted, short, empty, and holding identifiers
-// outside the catalog) — through both bulk paths, for users the model has
+// two-pass computation, as the float32 item-slice and the pointwise paths do
+// for every item-slice shape (the candidate shape, unsorted, short, empty,
+// and holding identifiers outside the catalog) — for users the model has
 // never seen, and again on the second touch, when the range is cached.
 func TestFusedFirstTouchMatchesTwoPassOracle(t *testing.T) {
 	inners, numUsers, numItems := scoreOnceInners(t)
@@ -177,35 +184,39 @@ func TestFusedFirstTouchMatchesTwoPassOracle(t *testing.T) {
 			got64, got32 := make([]float64, numItems), make([]float32, numItems)
 			n := NewNormalizedScorer(inner, numItems)
 			for _, touch := range []string{"first touch", "second touch"} {
-				mapAll(n.CatalogScores(u, got64), got64)
-				assertBits64(t, label+" CatalogScores "+touch, got64, want64)
-				assertStoredRange(t, label+" CatalogScores "+touch, n, u, numItems)
+				mapAll(n.AccuracyScores(u, got64), got64)
+				assertBits64(t, label+" AccuracyScores "+touch, got64, want64)
+				assertStoredRange(t, label+" AccuracyScores "+touch, n, u, numItems)
 			}
 			n = NewNormalizedScorer(inner, numItems)
 			for _, touch := range []string{"first touch", "second touch"} {
-				mapAll(n.CatalogScores32(u, got32), got32)
-				assertBits32(t, label+" CatalogScores32 "+touch, got32, want32)
-				assertStoredRange(t, label+" CatalogScores32 "+touch, n, u, numItems)
+				mapAll(n.AccuracyScores32(u, got32), got32)
+				assertBits32(t, label+" AccuracyScores32 "+touch, got32, want32)
+				assertStoredRange(t, label+" AccuracyScores32 "+touch, n, u, numItems)
 			}
 		}
 		for shape, items := range shapes {
 			for _, u := range []types.UserID{0, 7, types.UserID(numUsers + 3)} {
 				label := name + "/" + shape
-				want64 := oracleScoreUser(inner, u, numItems, items)
+				want64 := oracleScore(inner, u, numItems, items)
 				want32 := oracleScoreUser32(inner, u, numItems, items)
 				got64, got32 := make([]float64, len(items)), make([]float32, len(items))
 
 				n := NewNormalizedScorer(inner, numItems)
 				for _, touch := range []string{"first touch", "second touch"} {
-					n.ScoreUser(u, items, got64)
-					assertBits64(t, label+" ScoreUser "+touch, got64, want64)
-					assertStoredRange(t, label+" ScoreUser "+touch, n, u, numItems)
+					for k, i := range items {
+						got64[k] = n.AccuracyScore(u, i)
+					}
+					assertBits64(t, label+" AccuracyScore "+touch, got64, want64)
+					if len(items) > 0 { // no item, no range read
+						assertStoredRange(t, label+" AccuracyScore "+touch, n, u, numItems)
+					}
 				}
 				n = NewNormalizedScorer(inner, numItems)
 				for _, touch := range []string{"first touch", "second touch"} {
-					n.ScoreUser32(u, items, got32)
-					assertBits32(t, label+" ScoreUser32 "+touch, got32, want32)
-					assertStoredRange(t, label+" ScoreUser32 "+touch, n, u, numItems)
+					mapAll(n.RawScores32(u, items, got32), got32)
+					assertBits32(t, label+" RawScores32 "+touch, got32, want32)
+					assertStoredRange(t, label+" RawScores32 "+touch, n, u, numItems)
 				}
 			}
 		}
@@ -230,19 +241,19 @@ func TestFusedFirstTouchKeepsRangeTableRules(t *testing.T) {
 			t.Helper()
 			got64, got32 := make([]float64, numItems), make([]float32, numItems)
 			counter.items = 0
-			m64 := n.CatalogScores(u, got64)
+			m64 := n.AccuracyScores(u, got64)
 			if counter.items != numItems {
-				t.Fatalf("%s %s: CatalogScores scored %d items, want the catalog's %d once", name, label, counter.items, numItems)
+				t.Fatalf("%s %s: AccuracyScores scored %d items, want the catalog's %d once", name, label, counter.items, numItems)
 			}
 			mapAll(m64, got64)
-			assertBits64(t, name+" "+label+" CatalogScores", got64, oracleScoreUser(counter, u, numItems, catalogItems(numItems)))
+			assertBits64(t, name+" "+label+" AccuracyScores", got64, oracleScoreUser(counter, u, numItems, catalogItems(numItems)))
 			counter.items = 0
-			m32 := n.CatalogScores32(u, got32)
+			m32 := n.AccuracyScores32(u, got32)
 			if counter.items != numItems {
-				t.Fatalf("%s %s: CatalogScores32 scored %d items, want the catalog's %d once", name, label, counter.items, numItems)
+				t.Fatalf("%s %s: AccuracyScores32 scored %d items, want the catalog's %d once", name, label, counter.items, numItems)
 			}
 			mapAll(m32, got32)
-			assertBits32(t, name+" "+label+" CatalogScores32", got32, oracleScoreUser32(counter, u, numItems, catalogItems(numItems)))
+			assertBits32(t, name+" "+label+" AccuracyScores32", got32, oracleScoreUser32(counter, u, numItems, catalogItems(numItems)))
 			assertStoredRange(t, name+" "+label, n, u, wantStored)
 		}
 		check("first touch", old, small, small)
@@ -253,7 +264,8 @@ func TestFusedFirstTouchKeepsRangeTableRules(t *testing.T) {
 }
 
 // callCounter counts the items its model is asked to score, through whichever
-// path.
+// path. Its float32 bulk scores are its model's own, or its model's float64
+// bulk scores truncated.
 type callCounter struct {
 	Scorer
 	items int
@@ -271,14 +283,22 @@ func (c *callCounter) ScoreUser(u types.UserID, items []types.ItemID, out []floa
 
 func (c *callCounter) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
 	c.items += len(items)
-	BulkScores32(c.Scorer, u, items, out)
+	if bs32, ok := c.Scorer.(BulkScorer32); ok {
+		bs32.ScoreUser32(u, items, out)
+		return
+	}
+	wide := make([]float64, len(items))
+	BulkScores(c.Scorer, u, items, wide)
+	for k, v := range wide {
+		out[k] = float32(v)
+	}
 }
 
 // TestConcurrentFirstTouches (run it with -race -count=10): goroutines
-// first-touch the same users through ScoreUser, ScoreUser32, Score and a
-// turn's CatalogScores32 at once, on one table shared by two catalog
-// generations; whichever of them computes a user's range, every reader sees
-// the two-pass oracle's values.
+// first-touch the same users through AccuracyScores, RawScores32,
+// AccuracyScore and a turn's AccuracyScores32 at once, on one table shared by
+// two catalog generations; whichever of them computes a user's range, every
+// reader sees the two-pass oracle's values.
 func TestConcurrentFirstTouches(t *testing.T) {
 	inners, numUsers, numItems := scoreOnceInners(t)
 	sizes := []int{numItems - 5, numItems}
@@ -290,7 +310,7 @@ func TestConcurrentFirstTouches(t *testing.T) {
 		wantCatalog := make([][][]float32, len(sizes))
 		for g, size := range sizes {
 			for u := 0; u < numUsers; u++ {
-				want64[g] = append(want64[g], oracleScoreUser(inner, types.UserID(u), size, items))
+				want64[g] = append(want64[g], oracleScoreUser(inner, types.UserID(u), size, catalogItems(size)))
 				want32[g] = append(want32[g], oracleScoreUser32(inner, types.UserID(u), size, items))
 				wantPoint[g] = append(wantPoint[g], oracleScore(inner, types.UserID(u), size, items))
 				wantCatalog[g] = append(wantCatalog[g], oracleScoreUser32(inner, types.UserID(u), size, catalogItems(size)))
@@ -306,41 +326,43 @@ func TestConcurrentFirstTouches(t *testing.T) {
 					go func(g, path int) {
 						defer wg.Done()
 						got64, got32 := make([]float64, len(items)), make([]float32, len(items))
-						catalog := make([]float32, sizes[g])
+						catalog64, catalog32 := make([]float64, sizes[g]), make([]float32, sizes[g])
 						for u := 0; u < numUsers; u++ {
 							uid := types.UserID(u)
-							want := want64[g][u]
 							switch path {
 							case 0:
-								n.ScoreUser(uid, items, got64)
+								mapAll(n.AccuracyScores(uid, catalog64), catalog64)
+								for i, want := range want64[g][u] {
+									if math.Float64bits(catalog64[i]) != math.Float64bits(want) {
+										t.Errorf("%s: AccuracyScores user %d item %d = %v, oracle %v", name, u, i, catalog64[i], want)
+										return
+									}
+								}
 							case 1:
-								n.ScoreUser32(uid, items, got32)
-								for k := range items {
-									if math.Float32bits(got32[k]) != math.Float32bits(want32[g][u][k]) {
-										t.Errorf("%s: ScoreUser32 user %d item %d = %v, oracle %v", name, u, items[k], got32[k], want32[g][u][k])
+								mapAll(n.RawScores32(uid, items, got32), got32)
+								for k, want := range want32[g][u] {
+									if math.Float32bits(got32[k]) != math.Float32bits(want) {
+										t.Errorf("%s: RawScores32 user %d item %d = %v, oracle %v", name, u, items[k], got32[k], want)
 										return
 									}
 								}
-								continue
 							case 2:
-								mapAll(n.CatalogScores32(uid, catalog), catalog)
-								for i := range catalog {
-									if math.Float32bits(catalog[i]) != math.Float32bits(wantCatalog[g][u][i]) {
-										t.Errorf("%s: CatalogScores32 user %d item %d = %v, oracle %v", name, u, i, catalog[i], wantCatalog[g][u][i])
+								mapAll(n.AccuracyScores32(uid, catalog32), catalog32)
+								for i, want := range wantCatalog[g][u] {
+									if math.Float32bits(catalog32[i]) != math.Float32bits(want) {
+										t.Errorf("%s: AccuracyScores32 user %d item %d = %v, oracle %v", name, u, i, catalog32[i], want)
 										return
 									}
 								}
-								continue
 							default:
-								want = wantPoint[g][u]
 								for k, i := range items {
-									got64[k] = n.Score(uid, i)
+									got64[k] = n.AccuracyScore(uid, i)
 								}
-							}
-							for k := range items {
-								if math.Float64bits(got64[k]) != math.Float64bits(want[k]) {
-									t.Errorf("%s: path %d user %d item %d = %v, oracle %v", name, path, u, items[k], got64[k], want[k])
-									return
+								for k, want := range wantPoint[g][u] {
+									if math.Float64bits(got64[k]) != math.Float64bits(want) {
+										t.Errorf("%s: AccuracyScore user %d item %d = %v, oracle %v", name, u, items[k], got64[k], want)
+										return
+									}
 								}
 							}
 						}

@@ -194,6 +194,75 @@ func TestLatePutKeepsNewerEntry(t *testing.T) {
 	}
 }
 
+// stallingEngine is a lineEngine that counts its computes and whose first
+// Revalidate call waits for release, after closing held: the request making
+// it has missed the cache and has not looked for a flight yet.
+type stallingEngine struct {
+	*lineEngine
+	held, release chan struct{}
+	revals        atomic.Int64
+	computes      atomic.Int64
+}
+
+func (e *stallingEngine) RecommendUser(ctx context.Context, u types.UserID, n int) (types.TopNSet, error) {
+	e.computes.Add(1)
+	return e.lineEngine.RecommendUser(ctx, u, n)
+}
+
+func (e *stallingEngine) Revalidate(u types.UserID, list types.TopNSet, n int, from Mark) Revalidation {
+	if e.revals.Add(1) == 1 {
+		close(e.held)
+		<-e.release
+	}
+	return e.lineEngine.Revalidate(u, list, n, from)
+}
+
+// TestMissAfterFinishedFlightIsAHit: a request whose cache miss came before a
+// leader's put, and whose flight lookup came after the leader had left the
+// flight table, serves the leader's list; the generation computes it once.
+func TestMissAfterFinishedFlightIsAHit(t *testing.T) {
+	d, keys := lineFixture(8)
+	const u = types.UserID(1) // period 3
+	line := new(Lineage)
+	s, err := New(d, &lineEngine{line: line, seq: 0, items: 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	readList(t, h, keys[u]) // generation 1's entry
+	next := &stallingEngine{
+		lineEngine: &lineEngine{line: line, seq: 3, items: 8}, // the period turned: the entry is refused
+		held:       make(chan struct{}),
+		release:    make(chan struct{}),
+	}
+	if err := s.Update(next); err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		code int
+		body string
+	}
+	late := make(chan answer)
+	go func() {
+		code, body := serveOnce(h, http.MethodGet, "/recommend?user="+keys[u], "")
+		late <- answer{code, body}
+	}()
+	<-next.held
+	leader := readList(t, h, keys[u]) // misses, computes, puts and leaves the flight table
+	close(next.release)
+	a := <-late
+	if resp := decodeList(t, a.code, a.body); resp.Version != 2 || resp.Items[0] != leader.Items[0] {
+		t.Fatalf("the late request was answered %+v, the leader %+v", resp, leader)
+	}
+	if got := next.computes.Load(); got != 1 {
+		t.Fatalf("generation 2 computed the list %d times, want once", got)
+	}
+	want := CacheStats{Hits: 1, Misses: 2, Size: 1, Capacity: DefaultCacheCapacity, Revalidations: RevalidationStats{ItemNamed: 2}}
+	if got := s.Stats(); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+}
+
 // TestRevalidationRacesUpdate: single reads, batches and Update race over one
 // line of history; run under -race. Every list in a 200 must be the one the
 // engine of the version it carries computes — whether that generation

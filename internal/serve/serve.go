@@ -400,7 +400,10 @@ func (g *generation) revalidate(u types.UserID, list types.TopNSet, n int, from 
 }
 
 // recommend resolves one user's list through the current generation:
-// cache hit → coalesced wait → engine compute, in that order.
+// cache hit → coalesced wait → engine compute, in that order. A request that
+// finds no flight looks in the cache once more before it computes: a leader
+// that finished after this request's miss put its list before it left the
+// flight table, and this generation's entry is a hit.
 func (s *Server) recommend(ctx context.Context, u types.UserID) (e *entry, gen *generation, err error) {
 	e, gen, ok := s.cached(u)
 	if ok {
@@ -417,6 +420,11 @@ func (s *Server) recommend(ctx context.Context, u types.UserID) (e *entry, gen *
 		case <-ctx.Done():
 			return nil, gen, ctx.Err()
 		}
+	}
+	if e, from, ok := s.cache.get(u); ok && from.version == gen.stamp.version {
+		gen.mu.Unlock()
+		s.hits.Add(1)
+		return e, gen, nil
 	}
 	fl := &inflight{done: make(chan struct{})}
 	gen.flight[u] = fl

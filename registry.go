@@ -235,7 +235,7 @@ func accuracyFor(kind *baseKind, s Scorer, train *Dataset, topN int) AccuracyRec
 	if kind != nil && kind.accuracy != nil {
 		return kind.accuracy(s, train, topN)
 	}
-	return &core.ScorerAccuracy{Scorer: recommender.NewNormalizedScorer(s, train.NumItems())}
+	return recommender.NewNormalizedScorer(s, train.NumItems())
 }
 
 // NewReranker assembles the named re-ranker over base and returns its Engine.

@@ -371,13 +371,13 @@ func TestFusedWalkMatchesStagedOracle(t *testing.T) {
 								t.Fatalf("%s: scored in float32: %v", label, scored.raw32 != nil)
 							}
 							for _, n := range []int{0, 1, 3, len(cand), len(cand) + 5} {
-								got, want := scored.top(n), wantTop(n)
+								got, want := scored.top(n, sc), wantTop(n)
 								if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 									t.Fatalf("%s n=%d: walk %v, staged oracle %v", label, n, got, want)
 								}
 							}
 							var got types.TopNSet
-							if bytes := allocatedBy(func() { got = scored.top(1 << 20) }); bytes > 1<<16 {
+							if bytes := allocatedBy(func() { got = scored.top(1<<20, sc) }); bytes > 1<<16 {
 								t.Fatalf("%s: a walk with n = 2^20 allocated %d bytes for %d candidates", label, bytes, len(cand))
 							}
 							if want := wantTop(len(cand)); !slices.Equal(got, want) {

@@ -85,6 +85,18 @@ type BulkAccuracy32 interface {
 	AccuracyScores32(u types.UserID, out []float32) recommender.MinMax[float32]
 }
 
+// BoundedAccuracy32 is a BulkAccuracy32 that can bound a user's scores before
+// it computes them, so a turn scores only the items the bounds cannot rule
+// out (DESIGN.md §12). recommender.NormalizedScorer is one.
+type BoundedAccuracy32 interface {
+	// AccuracyBounds32 is AccuracyScores32, except that when it returns a
+	// scorer, out holds a bound of every item's raw score instead — out[i]
+	// is NaN, or at least the raw score AccuracyScores32 would give item i,
+	// which is then not NaN — the map is strictly increasing, and the
+	// scorer's list body gives the raw scores themselves.
+	AccuracyBounds32(u types.UserID, out []float32) (recommender.MinMax[float32], recommender.BulkScorer32)
+}
+
 // PopAccuracy is the paper's Pop accuracy recommender: a(i) = 1 when i is in
 // the user's popularity top-N (excluding their train items), 0 otherwise.
 // It is safe for concurrent use: lookups take a read lock only, so the hot
@@ -488,16 +500,20 @@ func (g *GANC) marginalGain(u types.UserID, i types.ItemID) float64 {
 
 // sweepScratch holds one worker's reusable buffers: the catalog-indexed rows a
 // turn scores into (float32 and float64 accuracy scores, and the coverage row
-// of a recommender that is asked), and the short item list SurvivesGrowth
-// scores. One scratch serves one sweep at a time. Every buffer starts empty
-// and grows to what the sweeps using it need, so a scratch fits any instance
-// and any catalog size, and none of them points into the instance it last
-// served.
+// of a recommender that is asked), the short item list SurvivesGrowth scores,
+// and one block of a bounded walk: the items it keeps, their scores and c(i)
+// side by side, and the positions among them that reach the bar. One scratch
+// serves one sweep at a time. Every buffer starts empty and grows to what the
+// sweeps using it need, so a scratch fits any instance and any catalog size,
+// and none of them points into the instance it last served.
 type sweepScratch struct {
-	raw32 []float32
-	raw64 []float64
-	cov   []float64
-	cand  []types.ItemID
+	raw32    []float32
+	raw64    []float64
+	cov      []float64
+	cand     []types.ItemID
+	kept, at []types.ItemID
+	exact    []float32
+	covs     []float32
 }
 
 // scratchPool recycles sweep scratches across requests, batch workers and
@@ -511,7 +527,7 @@ func getScratch() *sweepScratch { return scratchPool.Get().(*sweepScratch) }
 
 // sized returns *buf resliced to n elements, reallocating when it is too
 // small; the contents are unspecified.
-func sized[T float32 | float64](buf *[]T, n int) []T {
+func sized[T float32 | float64 | types.ItemID](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
 	}
@@ -579,13 +595,15 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, cov coverag
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return t.top(n), nil
+	return t.top(n, sc), nil
 }
 
 // turn is a user's turn after the scoring stage: the bulk call's scores of the
 // whole catalog, indexed by item (raw32 when the turn runs in float32, raw64
 // when in float64), the map that takes them to a(i), the row c(i) is read
-// from, and the user's sorted rated run, which the walk skips.
+// from, and the user's sorted rated run, which the walk skips. A warm turn's
+// raw32 holds bounds of the scores instead, and list is the scorer whose list
+// body gives the scores of the items the bounds do not rule out.
 type turn struct {
 	raw32 []float32
 	map32 recommender.MinMax[float32]
@@ -594,6 +612,8 @@ type turn struct {
 	theta float64
 	coverage
 	rated []types.ItemID
+	user  types.UserID
+	list  recommender.BulkScorer32
 }
 
 // scoreTurn is the scoring stage of a turn, and the one place its arithmetic
@@ -601,12 +621,16 @@ type turn struct {
 // accuracy recommender that implements BulkAccuracy32 is scored and walked in
 // float32, to the documented tolerance (DESIGN.md §12), unless exact is set;
 // any other, in float64, and one that is not a BulkAccuracy is asked one
-// candidate at a time. Without a row in cov, Stat's static row is read as it
-// is, and any other coverage recommender fills the scratch row for the
-// candidates: one bulk call, or one CoverageScore per candidate — sound once
-// per sweep under its contract.
+// candidate at a time. A float32 turn beside a float32 row whose recommender
+// bounds the user's scores (BoundedAccuracy32) — a warm turn: every Dyn turn
+// of the online path once the user's range is held — takes the bound row
+// instead, and its walk scores what the bounds keep; θ must lie in [0, 1],
+// where a gain is non-decreasing in the score. Without a row in cov, Stat's
+// static row is read as it is, and any other coverage recommender fills the
+// scratch row for the candidates: one bulk call, or one CoverageScore per
+// candidate — sound once per sweep under its contract.
 func (g *GANC) scoreTurn(u types.UserID, rated []types.ItemID, cov coverage, exact bool, sc *sweepScratch) turn {
-	t := turn{theta: g.prefs.Get(u), coverage: cov, rated: rated}
+	t := turn{theta: g.prefs.Get(u), coverage: cov, rated: rated, user: u}
 	if cov.row32 == nil && cov.row64 == nil {
 		switch crec := g.crec.(type) {
 		case *StatCoverage:
@@ -621,6 +645,10 @@ func (g *GANC) scoreTurn(u types.UserID, rated []types.ItemID, cov coverage, exa
 	}
 	if g.f32 && !exact {
 		t.raw32 = sized(&sc.raw32, g.numItems)
+		if ba, ok := g.arec.(BoundedAccuracy32); ok && t.row32 != nil && float32(t.theta) >= 0 && float32(t.theta) <= 1 {
+			t.map32, t.list = ba.AccuracyBounds32(u, t.raw32)
+			return t
+		}
 		t.map32 = g.arec.(BulkAccuracy32).AccuracyScores32(u, t.raw32)
 		return t
 	}
@@ -645,11 +673,12 @@ func fillCandidates(row []float64, rated []types.ItemID, at func(types.ItemID) f
 
 // top walks the turn once: its n candidates of largest gain, best first. A
 // float32 turn over a float32 coverage row — every Dyn turn but OSLG's
-// sequential phase — finds the gains that reach the bar with the gain scan.
-func (t *turn) top(n int) types.TopNSet {
+// sequential phase — walks block by block through the gain scan
+// (boundedWalk).
+func (t *turn) top(n int, sc *sweepScratch) types.TopNSet {
 	switch {
 	case t.raw32 != nil && t.row32 != nil:
-		return scanWalk(t.raw32, t.map32, float32(t.theta), t.row32, t.rated, n)
+		return boundedWalk(t.raw32, t.list, t.user, t.map32, float32(t.theta), t.row32, t.rated, n, sc)
 	case t.raw32 != nil:
 		return walk(t.raw32, t.map32, float32(t.theta), t.row64, t.rated, n)
 	}
@@ -681,18 +710,106 @@ func walk[T, C float32 | float64](raw []T, m recommender.MinMax[T], theta T, cov
 	return h.Ranked()
 }
 
-// scanWalk is walk for a float32 turn beside a float32 row, run by run
-// through scanRun.
-func scanWalk(raw []float32, m recommender.MinMax[float32], theta float32, cov []float32, rated []types.ItemID, n int) types.TopNSet {
+// A bounded walk scans at most scanBlock items against one bar, starting at
+// firstBlock and doubling: the bar is −Inf until n items have been offered, so
+// the first block keeps every item, and a short one sets a bar soon.
+const firstBlock, scanBlock = 32, 512
+
+// boundedWalk is walk for a float32 turn beside a float32 row, block by block
+// over the candidate runs. The gain scan keeps a block's items whose gain
+// computed from row reaches the bar the block starts with; the block's kept
+// items then get their scores — row's own on a cold turn, where list is nil;
+// list's list body on a warm turn, where row holds bounds of the scores
+// (BoundedAccuracy32) — and those whose gain reaches the bar are offered in
+// order, each held against the bar as walk holds it. Either way it selects
+// walk's list, bit for bit (DESIGN.md §12): under a strictly increasing map
+// and θ in [0, 1] a gain is non-decreasing in the score, so an item the scan
+// drops has a gain below the block's bar; the bar never falls during a walk,
+// so walk drops it too, and every item kept is offered with walk's gain
+// against walk's bar. A NaN gain has a NaN bound and is kept.
+func boundedWalk(row []float32, list recommender.BulkScorer32, u types.UserID, m recommender.MinMax[float32], theta float32, cov []float32, rated []types.ItemID, n int, sc *sweepScratch) types.TopNSet {
 	if n <= 0 {
 		return nil
 	}
-	h := walkHeap[float32](rated, len(raw), n)
-	bar := float32(math.Inf(-1))
-	for lo, hi := range candidateRuns(rated, len(raw)) {
-		bar = scanRun(&h, bar, raw[lo:hi], cov[lo:hi], lo, m, theta)
+	w := blockWalk{
+		h: walkHeap[float32](rated, len(row), n), bar: float32(math.Inf(-1)), limit: firstBlock,
+		row: row, list: list, user: u, m: m, theta: theta, cov: cov, kept: sized(&sc.kept, scanBlock),
 	}
-	return h.Ranked()
+	if list != nil {
+		w.at, w.exact, w.covs = sized(&sc.at, scanBlock), sized(&sc.exact, scanBlock), sized(&sc.covs, scanBlock)
+	}
+	for lo, hi := range candidateRuns(rated, len(row)) {
+		w.scan(lo, hi)
+	}
+	w.flush()
+	return w.h.Ranked()
+}
+
+// blockWalk is a bounded walk's state: the heap and its bar, the block being
+// scanned — scanned items so far, of at most limit, and the kept ones among
+// them — and the buffers a flush fills.
+type blockWalk struct {
+	h              recommender.TopHeap[float32]
+	bar            float32
+	scanned, limit int
+	nkept          int
+	row            []float32
+	list           recommender.BulkScorer32
+	user           types.UserID
+	m              recommender.MinMax[float32]
+	theta          float32
+	cov            []float32
+	kept, at       []types.ItemID
+	exact, covs    []float32
+}
+
+// scan adds the candidates [lo, hi) to the walk: the gain scan keeps those
+// reaching the bar, and a block is flushed whenever it is full.
+func (w *blockWalk) scan(lo, hi int) {
+	for lo < hi {
+		take := min(hi-lo, w.limit-w.scanned)
+		w.nkept += gainScan(w.row[lo:lo+take], w.cov[lo:lo+take], w.m, w.theta, w.bar, types.ItemID(lo), w.kept[w.nkept:], w.list == nil)
+		w.scanned += take
+		lo += take
+		if w.scanned == w.limit {
+			w.flush()
+		}
+	}
+}
+
+// flush ends the block and offers its kept items that reach the bar, each
+// with gainOf's gain against the bar as it stands. A cold walk's kept items
+// are few (they reached a bar computed from the scores themselves), and each
+// gain is read off the row. A warm walk's are scored by the list body first,
+// side by side with their c(i), and the gain scan finds those that reach the
+// bar.
+func (w *blockWalk) flush() {
+	kept := w.kept[:w.nkept]
+	w.nkept, w.scanned, w.limit = 0, 0, min(2*w.limit, scanBlock)
+	if len(kept) == 0 {
+		return
+	}
+	bar := w.bar
+	if w.list == nil {
+		for _, i := range kept {
+			if g := gainOf(w.row[i], w.m, w.theta, w.cov[i]); !(g < bar) {
+				bar = w.h.Offer(i, g)
+			}
+		}
+		w.bar = bar
+		return
+	}
+	exact, covs := w.exact[:len(kept)], w.covs[:len(kept)]
+	w.list.ScoreUser32(w.user, kept, exact)
+	for k, i := range kept {
+		covs[k] = w.cov[i]
+	}
+	for _, k := range w.at[:gainScan(exact, covs, w.m, w.theta, bar, 0, w.at, true)] {
+		if g := gainOf(exact[k], w.m, w.theta, covs[k]); !(g < bar) {
+			bar = w.h.Offer(kept[k], g)
+		}
+	}
+	w.bar = bar
 }
 
 // walkHeap is the heap of a walk that keeps n of the candidates of a catalog
@@ -720,28 +837,20 @@ func walkRun[T, C float32 | float64](h *recommender.TopHeap[T], bar T, raw []T, 
 	return bar
 }
 
-// scanRun is walkRun for a float32 turn beside a float32 row: gainScan finds
-// the next item whose gain reaches the bar, and the offer carries the gain
-// gainOf computes, so it offers what walkRun offers, in the same order.
-func scanRun(h *recommender.TopHeap[float32], bar float32, raw, cov []float32, lo int, m recommender.MinMax[float32], theta float32) float32 {
+// gainScanGeneric writes to out, in ascending order, first+k for every item k
+// of raw whose gain reaches bar — !(g < bar), so a tie and a NaN gain reach
+// it — and returns how many it wrote; it writes nothing else. It is walkRun's
+// test, and the portable gain scan.
+func gainScanGeneric(raw, cov []float32, m recommender.MinMax[float32], theta, bar float32, first types.ItemID, out []types.ItemID) int {
 	cov = cov[:len(raw)]
-	for k := gainScan(raw, cov, m, theta, bar); k < len(raw); k += 1 + gainScan(raw[k+1:], cov[k+1:], m, theta, bar) {
-		bar = h.Offer(types.ItemID(lo+k), gainOf(raw[k], m, theta, cov[k]))
-	}
-	return bar
-}
-
-// gainScanGeneric returns the position of the first item of raw whose gain
-// reaches bar — !(g < bar), so a tie and a NaN gain reach it — and len(raw)
-// when none does. It is walkRun's test, and the portable gain scan.
-func gainScanGeneric(raw, cov []float32, m recommender.MinMax[float32], theta, bar float32) int {
-	cov = cov[:len(raw)]
+	n := 0
 	for k, s := range raw {
 		if g := gainOf(s, m, theta, cov[k]); !(g < bar) {
-			return k
+			out[n] = first + types.ItemID(k)
+			n++
 		}
 	}
-	return len(raw)
+	return n
 }
 
 // firstOutranks reports whether cand[0] ranks above every other item of cand

@@ -13,8 +13,10 @@ import (
 // checks a bound it is not given: dot32x8 requires len(b) ≥ len(a),
 // dotRows32x8 that data holds n rows of len(v) and that out holds len(rows)
 // elements (an index outside the n rows it checks itself, and scores 0), and
-// addBaseBias32 that len(bias) ≥ len(out); the exported wrappers enforce that
-// in Go before the assembly touches memory.
+// addBaseBias32 that len(bias) ≥ len(out), headBounds32 that rho holds
+// len(out) values and head the len(pb)/4 head factors of len(out) items,
+// chunk by chunk (headAt); the exported wrappers enforce that in Go before the
+// assembly touches memory.
 
 //go:noescape
 func dot32x8(a, b []float32) float32
@@ -27,6 +29,9 @@ func addBase32(out []float32, base float64)
 
 //go:noescape
 func addBaseBias32(out []float32, base float64, bias []float64)
+
+//go:noescape
+func headBounds32(out, head, pb, rho []float32, pt, c float32)
 
 // Prefetch hints (dot_amd64.s): PREFETCHT0 is part of the amd64 baseline too.
 

@@ -246,3 +246,169 @@ TEXT ·prefetchLine(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), SI
 	PREFETCHT0 (SI)
 	RET
+
+// func headBounds32(out, head, pb, rho []float32, pt, c float32)
+//
+// out[i] = ((rho[i]·pt + Σ_f head[headAt(i, f, h)]·pb[4f]) + c) for every i
+// below len(out), h = len(pb)/4, summed in that order, each lane running the
+// Go loop's operations in its order — MULPS, then ADDPS with the running sum
+// as destination — each rounded by the MXCSR, so each lane carries the Go
+// loop's bits. A chunk of 32 items is eight independent four-item sums (one
+// sum waits on its add four cycles a factor) over one contiguous stream of
+// head values; the items past the last whole chunk go four and then one at a
+// time, at the same places in their chunk. pb holds each head factor four
+// times over, so a factor is one unaligned load. The caller guarantees
+// len(rho) >= len(out) and that head holds the chunks of len(out) items.
+TEXT ·headBounds32(SB), NOSPLIT, $0-104
+	MOVQ   out_base+0(FP), DI
+	MOVQ   out_len+8(FP), CX
+	MOVQ   head_base+24(FP), SI
+	MOVQ   pb_base+48(FP), R9
+	MOVQ   pb_len+56(FP), R10
+	SHRQ   $2, R10              // h, the head factors
+	MOVQ   rho_base+72(FP), R11
+	MOVSS  pt+96(FP), X14
+	SHUFPS $0x00, X14, X14
+	MOVSS  c+100(FP), X15
+	SHUFPS $0x00, X15, X15
+	XORQ   AX, AX
+
+chunk:
+	LEAQ   32(AX), DX
+	CMPQ   DX, CX
+	JGT    rest
+	MOVUPS (R11)(AX*4), X0
+	MULPS  X14, X0
+	MOVUPS 16(R11)(AX*4), X1
+	MULPS  X14, X1
+	MOVUPS 32(R11)(AX*4), X2
+	MULPS  X14, X2
+	MOVUPS 48(R11)(AX*4), X3
+	MULPS  X14, X3
+	MOVUPS 64(R11)(AX*4), X4
+	MULPS  X14, X4
+	MOVUPS 80(R11)(AX*4), X5
+	MULPS  X14, X5
+	MOVUPS 96(R11)(AX*4), X6
+	MULPS  X14, X6
+	MOVUPS 112(R11)(AX*4), X7
+	MULPS  X14, X7
+	MOVQ   R9, R12
+	MOVQ   R10, R13
+
+chunkf:
+	TESTQ  R13, R13
+	JE     chunkdone
+	MOVUPS (R12), X8
+	MOVUPS (SI), X9
+	MULPS  X8, X9
+	ADDPS  X9, X0
+	MOVUPS 16(SI), X10
+	MULPS  X8, X10
+	ADDPS  X10, X1
+	MOVUPS 32(SI), X11
+	MULPS  X8, X11
+	ADDPS  X11, X2
+	MOVUPS 48(SI), X12
+	MULPS  X8, X12
+	ADDPS  X12, X3
+	MOVUPS 64(SI), X9
+	MULPS  X8, X9
+	ADDPS  X9, X4
+	MOVUPS 80(SI), X10
+	MULPS  X8, X10
+	ADDPS  X10, X5
+	MOVUPS 96(SI), X11
+	MULPS  X8, X11
+	ADDPS  X11, X6
+	MOVUPS 112(SI), X12
+	MULPS  X8, X12
+	ADDPS  X12, X7
+	ADDQ   $16, R12
+	ADDQ   $128, SI
+	DECQ   R13
+	JMP    chunkf
+
+chunkdone:
+	ADDPS  X15, X0
+	ADDPS  X15, X1
+	ADDPS  X15, X2
+	ADDPS  X15, X3
+	ADDPS  X15, X4
+	ADDPS  X15, X5
+	ADDPS  X15, X6
+	ADDPS  X15, X7
+	MOVUPS X0, (DI)(AX*4)
+	MOVUPS X1, 16(DI)(AX*4)
+	MOVUPS X2, 32(DI)(AX*4)
+	MOVUPS X3, 48(DI)(AX*4)
+	MOVUPS X4, 64(DI)(AX*4)
+	MOVUPS X5, 80(DI)(AX*4)
+	MOVUPS X6, 96(DI)(AX*4)
+	MOVUPS X7, 112(DI)(AX*4)
+	MOVQ   DX, AX
+	JMP    chunk
+
+	// SI is at the last chunk's head now; item AX+k of it is at SI + 4k.
+rest:
+	XORQ   BX, BX               // byte offset of the item in its chunk
+
+four:
+	LEAQ   4(AX), DX
+	CMPQ   DX, CX
+	JGT    one
+	MOVUPS (R11)(AX*4), X0
+	MULPS  X14, X0
+	LEAQ   (SI)(BX*1), R14
+	MOVQ   R9, R12
+	MOVQ   R10, R13
+
+fourf:
+	TESTQ  R13, R13
+	JE     fourdone
+	MOVUPS (R12), X2
+	MOVUPS (R14), X3
+	MULPS  X2, X3
+	ADDPS  X3, X0
+	ADDQ   $16, R12
+	ADDQ   $128, R14
+	DECQ   R13
+	JMP    fourf
+
+fourdone:
+	ADDPS  X15, X0
+	MOVUPS X0, (DI)(AX*4)
+	MOVQ   DX, AX
+	ADDQ   $16, BX
+	JMP    four
+
+one:
+	CMPQ   AX, CX
+	JGE    done
+	MOVSS  (R11)(AX*4), X0
+	MULSS  X14, X0
+	LEAQ   (SI)(BX*1), R14
+	MOVQ   R9, R12
+	MOVQ   R10, R13
+
+onef:
+	TESTQ  R13, R13
+	JE     onedone
+	MOVSS  (R12), X2
+	MOVSS  (R14), X3
+	MULSS  X2, X3
+	ADDSS  X3, X0
+	ADDQ   $16, R12
+	ADDQ   $128, R14
+	DECQ   R13
+	JMP    onef
+
+onedone:
+	ADDSS  X15, X0
+	MOVSS  X0, (DI)(AX*4)
+	INCQ   AX
+	ADDQ   $4, BX
+	JMP    one
+
+done:
+	RET

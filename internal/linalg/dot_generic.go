@@ -10,7 +10,7 @@ import (
 
 // Portable kernel entry points for architectures without a hand-written
 // implementation: the unrolled multi-accumulator Go loops, the scalar score
-// epilogues, and prefetch hints that do nothing.
+// epilogues and bound pass, and prefetch hints that do nothing.
 
 func dot32x8(a, b []float32) float32 { return dot32x8Generic(a, b) }
 
@@ -22,6 +22,10 @@ func addBase32(out []float32, base float64) { addBase32Generic(out, base) }
 
 func addBaseBias32(out []float32, base float64, bias []float64) {
 	addBaseBias32Generic(out, base, bias)
+}
+
+func headBounds32(out, head, pb, rho []float32, pt, c float32) {
+	headBounds32Generic(out, head, pb, rho, pt, c)
 }
 
 func prefetchRow([]float64) {}

@@ -46,7 +46,8 @@ func kernelTestItems(numItems int) []types.ItemID {
 // identifier outside the model — for every user, the two just outside the
 // model included: ScoreUser32 equals it exactly, recommender.BulkScores, the
 // float64 bulk contract, is those values widened, and ScoreCatalog32 has the
-// bits of ScoreUser32 over the same catalog (assertCatalogBody).
+// bits of ScoreUser32 over the same catalog, which BoundCatalog32 bounds
+// (assertCatalogBody).
 func assertBulkContract(t *testing.T, m recommender.CatalogScorer32, want func(u types.UserID, i types.ItemID) float32, numUsers, numItems int) {
 	t.Helper()
 	items := kernelTestItems(numItems)
@@ -92,8 +93,41 @@ func assertCatalogBody(t *testing.T, m recommender.CatalogScorer32, u types.User
 			if buf[off+n] != 42 {
 				t.Fatalf("%s: user %d, catalog of %d: ScoreCatalog32 wrote past its buffer", m.Name(), u, n)
 			}
+			assertBoundRow(t, m.(recommender.CatalogBounder32), u, n, want)
 		}
 	}
+}
+
+// assertBoundRow holds BoundCatalog32 over a catalog of n to the scores want
+// of ScoreUser32 over it: a user of the model (these rows are ordinary) is
+// bounded, each bound is at least the item's score, and an unknown user is
+// not bounded.
+func assertBoundRow(t *testing.T, m recommender.CatalogBounder32, u types.UserID, n int, want []float32) {
+	t.Helper()
+	bound := make([]float32, n)
+	ok := m.BoundCatalog32(u, bound)
+	if known := u >= 0 && int(u) < numUsersOf(m); ok != known {
+		t.Fatalf("%s: user %d (a user of the model: %v): BoundCatalog32 reported %v", m.Name(), u, known, ok)
+	}
+	if !ok {
+		return
+	}
+	for i := range want {
+		if !(want[i] <= bound[i]) {
+			t.Fatalf("%s: user %d, catalog of %d: item %d bound %v, score %v", m.Name(), u, n, i, bound[i], want[i])
+		}
+	}
+}
+
+// numUsersOf is the number of user rows of a factor model.
+func numUsersOf(m recommender.CatalogBounder32) int {
+	switch m := m.(type) {
+	case *RSVD:
+		return len(m.userF)
+	case *PSVD:
+		return m.numUsers
+	}
+	panic("not a factor model of this package")
 }
 
 // row32 truncates a float64 factor row, as the model's blocks hold it.

@@ -142,6 +142,22 @@ func (m *PSVD) ScoreCatalog32(u types.UserID, out []float32) {
 	clear(out[n:])
 }
 
+// BoundCatalog32 implements recommender.CatalogBounder32: a score is the
+// kernel dot, so the bound is the dot's (linalg.FactorPair.DotBounds32), and
+// zero, the score, for the items past the block. An unknown user has none to
+// give.
+func (m *PSVD) BoundCatalog32(u types.UserID, out []float32) bool {
+	if int(u) < 0 || int(u) >= m.numUsers {
+		return false
+	}
+	n := min(len(out), m.fp.ItemB.Rows())
+	if !m.fp.DotBounds32(u, out[:n]) {
+		return false
+	}
+	clear(out[n:])
+	return true
+}
+
 // Name implements recommender.Scorer ("PSVD10", "PSVD100", ...).
 func (m *PSVD) Name() string { return m.name }
 

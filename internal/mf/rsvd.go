@@ -276,19 +276,41 @@ func (m *RSVD) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) 
 // one linalg epilogue call (the items' biases are contiguous too). Items past
 // the block score the global mean, as in ScoreUser32.
 func (m *RSVD) ScoreCatalog32(u types.UserID, out []float32) {
-	oob := float32(m.globalMean)
 	if int(u) < 0 || int(u) >= len(m.userF) {
-		fill(out, oob)
+		fill(out, float32(m.globalMean))
 		return
 	}
 	n := min(len(out), m.fp.ItemB.Rows())
 	m.fp.ItemDots32(u, types.CatalogItems(n), out[:n])
+	m.catalogEpilogue(u, out, n)
+}
+
+// BoundCatalog32 implements recommender.CatalogBounder32: ScoreCatalog32's
+// epilogue over the item block's dot bounds (linalg.FactorPair.DotBounds32)
+// instead of its dots. The epilogue is monotone in the dot, so each bound is
+// at least the item's score, or NaN. An unknown user has none to give.
+func (m *RSVD) BoundCatalog32(u types.UserID, out []float32) bool {
+	if int(u) < 0 || int(u) >= len(m.userF) {
+		return false
+	}
+	n := min(len(out), m.fp.ItemB.Rows())
+	if !m.fp.DotBounds32(u, out[:n]) {
+		return false
+	}
+	m.catalogEpilogue(u, out, n)
+	return true
+}
+
+// catalogEpilogue takes the latent terms of u's catalog in out[:n] to its
+// scores: the mean and the user's and items' biases added in one linalg
+// epilogue call; the items past the block score the global mean.
+func (m *RSVD) catalogEpilogue(u types.UserID, out []float32, n int) {
 	if m.cfg.UseBiases {
 		linalg.AddBaseBias32(out[:n], m.globalMean+m.userBias[u], m.itemBias)
 	} else {
 		linalg.AddBase32(out[:n], m.globalMean)
 	}
-	fill(out[n:], oob)
+	fill(out[n:], float32(m.globalMean))
 }
 
 // fill sets every element of out to v.

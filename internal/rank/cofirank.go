@@ -218,10 +218,7 @@ func (m *Model) Score(u types.UserID, i types.ItemID) float64 {
 // kernel dot). Scores match pointwise Score to the tolerance DESIGN.md §12
 // documents, not bit for bit.
 func (m *Model) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
-	base := 0.0
-	if m.cfg.Loss == LossRegression {
-		base = m.mean
-	}
+	base := m.base()
 	if int(u) < 0 || int(u) >= len(m.userF) {
 		oob := float32(base)
 		for k := range items {
@@ -242,12 +239,8 @@ func (m *Model) ScoreUser32(u types.UserID, items []types.ItemID, out []float32)
 // rows in order, a zero dot for the items past it, then the mean in one
 // linalg epilogue call, which adds no bias term.
 func (m *Model) ScoreCatalog32(u types.UserID, out []float32) {
-	base := 0.0
-	if m.cfg.Loss == LossRegression {
-		base = m.mean
-	}
 	if int(u) < 0 || int(u) >= len(m.userF) {
-		oob := float32(base)
+		oob := float32(m.base())
 		for k := range out {
 			out[k] = oob
 		}
@@ -255,8 +248,40 @@ func (m *Model) ScoreCatalog32(u types.UserID, out []float32) {
 	}
 	n := min(len(out), m.fp.ItemB.Rows())
 	m.fp.ItemDots32(u, types.CatalogItems(n), out[:n])
+	m.catalogEpilogue(out, n)
+}
+
+// BoundCatalog32 implements recommender.CatalogBounder32: ScoreCatalog32's
+// epilogue over the item block's dot bounds (linalg.FactorPair.DotBounds32)
+// instead of its dots. The epilogue is monotone in the dot, so each bound is
+// at least the item's score, or NaN. An unknown user has none to give.
+func (m *Model) BoundCatalog32(u types.UserID, out []float32) bool {
+	if int(u) < 0 || int(u) >= len(m.userF) {
+		return false
+	}
+	n := min(len(out), m.fp.ItemB.Rows())
+	if !m.fp.DotBounds32(u, out[:n]) {
+		return false
+	}
+	m.catalogEpilogue(out, n)
+	return true
+}
+
+// catalogEpilogue takes the latent terms of a catalog in out[:n] to its
+// scores: a zero term for the items past the block, then the mean added to
+// every one.
+func (m *Model) catalogEpilogue(out []float32, n int) {
 	clear(out[n:])
-	linalg.AddBase32(out, base)
+	linalg.AddBase32(out, m.base())
+}
+
+// base is the term a score adds to the kernel dot: the train mean for the
+// regression loss, 0 for the pairwise loss.
+func (m *Model) base() float64 {
+	if m.cfg.Loss == LossRegression {
+		return m.mean
+	}
+	return 0
 }
 
 // Name implements recommender.Scorer ("CofiR100", "CofiN100", ...).

@@ -86,6 +86,22 @@ type CatalogScorer32 interface {
 	ScoreCatalog32(u types.UserID, out []float32)
 }
 
+// CatalogBounder32 is a CatalogScorer32 with a bound twin of its catalog body:
+// the same epilogue over upper bounds of the kernel dots instead of the dots,
+// so a caller can rule items out before it scores them. RSVD, PSVD and
+// CofiRank have it.
+//
+// Contract: when BoundCatalog32(u, out) reports true, every out[i] is NaN or
+// at least the out[i] ScoreCatalog32(u, out) gives, which is then not NaN;
+// so an item whose score is NaN has a NaN bound. When it reports false, it
+// bounds nothing and out is unspecified.
+type CatalogBounder32 interface {
+	CatalogScorer32
+	// BoundCatalog32 fills out[i] with a bound of the score of item i for
+	// user u, and reports whether it could.
+	BoundCatalog32(u types.UserID, out []float32) bool
+}
+
 // BulkScores fills out with s's scores for items: the BulkScorer path when s
 // has one; for a model whose only bulk body is the float32 one, those scores
 // widened — its float64 bulk scores are its float32 scores, never a second
@@ -694,14 +710,52 @@ func (n *NormalizedScorer) AccuracyScores(u types.UserID, out []float64) MinMax[
 // float32 path, out receives AccuracyScores' normalised scores, truncated,
 // and the map is the identity.
 func (n *NormalizedScorer) AccuracyScores32(u types.UserID, out []float32) MinMax[float32] {
+	m, _ := n.scores32(u, out, false)
+	return m
+}
+
+// AccuracyBounds32 implements core.BoundedAccuracy32: AccuracyScores32, but
+// for a user whose range over this catalog the table holds, out receives the
+// inner model's bound row instead (CatalogBounder32), and the inner model
+// comes back beside the map, for its list body to score the items the caller
+// keeps exactly as the catalog body would. A first touch (the range needs
+// every score), a model without a bound row, and a range whose float32 map is
+// not strictly increasing — a span of 0, or one whose reciprocal is not a
+// finite positive number; only a strictly increasing map keeps a bound a
+// bound — get the scores and no scorer.
+func (n *NormalizedScorer) AccuracyBounds32(u types.UserID, out []float32) (MinMax[float32], BulkScorer32) {
+	return n.scores32(u, out, true)
+}
+
+// scores32 is AccuracyScores32 and, with bound set, AccuracyBounds32: the
+// table's entry is read first, so a turn looks the user up once.
+func (n *NormalizedScorer) scores32(u types.UserID, out []float32, bound bool) (MinMax[float32], BulkScorer32) {
 	bs32, ok := n.inner.(BulkScorer32)
 	if !ok {
 		narrowed(out, func(out []float64) MinMax[float64] { return n.AccuracyScores(u, out) })
-		return Identity[float32]()
+		return Identity[float32](), nil
 	}
-	return map32(catalogRange(n, u, out, func(out []float32) {
-		scoreCatalog32(bs32, u, out)
-	}), out)
+	if len(out) != n.numItems {
+		panic(fmt.Sprintf("recommender: NormalizedScorer buffer length %d != catalog size %d", len(out), n.numItems))
+	}
+	r, held := n.entry(u)
+	if b, ok := bs32.(CatalogBounder32); bound && ok && held && r.span() > 0 {
+		if m := map32(r, nil); m.increasing() && b.BoundCatalog32(u, out) {
+			return m, b
+		}
+	}
+	scoreCatalog32(bs32, u, out)
+	if !held {
+		r = extend(n, u, r, out[r.upTo:])
+	}
+	return map32(r, out), nil
+}
+
+// increasing reports whether the map's affine part is strictly increasing
+// and never NaN on a number: a finite min and a finite positive scale.
+func (m MinMax[T]) increasing() bool {
+	inf := T(math.Inf(1))
+	return !m.divide && m.min > -inf && m.min < inf && m.scale > 0 && m.scale < inf
 }
 
 // scoreCatalog32 fills out with s's float32 scores of the items

@@ -88,45 +88,27 @@ func userKeys(train *Dataset) []string {
 
 // TestServeOnline_CacheHitSpeedup asserts the acceptance criterion: serving a
 // cached user is ≥2× faster than a cold online compute (see the file comment
-// for why the bar moved from 10× as the cold path got fast). Medians over
-// several probes keep the comparison robust to scheduler noise.
+// for why the bar moved from 10× as the cold path got fast). It measures as
+// the turn cost gate does (costGate): rounds alternate between three users'
+// first requests, each a cold compute, and fifty requests each for the same
+// users, all cache hits, every round on users no round has asked for; each
+// side keeps its best round, and only five losing attempts in a row fail.
 func TestServeOnline_CacheHitSpeedup(t *testing.T) {
 	srv, train := serveFixture(t)
 	handler := srv.Handler()
 	keys := userKeys(train)
 
-	const coldProbes = 9
-	if len(keys) < coldProbes+1 {
+	const users, hitsPerUser, attempts = 3, 50, 5
+	if len(keys) < attempts*9*users {
 		t.Fatalf("fixture too small: %d users", len(keys))
 	}
-	coldTimes := make([]time.Duration, 0, coldProbes)
-	for k := 0; k < coldProbes; k++ {
-		start := time.Now()
-		serveOnce(t, handler, keys[k])
-		coldTimes = append(coldTimes, time.Since(start))
-	}
-
-	// The same users again: every request is now a cache hit. Time batches of
-	// hits so each sample is well above timer granularity.
-	const hitsPerProbe = 50
-	hitTimes := make([]time.Duration, 0, coldProbes)
-	for k := 0; k < coldProbes; k++ {
-		start := time.Now()
-		for j := 0; j < hitsPerProbe; j++ {
-			serveOnce(t, handler, keys[k])
-		}
-		hitTimes = append(hitTimes, time.Since(start)/hitsPerProbe)
-	}
-
-	cold, hit := median(coldTimes), median(hitTimes)
-	stats := srv.Stats()
-	if stats.Hits < coldProbes*hitsPerProbe {
-		t.Fatalf("expected ≥%d cache hits, stats: %+v", coldProbes*hitsPerProbe, stats)
-	}
-	t.Logf("online per-user latency: cold=%v cached=%v speedup=%.1fx (cache stats %+v)",
-		cold, hit, float64(cold)/float64(hit), stats)
-	if hit*2 > cold {
-		t.Fatalf("cache hit (%v) is not ≥2× faster than cold compute (%v)", hit, cold)
+	next := -users
+	cold := func(k int) { serveOnce(t, handler, keys[next+k]) }
+	hit := func(k int) { serveOnce(t, handler, keys[next+k%users]) }
+	costGate(t, [2]string{"a cold request", "a cached request"}, [2]int{users, users * hitsPerUser}, 0.5, attempts,
+		func() { next += users }, [2]func(k int){cold, hit})
+	if stats := srv.Stats(); stats.Hits < users*hitsPerUser*9 {
+		t.Fatalf("expected ≥%d cache hits, stats: %+v", users*hitsPerUser*9, stats)
 	}
 }
 

@@ -162,19 +162,24 @@ func fuzzSeeds(f *testing.F) {
 
 // FuzzBoundRowCoversScores: for hostile factor rows — huge, subnormal,
 // negative, infinite and NaN values, means and biases — every model's bound
-// row over a catalog shorter than, equal to and longer than its item block
-// is, item by item, NaN or at least the score ScoreCatalog32 gives, which is
-// then not NaN; an unknown user is not bounded.
+// rows over a catalog shorter than, equal to and longer than its item block
+// hold, item by item, the score ScoreCatalog32 gives between them: an upper
+// bound, beside the lower row or alone, is NaN or at least the score, a lower
+// bound NaN or at most it, and the score is not NaN where either is not; an
+// unknown user is not bounded.
 func FuzzBoundRowCoversScores(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		users, items, dims, rest := fuzzShape(data)
 		for _, m := range hostileModels(t, rest, users, items, dims) {
 			for _, n := range []int{max(items-2, 0), items, items + 3} {
-				score, bound := make([]float32, n), make([]float32, n)
+				score, upper, lower, alone := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
 				for u := -1; u <= users; u++ {
 					uid := types.UserID(u)
-					ok := m.BoundCatalog32(uid, bound)
+					ok := m.BoundCatalog32(uid, upper, lower)
+					if m.BoundCatalog32(uid, alone, nil) != ok {
+						t.Fatalf("%s: user %d bounded %v with the lower row, %v without", m.Name(), u, ok, !ok)
+					}
 					if u < 0 || u == users {
 						if ok {
 							t.Fatalf("%s: unknown user %d bounded", m.Name(), u)
@@ -186,8 +191,9 @@ func FuzzBoundRowCoversScores(f *testing.F) {
 					}
 					m.ScoreCatalog32(uid, score)
 					for i, s := range score {
-						if b := bound[i]; b == b && !(s <= b) {
-							t.Fatalf("%s: user %d item %d of %d: bound %v, score %v", m.Name(), u, i, n, b, s)
+						b, l, a := upper[i], lower[i], alone[i]
+						if b == b && !(s <= b) || l == l && !(l <= s) || a == a && !(s <= a) {
+							t.Fatalf("%s: user %d item %d of %d: bounds [%v, %v] (alone %v), score %v", m.Name(), u, i, n, l, b, a, s)
 						}
 					}
 				}
@@ -196,53 +202,116 @@ func FuzzBoundRowCoversScores(f *testing.F) {
 	})
 }
 
+// unbounded is a factor model with its bound row hidden: a normaliser around
+// it scores every turn's catalog, the full turn the bounded ones must match.
+type unbounded struct{ recommender.CatalogScorer32 }
+
+// onceScorer is a factor model whose list body records what it is asked for
+// and fails the test when an item is asked for twice between two resets.
+type onceScorer struct {
+	recommender.CatalogBounder32
+	t     *testing.T
+	asked map[types.ItemID]bool
+}
+
+func (s *onceScorer) ScoreUser32(u types.UserID, items []types.ItemID, out []float32) {
+	for _, i := range items {
+		if s.asked[i] {
+			s.t.Fatalf("%s: user %d: item %d scored twice in one turn", s.Name(), u, i)
+		}
+		s.asked[i] = true
+	}
+	s.CatalogBounder32.ScoreUser32(u, items, out)
+}
+
 // FuzzWarmTurnMatchesFullTurn: a GANC turn over a normaliser around each
-// hostile model, beside a Dyn state read from the bytes, selects the same
-// list warm — the range held, the bound row walked — as on the user's first
-// touch, where every score is computed; for n of 1, 3 and past the catalog,
-// and for θ in [0, 1] and outside it (the turn then scores the catalog).
+// hostile model, beside a Dyn state read from the bytes, selects the list a
+// full turn selects — one around the model with its bound row hidden, which
+// scores the catalog and folds the range from every score — both on the
+// user's first touch, whose range the bound rows certify, and warm, the range
+// held; and after the first touch both normalisers hold the same range, to
+// the bit of its map. The catalog is the model's item block, or three items
+// longer (items past the block score the model's fallback), with the range
+// table empty or holding the user's range over the block, as a generation
+// before the catalog grew leaves it. No item is scored twice in a turn. It
+// runs for n of 1, 3 and past the catalog, and for θ in [0, 1] and outside
+// it (the turn then scores the catalog).
 func FuzzWarmTurnMatchesFullTurn(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		users, items, dims, rest := fuzzShape(data)
-		var ratings []types.Rating
-		for u := 0; u < users; u++ {
-			ratings = append(ratings, types.Rating{User: types.UserID(u), Item: types.ItemID((u * 7) % items), Value: 4})
-		}
-		ratings = append(ratings, types.Rating{User: 0, Item: types.ItemID(items - 1), Value: 3})
-		train := dataset.FromRatings("fuzz", ratings)
-		freq := make([]int, train.NumItems())
-		for i := range freq {
-			if i < len(rest) {
-				freq[i] = int(rest[len(rest)-1-i]) % 5
-			}
-		}
 		prefs := longtail.Random(users, int64(len(data)))
 		if users > 1 {
 			prefs.Values[1] = []float64{0, 1, 1.5, math.NaN()}[len(data)%4]
 		}
-		for _, m := range hostileModels(t, rest, users, items, dims) {
+		models := hostileModels(t, rest, users, items, dims)
+		for _, grow := range []int{0, 3} {
+			var ratings []types.Rating
 			for u := 0; u < users; u++ {
-				for _, n := range []int{1, 3, items + 1} {
-					// A fresh normaliser: the first turn is the user's first
-					// touch, the second a warm one.
-					g, err := New(train, recommender.NewNormalizedScorer(m, train.NumItems()), prefs, NewDynCoverageFrom(freq), Config{N: 3})
-					if err != nil {
-						t.Fatal(err)
-					}
-					full, err := g.RecommendUser(context.Background(), types.UserID(u), n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					warm, err := g.RecommendUser(context.Background(), types.UserID(u), n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(warm, full) {
-						t.Fatalf("%s: user %d n %d: warm turn %v, full turn %v", m.Name(), u, n, warm, full)
+				ratings = append(ratings, types.Rating{User: types.UserID(u), Item: types.ItemID((u * 7) % items), Value: 4})
+			}
+			ratings = append(ratings, types.Rating{User: 0, Item: types.ItemID(items + grow - 1), Value: 3})
+			train := dataset.FromRatings("fuzz", ratings)
+			catalog := train.NumItems()
+			freq := make([]int, catalog)
+			for i := range freq {
+				if i < len(rest) {
+					freq[i] = int(rest[len(rest)-1-i]) % 5
+				}
+			}
+			for _, m := range models {
+				once := &onceScorer{CatalogBounder32: m, t: t}
+				for u := 0; u < users; u++ {
+					uid := types.UserID(u)
+					for _, n := range []int{1, 3, catalog + 1} {
+						for _, prefix := range []bool{false, true} {
+							// Fresh normalisers, so that the bounded one's first
+							// turn is the user's first touch of this catalog.
+							var norms [2]*recommender.NormalizedScorer
+							for k, inner := range [2]recommender.Scorer{unbounded{m}, once} {
+								norms[k] = recommender.NewNormalizedScorer(inner, catalog)
+								if prefix {
+									block := recommender.NewNormalizedScorer(inner, items)
+									block.AccuracyScores32(uid, make([]float32, items))
+									norms[k] = block.ForCatalog(catalog)
+								}
+							}
+							turn := func(k int) types.TopNSet {
+								once.asked = map[types.ItemID]bool{}
+								g, err := New(train, norms[k], prefs, NewDynCoverageFrom(freq), Config{N: 3})
+								if err != nil {
+									t.Fatal(err)
+								}
+								set, err := g.RecommendUser(context.Background(), uid, n)
+								if err != nil {
+									t.Fatal(err)
+								}
+								return set
+							}
+							full, first, warm := turn(0), turn(1), turn(1)
+							if !slices.Equal(first, full) || !slices.Equal(warm, full) {
+								t.Fatalf("%s: user %d n %d, catalog %d of a block of %d, prefix entry %v: first touch %v, warm turn %v, full turn %v", m.Name(), u, n, catalog, items, prefix, first, warm, full)
+							}
+							want, got := make([]float32, catalog), make([]float32, catalog)
+							wm, gm := norms[0].AccuracyScores32(uid, want), norms[1].AccuracyScores32(uid, got)
+							wmin, wscale := wm.Affine()
+							gmin, gscale := gm.Affine()
+							if !sameBits(gmin, wmin) || !sameBits(gscale, wscale) {
+								t.Fatalf("%s: user %d, catalog %d of a block of %d, prefix entry %v: map (%v, %v) after the first touch, the full turn's (%v, %v)", m.Name(), u, catalog, items, prefix, gmin, gscale, wmin, wscale)
+							}
+						}
 					}
 				}
 			}
 		}
 	})
+}
+
+// sameBits reports whether a and b are the same float32, any NaN equal to
+// any other.
+func sameBits(a, b float32) bool {
+	if a != a || b != b {
+		return a != a && b != b
+	}
+	return math.Float32bits(a) == math.Float32bits(b)
 }

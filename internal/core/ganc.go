@@ -92,9 +92,11 @@ type BoundedAccuracy32 interface {
 	// AccuracyBounds32 is AccuracyScores32, except that when it returns a
 	// scorer, out holds a bound of every item's raw score instead — out[i]
 	// is NaN, or at least the raw score AccuracyScores32 would give item i,
-	// which is then not NaN — the map is strictly increasing, and the
-	// scorer's list body gives the raw scores themselves.
-	AccuracyBounds32(u types.UserID, out []float32) (recommender.MinMax[float32], recommender.BulkScorer32)
+	// which is then not NaN, and that score itself for every item of the
+	// ascending list it returns — the map is strictly increasing, and the
+	// scorer's list body gives the raw scores themselves. The list lives in
+	// sc until its next use.
+	AccuracyBounds32(u types.UserID, out []float32, sc *recommender.BoundScratch) (recommender.MinMax[float32], recommender.BulkScorer32, []types.ItemID)
 }
 
 // PopAccuracy is the paper's Pop accuracy recommender: a(i) = 1 when i is in
@@ -501,19 +503,23 @@ func (g *GANC) marginalGain(u types.UserID, i types.ItemID) float64 {
 // sweepScratch holds one worker's reusable buffers: the catalog-indexed rows a
 // turn scores into (float32 and float64 accuracy scores, and the coverage row
 // of a recommender that is asked), the short item list SurvivesGrowth scores,
-// and one block of a bounded walk: the items it keeps, their scores and c(i)
-// side by side, and the positions among them that reach the bar. One scratch
-// serves one sweep at a time. Every buffer starts empty and grows to what the
-// sweeps using it need, so a scratch fits any instance and any catalog size,
-// and none of them points into the instance it last served.
+// what a bound row's range certification needs, and one block of a bounded
+// walk: the items it keeps, those of them the list body scores, their scores
+// and c(i) side by side, and the positions among them that reach the bar.
+// One scratch serves one sweep at a time. Every buffer starts empty and grows
+// to what the sweeps using it need, so a scratch fits any instance and any
+// catalog size, and none of them points into the instance it last served.
 type sweepScratch struct {
-	raw32    []float32
-	raw64    []float64
-	cov      []float64
-	cand     []types.ItemID
-	kept, at []types.ItemID
-	exact    []float32
-	covs     []float32
+	raw32         []float32
+	raw64         []float64
+	cov           []float64
+	cand          []types.ItemID
+	bound         recommender.BoundScratch
+	scored        []bool
+	kept, ask, at []types.ItemID
+	pos           []int32
+	exact, asked  []float32
+	covs          []float32
 }
 
 // scratchPool recycles sweep scratches across requests, batch workers and
@@ -527,7 +533,7 @@ func getScratch() *sweepScratch { return scratchPool.Get().(*sweepScratch) }
 
 // sized returns *buf resliced to n elements, reallocating when it is too
 // small; the contents are unspecified.
-func sized[T float32 | float64 | types.ItemID](buf *[]T, n int) []T {
+func sized[T float32 | float64 | types.ItemID | int32 | bool](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
 	}
@@ -601,9 +607,10 @@ func (g *GANC) sweepUser(ctx context.Context, u types.UserID, n int, cov coverag
 // turn is a user's turn after the scoring stage: the bulk call's scores of the
 // whole catalog, indexed by item (raw32 when the turn runs in float32, raw64
 // when in float64), the map that takes them to a(i), the row c(i) is read
-// from, and the user's sorted rated run, which the walk skips. A warm turn's
-// raw32 holds bounds of the scores instead, and list is the scorer whose list
-// body gives the scores of the items the bounds do not rule out.
+// from, and the user's sorted rated run, which the walk skips. A bounded
+// turn's raw32 holds bounds of the scores instead, but the scores themselves
+// for the ascending items of done, and list is the scorer whose list body
+// gives the scores of the other items the bounds do not rule out.
 type turn struct {
 	raw32 []float32
 	map32 recommender.MinMax[float32]
@@ -614,6 +621,7 @@ type turn struct {
 	rated []types.ItemID
 	user  types.UserID
 	list  recommender.BulkScorer32
+	done  []types.ItemID
 }
 
 // scoreTurn is the scoring stage of a turn, and the one place its arithmetic
@@ -622,13 +630,14 @@ type turn struct {
 // float32, to the documented tolerance (DESIGN.md §12), unless exact is set;
 // any other, in float64, and one that is not a BulkAccuracy is asked one
 // candidate at a time. A float32 turn beside a float32 row whose recommender
-// bounds the user's scores (BoundedAccuracy32) — a warm turn: every Dyn turn
-// of the online path once the user's range is held — takes the bound row
-// instead, and its walk scores what the bounds keep; θ must lie in [0, 1],
-// where a gain is non-decreasing in the score. Without a row in cov, Stat's
-// static row is read as it is, and any other coverage recommender fills the
-// scratch row for the candidates: one bulk call, or one CoverageScore per
-// candidate — sound once per sweep under its contract.
+// bounds the user's scores (BoundedAccuracy32) — every Dyn turn but OSLG's
+// sequential phase, a user's first touch included, whose range the bound
+// rows certify — takes the bound row instead, and its walk scores what the
+// bounds keep; θ must lie in [0, 1], where a gain is non-decreasing in the
+// score. Without a row in cov, Stat's static row is read as it is, and any
+// other coverage recommender fills the scratch row for the candidates: one
+// bulk call, or one CoverageScore per candidate — sound once per sweep under
+// its contract.
 func (g *GANC) scoreTurn(u types.UserID, rated []types.ItemID, cov coverage, exact bool, sc *sweepScratch) turn {
 	t := turn{theta: g.prefs.Get(u), coverage: cov, rated: rated, user: u}
 	if cov.row32 == nil && cov.row64 == nil {
@@ -646,7 +655,7 @@ func (g *GANC) scoreTurn(u types.UserID, rated []types.ItemID, cov coverage, exa
 	if g.f32 && !exact {
 		t.raw32 = sized(&sc.raw32, g.numItems)
 		if ba, ok := g.arec.(BoundedAccuracy32); ok && t.row32 != nil && float32(t.theta) >= 0 && float32(t.theta) <= 1 {
-			t.map32, t.list = ba.AccuracyBounds32(u, t.raw32)
+			t.map32, t.list, t.done = ba.AccuracyBounds32(u, t.raw32, &sc.bound)
 			return t
 		}
 		t.map32 = g.arec.(BulkAccuracy32).AccuracyScores32(u, t.raw32)
@@ -678,7 +687,7 @@ func fillCandidates(row []float64, rated []types.ItemID, at func(types.ItemID) f
 func (t *turn) top(n int, sc *sweepScratch) types.TopNSet {
 	switch {
 	case t.raw32 != nil && t.row32 != nil:
-		return boundedWalk(t.raw32, t.list, t.user, t.map32, float32(t.theta), t.row32, t.rated, n, sc)
+		return boundedWalk(t.raw32, t.list, t.done, t.user, t.map32, float32(t.theta), t.row32, t.rated, n, sc)
 	case t.raw32 != nil:
 		return walk(t.raw32, t.map32, float32(t.theta), t.row64, t.rated, n)
 	}
@@ -719,15 +728,17 @@ const firstBlock, scanBlock = 32, 512
 // over the candidate runs. The gain scan keeps a block's items whose gain
 // computed from row reaches the bar the block starts with; the block's kept
 // items then get their scores — row's own on a cold turn, where list is nil;
-// list's list body on a warm turn, where row holds bounds of the scores
-// (BoundedAccuracy32) — and those whose gain reaches the bar are offered in
-// order, each held against the bar as walk holds it. Either way it selects
-// walk's list, bit for bit (DESIGN.md §12): under a strictly increasing map
-// and θ in [0, 1] a gain is non-decreasing in the score, so an item the scan
-// drops has a gain below the block's bar; the bar never falls during a walk,
-// so walk drops it too, and every item kept is offered with walk's gain
-// against walk's bar. A NaN gain has a NaN bound and is kept.
-func boundedWalk(row []float32, list recommender.BulkScorer32, u types.UserID, m recommender.MinMax[float32], theta float32, cov []float32, rated []types.ItemID, n int, sc *sweepScratch) types.TopNSet {
+// on a bounded turn, where row holds bounds of the scores
+// (BoundedAccuracy32), row's own for the ascending items of done, whose
+// scores it holds, and list's list body for the others — and those whose
+// gain reaches the bar are offered in order, each held against the bar as
+// walk holds it. Either way it selects walk's list, bit for bit (DESIGN.md
+// §12): under a strictly increasing map and θ in [0, 1] a gain is
+// non-decreasing in the score, so an item the scan drops has a gain below the
+// block's bar; the bar never falls during a walk, so walk drops it too, and
+// every item kept is offered with walk's gain against walk's bar. A NaN gain
+// has a NaN bound and is kept.
+func boundedWalk(row []float32, list recommender.BulkScorer32, done []types.ItemID, u types.UserID, m recommender.MinMax[float32], theta float32, cov []float32, rated []types.ItemID, n int, sc *sweepScratch) types.TopNSet {
 	if n <= 0 {
 		return nil
 	}
@@ -738,6 +749,13 @@ func boundedWalk(row []float32, list recommender.BulkScorer32, u types.UserID, m
 	if list != nil {
 		w.at, w.exact, w.covs = sized(&sc.at, scanBlock), sized(&sc.exact, scanBlock), sized(&sc.covs, scanBlock)
 	}
+	if len(done) > 0 {
+		w.scored, w.ask, w.pos, w.asked = sized(&sc.scored, len(row)), sized(&sc.ask, scanBlock), sized(&sc.pos, scanBlock), sized(&sc.asked, scanBlock)
+		clear(w.scored)
+		for _, i := range done {
+			w.scored[i] = true
+		}
+	}
 	for lo, hi := range candidateRuns(rated, len(row)) {
 		w.scan(lo, hi)
 	}
@@ -747,7 +765,8 @@ func boundedWalk(row []float32, list recommender.BulkScorer32, u types.UserID, m
 
 // blockWalk is a bounded walk's state: the heap and its bar, the block being
 // scanned — scanned items so far, of at most limit, and the kept ones among
-// them — and the buffers a flush fills.
+// them — and the buffers a flush fills; on a first touch, scored flags the
+// items whose row entry is their score.
 type blockWalk struct {
 	h              recommender.TopHeap[float32]
 	bar            float32
@@ -759,8 +778,11 @@ type blockWalk struct {
 	m              recommender.MinMax[float32]
 	theta          float32
 	cov            []float32
-	kept, at       []types.ItemID
-	exact, covs    []float32
+	scored         []bool
+	kept, ask, at  []types.ItemID
+	pos            []int32
+	exact, asked   []float32
+	covs           []float32
 }
 
 // scan adds the candidates [lo, hi) to the walk: the gain scan keeps those
@@ -780,9 +802,10 @@ func (w *blockWalk) scan(lo, hi int) {
 // flush ends the block and offers its kept items that reach the bar, each
 // with gainOf's gain against the bar as it stands. A cold walk's kept items
 // are few (they reached a bar computed from the scores themselves), and each
-// gain is read off the row. A warm walk's are scored by the list body first,
-// side by side with their c(i), and the gain scan finds those that reach the
-// bar.
+// gain is read off the row. A bounded walk's get their scores first, side by
+// side with their c(i) — the list body's, but the row's own for the items
+// flagged scored, which were scored before the walk and are not scored
+// again — and the gain scan finds those that reach the bar.
 func (w *blockWalk) flush() {
 	kept := w.kept[:w.nkept]
 	w.nkept, w.scanned, w.limit = 0, 0, min(2*w.limit, scanBlock)
@@ -800,9 +823,29 @@ func (w *blockWalk) flush() {
 		return
 	}
 	exact, covs := w.exact[:len(kept)], w.covs[:len(kept)]
-	w.list.ScoreUser32(w.user, kept, exact)
-	for k, i := range kept {
-		covs[k] = w.cov[i]
+	if w.scored == nil {
+		w.list.ScoreUser32(w.user, kept, exact)
+		for k, i := range kept {
+			covs[k] = w.cov[i]
+		}
+	} else {
+		// Every kept item's row entry is read; those not flagged are listed
+		// with their places, scored, and put in their places.
+		ask, pos, n := w.ask, w.pos, 0
+		for k, i := range kept {
+			exact[k], covs[k] = w.row[i], w.cov[i]
+			ask[n], pos[n] = i, int32(k)
+			if !w.scored[i] {
+				n++
+			}
+		}
+		if n > 0 {
+			asked := w.asked[:n]
+			w.list.ScoreUser32(w.user, ask[:n], asked)
+			for j, k := range pos[:n] {
+				exact[k] = asked[j]
+			}
+		}
 	}
 	for _, k := range w.at[:gainScan(exact, covs, w.m, w.theta, bar, 0, w.at, true)] {
 		if g := gainOf(exact[k], w.m, w.theta, covs[k]); !(g < bar) {

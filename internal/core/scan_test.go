@@ -161,34 +161,51 @@ func boundsOf(rng *rand.Rand, raw []float32) []float32 {
 
 // checkBoundedWalk holds boundedWalk to walk over raw: cold, over the scores
 // themselves, and — where the turn would take the bound row (an increasing
-// map, θ in [0, 1]) — warm, over bound with raw as the list body, where it
-// must also have asked for each item at most once, never a rated one, and
-// every item it returned.
+// map, θ in [0, 1]) — bounded, over bound with raw as the list body, once
+// warm and once as a first touch leaves it, with the scores written in for
+// a random ascending list of items, rated ones among them. A bounded walk
+// must also have asked for each item at most once, never a rated one nor one
+// of the list, and have scored every item it returned.
 func checkBoundedWalk(t *testing.T, label string, raw, bound []float32, m recommender.MinMax[float32], theta float32, cov []float32, rated []types.ItemID, n int) {
 	t.Helper()
 	sc := new(sweepScratch)
 	want := walk(raw, m, theta, cov, rated, n)
-	if got := boundedWalk(slices.Clone(raw), nil, 0, m, theta, cov, rated, n, sc); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+	if got := boundedWalk(slices.Clone(raw), nil, nil, 0, m, theta, cov, rated, n, sc); !slices.Equal(got, want) || (got == nil) != (want == nil) {
 		t.Fatalf("%s n %d: cold bounded walk %v, walk %v", label, n, got, want)
 	}
 	if !boundable(m, theta) {
 		return
 	}
-	list := &listScorer{scores: raw}
-	got := boundedWalk(slices.Clone(bound), list, 0, m, theta, cov, rated, n, sc)
-	if !slices.Equal(got, want) || (got == nil) != (want == nil) {
-		t.Fatalf("%s n %d: warm bounded walk %v, walk %v", label, n, got, want)
-	}
-	seen := map[types.ItemID]bool{}
-	for _, i := range list.asked {
-		if seen[i] || slices.Contains(rated, i) {
-			t.Fatalf("%s n %d: the warm walk asked for item %d twice or rated (asked %v, rated %v)", label, n, i, list.asked, rated)
+	rng := rand.New(rand.NewSource(int64(len(raw)*131 + n)))
+	var done []types.ItemID
+	certified := slices.Clone(bound)
+	for i := range raw {
+		if rng.Intn(4) == 0 {
+			done = append(done, types.ItemID(i))
+			certified[i] = raw[i]
 		}
-		seen[i] = true
 	}
-	for _, i := range got {
-		if !seen[i] {
-			t.Fatalf("%s n %d: the warm walk returned item %d without scoring it", label, n, i)
+	for _, arm := range []struct {
+		name string
+		row  []float32
+		done []types.ItemID
+	}{{"warm", bound, nil}, {"first touch", certified, done}} {
+		list := &listScorer{scores: raw}
+		got := boundedWalk(slices.Clone(arm.row), list, arm.done, 0, m, theta, cov, rated, n, sc)
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("%s n %d: %s bounded walk %v, walk %v", label, n, arm.name, got, want)
+		}
+		seen := map[types.ItemID]bool{}
+		for _, i := range list.asked {
+			if seen[i] || slices.Contains(rated, i) || slices.Contains(arm.done, i) {
+				t.Fatalf("%s n %d: the %s walk asked for item %d twice, rated or scored (asked %v, rated %v, scored %v)", label, n, arm.name, i, list.asked, rated, arm.done)
+			}
+			seen[i] = true
+		}
+		for _, i := range got {
+			if !seen[i] && !slices.Contains(arm.done, i) {
+				t.Fatalf("%s n %d: the %s walk returned item %d without scoring it", label, n, arm.name, i)
+			}
 		}
 	}
 }
@@ -203,7 +220,7 @@ func boundable(m recommender.MinMax[float32], theta float32) bool {
 
 // TestScanWalkMatchesWalk: a float32 walk beside a float32 row selects,
 // block by block through the gain scan, the list the item-by-item walk
-// selects — cold over the scores, warm over bounds of them — for every map
+// selects — cold over the scores, bounded over bounds of them — for every map
 // and θ, with scores from a palette small enough that gains tie at every rank
 // and NaN and ±Inf among them, a rated run that skips random items, catalogs
 // of one block and of several, and n from 0 to past the candidates.

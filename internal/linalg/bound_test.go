@@ -1,12 +1,13 @@
 package linalg
 
-// The dot bounds a warm turn prunes by: the bound pass against its Go twin,
-// bit for bit, and DotBounds32 against the kernel dots it bounds, for
-// ordinary and hostile factor rows.
+// The dot bounds a turn prunes by: the bound pass and the band scan against
+// their Go twins, bit for bit, and DotBounds32 against the kernel dots it
+// bounds from both sides, for ordinary and hostile factor rows.
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ganc/internal/types"
@@ -34,9 +35,10 @@ func sameBits(a, b float32) bool {
 }
 
 // TestHeadBoundsMatchPortable holds the bound pass to its Go loop, value for
-// value: every length 0–99 (whole chunks, then the four- and one-item paths),
-// out and the tail norms at every start 0–3 of a larger buffer, 0 to 5 head
-// factors, hostile values everywhere, and nothing written past the row.
+// value, with and without the lower row: every length 0–99 (whole chunks,
+// then the four- and one-item paths), both rows and the tail norms at every
+// start 0–3 of a larger buffer, 0 to 5 head factors, hostile values
+// everywhere, and nothing written past either row.
 func TestHeadBoundsMatchPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	vals := boundValues()
@@ -58,17 +60,21 @@ func TestHeadBoundsMatchPortable(t *testing.T) {
 			pb[4*f], pb[4*f+1], pb[4*f+2], pb[4*f+3] = x, x, x, x
 		}
 		pt, c := draw(), draw()
-		got, want := make([]float32, off+n+1), make([]float32, n)
-		got[off+n] = sentinel
-		headBounds32(got[off:off+n], head, pb, rho[off:], pt, c)
-		headBounds32Generic(want, head, pb, rho[off:], pt, c)
+		got, gotLow := make([]float32, off+n+1), make([]float32, off+n+1)
+		want, wantLow := make([]float32, n), make([]float32, n)
+		alone, wantAlone := make([]float32, n+1), make([]float32, n)
+		got[off+n], gotLow[off+n], alone[n] = sentinel, sentinel, sentinel
+		headBounds32(got[off:off+n], gotLow[off:off+n], head, pb, rho[off:], pt, c)
+		headBounds32Generic(want, wantLow, head, pb, rho[off:], pt, c)
+		headBounds32(alone[:n], nil, head, pb, rho[off:], pt, c)
+		headBounds32Generic(wantAlone, nil, head, pb, rho[off:], pt, c)
 		for k := range want {
-			if !sameBits(got[off+k], want[k]) {
-				t.Fatalf("trial %d: %d items at offset %d, %d factors: out[%d] = %v, Go loop %v", trial, n, off, factors, k, got[off+k], want[k])
+			if !sameBits(got[off+k], want[k]) || !sameBits(gotLow[off+k], wantLow[k]) || !sameBits(alone[k], wantAlone[k]) {
+				t.Fatalf("trial %d: %d items at offset %d, %d factors: item %d upper %v, lower %v, alone %v; Go loop %v, %v, %v", trial, n, off, factors, k, got[off+k], gotLow[off+k], alone[k], want[k], wantLow[k], wantAlone[k])
 			}
 		}
-		if got[off+n] != sentinel {
-			t.Fatalf("trial %d: wrote past the row", trial)
+		if got[off+n] != sentinel || gotLow[off+n] != sentinel || alone[n] != sentinel {
+			t.Fatalf("trial %d: wrote past a row", trial)
 		}
 	}
 }
@@ -90,29 +96,37 @@ func hostileFactors(rng *rand.Rand, rows, dims int, pool []float64) [][]float64 
 	return m
 }
 
-// checkDotBounds fails unless every bound DotBounds32 gives over p's item
-// rows is NaN or at least the kernel dot, which is then finite — on the
-// dispatched kernel and on the portable one — and returns how many users it
-// bounded.
+// checkDotBounds fails unless every upper bound DotBounds32 gives over p's
+// item rows — beside the lower row, and alone, which sums fewer head factors
+// — is NaN or at least the kernel dot, and every lower bound NaN or at most
+// it, the dot then finite, on the dispatched kernel and on the portable one;
+// it returns how many users it bounded.
 func checkDotBounds(t *testing.T, label string, p FactorPair) int {
 	t.Helper()
 	items := types.CatalogItems(p.ItemB.Rows())
-	bound, dots, portable := make([]float32, len(items)), make([]float32, len(items)), make([]float32, len(items))
+	bound, lower, alone := make([]float32, len(items)), make([]float32, len(items)), make([]float32, len(items))
+	dots, portable := make([]float32, len(items)), make([]float32, len(items))
 	bounded := 0
 	for u := 0; u < p.UserB.Rows(); u++ {
-		if !p.DotBounds32(types.UserID(u), bound) {
+		ok := p.DotBounds32(types.UserID(u), bound, lower)
+		if p.DotBounds32(types.UserID(u), alone, nil) != ok {
+			t.Fatalf("%s: user %d: bounded %v with the lower row, %v without", label, u, ok, !ok)
+		}
+		if !ok {
 			continue
 		}
 		bounded++
 		p.ItemDots32(types.UserID(u), items, dots)
 		dotRows32x8Generic(p.UserB.Row(u), p.ItemB.data, items, portable, p.ItemB.rows)
 		for i, b := range bound {
-			if b != b {
-				continue
-			}
 			for _, d := range [2]float32{dots[i], portable[i]} {
-				if !(d <= b) || math.IsInf(float64(d), 0) {
-					t.Fatalf("%s: user %d item %d: bound %v, kernel dot %v (user row %v, item row %v)", label, u, i, b, d, p.UserB.Row(u), p.ItemB.Row(i))
+				for _, b := range [2]float32{b, alone[i]} {
+					if b == b && (!(d <= b) || math.IsInf(float64(d), 0)) {
+						t.Fatalf("%s: user %d item %d: bound %v, kernel dot %v (user row %v, item row %v)", label, u, i, b, d, p.UserB.Row(u), p.ItemB.Row(i))
+					}
+				}
+				if l := lower[i]; l == l && (!(l <= d) || math.IsInf(float64(d), 0)) {
+					t.Fatalf("%s: user %d item %d: lower bound %v, kernel dot %v (user row %v, item row %v)", label, u, i, l, d, p.UserB.Row(u), p.ItemB.Row(i))
 				}
 			}
 		}
@@ -122,9 +136,10 @@ func checkDotBounds(t *testing.T, label string, p FactorPair) int {
 
 // TestDotBoundsCoverDots: for ordinary rows and for hostile ones — huge,
 // subnormal, negative, infinite and NaN values, alone and mixed — every
-// bound is at least the kernel's dot or NaN; ordinary rows are always
-// bounded, and their bounds are within a thousandth of the head's dot plus
-// Cauchy–Schwarz on the rest (not vacuous).
+// upper bound is at least the kernel's dot or NaN, and every lower bound at
+// most it or NaN; ordinary rows are always bounded, and their bounds are
+// within a thousandth of the head's dot plus and minus Cauchy–Schwarz on the
+// rest (not vacuous), a thousandth of the two terms' magnitudes summed.
 func TestDotBoundsCoverDots(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, dims := range []int{1, 3, 4, 16, 40, 45} {
@@ -132,23 +147,37 @@ func TestDotBoundsCoverDots(t *testing.T) {
 		if got := checkDotBounds(t, "normal", p); got != 20 {
 			t.Fatalf("dims %d: %d of 20 ordinary users bounded", dims, got)
 		}
-		bound := make([]float32, 50)
-		p.DotBounds32(3, bound)
+		bound, lower, alone := make([]float32, 50), make([]float32, 50), make([]float32, 50)
+		p.DotBounds32(3, bound, lower)
+		p.DotBounds32(3, alone, nil)
 		pu := p.UserB.Row(3)
-		var tail float64
-		for _, f := range p.tailCols {
-			tail += float64(pu[f]) * float64(pu[f])
-		}
-		for i, b := range bound {
-			exact, rest := 0.0, 0.0
-			for h, f := range p.cols {
-				exact += float64(pu[f]) * float64(p.head[headAt(i, h, len(p.cols))])
+		for _, arm := range []struct {
+			sp           split
+			upper, lower []float32
+		}{{p.splits[1], bound, lower}, {p.splits[0], alone, nil}} {
+			head, rest := p.cols[:arm.sp.h], p.cols[arm.sp.h:]
+			var tail float64
+			for _, f := range rest {
+				tail += float64(pu[f]) * float64(pu[f])
 			}
-			for _, f := range p.tailCols {
-				rest += float64(p.ItemB.Row(i)[f]) * float64(p.ItemB.Row(i)[f])
-			}
-			if cs := exact + math.Sqrt(tail*rest); float64(b) > cs+1e-3*(math.Abs(cs)+1) {
-				t.Fatalf("dims %d item %d: bound %v, the head's dot plus Cauchy–Schwarz on the rest %v", dims, i, b, cs)
+			for i, b := range arm.upper {
+				exact, norm := 0.0, 0.0
+				for _, f := range head {
+					exact += float64(pu[f]) * float64(p.ItemB.Row(i)[f])
+				}
+				for _, f := range rest {
+					norm += float64(p.ItemB.Row(i)[f]) * float64(p.ItemB.Row(i)[f])
+				}
+				// The bound widens the tail term by 2⁻¹² and adds the
+				// rounding terms, so a thousandth of the magnitudes summed
+				// is room enough.
+				cs, slack := math.Sqrt(tail*norm), 1e-3*(math.Abs(exact)+math.Sqrt(tail*norm)+1)
+				if float64(b) > exact+cs+slack {
+					t.Fatalf("dims %d item %d, %d head factors: bound %v, the head's dot plus Cauchy–Schwarz on the rest %v", dims, i, arm.sp.h, b, exact+cs)
+				}
+				if arm.lower != nil && float64(arm.lower[i]) < exact-cs-slack {
+					t.Fatalf("dims %d item %d, %d head factors: lower bound %v, the head's dot minus Cauchy–Schwarz on the rest %v", dims, i, arm.sp.h, arm.lower[i], exact-cs)
+				}
 			}
 		}
 	}
@@ -225,20 +254,67 @@ func TestDotBoundsCoverDots(t *testing.T) {
 }
 
 // TestDotBoundsRefuse: a pair NewFactorPair did not build bounds nothing, and
-// a row longer than the item block is refused.
+// a row longer than the item block, or a lower row shorter than the upper, is
+// refused.
 func TestDotBoundsRefuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	items, user := rowKernelBlock(rng, 5, 4)
 	users, _ := rowKernelBlock(rng, 2, 4)
 	_ = user
-	if (&FactorPair{UserB: users, ItemB: items}).DotBounds32(0, make([]float32, 5)) {
+	if (&FactorPair{UserB: users, ItemB: items}).DotBounds32(0, make([]float32, 5), make([]float32, 5)) {
 		t.Fatal("a pair NewFactorPair did not build bounded a user's dots")
 	}
 	p := NewFactorPair(hostileFactors(rng, 2, 4, nil), hostileFactors(rng, 5, 4, nil))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DotBounds32 with a row longer than the item block did not panic")
+	for name, rows := range map[string][2][]float32{
+		"a row longer than the item block":   {make([]float32, 6), nil},
+		"a lower row shorter than the upper": {make([]float32, 5), make([]float32, 4)},
+		"an empty lower row":                 {make([]float32, 3), {}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("DotBounds32 with %s did not panic", name)
+				}
+			}()
+			p.DotBounds32(0, rows[0], rows[1])
+		}()
+	}
+}
+
+// TestOutsideBandMatchesPortable holds the band scan to its Go loop and to
+// its definition: every length 0–70 at every start 0–3 of a larger buffer,
+// hostile values in both rows, and bands whose ends are ±Inf, NaN, both zeros
+// and values of the rows themselves (a tie leaves the band); the items kept
+// are exactly those whose bounds reach an end or are NaN (every item, for a
+// NaN end), numbered from first, and nothing is written past the list.
+func TestOutsideBandMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	vals := boundValues()
+	draw := func() float32 { return vals[rng.Intn(len(vals))] }
+	const sentinel = types.ItemID(-7)
+	for trial := 0; trial < 2000; trial++ {
+		n, off := rng.Intn(71), rng.Intn(4)
+		upper, lower := make([]float32, off+n), make([]float32, off+n)
+		for k := range upper {
+			upper[k], lower[k] = draw(), draw()
 		}
-	}()
-	p.DotBounds32(0, make([]float32, 6))
+		top, bottom := draw(), draw()
+		if n > 0 && trial%3 == 0 {
+			top, bottom = upper[off+rng.Intn(n)], lower[off+rng.Intn(n)]
+		}
+		first := types.ItemID(rng.Intn(1000))
+		got, want := make([]types.ItemID, n+1), make([]types.ItemID, n)
+		got[n] = sentinel
+		k := OutsideBand(upper[off:], lower[off:], top, bottom, first, got[:n])
+		wk := outsideBandGeneric(upper[off:], lower[off:], top, bottom, first, want)
+		var def []types.ItemID
+		for j := 0; j < n; j++ {
+			if h, l := upper[off+j], lower[off+j]; h != h || l != l || top != top || bottom != bottom || h >= top || l <= bottom {
+				def = append(def, first+types.ItemID(j))
+			}
+		}
+		if k != wk || !slices.Equal(got[:k], want[:wk]) || !slices.Equal(want[:wk], def) || got[n] != sentinel {
+			t.Fatalf("trial %d: %d items at offset %d, band (%v, %v): scan %v, Go loop %v, definition %v", trial, n, off, bottom, top, got[:k], want[:wk], def)
+		}
+	}
 }

@@ -247,29 +247,41 @@ TEXT ·prefetchLine(SB), NOSPLIT, $0-8
 	PREFETCHT0 (SI)
 	RET
 
-// func headBounds32(out, head, pb, rho []float32, pt, c float32)
+// func headBounds32(upper, lower, head, pb, rho []float32, pt, c float32)
 //
-// out[i] = ((rho[i]·pt + Σ_f head[headAt(i, f, h)]·pb[4f]) + c) for every i
-// below len(out), h = len(pb)/4, summed in that order, each lane running the
-// Go loop's operations in its order — MULPS, then ADDPS with the running sum
+// For every i below len(upper), h = len(pb)/4, t = rho[i]·pt and
+// Σ = Σ_f head[headAt(i, f, h)]·pb[4f] summed in that order: when lower is
+// empty, upper[i] = ((t + Σ) + c); when it is not, s = +0 + Σ, lower[i] =
+// ((s − t) − c) and upper[i] = ((s + t) + c). Each lane runs the Go loop's
+// operations in its order — MULPS, then ADDPS or SUBPS with the running value
 // as destination — each rounded by the MXCSR, so each lane carries the Go
 // loop's bits. A chunk of 32 items is eight independent four-item sums (one
 // sum waits on its add four cycles a factor) over one contiguous stream of
 // head values; the items past the last whole chunk go four and then one at a
 // time, at the same places in their chunk. pb holds each head factor four
-// times over, so a factor is one unaligned load. The caller guarantees
-// len(rho) >= len(out) and that head holds the chunks of len(out) items.
-TEXT ·headBounds32(SB), NOSPLIT, $0-104
-	MOVQ   out_base+0(FP), DI
-	MOVQ   out_len+8(FP), CX
-	MOVQ   head_base+24(FP), SI
-	MOVQ   pb_base+48(FP), R9
-	MOVQ   pb_len+56(FP), R10
+// times over, so a factor is one unaligned load. R8 is lower's base, or 0
+// when lower is empty; it picks the mode at each sum's start and end, a
+// branch that goes the same way for the whole call. The caller guarantees
+// len(rho) >= len(upper), that lower is empty or as long as upper, and that
+// head holds the chunks of len(upper) items.
+TEXT ·headBounds32(SB), NOSPLIT, $0-128
+	MOVQ   upper_base+0(FP), DI
+	MOVQ   upper_len+8(FP), CX
+	MOVQ   lower_base+24(FP), R8
+	MOVQ   lower_len+32(FP), BX
+	TESTQ  BX, BX
+	JNE    args
+	XORQ   R8, R8
+
+args:
+	MOVQ   head_base+48(FP), SI
+	MOVQ   pb_base+72(FP), R9
+	MOVQ   pb_len+80(FP), R10
 	SHRQ   $2, R10              // h, the head factors
-	MOVQ   rho_base+72(FP), R11
-	MOVSS  pt+96(FP), X14
+	MOVQ   rho_base+96(FP), R11
+	MOVSS  pt+120(FP), X14
 	SHUFPS $0x00, X14, X14
-	MOVSS  c+100(FP), X15
+	MOVSS  c+124(FP), X15
 	SHUFPS $0x00, X15, X15
 	XORQ   AX, AX
 
@@ -277,6 +289,8 @@ chunk:
 	LEAQ   32(AX), DX
 	CMPQ   DX, CX
 	JGT    rest
+	TESTQ  R8, R8
+	JNE    chunkzero
 	MOVUPS (R11)(AX*4), X0
 	MULPS  X14, X0
 	MOVUPS 16(R11)(AX*4), X1
@@ -293,6 +307,19 @@ chunk:
 	MULPS  X14, X6
 	MOVUPS 112(R11)(AX*4), X7
 	MULPS  X14, X7
+	JMP    chunkgo
+
+chunkzero:
+	XORPS  X0, X0
+	XORPS  X1, X1
+	XORPS  X2, X2
+	XORPS  X3, X3
+	XORPS  X4, X4
+	XORPS  X5, X5
+	XORPS  X6, X6
+	XORPS  X7, X7
+
+chunkgo:
 	MOVQ   R9, R12
 	MOVQ   R10, R13
 
@@ -329,22 +356,83 @@ chunkf:
 	DECQ   R13
 	JMP    chunkf
 
+	// Both rows: each sum s gives s − t − c to lower and becomes s + t.
 chunkdone:
+	TESTQ  R8, R8
+	JE     chunkupper
+	MOVUPS (R11)(AX*4), X9
+	MULPS  X14, X9
+	MOVAPS X0, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, (R8)(AX*4)
+	ADDPS  X9, X0
+	MOVUPS 16(R11)(AX*4), X9
+	MULPS  X14, X9
+	MOVAPS X1, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, 16(R8)(AX*4)
+	ADDPS  X9, X1
+	MOVUPS 32(R11)(AX*4), X9
+	MULPS  X14, X9
+	MOVAPS X2, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, 32(R8)(AX*4)
+	ADDPS  X9, X2
+	MOVUPS 48(R11)(AX*4), X9
+	MULPS  X14, X9
+	MOVAPS X3, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, 48(R8)(AX*4)
+	ADDPS  X9, X3
+	MOVUPS 64(R11)(AX*4), X9
+	MULPS  X14, X9
+	MOVAPS X4, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, 64(R8)(AX*4)
+	ADDPS  X9, X4
+	MOVUPS 80(R11)(AX*4), X9
+	MULPS  X14, X9
+	MOVAPS X5, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, 80(R8)(AX*4)
+	ADDPS  X9, X5
+	MOVUPS 96(R11)(AX*4), X9
+	MULPS  X14, X9
+	MOVAPS X6, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, 96(R8)(AX*4)
+	ADDPS  X9, X6
+	MOVUPS 112(R11)(AX*4), X9
+	MULPS  X14, X9
+	MOVAPS X7, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, 112(R8)(AX*4)
+	ADDPS  X9, X7
+
+chunkupper:
 	ADDPS  X15, X0
-	ADDPS  X15, X1
-	ADDPS  X15, X2
-	ADDPS  X15, X3
-	ADDPS  X15, X4
-	ADDPS  X15, X5
-	ADDPS  X15, X6
-	ADDPS  X15, X7
 	MOVUPS X0, (DI)(AX*4)
+	ADDPS  X15, X1
 	MOVUPS X1, 16(DI)(AX*4)
+	ADDPS  X15, X2
 	MOVUPS X2, 32(DI)(AX*4)
+	ADDPS  X15, X3
 	MOVUPS X3, 48(DI)(AX*4)
+	ADDPS  X15, X4
 	MOVUPS X4, 64(DI)(AX*4)
+	ADDPS  X15, X5
 	MOVUPS X5, 80(DI)(AX*4)
+	ADDPS  X15, X6
 	MOVUPS X6, 96(DI)(AX*4)
+	ADDPS  X15, X7
 	MOVUPS X7, 112(DI)(AX*4)
 	MOVQ   DX, AX
 	JMP    chunk
@@ -357,8 +445,14 @@ four:
 	LEAQ   4(AX), DX
 	CMPQ   DX, CX
 	JGT    one
-	MOVUPS (R11)(AX*4), X0
-	MULPS  X14, X0
+	MOVUPS (R11)(AX*4), X9
+	MULPS  X14, X9              // t
+	MOVAPS X9, X0
+	TESTQ  R8, R8
+	JE     fourgo
+	XORPS  X0, X0
+
+fourgo:
 	LEAQ   (SI)(BX*1), R14
 	MOVQ   R9, R12
 	MOVQ   R10, R13
@@ -376,6 +470,15 @@ fourf:
 	JMP    fourf
 
 fourdone:
+	TESTQ  R8, R8
+	JE     fourupper
+	MOVAPS X0, X10
+	SUBPS  X9, X10
+	SUBPS  X15, X10
+	MOVUPS X10, (R8)(AX*4)
+	ADDPS  X9, X0
+
+fourupper:
 	ADDPS  X15, X0
 	MOVUPS X0, (DI)(AX*4)
 	MOVQ   DX, AX
@@ -385,8 +488,14 @@ fourdone:
 one:
 	CMPQ   AX, CX
 	JGE    done
-	MOVSS  (R11)(AX*4), X0
-	MULSS  X14, X0
+	MOVSS  (R11)(AX*4), X9
+	MULSS  X14, X9              // t
+	MOVAPS X9, X0
+	TESTQ  R8, R8
+	JE     onego
+	XORPS  X0, X0
+
+onego:
 	LEAQ   (SI)(BX*1), R14
 	MOVQ   R9, R12
 	MOVQ   R10, R13
@@ -404,6 +513,15 @@ onef:
 	JMP    onef
 
 onedone:
+	TESTQ  R8, R8
+	JE     oneupper
+	MOVAPS X0, X10
+	SUBSS  X9, X10
+	SUBSS  X15, X10
+	MOVSS  X10, (R8)(AX*4)
+	ADDSS  X9, X0
+
+oneupper:
 	ADDSS  X15, X0
 	MOVSS  X0, (DI)(AX*4)
 	INCQ   AX
@@ -411,4 +529,77 @@ onedone:
 	JMP    one
 
 done:
+	RET
+
+// func outsideBand(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int
+//
+// For every k below len(upper) with !(upper[k] < top) or !(bottom < lower[k]),
+// first+k goes to out, in order, and the count is returned: four items at a
+// time and then one at a time. CMPPS predicate 5 (not less than) is true on
+// unordered operands, so a NaN bound is kept. Few items are expected to leave
+// the band, so a quad none of whose items does costs one branch, and one that
+// has some stores them one set bit at a time. The caller guarantees
+// len(lower) >= len(upper) and len(out) >= len(upper); n never passes the
+// item being stored, so every store stays inside out[:len(upper)].
+TEXT ·outsideBand(SB), NOSPLIT, $0-96
+	MOVQ   upper_base+0(FP), SI
+	MOVQ   upper_len+8(FP), CX
+	MOVQ   lower_base+24(FP), R13
+	MOVSS  top+48(FP), X8
+	SHUFPS $0x00, X8, X8
+	MOVSS  bottom+52(FP), X9
+	SHUFPS $0x00, X9, X9
+	MOVL   first+56(FP), R8
+	MOVQ   out_base+64(FP), DI
+	MOVQ   CX, DX
+	ANDQ   $-4, DX
+	XORQ   AX, AX
+	XORQ   R9, R9           // n
+
+bandquad:
+	CMPQ     AX, DX
+	JGE      bandtail
+	MOVUPS   (SI)(AX*4), X0
+	CMPPS    X8, X0, $5     // !(upper < top)
+	MOVAPS   X9, X1
+	MOVUPS   (R13)(AX*4), X2
+	CMPPS    X2, X1, $5     // !(bottom < lower)
+	ORPS     X1, X0
+	MOVMSKPS X0, BX
+	TESTL    BX, BX
+	JE       bandnext
+
+bandbits:
+	BSFL     BX, R11        // the lowest lane left
+	LEAL     (R8)(AX*1), R12
+	ADDL     R11, R12
+	MOVL     R12, (DI)(R9*4)
+	INCQ     R9
+	LEAL     -1(BX), R11
+	ANDL     R11, BX        // clear it
+	JNE      bandbits
+
+bandnext:
+	ADDQ     $4, AX
+	JMP      bandquad
+
+bandtail:
+	CMPQ   AX, CX
+	JGE    banddone
+	MOVSS  (SI)(AX*4), X0
+	CMPSS  X8, X0, $5
+	MOVAPS X9, X1
+	MOVSS  (R13)(AX*4), X2
+	CMPSS  X2, X1, $5
+	ORPS   X1, X0
+	MOVL   X0, BX
+	ANDL   $1, BX
+	LEAL   (R8)(AX*1), R11
+	MOVL   R11, (DI)(R9*4)
+	ADDQ   BX, R9
+	INCQ   AX
+	JMP    bandtail
+
+banddone:
+	MOVQ R9, ret+88(FP)
 	RET

@@ -10,7 +10,7 @@ import (
 
 // Portable kernel entry points for architectures without a hand-written
 // implementation: the unrolled multi-accumulator Go loops, the scalar score
-// epilogues and bound pass, and prefetch hints that do nothing.
+// epilogues, bound pass and band scan, and prefetch hints that do nothing.
 
 func dot32x8(a, b []float32) float32 { return dot32x8Generic(a, b) }
 
@@ -24,8 +24,12 @@ func addBaseBias32(out []float32, base float64, bias []float64) {
 	addBaseBias32Generic(out, base, bias)
 }
 
-func headBounds32(out, head, pb, rho []float32, pt, c float32) {
-	headBounds32Generic(out, head, pb, rho, pt, c)
+func headBounds32(upper, lower, head, pb, rho []float32, pt, c float32) {
+	headBounds32Generic(upper, lower, head, pb, rho, pt, c)
+}
+
+func outsideBand(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int {
+	return outsideBandGeneric(upper, lower, top, bottom, first, out)
 }
 
 func prefetchRow([]float64) {}

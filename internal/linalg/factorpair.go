@@ -10,12 +10,15 @@ import (
 	"ganc/internal/types"
 )
 
-// headDims is the number of factors a dot bound computes exactly: the item
-// block's headDims columns of largest energy (Σ_i q_if²), kept again column
-// by column so that one pass bounds a whole catalog four items at a time.
-// The other factors are bounded by Cauchy–Schwarz. More columns cost the
-// pass more and rule out more items; DESIGN.md §12 gives the measurement.
-const headDims = 16
+// upperDims and headDims are the numbers of factors a dot bound computes
+// exactly: the item block's columns of largest energy (Σ_i q_if²), kept
+// again column by column so that one pass bounds a whole catalog four items
+// at a time — upperDims of them for a pass that bounds from above only (a
+// warm turn's bound row), headDims for one that bounds from both sides (a
+// first touch's, which certifies the user's range too). The other factors
+// are bounded by Cauchy–Schwarz. More columns cost the pass more and rule out
+// more items; DESIGN.md §12 gives the measurements each size rests on.
+const upperDims, headDims = 16, 32
 
 // headChunk is the number of items whose head factors lie together: the
 // pass sums a chunk's items in eight independent four-item sums, and the
@@ -24,26 +27,35 @@ const headChunk = 32
 
 // FactorPair holds one latent-factor model's (user, item) matrices in the
 // float32 block layout its bulk scores are served from, and what DotBounds32
-// bounds a user's dots by without computing them. A model builds one from its
-// float64 training rows when it is trained or decoded and never writes it
-// again, so a served model's pair is read-only.
+// bounds a user's dots by, from above and below, without computing them. A
+// model builds one from its float64 training rows when it is trained or
+// decoded and never writes it again, so a served model's pair is read-only.
 type FactorPair struct {
 	UserB, ItemB Block
-	// cols are the head factors, largest energy first, and tailCols the
-	// rest. head holds item row i's value of head factor f at headAt(i, f,
-	// len(cols)), and tails[i] the row's norm over the tail factors rounded
-	// up to a float32, or NaN when the row has a value or a norm that is not
-	// finite. headMax[f] is the largest |value| of head factor f over the
-	// finite rows, maxTail the largest finite tail norm and maxNorm the
-	// largest finite norm ‖q_i‖.
-	cols, tailCols   []int
-	head, tails      []float32
-	headMax          []float64
-	maxTail, maxNorm float64
+	// cols are the item block's factors, largest energy first; headMax[f]
+	// is the largest |value| of cols[f] over the finite rows, and maxNorm
+	// the largest finite norm ‖q_i‖. splits[0] is the split of a pass that
+	// bounds from above only, splits[1] of one that bounds from both sides.
+	cols    []int
+	headMax []float64
+	maxNorm float64
+	splits  [2]split
+}
+
+// split divides the factors into cols[:h], summed exactly, and the rest,
+// bounded by Cauchy–Schwarz: head holds item row i's value of cols[f] at
+// headAt(i, f, h), tails[i] is the row's norm over cols[h:] rounded up to a
+// float32, or NaN when the row has a value or a norm that is not finite, and
+// maxTail the largest finite tail norm. Each split has a layout of its own,
+// so a pass reads its head factors as one contiguous stream.
+type split struct {
+	h           int
+	head, tails []float32
+	maxTail     float64
 }
 
 // NewFactorPair packs the float64 factor rows into float32 blocks and lays
-// out the item rows' head factors and tail norms.
+// out the item rows' head factors and both splits' tail norms.
 func NewFactorPair(userF, itemF [][]float64) FactorPair {
 	p := FactorPair{UserB: BlockFrom64(userF), ItemB: BlockFrom64(itemF)}
 	rows, dims := p.ItemB.rows, p.ItemB.dims
@@ -63,34 +75,35 @@ func NewFactorPair(userF, itemF [][]float64) FactorPair {
 		p.cols[f] = f
 	}
 	slices.SortStableFunc(p.cols, func(a, b int) int { return cmp.Compare(energy[b], energy[a]) })
-	p.cols, p.tailCols = p.cols[:min(headDims, dims)], p.cols[min(headDims, dims):]
-	inHead := make([]bool, dims)
-	for _, f := range p.cols {
-		inHead[f] = true
-	}
 	chunks := (rows + headChunk - 1) / headChunk
-	p.head, p.tails, p.headMax = make([]float32, chunks*headChunk*len(p.cols)), make([]float32, rows), make([]float64, len(p.cols))
-	for i := range p.tails {
+	for k, h := range [2]int{min(upperDims, dims), min(headDims, dims)} {
+		p.splits[k] = split{h: h, head: make([]float32, chunks*headChunk*h), tails: make([]float32, rows)}
+	}
+	p.headMax = make([]float64, p.splits[1].h)
+	for i := 0; i < rows; i++ {
 		row := p.ItemB.Row(i)
-		for h, f := range p.cols {
-			p.head[headAt(i, h, len(p.cols))] = row[f]
+		for f, c := range p.cols[:len(p.headMax)] {
 			if finite[i] {
-				p.headMax[h] = max(p.headMax[h], math.Abs(float64(row[f])))
+				p.headMax[f] = max(p.headMax[f], math.Abs(float64(row[c])))
 			}
 		}
-		var ss float64
-		for f, x := range row {
-			if !inHead[f] {
-				ss += float64(float64(x) * float64(x))
+		for k := range p.splits {
+			sp := &p.splits[k]
+			for f, c := range p.cols[:sp.h] {
+				sp.head[headAt(i, f, sp.h)] = row[c]
 			}
+			var ss float64
+			for _, c := range p.cols[sp.h:] {
+				ss += float64(float64(row[c]) * float64(row[c]))
+			}
+			t := roundUp32(math.Sqrt(ss))
+			if !finite[i] || math.IsInf(float64(t), 0) {
+				sp.tails[i] = float32(math.NaN())
+				continue
+			}
+			sp.tails[i] = t
+			sp.maxTail = max(sp.maxTail, float64(t))
 		}
-		t := roundUp32(math.Sqrt(ss))
-		if !finite[i] || math.IsInf(float64(t), 0) {
-			p.tails[i] = float32(math.NaN())
-			continue
-		}
-		p.tails[i] = t
-		p.maxTail = max(p.maxTail, float64(t))
 	}
 	return p
 }
@@ -108,56 +121,70 @@ func (p *FactorPair) ItemDots32(u types.UserID, items []types.ItemID, out []floa
 	dotRows32x8(pu, p.ItemB.data, items, out, p.ItemB.rows)
 }
 
-// DotBounds32 fills out[i], for every item row i below len(out), with a bound
-// of the dot ItemDots32 computes for user row u and item row i: the dot is
-// finite and at most out[i], or out[i] is NaN. The head factors are summed
-// exactly as the rows hold them and the rest bounded by Cauchy–Schwarz,
+// DotBounds32 fills upper[i], for every item row i below len(upper), with a
+// bound of the dot ItemDots32 computes for user row u and item row i: the dot
+// is finite and at most upper[i], or upper[i] is NaN. When lower is not nil
+// (it must then be at least as long as upper), lower[i] is NaN or a finite
+// dot is at least lower[i]. The head factors are summed exactly as the rows hold them
+// and the rest bounded by Cauchy–Schwarz,
 //
-//	p·q_i = Σ_head p_f·q_if + Σ_tail p_f·q_if ≤ Σ_head p_f·q_if + ‖p_tail‖·‖q_i,tail‖,
+//	|p·q_i − Σ_head p_f·q_if| = |Σ_tail p_f·q_if| ≤ ‖p_tail‖·‖q_i,tail‖,
 //
-// in one float32 pass, out[i] = ((‖q_i,tail‖·P + Σ_f q_if·p_f) + C), widened
-// by what rounding can take from either side (DESIGN.md §12): a float32 dot
-// over k factors, in any summation order, is at most γ_k·Σ|p_f·q_if| off,
-// γ_k = kε/(1−kε) with ε = 2⁻²⁴, plus 2⁻¹⁵⁰ for each product lost to
-// underflow, and the pass is such a sum of the head's products and two more
-// terms. So P is ‖p_tail‖ widened by 2⁻¹², which covers the norms' own
-// rounding, and C = γ_k·‖p‖·max‖q_i‖ + 2γ_{h+3}·(P·max‖q_i,tail‖ +
-// Σ_f |p_f|·max|q_if| + that) + (k+h+4)·2⁻¹⁴⁹ for h head factors. An item
-// row with a value or a norm that is not finite gets NaN. DotBounds32 reports
-// false, and leaves out alone, when it can promise nothing: when u's row has
-// a non-finite norm, when the dots or the bounds could come near the float32
-// range (a product or a partial sum of the dot could overflow), or on a pair
-// NewFactorPair did not build. len(out) must not exceed the item block's
-// rows.
-func (p *FactorPair) DotBounds32(u types.UserID, out []float32) bool {
+// in one float32 pass: upper[i] = ((‖q_i,tail‖·P + Σ_f q_if·p_f) + C) alone,
+// or, with the lower row, from one sum s_i = Σ_f q_if·p_f two outputs, upper[i]
+// = ((s_i + ‖q_i,tail‖·P) + C) and lower[i] = ((s_i − ‖q_i,tail‖·P) − C),
+// widened by what rounding can take from either side (DESIGN.md §12): a
+// float32 dot over k factors, in any summation order, is at most
+// γ_k·Σ|p_f·q_if| off, γ_k = kε/(1−kε) with ε = 2⁻²⁴, plus 2⁻¹⁵⁰ for each
+// product lost to underflow, and each output is such a sum of the head's
+// products and two more terms. So P is ‖p_tail‖ widened by 2⁻¹², which covers
+// the norms' own rounding, and C = γ_k·‖p‖·max‖q_i‖ + 2γ_{h+3}·(P·max‖q_i,tail‖
+// + Σ_f |p_f|·max|q_if| + that) + (k+h+4)·2⁻¹⁴⁹ for h head factors: upperDims
+// when lower is nil, headDims when it is not (the split, FactorPair.splits).
+// Rounding to nearest commutes with negation, and P and C read only |p_f|, so
+// lower[i] is the upper bound of the negated row's dot, negated: the lower
+// bound needs no argument of its own. An item row with a value or a norm that
+// is not finite gets NaN. DotBounds32 reports false, and leaves both rows
+// alone, when it can promise nothing: when u's row has a non-finite norm, when
+// the dots or the bounds could come near the float32 range (a product or a
+// partial sum of the dot could overflow), or on a pair NewFactorPair did not
+// build. len(upper) must not exceed the item block's rows.
+func (p *FactorPair) DotBounds32(u types.UserID, upper, lower []float32) bool {
 	rows, dims := p.ItemB.rows, p.ItemB.dims
-	if len(out) > rows {
-		panic(fmt.Sprintf("linalg: DotBounds32: len(out) = %d > %d item rows", len(out), rows))
+	if len(upper) > rows {
+		panic(fmt.Sprintf("linalg: DotBounds32: len(upper) = %d > %d item rows", len(upper), rows))
 	}
-	if len(p.tails) != rows {
+	sp := &p.splits[0]
+	if lower != nil {
+		if len(lower) < len(upper) {
+			panic(fmt.Sprintf("linalg: DotBounds32: len(lower) = %d < len(upper) = %d", len(lower), len(upper)))
+		}
+		lower, sp = lower[:len(upper)], &p.splits[1]
+	}
+	if len(sp.tails) != rows {
 		return false
 	}
 	pu := p.UserB.Row(int(u))
 	var pb [4 * headDims]float32
 	var headSum, tailSS float64
-	for h, f := range p.cols {
-		x := pu[f]
-		pb[4*h], pb[4*h+1], pb[4*h+2], pb[4*h+3] = x, x, x, x
-		headSum += math.Abs(float64(x)) * p.headMax[h]
+	for f, c := range p.cols[:sp.h] {
+		x := pu[c]
+		pb[4*f], pb[4*f+1], pb[4*f+2], pb[4*f+3] = x, x, x, x
+		headSum += math.Abs(float64(x)) * p.headMax[f]
 	}
-	for _, f := range p.tailCols {
-		tailSS += float64(float64(pu[f]) * float64(pu[f]))
+	for _, c := range p.cols[sp.h:] {
+		tailSS += float64(float64(pu[c]) * float64(pu[c]))
 	}
 	norm, scale := rowNorm(pu), math.Sqrt(tailSS)*(1+0x1p-12)
 	gamma := func(n int) float64 { return float64(n) * 0x1p-24 / (1 - float64(n)*0x1p-24) }
 	kernel := gamma(dims)*norm*p.maxNorm + float64(dims+1)*0x1p-149
-	sum := scale*p.maxTail + headSum + kernel
+	sum := scale*sp.maxTail + headSum + kernel
 	const limit = math.MaxFloat32 / 4
 	if !(norm*p.maxNorm < limit && sum < limit) {
 		return false
 	}
-	c := kernel + 2*gamma(len(p.cols)+3)*sum + float64(len(p.cols)+3)*0x1p-149
-	headBounds32(out, p.head, pb[:4*len(p.cols)], p.tails[:len(out)], roundUp32(scale), roundUp32(c))
+	c := kernel + 2*gamma(sp.h+3)*sum + float64(sp.h+3)*0x1p-149
+	headBounds32(upper, lower, sp.head, pb[:4*sp.h], sp.tails[:len(upper)], roundUp32(scale), roundUp32(c))
 	return true
 }
 
@@ -166,19 +193,25 @@ func (p *FactorPair) DotBounds32(u types.UserID, out []float32) bool {
 func headAt(i, f, h int) int { return (i/headChunk*h+f)*headChunk + i%headChunk }
 
 // headBounds32Generic is the portable bound pass of DotBounds32: for every i
-// below len(out), out[i] = ((rho[i]·pt + Σ_f head[headAt(i, f, h)]·pb[4f]) +
-// c) over the h = len(pb)/4 head factors, summed in that order, every product
-// rounded before its sum so that no build fuses the two. pb holds each head
-// factor of the user four times over (the SSE2 pass loads them a quad at a
-// time). It runs a chunk's factors one after another, so it reads head in
-// order.
-func headBounds32Generic(out, head, pb, rho []float32, pt, c float32) {
+// below len(upper), with t = rho[i]·pt and Σ = Σ_f head[headAt(i, f, h)]·pb[4f]
+// over the h = len(pb)/4 head factors, summed in that order, every product
+// rounded before its sum so that no build fuses the two: when lower is nil,
+// upper[i] = ((t + Σ) + c); when it is not, the sum starts from +0 instead of
+// t, s = +0 + Σ, lower[i] = ((s − t) − c) and upper[i] = ((s + t) + c). pb
+// holds each head factor of the user four times over (the SSE2 pass loads
+// them a quad at a time). It runs a chunk's factors one after another, so it
+// reads head in order, and sums in upper.
+func headBounds32Generic(upper, lower, head, pb, rho []float32, pt, c float32) {
 	h := len(pb) / 4
-	for i, r := range rho[:len(out)] {
-		out[i] = float32(r * pt)
+	rho = rho[:len(upper)]
+	for i, r := range rho {
+		upper[i] = float32(r * pt)
+		if lower != nil {
+			upper[i] = 0
+		}
 	}
-	for lo := 0; lo < len(out); lo += headChunk {
-		items, chunk := out[lo:min(lo+headChunk, len(out))], head[lo*h:]
+	for lo := 0; lo < len(upper); lo += headChunk {
+		items, chunk := upper[lo:min(lo+headChunk, len(upper))], head[lo*h:]
 		for f := 0; f < h; f++ {
 			x := pb[4*f]
 			for k, q := range chunk[f*headChunk:][:len(items)] {
@@ -186,9 +219,43 @@ func headBounds32Generic(out, head, pb, rho []float32, pt, c float32) {
 			}
 		}
 	}
-	for i := range out {
-		out[i] += c
+	for i, s := range upper {
+		if lower != nil {
+			t := float32(rho[i] * pt)
+			lower[i] = (s - t) - c
+			s += t
+		}
+		upper[i] = s + c
 	}
+}
+
+// OutsideBand writes to out, in ascending order, first+k for every k below
+// len(upper) whose bounds do not keep it inside the band (bottom, top):
+// !(upper[k] < top) or !(bottom < lower[k]) — an upper bound reaching top, a
+// lower bound reaching bottom, or either NaN — and returns how many it wrote;
+// it writes nothing else. It is the scan a range certification runs over a
+// user's bound rows (DESIGN.md §12): once for the items that can still be
+// among the largest and smallest upper and lower bounds, and once for those
+// whose score can still reach an extreme. On amd64 it is an SSE2 scan of four
+// items at a time. It panics when lower or out is shorter than upper.
+func OutsideBand(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int {
+	if len(lower) < len(upper) || len(out) < len(upper) {
+		panic(fmt.Sprintf("linalg: OutsideBand: len(lower) = %d, len(out) = %d < len(upper) = %d", len(lower), len(out), len(upper)))
+	}
+	return outsideBand(upper, lower, top, bottom, first, out)
+}
+
+// outsideBandGeneric is the portable OutsideBand.
+func outsideBandGeneric(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int {
+	lower = lower[:len(upper)]
+	n := 0
+	for k, h := range upper {
+		if !(h < top) || !(bottom < lower[k]) {
+			out[n] = first + types.ItemID(k)
+			n++
+		}
+	}
+	return n
 }
 
 // rowNorm is the Euclidean norm of a float32 row, in float64: each square is

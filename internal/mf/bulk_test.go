@@ -100,21 +100,22 @@ func assertCatalogBody(t *testing.T, m recommender.CatalogScorer32, u types.User
 
 // assertBoundRow holds BoundCatalog32 over a catalog of n to the scores want
 // of ScoreUser32 over it: a user of the model (these rows are ordinary) is
-// bounded, each bound is at least the item's score, and an unknown user is
+// bounded, each upper bound — beside the lower row and alone — is at least
+// the item's score and each lower bound at most it, and an unknown user is
 // not bounded.
 func assertBoundRow(t *testing.T, m recommender.CatalogBounder32, u types.UserID, n int, want []float32) {
 	t.Helper()
-	bound := make([]float32, n)
-	ok := m.BoundCatalog32(u, bound)
-	if known := u >= 0 && int(u) < numUsersOf(m); ok != known {
+	upper, lower, alone := make([]float32, n), make([]float32, n), make([]float32, n)
+	ok := m.BoundCatalog32(u, upper, lower)
+	if known := u >= 0 && int(u) < numUsersOf(m); ok != known || m.BoundCatalog32(u, alone, nil) != ok {
 		t.Fatalf("%s: user %d (a user of the model: %v): BoundCatalog32 reported %v", m.Name(), u, known, ok)
 	}
 	if !ok {
 		return
 	}
 	for i := range want {
-		if !(want[i] <= bound[i]) {
-			t.Fatalf("%s: user %d, catalog of %d: item %d bound %v, score %v", m.Name(), u, n, i, bound[i], want[i])
+		if !(lower[i] <= want[i] && want[i] <= upper[i] && want[i] <= alone[i]) {
+			t.Fatalf("%s: user %d, catalog of %d: item %d bounds [%v, %v] (alone %v), score %v", m.Name(), u, n, i, lower[i], upper[i], alone[i], want[i])
 		}
 	}
 }

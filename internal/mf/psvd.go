@@ -143,18 +143,21 @@ func (m *PSVD) ScoreCatalog32(u types.UserID, out []float32) {
 }
 
 // BoundCatalog32 implements recommender.CatalogBounder32: a score is the
-// kernel dot, so the bound is the dot's (linalg.FactorPair.DotBounds32), and
-// zero, the score, for the items past the block. An unknown user has none to
-// give.
-func (m *PSVD) BoundCatalog32(u types.UserID, out []float32) bool {
+// kernel dot, so its bounds are the dot's (linalg.FactorPair.DotBounds32),
+// and zero, the score, for the items past the block. An unknown user has
+// none to give.
+func (m *PSVD) BoundCatalog32(u types.UserID, upper, lower []float32) bool {
 	if int(u) < 0 || int(u) >= m.numUsers {
 		return false
 	}
-	n := min(len(out), m.fp.ItemB.Rows())
-	if !m.fp.DotBounds32(u, out[:n]) {
+	n := min(len(upper), m.fp.ItemB.Rows())
+	if !m.fp.DotBounds32(u, upper[:n], lower) {
 		return false
 	}
-	clear(out[n:])
+	clear(upper[n:])
+	if lower != nil {
+		clear(lower[n:])
+	}
 	return true
 }
 

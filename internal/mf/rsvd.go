@@ -287,17 +287,22 @@ func (m *RSVD) ScoreCatalog32(u types.UserID, out []float32) {
 
 // BoundCatalog32 implements recommender.CatalogBounder32: ScoreCatalog32's
 // epilogue over the item block's dot bounds (linalg.FactorPair.DotBounds32)
-// instead of its dots. The epilogue is monotone in the dot, so each bound is
-// at least the item's score, or NaN. An unknown user has none to give.
-func (m *RSVD) BoundCatalog32(u types.UserID, out []float32) bool {
+// instead of its dots, one row for each side asked for. The epilogue is
+// monotone in the dot, so each upper bound is at least the item's score and
+// each lower bound at most it, or NaN; past the block both are the global
+// mean, the score itself. An unknown user has none to give.
+func (m *RSVD) BoundCatalog32(u types.UserID, upper, lower []float32) bool {
 	if int(u) < 0 || int(u) >= len(m.userF) {
 		return false
 	}
-	n := min(len(out), m.fp.ItemB.Rows())
-	if !m.fp.DotBounds32(u, out[:n]) {
+	n := min(len(upper), m.fp.ItemB.Rows())
+	if !m.fp.DotBounds32(u, upper[:n], lower) {
 		return false
 	}
-	m.catalogEpilogue(u, out, n)
+	m.catalogEpilogue(u, upper, n)
+	if lower != nil {
+		m.catalogEpilogue(u, lower, n)
+	}
 	return true
 }
 

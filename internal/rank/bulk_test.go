@@ -51,7 +51,8 @@ func kernelScore(m *Model, u types.UserID, i types.ItemID) float32 {
 // exactly, recommender.BulkScores, the float64 bulk contract, is those values
 // widened, and ScoreCatalog32 has the bits of ScoreUser32 over the same
 // catalog — shorter than the item block, equal to it and longer, starting at
-// every offset of a larger buffer; and BoundCatalog32 bounds the scores.
+// every offset of a larger buffer; and BoundCatalog32 bounds the scores
+// from both sides.
 func assertBulkContract(t *testing.T, m *Model, numUsers int, items []types.ItemID) {
 	t.Helper()
 	out := make([]float32, len(items))
@@ -78,13 +79,13 @@ func assertBulkContract(t *testing.T, m *Model, numUsers int, items []types.Item
 			}
 			// BoundCatalog32 bounds every score of a user of the model (these
 			// rows are ordinary), and no unknown user's.
-			bound := make([]float32, n)
-			if ok := m.BoundCatalog32(uid, bound); ok != (u >= 0 && u < len(m.userF)) {
+			upper, lower := make([]float32, n), make([]float32, n)
+			if ok := m.BoundCatalog32(uid, upper, lower); ok != (u >= 0 && u < len(m.userF)) {
 				t.Fatalf("%s user %d: BoundCatalog32 reported %v", m.Name(), u, ok)
 			} else if ok {
 				for i := range want {
-					if !(want[i] <= bound[i]) {
-						t.Fatalf("%s user %d, catalog of %d: item %d bound %v, score %v", m.Name(), u, n, i, bound[i], want[i])
+					if !(lower[i] <= want[i] && want[i] <= upper[i]) {
+						t.Fatalf("%s user %d, catalog of %d: item %d bounds [%v, %v], score %v", m.Name(), u, n, i, lower[i], upper[i], want[i])
 					}
 				}
 			}

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"ganc/internal/dataset"
+	"ganc/internal/linalg"
 	"ganc/internal/types"
 )
 
@@ -87,19 +88,22 @@ type CatalogScorer32 interface {
 }
 
 // CatalogBounder32 is a CatalogScorer32 with a bound twin of its catalog body:
-// the same epilogue over upper bounds of the kernel dots instead of the dots,
-// so a caller can rule items out before it scores them. RSVD, PSVD and
-// CofiRank have it.
+// the same epilogue over upper, and on request lower, bounds of the kernel
+// dots instead of the dots, so a caller can rule items out before it scores
+// them. RSVD, PSVD and CofiRank have it.
 //
-// Contract: when BoundCatalog32(u, out) reports true, every out[i] is NaN or
-// at least the out[i] ScoreCatalog32(u, out) gives, which is then not NaN;
-// so an item whose score is NaN has a NaN bound. When it reports false, it
-// bounds nothing and out is unspecified.
+// Contract: lower is nil or as long as upper. When BoundCatalog32(u, upper,
+// lower) reports true, every upper[i] is NaN or at least the out[i]
+// ScoreCatalog32(u, out) gives, and every lower[i] NaN or at most it; the
+// score is not NaN where either bound is not, so an item whose score is NaN
+// has NaN bounds. When it reports false, it bounds nothing and both rows are
+// unspecified.
 type CatalogBounder32 interface {
 	CatalogScorer32
-	// BoundCatalog32 fills out[i] with a bound of the score of item i for
-	// user u, and reports whether it could.
-	BoundCatalog32(u types.UserID, out []float32) bool
+	// BoundCatalog32 fills upper[i], and lower[i] when lower is not nil,
+	// with bounds of the score of item i for user u, and reports whether it
+	// could.
+	BoundCatalog32(u types.UserID, upper, lower []float32) bool
 }
 
 // BulkScores fills out with s's scores for items: the BulkScorer path when s
@@ -710,45 +714,139 @@ func (n *NormalizedScorer) AccuracyScores(u types.UserID, out []float64) MinMax[
 // float32 path, out receives AccuracyScores' normalised scores, truncated,
 // and the map is the identity.
 func (n *NormalizedScorer) AccuracyScores32(u types.UserID, out []float32) MinMax[float32] {
-	m, _ := n.scores32(u, out, false)
+	m, _, _ := n.scores32(u, out, nil)
 	return m
 }
 
-// AccuracyBounds32 implements core.BoundedAccuracy32: AccuracyScores32, but
-// for a user whose range over this catalog the table holds, out receives the
-// inner model's bound row instead (CatalogBounder32), and the inner model
-// comes back beside the map, for its list body to score the items the caller
-// keeps exactly as the catalog body would. A first touch (the range needs
-// every score), a model without a bound row, and a range whose float32 map is
-// not strictly increasing — a span of 0, or one whose reciprocal is not a
-// finite positive number; only a strictly increasing map keeps a bound a
-// bound — get the scores and no scorer.
-func (n *NormalizedScorer) AccuracyBounds32(u types.UserID, out []float32) (MinMax[float32], BulkScorer32) {
-	return n.scores32(u, out, true)
+// BoundScratch holds the buffers AccuracyBounds32 certifies a user's range
+// with: the lower bound row, a list of items and their scores, and the items
+// it scored. The zero value is ready, a scratch serves one call at a time,
+// and every buffer grows to the catalog it serves.
+type BoundScratch struct {
+	lower       []float32
+	items, done []types.ItemID
+	scores      []float32
 }
 
-// scores32 is AccuracyScores32 and, with bound set, AccuracyBounds32: the
+// AccuracyBounds32 implements core.BoundedAccuracy32: AccuracyScores32, but
+// around a model with a bound row (CatalogBounder32) out receives that row
+// instead, the inner model comes back beside the map, for its list body to
+// score the items the caller keeps exactly as the catalog body would, and so
+// does the ascending list of the items whose out entry is their score
+// itself. When the table holds the user's range over this catalog, out is
+// the bound row and the list is empty. When it does not — a first touch, or
+// a prefix entry of a smaller catalog — the range over the items the entry
+// does not cover is certified from the row and the lower bound row
+// (certify): the items that can attain an extreme are scored, their scores
+// written into out and listed, and the range they fold to stored. A model
+// without a bound row, a bound row it refuses or that is NaN where the range
+// is certified, and a range whose float32 map is not strictly increasing — a
+// span of 0, or one whose reciprocal is not a finite positive number; only a
+// strictly increasing map keeps a bound a bound — get the scores and no
+// scorer. The items a certification scored before it was refused, or whose
+// map is of no use, are then scored again with the catalog: time lost, no
+// score changed, since only factor models, whose scores are fixed, have
+// bound rows.
+func (n *NormalizedScorer) AccuracyBounds32(u types.UserID, out []float32, sc *BoundScratch) (MinMax[float32], BulkScorer32, []types.ItemID) {
+	return n.scores32(u, out, sc)
+}
+
+// scores32 is AccuracyScores32 and, with a scratch, AccuracyBounds32: the
 // table's entry is read first, so a turn looks the user up once.
-func (n *NormalizedScorer) scores32(u types.UserID, out []float32, bound bool) (MinMax[float32], BulkScorer32) {
+func (n *NormalizedScorer) scores32(u types.UserID, out []float32, sc *BoundScratch) (MinMax[float32], BulkScorer32, []types.ItemID) {
 	bs32, ok := n.inner.(BulkScorer32)
 	if !ok {
 		narrowed(out, func(out []float64) MinMax[float64] { return n.AccuracyScores(u, out) })
-		return Identity[float32](), nil
+		return Identity[float32](), nil, nil
 	}
 	if len(out) != n.numItems {
 		panic(fmt.Sprintf("recommender: NormalizedScorer buffer length %d != catalog size %d", len(out), n.numItems))
 	}
 	r, held := n.entry(u)
-	if b, ok := bs32.(CatalogBounder32); bound && ok && held && r.span() > 0 {
-		if m := map32(r, nil); m.increasing() && b.BoundCatalog32(u, out) {
-			return m, b
+	if b, ok := bs32.(CatalogBounder32); sc != nil && ok {
+		if !held {
+			if c, done, ok := certify(b, u, r, out, sc); ok {
+				r, held = store(n, u, c), true
+				if m := map32(r, nil); r.span() > 0 && m.increasing() {
+					return m, b, done
+				}
+			}
+		} else if m := map32(r, nil); r.span() > 0 && m.increasing() && b.BoundCatalog32(u, out, nil) {
+			return m, b, nil
 		}
 	}
 	scoreCatalog32(bs32, u, out)
 	if !held {
 		r = extend(n, u, r, out[r.upTo:])
 	}
-	return map32(r, out), nil
+	return map32(r, out), nil, nil
+}
+
+// certify fills upper with b's bound row for u, a lower bound row beside it
+// in sc, and returns r folded over the scores of items [r.upTo, len(upper)),
+// bit for bit what fold over all of them gives, scoring only the items that
+// can attain an extreme (DESIGN.md §12). It runs over the items in blocks
+// (32, doubling to 512) and holds the largest and smallest scores found so
+// far — r's ends, when r covers a prefix — as the ends of a band: the band
+// scan keeps a block's items whose upper bound reaches the largest or whose
+// lower bound reaches the smallest, the list body scores them, and their
+// scores move the ends out. An item it passes over has a
+// score below the largest found before it, or above the smallest, so it
+// attains no extreme; the first item that attains one is scored, and the fold
+// over the scored items in item order keeps its bits, ±0 included. Each item
+// is scored once, its score written into upper and listed, in ascending
+// order, in the list it returns, which lives in sc. It refuses — the caller
+// scores the catalog — when there is nothing to certify, for an entry whose
+// ends are NaN, when b has no bound rows for u, and when a bound it reads is
+// NaN (the band scan keeps every NaN bound).
+func certify(b CatalogBounder32, u types.UserID, r scoreRange, upper []float32, sc *BoundScratch) (scoreRange, []types.ItemID, bool) {
+	from, numItems := r.upTo, len(upper)
+	lower := sized(&sc.lower, numItems)
+	if from >= numItems || r.min != r.min || r.max != r.max || !b.BoundCatalog32(u, upper, lower) {
+		return r, nil, false
+	}
+	hiEnd, loEnd := float32(math.Inf(-1)), float32(math.Inf(1))
+	if from > 0 {
+		hiEnd, loEnd = float32(r.max), float32(r.min)
+	}
+	const firstBlock, lastBlock = 32, 512
+	items, scores := sized(&sc.items, lastBlock), sized(&sc.scores, lastBlock)
+	done := sized(&sc.done, numItems-from)[:0]
+	for lo, size := from, firstBlock; lo < numItems; lo, size = lo+size, min(2*size, lastBlock) {
+		hi := min(lo+size, numItems)
+		kept := items[:linalg.OutsideBand(upper[lo:hi], lower[lo:hi], hiEnd, loEnd, types.ItemID(lo), items)]
+		if len(kept) == 0 {
+			continue
+		}
+		for _, i := range kept {
+			if upper[i] != upper[i] || lower[i] != lower[i] {
+				return r, nil, false
+			}
+		}
+		b.ScoreUser32(u, kept, scores[:len(kept)])
+		for k, i := range kept {
+			s := scores[k]
+			hiEnd, loEnd = max(hiEnd, s), min(loEnd, s)
+			upper[i] = s
+		}
+		done = append(done, kept...)
+	}
+	vals := sized(&sc.scores, len(done))
+	for k, i := range done {
+		vals[k] = upper[i]
+	}
+	c := fold(r, vals)
+	c.upTo = numItems
+	return c, done, true
+}
+
+// sized returns *buf resliced to n elements, reallocating when it is too
+// small; the contents are unspecified.
+func sized[T float32 | types.ItemID](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // increasing reports whether the map's affine part is strictly increasing
@@ -820,9 +918,14 @@ func (n *NormalizedScorer) entry(u types.UserID) (scoreRange, bool) {
 }
 
 // extend folds r over scores, the inner scores of items [r.upTo, numItems),
-// and stores the result unless the table holds an entry at least as long.
+// and stores the result.
 func extend[T float32 | float64](n *NormalizedScorer, u types.UserID, r scoreRange, scores []T) scoreRange {
-	r = fold(r, scores)
+	return store(n, u, fold(r, scores))
+}
+
+// store keeps r, u's range over the items [0, r.upTo), unless the table holds
+// an entry at least as long, and returns it.
+func store(n *NormalizedScorer, u types.UserID, r scoreRange) scoreRange {
 	t := n.ranges
 	t.mu.Lock()
 	if cur, ok := t.byUser[u]; !ok || cur.upTo < r.upTo {

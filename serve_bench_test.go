@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // serveFixture assembles a GANC(Pop, θ^G, Dyn) pipeline over a mid-sized
@@ -137,7 +136,13 @@ func BenchmarkServeOnline_InstrumentedCacheHit(b *testing.B) {
 // latency. The design budget is <5% at the operating point, where request
 // cost dominates; the in-test gate is deliberately loose so scheduler noise
 // on shared CI runners cannot flake it, while still catching an accidental
-// lock or allocation on the hot path, which costs far more than 1.5×.
+// lock or allocation on the hot path, which costs far more than 1.5×. It
+// measures as the turn cost gate does (costGate): the two paths take turns,
+// 300 cached reads a side a round, each keeps its best round, and only five
+// losing attempts in a row fail. On a small shared box either path's cost
+// drifts between ~5µs and ~12µs in stretches of tens of milliseconds
+// (collector phases, a neighbour), which one reading of the totals put on one
+// side only: it read 1.62× and 1.52× inside full go test ./... runs.
 func TestServeOnline_InstrumentationOverhead(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("latency-ratio gate is meaningless under the race detector (it multiplies atomic/lock costs); CI runs this test without -race")
@@ -149,48 +154,13 @@ func TestServeOnline_InstrumentationOverhead(t *testing.T) {
 	bareKey := userKeys(bareTrain)[0]
 	instKey := userKeys(instTrain)[0]
 	bareHandler, instHandler := bare.Handler(), inst.Handler()
-	serveOnce(t, bareHandler, bareKey) // populate caches
-	serveOnce(t, instHandler, instKey)
-
-	const rounds, hitsPerRound = 600, 10
-	timeHits := func(h http.Handler, key string, n int) time.Duration {
-		start := time.Now()
-		for j := 0; j < n; j++ {
-			serveOnce(t, h, key)
-		}
-		return time.Since(start)
+	// Populate the caches; neither side pays first-touch costs inside the
+	// timed rounds.
+	for k := 0; k < 200; k++ {
+		serveOnce(t, bareHandler, bareKey)
+		serveOnce(t, instHandler, instKey)
 	}
-	// The two paths take turns, ten requests at a time, and their totals are
-	// compared. On a small shared box the per-request cost of either path
-	// drifts between ~5µs and ~12µs in stretches of tens of milliseconds
-	// (collector phases, a neighbour); two back-to-back series put such a
-	// stretch on one side only and read ratios from 0.8 to 2 with nothing
-	// wrong. Taking turns gives both sides the same share of every stretch,
-	// while a lock or an allocation on the hot path is paid on every
-	// instrumented request.
-	timeHits(bareHandler, bareKey, 200) // neither side pays first-touch costs inside the timed rounds
-	timeHits(instHandler, instKey, 200)
-	var bareTotal, instTotal time.Duration
-	for k := 0; k < rounds; k++ {
-		bareTotal += timeHits(bareHandler, bareKey, hitsPerRound)
-		instTotal += timeHits(instHandler, instKey, hitsPerRound)
-	}
-	bareHit, instHit := bareTotal/(rounds*hitsPerRound), instTotal/(rounds*hitsPerRound)
-
-	ratio := float64(instHit) / float64(bareHit)
-	t.Logf("cache-hit per-request latency: bare=%v instrumented=%v ratio=%.3f", bareHit, instHit, ratio)
-	if ratio > 1.5 {
-		t.Fatalf("instrumented recommend path is %.2f× the bare path (%v vs %v); budget is <5%% at the operating point, gate is 1.5×",
-			ratio, instHit, bareHit)
-	}
-}
-
-func median(ds []time.Duration) time.Duration {
-	sorted := append([]time.Duration(nil), ds...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return sorted[len(sorted)/2]
+	const hits, attempts = 300, 5
+	costGate(t, [2]string{"a bare cached read", "an instrumented cached read"}, [2]int{hits, hits}, 1.5, attempts, nil,
+		[2]func(k int){func(int) { serveOnce(t, bareHandler, bareKey) }, func(int) { serveOnce(t, instHandler, instKey) }})
 }

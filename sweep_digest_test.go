@@ -44,9 +44,16 @@ func collectionDigest(train *Dataset, recs Recommendations) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// digestArch reports whether the digests are checked on this architecture:
+// amd64, where they were recorded (at the default GOAMD64 and at v3, where
+// the compiler may fuse multiply-adds), and 386, which runs every kernel's
+// portable Go twin. Both held every digest when the ROADMAP's item 21 was
+// measured, and CI runs them there; elsewhere they are unmeasured.
+func digestArch() bool { return runtime.GOARCH == "amd64" || runtime.GOARCH == "386" }
+
 func TestSweepDigests(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests were recorded on amd64; other architectures fuse and order float operations differently")
+	if !digestArch() {
+		t.Skip("digests are checked on amd64 and 386, the architectures CI runs them on; " + runtime.GOARCH + " may fuse and order float operations differently")
 	}
 	train := digestTrain(t)
 	bases := []struct {

@@ -531,15 +531,6 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(sweepScratch) }
 
 func getScratch() *sweepScratch { return scratchPool.Get().(*sweepScratch) }
 
-// sized returns *buf resliced to n elements, reallocating when it is too
-// small; the contents are unspecified.
-func sized[T float32 | float64 | types.ItemID | int32 | bool](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-	}
-	return (*buf)[:n]
-}
-
 // candidateRuns yields the candidates of a user whose sorted rated run is
 // rated — the items below numItems it does not name — as the runs [lo, hi)
 // between its items, in ascending order. A duplicate in the run, and an
@@ -645,15 +636,15 @@ func (g *GANC) scoreTurn(u types.UserID, rated []types.ItemID, cov coverage, exa
 		case *StatCoverage:
 			t.row64 = crec.scores
 		case BulkCoverage:
-			t.row64 = sized(&sc.cov, g.numItems)
+			t.row64 = recommender.Sized(&sc.cov, g.numItems)
 			crec.CoverageRow(u, rated, t.row64)
 		default:
-			t.row64 = sized(&sc.cov, g.numItems)
+			t.row64 = recommender.Sized(&sc.cov, g.numItems)
 			fillCandidates(t.row64, rated, func(i types.ItemID) float64 { return crec.CoverageScore(u, i) })
 		}
 	}
 	if g.f32 && !exact {
-		t.raw32 = sized(&sc.raw32, g.numItems)
+		t.raw32 = recommender.Sized(&sc.raw32, g.numItems)
 		if ba, ok := g.arec.(BoundedAccuracy32); ok && t.row32 != nil && float32(t.theta) >= 0 && float32(t.theta) <= 1 {
 			t.map32, t.list, t.done = ba.AccuracyBounds32(u, t.raw32, &sc.bound)
 			return t
@@ -661,7 +652,7 @@ func (g *GANC) scoreTurn(u types.UserID, rated []types.ItemID, cov coverage, exa
 		t.map32 = g.arec.(BulkAccuracy32).AccuracyScores32(u, t.raw32)
 		return t
 	}
-	t.raw64, t.map64 = sized(&sc.raw64, g.numItems), recommender.Identity[float64]()
+	t.raw64, t.map64 = recommender.Sized(&sc.raw64, g.numItems), recommender.Identity[float64]()
 	if ba, ok := g.arec.(BulkAccuracy); ok {
 		t.map64 = ba.AccuracyScores(u, t.raw64)
 		return t
@@ -719,11 +710,6 @@ func walk[T, C float32 | float64](raw []T, m recommender.MinMax[T], theta T, cov
 	return h.Ranked()
 }
 
-// A bounded walk scans at most scanBlock items against one bar, starting at
-// firstBlock and doubling: the bar is −Inf until n items have been offered, so
-// the first block keeps every item, and a short one sets a bar soon.
-const firstBlock, scanBlock = 32, 512
-
 // boundedWalk is walk for a float32 turn beside a float32 row, block by block
 // over the candidate runs. The gain scan keeps a block's items whose gain
 // computed from row reaches the bar the block starts with; the block's kept
@@ -737,20 +723,23 @@ const firstBlock, scanBlock = 32, 512
 // non-decreasing in the score, so an item the scan drops has a gain below the
 // block's bar; the bar never falls during a walk, so walk drops it too, and
 // every item kept is offered with walk's gain against walk's bar. A NaN gain
-// has a NaN bound and is kept.
+// has a NaN bound and is kept. It scans at most recommender.LastBlock items
+// against one bar, starting at recommender.FirstBlock and doubling: the bar
+// is −Inf until n items have been offered, so the first block keeps every
+// item, and a short one sets a bar soon.
 func boundedWalk(row []float32, list recommender.BulkScorer32, done []types.ItemID, u types.UserID, m recommender.MinMax[float32], theta float32, cov []float32, rated []types.ItemID, n int, sc *sweepScratch) types.TopNSet {
 	if n <= 0 {
 		return nil
 	}
 	w := blockWalk{
-		h: walkHeap[float32](rated, len(row), n), bar: float32(math.Inf(-1)), limit: firstBlock,
-		row: row, list: list, user: u, m: m, theta: theta, cov: cov, kept: sized(&sc.kept, scanBlock),
+		h: walkHeap[float32](rated, len(row), n), bar: float32(math.Inf(-1)), limit: recommender.FirstBlock,
+		row: row, list: list, user: u, m: m, theta: theta, cov: cov, kept: recommender.Sized(&sc.kept, recommender.LastBlock),
 	}
 	if list != nil {
-		w.at, w.exact, w.covs = sized(&sc.at, scanBlock), sized(&sc.exact, scanBlock), sized(&sc.covs, scanBlock)
+		w.at, w.exact, w.covs = recommender.Sized(&sc.at, recommender.LastBlock), recommender.Sized(&sc.exact, recommender.LastBlock), recommender.Sized(&sc.covs, recommender.LastBlock)
 	}
 	if len(done) > 0 {
-		w.scored, w.ask, w.pos, w.asked = sized(&sc.scored, len(row)), sized(&sc.ask, scanBlock), sized(&sc.pos, scanBlock), sized(&sc.asked, scanBlock)
+		w.scored, w.ask, w.pos, w.asked = recommender.Sized(&sc.scored, len(row)), recommender.Sized(&sc.ask, recommender.LastBlock), recommender.Sized(&sc.pos, recommender.LastBlock), recommender.Sized(&sc.asked, recommender.LastBlock)
 		clear(w.scored)
 		for _, i := range done {
 			w.scored[i] = true
@@ -808,7 +797,7 @@ func (w *blockWalk) scan(lo, hi int) {
 // again — and the gain scan finds those that reach the bar.
 func (w *blockWalk) flush() {
 	kept := w.kept[:w.nkept]
-	w.nkept, w.scanned, w.limit = 0, 0, min(2*w.limit, scanBlock)
+	w.nkept, w.scanned, w.limit = 0, 0, min(2*w.limit, recommender.LastBlock)
 	if len(kept) == 0 {
 		return
 	}
@@ -949,7 +938,7 @@ func (g *GANC) SurvivesGrowth(u types.UserID, list types.TopNSet, from int) bool
 		cand = append(cand, types.ItemID(i))
 	}
 	sc.cand = cand
-	raw := sized(&sc.raw32, len(cand))
+	raw := recommender.Sized(&sc.raw32, len(cand))
 	m, theta := norm.RawScores32(u, cand, raw), float32(g.prefs.Get(u))
 	if cov.row32 != nil {
 		return firstOutranks(cand, raw, m, theta, cov.row32)

@@ -230,7 +230,7 @@ func TestScanWalkMatchesWalk(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		items := 1 + rng.Intn(70)
 		if trial%4 == 0 {
-			items = 1 + rng.Intn(4*scanBlock)
+			items = 1 + rng.Intn(4*recommender.LastBlock)
 		}
 		raw, cov := make([]float32, items), make([]float32, items)
 		for i := range raw {
@@ -284,7 +284,7 @@ func FuzzGainScanMatchesWalk(f *testing.F) {
 		theta, bar := word(2), word(3)
 		items := 0
 		if len(data) > 16 {
-			items = min((len(data)-16)/8, 3*scanBlock)
+			items = min((len(data)-16)/8, 3*recommender.LastBlock)
 		}
 		raw, cov := make([]float32, items), make([]float32, items)
 		for i := range raw {

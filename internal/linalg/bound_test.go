@@ -37,8 +37,9 @@ func sameBits(a, b float32) bool {
 // TestHeadBoundsMatchPortable holds the bound pass to its Go loop, value for
 // value, with and without the lower row: every length 0–99 (whole chunks,
 // then the four- and one-item paths), both rows and the tail norms at every
-// start 0–3 of a larger buffer, 0 to 5 head factors, hostile values
-// everywhere, and nothing written past either row.
+// start 0–3 of a larger buffer, 0 to 5 head factors, each of the first 0 to
+// all of them in head and the others in rest, hostile values everywhere, and
+// nothing written past either row.
 func TestHeadBoundsMatchPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	vals := boundValues()
@@ -46,10 +47,13 @@ func TestHeadBoundsMatchPortable(t *testing.T) {
 	const sentinel = float32(-12345)
 	for trial := 0; trial < 600; trial++ {
 		n, off, factors := rng.Intn(100), rng.Intn(4), rng.Intn(6)
-		chunks := (n + headChunk - 1) / headChunk
-		head, rho := make([]float32, chunks*headChunk*factors), make([]float32, off+n)
+		w, padded := rng.Intn(factors+1), (n+headChunk-1)/headChunk*headChunk
+		head, rest, rho := make([]float32, padded*w), make([]float32, padded*(factors-w)), make([]float32, off+n)
 		for k := range head {
 			head[k] = draw()
+		}
+		for k := range rest {
+			rest[k] = draw()
 		}
 		for k := range rho {
 			rho[k] = draw()
@@ -64,13 +68,13 @@ func TestHeadBoundsMatchPortable(t *testing.T) {
 		want, wantLow := make([]float32, n), make([]float32, n)
 		alone, wantAlone := make([]float32, n+1), make([]float32, n)
 		got[off+n], gotLow[off+n], alone[n] = sentinel, sentinel, sentinel
-		headBounds32(got[off:off+n], gotLow[off:off+n], head, pb, rho[off:], pt, c)
-		headBounds32Generic(want, wantLow, head, pb, rho[off:], pt, c)
-		headBounds32(alone[:n], nil, head, pb, rho[off:], pt, c)
-		headBounds32Generic(wantAlone, nil, head, pb, rho[off:], pt, c)
+		headBounds32(got[off:off+n], gotLow[off:off+n], head, rest, pb, rho[off:], w, pt, c)
+		headBounds32Generic(want, wantLow, head, rest, pb, rho[off:], w, pt, c)
+		headBounds32(alone[:n], nil, head, rest, pb, rho[off:], w, pt, c)
+		headBounds32Generic(wantAlone, nil, head, rest, pb, rho[off:], w, pt, c)
 		for k := range want {
 			if !sameBits(got[off+k], want[k]) || !sameBits(gotLow[off+k], wantLow[k]) || !sameBits(alone[k], wantAlone[k]) {
-				t.Fatalf("trial %d: %d items at offset %d, %d factors: item %d upper %v, lower %v, alone %v; Go loop %v, %v, %v", trial, n, off, factors, k, got[off+k], gotLow[off+k], alone[k], want[k], wantLow[k], wantAlone[k])
+				t.Fatalf("trial %d: %d items at offset %d, %d factors, %d in head: item %d upper %v, lower %v, alone %v; Go loop %v, %v, %v", trial, n, off, factors, w, k, got[off+k], gotLow[off+k], alone[k], want[k], wantLow[k], wantAlone[k])
 			}
 		}
 		if got[off+n] != sentinel || gotLow[off+n] != sentinel || alone[n] != sentinel {
@@ -139,7 +143,9 @@ func checkDotBounds(t *testing.T, label string, p FactorPair) int {
 // upper bound is at least the kernel's dot or NaN, and every lower bound at
 // most it or NaN; ordinary rows are always bounded, and their bounds are
 // within a thousandth of the head's dot plus and minus Cauchy–Schwarz on the
-// rest (not vacuous), a thousandth of the two terms' magnitudes summed.
+// rest (not vacuous): a thousandth of that sum's magnitude for the upper row
+// alone, and of the two terms' magnitudes summed for the two-row pass, whose
+// 32-factor head dot can cancel the tail term down below its 2⁻¹² widening.
 func TestDotBoundsCoverDots(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, dims := range []int{1, 3, 4, 16, 40, 45} {
@@ -169,9 +175,14 @@ func TestDotBoundsCoverDots(t *testing.T) {
 					norm += float64(p.ItemB.Row(i)[f]) * float64(p.ItemB.Row(i)[f])
 				}
 				// The bound widens the tail term by 2⁻¹² and adds the
-				// rounding terms, so a thousandth of the magnitudes summed
-				// is room enough.
-				cs, slack := math.Sqrt(tail*norm), 1e-3*(math.Abs(exact)+math.Sqrt(tail*norm)+1)
+				// rounding terms: a thousandth of the bound's magnitude is
+				// room enough for the upper row alone, and of the
+				// magnitudes summed for the two-row pass.
+				cs := math.Sqrt(tail * norm)
+				slack := 1e-3 * (math.Abs(exact+cs) + 1)
+				if arm.lower != nil {
+					slack = 1e-3 * (math.Abs(exact) + cs + 1)
+				}
 				if float64(b) > exact+cs+slack {
 					t.Fatalf("dims %d item %d, %d head factors: bound %v, the head's dot plus Cauchy–Schwarz on the rest %v", dims, i, arm.sp.h, b, exact+cs)
 				}

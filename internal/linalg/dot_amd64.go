@@ -14,10 +14,11 @@ import (
 // dotRows32x8 that data holds n rows of len(v) and that out holds len(rows)
 // elements (an index outside the n rows it checks itself, and scores 0), and
 // addBaseBias32 that len(bias) ≥ len(out), headBounds32 that rho holds
-// len(upper) values, head the len(pb)/4 head factors of len(upper) items,
-// chunk by chunk (headAt), and lower is empty or as long as upper, and
-// outsideBand that lower and out hold len(upper) elements; the exported
-// wrappers enforce that in Go before the assembly touches memory.
+// len(upper) values, head the first w ≤ len(pb)/4 head factors of len(upper)
+// items and rest the others, each chunk by chunk (headAt), and lower is
+// empty or as long as upper, and outsideBand that lower and out hold
+// len(upper) elements; the exported wrappers enforce that in Go before the
+// assembly touches memory.
 
 //go:noescape
 func dot32x8(a, b []float32) float32
@@ -32,7 +33,7 @@ func addBase32(out []float32, base float64)
 func addBaseBias32(out []float32, base float64, bias []float64)
 
 //go:noescape
-func headBounds32(upper, lower, head, pb, rho []float32, pt, c float32)
+func headBounds32(upper, lower, head, rest, pb, rho []float32, w int, pt, c float32)
 
 //go:noescape
 func outsideBand(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int

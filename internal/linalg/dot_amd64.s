@@ -247,24 +247,60 @@ TEXT ·prefetchLine(SB), NOSPLIT, $0-8
 	PREFETCHT0 (SI)
 	RET
 
-// func headBounds32(upper, lower, head, pb, rho []float32, pt, c float32)
+// HEADSTEP(p) adds one head factor's products to the eight four-item sums
+// X0–X7 of a chunk: the factor's quad at R12 times the chunk's 32 values at
+// p, each product rounded (MULPS) before its sum (ADDPS); then R12 moves to
+// the next factor's quad and p to the chunk's next factor. It clobbers
+// X8–X12.
+#define HEADSTEP(p) \
+	MOVUPS (R12), X8; \
+	MOVUPS (p), X9; \
+	MULPS  X8, X9; \
+	ADDPS  X9, X0; \
+	MOVUPS 16(p), X10; \
+	MULPS  X8, X10; \
+	ADDPS  X10, X1; \
+	MOVUPS 32(p), X11; \
+	MULPS  X8, X11; \
+	ADDPS  X11, X2; \
+	MOVUPS 48(p), X12; \
+	MULPS  X8, X12; \
+	ADDPS  X12, X3; \
+	MOVUPS 64(p), X9; \
+	MULPS  X8, X9; \
+	ADDPS  X9, X4; \
+	MOVUPS 80(p), X10; \
+	MULPS  X8, X10; \
+	ADDPS  X10, X5; \
+	MOVUPS 96(p), X11; \
+	MULPS  X8, X11; \
+	ADDPS  X11, X6; \
+	MOVUPS 112(p), X12; \
+	MULPS  X8, X12; \
+	ADDPS  X12, X7; \
+	ADDQ   $16, R12; \
+	ADDQ   $128, p
+
+// func headBounds32(upper, lower, head, rest, pb, rho []float32, w int, pt, c float32)
 //
-// For every i below len(upper), h = len(pb)/4, t = rho[i]·pt and
-// Σ = Σ_f head[headAt(i, f, h)]·pb[4f] summed in that order: when lower is
+// For every i below len(upper), h = len(pb)/4, t = rho[i]·pt and Σ the sum
+// over the h head factors, in order, of head[headAt(i, f, w)]·pb[4f] for f
+// below w and then of rest[headAt(i, f−w, h−w)]·pb[4f]: when lower is
 // empty, upper[i] = ((t + Σ) + c); when it is not, s = +0 + Σ, lower[i] =
 // ((s − t) − c) and upper[i] = ((s + t) + c). Each lane runs the Go loop's
 // operations in its order — MULPS, then ADDPS or SUBPS with the running value
 // as destination — each rounded by the MXCSR, so each lane carries the Go
 // loop's bits. A chunk of 32 items is eight independent four-item sums (one
-// sum waits on its add four cycles a factor) over one contiguous stream of
-// head values; the items past the last whole chunk go four and then one at a
+// sum waits on its add four cycles a factor) over the chunk's w factors in
+// head (SI) and then its DX = h − w in rest (BX), each a contiguous stream
+// of values; the items past the last whole chunk go four and then one at a
 // time, at the same places in their chunk. pb holds each head factor four
 // times over, so a factor is one unaligned load. R8 is lower's base, or 0
 // when lower is empty; it picks the mode at each sum's start and end, a
 // branch that goes the same way for the whole call. The caller guarantees
-// len(rho) >= len(upper), that lower is empty or as long as upper, and that
-// head holds the chunks of len(upper) items.
-TEXT ·headBounds32(SB), NOSPLIT, $0-128
+// len(rho) >= len(upper), that lower is empty or as long as upper, that
+// w <= h, and that head and rest hold the chunks of len(upper) items.
+TEXT ·headBounds32(SB), NOSPLIT, $0-160
 	MOVQ   upper_base+0(FP), DI
 	MOVQ   upper_len+8(FP), CX
 	MOVQ   lower_base+24(FP), R8
@@ -275,20 +311,23 @@ TEXT ·headBounds32(SB), NOSPLIT, $0-128
 
 args:
 	MOVQ   head_base+48(FP), SI
-	MOVQ   pb_base+72(FP), R9
-	MOVQ   pb_len+80(FP), R10
-	SHRQ   $2, R10              // h, the head factors
-	MOVQ   rho_base+96(FP), R11
-	MOVSS  pt+120(FP), X14
+	MOVQ   rest_base+72(FP), BX
+	MOVQ   pb_base+96(FP), R9
+	MOVQ   w+144(FP), R10       // the head factors in head
+	MOVQ   pb_len+104(FP), DX
+	SHRQ   $2, DX
+	SUBQ   R10, DX              // the head factors in rest
+	MOVQ   rho_base+120(FP), R11
+	MOVSS  pt+152(FP), X14
 	SHUFPS $0x00, X14, X14
-	MOVSS  c+124(FP), X15
+	MOVSS  c+156(FP), X15
 	SHUFPS $0x00, X15, X15
 	XORQ   AX, AX
 
 chunk:
-	LEAQ   32(AX), DX
-	CMPQ   DX, CX
-	JGT    rest
+	LEAQ   32(AX), R13
+	CMPQ   R13, CX
+	JGT    tail
 	TESTQ  R8, R8
 	JNE    chunkzero
 	MOVUPS (R11)(AX*4), X0
@@ -325,36 +364,20 @@ chunkgo:
 
 chunkf:
 	TESTQ  R13, R13
-	JE     chunkdone
-	MOVUPS (R12), X8
-	MOVUPS (SI), X9
-	MULPS  X8, X9
-	ADDPS  X9, X0
-	MOVUPS 16(SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X1
-	MOVUPS 32(SI), X11
-	MULPS  X8, X11
-	ADDPS  X11, X2
-	MOVUPS 48(SI), X12
-	MULPS  X8, X12
-	ADDPS  X12, X3
-	MOVUPS 64(SI), X9
-	MULPS  X8, X9
-	ADDPS  X9, X4
-	MOVUPS 80(SI), X10
-	MULPS  X8, X10
-	ADDPS  X10, X5
-	MOVUPS 96(SI), X11
-	MULPS  X8, X11
-	ADDPS  X11, X6
-	MOVUPS 112(SI), X12
-	MULPS  X8, X12
-	ADDPS  X12, X7
-	ADDQ   $16, R12
-	ADDQ   $128, SI
+	JE     chunkrest
+	HEADSTEP(SI)
 	DECQ   R13
 	JMP    chunkf
+
+chunkrest:
+	MOVQ   DX, R13
+
+chunkg:
+	TESTQ  R13, R13
+	JE     chunkdone
+	HEADSTEP(BX)
+	DECQ   R13
+	JMP    chunkg
 
 	// Both rows: each sum s gives s − t − c to lower and becomes s + t.
 chunkdone:
@@ -434,16 +457,16 @@ chunkupper:
 	MOVUPS X6, 96(DI)(AX*4)
 	ADDPS  X15, X7
 	MOVUPS X7, 112(DI)(AX*4)
-	MOVQ   DX, AX
+	ADDQ   $32, AX
 	JMP    chunk
 
-	// SI is at the last chunk's head now; item AX+k of it is at SI + 4k.
-rest:
-	XORQ   BX, BX               // byte offset of the item in its chunk
-
+	// SI and BX are at the last chunk's head and rest now; they move on
+	// with the items, so item AX's factors are at SI and BX, 128 bytes
+	// apart.
+tail:
 four:
-	LEAQ   4(AX), DX
-	CMPQ   DX, CX
+	LEAQ   4(AX), R13
+	CMPQ   R13, CX
 	JGT    one
 	MOVUPS (R11)(AX*4), X9
 	MULPS  X14, X9              // t
@@ -453,11 +476,27 @@ four:
 	XORPS  X0, X0
 
 fourgo:
-	LEAQ   (SI)(BX*1), R14
+	MOVQ   SI, R14
 	MOVQ   R9, R12
 	MOVQ   R10, R13
 
 fourf:
+	TESTQ  R13, R13
+	JE     fourrest
+	MOVUPS (R12), X2
+	MOVUPS (R14), X3
+	MULPS  X2, X3
+	ADDPS  X3, X0
+	ADDQ   $16, R12
+	ADDQ   $128, R14
+	DECQ   R13
+	JMP    fourf
+
+fourrest:
+	MOVQ   BX, R14
+	MOVQ   DX, R13
+
+fourg:
 	TESTQ  R13, R13
 	JE     fourdone
 	MOVUPS (R12), X2
@@ -467,7 +506,7 @@ fourf:
 	ADDQ   $16, R12
 	ADDQ   $128, R14
 	DECQ   R13
-	JMP    fourf
+	JMP    fourg
 
 fourdone:
 	TESTQ  R8, R8
@@ -481,7 +520,8 @@ fourdone:
 fourupper:
 	ADDPS  X15, X0
 	MOVUPS X0, (DI)(AX*4)
-	MOVQ   DX, AX
+	ADDQ   $4, AX
+	ADDQ   $16, SI
 	ADDQ   $16, BX
 	JMP    four
 
@@ -496,11 +536,27 @@ one:
 	XORPS  X0, X0
 
 onego:
-	LEAQ   (SI)(BX*1), R14
+	MOVQ   SI, R14
 	MOVQ   R9, R12
 	MOVQ   R10, R13
 
 onef:
+	TESTQ  R13, R13
+	JE     onerest
+	MOVSS  (R12), X2
+	MOVSS  (R14), X3
+	MULSS  X2, X3
+	ADDSS  X3, X0
+	ADDQ   $16, R12
+	ADDQ   $128, R14
+	DECQ   R13
+	JMP    onef
+
+onerest:
+	MOVQ   BX, R14
+	MOVQ   DX, R13
+
+oneg:
 	TESTQ  R13, R13
 	JE     onedone
 	MOVSS  (R12), X2
@@ -510,7 +566,7 @@ onef:
 	ADDQ   $16, R12
 	ADDQ   $128, R14
 	DECQ   R13
-	JMP    onef
+	JMP    oneg
 
 onedone:
 	TESTQ  R8, R8
@@ -525,6 +581,7 @@ oneupper:
 	ADDSS  X15, X0
 	MOVSS  X0, (DI)(AX*4)
 	INCQ   AX
+	ADDQ   $4, SI
 	ADDQ   $4, BX
 	JMP    one
 

@@ -24,8 +24,8 @@ func addBaseBias32(out []float32, base float64, bias []float64) {
 	addBaseBias32Generic(out, base, bias)
 }
 
-func headBounds32(upper, lower, head, pb, rho []float32, pt, c float32) {
-	headBounds32Generic(upper, lower, head, pb, rho, pt, c)
+func headBounds32(upper, lower, head, rest, pb, rho []float32, w int, pt, c float32) {
+	headBounds32Generic(upper, lower, head, rest, pb, rho, w, pt, c)
 }
 
 func outsideBand(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int {

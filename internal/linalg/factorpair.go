@@ -13,16 +13,17 @@ import (
 // upperDims and headDims are the numbers of factors a dot bound computes
 // exactly: the item block's columns of largest energy (Σ_i q_if²), kept
 // again column by column so that one pass bounds a whole catalog four items
-// at a time — upperDims of them for a pass that bounds from above only (a
-// warm turn's bound row), headDims for one that bounds from both sides (a
-// first touch's, which certifies the user's range too). The other factors
-// are bounded by Cauchy–Schwarz. More columns cost the pass more and rule out
-// more items; DESIGN.md §12 gives the measurements each size rests on.
+// at a time — the first upperDims of them for a pass that bounds from above
+// only (a warm turn's bound row), all headDims for one that bounds from both
+// sides (a first touch's, which certifies the user's range too). The other
+// factors are bounded by Cauchy–Schwarz. More columns cost the pass more and
+// rule out more items; DESIGN.md §12 gives the measurements each size rests
+// on.
 const upperDims, headDims = 16, 32
 
 // headChunk is the number of items whose head factors lie together: the
 // pass sums a chunk's items in eight independent four-item sums, and the
-// chunk's factors are one contiguous stream (headChunk·h values).
+// chunk's factors are one contiguous stream (headChunk values a factor).
 const headChunk = 32
 
 // FactorPair holds one latent-factor model's (user, item) matrices in the
@@ -32,30 +33,35 @@ const headChunk = 32
 // decoded and never writes it again, so a served model's pair is read-only.
 type FactorPair struct {
 	UserB, ItemB Block
-	// cols are the item block's factors, largest energy first; headMax[f]
-	// is the largest |value| of cols[f] over the finite rows, and maxNorm
-	// the largest finite norm ‖q_i‖. splits[0] is the split of a pass that
-	// bounds from above only, splits[1] of one that bounds from both sides.
-	cols    []int
-	headMax []float64
-	maxNorm float64
-	splits  [2]split
+	// cols are the item block's factors, largest energy first. head holds
+	// item row i's value of cols[f], for f below w = splits[0].h, at
+	// headAt(i, f, w), and rest its value of cols[w+f], for w+f below
+	// len(headMax), at headAt(i, f, len(headMax)−w): a pass that bounds
+	// from above only reads head, one that bounds from both sides head and
+	// then rest, each a contiguous stream a chunk. headMax[f] is the largest
+	// |value| of cols[f] over the finite rows, and maxNorm the largest
+	// finite norm ‖q_i‖. splits[0] is the split of the first pass,
+	// splits[1] of the second.
+	cols       []int
+	head, rest []float32
+	headMax    []float64
+	maxNorm    float64
+	splits     [2]split
 }
 
 // split divides the factors into cols[:h], summed exactly, and the rest,
-// bounded by Cauchy–Schwarz: head holds item row i's value of cols[f] at
-// headAt(i, f, h), tails[i] is the row's norm over cols[h:] rounded up to a
-// float32, or NaN when the row has a value or a norm that is not finite, and
-// maxTail the largest finite tail norm. Each split has a layout of its own,
-// so a pass reads its head factors as one contiguous stream.
+// bounded by Cauchy–Schwarz: tails[i] is item row i's norm over cols[h:]
+// rounded up to a float32, or NaN when the row has a value or a norm that is
+// not finite, and maxTail the largest finite tail norm.
 type split struct {
-	h           int
-	head, tails []float32
-	maxTail     float64
+	h       int
+	tails   []float32
+	maxTail float64
 }
 
 // NewFactorPair packs the float64 factor rows into float32 blocks and lays
-// out the item rows' head factors and both splits' tail norms.
+// out the item rows' head factors and both splits' tail norms. With no more
+// than upperDims factors the two splits are one.
 func NewFactorPair(userF, itemF [][]float64) FactorPair {
 	p := FactorPair{UserB: BlockFrom64(userF), ItemB: BlockFrom64(itemF)}
 	rows, dims := p.ItemB.rows, p.ItemB.dims
@@ -75,23 +81,28 @@ func NewFactorPair(userF, itemF [][]float64) FactorPair {
 		p.cols[f] = f
 	}
 	slices.SortStableFunc(p.cols, func(a, b int) int { return cmp.Compare(energy[b], energy[a]) })
-	chunks := (rows + headChunk - 1) / headChunk
-	for k, h := range [2]int{min(upperDims, dims), min(headDims, dims)} {
-		p.splits[k] = split{h: h, head: make([]float32, chunks*headChunk*h), tails: make([]float32, rows)}
+	w, hs, padded := min(upperDims, dims), min(headDims, dims), (rows+headChunk-1)/headChunk*headChunk
+	p.head, p.rest, p.headMax = make([]float32, padded*w), make([]float32, padded*(hs-w)), make([]float64, hs)
+	splits := p.splits[:1]
+	p.splits[0] = split{h: w, tails: make([]float32, rows)}
+	if hs > w {
+		p.splits[1] = split{h: hs, tails: make([]float32, rows)}
+		splits = p.splits[:]
 	}
-	p.headMax = make([]float64, p.splits[1].h)
 	for i := 0; i < rows; i++ {
 		row := p.ItemB.Row(i)
-		for f, c := range p.cols[:len(p.headMax)] {
+		for f, c := range p.cols[:hs] {
+			if f < w {
+				p.head[headAt(i, f, w)] = row[c]
+			} else {
+				p.rest[headAt(i, f-w, hs-w)] = row[c]
+			}
 			if finite[i] {
 				p.headMax[f] = max(p.headMax[f], math.Abs(float64(row[c])))
 			}
 		}
-		for k := range p.splits {
-			sp := &p.splits[k]
-			for f, c := range p.cols[:sp.h] {
-				sp.head[headAt(i, f, sp.h)] = row[c]
-			}
+		for k := range splits {
+			sp := &splits[k]
 			var ss float64
 			for _, c := range p.cols[sp.h:] {
 				ss += float64(float64(row[c]) * float64(row[c]))
@@ -104,6 +115,9 @@ func NewFactorPair(userF, itemF [][]float64) FactorPair {
 			sp.tails[i] = t
 			sp.maxTail = max(sp.maxTail, float64(t))
 		}
+	}
+	if len(splits) == 1 {
+		p.splits[1] = p.splits[0]
 	}
 	return p
 }
@@ -184,24 +198,25 @@ func (p *FactorPair) DotBounds32(u types.UserID, upper, lower []float32) bool {
 		return false
 	}
 	c := kernel + 2*gamma(sp.h+3)*sum + float64(sp.h+3)*0x1p-149
-	headBounds32(upper, lower, sp.head, pb[:4*sp.h], sp.tails[:len(upper)], roundUp32(scale), roundUp32(c))
+	headBounds32(upper, lower, p.head, p.rest, pb[:4*sp.h], sp.tails[:len(upper)], p.splits[0].h, roundUp32(scale), roundUp32(c))
 	return true
 }
 
-// headAt is where a pass over heads of h factors reads item i's factor f:
+// headAt is where a layout of h factors an item holds item i's factor f:
 // chunk i/headChunk's h·headChunk values, factor by factor.
 func headAt(i, f, h int) int { return (i/headChunk*h+f)*headChunk + i%headChunk }
 
 // headBounds32Generic is the portable bound pass of DotBounds32: for every i
-// below len(upper), with t = rho[i]·pt and Σ = Σ_f head[headAt(i, f, h)]·pb[4f]
-// over the h = len(pb)/4 head factors, summed in that order, every product
-// rounded before its sum so that no build fuses the two: when lower is nil,
-// upper[i] = ((t + Σ) + c); when it is not, the sum starts from +0 instead of
-// t, s = +0 + Σ, lower[i] = ((s − t) − c) and upper[i] = ((s + t) + c). pb
+// below len(upper), with t = rho[i]·pt and Σ the sum over the h = len(pb)/4
+// head factors, in order, of head[headAt(i, f, w)]·pb[4f] for f below w and
+// then of rest[headAt(i, f−w, h−w)]·pb[4f], every product rounded before its
+// sum so that no build fuses the two: when lower is nil, upper[i] =
+// ((t + Σ) + c); when it is not, the sum starts from +0 instead of t,
+// s = +0 + Σ, lower[i] = ((s − t) − c) and upper[i] = ((s + t) + c). pb
 // holds each head factor of the user four times over (the SSE2 pass loads
 // them a quad at a time). It runs a chunk's factors one after another, so it
-// reads head in order, and sums in upper.
-func headBounds32Generic(upper, lower, head, pb, rho []float32, pt, c float32) {
+// reads head and rest in order, and sums in upper.
+func headBounds32Generic(upper, lower, head, rest, pb, rho []float32, w int, pt, c float32) {
 	h := len(pb) / 4
 	rho = rho[:len(upper)]
 	for i, r := range rho {
@@ -211,10 +226,16 @@ func headBounds32Generic(upper, lower, head, pb, rho []float32, pt, c float32) {
 		}
 	}
 	for lo := 0; lo < len(upper); lo += headChunk {
-		items, chunk := upper[lo:min(lo+headChunk, len(upper))], head[lo*h:]
+		items := upper[lo:min(lo+headChunk, len(upper))]
 		for f := 0; f < h; f++ {
+			var chunk []float32
+			if f < w {
+				chunk = head[lo*w+f*headChunk:]
+			} else {
+				chunk = rest[lo*(h-w)+(f-w)*headChunk:]
+			}
 			x := pb[4*f]
-			for k, q := range chunk[f*headChunk:][:len(items)] {
+			for k, q := range chunk[:len(items)] {
 				items[k] += float32(q * x)
 			}
 		}

@@ -131,8 +131,8 @@ func TestBlockFrom64(t *testing.T) {
 // TestKernelSpeedupGate is the CI kernel regression gate: Dot32x8 must beat
 // the scalar float64 baseline by ≥2x on the serving factor width, the row
 // kernel must cost no more per row than the Dot32x8 call loop it replaced,
-// and on amd64 each SSE2 score epilogue and the bound pass must beat their Go
-// loops (epilogueArms). Every arm measures the same way (speedupGate).
+// and on amd64 each SSE2 score epilogue, the bound pass and the band scan
+// must beat their Go loops (epilogueArms). Every arm measures the same way (speedupGate).
 // Skipped under -race (instrumentation distorts the ratios) and -short.
 func TestKernelSpeedupGate(t *testing.T) {
 	if raceDetectorEnabled {
@@ -212,21 +212,24 @@ func speedupGate(t *testing.T, name string, bound float64, calls, items int, sid
 	t.Errorf("%s: %.3f ns an item against %.3f ns, under %.1fx in each of %d attempts", name, fast, twin, bound, attempts)
 }
 
-// epilogueArms are the gate's arms for the score epilogues and the bound
-// pass: over a turn's 3 988 scores, AddBaseBias32 and AddBase32 must each
-// cost at most 1/1.3 of their Go loops, and the bound pass of DotBounds32 at
-// most 1/2 of its: alone, over upperDims head factors, and with its lower
-// row, over headDims.
+// epilogueArms are the gate's arms for the score epilogues, the bound pass
+// and the band scan: over a turn's 3 988 scores, AddBaseBias32 and AddBase32
+// must each cost at most 1/1.3 of their Go loops, the bound pass of
+// DotBounds32 at most 1/2 of its — alone, over the first upperDims of
+// headDims head factors, and with its lower row, over all headDims — and
+// OutsideBand at most 1/2 of its.
 func epilogueArms(t *testing.T) {
 	out, bias := epilogueBench()
-	head, rho, pb := boundBench(len(out), headDims)
-	head16, rho16, pb16 := boundBench(len(out), upperDims)
-	low := make([]float32, len(out))
+	head, rest, rho, pb := boundBench(len(out), upperDims, headDims)
+	pb16, low := pb[:4*upperDims], make([]float32, len(out))
+	upper, lower, kept := bandBench(len(out))
 	// Measured on a 2-vCPU VM over seven runs, per score: AddBaseBias32
 	// 0.49–0.79 ns against 0.98–1.50 ns (1.79–2.01×), AddBase32 0.41–0.73 ns
 	// against 0.81–1.42 ns (1.89–2.18×); the bound pass with its lower row,
 	// 32 head factors an item, 2.51–3.94 ns against 15.7–28.3 ns (6.2–8.1×,
-	// five runs). The bounds leave room for a busy neighbour.
+	// five runs); the band scan, about 5 % of the items outside the band,
+	// 0.24–0.39 ns against 0.92–1.20 ns (3.05–3.87×, five runs). The bounds
+	// leave room for a busy neighbour.
 	for _, arm := range []struct {
 		name       string
 		bound      float64
@@ -234,21 +237,40 @@ func epilogueArms(t *testing.T) {
 	}{
 		{"AddBaseBias32", 1.3, func() { addBaseBias32Generic(out, 0.5, bias) }, func() { AddBaseBias32(out, -0.5, bias) }},
 		{"AddBase32", 1.3, func() { addBase32Generic(out, 0.5) }, func() { AddBase32(out, -0.5) }},
-		{"bound pass", 2, func() { headBounds32Generic(out, nil, head16, pb16, rho16, 1.5, 0.25) }, func() { headBounds32(out, nil, head16, pb16, rho16, 1.5, 0.25) }},
-		{"bound pass, two rows", 2, func() { headBounds32Generic(out, low, head, pb, rho, 1.5, 0.25) }, func() { headBounds32(out, low, head, pb, rho, 1.5, 0.25) }},
+		{"bound pass", 2, func() { headBounds32Generic(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }},
+		{"bound pass, two rows", 2, func() { headBounds32Generic(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }},
+		{"band scan", 2, func() { outsideBandGeneric(upper, lower, 2, -4, 0, kept) }, func() { outsideBand(upper, lower, 2, -4, 0, kept) }},
 	} {
 		speedupGate(t, arm.name, arm.bound, 200, len(out), [2]func(){arm.twin, arm.simd})
 	}
 }
 
+// bandBench is a band scan's input over n items: upper bounds drawn from a
+// normal distribution and lower bounds 2 below them, so that the band
+// (−4, 2) keeps about 95 % of the items inside it, as a certification's
+// later blocks do, and room for the items it lists.
+func bandBench(n int) (upper, lower []float32, out []types.ItemID) {
+	rng := rand.New(rand.NewSource(47))
+	upper, lower, out = make([]float32, n), make([]float32, n), make([]types.ItemID, n)
+	for k := range upper {
+		upper[k] = float32(rng.NormFloat64())
+		lower[k] = upper[k] - 2
+	}
+	return upper, lower, out
+}
+
 // boundBench is a bound pass's input over n items: their h head factors,
-// chunk by chunk, and tail norms, and a user's head factors four times over.
-func boundBench(n, h int) (head, rho, pb []float32) {
+// chunk by chunk, the first w in head and the others in rest, and tail
+// norms, and a user's head factors four times over.
+func boundBench(n, w, h int) (head, rest, rho, pb []float32) {
 	rng := rand.New(rand.NewSource(48))
-	chunks := (n + headChunk - 1) / headChunk
-	head, rho, pb = make([]float32, chunks*headChunk*h), make([]float32, n), make([]float32, 4*h)
+	padded := (n + headChunk - 1) / headChunk * headChunk
+	head, rest, rho, pb = make([]float32, padded*w), make([]float32, padded*(h-w)), make([]float32, n), make([]float32, 4*h)
 	for k := range head {
 		head[k] = float32(rng.NormFloat64())
+	}
+	for k := range rest {
+		rest[k] = float32(rng.NormFloat64())
 	}
 	for k := range rho {
 		rho[k] = float32(rng.ExpFloat64())
@@ -256,7 +278,7 @@ func boundBench(n, h int) (head, rho, pb []float32) {
 	for k := range pb {
 		pb[k] = float32(rng.NormFloat64())
 	}
-	return head, rho, pb
+	return head, rest, rho, pb
 }
 
 // rowKernelBench is the benchmark universe's item block (4000 × 100) with a

@@ -786,7 +786,7 @@ func (n *NormalizedScorer) scores32(u types.UserID, out []float32, sc *BoundScra
 // in sc, and returns r folded over the scores of items [r.upTo, len(upper)),
 // bit for bit what fold over all of them gives, scoring only the items that
 // can attain an extreme (DESIGN.md §12). It runs over the items in blocks
-// (32, doubling to 512) and holds the largest and smallest scores found so
+// (FirstBlock, doubling to LastBlock) and holds the largest and smallest scores found so
 // far — r's ends, when r covers a prefix — as the ends of a band: the band
 // scan keeps a block's items whose upper bound reaches the largest or whose
 // lower bound reaches the smallest, the list body scores them, and their
@@ -801,7 +801,7 @@ func (n *NormalizedScorer) scores32(u types.UserID, out []float32, sc *BoundScra
 // NaN (the band scan keeps every NaN bound).
 func certify(b CatalogBounder32, u types.UserID, r scoreRange, upper []float32, sc *BoundScratch) (scoreRange, []types.ItemID, bool) {
 	from, numItems := r.upTo, len(upper)
-	lower := sized(&sc.lower, numItems)
+	lower := Sized(&sc.lower, numItems)
 	if from >= numItems || r.min != r.min || r.max != r.max || !b.BoundCatalog32(u, upper, lower) {
 		return r, nil, false
 	}
@@ -809,10 +809,9 @@ func certify(b CatalogBounder32, u types.UserID, r scoreRange, upper []float32, 
 	if from > 0 {
 		hiEnd, loEnd = float32(r.max), float32(r.min)
 	}
-	const firstBlock, lastBlock = 32, 512
-	items, scores := sized(&sc.items, lastBlock), sized(&sc.scores, lastBlock)
-	done := sized(&sc.done, numItems-from)[:0]
-	for lo, size := from, firstBlock; lo < numItems; lo, size = lo+size, min(2*size, lastBlock) {
+	items, scores := Sized(&sc.items, LastBlock), Sized(&sc.scores, LastBlock)
+	done := Sized(&sc.done, numItems-from)[:0]
+	for lo, size := from, FirstBlock; lo < numItems; lo, size = lo+size, min(2*size, LastBlock) {
 		hi := min(lo+size, numItems)
 		kept := items[:linalg.OutsideBand(upper[lo:hi], lower[lo:hi], hiEnd, loEnd, types.ItemID(lo), items)]
 		if len(kept) == 0 {
@@ -831,7 +830,7 @@ func certify(b CatalogBounder32, u types.UserID, r scoreRange, upper []float32, 
 		}
 		done = append(done, kept...)
 	}
-	vals := sized(&sc.scores, len(done))
+	vals := Sized(&sc.scores, len(done))
 	for k, i := range done {
 		vals[k] = upper[i]
 	}
@@ -840,9 +839,17 @@ func certify(b CatalogBounder32, u types.UserID, r scoreRange, upper []float32, 
 	return c, done, true
 }
 
-// sized returns *buf resliced to n elements, reallocating when it is too
-// small; the contents are unspecified.
-func sized[T float32 | types.ItemID](buf *[]T, n int) []T {
+// FirstBlock and LastBlock are the block schedule a bound row is read in, by
+// a range certification (certify) and by core's bounded walk: FirstBlock
+// items first, each block then twice the last, up to LastBlock. A short first
+// block soon moves what the row is held against (the band's ends, the walk's
+// bar); a long block amortises each scan's call.
+const FirstBlock, LastBlock = 32, 512
+
+// Sized returns *buf resliced to n elements, reallocating when it is too
+// small; the contents are unspecified. It sizes this package's scratch
+// buffers and core's.
+func Sized[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
 	}

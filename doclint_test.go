@@ -493,6 +493,9 @@ var (
 	// seriesInDoc matches a code span that names a metric series, labels or
 	// not.
 	seriesInDoc = regexp.MustCompile(`^ganc_[a-z_]+`)
+	// seriesSuffixInDoc matches a code span that abbreviates a series named
+	// earlier on its line by its tail (`ganc_cache_hits_total` / `_misses_total`).
+	seriesSuffixInDoc = regexp.MustCompile(`^_[a-z_]+$`)
 	// testInDoc matches the name of a function `go test` runs, or — ending
 	// in `*` or `_` — the prefix of several.
 	testInDoc = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z_]\w*\*?`)
@@ -585,6 +588,17 @@ func docSurfaces(t *testing.T) (families map[string]bool, mounted func(method, p
 		return false
 	}
 	return families, mounted
+}
+
+// suffixRegistered reports whether some prefix of series that ends in "_",
+// followed by the tail suffix without its leading "_", is registered.
+func suffixRegistered(registered map[string]bool, series, suffix string) bool {
+	for k, c := range series {
+		if c == '_' && registered[series[:k]+suffix] {
+			return true
+		}
+	}
+	return false
 }
 
 func TestDocsNameOnlyWhatExists(t *testing.T) {
@@ -826,6 +840,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				continue
 			}
 			// Prose: only inline code spans name commands and flags.
+			lastSeries := "" // the line's latest series span, which a suffix span abbreviates
 			for k, span := range strings.Split(line, "`") {
 				if k%2 == 0 {
 					continue
@@ -833,8 +848,13 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				invocations(where, span)
 				checkRun(where, span)
 				checkRegistry(where, span, true)
-				if name := seriesInDoc.FindString(span); name != "" && !series[name] {
-					t.Errorf("%s: no server, router or admission controller registers the series %s", where, name)
+				if name := seriesInDoc.FindString(span); name != "" {
+					lastSeries = name
+					if !series[name] {
+						t.Errorf("%s: no server, router or admission controller registers the series %s", where, name)
+					}
+				} else if lastSeries != "" && seriesSuffixInDoc.MatchString(span) && !suffixRegistered(series, lastSeries, span) {
+					t.Errorf("%s: no server, router or admission controller registers a series %s abbreviates after %s", where, span, lastSeries)
 				}
 				for _, m := range qualifiedInDoc.FindAllStringSubmatch(span, -1) {
 					names, ours := identifiers[m[1]]

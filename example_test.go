@@ -172,8 +172,7 @@ func Example_warmStart() {
 
 // Online serving, one user at a time: a pipeline behind the HTTP server
 // answers GET /recommend?user=X by computing that user's list on demand —
-// with an LRU cache, in-flight request coalescing and atomic engine swaps on
-// retrain. The whole lifecycle in-process: cold request, cache hit, batch
+// with an LRU cache and atomic engine swaps on retrain. The whole lifecycle in-process: cold request, cache hit, batch
 // lookup, then a retrain swap.
 func Example_onlineServing() {
 	data, err := ganc.GenerateML100K(0.1)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -151,8 +152,11 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 		}(w)
 	}
 
-	// The coordinator: flip every mover (twice — flips are idempotent), then
-	// complete.
+	// The coordinator: once the workers have read movers from their old
+	// owners, flip every mover (twice — flips are idempotent), then complete.
+	for oldReads.Load() == 0 && len(bad) == 0 {
+		runtime.Gosched()
+	}
 	for u := range moving {
 		rt.flipUser(u)
 		rt.flipUser(u)
@@ -175,6 +179,9 @@ func TestRouterReshardRoutingRacesFlips(t *testing.T) {
 	// the router's counting branch and nothing else increments it, so the
 	// counter, the metric series and the workers' observations all agree.
 	dd := rt.doubleDispatches.Load()
+	if oldReads.Load() == 0 {
+		t.Fatal("no worker read a mover from its old owner; the accounting below would compare 0 with 0")
+	}
 	if dd != oldReads.Load() {
 		t.Fatalf("router counted %d double-dispatches, workers observed %d old-owner reads", dd, oldReads.Load())
 	}

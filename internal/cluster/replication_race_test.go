@@ -296,10 +296,10 @@ func replicatedFixture(t testing.TB, n int, opts ...func(*RouterConfig)) (*Route
 // hammers the router with single-user reads for every shard plus /health
 // aggregation, concurrently, under -race in CI. Every read must succeed —
 // the dead primary's reads served by its replica, the live shard's by its
-// primary — and the accounting is exact: the dead shard's replica computes
-// exactly its shard's successful reads, the live shard's replica computes
-// none, and /health reports the dead primary down while both replicas stay
-// healthy with zero lag.
+// primary — and the accounting holds: the dead shard's replica computes
+// between its shard's distinct users and its successful reads, the live
+// shard's replica computes none, and /health reports the dead primary down
+// while both replicas stay healthy with zero lag.
 func TestRouterFailoverReadsRaceHealthAggregation(t *testing.T) {
 	rt, shards := replicatedFixture(t, 2)
 	ts := routerServer(t, rt)
@@ -397,10 +397,10 @@ func TestRouterFailoverReadsRaceHealthAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exact accounting: every read succeeded, the dead shard's replica served
-	// exactly its shard's reads, the live shard's replica served none. Each
-	// server's TopN cache computes one engine call per distinct user, so the
-	// expected compute count is the distinct-user set each shard saw.
+	// Accounting: every read succeeded, the dead shard's replica served
+	// exactly its shard's reads, the live shard's replica served none. A
+	// computing node computes each distinct user it saw at least once and
+	// at most once per read: concurrent misses for one user each compute.
 	want := int64(readers * iterations)
 	for si := range shards {
 		if got := served[si].Load(); got != want {
@@ -416,14 +416,17 @@ func TestRouterFailoverReadsRaceHealthAggregation(t *testing.T) {
 		}
 		return int64(len(seen))
 	}
-	if got, want := shards[dead].replica.eng.computes.Load(), distinct(dead); got != want {
-		t.Fatalf("dead shard's replica computed %d distinct reads, want exactly %d", got, want)
+	for _, node := range []struct {
+		name string
+		eng  *echoEngine
+		si   int
+	}{{"dead shard's replica", shards[dead].replica.eng, dead}, {"live shard's primary", shards[1].primary.eng, 1}} {
+		if got, lo := node.eng.computes.Load(), distinct(node.si); got < lo || got > want {
+			t.Fatalf("%s computed %d times, want between its %d distinct users and its %d reads", node.name, got, lo, want)
+		}
 	}
 	if got := shards[1].replica.eng.computes.Load(); got != 0 {
 		t.Fatalf("live shard's replica computed %d reads, want 0", got)
-	}
-	if got, want := shards[1].primary.eng.computes.Load(), distinct(1); got != want {
-		t.Fatalf("live shard's primary computed %d distinct reads, want exactly %d", got, want)
 	}
 }
 

@@ -913,7 +913,6 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Cache.Hits += info.Cache.Hits
 		out.Cache.Misses += info.Cache.Misses
-		out.Cache.Coalesced += info.Cache.Coalesced
 		out.Cache.Size += info.Cache.Size
 		out.Cache.Capacity += info.Cache.Capacity
 	}

@@ -63,9 +63,6 @@ func (s *Server) initObservability() {
 	reg.CounterFunc("ganc_cache_misses_total",
 		"Recommendation cache misses, a refused older list included (each one is an engine computation).",
 		func() float64 { return float64(s.misses.Load()) })
-	reg.CounterFunc("ganc_cache_coalesced_total",
-		"Requests coalesced onto another request's in-flight computation.",
-		func() float64 { return float64(s.coalesced.Load()) })
 	for r := Revalidation(0); r < numRevalidations; r++ {
 		count := &s.revals[r]
 		reg.CounterFunc("ganc_cache_revalidations_total",

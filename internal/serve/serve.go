@@ -6,10 +6,10 @@
 // user at a time, through the Engine interface: a request for one user never
 // pays for the rest of the catalog. Computed lists land in a bounded LRU
 // cache together with their encoded wire form, so a hit is answered by
-// copying bytes (wire.go); duplicate in-flight requests for the same user are
-// coalesced into a single Engine call, and the whole engine can be swapped
-// atomically (e.g. after a nightly retrain) while requests are in flight —
-// old requests finish against the old engine, new requests see the new one.
+// copying bytes (wire.go); a miss is one Engine call under the request's own
+// context. The whole engine can be swapped atomically (e.g. after a nightly
+// retrain) while requests are in flight — old requests finish against the
+// old engine, new requests see the new one.
 // The cache outlives a swap: a list an earlier engine computed is served
 // again only once the new engine has proved it is still its exact answer
 // (Revalidator), and is recomputed otherwise.
@@ -168,11 +168,10 @@ func (s *Server) Shard() *ShardIdentity {
 	return s.shard.Load()
 }
 
-// generation is one immutable (engine, version, in-flight table) triple. Update
-// installs a fresh generation atomically: requests that loaded the old
-// pointer finish against the old engine, and a cached list reaches them only
-// through that engine's own check, so a swap never mixes two engines' results
-// under one version.
+// generation is one immutable (engine, stamp) pair. Update installs a fresh
+// generation atomically: requests that loaded the old pointer finish against
+// the old engine, and a cached list reaches them only through that engine's
+// own check, so a swap never mixes two engines' results under one version.
 type generation struct {
 	engine Engine
 	// stamp is what this generation's lists enter the cache with; reval is
@@ -187,9 +186,6 @@ type generation struct {
 	tail      []byte
 	elemTail  []byte
 	batchHead []byte
-
-	mu     sync.Mutex
-	flight map[types.UserID]*inflight
 }
 
 // stamp says which generation a cached list is known to be exact for: its
@@ -215,14 +211,6 @@ type entry struct {
 	stamp stamp
 }
 
-// inflight is one coalesced computation: the first request for a user
-// computes, later requests wait on done and share the result.
-type inflight struct {
-	done  chan struct{}
-	entry *entry
-	err   error
-}
-
 // Server serves one Engine over HTTP with lazy per-user computation.
 type Server struct {
 	train        *dataset.Dataset
@@ -245,10 +233,9 @@ type Server struct {
 	// (the shipper/applier needs the server handle first).
 	repl atomic.Pointer[replicationProbe]
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	revals    [numRevalidations]atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
+	revals [numRevalidations]atomic.Int64
 
 	// Observability and admission wiring (all optional; see metrics.go).
 	metrics      *obs.Registry
@@ -290,11 +277,7 @@ func New(train *dataset.Dataset, engine Engine, n int, opts ...Option) (*Server,
 }
 
 func newGeneration(engine Engine, version int) *generation {
-	gen := &generation{
-		engine: engine,
-		stamp:  stamp{version: version},
-		flight: make(map[types.UserID]*inflight),
-	}
+	gen := &generation{engine: engine, stamp: stamp{version: version}}
 	if reval, ok := engine.(Revalidator); ok {
 		gen.reval, gen.stamp.Mark = reval, reval.Mark()
 	}
@@ -330,14 +313,12 @@ func (s *Server) Version() int { return s.gen.Load().stamp.version }
 // CacheStats reports cache effectiveness counters accumulated across all
 // generations.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Coalesced int64 `json:"coalesced"`
-	Size      int   `json:"size"`
-	Capacity  int   `json:"capacity"`
+	Hits     int64 `json:"hits"`
+	Misses   int64 `json:"misses"`
+	Size     int   `json:"size"`
+	Capacity int   `json:"capacity"`
 	// Revalidations counts, by outcome, the cached lists a generation other
-	// than their own met: kept ones are among Hits, the rest among Misses
-	// (or Coalesced, when another request was already recomputing the list).
+	// than their own met: kept ones are among Hits, the rest among Misses.
 	Revalidations RevalidationStats `json:"revalidations"`
 }
 
@@ -352,11 +333,10 @@ type RevalidationStats struct {
 // Stats returns a snapshot of the cache counters.
 func (s *Server) Stats() CacheStats {
 	return CacheStats{
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Coalesced: s.coalesced.Load(),
-		Size:      s.cache.len(),
-		Capacity:  s.capacity,
+		Hits:     s.hits.Load(),
+		Misses:   s.misses.Load(),
+		Size:     s.cache.len(),
+		Capacity: s.capacity,
 		Revalidations: RevalidationStats{
 			Kept:      s.revals[RevalKept].Load(),
 			ItemNamed: s.revals[RevalItemNamed].Load(),
@@ -399,71 +379,40 @@ func (g *generation) revalidate(u types.UserID, list types.TopNSet, n int, from 
 	return g.reval.Revalidate(u, list, n, from)
 }
 
-// recommend resolves one user's list through the current generation:
-// cache hit → coalesced wait → engine compute, in that order. A request that
-// finds no flight looks in the cache once more before it computes: a leader
-// that finished after this request's miss put its list before it left the
-// flight table, and this generation's entry is a hit.
+// recommend resolves one user's list through the current generation: a
+// cache hit, or else one engine compute under the caller's ctx, whose list
+// enters the cache. A compute that fails — the caller's cancellation
+// included — caches nothing, so the next request for the user computes.
 func (s *Server) recommend(ctx context.Context, u types.UserID) (e *entry, gen *generation, err error) {
 	e, gen, ok := s.cached(u)
 	if ok {
 		return e, gen, nil
 	}
-
-	gen.mu.Lock()
-	if fl, ok := gen.flight[u]; ok {
-		gen.mu.Unlock()
-		s.coalesced.Add(1)
-		select {
-		case <-fl.done:
-			return fl.entry, gen, fl.err
-		case <-ctx.Done():
-			return nil, gen, ctx.Err()
-		}
-	}
-	if e, from, ok := s.cache.get(u); ok && from.version == gen.stamp.version {
-		gen.mu.Unlock()
-		s.hits.Add(1)
-		return e, gen, nil
-	}
-	fl := &inflight{done: make(chan struct{})}
-	gen.flight[u] = fl
-	gen.mu.Unlock()
-
 	s.misses.Add(1)
-	// Cleanup runs deferred so a panicking engine still deregisters the
-	// in-flight entry and releases waiters — otherwise every later request
-	// for u would block on done forever. The recovered panic is surfaced as
-	// an error to the leader and all coalesced waiters.
+	// A panicking engine answers this request with an error: over the hop no
+	// net/http recover stands behind the handler.
 	defer func() {
 		if r := recover(); r != nil {
-			fl.err = fmt.Errorf("serve: engine panic for user %d: %v", u, r)
-			e, err = nil, fl.err
+			e, err = nil, fmt.Errorf("serve: engine panic for user %d: %v", u, r)
 		}
-		if fl.err == nil {
-			s.cache.put(fl.entry)
-		}
-		gen.mu.Lock()
-		delete(gen.flight, u)
-		gen.mu.Unlock()
-		close(fl.done)
 	}()
-	// Compute without the requester's cancellation: coalesced waiters and the
-	// cache should not be poisoned because the first requester hung up.
 	var t0 time.Time
 	if s.computeHist != nil {
 		t0 = time.Now()
 	}
-	set, err := gen.engine.RecommendUser(context.WithoutCancel(ctx), u, s.n)
+	set, err := gen.engine.RecommendUser(ctx, u, s.n)
 	if s.computeHist != nil {
 		s.computeHist.Observe(time.Since(t0).Seconds())
 	}
-	if err == nil {
-		// The list is encoded here, once, on its way into the cache.
-		fl.entry, err = s.newEntry(u, set, gen.stamp)
+	if err != nil {
+		return nil, gen, err
 	}
-	fl.err = err
-	return fl.entry, gen, fl.err
+	// The list is encoded here, once, on its way into the cache.
+	if e, err = s.newEntry(u, set, gen.stamp); err != nil {
+		return nil, gen, err
+	}
+	s.cache.put(e)
+	return e, gen, nil
 }
 
 // Handler returns the HTTP handler with all routes mounted. When metrics,
@@ -641,8 +590,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	gen := s.gen.Load()
 	// One inline pass resolves unknown users and cache hits; only the misses,
 	// each an engine sweep, go to a bounded worker pool. recommend() is
-	// concurrency-safe (cache, coalescing and the generation swap all are),
-	// and an element carries the version of the generation that served it.
+	// concurrency-safe (the cache and the generation swap both are), and an
+	// element carries the version of the generation that served it.
 	results := make([]batchElem, len(req.Users))
 	var misses []int
 	for k, userKey := range req.Users {

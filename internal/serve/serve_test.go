@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -34,7 +35,7 @@ func fixture() (*dataset.Dataset, types.Recommendations) {
 }
 
 // countingEngine computes from a fixed per-user map and counts engine calls;
-// an optional gate blocks computation until released, for coalescing tests.
+// an optional gate blocks computation until released or cancelled.
 type countingEngine struct {
 	name     string
 	recs     types.Recommendations
@@ -76,20 +77,20 @@ func withBatchWorkers(workers int) Option {
 }
 
 // peakEngine records the most RecommendUser calls it ever had in flight.
-type peakEngine struct{ inflight, peak, calls atomic.Int64 }
+type peakEngine struct{ running, peak, calls atomic.Int64 }
 
 func (e *peakEngine) Name() string { return "peak" }
 
 func (e *peakEngine) RecommendUser(context.Context, types.UserID, int) (types.TopNSet, error) {
 	e.calls.Add(1)
-	cur := e.inflight.Add(1)
+	cur := e.running.Add(1)
 	for {
 		if p := e.peak.Load(); cur <= p || e.peak.CompareAndSwap(p, cur) {
 			break
 		}
 	}
 	time.Sleep(time.Millisecond)
-	e.inflight.Add(-1)
+	e.running.Add(-1)
 	return types.TopNSet{0}, nil
 }
 
@@ -351,49 +352,44 @@ func TestLRUEvictionBound(t *testing.T) {
 	}
 }
 
-// TestCoalescingDuplicateInFlight fires many concurrent requests for the same
-// user while the engine is blocked: exactly one engine call must happen.
-func TestCoalescingDuplicateInFlight(t *testing.T) {
+// TestCancelledComputeCachesNothing: a request whose context is cancelled
+// while its compute runs answers the context's error and leaves nothing in
+// the cache, so the next request for the user computes.
+func TestCancelledComputeCachesNothing(t *testing.T) {
 	d, recs := fixture()
 	eng := &countingEngine{name: "m", recs: recs, gate: make(chan struct{})}
 	s, err := New(d, eng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const parallel = 16
-	var wg sync.WaitGroup
-	results := make([]types.TopNSet, parallel)
-	errs := make([]error, parallel)
-	for k := 0; k < parallel; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			e, _, err := s.recommend(context.Background(), 0)
-			if err == nil {
-				results[k] = e.set
-			}
-			errs[k] = err
-		}(k)
-	}
-	// Wait until at least one compute started, then let everyone through.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := s.recommend(ctx, 0)
+		done <- err
+	}()
 	for eng.computes.Load() == 0 {
 		runtime.Gosched()
 	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled request answered %v, want %v", err, context.Canceled)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the compute outlived its request's cancellation")
+	}
+	if n := s.cache.len(); n != 0 {
+		t.Fatalf("a cancelled compute left %d entries in the cache", n)
+	}
 	close(eng.gate)
-	wg.Wait()
-	if got := eng.computes.Load(); got != 1 {
-		t.Fatalf("engine computed %d times for %d concurrent requests, want 1", got, parallel)
+	e, _, err := s.recommend(context.Background(), 0)
+	if err != nil || len(e.set) != 1 || e.set[0] != 2 {
+		t.Fatalf("the next request answered %v (%v), want [2]", e, err)
 	}
-	for k := 0; k < parallel; k++ {
-		if errs[k] != nil {
-			t.Fatalf("request %d failed: %v", k, errs[k])
-		}
-		if len(results[k]) != 1 || results[k][0] != 2 {
-			t.Fatalf("request %d got %v, want [2]", k, results[k])
-		}
-	}
-	if s.Stats().Coalesced == 0 {
-		t.Fatal("coalesced counter never incremented")
+	if got := eng.computes.Load(); got != 2 {
+		t.Fatalf("engine computed %d times, want 2: the next request must compute", got)
 	}
 }
 

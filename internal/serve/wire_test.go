@@ -220,8 +220,10 @@ func TestReadRoutesByteIdentity(t *testing.T) {
 		if code, got := serveOnce(s.Handler(), http.MethodPost, "/recommend/batch", string(req)); code != http.StatusOK || got != oracle(t, want) {
 			t.Fatalf("cold batch: %d %q, want %q", code, got, oracle(t, want))
 		}
-		if st := s.Stats(); st.Hits+st.Misses+st.Coalesced != int64(len(batch)) || st.Misses != 3 {
-			t.Fatalf("cold batch of %d (3 distinct) counted %+v: every element is exactly one hit, miss or coalesced wait", len(batch), st)
+		// The repeated user is a hit if its first compute finished before the
+		// second worker looked, a miss of its own otherwise.
+		if st := s.Stats(); st.Hits+st.Misses != int64(len(batch)) || st.Misses < 3 {
+			t.Fatalf("cold batch of %d (3 distinct) counted %+v: every element is exactly one hit or miss", len(batch), st)
 		}
 	})
 

@@ -23,7 +23,7 @@ import (
 // scenario with a descriptive error.
 
 // e2eUniverse is the tier-2 universe of every scenario in this package:
-// large enough to exercise real eviction/coalescing behavior but small
+// large enough to exercise real eviction behavior but small
 // enough for -race throughput. The system under test is SimSystemConfig's
 // defaults — the cheapest snapshot-compatible pipeline — so scenario time
 // goes to lifecycle coverage rather than training.
@@ -210,7 +210,7 @@ func TestScenarioOverloadGracefulDegradation(t *testing.T) {
 // TestScenarioIngestChurnUnderLoad: sustained concurrent ingestion against
 // read traffic, twice, with no crash — the no-panic/no-leak property. The
 // goroutine census before and after bounds leaks from the serving layer's
-// coalescing and the ingestor's swap path.
+// batch workers and the ingestor's swap path.
 func TestScenarioIngestChurnUnderLoad(t *testing.T) {
 	before := goroutineCensus()
 	sc := Scenario{

@@ -10,7 +10,7 @@ import (
 
 // Serving re-exports: put any Engine behind the HTTP service boundary
 // implemented in internal/serve — lazy per-user computation, a bounded LRU
-// cache, in-flight request coalescing, batch lookups and atomic engine swaps.
+// cache, batch lookups and atomic engine swaps.
 type (
 	// Server serves one Engine over HTTP.
 	Server = serve.Server

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"ganc/internal/types"
 )
@@ -34,53 +35,133 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b)
 }
 
-// TestHeadBoundsMatchPortable holds the bound pass to its Go loop, value for
-// value, with and without the lower row: every length 0–99 (whole chunks,
-// then the four- and one-item paths), both rows and the tail norms at every
-// start 0–3 of a larger buffer, 0 to 5 head factors, each of the first 0 to
-// all of them in head and the others in rest, hostile values everywhere, and
-// nothing written past either row.
-func TestHeadBoundsMatchPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	vals := boundValues()
-	draw := func() float32 { return vals[rng.Intn(len(vals))] }
-	const sentinel = float32(-12345)
-	for trial := 0; trial < 600; trial++ {
-		n, off, factors := rng.Intn(100), rng.Intn(4), rng.Intn(6)
-		w, padded := rng.Intn(factors+1), (n+headChunk-1)/headChunk*headChunk
-		head, rest, rho := make([]float32, padded*w), make([]float32, padded*(factors-w)), make([]float32, off+n)
-		for k := range head {
-			head[k] = draw()
-		}
-		for k := range rest {
-			rest[k] = draw()
-		}
-		for k := range rho {
-			rho[k] = draw()
-		}
-		pb := make([]float32, 4*factors)
-		for f := 0; f < factors; f++ {
-			x := draw()
-			pb[4*f], pb[4*f+1], pb[4*f+2], pb[4*f+3] = x, x, x, x
-		}
-		pt, c := draw(), draw()
-		got, gotLow := make([]float32, off+n+1), make([]float32, off+n+1)
-		want, wantLow := make([]float32, n), make([]float32, n)
-		alone, wantAlone := make([]float32, n+1), make([]float32, n)
-		got[off+n], gotLow[off+n], alone[n] = sentinel, sentinel, sentinel
-		headBounds32(got[off:off+n], gotLow[off:off+n], head, rest, pb, rho[off:], w, pt, c)
-		headBounds32Generic(want, wantLow, head, rest, pb, rho[off:], w, pt, c)
-		headBounds32(alone[:n], nil, head, rest, pb, rho[off:], w, pt, c)
-		headBounds32Generic(wantAlone, nil, head, rest, pb, rho[off:], w, pt, c)
-		for k := range want {
-			if !sameBits(got[off+k], want[k]) || !sameBits(gotLow[off+k], wantLow[k]) || !sameBits(alone[k], wantAlone[k]) {
-				t.Fatalf("trial %d: %d items at offset %d, %d factors, %d in head: item %d upper %v, lower %v, alone %v; Go loop %v, %v, %v", trial, n, off, factors, w, k, got[off+k], gotLow[off+k], alone[k], want[k], wantLow[k], wantAlone[k])
-			}
-		}
-		if got[off+n] != sentinel || gotLow[off+n] != sentinel || alone[n] != sentinel {
-			t.Fatalf("trial %d: wrote past a row", trial)
+// misaligned returns a buffer of n+off+16 elements, each fill, and lo, where
+// its row of n elements starts: off elements past a 32-byte boundary, so
+// that off 0 is aligned to a ymm register's width and off 1–7 are not, with
+// room outside the row on both sides to see a stray write.
+func misaligned[T float32 | float64](n, off int, fill T) (buf []T, lo int) {
+	buf = make([]T, n+off+16)
+	for k := range buf {
+		buf[k] = fill
+	}
+	size := uintptr(unsafe.Sizeof(fill))
+	return buf, int((32-uintptr(unsafe.Pointer(&buf[0]))%32)%32/size) + off
+}
+
+// untouched reports whether every element of buf outside [lo, hi) is fill.
+func untouched[T comparable](buf []T, lo, hi int, fill T) bool {
+	for k, x := range buf {
+		if (k < lo || k >= hi) && x != fill {
+			return false
 		}
 	}
+	return true
+}
+
+// checkHeadBounds fails unless the dispatched bound pass gives the bits of
+// its Go loop, with the lower row and without it, over n items: h head
+// factors, the first w of them in head and the others in rest, every input
+// drawn from draw, the output rows and the tail norms starting off elements
+// past a 32-byte boundary and head and rest at other offsets; and nothing is
+// written outside the rows.
+func checkHeadBounds(t *testing.T, n, off, w, h int, draw func() float32) {
+	t.Helper()
+	const sentinel = float32(-12345)
+	padded := (n + headChunk - 1) / headChunk * headChunk
+	headBuf, hlo := misaligned(padded*w, (off+3)%8, float32(0))
+	restBuf, rlo := misaligned(padded*(h-w), (off+5)%8, float32(0))
+	rhoBuf, plo := misaligned(n, off, float32(0))
+	head, rest, rho := headBuf[hlo:hlo+padded*w], restBuf[rlo:rlo+padded*(h-w)], rhoBuf[plo:plo+n]
+	for _, row := range [][]float32{head, rest, rho} {
+		for k := range row {
+			row[k] = draw()
+		}
+	}
+	pb := make([]float32, h)
+	for f := range pb {
+		pb[f] = draw()
+	}
+	pt, c := draw(), draw()
+	upBuf, ulo := misaligned(n, off, sentinel)
+	lowBuf, llo := misaligned(n, off, sentinel)
+	aloneBuf, alo := misaligned(n, off, sentinel)
+	headBounds32(upBuf[ulo:ulo+n], lowBuf[llo:llo+n], head, rest, pb, rho, w, pt, c)
+	headBounds32(aloneBuf[alo:alo+n], nil, head, rest, pb, rho, w, pt, c)
+	want, wantLow, wantAlone := make([]float32, n), make([]float32, n), make([]float32, n)
+	headBounds32Generic(want, wantLow, head, rest, pb, rho, w, pt, c)
+	headBounds32Generic(wantAlone, nil, head, rest, pb, rho, w, pt, c)
+	for k := range want {
+		if got, low, alone := upBuf[ulo+k], lowBuf[llo+k], aloneBuf[alo+k]; !sameBits(got, want[k]) || !sameBits(low, wantLow[k]) || !sameBits(alone, wantAlone[k]) {
+			t.Fatalf("%d items at offset %d, %d factors, %d in head: item %d upper %v, lower %v, alone %v; Go loop %v, %v, %v", n, off, h, w, k, got, low, alone, want[k], wantLow[k], wantAlone[k])
+		}
+	}
+	if !untouched(upBuf, ulo, ulo+n, sentinel) || !untouched(lowBuf, llo, llo+n, sentinel) || !untouched(aloneBuf, alo, alo+n, sentinel) {
+		t.Fatalf("%d items at offset %d, %d factors, %d in head: wrote outside a row", n, off, h, w)
+	}
+}
+
+// TestHeadBoundsMatchPortable holds the VEX bound pass to its Go loop, value
+// for value, with and without the lower row: every length 0 to two chunks
+// and five items (whole chunks, then the eight-, four- and one-item paths),
+// every start 0–7 elements past a 32-byte boundary, 0 to 5 head factors and
+// 0 to headDims of them, each of the first 0 to all of them in head and the
+// others in rest, and NaN, ±Inf, ±0 and subnormal lanes: none, a few or a
+// quarter of the inputs hostile.
+func TestHeadBoundsMatchPortable(t *testing.T) {
+	if !useAVX {
+		t.Skip("this CPU runs no AVX: the bound pass is its Go loop")
+	}
+	rng := rand.New(rand.NewSource(45))
+	vals := boundValues()
+	for n := 0; n <= 2*headChunk+5; n++ {
+		for off := 0; off < 8; off++ {
+			hostile := []int{0, 50, 4}[(n+off)%3]
+			draw := func() float32 {
+				if hostile > 0 && rng.Intn(hostile) == 0 {
+					return vals[rng.Intn(len(vals))]
+				}
+				return float32(rng.NormFloat64())
+			}
+			for _, h := range []int{rng.Intn(6), rng.Intn(headDims + 1)} {
+				checkHeadBounds(t, n, off, rng.Intn(h+1), h, draw)
+			}
+		}
+	}
+}
+
+// FuzzHeadBoundsMatchPortable is TestHeadBoundsMatchPortable over drawn
+// shapes and values: h head factors (up to headDims), w of them in head, n
+// items (up to three chunks and seven), the rows' start off elements past a
+// 32-byte boundary, and each input value read from raw — one of boundValues
+// for an even selector byte, the float32 whose bits are the next four bytes
+// for an odd one — so NaN, ±Inf, ±0, subnormal and any other lanes meet.
+func FuzzHeadBoundsMatchPortable(f *testing.F) {
+	f.Add(uint8(16), uint8(32), uint8(2*headChunk+5), uint8(3), []byte{2, 6, 1, 0x7f, 0xc0, 0, 1, 10, 0, 3, 0x80, 0, 0, 0, 5, 0, 0, 0, 1})
+	f.Add(uint8(0), uint8(5), uint8(13), uint8(7), []byte{0, 4, 8, 12, 16, 20, 24})
+	f.Add(uint8(40), uint8(40), uint8(255), uint8(0), []byte{})
+	vals := boundValues()
+	f.Fuzz(func(t *testing.T, w, h, n, off uint8, raw []byte) {
+		if !useAVX {
+			t.Skip("this CPU runs no AVX: the bound pass is its Go loop")
+		}
+		at := 0
+		next := func() byte {
+			b := raw[at%len(raw)]
+			at++
+			return b
+		}
+		draw := func() float32 {
+			if len(raw) == 0 {
+				return 0
+			}
+			if b := next(); b&1 == 0 {
+				return vals[int(b>>1)%len(vals)]
+			}
+			return math.Float32frombits(uint32(next())<<24 | uint32(next())<<16 | uint32(next())<<8 | uint32(next()))
+		}
+		hh := int(h) % (headDims + 1)
+		checkHeadBounds(t, int(n)%(3*headChunk+8), int(off)%8, int(w)%(hh+1), hh, draw)
+	})
 }
 
 // hostileFactors returns rows×dims float64 factor rows whose values are drawn

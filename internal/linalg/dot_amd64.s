@@ -130,91 +130,89 @@ outside:
 done:
 	RET
 
-// ADDBASE32_PAIR and ADDBASE32_ONE widen out's float32 scores at AX, two and
-// one of them, add the float64 base broadcast in X0 lane by lane (the score
-// is the destination, as in the Go loop) and leave the sums in X1; the
-// callers add a bias, or not, and narrow. CVTPS2PD, ADDPD and CVTPD2PS are
+// The score epilogues' bodies take four scores at a time: VCVTPS2PD widens
+// them, VADDPD adds the float64 base broadcast in Y0 lane by lane (the score
+// is the first operand, as in the Go loop) and then, in addBaseBias32AVX, the
+// bias, and VCVTPD2PSY narrows the sums. VCVTPS2PD, VADDPD and VCVTPD2PS are
 // CVTSS2SD, ADDSD and CVTSD2SS per lane, rounding by the same MXCSR, so each
 // lane carries the bits of the scalar expression (there is no multiply to
-// fuse). The conversions bound the loop: taking four scores an iteration
-// measured no faster.
-#define ADDBASE32_PAIR \
-	MOVSD    (DI)(AX*4), X1; \
-	CVTPS2PD X1, X1; \
-	ADDPD    X0, X1;
+// fuse); the scores past the last four take those scalar forms one at a time.
 
-#define ADDBASE32_ONE \
-	MOVSS    (DI)(AX*4), X1; \
-	CVTSS2SD X1, X1; \
-	ADDSD    X0, X1;
-
-// func addBase32(out []float32, base float64)
+// func addBase32AVX(out []float32, base float64)
 //
-// out[k] = float32(base + float64(out[k])) for every k below len(out), two
-// lanes at a time, then the odd one.
-TEXT ·addBase32(SB), NOSPLIT, $0-32
-	MOVQ     out_base+0(FP), DI
-	MOVQ     out_len+8(FP), CX
-	MOVSD    base+24(FP), X0
-	UNPCKLPD X0, X0
-	MOVQ     CX, DX
-	ANDQ     $-2, DX
-	XORQ     AX, AX
+// out[k] = float32(base + float64(out[k])) for every k below len(out).
+TEXT ·addBase32AVX(SB), NOSPLIT, $0-32
+	MOVQ         out_base+0(FP), DI
+	MOVQ         out_len+8(FP), CX
+	VBROADCASTSD base+24(FP), Y0
+	MOVQ         CX, DX
+	ANDQ         $-4, DX
+	XORQ         AX, AX
 
-pair:
-	CMPQ     AX, DX
-	JGE      odd
-	ADDBASE32_PAIR
-	CVTPD2PS X1, X1
-	MOVSD    X1, (DI)(AX*4)
-	ADDQ     $2, AX
-	JMP      pair
+quad:
+	CMPQ       AX, DX
+	JGE        one
+	VCVTPS2PD  (DI)(AX*4), Y1
+	VADDPD     Y0, Y1, Y1
+	VCVTPD2PSY Y1, X1
+	VMOVUPS    X1, (DI)(AX*4)
+	ADDQ       $4, AX
+	JMP        quad
 
-odd:
-	CMPQ     AX, CX
-	JGE      done
-	ADDBASE32_ONE
-	CVTSD2SS X1, X1
-	MOVSS    X1, (DI)(AX*4)
+one:
+	CMPQ      AX, CX
+	JGE       done
+	VMOVSS    (DI)(AX*4), X1
+	VCVTSS2SD X1, X1, X1
+	VADDSD    X0, X1, X1
+	VCVTSD2SS X1, X1, X1
+	VMOVSS    X1, (DI)(AX*4)
+	INCQ      AX
+	JMP       one
 
 done:
+	VZEROUPPER
 	RET
 
-// func addBaseBias32(out []float32, base float64, bias []float64)
+// func addBaseBias32AVX(out []float32, base float64, bias []float64)
 //
 // out[k] = float32(base + float64(out[k]) + bias[k]) for every k below
-// len(out), two lanes at a time, then the odd one; the sum is taken left to
-// right, as the Go loop takes it. The caller guarantees len(bias) >= len(out).
-TEXT ·addBaseBias32(SB), NOSPLIT, $0-56
-	MOVQ     out_base+0(FP), DI
-	MOVQ     out_len+8(FP), CX
-	MOVSD    base+24(FP), X0
-	MOVQ     bias_base+32(FP), SI
-	UNPCKLPD X0, X0
-	MOVQ     CX, DX
-	ANDQ     $-2, DX
-	XORQ     AX, AX
+// len(out); the sum is taken left to right, as the Go loop takes it. The
+// caller guarantees len(bias) >= len(out).
+TEXT ·addBaseBias32AVX(SB), NOSPLIT, $0-56
+	MOVQ         out_base+0(FP), DI
+	MOVQ         out_len+8(FP), CX
+	VBROADCASTSD base+24(FP), Y0
+	MOVQ         bias_base+32(FP), SI
+	MOVQ         CX, DX
+	ANDQ         $-4, DX
+	XORQ         AX, AX
 
-pair:
-	CMPQ     AX, DX
-	JGE      odd
-	ADDBASE32_PAIR
-	MOVUPD   (SI)(AX*8), X2
-	ADDPD    X2, X1
-	CVTPD2PS X1, X1
-	MOVSD    X1, (DI)(AX*4)
-	ADDQ     $2, AX
-	JMP      pair
+quad:
+	CMPQ       AX, DX
+	JGE        one
+	VCVTPS2PD  (DI)(AX*4), Y1
+	VADDPD     Y0, Y1, Y1
+	VADDPD     (SI)(AX*8), Y1, Y1
+	VCVTPD2PSY Y1, X1
+	VMOVUPS    X1, (DI)(AX*4)
+	ADDQ       $4, AX
+	JMP        quad
 
-odd:
-	CMPQ     AX, CX
-	JGE      done
-	ADDBASE32_ONE
-	ADDSD    (SI)(AX*8), X1
-	CVTSD2SS X1, X1
-	MOVSS    X1, (DI)(AX*4)
+one:
+	CMPQ      AX, CX
+	JGE       done
+	VMOVSS    (DI)(AX*4), X1
+	VCVTSS2SD X1, X1, X1
+	VADDSD    X0, X1, X1
+	VADDSD    (SI)(AX*8), X1, X1
+	VCVTSD2SS X1, X1, X1
+	VMOVSS    X1, (DI)(AX*4)
+	INCQ      AX
+	JMP       one
 
 done:
+	VZEROUPPER
 	RET
 
 // func prefetchRow(row []float64)
@@ -247,345 +245,313 @@ TEXT ·prefetchLine(SB), NOSPLIT, $0-8
 	PREFETCHT0 (SI)
 	RET
 
-// HEADSTEP(p) adds one head factor's products to the eight four-item sums
-// X0–X7 of a chunk: the factor's quad at R12 times the chunk's 32 values at
-// p, each product rounded (MULPS) before its sum (ADDPS); then R12 moves to
-// the next factor's quad and p to the chunk's next factor. It clobbers
-// X8–X12.
+// HEADSTEP(p) adds one head factor's products to the four eight-item sums
+// Y0–Y3 of a chunk: the factor at R12, broadcast, times the chunk's 32 values
+// at p, each product rounded (VMULPS) before its sum (VADDPS, the running sum
+// the first operand); then R12 moves to the next factor and p to the chunk's
+// next factor. It clobbers Y8–Y12.
 #define HEADSTEP(p) \
-	MOVUPS (R12), X8; \
-	MOVUPS (p), X9; \
-	MULPS  X8, X9; \
-	ADDPS  X9, X0; \
-	MOVUPS 16(p), X10; \
-	MULPS  X8, X10; \
-	ADDPS  X10, X1; \
-	MOVUPS 32(p), X11; \
-	MULPS  X8, X11; \
-	ADDPS  X11, X2; \
-	MOVUPS 48(p), X12; \
-	MULPS  X8, X12; \
-	ADDPS  X12, X3; \
-	MOVUPS 64(p), X9; \
-	MULPS  X8, X9; \
-	ADDPS  X9, X4; \
-	MOVUPS 80(p), X10; \
-	MULPS  X8, X10; \
-	ADDPS  X10, X5; \
-	MOVUPS 96(p), X11; \
-	MULPS  X8, X11; \
-	ADDPS  X11, X6; \
-	MOVUPS 112(p), X12; \
-	MULPS  X8, X12; \
-	ADDPS  X12, X7; \
-	ADDQ   $16, R12; \
-	ADDQ   $128, p
+	VBROADCASTSS (R12), Y8; \
+	VMULPS       (p), Y8, Y9; \
+	VADDPS       Y9, Y0, Y0; \
+	VMULPS       32(p), Y8, Y10; \
+	VADDPS       Y10, Y1, Y1; \
+	VMULPS       64(p), Y8, Y11; \
+	VADDPS       Y11, Y2, Y2; \
+	VMULPS       96(p), Y8, Y12; \
+	VADDPS       Y12, Y3, Y3; \
+	ADDQ         $4, R12; \
+	ADDQ         $128, p
 
-// func headBounds32(upper, lower, head, rest, pb, rho []float32, w int, pt, c float32)
+// func headBounds32AVX(upper, lower, head, rest, pb, rho []float32, w int, pt, c float32)
 //
-// For every i below len(upper), h = len(pb)/4, t = rho[i]·pt and Σ the sum
-// over the h head factors, in order, of head[headAt(i, f, w)]·pb[4f] for f
-// below w and then of rest[headAt(i, f−w, h−w)]·pb[4f]: when lower is
-// empty, upper[i] = ((t + Σ) + c); when it is not, s = +0 + Σ, lower[i] =
+// For every i below len(upper), h = len(pb), t = rho[i]·pt and Σ the sum over
+// the h head factors, in order, of head[headAt(i, f, w)]·pb[f] for f below w
+// and then of rest[headAt(i, f−w, h−w)]·pb[f]: when lower is empty,
+// upper[i] = ((t + Σ) + c); when it is not, s = +0 + Σ, lower[i] =
 // ((s − t) − c) and upper[i] = ((s + t) + c). Each lane runs the Go loop's
-// operations in its order — MULPS, then ADDPS or SUBPS with the running value
-// as destination — each rounded by the MXCSR, so each lane carries the Go
-// loop's bits. A chunk of 32 items is eight independent four-item sums (one
-// sum waits on its add four cycles a factor) over the chunk's w factors in
-// head (SI) and then its DX = h − w in rest (BX), each a contiguous stream
-// of values; the items past the last whole chunk go four and then one at a
-// time, at the same places in their chunk. pb holds each head factor four
-// times over, so a factor is one unaligned load. R8 is lower's base, or 0
-// when lower is empty; it picks the mode at each sum's start and end, a
-// branch that goes the same way for the whole call. The caller guarantees
+// operations in its order — VMULPS, then VADDPS or VSUBPS with the running
+// value as the first operand — each rounded by the MXCSR, with no multiply
+// fused, so each lane carries the Go loop's bits. A chunk of 32 items is four
+// independent eight-item sums (HEADSTEP) over the chunk's w factors in head
+// (SI) and then its DX = h − w in rest (BX), each a contiguous stream of
+// values; the items past the last whole chunk go eight, then four, then one
+// at a time, at the same places in their chunk. R8 is lower's base, or 0 when
+// lower is empty; it picks the mode at each sum's start and end, a branch
+// that goes the same way for the whole call. The caller guarantees
 // len(rho) >= len(upper), that lower is empty or as long as upper, that
 // w <= h, and that head and rest hold the chunks of len(upper) items.
-TEXT ·headBounds32(SB), NOSPLIT, $0-160
-	MOVQ   upper_base+0(FP), DI
-	MOVQ   upper_len+8(FP), CX
-	MOVQ   lower_base+24(FP), R8
-	MOVQ   lower_len+32(FP), BX
-	TESTQ  BX, BX
-	JNE    args
-	XORQ   R8, R8
+TEXT ·headBounds32AVX(SB), NOSPLIT, $0-160
+	MOVQ         upper_base+0(FP), DI
+	MOVQ         upper_len+8(FP), CX
+	MOVQ         lower_base+24(FP), R8
+	MOVQ         lower_len+32(FP), BX
+	TESTQ        BX, BX
+	JNE          args
+	XORQ         R8, R8
 
 args:
-	MOVQ   head_base+48(FP), SI
-	MOVQ   rest_base+72(FP), BX
-	MOVQ   pb_base+96(FP), R9
-	MOVQ   w+144(FP), R10       // the head factors in head
-	MOVQ   pb_len+104(FP), DX
-	SHRQ   $2, DX
-	SUBQ   R10, DX              // the head factors in rest
-	MOVQ   rho_base+120(FP), R11
-	MOVSS  pt+152(FP), X14
-	SHUFPS $0x00, X14, X14
-	MOVSS  c+156(FP), X15
-	SHUFPS $0x00, X15, X15
-	XORQ   AX, AX
+	MOVQ         head_base+48(FP), SI
+	MOVQ         rest_base+72(FP), BX
+	MOVQ         pb_base+96(FP), R9
+	MOVQ         w+144(FP), R10       // the head factors in head
+	MOVQ         pb_len+104(FP), DX
+	SUBQ         R10, DX              // the head factors in rest
+	MOVQ         rho_base+120(FP), R11
+	VBROADCASTSS pt+152(FP), Y14
+	VBROADCASTSS c+156(FP), Y15
+	XORQ         AX, AX
 
 chunk:
 	LEAQ   32(AX), R13
 	CMPQ   R13, CX
-	JGT    tail
+	JGT    eight
 	TESTQ  R8, R8
 	JNE    chunkzero
-	MOVUPS (R11)(AX*4), X0
-	MULPS  X14, X0
-	MOVUPS 16(R11)(AX*4), X1
-	MULPS  X14, X1
-	MOVUPS 32(R11)(AX*4), X2
-	MULPS  X14, X2
-	MOVUPS 48(R11)(AX*4), X3
-	MULPS  X14, X3
-	MOVUPS 64(R11)(AX*4), X4
-	MULPS  X14, X4
-	MOVUPS 80(R11)(AX*4), X5
-	MULPS  X14, X5
-	MOVUPS 96(R11)(AX*4), X6
-	MULPS  X14, X6
-	MOVUPS 112(R11)(AX*4), X7
-	MULPS  X14, X7
+	VMULPS (R11)(AX*4), Y14, Y0
+	VMULPS 32(R11)(AX*4), Y14, Y1
+	VMULPS 64(R11)(AX*4), Y14, Y2
+	VMULPS 96(R11)(AX*4), Y14, Y3
 	JMP    chunkgo
 
 chunkzero:
-	XORPS  X0, X0
-	XORPS  X1, X1
-	XORPS  X2, X2
-	XORPS  X3, X3
-	XORPS  X4, X4
-	XORPS  X5, X5
-	XORPS  X6, X6
-	XORPS  X7, X7
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
 
 chunkgo:
 	MOVQ   R9, R12
 	MOVQ   R10, R13
-
-chunkf:
 	TESTQ  R13, R13
 	JE     chunkrest
+
+chunkf:
 	HEADSTEP(SI)
 	DECQ   R13
-	JMP    chunkf
+	JNE    chunkf
 
 chunkrest:
 	MOVQ   DX, R13
-
-chunkg:
 	TESTQ  R13, R13
 	JE     chunkdone
+
+chunkg:
 	HEADSTEP(BX)
 	DECQ   R13
-	JMP    chunkg
+	JNE    chunkg
 
 	// Both rows: each sum s gives s − t − c to lower and becomes s + t.
 chunkdone:
-	TESTQ  R8, R8
-	JE     chunkupper
-	MOVUPS (R11)(AX*4), X9
-	MULPS  X14, X9
-	MOVAPS X0, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, (R8)(AX*4)
-	ADDPS  X9, X0
-	MOVUPS 16(R11)(AX*4), X9
-	MULPS  X14, X9
-	MOVAPS X1, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, 16(R8)(AX*4)
-	ADDPS  X9, X1
-	MOVUPS 32(R11)(AX*4), X9
-	MULPS  X14, X9
-	MOVAPS X2, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, 32(R8)(AX*4)
-	ADDPS  X9, X2
-	MOVUPS 48(R11)(AX*4), X9
-	MULPS  X14, X9
-	MOVAPS X3, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, 48(R8)(AX*4)
-	ADDPS  X9, X3
-	MOVUPS 64(R11)(AX*4), X9
-	MULPS  X14, X9
-	MOVAPS X4, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, 64(R8)(AX*4)
-	ADDPS  X9, X4
-	MOVUPS 80(R11)(AX*4), X9
-	MULPS  X14, X9
-	MOVAPS X5, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, 80(R8)(AX*4)
-	ADDPS  X9, X5
-	MOVUPS 96(R11)(AX*4), X9
-	MULPS  X14, X9
-	MOVAPS X6, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, 96(R8)(AX*4)
-	ADDPS  X9, X6
-	MOVUPS 112(R11)(AX*4), X9
-	MULPS  X14, X9
-	MOVAPS X7, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, 112(R8)(AX*4)
-	ADDPS  X9, X7
+	TESTQ   R8, R8
+	JE      chunkupper
+	VMULPS  (R11)(AX*4), Y14, Y9
+	VSUBPS  Y9, Y0, Y10
+	VSUBPS  Y15, Y10, Y10
+	VMOVUPS Y10, (R8)(AX*4)
+	VADDPS  Y9, Y0, Y0
+	VMULPS  32(R11)(AX*4), Y14, Y9
+	VSUBPS  Y9, Y1, Y10
+	VSUBPS  Y15, Y10, Y10
+	VMOVUPS Y10, 32(R8)(AX*4)
+	VADDPS  Y9, Y1, Y1
+	VMULPS  64(R11)(AX*4), Y14, Y9
+	VSUBPS  Y9, Y2, Y10
+	VSUBPS  Y15, Y10, Y10
+	VMOVUPS Y10, 64(R8)(AX*4)
+	VADDPS  Y9, Y2, Y2
+	VMULPS  96(R11)(AX*4), Y14, Y9
+	VSUBPS  Y9, Y3, Y10
+	VSUBPS  Y15, Y10, Y10
+	VMOVUPS Y10, 96(R8)(AX*4)
+	VADDPS  Y9, Y3, Y3
 
 chunkupper:
-	ADDPS  X15, X0
-	MOVUPS X0, (DI)(AX*4)
-	ADDPS  X15, X1
-	MOVUPS X1, 16(DI)(AX*4)
-	ADDPS  X15, X2
-	MOVUPS X2, 32(DI)(AX*4)
-	ADDPS  X15, X3
-	MOVUPS X3, 48(DI)(AX*4)
-	ADDPS  X15, X4
-	MOVUPS X4, 64(DI)(AX*4)
-	ADDPS  X15, X5
-	MOVUPS X5, 80(DI)(AX*4)
-	ADDPS  X15, X6
-	MOVUPS X6, 96(DI)(AX*4)
-	ADDPS  X15, X7
-	MOVUPS X7, 112(DI)(AX*4)
-	ADDQ   $32, AX
-	JMP    chunk
+	VADDPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	VADDPS  Y15, Y1, Y1
+	VMOVUPS Y1, 32(DI)(AX*4)
+	VADDPS  Y15, Y2, Y2
+	VMOVUPS Y2, 64(DI)(AX*4)
+	VADDPS  Y15, Y3, Y3
+	VMOVUPS Y3, 96(DI)(AX*4)
+	ADDQ    $32, AX
+	JMP     chunk
 
 	// SI and BX are at the last chunk's head and rest now; they move on
 	// with the items, so item AX's factors are at SI and BX, 128 bytes
 	// apart.
-tail:
+eight:
+	LEAQ    8(AX), R13
+	CMPQ    R13, CX
+	JGT     four
+	VMULPS  (R11)(AX*4), Y14, Y9 // t
+	VMOVAPS Y9, Y0
+	TESTQ   R8, R8
+	JE      eightgo
+	VXORPS  Y0, Y0, Y0
+
+eightgo:
+	MOVQ  SI, R14
+	MOVQ  R9, R12
+	MOVQ  R10, R13
+	TESTQ R13, R13
+	JE    eightrest
+
+eightf:
+	VBROADCASTSS (R12), Y8
+	VMULPS       (R14), Y8, Y1
+	VADDPS       Y1, Y0, Y0
+	ADDQ         $4, R12
+	ADDQ         $128, R14
+	DECQ         R13
+	JNE          eightf
+
+eightrest:
+	MOVQ  BX, R14
+	MOVQ  DX, R13
+	TESTQ R13, R13
+	JE    eightdone
+
+eightg:
+	VBROADCASTSS (R12), Y8
+	VMULPS       (R14), Y8, Y1
+	VADDPS       Y1, Y0, Y0
+	ADDQ         $4, R12
+	ADDQ         $128, R14
+	DECQ         R13
+	JNE          eightg
+
+eightdone:
+	TESTQ   R8, R8
+	JE      eightupper
+	VSUBPS  Y9, Y0, Y10
+	VSUBPS  Y15, Y10, Y10
+	VMOVUPS Y10, (R8)(AX*4)
+	VADDPS  Y9, Y0, Y0
+
+eightupper:
+	VADDPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	JMP     eight
+
 four:
-	LEAQ   4(AX), R13
-	CMPQ   R13, CX
-	JGT    one
-	MOVUPS (R11)(AX*4), X9
-	MULPS  X14, X9              // t
-	MOVAPS X9, X0
-	TESTQ  R8, R8
-	JE     fourgo
-	XORPS  X0, X0
+	LEAQ    4(AX), R13
+	CMPQ    R13, CX
+	JGT     one
+	VMULPS  (R11)(AX*4), X14, X9 // t
+	VMOVAPS X9, X0
+	TESTQ   R8, R8
+	JE      fourgo
+	VXORPS  X0, X0, X0
 
 fourgo:
-	MOVQ   SI, R14
-	MOVQ   R9, R12
-	MOVQ   R10, R13
+	MOVQ  SI, R14
+	MOVQ  R9, R12
+	MOVQ  R10, R13
+	TESTQ R13, R13
+	JE    fourrest
 
 fourf:
-	TESTQ  R13, R13
-	JE     fourrest
-	MOVUPS (R12), X2
-	MOVUPS (R14), X3
-	MULPS  X2, X3
-	ADDPS  X3, X0
-	ADDQ   $16, R12
-	ADDQ   $128, R14
-	DECQ   R13
-	JMP    fourf
+	VBROADCASTSS (R12), X8
+	VMULPS       (R14), X8, X1
+	VADDPS       X1, X0, X0
+	ADDQ         $4, R12
+	ADDQ         $128, R14
+	DECQ         R13
+	JNE          fourf
 
 fourrest:
-	MOVQ   BX, R14
-	MOVQ   DX, R13
+	MOVQ  BX, R14
+	MOVQ  DX, R13
+	TESTQ R13, R13
+	JE    fourdone
 
 fourg:
-	TESTQ  R13, R13
-	JE     fourdone
-	MOVUPS (R12), X2
-	MOVUPS (R14), X3
-	MULPS  X2, X3
-	ADDPS  X3, X0
-	ADDQ   $16, R12
-	ADDQ   $128, R14
-	DECQ   R13
-	JMP    fourg
+	VBROADCASTSS (R12), X8
+	VMULPS       (R14), X8, X1
+	VADDPS       X1, X0, X0
+	ADDQ         $4, R12
+	ADDQ         $128, R14
+	DECQ         R13
+	JNE          fourg
 
 fourdone:
-	TESTQ  R8, R8
-	JE     fourupper
-	MOVAPS X0, X10
-	SUBPS  X9, X10
-	SUBPS  X15, X10
-	MOVUPS X10, (R8)(AX*4)
-	ADDPS  X9, X0
+	TESTQ   R8, R8
+	JE      fourupper
+	VSUBPS  X9, X0, X10
+	VSUBPS  X15, X10, X10
+	VMOVUPS X10, (R8)(AX*4)
+	VADDPS  X9, X0, X0
 
 fourupper:
-	ADDPS  X15, X0
-	MOVUPS X0, (DI)(AX*4)
-	ADDQ   $4, AX
-	ADDQ   $16, SI
-	ADDQ   $16, BX
-	JMP    four
+	VADDPS  X15, X0, X0
+	VMOVUPS X0, (DI)(AX*4)
+	ADDQ    $4, AX
+	ADDQ    $16, SI
+	ADDQ    $16, BX
 
 one:
-	CMPQ   AX, CX
-	JGE    done
-	MOVSS  (R11)(AX*4), X9
-	MULSS  X14, X9              // t
-	MOVAPS X9, X0
-	TESTQ  R8, R8
-	JE     onego
-	XORPS  X0, X0
+	CMPQ    AX, CX
+	JGE     done
+	VMULSS  (R11)(AX*4), X14, X9 // t
+	VMOVAPS X9, X0
+	TESTQ   R8, R8
+	JE      onego
+	VXORPS  X0, X0, X0
 
 onego:
-	MOVQ   SI, R14
-	MOVQ   R9, R12
-	MOVQ   R10, R13
+	MOVQ  SI, R14
+	MOVQ  R9, R12
+	MOVQ  R10, R13
+	TESTQ R13, R13
+	JE    onerest
 
 onef:
-	TESTQ  R13, R13
-	JE     onerest
-	MOVSS  (R12), X2
-	MOVSS  (R14), X3
-	MULSS  X2, X3
-	ADDSS  X3, X0
-	ADDQ   $16, R12
+	VMOVSS (R12), X8
+	VMULSS (R14), X8, X1
+	VADDSS X1, X0, X0
+	ADDQ   $4, R12
 	ADDQ   $128, R14
 	DECQ   R13
-	JMP    onef
+	JNE    onef
 
 onerest:
-	MOVQ   BX, R14
-	MOVQ   DX, R13
+	MOVQ  BX, R14
+	MOVQ  DX, R13
+	TESTQ R13, R13
+	JE    onedone
 
 oneg:
-	TESTQ  R13, R13
-	JE     onedone
-	MOVSS  (R12), X2
-	MOVSS  (R14), X3
-	MULSS  X2, X3
-	ADDSS  X3, X0
-	ADDQ   $16, R12
+	VMOVSS (R12), X8
+	VMULSS (R14), X8, X1
+	VADDSS X1, X0, X0
+	ADDQ   $4, R12
 	ADDQ   $128, R14
 	DECQ   R13
-	JMP    oneg
+	JNE    oneg
 
 onedone:
 	TESTQ  R8, R8
 	JE     oneupper
-	MOVAPS X0, X10
-	SUBSS  X9, X10
-	SUBSS  X15, X10
-	MOVSS  X10, (R8)(AX*4)
-	ADDSS  X9, X0
+	VSUBSS X9, X0, X10
+	VSUBSS X15, X10, X10
+	VMOVSS X10, (R8)(AX*4)
+	VADDSS X9, X0, X0
 
 oneupper:
-	ADDSS  X15, X0
-	MOVSS  X0, (DI)(AX*4)
+	VADDSS X15, X0, X0
+	VMOVSS X0, (DI)(AX*4)
 	INCQ   AX
 	ADDQ   $4, SI
 	ADDQ   $4, BX
 	JMP    one
 
 done:
+	VZEROUPPER
 	RET
 
 // func outsideBand(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int
@@ -659,4 +625,29 @@ bandtail:
 
 banddone:
 	MOVQ R9, ret+88(FP)
+	RET
+
+// func cpuAVX() bool
+//
+// Whether this CPU runs the VEX bodies and its OS keeps their registers:
+// CPUID leaf 1 reports OSXSAVE (ECX bit 27) and AVX (bit 28), and XCR0, read
+// by XGETBV, has the SSE and YMM state bits (1 and 2) set, so a context
+// switch saves the upper halves of the ymm registers.
+TEXT ·cpuAVX(SB), NOSPLIT, $0-1
+	MOVL   $1, AX
+	XORL   CX, CX
+	CPUID
+	ANDL   $0x18000000, CX
+	CMPL   CX, $0x18000000
+	JNE    no
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    no
+	MOVB   $1, ret+0(FP)
+	RET
+
+no:
+	MOVB   $0, ret+0(FP)
 	RET

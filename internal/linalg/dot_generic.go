@@ -12,6 +12,9 @@ import (
 // implementation: the unrolled multi-accumulator Go loops, the scalar score
 // epilogues, bound pass and band scan, and prefetch hints that do nothing.
 
+// useAVX is false: no VEX body is compiled here.
+const useAVX = false
+
 func dot32x8(a, b []float32) float32 { return dot32x8Generic(a, b) }
 
 func dotRows32x8(v, data []float32, rows []types.ItemID, out []float32, n int) {

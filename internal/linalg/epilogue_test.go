@@ -25,21 +25,28 @@ func epilogueBases() []float64 {
 	return []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 3.5361, -0.75, 1e300}
 }
 
-// TestEpiloguesMatchPortable holds AddBase32 and AddBaseBias32 to their Go
-// loops, compared as bits: every length 0–9, every start 0–3 of a larger
-// buffer (so the two-lane pairs start unaligned), every base, dots and biases
-// drawn from hostile values, and nothing written past the scores.
+// TestEpiloguesMatchPortable holds the VEX bodies of AddBase32 and
+// AddBaseBias32 to their Go loops, compared as bits: every length 0 to two
+// bound-pass chunks and five (the four-lane body, then the one-lane tail),
+// the scores and the biases each starting 0–7 elements past a 32-byte
+// boundary, every base, dots and biases drawn from hostile values — NaN,
+// ±Inf, ±0 and subnormals among them — and nothing written outside the
+// scores.
 func TestEpiloguesMatchPortable(t *testing.T) {
+	if !useAVX {
+		t.Skip("this CPU runs no AVX: the score epilogues are their Go loops")
+	}
 	rng := rand.New(rand.NewSource(41))
 	vals := epilogueValues()
 	biasVals := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), -0.125, 0.3, 1e-320}
 	const sentinel = float32(-12345)
 	for _, base := range epilogueBases() {
-		for n := 0; n <= 9; n++ {
-			for off := 0; off < 4; off++ {
-				for trial := 0; trial < 8; trial++ {
+		for n := 0; n <= 2*headChunk+5; n++ {
+			for off := 0; off < 8; off++ {
+				for trial := 0; trial < 2; trial++ {
 					dots := make([]float32, n)
-					bias := make([]float64, off+n)
+					biasBuf, blo := misaligned(n, (off+trial*3)%8, 0.0)
+					bias := biasBuf[blo : blo+n]
 					for k := range dots {
 						dots[k] = vals[rng.Intn(len(vals))]
 					}
@@ -52,22 +59,22 @@ func TestEpiloguesMatchPortable(t *testing.T) {
 						portable func(out []float32)
 					}{
 						{"AddBase32", func(out []float32) { AddBase32(out, base) }, func(out []float32) { addBase32Generic(out, base) }},
-						{"AddBaseBias32", func(out []float32) { AddBaseBias32(out, base, bias[off:]) }, func(out []float32) { addBaseBias32Generic(out, base, bias[off:]) }},
+						{"AddBaseBias32", func(out []float32) { AddBaseBias32(out, base, bias) }, func(out []float32) { addBaseBias32Generic(out, base, bias) }},
 					} {
-						got := make([]float32, off+n+1)
-						got[off+n] = sentinel
-						copy(got[off:], dots)
-						form.kernel(got[off : off+n])
+						buf, lo := misaligned(n, off, sentinel)
+						got := buf[lo : lo+n]
+						copy(got, dots)
+						form.kernel(got)
 						want := append([]float32(nil), dots...)
 						form.portable(want)
 						for k := range want {
-							if math.Float32bits(got[off+k]) != math.Float32bits(want[k]) {
+							if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
 								t.Fatalf("%s base %v, %d scores at offset %d: out[%d] = %v (%#x) from dot %v, Go loop %v (%#x)",
-									form.name, base, n, off, k, got[off+k], math.Float32bits(got[off+k]), dots[k], want[k], math.Float32bits(want[k]))
+									form.name, base, n, off, k, got[k], math.Float32bits(got[k]), dots[k], want[k], math.Float32bits(want[k]))
 							}
 						}
-						if got[off+n] != sentinel {
-							t.Fatalf("%s: %d scores at offset %d: wrote past them", form.name, n, off)
+						if !untouched(buf, lo, lo+n, sentinel) {
+							t.Fatalf("%s: %d scores at offset %d: wrote outside them", form.name, n, off)
 						}
 					}
 				}

@@ -12,7 +12,7 @@ import (
 
 // upperDims and headDims are the numbers of factors a dot bound computes
 // exactly: the item block's columns of largest energy (Σ_i q_if²), kept
-// again column by column so that one pass bounds a whole catalog four items
+// again column by column so that one pass bounds a whole catalog eight items
 // at a time — the first upperDims of them for a pass that bounds from above
 // only (a warm turn's bound row), all headDims for one that bounds from both
 // sides (a first touch's, which certifies the user's range too). The other
@@ -22,7 +22,7 @@ import (
 const upperDims, headDims = 16, 32
 
 // headChunk is the number of items whose head factors lie together: the
-// pass sums a chunk's items in eight independent four-item sums, and the
+// pass sums a chunk's items in four independent eight-item sums, and the
 // chunk's factors are one contiguous stream (headChunk values a factor).
 const headChunk = 32
 
@@ -179,12 +179,11 @@ func (p *FactorPair) DotBounds32(u types.UserID, upper, lower []float32) bool {
 		return false
 	}
 	pu := p.UserB.Row(int(u))
-	var pb [4 * headDims]float32
+	var pb [headDims]float32
 	var headSum, tailSS float64
 	for f, c := range p.cols[:sp.h] {
-		x := pu[c]
-		pb[4*f], pb[4*f+1], pb[4*f+2], pb[4*f+3] = x, x, x, x
-		headSum += math.Abs(float64(x)) * p.headMax[f]
+		pb[f] = pu[c]
+		headSum += math.Abs(float64(pb[f])) * p.headMax[f]
 	}
 	for _, c := range p.cols[sp.h:] {
 		tailSS += float64(float64(pu[c]) * float64(pu[c]))
@@ -198,7 +197,7 @@ func (p *FactorPair) DotBounds32(u types.UserID, upper, lower []float32) bool {
 		return false
 	}
 	c := kernel + 2*gamma(sp.h+3)*sum + float64(sp.h+3)*0x1p-149
-	headBounds32(upper, lower, p.head, p.rest, pb[:4*sp.h], sp.tails[:len(upper)], p.splits[0].h, roundUp32(scale), roundUp32(c))
+	headBounds32(upper, lower, p.head, p.rest, pb[:sp.h], sp.tails[:len(upper)], p.splits[0].h, roundUp32(scale), roundUp32(c))
 	return true
 }
 
@@ -207,17 +206,17 @@ func (p *FactorPair) DotBounds32(u types.UserID, upper, lower []float32) bool {
 func headAt(i, f, h int) int { return (i/headChunk*h+f)*headChunk + i%headChunk }
 
 // headBounds32Generic is the portable bound pass of DotBounds32: for every i
-// below len(upper), with t = rho[i]·pt and Σ the sum over the h = len(pb)/4
-// head factors, in order, of head[headAt(i, f, w)]·pb[4f] for f below w and
-// then of rest[headAt(i, f−w, h−w)]·pb[4f], every product rounded before its
+// below len(upper), with t = rho[i]·pt and Σ the sum over the h = len(pb)
+// head factors, in order, of head[headAt(i, f, w)]·pb[f] for f below w and
+// then of rest[headAt(i, f−w, h−w)]·pb[f], every product rounded before its
 // sum so that no build fuses the two: when lower is nil, upper[i] =
 // ((t + Σ) + c); when it is not, the sum starts from +0 instead of t,
-// s = +0 + Σ, lower[i] = ((s − t) − c) and upper[i] = ((s + t) + c). pb
-// holds each head factor of the user four times over (the SSE2 pass loads
-// them a quad at a time). It runs a chunk's factors one after another, so it
-// reads head and rest in order, and sums in upper.
+// s = +0 + Σ, lower[i] = ((s − t) − c) and upper[i] = ((s + t) + c). pb holds
+// the user's head factors, one value each (the VEX pass broadcasts each to
+// eight lanes). It runs a chunk's factors one after another, so it reads head
+// and rest in order, and sums in upper.
 func headBounds32Generic(upper, lower, head, rest, pb, rho []float32, w int, pt, c float32) {
-	h := len(pb) / 4
+	h := len(pb)
 	rho = rho[:len(upper)]
 	for i, r := range rho {
 		upper[i] = float32(r * pt)
@@ -234,7 +233,7 @@ func headBounds32Generic(upper, lower, head, rest, pb, rho []float32, w int, pt,
 			} else {
 				chunk = rest[lo*(h-w)+(f-w)*headChunk:]
 			}
-			x := pb[4*f]
+			x := pb[f]
 			for k, q := range chunk[:len(items)] {
 				items[k] += float32(q * x)
 			}

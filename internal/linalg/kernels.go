@@ -95,15 +95,16 @@ func dotRows32x8Generic(v, data []float32, rows []types.ItemID, out []float32, n
 
 // AddBase32 is the score epilogue of a factor model without per-item terms:
 // out[k] = float32(base + float64(out[k])) for every k, the float64 sum a
-// per-item loop takes, rounded once. On amd64 it is an SSE2 kernel that
-// takes two lanes at a time; elsewhere it is that loop. It adds no zero bias
-// in place of a missing one: −0 + +0 is +0, so that would change a score.
+// per-item loop takes, rounded once. On an amd64 CPU with AVX it is a
+// 256-bit kernel that takes four lanes at a time; elsewhere it is that loop,
+// with the same bits. It adds no zero bias in place of a missing one:
+// −0 + +0 is +0, so that would change a score.
 func AddBase32(out []float32, base float64) { addBase32(out, base) }
 
 // AddBaseBias32 is the score epilogue of a factor model with per-item bias
 // terms: out[k] = float32(base + float64(out[k]) + bias[k]) for every k,
-// summed left to right, on amd64 two lanes at a time. It panics when bias is
-// shorter than out.
+// summed left to right, four lanes at a time where AddBase32 is. It panics
+// when bias is shorter than out.
 func AddBaseBias32(out []float32, base float64, bias []float64) {
 	if len(bias) < len(out) {
 		panic(fmt.Sprintf("linalg: AddBaseBias32: len(bias) = %d < len(out) = %d", len(bias), len(out)))

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,8 +134,9 @@ func TestBlockFrom64(t *testing.T) {
 // TestKernelSpeedupGate is the CI kernel regression gate: Dot32x8 must beat
 // the scalar float64 baseline by ≥2x on the serving factor width, the row
 // kernel must cost no more per row than the Dot32x8 call loop it replaced,
-// and on amd64 each SSE2 score epilogue, the bound pass and the band scan
-// must beat their Go loops (epilogueArms). Every arm measures the same way (speedupGate).
+// and on amd64 the VEX score epilogues and bound pass (where the CPU runs
+// AVX) and the SSE2 band scan must beat their Go loops (epilogueArms). Every
+// arm measures the same way (speedupGate).
 // Skipped under -race (instrumentation distorts the ratios) and -short.
 func TestKernelSpeedupGate(t *testing.T) {
 	if raceDetectorEnabled {
@@ -142,7 +146,7 @@ func TestKernelSpeedupGate(t *testing.T) {
 		t.Skip("skipping kernel ratio gate in -short mode")
 	}
 	if runtime.GOARCH != "amd64" {
-		// Every arm times an SSE2 kernel against the Go loop it replaced;
+		// Every arm times an assembly kernel against the Go loop it replaced;
 		// elsewhere both sides are Go (Dot32x8 is the 8-accumulator loop,
 		// 1.06–1.36× Dot64 measured on 386).
 		t.Skip("the kernels this gate times are their Go twins on " + runtime.GOARCH)
@@ -179,6 +183,32 @@ func TestKernelSpeedupGate(t *testing.T) {
 	epilogueArms(t)
 }
 
+// TestAVXSelectionMatchesCPU holds the CPU check that selects the VEX bodies
+// to the kernel's own account of the CPU: on linux/amd64, useAVX is true
+// exactly when /proc/cpuinfo lists the avx flag, which the kernel clears
+// where it does not save the ymm registers. A check that always said no would
+// leave every VEX arm of the exactness tests and the speed gate skipped.
+func TestAVXSelectionMatchesCPU(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skip("the CPU's flags are read from /proc/cpuinfo on linux/amd64")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no CPU flags to compare with: %v", err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		name, flags, ok := strings.Cut(line, ":")
+		if !ok || strings.TrimSpace(name) != "flags" {
+			continue
+		}
+		if listed := slices.Contains(strings.Fields(flags), "avx"); listed != useAVX {
+			t.Fatalf("the CPU check selects the VEX bodies: %v; /proc/cpuinfo lists avx: %v", useAVX, listed)
+		}
+		return
+	}
+	t.Skip("/proc/cpuinfo lists no flags")
+}
+
 // speedupGate fails the test unless sides[1] is at least bound times as fast
 // as sides[0] in one of three attempts. An attempt is nine rounds; in each,
 // both sides make calls calls, timed as a whole, one after the other, and
@@ -213,34 +243,41 @@ func speedupGate(t *testing.T, name string, bound float64, calls, items int, sid
 }
 
 // epilogueArms are the gate's arms for the score epilogues, the bound pass
-// and the band scan: over a turn's 3 988 scores, AddBaseBias32 and AddBase32
-// must each cost at most 1/1.3 of their Go loops, the bound pass of
-// DotBounds32 at most 1/2 of its — alone, over the first upperDims of
-// headDims head factors, and with its lower row, over all headDims — and
-// OutsideBand at most 1/2 of its.
+// and the band scan: over a turn's 3 988 scores, the VEX bodies of
+// AddBaseBias32 and AddBase32 must each cost at most 1/1.3 of their Go
+// loops, the VEX bound pass of DotBounds32 at most 1/2 of its — alone, over
+// the first upperDims of headDims head factors, and with its lower row, over
+// all headDims — and OutsideBand at most 1/2 of its. On a CPU without AVX
+// the first four kernels are their Go loops, and their arms are skipped.
 func epilogueArms(t *testing.T) {
 	out, bias := epilogueBench()
 	head, rest, rho, pb := boundBench(len(out), upperDims, headDims)
-	pb16, low := pb[:4*upperDims], make([]float32, len(out))
+	pb16, low := pb[:upperDims], make([]float32, len(out))
 	upper, lower, kept := bandBench(len(out))
-	// Measured on a 2-vCPU VM over seven runs, per score: AddBaseBias32
-	// 0.49–0.79 ns against 0.98–1.50 ns (1.79–2.01×), AddBase32 0.41–0.73 ns
-	// against 0.81–1.42 ns (1.89–2.18×); the bound pass with its lower row,
-	// 32 head factors an item, 2.51–3.94 ns against 15.7–28.3 ns (6.2–8.1×,
-	// five runs); the band scan, about 5 % of the items outside the band,
-	// 0.24–0.39 ns against 0.92–1.20 ns (3.05–3.87×, five runs). The bounds
-	// leave room for a busy neighbour.
+	// Measured on a 2-vCPU VM with AVX over five runs, per score:
+	// AddBaseBias32 0.18–0.34 ns against 0.78–1.35 ns (3.80–4.25×),
+	// AddBase32 0.17–0.29 ns against 0.67–1.30 ns (3.78–5.51×); the bound
+	// pass with its lower row, 32 head factors an item, 1.49–1.97 ns against
+	// 16.5–27.6 ns (11.1–14.0×), alone, 16 head factors, 0.77–1.07 ns
+	// against 8.4–15.5 ns (10.9–14.6×); the band scan, about 5 % of the items
+	// outside the band, 0.24–0.39 ns against 0.92–1.20 ns (3.05–3.87×). The
+	// bounds leave room for a busy neighbour.
 	for _, arm := range []struct {
 		name       string
 		bound      float64
+		vex        bool
 		twin, simd func()
 	}{
-		{"AddBaseBias32", 1.3, func() { addBaseBias32Generic(out, 0.5, bias) }, func() { AddBaseBias32(out, -0.5, bias) }},
-		{"AddBase32", 1.3, func() { addBase32Generic(out, 0.5) }, func() { AddBase32(out, -0.5) }},
-		{"bound pass", 2, func() { headBounds32Generic(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }},
-		{"bound pass, two rows", 2, func() { headBounds32Generic(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }},
-		{"band scan", 2, func() { outsideBandGeneric(upper, lower, 2, -4, 0, kept) }, func() { outsideBand(upper, lower, 2, -4, 0, kept) }},
+		{"AddBaseBias32", 1.3, true, func() { addBaseBias32Generic(out, 0.5, bias) }, func() { AddBaseBias32(out, -0.5, bias) }},
+		{"AddBase32", 1.3, true, func() { addBase32Generic(out, 0.5) }, func() { AddBase32(out, -0.5) }},
+		{"bound pass", 2, true, func() { headBounds32Generic(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }},
+		{"bound pass, two rows", 2, true, func() { headBounds32Generic(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }},
+		{"band scan", 2, false, func() { outsideBandGeneric(upper, lower, 2, -4, 0, kept) }, func() { outsideBand(upper, lower, 2, -4, 0, kept) }},
 	} {
+		if arm.vex && !useAVX {
+			t.Logf("%s: this CPU runs no AVX, so the kernel is its Go loop; arm skipped", arm.name)
+			continue
+		}
 		speedupGate(t, arm.name, arm.bound, 200, len(out), [2]func(){arm.twin, arm.simd})
 	}
 }
@@ -261,11 +298,11 @@ func bandBench(n int) (upper, lower []float32, out []types.ItemID) {
 
 // boundBench is a bound pass's input over n items: their h head factors,
 // chunk by chunk, the first w in head and the others in rest, and tail
-// norms, and a user's head factors four times over.
+// norms, and a user's h head factors.
 func boundBench(n, w, h int) (head, rest, rho, pb []float32) {
 	rng := rand.New(rand.NewSource(48))
 	padded := (n + headChunk - 1) / headChunk * headChunk
-	head, rest, rho, pb = make([]float32, padded*w), make([]float32, padded*(h-w)), make([]float32, n), make([]float32, 4*h)
+	head, rest, rho, pb = make([]float32, padded*w), make([]float32, padded*(h-w)), make([]float32, n), make([]float32, h)
 	for k := range head {
 		head[k] = float32(rng.NormFloat64())
 	}

@@ -206,11 +206,12 @@ func (e *stallingEngine) Revalidate(u types.UserID, list types.TopNSet, n int, f
 	return e.lineEngine.Revalidate(u, list, n, from)
 }
 
-// TestMissAfterFinishedFlightIsAHit: a request whose cache miss came before
-// another request's compute and put serves the generation's list too. It
-// computes that list itself — a miss is one compute, whatever else the
-// generation has finished meanwhile — and is counted a miss.
-func TestMissAfterFinishedFlightIsAHit(t *testing.T) {
+// TestLateMissComputesAgain: a request whose cache miss came before another
+// request's compute and put of the same list is not served that list from
+// the cache: it computes the list again itself — a miss is one compute,
+// whatever else the generation has finished meanwhile — is counted a miss,
+// and answers the same list as the first request.
+func TestLateMissComputesAgain(t *testing.T) {
 	d, keys := lineFixture(8)
 	const u = types.UserID(1) // period 3
 	line := new(Lineage)

@@ -27,6 +27,7 @@ import (
 
 	"ganc/internal/dataset"
 	"ganc/internal/kde"
+	"ganc/internal/linalg"
 	"ganc/internal/longtail"
 	"ganc/internal/recommender"
 	"ganc/internal/types"
@@ -869,20 +870,15 @@ func walkRun[T, C float32 | float64](h *recommender.TopHeap[T], bar T, raw []T, 
 	return bar
 }
 
-// gainScanGeneric writes to out, in ascending order, first+k for every item k
-// of raw whose gain reaches bar — !(g < bar), so a tie and a NaN gain reach
-// it — and returns how many it wrote; it writes nothing else. It is walkRun's
-// test, and the portable gain scan.
-func gainScanGeneric(raw, cov []float32, m recommender.MinMax[float32], theta, bar float32, first types.ItemID, out []types.ItemID) int {
-	cov = cov[:len(raw)]
-	n := 0
-	for k, s := range raw {
-		if g := gainOf(s, m, theta, cov[k]); !(g < bar) {
-			out[n] = first + types.ItemID(k)
-			n++
-		}
-	}
-	return n
+// gainScan writes to out, in ascending order, first+k for every item k of
+// raw whose gainOf gain reaches bar — !(g < bar), walkRun's test, so a tie and
+// a NaN gain reach it — and returns how many it wrote, n; what it leaves in
+// out[n:len(raw)] is linalg.GainScan's. A float32 map never divides, so its
+// gain is linalg.GainScan's over the map's affine form. sparse says few items
+// are expected to reach the bar and changes only its speed.
+func gainScan(raw, cov []float32, m recommender.MinMax[float32], theta, bar float32, first types.ItemID, out []types.ItemID, sparse bool) int {
+	min, scale := m.Affine()
+	return linalg.GainScan(raw, cov, min, scale, theta, bar, first, out, sparse)
 }
 
 // firstOutranks reports whether cand[0] ranks above every other item of cand

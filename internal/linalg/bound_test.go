@@ -35,17 +35,17 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b)
 }
 
-// misaligned returns a buffer of n+off+16 elements, each fill, and lo, where
-// its row of n elements starts: off elements past a 32-byte boundary, so
-// that off 0 is aligned to a ymm register's width and off 1–7 are not, with
-// room outside the row on both sides to see a stray write.
+// misaligned returns a buffer of n+off+32 elements, each fill, and lo, where
+// its row of n elements starts: off elements past a 64-byte boundary, so
+// that off 0 is aligned to a zmm register's width and other offsets are
+// not, with room outside the row on both sides to see a stray write.
 func misaligned[T float32 | float64](n, off int, fill T) (buf []T, lo int) {
-	buf = make([]T, n+off+16)
+	buf = make([]T, n+off+32)
 	for k := range buf {
 		buf[k] = fill
 	}
 	size := uintptr(unsafe.Sizeof(fill))
-	return buf, int((32-uintptr(unsafe.Pointer(&buf[0]))%32)%32/size) + off
+	return buf, int((64-uintptr(unsafe.Pointer(&buf[0]))%64)%64/size) + off
 }
 
 // untouched reports whether every element of buf outside [lo, hi) is fill.
@@ -62,14 +62,14 @@ func untouched[T comparable](buf []T, lo, hi int, fill T) bool {
 // its Go loop, with the lower row and without it, over n items: h head
 // factors, the first w of them in head and the others in rest, every input
 // drawn from draw, the output rows and the tail norms starting off elements
-// past a 32-byte boundary and head and rest at other offsets; and nothing is
+// past a 64-byte boundary and head and rest at other offsets; and nothing is
 // written outside the rows.
 func checkHeadBounds(t *testing.T, n, off, w, h int, draw func() float32) {
 	t.Helper()
 	const sentinel = float32(-12345)
 	padded := (n + headChunk - 1) / headChunk * headChunk
-	headBuf, hlo := misaligned(padded*w, (off+3)%8, float32(0))
-	restBuf, rlo := misaligned(padded*(h-w), (off+5)%8, float32(0))
+	headBuf, hlo := misaligned(padded*w, (off+3)%16, float32(0))
+	restBuf, rlo := misaligned(padded*(h-w), (off+5)%16, float32(0))
 	rhoBuf, plo := misaligned(n, off, float32(0))
 	head, rest, rho := headBuf[hlo:hlo+padded*w], restBuf[rlo:rlo+padded*(h-w)], rhoBuf[plo:plo+n]
 	for _, row := range [][]float32{head, rest, rho} {
@@ -100,21 +100,21 @@ func checkHeadBounds(t *testing.T, n, off, w, h int, draw func() float32) {
 	}
 }
 
-// TestHeadBoundsMatchPortable holds the VEX bound pass to its Go loop, value
-// for value, with and without the lower row: every length 0 to two chunks
-// and five items (whole chunks, then the eight-, four- and one-item paths),
-// every start 0–7 elements past a 32-byte boundary, 0 to 5 head factors and
+// TestHeadBoundsMatchPortable holds the AVX-512 bound pass to its Go loop,
+// value for value, with and without the lower row: every length 0 to two
+// chunks and five items (whole chunks, then a short one under its masks),
+// every start 0–15 elements past a 64-byte boundary, 0 to 5 head factors and
 // 0 to headDims of them, each of the first 0 to all of them in head and the
 // others in rest, and NaN, ±Inf, ±0 and subnormal lanes: none, a few or a
 // quarter of the inputs hostile.
 func TestHeadBoundsMatchPortable(t *testing.T) {
-	if !useAVX {
-		t.Skip("this CPU runs no AVX: the bound pass is its Go loop")
+	if !useAVX512 {
+		t.Skip("this CPU runs no AVX-512: the bound pass is its Go loop")
 	}
 	rng := rand.New(rand.NewSource(45))
 	vals := boundValues()
 	for n := 0; n <= 2*headChunk+5; n++ {
-		for off := 0; off < 8; off++ {
+		for off := 0; off < 16; off++ {
 			hostile := []int{0, 50, 4}[(n+off)%3]
 			draw := func() float32 {
 				if hostile > 0 && rng.Intn(hostile) == 0 {
@@ -132,7 +132,7 @@ func TestHeadBoundsMatchPortable(t *testing.T) {
 // FuzzHeadBoundsMatchPortable is TestHeadBoundsMatchPortable over drawn
 // shapes and values: h head factors (up to headDims), w of them in head, n
 // items (up to three chunks and seven), the rows' start off elements past a
-// 32-byte boundary, and each input value read from raw — one of boundValues
+// 64-byte boundary, and each input value read from raw — one of boundValues
 // for an even selector byte, the float32 whose bits are the next four bytes
 // for an odd one — so NaN, ±Inf, ±0, subnormal and any other lanes meet.
 func FuzzHeadBoundsMatchPortable(f *testing.F) {
@@ -141,8 +141,8 @@ func FuzzHeadBoundsMatchPortable(f *testing.F) {
 	f.Add(uint8(40), uint8(40), uint8(255), uint8(0), []byte{})
 	vals := boundValues()
 	f.Fuzz(func(t *testing.T, w, h, n, off uint8, raw []byte) {
-		if !useAVX {
-			t.Skip("this CPU runs no AVX: the bound pass is its Go loop")
+		if !useAVX512 {
+			t.Skip("this CPU runs no AVX-512: the bound pass is its Go loop")
 		}
 		at := 0
 		next := func() byte {
@@ -160,7 +160,7 @@ func FuzzHeadBoundsMatchPortable(f *testing.F) {
 			return math.Float32frombits(uint32(next())<<24 | uint32(next())<<16 | uint32(next())<<8 | uint32(next()))
 		}
 		hh := int(h) % (headDims + 1)
-		checkHeadBounds(t, int(n)%(3*headChunk+8), int(off)%8, int(w)%(hh+1), hh, draw)
+		checkHeadBounds(t, int(n)%(3*headChunk+8), int(off)%16, int(w)%(hh+1), hh, draw)
 	})
 }
 

@@ -10,10 +10,11 @@ import (
 
 // Portable kernel entry points for architectures without a hand-written
 // implementation: the unrolled multi-accumulator Go loops, the scalar score
-// epilogues, bound pass and band scan, and prefetch hints that do nothing.
+// epilogues, bound pass, band scan and gain scan, and prefetch hints that do
+// nothing.
 
-// useAVX is false: no VEX body is compiled here.
-const useAVX = false
+// useAVX512 is false: no AVX-512 body is compiled here.
+const useAVX512 = false
 
 func dot32x8(a, b []float32) float32 { return dot32x8Generic(a, b) }
 
@@ -33,6 +34,10 @@ func headBounds32(upper, lower, head, rest, pb, rho []float32, w int, pt, c floa
 
 func outsideBand(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int {
 	return outsideBandGeneric(upper, lower, top, bottom, first, out)
+}
+
+func gainScan(raw, cov []float32, min, scale, theta, bar float32, first types.ItemID, out []types.ItemID, _ bool) int {
+	return gainScanGeneric(raw, cov, min, scale, theta, bar, first, out)
 }
 
 func prefetchRow([]float64) {}

@@ -25,16 +25,16 @@ func epilogueBases() []float64 {
 	return []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 3.5361, -0.75, 1e300}
 }
 
-// TestEpiloguesMatchPortable holds the VEX bodies of AddBase32 and
+// TestEpiloguesMatchPortable holds the AVX-512 bodies of AddBase32 and
 // AddBaseBias32 to their Go loops, compared as bits: every length 0 to two
-// bound-pass chunks and five (the four-lane body, then the one-lane tail),
-// the scores and the biases each starting 0–7 elements past a 32-byte
-// boundary, every base, dots and biases drawn from hostile values — NaN,
-// ±Inf, ±0 and subnormals among them — and nothing written outside the
+// bound-pass chunks and five (whole 16-lane blocks, then a short one under
+// its masks), the scores and the biases each starting 0–15 elements past a
+// 64-byte boundary, every base, dots and biases drawn from hostile values —
+// NaN, ±Inf, ±0 and subnormals among them — and nothing written outside the
 // scores.
 func TestEpiloguesMatchPortable(t *testing.T) {
-	if !useAVX {
-		t.Skip("this CPU runs no AVX: the score epilogues are their Go loops")
+	if !useAVX512 {
+		t.Skip("this CPU runs no AVX-512: the score epilogues are their Go loops")
 	}
 	rng := rand.New(rand.NewSource(41))
 	vals := epilogueValues()
@@ -42,10 +42,10 @@ func TestEpiloguesMatchPortable(t *testing.T) {
 	const sentinel = float32(-12345)
 	for _, base := range epilogueBases() {
 		for n := 0; n <= 2*headChunk+5; n++ {
-			for off := 0; off < 8; off++ {
+			for off := 0; off < 16; off++ {
 				for trial := 0; trial < 2; trial++ {
 					dots := make([]float32, n)
-					biasBuf, blo := misaligned(n, (off+trial*3)%8, 0.0)
+					biasBuf, blo := misaligned(n, (off+trial*3)%16, 0.0)
 					bias := biasBuf[blo : blo+n]
 					for k := range dots {
 						dots[k] = vals[rng.Intn(len(vals))]

@@ -212,8 +212,8 @@ func headAt(i, f, h int) int { return (i/headChunk*h+f)*headChunk + i%headChunk 
 // sum so that no build fuses the two: when lower is nil, upper[i] =
 // ((t + Σ) + c); when it is not, the sum starts from +0 instead of t,
 // s = +0 + Σ, lower[i] = ((s − t) − c) and upper[i] = ((s + t) + c). pb holds
-// the user's head factors, one value each (the VEX pass broadcasts each to
-// eight lanes). It runs a chunk's factors one after another, so it reads head
+// the user's head factors, one value each (the AVX-512 pass broadcasts each
+// to 16 lanes). It runs a chunk's factors one after another, so it reads head
 // and rest in order, and sums in upper.
 func headBounds32Generic(upper, lower, head, rest, pb, rho []float32, w int, pt, c float32) {
 	h := len(pb)
@@ -252,12 +252,14 @@ func headBounds32Generic(upper, lower, head, rest, pb, rho []float32, w int, pt,
 // OutsideBand writes to out, in ascending order, first+k for every k below
 // len(upper) whose bounds do not keep it inside the band (bottom, top):
 // !(upper[k] < top) or !(bottom < lower[k]) — an upper bound reaching top, a
-// lower bound reaching bottom, or either NaN — and returns how many it wrote;
-// it writes nothing else. It is the scan a range certification runs over a
-// user's bound rows (DESIGN.md §12): once for the items that can still be
-// among the largest and smallest upper and lower bounds, and once for those
-// whose score can still reach an extreme. On amd64 it is an SSE2 scan of four
-// items at a time. It panics when lower or out is shorter than upper.
+// lower bound reaching bottom, or either NaN — and returns how many it wrote,
+// n; what it leaves in out[n:len(upper)] is its own. It is the scan a range
+// certification runs over a user's bound rows (DESIGN.md §12): once for the
+// items that can still be among the largest and smallest upper and lower
+// bounds, and once for those whose score can still reach an extreme. It is a
+// 16-lane scan where the kernels are AVX-512 (dot_amd64.go), its Go twin
+// elsewhere, with the same items either way. It panics when lower or out is
+// shorter than upper.
 func OutsideBand(upper, lower []float32, top, bottom float32, first types.ItemID, out []types.ItemID) int {
 	if len(lower) < len(upper) || len(out) < len(upper) {
 		panic(fmt.Sprintf("linalg: OutsideBand: len(lower) = %d, len(out) = %d < len(upper) = %d", len(lower), len(out), len(upper)))
@@ -271,6 +273,46 @@ func outsideBandGeneric(upper, lower []float32, top, bottom float32, first types
 	n := 0
 	for k, h := range upper {
 		if !(h < top) || !(bottom < lower[k]) {
+			out[n] = first + types.ItemID(k)
+			n++
+		}
+	}
+	return n
+}
+
+// GainScan writes to out, in ascending order, first+k for every k below
+// len(raw) whose gain
+//
+//	g = float32((1−θ)·a) + float32(θ·cov[k]),  a = clamp((raw[k]−min)·scale, 0, 1)
+//
+// reaches bar — !(g < bar), so a tie and a NaN gain reach it — and returns
+// how many it wrote, n; what it leaves in out[n:len(raw)] is its own. Every
+// operation is float32 and rounded on its own: the clamp returns 0 for
+// a v < 0 and 1 for a v > 1 and v itself otherwise, so a NaN and a −0 pass
+// through it. It is the scan a walk keeps a block's candidates by
+// (core.gainOf's gain under an affine map); sparse says few items are
+// expected to reach the bar and changes only its speed. It is a 16-lane scan
+// where the kernels are AVX-512, its Go twin elsewhere. It panics when cov or
+// out is shorter than raw.
+func GainScan(raw, cov []float32, min, scale, theta, bar float32, first types.ItemID, out []types.ItemID, sparse bool) int {
+	if len(cov) < len(raw) || len(out) < len(raw) {
+		panic(fmt.Sprintf("linalg: GainScan: len(cov) = %d, len(out) = %d < len(raw) = %d", len(cov), len(out), len(raw)))
+	}
+	return gainScan(raw, cov, min, scale, theta, bar, first, out, sparse)
+}
+
+// gainScanGeneric is the portable GainScan.
+func gainScanGeneric(raw, cov []float32, min, scale, theta, bar float32, first types.ItemID, out []types.ItemID) int {
+	cov = cov[:len(raw)]
+	n := 0
+	for k, s := range raw {
+		a := (s - min) * scale
+		if a < 0 {
+			a = 0
+		} else if a > 1 {
+			a = 1
+		}
+		if g := float32((1-theta)*a) + float32(theta*cov[k]); !(g < bar) {
 			out[n] = first + types.ItemID(k)
 			n++
 		}

@@ -28,13 +28,13 @@ func Dot64(a, b []float64) float64 {
 }
 
 // Dot32x8 computes the float32 dot product — the kernel the bulk scorers run
-// and the one the CI ratio gate measures against Dot64. On amd64 it
-// dispatches to a hand-scheduled SSE2 kernel (4 lanes × 4 accumulators; SSE2
-// is part of the amd64 baseline so no feature detection is needed — gc does
-// not auto-vectorize scalar loops, so the unrolled Go version below tops out
-// at the 2-loads-per-element scalar port limit). Other architectures run the
-// 8-accumulator pure-Go version. Both reduce through a fixed tree, so results
-// are deterministic for a given dims.
+// and the one the CI ratio gate measures against Dot64. On an amd64 CPU with
+// AVX-512 it is one 16-lane accumulator, lane m summing the elements ≡ m
+// (mod 16), and a fixed reduction tree (dot_amd64.s). Elsewhere it is the
+// 8-accumulator pure-Go version below (gc does not auto-vectorize scalar
+// loops, so it tops out at the 2-loads-per-element scalar port limit). Both
+// reduce through a fixed tree, so results are deterministic for a given dims
+// on a given side of the CPU check.
 func Dot32x8(a, b []float32) float32 {
 	if len(b) < len(a) { // one bounds check up front covers the asm kernel
 		panic("linalg: Dot32x8: len(b) < len(a)")
@@ -95,15 +95,15 @@ func dotRows32x8Generic(v, data []float32, rows []types.ItemID, out []float32, n
 
 // AddBase32 is the score epilogue of a factor model without per-item terms:
 // out[k] = float32(base + float64(out[k])) for every k, the float64 sum a
-// per-item loop takes, rounded once. On an amd64 CPU with AVX it is a
-// 256-bit kernel that takes four lanes at a time; elsewhere it is that loop,
-// with the same bits. It adds no zero bias in place of a missing one:
+// per-item loop takes, rounded once. On an amd64 CPU with AVX-512 it is a
+// kernel that takes 16 lanes at a time; elsewhere it is that loop, with the
+// same bits. It adds no zero bias in place of a missing one:
 // −0 + +0 is +0, so that would change a score.
 func AddBase32(out []float32, base float64) { addBase32(out, base) }
 
 // AddBaseBias32 is the score epilogue of a factor model with per-item bias
 // terms: out[k] = float32(base + float64(out[k]) + bias[k]) for every k,
-// summed left to right, four lanes at a time where AddBase32 is. It panics
+// summed left to right, 16 lanes at a time where AddBase32 is. It panics
 // when bias is shorter than out.
 func AddBaseBias32(out []float32, base float64, bias []float64) {
 	if len(bias) < len(out) {

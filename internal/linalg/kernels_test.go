@@ -59,10 +59,10 @@ func TestDot32KernelsAgree(t *testing.T) {
 	}
 }
 
-// The dispatched Dot32x8 (SSE2 asm on amd64) must agree with its portable
-// generic implementation for every tail alignment: bit-identity is not
-// required (different summation trees), agreement within float32 rounding
-// is.
+// The dispatched Dot32x8 (the AVX-512 body where the CPU runs it) must agree
+// with its portable generic implementation for every tail alignment:
+// bit-identity is not required (different summation trees), agreement within
+// float32 rounding is.
 func TestAsmMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for dims := 0; dims <= 70; dims++ {
@@ -131,13 +131,15 @@ func TestBlockFrom64(t *testing.T) {
 	}
 }
 
-// TestKernelSpeedupGate is the CI kernel regression gate: Dot32x8 must beat
-// the scalar float64 baseline by ≥2x on the serving factor width, the row
-// kernel must cost no more per row than the Dot32x8 call loop it replaced,
-// and on amd64 the VEX score epilogues and bound pass (where the CPU runs
-// AVX) and the SSE2 band scan must beat their Go loops (epilogueArms). Every
-// arm measures the same way (speedupGate).
-// Skipped under -race (instrumentation distorts the ratios) and -short.
+// TestKernelSpeedupGate is the CI kernel regression gate: each arm times one
+// AVX-512 body against the Go loop it replaced. Dot32x8 must beat the scalar
+// float64 baseline by ≥2x on the serving factor width, the row kernel must
+// cost no more per row than the Dot32x8 call loop it replaced, and the score
+// epilogues, the bound pass, the band scan and the gain scan must beat their
+// Go twins (epilogueArms, scanArms). Every arm measures the same way
+// (speedupGate). Skipped under -race (instrumentation distorts the ratios),
+// -short, and where the CPU runs no AVX-512: there every kernel is its Go
+// twin (Dot32x8 the 8-accumulator loop, 1.06–1.36× Dot64 measured on 386).
 func TestKernelSpeedupGate(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("kernel ratio gate is meaningless under the race detector")
@@ -145,11 +147,8 @@ func TestKernelSpeedupGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping kernel ratio gate in -short mode")
 	}
-	if runtime.GOARCH != "amd64" {
-		// Every arm times an assembly kernel against the Go loop it replaced;
-		// elsewhere both sides are Go (Dot32x8 is the 8-accumulator loop,
-		// 1.06–1.36× Dot64 measured on 386).
-		t.Skip("the kernels this gate times are their Go twins on " + runtime.GOARCH)
+	if !useAVX512 {
+		t.Skip("this CPU runs no AVX-512: every kernel the gate times is its Go twin on " + runtime.GOARCH)
 	}
 	const dims = 40 // RSVD's serving factor count
 	rng := rand.New(rand.NewSource(11))
@@ -158,9 +157,12 @@ func TestKernelSpeedupGate(t *testing.T) {
 	a, b := to32(a64), to32(b64)
 	var sink64 float64
 	var sink32 float32
-	// Best rounds read Dot32x8 at 3.2–4.2× Dot64 over five runs; one
-	// testing.Benchmark reading a side, as this arm once took, read 2.25–2.73×
-	// alone and 1.91× and 1.33× beside a full go test ./....
+	// Best rounds read the SSE2 Dot32x8 at 3.2–4.2× Dot64 over five runs,
+	// then 2.41–3.39× over three after code placement alone moved; the
+	// AVX-512 body reads 2.37–2.95× over three (13 ns a 40-factor call,
+	// mostly the call itself). One testing.Benchmark reading a side, as this
+	// arm once took, read 2.25–2.73× alone and 1.91× and 1.33× beside a full
+	// go test ./....
 	speedupGate(t, "Dot32x8 against Dot64", 2, 20000, 1, [2]func(){
 		func() { sink64 += Dot64(a64, b64) },
 		func() { sink32 += Dot32x8(a, b) },
@@ -181,14 +183,16 @@ func TestKernelSpeedupGate(t *testing.T) {
 		func() { block.DotRows32x8(v, list, out) },
 	})
 	epilogueArms(t)
+	scanArms(t)
 }
 
-// TestAVXSelectionMatchesCPU holds the CPU check that selects the VEX bodies
-// to the kernel's own account of the CPU: on linux/amd64, useAVX is true
-// exactly when /proc/cpuinfo lists the avx flag, which the kernel clears
-// where it does not save the ymm registers. A check that always said no would
-// leave every VEX arm of the exactness tests and the speed gate skipped.
-func TestAVXSelectionMatchesCPU(t *testing.T) {
+// TestAVX512SelectionMatchesCPU holds the CPU check that selects the AVX-512
+// bodies to the kernel's own account of the CPU: on linux/amd64, useAVX512
+// is true exactly when /proc/cpuinfo lists the avx512f flag, which the kernel
+// clears where it does not save the zmm and mask registers. A check that
+// always said no would leave every exactness test of the kernels and the
+// speed gate skipped.
+func TestAVX512SelectionMatchesCPU(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skip("the CPU's flags are read from /proc/cpuinfo on linux/amd64")
 	}
@@ -201,8 +205,8 @@ func TestAVXSelectionMatchesCPU(t *testing.T) {
 		if !ok || strings.TrimSpace(name) != "flags" {
 			continue
 		}
-		if listed := slices.Contains(strings.Fields(flags), "avx"); listed != useAVX {
-			t.Fatalf("the CPU check selects the VEX bodies: %v; /proc/cpuinfo lists avx: %v", useAVX, listed)
+		if listed := slices.Contains(strings.Fields(flags), "avx512f"); listed != useAVX512 {
+			t.Fatalf("the CPU check selects the AVX-512 bodies: %v; /proc/cpuinfo lists avx512f: %v", useAVX512, listed)
 		}
 		return
 	}
@@ -243,43 +247,87 @@ func speedupGate(t *testing.T, name string, bound float64, calls, items int, sid
 }
 
 // epilogueArms are the gate's arms for the score epilogues, the bound pass
-// and the band scan: over a turn's 3 988 scores, the VEX bodies of
+// and the band scan: over a turn's 3 988 scores, the AVX-512 bodies of
 // AddBaseBias32 and AddBase32 must each cost at most 1/1.3 of their Go
-// loops, the VEX bound pass of DotBounds32 at most 1/2 of its — alone, over
-// the first upperDims of headDims head factors, and with its lower row, over
-// all headDims — and OutsideBand at most 1/2 of its. On a CPU without AVX
-// the first four kernels are their Go loops, and their arms are skipped.
+// loops, the bound pass of DotBounds32 at most 1/2 of its — alone, over the
+// first upperDims of headDims head factors, and with its lower row, over all
+// headDims — and OutsideBand at most 1/2 of its.
 func epilogueArms(t *testing.T) {
 	out, bias := epilogueBench()
 	head, rest, rho, pb := boundBench(len(out), upperDims, headDims)
 	pb16, low := pb[:upperDims], make([]float32, len(out))
 	upper, lower, kept := bandBench(len(out))
-	// Measured on a 2-vCPU VM with AVX over five runs, per score:
-	// AddBaseBias32 0.18–0.34 ns against 0.78–1.35 ns (3.80–4.25×),
-	// AddBase32 0.17–0.29 ns against 0.67–1.30 ns (3.78–5.51×); the bound
-	// pass with its lower row, 32 head factors an item, 1.49–1.97 ns against
-	// 16.5–27.6 ns (11.1–14.0×), alone, 16 head factors, 0.77–1.07 ns
-	// against 8.4–15.5 ns (10.9–14.6×); the band scan, about 5 % of the items
-	// outside the band, 0.24–0.39 ns against 0.92–1.20 ns (3.05–3.87×). The
-	// bounds leave room for a busy neighbour.
+	// Measured on a 2-vCPU VM with AVX-512 (a Xeon, family 6 model 207)
+	// over three runs, per score: AddBaseBias32 0.19–0.22 ns against
+	// 1.26–1.46 ns, AddBase32 0.15–0.16 ns against 1.23–1.33 ns; the bound
+	// pass with its lower row, 32 head factors an item, 1.33–1.47 ns against
+	// 33.6–39.6 ns, alone, 16 head factors, 0.72–0.81 ns against 14.9–18.8
+	// ns; the band scan, about 5 % of the items outside the band, 0.15–0.19
+	// ns against 1.29–1.53 ns. The bounds leave room for a busy neighbour.
 	for _, arm := range []struct {
 		name       string
 		bound      float64
-		vex        bool
 		twin, simd func()
 	}{
-		{"AddBaseBias32", 1.3, true, func() { addBaseBias32Generic(out, 0.5, bias) }, func() { AddBaseBias32(out, -0.5, bias) }},
-		{"AddBase32", 1.3, true, func() { addBase32Generic(out, 0.5) }, func() { AddBase32(out, -0.5) }},
-		{"bound pass", 2, true, func() { headBounds32Generic(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }},
-		{"bound pass, two rows", 2, true, func() { headBounds32Generic(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }},
-		{"band scan", 2, false, func() { outsideBandGeneric(upper, lower, 2, -4, 0, kept) }, func() { outsideBand(upper, lower, 2, -4, 0, kept) }},
+		{"AddBaseBias32", 1.3, func() { addBaseBias32Generic(out, 0.5, bias) }, func() { AddBaseBias32(out, -0.5, bias) }},
+		{"AddBase32", 1.3, func() { addBase32Generic(out, 0.5) }, func() { AddBase32(out, -0.5) }},
+		{"bound pass", 2, func() { headBounds32Generic(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, nil, head, rest, pb16, rho, upperDims, 1.5, 0.25) }},
+		{"bound pass, two rows", 2, func() { headBounds32Generic(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }, func() { headBounds32(out, low, head, rest, pb, rho, upperDims, 1.5, 0.25) }},
+		{"band scan", 2, func() { outsideBandGeneric(upper, lower, 2, -4, 0, kept) }, func() { outsideBand(upper, lower, 2, -4, 0, kept) }},
 	} {
-		if arm.vex && !useAVX {
-			t.Logf("%s: this CPU runs no AVX, so the kernel is its Go loop; arm skipped", arm.name)
-			continue
-		}
 		speedupGate(t, arm.name, arm.bound, 200, len(out), [2]func(){arm.twin, arm.simd})
 	}
+}
+
+// scanArms are the gate's arms for the gain scan: over a turn's catalog
+// (3 988 items) it must cost at most 1/2.5 of its Go twin, in two arms: a
+// cold walk's steady state, where the bar is above every gain and the scan,
+// told few items pass, skips each empty block; and a warm walk's bound row,
+// where a fifth of the items pass and the scan stores every block without a
+// branch.
+func scanArms(t *testing.T) {
+	raw, cov := scanBench()
+	out := make([]types.ItemID, len(raw))
+	const lo, scale, theta = -2, 0.25, 0.3
+	gains := make([]float32, len(raw))
+	for k, s := range raw {
+		a := max(0, min(1, (s-lo)*scale)) // no NaN and no −0 here
+		gains[k] = float32((1-theta)*a) + float32(theta*cov[k])
+	}
+	slices.Sort(gains)
+	var sink int
+	// Measured on the same VM over three runs, per item: the steady state
+	// 0.16–0.22 ns against 2.6–3.5 ns, a fifth kept 0.24–0.26 ns against
+	// 5.6–6.5 ns. The bound leaves room for a busy neighbour.
+	for _, arm := range []struct {
+		name   string
+		bar    float32
+		sparse bool
+	}{
+		{"gain scan, steady state", 2, true},
+		{"gain scan, a fifth kept", gains[len(gains)*4/5], false},
+	} {
+		speedupGate(t, arm.name, 2.5, 200, len(raw), [2]func(){
+			func() { sink += gainScanGeneric(raw, cov, lo, scale, theta, arm.bar, 0, out) },
+			func() { sink += gainScan(raw, cov, lo, scale, theta, arm.bar, 0, out, arm.sparse) },
+		})
+	}
+	if sink == 0 {
+		t.Log("sink zero (keeps the scans live)")
+	}
+}
+
+// scanBench is a turn's catalog on the benchmark universe: 3 988 raw scores
+// over a range of [−2, 2] and a coverage row of 1/√(1+f) for popularities f
+// below 50, as Dyn's.
+func scanBench() (raw, cov []float32) {
+	rng := rand.New(rand.NewSource(53))
+	raw, cov = make([]float32, 3988), make([]float32, 3988)
+	for i := range raw {
+		raw[i] = float32(rng.Float64()*4 - 2)
+		cov[i] = float32(1 / math.Sqrt(float64(rng.Intn(50))+1))
+	}
+	return raw, cov
 }
 
 // bandBench is a band scan's input over n items: upper bounds drawn from a
@@ -400,8 +448,8 @@ func rowKernelLists(rows int) map[string][]types.ItemID {
 // TestDotRowsBitExact is the row kernel's parity contract: for every tail
 // alignment of dims and every index-list shape, each score carries exactly
 // the bits the pair kernel returns for that row — on the dispatched kernel
-// against Dot32x8 and on the portable one against dot32x8Generic — and
-// nothing past len(rows) is written.
+// against Dot32x8 and dispatchedDot, and on the portable one against
+// dot32x8Generic — and nothing past len(rows) is written.
 func TestDotRowsBitExact(t *testing.T) {
 	const rows = 37
 	const sentinel = float32(-12345)
@@ -425,6 +473,9 @@ func TestDotRowsBitExact(t *testing.T) {
 				for i, r := range list {
 					if want := k.pair(v, b.Row(int(r))); out[i] != want {
 						t.Fatalf("dims=%d %s %s: out[%d] (row %d) = %v, pair kernel gives %v", dims, name, k.name, i, r, out[i], want)
+					}
+					if want := dispatchedDot(v, b.Row(int(r))); k.name == "dispatched" && out[i] != want {
+						t.Fatalf("dims=%d %s: out[%d] (row %d) = %v, its sum tree gives %v", dims, name, i, r, out[i], want)
 					}
 				}
 				if out[len(list)] != sentinel || out[len(list)+1] != sentinel {
@@ -517,6 +568,118 @@ func TestItemDots32(t *testing.T) {
 		}
 	}()
 	p.ItemDots32(0, []types.ItemID{0, 1, 2}, make([]float32, 2))
+}
+
+// dot16Lanes is the AVX-512 row kernel's sum tree stated in Go, each
+// operation rounded to float32 on its own: lane m of 16 sums the products of
+// the elements ≡ m (mod 16) below the last multiple of 16; each whole quad
+// past it adds to lanes 0–3; then (0–3 + 4–7) + (8–11 + 12–15) lane by lane,
+// (0 + 2) + (1 + 3), and the elements past the last quad one at a time.
+func dot16Lanes(a, b []float32) float32 {
+	var lane [16]float32
+	i := 0
+	for ; i+16 <= len(a); i += 16 {
+		for m := range lane {
+			lane[m] += float32(a[i+m] * b[i+m])
+		}
+	}
+	for ; i+4 <= len(a); i += 4 {
+		for m := 0; m < 4; m++ {
+			lane[m] += float32(a[i+m] * b[i+m])
+		}
+	}
+	var q [4]float32
+	for m := range q {
+		q[m] = (lane[m] + lane[4+m]) + (lane[8+m] + lane[12+m])
+	}
+	s := (q[0] + q[2]) + (q[1] + q[3])
+	for ; i < len(a); i++ {
+		s += float32(a[i] * b[i])
+	}
+	return s
+}
+
+// dispatchedDot is the pair kernel Dot32x8 dispatches to, stated in Go:
+// dot16Lanes where the CPU runs the AVX-512 body, dot32x8Generic elsewhere.
+func dispatchedDot(a, b []float32) float32 {
+	if useAVX512 {
+		return dot16Lanes(a, b)
+	}
+	return dot32x8Generic(a, b)
+}
+
+// FuzzRowKernelMatchesPortable holds the dispatched row kernel and band scan
+// to their Go statements over drawn shapes and values: a row length of 0–69
+// factors, the vector, the block and the bound rows starting 0–15 elements
+// past a 64-byte boundary, and each value read from raw — one of
+// boundValues for an even selector byte, the float32 whose bits are the next
+// four bytes for an odd one — so NaN, ±Inf, −0 and subnormal lanes meet.
+// Every score of a block of three rows, and of indices outside it, carries
+// dispatchedDot's bits (any NaN for a NaN); the band scan keeps
+// outsideBandGeneric's items for a band drawn the same way; and neither
+// writes outside its output.
+func FuzzRowKernelMatchesPortable(f *testing.F) {
+	f.Add(uint8(37), uint8(5), []byte{2, 6, 1, 0x7f, 0xc0, 0, 1, 10, 0, 3, 0x80, 0, 0, 0, 5, 0, 0, 0, 1})
+	f.Add(uint8(16), uint8(0), []byte{1, 0, 0, 0x80, 0, 1, 0, 0, 0x80, 0x80, 4})
+	f.Add(uint8(69), uint8(15), []byte{})
+	vals := boundValues()
+	f.Fuzz(func(t *testing.T, n, off uint8, raw []byte) {
+		at := 0
+		next := func() byte {
+			b := raw[at%len(raw)]
+			at++
+			return b
+		}
+		draw := func() float32 {
+			if len(raw) == 0 {
+				return 1
+			}
+			if b := next(); b&1 == 0 {
+				return vals[int(b>>1)%len(vals)]
+			}
+			return math.Float32frombits(uint32(next())<<24 | uint32(next())<<16 | uint32(next())<<8 | uint32(next()))
+		}
+		dims, start := int(n)%70, int(off)%16
+		const rows, sentinel = 3, float32(-12345)
+		vBuf, vlo := misaligned(dims, start, float32(0))
+		dBuf, dlo := misaligned(rows*dims, (start+7)%16, float32(0))
+		v, data := vBuf[vlo:vlo+dims], dBuf[dlo:dlo+rows*dims]
+		for _, row := range [][]float32{v, data} {
+			for k := range row {
+				row[k] = draw()
+			}
+		}
+		b := Block{rows: rows, dims: dims, data: data}
+		list := []types.ItemID{2, 0, -1, 1, rows, 2}
+		outBuf, olo := misaligned(len(list), start, sentinel)
+		dotRows32x8(v, data, list, outBuf[olo:olo+len(list)], rows)
+		for k, r := range list {
+			want := float32(0)
+			if r >= 0 && int(r) < rows {
+				want = dispatchedDot(v, b.Row(int(r)))
+			}
+			if got := outBuf[olo+k]; !sameBits(got, want) {
+				t.Fatalf("%d factors at offset %d: score %d (row %d) %v (%#x), its Go statement %v (%#x)", dims, start, k, r, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+		if !untouched(outBuf, olo, olo+len(list), sentinel) {
+			t.Fatalf("%d factors at offset %d: the row kernel wrote outside its scores", dims, start)
+		}
+
+		uBuf, ulo := misaligned(dims, start, float32(0))
+		lBuf, llo := misaligned(dims, (start+3)%16, float32(0))
+		upper, lower := uBuf[ulo:ulo+dims], lBuf[llo:llo+dims]
+		for k := range upper {
+			upper[k], lower[k] = draw(), draw()
+		}
+		top, bottom := draw(), draw()
+		kept, want := make([]types.ItemID, dims+1), make([]types.ItemID, dims)
+		kept[dims] = -7
+		k := outsideBand(upper, lower, top, bottom, 11, kept[:dims])
+		if wk := outsideBandGeneric(upper, lower, top, bottom, 11, want); k != wk || !slices.Equal(kept[:k], want[:wk]) || kept[dims] != -7 {
+			t.Fatalf("%d items at offset %d, band (%v, %v): scan %v, Go loop %v", dims, start, bottom, top, kept[:k], want[:wk])
+		}
+	})
 }
 
 func BenchmarkDotRows(b *testing.B) {

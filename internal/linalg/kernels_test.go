@@ -135,9 +135,9 @@ func TestBlockFrom64(t *testing.T) {
 // AVX-512 body against the Go loop it replaced. Dot32x8 must beat the scalar
 // float64 baseline by ≥2x on the serving factor width, the row kernel must
 // cost no more per row than the Dot32x8 call loop it replaced, and the score
-// epilogues, the bound pass, the band scan and the gain scan must beat their
-// Go twins (epilogueArms, scanArms). Every arm measures the same way
-// (speedupGate). Skipped under -race (instrumentation distorts the ratios),
+// epilogues, the bound pass and the band scan must beat their Go twins
+// (epilogueArms). Every arm measures the same way (speedupGate). The gain
+// scan's arms are core's TestKernelSpeedupGate. Skipped under -race (instrumentation distorts the ratios),
 // -short, and where the CPU runs no AVX-512: there every kernel is its Go
 // twin (Dot32x8 the 8-accumulator loop, 1.06–1.36× Dot64 measured on 386).
 func TestKernelSpeedupGate(t *testing.T) {
@@ -183,7 +183,6 @@ func TestKernelSpeedupGate(t *testing.T) {
 		func() { block.DotRows32x8(v, list, out) },
 	})
 	epilogueArms(t)
-	scanArms(t)
 }
 
 // TestAVX512SelectionMatchesCPU holds the CPU check that selects the AVX-512
@@ -277,57 +276,6 @@ func epilogueArms(t *testing.T) {
 	} {
 		speedupGate(t, arm.name, arm.bound, 200, len(out), [2]func(){arm.twin, arm.simd})
 	}
-}
-
-// scanArms are the gate's arms for the gain scan: over a turn's catalog
-// (3 988 items) it must cost at most 1/2.5 of its Go twin, in two arms: a
-// cold walk's steady state, where the bar is above every gain and the scan,
-// told few items pass, skips each empty block; and a warm walk's bound row,
-// where a fifth of the items pass and the scan stores every block without a
-// branch.
-func scanArms(t *testing.T) {
-	raw, cov := scanBench()
-	out := make([]types.ItemID, len(raw))
-	const lo, scale, theta = -2, 0.25, 0.3
-	gains := make([]float32, len(raw))
-	for k, s := range raw {
-		a := max(0, min(1, (s-lo)*scale)) // no NaN and no −0 here
-		gains[k] = float32((1-theta)*a) + float32(theta*cov[k])
-	}
-	slices.Sort(gains)
-	var sink int
-	// Measured on the same VM over three runs, per item: the steady state
-	// 0.16–0.22 ns against 2.6–3.5 ns, a fifth kept 0.24–0.26 ns against
-	// 5.6–6.5 ns. The bound leaves room for a busy neighbour.
-	for _, arm := range []struct {
-		name   string
-		bar    float32
-		sparse bool
-	}{
-		{"gain scan, steady state", 2, true},
-		{"gain scan, a fifth kept", gains[len(gains)*4/5], false},
-	} {
-		speedupGate(t, arm.name, 2.5, 200, len(raw), [2]func(){
-			func() { sink += gainScanGeneric(raw, cov, lo, scale, theta, arm.bar, 0, out) },
-			func() { sink += gainScan(raw, cov, lo, scale, theta, arm.bar, 0, out, arm.sparse) },
-		})
-	}
-	if sink == 0 {
-		t.Log("sink zero (keeps the scans live)")
-	}
-}
-
-// scanBench is a turn's catalog on the benchmark universe: 3 988 raw scores
-// over a range of [−2, 2] and a coverage row of 1/√(1+f) for popularities f
-// below 50, as Dyn's.
-func scanBench() (raw, cov []float32) {
-	rng := rand.New(rand.NewSource(53))
-	raw, cov = make([]float32, 3988), make([]float32, 3988)
-	for i := range raw {
-		raw[i] = float32(rng.Float64()*4 - 2)
-		cov[i] = float32(1 / math.Sqrt(float64(rng.Intn(50))+1))
-	}
-	return raw, cov
 }
 
 // bandBench is a band scan's input over n items: upper bounds drawn from a

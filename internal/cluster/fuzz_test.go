@@ -104,6 +104,17 @@ var hostileBatchAnswers = []struct {
 	{"trailing garbage", `{"model":"m","version":1,"results":[{"user":"u"},{"user":"v"}]} x`, 0, "shard_response"},
 	{"truncated element", `{"model":"m","version":1,"results":[{"user":"u"},{"user":"v"`, 0, "shard_response"},
 	{"envelope field of the wrong type", `{"model":7,"version":1,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	// Shapes decoding the envelope merged as a model "" or a version 0, or
+	// read one of two ways; the router's split refuses them.
+	{"model is null", `{"model":null,"version":1,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	{"no model", `{"version":1,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	{"no version", `{"model":"m","results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	{"two results keys", `{"model":"m","version":1,"results":[{"user":"u"}],"results":[{"user":"v"}]}`, 0, "shard_response"},
+	{"two model keys", `{"model":"m","model":"m","version":1,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	{"model key in capitals", `{"MODEL":"m","model":"m","version":1,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	{"fractional version", `{"model":"m","version":1.5,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	{"version with an exponent", `{"model":"m","version":1e3,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
+	{"version overflows int", `{"model":"m","version":99999999999999999999,"results":[{"user":"u"},{"user":"v"}]}`, 0, "shard_response"},
 	{"declares 64 MiB, sends 10 bytes", `{"model":"`, 64 << 20, "shard_unavailable"},
 }
 

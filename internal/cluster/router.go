@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -596,7 +597,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// One sub-batch per owning shard, concurrently; the answers land in shard
 	// order, so the merged body does not depend on which shard answered first.
-	answers := make([]batchWire, len(shards))
+	answers := make([]serve.BatchParts, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, shard := range shards {
@@ -608,9 +609,13 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	// The merged answer is serve's envelope with the shards' own element
-	// bytes placed by request index, encoded once.
-	out := batchWire{Results: make([]json.RawMessage, len(req.Users)), Shards: make([]ShardBatchMeta, len(shards))}
+	// The merged answer is serve's envelope around the shards' own element
+	// bytes, placed by request index, then the shards in ascending ID:
+	// BatchResponse's JSON, appended into one buffer sized up front — the
+	// elements, and 128 bytes besides for each shard's row and the envelope
+	// (its digits and keys, not its models).
+	merged := serve.BatchParts{Model: answers[len(answers)-1].Model, Results: make([][]byte, len(req.Users))}
+	size := 128
 	for i, shard := range shards {
 		// A partial batch would silently drop users, so any shard failure
 		// fails the whole request loudly.
@@ -618,62 +623,61 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeShardFailure(w, errs[i])
 			return
 		}
-		ans := answers[i]
 		for k, idx := range perShard[shard] {
-			out.Results[idx] = ans.Results[k]
+			merged.Results[idx] = answers[i].Results[k]
+			size += len(merged.Results[idx]) + 1
 		}
-		out.Shards[i] = ShardBatchMeta{Shard: shard, Users: len(perShard[shard]), Model: ans.Model, Version: ans.Version}
-		out.Model = ans.Model
-		out.Version += ans.Version
+		size += 128 + 2*len(answers[i].Model)
+		merged.Version += answers[i].Version
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// batchWire is BatchResponse as the router handles it: the envelope decoded,
-// each element left as the bytes the shard encoded. It decodes a shard's
-// sub-batch answer (serve.BatchResponse, no shards) and encodes the router's
-// own; for the same content the bytes equal BatchResponse's.
-type batchWire struct {
-	Model   string            `json:"model"`
-	Version int               `json:"version"`
-	Results []json.RawMessage `json:"results"`
-	Shards  []ShardBatchMeta  `json:"shards"`
+	body := serve.AppendBatch(make([]byte, 0, size), merged)
+	body = append(body, `,"shards":[`...)
+	for i, shard := range shards {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, `{"shard":`...)
+		body = strconv.AppendInt(body, int64(shard), 10)
+		body = append(body, `,"users":`...)
+		body = strconv.AppendInt(body, int64(len(perShard[shard])), 10)
+		body = append(body, `,"model":`...)
+		body = append(body, answers[i].Model...)
+		body = append(body, `,"version":`...)
+		body = strconv.AppendInt(body, int64(answers[i].Version), 10)
+		body = append(body, '}')
+	}
+	body = append(body, "]}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // subBatch asks one shard for its share of a batch — the users at indices —
-// and checks the envelope: valid JSON, one element per user, each element a
-// JSON object. What is inside an element is the shard's to say and is relayed
-// as it came, as passthrough relays a single-user answer.
-func (rt *Router) subBatch(ctx context.Context, shard int, all []string, indices []int) (batchWire, error) {
+// and splits its answer with serve.SplitBatch, which checks the envelope:
+// valid JSON, one element per user, each element a JSON object. What is
+// inside an element is the shard's to say and is relayed as it came, as
+// passthrough relays a single-user answer.
+func (rt *Router) subBatch(ctx context.Context, shard int, all []string, indices []int) (serve.BatchParts, error) {
 	users := make([]string, len(indices))
 	for k, idx := range indices {
 		users[k] = all[idx]
 	}
 	payload, _ := json.Marshal(serve.BatchRequest{Users: users})
 	info, _ := rt.shardInfo(shard)
-	malformed := func(err error) (batchWire, error) {
-		return batchWire{}, &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1, Err: err}
+	malformed := func(err error) (serve.BatchParts, error) {
+		return serve.BatchParts{}, &ShardError{Shard: shard, Addr: info.Addr, Attempts: 1, Err: err}
 	}
 	status, body, err := rt.callShardRead(ctx, shard, http.MethodPost, "/recommend/batch", payload)
 	if err != nil {
-		return batchWire{}, err
+		return serve.BatchParts{}, err
 	}
 	if status != http.StatusOK {
 		return malformed(fmt.Errorf("%w: sub-batch rejected with status %d: %s", ErrShardResponse, status, truncate(body)))
 	}
-	// Room for the expected elements up front: the decoder then fills the
-	// slice in place instead of growing it through reflection.
-	ans := batchWire{Results: make([]json.RawMessage, 0, len(users))}
-	if err := json.Unmarshal(body, &ans); err != nil {
-		return malformed(fmt.Errorf("%w: decoding sub-batch answer: %v", ErrShardResponse, err))
-	}
-	if len(ans.Results) != len(users) {
-		return malformed(fmt.Errorf("%w: sub-batch answered %d results for %d users", ErrShardResponse, len(ans.Results), len(users)))
-	}
-	for k, el := range ans.Results {
-		if len(el) == 0 || el[0] != '{' {
-			return malformed(fmt.Errorf("%w: sub-batch result %d is not an object: %s", ErrShardResponse, k, truncate(el)))
-		}
+	ans, err := serve.SplitBatch(body, len(users))
+	if err != nil {
+		return malformed(fmt.Errorf("%w: sub-batch answer: %v", ErrShardResponse, err))
 	}
 	return ans, nil
 }

@@ -40,9 +40,10 @@ func (e *echoEngine) RecommendUser(ctx context.Context, u types.UserID, n int) (
 }
 
 // escapedUsers are keys encoding/json does not write as they are (HTML
-// escaping, quotes, raw non-ASCII, the U+2028 escape): what the router relays
-// for them must still be the shard's bytes.
-var escapedUsers = []string{`al<ice>&"q"`, "bøb\u2028日本"}
+// escaping, quotes, raw non-ASCII, the U+2028 escape), and one holding the
+// bytes that end a JSON element or array outside a string, and a backslash:
+// what the router relays for them must still be the shard's bytes.
+var escapedUsers = []string{`al<ice>&"q"`, "bøb\u2028日本", `c]a[r,l}\o`}
 
 // testShard is one live shard: its server, engine and listener.
 type testShard struct {
@@ -313,6 +314,34 @@ func TestRouterBatchBytes(t *testing.T) {
 	}
 	if !bytes.Equal(first, oracle.Bytes()) {
 		t.Fatalf("routed batch body differs from the re-encoded merge of the shards' answers:\n got %s\nwant %s", first, oracle.Bytes())
+	}
+}
+
+// TestRouterBatchFraming: the merged 200 is framed by a Content-Length equal
+// to its body, never chunked, also for a body above the 2 KiB net/http buffers
+// before it has to chunk an answer of unknown length.
+func TestRouterBatchFraming(t *testing.T) {
+	rt, _ := clusterFixture(t, 2)
+	ts := routerServer(t, rt)
+	users := make([]string, 100)
+	for k := range users {
+		users[k] = fmt.Sprintf("user-%d", k%40)
+	}
+	batch, _ := json.Marshal(serve.BatchRequest{Users: users})
+	resp, err := http.Post(ts.URL+"/recommend/batch", "application/json", bytes.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(body) <= 2048 {
+		t.Fatalf("batch answered %d with %d bytes, want a 200 above 2 KiB", resp.StatusCode, len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("a %d-byte merged body came with Content-Length %d and Transfer-Encoding %v", len(body), resp.ContentLength, resp.TransferEncoding)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -102,94 +103,58 @@ type BoundedAccuracy32 interface {
 
 // PopAccuracy is the paper's Pop accuracy recommender: a(i) = 1 when i is in
 // the user's popularity top-N (excluding their train items), 0 otherwise.
-// It is safe for concurrent use: lookups take a read lock only, so the hot
-// serving path never serializes on the cache, and the cache is bounded by
-// cacheCap with arbitrary-entry eviction (map iteration order) once full.
+// Each call selects the user's top-N in one pass over their candidates and
+// keeps nothing, so it is safe for concurrent use.
 type PopAccuracy struct {
-	pop   recommender.ScorerTopN
+	pop   *recommender.Pop
 	train *dataset.Dataset
 	topN  int
-	mu    sync.RWMutex
-	// cache maps a user to their top-N membership bitset: bit i set means
-	// item i is in the user's popularity top-N. A bitset row costs |I|/8
-	// bytes and answers a membership probe with one shift instead of a map
-	// probe, which is what a turn's catalog-wide fill does per item.
-	cache    map[types.UserID][]uint64
-	cacheCap int
 }
 
-// topBits returns user u's popularity top-N membership bitset, computing and
-// caching it on first use. The fast path is a read-locked map lookup.
-func (p *PopAccuracy) topBits(u types.UserID) []uint64 {
-	p.mu.RLock()
-	bits, ok := p.cache[u]
-	p.mu.RUnlock()
-	if ok {
-		return bits
-	}
-	top := p.pop.Recommend(u, p.topN, p.train.AppendCandidates(u, nil))
-	bits = make([]uint64, (p.train.NumItems()+63)/64)
-	for _, it := range top {
-		bits[it>>6] |= 1 << (uint(it) & 63)
-	}
-	p.mu.Lock()
-	if cached, ok := p.cache[u]; ok {
-		// Another goroutine computed the set first; keep its copy so all
-		// callers share one bitset.
-		bits = cached
-	} else {
-		if len(p.cache) >= p.cacheCap {
-			p.evictOneLocked()
+// top selects user u's popularity top-N: the N candidates with the most train
+// ratings, ties to the smaller ItemID, as recommender.SelectTop ranks them.
+func (p *PopAccuracy) top(u types.UserID) types.TopNSet {
+	rated, numItems := p.train.UserItemsSorted(u), p.train.NumItems()
+	h := walkHeap[float64](rated, numItems, p.topN)
+	bar := math.Inf(-1)
+	for lo, hi := range candidateRuns(rated, numItems) {
+		for i := lo; i < hi; i++ {
+			if s := p.pop.Score(u, types.ItemID(i)); !(s < bar) {
+				bar = h.Offer(types.ItemID(i), s)
+			}
 		}
-		p.cache[u] = bits
 	}
-	p.mu.Unlock()
-	return bits
-}
-
-// inBits reports whether item i's bit is set (items beyond the bitset are
-// absent by definition).
-func inBits(bits []uint64, i types.ItemID) bool {
-	w := int(i) >> 6
-	return w < len(bits) && bits[w]>>(uint(i)&63)&1 == 1
-}
-
-// evictOneLocked removes one arbitrary cache entry (map iteration order is
-// randomized, which approximates random replacement) so the cache stays
-// bounded under serving load instead of refusing new users. Callers hold
-// p.mu for writing.
-func (p *PopAccuracy) evictOneLocked() {
-	for victim := range p.cache {
-		delete(p.cache, victim)
-		break
-	}
+	return h.Ranked()
 }
 
 // AccuracyScore implements AccuracyRecommender: membership in the user's
-// popularity top-N.
+// popularity top-N, selected for this one item; a caller that asks about
+// many items of one user reads AccuracyScores instead.
 func (p *PopAccuracy) AccuracyScore(u types.UserID, i types.ItemID) float64 {
-	if inBits(p.topBits(u), i) {
+	if slices.Contains(p.top(u), i) {
 		return 1
 	}
 	return 0
 }
 
-// AccuracyScores implements BulkAccuracy: the membership bitset is resolved
-// once for the whole catalog.
+// AccuracyScores implements BulkAccuracy: the top-N is selected once for the
+// whole catalog.
 func (p *PopAccuracy) AccuracyScores(u types.UserID, out []float64) recommender.MinMax[float64] {
-	return fillIndicators(p.topBits(u), out)
+	return fillIndicators(p.top(u), out)
 }
 
 // AccuracyScores32 implements BulkAccuracy32: indicator scores are exact in
 // float32, so the float32 sweep reads the same memberships.
 func (p *PopAccuracy) AccuracyScores32(u types.UserID, out []float32) recommender.MinMax[float32] {
-	return fillIndicators(p.topBits(u), out)
+	return fillIndicators(p.top(u), out)
 }
 
-func fillIndicators[T float32 | float64](bits []uint64, out []T) recommender.MinMax[T] {
-	for i := range out {
-		out[i] = 0
-		if inBits(bits, types.ItemID(i)) {
+// fillIndicators sets out[i] to 1 for each item i of top that out holds, and
+// every other entry to 0.
+func fillIndicators[T float32 | float64](top types.TopNSet, out []T) recommender.MinMax[T] {
+	clear(out)
+	for _, i := range top {
+		if int(i) < len(out) {
 			out[i] = 1
 		}
 	}

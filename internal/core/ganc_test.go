@@ -97,7 +97,7 @@ func TestFullySequentialPassKeepsNoSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = g.Recommend() // fills the Pop membership cache and the scratch pool
+	_ = g.Recommend() // fills the scratch pool
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_ = g.Recommend()

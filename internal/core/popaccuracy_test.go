@@ -2,34 +2,82 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"ganc/internal/dataset"
+	"ganc/internal/recommender"
 	"ganc/internal/types"
 )
 
-func TestPopAccuracyCacheStaysBounded(t *testing.T) {
-	sp := testSplit(t)
-	train := sp.Train
-	pa := popArec(train, 5)
-	pa.cacheCap = 4
-	numUsers := train.NumUsers()
-	if numUsers < 10 {
-		t.Fatalf("fixture too small: %d users", numUsers)
-	}
-	for u := 0; u < numUsers; u++ {
-		pa.AccuracyScore(types.UserID(u), 0)
-		if got := len(pa.cache); got > 4 {
-			t.Fatalf("cache grew to %d entries with cap 4", got)
+// popTopOracle is user u's popularity top-n as the selection over the whole
+// candidate list computes it: every candidate scored by Pop, then the n best,
+// ties to the smaller ItemID.
+func popTopOracle(train *dataset.Dataset, u types.UserID, n int) types.TopNSet {
+	pop := recommender.ScorerTopN{Scorer: recommender.NewPop(train)}
+	return pop.Recommend(u, n, train.AppendCandidates(u, nil))
+}
+
+// TestPopAccuracyMatchesOracle checks every user's indicators, bulk in both
+// widths and pointwise, against popTopOracle. The small fixture has tied
+// counts (items 0–1 at three ratings, 2–4 at two, 5–7 at one), a repeated
+// rating (user 1's of item 1), a user with fewer candidates than N (user 0),
+// a user with no ratings (user 3, a gap in the identifiers) and one past the
+// train set; every fixture is also read into an out shorter than its catalog.
+func TestPopAccuracyMatchesOracle(t *testing.T) {
+	var ratings []types.Rating
+	rate := func(u types.UserID, items ...types.ItemID) {
+		for _, i := range items {
+			ratings = append(ratings, types.Rating{User: u, Item: i, Value: 3})
 		}
 	}
-	// Evicted users must still score correctly (recomputed on demand).
-	fresh := popArec(train, 5)
-	for u := 0; u < 10; u++ {
-		for i := 0; i < 25; i++ {
-			uid, iid := types.UserID(u), types.ItemID(i)
-			if pa.AccuracyScore(uid, iid) != fresh.AccuracyScore(uid, iid) {
-				t.Fatalf("user %d item %d: bounded cache changed the score", u, i)
+	rate(0, 0, 1, 2, 3, 4, 5)
+	rate(1, 0, 1, 1)
+	rate(2, 2, 3, 4)
+	rate(4, 0, 6)
+	rate(5, 7)
+	small := dataset.FromRatings("ties", ratings)
+	if !slices.Equal(small.PopularityVector(), []int{3, 3, 2, 2, 2, 1, 1, 1}) || len(small.UserItemsSorted(3)) != 0 {
+		t.Fatal("fixture is not what the test describes")
+	}
+	for _, tc := range []struct {
+		name  string
+		train *dataset.Dataset
+		ns    []int
+	}{
+		{"ties", small, []int{1, 3, 5, 10}},
+		{"synth", testSplit(t).Train, []int{1, 5, 20}},
+	} {
+		numItems := tc.train.NumItems()
+		out64, out32 := make([]float64, numItems), make([]float32, numItems)
+		short := make([]float64, numItems/2)
+		for _, n := range tc.ns {
+			pa := popArec(tc.train, n)
+			for u := range types.UserID(tc.train.NumUsers() + 1) {
+				want := make([]float64, numItems)
+				for _, i := range popTopOracle(tc.train, u, n) {
+					want[i] = 1
+				}
+				// Stale values the fill must clear.
+				for i := range out64 {
+					out64[i], out32[i] = 1, 1
+				}
+				for i := range short {
+					short[i] = 1
+				}
+				pa.AccuracyScores(u, out64)
+				pa.AccuracyScores32(u, out32)
+				pa.AccuracyScores(u, short)
+				for i := range numItems {
+					if out64[i] != want[i] || float64(out32[i]) != want[i] || pa.AccuracyScore(u, types.ItemID(i)) != want[i] {
+						t.Fatalf("%s, N=%d, user %d, item %d: got %v/%v/%v, want %v", tc.name, n, u, i,
+							out64[i], out32[i], pa.AccuracyScore(u, types.ItemID(i)), want[i])
+					}
+				}
+				if !slices.Equal(short, want[:len(short)]) {
+					t.Fatalf("%s, N=%d, user %d: a short out reads %v, want %v", tc.name, n, u, short, want[:len(short)])
+				}
 			}
 		}
 	}
@@ -39,7 +87,6 @@ func TestPopAccuracyConcurrentReadsAgree(t *testing.T) {
 	sp := testSplit(t)
 	train := sp.Train
 	pa := popArec(train, 5)
-	pa.cacheCap = 8 // force eviction churn under concurrency
 	want := popArec(train, 5)
 
 	var wg sync.WaitGroup

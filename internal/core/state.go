@@ -3,7 +3,6 @@ package core
 import (
 	"ganc/internal/dataset"
 	"ganc/internal/recommender"
-	"ganc/internal/types"
 )
 
 // State import hooks for the persistence and streaming-ingestion layers:
@@ -27,11 +26,5 @@ func NewDynCoverageFrom(freq []int) *DynCoverage {
 // ingested train set or restored from a snapshot. topN is
 // the N of the top-N sets being constructed.
 func NewPopAccuracyWith(pop *recommender.Pop, train *dataset.Dataset, topN int) *PopAccuracy {
-	return &PopAccuracy{
-		pop:      recommender.ScorerTopN{Scorer: pop},
-		train:    train,
-		topN:     topN,
-		cache:    make(map[types.UserID][]uint64),
-		cacheCap: 200_000,
-	}
+	return &PopAccuracy{pop: pop, train: train, topN: topN}
 }

@@ -354,3 +354,50 @@ func TestRevalidationRacesUpdate(t *testing.T) {
 		t.Errorf("the race never met an older entry both ways: %+v", st.Revalidations)
 	}
 }
+
+// revalCounter is a lineEngine that counts its Revalidate calls.
+type revalCounter struct {
+	*lineEngine
+	revals atomic.Int64
+}
+
+func (e *revalCounter) Revalidate(u types.UserID, list types.TopNSet, n int, from Mark) Revalidation {
+	e.revals.Add(1)
+	return e.lineEngine.Revalidate(u, list, n, from)
+}
+
+// TestBatchMissRevalidatesOnce: a batch's inline pass, which finds a user's
+// entry refused by the current engine, is the one revalidation of it — the
+// worker that then computes the list does not ask the cache again — so the
+// engine is asked once and the outcome is counted once.
+func TestBatchMissRevalidatesOnce(t *testing.T) {
+	d, keys := lineFixture(8)
+	const u = types.UserID(1) // period 3
+	line := new(Lineage)
+	s, err := New(d, &lineEngine{line: line, seq: 0, items: 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	readList(t, h, keys[u]) // generation 1's entry
+	// The period turned: the entry is refused.
+	next := &revalCounter{lineEngine: &lineEngine{line: line, seq: 3, items: 8}}
+	if err := s.Update(next); err != nil {
+		t.Fatal(err)
+	}
+	code, body := serveOnce(h, http.MethodPost, "/recommend/batch", `{"users":["`+keys[u]+`"]}`)
+	var resp BatchResponse
+	if err := json.Unmarshal([]byte(body), &resp); code != http.StatusOK || err != nil {
+		t.Fatalf("batch → %d (%v): %s", code, err, body)
+	}
+	if item := d.ItemInterner().Key(int32(lineItem(u, 3, 8))); len(resp.Results) != 1 || len(resp.Results[0].Items) != 1 || resp.Results[0].Items[0] != item {
+		t.Fatalf("batch answered %+v, want [%s]", resp.Results, item)
+	}
+	if n := next.revals.Load(); n != 1 {
+		t.Fatalf("the engine was asked to revalidate %d times, want 1", n)
+	}
+	want := CacheStats{Misses: 2, Size: 1, Capacity: DefaultCacheCapacity, Revalidations: RevalidationStats{ItemNamed: 1}}
+	if got := s.Stats(); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+}

@@ -380,14 +380,21 @@ func (g *generation) revalidate(u types.UserID, list types.TopNSet, n int, from 
 }
 
 // recommend resolves one user's list through the current generation: a
-// cache hit, or else one engine compute under the caller's ctx, whose list
-// enters the cache. A compute that fails — the caller's cancellation
-// included — caches nothing, so the next request for the user computes.
-func (s *Server) recommend(ctx context.Context, u types.UserID) (e *entry, gen *generation, err error) {
+// cache hit, or else compute's.
+func (s *Server) recommend(ctx context.Context, u types.UserID) (*entry, *generation, error) {
 	e, gen, ok := s.cached(u)
 	if ok {
 		return e, gen, nil
 	}
+	e, err := s.compute(ctx, u, gen)
+	return e, gen, err
+}
+
+// compute is a miss in gen, the generation cached looked in: one engine
+// compute under the caller's ctx, whose list enters the cache. A compute that
+// fails — the caller's cancellation included — caches nothing, so the next
+// request for the user computes.
+func (s *Server) compute(ctx context.Context, u types.UserID, gen *generation) (e *entry, err error) {
 	s.misses.Add(1)
 	// A panicking engine answers this request with an error: over the hop no
 	// net/http recover stands behind the handler.
@@ -405,14 +412,14 @@ func (s *Server) recommend(ctx context.Context, u types.UserID) (e *entry, gen *
 		s.computeHist.Observe(time.Since(t0).Seconds())
 	}
 	if err != nil {
-		return nil, gen, err
+		return nil, err
 	}
 	// The list is encoded here, once, on its way into the cache.
 	if e, err = s.newEntry(u, set, gen.stamp); err != nil {
-		return nil, gen, err
+		return nil, err
 	}
 	s.cache.put(e)
-	return e, gen, nil
+	return e, nil
 }
 
 // Handler returns the HTTP handler with all routes mounted. When metrics,
@@ -589,9 +596,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	gen := s.gen.Load()
 	// One inline pass resolves unknown users and cache hits; only the misses,
-	// each an engine sweep, go to a bounded worker pool. recommend() is
-	// concurrency-safe (the cache and the generation swap both are), and an
-	// element carries the version of the generation that served it.
+	// each an engine sweep in the generation the pass looked in, go to a
+	// bounded worker pool. compute() is concurrency-safe (the cache and the
+	// generation swap both are), and an element carries the version of the
+	// generation that served it.
 	results := make([]batchElem, len(req.Users))
 	var misses []int
 	for k, userKey := range req.Users {
@@ -617,7 +625,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 						return
 					}
 					el := &results[misses[m]]
-					el.entry, el.gen, el.err = s.recommend(r.Context(), el.u)
+					el.entry, el.err = s.compute(r.Context(), el.u, el.gen)
 				}
 			}()
 		}

@@ -122,8 +122,6 @@ func BenchmarkRecommendAll(b *testing.B) {
 	})
 	b.Run("pipeline", func(b *testing.B) {
 		p := sweepBenchPipeline(b)
-		// Warm the Pop accuracy membership cache so both sub-benchmarks
-		// measure the steady-state sweep, not one-time cache fills.
 		if _, err := p.RecommendAll(context.Background()); err != nil {
 			b.Fatal(err)
 		}

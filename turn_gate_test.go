@@ -19,7 +19,10 @@ import (
 // and the set; the catalog-wide score buffer is pooled, the Dyn row is cached
 // and no candidate list is built — and a RecommendAll pass at most 2.05 times
 // per user: its turns' two, and the pass's own (the collection map, one
-// coverage row per sampled user) spread over them.
+// coverage row per sampled user) spread over them. A cold GANC(Pop) turn — a
+// user's first after assembly, as every serve miss on a fresh engine is —
+// allocates exactly four times: the Pop top-N's heap and set, selected in the
+// turn, then the turn's own.
 func TestTurnAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts mean nothing under the race detector")
@@ -49,6 +52,17 @@ func TestTurnAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perUser := float64(after.Mallocs-before.Mallocs) / float64(users); perUser > 2.05 {
 		t.Fatalf("a RecommendAll pass allocates %.3f times per user, want ≤ 2.05", perUser)
+	}
+
+	pop := sweepBenchPipeline(t)
+	u = 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := pop.RecommendUser(ctx, UserID(u), 0); err != nil {
+			t.Fatal(err)
+		}
+		u++
+	}); allocs != 4 {
+		t.Fatalf("a cold GANC(Pop) RecommendUser allocates %v times, want exactly 4 (two heaps, two sets)", allocs)
 	}
 }
 

@@ -12,19 +12,20 @@ import (
 // which runs where cpuAVX512 finds AVX-512F, POPCNT and an OS that keeps the
 // zmm and mask registers, once, at start-up; elsewhere it is its Go twin
 // (DESIGN.md §12, "AVX-512 bodies"). The bound pass, the score epilogues, the
-// band scan and the gain scan run the twin's operations in its order, so a
-// host's choice changes none of their bits; the row kernel's body sums in 16
-// lanes (DOT16), a tree the twin's eight accumulators do not share, so the
-// two score within float32 rounding of each other. None checks a bound it is
+// band scan, the gain scan and the SGD update run the twin's operations in
+// its order, so a host's choice changes none of their bits; the row kernel's
+// body sums in 16 lanes (DOT16), a tree the twin's eight accumulators do not
+// share, so the two score within float32 rounding of each other. None checks a bound it is
 // not given: dot32x8 requires len(b) ≥ len(a), dotRows32x8 that data holds n
 // rows of len(v) and that out holds len(rows) elements (an index outside the
 // n rows it checks itself, and scores 0), addBaseBias32 that
 // len(bias) ≥ len(out), headBounds32 that rho holds len(upper) values, head
 // the first w ≤ len(pb) head factors of len(upper) items and rest the
 // others, each chunk by chunk (headAt), and lower is empty or as long as
-// upper, and outsideBand and gainScan that their second row and out hold as
-// many elements as their first; the exported wrappers enforce that in Go
-// before the assembly touches memory.
+// upper, outsideBand and gainScan that their second row and out hold as
+// many elements as their first, and sgdUpdate that qi holds as many as pu;
+// the exported wrappers enforce that in Go before the assembly touches
+// memory.
 
 // useAVX512 reports whether this CPU and its OS run the AVX-512 bodies.
 var useAVX512 = cpuAVX512()
@@ -84,6 +85,14 @@ func gainScan(raw, cov []float32, min, scale, theta, bar float32, first types.It
 	return gainScanAVX512(raw, cov, min, scale, theta, bar, first, out, sparse)
 }
 
+func sgdUpdate(pu, qi []float64, err, lr, reg float64, nonNegative bool) {
+	if !useAVX512 {
+		sgdUpdateGeneric(pu, qi, err, lr, reg, nonNegative)
+		return
+	}
+	sgdUpdateAVX512(pu, qi, err, lr, reg, nonNegative)
+}
+
 //go:noescape
 func dot32x8AVX512(a, b []float32) float32
 
@@ -104,6 +113,9 @@ func outsideBandAVX512(upper, lower []float32, top, bottom float32, first types.
 
 //go:noescape
 func gainScanAVX512(raw, cov []float32, min, scale, theta, bar float32, first types.ItemID, out []types.ItemID, sparse bool) int
+
+//go:noescape
+func sgdUpdateAVX512(pu, qi []float64, err, lr, reg float64, nonNegative bool)
 
 // Prefetch hints (dot_amd64.s): PREFETCHT0 is part of the amd64 baseline.
 

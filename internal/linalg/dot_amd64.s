@@ -562,6 +562,75 @@ done:
 	VZEROUPPER
 	RET
 
+// func sgdUpdateAVX512(pu, qi []float64, err, lr, reg float64, nonNegative bool)
+//
+// For every f below len(pu), from the values both rows held before:
+// pu[f] = lr·(err·qi[f] − reg·pu[f]) + pu[f] and
+// qi[f] = qi[f] + lr·(err·pu[f] − reg·qi[f]), and then, when nonNegative is
+// set, each new value below zero becomes +0. Each lane runs
+// sgdUpdateGeneric's operations in its order, each operation's first source
+// the one the compiled twin's SSE2 instruction has for its destination (so
+// that of two NaN operands the same one's payload is kept): the products
+// err·qi[f] as qi[f]·err, reg·pu[f] as pu[f]·reg, the difference times lr as
+// difference·lr, and the new pu[f] as that product plus pu[f], the new qi[f]
+// as qi[f] plus it. The clamp is VCMPPD predicate 5, !(v < 0), which holds
+// for a −0 and a NaN, and a zero-masked move of the lanes it does not hold
+// for, as the twin's `v < 0` branch stores +0. Eight factors an iteration;
+// the last, short one is the same body under the mask K1 of its factors.
+// The caller guarantees len(qi) >= len(pu) and that the rows do not overlap.
+TEXT ·sgdUpdateAVX512(SB), NOSPLIT, $0-73
+	MOVQ         pu_base+0(FP), SI
+	MOVQ         pu_len+8(FP), CX
+	MOVQ         qi_base+24(FP), DI
+	VBROADCASTSD err+48(FP), Z0
+	VBROADCASTSD lr+56(FP), Z1
+	VBROADCASTSD reg+64(FP), Z2
+	MOVBLZX      nonNegative+72(FP), R8
+	VPXORQ       Z3, Z3, Z3
+	MOVL         $0xFF, AX
+	KMOVW        AX, K1
+	XORQ         AX, AX
+
+loop:
+	MOVQ  CX, R9
+	SUBQ  AX, R9
+	CMPQ  R9, $8
+	JGE   body
+	TESTQ R9, R9
+	JLE   done
+	TAILMASK(R9, R10)
+	KMOVW R10, K1
+
+body:
+	VMOVUPD.Z (SI)(AX*8), K1, Z4 // p
+	VMOVUPD.Z (DI)(AX*8), K1, Z5 // q
+	VMULPD    Z0, Z5, Z6         // q·err
+	VMULPD    Z2, Z4, Z7         // p·reg
+	VSUBPD    Z7, Z6, Z6
+	VMULPD    Z1, Z6, Z6         // ·lr
+	VADDPD    Z4, Z6, Z6         // + p: the new p
+	VMULPD    Z0, Z4, Z7         // p·err
+	VMULPD    Z2, Z5, Z8         // q·reg
+	VSUBPD    Z8, Z7, Z7
+	VMULPD    Z1, Z7, Z7         // ·lr
+	VADDPD    Z7, Z5, Z7         // q + …: the new q
+	TESTQ     R8, R8
+	JE        store
+	VCMPPD    $5, Z3, Z6, K2     // !(p < 0)
+	VMOVUPD.Z Z6, K2, Z6
+	VCMPPD    $5, Z3, Z7, K2     // !(q < 0)
+	VMOVUPD.Z Z7, K2, Z7
+
+store:
+	VMOVUPD Z6, K1, (SI)(AX*8)
+	VMOVUPD Z7, K1, (DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     loop
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuAVX512() bool
 //
 // Whether this CPU runs the AVX-512F bodies and its OS keeps their

@@ -10,8 +10,8 @@ import (
 
 // Portable kernel entry points for architectures without a hand-written
 // implementation: the unrolled multi-accumulator Go loops, the scalar score
-// epilogues, bound pass, band scan and gain scan, and prefetch hints that do
-// nothing.
+// epilogues, bound pass, band scan, gain scan and SGD update, and prefetch
+// hints that do nothing.
 
 // useAVX512 is false: no AVX-512 body is compiled here.
 const useAVX512 = false
@@ -38,6 +38,10 @@ func outsideBand(upper, lower []float32, top, bottom float32, first types.ItemID
 
 func gainScan(raw, cov []float32, min, scale, theta, bar float32, first types.ItemID, out []types.ItemID, _ bool) int {
 	return gainScanGeneric(raw, cov, min, scale, theta, bar, first, out)
+}
+
+func sgdUpdate(pu, qi []float64, err, lr, reg float64, nonNegative bool) {
+	sgdUpdateGeneric(pu, qi, err, lr, reg, nonNegative)
 }
 
 func prefetchRow([]float64) {}

@@ -46,8 +46,8 @@ func headLen(n, f int) int {
 // TestKernelsReadNothingPastTheirRows runs every kernel over rows that end at
 // an unreadable page, for every length 0–69: the row kernel's vector and
 // block, the epilogues' scores and biases, the bound pass's unpadded head and
-// rest layouts and tail norms, with and without its lower row, and both
-// scans' rows and outputs.
+// rest layouts and tail norms, with and without its lower row, both scans'
+// rows and outputs, and the SGD update's two rows.
 func TestKernelsReadNothingPastTheirRows(t *testing.T) {
 	pb := []float32{0.5, -1, 2, 0.25, 1}
 	for n := 0; n < 70; n++ {
@@ -60,6 +60,7 @@ func TestKernelsReadNothingPastTheirRows(t *testing.T) {
 		upper, lower, kept := guarded[float32](t, n), guarded[float32](t, n), guarded[types.ItemID](t, n)
 		OutsideBand(upper, lower, 1, -1, 0, kept)
 		GainScan(upper, lower, -1, 0.5, 0.3, 0.25, 0, kept, n%2 == 0)
+		SGDUpdate(guarded[float64](t, n), guarded[float64](t, n), 0.5, 0.03, 0.05, n%2 == 0)
 		for w := 0; w <= len(pb); w += 2 {
 			head, rest := guarded[float32](t, headLen(n, w)), guarded[float32](t, headLen(n, len(pb)-w))
 			rho := guarded[float32](t, n)

@@ -136,7 +136,8 @@ func TestBlockFrom64(t *testing.T) {
 // float64 baseline by ≥2x on the serving factor width, the row kernel must
 // cost no more per row than the Dot32x8 call loop it replaced, and the score
 // epilogues, the bound pass and the band scan must beat their Go twins
-// (epilogueArms). Every arm measures the same way (speedupGate). The gain
+// (epilogueArms), and the SGD update its Go twin by ≥2.5x on RSVD's factor
+// width. Every arm measures the same way (speedupGate). The gain
 // scan's arms are core's TestKernelSpeedupGate. Skipped under -race (instrumentation distorts the ratios),
 // -short, and where the CPU runs no AVX-512: there every kernel is its Go
 // twin (Dot32x8 the 8-accumulator loop, 1.06–1.36× Dot64 measured on 386).
@@ -183,6 +184,16 @@ func TestKernelSpeedupGate(t *testing.T) {
 		func() { block.DotRows32x8(v, list, out) },
 	})
 	epilogueArms(t)
+
+	// Third ratio: one SGD update of a 40-factor row pair, the step mf.TrainRSVD
+	// takes per rating, against its Go twin. An error equal to the
+	// regularization keeps p + q fixed in every lane, so the rows neither
+	// grow nor decay into subnormals over the gate's million updates.
+	pu, qi := randRow64(rng, dims), randRow64(rng, dims)
+	speedupGate(t, "SGDUpdate against its Go twin", 2.5, 20000, 1, [2]func(){
+		func() { sgdUpdateGeneric(pu, qi, 0.05, 0.03, 0.05, false) },
+		func() { SGDUpdate(pu, qi, 0.05, 0.03, 0.05, false) },
+	})
 }
 
 // TestAVX512SelectionMatchesCPU holds the CPU check that selects the AVX-512

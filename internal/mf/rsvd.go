@@ -182,22 +182,7 @@ func (m *RSVD) apply(r types.Rating, pred float64) {
 		m.userBias[u] += lr * (err - reg*m.userBias[u])
 		m.itemBias[i] += lr * (err - reg*m.itemBias[i])
 	}
-	pu, qi := m.userF[u], m.itemF[i]
-	qi = qi[:len(pu)]
-	nonNegative := m.cfg.NonNegative
-	for f := range pu {
-		puf, qif := pu[f], qi[f]
-		pu[f] += lr * (err*qif - reg*puf)
-		qi[f] += lr * (err*puf - reg*qif)
-		if nonNegative {
-			if pu[f] < 0 {
-				pu[f] = 0
-			}
-			if qi[f] < 0 {
-				qi[f] = 0
-			}
-		}
-	}
+	linalg.SGDUpdate(m.userF[u], m.itemF[i], err, lr, reg, m.cfg.NonNegative)
 }
 
 func (m *RSVD) predict(u types.UserID, i types.ItemID) float64 {

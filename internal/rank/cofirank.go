@@ -145,12 +145,7 @@ func (m *Model) trainRegression(train *dataset.Dataset, rng *rand.Rand) {
 			r := ratings[idx]
 			pu, qi := m.userF[r.User], m.itemF[r.Item]
 			pred := m.mean + dot(pu, qi)
-			err := r.Value - pred
-			for f := range pu {
-				puf, qif := pu[f], qi[f]
-				pu[f] += lr * (err*qif - reg*puf)
-				qi[f] += lr * (err*puf - reg*qif)
-			}
+			linalg.SGDUpdate(pu, qi, r.Value-pred, lr, reg, false)
 		}
 	}
 }
